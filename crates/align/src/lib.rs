@@ -24,7 +24,9 @@ pub mod ungapped;
 
 pub use cigar::{AlignOp, AlignStats};
 pub use exact::{gotoh_local, needleman_wunsch, smith_waterman, ExactAlignment};
-pub use gapped::{extend_gapped_both, extend_gapped_right, GappedExtension, GappedParams};
+pub use gapped::{
+    extend_gapped_both, extend_gapped_right, GappedExtension, GappedParams, GappedScratch,
+};
 pub use scoring::ScoringScheme;
 pub use ungapped::{
     extend_hit, extend_hit_prepared, ungapped_score, ExtensionOutcome, OrderGuard, PreparedGuard,

@@ -6,8 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use oris_align::{
-    extend_gapped_both, extend_hit, gotoh_local, GappedParams, OrderGuard, ScoringScheme,
-    UngappedParams,
+    extend_gapped_both, extend_hit, gotoh_local, GappedParams, GappedScratch, OrderGuard,
+    ScoringScheme, UngappedParams,
 };
 use oris_index::SeedCoder;
 use oris_simulate::{mutate, MutationModel};
@@ -64,10 +64,16 @@ fn bench_ungapped(c: &mut Criterion) {
 fn bench_gapped(c: &mut Criterion) {
     let (d1, d2, pos) = homologous_pair();
     let params = GappedParams::default();
+    // One scratch across iterations, as a step-3 worker keeps one across HSPs.
+    let mut scratch = GappedScratch::new();
     let mut g = c.benchmark_group("gapped_extension");
     g.throughput(Throughput::Elements(1));
     g.bench_function("xdrop25_2kb", |b| {
-        b.iter(|| extend_gapped_both(&d1, &d2, pos, pos, &params))
+        b.iter(|| {
+            let (ext, start1, start2) =
+                extend_gapped_both(&d1, &d2, pos, pos, &params, &mut scratch);
+            (ext.score, ext.ops.len(), start1, start2)
+        })
     });
     g.finish();
 }

@@ -1,16 +1,20 @@
 //! Criterion benchmarks for the statistics layer (paper §2.4/§3.1).
 //!
-//! Karlin–Altschul parameter computation is done once per run; e-value
-//! evaluation runs once per candidate alignment — both are measured.
+//! Karlin–Altschul parameters are solved once per scoring scheme per
+//! process (`KarlinParams::dna` memoises, so the solve is measured
+//! through `from_pmf`); e-value evaluation runs once per candidate
+//! alignment — both are measured.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use oris_stats::{EValueModel, KarlinParams, SearchSpace};
+use oris_stats::{EValueModel, KarlinParams, ScorePmf, SearchSpace};
 
 fn bench_karlin(c: &mut Criterion) {
     let mut g = c.benchmark_group("karlin_params");
     g.sample_size(20);
-    g.bench_function("dna_1_m3", |b| b.iter(|| KarlinParams::dna(1, -3)));
-    g.bench_function("dna_2_m3", |b| b.iter(|| KarlinParams::dna(2, -3)));
+    for (name, m, x) in [("dna_1_m3", 1, -3), ("dna_2_m3", 2, -3)] {
+        let pmf = ScorePmf::dna_uniform(m, x);
+        g.bench_function(name, |b| b.iter(|| KarlinParams::from_pmf(&pmf)));
+    }
     g.finish();
 }
 

@@ -17,22 +17,30 @@
 //! contained when its midpoint falls inside an alignment's coordinate box
 //! and its diagonal within the alignment's [min, max] diagonal range.
 //!
-//! Parallel mode groups HSPs by `(query record, subject record)` — gapped
+//! HSPs are grouped by `(query record, subject record)` — gapped
 //! alignments never cross sentinel boundaries, so groups are independent —
-//! and processes groups with rayon, preserving deterministic output by
-//! sorting groups and concatenating in order.
+//! by tagging each with its record pair and stable-sorting on the tag:
+//! groups come out as index ranges in ascending key order with the
+//! diagonal order inside each preserved, and no map is involved.
 //!
-//! The streaming pipeline enters through [`gapped_alignments_into`]: each
-//! group's alignments are handed to a [`Step3Emit`] receiver as soon as
-//! the group is computed (in ascending group-key order, so emission stays
-//! deterministic for any thread count), and groups are computed in bounded
-//! waves — at most a few groups' alignments are ever live at once instead
-//! of the whole query's. [`gapped_alignments`] is the collect-everything
-//! wrapper over the same machinery.
+//! Groups are scheduled in **waves sized by work**. A wave is the run of
+//! consecutive groups that holds at least `2 × workers` groups *and* an
+//! HSP budget proportional to the worker count, so 13 000 one-HSP groups
+//! make ~50 waves and six chromosome-pair groups make two. Within a wave
+//! up to `workers` dispatch loops claim groups off an atomic cursor, each
+//! loop with its own kernel scratch; a wave too small to repay a thread
+//! runs on the caller's. When the wave is done its groups are handed to
+//! the [`Step3Emit`] receiver in ascending key order, so the stream is the
+//! same for any thread count and at most one wave's alignments are ever
+//! live — the streaming pipeline ([`gapped_alignments_into`]) never holds
+//! a whole query's. [`gapped_alignments`] collects the same stream.
 
-use oris_align::{extend_gapped_both, AlignStats, GappedParams};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+use oris_align::{extend_gapped_both, AlignOp, AlignStats, GappedParams, GappedScratch};
 use oris_seqio::Bank;
-use rayon::prelude::*;
 
 use crate::config::OrisConfig;
 use crate::hsp::Hsp;
@@ -100,22 +108,36 @@ impl Step3Stats {
     }
 }
 
-/// Extends one HSP from its midpoint and packages the result.
-fn extend_one(bank1: &Bank, bank2: &Bank, hsp: &Hsp, params: &GappedParams) -> GappedAlignment {
+/// An HSP tagged with its `(query record, subject record)` group key.
+type Tagged = ((usize, usize), Hsp);
+
+/// One group's outcome: its alignments and counters.
+type GroupResult = (Vec<GappedAlignment>, Step3Stats);
+
+/// Extends one HSP from its midpoint and packages the result, folding
+/// the column statistics and the diagonal range out of the ops while
+/// they still sit in the scratch.
+fn extend_one(
+    bank1: &Bank,
+    bank2: &Bank,
+    hsp: &Hsp,
+    params: &GappedParams,
+    scratch: &mut GappedScratch,
+) -> GappedAlignment {
     let (m1, m2) = hsp.midpoint();
-    let (merged, start1, start2) = extend_gapped_both(bank1.data(), bank2.data(), m1, m2, params);
-    let stats = AlignStats::from_ops(&merged.ops);
+    let (merged, start1, start2) =
+        extend_gapped_both(bank1.data(), bank2.data(), m1, m2, params, scratch);
     // Diagonal range along the path.
     let mut diag = start1 as i64 - start2 as i64;
     let mut dmin = diag;
     let mut dmax = diag;
-    for op in &merged.ops {
+    for op in merged.ops {
         match op {
-            oris_align::AlignOp::Ins => {
+            AlignOp::Ins => {
                 diag += 1;
                 dmax = dmax.max(diag);
             }
-            oris_align::AlignOp::Del => {
+            AlignOp::Del => {
                 diag -= 1;
                 dmin = dmin.min(diag);
             }
@@ -128,26 +150,27 @@ fn extend_one(bank1: &Bank, bank2: &Bank, hsp: &Hsp, params: &GappedParams) -> G
         len1: merged.len1,
         len2: merged.len2,
         score: merged.score,
-        stats,
+        stats: AlignStats::from_ops(merged.ops),
         diag_min: dmin,
         diag_max: dmax,
     }
 }
 
-/// Sequential step 3 over diagonal-sorted HSPs.
+/// Sequential step 3 over one group's diagonal-sorted HSPs.
 fn gapped_serial(
     bank1: &Bank,
     bank2: &Bank,
-    hsps: &[Hsp],
+    group: &[Tagged],
     params: &GappedParams,
-) -> (Vec<GappedAlignment>, Step3Stats) {
+    scratch: &mut GappedScratch,
+) -> GroupResult {
     let mut stats = Step3Stats::default();
     let mut out: Vec<GappedAlignment> = Vec::new();
     // Active window: indexes into `out`, retired once their diag_max falls
     // behind the sweep (with slack for the midpoint offset).
     let mut active: Vec<usize> = Vec::new();
 
-    for hsp in hsps {
+    for (_, hsp) in group {
         let (m1, m2) = hsp.midpoint();
         let diag = hsp.diag();
         // Retire alignments that end (in diagonal terms) before the sweep.
@@ -159,7 +182,7 @@ fn gapped_serial(
             continue;
         }
         stats.extended += 1;
-        let aln = extend_one(bank1, bank2, hsp, params);
+        let aln = extend_one(bank1, bank2, hsp, params, scratch);
         active.push(out.len());
         out.push(aln);
     }
@@ -184,18 +207,55 @@ impl<F: FnMut(Vec<GappedAlignment>)> Step3Emit for F {
     }
 }
 
-/// Shared step-3 scheduler: groups HSPs by record pair, processes the
-/// groups in parallel in waves of `wave` groups, and emits each group in
-/// ascending key order as its wave completes. `wave = usize::MAX` is one
-/// wave — maximum overlap, no memory bound — for collect-everything
-/// callers; a small wave bounds in-flight alignments for streaming
-/// callers at the cost of a barrier per wave.
-fn gapped_grouped(
+/// HSPs a wave must hold, per worker, before it may close. Measured on
+/// the benchmark's `repeat_family` inputs (13 000 one-HSP groups, 2
+/// workers): 128 and 2 048 run equally fast (0.084 s vs 0.085 s per CLI
+/// run), but at 2 048 a wave's finished alignments lift peak RSS from
+/// 13.4 MB to 15.3 MB, and at 32 (0.097 s) and 8 (0.130 s) the per-wave
+/// thread start shows again.
+const WAVE_HSPS_PER_WORKER: usize = 128;
+
+/// A wave with fewer HSPs than this runs on the calling thread. Starting
+/// and joining one scoped thread measured 15 µs on the benchmark host and
+/// a small extension 4–6 µs, so a second worker repays its start from
+/// about six HSPs up; below that (a read mapped to two records, say) it
+/// is pure overhead.
+const INLINE_WAVE_HSPS: usize = 8;
+
+/// Cuts the groups (index ranges into the tagged HSP vector, ascending
+/// key) into waves: each wave is the shortest run of consecutive groups
+/// holding at least `2 × workers` groups — slack for uneven group sizes —
+/// and at least `WAVE_HSPS_PER_WORKER × workers` HSPs, so a barrier is
+/// paid per unit of work, not per handful of groups. The last wave takes
+/// what is left.
+fn waves(groups: &[Range<usize>], workers: usize) -> Vec<Range<usize>> {
+    let (min_groups, min_hsps) = (2 * workers, WAVE_HSPS_PER_WORKER * workers);
+    let mut out = Vec::new();
+    let (mut first, mut hsps) = (0usize, 0usize);
+    for (g, group) in groups.iter().enumerate() {
+        hsps += group.len();
+        if g + 1 - first >= min_groups && hsps >= min_hsps {
+            out.push(first..g + 1);
+            (first, hsps) = (g + 1, 0);
+        }
+    }
+    if first < groups.len() {
+        out.push(first..groups.len());
+    }
+    out
+}
+
+/// Runs step 3, parallelizing over `(record1, record2)` groups and
+/// streaming each group's alignments into `emit` as soon as its wave is
+/// done. At most one wave's alignments are live at a time (see the module
+/// docs for how a wave is sized); within and across waves, emission
+/// follows ascending group key, which keeps the stream deterministic for
+/// any thread count.
+pub fn gapped_alignments_into(
     bank1: &Bank,
     bank2: &Bank,
     hsps: &[Hsp],
     cfg: &OrisConfig,
-    wave: usize,
     emit: &mut dyn Step3Emit,
 ) -> Step3Stats {
     let params = GappedParams {
@@ -205,66 +265,84 @@ fn gapped_grouped(
         max_cells: 1 << 24,
     };
 
-    // Group HSPs by sequence pair. Alignments cannot cross sentinels, so
-    // groups are fully independent.
-    use std::collections::HashMap;
-    // oris-lint: allow(det-hash) — grouping only; group keys are collected and sorted before processing
-    let mut groups: HashMap<(usize, usize), Vec<Hsp>> = HashMap::new();
-    for h in hsps {
-        let r1 = bank1
-            .locate(h.start1 as usize)
-            .expect("HSP start must lie inside a sequence");
-        let r2 = bank2
-            .locate(h.start2 as usize)
-            .expect("HSP start must lie inside a sequence");
-        groups.entry((r1, r2)).or_default().push(*h);
+    // Tag each HSP with its sequence pair and sort on the tag. The sort
+    // is stable, so within a group HSPs keep their global diagonal order.
+    let mut tagged: Vec<Tagged> = hsps
+        .iter()
+        .map(|h| {
+            let r1 = bank1
+                .locate(h.start1 as usize)
+                .expect("HSP start must lie inside a sequence");
+            let r2 = bank2
+                .locate(h.start2 as usize)
+                .expect("HSP start must lie inside a sequence");
+            ((r1, r2), *h)
+        })
+        .collect();
+    tagged.sort_by_key(|&(key, _)| key);
+    let mut groups: Vec<Range<usize>> = Vec::new();
+    for group in tagged.chunk_by(|a, b| a.0 == b.0) {
+        let first = groups.last().map_or(0, |g| g.end);
+        groups.push(first..first + group.len());
     }
-    let mut keys: Vec<(usize, usize)> = groups.keys().copied().collect();
-    keys.sort_unstable();
+
+    let workers = rayon::current_num_threads().max(1);
+    // The calling thread's kernel scratch, kept across waves. Spawned
+    // dispatch loops make their own on their own stacks: scratches side by
+    // side in one vector shared cache lines between workers, which cost
+    // `genome_repeats` its whole two-thread speed-up.
+    let mut scratch = GappedScratch::new();
+    let run = |group: &Range<usize>, scratch: &mut GappedScratch| {
+        gapped_serial(bank1, bank2, &tagged[group.clone()], &params, scratch)
+    };
 
     let mut stats = Step3Stats::default();
-    for wave_keys in keys.chunks(wave.max(1)) {
-        let results: Vec<(Vec<GappedAlignment>, Step3Stats)> = wave_keys
-            .par_iter()
-            .map(|k| {
-                // Within a group HSPs keep their global diagonal order.
-                let group = &groups[k];
-                gapped_serial(bank1, bank2, group, &params)
-            })
-            .collect();
-        for (v, s) in results {
+    for wave in waves(&groups, workers) {
+        let wave = &groups[wave];
+        let wave_hsps = wave[wave.len() - 1].end - wave[0].start;
+        if workers == 1 || wave.len() == 1 || wave_hsps < INLINE_WAVE_HSPS {
+            for group in wave {
+                let (alns, s) = run(group, &mut scratch);
+                stats = stats.merge(s);
+                emit.group(alns);
+            }
+            continue;
+        }
+        // Dispatch loops, one scratch each: claim the next group of the
+        // wave, extend it, park the result in the group's slot. The
+        // cursor only hands out indexes (results travel through the slot
+        // locks and the scope's join), so relaxed ordering is enough.
+        let slots: Vec<Mutex<Option<GroupResult>>> =
+            wave.iter().map(|_| Mutex::new(None)).collect();
+        let cursor = AtomicUsize::new(0);
+        let dispatch = |scratch: &mut GappedScratch| loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= wave.len() {
+                break;
+            }
+            *slots[i].lock().expect("slot lock") = Some(run(&wave[i], scratch));
+        };
+        rayon::scope(|s| {
+            for _ in 1..workers.min(wave.len()) {
+                s.spawn(|_| dispatch(&mut GappedScratch::new()));
+            }
+            dispatch(&mut scratch);
+        });
+        for slot in slots {
+            let (alns, s) = slot
+                .into_inner()
+                .expect("slot lock")
+                .expect("every group of a finished wave was claimed");
             stats = stats.merge(s);
-            emit.group(v);
+            emit.group(alns);
         }
     }
     stats
 }
 
-/// Runs step 3, parallelizing over `(record1, record2)` groups and
-/// streaming each group's alignments into `emit` the moment the group is
-/// done. Groups are computed in waves of `2 × worker-count`, so at most
-/// one wave's alignments are live at a time; within and across waves,
-/// emission follows ascending group key, which keeps the stream
-/// deterministic for any thread count.
-pub fn gapped_alignments_into(
-    bank1: &Bank,
-    bank2: &Bank,
-    hsps: &[Hsp],
-    cfg: &OrisConfig,
-    emit: &mut dyn Step3Emit,
-) -> Step3Stats {
-    // Wave width: enough groups to occupy every worker with some slack for
-    // uneven group sizes, small enough that in-flight alignments stay
-    // bounded by the wave, not the query.
-    let wave = rayon::current_num_threads().max(1) * 2;
-    gapped_grouped(bank1, bank2, hsps, cfg, wave, emit)
-}
-
-/// Collect-everything wrapper: the pre-streaming signature, kept for the
-/// ablation harness, the brute-force references and any caller that
-/// genuinely needs the whole vector. Runs all groups as one wave —
-/// callers that hold every alignment anyway should not pay the streaming
-/// path's per-wave barriers.
+/// Collect-everything wrapper over [`gapped_alignments_into`], for the
+/// tests, the brute-force references and any caller that genuinely needs
+/// the whole vector: the concatenation of the emitted groups.
 pub fn gapped_alignments(
     bank1: &Bank,
     bank2: &Bank,
@@ -273,7 +351,7 @@ pub fn gapped_alignments(
 ) -> (Vec<GappedAlignment>, Step3Stats) {
     let mut out: Vec<GappedAlignment> = Vec::new();
     let mut collect = |mut alns: Vec<GappedAlignment>| out.append(&mut alns);
-    let stats = gapped_grouped(bank1, bank2, hsps, cfg, usize::MAX, &mut collect);
+    let stats = gapped_alignments_into(bank1, bank2, hsps, cfg, &mut collect);
     (out, stats)
 }
 
@@ -409,5 +487,209 @@ mod tests {
         let (hsps, _) = crate::step2::find_hsps(&b1, &i1, &b2, &i2, &c);
         let (_, st) = gapped_alignments(&b1, &b2, &hsps, &c);
         assert_eq!(st.extended + st.skipped_contained, hsps.len() as u64);
+    }
+
+    #[test]
+    fn waves_are_work_sized_and_cover_every_group_once() {
+        // Group sizes → index ranges, as the scheduler builds them.
+        let ranges = |sizes: &[usize]| -> Vec<Range<usize>> {
+            let mut at = 0;
+            sizes
+                .iter()
+                .map(|&n| {
+                    at += n;
+                    at - n..at
+                })
+                .collect()
+        };
+        let shapes: Vec<Vec<usize>> = vec![
+            vec![1; 13_000],
+            vec![3200; 6],
+            (0..500).map(|i| 1 + (i * 37) % 300).collect(),
+            vec![1, 1, 5000, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+            vec![7],
+            vec![],
+        ];
+        for sizes in &shapes {
+            let groups = ranges(sizes);
+            for workers in [1usize, 2, 4, 7] {
+                let budget = WAVE_HSPS_PER_WORKER * workers;
+                let got = waves(&groups, workers);
+                // Ascending, gap-free cover of every group.
+                let mut next = 0;
+                for w in &got {
+                    assert_eq!(w.start, next);
+                    assert!(w.end > w.start);
+                    next = w.end;
+                }
+                assert_eq!(next, groups.len());
+                let hsps = |w: &Range<usize>| sizes[w.clone()].iter().sum::<usize>();
+                for (n, w) in got.iter().enumerate() {
+                    // Every wave but the last holds the minimum of both…
+                    if n + 1 < got.len() {
+                        assert!(w.len() >= 2 * workers, "{sizes:?} {workers} {w:?}");
+                        assert!(hsps(w) >= budget, "{sizes:?} {workers} {w:?}");
+                    }
+                    // …and no more than it needs: without its last group
+                    // it is short of groups or of HSPs, so a wave of many
+                    // groups holds at most the budget plus one group.
+                    let short = w.start..w.end - 1;
+                    assert!(short.len() < 2 * workers || hsps(&short) < budget);
+                }
+            }
+        }
+        assert_eq!(waves(&ranges(&[1; 13_000]), 2).len(), 51);
+        assert_eq!(waves(&ranges(&[3200; 6]), 2), vec![0..4, 4..6]);
+    }
+
+    /// Deterministic draws for the scheduling shapes.
+    struct Gen(proptest::test_runner::TestRng);
+
+    impl Gen {
+        fn draw(&mut self, lo: usize, hi: usize) -> usize {
+            self.0.in_range_u64(lo as u64, hi as u64) as usize
+        }
+
+        fn dna(&mut self, n: usize) -> String {
+            (0..n).map(|_| b"ACGT"[self.draw(0, 3)] as char).collect()
+        }
+
+        /// A copy of `s` with one base in `every` substituted.
+        fn diverged(&mut self, s: &str, every: usize) -> String {
+            s.chars()
+                .map(|c| {
+                    if self.draw(1, every) == 1 {
+                        if c == 'A' {
+                            'C'
+                        } else {
+                            'A'
+                        }
+                    } else {
+                        c
+                    }
+                })
+                .collect()
+        }
+    }
+
+    fn hsp(b1: &Bank, r1: usize, p1: usize, b2: &Bank, r2: usize, p2: usize, len: u32) -> Hsp {
+        Hsp {
+            start1: (b1.record(r1).start + p1) as u32,
+            start2: (b2.record(r2).start + p2) as u32,
+            len,
+            score: len as i32,
+        }
+    }
+
+    /// Three scheduling shapes — 2 000 one-HSP groups, 3 groups of 2 000
+    /// HSPs, and a mix of 57 — as `(bank1, bank2, diagonal-sorted HSPs)`.
+    fn scheduling_shapes() -> Vec<(Bank, Bank, Vec<Hsp>)> {
+        let mut g = Gen(proptest::test_runner::TestRng::for_test(
+            "scheduling_shapes",
+        ));
+        let mut shapes = Vec::new();
+
+        // 40 × 50 short records sharing one 24-nt repeat: one HSP per pair.
+        let repeat = g.dna(24);
+        let family = |g: &mut Gen, n: usize| -> (Bank, Vec<usize>) {
+            let offsets: Vec<usize> = (0..n).map(|_| g.draw(0, 30)).collect();
+            let seqs: Vec<String> = offsets
+                .iter()
+                .map(|&o| format!("{}{repeat}{}", g.dna(o), g.dna(36 - o)))
+                .collect();
+            (
+                bank(&seqs.iter().map(String::as_str).collect::<Vec<_>>()),
+                offsets,
+            )
+        };
+        let (b1, o1) = family(&mut g, 40);
+        let (b2, o2) = family(&mut g, 50);
+        let mut hsps = Vec::new();
+        for (r1, &p1) in o1.iter().enumerate() {
+            for (r2, &p2) in o2.iter().enumerate() {
+                hsps.push(hsp(&b1, r1, p1, &b2, r2, p2, 24));
+            }
+        }
+        shapes.push((b1, b2, hsps));
+
+        // One 4 kb record against three diverged copies: 2 000 HSPs per
+        // pair, half on the homologous diagonal (mostly contained in the
+        // first alignment), half anywhere (short dead-end extensions).
+        let base = g.dna(4000);
+        let copies: Vec<String> = (0..3).map(|_| g.diverged(&base, 30)).collect();
+        let b1 = bank(&[&base]);
+        let b2 = bank(&copies.iter().map(String::as_str).collect::<Vec<_>>());
+        let mut hsps = Vec::new();
+        for r2 in 0..3 {
+            for i in 0..2000 {
+                let p1 = g.draw(0, 3980);
+                let p2 = if i % 2 == 0 { p1 } else { g.draw(0, 3980) };
+                hsps.push(hsp(&b1, 0, p1, &b2, r2, p2, 12));
+            }
+        }
+        shapes.push((b1, b2, hsps));
+
+        // Mixed: 6 × 12 records of 600 nt, subject j a diverged copy of
+        // query j mod 6; most pairs carry no HSP, some one, a few hundreds.
+        let queries: Vec<String> = (0..6).map(|_| g.dna(600)).collect();
+        let subjects: Vec<String> = (0..12).map(|j| g.diverged(&queries[j % 6], 25)).collect();
+        let b1 = bank(&queries.iter().map(String::as_str).collect::<Vec<_>>());
+        let b2 = bank(&subjects.iter().map(String::as_str).collect::<Vec<_>>());
+        let mut hsps = Vec::new();
+        for r1 in 0..6 {
+            for r2 in 0..12 {
+                let n = match (r1 * 12 + r2) % 5 {
+                    0 => 0,
+                    1 | 2 => 1,
+                    3 => g.draw(2, 9),
+                    _ => 300,
+                };
+                for _ in 0..n {
+                    let p1 = g.draw(0, 580);
+                    let p2 = if r2 % 6 == r1 { p1 } else { g.draw(0, 580) };
+                    hsps.push(hsp(&b1, r1, p1, &b2, r2, p2, 14));
+                }
+            }
+        }
+        shapes.push((b1, b2, hsps));
+
+        for (_, _, hsps) in &mut shapes {
+            hsps.sort_by(Hsp::diag_order);
+        }
+        shapes
+    }
+
+    #[test]
+    fn any_pool_size_emits_the_same_groups_in_the_same_order() {
+        let c = cfg(8);
+        for ((b1, b2, hsps), pairs) in scheduling_shapes().into_iter().zip([2000, 3, 57]) {
+            let run = |threads: usize| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                pool.install(|| {
+                    let mut groups: Vec<Vec<GappedAlignment>> = Vec::new();
+                    let mut record = |alns: Vec<GappedAlignment>| groups.push(alns);
+                    let stats = gapped_alignments_into(&b1, &b2, &hsps, &c, &mut record);
+                    let collected = gapped_alignments(&b1, &b2, &hsps, &c);
+                    (groups, stats, collected)
+                })
+            };
+            let (groups, stats, collected) = run(1);
+            assert_eq!(stats.extended + stats.skipped_contained, hsps.len() as u64);
+            // One emission per record pair that has an HSP, keys ascending.
+            let key = |a: &GappedAlignment| (b1.locate(a.start1), b2.locate(a.start2));
+            let keys: Vec<_> = groups.iter().map(|g| key(&g[0])).collect();
+            assert_eq!(keys.len(), pairs);
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+            assert!(groups
+                .iter()
+                .all(|g| g.iter().all(|a| key(a) == key(&g[0]))));
+            assert_eq!(collected, (groups.concat(), stats));
+            for threads in [2, 4, 7] {
+                assert_eq!(run(threads), (groups.clone(), stats, collected.clone()));
+            }
+        }
     }
 }

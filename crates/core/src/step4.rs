@@ -15,6 +15,12 @@
 //! wrappers over the same conversion; all of them sort with the strict
 //! total order [`M8Record::total_order`], so collected and streamed
 //! output agree byte-for-byte even under tied e-values.
+//!
+//! `emit_records` is called once per record-pair group — thousands of
+//! times per query on a repeat-family screen — so everything it does per
+//! call must be cheap: the e-value model is a lookup
+//! ([`EValueModel::dna`] solves the Karlin–Altschul parameters once per
+//! scoring scheme per process), and the rest is per alignment.
 
 use oris_eval::M8Record;
 use oris_seqio::Bank;

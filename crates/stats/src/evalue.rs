@@ -53,7 +53,9 @@ impl EValueModel {
         EValueModel { params }
     }
 
-    /// Model for DNA uniform background with the given reward/penalty.
+    /// Model for DNA uniform background with the given reward/penalty —
+    /// a lookup after the first call per pair (see [`KarlinParams::dna`]),
+    /// so per-group callers such as step 4 need not carry a model around.
     pub fn dna(match_score: i32, mismatch_score: i32) -> EValueModel {
         EValueModel {
             params: KarlinParams::dna(match_score, mismatch_score),

@@ -21,6 +21,15 @@
 //! `{(match, 1/4), (mismatch, 3/4)}` — see [`ScorePmf::dna_uniform`]. The
 //! computed constants are validated against NCBI's published values for
 //! the standard blastn reward/penalty pairs in the tests.
+//!
+//! The solve (a 200-step bisection plus a convolution series of up to 400
+//! terms) costs ~20 µs, and step 4 asks for the DNA parameters once per
+//! record-pair group — 13 000 times on a repeat-family screen — so
+//! [`KarlinParams::dna`] memoises per `(match, mismatch)` for the life of
+//! the process. [`KarlinParams::from_pmf`] always solves afresh.
+
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 /// A probability mass function over integer scores.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,10 +142,33 @@ impl KarlinParams {
         KarlinParams { lambda, k, h }
     }
 
-    /// Convenience constructor for DNA uniform-background scoring.
+    /// Parameters for DNA uniform-background scoring, solved once per
+    /// `(match, mismatch)` per process and looked up afterwards. The
+    /// function stays pure: the memo holds exactly what
+    /// [`KarlinParams::from_pmf`] returned for the same pair.
+    ///
+    /// # Panics
+    /// As [`ScorePmf::new`], for a pair outside the Karlin–Altschul
+    /// regime; a rejected pair is never stored.
     pub fn dna(match_score: i32, mismatch_score: i32) -> KarlinParams {
-        KarlinParams::from_pmf(&ScorePmf::dna_uniform(match_score, mismatch_score))
+        let key = (match_score, mismatch_score);
+        if let Some(&hit) = dna_memo().get(&key) {
+            return hit;
+        }
+        // Solved outside the lock: a rejected pair panics here and cannot
+        // poison the memo, and two racing first callers store equal values.
+        let solved = KarlinParams::from_pmf(&ScorePmf::dna_uniform(match_score, mismatch_score));
+        *dna_memo().entry(key).or_insert(solved)
     }
+}
+
+/// The process-wide `(match, mismatch) → parameters` memo behind
+/// [`KarlinParams::dna`] (a `BTreeMap`: nothing here may depend on hash
+/// order). Every update is one whole-entry insert, so the map is valid
+/// even if a holder of the lock panicked.
+fn dna_memo() -> std::sync::MutexGuard<'static, BTreeMap<(i32, i32), KarlinParams>> {
+    static MEMO: Mutex<BTreeMap<(i32, i32), KarlinParams>> = Mutex::new(BTreeMap::new());
+    MEMO.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Solves `Σ p_i e^{λ s_i} = 1` for the unique positive root by bisection.
@@ -328,6 +360,37 @@ mod tests {
         assert_eq!(ScorePmf::dna_uniform(2, -2).span(), 2);
         assert_eq!(ScorePmf::dna_uniform(1, -3).span(), 1);
         assert_eq!(ScorePmf::dna_uniform(2, -4).span(), 2);
+    }
+
+    #[test]
+    fn memoised_dna_is_bit_identical_to_a_fresh_solve_from_four_threads() {
+        let pairs = [(1, -3), (1, -2), (2, -3)];
+        let bits = |p: KarlinParams| (p.lambda.to_bits(), p.k.to_bits(), p.h.to_bits());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..3 {
+                        for &(m, x) in &pairs {
+                            let fresh = KarlinParams::from_pmf(&ScorePmf::dna_uniform(m, x));
+                            assert_eq!(bits(KarlinParams::dna(m, x)), bits(fresh));
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn rejected_pair_panics_every_time_and_poisons_nothing() {
+        for _ in 0..2 {
+            // positive drift, then no positive score
+            assert!(std::panic::catch_unwind(|| KarlinParams::dna(5, -1)).is_err());
+            assert!(std::panic::catch_unwind(|| KarlinParams::dna(-1, -2)).is_err());
+        }
+        let fresh = KarlinParams::from_pmf(&ScorePmf::dna_uniform(1, -3));
+        assert_eq!(KarlinParams::dna(1, -3), fresh);
     }
 
     #[test]
