@@ -13,10 +13,8 @@
 //!   guard specialization (probe-free `OrderedFull` fast path on fully
 //!   indexed banks, rolled word-cursor guard under masking).
 //!
-//! Seven sections: index build time + heap bytes (EST bank, full and
-//! asymmetric), the CSR build-strategy comparison (full-sweep counting
-//! sort vs the radix-partitioned build, on a large and a small bank),
-//! step 2 on the skewed-seed benchmark (linked chains vs CSR slices,
+//! Six sections: index build time + heap bytes (EST bank, full and
+//! asymmetric), step 2 on the skewed-seed benchmark (linked chains vs CSR slices,
 //! identical extensions and guard), scheduling (equal-width vs
 //! work-balanced) per thread count, the guard comparison (probe baseline
 //! vs rolled vs fast path, fully indexed and half-masked), the
@@ -42,7 +40,7 @@ use oris_core::step2::{
 };
 use oris_core::{compare_banks, OrisConfig, OrisResult, Session, StreamWriter};
 use oris_eval::M8Writer;
-use oris_index::{BankIndex, BuildStrategy, IndexBackend, IndexConfig, LinkedBankIndex};
+use oris_index::{BankIndex, IndexBackend, IndexConfig, LinkedBankIndex};
 
 /// Every allocation in this binary flows through the counting allocator,
 /// so the `streaming_batch` section can report peak *live* bytes per
@@ -111,25 +109,6 @@ fn main() {
     // footprint equals its full footprint; the CSR postings halve.
     let csr_asym = BankIndex::build(&est, IndexConfig::asymmetric(w));
 
-    // ---- build strategies: full-sweep vs radix-partitioned --------------
-    // Large bank: postings work dominates, the strategies should be close.
-    // Small bank: the full sweep's serial 4^W prefix-sum dominates — the
-    // regime the radix partitioning exists for.
-    let build_with = |bank: &oris_seqio::Bank, strategy: BuildStrategy| {
-        BankIndex::build_filtered_with(bank, IndexConfig::full(w), |_| false, strategy)
-    };
-    let (t_sweep_est, t_radix_est) = time2(
-        reps,
-        || build_with(&est, BuildStrategy::FullSweep),
-        || build_with(&est, BuildStrategy::RadixPartitioned),
-    );
-    let small = oris_simulate::random_bank(11, 20, 500, 0.5);
-    let (t_sweep_small, t_radix_small) = time2(
-        reps.max(20),
-        || build_with(&small, BuildStrategy::FullSweep),
-        || build_with(&small, BuildStrategy::RadixPartitioned),
-    );
-
     // Single-worker pool shared by every serial-timed section.
     let serial = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
@@ -144,6 +123,7 @@ fn main() {
     // Planted bank: large enough that dense stays competitive. Outputs
     // are asserted identical per combination; build time, index bytes
     // and serial step-2 time go into the snapshot.
+    let small = oris_simulate::random_bank(11, 20, 500, 0.5);
     let planted = if test_mode {
         oris_bench::planted_bank(707, 24, 80)
     } else {
@@ -737,12 +717,6 @@ fn main() {
          \"w\": {w},\n  \"est_indexed_positions\": {},\n  \
          \"build_est\": {{\n    \"linked_secs\": {t_linked_build:.6},\n    \
          \"csr_secs\": {t_csr_build:.6}\n  }},\n  \
-         \"csr_build_strategy\": {{\n    \
-         \"est\": {{\n      \"full_sweep_secs\": {t_sweep_est:.6},\n      \
-         \"radix_secs\": {t_radix_est:.6},\n      \"radix_speedup\": {:.3}\n    }},\n    \
-         \"small_bank\": {{\n      \"residues\": {},\n      \
-         \"full_sweep_secs\": {t_sweep_small:.6},\n      \
-         \"radix_secs\": {t_radix_small:.6},\n      \"radix_speedup\": {:.3}\n    }}\n  }},\n  \
          \"index_backend\": [\n{backend_rows}  ],\n  \
          \"prepared_reuse\": {{\n    \"queries\": {num_queries},\n    \
          \"subject_residues\": {},\n    \
@@ -811,9 +785,6 @@ fn main() {
          \"step2_scheduling_skewed\": [\n{sched_rows}  ]\n}}\n",
         est.num_residues(),
         csr.indexed_positions(),
-        t_sweep_est / t_radix_est,
-        small.num_residues(),
-        t_sweep_small / t_radix_small,
         est.num_residues(),
         t_reuse_naive / t_reuse_session,
         batch_queries.len(),

@@ -22,10 +22,10 @@
 //!   W = 11 without a 16.8 MB offsets array). `IndexBackend::Auto` (the
 //!   default) picks per build by density; results are byte-identical
 //!   either way (see `structure` module docs for the memory model).
-//!   Dense construction is a radix-partitioned counting sort by default
-//!   ([`BuildStrategy`]): codes are partitioned by high bits and each
-//!   partition prefix-sums its own offsets stretch; sparse construction
-//!   is one stable sort of the postings by code, independent of `4^W`.
+//!   Construction is one path: a scan marks and counts the windows that
+//!   survive masking, then a radix-partitioned counting sort of bare
+//!   positions (dense, data-parallel on large banks) or one sort of
+//!   packed keys (sparse) lays out the rows.
 //! * [`persist`]: the on-disk index format (magic + version + config +
 //!   little-endian array sections, each starting on an 8-byte file
 //!   offset). Both backends serialize — a header flag selects the
@@ -66,6 +66,4 @@ pub use mask::MaskSet;
 pub use mmap::{attach_index_file, map_index_file, AttachMode, Mapping};
 pub use persist::{read_index_file, write_index_file, IndexMeta, PersistError};
 pub use seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
-pub use structure::{
-    BankIndex, BuildStrategy, IndexBackend, IndexConfig, IndexStats, PopulatedRows,
-};
+pub use structure::{BankIndex, IndexBackend, IndexConfig, IndexStats, PopulatedRows};

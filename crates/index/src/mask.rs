@@ -79,10 +79,25 @@ impl MaskSet {
         }
     }
 
-    /// Marks every position in `[start, end)`.
+    /// Marks every position in `[start, end)` (clipped to `len()`), a
+    /// word at a time.
     pub fn set_range(&mut self, start: usize, end: usize) {
-        for p in start..end.min(self.len) {
-            self.set(p);
+        let end = end.min(self.len);
+        if start >= end {
+            return;
+        }
+        let (first, last) = (start / 64, (end - 1) / 64);
+        for w in first..=last {
+            let mut span = u64::MAX;
+            if w == first {
+                span &= u64::MAX << (start % 64);
+            }
+            if w == last {
+                span &= u64::MAX >> (63 - (end - 1) % 64);
+            }
+            let word = &mut self.bits[w];
+            self.masked += (span & !*word).count_ones() as usize;
+            *word |= span;
         }
     }
 
@@ -146,20 +161,28 @@ impl MaskSet {
     }
 
     /// Returns the maximal masked intervals as `(start, end)` pairs.
+    ///
+    /// Walks the bit words, not the positions: a clear word costs one
+    /// comparison, a run is found by counting trailing zeros and ones.
     pub fn intervals(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let mut start: Option<usize> = None;
-        for p in 0..self.len {
-            if self.contains(p) {
-                if start.is_none() {
-                    start = Some(p);
+        let mut out: Vec<(usize, usize)> = Vec::new();
+        for (w, &word) in self.bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let lo = rest.trailing_zeros() as usize;
+                let run = (rest >> lo).trailing_ones() as usize;
+                let (start, end) = (w * 64 + lo, w * 64 + lo + run);
+                match out.last_mut() {
+                    // A run that starts a word may continue the one
+                    // that ended the word before.
+                    Some(prev) if prev.1 == start => prev.1 = end,
+                    _ => out.push((start, end)),
                 }
-            } else if let Some(s) = start.take() {
-                out.push((s, p));
+                if lo + run == 64 {
+                    break;
+                }
+                rest &= u64::MAX << (lo + run);
             }
-        }
-        if let Some(s) = start {
-            out.push((s, self.len));
         }
         out
     }
@@ -267,6 +290,52 @@ mod tests {
         // bits beyond len are clear
         for w in &words[199 / 64 + 1..] {
             assert_eq!(*w, 0);
+        }
+    }
+
+    proptest::proptest! {
+        /// The word-wise `set_range`, `intervals` and `dilated_left` agree
+        /// with their one-bit-at-a-time definitions, across word
+        /// boundaries, overlapping ranges and ranges past the end.
+        #[test]
+        fn word_operations_match_the_per_bit_definitions(
+            len in 0usize..300,
+            ranges in proptest::collection::vec(0usize..330, 0..12),
+            w in 1usize..70,
+        ) {
+            let mut fast = MaskSet::new(len);
+            let mut slow = MaskSet::new(len);
+            for pair in ranges.chunks_exact(2) {
+                let (start, end) = (pair[0], pair[0] + pair[1] % 140);
+                fast.set_range(start, end);
+                for p in start..end.min(len) {
+                    slow.set(p);
+                }
+            }
+            proptest::prop_assert_eq!(&fast, &slow);
+
+            let mut runs = Vec::new();
+            let mut p = 0;
+            while p < len {
+                if slow.contains(p) {
+                    let start = p;
+                    while slow.contains(p) {
+                        p += 1;
+                    }
+                    runs.push((start, p));
+                } else {
+                    p += 1;
+                }
+            }
+            proptest::prop_assert_eq!(fast.intervals(), runs);
+
+            let mut dilated = MaskSet::new(len);
+            for p in 0..len {
+                if (p..p + w).any(|q| slow.contains(q)) {
+                    dilated.set(p);
+                }
+            }
+            proptest::prop_assert_eq!(fast.dilated_left(w), dilated);
         }
     }
 

@@ -789,7 +789,7 @@ pub fn read_index_file(path: impl AsRef<Path>) -> Result<(BankIndex, IndexMeta),
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structure::{BuildStrategy, IndexBackend, IndexConfig};
+    use crate::structure::{IndexBackend, IndexConfig};
     use oris_seqio::{Bank, BankBuilder};
     use proptest::prelude::*;
 
@@ -1198,7 +1198,7 @@ mod tests {
         /// Serialize → deserialize round-trips to an identical index for
         /// random banks, seed lengths, strides, masks and backends —
         /// `occurrences()` slices, `stats()` and `is_fully_indexed` all
-        /// agree — and (dense) both build strategies persist identically.
+        /// agree.
         #[test]
         fn roundtrip_preserves_everything(
             seqs in proptest::collection::vec("[ACGTN]{0,60}", 1..4),
@@ -1219,12 +1219,6 @@ mod tests {
             let meta = IndexMeta { masked_fraction: 0.5, filter_code: 3, bank_hash: 7 };
 
             let bytes = to_bytes(&idx, &meta);
-            if !sparse {
-                let sweep = BankIndex::build_filtered_with(
-                    &bank, cfg, masked, BuildStrategy::FullSweep,
-                );
-                prop_assert_eq!(&bytes, &to_bytes(&sweep, &meta));
-            }
             let (loaded, lmeta) = read_index(&mut bytes.as_slice()).unwrap();
             prop_assert_eq!(loaded.backend(), backend);
             prop_assert_eq!(lmeta, meta);

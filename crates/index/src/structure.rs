@@ -37,11 +37,37 @@
 //! memory/speed trade, never a results change (pinned by proptests here
 //! and at the engine and db layers).
 //!
-//! The build is a counting sort: one rolling scan collects the
-//! `(position, code)` pairs, then either a count/prefix-sum/scatter pass
-//! over the code space (dense) or a stable sort by code (sparse). Because
-//! the scan visits positions left to right, each row comes out sorted
-//! without per-row comparison sorting — `occurrences(code)` hands step 2 a
+//! The build is a counting sort that never materializes `(position,
+//! code)` pairs; the bank is rolled over instead of remembered.
+//!
+//! * **Pass A** rolls a `W`-window over the bank once. For every window
+//!   that survives the stride and the mask it sets the window's bit in the
+//!   `indexed` set and adds one to a histogram over *partitions* — the
+//!   high five bases of the code, ≤ 1024 equal-width code ranges. That
+//!   yields the posting count, hence the backend under `Auto`.
+//! * **Dense, pass B** rolls again and scatters every kept position (four
+//!   bytes) into the postings array, partition by partition, with its
+//!   *rank* inside the partition (the code's low bits, two bytes) into a
+//!   transient side array. **Pass C** then sorts each partition in place
+//!   by rank — count, prefix-sum, scatter through a copy of that one
+//!   partition — writing the partition's own stretch of `offsets` as it
+//!   goes. A partition is a few tens of kilobytes of offsets and postings,
+//!   so pass C runs in cache; an empty partition is one `fill`.
+//! * **Sparse** rolls again into `code·2^32 + position` keys, sorts them,
+//!   and splits codes, row boundaries and postings off the sorted run.
+//!
+//! On a large bank the three passes are data-parallel. The bank is cut
+//! into one contiguous slice per worker (on 64-position boundaries, so
+//! slices share no bit-set word); pass A gives every slice its own
+//! histogram, from which every (partition, slice) pair gets its own
+//! stretch of the postings array, slices in bank order inside a partition
+//! — so pass B writes each partition's positions in ascending order
+//! whatever the worker count, and pass C, which walks its input forward,
+//! leaves every row ascending. The index is therefore the same bytes for
+//! any pool size (pinned against a full-sweep oracle for pools of 1, 2, 4
+//! and 7). A bank under two grains of 2^18 positions is built on the
+//! calling thread: the rayon shim starts OS threads per call, which a
+//! 150-nt query must never pay. `occurrences(code)` hands step 2 a
 //! contiguous, ascending `&[u32]` slice, `count` is O(1), and `stats`
 //! needs no chain walks.
 //!
@@ -51,13 +77,25 @@
 //! dense:   ≈ 4·(4^W + 1)          offsets
 //!          + 4·indexed_positions  postings
 //!          + len(SEQ)/8           indexed-occurrence bit-set
+//!   while building, on top of the above:
+//!          + 2·indexed_positions  ranks (pass B → pass C)
+//!          + 4 KiB per slice      partition histogram
+//!          + 4·(largest partition) per worker — typically
+//!            indexed_positions/1024, the whole postings array for a bank
+//!            whose windows all end in the same five bases
 //!
 //! sparse:  ≈ 4·k                  populated codes        (k = distinct codes)
 //!          + 4·(k + 1)            row offsets
 //!          + 4·2k                 open-addressed slot table
 //!          + 4·indexed_positions  postings
 //!          + len(SEQ)/8           indexed-occurrence bit-set
+//!   while building, on top of the above:
+//!          + 8·indexed_positions  sort keys
 //! ```
+//!
+//! The transient part is ≈ 2 bytes per posting for a dense build (it was
+//! 16: two arrays of 8-byte pairs), which is what sets a run's peak RSS
+//! when the bank is large.
 //!
 //! Since `k ≤ indexed_positions`, the sparse backend is bounded by
 //! `≈ 16·indexed_positions` bytes however large `W` gets — this is what
@@ -169,32 +207,6 @@ impl IndexConfig {
         self.backend = backend;
         self
     }
-}
-
-/// How the CSR arrays are assembled from the rolling scan's
-/// `(position, code)` pairs. Both strategies produce byte-identical
-/// indexes (pinned by a proptest); they differ only in build cost.
-/// The strategy applies to the **dense** backend's offsets assembly; a
-/// sparse build is a single stable sort by code and ignores it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BuildStrategy {
-    /// One counting sort across the entire `4^W` code space: a count
-    /// pass, a full-array exclusive prefix-sum, and a scatter. The
-    /// prefix-sum is a serial, loop-carried sweep over all `4^W + 1`
-    /// offsets slots even when the bank populates a handful of codes —
-    /// the cost the ROADMAP flagged for small banks. Kept as the
-    /// reference fallback and benchmark baseline.
-    FullSweep,
-    /// Radix-partitioned counting sort: codes are partitioned by their
-    /// high bits, pairs are bucketed per partition (one stable counting
-    /// sort), and each partition then counting-sorts its own slice of
-    /// the offsets array independently. A partition with no occurrences
-    /// fills its offsets slice with one constant (a vectorized
-    /// `slice::fill`, not a data-dependent sum), so a small bank pays
-    /// the serial prefix-sum only over the few partitions it touches;
-    /// non-empty partitions are independent and processed in parallel.
-    #[default]
-    RadixPartitioned,
 }
 
 /// Occupancy and footprint statistics for a built index.
@@ -335,22 +347,25 @@ impl BankIndex {
     /// positions for which `masked(position)` returns true (used by the
     /// low-complexity pre-filter of section 2.1: "W character words
     /// belonging to low-complexity regions are discarded from the index").
+    ///
+    /// A bank of at least 2^19 positions is scanned, scattered and sorted
+    /// by up to `rayon::current_num_threads()` workers, a smaller one on
+    /// the calling thread; the index is the same for every worker count.
     pub fn build_filtered(
         bank: &Bank,
         cfg: IndexConfig,
-        masked: impl Fn(usize) -> bool,
+        masked: impl Fn(usize) -> bool + Sync,
     ) -> BankIndex {
-        Self::build_filtered_with(bank, cfg, masked, BuildStrategy::default())
+        Self::build_sliced(bank, cfg, masked, PAR_GRAIN)
     }
 
-    /// Builds the index under an explicit [`BuildStrategy`] (the layout
-    /// benches compare [`BuildStrategy::FullSweep`] against the default
-    /// radix-partitioned build; both produce identical indexes).
-    pub fn build_filtered_with(
+    /// [`BankIndex::build_filtered`] with the parallel grain as a
+    /// parameter, so tests can cut a small bank into many slices.
+    fn build_sliced(
         bank: &Bank,
         cfg: IndexConfig,
-        masked: impl Fn(usize) -> bool,
-        strategy: BuildStrategy,
+        masked: impl Fn(usize) -> bool + Sync,
+        grain: usize,
     ) -> BankIndex {
         assert!(cfg.stride >= 1, "stride must be at least 1");
         let coder = SeedCoder::new(cfg.w);
@@ -359,25 +374,43 @@ impl BankIndex {
             data.len() < u32::MAX as usize,
             "bank too large for u32 positions"
         );
+        let radix = Radix::new(cfg.w);
+        // The pool is only asked for its size when the bank could use a
+        // second worker: outside an installed pool the answer costs a
+        // syscall, more than a short query's whole index.
+        let workers = match data.len() / grain {
+            0 | 1 => 1,
+            slices => slices.min(rayon::current_num_threads()),
+        };
+        // Whole bit-set words per slice, so slices share no word.
+        let slice_len = data.len().div_ceil(workers).next_multiple_of(64);
 
-        // Pass 1: one rolling scan collects the surviving (position, code)
-        // pairs in ascending position order.
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(data.len());
-        let mut indexed = MaskSet::new(data.len());
+        // Pass A: every slice marks its surviving windows in its own
+        // words of the bit-set and counts them per partition.
+        let mut words = vec![0u64; data.len().div_ceil(64)];
+        let scans: Vec<SliceScan> = words
+            .chunks_mut(slice_len / 64)
+            .enumerate()
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|(k, words)| {
+                scan_slice(
+                    data,
+                    k * slice_len,
+                    words,
+                    coder,
+                    cfg.stride,
+                    &masked,
+                    radix,
+                )
+            })
+            .collect();
+        let postings: usize = scans.iter().map(|s| s.postings).sum();
         // Policy exclusions only: every window the rolling coder yields is
         // *valid* (inside one record, no ambiguous base), so any rejection
-        // here is a stride/mask decision — the provenance that decides
-        // whether the order guard may skip its bit-set probes entirely.
-        let mut policy_excluded = 0usize;
-        for (pos, code) in RollingCoder::new(coder, data) {
-            if pos % cfg.stride != 0 || masked(pos) {
-                policy_excluded += 1;
-                continue;
-            }
-            // oris-lint: allow(narrow-cast) — guarded by the `data.len() < u32::MAX` assert above
-            pairs.push((pos as u32, code));
-            indexed.set(pos);
-        }
+        // was a stride/mask decision — the provenance that decides whether
+        // the order guard may skip its bit-set probes entirely.
+        let policy_excluded: usize = scans.iter().map(|s| s.policy_excluded).sum();
 
         // Resolve the Auto policy from the observed density: distinct
         // codes ≤ postings, so `4^W > 4·postings` means under ¼ of the
@@ -386,16 +419,12 @@ impl BankIndex {
         let dense = match cfg.backend {
             IndexBackend::Dense => true,
             IndexBackend::Sparse => false,
-            IndexBackend::Auto => coder.num_seeds() <= 4 * pairs.len(),
+            IndexBackend::Auto => coder.num_seeds() <= 4 * postings,
         };
 
-        // Pass 2: assemble the rows.
         let (rows, positions, distinct) = if dense {
-            let (offsets, positions) = match strategy {
-                BuildStrategy::FullSweep => full_sweep_rows(coder.num_seeds(), &pairs),
-                BuildStrategy::RadixPartitioned => radix_rows(cfg.w, coder.num_seeds(), &pairs),
-            };
-            let distinct = offsets.windows(2).filter(|p| p[0] < p[1]).count();
+            let (offsets, positions, distinct) =
+                dense_rows(data, &words, slice_len, coder, radix, &scans, postings);
             (
                 RowIndex::Dense {
                     offsets: offsets.into(),
@@ -404,7 +433,7 @@ impl BankIndex {
                 distinct,
             )
         } else {
-            let (codes, row_offsets, positions) = sparse_rows(pairs);
+            let (codes, row_offsets, positions) = sparse_rows(data, &words, coder, postings);
             let slots = build_slot_table(&codes);
             let distinct = codes.len();
             (
@@ -423,7 +452,8 @@ impl BankIndex {
             stride: cfg.stride,
             rows,
             positions: positions.into(),
-            indexed,
+            indexed: MaskSet::from_raw_words(words, data.len())
+                .expect("one word per 64 positions, no bit past the last position"),
             fully_indexed: cfg.stride == 1 && policy_excluded == 0,
             bank_bytes: data.len(),
             distinct,
@@ -908,50 +938,323 @@ impl<'a> Iterator for PopulatedRows<'a> {
     }
 }
 
-/// One counting sort across the whole code space ([`BuildStrategy::FullSweep`]).
-fn full_sweep_rows(num_seeds: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
-    // Count per code (stored at `offsets[code]` for now)...
-    let mut offsets = vec![0u32; num_seeds + 1];
-    for &(_, code) in pairs {
-        offsets[code as usize] += 1;
-    }
-    // ...exclusive prefix-sum in place (`offsets[c]` = start of row
-    // `c`; single accumulator, no second array)...
-    let mut sum = 0u32;
-    for slot in offsets.iter_mut() {
-        let count = *slot;
-        *slot = sum;
-        sum += count;
-    }
-    // ...and scatter, using each row's start slot as its write cursor.
-    // The forward walk preserves the ascending position order inside
-    // every row.
-    let mut positions = vec![0u32; pairs.len()];
-    for &(pos, code) in pairs {
-        let slot = &mut offsets[code as usize];
-        positions[*slot as usize] = pos;
-        *slot += 1;
-    }
-    // After the scatter `offsets[c]` holds the END of row `c`, which
-    // is the start of row `c + 1`: shift right one slot to restore the
-    // CSR convention.
-    offsets.copy_within(0..num_seeds, 1);
-    offsets[0] = 0;
-    (offsets, positions)
+/// Bank positions per worker below which a build takes no second
+/// worker: the rayon shim starts an OS thread per worker per pass (tens
+/// of microseconds each, three passes), which a slice this long repays
+/// many times over and a 150-nt query never would.
+const PAR_GRAIN: usize = 1 << 18;
+
+/// Number of *bases* of code prefix used as the partition key: up to
+/// `4^RADIX_BASES = 1024` partitions, each owning a contiguous,
+/// equal-width range of seed codes.
+const RADIX_BASES: usize = 5;
+
+/// How the code space is cut into partitions: the high `bases` bases of a
+/// code (the *last* `bases` nucleotides of its window — the first
+/// nucleotide is the low-order digit) name the partition, the remaining
+/// low `w − bases` bases (the window's first nucleotides) are the code's
+/// rank inside it.
+#[derive(Debug, Clone, Copy)]
+struct Radix {
+    /// Number of partitions, `4^bases`.
+    parts: usize,
+    /// Codes per partition, `4^(w − bases)` — at most `4^8`, so a rank
+    /// fits a `u16`.
+    width: usize,
+    /// Bits of rank: `code >> shift` is the partition of `code`.
+    shift: u32,
 }
 
-/// Sparse-backend row assembly: a stable sort of the `(position, code)`
-/// pairs by code groups the postings by ascending code while preserving
-/// the scan's ascending position order inside each group — the exact
-/// postings layout the dense scatter produces. One walk then extracts
-/// the distinct codes and their row boundaries. Cost is
-/// `O(postings · log postings)`, independent of `4^W`.
-fn sparse_rows(mut pairs: Vec<(u32, u32)>) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    pairs.sort_by_key(|&(_, code)| code);
+impl Radix {
+    fn new(w: usize) -> Radix {
+        let bases = RADIX_BASES.min(w);
+        Radix {
+            parts: 1 << (2 * bases),
+            width: 1 << (2 * (w - bases)),
+            shift: 2 * u32::try_from(w - bases).expect("seed width fits u32"),
+        }
+    }
+
+    /// Partition of `code`.
+    #[inline]
+    fn part_of(&self, code: u32) -> usize {
+        (code >> self.shift) as usize
+    }
+
+    /// Rank of `code` inside its partition.
+    #[inline]
+    fn rank_of(&self, code: u32) -> u16 {
+        // oris-lint: allow(narrow-cast) — masked to `shift ≤ 16` bits
+        (code & ((1u32 << self.shift) - 1)) as u16
+    }
+}
+
+/// What pass A learns about one slice of the bank.
+struct SliceScan {
+    /// Surviving windows per partition.
+    hist: Vec<u32>,
+    /// Surviving windows in total.
+    postings: usize,
+    /// Valid windows rejected by the stride or the mask predicate.
+    policy_excluded: usize,
+}
+
+/// The valid windows that *start* inside the slice `[start, start +
+/// 64·words)` of `data`, as `(position, code)` in ascending position
+/// order. The scan reads `w − 1` bytes past the slice so the windows
+/// straddling its end belong to it and to no other slice.
+fn slice_windows(
+    data: &[u8],
+    start: usize,
+    words: usize,
+    coder: SeedCoder,
+) -> impl Iterator<Item = (usize, u32)> + '_ {
+    let end = (start + 64 * words).min(data.len());
+    let scan_end = (end + coder.w() - 1).min(data.len());
+    RollingCoder::new(coder, &data[start..scan_end]).map(move |(rel, code)| (start + rel, code))
+}
+
+/// Pass A over one slice: sets the bit of every window that survives the
+/// stride and the mask (`words` are the slice's own bit-set words) and
+/// counts the survivors per partition.
+fn scan_slice(
+    data: &[u8],
+    start: usize,
+    words: &mut [u64],
+    coder: SeedCoder,
+    stride: usize,
+    masked: &(impl Fn(usize) -> bool + Sync),
+    radix: Radix,
+) -> SliceScan {
+    let mut scan = SliceScan {
+        hist: vec![0u32; radix.parts],
+        postings: 0,
+        policy_excluded: 0,
+    };
+    for (pos, code) in slice_windows(data, start, words.len(), coder) {
+        if pos % stride != 0 || masked(pos) {
+            scan.policy_excluded += 1;
+            continue;
+        }
+        words[(pos - start) / 64] |= 1u64 << (pos % 64);
+        scan.hist[radix.part_of(code)] += 1;
+        scan.postings += 1;
+    }
+    scan
+}
+
+/// Whether pass A kept the window at `pos`.
+#[inline]
+fn is_kept(words: &[u64], pos: usize) -> bool {
+    words[pos / 64] >> (pos % 64) & 1 == 1
+}
+
+/// Dense row assembly: a radix-partitioned counting sort of the kept
+/// positions by code, returning `(offsets, postings, distinct codes)`.
+///
+/// Pass B scatters each kept position into the postings array by
+/// partition, and its rank into a transient array of the same shape. The
+/// slice histograms of pass A give every (partition, slice) pair its own
+/// stretch, slices in bank order inside a partition, so each partition
+/// receives its positions in ascending order whatever the worker count:
+/// the scatter is stable by construction. Pass C then sorts every
+/// partition in place by rank (see [`sort_partitions`]). Ranks are carried
+/// rather than read back from the bank in pass C: a partition's positions
+/// lie about a kilobyte apart, so re-reading their windows cost a cache
+/// miss per posting — three times the whole of pass C as it is now.
+fn dense_rows(
+    data: &[u8],
+    words: &[u64],
+    slice_len: usize,
+    coder: SeedCoder,
+    radix: Radix,
+    scans: &[SliceScan],
+    postings: usize,
+) -> (Vec<u32>, Vec<u32>, usize) {
+    let as_u32 =
+        |n: usize| u32::try_from(n).expect("postings are bounded by the bank-length guard");
+    // `pbase[p]` = postings in partitions before `p`.
+    let mut pbase = vec![0u32; radix.parts + 1];
+    for p in 0..radix.parts {
+        let in_part: u32 = scans.iter().map(|s| s.hist[p]).sum();
+        pbase[p + 1] = pbase[p] + in_part;
+    }
+
+    let mut positions = vec![0u32; postings];
+    let mut ranks = vec![0u16; postings];
+    // Pass B: per slice, one write cursor per partition into each array.
+    {
+        type Cursors<'a> = Vec<(std::slice::IterMut<'a, u32>, std::slice::IterMut<'a, u16>)>;
+        let mut cursors: Vec<Cursors<'_>> = scans
+            .iter()
+            .map(|_| Vec::with_capacity(radix.parts))
+            .collect();
+        let mut pos_rest: &mut [u32] = &mut positions;
+        let mut rank_rest: &mut [u16] = &mut ranks;
+        for p in 0..radix.parts {
+            for (scan, cursors) in scans.iter().zip(&mut cursors) {
+                let n = scan.hist[p] as usize;
+                let (pos, tail) = std::mem::take(&mut pos_rest).split_at_mut(n);
+                pos_rest = tail;
+                let (rank, tail) = std::mem::take(&mut rank_rest).split_at_mut(n);
+                rank_rest = tail;
+                cursors.push((pos.iter_mut(), rank.iter_mut()));
+            }
+        }
+        cursors
+            .into_iter()
+            .enumerate()
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .for_each(|(k, mut cursors)| {
+                let start = k * slice_len;
+                for (pos, code) in slice_windows(data, start, slice_len / 64, coder) {
+                    if is_kept(words, pos) {
+                        let (pos_slot, rank_slot) = &mut cursors[radix.part_of(code)];
+                        let counted = "pass A counted this window";
+                        // oris-lint: allow(narrow-cast) — guarded by the `data.len() < u32::MAX` assert in build_sliced
+                        *pos_slot.next().expect(counted) = pos as u32;
+                        *rank_slot.next().expect(counted) = radix.rank_of(code);
+                    }
+                }
+            });
+    }
+
+    // Pass C: contiguous runs of partitions, one per slice of pass A,
+    // cut where the postings (not the partition count) divide evenly.
+    let mut offsets = vec![0u32; coder.num_seeds() + 1];
+    let distinct = {
+        let mut runs: Vec<PartitionRun<'_>> = Vec::with_capacity(scans.len());
+        let mut off_rest: &mut [u32] = &mut offsets[..coder.num_seeds()];
+        let mut pos_rest: &mut [u32] = &mut positions;
+        let mut first = 0usize;
+        for k in 1..=scans.len() {
+            let share = as_u32(postings / scans.len() * k);
+            let end = if k == scans.len() {
+                radix.parts
+            } else {
+                first + pbase[first..radix.parts].partition_point(|&b| b < share)
+            };
+            let (offsets, tail) =
+                std::mem::take(&mut off_rest).split_at_mut((end - first) * radix.width);
+            off_rest = tail;
+            let (from, to) = (pbase[first] as usize, pbase[end] as usize);
+            let (postings, tail) = std::mem::take(&mut pos_rest).split_at_mut(to - from);
+            pos_rest = tail;
+            runs.push(PartitionRun {
+                first,
+                offsets,
+                postings,
+                ranks: &ranks[from..to],
+            });
+            first = end;
+        }
+        let per_run: Vec<usize> = runs
+            .into_par_iter()
+            .map(|run| sort_partitions(radix, &pbase, run))
+            .collect();
+        per_run.iter().sum()
+    };
+    offsets[coder.num_seeds()] = as_u32(postings);
+    (offsets, positions, distinct)
+}
+
+/// A contiguous run of partitions, the unit of work of pass C.
+struct PartitionRun<'a> {
+    /// Index of the run's first partition.
+    first: usize,
+    /// The partitions' stretches of the offsets array, `width` each.
+    offsets: &'a mut [u32],
+    /// Their postings as scattered by pass B…
+    postings: &'a mut [u32],
+    /// …and the ranks that go with them.
+    ranks: &'a [u16],
+}
+
+/// Pass C over one run of partitions: sorts each partition by rank —
+/// count, prefix-sum, scatter through a copy of the partition, all within
+/// the partition's few tens of kilobytes — filling its offsets as it
+/// goes, and returns the number of non-empty rows.
+fn sort_partitions(radix: Radix, pbase: &[u32], run: PartitionRun<'_>) -> usize {
+    let PartitionRun {
+        first,
+        offsets,
+        mut postings,
+        mut ranks,
+    } = run;
+    let mut distinct = 0usize;
+    // The partition's positions in scatter order.
+    let mut held: Vec<u32> = Vec::new();
+    for (i, rows) in offsets.chunks_exact_mut(radix.width).enumerate() {
+        let base = pbase[first + i];
+        let len = (pbase[first + i + 1] - base) as usize;
+        let (stretch, tail) = std::mem::take(&mut postings).split_at_mut(len);
+        postings = tail;
+        let (stretch_ranks, tail) = ranks.split_at(len);
+        ranks = tail;
+        if stretch.is_empty() {
+            // Every row of an empty partition starts (and ends) at the
+            // partition base.
+            rows.fill(base);
+            continue;
+        }
+        held.clear();
+        held.extend_from_slice(stretch);
+        // Count per row (stored at `rows[rank]` for now)...
+        for &rank in stretch_ranks {
+            rows[usize::from(rank)] += 1;
+        }
+        // ...exclusive prefix-sum in place (`rows[r]` = start of row `r`)...
+        let mut sum = base;
+        for slot in rows.iter_mut() {
+            let count = *slot;
+            *slot = sum;
+            sum += count;
+            distinct += usize::from(count > 0);
+        }
+        // ...and scatter, each row's start slot serving as its write
+        // cursor. The forward walk keeps positions ascending in a row.
+        for (&pos, &rank) in held.iter().zip(stretch_ranks) {
+            let slot = &mut rows[usize::from(rank)];
+            stretch[(*slot - base) as usize] = pos;
+            *slot += 1;
+        }
+        // After the scatter `rows[r]` holds the END of row `r`, which is
+        // the start of row `r + 1`: shift right one slot to restore the
+        // CSR convention (the last row's end is the next partition's
+        // base, written by that partition).
+        rows.copy_within(0..radix.width - 1, 1);
+        rows[0] = base;
+    }
+    distinct
+}
+
+/// Sparse row assembly: the kept windows as `code·2^32 + position` keys,
+/// sorted — ascending code, ascending position inside a code, the exact
+/// postings order of the dense build — then split into the distinct
+/// codes, their row boundaries and the postings. Cost is
+/// `O(postings · log postings)`, independent of `4^W`; eight transient
+/// bytes per posting, on banks that are small against the code space by
+/// the definition of this backend.
+fn sparse_rows(
+    data: &[u8],
+    words: &[u64],
+    coder: SeedCoder,
+    postings: usize,
+) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let mut keys: Vec<u64> = Vec::with_capacity(postings);
+    keys.extend(
+        slice_windows(data, 0, words.len(), coder)
+            .filter(|&(pos, _)| is_kept(words, pos))
+            .map(|(pos, code)| u64::from(code) << 32 | pos as u64),
+    );
+    keys.sort_unstable();
     let mut codes: Vec<u32> = Vec::new();
     let mut row_offsets: Vec<u32> = Vec::new();
-    let mut positions: Vec<u32> = Vec::with_capacity(pairs.len());
-    for &(pos, code) in &pairs {
+    let mut positions: Vec<u32> = Vec::with_capacity(keys.len());
+    for &key in &keys {
+        // oris-lint: allow(narrow-cast) — the two halves the key was packed from
+        let (code, pos) = ((key >> 32) as u32, key as u32);
         if codes.last() != Some(&code) {
             codes.push(code);
             row_offsets.push(
@@ -966,110 +1269,6 @@ fn sparse_rows(mut pairs: Vec<(u32, u32)>) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
             .expect("position count is u32-bounded by the bank-length guard"),
     );
     (codes, row_offsets, positions)
-}
-
-/// Number of *bases* of code prefix used as the partition key: up to
-/// `4^RADIX_BASES = 1024` partitions, each owning a contiguous,
-/// equal-width range of seed codes.
-const RADIX_BASES: usize = 5;
-
-/// Radix-partitioned counting sort ([`BuildStrategy::RadixPartitioned`]).
-///
-/// The pairs are first bucketed by the high `RADIX_BASES` bases of their
-/// code (a stable counting sort over ≤ 1024 buckets, so each bucket keeps
-/// its pairs in ascending position order). Each partition then owns two
-/// disjoint slices — its stretch of the offsets array and its stretch of
-/// the postings array — and fills them independently: empty partitions
-/// write one constant (`fill`, a memset-speed sweep instead of the
-/// loop-carried prefix-sum), non-empty partitions run the count /
-/// prefix-sum / scatter dance locally and in parallel.
-fn radix_rows(w: usize, num_seeds: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
-    let part_bases = RADIX_BASES.min(w);
-    let parts = 1usize << (2 * part_bases);
-    // Codes per partition; exact because `part_bases <= w`.
-    let width = num_seeds / parts;
-    let shift = 2 * u32::try_from(w - part_bases).expect("seed width fits u32");
-
-    // Stable bucketing by partition: histogram, exclusive prefix over the
-    // (small) partition table, scatter.
-    let mut part_counts = vec![0u32; parts];
-    for &(_, code) in pairs {
-        part_counts[(code >> shift) as usize] += 1;
-    }
-    let mut pbase = vec![0u32; parts + 1];
-    for p in 0..parts {
-        pbase[p + 1] = pbase[p] + part_counts[p];
-    }
-    let mut bucketed = vec![(0u32, 0u32); pairs.len()];
-    let mut cursor = pbase.clone();
-    for &pair in pairs {
-        let p = (pair.1 >> shift) as usize;
-        bucketed[cursor[p] as usize] = pair;
-        cursor[p] += 1;
-    }
-
-    // Because postings are grouped by code and codes are grouped by
-    // partition, partition `p`'s postings occupy exactly
-    // `positions[pbase[p]..pbase[p+1]]` — the same extent as its bucketed
-    // pairs. Split both output arrays into per-partition mutable slices so
-    // the fills are independent.
-    // Per-partition work unit: (partition id, offsets stretch, postings
-    // stretch, this partition's bucketed pairs).
-    type PartitionTask<'t> = (usize, &'t mut [u32], &'t mut [u32], &'t [(u32, u32)]);
-    let mut offsets = vec![0u32; num_seeds + 1];
-    let mut positions = vec![0u32; pairs.len()];
-    {
-        let mut tasks: Vec<PartitionTask<'_>> = Vec::with_capacity(parts);
-        let mut off_rest: &mut [u32] = &mut offsets[..num_seeds];
-        let mut pos_rest: &mut [u32] = &mut positions[..];
-        for p in 0..parts {
-            let (off_chunk, rest) = off_rest.split_at_mut(width);
-            off_rest = rest;
-            let (pos_chunk, rest) = pos_rest.split_at_mut(part_counts[p] as usize);
-            pos_rest = rest;
-            tasks.push((
-                p,
-                off_chunk,
-                pos_chunk,
-                &bucketed[pbase[p] as usize..pbase[p + 1] as usize],
-            ));
-        }
-        tasks
-            .into_par_iter()
-            .for_each(|(p, off_chunk, pos_chunk, pair_chunk)| {
-                let base = pbase[p];
-                if pair_chunk.is_empty() {
-                    // Every row in an empty partition starts (and ends) at
-                    // the partition base.
-                    off_chunk.fill(base);
-                    return;
-                }
-                let code_lo = (p as u32) << shift;
-                for &(_, code) in pair_chunk {
-                    off_chunk[(code - code_lo) as usize] += 1;
-                }
-                let mut sum = base;
-                for slot in off_chunk.iter_mut() {
-                    let count = *slot;
-                    *slot = sum;
-                    sum += count;
-                }
-                for &(pos, code) in pair_chunk {
-                    let slot = &mut off_chunk[(code - code_lo) as usize];
-                    pos_chunk[(*slot - base) as usize] = pos;
-                    *slot += 1;
-                }
-                // Same end-of-row → start-of-row shift as the full sweep,
-                // local to the partition: the first row starts at the
-                // partition base, and the last row's end is the next
-                // partition's base (written by that partition's own fill).
-                off_chunk.copy_within(0..width - 1, 1);
-                off_chunk[0] = base;
-            });
-    }
-    offsets[num_seeds] =
-        u32::try_from(pairs.len()).expect("position count is u32-bounded by the bank-length guard");
-    (offsets, positions)
 }
 
 #[cfg(test)]
@@ -1415,6 +1614,176 @@ mod tests {
         }
     }
 
+    fn in_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
+    /// The build this module had before the pair-free one, kept as the
+    /// reference of the differential tests: one rolling scan collects
+    /// `(position, code)` pairs, one counting sort across the entire
+    /// `4^W` code space lays out the rows.
+    mod oracle {
+        use super::*;
+
+        pub struct Built {
+            offsets: Vec<u32>,
+            positions: Vec<u32>,
+            indexed: MaskSet,
+            fully_indexed: bool,
+        }
+
+        impl Built {
+            /// Whether `idx` is this index: offsets, postings, bit-set,
+            /// provenance, and the stats that derive from them.
+            pub fn matches(&self, idx: &BankIndex) -> bool {
+                let stats = idx.stats();
+                let rows = self.offsets.windows(2).map(|p| (p[1] - p[0]) as usize);
+                idx.dense_offsets() == Some(&self.offsets[..])
+                    && idx.positions() == self.positions
+                    && idx.indexed_words() == self.indexed.words()
+                    && idx.is_fully_indexed() == self.fully_indexed
+                    && stats.indexed_positions == self.positions.len()
+                    && stats.distinct_seeds == rows.clone().filter(|&n| n > 0).count()
+                    && stats.distinct_seeds == idx.distinct_codes()
+                    && stats.max_chain_len == rows.max().unwrap_or(0)
+            }
+        }
+
+        pub fn build(bank: &Bank, cfg: IndexConfig, masked: impl Fn(usize) -> bool) -> Built {
+            let coder = SeedCoder::new(cfg.w);
+            let data = bank.data();
+            let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(data.len());
+            let mut indexed = MaskSet::new(data.len());
+            let mut policy_excluded = 0usize;
+            for (pos, code) in RollingCoder::new(coder, data) {
+                if pos % cfg.stride != 0 || masked(pos) {
+                    policy_excluded += 1;
+                    continue;
+                }
+                pairs.push((pos as u32, code));
+                indexed.set(pos);
+            }
+            let (offsets, positions) = full_sweep_rows(coder.num_seeds(), &pairs);
+            Built {
+                offsets,
+                positions,
+                indexed,
+                fully_indexed: cfg.stride == 1 && policy_excluded == 0,
+            }
+        }
+
+        /// One counting sort across the whole code space.
+        fn full_sweep_rows(num_seeds: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
+            // Count per code (stored at `offsets[code]` for now)...
+            let mut offsets = vec![0u32; num_seeds + 1];
+            for &(_, code) in pairs {
+                offsets[code as usize] += 1;
+            }
+            // ...exclusive prefix-sum in place (`offsets[c]` = start of row
+            // `c`; single accumulator, no second array)...
+            let mut sum = 0u32;
+            for slot in offsets.iter_mut() {
+                let count = *slot;
+                *slot = sum;
+                sum += count;
+            }
+            // ...and scatter, using each row's start slot as its write cursor.
+            // The forward walk preserves the ascending position order inside
+            // every row.
+            let mut positions = vec![0u32; pairs.len()];
+            for &(pos, code) in pairs {
+                let slot = &mut offsets[code as usize];
+                positions[*slot as usize] = pos;
+                *slot += 1;
+            }
+            // After the scatter `offsets[c]` holds the END of row `c`, which
+            // is the start of row `c + 1`: shift right one slot to restore the
+            // CSR convention.
+            offsets.copy_within(0..num_seeds, 1);
+            offsets[0] = 0;
+            (offsets, positions)
+        }
+    }
+
+    /// A bank with skewed, low-complexity and ambiguous stretches, long
+    /// enough (a few `PAR_GRAIN`s) that the public build goes parallel.
+    fn large_mixed_bank() -> Bank {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut b = BankBuilder::new();
+        for (i, len) in [3 * PAR_GRAIN + 1234, 17, PAR_GRAIN / 2]
+            .into_iter()
+            .enumerate()
+        {
+            let mut codes: Vec<u8> = (0..len).map(|_| (next() % 4) as u8).collect();
+            // A poly-A island, an AT microsatellite and an N run.
+            for (at, run, pattern) in [
+                (len / 5, 5000, &[0u8][..]),
+                (len / 2, 3000, &[0, 2]),
+                (len / 3, 70, &[oris_seqio::AMBIG]),
+            ] {
+                for (j, c) in codes.iter_mut().skip(at).take(run.min(len / 8)).enumerate() {
+                    *c = pattern[j % pattern.len()];
+                }
+            }
+            b.push_codes(&format!("s{i}"), &codes);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn parallel_build_equals_full_sweep_oracle_for_any_pool() {
+        let bank = large_mixed_bank();
+        assert!(bank.data().len() >= 3 * PAR_GRAIN);
+        let masked = |p: usize| (p / 700).is_multiple_of(9);
+        for cfg in [IndexConfig::full(9), IndexConfig::asymmetric(8)] {
+            let cfg = cfg.with_backend(IndexBackend::Dense);
+            let oracle = oracle::build(&bank, cfg, masked);
+            for threads in [1usize, 2, 4, 7] {
+                let built = in_pool(threads, || BankIndex::build_filtered(&bank, cfg, masked));
+                assert!(oracle.matches(&built), "{cfg:?}, threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn small_bank_builds_on_the_calling_thread() {
+        // Below two grains there is one slice, so the shim's parallel
+        // iterators run inline: a thread-local set by the caller is
+        // visible to the mask predicate every time it is called.
+        thread_local!(static ON_CALLER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
+        let bank = bank_of(&[&"ACGTTGCAAGGTTCCAATGC".repeat(2000)]); // 40 kb
+        assert!(bank.data().len() < 2 * PAR_GRAIN);
+        ON_CALLER.with(|c| c.set(true));
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let masked = |p: usize| {
+            assert!(
+                ON_CALLER.with(|c| c.get()),
+                "mask predicate ran on a spawned thread"
+            );
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            p.is_multiple_of(11)
+        };
+        for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
+            let cfg = IndexConfig::full(6).with_backend(backend);
+            let built = in_pool(7, || BankIndex::build_filtered(&bank, cfg, masked));
+            assert_eq!(built.backend(), backend);
+            if backend == IndexBackend::Dense {
+                assert!(oracle::build(&bank, cfg, masked).matches(&built));
+            }
+        }
+        assert!(calls.load(std::sync::atomic::Ordering::Relaxed) > 0);
+    }
+
     proptest! {
         /// The CSR index reproduces the brute-force occurrence list for
         /// every seed, in sorted order, for random banks and strides —
@@ -1490,34 +1859,28 @@ mod tests {
             prop_assert_eq!(ds.max_chain_len, ss.max_chain_len);
         }
 
-        /// The radix-partitioned build and the full-sweep fallback produce
-        /// identical indexes — same offsets, postings, bit-set and
-        /// provenance — for random banks, widths, strides and masks.
-        /// (Dense-backend property: the strategy only affects the dense
-        /// offsets assembly.)
+        /// The sliced build equals the full-sweep oracle — offsets,
+        /// postings, bit-set, provenance, stats — for random banks,
+        /// widths, strides and masks, cut into slices of a few words
+        /// under pools of 1, 2, 4 and 7 workers.
         #[test]
-        fn radix_build_equals_full_sweep(
-            seqs in proptest::collection::vec("[ACGTN]{0,60}", 1..4),
+        fn build_equals_full_sweep_oracle(
+            seqs in proptest::collection::vec("[ACGTN]{0,300}", 1..5),
             w in 2usize..8,
             stride in 1usize..3,
             mask_mod in 1usize..9,
+            grain in 1usize..200,
         ) {
             let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
             let bank = bank_of(&refs);
             let cfg = IndexConfig { stride, ..IndexConfig::full(w) }
                 .with_backend(IndexBackend::Dense);
             let masked = |p: usize| mask_mod > 1 && p.is_multiple_of(mask_mod);
-            let radix = BankIndex::build_filtered_with(
-                &bank, cfg, masked, BuildStrategy::RadixPartitioned,
-            );
-            let sweep = BankIndex::build_filtered_with(
-                &bank, cfg, masked, BuildStrategy::FullSweep,
-            );
-            prop_assert_eq!(radix.dense_offsets().unwrap(), sweep.dense_offsets().unwrap());
-            prop_assert_eq!(radix.positions(), sweep.positions());
-            prop_assert_eq!(radix.indexed_words(), sweep.indexed_words());
-            prop_assert_eq!(radix.is_fully_indexed(), sweep.is_fully_indexed());
-            prop_assert_eq!(radix.stats(), sweep.stats());
+            let oracle = oracle::build(&bank, cfg, masked);
+            for threads in [1usize, 2, 4, 7] {
+                let built = in_pool(threads, || BankIndex::build_sliced(&bank, cfg, masked, grain));
+                prop_assert!(oracle.matches(&built), "threads {}", threads);
+            }
         }
 
         /// indexed_positions equals the number of valid windows.

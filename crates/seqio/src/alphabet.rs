@@ -112,7 +112,7 @@ impl Nuc {
 /// `A/C/G/T` (either case) map to their 2-bit codes; every other letter
 /// (IUPAC ambiguity codes, `N`, `-`, …) maps to [`AMBIG`].
 #[inline]
-pub fn nuc_from_char(c: u8) -> u8 {
+pub const fn nuc_from_char(c: u8) -> u8 {
     match c {
         b'A' | b'a' => CODE_A,
         b'C' | b'c' => CODE_C,

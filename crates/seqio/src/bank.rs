@@ -19,7 +19,7 @@
 //! `data[record.start - 1]` / `data[record.start + record.len]` are always
 //! valid sentinel-or-ambiguous stops.
 
-use crate::alphabet::{code_to_char, is_nucleotide, SENTINEL};
+use crate::alphabet::{code_to_char, complement_code, is_nucleotide, nuc_from_char, SENTINEL};
 
 /// Metadata for one sequence inside a [`Bank`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,14 +163,11 @@ impl Bank {
     /// `L − pos + 1` on each subject record.
     pub fn reverse_complement(&self) -> Bank {
         let mut b = BankBuilder::with_capacity(self.residues, self.records.len());
-        for i in 0..self.num_sequences() {
-            let codes: Vec<u8> = self
-                .sequence(i)
-                .iter()
-                .rev()
-                .map(|&c| crate::alphabet::complement_code(c))
-                .collect();
-            b.push_codes(&self.records[i].name.clone(), &codes);
+        for (i, rec) in self.records.iter().enumerate() {
+            b.open_record(rec.name.clone());
+            let codes = self.sequence(i).iter().rev();
+            b.open_codes().extend(codes.map(|&c| complement_code(c)));
+            b.close_record();
         }
         b.finish()
     }
@@ -238,26 +235,55 @@ impl BankBuilder {
     /// # Panics
     /// Panics in debug builds if a code byte is a sentinel.
     pub fn push_codes(&mut self, name: &str, codes: &[u8]) {
+        self.open_record(name.to_string());
+        self.data.extend_from_slice(codes);
+        self.close_record();
+    }
+
+    /// Opens a record named `name` at the end of the code array. The
+    /// caller appends the record's residue codes to [`Self::open_codes`]
+    /// and then calls [`Self::close_record`]; nothing else may be pushed
+    /// in between. This is how the FASTA parser and
+    /// [`Bank::reverse_complement`] write codes straight into the bank
+    /// array instead of staging them in a `Vec` per record.
+    pub(crate) fn open_record(&mut self, name: String) {
+        debug_assert_eq!(
+            self.data.last(),
+            Some(&SENTINEL),
+            "previous record not closed"
+        );
+        self.records.push(SeqRecord {
+            name,
+            start: self.data.len(),
+            len: 0,
+        });
+    }
+
+    /// The code array while a record is open: bytes appended here are the
+    /// open record's residues (values 0–3 or [`crate::AMBIG`]).
+    pub(crate) fn open_codes(&mut self) -> &mut Vec<u8> {
+        &mut self.data
+    }
+
+    /// Closes the record opened by [`Self::open_record`]: fixes its
+    /// length and appends the closing sentinel.
+    pub(crate) fn close_record(&mut self) {
+        let rec = self.records.last_mut().expect("a record is open");
+        rec.len = self.data.len() - rec.start;
         debug_assert!(
-            codes.iter().all(|&c| c != SENTINEL),
+            self.data[rec.start..].iter().all(|&c| c != SENTINEL),
             "sequence data must not contain sentinel bytes"
         );
-        let start = self.data.len();
-        self.data.extend_from_slice(codes);
+        self.residues += rec.len;
         self.data.push(SENTINEL);
-        self.residues += codes.len();
-        self.records.push(SeqRecord {
-            name: name.to_string(),
-            start,
-            len: codes.len(),
-        });
     }
 
     /// Appends a sequence given as ASCII text (`ACGT`, case-insensitive;
     /// other letters become ambiguous codes).
     pub fn push_str(&mut self, name: &str, seq: &str) -> Result<(), crate::SeqIoError> {
-        let codes: Vec<u8> = seq.bytes().map(crate::alphabet::nuc_from_char).collect();
-        self.push_codes(name, &codes);
+        self.open_record(name.to_string());
+        self.data.extend(seq.bytes().map(nuc_from_char));
+        self.close_record();
         Ok(())
     }
 
