@@ -28,7 +28,4 @@ pub use gapped::{
     extend_gapped_both, extend_gapped_right, GappedExtension, GappedParams, GappedScratch,
 };
 pub use scoring::ScoringScheme;
-pub use ungapped::{
-    extend_hit, extend_hit_prepared, ungapped_score, ExtensionOutcome, OrderGuard, PreparedGuard,
-    UngappedParams,
-};
+pub use ungapped::{extend_hit, ungapped_score, ExtensionOutcome, OrderGuard, UngappedParams};

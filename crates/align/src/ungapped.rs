@@ -22,41 +22,29 @@
 //! structure. Our property tests verify that invariant against a
 //! brute-force generator (see `tests/` and the core crate).
 //!
-//! # Guard specialization — the fast path and the rolled probe
+//! # Guard shapes — the fast path and the indexed probe
 //!
 //! A candidate may only abort the extension if the global enumeration will
-//! actually *visit* it, i.e. if its position is indexed on both banks. How
-//! that question is answered is the hottest constant factor in step 2, and
-//! the [`OrderGuard`] variants are specializations of it:
+//! actually *visit* it, i.e. if its position is indexed on both banks. The
+//! [`OrderGuard`] variants are the three ways that question is answered:
 //!
+//! * [`OrderGuard::None`] — no rule at all: the plain BLAST-style X-drop
+//!   extension of the BLASTN baseline and the A1 ablation.
 //! * [`OrderGuard::OrderedFull`] — **the fast path.** When both banks are
 //!   fully indexed (`BankIndex::is_fully_indexed`), every probe would
 //!   answer "yes": a candidate is only considered after a run of `W`
 //!   matching nucleotides, which already proves its window is valid, and
 //!   with no masking or stride every valid window is enumerated. The
-//!   guard therefore does *no memory access at all* — the two bit-set
-//!   probes per candidate vanish from the inner loop.
-//! * [`OrderGuard::OrderedIndexed`] — **the rolled guard** for masked or
-//!   asymmetric indexes. Each walk direction carries a 64-bit register
-//!   holding the *conjunction* of the two indexed bit-sets
-//!   ([`oris_index::MaskSet::words`]) over a window of candidate
-//!   positions. The register is gathered lazily at the first candidate of
-//!   the walk and re-anchored at most once per 64 probed positions, so a
-//!   probe is a subtract-shift-test on a register instead of two
-//!   random-access loads; steps without a candidate never touch the guard
-//!   at all. The bank-1 window halves depend only on `p1`, so step 2
-//!   gathers them once per occurrence `a` ([`PreparedGuard`]) and shares
-//!   them across every bank-2 partner `b` — hoisting the bank-1 word
-//!   loads out of the `X2` inner loop entirely.
-//! * [`OrderGuard::OrderedIndexedProbe`] — the pre-specialization
-//!   behaviour (two random-access `is_indexed` probes per candidate),
-//!   kept callable as the benchmark baseline so `bench_guard` can measure
-//!   what the rolled representation buys.
+//!   guard therefore does *no memory access at all*.
+//! * [`OrderGuard::OrderedIndexed`] — for masked or asymmetric indexes,
+//!   the literal statement of the rule: two `BankIndex::is_indexed`
+//!   bit-set probes per candidate, one per bank. The probes sit last in
+//!   the abort condition's short-circuit, so walk steps without a
+//!   smaller-code candidate never touch the bit-sets.
 //!
-//! All three are monomorphized through the private `GuardWalk` trait: the
-//! extension loops compile once per guard shape with the guard logic
-//! inlined, so [`OrderGuard::None`] (the BLASTN baseline) and the fast
-//! path pay nothing for the machinery.
+//! Each shape is monomorphized through the private `GuardWalk` trait: the
+//! extension loops compile once per shape with the guard logic inlined,
+//! so [`OrderGuard::None`] and the fast path pay nothing for the probes.
 //!
 //! The rolling seed code is maintained over bank-1 characters only (codes
 //! identify bank-1 windows; a *hit* additionally requires the run of
@@ -79,9 +67,8 @@ use crate::scoring::ScoringScheme;
 /// other bank-2 window), a smaller-code window that was excluded can
 /// never own an HSP; aborting in its favour would silently lose the HSP.
 /// [`OrderGuard::OrderedIndexed`] therefore consults both indexes'
-/// occurrence bit-sets before aborting (via rolling word cursors — see
-/// the module docs); [`OrderGuard::OrderedFull`] is the probe-free fast
-/// path when every valid window is known to be indexed
+/// occurrence bit-sets before aborting; [`OrderGuard::OrderedFull`] is the
+/// probe-free fast path when every valid window is known to be indexed
 /// (`BankIndex::is_fully_indexed` on both banks).
 ///
 /// [`OrderGuard::None`] turns the extension into a plain BLAST-style
@@ -97,21 +84,7 @@ pub enum OrderGuard<'a> {
     OrderedFull,
     /// ORIS rule under index exclusions: a candidate aborts the extension
     /// only if **both** banks index an occurrence at its position.
-    /// Membership rolls with the walk (one shift per step) instead of
-    /// random-probing per candidate.
     OrderedIndexed {
-        /// Bank-1 index (masking exclusions).
-        idx1: &'a BankIndex,
-        /// Bank-2 index (masking and stride exclusions).
-        idx2: &'a BankIndex,
-    },
-    /// Same rule and output as [`OrderGuard::OrderedIndexed`], answered
-    /// with the pre-specialization representation: two random-access
-    /// `is_indexed` bit-set probes per candidate seed. Kept callable as
-    /// the benchmark baseline (`bench_guard`, `bench_index_snapshot`) so
-    /// the rolled guard's win stays measurable; not used by production
-    /// paths.
-    OrderedIndexedProbe {
         /// Bank-1 index (masking exclusions).
         idx1: &'a BankIndex,
         /// Bank-2 index (masking and stride exclusions).
@@ -127,245 +100,60 @@ impl OrderGuard<'_> {
     }
 }
 
-/// Extracts the 64 bits *starting* at `pos` from a bit-set's backing
-/// words: result bit `i` = set bit `pos + i`. Positions beyond the set
-/// read as 0 — the extension loops bounds-check before consuming such
-/// bits, so the zero-fill is never observed.
-#[inline]
-fn gather_up(words: &[u64], pos: usize) -> u64 {
-    let w = pos / 64;
-    let b = (pos % 64) as u32;
-    let lo = words.get(w).copied().unwrap_or(0) >> b;
-    if b == 0 {
-        lo
-    } else {
-        lo | (words.get(w + 1).copied().unwrap_or(0) << (64 - b))
-    }
-}
-
-/// Extracts the 64 bits *ending* at `pos`, left-aligned: result bit
-/// `63 − i` = set bit `pos − i`. Positions below 0 read as 0 (same
-/// never-consumed argument as [`gather_up`]).
-#[inline]
-fn gather_down(words: &[u64], pos: usize) -> u64 {
-    let w = pos / 64;
-    let b = (pos % 64) as u32;
-    let hi = words.get(w).copied().unwrap_or(0) << (63 - b);
-    if b == 63 {
-        hi
-    } else {
-        // `wrapping_sub` + `get`: `w == 0` wraps far out of range and
-        // reads as 0, like every other out-of-range position.
-        let lower = words.get(w.wrapping_sub(1)).copied().unwrap_or(0);
-        hi | (lower >> (b + 1))
-    }
-}
-
 /// Monomorphized per-walk guard behaviour. One implementation per
-/// [`OrderGuard`] shape (and walk direction, for the rolled register), so
-/// the extension loops inline the guard logic with zero dispatch.
+/// [`OrderGuard`] shape, so the extension loops inline the guard logic
+/// with zero dispatch.
 ///
 /// `enumerated` is the *only* hook: it is called lazily, inside the abort
 /// condition's short-circuit (`run ≥ W` and the code comparison hold), so
 /// a guard pays nothing on the overwhelming majority of walk steps where
-/// no candidate seed exists. Implementations may memoize across calls —
-/// within one walk, successive calls carry strictly increasing step
-/// offsets.
-trait GuardWalk {
+/// no candidate seed exists.
+trait GuardWalk: Copy {
     /// Compile-time: is the ordering rule active? When `false` the
     /// rolling seed code and the abort condition vanish from the
     /// compiled loop.
     const ORDERED: bool;
     /// Whether the candidate windows at `(pos1, pos2)` — the walk's
     /// current positions — are enumerated by the global seed loop.
-    fn enumerated(&mut self, pos1: usize, pos2: usize) -> bool;
+    fn enumerated(&self, pos1: usize, pos2: usize) -> bool;
 }
 
 /// [`OrderGuard::None`]: no rule, nothing tracked.
+#[derive(Clone, Copy)]
 struct NoWalk;
 
 impl GuardWalk for NoWalk {
     const ORDERED: bool = false;
     #[inline]
-    fn enumerated(&mut self, _: usize, _: usize) -> bool {
+    fn enumerated(&self, _: usize, _: usize) -> bool {
         false
     }
 }
 
 /// [`OrderGuard::OrderedFull`]: every candidate is enumerated.
+#[derive(Clone, Copy)]
 struct FullWalk;
 
 impl GuardWalk for FullWalk {
     const ORDERED: bool = true;
     #[inline]
-    fn enumerated(&mut self, _: usize, _: usize) -> bool {
+    fn enumerated(&self, _: usize, _: usize) -> bool {
         true
     }
 }
 
-/// [`OrderGuard::OrderedIndexed`]: the rolled guard, walking down
-/// (`UP = false`, left walk) or up (`UP = true`, right walk).
-///
-/// A probe is answered from a 64-bit register holding the *conjunction*
-/// of the two indexed bit-sets over a window of walk positions, so a
-/// probe is a subtract-shift-test on a register. The register is gathered
-/// lazily, at the first probe of the walk — when that probe sits within
-/// the first 64 steps (virtually always under a realistic X-drop), the
-/// bank-1 half was already gathered once per occurrence by
-/// [`PreparedGuard`] and only the bank-2 half is composed — and
-/// re-gathered at most once per 64 probed positions. Walk steps without a
-/// candidate seed never touch the guard at all, exactly like the probe
-/// baseline, but candidate-dense stretches (long match runs, the repeat
-/// case that dominates skewed banks) collapse 2 random loads per
-/// candidate into 1 bit each.
-struct RolledWalk<'a, const UP: bool> {
-    words1: &'a [u64],
-    words2: &'a [u64],
-    /// The walk origin on bank 1 (the seed position `p1`): probes arrive
-    /// at `origin1 ± k` and `k` is recovered from `pos1`.
-    origin1: usize,
-    /// Prepared bank-1 gather anchored at step 1 for this direction
-    /// ([`gather_up`]`(words1, p1+1)` / [`gather_down`]`(words1, p1−1)`).
-    half1: u64,
-    /// Conjunction window; bit `k − base` (from bit 0 for `UP`, from bit
-    /// 63 downward for `!UP`) answers the probe at step `k`.
-    reg: u64,
-    /// Step offset of the register anchor; 0 = not gathered yet (probes
-    /// start at step 1).
-    base: usize,
-}
-
-impl<'a, const UP: bool> RolledWalk<'a, UP> {
-    #[inline]
-    fn new(words1: &'a [u64], words2: &'a [u64], half1: u64, origin1: usize) -> Self {
-        RolledWalk {
-            words1,
-            words2,
-            origin1,
-            half1,
-            reg: 0,
-            base: 0,
-        }
-    }
-
-    /// Anchors the register so it covers step `k` (probe positions are
-    /// valid bank positions — the walk bounds-checks before testing).
-    #[cold]
-    fn gather(&mut self, k: usize, pos1: usize, pos2: usize) {
-        if self.base == 0 && k <= 64 {
-            // First probe, within reach of the prepared bank-1 half:
-            // anchor at step 1 and compose only the bank-2 side.
-            let start2 = if UP {
-                gather_up(self.words2, pos2 - (k - 1))
-            } else {
-                gather_down(self.words2, pos2 + (k - 1))
-            };
-            self.reg = self.half1 & start2;
-            self.base = 1;
-        } else {
-            self.reg = if UP {
-                gather_up(self.words1, pos1) & gather_up(self.words2, pos2)
-            } else {
-                gather_down(self.words1, pos1) & gather_down(self.words2, pos2)
-            };
-            self.base = k;
-        }
-    }
-}
-
-impl<const UP: bool> GuardWalk for RolledWalk<'_, UP> {
-    const ORDERED: bool = true;
-    #[inline]
-    fn enumerated(&mut self, pos1: usize, pos2: usize) -> bool {
-        let k = if UP {
-            pos1 - self.origin1
-        } else {
-            self.origin1 - pos1
-        };
-        if self.base == 0 || k - self.base >= 64 {
-            self.gather(k, pos1, pos2);
-        }
-        let off = (k - self.base) as u32;
-        if UP {
-            self.reg >> off & 1 != 0
-        } else {
-            self.reg >> (63 - off) & 1 != 0
-        }
-    }
-}
-
-/// [`OrderGuard::OrderedIndexedProbe`]: the pre-rolled baseline — two
-/// random-access probes per candidate, no memoization.
-struct ProbeWalk<'a> {
+/// [`OrderGuard::OrderedIndexed`]: one `is_indexed` probe per bank.
+#[derive(Clone, Copy)]
+struct IndexedWalk<'a> {
     idx1: &'a BankIndex,
     idx2: &'a BankIndex,
 }
 
-impl GuardWalk for ProbeWalk<'_> {
+impl GuardWalk for IndexedWalk<'_> {
     const ORDERED: bool = true;
     #[inline]
-    fn enumerated(&mut self, pos1: usize, pos2: usize) -> bool {
+    fn enumerated(&self, pos1: usize, pos2: usize) -> bool {
         self.idx1.is_indexed(pos1) && self.idx2.is_indexed(pos2)
-    }
-}
-
-/// Guard state resolved once per bank-1 occurrence, shared across every
-/// bank-2 partner of that occurrence.
-///
-/// [`prepare`](PreparedGuard::prepare) resolves the [`OrderGuard`] enum
-/// and — for the rolled guard — gathers the bank-1 halves of both
-/// direction registers (the 64 indexed-set bits left of `p1` and right of
-/// `p1 + 1`). Step 2's inner loop then calls [`extend_hit_prepared`] per
-/// `(p1, p2)` pair: for every `b ∈ X2` the bank-1 gathers are reused and
-/// only the bank-2 halves are composed, hoisting the bank-1 word loads
-/// out of the `X2` loop.
-#[derive(Debug, Clone, Copy)]
-pub struct PreparedGuard<'a> {
-    /// The `p1` this guard was prepared for (checked in debug builds).
-    p1: usize,
-    kind: PreparedKind<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum PreparedKind<'a> {
-    None,
-    Full,
-    Rolled {
-        words1: &'a [u64],
-        words2: &'a [u64],
-        /// `gather_down(words1, p1 − 1)`: bank-1 half of the left walk's
-        /// first register.
-        down1: u64,
-        /// `gather_up(words1, p1 + 1)`: bank-1 half of the right walk's
-        /// first register.
-        up1: u64,
-    },
-    Probe {
-        idx1: &'a BankIndex,
-        idx2: &'a BankIndex,
-    },
-}
-
-impl<'a> PreparedGuard<'a> {
-    /// Resolves `guard` for extensions of hits anchored at bank-1
-    /// position `p1` (which must be a valid, in-record seed position).
-    #[inline]
-    pub fn prepare(guard: OrderGuard<'a>, p1: usize) -> PreparedGuard<'a> {
-        let kind = match guard {
-            OrderGuard::None => PreparedKind::None,
-            OrderGuard::OrderedFull => PreparedKind::Full,
-            OrderGuard::OrderedIndexed { idx1, idx2 } => {
-                let words1 = idx1.indexed_words();
-                PreparedKind::Rolled {
-                    words1,
-                    words2: idx2.indexed_words(),
-                    down1: gather_down(words1, p1.wrapping_sub(1)),
-                    up1: gather_up(words1, p1 + 1),
-                }
-            }
-            OrderGuard::OrderedIndexedProbe { idx1, idx2 } => PreparedKind::Probe { idx1, idx2 },
-        };
-        PreparedGuard { p1, kind }
     }
 }
 
@@ -419,9 +207,8 @@ pub enum ExtensionOutcome {
 /// sentinels and at array bounds). `start_code` must be the seed code of
 /// `d1[p1..p1+w]` (equal to that of `d2[p2..p2+w]` by definition of a hit).
 ///
-/// Convenience wrapper that prepares the guard per call; a loop extending
-/// many hits that share `p1` should prepare once and call
-/// [`extend_hit_prepared`].
+/// The guard shape is resolved here, once per call, into a monomorphized
+/// pair of walks.
 pub fn extend_hit(
     d1: &[u8],
     d2: &[u8],
@@ -432,47 +219,19 @@ pub fn extend_hit(
     params: &UngappedParams,
     guard: OrderGuard<'_>,
 ) -> ExtensionOutcome {
-    let prepared = PreparedGuard::prepare(guard, p1);
-    extend_hit_prepared(d1, d2, p1, p2, start_code, coder, params, &prepared)
-}
-
-/// [`extend_hit`] with the guard state already resolved for `p1` —
-/// `prepared` must come from [`PreparedGuard::prepare`] with the same
-/// `p1`. This is the step-2 inner-loop entry point: one preparation per
-/// bank-1 occurrence serves all its bank-2 partners, keeping the bank-1
-/// guard-word loads (and the guard-shape dispatch inputs) out of the
-/// `X2` loop.
-pub fn extend_hit_prepared(
-    d1: &[u8],
-    d2: &[u8],
-    p1: usize,
-    p2: usize,
-    start_code: u32,
-    coder: SeedCoder,
-    params: &UngappedParams,
-    prepared: &PreparedGuard<'_>,
-) -> ExtensionOutcome {
     debug_assert_eq!(coder.w(), params.w);
     debug_assert_eq!(
         coder.encode(&d1[p1..p1 + params.w]),
         Some(start_code),
         "start_code does not match the window at p1"
     );
-    debug_assert_eq!(prepared.p1, p1, "guard prepared for a different p1");
 
-    match prepared.kind {
-        PreparedKind::None => {
-            extend_walks(d1, d2, p1, p2, start_code, coder, params, NoWalk, NoWalk)
+    match guard {
+        OrderGuard::None => extend_walks(d1, d2, p1, p2, start_code, coder, params, NoWalk),
+        OrderGuard::OrderedFull => {
+            extend_walks(d1, d2, p1, p2, start_code, coder, params, FullWalk)
         }
-        PreparedKind::Full => extend_walks(
-            d1, d2, p1, p2, start_code, coder, params, FullWalk, FullWalk,
-        ),
-        PreparedKind::Rolled {
-            words1,
-            words2,
-            down1,
-            up1,
-        } => extend_walks(
+        OrderGuard::OrderedIndexed { idx1, idx2 } => extend_walks(
             d1,
             d2,
             p1,
@@ -480,26 +239,14 @@ pub fn extend_hit_prepared(
             start_code,
             coder,
             params,
-            RolledWalk::<false>::new(words1, words2, down1, p1),
-            RolledWalk::<true>::new(words1, words2, up1, p1),
-        ),
-        PreparedKind::Probe { idx1, idx2 } => extend_walks(
-            d1,
-            d2,
-            p1,
-            p2,
-            start_code,
-            coder,
-            params,
-            ProbeWalk { idx1, idx2 },
-            ProbeWalk { idx1, idx2 },
+            IndexedWalk { idx1, idx2 },
         ),
     }
 }
 
-/// Shared body: runs both direction walks with their monomorphized guard
-/// states and assembles the outcome.
-fn extend_walks<L: GuardWalk, R: GuardWalk>(
+/// Shared body: runs both direction walks under one monomorphized guard
+/// shape and assembles the outcome.
+fn extend_walks<G: GuardWalk>(
     d1: &[u8],
     d2: &[u8],
     p1: usize,
@@ -507,16 +254,14 @@ fn extend_walks<L: GuardWalk, R: GuardWalk>(
     start_code: u32,
     coder: SeedCoder,
     params: &UngappedParams,
-    left_walk: L,
-    right_walk: R,
+    walk: G,
 ) -> ExtensionOutcome {
-    let (left_best, left_off) =
-        match extend_left(d1, d2, p1, p2, start_code, coder, params, left_walk) {
-            Some(r) => r,
-            None => return ExtensionOutcome::Aborted,
-        };
+    let (left_best, left_off) = match extend_left(d1, d2, p1, p2, start_code, coder, params, walk) {
+        Some(r) => r,
+        None => return ExtensionOutcome::Aborted,
+    };
     let (right_best, right_off) =
-        match extend_right(d1, d2, p1, p2, start_code, coder, params, right_walk) {
+        match extend_right(d1, d2, p1, p2, start_code, coder, params, walk) {
             Some(r) => r,
             None => return ExtensionOutcome::Aborted,
         };
@@ -539,7 +284,7 @@ fn extend_left<W: GuardWalk>(
     start_code: u32,
     coder: SeedCoder,
     params: &UngappedParams,
-    mut walk: W,
+    walk: W,
 ) -> Option<(i32, usize)> {
     let scheme = &params.scheme;
     let w = params.w;
@@ -601,7 +346,7 @@ fn extend_right<W: GuardWalk>(
     start_code: u32,
     coder: SeedCoder,
     params: &UngappedParams,
-    mut walk: W,
+    walk: W,
 ) -> Option<(i32, usize)> {
     let scheme = &params.scheme;
     let w = params.w;
@@ -957,126 +702,137 @@ mod tests {
         assert!(matches!(out, ExtensionOutcome::Hsp { .. }), "{out:?}");
     }
 
-    #[test]
-    fn gathers_match_direct_indexing() {
-        // A bit pattern spanning several words; the gathered windows must
-        // reproduce direct bit tests at every alignment, zero-filling
-        // beyond either end.
-        let words: Vec<u64> = vec![0x8000_0000_0000_0001, 0xDEAD_BEEF_CAFE_F00D, 0x0123_4567];
-        let bit_at = |p: usize| words[p / 64] & (1u64 << (p % 64)) != 0;
-        let len = words.len() * 64;
-        for pos in [0usize, 1, 7, 63, 64, 65, 100, 127, 128, len - 2, len - 1] {
-            let up = gather_up(&words, pos);
-            for i in 0..64usize {
-                let expect = pos + i < len && bit_at(pos + i);
-                assert_eq!(up & (1u64 << i) != 0, expect, "up pos {pos} bit {i}");
-            }
-            let down = gather_down(&words, pos);
-            for i in 0..64usize {
-                let expect = pos >= i && bit_at(pos - i);
-                assert_eq!(
-                    down & (1u64 << (63 - i)) != 0,
-                    expect,
-                    "down pos {pos} bit {i}"
-                );
-            }
-        }
-        // Out-of-range gathers read as all-zero instead of panicking.
-        assert_eq!(gather_up(&words, len + 5), 0);
-        assert_eq!(gather_down(&words, usize::MAX), 0);
+    /// The `TTGG AAAA CCCC GGTT` fixture (or its mirror) as a one-record
+    /// bank compared with itself; returns the bank, the position of
+    /// `word` in it and `word`'s seed code.
+    fn fixture(s: &str, word: &str) -> (oris_seqio::Bank, usize, u32) {
+        let mut bb = oris_seqio::BankBuilder::new();
+        bb.push_str("s", s).unwrap();
+        let bank = bb.finish();
+        assert_eq!(bank.data(), framed(s).as_slice());
+        let p = find(bank.data(), &codes(word));
+        let code = SeedCoder::new(4).encode(&codes(word)).unwrap();
+        (bank, p, code)
     }
 
-    #[test]
-    fn rolled_walks_match_probe_across_refills() {
-        // Probe sequences spanning several register anchors (dense,
-        // sparse and late-first-probe step patterns, both directions):
-        // every answer must equal the direct double bit test.
-        let mk = |seed: u64, n: usize| -> Vec<u64> {
-            // simple deterministic bit soup
-            let mut s = seed;
-            (0..n)
-                .map(|_| {
-                    s = s
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    s
-                })
-                .collect()
-        };
-        let w1 = mk(7, 4);
-        let w2 = mk(13, 4);
-        let bit = |ws: &[u64], p: usize| ws[p / 64] & (1u64 << (p % 64)) != 0;
-        let (o1, o2) = (150usize, 130usize);
-        // every step / every 3rd step / first probe beyond the prepared
-        // 64-step window
-        let patterns: [Vec<usize>; 3] = [
-            (1..100).collect(),
-            (1..100).step_by(3).collect(),
-            (70..100).collect(),
-        ];
-        for steps in &patterns {
-            let mut up = RolledWalk::<true>::new(&w1, &w2, gather_up(&w1, o1 + 1), o1);
-            for &k in steps {
-                assert_eq!(
-                    up.enumerated(o1 + k, o2 + k),
-                    bit(&w1, o1 + k) && bit(&w2, o2 + k),
-                    "up step {k}"
-                );
-            }
-            let mut down = RolledWalk::<false>::new(&w1, &w2, gather_down(&w1, o1 - 1), o1);
-            for &k in steps {
-                if k > o2 {
-                    break;
-                }
-                assert_eq!(
-                    down.enumerated(o1 - k, o2 - k),
-                    bit(&w1, o1 - k) && bit(&w2, o2 - k),
-                    "down step {k}"
-                );
-            }
-        }
+    /// Extends the main-diagonal hit at `p` of `bank` against itself.
+    fn extend_self(
+        bank: &oris_seqio::Bank,
+        p: usize,
+        code: u32,
+        guard: OrderGuard<'_>,
+    ) -> ExtensionOutcome {
+        let d = bank.data();
+        extend_hit(d, d, p, p, code, SeedCoder::new(4), &params(4, 50), guard)
     }
 
-    #[test]
-    fn prepared_guard_is_reusable_across_partners() {
-        // One preparation at p1 must serve extensions against different
-        // p2 partners — the step-2 hoisting contract.
-        let s = "TTGGAAAACCCCGGTT";
-        let d1 = framed(s);
-        let d2 = framed(&format!("AA{s}"));
+    /// Bank-1 index of `bank` with every window on the `left` (or right)
+    /// side of `p` whose code is below `code` masked away.
+    fn smaller_codes_masked(bank: &oris_seqio::Bank, p: usize, code: u32, left: bool) -> BankIndex {
+        use oris_index::IndexConfig;
         let coder = SeedCoder::new(4);
-        let cccc = coder.encode(&codes("CCCC")).unwrap();
-        let p1 = find(&d1, &codes("CCCC"));
-        let p2 = find(&d2, &codes("CCCC"));
-        let prepared = PreparedGuard::prepare(OrderGuard::OrderedFull, p1);
-        let direct_a = extend_hit(
-            &d1,
-            &d2,
-            p1,
-            p2,
-            cccc,
-            coder,
-            &params(4, 50),
-            OrderGuard::OrderedFull,
+        let d = bank.data();
+        BankIndex::build_filtered(bank, IndexConfig::full(4), |q| {
+            (if left { q < p } else { q > p })
+                && d.get(q..q + 4)
+                    .and_then(|win| coder.encode(win))
+                    .is_some_and(|c| c < code)
+        })
+    }
+
+    #[test]
+    fn indexed_guard_ignores_masked_smaller_seeds_left() {
+        // Seven windows left of CCCC in this perfect HSP (TGGA … ACCC,
+        // AAAA among them) have smaller codes. Masked out of bank 1's
+        // index they are never enumerated, so CCCC owns the HSP: the
+        // extension completes with the unguarded extent, where the
+        // full-index rule would abort.
+        use oris_index::IndexConfig;
+        let (bank, p, cccc) = fixture("TTGGAAAACCCCGGTT", "CCCC");
+        let i1 = smaller_codes_masked(&bank, p, cccc, true);
+        let i2 = BankIndex::build(&bank, IndexConfig::full(4));
+        assert!(!i1.is_fully_indexed() && i1.is_indexed(p));
+        let indexed = OrderGuard::OrderedIndexed {
+            idx1: &i1,
+            idx2: &i2,
+        };
+        let unguarded = extend_self(&bank, p, cccc, OrderGuard::None);
+        assert!(matches!(unguarded, ExtensionOutcome::Hsp { score: 16, .. }));
+        assert_eq!(extend_self(&bank, p, cccc, indexed), unguarded);
+        assert_eq!(
+            extend_self(&bank, p, cccc, OrderGuard::OrderedFull),
+            ExtensionOutcome::Aborted
         );
-        let via_prep_a =
-            extend_hit_prepared(&d1, &d2, p1, p2, cccc, coder, &params(4, 50), &prepared);
-        assert_eq!(direct_a, via_prep_a);
-        // Same prepared guard, same d2 but a hypothetical second partner:
-        // reuse d1 as its own partner (CCCC at the same offset).
-        let via_prep_b =
-            extend_hit_prepared(&d1, &d1, p1, p1, cccc, coder, &params(4, 50), &prepared);
-        let direct_b = extend_hit(
-            &d1,
-            &d1,
-            p1,
-            p1,
-            cccc,
-            coder,
-            &params(4, 50),
-            OrderGuard::OrderedFull,
+    }
+
+    #[test]
+    fn indexed_guard_ignores_masked_smaller_seeds_right() {
+        // Mirror case: the smaller codes (CCCA, CCAA, CAAA, AAAA) sit
+        // right of CCCC.
+        use oris_index::IndexConfig;
+        let (bank, p, cccc) = fixture("TTGGCCCCAAAAGGTT", "CCCC");
+        let i1 = smaller_codes_masked(&bank, p, cccc, false);
+        let i2 = BankIndex::build(&bank, IndexConfig::full(4));
+        assert!(!i1.is_fully_indexed() && i1.is_indexed(p));
+        let indexed = OrderGuard::OrderedIndexed {
+            idx1: &i1,
+            idx2: &i2,
+        };
+        let unguarded = extend_self(&bank, p, cccc, OrderGuard::None);
+        assert!(matches!(unguarded, ExtensionOutcome::Hsp { score: 16, .. }));
+        assert_eq!(extend_self(&bank, p, cccc, indexed), unguarded);
+        assert_eq!(
+            extend_self(&bank, p, cccc, OrderGuard::OrderedFull),
+            ExtensionOutcome::Aborted
         );
-        assert_eq!(direct_b, via_prep_b);
+    }
+
+    #[test]
+    fn indexed_guard_ignores_seed_skipped_by_stride_on_bank2() {
+        // From GAAA (code 3) the only smaller code in the HSP is AAAA,
+        // one position to the right. Bank 1 indexes everything; bank 2 is
+        // sampled at stride 2, which keeps GAAA's (even) position and
+        // skips AAAA's, so the (AAAA, AAAA) pair is never enumerated and
+        // must not abort the extension.
+        use oris_index::IndexConfig;
+        let (bank, p, gaaa) = fixture("TTGGAAAACCCCGGTT", "GAAA");
+        let i1 = BankIndex::build(&bank, IndexConfig::full(4));
+        let i2 = BankIndex::build(&bank, IndexConfig::asymmetric(4));
+        assert!(i1.is_fully_indexed() && i1.is_indexed(p + 1));
+        assert!(i2.is_indexed(p) && !i2.is_indexed(p + 1));
+        let indexed = OrderGuard::OrderedIndexed {
+            idx1: &i1,
+            idx2: &i2,
+        };
+        let unguarded = extend_self(&bank, p, gaaa, OrderGuard::None);
+        assert!(matches!(unguarded, ExtensionOutcome::Hsp { score: 16, .. }));
+        assert_eq!(extend_self(&bank, p, gaaa, indexed), unguarded);
+        assert_eq!(
+            extend_self(&bank, p, gaaa, OrderGuard::OrderedFull),
+            ExtensionOutcome::Aborted
+        );
+    }
+
+    #[test]
+    fn indexed_guard_aborts_like_full_when_nothing_is_excluded() {
+        use oris_index::IndexConfig;
+        for s in ["TTGGAAAACCCCGGTT", "TTGGCCCCAAAAGGTT"] {
+            let (bank, p, cccc) = fixture(s, "CCCC");
+            let idx = BankIndex::build(&bank, IndexConfig::full(4));
+            let indexed = OrderGuard::OrderedIndexed {
+                idx1: &idx,
+                idx2: &idx,
+            };
+            assert_eq!(
+                extend_self(&bank, p, cccc, indexed),
+                ExtensionOutcome::Aborted
+            );
+            // …and from the minimal seed both complete identically.
+            let (_, pa, aaaa) = fixture(s, "AAAA");
+            let full = extend_self(&bank, pa, aaaa, OrderGuard::OrderedFull);
+            assert!(matches!(full, ExtensionOutcome::Hsp { .. }), "{full:?}");
+            assert_eq!(extend_self(&bank, pa, aaaa, indexed), full);
+        }
     }
 
     #[test]
@@ -1159,55 +915,6 @@ mod tests {
                     prop_assert_eq!(score, expect);
                 }
                 ExtensionOutcome::Aborted => prop_assert!(false, "unguarded extension aborted"),
-            }
-        }
-
-        /// The rolled guard (word cursors advancing with the walk) and the
-        /// probe baseline (random-access `is_indexed` per candidate) are
-        /// the same function: identical outcomes for every hit pair of
-        /// random masked banks.
-        #[test]
-        fn rolled_guard_equals_probe_guard(
-            s1 in "[ACGTN]{20,80}",
-            s2 in "[ACGTN]{20,80}",
-            w in 3usize..6,
-            mask_mod in 2usize..7,
-            stride in 1usize..3,
-        ) {
-            use oris_index::{BankIndex, IndexConfig};
-            use oris_seqio::BankBuilder;
-            let mut bb = BankBuilder::new();
-            bb.push_str("a", &s1).unwrap();
-            let b1 = bb.finish();
-            let mut bb = BankBuilder::new();
-            bb.push_str("b", &s2).unwrap();
-            let b2 = bb.finish();
-            let i1 = BankIndex::build_filtered(&b1, IndexConfig::full(w), |p| p % mask_mod == 0);
-            let i2 = BankIndex::build(&b2, IndexConfig { stride, ..IndexConfig::full(w) });
-            let coder = i1.coder();
-            let pars = UngappedParams {
-                w,
-                xdrop: 20,
-                scheme: ScoringScheme::blastn(),
-                max_span: usize::MAX / 4,
-            };
-            let rolled = OrderGuard::OrderedIndexed { idx1: &i1, idx2: &i2 };
-            let probe = OrderGuard::OrderedIndexedProbe { idx1: &i1, idx2: &i2 };
-            for code in 0..coder.num_seeds() as u32 {
-                for &a in i1.occurrences(code) {
-                    let prepared = PreparedGuard::prepare(rolled, a as usize);
-                    for &b in i2.occurrences(code) {
-                        let r = extend_hit_prepared(
-                            b1.data(), b2.data(), a as usize, b as usize,
-                            code, coder, &pars, &prepared,
-                        );
-                        let p = extend_hit(
-                            b1.data(), b2.data(), a as usize, b as usize,
-                            code, coder, &pars, probe,
-                        );
-                        prop_assert_eq!(r, p);
-                    }
-                }
             }
         }
 

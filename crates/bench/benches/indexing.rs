@@ -2,14 +2,11 @@
 //!
 //! Covers the kernels behind experiments E1/E7: rolling seed coding, index
 //! construction at several bank sizes, full vs asymmetric stride, masked
-//! construction — plus the **layout comparison** motivating the CSR
-//! flattening: linked-chain (Figure 2 literal) vs CSR build cost, and the
-//! occurrence-walk cost of chasing `next` pointers vs streaming a
-//! contiguous slice.
+//! construction.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use oris_dust::Masker;
-use oris_index::{BankIndex, IndexConfig, LinkedBankIndex, RollingCoder, SeedCoder};
+use oris_index::{BankIndex, IndexConfig, RollingCoder, SeedCoder};
 
 fn bench_rolling_coder(c: &mut Criterion) {
     let bank = oris_simulate::paper_bank("EST1", 0.2).bank;
@@ -49,60 +46,6 @@ fn bench_index_build(c: &mut Criterion) {
     g.finish();
 }
 
-/// Linked (Figure-2 literal) vs CSR: build cost at the same bank/word.
-fn bench_layout_build(c: &mut Criterion) {
-    let bank = oris_simulate::paper_bank("EST1", 0.2).bank;
-    let mut g = c.benchmark_group("layout_build");
-    g.sample_size(10);
-    g.throughput(Throughput::Bytes(bank.data().len() as u64));
-    g.bench_function("linked_w11", |b| {
-        b.iter(|| LinkedBankIndex::build(&bank, IndexConfig::full(11)))
-    });
-    g.bench_function("csr_w11", |b| {
-        b.iter(|| BankIndex::build(&bank, IndexConfig::full(11)))
-    });
-    g.finish();
-}
-
-/// Linked vs CSR: walking every occurrence list — the step-2 access
-/// pattern. The linked walk does one dependent load per occurrence into a
-/// 4·N-byte array; the CSR walk streams contiguous slices.
-fn bench_layout_walk(c: &mut Criterion) {
-    let bank = oris_simulate::paper_bank("EST1", 0.2).bank;
-    let w = 11usize;
-    let linked = LinkedBankIndex::build(&bank, IndexConfig::full(w));
-    let csr = BankIndex::build(&bank, IndexConfig::full(w));
-    let num_codes = csr.coder().num_seeds() as u32;
-    let total = csr.indexed_positions() as u64;
-
-    let mut g = c.benchmark_group("layout_walk");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(total));
-    g.bench_function("linked_chains", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for code in 0..num_codes {
-                for pos in linked.occurrences(code) {
-                    acc = acc.wrapping_add(pos as u64);
-                }
-            }
-            black_box(acc)
-        })
-    });
-    g.bench_function("csr_slices", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for code in 0..num_codes {
-                for &pos in csr.occurrences(code) {
-                    acc = acc.wrapping_add(pos as u64);
-                }
-            }
-            black_box(acc)
-        })
-    });
-    g.finish();
-}
-
 fn bench_index_build_masked(c: &mut Criterion) {
     let bank = oris_simulate::paper_bank("EST1", 0.2).bank;
     let mask = oris_dust::EntropyMasker::default()
@@ -121,8 +64,6 @@ criterion_group!(
     benches,
     bench_rolling_coder,
     bench_index_build,
-    bench_layout_build,
-    bench_layout_walk,
     bench_index_build_masked
 );
 criterion_main!(benches);

@@ -1,28 +1,16 @@
-//! Perf snapshot for the occurrence-index layout, step-2 scheduling and
-//! the order-guard representations.
+//! Perf snapshot of the index backends, the session/streaming result
+//! paths and the sharded database.
 //!
-//! Measures the "before vs after" of the CSR flattening PR and of the
-//! guard-specialization PR:
-//!
-//! * **before** — the linked (Figure-2 literal) layout: chain-walking
-//!   step 2, `4·len(SEQ)`-byte `next` array, equal-width scheduling, and
-//!   the always-probing `OrderedIndexed` guard (two random-access bit-set
-//!   loads per candidate seed);
-//! * **after** — the CSR layout: slice-streaming step 2,
-//!   `4·indexed_positions`-byte postings, work-balanced scheduling, and
-//!   guard specialization (probe-free `OrderedFull` fast path on fully
-//!   indexed banks, rolled word-cursor guard under masking).
-//!
-//! Six sections: index build time + heap bytes (EST bank, full and
-//! asymmetric), step 2 on the skewed-seed benchmark (linked chains vs CSR slices,
-//! identical extensions and guard), scheduling (equal-width vs
-//! work-balanced) per thread count, the guard comparison (probe baseline
-//! vs rolled vs fast path, fully indexed and half-masked), the
+//! Five sections, each a rep-paired A/B with the outputs of both sides
+//! asserted identical: the index backends (dense offsets vs the sparse
+//! codes table: build time, index bytes, serial step-2 time), the
 //! prepared-reuse benchmark (N query banks against one prepared subject:
-//! per-query subject rebuild vs one session build, outputs asserted
-//! identical), and the streaming-batch benchmark (collect-everything vs
-//! the sink-driven `Session::run_batch` path: peak live allocation read
-//! from a counting global allocator, outputs asserted byte-identical).
+//! per-query subject rebuild vs one session build), the streaming-batch
+//! benchmark (collect-everything vs the sink-driven `Session::run_batch`
+//! path: peak live allocation read from a counting global allocator),
+//! `db_scale` (a windowed multi-volume database vs one concatenated bank:
+//! peak live heap, cold vs warm query, deadline overhead) and `db_serve`
+//! (parallel volume fan-out, result cache, observability overhead).
 //!
 //! Writes `BENCH_index.json` (repo root by default; `--out PATH` to
 //! override, `--scale F` for the EST bank size) so future PRs have a perf
@@ -33,14 +21,11 @@
 use oris_obs::Stopwatch;
 use std::fmt::Write as _;
 
-use oris_align::OrderGuard;
-use oris_bench::{find_hsps_linked_reference, half_masked_index, skewed_pair, CountingAlloc};
-use oris_core::step2::{
-    find_hsps, find_hsps_partitioned, find_hsps_with_guard, select_guard, PartitionStrategy,
-};
+use oris_bench::CountingAlloc;
+use oris_core::step2::find_hsps;
 use oris_core::{compare_banks, OrisConfig, OrisResult, Session, StreamWriter};
 use oris_eval::M8Writer;
-use oris_index::{BankIndex, IndexBackend, IndexConfig, LinkedBankIndex};
+use oris_index::{BankIndex, IndexBackend, IndexConfig};
 
 /// Every allocation in this binary flows through the counting allocator,
 /// so the `streaming_batch` section can report peak *live* bytes per
@@ -89,25 +74,6 @@ fn main() {
     let est = oris_simulate::paper_bank("EST1", scale).bank;
     let w = 11usize;
     let reps = if test_mode { 1 } else { 5 };
-    // The skewed benchmark's size is independent of --scale (it exists to
-    // stress one overweight seed code); --test shrinks it too.
-    let (skew_q, skew_s, skew_len) = if test_mode {
-        (8usize, 2_000usize, 100usize)
-    } else {
-        (50, 40_000, 250)
-    };
-
-    // ---- layout: build time and footprint (EST bank) --------------------
-    let (t_linked_build, t_csr_build) = time2(
-        reps,
-        || LinkedBankIndex::build(&est, IndexConfig::full(w)),
-        || BankIndex::build(&est, IndexConfig::full(w)),
-    );
-    let linked = LinkedBankIndex::build(&est, IndexConfig::full(w));
-    let csr = BankIndex::build(&est, IndexConfig::full(w));
-    // The linked layout's next[] is sized by the bank, so its asymmetric
-    // footprint equals its full footprint; the CSR postings halve.
-    let csr_asym = BankIndex::build(&est, IndexConfig::asymmetric(w));
 
     // Single-worker pool shared by every serial-timed section.
     let serial = rayon::ThreadPoolBuilder::new()
@@ -200,126 +166,6 @@ fn main() {
             )
             .unwrap();
         }
-    }
-
-    // ---- step 2 on the skewed-seed benchmark ----------------------------
-    let (b1, b2) = skewed_pair(skew_q, skew_s, skew_len);
-    let cfg = OrisConfig::default();
-    let icfg = IndexConfig::full(cfg.w);
-    let l1 = LinkedBankIndex::build(&b1, icfg);
-    let l2 = LinkedBankIndex::build(&b2, icfg);
-    let i1 = BankIndex::build(&b1, icfg);
-    let i2 = BankIndex::build(&b2, icfg);
-    // Both sides run the rolled OrderedIndexed guard (not find_hsps'
-    // auto-selection, which would pick the probe-free fast path here), so
-    // this comparison isolates the *layout* difference; the guard
-    // representations get their own section below.
-    let guard_rolled = OrderGuard::OrderedIndexed {
-        idx1: &i1,
-        idx2: &i2,
-    };
-    let (t_step2_linked, t_step2_csr) = time2(
-        reps,
-        || find_hsps_linked_reference(&b1, &l1, &b2, &l2, &i1, &i2, &cfg),
-        || serial.install(|| find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, guard_rolled)),
-    );
-
-    // ---- guard representations on the skewed benchmark ------------------
-    // Fully indexed: the seed's always-probing behaviour vs the rolled
-    // register vs the auto-selected probe-free fast path. The probe
-    // baseline is measured once per paired comparison (time2 cancels
-    // clock drift within a pair, not across pairs), and both probe
-    // timings are published so every emitted speedup is reproducible
-    // from the snapshot's own numbers: fast_path_speedup =
-    // probe_baseline_secs / full_fast_path_secs, rolled_speedup =
-    // probe_baseline_rerun_secs / rolled_indexed_secs.
-    let guard_probe = OrderGuard::OrderedIndexedProbe {
-        idx1: &i1,
-        idx2: &i2,
-    };
-    assert!(
-        matches!(select_guard(&i1, &i2), OrderGuard::OrderedFull),
-        "fully indexed banks must auto-select OrderedFull"
-    );
-    let (t_guard_probe, t_guard_full) = time2(
-        reps,
-        || serial.install(|| find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, guard_probe)),
-        || serial.install(|| find_hsps(&b1, &i1, &b2, &i2, &cfg)),
-    );
-    let (t_guard_probe2, t_guard_rolled) = time2(
-        reps,
-        || serial.install(|| find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, guard_probe)),
-        || serial.install(|| find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, guard_rolled)),
-    );
-    // Half-masked banks: the fast path is illegal; probe vs rolled.
-    let m1 = half_masked_index(&b1, cfg.w);
-    let m2 = half_masked_index(&b2, cfg.w);
-    assert!(
-        matches!(select_guard(&m1, &m2), OrderGuard::OrderedIndexed { .. }),
-        "masked banks must keep the indexed guard"
-    );
-    let masked_probe = OrderGuard::OrderedIndexedProbe {
-        idx1: &m1,
-        idx2: &m2,
-    };
-    let (t_masked_probe, t_masked_rolled) = time2(
-        reps,
-        || serial.install(|| find_hsps_with_guard(&b1, &m1, &b2, &m2, &cfg, masked_probe)),
-        || serial.install(|| find_hsps(&b1, &m1, &b2, &m2, &cfg)),
-    );
-
-    // ---- scheduling: equal-width vs work-balanced per thread count ------
-    let guard = guard_rolled;
-    let mut sched_rows = String::new();
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut threads_list: Vec<usize> = [1usize, 2, 4, 8].into_iter().filter(|&t| t <= hw).collect();
-    if threads_list.is_empty() {
-        threads_list.push(1);
-    }
-    for (i, &threads) in threads_list.iter().enumerate() {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let (t_naive, t_balanced) = time2(
-            reps,
-            || {
-                pool.install(|| {
-                    find_hsps_partitioned(
-                        &b1,
-                        &i1,
-                        &b2,
-                        &i2,
-                        &cfg,
-                        guard,
-                        PartitionStrategy::EqualWidth,
-                    )
-                })
-            },
-            || {
-                pool.install(|| {
-                    find_hsps_partitioned(
-                        &b1,
-                        &i1,
-                        &b2,
-                        &i2,
-                        &cfg,
-                        guard,
-                        PartitionStrategy::WorkBalanced,
-                    )
-                })
-            },
-        );
-        let comma = if i + 1 < threads_list.len() { "," } else { "" };
-        writeln!(
-            sched_rows,
-            "    {{\"threads\": {threads}, \"equal_width_secs\": {t_naive:.6}, \
-             \"work_balanced_secs\": {t_balanced:.6}, \"speedup\": {:.3}}}{comma}",
-            t_naive / t_balanced
-        )
-        .unwrap();
     }
 
     // ---- prepared reuse: N query banks vs one prepared subject ----------
@@ -427,8 +273,7 @@ fn main() {
     // The sharded-database architecture on one box: the same subject
     // collection as (a) one in-memory bank and (b) a makedb database of
     // V mmap-attached volumes searched through a 1-volume window.
-    // Measured: attach latency per mode (mmap's zero-copy attach vs the
-    // heap-copy loader), peak live heap for a query batch (the counting
+    // Measured: peak live heap for a query batch (the counting
     // allocator — mapped sections live in the page cache, so the
     // bounded-window database search must peak strictly below the
     // resident single-bank index), and cold-vs-warm query wall-clock
@@ -463,18 +308,6 @@ fn main() {
     let db_volumes = db.num_volumes();
     assert!(db_volumes >= 2, "bench database must actually shard");
 
-    // Attach latency per mode, all volumes, rep-paired.
-    let attach_all = |mode: oris_index::AttachMode| {
-        for v in 0..db_volumes {
-            std::hint::black_box(db.attach_volume(v, mode).expect("attach"));
-        }
-    };
-    let (t_attach_copy, t_attach_mmap) = time2(
-        reps.max(3),
-        || attach_all(oris_index::AttachMode::HeapCopy),
-        || attach_all(oris_index::AttachMode::Mmap),
-    );
-
     // Byte identity: bounded-window database search ≡ concatenated bank
     // under the database-wide e-value space.
     let concat_cfg = OrisConfig {
@@ -493,7 +326,6 @@ fn main() {
             &db,
             &db_cfg,
             oris_db::DbOptions {
-                attach: oris_index::AttachMode::Mmap,
                 window: 1,
                 ..oris_db::DbOptions::default()
             },
@@ -707,16 +539,13 @@ fn main() {
     // stays positional-argument-free for this section).
     let db_residues = manifest.total_residues;
     let db_query_count = db_queries.len();
-    let attach_speedup = t_attach_copy / t_attach_mmap;
     let db_peak_reduction = concat_peak as f64 / (db_peak.max(1)) as f64;
     let cold_over_warm = t_db_cold / t_db_warm.max(1e-9);
 
     let json = format!(
-        "{{\n  \"bench\": \"index_layout_and_step2_scheduling\",\n  \
+        "{{\n  \"bench\": \"index_snapshot\",\n  \
          \"est_scale\": {scale},\n  \"est_residues\": {},\n  \
          \"w\": {w},\n  \"est_indexed_positions\": {},\n  \
-         \"build_est\": {{\n    \"linked_secs\": {t_linked_build:.6},\n    \
-         \"csr_secs\": {t_csr_build:.6}\n  }},\n  \
          \"index_backend\": [\n{backend_rows}  ],\n  \
          \"prepared_reuse\": {{\n    \"queries\": {num_queries},\n    \
          \"subject_residues\": {},\n    \
@@ -737,9 +566,6 @@ fn main() {
          \"db_residues\": {db_residues},\n    \
          \"queries\": {db_query_count},\n    \
          \"records\": {db_records},\n    \
-         \"attach_heapcopy_secs\": {t_attach_copy:.6},\n    \
-         \"attach_mmap_secs\": {t_attach_mmap:.6},\n    \
-         \"attach_speedup\": {attach_speedup:.3},\n    \
          \"concat_peak_live_bytes\": {concat_peak},\n    \
          \"db_window1_peak_live_bytes\": {db_peak},\n    \
          \"peak_reduction\": {db_peak_reduction:.3},\n    \
@@ -763,28 +589,9 @@ fn main() {
          \"obs_off_secs\": {t_obs_off:.6},\n    \
          \"obs_on_secs\": {t_obs_on:.6},\n    \
          \"obs_overhead\": {obs_overhead:.4},\n    \
-         \"outputs_identical\": true\n  }},\n  \
-         \"heap_bytes_est\": {{\n    \"linked_full\": {},\n    \
-         \"csr_full\": {},\n    \"csr_asymmetric\": {}\n  }},\n  \
-         \"step2_skewed\": {{\n    \"query_residues\": {},\n    \
-         \"subject_residues\": {},\n    \
-         \"linked_chain_secs\": {t_step2_linked:.6},\n    \
-         \"csr_slice_secs\": {t_step2_csr:.6},\n    \"speedup\": {:.3}\n  }},\n  \
-         \"step2_guard_skewed\": {{\n    \
-         \"fully_indexed\": {{\n      \
-         \"probe_baseline_secs\": {t_guard_probe:.6},\n      \
-         \"full_fast_path_secs\": {t_guard_full:.6},\n      \
-         \"fast_path_speedup\": {:.3},\n      \
-         \"probe_baseline_rerun_secs\": {t_guard_probe2:.6},\n      \
-         \"rolled_indexed_secs\": {t_guard_rolled:.6},\n      \
-         \"rolled_speedup\": {:.3}\n    }},\n    \
-         \"masked_half\": {{\n      \
-         \"probe_baseline_secs\": {t_masked_probe:.6},\n      \
-         \"rolled_indexed_secs\": {t_masked_rolled:.6},\n      \
-         \"rolled_speedup\": {:.3}\n    }}\n  }},\n  \
-         \"step2_scheduling_skewed\": [\n{sched_rows}  ]\n}}\n",
+         \"outputs_identical\": true\n  }}\n}}\n",
         est.num_residues(),
-        csr.indexed_positions(),
+        BankIndex::build(&est, IndexConfig::full(w)).indexed_positions(),
         est.num_residues(),
         t_reuse_naive / t_reuse_session,
         batch_queries.len(),
@@ -795,15 +602,6 @@ fn main() {
             .sum::<usize>(),
         collect_peak as f64 / (stream_peak.max(1)) as f64,
         batch_queries.len() as f64 / t_batch_stream,
-        linked.heap_bytes(),
-        csr.heap_bytes(),
-        csr_asym.heap_bytes(),
-        b1.num_residues(),
-        b2.num_residues(),
-        t_step2_linked / t_step2_csr,
-        t_guard_probe / t_guard_full,
-        t_guard_probe2 / t_guard_rolled,
-        t_masked_probe / t_masked_rolled,
     );
     std::fs::write(&out_path, &json).expect("failed to write snapshot");
     print!("{json}");

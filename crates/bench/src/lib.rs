@@ -31,11 +31,9 @@ pub mod memtrack;
 
 pub use memtrack::CountingAlloc;
 
-use oris_align::{extend_hit, ExtensionOutcome, OrderGuard, UngappedParams};
 use oris_blast::{BlastConfig, BlastResult};
-use oris_core::{Hsp, OrisConfig, OrisResult};
+use oris_core::{OrisConfig, OrisResult};
 use oris_eval::{MissReport, SpeedupRow};
-use oris_index::{BankIndex, IndexConfig, LinkedBankIndex};
 use oris_seqio::Bank;
 use oris_simulate::paper_bank;
 
@@ -147,32 +145,10 @@ pub fn run_pair_banks(label: &str, b1: &Bank, b2: &Bank) -> PairOutcome {
     }
 }
 
-/// The 32-nt repeat element planted by [`skewed_pair`] (an ALU-like
+/// The 32-nt repeat element planted by [`planted_bank`] (an ALU-like
 /// dispersed repeat; an arbitrary fixed sequence, diverse enough that its
 /// windows are distinct codes).
 pub const SKEW_MOTIF: &str = "GTCCGGATTACGCTAGGTCAACGGTTAGCCAT";
-
-/// A deliberately skew-heavy bank pair for the scheduling and layout
-/// benches: an ALU-style dispersed repeat, asymmetric between the banks.
-/// Every sequence of both banks carries one copy of [`SKEW_MOTIF`] at a
-/// per-sequence position, so each motif W-mer becomes a seed code with
-/// `query_seqs` occurrences in bank 1 and `subject_seqs` occurrences
-/// *scattered across the whole of bank 2*. The interesting regime is
-/// `subject_seqs` in the tens of thousands over a multi-megabyte bank:
-///
-/// * nearly all of step 2's `|X1|·|X2|` pair work concentrates in the few
-///   motif codes — the skewed seed-frequency distribution the
-///   work-balanced scheduler exists for — and
-/// * the subject occurrence list of each motif code touches one cache
-///   line per occurrence spread over the `4·len(SEQ)`-byte `next` array,
-///   a working set far beyond L2, so the linked layout's inner loop pays
-///   a dependent long-latency load per pair while the CSR slice streams.
-pub fn skewed_pair(query_seqs: usize, subject_seqs: usize, seq_len: usize) -> (Bank, Bank) {
-    (
-        planted_bank(101, query_seqs, seq_len),
-        planted_bank(202, subject_seqs, seq_len),
-    )
-}
 
 /// A random bank whose every sequence carries one copy of [`SKEW_MOTIF`]
 /// at a deterministic per-sequence offset (spreading the copies across
@@ -216,89 +192,6 @@ pub fn screening_batch(
     (subject, queries)
 }
 
-/// An index over `bank` with roughly half of its positions masked away in
-/// alternating 256-position blocks — the masked regime of the guard
-/// benches (`bench_guard`, `bench_index_snapshot`).
-///
-/// Blocky masking mirrors what a real low-complexity filter produces
-/// (runs, not salt-and-pepper): the rolled guard crosses a masked/unmasked
-/// boundary only every few words, while the probe baseline still pays two
-/// random-access loads per candidate. The build is *not* fully indexed, so
-/// `oris_core::step2::select_guard` keeps the indexed guard.
-pub fn half_masked_index(bank: &Bank, w: usize) -> BankIndex {
-    BankIndex::build_filtered(bank, IndexConfig::full(w), |p| (p / 256) % 2 == 0)
-}
-
-/// Step 2 against the linked (Figure-2 literal) occurrence index — the
-/// pre-CSR baseline, kept callable so the layout benches and the
-/// `bench_index_snapshot` tool can measure what the flattening bought.
-///
-/// Identical enumeration, extension and thresholds to
-/// `oris_core::step2::find_hsps` run serially; the *only* difference is
-/// that X1/X2 iteration chases `next` chains instead of streaming CSR
-/// slices. The order guard consults the CSR indexes in both variants, so
-/// guard cost cancels out of the comparison.
-pub fn find_hsps_linked_reference(
-    bank1: &Bank,
-    linked1: &LinkedBankIndex,
-    bank2: &Bank,
-    linked2: &LinkedBankIndex,
-    csr1: &BankIndex,
-    csr2: &BankIndex,
-    cfg: &OrisConfig,
-) -> (Vec<Hsp>, u64) {
-    let params = UngappedParams {
-        w: csr1.w(),
-        xdrop: cfg.xdrop_ungapped,
-        scheme: cfg.scheme,
-        max_span: usize::MAX / 4,
-    };
-    let guard = OrderGuard::OrderedIndexed {
-        idx1: csr1,
-        idx2: csr2,
-    };
-    let d1 = bank1.data();
-    let d2 = bank2.data();
-    let coder = csr1.coder();
-    let w = params.w as u32;
-    let mut out = Vec::new();
-    let mut pairs = 0u64;
-    for code in 0..coder.num_seeds() as u32 {
-        let Some(first1) = linked1.first(code) else {
-            continue;
-        };
-        let Some(first2) = linked2.first(code) else {
-            continue;
-        };
-        let mut p1 = Some(first1);
-        while let Some(a) = p1 {
-            let mut p2 = Some(first2);
-            while let Some(b) = p2 {
-                pairs += 1;
-                if let ExtensionOutcome::Hsp { score, left, right } =
-                    extend_hit(d1, d2, a as usize, b as usize, code, coder, &params, guard)
-                {
-                    // `>=` — min_hsp_score is the minimum score to keep,
-                    // matching oris_core::step2::process_code_range.
-                    if score >= cfg.min_hsp_score {
-                        out.push(Hsp {
-                            start1: a - left as u32,
-                            start2: b - left as u32,
-                            len: left as u32 + w + right as u32,
-                            score,
-                        });
-                    }
-                }
-                p2 = linked2.next_occurrence(b);
-            }
-            p1 = linked1.next_occurrence(a);
-        }
-    }
-    out.sort_by(Hsp::diag_order);
-    out.dedup();
-    (out, pairs)
-}
-
 /// Formats an optional percentage the way the paper prints it (`-` when
 /// undefined).
 pub fn pct(p: Option<f64>) -> String {
@@ -332,38 +225,5 @@ mod tests {
     fn pct_formatting() {
         assert_eq!(pct(Some(3.31)), "3.31 %");
         assert_eq!(pct(None), "-");
-    }
-
-    #[test]
-    fn linked_reference_matches_csr_step2() {
-        // The layout benches compare like for like: the linked-chain
-        // baseline must produce exactly the HSPs of the production CSR
-        // path on a skewed pair.
-        let (b1, b2) = skewed_pair(6, 60, 200);
-        let cfg = OrisConfig {
-            w: 8,
-            min_hsp_score: 8,
-            ..OrisConfig::small(8)
-        };
-        let icfg = oris_index::IndexConfig::full(cfg.w);
-        let l1 = LinkedBankIndex::build(&b1, icfg);
-        let l2 = LinkedBankIndex::build(&b2, icfg);
-        let i1 = BankIndex::build(&b1, icfg);
-        let i2 = BankIndex::build(&b2, icfg);
-        let (linked_hsps, pairs) = find_hsps_linked_reference(&b1, &l1, &b2, &l2, &i1, &i2, &cfg);
-        let (csr_hsps, stats) = oris_core::step2::find_hsps(&b1, &i1, &b2, &i2, &cfg);
-        assert_eq!(linked_hsps, csr_hsps);
-        assert_eq!(pairs, stats.pairs_examined);
-        assert!(!csr_hsps.is_empty());
-    }
-
-    #[test]
-    fn skewed_pair_concentrates_work() {
-        let (_, b2) = skewed_pair(4, 40, 200);
-        let idx = BankIndex::build(&b2, oris_index::IndexConfig::full(8));
-        // One motif copy per subject sequence; a random 8-mer occurs
-        // ≈ 40·200/4^8 ≈ 0 times, so the motif code dominates its row.
-        let motif_code = idx.coder().string_to_code(&SKEW_MOTIF[..8]).unwrap();
-        assert!(idx.count(motif_code) >= 40, "{}", idx.count(motif_code));
     }
 }

@@ -27,8 +27,6 @@
 //!                       FASTA: every volume is searched per query, records
 //!                       merged into one output stream, e-values computed
 //!                       over the database-wide residue total
-//!       --attach MODE   volume attach mode: mmap (default, zero-copy
-//!                       postings/offsets) | copy (heap arrays)
 //!       --window N      max volumes attached at once (default 0 = all;
 //!                       1 bounds memory to one volume's working set)
 //!       --workers N     with --db: search volumes in parallel with N
@@ -92,7 +90,7 @@ fn usage() -> &'static str {
      \t[-f none|entropy|dust] [-t n] [--index-backend dense|sparse|auto]\n\
      \t[--engine oris|blast] [--asymmetric]\n\
      \t[--both-strands] [--index bank2.oidx] [--batch dir-or-multi.fa]\n\
-     \t[--db dir] [--attach mmap|copy] [--window n] [--workers n]\n\
+     \t[--db dir] [--window n] [--workers n]\n\
      \t[--result-cache mb] [--dbsize n]\n\
      \t[--deadline ms] [--skip-bad-volumes] [--stats] [--trace f.jsonl]\n\
      \t[--metrics-json f.json] [--metrics-prom f.prom] [-o out.m8]"
@@ -424,7 +422,6 @@ fn run() -> Result<(), CliError> {
             "index",
             "batch",
             "db",
-            "attach",
             "window",
             "workers",
             "result-cache",
@@ -483,7 +480,7 @@ fn run() -> Result<(), CliError> {
             "--db and --index are mutually exclusive (a database carries its own indexes)".into(),
         );
     }
-    for db_only in ["attach", "window", "deadline", "workers", "result-cache"] {
+    for db_only in ["window", "deadline", "workers", "result-cache"] {
         if !db_mode && args.options.contains_key(db_only) {
             // Silently ignoring these would let a mistyped --db flag run
             // the plain two-bank path with none of the requested
@@ -638,7 +635,7 @@ fn run() -> Result<(), CliError> {
 }
 
 /// The `--db` mode: search a `makedb` database. Every query runs across
-/// all volumes (attached via mmap by default, through a bounded window
+/// all volumes (attached via mmap, through a bounded window
 /// when `--window` is set), all volumes' records merge into one ordered
 /// stream per query, and e-values are computed over the database-wide
 /// residue total from the manifest — so the output is byte-identical to
@@ -646,16 +643,6 @@ fn run() -> Result<(), CliError> {
 /// <total>`. Composes with `--batch` for many-query runs.
 fn run_db(args: &Args, cfg: &OrisConfig, batch_mode: bool, obs: &ObsSetup) -> Result<(), CliError> {
     let db_dir = args.options.get("db").expect("checked by caller");
-    let attach = match args
-        .options
-        .get("attach")
-        .map(String::as_str)
-        .unwrap_or("mmap")
-    {
-        "mmap" => oris_index::AttachMode::Mmap,
-        "copy" => oris_index::AttachMode::HeapCopy,
-        other => return Err(format!("unknown attach mode {other:?} (mmap | copy)").into()),
-    };
     let window: usize = args.get_or("window", 0).map_err(|e| e.to_string())?;
     // --workers 0 and 1 are both the sequential walk (0 would be a
     // useless footgun to reject; treat it as "no parallelism").
@@ -685,7 +672,6 @@ fn run_db(args: &Args, cfg: &OrisConfig, batch_mode: bool, obs: &ObsSetup) -> Re
         code: e.exit_code(),
     })?;
     let opts = oris_db::DbOptions {
-        attach,
         window,
         on_volume_error,
         deadline,
@@ -787,7 +773,6 @@ fn run_db(args: &Args, cfg: &OrisConfig, batch_mode: bool, obs: &ObsSetup) -> Re
         b.field("db_residues", total);
         b.field("queries", queries_run);
         b.field("records", records);
-        b.field("attach", format!("{attach:?}"));
         b.field("attaches", o.counter(names::VOLUME_ATTACHES_TOTAL));
         b.secs("open_secs", open_secs);
         b.secs("attach_secs", attach_secs);

@@ -1,11 +1,8 @@
 //! `verifydb` — offline integrity check (fsck) for a `makedb` database.
 //!
 //! ```text
-//! verifydb <db-dir> [--attach mmap|copy] [--quiet]
+//! verifydb <db-dir> [--quiet]
 //!
-//!       --attach MODE   index loader to exercise: mmap (default, the
-//!                       zero-copy serving path) | copy (the streaming
-//!                       heap loader) — both reject identical corruptions
 //!       --quiet         print only failures (and nothing on success)
 //! ```
 //!
@@ -29,10 +26,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use oris_cli::Args;
-use oris_db::{verify_db, RealIo, VerifyOptions};
+use oris_db::{verify_db, RealIo};
 
 fn usage() -> &'static str {
-    "usage: verifydb <db-dir> [--attach mmap|copy] [--quiet]"
+    "usage: verifydb <db-dir> [--quiet]"
 }
 
 struct CliError {
@@ -48,7 +45,7 @@ impl From<String> for CliError {
 
 fn run() -> Result<(), CliError> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::parse(&argv, &["attach"], &["quiet", "help"], &[("h", "help")])
+    let args = Args::parse(&argv, &[], &["quiet", "help"], &[("h", "help")])
         .map_err(|e| format!("{e}\n{}", usage()))?;
     if args.has_flag("help") {
         println!("{}", usage());
@@ -58,23 +55,12 @@ fn run() -> Result<(), CliError> {
         return Err(format!("expected one database directory\n{}", usage()).into());
     }
     let dir = &args.positional[0];
-    let attach = match args
-        .options
-        .get("attach")
-        .map(String::as_str)
-        .unwrap_or("mmap")
-    {
-        "mmap" => oris_index::AttachMode::Mmap,
-        "copy" => oris_index::AttachMode::HeapCopy,
-        other => return Err(format!("unknown attach mode {other:?} (mmap | copy)").into()),
-    };
     let quiet = args.has_flag("quiet");
 
-    let report =
-        verify_db(dir, Arc::new(RealIo), &VerifyOptions { attach }).map_err(|e| CliError {
-            msg: format!("{dir}: {e}"),
-            code: e.exit_code(),
-        })?;
+    let report = verify_db(dir, Arc::new(RealIo)).map_err(|e| CliError {
+        msg: format!("{dir}: {e}"),
+        code: e.exit_code(),
+    })?;
 
     for v in &report.volumes {
         match &v.error {

@@ -123,26 +123,53 @@ fn db_search_matches_single_bank_run_byte_for_byte() {
     );
     assert!(!single.stdout.is_empty(), "fixture must produce records");
 
-    for attach in ["mmap", "copy"] {
-        for window in ["0", "1"] {
-            let via_db = scoris_n()
-                .arg(&query)
-                .arg("--db")
-                .arg(&db)
-                .args(["--attach", attach, "--window", window, "-W", "8"])
-                .output()
-                .unwrap();
-            assert!(
-                via_db.status.success(),
-                "attach={attach}: {}",
-                String::from_utf8_lossy(&via_db.stderr)
-            );
-            assert_eq!(
-                via_db.stdout, single.stdout,
-                "attach={attach} window={window} output differs from the single-bank run"
-            );
-        }
+    for window in ["0", "1"] {
+        let via_db = scoris_n()
+            .arg(&query)
+            .arg("--db")
+            .arg(&db)
+            .args(["--window", window, "-W", "8"])
+            .output()
+            .unwrap();
+        assert!(
+            via_db.status.success(),
+            "window={window}: {}",
+            String::from_utf8_lossy(&via_db.stderr)
+        );
+        assert_eq!(
+            via_db.stdout, single.stdout,
+            "window={window} output differs from the single-bank run"
+        );
     }
+}
+
+/// `--attach` is gone (a volume is always mapped, with the heap reader as
+/// the observed fallback): the old spelling is a usage error, reported
+/// before any output file is touched.
+#[test]
+fn removed_attach_option_is_a_usage_error_and_leaves_no_output() {
+    let dir = scratch("no_attach");
+    let (subject, query, _) = write_fixture(&dir);
+    let db = build_db(&dir, &subject, 250);
+    let out_path = dir.join("out.m8");
+    let out = scoris_n()
+        .arg(&query)
+        .arg("--db")
+        .arg(&db)
+        .args(["--attach", "copy", "-W", "8", "-o"])
+        .arg(&out_path)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --attach"), "{stderr}");
+    assert!(stderr.contains("usage: scoris-n"), "{stderr}");
+    let left_behind: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("out.m8"))
+        .collect();
+    assert!(left_behind.is_empty(), "{left_behind:?}");
 }
 
 #[test]
@@ -332,11 +359,10 @@ fn db_argument_validation() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("w="), "{stderr}");
 
-    // --attach / --window without --db would otherwise be silently
+    // --window and friends without --db would otherwise be silently
     // ignored on the plain two-bank path.
     for flag in [
         ["--window", "1"],
-        ["--attach", "copy"],
         ["--workers", "2"],
         ["--result-cache", "8"],
     ] {

@@ -215,22 +215,16 @@ fn deadline_without_db_is_a_usage_error() {
 #[test]
 fn verifydb_passes_a_clean_database_both_modes() {
     let (db, _) = fixture("verify_ok");
-    for mode in ["mmap", "copy"] {
-        let out = verifydb()
-            .arg(&db)
-            .args(["--attach", mode])
-            .output()
-            .unwrap();
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains("OK"), "{stdout}");
-        assert!(!stdout.contains("FAILED"), "{stdout}");
-    }
+    let out = verifydb().arg(&db).output().unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("OK"), "{stdout}");
+    assert!(!stdout.contains("FAILED"), "{stdout}");
     // --quiet prints nothing on success.
     let out = verifydb().arg(&db).arg("--quiet").output().unwrap();
     assert_eq!(out.status.code(), Some(0));

@@ -272,6 +272,7 @@ fn stats_schema_is_unified_across_modes() {
         "cache_hits=",
         "cache_misses=",
         "attaches=",
+        "mapped_volumes=",
         "dispatches=",
         "quarantines=0",
     ] {

@@ -15,8 +15,9 @@ use oris_index::BankIndex;
 use oris_seqio::Bank;
 
 use crate::config::OrisConfig;
+use crate::deadline::Deadline;
 use crate::hsp::Hsp;
-use crate::step2::{find_hsps_with_guard, Step2Stats};
+use crate::step2::{find_hsps_guarded, Step2Stats};
 
 /// Counters for the unordered + dedup variant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,8 +39,17 @@ pub fn find_hsps_unordered_dedup(
     idx2: &BankIndex,
     cfg: &OrisConfig,
 ) -> (Vec<Hsp>, DedupStats) {
-    let (raw, s2) = find_hsps_with_guard(bank1, idx1, bank2, idx2, cfg, OrderGuard::None);
-    // find_hsps_with_guard dedups *exact* duplicates already via sort +
+    let (raw, s2) = find_hsps_guarded(
+        bank1,
+        idx1,
+        bank2,
+        idx2,
+        cfg,
+        OrderGuard::None,
+        &Deadline::none(),
+    )
+    .expect("a disarmed deadline cannot expire");
+    // find_hsps_guarded dedups *exact* duplicates already via sort +
     // dedup; to measure the true duplicate volume we re-run the counting
     // from the kept statistic.
     // oris-lint: allow(det-hash) — membership probe only; output order comes from the input slice

@@ -108,7 +108,7 @@
 //! [`step2::find_hsps`] implements exactly that with rayon, partitioning
 //! the seed-code space by estimated work (the per-code `|X1|·|X2|` pair
 //! product read from the CSR index offsets — see
-//! [`step2::PartitionStrategy`]); [`step3`] parallelizes over
+//! [`step2::partition_codes`]); [`step3`] parallelizes over
 //! sequence-pair groups.
 //! Both are bit-for-bit deterministic regardless of thread count (verified
 //! by tests).

@@ -178,7 +178,7 @@ pub fn gapped_stage_into(
 ///
 /// `deadline` is the cooperative cancellation token, consulted at step-2
 /// partition boundaries (and within hot partitions — see
-/// [`step2::find_hsps_deadline`]); an expiry aborts the strand before
+/// [`step2::find_hsps_guarded`]); an expiry aborts the strand before
 /// the gapped stage pushes anything further. Disarmed
 /// ([`Deadline::none`]) it costs one dead branch and the run is
 /// infallible.
@@ -206,14 +206,13 @@ pub(crate) fn run_prepared_pipeline_into(
     // ---- Step 2: ordered hit extension ----------------------------------
     let t0 = Stopwatch::start();
     let step2_span = obs.span("step2");
-    let (hsps, s2) = step2::find_hsps_deadline(
+    let (hsps, s2) = step2::find_hsps_guarded(
         bank1,
         idx1,
         bank2,
         idx2,
         cfg,
         step2::select_guard(idx1, idx2),
-        step2::PartitionStrategy::default(),
         deadline,
     )?;
     drop(step2_span);

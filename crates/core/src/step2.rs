@@ -20,9 +20,8 @@
 //! cheapest correct answer from the indexes' build-time exclusion
 //! provenance ([`select_guard`]): both banks fully indexed → the
 //! probe-free `OrderedFull` fast path; any masking or stride exclusion →
-//! the rolled `OrderedIndexed` guard, whose bit-set cursors advance with
-//! the extension and whose bank-1 state is prepared once per occurrence
-//! (shared across the whole X2 slice).
+//! `OrderedIndexed`, which asks both indexes' occurrence bit-sets about
+//! each candidate.
 //!
 //! Because uniqueness is a property of the *rule*, not of the visit
 //! order, the outer loop parallelizes embarrassingly (paper section 4).
@@ -31,13 +30,14 @@
 //! for any thread count.
 //!
 //! **Scheduling.** Seed popularity is highly skewed (the paper's EST banks
-//! concentrate work in poly-A/poly-T codes), so equal-*width* code ranges
-//! carry wildly unequal work: one range may own the `AAAA…A` code whose
-//! `|X1|·|X2|` pair product dwarfs everything else. The default
-//! [`PartitionStrategy::WorkBalanced`] instead sizes ranges by the
-//! per-code pair product, cutting a range whenever its accumulated work
-//! reaches `total/chunks`. Ranges remain contiguous and in code order, so
-//! results concatenate in range order and the output stays
+//! concentrate work in poly-A/poly-T codes), and the rayon shim hands each
+//! worker one contiguous block of the range list, so the ranges must carry
+//! comparable *work*, not comparable width: one range may own the `AAAA…A`
+//! code whose `|X1|·|X2|` pair product dwarfs everything else.
+//! [`partition_codes`] therefore sizes ranges by the per-code pair
+//! product, cutting a range whenever its accumulated work reaches
+//! `total/chunks`. Ranges remain contiguous and in code order, so results
+//! concatenate in range order and the output stays
 //! thread-count-independent.
 //!
 //! Both the work scan and the enumeration itself drive from the
@@ -48,9 +48,7 @@
 //! and at W = 11 the sweep would visit 4 M codes to find a few thousand
 //! populated ones.
 
-use oris_align::{
-    extend_hit_prepared, ExtensionOutcome, OrderGuard, PreparedGuard, UngappedParams,
-};
+use oris_align::{extend_hit, ExtensionOutcome, OrderGuard, UngappedParams};
 use oris_index::BankIndex;
 use oris_seqio::Bank;
 use rayon::prelude::*;
@@ -91,84 +89,59 @@ impl Step2Stats {
     }
 }
 
-/// How [`find_hsps`] splits the seed-code space across workers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PartitionStrategy {
-    /// Contiguous ranges of equal code *width*, ignoring occurrence
-    /// counts — the pre-CSR scheduler, kept as a benchmark baseline.
-    EqualWidth,
-    /// Contiguous ranges of comparable estimated *work*: the per-range sum
-    /// of `|X1(code)|·|X2(code)|` pair products, read from the two CSR
-    /// offset arrays.
-    #[default]
-    WorkBalanced,
-}
-
-/// Splits `0..num_codes` into contiguous ranges under `strategy`, aiming
-/// for `chunks` ranges. Ranges always cover the whole code space in order;
-/// the work-balanced strategy may return fewer ranges than requested
-/// (greedy cuts), and never more than `chunks + 1`: each cut closes a
-/// range holding at least `⌈total/chunks⌉` work, so at most `chunks` cuts
-/// can fire, plus one trailing range for the remainder.
+/// Splits `0..num_codes` into contiguous ranges of comparable estimated
+/// *work* — the per-range sum of `|X1(code)|·|X2(code)|` pair products —
+/// aiming for `chunks` ranges. Ranges always cover the whole code space
+/// in order; the greedy cuts may return fewer ranges than requested, and
+/// never more than `chunks + 1`: each cut closes a range holding at least
+/// `⌈total/chunks⌉` work, so at most `chunks` cuts can fire, plus one
+/// trailing range for the remainder.
 #[allow(clippy::single_range_in_vec_init)] // a Vec<Range> is the schedule, not a typo'd range
 pub fn partition_codes(
     idx1: &BankIndex,
     idx2: &BankIndex,
-    strategy: PartitionStrategy,
     chunks: u32,
 ) -> Vec<std::ops::Range<u32>> {
     let num_codes = idx1.coder().num_seeds() as u32;
-    let chunks = chunks.max(1);
-    match strategy {
-        PartitionStrategy::EqualWidth => {
-            let chunk = num_codes.div_ceil(chunks).max(1);
-            (0..num_codes)
-                .step_by(chunk as usize)
-                .map(|lo| lo..(lo + chunk).min(num_codes))
-                .collect()
-        }
-        PartitionStrategy::WorkBalanced => {
-            if chunks == 1 {
-                return vec![0..num_codes];
-            }
-            // Drive from whichever index holds fewer populated rows and
-            // look the partner's count up per code. A code missing from
-            // either index carries zero work and zero work can never
-            // reach `target`, so skipping unpopulated codes leaves the
-            // cut points identical to a dense 0..4^W sweep — while the
-            // scan cost drops from 4^W to the populated-row count.
-            let (drive, other) = if idx1.distinct_codes() <= idx2.distinct_codes() {
-                (idx1, idx2)
-            } else {
-                (idx2, idx1)
-            };
-            let work_iter = || {
-                drive
-                    .populated()
-                    .map(|(code, row)| (code, row.len() as u64 * other.count(code) as u64))
-            };
-            let total: u64 = work_iter().map(|(_, w)| w).sum();
-            if total == 0 {
-                return vec![0..num_codes];
-            }
-            let target = total.div_ceil(chunks as u64);
-            let mut ranges = Vec::with_capacity(chunks as usize + 1);
-            let mut lo = 0u32;
-            let mut acc = 0u64;
-            for (c, w) in work_iter() {
-                acc += w;
-                if acc >= target {
-                    ranges.push(lo..c + 1);
-                    lo = c + 1;
-                    acc = 0;
-                }
-            }
-            if lo < num_codes {
-                ranges.push(lo..num_codes);
-            }
-            ranges
+    if chunks <= 1 {
+        return vec![0..num_codes];
+    }
+    // Drive from whichever index holds fewer populated rows and look the
+    // partner's count up per code. A code missing from either index
+    // carries zero work and zero work can never reach `target`, so
+    // skipping unpopulated codes leaves the cut points identical to a
+    // dense 0..4^W sweep — while the scan cost drops from 4^W to the
+    // populated-row count.
+    let (drive, other) = if idx1.distinct_codes() <= idx2.distinct_codes() {
+        (idx1, idx2)
+    } else {
+        (idx2, idx1)
+    };
+    let work_iter = || {
+        drive
+            .populated()
+            .map(|(code, row)| (code, row.len() as u64 * other.count(code) as u64))
+    };
+    let total: u64 = work_iter().map(|(_, w)| w).sum();
+    if total == 0 {
+        return vec![0..num_codes];
+    }
+    let target = total.div_ceil(chunks as u64);
+    let mut ranges = Vec::with_capacity(chunks as usize + 1);
+    let mut lo = 0u32;
+    let mut acc = 0u64;
+    for (c, w) in work_iter() {
+        acc += w;
+        if acc >= target {
+            ranges.push(lo..c + 1);
+            lo = c + 1;
+            acc = 0;
         }
     }
+    if lo < num_codes {
+        ranges.push(lo..num_codes);
+    }
+    ranges
 }
 
 /// Processes one contiguous range of seed codes sequentially.
@@ -228,15 +201,9 @@ fn process_code_range(
                 deadline.check()?;
                 next_check = stats.pairs_examined + DEADLINE_CHECK_PAIRS;
             }
-            // Resolve the guard once per bank-1 occurrence: `a`'s guard
-            // words (and the guard-shape dispatch) are shared across every
-            // partner in X2, so the inner loop only builds bank-2 state.
-            let prepared = PreparedGuard::prepare(guard, a as usize);
             for &b in x2 {
                 stats.pairs_examined += 1;
-                match extend_hit_prepared(
-                    d1, d2, a as usize, b as usize, code, coder, params, &prepared,
-                ) {
+                match extend_hit(d1, d2, a as usize, b as usize, code, coder, params, guard) {
                     ExtensionOutcome::Aborted => stats.aborted += 1,
                     ExtensionOutcome::Hsp { score, left, right } => {
                         if score >= min_score {
@@ -288,72 +255,27 @@ pub fn find_hsps(
     idx2: &BankIndex,
     cfg: &OrisConfig,
 ) -> (Vec<Hsp>, Step2Stats) {
-    find_hsps_with_guard(bank1, idx1, bank2, idx2, cfg, select_guard(idx1, idx2))
+    let guard = select_guard(idx1, idx2);
+    find_hsps_guarded(bank1, idx1, bank2, idx2, cfg, guard, &Deadline::none())
+        .expect("a disarmed deadline cannot expire")
 }
 
-/// Same enumeration with an explicit guard (the ablation uses
-/// [`OrderGuard::None`]).
-pub fn find_hsps_with_guard(
+/// Full-control entry point: the same enumeration under an explicit guard
+/// (the ablation uses [`OrderGuard::None`]) and a cooperative
+/// [`Deadline`]. The token is consulted at every partition boundary and
+/// every `DEADLINE_CHECK_PAIRS` extension pairs within a partition, and
+/// an expiry surfaces as a clean [`DeadlineExceeded`] with no partial
+/// output. The deadline never changes *what* is computed — the chunk
+/// count never affects output, ranges concatenate in code order — so a
+/// run that completes under a generous budget is byte-identical to one
+/// under [`Deadline::none`], which cannot fail.
+pub fn find_hsps_guarded(
     bank1: &Bank,
     idx1: &BankIndex,
     bank2: &Bank,
     idx2: &BankIndex,
     cfg: &OrisConfig,
     guard: OrderGuard<'_>,
-) -> (Vec<Hsp>, Step2Stats) {
-    find_hsps_partitioned(
-        bank1,
-        idx1,
-        bank2,
-        idx2,
-        cfg,
-        guard,
-        PartitionStrategy::default(),
-    )
-}
-
-/// Full-control entry point: explicit guard *and* partition strategy (the
-/// scheduling benches compare [`PartitionStrategy::EqualWidth`] against
-/// the default work-balanced split).
-pub fn find_hsps_partitioned(
-    bank1: &Bank,
-    idx1: &BankIndex,
-    bank2: &Bank,
-    idx2: &BankIndex,
-    cfg: &OrisConfig,
-    guard: OrderGuard<'_>,
-    strategy: PartitionStrategy,
-) -> (Vec<Hsp>, Step2Stats) {
-    find_hsps_deadline(
-        bank1,
-        idx1,
-        bank2,
-        idx2,
-        cfg,
-        guard,
-        strategy,
-        &Deadline::none(),
-    )
-    .expect("a disarmed deadline cannot expire")
-}
-
-/// [`find_hsps_partitioned`] under a cooperative [`Deadline`]: the token
-/// is consulted at every partition boundary and every
-/// `DEADLINE_CHECK_PAIRS` extension pairs within a partition, and an
-/// expiry surfaces as a clean [`DeadlineExceeded`] with no partial
-/// output. The deadline never changes *what* is computed — a run that
-/// completes returns exactly the [`find_hsps_partitioned`] result (the
-/// chunk count never affects output; ranges concatenate in code order) —
-/// so the no-deadline path and a generously-budgeted run are
-/// byte-identical.
-pub fn find_hsps_deadline(
-    bank1: &Bank,
-    idx1: &BankIndex,
-    bank2: &Bank,
-    idx2: &BankIndex,
-    cfg: &OrisConfig,
-    guard: OrderGuard<'_>,
-    strategy: PartitionStrategy,
     deadline: &Deadline,
 ) -> Result<(Vec<Hsp>, Step2Stats), DeadlineExceeded> {
     assert_eq!(
@@ -382,7 +304,7 @@ pub fn find_hsps_deadline(
     } else {
         (threads * 16).clamp(16, 1024) as u32
     };
-    let ranges = partition_codes(idx1, idx2, strategy, chunks);
+    let ranges = partition_codes(idx1, idx2, chunks);
 
     let results: Vec<Result<(Vec<Hsp>, Step2Stats), DeadlineExceeded>> = ranges
         .into_par_iter()
@@ -559,7 +481,7 @@ mod tests {
     fn skewed_bank_output_is_thread_count_invariant() {
         // Long homopolymer runs concentrate nearly all pair work in two
         // seed codes (AAAA…, TTTT…) — the distribution that defeats
-        // equal-width scheduling. Output and counters must be identical
+        // equal-width code ranges. Output and counters must be identical
         // for 1, 2 and 8 threads under the work-balanced partition.
         let polya = "A".repeat(120);
         let polyt = "T".repeat(90);
@@ -599,36 +521,49 @@ mod tests {
         let i1 = BankIndex::build(&b1, IndexConfig::full(c.w));
         let i2 = BankIndex::build(&b2, IndexConfig::full(c.w));
         let num_codes = i1.coder().num_seeds() as u32;
+        let params = UngappedParams {
+            w: c.w,
+            xdrop: c.xdrop_ungapped,
+            scheme: c.scheme,
+            max_span: usize::MAX / 4,
+        };
+        let guard = select_guard(&i1, &i2);
+        let sweep = |codes| {
+            process_code_range(
+                &b1,
+                &i1,
+                &b2,
+                &i2,
+                &params,
+                c.min_hsp_score,
+                codes,
+                guard,
+                &Deadline::none(),
+            )
+            .unwrap()
+        };
+        let (whole_hsps, whole_stats) = sweep(0..num_codes);
+        assert!(!whole_hsps.is_empty());
 
-        for strategy in [
-            PartitionStrategy::EqualWidth,
-            PartitionStrategy::WorkBalanced,
-        ] {
-            let ranges = partition_codes(&i1, &i2, strategy, 16);
+        for chunks in [1u32, 3, 16, 64] {
+            let ranges = partition_codes(&i1, &i2, chunks);
             // Contiguous, in-order, complete cover.
             assert_eq!(ranges.first().unwrap().start, 0);
             assert_eq!(ranges.last().unwrap().end, num_codes);
             for w in ranges.windows(2) {
                 assert_eq!(w[0].end, w[1].start);
             }
+            // Every split concatenates to the one-range sweep.
+            let mut hsps = Vec::new();
+            let mut stats = Step2Stats::default();
+            for r in ranges {
+                let (v, s) = sweep(r);
+                hsps.extend(v);
+                stats = stats.merge(s);
+            }
+            assert_eq!(hsps, whole_hsps, "chunks = {chunks}");
+            assert_eq!(stats, whole_stats, "chunks = {chunks}");
         }
-        // Both strategies produce identical results.
-        let guard = oris_align::OrderGuard::OrderedIndexed {
-            idx1: &i1,
-            idx2: &i2,
-        };
-        let naive =
-            find_hsps_partitioned(&b1, &i1, &b2, &i2, &c, guard, PartitionStrategy::EqualWidth);
-        let balanced = find_hsps_partitioned(
-            &b1,
-            &i1,
-            &b2,
-            &i2,
-            &c,
-            guard,
-            PartitionStrategy::WorkBalanced,
-        );
-        assert_eq!(naive, balanced);
     }
 
     #[test]
@@ -643,7 +578,7 @@ mod tests {
         let i2 = BankIndex::build(&b2, IndexConfig::full(4));
 
         let chunks = 16u32;
-        let balanced = partition_codes(&i1, &i2, PartitionStrategy::WorkBalanced, chunks);
+        let balanced = partition_codes(&i1, &i2, chunks);
         let work_of = |r: &std::ops::Range<u32>| -> u64 {
             (r.start..r.end)
                 .map(|c| i1.count(c) as u64 * i2.count(c) as u64)
@@ -678,15 +613,10 @@ mod tests {
         let (d1, d2) = (BankIndex::build(&b1, dense), BankIndex::build(&b2, dense));
         let (s1, s2) = (BankIndex::build(&b1, sparse), BankIndex::build(&b2, sparse));
         for chunks in [1u32, 3, 16, 64] {
-            for strategy in [
-                PartitionStrategy::EqualWidth,
-                PartitionStrategy::WorkBalanced,
-            ] {
-                let reference = partition_codes(&d1, &d2, strategy, chunks);
-                assert_eq!(reference, partition_codes(&s1, &s2, strategy, chunks));
-                assert_eq!(reference, partition_codes(&d1, &s2, strategy, chunks));
-                assert_eq!(reference, partition_codes(&s1, &d2, strategy, chunks));
-            }
+            let reference = partition_codes(&d1, &d2, chunks);
+            assert_eq!(reference, partition_codes(&s1, &s2, chunks));
+            assert_eq!(reference, partition_codes(&d1, &s2, chunks));
+            assert_eq!(reference, partition_codes(&s1, &d2, chunks));
         }
     }
 
@@ -705,7 +635,7 @@ mod tests {
         let i1 = BankIndex::build(&b1, icfg);
         let i2 = BankIndex::build(&b2, icfg);
         let num_codes = i1.coder().num_seeds() as u32;
-        let ranges = partition_codes(&i1, &i2, PartitionStrategy::WorkBalanced, 16);
+        let ranges = partition_codes(&i1, &i2, 16);
         assert_eq!(ranges.first().unwrap().start, 0);
         assert_eq!(ranges.last().unwrap().end, num_codes);
         for w in ranges.windows(2) {
@@ -795,18 +725,20 @@ mod tests {
             select_guard(&full, &full),
             OrderGuard::OrderedFull
         ));
-        assert!(matches!(
-            select_guard(&full, &masked),
-            OrderGuard::OrderedIndexed { .. }
-        ));
-        assert!(matches!(
-            select_guard(&masked, &full),
-            OrderGuard::OrderedIndexed { .. }
-        ));
-        assert!(matches!(
-            select_guard(&full, &strided),
-            OrderGuard::OrderedIndexed { .. }
-        ));
+        // Anything actually excluded on either side — one masked window
+        // is enough — keeps the indexed guard.
+        assert!(!masked.is_fully_indexed() && !strided.is_fully_indexed());
+        for (i1, i2) in [
+            (&full, &masked),
+            (&masked, &full),
+            (&full, &strided),
+            (&masked, &strided),
+        ] {
+            assert!(matches!(
+                select_guard(i1, i2),
+                OrderGuard::OrderedIndexed { .. }
+            ));
+        }
     }
 
     use oris_align::OrderGuard;
@@ -819,9 +751,8 @@ mod tests {
 
     proptest! {
         /// On fully indexed banks the auto-selected probe-free fast path
-        /// (`OrderedFull`), the rolled indexed guard and the probe
-        /// baseline are byte-identical: same HSP vector (order included)
-        /// and same `Step2Stats`.
+        /// (`OrderedFull`) and the indexed guard are byte-identical: same
+        /// HSP vector (order included) and same `Step2Stats`.
         #[test]
         fn full_and_indexed_guards_agree_on_fully_indexed_banks(
             seqs1 in proptest::collection::vec("[ACGTN]{5,60}", 1..4),
@@ -836,51 +767,12 @@ mod tests {
             prop_assert!(matches!(select_guard(&i1, &i2), OrderGuard::OrderedFull));
 
             let auto = find_hsps(&b1, &i1, &b2, &i2, &c);
-            let indexed = find_hsps_with_guard(
+            let indexed = find_hsps_guarded(
                 &b1, &i1, &b2, &i2, &c,
                 OrderGuard::OrderedIndexed { idx1: &i1, idx2: &i2 },
-            );
-            let probe = find_hsps_with_guard(
-                &b1, &i1, &b2, &i2, &c,
-                OrderGuard::OrderedIndexedProbe { idx1: &i1, idx2: &i2 },
-            );
+                &Deadline::none(),
+            ).unwrap();
             prop_assert_eq!(&auto, &indexed);
-            prop_assert_eq!(&auto, &probe);
-        }
-
-        /// Masked / asymmetric builds keep the indexed guard, and the
-        /// rolled representation reproduces the seed's random-probe
-        /// behaviour exactly (HSPs and stats).
-        #[test]
-        fn masked_builds_select_indexed_guard_and_match_seed_behavior(
-            seqs1 in proptest::collection::vec("[ACGTN]{5,60}", 1..4),
-            seqs2 in proptest::collection::vec("[ACGTN]{5,60}", 1..4),
-            w in 3usize..6,
-            mask_mod in 2usize..7,
-            stride in 1usize..3,
-        ) {
-            let b1 = banks_from(&seqs1);
-            let b2 = banks_from(&seqs2);
-            let c = cfg(w);
-            let i1 = BankIndex::build_filtered(
-                &b1, IndexConfig::full(w), |p| p % mask_mod == 0,
-            );
-            let i2 = BankIndex::build(&b2, IndexConfig { stride, ..IndexConfig::full(w) });
-            // The mask predicate fires on any non-trivial bank, so the
-            // indexed guard must be selected whenever something was
-            // actually excluded.
-            if !i1.is_fully_indexed() || !i2.is_fully_indexed() {
-                prop_assert!(matches!(
-                    select_guard(&i1, &i2),
-                    OrderGuard::OrderedIndexed { .. }
-                ));
-            }
-            let auto = find_hsps(&b1, &i1, &b2, &i2, &c);
-            let seed_behavior = find_hsps_with_guard(
-                &b1, &i1, &b2, &i2, &c,
-                OrderGuard::OrderedIndexedProbe { idx1: &i1, idx2: &i2 },
-            );
-            prop_assert_eq!(&auto, &seed_behavior);
         }
 
         /// Dense and sparse index backends are interchangeable in step 2:
@@ -930,21 +822,17 @@ mod tests {
             let i1 = BankIndex::build(&b1, IndexConfig::full(w));
             let i2 = BankIndex::build(&b2, IndexConfig::full(w));
             let num_codes = i1.coder().num_seeds() as u32;
-            for strategy in [PartitionStrategy::EqualWidth, PartitionStrategy::WorkBalanced] {
-                let ranges = partition_codes(&i1, &i2, strategy, chunks);
-                prop_assert!(!ranges.is_empty());
-                prop_assert_eq!(ranges.first().unwrap().start, 0);
-                prop_assert_eq!(ranges.last().unwrap().end, num_codes);
-                for pair in ranges.windows(2) {
-                    prop_assert_eq!(pair[0].end, pair[1].start);
-                }
-                if matches!(strategy, PartitionStrategy::WorkBalanced) {
-                    prop_assert!(
-                        ranges.len() <= chunks as usize + 1,
-                        "{} ranges for {} chunks", ranges.len(), chunks
-                    );
-                }
+            let ranges = partition_codes(&i1, &i2, chunks);
+            prop_assert!(!ranges.is_empty());
+            prop_assert_eq!(ranges.first().unwrap().start, 0);
+            prop_assert_eq!(ranges.last().unwrap().end, num_codes);
+            for pair in ranges.windows(2) {
+                prop_assert_eq!(pair[0].end, pair[1].start);
             }
+            prop_assert!(
+                ranges.len() <= chunks as usize + 1,
+                "{} ranges for {} chunks", ranges.len(), chunks
+            );
         }
     }
 }

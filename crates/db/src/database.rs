@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use oris_core::PreparedBank;
 use oris_index::persist::fnv1a;
-use oris_index::{AttachMode, IndexMeta};
+use oris_index::IndexMeta;
 use oris_obs::Stopwatch;
 
 use crate::io::{RealIo, VolumeIo};
@@ -131,9 +131,10 @@ impl Database {
         })
     }
 
-    /// Attaches volume `i`: re-reads its FASTA, loads its index under
-    /// `mode` (mmap by default — zero-copy postings/offsets), and pairs
-    /// them into a `PreparedBank` after the full identity check chain:
+    /// Attaches volume `i`: re-reads its FASTA, loads its index through
+    /// [`VolumeIo::attach_index`] (mmap under [`crate::RealIo`] —
+    /// zero-copy postings/offsets), and pairs them into a `PreparedBank`
+    /// after the full identity check chain:
     ///
     /// * the FASTA's content hash must match the manifest row (a volume
     ///   edited after `makedb` is refused);
@@ -149,7 +150,6 @@ impl Database {
     pub fn attach_volume(
         &self,
         i: usize,
-        mode: AttachMode,
     ) -> Result<(PreparedBank<'static>, AttachedVolumeStats), DbError> {
         let meta = self.volume(i);
         let t0 = Stopwatch::start();
@@ -185,7 +185,7 @@ impl Database {
         let index_path = self.dir.join(&meta.index);
         let (index, imeta): (_, IndexMeta) = self
             .io
-            .attach_index(&index_path, mode)
+            .attach_index(&index_path)
             .map_err(|e| self.volume_error(i, index_path.clone(), VolumeCause::Index(e)))?;
         if index.w() != self.manifest.w || index.stride() != self.manifest.stride {
             return Err(self.volume_error(

@@ -27,7 +27,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use oris_index::persist::read_index;
-use oris_index::{AttachMode, BankIndex, IndexMeta, PersistError};
+use oris_index::{BankIndex, IndexMeta, PersistError};
 
 /// How a [`crate::Database`] reads its files. Implementations must be
 /// `Send + Sync`: one database handle may serve many sessions.
@@ -39,16 +39,13 @@ pub trait VolumeIo: std::fmt::Debug + Send + Sync {
     /// Reads the entire file at `path` (manifest, volume FASTA).
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
-    /// Loads the index file at `path` under `mode`.
-    fn attach_index(
-        &self,
-        path: &Path,
-        mode: AttachMode,
-    ) -> Result<(BankIndex, IndexMeta), PersistError>;
+    /// Loads the index file at `path`.
+    fn attach_index(&self, path: &Path) -> Result<(BankIndex, IndexMeta), PersistError>;
 }
 
-/// The production implementation: plain filesystem reads and the real
-/// heap/mmap index attach.
+/// The production implementation: plain filesystem reads and the mmap
+/// index attach (which itself falls back to a heap read where the
+/// platform cannot map).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RealIo;
 
@@ -61,12 +58,8 @@ impl VolumeIo for RealIo {
         std::fs::read(path)
     }
 
-    fn attach_index(
-        &self,
-        path: &Path,
-        mode: AttachMode,
-    ) -> Result<(BankIndex, IndexMeta), PersistError> {
-        oris_index::attach_index_file(path, mode)
+    fn attach_index(&self, path: &Path) -> Result<(BankIndex, IndexMeta), PersistError> {
+        oris_index::map_index_file(path)
     }
 }
 
@@ -269,15 +262,10 @@ impl VolumeIo for FaultyIo {
     /// plan and parsed by the streaming loader, so a scripted fault
     /// drives exactly the [`PersistError`] the real loaders would return
     /// for those bytes (both loaders reject the same corruptions —
-    /// equivalence-tested in `oris-index`). `mode` is accepted for
-    /// signature parity but the injector always parses from its own
-    /// buffer; mmap-specific behaviour is covered by the corruption
-    /// fuzz tests against the real attach path.
-    fn attach_index(
-        &self,
-        path: &Path,
-        _mode: AttachMode,
-    ) -> Result<(BankIndex, IndexMeta), PersistError> {
+    /// equivalence-tested in `oris-index`). The injector always parses
+    /// from its own buffer; mmap-specific behaviour is covered by the
+    /// corruption fuzz tests against the real attach path.
+    fn attach_index(&self, path: &Path) -> Result<(BankIndex, IndexMeta), PersistError> {
         let bytes = self.read_with_faults(path).map_err(|e| {
             if e.kind() == io::ErrorKind::UnexpectedEof {
                 PersistError::Io(e) // keep injected EOF an I/O failure, not "truncated"

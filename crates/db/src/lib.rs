@@ -17,10 +17,11 @@
 //!   plus the index configuration and the **database-wide residue
 //!   total**.
 //! * [`Database`] — opens a database directory, validates the manifest,
-//!   and attaches volumes on demand: by **mmap**
-//!   ([`oris_index::AttachMode::Mmap`], the default — the postings and
-//!   offsets sections are referenced zero-copy from the mapped file) or
-//!   by heap copy (the fallback loader, equivalence-tested).
+//!   and attaches volumes on demand by **mmap**
+//!   ([`oris_index::map_index_file`] — the postings and offsets sections
+//!   are referenced zero-copy from the mapped file; where the platform
+//!   or kernel cannot map, the same call reads the file into heap
+//!   arrays, and [`VolumeCost::mmap_backed`] reports which happened).
 //! * [`DbSession`] — runs each query across **all** volumes with bounded
 //!   memory: volumes are searched in sequence through a small window of
 //!   attached sessions, each volume's working set dropped before the
@@ -138,4 +139,4 @@ pub use io::{Fault, FaultRule, FaultyIo, RealIo, VolumeIo};
 pub use makedb::{make_db, MakeDbOptions};
 pub use manifest::{Manifest, VolumeMeta, MANIFEST_FILE};
 pub use session::{DbBatchStats, DbOptions, DbSession, OnVolumeError, SearchReport, VolumeCost};
-pub use verify::{verify_db, VerifyOptions, VerifyReport, VolumeVerdict};
+pub use verify::{verify_db, VerifyReport, VolumeVerdict};

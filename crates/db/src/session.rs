@@ -28,7 +28,6 @@ use oris_core::{
     RecordSink, Session,
 };
 use oris_eval::{M8Record, SubjectSpace};
-use oris_index::AttachMode;
 use oris_obs::{names, Field, Obs};
 use oris_seqio::Bank;
 
@@ -59,9 +58,6 @@ pub enum OnVolumeError {
 /// Options for a [`DbSession`].
 #[derive(Debug, Clone, Copy)]
 pub struct DbOptions {
-    /// How volume indexes are brought into memory ([`AttachMode::Mmap`]
-    /// by default — postings/offsets referenced zero-copy from the file).
-    pub attach: AttachMode,
     /// Maximum volumes held attached at once. `0` (the default) keeps
     /// every volume attached after its first use — cheap under mmap,
     /// where an attached volume's heap cost is its bank plus bit-set, not
@@ -104,7 +100,6 @@ pub struct DbOptions {
 impl Default for DbOptions {
     fn default() -> DbOptions {
         DbOptions {
-            attach: AttachMode::Mmap,
             window: 0,
             on_volume_error: OnVolumeError::Fail,
             retries: 2,
@@ -114,6 +109,14 @@ impl Default for DbOptions {
             result_cache_bytes: 0,
         }
     }
+}
+
+/// Sleep before retry number `attempt` (0-based) of a transient attach
+/// failure: exponential backoff `base`, `2·base`, `4·base`, … — the
+/// schedule [`DbOptions::retry_backoff`] documents — with the doubling
+/// capped at `2^16·base`.
+fn retry_delay(base: Duration, attempt: u32) -> Duration {
+    base * (1u32 << attempt.min(16))
 }
 
 /// Per-volume step-1 cost attribution for a database session: what was
@@ -461,15 +464,14 @@ impl<'d> DbSession<'d> {
         );
         let mut attempt = 0u32;
         let (prepared, attach) = loop {
-            match self.db.attach_volume(v, self.opts.attach) {
+            match self.db.attach_volume(v) {
                 Ok(ok) => break ok,
                 Err(e)
                     if self.opts.on_volume_error == OnVolumeError::SkipAndReport
                         && attempt < self.opts.retries
                         && e.is_transient() =>
                 {
-                    // Exponential backoff: base, 2·base, 4·base, …
-                    std::thread::sleep(self.opts.retry_backoff * (1u32 << attempt.min(16)) / 2);
+                    std::thread::sleep(retry_delay(self.opts.retry_backoff, attempt));
                     attempt += 1;
                     *retries += 1;
                     self.costs[v].retries += 1;
@@ -890,5 +892,21 @@ impl<'d> DbSession<'d> {
             reports,
             volumes: self.costs.clone(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retry_delay_starts_at_base_doubles_and_caps() {
+        let base = Duration::from_millis(10);
+        assert_eq!(retry_delay(base, 0), base);
+        assert_eq!(retry_delay(base, 1), 2 * base);
+        assert_eq!(retry_delay(base, 2), 4 * base);
+        assert_eq!(retry_delay(base, 16), 65_536 * base);
+        assert_eq!(retry_delay(base, 17), retry_delay(base, 16));
+        assert_eq!(retry_delay(base, u32::MAX), retry_delay(base, 16));
     }
 }

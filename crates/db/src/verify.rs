@@ -13,28 +13,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use oris_index::AttachMode;
-
 use crate::database::{Database, DbError, VolumeCause};
 use crate::io::VolumeIo;
-
-/// Options for [`verify_db`].
-#[derive(Debug, Clone, Copy)]
-pub struct VerifyOptions {
-    /// How each volume's index is loaded for checking. [`AttachMode::Mmap`]
-    /// exercises the zero-copy loader (what a serving session uses);
-    /// `HeapCopy` exercises the streaming loader. Both reject identical
-    /// corruptions.
-    pub attach: AttachMode,
-}
-
-impl Default for VerifyOptions {
-    fn default() -> VerifyOptions {
-        VerifyOptions {
-            attach: AttachMode::Mmap,
-        }
-    }
-}
 
 /// One volume's verdict.
 #[derive(Debug)]
@@ -96,11 +76,7 @@ impl VerifyReport {
 /// report: an unreadable or corrupt **manifest** ([`DbError::Io`] /
 /// [`DbError::Manifest`] — exit codes 4 / 2). Every per-volume problem
 /// lands in the returned report instead.
-pub fn verify_db(
-    dir: impl AsRef<Path>,
-    io: Arc<dyn VolumeIo>,
-    opts: &VerifyOptions,
-) -> Result<VerifyReport, DbError> {
+pub fn verify_db(dir: impl AsRef<Path>, io: Arc<dyn VolumeIo>) -> Result<VerifyReport, DbError> {
     // open_unchecked: manifest fully validated (including its trailing
     // checksum and residue-total consistency), volume files *not* probed
     // — a missing volume must become a verdict, not an open failure.
@@ -108,7 +84,7 @@ pub fn verify_db(
     let mut volumes = Vec::with_capacity(db.num_volumes());
     for v in 0..db.num_volumes() {
         let meta = db.volume(v);
-        let error = verify_volume(&db, v, opts).err();
+        let error = verify_volume(&db, v).err();
         volumes.push(VolumeVerdict {
             volume: v,
             fasta: meta.fasta.clone(),
@@ -123,13 +99,13 @@ pub fn verify_db(
 }
 
 /// Runs the full check chain on one volume.
-fn verify_volume(db: &Database, v: usize, opts: &VerifyOptions) -> Result<(), DbError> {
+fn verify_volume(db: &Database, v: usize) -> Result<(), DbError> {
     // attach_volume already checks: FASTA readable and parseable, bank
     // content hash vs manifest, residue count vs manifest, index file
     // structure (magic / version / checksum via the loader), index
     // w/stride vs manifest, index bank hash vs manifest, and the
     // bank ↔ index pairing invariants.
-    let (prepared, _) = db.attach_volume(v, opts.attach)?;
+    let (prepared, _) = db.attach_volume(v)?;
     // One check the serving path skips (it never needs the count): the
     // manifest's per-volume sequence count.
     let meta = db.volume(v);

@@ -6,17 +6,16 @@
 //!
 //! * the manifest parser, through [`FaultyIo`] (its trailing FNV-1a
 //!   checksum must refuse any body mutation);
-//! * the real index attach paths — **both** [`AttachMode::Mmap`] and
-//!   [`AttachMode::HeapCopy`] against mutated bytes on disk — which must
-//!   reject every mutation via header validation or the whole-stream
-//!   checksum.
+//! * the index loaders — [`oris_index::map_index_file`], the real attach
+//!   path, against mutated bytes on disk, and the streaming heap reader
+//!   through [`FaultyIo`] — which must reject every mutation via header
+//!   validation or the whole-stream checksum.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use oris_core::OrisConfig;
 use oris_db::{make_db, Database, Fault, FaultRule, FaultyIo, MakeDbOptions};
-use oris_index::AttachMode;
 use oris_seqio::BankBuilder;
 use proptest::prelude::*;
 
@@ -115,9 +114,9 @@ proptest! {
         }
     }
 
-    /// Any single-byte flip of a v2 index file is rejected by BOTH attach
-    /// modes — header validation or the whole-stream checksum — and
-    /// neither loader panics.
+    /// Any single-byte flip of a v2 index file is rejected by the real
+    /// attach path — header validation or the whole-stream checksum —
+    /// without panicking.
     #[test]
     fn index_flips_never_panic_never_pass(
         offset_sel in 0usize..1_000_000,
@@ -128,32 +127,30 @@ proptest! {
         let mut bytes = index.clone();
         bytes[offset] ^= mask;
         let path = mutated_file(&bytes);
-        for mode in [AttachMode::Mmap, AttachMode::HeapCopy] {
-            let result = oris_index::attach_index_file(&path, mode);
-            prop_assert!(
-                result.is_err(),
-                "{mode:?} accepted a flip at {offset} (mask {mask:#x})"
-            );
-        }
+        prop_assert!(
+            oris_index::map_index_file(&path).is_err(),
+            "accepted a flip at {offset} (mask {mask:#x})"
+        );
         std::fs::remove_file(&path).ok();
     }
 
-    /// Any truncation of a v2 index file is rejected by both attach
-    /// modes without panicking.
+    /// Any truncation of a v2 index file is rejected by the real attach
+    /// path without panicking.
     #[test]
     fn index_truncations_never_panic_never_pass(len_sel in 0usize..1_000_000) {
         let (_, _, index) = fixture();
         let len = len_sel % index.len();
         let path = mutated_file(&index[..len]);
-        for mode in [AttachMode::Mmap, AttachMode::HeapCopy] {
-            let result = oris_index::attach_index_file(&path, mode);
-            prop_assert!(result.is_err(), "{mode:?} accepted truncation to {len} bytes");
-        }
+        prop_assert!(
+            oris_index::map_index_file(&path).is_err(),
+            "accepted truncation to {len} bytes"
+        );
         std::fs::remove_file(&path).ok();
     }
 
     /// The same mutations driven through the full database attach path
-    /// (FaultyIo) surface as typed volume errors, never panics.
+    /// (FaultyIo, which parses with the streaming heap reader) surface as
+    /// typed volume errors, never panics.
     #[test]
     fn db_attach_survives_index_mutations(
         offset_sel in 0usize..1_000_000,
@@ -169,7 +166,7 @@ proptest! {
         };
         let io = FaultyIo::with_rules([FaultRule::always("vol00000.oidx", fault)]);
         let db = Database::open_with_io(dir, Arc::new(io)).unwrap();
-        let e = db.attach_volume(0, AttachMode::Mmap).unwrap_err();
+        let e = db.attach_volume(0).unwrap_err();
         prop_assert!(matches!(e, oris_db::DbError::Volume(_)), "{e:?}");
     }
 }

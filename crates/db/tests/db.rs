@@ -1,12 +1,11 @@
 //! Integration tests for the sharded database: makedb splitting, open
 //! validation, and the cross-volume search contract (byte-identical to a
 //! single-bank run over the concatenated input, shard-invariant
-//! e-values, attach-mode equivalence, bounded windows).
+//! e-values, mapped attach, bounded windows).
 
 use oris_core::{CollectSink, FilterKind, OrisConfig, Session};
 use oris_db::{make_db, Database, DbOptions, DbSession, MakeDbOptions};
 use oris_eval::SubjectSpace;
-use oris_index::AttachMode;
 use oris_seqio::{Bank, BankBuilder};
 use std::path::PathBuf;
 
@@ -92,16 +91,16 @@ fn makedb_splits_and_manifest_adds_up() {
     for v in &m.volumes {
         assert!(v.residues <= 200 || v.sequences == 1, "{v:?}");
     }
-    // The directory reopens and every volume attaches under both modes.
+    // The directory reopens and every volume attaches, mapped, with the
+    // postings the plain heap reader sees in the same file.
     let db = Database::open(&dir).unwrap();
     assert_eq!(db.total_residues(), total);
     for i in 0..db.num_volumes() {
-        let (mapped, s) = db.attach_volume(i, AttachMode::Mmap).unwrap();
+        let (mapped, s) = db.attach_volume(i).unwrap();
         assert!(s.mmap_backed);
         assert!(mapped.index().is_mmap_backed());
-        let (copied, s) = db.attach_volume(i, AttachMode::HeapCopy).unwrap();
-        assert!(!s.mmap_backed);
-        assert_eq!(mapped.index().positions(), copied.index().positions());
+        let (copied, _) = oris_index::read_index_file(dir.join(&db.volume(i).index)).unwrap();
+        assert_eq!(mapped.index().positions(), copied.positions());
     }
 }
 
@@ -131,10 +130,10 @@ fn open_rejects_missing_and_tampered_volumes() {
     let tampered = original.replacen("ATGGCG", "ATGGCC", 1);
     assert_ne!(original, tampered);
     std::fs::write(&vol0_fa, &tampered).unwrap();
-    let err = db.attach_volume(0, AttachMode::Mmap).unwrap_err();
+    let err = db.attach_volume(0).unwrap_err();
     assert!(err.to_string().contains("content hash"), "{err}");
     std::fs::write(&vol0_fa, &original).unwrap();
-    assert!(db.attach_volume(0, AttachMode::Mmap).is_ok());
+    assert!(db.attach_volume(0).is_ok());
 
     // Missing volume file: refused at open, with the file named.
     std::fs::remove_file(&vol0_fa).unwrap();
@@ -170,7 +169,7 @@ fn session_rejects_mismatched_config() {
 
 /// The tentpole equivalence: multi-volume search ≡ single-bank search
 /// over the concatenated input, when both price e-values over the same
-/// database-wide space — across attach modes, window sizes and strands.
+/// database-wide space — across window sizes and strands.
 #[test]
 fn db_search_matches_concatenated_bank() {
     let queries = [
@@ -190,33 +189,30 @@ fn db_search_matches_concatenated_bank() {
         ref_cfg.subject_space = SubjectSpace::Database(db.total_residues());
         let reference = Session::new(&subject, &ref_cfg).unwrap();
 
-        for attach in [AttachMode::Mmap, AttachMode::HeapCopy] {
-            for window in [0usize, 1] {
-                let mut session = DbSession::new(
-                    &db,
-                    &cfg,
-                    DbOptions {
-                        attach,
-                        window,
-                        ..DbOptions::default()
-                    },
-                )
-                .unwrap();
-                for q in &queries {
-                    let via_db = session.run_query(q).unwrap();
-                    let via_bank = reference.run(q);
-                    assert_eq!(
-                        via_db.alignments, via_bank.alignments,
-                        "attach={attach:?} window={window} both_strands={both_strands}"
-                    );
-                    assert!(
-                        !via_db.alignments.is_empty() || q.record(0).name == "q2",
-                        "homologous query must produce records"
-                    );
-                    // The query's build is attributed once, not per
-                    // volume.
-                    assert_eq!(via_db.stats.index_builds, 1);
-                }
+        for window in [0usize, 1] {
+            let mut session = DbSession::new(
+                &db,
+                &cfg,
+                DbOptions {
+                    window,
+                    ..DbOptions::default()
+                },
+            )
+            .unwrap();
+            for q in &queries {
+                let via_db = session.run_query(q).unwrap();
+                let via_bank = reference.run(q);
+                assert_eq!(
+                    via_db.alignments, via_bank.alignments,
+                    "window={window} both_strands={both_strands}"
+                );
+                assert!(
+                    !via_db.alignments.is_empty() || q.record(0).name == "q2",
+                    "homologous query must produce records"
+                );
+                // The query's build is attributed once, not per
+                // volume.
+                assert_eq!(via_db.stats.index_builds, 1);
             }
         }
     }
@@ -291,7 +287,6 @@ fn window_eviction_is_not_pathological_for_the_cyclic_scan() {
         &db,
         &cfg,
         DbOptions {
-            attach: AttachMode::Mmap,
             window,
             ..DbOptions::default()
         },
@@ -364,7 +359,6 @@ fn batch_streams_one_boundary_per_query_and_counts_attaches() {
         &db,
         &cfg,
         DbOptions {
-            attach: AttachMode::Mmap,
             window: 1,
             ..DbOptions::default()
         },

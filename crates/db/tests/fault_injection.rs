@@ -15,9 +15,9 @@ use std::time::Duration;
 use oris_core::{CollectSink, Deadline, OrisConfig, RecordSink};
 use oris_db::{
     make_db, verify_db, Database, DbError, DbOptions, DbSession, Fault, FaultRule, FaultyIo,
-    MakeDbOptions, OnVolumeError, SearchReport, VerifyOptions, VolumeCause,
+    MakeDbOptions, OnVolumeError, SearchReport, VolumeCause,
 };
-use oris_index::{AttachMode, PersistError};
+use oris_index::PersistError;
 use oris_seqio::{Bank, BankBuilder};
 
 fn scratch(test: &str) -> PathBuf {
@@ -189,7 +189,7 @@ fn fasta_read_failure_is_volume_io() {
         Fault::Error(ErrorKind::Other),
     )]);
     let db = Database::open_with_io(&dir, Arc::new(io)).unwrap();
-    let e = db.attach_volume(0, AttachMode::Mmap).unwrap_err();
+    let e = db.attach_volume(0).unwrap_err();
     assert!(matches!(volume_cause(&e), VolumeCause::Io(_)), "{e:?}");
     // And the same fault surfaces from a session query under Fail.
     let io = FaultyIo::with_rules([FaultRule::always(
@@ -212,7 +212,7 @@ fn fasta_corruption_is_parse_or_hash_error() {
         },
     )]);
     let db = Database::open_with_io(&dir, Arc::new(io)).unwrap();
-    let e = db.attach_volume(0, AttachMode::Mmap).unwrap_err();
+    let e = db.attach_volume(0).unwrap_err();
     assert!(matches!(volume_cause(&e), VolumeCause::Fasta(_)), "{e:?}");
 
     // Flipping a sequence byte to another valid base parses fine but
@@ -230,7 +230,7 @@ fn fasta_corruption_is_parse_or_hash_error() {
         Fault::FlipByte { offset, mask: 0x06 },
     )]);
     let db = Database::open_with_io(&dir, Arc::new(io)).unwrap();
-    let e = db.attach_volume(0, AttachMode::Mmap).unwrap_err();
+    let e = db.attach_volume(0).unwrap_err();
     assert!(
         matches!(volume_cause(&e), VolumeCause::HashMismatch { .. }),
         "{e:?}"
@@ -276,7 +276,7 @@ fn index_corruptions_map_to_persist_errors() {
     for (fault, check) in cases {
         let io = FaultyIo::with_rules([FaultRule::always("vol00000.oidx", fault.clone())]);
         let db = Database::open_with_io(&dir, Arc::new(io)).unwrap();
-        let e = db.attach_volume(0, AttachMode::Mmap).unwrap_err();
+        let e = db.attach_volume(0).unwrap_err();
         match volume_cause(&e) {
             VolumeCause::Index(p) => assert!(check(p), "fault {fault:?} gave {p:?}"),
             other => panic!("fault {fault:?} gave {other:?}"),
@@ -289,7 +289,7 @@ fn index_corruptions_map_to_persist_errors() {
         Fault::Error(ErrorKind::Other),
     )]);
     let db = Database::open_with_io(&dir, Arc::new(io)).unwrap();
-    let e = db.attach_volume(0, AttachMode::Mmap).unwrap_err();
+    let e = db.attach_volume(0).unwrap_err();
     match volume_cause(&e) {
         VolumeCause::Index(PersistError::Io(_)) => {}
         other => panic!("{other:?}"),
@@ -325,7 +325,7 @@ fn index_config_mismatch_is_detected() {
     .unwrap();
     std::fs::copy(dir_b.join("vol00000.oidx"), dir_a.join("vol00000.oidx")).unwrap();
     let db = Database::open(&dir_a).unwrap();
-    let e = db.attach_volume(0, AttachMode::Mmap).unwrap_err();
+    let e = db.attach_volume(0).unwrap_err();
     match volume_cause(&e) {
         VolumeCause::Mismatch(msg) => assert!(msg.contains("w="), "{msg}"),
         other => panic!("{other:?}"),
@@ -651,12 +651,10 @@ fn cancellation_token_stops_the_query() {
 #[test]
 fn verify_db_passes_a_clean_database() {
     let dir = build_db("verify_ok");
-    for attach in [AttachMode::Mmap, AttachMode::HeapCopy] {
-        let report = verify_db(&dir, Arc::new(FaultyIo::new()), &VerifyOptions { attach }).unwrap();
-        assert!(report.is_ok());
-        assert_eq!(report.exit_code(), 0);
-        assert!(report.volumes.iter().all(|v| v.is_ok()));
-    }
+    let report = verify_db(&dir, Arc::new(FaultyIo::new())).unwrap();
+    assert!(report.is_ok());
+    assert_eq!(report.exit_code(), 0);
+    assert!(report.volumes.iter().all(|v| v.is_ok()));
 }
 
 #[test]
@@ -669,7 +667,7 @@ fn verify_db_names_exactly_the_corrupt_volume() {
             mask: 0xFF,
         },
     )]);
-    let report = verify_db(&dir, Arc::new(io), &VerifyOptions::default()).unwrap();
+    let report = verify_db(&dir, Arc::new(io)).unwrap();
     assert!(!report.is_ok());
     assert_eq!(report.exit_code(), 3);
     let failed: Vec<usize> = report.failures().map(|v| v.volume).collect();
@@ -685,7 +683,7 @@ fn verify_db_names_exactly_the_corrupt_volume() {
 fn verify_db_reports_missing_volumes_per_volume() {
     let dir = build_db("verify_missing");
     let io = FaultyIo::with_rules([FaultRule::always("vol00000.fa", Fault::Missing)]);
-    let report = verify_db(&dir, Arc::new(io), &VerifyOptions::default()).unwrap();
+    let report = verify_db(&dir, Arc::new(io)).unwrap();
     let failed: Vec<usize> = report.failures().map(|v| v.volume).collect();
     assert_eq!(failed, vec![0]);
 }
@@ -700,7 +698,7 @@ fn verify_db_rejects_a_corrupt_manifest_outright() {
             mask: 0x08,
         },
     )]);
-    let e = verify_db(&dir, Arc::new(io), &VerifyOptions::default()).unwrap_err();
+    let e = verify_db(&dir, Arc::new(io)).unwrap_err();
     assert!(matches!(e, DbError::Manifest(_)), "{e:?}");
     assert_eq!(e.exit_code(), 2);
 }

@@ -39,12 +39,10 @@
 //!   workload — [`map_index_file`] maps an index file and hands the
 //!   [`BankIndex`] direct views of its offsets and postings sections, so
 //!   attaching a volume costs no postings copy and its big arrays live
-//!   in the shared, evictable page cache instead of the heap.
-//!   [`AttachMode`] selects between the mapped and heap-copy loaders;
-//!   both verify the same checksum and structural invariants and are
-//!   equivalence-tested.
-//! * [`LinkedBankIndex`]: the literal linked layout of Figure 2, retained
-//!   as a benchmark baseline for the layout comparison.
+//!   in the shared, evictable page cache instead of the heap. Where the
+//!   platform or kernel cannot map, it falls back to the heap reader
+//!   [`read_index_file`] (the plain `--index` loader); both verify the
+//!   same checksum and structural invariants and are equivalence-tested.
 //! * Asymmetric indexing (section 3.4): index only every other W-mer of one
 //!   bank, the paper's remedy for sensitivity loss with shorter seeds. In
 //!   the CSR layout this halves the postings bytes too, not just the
@@ -53,7 +51,6 @@
 //!   ≈5·N bytes for a fully indexed bank — 1 byte of `SEQ` + 4 bytes of
 //!   postings per position).
 
-pub mod linked;
 pub mod mask;
 pub mod mmap;
 pub mod persist;
@@ -61,9 +58,8 @@ pub(crate) mod section;
 pub mod seedcode;
 pub mod structure;
 
-pub use linked::LinkedBankIndex;
 pub use mask::MaskSet;
-pub use mmap::{attach_index_file, map_index_file, AttachMode, Mapping};
+pub use mmap::{map_index_file, Mapping};
 pub use persist::{read_index_file, write_index_file, IndexMeta, PersistError};
 pub use seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
 pub use structure::{BankIndex, IndexBackend, IndexConfig, IndexStats, PopulatedRows};

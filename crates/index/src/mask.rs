@@ -26,8 +26,8 @@ impl MaskSet {
     /// Validates the [`MaskSet::words`] invariants: exactly
     /// `len.div_ceil(64)` words, with every bit at or beyond `len` clear.
     /// The masked count is recomputed from the words. Returns `None` on
-    /// violation instead of constructing a set whose word-cursor guard
-    /// walks would read garbage.
+    /// violation instead of constructing a set whose count and
+    /// [`MaskSet::intervals`] would read garbage.
     pub(crate) fn from_raw_words(bits: Vec<u64>, len: usize) -> Option<MaskSet> {
         if bits.len() != len.div_ceil(64) {
             return None;
@@ -143,13 +143,6 @@ impl MaskSet {
     /// The backing bit words: position `p` is bit `p % 64` of word
     /// `p / 64` (set = masked). The slice covers `len().div_ceil(64)`
     /// words; bits at or beyond `len()` are always clear.
-    ///
-    /// This is the word-level accessor the rolled order guard builds on:
-    /// an extension walk moves by one position per step, so a cursor over
-    /// these words answers one membership query per step with a shift,
-    /// touching a new word only every 64 steps — instead of re-deriving
-    /// `word/bit` from scratch per random-access [`MaskSet::contains`]
-    /// probe.
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.bits

@@ -4,19 +4,21 @@
 //! them attached cheaply: [`map_index_file`] maps an index file once and
 //! hands [`crate::BankIndex`] zero-copy views of its two big sections
 //! (row offsets and postings), so attaching a volume costs one mapping
-//! plus the small heap pieces (the bit-set, whose word array the order
-//! guard walks with a cursor, is still copied — it is `len/8` bytes,
-//! an order of magnitude below the postings). The file's whole-stream
-//! checksum and every structural invariant are verified at attach time,
-//! exactly as the heap-copy loader does, so a mapped index gives the
-//! same corruption guarantees — the two loaders are equivalence-tested.
+//! plus the small heap pieces (the indexed-positions bit-set the order
+//! guard probes is still copied — it is `len/8` bytes, an order of
+//! magnitude below the postings). The file's whole-stream checksum and
+//! every structural invariant are verified at attach time, exactly as
+//! the heap reader [`crate::read_index_file`] does, so a mapped index
+//! gives the same corruption guarantees — the tests below hold the two
+//! loaders equal on good files and on corrupt ones.
 //!
 //! The mapping is implemented with direct `mmap(2)`/`munmap(2)` calls
 //! (declared `extern "C"` — this build environment has no crates.io
 //! access, and the platform C library already exports them). On
 //! non-Unix targets, or if the kernel refuses the mapping,
 //! [`map_index_file`] falls back to [`crate::read_index_file`]'s heap
-//! copy: callers always get a working index, mapped when possible.
+//! copy: callers always get a working index, mapped when possible, and
+//! the choice is made from what the code observes, never by an option.
 //!
 //! **Caveat** (inherent to file mappings, not this implementation): the
 //! kernel does not snapshot the file. Truncating or rewriting an index
@@ -159,32 +161,6 @@ impl Drop for Mapping {
     }
 }
 
-/// How a persisted index should be brought into memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AttachMode {
-    /// `mmap` the file and reference the offsets/postings sections
-    /// zero-copy (falling back to [`AttachMode::HeapCopy`] if the
-    /// platform cannot map, e.g. non-Unix or a misaligned section).
-    #[default]
-    Mmap,
-    /// Read the file into fresh heap arrays ([`crate::read_index_file`]).
-    HeapCopy,
-}
-
-/// Loads an index file under `mode`. Both modes verify the same header,
-/// checksum and structural invariants and produce behaviourally
-/// identical indexes; they differ only in where the two big array
-/// sections live (page cache vs heap).
-pub fn attach_index_file(
-    path: impl AsRef<Path>,
-    mode: AttachMode,
-) -> Result<(BankIndex, IndexMeta), PersistError> {
-    match mode {
-        AttachMode::HeapCopy => crate::persist::read_index_file(path),
-        AttachMode::Mmap => map_index_file(path),
-    }
-}
-
 /// Maps an index file written by [`crate::write_index_file`] and builds a
 /// [`BankIndex`] whose offsets and postings sections are zero-copy views
 /// of the mapping. Falls back to the heap-copy loader when the platform
@@ -242,7 +218,7 @@ mod tests {
     #[test]
     fn mmap_attach_equals_heap_copy() {
         use crate::structure::{BankIndex, IndexBackend, IndexConfig};
-        // The equivalence the database layer relies on: both attach modes
+        // The equivalence the database layer relies on: both loaders
         // produce behaviourally identical indexes — same occurrences
         // slices, stats, provenance — differing only in where the big
         // sections live. Covered for both row-lookup backends.
@@ -265,8 +241,8 @@ mod tests {
                         &buf,
                     )
                 };
-                let (mapped, m_meta) = attach_index_file(&path, AttachMode::Mmap).unwrap();
-                let (copied, c_meta) = attach_index_file(&path, AttachMode::HeapCopy).unwrap();
+                let (mapped, m_meta) = map_index_file(&path).unwrap();
+                let (copied, c_meta) = crate::read_index_file(&path).unwrap();
                 assert_eq!(m_meta, c_meta);
                 assert_eq!(m_meta, meta);
                 assert!(mapped.is_mmap_backed(), "unix target must really map");
@@ -322,8 +298,8 @@ mod tests {
 
             for (i, bytes) in variants.iter().enumerate() {
                 let path = tmp_file(&format!("corrupt{backend:?}{i}"), bytes);
-                let via_map = attach_index_file(&path, AttachMode::Mmap);
-                let via_copy = attach_index_file(&path, AttachMode::HeapCopy);
+                let via_map = map_index_file(&path);
+                let via_copy = crate::read_index_file(&path);
                 assert!(via_map.is_err(), "variant {i} must be rejected by mmap");
                 assert!(via_copy.is_err(), "variant {i} must be rejected by copy");
             }
@@ -336,7 +312,7 @@ mod tests {
         use crate::structure::{BankIndex, IndexBackend, IndexConfig};
         // A corrupt sparse slot table with a *recomputed* checksum gets
         // past the hash; the structural rebuild-and-compare must reject
-        // it in both attach modes (this is the mmap path's guarantee
+        // it in both loaders (this is the mmap path's guarantee
         // that hostile file bytes can't cause unterminated probes).
         let bank = bank_of(&["ACGTACGTACGTTTGGCCAA"]);
         let idx = BankIndex::build(
@@ -358,12 +334,15 @@ mod tests {
         let h = fnv1a(&bytes[..body]);
         bytes[body..].copy_from_slice(&h.to_le_bytes());
         let path = tmp_file("restamped_slots", &bytes);
-        for mode in [AttachMode::Mmap, AttachMode::HeapCopy] {
-            match attach_index_file(&path, mode) {
+        for (loader, result) in [
+            ("mmap", map_index_file(&path)),
+            ("heap", crate::read_index_file(&path)),
+        ] {
+            match result {
                 Err(PersistError::Corrupt(msg)) => {
-                    assert!(msg.contains("slot table"), "{mode:?}: {msg}")
+                    assert!(msg.contains("slot table"), "{loader}: {msg}")
                 }
-                other => panic!("{mode:?} accepted a corrupt slot table: {other:?}"),
+                other => panic!("{loader} accepted a corrupt slot table: {other:?}"),
             }
         }
     }

@@ -102,10 +102,10 @@
 //! retires the "benches must run at W = 9" workaround: a small query bank
 //! at W = 11 no longer pays a 16.8 MB offsets array per transient index.
 //!
-//! The linked layout cost `4·len(SEQ)` for `next` no matter how many
-//! windows were actually indexed; the CSR postings cost `4·indexed_positions`,
-//! so low-complexity masking and the asymmetric stride (section 3.4)
-//! shrink the index itself, not just the bit-set. For a fully indexed bank
+//! The postings cost `4·indexed_positions` bytes — sized by the windows
+//! actually indexed, not by `len(SEQ)` as the paper's `next` array is — so
+//! low-complexity masking and the asymmetric stride (section 3.4) shrink
+//! the index itself, not just the bit-set. For a fully indexed bank
 //! (`indexed_positions ≈ len(SEQ)`) the dense layout matches the paper's
 //! "approximately 5·N bytes" figure.
 //!
@@ -113,9 +113,9 @@
 //! guard: during extension the guard must ask "would the global enumeration
 //! visit a seed at this position?" — a question about *positions*, which
 //! the position-grouped CSR rows cannot answer in O(1). The guard reads the
-//! set two ways: random-access probes via [`BankIndex::is_indexed`], and —
-//! the hot path — a rolling word cursor over [`BankIndex::indexed_words`]
-//! that walks with the extension (see `oris-align::ungapped`).
+//! set through [`BankIndex::is_indexed`], one probe per bank per candidate
+//! seed (see `oris-align::ungapped`); [`BankIndex::indexed_words`] exposes
+//! the backing words to [`crate::persist`], which writes them to disk.
 //!
 //! **Exclusion provenance.** The build also records *why* positions are
 //! absent from the index. Windows can be missing for two very different
@@ -790,12 +790,8 @@ impl BankIndex {
     }
 
     /// The indexed-occurrence bit-set as raw 64-bit words (bit `p % 64`
-    /// of word `p / 64` set ⟺ [`BankIndex::is_indexed`]`(p)`).
-    ///
-    /// The rolled order guard walks these words with a cursor that
-    /// advances one bit per extension step, replacing two random-access
-    /// probes per candidate seed with a shift (and one word load every 64
-    /// steps).
+    /// of word `p / 64` set ⟺ [`BankIndex::is_indexed`]`(p)`) — the form
+    /// the persisted index file stores.
     #[inline]
     pub fn indexed_words(&self) -> &[u64] {
         self.indexed.words()
@@ -1413,8 +1409,7 @@ mod tests {
         let n = bank.data().len();
         let cfg = IndexConfig::full(8).with_backend(IndexBackend::Dense);
         // Mask the first half of the bank: the postings array must shrink
-        // by (roughly) the masked windows, unlike the linked layout whose
-        // `next` array stayed at 4·N bytes regardless.
+        // by (roughly) the masked windows.
         let idx = BankIndex::build_filtered(&bank, cfg, |p| p < n / 2);
         let stats = idx.stats();
         assert_eq!(

@@ -276,10 +276,7 @@ pub fn check_file(ctx: &FileCtx, src: &str) -> FileReport {
                     && t(i + 1) == "::"
                     && (t(i + 2) == "open" || t(i + 2) == "create"))
                 || matches!(tx, "OpenOptions" | "read_dir" | "read_to_string")
-                || matches!(
-                    tx,
-                    "attach_index_file" | "read_index_file" | "map_index_file" | "Mapping"
-                )
+                || matches!(tx, "read_index_file" | "map_index_file" | "Mapping")
                 || (i > 0
                     && t(i - 1) == "."
                     && matches!(

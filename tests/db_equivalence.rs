@@ -1,17 +1,16 @@
 //! Sharded-database ≡ single-bank, pinned at the workspace level.
 //!
 //! The database layer's central promise: searching a `makedb` database —
-//! any volume count, either attach mode, any window, any
-//! `volume_workers` count, result cache on or off — produces records
-//! **byte-identical** to a single-bank session over the concatenated
-//! input, with e-values computed over the same database-wide effective
-//! search space. Random banks, volume budgets, strands and filters all
-//! converge on the same `-m 8` bytes.
+//! any volume count, any window, any `volume_workers` count, result
+//! cache on or off — produces records **byte-identical** to a
+//! single-bank session over the concatenated input, with e-values
+//! computed over the same database-wide effective search space. Random
+//! banks, volume budgets, strands and filters all converge on the same
+//! `-m 8` bytes.
 
 use oris_core::{CollectSink, FilterKind, OrisConfig, Session, StreamWriter};
 use oris_db::{make_db, Database, DbOptions, DbSession, MakeDbOptions};
 use oris_eval::{M8Record, M8Writer, SubjectSpace};
-use oris_index::AttachMode;
 use oris_seqio::{Bank, BankBuilder};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -55,7 +54,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// make_db over random banks and volume budgets, searched with both
-    /// attach modes and window sizes, equals a single-bank session over
+    /// window sizes, equals a single-bank session over
     /// the concatenated input — same records, same bytes through a
     /// StreamWriter.
     #[test]
@@ -113,44 +112,41 @@ proptest! {
         let expected = reference.run(&query);
         let expected_bytes = render(&expected.alignments);
 
-        for attach in [AttachMode::Mmap, AttachMode::HeapCopy] {
-            for workers in [1usize, 2, 4] {
-                for cache_bytes in [0usize, 1 << 20] {
-                    // Parallel fan-out requires every volume resident, so
-                    // the bounded-window axis only composes with the
-                    // sequential walk.
-                    let window = if tiny_window && workers == 1 { 1 } else { 0 };
-                    let opts = DbOptions {
-                        attach,
-                        window,
-                        volume_workers: workers,
-                        result_cache_bytes: cache_bytes,
-                        ..DbOptions::default()
-                    };
-                    let mut session = DbSession::new(&db, &cfg, opts).unwrap();
+        for workers in [1usize, 2, 4] {
+            for cache_bytes in [0usize, 1 << 20] {
+                // Parallel fan-out requires every volume resident, so
+                // the bounded-window axis only composes with the
+                // sequential walk.
+                let window = if tiny_window && workers == 1 { 1 } else { 0 };
+                let opts = DbOptions {
+                    window,
+                    volume_workers: workers,
+                    result_cache_bytes: cache_bytes,
+                    ..DbOptions::default()
+                };
+                let mut session = DbSession::new(&db, &cfg, opts).unwrap();
 
-                    if workers == 1 && cache_bytes == 0 {
-                        // Collected records agree...
-                        let collected = session.run_query(&query).unwrap();
-                        prop_assert_eq!(&collected.alignments, &expected.alignments);
-                    }
+                if workers == 1 && cache_bytes == 0 {
+                    // Collected records agree...
+                    let collected = session.run_query(&query).unwrap();
+                    prop_assert_eq!(&collected.alignments, &expected.alignments);
+                }
 
-                    // ...and streamed bytes agree (the sink's single
-                    // boundary sort really does merge the volumes) — for
-                    // any worker count, cache on or off.
+                // ...and streamed bytes agree (the sink's single
+                // boundary sort really does merge the volumes) — for
+                // any worker count, cache on or off.
+                let mut stream = StreamWriter::new(Vec::new());
+                session.run_query_into(&query, &mut stream).unwrap();
+                prop_assert_eq!(&stream.into_inner(), &expected_bytes);
+
+                if cache_bytes > 0 {
+                    // The repeat is served from the cache and must
+                    // replay the exact same bytes.
                     let mut stream = StreamWriter::new(Vec::new());
-                    session.run_query_into(&query, &mut stream).unwrap();
+                    let (_, report) =
+                        session.run_query_reported(&query, &mut stream).unwrap();
+                    prop_assert!(!report.cache_hits.is_empty());
                     prop_assert_eq!(&stream.into_inner(), &expected_bytes);
-
-                    if cache_bytes > 0 {
-                        // The repeat is served from the cache and must
-                        // replay the exact same bytes.
-                        let mut stream = StreamWriter::new(Vec::new());
-                        let (_, report) =
-                            session.run_query_reported(&query, &mut stream).unwrap();
-                        prop_assert!(!report.cache_hits.is_empty());
-                        prop_assert_eq!(&stream.into_inner(), &expected_bytes);
-                    }
                 }
             }
         }
@@ -278,7 +274,7 @@ proptest! {
     /// The occurrence-index backend is invisible in the output: sessions
     /// and whole databases built under `Dense`, `Sparse` and `Auto`
     /// produce byte-identical `-m 8` streams for random banks, strands,
-    /// filters and both attach modes. (The backend is a space/time trade
+    /// and filters. (The backend is a space/time trade
     /// inside `oris-index`; nothing downstream may observe it.)
     #[test]
     fn index_backend_is_invisible_in_m8_output(
@@ -319,25 +315,19 @@ proptest! {
         prop_assert_eq!(&session_bytes(IndexBackend::Auto), &expected);
 
         // Database level: a dense-built and a sparse-built database give
-        // the same bytes in both attach modes — and a sparse-built
-        // database accepts a dense-configured search session (the
-        // backend is never a compatibility axis).
+        // the same bytes — and a sparse-built database accepts a
+        // dense-configured search session (the backend is never a
+        // compatibility axis).
         for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
             let cfg = cfg_with(backend);
             let dir = scratch();
             make_db([subject.clone()], &dir, &MakeDbOptions::new(&cfg, volume_budget)).unwrap();
             let db = Database::open(&dir).unwrap();
-            for attach in [AttachMode::Mmap, AttachMode::HeapCopy] {
-                let search_cfg = cfg_with(IndexBackend::Auto);
-                let mut session = DbSession::new(
-                    &db,
-                    &search_cfg,
-                    DbOptions { attach, ..DbOptions::default() },
-                ).unwrap();
-                let mut stream = StreamWriter::new(Vec::new());
-                session.run_query_into(&query, &mut stream).unwrap();
-                prop_assert_eq!(&stream.into_inner(), &expected);
-            }
+            let search_cfg = cfg_with(IndexBackend::Auto);
+            let mut session = DbSession::new(&db, &search_cfg, DbOptions::default()).unwrap();
+            let mut stream = StreamWriter::new(Vec::new());
+            session.run_query_into(&query, &mut stream).unwrap();
+            prop_assert_eq!(&stream.into_inner(), &expected);
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -15,17 +15,26 @@ fn bank_from(seqs: &[String]) -> Bank {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// THE paper invariant (section 2.2): with the ordered-seed rule,
-    /// every HSP is generated exactly once, and the set of HSPs equals
-    /// the deduplicated set produced by unguarded extension of every hit.
+    /// THE paper invariant (section 2.2): with the ordered-seed rule no
+    /// HSP is generated twice, and every HSP it generates is one that
+    /// unguarded extension of an enumerated hit produces. The rule
+    /// guarantees no more than that: under a saturating X-drop the walk
+    /// carries the abort test far beyond the final extent, so a
+    /// smaller-code seed elsewhere on the diagonal may take over a short
+    /// HSP and then itself score below the threshold — set *equality*
+    /// with brute force does not hold. The index shape is an input: full,
+    /// every `m`-th bank-1 position masked, bank 2 at stride 1 or 2 —
+    /// "enumerated" always means "in both indexes".
     #[test]
     fn ordered_rule_generates_each_hsp_exactly_once(
         seqs1 in proptest::collection::vec("[ACGT]{30,90}", 1..3),
         seqs2 in proptest::collection::vec("[ACGT]{30,90}", 1..3),
         core in "[ACGT]{25,50}",
         w in 5usize..8,
+        mask_mod in 1usize..9,
+        stride in 1usize..3,
     ) {
         // Plant the shared core into both banks so real HSPs exist.
         let mut v1 = seqs1.clone();
@@ -37,26 +46,22 @@ proptest! {
 
         let cfg = oris::core::OrisConfig {
             w,
-            // min_hsp_score is inclusive (keep score ≥ S1). One above the
-            // bare-seed score: an HSP of score exactly W contains only its
-            // own seed, and under a *saturating* xdrop the walk (which
-            // carries the abort rule far beyond the final extent) may
-            // legitimately reassign it to a smaller-code seed whose own
-            // maximal extension does not cover it — so bare seeds sit
-            // outside the exactly-once ⇔ brute-dedup equivalence this
-            // test pins.
             min_hsp_score: w as i32 + 1,
-            // saturating xdrop: extension extents become path-independent
             xdrop_ungapped: 10_000,
             ..oris::core::OrisConfig::small(w)
         };
-        let i1 = BankIndex::build(&b1, IndexConfig::full(w));
-        let i2 = BankIndex::build(&b2, IndexConfig::full(w));
+        // mask_mod 1 stands for "nothing masked": with stride 1 that is
+        // the fully indexed pair and the probe-free guard.
+        let i1 = BankIndex::build_filtered(&b1, IndexConfig::full(w), |p| {
+            mask_mod >= 2 && p % mask_mod == 0
+        });
+        let i2 = BankIndex::build(&b2, IndexConfig { stride, ..IndexConfig::full(w) });
 
         // Ordered generation.
-        let (ordered, _) = oris::core::step2::find_hsps(&b1, &i1, &b2, &i2, &cfg);
+        let (ordered, stats) = oris::core::step2::find_hsps(&b1, &i1, &b2, &i2, &cfg);
 
-        // Brute force: extend every hit unguarded, dedup by extent.
+        // Brute force over the same indexes: extend every enumerated hit
+        // unguarded, dedup by extent.
         let params = UngappedParams {
             w,
             xdrop: cfg.xdrop_ungapped,
@@ -65,33 +70,59 @@ proptest! {
         };
         let coder = i1.coder();
         let mut brute = std::collections::HashSet::new();
+        // Per diagonal of a record pair, the enumerated hit that owns it:
+        // smallest code, leftmost among equals — with what its unguarded
+        // extension yields.
+        let mut owners = std::collections::HashMap::new();
         for code in 0..coder.num_seeds() as u32 {
             for &a in i1.occurrences(code) {
                 for &b in i2.occurrences(code) {
-                    if let ExtensionOutcome::Hsp { score, left, right } = extend_hit(
+                    let ExtensionOutcome::Hsp { score, left, right } = extend_hit(
                         b1.data(), b2.data(), a as usize, b as usize,
                         code, coder, &params, OrderGuard::None,
-                    ) {
-                        // `>=`: min_hsp_score is the minimum score to keep
-                        // (matches step 2's corrected threshold).
-                        if score >= cfg.min_hsp_score {
-                            brute.insert((a - left as u32, b - left as u32,
-                                          left as u32 + w as u32 + right as u32));
-                        }
+                    ) else {
+                        unreachable!("no guard, no abort");
+                    };
+                    let extent = (a - left as u32, b - left as u32,
+                                  left as u32 + w as u32 + right as u32);
+                    // `>=`: min_hsp_score is the minimum score to keep
+                    // (matches step 2's corrected threshold).
+                    let kept = score >= cfg.min_hsp_score;
+                    if kept {
+                        brute.insert(extent);
+                    }
+                    let diagonal = (b1.locate(a as usize), b2.locate(b as usize),
+                                    a as i64 - b as i64);
+                    let owner = owners.entry(diagonal).or_insert((code, a, extent, kept));
+                    if (code, a) < (owner.0, owner.1) {
+                        *owner = (code, a, extent, kept);
                     }
                 }
             }
         }
 
-        // Exactly once: no duplicates in the ordered output.
+        // Exactly once: no extent twice in the output, and none removed
+        // by step 2's own sort + dedup either.
         let mut seen = std::collections::HashSet::new();
         for h in &ordered {
             prop_assert!(seen.insert((h.start1, h.start2, h.len)),
                 "duplicate HSP {h:?}");
         }
-        // Same set as brute force.
-        prop_assert_eq!(seen, brute);
+        prop_assert_eq!(stats.kept as usize, ordered.len());
+        // Nothing invented: ordered ⊆ brute force.
+        prop_assert!(seen.is_subset(&brute), "{:?}", seen.difference(&brute));
+        // Nothing lost: the X-drop saturates, so every walk spans its
+        // whole diagonal, the owner's never meets a seed it must defer to,
+        // and its HSP is there whenever it clears the threshold.
+        for (diagonal, (code, a, extent, kept)) in &owners {
+            prop_assert!(!kept || seen.contains(extent),
+                "owner (code {code}, p1 {a}) of {diagonal:?} lost {extent:?}");
+        }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Planted homologies are found end-to-end whenever they contain a
     /// clean seed, and the reported alignment covers most of the core.
