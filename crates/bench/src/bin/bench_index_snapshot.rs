@@ -53,6 +53,18 @@ fn time2<RA, RB>(reps: usize, mut a: impl FnMut() -> RA, mut b: impl FnMut() -> 
     )
 }
 
+/// One query through a database session, collected.
+fn collect_db(
+    session: &mut oris_db::DbSession,
+    query: &oris_seqio::Bank,
+) -> Vec<oris_eval::M8Record> {
+    let mut sink = oris_core::CollectSink::new();
+    session
+        .run_query_reported(query, &mut sink)
+        .expect("database query");
+    sink.into_records()
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 0.15f64;
@@ -369,12 +381,12 @@ fn main() {
     let mut warm_session = oris_db::DbSession::new(&db, &db_cfg, oris_db::DbOptions::default())
         .expect("valid db config");
     let t0 = Stopwatch::start();
-    let cold = warm_session.run_query(cold_query).expect("cold query");
+    let cold = collect_db(&mut warm_session, cold_query);
     let t_db_cold = t0.elapsed_secs();
     let t0 = Stopwatch::start();
-    let warm = warm_session.run_query(cold_query).expect("warm query");
+    let warm = collect_db(&mut warm_session, cold_query);
     let t_db_warm = t0.elapsed_secs();
-    assert_eq!(cold.alignments, warm.alignments);
+    assert_eq!(cold, warm);
     let db_attaches: u32 = warm_session.volume_costs().iter().map(|c| c.attaches).sum();
     assert_eq!(
         db_attaches as usize, db_volumes,
@@ -383,12 +395,12 @@ fn main() {
 
     // Deadline overhead: the same warm query with the cooperative clock
     // disarmed vs armed with a generous budget, rep-paired on two fully
-    // warmed sessions so neither side pays an attach. The armed side
-    // stages records in an internal buffer and polls the clock at volume
-    // and partition boundaries; the contract is ≤1% wall-clock.
+    // warmed sessions so neither side pays an attach. Both sides stage
+    // their records; the armed side also polls the clock at volume and
+    // partition boundaries. The contract is ≤1% wall-clock.
     let mut armed_session = oris_db::DbSession::new(&db, &db_cfg, oris_db::DbOptions::default())
         .expect("valid db config");
-    let _ = armed_session.run_query(cold_query).expect("warm-up query");
+    let _ = collect_db(&mut armed_session, cold_query);
     let generous = oris_core::Deadline::after(std::time::Duration::from_secs(3600));
     let run_with = |session: &mut oris_db::DbSession, deadline: &oris_core::Deadline| {
         let mut sink = oris_core::CollectSink::new();
@@ -432,10 +444,10 @@ fn main() {
     )
     .expect("valid db config");
     // Warm both attach caches so the pairing measures search alone.
-    let seq_first = seq_serve.run_query(cold_query).expect("seq warm-up");
-    let par_first = par_serve.run_query(cold_query).expect("par warm-up");
+    let seq_first = collect_db(&mut seq_serve, cold_query);
+    let par_first = collect_db(&mut par_serve, cold_query);
     assert_eq!(
-        seq_first.alignments, par_first.alignments,
+        seq_first, par_first,
         "parallel fan-out must be byte-identical to the sequential walk"
     );
     let run_serve = |session: &mut oris_db::DbSession| {
@@ -463,22 +475,22 @@ fn main() {
     )
     .expect("valid db config");
     let t0 = Stopwatch::start();
-    let cache_cold = cached_serve.run_query(cold_query).expect("cold query");
+    let cache_cold = collect_db(&mut cached_serve, cold_query);
     let t_cache_cold = t0.elapsed_secs();
     let cache_reps = reps.max(5);
     let t0 = Stopwatch::start();
     let mut cache_warm = None;
     for _ in 0..cache_reps {
-        cache_warm = Some(cached_serve.run_query(cold_query).expect("cached repeat"));
+        cache_warm = Some(collect_db(&mut cached_serve, cold_query));
     }
     let t_cache_warm = t0.elapsed_secs() / cache_reps as f64;
     assert_eq!(
-        cache_cold.alignments,
-        cache_warm.expect("ran at least once").alignments,
+        cache_cold,
+        cache_warm.expect("ran at least once"),
         "a cache hit must replay byte-identical records"
     );
     assert_eq!(
-        cache_cold.alignments, seq_first.alignments,
+        cache_cold, seq_first,
         "the cached path must match the cacheless sequential walk"
     );
     let serve_counters = cached_serve.result_cache_counters();
@@ -507,19 +519,13 @@ fn main() {
     let mut obs_on_session = oris_db::DbSession::new(&db, &db_cfg, oris_db::DbOptions::default())
         .expect("valid db config");
     obs_on_session.set_obs(oris_obs::Obs::armed());
-    let obs_off_first = obs_off_session.run_query(cold_query).expect("obs warm-up");
-    let obs_on_first = obs_on_session.run_query(cold_query).expect("obs warm-up");
+    let obs_off_first = collect_db(&mut obs_off_session, cold_query);
+    let obs_on_first = collect_db(&mut obs_on_session, cold_query);
     assert_eq!(
-        obs_off_first.alignments, obs_on_first.alignments,
+        obs_off_first, obs_on_first,
         "armed metrics must not change a single output byte"
     );
-    let run_plain = |session: &mut oris_db::DbSession| {
-        session
-            .run_query(cold_query)
-            .expect("obs query")
-            .alignments
-            .len()
-    };
+    let run_plain = |session: &mut oris_db::DbSession| collect_db(session, cold_query).len();
     let (t_obs_off, t_obs_on) = time2(
         reps.max(20),
         || std::hint::black_box(run_plain(&mut obs_off_session)),

@@ -124,7 +124,6 @@ impl BlastConfig {
             threads: self.threads,
             max_gapped_span: self.max_gapped_span,
             subject_space: self.subject_space,
-            index_backend: oris_index::IndexBackend::Auto,
         }
     }
 

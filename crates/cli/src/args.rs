@@ -102,27 +102,6 @@ impl Args {
     pub fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
-
-    /// The `--index-backend` option (`dense` | `sparse` | `auto`),
-    /// shared by `scoris-n`, `mkindex` and `makedb`. Absent means
-    /// [`oris_index::IndexBackend::Auto`] — per-build selection by
-    /// code-space density.
-    pub fn index_backend(&self) -> Result<oris_index::IndexBackend, ArgError> {
-        use oris_index::IndexBackend;
-        match self
-            .options
-            .get("index-backend")
-            .map(String::as_str)
-            .unwrap_or("auto")
-        {
-            "dense" => Ok(IndexBackend::Dense),
-            "sparse" => Ok(IndexBackend::Sparse),
-            "auto" => Ok(IndexBackend::Auto),
-            other => Err(ArgError(format!(
-                "invalid value {other:?} for --index-backend (dense | sparse | auto)"
-            ))),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,21 +192,101 @@ mod tests {
         assert!(a.get_or("word", 0usize).is_err());
     }
 
-    #[test]
-    fn index_backend_parses_and_defaults_to_auto() {
-        use oris_index::IndexBackend;
-        let keys: &[&str] = &["index-backend"];
-        let a = Args::parse(&argv(&[]), keys, &[], &[]).unwrap();
-        assert_eq!(a.index_backend().unwrap(), IndexBackend::Auto);
-        for (spelling, want) in [
-            ("dense", IndexBackend::Dense),
-            ("sparse", IndexBackend::Sparse),
-            ("auto", IndexBackend::Auto),
-        ] {
-            let a = Args::parse(&argv(&["--index-backend", spelling]), keys, &[], &[]).unwrap();
-            assert_eq!(a.index_backend().unwrap(), want);
+    /// The value keys, flag keys and (short, long, short, long, …)
+    /// aliases a binary hands to [`Args::parse`], read out of its source
+    /// — the three `&[…]` arguments of the call hold no other string
+    /// literal — so the property below runs against the real tables,
+    /// whatever they become.
+    fn tables(src: &'static str) -> [Vec<&'static str>; 3] {
+        let call = src.split_once("Args::parse(").expect("parse call").1;
+        let call = call.split_once(".map_err").expect("end of call").0;
+        let mut groups = call
+            .split("&[")
+            .skip(1)
+            .map(|g| g.split('"').skip(1).step_by(2).collect::<Vec<_>>());
+        let tables = [(); 3].map(|()| groups.next().expect("three tables"));
+        assert!(tables[0].contains(&"out") && tables[1].contains(&"help"));
+        tables
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Arbitrary argv against the three binaries' key tables: the
+        /// parser ends in `Ok` or `ArgError` (never a panic), only
+        /// declared names come out, and `--key=value` ≡ `--key value`.
+        #[test]
+        fn parse_never_panics_and_equals_form_is_equivalent(
+            picks in proptest::collection::vec(0usize..1 << 20, 0..8),
+            junk in proptest::collection::vec("[a5=é日W ]{0,5}", 0..8),
+        ) {
+            for src in [
+                include_str!("bin/scoris_n.rs"),
+                include_str!("bin/mkindex.rs"),
+                include_str!("bin/makedb.rs"),
+            ] {
+                let [values, flags, aliases] = tables(src);
+                let aliases: Vec<_> = aliases.chunks(2).map(|p| (p[0], p[1])).collect();
+                // ASCII and multi-byte, leading `-`/`--`, `=` anywhere,
+                // empty strings, a lone `-`, `-5`-style negatives, real
+                // and unknown names.
+                let argv: Vec<String> = picks
+                    .iter()
+                    .zip(&junk)
+                    .map(|(&pick, junk)| {
+                        let value = values[(pick >> 3) % values.len()];
+                        let (short, _) = aliases[(pick >> 3) % aliases.len()];
+                        match pick % 8 {
+                            0 => format!("--{value}"),
+                            1 => format!("--{value}={junk}"),
+                            2 => format!("-{short}"),
+                            3 => format!("-{short}={junk}"),
+                            4 => format!("--{}", flags[(pick >> 3) % flags.len()]),
+                            5 => junk.clone(),
+                            6 => format!("-{junk}"),
+                            _ => format!("--{junk}"),
+                        }
+                    })
+                    .collect();
+                let parse = |argv: &[String]| {
+                    Args::parse(argv, &values, &flags, &aliases)
+                        .map(|a| (a.positional, a.options, a.flags))
+                };
+                let parsed = parse(&argv);
+                if let Ok((_, options, set_flags)) = &parsed {
+                    prop_assert!(options.keys().all(|k| values.contains(&k.as_str())));
+                    prop_assert!(set_flags.iter().all(|f| flags.contains(&f.as_str())));
+                }
+
+                // Respell every inline value of a value option as two
+                // arguments: same outcome, error or not.
+                let takes_value = |arg: &str| {
+                    let mut chars = arg.chars();
+                    let is_option = chars.next() == Some('-')
+                        && chars.next().is_some_and(|c| !c.is_ascii_digit());
+                    let name = arg.trim_start_matches('-');
+                    let name = aliases.iter().find(|(a, _)| *a == name).map_or(name, |p| p.1);
+                    is_option && values.contains(&name)
+                };
+                let mut spaced = Vec::new();
+                let mut it = argv.iter();
+                while let Some(arg) = it.next() {
+                    match arg.split_once('=') {
+                        Some((head, tail)) if takes_value(head) => {
+                            spaced.extend([head.to_string(), tail.to_string()]);
+                        }
+                        _ => {
+                            spaced.push(arg.clone());
+                            // A value option written bare takes the next
+                            // argument whole, `=` and all.
+                            if takes_value(arg) {
+                                spaced.extend(it.next().cloned());
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(&parse(&spaced), &parsed);
+            }
         }
-        let a = Args::parse(&argv(&["--index-backend", "csr"]), keys, &[], &[]).unwrap();
-        assert!(a.index_backend().is_err());
     }
 }

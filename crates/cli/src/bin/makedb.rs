@@ -12,8 +12,6 @@
 //!   -W, --word N        seed length (default 11; asymmetric mode indexes W−1)
 //!   -f, --filter KIND   none | entropy | dust (default entropy)
 //!       --asymmetric    subject-side (W−1)-mer stride-2 indexing (section 3.4)
-//!       --index-backend dense | sparse | auto (default auto): per-volume
-//!                       row-lookup layout; search output is identical
 //!       --stats         print per-volume build statistics to stderr
 //! ```
 //!
@@ -31,15 +29,14 @@ use oris_db::{make_db, MakeDbOptions};
 
 fn usage() -> &'static str {
     "usage: makedb <bank.fa> [more.fa ...] -o dir [-v residues] [-W n]\n\
-     \t[-f none|entropy|dust] [--asymmetric] [--index-backend dense|sparse|auto]\n\
-     \t[--stats]"
+     \t[-f none|entropy|dust] [--asymmetric] [--stats]"
 }
 
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(
         &argv,
-        &["word", "filter", "index-backend", "out", "volume-size"],
+        &["word", "filter", "out", "volume-size"],
         &["asymmetric", "stats", "help"],
         &[
             ("W", "word"),
@@ -78,7 +75,6 @@ fn run() -> Result<(), String> {
         w: args.get_or("word", 11).map_err(|e| e.to_string())?,
         filter,
         asymmetric: args.has_flag("asymmetric"),
-        index_backend: args.index_backend().map_err(|e| e.to_string())?,
         ..OrisConfig::default()
     };
     cfg.validate()?;

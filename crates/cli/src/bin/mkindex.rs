@@ -8,9 +8,6 @@
 //!   -W, --word N        seed length (default 11; asymmetric mode indexes W−1)
 //!   -f, --filter KIND   none | entropy | dust (default entropy)
 //!       --asymmetric    subject-side (W−1)-mer stride-2 indexing (section 3.4)
-//!       --index-backend dense | sparse | auto (default auto): row-lookup
-//!                       layout — dense 4^W offsets vs the sparse
-//!                       populated-codes table; output is identical
 //!       --stats         print build time and footprint to stderr
 //!   -o, --out FILE      output index (default <bank.fa>.oidx)
 //! ```
@@ -30,14 +27,14 @@ use oris_index::IndexMeta;
 
 fn usage() -> &'static str {
     "usage: mkindex <bank.fa> [-W n] [-f none|entropy|dust] [--asymmetric]\n\
-     \t[--index-backend dense|sparse|auto] [--stats] [-o out.oidx]"
+     \t[--stats] [-o out.oidx]"
 }
 
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(
         &argv,
-        &["word", "filter", "index-backend", "out"],
+        &["word", "filter", "out"],
         &["asymmetric", "stats", "help"],
         &[("W", "word"), ("f", "filter"), ("o", "out"), ("h", "help")],
     )
@@ -67,7 +64,6 @@ fn run() -> Result<(), String> {
         w: args.get_or("word", 11).map_err(|e| e.to_string())?,
         filter,
         asymmetric: args.has_flag("asymmetric"),
-        index_backend: args.index_backend().map_err(|e| e.to_string())?,
         ..OrisConfig::default()
     };
     cfg.validate()?;

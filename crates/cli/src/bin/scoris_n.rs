@@ -14,10 +14,6 @@
 //!   -s, --minscore N    minimum HSP score S1 (default 18)
 //!   -f, --filter KIND   none | entropy | dust (default entropy)
 //!   -t, --threads N     worker threads (default: all cores)
-//!       --index-backend dense | sparse | auto (default auto): occurrence
-//!                       index row-lookup layout — dense 4^W offsets vs
-//!                       the sparse populated-codes table; purely a
-//!                       space/time trade, output is identical
 //!       --engine NAME   oris | blast (default oris)
 //!       --asymmetric    asymmetric (W−1)-mer indexing (section 3.4)
 //!       --both-strands  also search the complementary strand (sstart > send)
@@ -87,8 +83,7 @@ use oris_seqio::Bank;
 
 fn usage() -> &'static str {
     "usage: scoris-n <bank1.fa> <bank2.fa> [-W n] [-e x] [-x n] [-X n] [-s n]\n\
-     \t[-f none|entropy|dust] [-t n] [--index-backend dense|sparse|auto]\n\
-     \t[--engine oris|blast] [--asymmetric]\n\
+     \t[-f none|entropy|dust] [-t n] [--engine oris|blast] [--asymmetric]\n\
      \t[--both-strands] [--index bank2.oidx] [--batch dir-or-multi.fa]\n\
      \t[--db dir] [--window n] [--workers n]\n\
      \t[--result-cache mb] [--dbsize n]\n\
@@ -206,6 +201,9 @@ impl Output {
 /// one at a time). A file that fails to read mid-batch fuses the
 /// iterator and parks the error in [`BatchQueries::error`] for the
 /// caller to surface after `run_batch` returns.
+///
+/// `One` is the `--db` mode's positional query: a single query is a
+/// batch of one bank, already read.
 enum BatchQueries {
     Dir {
         files: std::vec::IntoIter<PathBuf>,
@@ -215,6 +213,7 @@ enum BatchQueries {
         bank: Bank,
         next: usize,
     },
+    One(Option<Bank>),
 }
 
 impl BatchQueries {
@@ -259,7 +258,7 @@ impl BatchQueries {
     fn error(self) -> Option<String> {
         match self {
             BatchQueries::Dir { error, .. } => error,
-            BatchQueries::Records { .. } => None,
+            BatchQueries::Records { .. } | BatchQueries::One(_) => None,
         }
     }
 }
@@ -291,6 +290,34 @@ impl Iterator for &mut BatchQueries {
                 *next += 1;
                 Some(b.finish())
             }
+            BatchQueries::One(bank) => bank.take(),
+        }
+    }
+}
+
+/// Streams a batch to the `-o` destination: `run` drives `queries` into a
+/// [`StreamWriter`] over the atomic output, and any failure — `run`'s own
+/// or a query file that would not read — discards the output. Query banks
+/// are pulled from the source lazily — one resident at a time — so the
+/// batch's memory bound really is one query's working set, not the query
+/// set's total size. Returns `run`'s report and the records written.
+fn stream_batch<B, E: Into<CliError>>(
+    args: &Args,
+    mut queries: BatchQueries,
+    run: impl FnOnce(&mut BatchQueries, &mut StreamWriter<Box<dyn Write>>) -> Result<B, E>,
+) -> Result<(B, u64), CliError> {
+    let (w, out) = Output::open(args.options.get("out"))?;
+    let mut sink = StreamWriter::new(w);
+    let batch = run(&mut queries, &mut sink).map_err(E::into);
+    match batch.and_then(|b| queries.error().map_or(Ok(b), |e| Err(e.into()))) {
+        Ok(batch) => {
+            let records = sink.records_written();
+            out.finish(sink.into_inner())?;
+            Ok((batch, records))
+        }
+        Err(e) => {
+            out.discard();
+            Err(e)
         }
     }
 }
@@ -417,7 +444,6 @@ fn run() -> Result<(), CliError> {
             "minscore",
             "filter",
             "threads",
-            "index-backend",
             "engine",
             "index",
             "batch",
@@ -531,7 +557,6 @@ fn run() -> Result<(), CliError> {
         both_strands: args.has_flag("both-strands"),
         threads: (threads > 0).then_some(threads),
         subject_space,
-        index_backend: args.index_backend().map_err(|e| e.to_string())?,
         ..OrisConfig::default()
     };
     cfg.validate()?;
@@ -554,10 +579,10 @@ fn run() -> Result<(), CliError> {
 
     let obs = build_obs(&args)?;
     if db_mode {
-        return run_db(&args, &cfg, batch_mode, &obs);
+        return run_db(&args, &cfg, &obs);
     }
     if batch_mode {
-        return run_batch(&args, &cfg, &obs).map_err(CliError::from);
+        return run_batch(&args, &cfg, &obs);
     }
 
     let bank1 = oris_seqio::read_fasta_file(&args.positional[0])
@@ -641,13 +666,18 @@ fn run() -> Result<(), CliError> {
 /// residue total from the manifest — so the output is byte-identical to
 /// a single-bank run over the concatenated input under `--dbsize
 /// <total>`. Composes with `--batch` for many-query runs.
-fn run_db(args: &Args, cfg: &OrisConfig, batch_mode: bool, obs: &ObsSetup) -> Result<(), CliError> {
+fn run_db(args: &Args, cfg: &OrisConfig, obs: &ObsSetup) -> Result<(), CliError> {
     let db_dir = args.options.get("db").expect("checked by caller");
     let window: usize = args.get_or("window", 0).map_err(|e| e.to_string())?;
     // --workers 0 and 1 are both the sequential walk (0 would be a
     // useless footgun to reject; treat it as "no parallelism").
     let workers: usize = args.get_or("workers", 1).map_err(|e| e.to_string())?;
     let result_cache_mb: usize = args.get_or("result-cache", 0).map_err(|e| e.to_string())?;
+    // Megabytes to bytes, checked: a wrapped product would silently
+    // shrink the cache or switch it off (0).
+    let result_cache_bytes = result_cache_mb
+        .checked_mul(1 << 20)
+        .ok_or_else(|| format!("--result-cache {result_cache_mb}: too many megabytes"))?;
     // --deadline 0 is legal and expires immediately: a cheap way to
     // check the failure path end to end (and what the e2e tests pin).
     let deadline = match args.options.get("deadline") {
@@ -676,7 +706,7 @@ fn run_db(args: &Args, cfg: &OrisConfig, batch_mode: bool, obs: &ObsSetup) -> Re
         on_volume_error,
         deadline,
         volume_workers: workers.max(1),
-        result_cache_bytes: result_cache_mb * (1 << 20),
+        result_cache_bytes,
         ..oris_db::DbOptions::default()
     };
     let mut session = oris_db::DbSession::new(&db, cfg, opts).map_err(|e| CliError {
@@ -690,49 +720,15 @@ fn run_db(args: &Args, cfg: &OrisConfig, batch_mode: bool, obs: &ObsSetup) -> Re
     // sibling: a bad query path or batch directory must fail without
     // leaving a stray tmp file behind (the invariant the atomic-output
     // tests pin for the non-db modes).
-    enum DbInput {
-        Batch(BatchQueries),
-        Single(Bank),
-    }
-    let input = if batch_mode {
-        let batch_path = args.options.get("batch").expect("checked by caller");
-        DbInput::Batch(BatchQueries::open(batch_path)?)
-    } else {
-        DbInput::Single(
+    let queries = match args.options.get("batch") {
+        Some(batch_path) => BatchQueries::open(batch_path)?,
+        None => BatchQueries::One(Some(
             oris_seqio::read_fasta_file(&args.positional[0])
                 .map_err(|e| format!("{}: {e}", args.positional[0]))?,
-        )
+        )),
     };
-
-    let (w, out) = Output::open(args.options.get("out"))?;
-    let mut sink = StreamWriter::new(w);
-
-    let (per_query, queries_run, reports) = match input {
-        DbInput::Batch(mut queries) => {
-            let batch = match session.run_batch(&mut queries, &mut sink) {
-                Ok(b) => b,
-                Err(e) => {
-                    out.discard();
-                    return Err(e.into());
-                }
-            };
-            if let Some(e) = queries.error() {
-                out.discard();
-                return Err(e.into());
-            }
-            let n = batch.queries();
-            (batch.query_totals(), n, batch.reports)
-        }
-        DbInput::Single(query) => match session.run_query_reported(&query, &mut sink) {
-            Ok((s, r)) => (s, 1, vec![r]),
-            Err(e) => {
-                out.discard();
-                return Err(e.into());
-            }
-        },
-    };
-    let records = sink.records_written();
-    out.finish(sink.into_inner())?;
+    let (batch, records) = stream_batch(args, queries, |q, sink| session.run_batch(q, sink))?;
+    let (per_query, queries_run, reports) = (batch.query_totals(), batch.queries(), batch.reports);
 
     // A degraded run succeeded by design — but it must say so, loudly and
     // per quarantined volume, on stderr (the results channel stays clean).
@@ -805,9 +801,9 @@ fn run_db(args: &Args, cfg: &OrisConfig, batch_mode: bool, obs: &ObsSetup) -> Re
 
 /// The `--batch` mode: one prepared subject, a stream of query banks,
 /// records leaving through a [`StreamWriter`] as each query finishes.
-fn run_batch(args: &Args, cfg: &OrisConfig, obs: &ObsSetup) -> Result<(), String> {
+fn run_batch(args: &Args, cfg: &OrisConfig, obs: &ObsSetup) -> Result<(), CliError> {
     let batch_path = args.options.get("batch").expect("checked by caller");
-    let mut queries = BatchQueries::open(batch_path)?;
+    let queries = BatchQueries::open(batch_path)?;
     let bank2 = oris_seqio::read_fasta_file(&args.positional[0])
         .map_err(|e| format!("{}: {e}", args.positional[0]))?;
 
@@ -816,24 +812,9 @@ fn run_batch(args: &Args, cfg: &OrisConfig, obs: &ObsSetup) -> Result<(), String
     let subject_secs = t0.elapsed_secs();
     session.set_obs(obs.obs.clone());
 
-    let (w, out) = Output::open(args.options.get("out"))?;
-    let mut sink = StreamWriter::new(w);
-    // Query banks are pulled from the source lazily — one resident at a
-    // time — so the batch's memory bound really is one query's working
-    // set, not the query set's total size.
-    let batch = match session.run_batch(&mut queries, &mut sink) {
-        Ok(b) => b,
-        Err(e) => {
-            out.discard();
-            return Err(e.to_string());
-        }
-    };
-    if let Some(e) = queries.error() {
-        out.discard();
-        return Err(e);
-    }
-    let records = sink.records_written();
-    out.finish(sink.into_inner())?;
+    let (batch, records) = stream_batch(args, queries, |q, sink| {
+        session.run_batch(q, sink).map_err(|e| e.to_string())
+    })?;
     obs.obs.count(names::QUERIES_TOTAL, batch.queries() as u64);
     obs.obs.count(names::RECORDS_TOTAL, records);
 

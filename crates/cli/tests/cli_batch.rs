@@ -227,6 +227,18 @@ fn batch_argument_validation() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("batch"));
 
+    // A NaN e-value threshold would pass every record (`evalue > NaN` is
+    // never true): refused like any other non-positive threshold.
+    let out = scoris_n()
+        .arg("--batch")
+        .arg(&queries)
+        .arg(&subject)
+        .args(["-e", "nan"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("e-value threshold"));
+
     // An empty directory is an error, not silent empty output.
     let empty = dir.join("empty");
     std::fs::create_dir_all(&empty).unwrap();

@@ -92,6 +92,20 @@ fn makedb_shards_and_reports() {
     assert!(db.join("vol00000.fa").is_file());
     assert!(db.join("vol00000.oidx").is_file());
 
+    // The removed layout option is a usage error, not a silent default.
+    let out = makedb()
+        .arg(&subject)
+        .args(["--index-backend", "dense", "-o"])
+        .arg(dir.join("never-built"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown option --index-backend"),
+        "{stderr}"
+    );
+
     // Rebuilding into the same directory is refused.
     let out = makedb().arg(&subject).arg("-o").arg(&db).output().unwrap();
     assert!(!out.status.success());
@@ -144,32 +158,37 @@ fn db_search_matches_single_bank_run_byte_for_byte() {
 }
 
 /// `--attach` is gone (a volume is always mapped, with the heap reader as
-/// the observed fallback): the old spelling is a usage error, reported
-/// before any output file is touched.
+/// the observed fallback) and so is `--index-backend` (the row layout is
+/// chosen per build from the bank's density): each old spelling is a
+/// usage error, reported before any output file is touched.
 #[test]
 fn removed_attach_option_is_a_usage_error_and_leaves_no_output() {
     let dir = scratch("no_attach");
     let (subject, query, _) = write_fixture(&dir);
     let db = build_db(&dir, &subject, 250);
     let out_path = dir.join("out.m8");
-    let out = scoris_n()
-        .arg(&query)
-        .arg("--db")
-        .arg(&db)
-        .args(["--attach", "copy", "-W", "8", "-o"])
-        .arg(&out_path)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown option --attach"), "{stderr}");
-    assert!(stderr.contains("usage: scoris-n"), "{stderr}");
-    let left_behind: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|name| name.starts_with("out.m8"))
-        .collect();
-    assert!(left_behind.is_empty(), "{left_behind:?}");
+    for removed in [["--attach", "copy"], ["--index-backend", "dense"]] {
+        let out = scoris_n()
+            .arg(&query)
+            .arg("--db")
+            .arg(&db)
+            .args(removed)
+            .args(["-W", "8", "-o"])
+            .arg(&out_path)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let expected = format!("unknown option {}", removed[0]);
+        assert!(stderr.contains(&expected), "{stderr}");
+        assert!(stderr.contains("usage: scoris-n"), "{stderr}");
+        let left_behind: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("out.m8"))
+            .collect();
+        assert!(left_behind.is_empty(), "{left_behind:?}");
+    }
 }
 
 #[test]
@@ -379,6 +398,18 @@ fn db_argument_validation() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+
+    // A cache size whose byte count overflows is refused by name, not
+    // wrapped to a small (or zero: cache off) budget.
+    let out = scoris_n()
+        .arg(&query)
+        .arg("--db")
+        .arg(&db)
+        .args(["-W", "8", "--result-cache", "17592186044416"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--result-cache"));
 
     // A missing database directory is a clean error, not a panic.
     let out = scoris_n()

@@ -132,6 +132,19 @@ fn mismatched_index_options_are_rejected() {
     let st = mkindex().arg(&s).arg("-o").arg(&oidx).status().unwrap();
     assert!(st.success());
 
+    // The removed layout option is a usage error, not a silent default.
+    let out = mkindex()
+        .arg(&s)
+        .args(["--index-backend", "sparse"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown option --index-backend"),
+        "{stderr}"
+    );
+
     // Word length differs from the index's.
     let out = scoris_n()
         .args([

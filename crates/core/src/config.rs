@@ -2,7 +2,6 @@
 
 use oris_align::ScoringScheme;
 use oris_eval::SubjectSpace;
-use oris_index::IndexBackend;
 
 /// Which low-complexity filter to apply before indexing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,12 +76,6 @@ pub struct OrisConfig {
     /// searches, where `total` comes from the database manifest so every
     /// volume prices alignments over the same database-wide space.
     pub subject_space: SubjectSpace,
-    /// Occurrence-index row-lookup backend ([`oris_index::IndexBackend`]):
-    /// dense `4^W + 1` offsets, the sparse populated-codes table, or
-    /// (default) automatic per-build selection by code-space density.
-    /// Purely a space/time trade — results are byte-identical either way —
-    /// so sessions and persisted indexes accept any backend.
-    pub index_backend: IndexBackend,
 }
 
 impl Default for OrisConfig {
@@ -100,7 +93,6 @@ impl Default for OrisConfig {
             threads: None,
             max_gapped_span: 1 << 20,
             subject_space: SubjectSpace::PerSequence,
-            index_backend: IndexBackend::Auto,
         }
     }
 }
@@ -129,25 +121,24 @@ impl OrisConfig {
     }
 
     /// Index configuration for the query side (bank 1): always full
-    /// stride at the effective word length, under the configured
-    /// row-lookup backend.
+    /// stride at the effective word length. The row layout is left to
+    /// the build (`oris_index::IndexBackend::Auto`, chosen per bank from
+    /// its observed density).
     pub fn query_index_config(&self) -> oris_index::IndexConfig {
-        oris_index::IndexConfig::full(self.indexed_w()).with_backend(self.index_backend)
+        oris_index::IndexConfig::full(self.indexed_w())
     }
 
     /// Index configuration for the subject side (bank 2): stride 2 in
-    /// asymmetric mode (section 3.4), full otherwise, under the
-    /// configured row-lookup backend. This is the configuration `mkindex`
-    /// must use for an index that `scoris-n --index` will accept (the
-    /// backend is a free choice — sessions never reject an index over
-    /// it).
+    /// asymmetric mode (section 3.4), full otherwise. This is the
+    /// configuration `mkindex` must use for an index that
+    /// `scoris-n --index` will accept (the row layout is not part of
+    /// it — sessions never reject an index over its layout).
     pub fn subject_index_config(&self) -> oris_index::IndexConfig {
-        let base = if self.asymmetric {
+        if self.asymmetric {
             oris_index::IndexConfig::asymmetric(self.indexed_w())
         } else {
             oris_index::IndexConfig::full(self.indexed_w())
-        };
-        base.with_backend(self.index_backend)
+        }
     }
 
     /// Validates invariants; returns a human-readable complaint if any.
@@ -162,7 +153,10 @@ impl OrisConfig {
         if self.xdrop_ungapped <= 0 || self.xdrop_gapped <= 0 {
             return Err("x-drop thresholds must be positive".into());
         }
-        if self.evalue_threshold <= 0.0 {
+        // NaN is refused with the non-positive values: `evalue > NaN` is
+        // never true, which would switch the e-value filter off. An
+        // infinite threshold stays legal — it is the explicit "no filter".
+        if self.evalue_threshold.is_nan() || self.evalue_threshold <= 0.0 {
             return Err("e-value threshold must be positive".into());
         }
         if let Some(t) = self.threads {
@@ -216,23 +210,16 @@ mod tests {
         let mut c = OrisConfig::default();
         c.evalue_threshold = -1.0;
         assert!(c.validate().is_err());
+        let mut c = OrisConfig::default();
+        c.evalue_threshold = f64::NAN;
+        assert!(c.validate().is_err());
+        let mut c = OrisConfig::default();
+        c.evalue_threshold = f64::INFINITY;
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
     fn small_config_is_valid() {
         assert_eq!(OrisConfig::small(6).validate(), Ok(()));
-    }
-
-    #[test]
-    fn index_backend_threads_into_both_index_configs() {
-        assert_eq!(OrisConfig::default().index_backend, IndexBackend::Auto);
-        let c = OrisConfig {
-            index_backend: IndexBackend::Sparse,
-            asymmetric: true,
-            ..Default::default()
-        };
-        assert_eq!(c.query_index_config().backend, IndexBackend::Sparse);
-        assert_eq!(c.subject_index_config().backend, IndexBackend::Sparse);
-        assert_eq!(c.subject_index_config().stride, 2);
     }
 }

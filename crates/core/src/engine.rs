@@ -241,6 +241,33 @@ impl<'a> PreparedBank<'a> {
     }
 }
 
+/// Names the first of word length, stride and filter on which `bank` (the
+/// `side`: "subject" or "query") was not prepared as a session needs it.
+fn config_mismatch(
+    side: &str,
+    bank: &PreparedBank<'_>,
+    want: IndexConfig,
+    filter: FilterKind,
+) -> Result<(), String> {
+    use std::fmt::Debug;
+    let complain = |field: &str, got: &dyn Debug, want: &dyn Debug| {
+        Err(format!(
+            "{side} {field} is {got:?}, the session configuration needs {want:?}"
+        ))
+    };
+    let index = bank.index();
+    if index.w() != want.w {
+        return complain("index word length", &index.w(), &want.w);
+    }
+    if index.stride() != want.stride {
+        return complain("index stride", &index.stride(), &want.stride);
+    }
+    if bank.filter() != filter {
+        return complain("filter", &bank.filter(), &filter);
+    }
+    Ok(())
+}
+
 /// A many-query comparison session against one prepared subject.
 ///
 /// Construction runs step 1 on the subject — both strands when
@@ -248,8 +275,8 @@ impl<'a> PreparedBank<'a> {
 /// executes steps 2–4 (plus the query's own step 1) per query. The
 /// subject is never re-indexed, and the returned per-run statistics count
 /// only the work done for that run ([`PipelineStats::index_builds`] is 1
-/// per `run`, 0 per [`Session::run_prepared`]); the subject's one-time
-/// cost is reported by [`Session::subject_stats`].
+/// per `run`, 0 per [`Session::search`]); the subject's one-time cost is
+/// reported by [`Session::subject_stats`].
 ///
 /// [`PipelineStats::index_builds`]: crate::PipelineStats::index_builds
 pub struct Session<'a> {
@@ -325,31 +352,10 @@ impl<'a> Session<'a> {
         cfg: &OrisConfig,
     ) -> Result<Session<'a>, String> {
         cfg.validate()?;
-        let icfg = cfg.subject_index_config();
-        if subject.index().w() != icfg.w {
-            return Err(format!(
-                "subject index uses word length {}, configuration needs {}",
-                subject.index().w(),
-                icfg.w
-            ));
-        }
-        if subject.index().stride() != icfg.stride {
-            return Err(format!(
-                "subject index uses stride {}, configuration needs {}",
-                subject.index().stride(),
-                icfg.stride
-            ));
-        }
-        if subject.filter() != cfg.filter {
-            // Accepting this would let the two strands of one subject (or
-            // the subject and its queries) search different effective
-            // sequences — strand-asymmetric output with no error.
-            return Err(format!(
-                "subject was prepared with filter {:?}, configuration needs {:?}",
-                subject.filter(),
-                cfg.filter
-            ));
-        }
+        // Accepting another filter would let the two strands of one
+        // subject (or the subject and its queries) search different
+        // effective sequences — strand-asymmetric output with no error.
+        config_mismatch("subject", &subject, cfg.subject_index_config(), cfg.filter)?;
         let pool = Self::pool_for(cfg)?;
         let minus = if cfg.both_strands {
             let prepare = || Self::prepare_minus(subject.bank(), cfg);
@@ -449,123 +455,53 @@ impl<'a> Session<'a> {
         s
     }
 
-    /// Prepares `query` (step 1, counted in the returned stats) and runs
-    /// it against the prepared subject.
-    pub fn run(&self, query: &Bank) -> OrisResult {
-        let prep = self.install(|| {
-            PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config())
-        });
-        let mut r = self.run_prepared(&prep);
-        r.stats.index_secs += prep.stats.build_secs;
-        r.stats.index_builds += prep.stats.builds;
-        r
-    }
-
     /// Runs an already prepared query against the prepared subject —
-    /// steps 2–4 only, no index construction at all
-    /// (`stats.index_builds == 0`). A [`CollectSink`] over
-    /// [`Session::run_prepared_into`]: the streamed and collected paths
-    /// are the same code, which is what keeps them byte-identical.
+    /// steps 2–4 only, no index construction (`index_builds == 0`; the
+    /// caller that prepared the query adds its build). This is the one
+    /// way a prepared query runs: [`Session::run`] and
+    /// [`Session::run_batch`] are conveniences over it.
     ///
-    /// # Panics
-    /// Panics if the query was not prepared under this session's
-    /// configuration — same word length, stride 1
-    /// ([`OrisConfig::query_index_config`]), same filter. (The asymmetric
-    /// stride belongs to the *subject* side only; a strided query index
-    /// would silently drop half the query's seed occurrences, and a
-    /// differently filtered query would search a different effective
-    /// sequence — both are refused loudly.)
-    pub fn run_prepared(&self, query: &PreparedBank<'_>) -> OrisResult {
-        let mut sink = CollectSink::new();
-        let stats = self
-            .run_prepared_into(query, &mut sink)
-            .expect("CollectSink does no IO and cannot fail");
-        OrisResult {
-            alignments: sink.into_records(),
-            stats,
-        }
-    }
-
-    /// Streaming form of [`Session::run_prepared`]: steps 2–4 push each
-    /// record into `sink` as its record-pair group is computed (both
-    /// strands when configured — the sink's single boundary sort merges
-    /// them), then the query boundary is marked with
-    /// [`RecordSink::end_query`]. Returns the per-run report
-    /// (`index_builds == 0`; the caller that prepared the query adds its
-    /// build).
+    /// Records are pushed into `sink` as step 3 finishes each
+    /// record-pair group, both strands when configured. The query
+    /// boundary is **not** marked: the caller owns the
+    /// [`RecordSink::end_query`] call, whose single boundary sort under
+    /// [`oris_eval::M8Record::total_order`] merges the two strands here
+    /// and all the volumes of a database search — one query runs through
+    /// each volume's session in turn and the database session fires
+    /// `end_query` once — into bytes identical to a single-bank run over
+    /// the concatenated input.
     ///
-    /// # Panics
-    /// Same configuration checks as [`Session::run_prepared`].
-    pub fn run_prepared_into(
-        &self,
-        query: &PreparedBank<'_>,
-        sink: &mut dyn RecordSink,
-    ) -> std::io::Result<PipelineStats> {
-        let stats = self.run_prepared_streaming(query, sink);
-        sink.end_query()?;
-        Ok(stats)
-    }
-
-    /// Like [`Session::run_prepared_into`], but **without** marking the
-    /// query boundary: records are pushed into `sink` and the caller owns
-    /// the [`RecordSink::end_query`] call. This is the cross-volume merge
-    /// hook for sharded-database search — one query runs against each
-    /// volume's session in turn through this method, and the *database*
-    /// session fires `end_query` once after the last volume, so the
-    /// sink's single boundary sort merges all volumes' records under
-    /// [`oris_eval::M8Record::total_order`]. That one sort is what makes
-    /// multi-volume output byte-identical to a single-bank run over the
-    /// concatenated input.
+    /// `deadline` is consulted at step-2 partition boundaries (and within
+    /// hot partitions) and between strands, so a pathological query — one
+    /// hot seed code whose `|X1|·|X2|` pair product is quadratic — stops
+    /// within a bounded sliver of work. The token never changes what is
+    /// computed, only whether the run finishes; [`Deadline::none`] never
+    /// expires.
     ///
-    /// # Panics
-    /// Same configuration checks as [`Session::run_prepared`].
-    pub fn run_prepared_streaming(
-        &self,
-        query: &PreparedBank<'_>,
-        sink: &mut dyn RecordSink,
-    ) -> PipelineStats {
-        self.run_prepared_streaming_deadline(query, sink, &Deadline::none())
-            .expect("a disarmed deadline cannot expire")
-    }
-
-    /// [`Session::run_prepared_streaming`] under a cooperative
-    /// [`Deadline`]: the token is consulted at step-2 partition
-    /// boundaries (and within hot partitions) and between strands, so a
-    /// pathological query — one hot seed code whose `|X1|·|X2|` pair
-    /// product is quadratic — stops within a bounded sliver of work and
-    /// returns [`DeadlineExceeded`]. On `Err` the sink may already hold
-    /// records pushed before the expiry (this method never fires
-    /// `end_query`); the caller owns discarding or buffering them — the
-    /// database layer buffers deadline-guarded queries precisely so its
-    /// callers' sinks stay untouched. A completed run is byte-identical
-    /// to the deadline-free path: the token never changes what is
-    /// computed, only whether the run finishes.
-    ///
-    /// # Panics
-    /// Same configuration checks as [`Session::run_prepared`].
-    pub fn run_prepared_streaming_deadline(
+    /// # Errors
+    /// * [`SearchError::ConfigMismatch`], before anything is computed, if
+    ///   the query was not prepared under this session's configuration —
+    ///   same word length, stride 1 ([`OrisConfig::query_index_config`]),
+    ///   same filter. (The asymmetric stride belongs to the *subject*
+    ///   side only; a strided query index would silently drop half the
+    ///   query's seed occurrences, and a differently filtered query
+    ///   would search a different effective sequence.)
+    /// * [`SearchError::DeadlineExceeded`] on expiry. The sink may
+    ///   already hold records pushed before it; the caller owns
+    ///   discarding them.
+    pub fn search(
         &self,
         query: &PreparedBank<'_>,
         sink: &mut dyn RecordSink,
         deadline: &Deadline,
-    ) -> Result<PipelineStats, DeadlineExceeded> {
-        let qcfg = self.cfg.query_index_config();
-        assert_eq!(
-            query.index().w(),
-            qcfg.w,
-            "query index word length does not match the session configuration"
-        );
-        assert_eq!(
-            query.index().stride(),
-            qcfg.stride,
-            "query index stride does not match the session configuration \
-             (asymmetric sampling applies to the subject bank only)"
-        );
-        assert_eq!(
-            query.filter(),
+    ) -> Result<PipelineStats, SearchError> {
+        config_mismatch(
+            "query",
+            query,
+            self.cfg.query_index_config(),
             self.cfg.filter,
-            "query was prepared under a different filter than the session"
-        );
+        )
+        .map_err(SearchError::ConfigMismatch)?;
         self.install(|| {
             let mut push = |rec| sink.accept(rec);
             let plus = run_prepared_pipeline_into(
@@ -595,6 +531,43 @@ impl<'a> Session<'a> {
         })
     }
 
+    /// One whole query for the conveniences: [`Session::search`] without
+    /// a deadline, the query boundary, and the query's own build added
+    /// to the report.
+    pub(crate) fn search_to_boundary(
+        &self,
+        query: &PreparedBank<'_>,
+        sink: &mut dyn RecordSink,
+    ) -> std::io::Result<PipelineStats> {
+        let mut stats = self
+            .search(query, sink, &Deadline::none())
+            .expect("the query was prepared under this configuration and no deadline is armed");
+        sink.end_query()?;
+        stats.index_secs += query.stats.build_secs;
+        stats.index_builds += query.stats.builds;
+        Ok(stats)
+    }
+
+    /// Step 1 for a query bank, inside the session's pool.
+    fn prepare_query<'q>(&self, query: &'q Bank) -> PreparedBank<'q> {
+        self.install(|| {
+            PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config())
+        })
+    }
+
+    /// Prepares `query` (step 1, counted in the returned stats), runs it
+    /// against the prepared subject and collects the sorted records.
+    pub fn run(&self, query: &Bank) -> OrisResult {
+        let mut sink = CollectSink::new();
+        let stats = self
+            .search_to_boundary(&self.prepare_query(query), &mut sink)
+            .expect("CollectSink does no IO and cannot fail");
+        OrisResult {
+            alignments: sink.into_records(),
+            stats,
+        }
+    }
+
     /// Runs a batch of query banks against the prepared subject, streaming
     /// records into `sink` (one [`RecordSink::end_query`] boundary per
     /// bank, in batch order). Each query's working set — index, HSPs,
@@ -620,19 +593,41 @@ impl<'a> Session<'a> {
         use std::borrow::Borrow;
         let mut per_query = Vec::new();
         for q in queries {
-            let q = q.borrow();
-            let prep = self.install(|| {
-                PreparedBank::prepare(q, self.cfg.filter, self.cfg.query_index_config())
-            });
-            let mut stats = self.run_prepared_into(&prep, sink)?;
-            stats.index_secs += prep.stats().build_secs;
-            stats.index_builds += prep.stats().builds;
-            per_query.push(stats);
+            let prep = self.prepare_query(q.borrow());
+            per_query.push(self.search_to_boundary(&prep, sink)?);
         }
         Ok(BatchStats {
             subject: self.subject_stats(),
             per_query,
         })
+    }
+}
+
+/// Why [`Session::search`] refused or abandoned a query.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SearchError {
+    /// The query was prepared under a different configuration than the
+    /// session's; the message names the field (word length, stride or
+    /// filter) and both values.
+    ConfigMismatch(String),
+    /// The cooperative deadline expired before the search completed.
+    DeadlineExceeded(DeadlineExceeded),
+}
+
+impl std::fmt::Display for SearchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SearchError::ConfigMismatch(msg) => write!(f, "{msg}"),
+            SearchError::DeadlineExceeded(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for SearchError {}
+
+impl From<DeadlineExceeded> for SearchError {
+    fn from(e: DeadlineExceeded) -> SearchError {
+        SearchError::DeadlineExceeded(e)
     }
 }
 
@@ -720,9 +715,33 @@ mod tests {
         let cfg = OrisConfig::small(8);
         let session = Session::new(&subject, &cfg).unwrap();
         let prep = PreparedBank::prepare(&query, cfg.filter, cfg.query_index_config());
-        let r = session.run_prepared(&prep);
-        assert_eq!(r.stats.index_builds, 0);
-        assert_eq!(r.alignments, session.run(&query).alignments);
+        let mut sink = CollectSink::new();
+        let stats = session.search(&prep, &mut sink, &Deadline::none()).unwrap();
+        sink.end_query().unwrap();
+        assert_eq!(stats.index_builds, 0);
+        assert_eq!(sink.into_records(), session.run(&query).alignments);
+    }
+
+    #[test]
+    fn search_rejects_a_mismatched_query_with_a_typed_error() {
+        let subject = bank(&[&format!("AA{CORE}TT")]);
+        let query = bank(&[CORE]);
+        let cfg = OrisConfig::small(8);
+        let session = Session::new(&subject, &cfg).unwrap();
+        let right = cfg.query_index_config();
+        for (filter, icfg, field) in [
+            (cfg.filter, IndexConfig::full(7), "word length"),
+            (cfg.filter, IndexConfig::asymmetric(8), "stride"),
+            (FilterKind::Dust, right, "filter"),
+        ] {
+            let prep = PreparedBank::prepare(&query, filter, icfg);
+            let mut sink = CollectSink::new();
+            match session.search(&prep, &mut sink, &Deadline::none()) {
+                Err(SearchError::ConfigMismatch(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{field}: expected ConfigMismatch, got {other:?}"),
+            }
+            assert!(sink.records().is_empty());
+        }
     }
 
     #[test]

@@ -15,7 +15,13 @@
 //!   entirely).
 //! * [`engine::Session`] — one prepared subject (both strands if
 //!   configured) plus the worker pool; any number of query banks run
-//!   against it without the subject ever being re-indexed.
+//!   against it without the subject ever being re-indexed. A prepared
+//!   query runs one way, [`engine::Session::search`] — sink and deadline
+//!   are its arguments, the query boundary is the caller's, a query
+//!   prepared under another configuration is a typed
+//!   [`engine::SearchError::ConfigMismatch`] — and
+//!   [`engine::Session::run`] / [`engine::Session::run_batch`] are the
+//!   prepare-search-boundary conveniences over it.
 //!
 //! **Stream results** ([`sink`]): steps 2–4 hand off per-record-pair
 //! results as they are produced — step 3 emits each `(query, subject)`
@@ -51,8 +57,8 @@
 //! [`engine::PreparedBank`] attached from disk
 //! ([`engine::PreparedBank::from_index_owned`], mmap-backed via
 //! `oris_index::mmap`). Per volume the search goes through
-//! [`engine::Session::run_prepared_streaming`] — record pushes without
-//! the query boundary — and the database session fires the sink's single
+//! [`engine::Session::search`] — record pushes without the query
+//! boundary — and the database session fires the sink's single
 //! `end_query` after the last volume, so one boundary sort merges all
 //! volumes and multi-volume output stays byte-identical to a
 //! concatenated single-bank run. E-values price the subject side under
@@ -108,8 +114,9 @@
 //! [`step2::find_hsps`] implements exactly that with rayon, partitioning
 //! the seed-code space by estimated work (the per-code `|X1|·|X2|` pair
 //! product read from the CSR index offsets — see
-//! [`step2::partition_codes`]); [`step3`] parallelizes over
-//! sequence-pair groups.
+//! [`step2::partition_codes`]) once there is a grain of it to share — a
+//! short read's dozen pairs never leave the calling thread; [`step3`]
+//! parallelizes over sequence-pair groups.
 //! Both are bit-for-bit deterministic regardless of thread count (verified
 //! by tests).
 //!
@@ -130,9 +137,9 @@ pub mod step4;
 
 pub use config::{FilterKind, OrisConfig};
 pub use deadline::{Deadline, DeadlineExceeded};
-pub use engine::{BatchStats, PrepareStats, PreparedBank, Session};
+pub use engine::{BatchStats, PrepareStats, PreparedBank, SearchError, Session};
 pub use hsp::Hsp;
-pub use pipeline::{compare_banks, merge_strands, OrisResult, PipelineStats};
+pub use pipeline::{compare_banks, OrisResult, PipelineStats};
 pub use sink::{CollectSink, RecordSink, StreamWriter, TopKSink};
 
 /// The output record type (BLAST `-m 8` row), re-exported from

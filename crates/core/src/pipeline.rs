@@ -1,8 +1,9 @@
 //! The full 4-step ORIS pipeline (paper Figure 1), expressed over
 //! prepared banks: step 1 lives in [`crate::engine`] (build-once), this
-//! module runs steps 2–4 against the prepared artifacts and merges
-//! strands. [`compare_banks`] is the single-shot wrapper that glues the
-//! two together.
+//! module runs steps 2–4 against the prepared artifacts, one subject
+//! strand per call (the session sums the strands' reports; their records
+//! merge in the sink's boundary sort). [`compare_banks`] is the
+//! single-shot wrapper that glues the two together.
 //!
 //! Since the streaming refactor, steps 2–4 are **sink-driven**: the
 //! per-strand runner (`run_prepared_pipeline_into`) pushes records into a
@@ -19,6 +20,7 @@ use crate::config::OrisConfig;
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::engine::{PreparedBank, Session};
 use crate::hsp::Hsp;
+use crate::sink::CollectSink;
 use crate::step2::{self, Step2Stats};
 use crate::step3::{self, GappedAlignment, Step3Stats};
 use crate::step4::{self, Step4Stats};
@@ -34,7 +36,7 @@ pub struct PipelineStats {
     /// Number of mask+index builds attributed to this result. A
     /// `both_strands` [`compare_banks`] performs 3 (query once, subject
     /// twice — one per strand); a session run performs 1 (its query);
-    /// `Session::run_prepared` performs 0.
+    /// `Session::search` performs 0.
     pub index_builds: u32,
     /// Seconds spent in step 2 (hit extension).
     pub step2_secs: f64,
@@ -247,28 +249,6 @@ pub(crate) fn run_prepared_pipeline_into(
     Ok(stats)
 }
 
-/// Merges plus- and minus-strand runs into one sorted result, under the
-/// strict total order [`M8Record::total_order`] (e-value, then score
-/// descending, then ids and coordinates), so the merged order is unique
-/// even with tied e-values — and NaN e-values (degenerate Karlin–Altschul
-/// parameters) sort deterministically last instead of panicking the
-/// comparator. Minus-strand records already carry original subject
-/// coordinates (`sstart > send`) — see `SubjectStrand::Minus`.
-///
-/// The streaming engine merges strands implicitly (one sink sort over
-/// both strand streams at the query boundary — the same total order, so
-/// the same bytes); this function is the collected-results form of that
-/// merge for callers holding two [`OrisResult`]s.
-pub fn merge_strands(plus: OrisResult, mut minus: OrisResult) -> OrisResult {
-    let mut alignments = plus.alignments;
-    alignments.append(&mut minus.alignments);
-    alignments.sort_by(|x, y| x.total_order(y));
-    OrisResult {
-        alignments,
-        stats: plus.stats.merge(&minus.stats),
-    }
-}
-
 /// Compares two banks with the ORIS algorithm.
 ///
 /// This is the library's single-shot entry point — the equivalent of
@@ -296,11 +276,17 @@ pub fn compare_banks(bank1: &Bank, bank2: &Bank, cfg: &OrisConfig) -> OrisResult
     // build seconds that may overlap in wall-clock.
     let (session, query) = Session::new_with_query(bank2, bank1, cfg)
         .unwrap_or_else(|e| panic!("failed to start comparison session: {e}"));
-    let mut r = session.run_prepared(&query);
+    let mut sink = CollectSink::new();
+    let mut stats = session
+        .search_to_boundary(&query, &mut sink)
+        .expect("CollectSink does no IO and cannot fail");
     let subject = session.subject_stats();
-    r.stats.index_secs += query.stats().build_secs + subject.build_secs;
-    r.stats.index_builds += query.stats().builds + subject.builds;
-    r
+    stats.index_secs += subject.build_secs;
+    stats.index_builds += subject.builds;
+    OrisResult {
+        alignments: sink.into_records(),
+        stats,
+    }
 }
 
 #[cfg(test)]
@@ -602,9 +588,11 @@ mod strand_tests {
 
     #[test]
     fn merge_survives_nan_evalues() {
-        // partial_cmp().unwrap() panicked when an e-value was NaN (e.g.
-        // degenerate Karlin–Altschul parameters); total_cmp must sort
-        // deterministically instead.
+        // The strands of one query merge in the sink's boundary sort. A
+        // partial_cmp().unwrap() there panicked when an e-value was NaN
+        // (e.g. degenerate Karlin–Altschul parameters); total_cmp must
+        // sort deterministically instead.
+        use crate::sink::RecordSink;
         use oris_eval::M8Record;
         let rec = |sid: &str, evalue: f64| M8Record {
             qid: "q".into(),
@@ -620,22 +608,23 @@ mod strand_tests {
             evalue,
             bitscore: 20.0,
         };
-        let plus = OrisResult {
-            alignments: vec![rec("a", f64::NAN), rec("b", 1e-5)],
-            stats: PipelineStats::default(),
-        };
-        let minus = OrisResult {
-            alignments: vec![rec("c", 1e-9), rec("d", f64::NAN)],
-            stats: PipelineStats::default(),
-        };
-        let merged = super::merge_strands(plus, minus);
-        assert_eq!(merged.alignments.len(), 4);
+        let mut sink = CollectSink::new();
+        // "Plus strand" arrivals, then "minus strand" arrivals.
+        for r in [rec("a", f64::NAN), rec("b", 1e-5)] {
+            sink.accept(r);
+        }
+        for r in [rec("c", 1e-9), rec("d", f64::NAN)] {
+            sink.accept(r);
+        }
+        sink.end_query().unwrap();
+        let merged = sink.into_records();
+        assert_eq!(merged.len(), 4);
         // Finite e-values sort ahead of NaN (total_cmp places NaN last),
-        // and the call above not panicking is the regression being pinned.
-        assert_eq!(merged.alignments[0].sid, "c");
-        assert_eq!(merged.alignments[1].sid, "b");
-        assert!(merged.alignments[2].evalue.is_nan());
-        assert!(merged.alignments[3].evalue.is_nan());
+        // and the boundary above not panicking is the regression pinned.
+        assert_eq!(merged[0].sid, "c");
+        assert_eq!(merged[1].sid, "b");
+        assert!(merged[2].evalue.is_nan());
+        assert!(merged[3].evalue.is_nan());
     }
 
     #[test]

@@ -40,6 +40,18 @@
 //! concatenate in range order and the output stays
 //! thread-count-independent.
 //!
+//! Work under a grain never leaves the calling thread: the chunk count is
+//! capped at `total / GRAIN` pairs (`GRAIN` = 16 384), so a query whose
+//! whole pair product is below the grain gets one range, and the rayon
+//! shim runs a single range inline. The shim spawns an OS thread per
+//! chunk block (50–100 µs each); at the measured ~120 ns per pair a grain
+//! is ≈ 2 ms of extension work, which keeps the spawn under 5 % of what
+//! it buys — and a 150-nt read against one database volume (a dozen
+//! pairs) pays none of it. The chunk count never changes the output, so
+//! the grain is a constant, not an option — the third such call-site
+//! threshold after step 3's `INLINE_WAVE_HSPS` and the index build's
+//! `PAR_GRAIN`.
+//!
 //! Both the work scan and the enumeration itself drive from the
 //! *populated* rows of whichever index holds fewer distinct codes
 //! ([`oris_index::BankIndex::populated_in`]) rather than sweeping
@@ -63,6 +75,12 @@ use crate::hsp::Hsp;
 /// range's work, rare enough that the clock read vanishes against the
 /// extensions it paces.
 const DEADLINE_CHECK_PAIRS: u64 = 4096;
+
+/// Minimum estimated work, in occurrence pairs, a range must carry before
+/// step 2 is split at all: [`partition_codes`] cuts at most
+/// `total / GRAIN` ranges (see the module docs' *Scheduling* paragraph
+/// for the sizing).
+const GRAIN: u64 = 16_384;
 
 /// Counters reported by step 2.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,12 +113,25 @@ impl Step2Stats {
 /// in order; the greedy cuts may return fewer ranges than requested, and
 /// never more than `chunks + 1`: each cut closes a range holding at least
 /// `⌈total/chunks⌉` work, so at most `chunks` cuts can fire, plus one
-/// trailing range for the remainder.
-#[allow(clippy::single_range_in_vec_init)] // a Vec<Range> is the schedule, not a typo'd range
+/// trailing range for the remainder. `chunks` is first capped at
+/// `total / GRAIN`, so total work under one grain always yields the
+/// single range `0..num_codes`.
 pub fn partition_codes(
     idx1: &BankIndex,
     idx2: &BankIndex,
     chunks: u32,
+) -> Vec<std::ops::Range<u32>> {
+    partition_codes_grained(idx1, idx2, chunks, GRAIN)
+}
+
+/// [`partition_codes`] with the grain as a parameter, so tests can force
+/// real splits on toy banks (grain 1 caps nothing).
+#[allow(clippy::single_range_in_vec_init)] // a Vec<Range> is the schedule, not a typo'd range
+fn partition_codes_grained(
+    idx1: &BankIndex,
+    idx2: &BankIndex,
+    chunks: u32,
+    grain: u64,
 ) -> Vec<std::ops::Range<u32>> {
     let num_codes = idx1.coder().num_seeds() as u32;
     if chunks <= 1 {
@@ -123,10 +154,11 @@ pub fn partition_codes(
             .map(|(code, row)| (code, row.len() as u64 * other.count(code) as u64))
     };
     let total: u64 = work_iter().map(|(_, w)| w).sum();
-    if total == 0 {
+    let chunks = u64::from(chunks).min(total / grain);
+    if chunks <= 1 {
         return vec![0..num_codes];
     }
-    let target = total.div_ceil(chunks as u64);
+    let target = total.div_ceil(chunks);
     let mut ranges = Vec::with_capacity(chunks as usize + 1);
     let mut lo = 0u32;
     let mut acc = 0u64;
@@ -278,6 +310,21 @@ pub fn find_hsps_guarded(
     guard: OrderGuard<'_>,
     deadline: &Deadline,
 ) -> Result<(Vec<Hsp>, Step2Stats), DeadlineExceeded> {
+    find_hsps_grained(bank1, idx1, bank2, idx2, cfg, guard, deadline, GRAIN)
+}
+
+/// [`find_hsps_guarded`] with the partition grain as a parameter (see
+/// [`partition_codes_grained`]).
+fn find_hsps_grained(
+    bank1: &Bank,
+    idx1: &BankIndex,
+    bank2: &Bank,
+    idx2: &BankIndex,
+    cfg: &OrisConfig,
+    guard: OrderGuard<'_>,
+    deadline: &Deadline,
+    grain: u64,
+) -> Result<(Vec<Hsp>, Step2Stats), DeadlineExceeded> {
     assert_eq!(
         idx1.w(),
         idx2.w(),
@@ -293,18 +340,19 @@ pub fn find_hsps_guarded(
     // Enough chunks to keep workers busy even when a few ranges run long;
     // results are concatenated in range order, so the chunk count (and
     // hence the thread count) never changes the output. A single worker
-    // needs no partitioning at all — one range skips the work scan. An
-    // armed deadline gets no finer split: the pair loop inside each
-    // range already polls the token every [`DEADLINE_CHECK_PAIRS`]
-    // extensions, so partition granularity adds nothing to cancellation
-    // latency — only overhead.
+    // needs no partitioning at all — one range skips the work scan — and
+    // total work under one grain comes back as one range too, which the
+    // shim runs on the calling thread. An armed deadline gets no finer
+    // split: the pair loop inside each range already polls the token
+    // every [`DEADLINE_CHECK_PAIRS`] extensions, so partition granularity
+    // adds nothing to cancellation latency — only overhead.
     let threads = rayon::current_num_threads();
     let chunks = if threads <= 1 {
         1
     } else {
         (threads * 16).clamp(16, 1024) as u32
     };
-    let ranges = partition_codes(idx1, idx2, chunks);
+    let ranges = partition_codes_grained(idx1, idx2, chunks, grain);
 
     let results: Vec<Result<(Vec<Hsp>, Step2Stats), DeadlineExceeded>> = ranges
         .into_par_iter()
@@ -363,6 +411,19 @@ mod tests {
         let i1 = BankIndex::build(b1, IndexConfig::full(c.w));
         let i2 = BankIndex::build(b2, IndexConfig::full(c.w));
         find_hsps(b1, &i1, b2, &i2, c).0
+    }
+
+    /// [`find_hsps`] at grain 1, so a toy bank really is cut into ranges
+    /// and handed to the installed pool's workers.
+    fn find_hsps_split(
+        b1: &Bank,
+        i1: &BankIndex,
+        b2: &Bank,
+        i2: &BankIndex,
+        c: &OrisConfig,
+    ) -> (Vec<Hsp>, Step2Stats) {
+        let guard = select_guard(i1, i2);
+        find_hsps_grained(b1, i1, b2, i2, c, guard, &Deadline::none(), 1).unwrap()
     }
 
     #[test]
@@ -471,8 +532,8 @@ mod tests {
             .num_threads(4)
             .build()
             .unwrap();
-        let (h1, s1) = pool1.install(|| find_hsps(&b1, &i1, &b2, &i2, &c));
-        let (h4, s4) = pool4.install(|| find_hsps(&b1, &i1, &b2, &i2, &c));
+        let (h1, s1) = pool1.install(|| find_hsps_split(&b1, &i1, &b2, &i2, &c));
+        let (h4, s4) = pool4.install(|| find_hsps_split(&b1, &i1, &b2, &i2, &c));
         assert_eq!(h1, h4);
         assert_eq!(s1, s4);
     }
@@ -502,7 +563,7 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            outputs.push(pool.install(|| find_hsps(&b1, &i1, &b2, &i2, &c)));
+            outputs.push(pool.install(|| find_hsps_split(&b1, &i1, &b2, &i2, &c)));
         }
         let (h1, s1) = &outputs[0];
         assert!(!h1.is_empty());
@@ -546,7 +607,7 @@ mod tests {
         assert!(!whole_hsps.is_empty());
 
         for chunks in [1u32, 3, 16, 64] {
-            let ranges = partition_codes(&i1, &i2, chunks);
+            let ranges = partition_codes_grained(&i1, &i2, chunks, 1);
             // Contiguous, in-order, complete cover.
             assert_eq!(ranges.first().unwrap().start, 0);
             assert_eq!(ranges.last().unwrap().end, num_codes);
@@ -578,7 +639,7 @@ mod tests {
         let i2 = BankIndex::build(&b2, IndexConfig::full(4));
 
         let chunks = 16u32;
-        let balanced = partition_codes(&i1, &i2, chunks);
+        let balanced = partition_codes_grained(&i1, &i2, chunks, 1);
         let work_of = |r: &std::ops::Range<u32>| -> u64 {
             (r.start..r.end)
                 .map(|c| i1.count(c) as u64 * i2.count(c) as u64)
@@ -599,6 +660,34 @@ mod tests {
     }
 
     #[test]
+    fn work_under_the_grain_is_one_range() {
+        // The poly-A code alone carries 297² = 88 209 pairs: five grains.
+        let polya = "A".repeat(300);
+        let b1 = bank(&[&format!("{polya}ATGGCGTACGTTAGCCTAGGCTTA")]);
+        let b2 = bank(&[&format!("{polya}GGCCATTAGGCCATTA")]);
+        let i1 = BankIndex::build(&b1, IndexConfig::full(4));
+        let i2 = BankIndex::build(&b2, IndexConfig::full(4));
+        let num_codes = i1.coder().num_seeds() as u32;
+        let total: u64 = (0..num_codes)
+            .map(|c| i1.count(c) as u64 * i2.count(c) as u64)
+            .sum();
+        assert_eq!(total / GRAIN, 5);
+        for chunks in [1u32, 2, 3, 5, 16, 64, 1024] {
+            // Under one grain: one range, whatever was asked for.
+            let whole = partition_codes_grained(&i1, &i2, chunks, total + 1);
+            assert_eq!(whole.len(), 1, "chunks = {chunks}");
+            assert_eq!(whole[0], 0..num_codes);
+            // Above it the chunk count is capped at the whole grains, and
+            // the cuts are those of the uncapped scan for that count.
+            assert_eq!(
+                partition_codes(&i1, &i2, chunks),
+                partition_codes_grained(&i1, &i2, chunks.min(5), 1),
+                "chunks = {chunks}"
+            );
+        }
+    }
+
+    #[test]
     fn partition_is_identical_across_index_backends() {
         // The work-balanced scan drives from populated rows only; since
         // unpopulated codes carry zero work, the cut points must be the
@@ -613,10 +702,10 @@ mod tests {
         let (d1, d2) = (BankIndex::build(&b1, dense), BankIndex::build(&b2, dense));
         let (s1, s2) = (BankIndex::build(&b1, sparse), BankIndex::build(&b2, sparse));
         for chunks in [1u32, 3, 16, 64] {
-            let reference = partition_codes(&d1, &d2, chunks);
-            assert_eq!(reference, partition_codes(&s1, &s2, chunks));
-            assert_eq!(reference, partition_codes(&d1, &s2, chunks));
-            assert_eq!(reference, partition_codes(&s1, &d2, chunks));
+            let reference = partition_codes_grained(&d1, &d2, chunks, 1);
+            assert_eq!(reference, partition_codes_grained(&s1, &s2, chunks, 1));
+            assert_eq!(reference, partition_codes_grained(&d1, &s2, chunks, 1));
+            assert_eq!(reference, partition_codes_grained(&s1, &d2, chunks, 1));
         }
     }
 
@@ -635,7 +724,7 @@ mod tests {
         let i1 = BankIndex::build(&b1, icfg);
         let i2 = BankIndex::build(&b2, icfg);
         let num_codes = i1.coder().num_seeds() as u32;
-        let ranges = partition_codes(&i1, &i2, 16);
+        let ranges = partition_codes_grained(&i1, &i2, 16, 1);
         assert_eq!(ranges.first().unwrap().start, 0);
         assert_eq!(ranges.last().unwrap().end, num_codes);
         for w in ranges.windows(2) {
@@ -822,7 +911,7 @@ mod tests {
             let i1 = BankIndex::build(&b1, IndexConfig::full(w));
             let i2 = BankIndex::build(&b2, IndexConfig::full(w));
             let num_codes = i1.coder().num_seeds() as u32;
-            let ranges = partition_codes(&i1, &i2, chunks);
+            let ranges = partition_codes_grained(&i1, &i2, chunks, 1);
             prop_assert!(!ranges.is_empty());
             prop_assert_eq!(ranges.first().unwrap().start, 0);
             prop_assert_eq!(ranges.last().unwrap().end, num_codes);

@@ -262,10 +262,10 @@ pub fn bank_fingerprint(bank: &Bank) -> u64 {
 }
 
 /// Fingerprint of every configuration field that can change what a
-/// search emits. Excluded on purpose: `threads` and `index_backend`
-/// (byte-identical by the workspace's determinism contract — pinned by
-/// the `db_equivalence` proptests) and the deadline (a completed search
-/// under a deadline is byte-identical to one without).
+/// search emits. Excluded on purpose: `threads` (byte-identical by the
+/// workspace's determinism contract — pinned by the `db_equivalence`
+/// proptests) and the deadline (a completed search under a deadline is
+/// byte-identical to one without).
 pub fn config_fingerprint(cfg: &OrisConfig) -> u64 {
     let mut h = Fnv::new();
     h.u64(cfg.w as u64);

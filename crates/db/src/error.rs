@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use oris_core::DeadlineExceeded;
+use oris_core::{DeadlineExceeded, SearchError};
 use oris_index::PersistError;
 use oris_seqio::SeqIoError;
 
@@ -35,8 +35,9 @@ pub enum DbError {
     /// right filesystem.
     Sink(std::io::Error),
     /// The query's cooperative deadline expired before every volume was
-    /// searched. The caller's sink is untouched (deadline-guarded
-    /// queries buffer internally) and the session remains usable.
+    /// searched. The caller's sink is untouched (every query's records
+    /// are staged until all volumes completed) and the session remains
+    /// usable.
     DeadlineExceeded(DeadlineExceeded),
 }
 
@@ -106,6 +107,15 @@ impl std::error::Error for DbError {
 impl From<DeadlineExceeded> for DbError {
     fn from(e: DeadlineExceeded) -> DbError {
         DbError::DeadlineExceeded(e)
+    }
+}
+
+impl From<SearchError> for DbError {
+    fn from(e: SearchError) -> DbError {
+        match e {
+            SearchError::ConfigMismatch(msg) => DbError::Config(msg),
+            SearchError::DeadlineExceeded(e) => DbError::DeadlineExceeded(e),
+        }
     }
 }
 

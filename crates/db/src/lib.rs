@@ -25,7 +25,8 @@
 //! * [`DbSession`] — runs each query across **all** volumes with bounded
 //!   memory: volumes are searched in sequence through a small window of
 //!   attached sessions, each volume's working set dropped before the
-//!   next outside the window, and every volume's records flow into one
+//!   next outside the window; every volume's records are staged and,
+//!   once the last volume completed, replayed into one
 //!   [`RecordSink`](oris_core::RecordSink) whose single boundary sort
 //!   (under `M8Record::total_order`) merges them — so multi-volume
 //!   output is **byte-identical** to a single-bank run over the
@@ -66,7 +67,13 @@
 //!   [`Deadline`](oris_core::Deadline) token via
 //!   [`DbSession::run_query_deadline`]) bounds a query's wall-clock
 //!   cost; expiry is a clean [`DbError::DeadlineExceeded`] with the
-//!   caller's sink untouched and the session still usable.
+//!   session still usable.
+//! * **Sink atomicity** — a query that fails for any reason other than
+//!   the sink's own `end_query` ([`DbError::Sink`]) leaves the caller's
+//!   sink untouched, under every option: all volumes' records are staged
+//!   until the whole query completed. What this costs is stated on
+//!   [`DbSession::run_query_deadline`]: one query's records are resident
+//!   before the sink sees the first, whatever the sink would have kept.
 //! * **Offline verification** — [`verify_db`] (the `verifydb` binary) is
 //!   the fsck: manifest checksum, per-volume bank and index content
 //!   hashes, and index structural integrity, reported per volume.
@@ -76,11 +83,13 @@
 //! [`DbOptions::volume_workers`] fans a query's volume searches across a
 //! scoped worker pool. Volumes are independent by construction (each is
 //! its own bank + index; an mmap-attached index is a read-only
-//! `Section<u32>` view shared for free), so the parallel path changes
-//! *when* work happens but never *what* is computed:
+//! `Section<u32>` view shared for free), and the fan-out runs the very
+//! function the sequential walk runs per volume, so it changes *when*
+//! work happens but never *what* is computed:
 //!
-//! * Each worker stages its volume's records in a private buffer; no
-//!   record reaches the caller's sink until **every** volume completed.
+//! * Every volume search — on the calling thread or on a worker — stages
+//!   its records in a private buffer; no record reaches the caller's
+//!   sink until **every** volume completed.
 //! * The staged buffers are merged **in ascending volume order** through
 //!   the single existing `end_query` boundary, whose sort under
 //!   `M8Record::total_order` is a strict total order — so `-m 8` output
@@ -119,8 +128,8 @@
 //! let mut session = DbSession::new(&db, &cfg, DbOptions::default()).unwrap();
 //! let query = oris_seqio::read_fasta_file("query.fa").unwrap();
 //! let mut sink = CollectSink::new();
-//! let stats = session.run_query_into(&query, &mut sink).unwrap();
-//! eprintln!("{} records over {} volumes", stats.step4.emitted, db.num_volumes());
+//! let (stats, report) = session.run_query_reported(&query, &mut sink).unwrap();
+//! eprintln!("{} records over {} volumes", stats.step4.emitted, report.searched.len());
 //! ```
 
 pub mod cache;

@@ -24,21 +24,20 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use oris_core::{
-    CollectSink, Deadline, DeadlineExceeded, OrisConfig, OrisResult, PipelineStats, PreparedBank,
-    RecordSink, Session,
+    CollectSink, Deadline, DeadlineExceeded, OrisConfig, PipelineStats, PreparedBank, RecordSink,
+    Session,
 };
 use oris_eval::{M8Record, SubjectSpace};
 use oris_obs::{names, Field, Obs};
 use oris_seqio::Bank;
 
-use crate::cache::{self, CacheCounters, CacheKey, ResultCache};
+use crate::cache::{self, CacheCounters, CacheKey, CachedVolume, ResultCache};
 use crate::database::{Database, DbError};
 
 /// One volume's staged search output: its records (arrival order, the
 /// boundary sort happens at `end_query`) and the pipeline stats of the
-/// search that produced them. `None` = nothing staged for that volume
-/// (quarantined, cache-hit, not yet searched, or streamed directly).
-type StagedResult = Option<(Vec<M8Record>, PipelineStats)>;
+/// search that produced them.
+type Staged = (Vec<M8Record>, PipelineStats);
 
 /// What a [`DbSession`] does when a volume fails to attach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,20 +72,21 @@ pub struct DbOptions {
     pub retries: u32,
     /// Backoff before the first retry; doubles per subsequent retry.
     pub retry_backoff: Duration,
-    /// Per-query deadline. `None` (the default) runs unguarded with
-    /// zero overhead; `Some(budget)` arms a fresh [`Deadline`] for each
-    /// query (see [`DbSession::run_query_deadline`] for the guarantees).
+    /// Per-query deadline. `None` (the default) runs unguarded;
+    /// `Some(budget)` arms a fresh [`Deadline`] for each query (see
+    /// [`DbSession::run_query_deadline`] for the guarantees).
     pub deadline: Option<Duration>,
     /// Worker threads fanning one query's volume searches out in
-    /// parallel. `1` (the default, and any `0`) is the sequential walk;
-    /// `N > 1` spawns `min(N, volumes)` scoped workers that pull volume
-    /// ids from a shared cursor, stage records per volume, and merge in
-    /// ascending volume order — output bytes are identical to the
-    /// sequential walk for any value (see the crate docs' concurrency
-    /// contract). Requires an unbounded [`DbOptions::window`]: parallel
-    /// search needs every volume resident at once, which is exactly what
-    /// a bounded window promises not to do ([`DbSession::new`] rejects
-    /// the combination).
+    /// parallel. `1` (the default, and any `0`) is the sequential walk
+    /// on the calling thread; `N > 1` spawns `min(N, volumes)` scoped
+    /// workers that pull volume ids from a shared cursor. Either way a
+    /// volume is searched by the same function into its own staging
+    /// buffer and the buffers merge in ascending volume order, so output
+    /// bytes are identical for any value (see the crate docs'
+    /// concurrency contract). Requires an unbounded
+    /// [`DbOptions::window`]: parallel search needs every volume resident
+    /// at once, which is exactly what a bounded window promises not to do
+    /// ([`DbSession::new`] rejects the combination).
     pub volume_workers: usize,
     /// Memory budget for the volume-level [`ResultCache`]. `0` (the
     /// default) disables caching; `N > 0` memoizes completed per-volume
@@ -233,14 +233,15 @@ impl DbBatchStats {
 
 /// A many-query search session over a sharded [`Database`].
 ///
-/// The cross-volume contract: for each query, every volume is searched
-/// (in id order, through at most [`DbOptions::window`] concurrently
-/// attached volume sessions) and all volumes' records are pushed into
-/// the caller's sink **before** the single [`RecordSink::end_query`]
-/// fires —
-/// so the sink's one boundary sort merges volumes under
-/// `M8Record::total_order`, and multi-volume output is byte-identical to
-/// a single-bank run over the concatenated input.
+/// The cross-volume contract: every query runs the same four phases —
+/// *probe* the result cache, *attach* what has to be searched (through
+/// at most [`DbOptions::window`] concurrently attached volume sessions),
+/// *search* each volume into a staging buffer of its own, *merge* the
+/// buffers into the caller's sink in ascending volume order — and only
+/// then fires the single [`RecordSink::end_query`], so the sink's one
+/// boundary sort merges volumes under `M8Record::total_order` and
+/// multi-volume output is byte-identical to a single-bank run over the
+/// concatenated input.
 ///
 /// E-values are computed over the database-wide effective search space:
 /// the session forces
@@ -255,7 +256,17 @@ pub struct DbSession<'d> {
     db: &'d Database,
     cfg: OrisConfig,
     opts: DbOptions,
-    cache: VolumeCache,
+    /// Attached volume sessions, one slot per volume id (O(1) lookup,
+    /// and a borrow the fan-out's workers can share while other fields
+    /// are read).
+    attached: Vec<Option<Session<'static>>>,
+    /// Most slots occupied at once: the volume count under an unbounded
+    /// window, [`DbOptions::window`] under a bounded one.
+    capacity: usize,
+    /// The logical pool the query is prepared in, present iff
+    /// `cfg.threads` is set — so `-t` means the same thing with and
+    /// without a database (volume sessions carry their own).
+    pool: Option<rayon::ThreadPool>,
     costs: Vec<VolumeCost>,
     /// Quarantined volumes (the session-lifetime skip set under
     /// [`OnVolumeError::SkipAndReport`]) and why each was quarantined.
@@ -270,37 +281,6 @@ pub struct DbSession<'d> {
     /// off the result path: armed or not, records and reports are
     /// identical (pinned by the `db_equivalence` proptests).
     obs: Obs,
-}
-
-/// Attached volume sessions. The unbounded form is a dense slot table
-/// (O(1) lookup — a linear scan would cost O(V²) id comparisons per
-/// query on a many-volume database); the bounded form holds at most
-/// `window` entries, where a linear scan is the point (window is small).
-enum VolumeCache {
-    /// Unbounded window: one slot per volume id, never evicts.
-    All(Vec<Option<Session<'static>>>),
-    /// Bounded window: eviction is Belady-optimal for the session's
-    /// fixed cyclic scan, see [`DbSession::attach_if_needed`].
-    Window(Vec<(usize, Session<'static>)>),
-}
-
-impl VolumeCache {
-    /// The attached session for volume `v` (must be attached). A method
-    /// on the cache, not on [`DbSession`], so the borrow stays
-    /// field-granular: the parallel path holds volume sessions across a
-    /// scope while other session fields are read.
-    fn get(&self, v: usize) -> &Session<'static> {
-        match self {
-            VolumeCache::All(slots) => slots[v].as_ref().expect("volume attached"),
-            VolumeCache::Window(entries) => {
-                &entries
-                    .iter()
-                    .find(|(id, _)| *id == v)
-                    .expect("volume attached")
-                    .1
-            }
-        }
-    }
 }
 
 impl<'d> DbSession<'d> {
@@ -335,20 +315,23 @@ impl<'d> DbSession<'d> {
         if cfg.subject_space == SubjectSpace::PerSequence {
             cfg.subject_space = SubjectSpace::Database(db.total_residues());
         }
-        let cache = if opts.window == 0 || opts.window >= db.num_volumes() {
-            VolumeCache::All((0..db.num_volumes()).map(|_| None).collect())
-        } else {
-            VolumeCache::Window(Vec::with_capacity(opts.window))
+        let num = db.num_volumes();
+        let capacity = match opts.window {
+            0 => num,
+            window => window.min(num),
         };
-        if opts.volume_workers > 1 && matches!(cache, VolumeCache::Window(_)) {
+        if opts.volume_workers > 1 && capacity < num {
             return Err(DbError::Config(format!(
                 "volume_workers={} needs every volume attached at once, which contradicts the \
-                 bounded window={} (use window=0, or window >= {} volumes)",
-                opts.volume_workers,
-                opts.window,
-                db.num_volumes()
+                 bounded window={} (use window=0, or window >= {num} volumes)",
+                opts.volume_workers, opts.window
             )));
         }
+        let pool = cfg
+            .threads
+            .map(|n| rayon::ThreadPoolBuilder::new().num_threads(n).build())
+            .transpose()
+            .map_err(|e| DbError::Config(format!("failed to build thread pool: {e}")))?;
         let results = if opts.result_cache_bytes > 0 {
             Some(ResultCache::new(opts.result_cache_bytes))
         } else {
@@ -359,9 +342,11 @@ impl<'d> DbSession<'d> {
             db,
             cfg,
             opts,
-            cache,
-            costs: vec![VolumeCost::default(); db.num_volumes()],
-            quarantined: (0..db.num_volumes()).map(|_| None).collect(),
+            attached: (0..num).map(|_| None).collect(),
+            capacity,
+            pool,
+            costs: vec![VolumeCost::default(); num],
+            quarantined: (0..num).map(|_| None).collect(),
             results,
             config_fp,
             obs: Obs::disarmed(),
@@ -374,17 +359,8 @@ impl<'d> DbSession<'d> {
     /// what a query computes — only what gets recorded about it.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
-        match &mut self.cache {
-            VolumeCache::All(slots) => {
-                for s in slots.iter_mut().flatten() {
-                    s.set_obs(self.obs.clone());
-                }
-            }
-            VolumeCache::Window(entries) => {
-                for (_, s) in entries.iter_mut() {
-                    s.set_obs(self.obs.clone());
-                }
-            }
+        for s in self.attached.iter_mut().flatten() {
+            s.set_obs(self.obs.clone());
         }
     }
 
@@ -419,49 +395,108 @@ impl<'d> DbSession<'d> {
             .filter_map(|(v, e)| e.as_ref().map(|e| (v, e)))
     }
 
-    /// Whether the cache already holds volume `v`.
-    fn is_attached(&self, v: usize) -> bool {
-        match &self.cache {
-            VolumeCache::All(slots) => slots[v].is_some(),
-            VolumeCache::Window(entries) => entries.iter().any(|(id, _)| *id == v),
+    /// The result-cache key of volume `v` for a query fingerprint.
+    fn cache_key(&self, query: u64, v: usize) -> CacheKey {
+        CacheKey {
+            query,
+            volume: v,
+            volume_hash: self.db.volume(v).bank_hash,
+            config: self.config_fp,
         }
     }
 
-    /// Attaches volume `v` into the cache (evicting under a bounded
-    /// window), retrying transient failures per the options. `retries`
-    /// accumulates into the current query's report.
-    ///
-    /// Eviction policy: every query scans volumes in ascending id order
-    /// and wraps, so the access pattern is known exactly — the next use
-    /// of cached volume `j` while attaching `v` is `(j − v) mod V` steps
-    /// away. Evicting the furthest-next-use entry is Belady's optimal
-    /// policy for this scan. (Plain LRU would be pathological here: the
-    /// cyclic scan evicts every entry just before its reuse, giving a 0%
-    /// hit rate for any window smaller than the volume count.)
-    fn attach_if_needed(&mut self, v: usize, retries: &mut u32) -> Result<(), DbError> {
-        if self.is_attached(v) {
-            return Ok(());
-        }
-        if let VolumeCache::Window(entries) = &mut self.cache {
-            let num = self.db.num_volumes();
-            while entries.len() >= self.opts.window {
-                let evict = entries
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, (id, _))| (id + num - v) % num)
-                    .map(|(pos, _)| pos)
-                    .expect("cache non-empty while at capacity");
-                // Dropping the session frees the volume's bank, minus
-                // strand and (heap or mapped) index before the next
-                // volume attaches — the bounded-memory guarantee.
-                entries.remove(evict);
+    /// Phase 1 — *probe*. One O(1) cache lookup per live volume under
+    /// the query's fingerprint (`None` = caching is off); a hit withdraws
+    /// the volume from attach and search entirely — its records replay in
+    /// [`DbSession::merge`]. Quarantined volumes are never probed: their
+    /// entries were invalidated at quarantine time.
+    fn probe(&mut self, query_fp: Option<u64>) -> Vec<Option<CachedVolume>> {
+        let mut hits: Vec<Option<CachedVolume>> =
+            (0..self.db.num_volumes()).map(|_| None).collect();
+        let Some(qfp) = query_fp else { return hits };
+        let _span = self.obs.span("cache_lookup");
+        for (v, hit) in hits.iter_mut().enumerate() {
+            if self.quarantined[v].is_some() {
+                continue;
             }
+            let key = self.cache_key(qfp, v);
+            let results = self.results.as_mut().expect("fingerprinted iff caching");
+            *hit = results.lookup(&key).cloned();
+            self.obs.count(
+                if hit.is_some() {
+                    names::CACHE_HITS_TOTAL
+                } else {
+                    names::CACHE_MISSES_TOTAL
+                },
+                1,
+            );
+        }
+        hits
+    }
+
+    /// Phase 2 — *attach*. Makes volume `v` searchable, applying the
+    /// volume-failure policy: `Ok(true)` = attached (at no cost when it
+    /// already was), `Ok(false)` = the attach failed and the volume is
+    /// now quarantined ([`OnVolumeError::SkipAndReport`]; the query goes
+    /// on without it, and its result-cache entries are dropped on the
+    /// spot — a volume that failed is never served from the cache
+    /// again), `Err` = the query fails. `retries` accumulates into the
+    /// current query's report.
+    ///
+    /// Eviction policy (bounded window): every query scans volumes in
+    /// ascending id order and wraps, so the access pattern is known
+    /// exactly — the next use of attached volume `j` while attaching `v`
+    /// is `(j − v) mod V` steps away. Evicting the furthest-next-use
+    /// slot is Belady's optimal policy for this scan. (Plain LRU would
+    /// be pathological here: the cyclic scan evicts every entry just
+    /// before its reuse, giving a 0% hit rate for any window smaller
+    /// than the volume count.) Finding the victim scans the occupied
+    /// slots — O(V) per attach miss, against an attach that costs
+    /// milliseconds.
+    fn attach(&mut self, v: usize, retries: &mut u32) -> Result<bool, DbError> {
+        if self.attached[v].is_some() {
+            return Ok(true);
+        }
+        let num = self.attached.len();
+        while self.attached.iter().flatten().count() >= self.capacity {
+            let evict = (0..num)
+                .filter(|&j| self.attached[j].is_some())
+                .max_by_key(|&j| (j + num - v) % num)
+                .expect("a slot is occupied while at capacity");
+            // Dropping the session frees the volume's bank, minus
+            // strand and (heap or mapped) index before the next
+            // volume attaches — the bounded-memory guarantee.
+            self.attached[evict] = None;
         }
         let span = self.obs.timed_span_with(
             "attach",
             names::VOLUME_ATTACH_SECONDS,
             &[Field::U64("volume", v as u64)],
         );
+        let opened = self.open_volume(v, retries);
+        drop(span);
+        match (opened, self.opts.on_volume_error) {
+            (Ok(session), _) => {
+                self.attached[v] = Some(session);
+                Ok(true)
+            }
+            (Err(e @ DbError::Volume(_)), OnVolumeError::SkipAndReport) => {
+                self.quarantined[v] = Some(e);
+                self.obs.count(names::VOLUME_QUARANTINES_TOTAL, 1);
+                self.obs
+                    .point("quarantine", &[Field::U64("volume", v as u64)]);
+                if let Some(results) = self.results.as_mut() {
+                    results.invalidate_volume(v);
+                }
+                Ok(false)
+            }
+            (Err(e), _) => Err(e),
+        }
+    }
+
+    /// Reads volume `v` from disk into a volume session — retrying
+    /// transient failures per the options — and books the attach cost.
+    fn open_volume(&mut self, v: usize, retries: &mut u32) -> Result<Session<'static>, DbError> {
         let mut attempt = 0u32;
         let (prepared, attach) = loop {
             match self.db.attach_volume(v) {
@@ -484,100 +519,191 @@ impl<'d> DbSession<'d> {
         let mut session = Session::with_subject(prepared, &self.cfg).map_err(DbError::Config)?;
         session.set_obs(self.obs.clone());
         self.obs.count(names::VOLUME_ATTACHES_TOTAL, 1);
-        drop(span);
         let cost = &mut self.costs[v];
         cost.attaches += 1;
         cost.attach_secs += attach.attach_secs;
         cost.strand_build_secs += session.subject_stats().build_secs;
         cost.index_heap_bytes = attach.index_heap_bytes + bank_bytes;
         cost.mmap_backed = attach.mmap_backed;
-        match &mut self.cache {
-            VolumeCache::All(slots) => slots[v] = Some(session),
-            VolumeCache::Window(entries) => entries.push((v, session)),
-        }
-        Ok(())
+        Ok(session)
     }
 
-    /// Routes an attach failure per the policy: under
-    /// [`OnVolumeError::SkipAndReport`] a volume failure quarantines the
-    /// volume and the query continues; everything else (and every
-    /// failure under [`OnVolumeError::Fail`]) aborts the query. A
-    /// quarantined volume's result-cache entries are dropped on the
-    /// spot: a volume that failed is never served from the cache again.
-    fn quarantine_or_fail(&mut self, v: usize, e: DbError) -> Result<(), DbError> {
-        match (self.opts.on_volume_error, &e) {
-            (OnVolumeError::SkipAndReport, DbError::Volume(_)) => {
-                self.quarantined[v] = Some(e);
-                self.obs.count(names::VOLUME_QUARANTINES_TOTAL, 1);
-                self.obs
-                    .point("quarantine", &[Field::U64("volume", v as u64)]);
-                if let Some(results) = self.results.as_mut() {
-                    results.invalidate_volume(v);
+    /// Phase 3 — *search*, one volume: the single function that runs a
+    /// prepared query against an attached volume, staging its records.
+    /// Associated rather than a method so the sequential walk (calling
+    /// thread) and the fan-out's scoped workers call the same code while
+    /// the session's other fields stay borrowed.
+    fn volume_search(
+        obs: &Obs,
+        session: &Session<'static>,
+        v: usize,
+        prep: &PreparedBank<'_>,
+        deadline: &Deadline,
+    ) -> Result<Staged, DbError> {
+        obs.count(names::WORKER_DISPATCH_TOTAL, 1);
+        let _span = obs.timed_span_with(
+            "volume_search",
+            names::VOLUME_SEARCH_SECONDS,
+            &[Field::U64("volume", v as u64)],
+        );
+        let mut buf = CollectSink::new();
+        let stats = session.search(prep, &mut buf, deadline)?;
+        Ok((buf.into_records(), stats))
+    }
+
+    /// Searches every live volume the cache did not serve, each through
+    /// [`DbSession::volume_search`]; `None` in the result = quarantined
+    /// or a cache hit. One worker walks the volumes on the calling
+    /// thread, attaching as it goes (a no-op after an unbounded
+    /// window's attach-ahead; the eviction point of a bounded one).
+    /// More workers claim volumes off an atomic cursor from scoped
+    /// threads: attach — and with it every retry and quarantine
+    /// decision — already happened (`new` guarantees the unbounded
+    /// window), and an expiry stops *dispatching* — volumes not yet
+    /// claimed are never started.
+    fn search_volumes(
+        &mut self,
+        prep: &PreparedBank<'_>,
+        hits: &[Option<CachedVolume>],
+        retries: &mut u32,
+        deadline: &Deadline,
+    ) -> Result<Vec<Option<Staged>>, DbError> {
+        let num = self.db.num_volumes();
+        let mut fresh: Vec<Option<Staged>> = (0..num).map(|_| None).collect();
+        let workers = self.opts.volume_workers.max(1);
+        if workers == 1 {
+            for v in 0..num {
+                if self.quarantined[v].is_some() || hits[v].is_some() {
+                    continue;
                 }
-                Ok(())
+                deadline.check()?;
+                if self.attach(v, retries)? {
+                    let session = self.attached[v].as_ref().expect("attached above");
+                    fresh[v] = Some(Self::volume_search(&self.obs, session, v, prep, deadline)?);
+                }
             }
-            _ => Err(e),
+            return Ok(fresh);
         }
+        let pending: Vec<usize> = (0..num)
+            .filter(|&v| self.quarantined[v].is_none() && hits[v].is_none())
+            .collect();
+        let slots: Vec<Mutex<Option<Result<Staged, DbError>>>> =
+            pending.iter().map(|_| Mutex::new(None)).collect();
+        let cursor = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let (obs, attached) = (&self.obs, &self.attached);
+        rayon::scope(|s| {
+            for _ in 0..workers.min(pending.len()) {
+                s.spawn(|_| loop {
+                    if stop.load(Ordering::Relaxed) || deadline.expired() {
+                        stop.store(true, Ordering::Relaxed);
+                        break;
+                    }
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(&v) = pending.get(i) else { break };
+                    let session = attached[v].as_ref().expect("attached ahead of the fan-out");
+                    let done = Self::volume_search(obs, session, v, prep, deadline);
+                    if done.is_err() {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                    *slots[i].lock().expect("slot lock") = Some(done);
+                });
+            }
+        });
+        for (slot, &v) in slots.into_iter().zip(&pending) {
+            // A slot nobody filled was never dispatched: an expiry (the
+            // claimant's own, or a sibling's) stopped the fan-out first.
+            let done = slot.into_inner().expect("slot lock");
+            fresh[v] = Some(done.unwrap_or(Err(DeadlineExceeded.into()))?);
+        }
+        Ok(fresh)
     }
 
-    /// Converts a tripped deadline into the query's error, counting the
-    /// expiry on the way out.
-    fn deadline_exceeded(&self) -> DbError {
-        self.obs.count(names::DEADLINE_EXPIRIES_TOTAL, 1);
-        DbError::from(DeadlineExceeded)
-    }
-
-    /// Runs one query bank across every volume, streaming all volumes'
-    /// records into `sink` and firing exactly one `end_query` at the end.
-    /// The returned report merges the per-volume runs and counts the
-    /// query's single index build; volume attach costs accumulate in
-    /// [`DbSession::volume_costs`]. (This is
-    /// [`DbSession::run_query_reported`] minus the coverage report — the
-    /// options' policy and deadline still apply.)
-    ///
-    /// Error atomicity: the only mid-query failure sources are a volume
-    /// *attach* (the per-volume search itself cannot fail) and an armed
-    /// deadline. With an unbounded window (the default, and every
-    /// `window ≥ volumes` configuration) all volumes are attached
-    /// **before** the first record flows, and deadline-guarded queries
-    /// buffer their records internally until the scan completes — so on
-    /// `Err` the caller's sink is untouched: no records, no boundary —
-    /// and the sink's own retention policy (e.g.
-    /// [`oris_core::TopKSink`]'s O(k) bound) holds unweakened, records
-    /// streaming straight through. With a bounded window, attaches
-    /// necessarily interleave with the scan; a volume whose files were
-    /// deleted or corrupted *after* [`Database::open`] validated them
-    /// then aborts the query mid-stream under [`OnVolumeError::Fail`],
-    /// and the sink may hold a partial query — discard it on `Err` (the
-    /// CLI discards its whole output). Under
-    /// [`OnVolumeError::SkipAndReport`] an attach failure never aborts
-    /// the query, so the bounded window regains sink-atomicity for
-    /// everything but sink failures themselves.
-    pub fn run_query_into(
+    /// Phase 4 — *merge*. Strictly ascending volume order, so stats
+    /// accumulate exactly as a sequential walk's and the report's lists
+    /// come out sorted: each fresh result is inserted into the cache,
+    /// each fresh or cached result is replayed into `sink`, then the
+    /// single `end_query` fires and the query is counted. Only complete
+    /// queries get here (an aborted one returned from an earlier phase),
+    /// so nothing partial is ever cached or replayed.
+    fn merge(
         &mut self,
-        query: &Bank,
+        query_fp: Option<u64>,
+        hits: Vec<Option<CachedVolume>>,
+        fresh: Vec<Option<Staged>>,
         sink: &mut dyn RecordSink,
+        report: &mut SearchReport,
     ) -> Result<PipelineStats, DbError> {
-        self.run_query_reported(query, sink).map(|(stats, _)| stats)
+        let _span = self.obs.span("merge");
+        let mut merged = PipelineStats::default();
+        for (v, (hit, fresh)) in hits.into_iter().zip(fresh).enumerate() {
+            let (records, stats) = match (hit, fresh) {
+                (Some(cached), _) => {
+                    report.cache_hits.push(v);
+                    (cached.records, cached.stats)
+                }
+                (None, Some((records, stats))) => {
+                    if let Some(qfp) = query_fp {
+                        let key = self.cache_key(qfp, v);
+                        let results = self.results.as_mut().expect("fingerprinted iff caching");
+                        results.insert(key, records.clone(), stats);
+                        self.obs.count(names::CACHE_INSERTIONS_TOTAL, 1);
+                    }
+                    (records, stats)
+                }
+                // Neither served nor searched: quarantined.
+                (None, None) => {
+                    report.skipped.push(v);
+                    continue;
+                }
+            };
+            for record in records {
+                sink.accept(record);
+            }
+            merged = merged.merge(&stats);
+            report.searched.push(v);
+            report.residues_searched += self.db.volume(v).residues;
+        }
+        // An end_query failure is the caller's *output* stream failing
+        // (e.g. a full disk under a StreamWriter), not a database
+        // problem — attribute it to the sink, never to the (read-only)
+        // database directory.
+        sink.end_query().map_err(DbError::Sink)?;
+        self.obs.count(names::QUERIES_TOTAL, 1);
+        self.obs.count(names::RECORDS_TOTAL, merged.step4.emitted);
+        // Residency and eviction counts live inside the ResultCache;
+        // sync them as absolutes (hits/misses/insertions are counted at
+        // their call sites — the obs_metrics integration test pins both
+        // views equal).
+        if self.results.is_some() {
+            let c = self.result_cache_counters();
+            self.obs
+                .set_counter(names::CACHE_EVICTIONS_TOTAL, c.evictions);
+            self.obs
+                .set_counter(names::CACHE_INVALIDATIONS_TOTAL, c.invalidations);
+            self.obs.set_gauge(names::CACHE_ENTRIES, c.entries as f64);
+            self.obs.set_gauge(names::CACHE_BYTES, c.bytes as f64);
+        }
+        Ok(merged)
     }
 
-    /// [`DbSession::run_query_into`] returning the query's
-    /// [`SearchReport`] alongside the pipeline stats. Arms a fresh
-    /// deadline from [`DbOptions::deadline`] if one is configured.
-    pub fn run_query_reported(
-        &mut self,
-        query: &Bank,
-        sink: &mut dyn RecordSink,
-    ) -> Result<(PipelineStats, SearchReport), DbError> {
-        let deadline = match self.opts.deadline {
-            Some(budget) => Deadline::after(budget),
-            None => Deadline::none(),
-        };
-        self.run_query_deadline(query, sink, &deadline)
-    }
-
-    /// The full-control query entry point: explicit [`Deadline`] token
-    /// (e.g. [`Deadline::cancellable`] driven by a supervisor thread).
+    /// Runs one query bank across every volume into `sink`, firing
+    /// exactly one `end_query` at the end, under an explicit [`Deadline`]
+    /// token (e.g. [`Deadline::cancellable`] driven by a supervisor
+    /// thread). The returned stats merge the per-volume runs and count
+    /// the query's single index build; the [`SearchReport`] says which
+    /// volumes they cover; volume attach costs accumulate in
+    /// [`DbSession::volume_costs`].
+    ///
+    /// Error atomicity: on any `Err` other than [`DbError::Sink`] the
+    /// caller's sink is **untouched** — no record, no boundary — under
+    /// every option, because only a query whose every volume completed
+    /// is replayed; a partial query can never merge into the next
+    /// query's boundary sort. The price is that one query's records are
+    /// resident before the sink sees the first: a sink's own retention
+    /// bound (e.g. [`oris_core::TopKSink`]'s O(k)) does not cover a
+    /// database query in flight — the set [`oris_core::StreamWriter`],
+    /// the only sink the CLI uses, buffers until the boundary anyway.
     ///
     /// Deadline guarantees:
     ///
@@ -586,12 +712,7 @@ impl<'d> DbSession<'d> {
     ///   extension pairs within a hot partition) — the places a
     ///   pathological query actually spends its time.
     /// * On expiry the query returns [`DbError::DeadlineExceeded`] and
-    ///   the caller's sink is **untouched** — armed queries stage their
-    ///   records in an internal buffer and only stream into `sink` after
-    ///   every volume completed (the buffer is the records of one query,
-    ///   the same working set a `CollectSink` would hold; the disarmed
-    ///   path streams straight through with zero overhead and zero
-    ///   buffering).
+    ///   nothing is inserted into the result cache.
     /// * The session remains fully usable: the next query runs normally,
     ///   volumes attached before the expiry stay attached, and no volume
     ///   is quarantined by a deadline (slowness is not corruption).
@@ -604,263 +725,72 @@ impl<'d> DbSession<'d> {
         sink: &mut dyn RecordSink,
         deadline: &Deadline,
     ) -> Result<(PipelineStats, SearchReport), DbError> {
+        let _span = self.obs.timed_span("query", names::QUERY_SECONDS);
+        let outcome = self.run_phases(query, sink, deadline);
+        if let Err(DbError::DeadlineExceeded(_)) = outcome {
+            self.obs.count(names::DEADLINE_EXPIRIES_TOTAL, 1);
+        }
+        outcome
+    }
+
+    /// The four phases of one query, in order.
+    fn run_phases(
+        &mut self,
+        query: &Bank,
+        sink: &mut dyn RecordSink,
+        deadline: &Deadline,
+    ) -> Result<(PipelineStats, SearchReport), DbError> {
         let num = self.db.num_volumes();
-        let query_span = self.obs.timed_span("query", names::QUERY_SECONDS);
         let mut report = SearchReport {
             volumes_total: num,
             residues_total: self.db.total_residues(),
             ..SearchReport::default()
         };
-        // Phase 0 — cache probe. One query fingerprint, one O(1) probe
-        // per live volume; a hit withdraws the volume from attach and
-        // search entirely (its records replay in the merge phase below).
-        // Quarantined volumes are never probed: their entries were
-        // invalidated at quarantine time.
         let query_fp = self
             .results
             .as_ref()
             .map(|_| cache::bank_fingerprint(query));
-        let mut hits: Vec<Option<crate::cache::CachedVolume>> = (0..num).map(|_| None).collect();
-        if let (Some(results), Some(qfp)) = (self.results.as_mut(), query_fp) {
-            let lookup_span = self.obs.span("cache_lookup");
-            for (v, hit) in hits.iter_mut().enumerate() {
-                if self.quarantined[v].is_some() {
-                    continue;
-                }
-                let key = CacheKey {
-                    query: qfp,
-                    volume: v,
-                    volume_hash: self.db.volume(v).bank_hash,
-                    config: self.config_fp,
-                };
-                *hit = results.lookup(&key).cloned();
-                self.obs.count(
-                    if hit.is_some() {
-                        names::CACHE_HITS_TOTAL
-                    } else {
-                        names::CACHE_MISSES_TOTAL
-                    },
-                    1,
-                );
-            }
-            drop(lookup_span);
-        }
-        if self.opts.window == 0 || self.opts.window >= num {
-            // Attach-ahead: cached sessions make this a no-op after the
-            // first query; any attach failure surfaces here, before the
-            // sink sees a single record. Cache-hit volumes skip attach —
-            // a hit is served without touching the volume's files (the
-            // same staleness contract an already-attached volume has).
+        let hits = self.probe(query_fp);
+        if self.capacity == num {
+            // Attach-ahead: a no-op after the first query. Cache-hit
+            // volumes skip attach — a hit is served without touching the
+            // volume's files (the same staleness contract an
+            // already-attached volume has).
             for (v, hit) in hits.iter().enumerate() {
-                deadline.check().map_err(|_| self.deadline_exceeded())?;
-                if self.quarantined[v].is_some() || hit.is_some() || self.is_attached(v) {
-                    continue;
-                }
-                if let Err(e) = self.attach_if_needed(v, &mut report.retries) {
-                    self.quarantine_or_fail(v, e)?;
+                deadline.check()?;
+                if self.quarantined[v].is_none() && hit.is_none() {
+                    self.attach(v, &mut report.retries)?;
                 }
             }
         }
         // The query is prepared once for the whole database, exactly as a
         // single-bank session prepares it once for both strands.
-        let prep = PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config());
-        let caching = query_fp.is_some();
-        let workers = self.opts.volume_workers.max(1);
-        // Per-volume fresh search results, staged out-of-sink. `None`
-        // for quarantined, cache-hit and (in direct-stream mode)
-        // already-streamed volumes is disambiguated in the merge phase.
-        let mut fresh: Vec<StagedResult> = (0..num).map(|_| None).collect();
-        // Direct-stream mode: no deadline, no cache, one worker — the
-        // original zero-buffer path, records flow straight into `sink`.
-        let direct = !deadline.is_armed() && !caching && workers == 1;
-        let mut direct_stats: Option<PipelineStats> = None;
-        if workers == 1 {
-            for v in 0..num {
-                if self.quarantined[v].is_some() || hits[v].is_some() {
-                    continue;
-                }
-                deadline.check().map_err(|_| self.deadline_exceeded())?;
-                if let Err(e) = self.attach_if_needed(v, &mut report.retries) {
-                    self.quarantine_or_fail(v, e)?;
-                    continue;
-                }
-                self.obs.count(names::WORKER_DISPATCH_TOTAL, 1);
-                let vspan = self.obs.timed_span_with(
-                    "volume_search",
-                    names::VOLUME_SEARCH_SECONDS,
-                    &[Field::U64("volume", v as u64)],
-                );
-                let session = self.cache.get(v);
-                if direct {
-                    let stats = session
-                        .run_prepared_streaming_deadline(&prep, sink, deadline)
-                        .map_err(|_| self.deadline_exceeded())?;
-                    direct_stats = Some(match direct_stats.take() {
-                        None => stats,
-                        Some(m) => m.merge(&stats),
-                    });
-                    report.searched.push(v);
-                    report.residues_searched += self.db.volume(v).residues;
-                } else {
-                    let mut buf = CollectSink::new();
-                    let stats = session
-                        .run_prepared_streaming_deadline(&prep, &mut buf, deadline)
-                        .map_err(|_| self.deadline_exceeded())?;
-                    fresh[v] = Some((buf.into_records(), stats));
-                }
-                drop(vspan);
-            }
-        } else {
-            // Parallel fan-out. Attach (and with it every retry and
-            // quarantine decision) already happened above — `new()`
-            // guarantees the unbounded window — so the workers only ever
-            // touch attached, healthy volumes: the per-volume search
-            // itself cannot fail except by deadline expiry.
-            let pending: Vec<usize> = (0..num)
-                .filter(|&v| self.quarantined[v].is_none() && hits[v].is_none())
-                .collect();
-            let sessions: Vec<&Session<'static>> =
-                pending.iter().map(|&v| self.cache.get(v)).collect();
-            let slots: Vec<Mutex<StagedResult>> =
-                pending.iter().map(|_| Mutex::new(None)).collect();
-            let cursor = AtomicUsize::new(0);
-            let stop = AtomicBool::new(false);
-            let spawned = workers.min(pending.len());
-            let obs = &self.obs;
-            rayon::scope(|s| {
-                for _ in 0..spawned {
-                    s.spawn(|_| {
-                        // Dispatch loop: claim the next unsearched volume,
-                        // stage its records privately, repeat. Expiry (or
-                        // a sibling's) stops *dispatching* — volumes not
-                        // yet claimed are never started.
-                        loop {
-                            if stop.load(Ordering::Relaxed) || deadline.expired() {
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= pending.len() {
-                                break;
-                            }
-                            obs.count(names::WORKER_DISPATCH_TOTAL, 1);
-                            let vspan = obs.timed_span_with(
-                                "volume_search",
-                                names::VOLUME_SEARCH_SECONDS,
-                                &[Field::U64("volume", pending[i] as u64)],
-                            );
-                            let mut buf = CollectSink::new();
-                            match sessions[i]
-                                .run_prepared_streaming_deadline(&prep, &mut buf, deadline)
-                            {
-                                Ok(stats) => {
-                                    *slots[i].lock().expect("slot lock") =
-                                        Some((buf.into_records(), stats));
-                                }
-                                Err(DeadlineExceeded) => {
-                                    stop.store(true, Ordering::Relaxed);
-                                    drop(vspan);
-                                    break;
-                                }
-                            }
-                            drop(vspan);
-                        }
-                    });
-                }
-            });
-            for (i, slot) in slots.into_iter().enumerate() {
-                match slot.into_inner().expect("slot lock") {
-                    Some(done) => fresh[pending[i]] = Some(done),
-                    // The only way a slot stays empty is expiry (claimed
-                    // and aborted, or never dispatched). The sink is
-                    // untouched: every record is still staged.
-                    None => return Err(self.deadline_exceeded()),
-                }
-            }
-        }
-        // Merge phase — strictly ascending volume order, so stats
-        // accumulate exactly as the sequential walk's and the report's
-        // lists come out sorted. Record arrival order into the sink is
-        // irrelevant: its boundary sort below is a strict total order.
-        let merge_span = self.obs.span("merge");
-        let mut merged = direct_stats;
-        for v in 0..num {
-            let (records, stats, hit) = if let Some(cached) = hits[v].take() {
-                (cached.records, cached.stats, true)
-            } else if let Some((records, stats)) = fresh[v].take() {
-                // A completed volume search is cacheable even though its
-                // records are about to be consumed: clone into the cache
-                // first. (Only complete searches reach here — an aborted
-                // query returned above without touching `fresh`'s
-                // staging.)
-                if let (Some(results), Some(qfp)) = (self.results.as_mut(), query_fp) {
-                    let key = CacheKey {
-                        query: qfp,
-                        volume: v,
-                        volume_hash: self.db.volume(v).bank_hash,
-                        config: self.config_fp,
-                    };
-                    results.insert(key, records.clone(), stats);
-                    self.obs.count(names::CACHE_INSERTIONS_TOTAL, 1);
-                }
-                (records, stats, false)
-            } else if self.quarantined[v].is_some() {
-                report.skipped.push(v);
-                continue;
-            } else {
-                // Direct-stream mode already pushed this volume's records
-                // and accounted it; nothing staged.
-                continue;
-            };
-            for record in records {
-                sink.accept(record);
-            }
-            merged = Some(match merged.take() {
-                None => stats,
-                Some(m) => m.merge(&stats),
-            });
-            report.searched.push(v);
-            report.residues_searched += self.db.volume(v).residues;
-            if hit {
-                report.cache_hits.push(v);
-            }
-        }
-        // An end_query failure is the caller's *output* stream failing
-        // (e.g. a full disk under a StreamWriter), not a database
-        // problem — attribute it to the sink, never to the (read-only)
-        // database directory.
-        sink.end_query().map_err(DbError::Sink)?;
-        drop(merge_span);
-        let mut stats = merged.unwrap_or_default();
+        let prepare =
+            || PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config());
+        let prep = match &self.pool {
+            Some(pool) => pool.install(prepare),
+            None => prepare(),
+        };
+        let fresh = self.search_volumes(&prep, &hits, &mut report.retries, deadline)?;
+        let mut stats = self.merge(query_fp, hits, fresh, sink, &mut report)?;
         stats.index_secs += prep.stats().build_secs;
         stats.index_builds += prep.stats().builds;
-        self.obs.count(names::QUERIES_TOTAL, 1);
-        self.obs.count(names::RECORDS_TOTAL, stats.step4.emitted);
-        // Residency and eviction counts live inside the ResultCache;
-        // sync them as absolutes (hits/misses/insertions are counted at
-        // their call sites above — the obs_metrics integration test
-        // pins both views equal).
-        if self.results.is_some() {
-            let c = self.result_cache_counters();
-            self.obs
-                .set_counter(names::CACHE_EVICTIONS_TOTAL, c.evictions);
-            self.obs
-                .set_counter(names::CACHE_INVALIDATIONS_TOTAL, c.invalidations);
-            self.obs.set_gauge(names::CACHE_ENTRIES, c.entries as f64);
-            self.obs.set_gauge(names::CACHE_BYTES, c.bytes as f64);
-        }
-        drop(query_span);
         Ok((stats, report))
     }
 
-    /// Collected form of [`DbSession::run_query_into`].
-    pub fn run_query(&mut self, query: &Bank) -> Result<OrisResult, DbError> {
-        let mut sink = CollectSink::new();
-        let stats = self.run_query_into(query, &mut sink)?;
-        Ok(OrisResult {
-            alignments: sink.into_records(),
-            stats,
-        })
+    /// [`DbSession::run_query_deadline`] under the options' deadline: a
+    /// fresh token armed from [`DbOptions::deadline`] when one is
+    /// configured, [`Deadline::none`] otherwise.
+    pub fn run_query_reported(
+        &mut self,
+        query: &Bank,
+        sink: &mut dyn RecordSink,
+    ) -> Result<(PipelineStats, SearchReport), DbError> {
+        let deadline = match self.opts.deadline {
+            Some(budget) => Deadline::after(budget),
+            None => Deadline::none(),
+        };
+        self.run_query_deadline(query, sink, &deadline)
     }
 
     /// Runs a batch of query banks across the database — one

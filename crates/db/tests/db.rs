@@ -3,7 +3,7 @@
 //! single-bank run over the concatenated input, shard-invariant
 //! e-values, mapped attach, bounded windows).
 
-use oris_core::{CollectSink, FilterKind, OrisConfig, Session};
+use oris_core::{CollectSink, FilterKind, OrisConfig, OrisResult, Session};
 use oris_db::{make_db, Database, DbOptions, DbSession, MakeDbOptions};
 use oris_eval::SubjectSpace;
 use oris_seqio::{Bank, BankBuilder};
@@ -52,6 +52,16 @@ fn subject_bank() -> Bank {
 
 fn small_cfg() -> OrisConfig {
     OrisConfig::small(8)
+}
+
+/// One query through `session`, collected.
+fn collect(session: &mut DbSession<'_>, query: &Bank) -> OrisResult {
+    let mut sink = CollectSink::new();
+    let (stats, _) = session.run_query_reported(query, &mut sink).unwrap();
+    OrisResult {
+        alignments: sink.into_records(),
+        stats,
+    }
 }
 
 /// Builds a database from the standard subject split into roughly
@@ -200,7 +210,7 @@ fn db_search_matches_concatenated_bank() {
             )
             .unwrap();
             for q in &queries {
-                let via_db = session.run_query(q).unwrap();
+                let via_db = collect(&mut session, q);
                 let via_bank = reference.run(q);
                 assert_eq!(
                     via_db.alignments, via_bank.alignments,
@@ -234,8 +244,8 @@ fn evalues_are_shard_invariant() {
     let query = bank(&[("q", &format!("AACC{CORE}TTGG"))]);
     let mut s1 = DbSession::new(&db_one, &cfg, DbOptions::default()).unwrap();
     let mut sn = DbSession::new(&db_many, &cfg, DbOptions::default()).unwrap();
-    let r1 = s1.run_query(&query).unwrap();
-    let rn = sn.run_query(&query).unwrap();
+    let r1 = collect(&mut s1, &query);
+    let rn = collect(&mut sn, &query);
     assert!(!r1.alignments.is_empty());
     assert_eq!(r1.alignments, rn.alignments);
 }
@@ -254,7 +264,7 @@ fn failed_query_leaves_the_sink_untouched() {
     let query = bank(&[("q", &format!("TT{CORE}GG"))]);
     // Sanity: the intact database produces records (from volume 0 too).
     let mut intact = DbSession::new(&db, &cfg, DbOptions::default()).unwrap();
-    assert!(!intact.run_query(&query).unwrap().alignments.is_empty());
+    assert!(!collect(&mut intact, &query).alignments.is_empty());
 
     let last = db.num_volumes() - 1;
     std::fs::remove_file(dir.join(&db.volume(last).index)).unwrap();
@@ -262,7 +272,7 @@ fn failed_query_leaves_the_sink_untouched() {
     // attach-ahead fails before volume 0's records could leak out.
     let mut session = DbSession::new(&db, &cfg, DbOptions::default()).unwrap();
     let mut sink = CollectSink::new();
-    assert!(session.run_query_into(&query, &mut sink).is_err());
+    assert!(session.run_query_reported(&query, &mut sink).is_err());
     assert!(
         sink.records().is_empty(),
         "failed query leaked partial records into the sink"
@@ -294,7 +304,7 @@ fn window_eviction_is_not_pathological_for_the_cyclic_scan() {
     .unwrap();
     let num_queries = 4usize;
     for _ in 0..num_queries {
-        session.run_query(&query).unwrap();
+        collect(&mut session, &query);
     }
     let total: u32 = session.volume_costs().iter().map(|c| c.attaches).sum();
     // Worst case (the LRU pathology) is one attach per (query, volume).

@@ -109,7 +109,7 @@ fn baseline(dir: &PathBuf) -> Vec<String> {
     let db = Database::open(dir).unwrap();
     let mut session = DbSession::new(&db, &cfg(), DbOptions::default()).unwrap();
     let mut sink = CollectSink::new();
-    session.run_query_into(&query(), &mut sink).unwrap();
+    session.run_query_reported(&query(), &mut sink).unwrap();
     sink.into_records().iter().map(|r| r.to_string()).collect()
 }
 
@@ -360,10 +360,51 @@ fn sink_failure_is_sink_error() {
     let db = Database::open(&dir).unwrap();
     let mut session = DbSession::new(&db, &cfg(), DbOptions::default()).unwrap();
     let e = session
-        .run_query_into(&query(), &mut FailingSink)
+        .run_query_reported(&query(), &mut FailingSink)
         .unwrap_err();
     assert!(matches!(e, DbError::Sink(_)), "{e:?}");
     assert_eq!(e.exit_code(), 6);
+}
+
+#[test]
+fn bounded_window_failure_leaves_the_sink_untouched() {
+    // window = 1 attaches volume by volume, so under the Fail policy
+    // volume 2's corrupt index is only met after volumes 0 and 1 were
+    // searched (and both hold hits). Their records are staged, not
+    // streamed: the failed query must leave no record and no boundary.
+    /// (records accepted, boundaries seen)
+    struct Probe(usize, usize);
+    impl RecordSink for Probe {
+        fn accept(&mut self, _rec: oris_core::AlignmentRecord) {
+            self.0 += 1;
+        }
+        fn end_query(&mut self) -> std::io::Result<()> {
+            self.1 += 1;
+            Ok(())
+        }
+    }
+
+    let dir = build_db("window_atomic");
+    let io = FaultyIo::with_rules([FaultRule::always(
+        "vol00002.oidx",
+        Fault::FlipByte {
+            offset: 0,
+            mask: 0xFF,
+        },
+    )]);
+    let db = Database::open_with_io(&dir, Arc::new(io)).unwrap();
+    let opts = DbOptions {
+        window: 1,
+        ..DbOptions::default()
+    };
+    let mut session = DbSession::new(&db, &cfg(), opts).unwrap();
+    let mut sink = Probe(0, 0);
+    let e = session.run_query_reported(&query(), &mut sink).unwrap_err();
+    assert!(matches!(&e, DbError::Volume(v) if v.volume == 2), "{e:?}");
+    // The earlier volumes really were attached and searched first.
+    let costs = session.volume_costs();
+    assert!(costs[..2].iter().all(|c| c.attaches == 1), "{costs:?}");
+    assert_eq!((sink.0, sink.1), (0, 0));
 }
 
 // ---------------------------------------------------------------------
@@ -436,7 +477,9 @@ fn skip_and_report_completes_over_survivors_byte_identically() {
     ref_cfg.subject_space = oris_eval::SubjectSpace::Database(total);
     let mut ref_session = DbSession::new(&ref_db, &ref_cfg, DbOptions::default()).unwrap();
     let mut ref_sink = CollectSink::new();
-    ref_session.run_query_into(&query(), &mut ref_sink).unwrap();
+    ref_session
+        .run_query_reported(&query(), &mut ref_sink)
+        .unwrap();
     let reference: Vec<String> = ref_sink
         .into_records()
         .iter()

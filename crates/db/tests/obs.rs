@@ -90,15 +90,17 @@ proptest! {
 
     /// Arming the registry and a max-verbosity trace sink changes
     /// nothing observable: same bytes, same reports, for any worker
-    /// count and cache size.
+    /// count, window and cache size.
     #[test]
     fn armed_obs_is_byte_invisible(
-        workers_sel in 0usize..3,
+        workers_sel in 0usize..4,
         cache_sel in 0usize..2,
     ) {
-        let workers = [1usize, 2, 4][workers_sel];
+        // A bounded window only composes with the sequential walk.
+        let (workers, window) = [(1usize, 0usize), (1, 1), (2, 0), (4, 0)][workers_sel];
         let cache_mb = [0usize, 1][cache_sel];
         let opts = || DbOptions {
+            window,
             volume_workers: workers,
             result_cache_bytes: cache_mb << 20,
             ..DbOptions::default()

@@ -375,9 +375,8 @@ impl BankIndex {
             "bank too large for u32 positions"
         );
         let radix = Radix::new(cfg.w);
-        // The pool is only asked for its size when the bank could use a
-        // second worker: outside an installed pool the answer costs a
-        // syscall, more than a short query's whole index.
+        // One worker per whole grain of positions, capped by the pool: a
+        // bank under two grains builds on the calling thread.
         let workers = match data.len() / grain {
             0 | 1 => 1,
             slices => slices.min(rayon::current_num_threads()),

@@ -128,15 +128,16 @@ proptest! {
 
                 if workers == 1 && cache_bytes == 0 {
                     // Collected records agree...
-                    let collected = session.run_query(&query).unwrap();
-                    prop_assert_eq!(&collected.alignments, &expected.alignments);
+                    let mut collected = CollectSink::new();
+                    session.run_query_reported(&query, &mut collected).unwrap();
+                    prop_assert_eq!(collected.records(), &expected.alignments[..]);
                 }
 
                 // ...and streamed bytes agree (the sink's single
                 // boundary sort really does merge the volumes) — for
                 // any worker count, cache on or off.
                 let mut stream = StreamWriter::new(Vec::new());
-                session.run_query_into(&query, &mut stream).unwrap();
+                session.run_query_reported(&query, &mut stream).unwrap();
                 prop_assert_eq!(&stream.into_inner(), &expected_bytes);
 
                 if cache_bytes > 0 {
@@ -173,7 +174,7 @@ proptest! {
             let db = Database::open(&dir).unwrap();
             let mut session = DbSession::new(&db, &cfg, DbOptions::default()).unwrap();
             let mut sink = CollectSink::new();
-            session.run_query_into(&query, &mut sink).unwrap();
+            session.run_query_reported(&query, &mut sink).unwrap();
             std::fs::remove_dir_all(&dir).ok();
             (db.num_volumes(), sink.into_records())
         };
@@ -271,11 +272,12 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The occurrence-index backend is invisible in the output: sessions
-    /// and whole databases built under `Dense`, `Sparse` and `Auto`
-    /// produce byte-identical `-m 8` streams for random banks, strands,
-    /// and filters. (The backend is a space/time trade
-    /// inside `oris-index`; nothing downstream may observe it.)
+    /// The occurrence-index row layout is invisible in the output:
+    /// sessions and whole databases whose indexes are forced `Dense`,
+    /// forced `Sparse` or left to `Auto` produce byte-identical `-m 8`
+    /// streams for random banks, strands, and filters. (The layout is a
+    /// space/time trade inside `oris-index`, chosen per build; nothing
+    /// downstream may observe it.)
     #[test]
     fn index_backend_is_invisible_in_m8_output(
         seqs in proptest::collection::vec("[ACGT]{30,80}", 2..6),
@@ -284,6 +286,7 @@ proptest! {
         volume_budget in 40usize..400,
         flags in 0u8..4,
     ) {
+        use oris_core::PreparedBank;
         use oris_index::IndexBackend;
         let (both_strands, masked) = (flags & 1 != 0, flags & 2 != 0);
         let subject = bank_from(&seqs);
@@ -294,20 +297,25 @@ proptest! {
             .chain([format!("{flank}{}", "A".repeat(30))])
             .collect();
         let query = bank_from(&q_seqs);
-        let cfg_with = |backend| OrisConfig {
+        let cfg = OrisConfig {
             both_strands,
             filter: if masked { FilterKind::Entropy } else { FilterKind::None },
-            index_backend: backend,
             ..OrisConfig::small(w)
         };
 
-        // Session level: all three backends, same rendered bytes.
+        // Session level: the subject index forced to each layout (and
+        // left to the density rule), same rendered bytes.
         let session_bytes = |backend| {
             let cfg = OrisConfig {
                 subject_space: SubjectSpace::Database(total),
-                ..cfg_with(backend)
+                ..cfg
             };
-            let session = Session::new(&subject, &cfg).unwrap();
+            let prepared = PreparedBank::prepare(
+                &subject,
+                cfg.filter,
+                cfg.subject_index_config().with_backend(backend),
+            );
+            let session = Session::with_subject(prepared, &cfg).unwrap();
             render(&session.run(&query).alignments)
         };
         let expected = session_bytes(IndexBackend::Dense);
@@ -315,31 +323,34 @@ proptest! {
         prop_assert_eq!(&session_bytes(IndexBackend::Auto), &expected);
 
         // Database level: a dense-built and a sparse-built database give
-        // the same bytes — and a sparse-built database accepts a
-        // dense-configured search session (the backend is never a
-        // compatibility axis).
+        // the same bytes under the one search configuration there is
+        // (the layout is never a compatibility axis).
         for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
-            let cfg = cfg_with(backend);
             let dir = scratch();
-            make_db([subject.clone()], &dir, &MakeDbOptions::new(&cfg, volume_budget)).unwrap();
+            let opts = MakeDbOptions {
+                index_config: cfg.subject_index_config().with_backend(backend),
+                ..MakeDbOptions::new(&cfg, volume_budget)
+            };
+            make_db([subject.clone()], &dir, &opts).unwrap();
             let db = Database::open(&dir).unwrap();
-            let search_cfg = cfg_with(IndexBackend::Auto);
-            let mut session = DbSession::new(&db, &search_cfg, DbOptions::default()).unwrap();
+            let mut session = DbSession::new(&db, &cfg, DbOptions::default()).unwrap();
             let mut stream = StreamWriter::new(Vec::new());
-            session.run_query_into(&query, &mut stream).unwrap();
+            session.run_query_reported(&query, &mut stream).unwrap();
             prop_assert_eq!(&stream.into_inner(), &expected);
             std::fs::remove_dir_all(&dir).ok();
         }
     }
 
     /// An armed (deadline + SkipAndReport through a rule-less injector)
-    /// session with no faults is byte-identical to the plain path — the
-    /// failure machinery never changes what is computed.
+    /// session with no faults, under either window, is byte-identical to
+    /// the plain path — the failure machinery never changes what is
+    /// computed.
     #[test]
     fn armed_no_fault_session_is_byte_identical(
         seqs in proptest::collection::vec("[ACGT]{30,60}", 2..5),
         w in 5usize..8,
         budget in 40usize..300,
+        window in 0usize..2,
     ) {
         use oris_db::{FaultyIo, OnVolumeError};
         use std::sync::Arc;
@@ -355,12 +366,13 @@ proptest! {
             let db = Database::open(&dir).unwrap();
             let mut session = DbSession::new(&db, &cfg, DbOptions::default()).unwrap();
             let mut sink = CollectSink::new();
-            session.run_query_into(&query, &mut sink).unwrap();
+            session.run_query_reported(&query, &mut sink).unwrap();
             sink.into_records()
         };
         let armed = {
             let db = Database::open_with_io(&dir, Arc::new(FaultyIo::new())).unwrap();
             let opts = DbOptions {
+                window,
                 on_volume_error: OnVolumeError::SkipAndReport,
                 deadline: Some(Duration::from_secs(3600)),
                 ..DbOptions::default()

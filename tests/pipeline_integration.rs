@@ -2,7 +2,7 @@
 //! exercising the public API exactly as the experiment harness does.
 
 use oris::prelude::*;
-use oris_core::FilterKind;
+use oris_core::{Deadline, FilterKind};
 
 fn small_est_pair() -> (Bank, Bank) {
     let b1 = paper_banks(&["EST1"], 0.05).remove(0).bank;
@@ -212,10 +212,12 @@ fn prepared_queries_skip_all_builds() {
     let cfg = OrisConfig::default();
     let session = Session::new(&subject, &cfg).unwrap();
     let prep = PreparedBank::prepare(&query, cfg.filter, cfg.query_index_config());
-    let r = session.run_prepared(&prep);
-    assert_eq!(r.stats.index_builds, 0);
+    let mut sink = CollectSink::new();
+    let stats = session.search(&prep, &mut sink, &Deadline::none()).unwrap();
+    sink.end_query().unwrap();
+    assert_eq!(stats.index_builds, 0);
     assert_eq!(
-        r.alignments,
+        sink.into_records(),
         compare_banks(&query, &subject, &cfg).alignments
     );
 }

@@ -193,40 +193,6 @@ fn tied_evalues_order_deterministically() {
     }
 }
 
-/// The `merge_strands` form of the same guarantee: merging collected
-/// strand halves uses the strict total order, so tied records land in a
-/// unique order there too.
-#[test]
-fn merge_strands_uses_the_strict_total_order() {
-    let rec = |qid: &str, evalue: f64, bitscore: f64| M8Record {
-        qid: qid.into(),
-        sid: "s".into(),
-        pident: 100.0,
-        length: 30,
-        mismatch: 0,
-        gapopen: 0,
-        qstart: 1,
-        qend: 30,
-        sstart: 1,
-        send: 30,
-        evalue,
-        bitscore,
-    };
-    let plus = oris_core::OrisResult {
-        alignments: vec![rec("q_z", 1e-5, 40.0), rec("q_a", 1e-5, 40.0)],
-        stats: oris_core::PipelineStats::default(),
-    };
-    let minus = oris_core::OrisResult {
-        // Tied with the plus records on e-value; one stronger bit score.
-        alignments: vec![rec("q_m", 1e-5, 40.0), rec("q_s", 1e-5, 60.0)],
-        stats: oris_core::PipelineStats::default(),
-    };
-    let merged = oris_core::merge_strands(plus, minus);
-    let qids: Vec<&str> = merged.alignments.iter().map(|r| r.qid.as_str()).collect();
-    // Score-descending beats id order; ids break the remaining tie.
-    assert_eq!(qids, vec!["q_s", "q_a", "q_m", "q_z"]);
-}
-
 /// A sink watching query boundaries sees one `end_query` per batch entry,
 /// in order — the contract the CLI's streaming output rests on.
 #[test]
