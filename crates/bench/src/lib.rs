@@ -25,7 +25,11 @@
 //! the wall clock.
 //!
 //! This library holds the shared harness: bank construction, matched
-//! engine configurations, timing, and the paper's table row formats.
+//! engine configurations, timing, and the paper's table row formats —
+//! plus [`CountingAlloc`], the live-heap gauge behind
+//! `tests/peak_live_bytes.rs`. Performance is not measured here: the
+//! end-to-end, layer-attributed benchmark is the standalone `benchmark/`
+//! package at the repository root.
 
 pub mod memtrack;
 
@@ -169,27 +173,6 @@ pub fn planted_bank(seed: u64, num_seqs: usize, seq_len: usize) -> Bank {
         b.push_str(&format!("sk{seed}_{i}"), &s).unwrap();
     }
     b.finish()
-}
-
-/// A repeat-family screening batch for the streaming-result benches: one
-/// subject bank plus `num_queries` query banks, every sequence of every
-/// bank carrying one [`SKEW_MOTIF`] copy in random flanks. Each
-/// (query sequence, subject sequence) pair aligns across the shared
-/// repeat, so one query bank emits `query_seqs × subject_seqs` records —
-/// a workload whose *output volume* dwarfs its per-query working set,
-/// which is exactly the regime the collect-everything and streamed result
-/// paths diverge in.
-pub fn screening_batch(
-    num_queries: usize,
-    query_seqs: usize,
-    subject_seqs: usize,
-    seq_len: usize,
-) -> (Bank, Vec<Bank>) {
-    let subject = planted_bank(404, subject_seqs, seq_len);
-    let queries = (0..num_queries)
-        .map(|i| planted_bank(600 + i as u64, query_seqs, seq_len))
-        .collect();
-    (subject, queries)
 }
 
 /// Formats an optional percentage the way the paper prints it (`-` when

@@ -1,13 +1,13 @@
-//! Live-allocation tracking for the memory benchmarks.
+//! Live-allocation tracking for peak-heap measurements.
 //!
 //! [`CountingAlloc`] wraps the system allocator and keeps two atomic
 //! gauges: bytes currently live, and the peak live bytes since the last
-//! [`CountingAlloc::reset_peak`]. A bench binary installs it as the
+//! [`CountingAlloc::reset_peak`]. A binary installs it as the
 //! `#[global_allocator]` and brackets each measured region with
 //! `reset_peak` / [`CountingAlloc::peak`], which is how
-//! `bench_index_snapshot`'s `streaming_batch` section shows the streamed
-//! batch path peaking at one query's working set while the
-//! collect-everything path peaks at the whole run's.
+//! `tests/peak_live_bytes.rs` holds the streamed batch path to one
+//! query's working set and the windowed database search to less heap
+//! than the concatenated bank.
 //!
 //! Overhead is two relaxed atomic RMWs per allocation — noise for the
 //! pipeline workloads measured here, and identical for both sides of

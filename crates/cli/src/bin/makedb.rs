@@ -60,16 +60,9 @@ fn run() -> Result<(), String> {
         .get("out")
         .ok_or_else(|| format!("-o/--out is required\n{}", usage()))?;
 
-    let filter = match args
-        .options
-        .get("filter")
-        .map(String::as_str)
-        .unwrap_or("entropy")
-    {
-        "none" => FilterKind::None,
-        "entropy" => FilterKind::Entropy,
-        "dust" => FilterKind::Dust,
-        other => return Err(format!("unknown filter {other:?}")),
+    let filter = match args.options.get("filter") {
+        Some(name) => name.parse()?,
+        None => FilterKind::Entropy,
     };
     let cfg = OrisConfig {
         w: args.get_or("word", 11).map_err(|e| e.to_string())?,

@@ -49,16 +49,9 @@ fn run() -> Result<(), String> {
     }
     let bank_path = &args.positional[0];
 
-    let filter = match args
-        .options
-        .get("filter")
-        .map(String::as_str)
-        .unwrap_or("entropy")
-    {
-        "none" => FilterKind::None,
-        "entropy" => FilterKind::Entropy,
-        "dust" => FilterKind::Dust,
-        other => return Err(format!("unknown filter {other:?}")),
+    let filter = match args.options.get("filter") {
+        Some(name) => name.parse()?,
+        None => FilterKind::Entropy,
     };
     let cfg = OrisConfig {
         w: args.get_or("word", 11).map_err(|e| e.to_string())?,

@@ -334,7 +334,7 @@ fn build_session<'a>(
         None => Ok((Session::new(bank2, cfg)?, "built")),
         Some(path) => {
             let (idx, meta) =
-                oris_index::read_index_file(path).map_err(|e| format!("{path}: {e}"))?;
+                oris_index::map_index_file(path).map_err(|e| format!("{path}: {e}"))?;
             if meta.filter_code != cfg.filter.code() {
                 let prepared_with = match FilterKind::from_code(meta.filter_code) {
                     Some(kind) => format!("filter {kind:?}"),
@@ -518,16 +518,9 @@ fn run() -> Result<(), CliError> {
         return Err("--skip-bad-volumes requires --db".into());
     }
 
-    let filter = match args
-        .options
-        .get("filter")
-        .map(String::as_str)
-        .unwrap_or("entropy")
-    {
-        "none" => FilterKind::None,
-        "entropy" => FilterKind::Entropy,
-        "dust" => FilterKind::Dust,
-        other => return Err(format!("unknown filter {other:?}").into()),
+    let filter = match args.options.get("filter") {
+        Some(name) => name.parse()?,
+        None => FilterKind::Entropy,
     };
     let threads: usize = args.get_or("threads", 0).map_err(|e| e.to_string())?;
 
@@ -728,18 +721,13 @@ fn run_db(args: &Args, cfg: &OrisConfig, obs: &ObsSetup) -> Result<(), CliError>
         )),
     };
     let (batch, records) = stream_batch(args, queries, |q, sink| session.run_batch(q, sink))?;
-    let (per_query, queries_run, reports) = (batch.query_totals(), batch.queries(), batch.reports);
 
     // A degraded run succeeded by design — but it must say so, loudly and
     // per quarantined volume, on stderr (the results channel stays clean).
     for (v, e) in session.quarantined() {
         eprintln!("scoris-n: warning: quarantined {e} (volume {v} skipped for this session)");
     }
-    if let Some(worst) = reports
-        .iter()
-        .filter(|r| !r.is_complete())
-        .min_by(|a, b| a.coverage().total_cmp(&b.coverage()))
-    {
+    if let Some(worst) = &batch.worst_coverage {
         eprintln!(
             "scoris-n: warning: results are partial: searched {} of {} volumes \
              ({:.1}% of database residues)",
@@ -767,7 +755,7 @@ fn run_db(args: &Args, cfg: &OrisConfig, obs: &ObsSetup) -> Result<(), CliError>
         b.field("db", db_dir);
         b.field("volumes", db.num_volumes());
         b.field("db_residues", total);
-        b.field("queries", queries_run);
+        b.field("queries", batch.queries());
         b.field("records", records);
         b.field("attaches", o.counter(names::VOLUME_ATTACHES_TOTAL));
         b.secs("open_secs", open_secs);
@@ -792,7 +780,7 @@ fn run_db(args: &Args, cfg: &OrisConfig, obs: &ObsSetup) -> Result<(), CliError>
         );
         b.field("cache_entries", cache.entries);
         b.field("cache_bytes", cache.bytes);
-        pipeline_fields(&mut b, &per_query);
+        pipeline_fields(&mut b, &batch.query_totals());
         eprintln!("{}", b.render());
     }
     finish_obs(obs)?;

@@ -205,17 +205,46 @@ fn corrupt_index_file_fails_cleanly() {
     let st = mkindex().arg(&s).arg("-o").arg(&oidx).status().unwrap();
     assert!(st.success());
 
-    // Truncate the file to half its size.
+    // Truncated to half its size, one flipped byte, one trailing byte:
+    // each is exit 1 with one stderr line naming the file, and the `-o`
+    // destination (or a tmp sibling of it) is never created — the index is
+    // decoded before the output is opened.
     let bytes = std::fs::read(&oidx).unwrap();
-    let cut = dir.join("truncated.oidx");
-    std::fs::write(&cut, &bytes[..bytes.len() / 2]).unwrap();
-    let out = scoris_n()
-        .args([q.to_str().unwrap(), s.to_str().unwrap(), "--index"])
-        .arg(&cut)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("corrupt"));
+    let mut flipped = bytes.clone();
+    flipped[bytes.len() / 2] ^= 0x20;
+    let mut trailing = bytes.clone();
+    trailing.push(0);
+    let mutants = [
+        ("truncated", &bytes[..bytes.len() / 2]),
+        ("flipped", &flipped[..]),
+        ("trailing", &trailing[..]),
+    ];
+    for (name, mutant) in mutants {
+        let bad = dir.join(format!("{name}.oidx"));
+        std::fs::write(&bad, mutant).unwrap();
+        let out = scoris_n()
+            .args([q.to_str().unwrap(), s.to_str().unwrap(), "--index"])
+            .arg(&bad)
+            .arg("-o")
+            .arg(dir.join("out.m8"))
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let prefix = format!("scoris-n: {}: corrupt index file: ", bad.display());
+        assert!(
+            stderr.starts_with(&prefix) && stderr.lines().count() == 1,
+            "{name}: {stderr}"
+        );
+        let left_behind = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with("out.m8")
+            })
+            .count();
+        assert_eq!(left_behind, 0, "{name}");
+    }
 
     // Not an index file at all.
     let out = scoris_n()

@@ -39,6 +39,21 @@ impl FilterKind {
     }
 }
 
+/// The `-f` / `--filter` spelling shared by the command-line tools:
+/// `none`, `entropy` or `dust`.
+impl std::str::FromStr for FilterKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<FilterKind, String> {
+        match s {
+            "none" => Ok(FilterKind::None),
+            "entropy" => Ok(FilterKind::Entropy),
+            "dust" => Ok(FilterKind::Dust),
+            other => Err(format!("unknown filter {other:?}")),
+        }
+    }
+}
+
 /// Configuration of the ORIS pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrisConfig {
@@ -175,6 +190,15 @@ mod tests {
     #[test]
     fn default_is_valid() {
         assert_eq!(OrisConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn filter_names_parse_and_unknown_ones_say_so() {
+        assert_eq!("none".parse(), Ok(FilterKind::None));
+        assert_eq!("entropy".parse(), Ok(FilterKind::Entropy));
+        assert_eq!("dust".parse(), Ok(FilterKind::Dust));
+        let err = "Dust".parse::<FilterKind>().unwrap_err();
+        assert_eq!(err, "unknown filter \"Dust\"");
     }
 
     #[test]

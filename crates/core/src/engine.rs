@@ -582,24 +582,28 @@ impl<'a> Session<'a> {
     /// `scoris-n --batch` directory mode holds exactly one query file at
     /// a time.
     ///
-    /// Accounting: each per-query report counts exactly its own
-    /// preparation (1 build); the subject's one-time cost appears **once**,
-    /// in [`BatchStats::subject`], never multiplied across queries.
+    /// Accounting: each query counts exactly its own preparation (1
+    /// build) in the running totals; the subject's one-time cost appears
+    /// **once**, in [`BatchStats::subject`], never multiplied across
+    /// queries. The report is a fixed-size fold — a query's own report is
+    /// what [`Session::run`] returns for it.
     pub fn run_batch<I>(&self, queries: I, sink: &mut dyn RecordSink) -> std::io::Result<BatchStats>
     where
         I: IntoIterator,
         I::Item: std::borrow::Borrow<Bank>,
     {
         use std::borrow::Borrow;
-        let mut per_query = Vec::new();
+        let mut batch = BatchStats {
+            subject: self.subject_stats(),
+            ..BatchStats::default()
+        };
         for q in queries {
             let prep = self.prepare_query(q.borrow());
-            per_query.push(self.search_to_boundary(&prep, sink)?);
+            let stats = self.search_to_boundary(&prep, sink)?;
+            batch.queries += 1;
+            batch.totals = batch.totals.merge(&stats);
         }
-        Ok(BatchStats {
-            subject: self.subject_stats(),
-            per_query,
-        })
+        Ok(batch)
     }
 }
 
@@ -633,41 +637,41 @@ impl From<DeadlineExceeded> for SearchError {
 
 /// Report of one [`Session::run_batch`]: the subject's one-time
 /// preparation cost (attributed **once**, regardless of how many queries
-/// amortize it) plus each query's own pipeline report in batch order.
+/// amortize it) plus the running fold of the queries' own pipeline
+/// reports. Its size does not depend on the batch length.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchStats {
     /// One-time subject preparation (both strands when configured) — the
     /// cost `index_builds` would double-count if it were folded into every
-    /// per-query report.
+    /// query's report.
     pub subject: PrepareStats,
-    /// Per-query reports, in batch order. Each counts exactly 1
-    /// `index_builds` (its own query's preparation) and zero subject work.
-    pub per_query: Vec<PipelineStats>,
+    queries: usize,
+    totals: PipelineStats,
 }
 
 impl BatchStats {
     /// Number of queries in the batch.
     pub fn queries(&self) -> usize {
-        self.per_query.len()
+        self.queries
     }
 
-    /// Sum of the per-query reports (the subject's one-time cost is *not*
-    /// folded in — it lives in [`BatchStats::subject`]).
+    /// The queries' reports merged in batch order, each counting exactly
+    /// 1 `index_builds` (its own preparation) and zero subject work (the
+    /// subject's one-time cost is *not* folded in — it lives in
+    /// [`BatchStats::subject`]).
     pub fn query_totals(&self) -> PipelineStats {
-        self.per_query
-            .iter()
-            .fold(PipelineStats::default(), |acc, s| acc.merge(s))
+        self.totals
     }
 
     /// Total index builds for the whole batch: the subject's once, plus
     /// one per query.
     pub fn total_index_builds(&self) -> u32 {
-        self.subject.builds + self.per_query.iter().map(|s| s.index_builds).sum::<u32>()
+        self.subject.builds + self.totals.index_builds
     }
 
     /// Total records emitted across the batch.
     pub fn total_records(&self) -> u64 {
-        self.per_query.iter().map(|s| s.step4.emitted).sum()
+        self.totals.step4.emitted
     }
 }
 
@@ -783,9 +787,6 @@ mod tests {
 
         assert_eq!(batch.queries(), 3);
         assert_eq!(batch.subject.builds, 2, "one build per subject strand");
-        for s in &batch.per_query {
-            assert_eq!(s.index_builds, 1, "each query pays only its own build");
-        }
         // Totals: query builds sum WITHOUT the subject...
         assert_eq!(batch.query_totals().index_builds, 3);
         // ...and the whole-batch figure adds the subject exactly once:
@@ -793,13 +794,22 @@ mod tests {
         // per-query fold of compare_banks-style accounting would claim.
         assert_eq!(batch.total_index_builds(), 5);
 
-        // The per-query reports equal what individual session runs say.
-        for (q, s) in queries.iter().zip(&batch.per_query) {
-            let single = session.run(q);
-            assert_eq!(single.stats.index_builds, s.index_builds);
-            assert_eq!(single.stats.step4.emitted, s.step4.emitted);
-            assert_eq!(single.stats.hsps, s.hsps);
+        // The running totals are the fold of what the same queries report
+        // one at a time (the clock fields aside — those are measured).
+        let mut folded = PipelineStats::default();
+        for q in &queries {
+            let single = session.run(q).stats;
+            assert_eq!(single.index_builds, 1, "each query pays only its own build");
+            folded = folded.merge(&single);
         }
+        let untimed = |s: PipelineStats| PipelineStats {
+            index_secs: 0.0,
+            step2_secs: 0.0,
+            step3_secs: 0.0,
+            step4_secs: 0.0,
+            ..s
+        };
+        assert_eq!(untimed(batch.query_totals()), untimed(folded));
         // And the batch record count matches the sink's contents.
         assert_eq!(batch.total_records() as usize, sink.records().len());
     }
@@ -808,7 +818,7 @@ mod tests {
     fn run_batch_with_zero_queries_attributes_subject_once() {
         // The degenerate batch: no query banks at all. The subject's
         // one-time cost must still be attributed (exactly once) in
-        // BatchStats::subject, the per-query list must be empty, and the
+        // BatchStats::subject, the query totals must be empty, and the
         // sink must see NO end_query boundary — an empty batch is zero
         // queries, not one empty query.
         struct CountingSink {
@@ -837,7 +847,6 @@ mod tests {
         let batch = session.run_batch(&queries, &mut sink).unwrap();
 
         assert_eq!(batch.queries(), 0);
-        assert!(batch.per_query.is_empty());
         assert_eq!(batch.subject.builds, 2, "both strands, attributed once");
         assert_eq!(batch.total_index_builds(), 2, "no query builds to add");
         assert_eq!(batch.query_totals(), PipelineStats::default());

@@ -7,7 +7,10 @@
 //! Tests use [`FaultyIo`], which wraps the real filesystem and applies
 //! scripted [`FaultRule`]s: fail the Nth open/read of a chosen file with
 //! a chosen `io::ErrorKind`, truncate the returned bytes, bit-flip a
-//! chosen byte, report a file as missing, or delay the operation. Faults
+//! chosen byte, report a file as missing, or delay the operation. Index
+//! bytes that come out of the plan go to the decoder the mmap attach runs
+//! over the file, so a scripted truncation or flip yields the
+//! [`PersistError`] production returns for those bytes. Faults
 //! are matched **deterministically** (by file name and a per-rule
 //! occurrence counter, never randomness or global state), so a test that
 //! injects "the second read of `vol00001.oidx` fails with `Interrupted`"
@@ -259,29 +262,17 @@ impl VolumeIo for FaultyIo {
     }
 
     /// Index attach under injection: the file is read through the fault
-    /// plan and parsed by the streaming loader, so a scripted fault
-    /// drives exactly the [`PersistError`] the real loaders would return
-    /// for those bytes (both loaders reject the same corruptions —
-    /// equivalence-tested in `oris-index`). The injector always parses
-    /// from its own buffer; mmap-specific behaviour is covered by the
-    /// corruption fuzz tests against the real attach path.
+    /// plan and the (possibly mutated) bytes go to the decoder
+    /// [`RealIo::attach_index`] runs over the mapped file, so a scripted
+    /// fault yields exactly the [`PersistError`] production would return
+    /// for those bytes. The injector always decodes from its own heap
+    /// buffer; the mapped backing is covered by the corruption fuzz tests
+    /// against the real attach path.
     fn attach_index(&self, path: &Path) -> Result<(BankIndex, IndexMeta), PersistError> {
-        let bytes = self.read_with_faults(path).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                PersistError::Io(e) // keep injected EOF an I/O failure, not "truncated"
-            } else {
-                PersistError::from(e)
-            }
-        })?;
-        let mut slice: &[u8] = &bytes;
-        let parsed = read_index(&mut slice)?;
-        if !slice.is_empty() {
-            return Err(PersistError::Corrupt(format!(
-                "{} trailing bytes after the checksum",
-                slice.len()
-            )));
-        }
-        Ok(parsed)
+        // `Io`, not `From`: an injected `UnexpectedEof` is a device
+        // failure, not a "truncated file".
+        let bytes = self.read_with_faults(path).map_err(PersistError::Io)?;
+        read_index(&mut bytes.as_slice())
     }
 }
 

@@ -191,18 +191,20 @@ impl SearchReport {
     }
 }
 
-/// Report of one [`DbSession::run_batch`]: per-query pipeline reports (in
-/// batch order) plus the volume attach costs paid so far — the
-/// database-session analogue of `oris_core::BatchStats`, with volume
-/// attaches playing the subject-build role (attributed once per attach,
-/// never folded into per-query reports).
+/// Report of one [`DbSession::run_batch`]: the running fold of the
+/// queries' pipeline reports, the worst coverage any of them had, and the
+/// volume attach costs paid so far — the database-session analogue of
+/// `oris_core::BatchStats`, with volume attaches playing the subject-build
+/// role (attributed once per attach, never folded into a query's report).
+/// Its size does not depend on the batch length.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DbBatchStats {
-    /// Per-query merged reports (each sums that query's runs across all
-    /// volumes; `index_builds` counts exactly the query's own build).
-    pub per_query: Vec<PipelineStats>,
-    /// Per-query coverage reports (parallel to `per_query`).
-    pub reports: Vec<SearchReport>,
+    queries: usize,
+    totals: PipelineStats,
+    /// The coverage report of the least-covered query that skipped a
+    /// volume (the first such, among equals); `None` when every query
+    /// searched the whole database.
+    pub worst_coverage: Option<SearchReport>,
     /// Per-volume attach costs at batch end.
     pub volumes: Vec<VolumeCost>,
 }
@@ -210,14 +212,14 @@ pub struct DbBatchStats {
 impl DbBatchStats {
     /// Number of queries run.
     pub fn queries(&self) -> usize {
-        self.per_query.len()
+        self.queries
     }
 
-    /// Sum of the per-query reports.
+    /// The queries' merged reports, folded in batch order (each sums its
+    /// query's runs across all volumes; `index_builds` counts exactly the
+    /// query's own build).
     pub fn query_totals(&self) -> PipelineStats {
-        self.per_query
-            .iter()
-            .fold(PipelineStats::default(), |acc, s| acc.merge(s))
+        self.totals
     }
 
     /// Total volume attaches across the batch.
@@ -227,7 +229,7 @@ impl DbBatchStats {
 
     /// Total records emitted across the batch.
     pub fn total_records(&self) -> u64 {
-        self.per_query.iter().map(|s| s.step4.emitted).sum()
+        self.totals.step4.emitted
     }
 }
 
@@ -796,10 +798,11 @@ impl<'d> DbSession<'d> {
     /// Runs a batch of query banks across the database — one
     /// `end_query` boundary per bank, in batch order, each query's
     /// working set freed before the next (and, with a small
-    /// [`DbOptions::window`], each volume's too). The returned stats
-    /// carry one [`SearchReport`] per query: under
-    /// [`OnVolumeError::SkipAndReport`] a batch that limped over a bad
-    /// volume says so, per query.
+    /// [`DbOptions::window`], each volume's too). The returned stats are
+    /// a fixed-size fold: under [`OnVolumeError::SkipAndReport`] a batch
+    /// that limped over a bad volume says so through
+    /// [`DbBatchStats::worst_coverage`]; a query's own report is what
+    /// [`DbSession::run_query_reported`] returns for it.
     pub fn run_batch<I>(
         &mut self,
         queries: I,
@@ -810,18 +813,18 @@ impl<'d> DbSession<'d> {
         I::Item: std::borrow::Borrow<Bank>,
     {
         use std::borrow::Borrow;
-        let mut per_query = Vec::new();
-        let mut reports = Vec::new();
+        let mut batch = DbBatchStats::default();
         for q in queries {
             let (stats, report) = self.run_query_reported(q.borrow(), sink)?;
-            per_query.push(stats);
-            reports.push(report);
+            batch.queries += 1;
+            batch.totals = batch.totals.merge(&stats);
+            let worst = batch.worst_coverage.as_ref();
+            if !report.is_complete() && worst.is_none_or(|w| report.coverage() < w.coverage()) {
+                batch.worst_coverage = Some(report);
+            }
         }
-        Ok(DbBatchStats {
-            per_query,
-            reports,
-            volumes: self.costs.clone(),
-        })
+        batch.volumes = self.costs.clone();
+        Ok(batch)
     }
 }
 

@@ -362,6 +362,26 @@ fn batch_streams_one_boundary_per_query_and_counts_attaches() {
         assert_eq!(v.attaches, 1, "window 0 attaches each volume once");
     }
     assert_eq!(batch.total_attaches() as usize, db.num_volumes());
+    assert_eq!(batch.worst_coverage, None, "no volume was skipped");
+
+    // The running totals are the fold of what the same queries report one
+    // at a time (the clock fields aside — those are measured).
+    let mut folded = oris_core::PipelineStats::default();
+    for q in &queries {
+        let (stats, report) = session
+            .run_query_reported(q, &mut CollectSink::new())
+            .unwrap();
+        assert!(report.is_complete());
+        folded = folded.merge(&stats);
+    }
+    let untimed = |s: oris_core::PipelineStats| oris_core::PipelineStats {
+        index_secs: 0.0,
+        step2_secs: 0.0,
+        step3_secs: 0.0,
+        step4_secs: 0.0,
+        ..s
+    };
+    assert_eq!(untimed(batch.query_totals()), untimed(folded));
 
     // Window 1: one volume resident at a time — each query walks all
     // volumes, so each volume re-attaches per query.

@@ -305,6 +305,36 @@ fn index_corruptions_map_to_persist_errors() {
 }
 
 #[test]
+fn injected_index_faults_read_like_the_same_bytes_on_disk() {
+    // FaultyIo hands its mutated buffer to the decoder RealIo's mmap
+    // attach runs over the file, so the PersistError text under injection
+    // must be what `map_index_file` gives on a file holding those bytes.
+    let dir = build_db("idx_text");
+    let clean = std::fs::read(dir.join("vol00001.oidx")).unwrap();
+    let cut = clean.len() - 9;
+    let mut flipped = clean.clone();
+    flipped[100] ^= 0x01;
+    let flip = Fault::FlipByte {
+        offset: 100,
+        mask: 0x01,
+    };
+    for (fault, bytes) in [
+        (flip, flipped),
+        (Fault::Truncate(cut), clean[..cut].to_vec()),
+    ] {
+        let on_disk = dir.join("mutant.oidx");
+        std::fs::write(&on_disk, &bytes).unwrap();
+        let expected = oris_index::map_index_file(&on_disk).unwrap_err();
+        let io = FaultyIo::with_rules([FaultRule::always("vol00001.oidx", fault.clone())]);
+        let db = Database::open_with_io(&dir, Arc::new(io)).unwrap();
+        match volume_cause(&db.attach_volume(1).unwrap_err()) {
+            VolumeCause::Index(p) => assert_eq!(p.to_string(), expected.to_string(), "{fault:?}"),
+            other => panic!("fault {fault:?} gave {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn index_config_mismatch_is_detected() {
     // Build the same content under two seed lengths and cross-wire one
     // index file: content hashes agree, w does not.
@@ -436,14 +466,26 @@ fn skip_and_report_completes_over_survivors_byte_identically() {
         .collect();
     drop(manifest);
 
-    let io = FaultyIo::with_rules([FaultRule::always(
+    let bad_magic = FaultRule::always(
         "vol00001.oidx",
         Fault::FlipByte {
             offset: 0,
             mask: 0xFF,
         },
-    )]);
+    );
+    let io = FaultyIo::with_rules([bad_magic.clone()]);
     let (records, report) = run_faulted(&dir, io, skip_opts()).unwrap();
+
+    // A batch keeps the least-covered query's report (the first, among
+    // equals): two queries over the same degraded database both skip
+    // volume 1, and the one kept is the one a single query returns.
+    let db = Database::open_with_io(&dir, Arc::new(FaultyIo::with_rules([bad_magic]))).unwrap();
+    let mut session = DbSession::new(&db, &cfg(), skip_opts()).unwrap();
+    let batch = session
+        .run_batch(&[query(), query()], &mut CollectSink::new())
+        .unwrap();
+    assert_eq!(batch.queries(), 2);
+    assert_eq!(batch.worst_coverage.as_ref(), Some(&report));
 
     assert_eq!(report.skipped, vec![1]);
     assert_eq!(report.retries, 0, "BadMagic is durable — never retried");

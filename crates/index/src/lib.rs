@@ -35,14 +35,15 @@
 //!   behaviourally identical to a fresh build, including the
 //!   `is_fully_indexed` provenance that drives step 2's guard
 //!   auto-selection.
-//! * [`mmap`]: the zero-copy attach path for the sharded-database
-//!   workload — [`map_index_file`] maps an index file and hands the
-//!   [`BankIndex`] direct views of its offsets and postings sections, so
-//!   attaching a volume costs no postings copy and its big arrays live
-//!   in the shared, evictable page cache instead of the heap. Where the
-//!   platform or kernel cannot map, it falls back to the heap reader
-//!   [`read_index_file`] (the plain `--index` loader); both verify the
-//!   same checksum and structural invariants and are equivalence-tested.
+//! * [`mmap`]: the zero-copy attach path for a persisted index, used by
+//!   `--db` for every volume and by `--index` for its one file —
+//!   [`map_index_file`] maps an index file and hands the [`BankIndex`]
+//!   direct views of its offsets and postings sections, so attaching
+//!   costs no postings copy and the big arrays live in the shared,
+//!   evictable page cache instead of the heap. Where the platform or
+//!   kernel cannot map, it falls back to [`read_index_file`]: the same
+//!   decoder over a heap read, so the same files are accepted and the
+//!   same errors returned.
 //! * Asymmetric indexing (section 3.4): index only every other W-mer of one
 //!   bank, the paper's remedy for sensitivity loss with shorter seeds. In
 //!   the CSR layout this halves the postings bytes too, not just the

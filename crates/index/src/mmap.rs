@@ -1,30 +1,34 @@
 //! Read-only memory mapping of index files.
 //!
-//! The sharded-database workload holds many persisted volumes and wants
-//! them attached cheaply: [`map_index_file`] maps an index file once and
-//! hands [`crate::BankIndex`] zero-copy views of its two big sections
-//! (row offsets and postings), so attaching a volume costs one mapping
-//! plus the small heap pieces (the indexed-positions bit-set the order
-//! guard probes is still copied — it is `len/8` bytes, an order of
-//! magnitude below the postings). The file's whole-stream checksum and
-//! every structural invariant are verified at attach time, exactly as
-//! the heap reader [`crate::read_index_file`] does, so a mapped index
-//! gives the same corruption guarantees — the tests below hold the two
-//! loaders equal on good files and on corrupt ones.
+//! A persisted index is attached, not loaded: [`map_index_file`] maps the
+//! file once and runs the format's one decoder (`persist::decode`) over
+//! the mapped bytes, which hands [`crate::BankIndex`] zero-copy views of
+//! the big sections (row lookup and postings). Attaching costs one mapping
+//! plus the small heap pieces — the indexed-positions bit-set the order
+//! guard probes is still copied; it is `len/8` bytes, an order of
+//! magnitude below the postings. A sharded database holds many volumes
+//! this way, and `scoris-n --index` attaches its one file the same way.
+//! The exact-size check, the whole-stream checksum and every structural
+//! invariant are verified at attach time by the same code
+//! [`crate::read_index_file`] runs over a heap read, so a mapped index
+//! gives the same corruption guarantees; the tests below are the mapped
+//! leg of the decoder's corruption suite (`persist::tests` is the heap
+//! leg, and its fuzz holds the two backings to one verdict).
 //!
 //! The mapping is implemented with direct `mmap(2)`/`munmap(2)` calls
 //! (declared `extern "C"` — this build environment has no crates.io
 //! access, and the platform C library already exports them). On
 //! non-Unix targets, or if the kernel refuses the mapping,
-//! [`map_index_file`] falls back to [`crate::read_index_file`]'s heap
-//! copy: callers always get a working index, mapped when possible, and
-//! the choice is made from what the code observes, never by an option.
+//! [`map_index_file`] falls back to [`crate::read_index_file`]: the same
+//! decoder over a heap read, its sections decoded copies. Callers always
+//! get a working index, mapped when possible, and the choice is made from
+//! what the code observes, never by an option.
 //!
 //! **Caveat** (inherent to file mappings, not this implementation): the
 //! kernel does not snapshot the file. Truncating or rewriting an index
 //! file while a process holds it mapped can deliver `SIGBUS` on access.
-//! The `makedb`/`Database` layer writes volumes once and never rewrites
-//! them in place, which is the discipline this module assumes.
+//! `makedb` and `mkindex` write a file once and never rewrite it in
+//! place, which is the discipline this module assumes.
 
 use std::fs::File;
 use std::io;
@@ -161,20 +165,23 @@ impl Drop for Mapping {
     }
 }
 
-/// Maps an index file written by [`crate::write_index_file`] and builds a
-/// [`BankIndex`] whose offsets and postings sections are zero-copy views
-/// of the mapping. Falls back to the heap-copy loader when the platform
-/// cannot map the file; returns the same typed errors as
-/// [`crate::persist::read_index`] for malformed files.
+/// Maps an index file written by [`crate::write_index_file`] and decodes
+/// it in place: the [`BankIndex`]'s offsets and postings sections are
+/// zero-copy views of the mapping. Where the platform cannot map the
+/// file the same decoder runs over a heap read of it
+/// ([`crate::read_index_file`]); either way a malformed file gets the same
+/// typed error.
 pub fn map_index_file(path: impl AsRef<Path>) -> Result<(BankIndex, IndexMeta), PersistError> {
     let path = path.as_ref();
     let file = File::open(path).map_err(PersistError::Io)?;
-    let map = match Mapping::of_file(&file) {
-        Ok(m) => Arc::new(m),
+    match Mapping::of_file(&file) {
+        Ok(map) => {
+            let map = Arc::new(map);
+            crate::persist::decode(&map, Some(&map))
+        }
         // Unsupported platform / kernel refusal: same bytes, heap copy.
-        Err(_) => return crate::persist::read_index_file(path),
-    };
-    crate::persist::index_from_mapping(&map)
+        Err(_) => crate::persist::read_index_file(path),
+    }
 }
 
 #[cfg(test)]
@@ -281,9 +288,10 @@ mod tests {
             let mut clean = Vec::new();
             crate::persist::write_index(&mut clean, &idx, &IndexMeta::default()).unwrap();
 
-            // Truncations, a payload flip, and trailing junk: the mapped
-            // loader must return an error (never panic or accept) exactly
-            // where the streaming loader does.
+            // Truncations, a payload flip, trailing junk and a restamped
+            // non-zero padding byte: the decoder must return an error
+            // (never panic or accept) over mapped bytes exactly as
+            // `persist::tests` shows it does over a heap buffer.
             let mut variants: Vec<Vec<u8>> = vec![];
             for cut in [0, 8, 40, clean.len() / 2, clean.len() - 1] {
                 variants.push(clean[..cut].to_vec());
@@ -295,25 +303,29 @@ mod tests {
             let mut trailing = clean.clone();
             trailing.push(0);
             variants.push(trailing);
+            let mut padded = clean.clone();
+            padded[77] = 0xAB; // header ends at 76, first section starts at 80
+            crate::persist::restamp_checksum(&mut padded);
+            variants.push(padded);
 
             for (i, bytes) in variants.iter().enumerate() {
                 let path = tmp_file(&format!("corrupt{backend:?}{i}"), bytes);
-                let via_map = map_index_file(&path);
-                let via_copy = crate::read_index_file(&path);
-                assert!(via_map.is_err(), "variant {i} must be rejected by mmap");
-                assert!(via_copy.is_err(), "variant {i} must be rejected by copy");
+                assert!(
+                    map_index_file(&path).is_err(),
+                    "variant {i} must be rejected"
+                );
             }
         }
     }
 
     #[test]
     fn both_loaders_reject_a_restamped_slot_table() {
-        use crate::persist::fnv1a;
         use crate::structure::{BankIndex, IndexBackend, IndexConfig};
         // A corrupt sparse slot table with a *recomputed* checksum gets
         // past the hash; the structural rebuild-and-compare must reject
-        // it in both loaders (this is the mmap path's guarantee
-        // that hostile file bytes can't cause unterminated probes).
+        // it over mapped bytes too (this is the mapped backing's
+        // guarantee that hostile file bytes can't cause unterminated
+        // probes).
         let bank = bank_of(&["ACGTACGTACGTTTGGCCAA"]);
         let idx = BankIndex::build(
             &bank,
@@ -324,26 +336,16 @@ mod tests {
         let k = idx.distinct_codes();
         assert!(k >= 2);
         // Sections: header 76 → pad → codes(k) → pad → row_offsets(k+1)
-        // → pad → slots. Zero the first slot word and restamp.
+        // → pad → slots. Overwrite the first slot word and restamp.
         let align = |at: usize| at + (8 - at % 8) % 8;
         let codes_at = align(76);
         let row_at = align(codes_at + 4 * k);
         let slots_at = align(row_at + 4 * (k + 1));
         bytes[slots_at..slots_at + 4].copy_from_slice(&0xDEAD_u32.to_le_bytes());
-        let body = bytes.len() - 8;
-        let h = fnv1a(&bytes[..body]);
-        bytes[body..].copy_from_slice(&h.to_le_bytes());
-        let path = tmp_file("restamped_slots", &bytes);
-        for (loader, result) in [
-            ("mmap", map_index_file(&path)),
-            ("heap", crate::read_index_file(&path)),
-        ] {
-            match result {
-                Err(PersistError::Corrupt(msg)) => {
-                    assert!(msg.contains("slot table"), "{loader}: {msg}")
-                }
-                other => panic!("{loader} accepted a corrupt slot table: {other:?}"),
-            }
+        crate::persist::restamp_checksum(&mut bytes);
+        match map_index_file(tmp_file("restamped_slots", &bytes)) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("slot table"), "{msg}"),
+            other => panic!("accepted a corrupt slot table: {other:?}"),
         }
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! The paper's premise is *intensive* comparison: one bank is indexed once
 //! and amortized over a large stream of comparisons. This module makes the
-//! amortization cross *processes*, not just calls — `mkindex` writes the
-//! index of a subject bank to a file, `scoris-n --index` (or any embedder
-//! via [`read_index_file`]) loads it back in one sequential read and skips
-//! step 1 entirely. A loaded index is behaviourally identical to a fresh
-//! build: same `occurrences()` slices, same `stats()`, and the same
-//! [`BankIndex::is_fully_indexed`] provenance, so step 2's guard
-//! auto-selection makes the same choice it would have made in memory.
+//! amortization cross *processes*, not just calls — `mkindex` and `makedb`
+//! write the index of a subject bank to a file, `scoris-n --index` and
+//! `--db` (or any embedder via [`crate::map_index_file`] /
+//! [`read_index_file`]) attach it and skip step 1 entirely. A loaded index
+//! is behaviourally identical to a fresh build: same `occurrences()`
+//! slices, same `stats()`, and the same [`BankIndex::is_fully_indexed`]
+//! provenance, so step 2's guard auto-selection makes the same choice it
+//! would have made in memory.
 //!
 //! ## Format (version 2, all integers little-endian)
 //!
@@ -46,8 +47,8 @@
 //!
 //! Version 2 differs from version 1 only in the zero padding that starts
 //! every array section on an 8-byte file offset. That alignment is what
-//! lets the sharded-database attach path (`oris_index::mmap`) reference
-//! the offsets and postings sections **zero-copy from the mapped file**
+//! lets the mapped attach path (`oris_index::mmap`) reference the
+//! offsets and postings sections **zero-copy from the mapped file**
 //! — a `&[u32]` view requires its byte offset to be aligned, and an
 //! unaligned section would force the copy the mapping exists to avoid.
 //! Version-1 files are refused with a typed error (rebuild with
@@ -60,8 +61,7 @@
 //! slot table is stored (so attach needs no rebuild pass over the code
 //! list) but *validated* by exact reconstruction from the codes section
 //! on every load — a corrupt or crafted table can therefore never cause
-//! an unterminated probe chain or out-of-range row id, in either attach
-//! mode.
+//! an unterminated probe chain or out-of-range row id, mapped or not.
 //!
 //! `masked_fraction` and `filter_code` describe how the index was
 //! *prepared* (the mask itself is not persisted — steps 2–4 never consult
@@ -73,29 +73,41 @@
 //!
 //! ## Robustness
 //!
-//! [`read_index`] must never panic on hostile input: every header field is
-//! validated before it sizes an allocation, sections are read through
-//! bounded `take` readers (a truncated file errors out instead of
-//! over-allocating), and the reassembled arrays go through the same
-//! structural validation (`offsets` monotonicity, row ordering, bit-set
-//! agreement) that protects step 2 from a corrupt index. The trailing
-//! whole-stream checksum catches the corruptions structural validation
-//! cannot — a flipped provenance flag, a perturbed position that still
-//! happens to satisfy every invariant — so no random corruption can
-//! silently change step 2's behaviour. Wrong magic, unknown version,
-//! reserved flags, truncation, checksum mismatch and trailing bytes are
-//! all distinct, typed errors. (A deliberately *crafted* file with a
-//! recomputed checksum is outside this threat model; the one crafted lie
-//! that could change output — a false `fully_indexed` claim — is
-//! re-verified against the bank when the index is attached, see
-//! `oris_core::PreparedBank::from_index`.)
+//! The format has one writer ([`write_index`]) and one reader: `decode`,
+//! a walk over the whole file as a byte slice. Every way in runs it —
+//! [`read_index`] (any `Read`, read to its end), [`read_index_file`]
+//! (`fs::read`) and [`crate::map_index_file`] (the mapped file, which
+//! `scoris-n --index` and `--db` both use) — and they differ only in
+//! where the big sections end up: zero-copy views of a mapping, or decoded
+//! heap copies. Which file is accepted, and the error a rejected one gets,
+//! depend on the bytes alone (fuzz-tested over both backings below).
 //!
-//! The mmap attach path ([`crate::mmap::map_index_file`]) runs the same
-//! checksum and structural validation over the mapped bytes, so both
-//! loaders reject exactly the same files (equivalence-tested).
+//! The decoder must never panic on hostile input, and must not let a
+//! lying header size an allocation. The order of checks is what
+//! guarantees both: (1) the fixed header is parsed and every field
+//! range-checked; (2) the section layout — a function of the header
+//! counts alone — is summed to the exact file size the header implies and
+//! compared with the bytes actually present, *before* any section is
+//! touched, so a short file is "truncated", a long one has "trailing
+//! bytes", and from here on every section offset is in bounds and
+//! everything allocated is bounded by the file's own length; (3) the
+//! trailing whole-stream checksum is verified; (4) the padding runs must
+//! be zero; (5) the arrays go through the same structural validation
+//! (`offsets` monotonicity, row ordering, slot-table reconstruction,
+//! bit-set agreement) that protects step 2 from a corrupt index. The
+//! checksum catches the corruptions structural validation cannot — a
+//! flipped provenance flag, a perturbed position that still happens to
+//! satisfy every invariant — so no random corruption can silently change
+//! step 2's behaviour. Wrong magic, unknown version, reserved flags,
+//! truncation, checksum mismatch and trailing bytes are all distinct,
+//! typed errors. (A deliberately *crafted* file with a recomputed checksum
+//! is outside this threat model; the one crafted lie that could change
+//! output — a false `fully_indexed` claim — is re-verified against the
+//! bank when the index is attached, see
+//! `oris_core::PreparedBank::from_index`.)
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -154,7 +166,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One FNV-1a folding step over a byte run — the single definition the
-/// plain hash and both streaming wrappers share.
+/// plain hash and the writer's streaming wrapper share.
 fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
@@ -182,24 +194,6 @@ impl<W: Write> Write for HashingWriter<'_, W> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
-    }
-}
-
-/// Forwards reads while folding every byte into an FNV-1a state and
-/// counting bytes, so the checksum can be verified (and padding located)
-/// without buffering the whole file.
-struct HashingReader<'r, R: Read> {
-    inner: &'r mut R,
-    hash: u64,
-    consumed: u64,
-}
-
-impl<R: Read> Read for HashingReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.hash = fnv1a_fold(self.hash, &buf[..n]);
-        self.consumed += n as u64;
-        Ok(n)
     }
 }
 
@@ -388,32 +382,8 @@ fn read_f64(r: &mut impl Read) -> Result<f64, PersistError> {
     Ok(f64::from_le_bytes(read_array::<8>(r)?))
 }
 
-/// Reads exactly `count` little-endian scalars of `S` bytes through a
-/// bounded reader: allocation grows with the bytes actually present, so a
-/// header lying about a section size cannot force a huge up-front
-/// allocation — a short section is reported as truncation.
-fn read_section<const S: usize, T>(
-    r: &mut impl Read,
-    count: usize,
-    decode: impl Fn([u8; S]) -> T,
-) -> Result<Vec<T>, PersistError> {
-    let bytes = (count as u64) * (S as u64);
-    let mut raw = Vec::new();
-    r.take(bytes)
-        .read_to_end(&mut raw)
-        .map_err(PersistError::from)?;
-    if (raw.len() as u64) < bytes {
-        return Err(PersistError::Corrupt("truncated file".into()));
-    }
-    Ok(raw
-        .chunks_exact(S)
-        .map(|c| decode(c.try_into().expect("chunk size")))
-        .collect())
-}
-
-/// The validated fixed header of an index file — the part both loaders
-/// (streamed heap copy and mmap) parse identically before touching the
-/// array sections.
+/// The validated fixed header of an index file: everything [`decode`]
+/// needs to lay the array sections out before touching one of them.
 struct Header {
     w: usize,
     stride: usize,
@@ -427,47 +397,32 @@ struct Header {
 }
 
 impl Header {
-    /// Element counts of the consecutive u32 sections, in file order:
-    /// dense `[offsets, positions]`, sparse
-    /// `[codes, row_offsets, slots, positions]` (the slot count is
-    /// derived from `k`, never trusted from the file).
-    fn u32_counts(&self) -> Vec<u64> {
-        if self.sparse {
-            let k = self.num_offsets;
-            vec![
-                k,
-                k + 1,
-                sparse_slot_count(k as usize) as u64,
-                self.num_positions,
-            ]
+    /// The section layout this header implies: one `(gap, start, end)`
+    /// triple of file offsets per array section — the u32 sections in file
+    /// order (dense `[offsets, positions]`, sparse `[codes, row_offsets,
+    /// slots, positions]`, the slot count derived from `k`, never trusted
+    /// from the file), then the bit-set. Each section starts on the next
+    /// 8-byte offset after its predecessor ends; `gap..start` is its zero
+    /// padding, and the checksum follows the last `end`.
+    fn spans(&self) -> Vec<(u64, u64, u64)> {
+        let k = self.num_offsets;
+        let u32_counts = if self.sparse {
+            let slots = sparse_slot_count(k as usize) as u64;
+            vec![k, k + 1, slots, self.num_positions]
         } else {
-            vec![self.num_offsets, self.num_positions]
-        }
-    }
-
-    /// `(file offset, element count)` of every u32 section, each aligned
-    /// to [`SECTION_ALIGN`] with zero padding before it.
-    fn u32_sections(&self) -> Vec<(u64, u64)> {
+            vec![k, self.num_positions]
+        };
+        let section_bytes = u32_counts.iter().map(|n| 4 * n);
         let mut at = HEADER_BYTES;
-        let mut out = Vec::new();
-        for count in self.u32_counts() {
-            at += padding_for(at);
-            out.push((at, count));
-            at += 4 * count;
-        }
-        out
-    }
-
-    /// File offset of the bit-set section.
-    fn bitset_at(&self) -> u64 {
-        let (at, count) = *self.u32_sections().last().expect("at least one section");
-        let end = at + 4 * count;
-        end + padding_for(end)
-    }
-
-    /// Total file size including the trailing checksum.
-    fn file_size(&self) -> u64 {
-        self.bitset_at() + 8 * self.num_words + 8
+        section_bytes
+            .chain([8 * self.num_words])
+            .map(|len| {
+                let gap = at;
+                let start = gap + padding_for(gap);
+                at = start + len;
+                (gap, start, at)
+            })
+            .collect()
     }
 }
 
@@ -570,102 +525,29 @@ fn read_header(r: &mut impl Read) -> Result<Header, PersistError> {
     })
 }
 
-/// Consumes (and requires zero) the padding run before the next section.
-fn read_padding<R: Read>(r: &mut HashingReader<'_, R>) -> Result<(), PersistError> {
-    let pad = padding_for(r.consumed) as usize;
-    let mut buf = [0u8; SECTION_ALIGN as usize];
-    r.read_exact(&mut buf[..pad])?;
-    if buf[..pad].iter().any(|&b| b != 0) {
-        return Err(PersistError::Corrupt("non-zero section padding".into()));
-    }
-    Ok(())
-}
-
-/// Deserializes an index written by [`write_index`], validating every
-/// structural invariant and the trailing checksum. Never panics on
-/// malformed input.
-pub fn read_index(r: &mut impl Read) -> Result<(BankIndex, IndexMeta), PersistError> {
-    let mut hashing = HashingReader {
-        inner: r,
-        hash: FNV_OFFSET_BASIS,
-        consumed: 0,
-    };
-    let r = &mut hashing;
-    let h = read_header(r)?;
-
-    let (rows, positions) = if h.sparse {
-        let k = h.num_offsets as usize;
-        read_padding(r)?;
-        let codes = read_section::<4, u32>(r, k, u32::from_le_bytes)?;
-        read_padding(r)?;
-        let row_offsets = read_section::<4, u32>(r, k + 1, u32::from_le_bytes)?;
-        read_padding(r)?;
-        let slots = read_section::<4, u32>(r, sparse_slot_count(k), u32::from_le_bytes)?;
-        read_padding(r)?;
-        let positions = read_section::<4, u32>(r, h.num_positions as usize, u32::from_le_bytes)?;
-        (
-            RowIndex::Sparse {
-                codes: codes.into(),
-                row_offsets: row_offsets.into(),
-                slots: slots.into(),
-            },
-            positions,
-        )
-    } else {
-        read_padding(r)?;
-        let offsets = read_section::<4, u32>(r, h.num_offsets as usize, u32::from_le_bytes)?;
-        read_padding(r)?;
-        let positions = read_section::<4, u32>(r, h.num_positions as usize, u32::from_le_bytes)?;
-        (
-            RowIndex::Dense {
-                offsets: offsets.into(),
-            },
-            positions,
-        )
-    };
-    read_padding(r)?;
-    let words = read_section::<8, u64>(r, h.num_words as usize, u64::from_le_bytes)?;
-    let indexed = MaskSet::from_raw_words(words, h.bank_len)
-        .ok_or_else(|| PersistError::Corrupt("bit-set has bits beyond the bank length".into()))?;
-
-    // Verify the whole-stream checksum before trusting the arrays: a
-    // flipped bit that survived every structural check (a provenance
-    // flag, a position that is still sorted and in-bank) is caught here.
-    let running = hashing.hash;
-    let stored = u64::from_le_bytes(read_array::<8>(hashing.inner)?);
-    if stored != running {
-        return Err(PersistError::Corrupt(format!(
-            "checksum mismatch (stored {stored:#018x}, computed {running:#018x})"
-        )));
-    }
-
-    let index = BankIndex::from_raw_parts(
-        h.w,
-        h.stride,
-        rows,
-        positions.into(),
-        indexed,
-        h.fully_indexed,
-        h.bank_len,
-    )
-    .map_err(PersistError::Corrupt)?;
-    Ok((index, h.meta))
-}
-
-/// Builds an index from a whole-file [`Mapping`], referencing the offsets
-/// and postings sections zero-copy (the bit-set, an order of magnitude
-/// smaller, is copied to the heap). Runs the same checksum and
-/// structural validation as [`read_index`], so both loaders accept and
-/// reject exactly the same files. On a big-endian target, or when a
-/// section is misaligned inside the mapping, the affected sections are
-/// decoded into heap arrays instead — the result is always behaviourally
-/// identical.
-pub(crate) fn index_from_mapping(
-    map: &Arc<Mapping>,
+/// The read side of the format: the one decoder every loader runs.
+/// `bytes` is the whole file. With `map` (the mapping `bytes`
+/// derefs from) the `u32` sections are zero-copy views of it where the
+/// target is little-endian and the section is aligned inside the mapping;
+/// without it, or where a view is not possible, they are decoded heap
+/// copies. The bit-set, an order of magnitude smaller, is always copied.
+/// Either way the index is behaviourally identical and a file is accepted
+/// or rejected — with the same error — on its bytes alone.
+///
+/// Never panics on malformed input, and allocates nothing sized by the
+/// header until the header's layout has been checked against the bytes
+/// actually present.
+pub(crate) fn decode(
+    bytes: &[u8],
+    map: Option<&Arc<Mapping>>,
 ) -> Result<(BankIndex, IndexMeta), PersistError> {
-    let bytes: &[u8] = map;
+    debug_assert!(map.is_none_or(|m| std::ptr::eq(&m[..], bytes)));
     let h = read_header(&mut { bytes })?;
-    let size = h.file_size();
+
+    // Exact size first: every offset below is in bounds once it holds,
+    // and nothing a lying count could inflate has been allocated yet.
+    let spans = h.spans();
+    let size = spans.last().expect("the bit-set span").2 + 8;
     if (bytes.len() as u64) < size {
         return Err(PersistError::Corrupt("truncated file".into()));
     }
@@ -674,55 +556,57 @@ pub(crate) fn index_from_mapping(
             "trailing bytes after the index".into(),
         ));
     }
-    // Whole-stream checksum over everything but the trailing 8 bytes —
-    // identical coverage to the streaming reader (padding included).
-    let body = &bytes[..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
+    let spans: Vec<(usize, usize, usize)> = spans
+        .into_iter()
+        .map(|(gap, start, end)| (gap as usize, start as usize, end as usize))
+        .collect();
+
+    // Whole-stream checksum (padding included) before trusting the
+    // arrays: a flipped bit that would survive every structural check (a
+    // provenance flag, a position that is still sorted and in-bank) is
+    // caught here.
+    let (body, stored) = bytes.split_at(bytes.len() - 8);
+    let stored = u64::from_le_bytes(stored.try_into().expect("8 bytes"));
     let computed = fnv1a(body);
     if stored != computed {
         return Err(PersistError::Corrupt(format!(
             "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
         )));
     }
-    // Padding runs must be zero — identical to the streaming reader's
-    // `read_padding` checks. Walk every gap between consecutive sections
-    // (and before the bit-set).
-    let sections = h.u32_sections();
-    let mut prev_end = HEADER_BYTES;
-    for &(at, count) in &sections {
-        if bytes[prev_end as usize..at as usize]
-            .iter()
-            .any(|&b| b != 0)
-        {
-            return Err(PersistError::Corrupt("non-zero section padding".into()));
-        }
-        prev_end = at + 4 * count;
-    }
-    if bytes[prev_end as usize..h.bitset_at() as usize]
+    if spans
         .iter()
-        .any(|&b| b != 0)
+        .any(|&(gap, start, _)| bytes[gap..start].iter().any(|&b| b != 0))
     {
         return Err(PersistError::Corrupt("non-zero section padding".into()));
     }
 
-    let mapped = |i: usize| {
-        let (at, count) = sections[i];
-        mapped_u32_section(map, at as usize, count as usize)
+    let u32s = |i: usize| -> Section<u32> {
+        let (_, start, end) = spans[i];
+        if cfg!(target_endian = "little") {
+            if let Some(s) = map.and_then(|m| Section::mapped(m, start, (end - start) / 4)) {
+                return s;
+            }
+        }
+        bytes[start..end]
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+            .collect::<Vec<u32>>()
+            .into()
     };
     let (rows, positions) = if h.sparse {
         (
             RowIndex::Sparse {
-                codes: mapped(0),
-                row_offsets: mapped(1),
-                slots: mapped(2),
+                codes: u32s(0),
+                row_offsets: u32s(1),
+                slots: u32s(2),
             },
-            mapped(3),
+            u32s(3),
         )
     } else {
-        (RowIndex::Dense { offsets: mapped(0) }, mapped(1))
+        (RowIndex::Dense { offsets: u32s(0) }, u32s(1))
     };
-    let word_bytes = &bytes[h.bitset_at() as usize..(h.bitset_at() + 8 * h.num_words) as usize];
-    let words: Vec<u64> = word_bytes
+    let &(_, start, end) = spans.last().expect("the bit-set span");
+    let words: Vec<u64> = bytes[start..end]
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
         .collect();
@@ -742,20 +626,14 @@ pub(crate) fn index_from_mapping(
     Ok((index, h.meta))
 }
 
-/// A zero-copy `u32` section over the mapping when the byte order and
-/// alignment allow it, a decoded heap copy otherwise.
-fn mapped_u32_section(map: &Arc<Mapping>, byte_off: usize, len: usize) -> Section<u32> {
-    if cfg!(target_endian = "little") {
-        if let Some(s) = Section::mapped(map, byte_off, len) {
-            return s;
-        }
-    }
-    let bytes = &map[byte_off..byte_off + 4 * len];
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect::<Vec<u32>>()
-        .into()
+/// Deserializes an index written by [`write_index`] into heap arrays:
+/// reads `r` to its end and runs the decoder over the bytes, so every
+/// structural invariant and the trailing checksum are validated and bytes
+/// after the index are rejected. Never panics on malformed input.
+pub fn read_index(r: &mut impl Read) -> Result<(BankIndex, IndexMeta), PersistError> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    decode(&bytes, None)
 }
 
 /// Writes `idx` to a new file at `path` (buffered).
@@ -770,20 +648,19 @@ pub fn write_index_file(
 }
 
 /// Loads an index file written by [`write_index_file`] into fresh heap
-/// arrays. Trailing bytes after the last section are rejected — an index
-/// file contains exactly one index. (For the zero-copy alternative see
-/// [`crate::mmap::map_index_file`].)
+/// arrays. (For the zero-copy alternative see
+/// [`crate::mmap::map_index_file`] — same decoder, same errors.)
 pub fn read_index_file(path: impl AsRef<Path>) -> Result<(BankIndex, IndexMeta), PersistError> {
-    let mut r = BufReader::new(File::open(path).map_err(PersistError::Io)?);
-    let result = read_index(&mut r)?;
-    let mut probe = [0u8; 1];
-    match r.read(&mut probe) {
-        Ok(0) => Ok(result),
-        Ok(_) => Err(PersistError::Corrupt(
-            "trailing bytes after the index".into(),
-        )),
-        Err(e) => Err(PersistError::Io(e)),
-    }
+    decode(&std::fs::read(path).map_err(PersistError::Io)?, None)
+}
+
+/// Recomputes the trailing whole-stream checksum after a deliberate
+/// corruption, so tests can reach the validation layers behind it.
+#[cfg(test)]
+pub(crate) fn restamp_checksum(bytes: &mut [u8]) {
+    let body = bytes.len() - 8;
+    let h = fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&h.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -805,14 +682,6 @@ mod tests {
         let mut buf = Vec::new();
         write_index(&mut buf, idx, meta).unwrap();
         buf
-    }
-
-    /// Recomputes the trailing whole-stream checksum after a deliberate
-    /// corruption, so tests can reach the validation layers behind it.
-    fn restamp_checksum(bytes: &mut [u8]) {
-        let body = bytes.len() - 8;
-        let h = fnv1a(&bytes[..body]);
-        bytes[body..].copy_from_slice(&h.to_le_bytes());
     }
 
     fn assert_same_index(a: &BankIndex, b: &BankIndex) {
@@ -1230,6 +1099,109 @@ mod tests {
             for p in 0..bank.data().len() {
                 prop_assert_eq!(loaded.is_indexed(p), idx.is_indexed(p));
             }
+        }
+    }
+
+    /// Decodes `bytes` on both backings — heap via [`read_index`], mapped
+    /// via a temp file and [`crate::map_index_file`] — and holds them to
+    /// one verdict: the same error message, or an index that the writer
+    /// turns back into exactly `bytes` (the format has one encoding per
+    /// index, so an accepted file is a canonical one). Returns the mapped
+    /// result.
+    fn decode_on_both_backings(
+        bytes: &[u8],
+        tmp: &std::path::Path,
+    ) -> Result<(BankIndex, IndexMeta), String> {
+        let heap = read_index(&mut &bytes[..]).map_err(|e| e.to_string());
+        std::fs::write(tmp, bytes).unwrap();
+        let mapped = crate::map_index_file(tmp).map_err(|e| e.to_string());
+        match (&heap, &mapped) {
+            (Ok((h, hm)), Ok((m, mm))) => {
+                assert!(!h.is_mmap_backed());
+                assert_eq!(m.is_mmap_backed(), cfg!(unix));
+                assert_eq!(to_bytes(h, hm), bytes, "heap");
+                assert_eq!(to_bytes(m, mm), bytes, "mapped");
+            }
+            (Err(h), Err(m)) => assert_eq!(h, m),
+            _ => panic!("backings disagree: heap {heap:?}, mapped {mapped:?}"),
+        }
+        mapped
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Structure-aware fuzz of the decoder, checksum restamped so the
+        /// mutants reach the validation behind it: never a panic, one
+        /// verdict from both backings, the size check ahead of every
+        /// section, and an accepted file is exactly what the writer
+        /// writes for the index it decodes to.
+        #[test]
+        fn mutated_files_get_one_bounded_verdict(
+            seqs in proptest::collection::vec("[ACGTN]{0,60}", 1..4),
+            w in 2usize..6,
+            stride in 1usize..3,
+            sparse_sel in 0usize..2,
+            flips in proptest::collection::vec(0u64..u64::MAX, 1..5),
+            counts in proptest::collection::vec(0u64..u64::MAX, 3),
+            counts_hit in 0usize..12,
+        ) {
+            let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
+            let bank = bank_of(&refs);
+            let backend = [IndexBackend::Dense, IndexBackend::Sparse][sparse_sel];
+            let cfg = IndexConfig { stride, ..IndexConfig::full(w) }.with_backend(backend);
+            let mut bytes = to_bytes(&BankIndex::build(&bank, cfg), &IndexMeta::default());
+
+            // 1–4 byte flips, one in four aimed at the first 128 bytes
+            // (header, first padding run, head of the first section), where
+            // every byte is load-bearing; the rest anywhere in the file.
+            for v in &flips {
+                let reach = if v >> 8 & 3 == 0 { bytes.len().min(128) } else { bytes.len() };
+                let at = (v >> 10) as usize % reach;
+                bytes[at] ^= (*v as u8).max(1);
+            }
+            // The three header counts (num_offsets, num_positions,
+            // num_bitset_words at 52 / 60 / 68), in 7 cases of 12: an
+            // arbitrary u64, or — odd draws — within ±4 of the stored one,
+            // which tends to pass the range checks and move the layout.
+            for (i, v) in counts.iter().enumerate() {
+                if counts_hit < 8 && counts_hit >> i & 1 == 1 {
+                    let field = 52 + 8 * i..60 + 8 * i;
+                    let stored = u64::from_le_bytes(bytes[field.clone()].try_into().unwrap());
+                    let n = if v & 1 == 1 { stored.wrapping_add((v >> 1) % 9).wrapping_sub(4) } else { *v };
+                    bytes[field].copy_from_slice(&n.to_le_bytes());
+                }
+            }
+            restamp_checksum(&mut bytes);
+
+            let tmp = std::env::temp_dir()
+                .join(format!("oris_persist_fuzz_{}.oidx", std::process::id()));
+            let verdict = decode_on_both_backings(&bytes, &tmp);
+            // A header whose layout disagrees with the bytes present is
+            // refused on size alone: no section has been looked at, so
+            // nothing the counts could inflate has been allocated.
+            if let Ok(h) = read_header(&mut &bytes[..]) {
+                let implied = h.spans().last().unwrap().2 + 8;
+                if implied != bytes.len() as u64 {
+                    let msg = verdict.as_ref().expect_err("size mismatch accepted");
+                    prop_assert!(
+                        msg.ends_with("truncated file")
+                            || msg.ends_with("trailing bytes after the index"),
+                        "size mismatch reported as {msg:?}"
+                    );
+                }
+            }
+            if let Ok((idx, _)) = verdict {
+                for code in 0..idx.coder().num_seeds() as u32 {
+                    prop_assert!(idx
+                        .occurrences(code)
+                        .iter()
+                        .all(|&p| (p as usize) < idx.bank_len()));
+                }
+                let indexed = (0..idx.bank_len()).filter(|&p| idx.is_indexed(p)).count();
+                prop_assert_eq!(indexed, idx.indexed_positions());
+            }
+            std::fs::remove_file(&tmp).unwrap();
         }
     }
 }

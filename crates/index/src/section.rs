@@ -1,15 +1,17 @@
 //! Backing storage for the CSR index arrays: owned heap vectors, or
 //! zero-copy views into a memory-mapped index file.
 //!
-//! The sharded-database workload attaches many volumes per process; the
-//! postings and offsets sections dominate an index's footprint (≈ `4·4^W`
-//! and `4·indexed_positions` bytes), so copying them into heap arrays on
-//! every attach multiplies resident memory by the volume count. A
-//! [`Section`] lets [`crate::BankIndex`] hold either representation
-//! behind one `&[T]` view: the owned form for fresh builds and the
-//! heap-copy loader, the mapped form for `mmap`-backed attaches, where
-//! the bytes stay in the (shared, evictable) page cache and the heap
-//! holds only the `Arc` and a fat pointer.
+//! The postings and row-lookup sections dominate an index's footprint
+//! (≈ `4·4^W` and `4·indexed_positions` bytes), and a sharded database
+//! attaches many volumes per process: copying those sections into heap
+//! arrays on every attach would multiply resident memory by the volume
+//! count. A [`Section`] lets [`crate::BankIndex`] hold either
+//! representation behind one `&[T]` view. Fresh builds own their arrays;
+//! the index-file decoder (`persist::decode`) produces mapped views when
+//! it is given the mapping its bytes come from and the target allows a
+//! typed view (little-endian, section aligned), and owned decoded copies
+//! otherwise. A mapped section's bytes stay in the (shared, evictable)
+//! page cache and the heap holds only the `Arc` and a fat pointer.
 
 use std::fmt;
 use std::ops::Deref;
@@ -22,7 +24,8 @@ use crate::mmap::Mapping;
 pub(crate) enum Section<T: 'static> {
     Owned(Vec<T>),
     /// A view into `map`. The pointer/length pair is derived from the
-    /// mapping's bytes (alignment and bounds validated by the loader);
+    /// mapping's bytes (alignment and bounds validated by
+    /// [`Section::mapped`]);
     /// holding the `Arc` keeps the mapping alive for as long as any
     /// section references it.
     Mapped {
@@ -45,7 +48,7 @@ impl<T> Section<T> {
     /// A zero-copy section over `map[byte_off .. byte_off + len*size_of::<T>()]`.
     ///
     /// Returns `None` when the range is out of bounds or misaligned for
-    /// `T` — the caller falls back to a heap copy instead of faulting.
+    /// `T` — the decoder falls back to a heap copy instead of faulting.
     pub(crate) fn mapped(map: &Arc<Mapping>, byte_off: usize, len: usize) -> Option<Section<T>> {
         let bytes = len.checked_mul(std::mem::size_of::<T>())?;
         let end = byte_off.checked_add(bytes)?;

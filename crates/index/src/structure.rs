@@ -1460,7 +1460,7 @@ mod tests {
 
     #[test]
     fn sparse_footprint_wins_big_at_w11() {
-        // The acceptance criterion of the backend: at W = 11 on a small
+        // The acceptance bar of the backend: at W = 11 on a small
         // bank, sparse is ≤ 1/10 the dense footprint (dense pays the
         // 16.8 MB offsets array regardless of bank size).
         let bank = bank_of(&[&"ACGTTGCAAGGTTCCAATGC".repeat(500)]); // 10 kb

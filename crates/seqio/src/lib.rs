@@ -6,9 +6,7 @@
 //!   section 2.1),
 //! * [`Bank`]: a set of DNA sequences stored as one contiguous code array with
 //!   sentinel separators — the `char *SEQ` array of the paper's Figure 2,
-//! * a FASTA reader/writer able to load banks directly from FASTA text,
-//! * [`PackedSeq`]: a 4-nucleotides-per-byte packed representation used where
-//!   memory footprint matters.
+//! * a FASTA reader/writer able to load banks directly from FASTA text.
 //!
 //! Positions inside a [`Bank`] are *global* (offsets into the concatenated
 //! code array); [`Bank::locate`] maps a global position back to the sequence
@@ -19,7 +17,6 @@ pub mod alphabet;
 pub mod bank;
 pub mod error;
 pub mod fasta;
-pub mod packed;
 
 pub use alphabet::{code_to_char, complement_code, nuc_from_char, Nuc, AMBIG, NUC_CODES, SENTINEL};
 pub use bank::{Bank, BankBuilder, SeqRecord};
@@ -27,4 +24,3 @@ pub use error::SeqIoError;
 pub use fasta::{
     parse_fasta, read_fasta, read_fasta_file, write_fasta, write_fasta_file, FastaRecord,
 };
-pub use packed::PackedSeq;

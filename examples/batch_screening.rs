@@ -10,10 +10,10 @@
 //! runs against it ([`Session::run_batch`]), and each query's records
 //! leave through a [`StreamWriter`] the moment the query finishes —
 //! peak memory holds one query's working set no matter how long the
-//! batch is. The example screens six EST banks, prints the per-query
-//! record counts from the returned [`BatchStats`], and verifies that the
-//! streamed bytes equal what the collect-everything path would have
-//! produced.
+//! batch is. The example screens six EST banks, prints the batch totals
+//! from the returned [`BatchStats`] (a fixed-size fold — a query's own
+//! report comes from [`Session::run`]), and verifies that the streamed
+//! bytes equal what the collect-everything path would have produced.
 
 use oris::prelude::*;
 use oris_eval::M8Writer;
@@ -42,11 +42,19 @@ fn main() {
         "# batch screening — {} queries, one prepared subject",
         batch.queries()
     );
-    for (name, stats) in query_names.iter().zip(&batch.per_query) {
+    // --- Collected: one `Session::run` per query, whose report is that
+    // query's own (the batch stats above are their fold) ----------------
+    let mut collected = Vec::new();
+    let mut m8 = M8Writer::new(&mut collected);
+    for (name, q) in query_names.iter().zip(&queries) {
+        let r = session.run(q);
         println!(
             "{name}: {} records, {} HSPs, 1 query index build ({} total)",
-            stats.step4.emitted, stats.hsps, stats.index_builds,
+            r.stats.step4.emitted, r.stats.hsps, r.stats.index_builds,
         );
+        for rec in &r.alignments {
+            m8.write_record(rec).unwrap();
+        }
     }
     println!(
         "\nsubject prepared once: {} build(s), {:.3} s — amortized over {} queries",
@@ -61,13 +69,6 @@ fn main() {
     );
 
     // --- Cross-check: the streamed bytes are the collected bytes -------
-    let mut collected = Vec::new();
-    let mut m8 = M8Writer::new(&mut collected);
-    for q in &queries {
-        for rec in &session.run(q).alignments {
-            m8.write_record(rec).unwrap();
-        }
-    }
     assert_eq!(streamed, collected, "streamed output must match collected");
     println!("\nstreamed output verified byte-identical to the collected path");
 }

@@ -228,8 +228,11 @@ fn batch_marks_one_boundary_per_query() {
     assert_eq!(sink.accepted[1], 0, "{:?}", sink.accepted);
     assert!(sink.accepted[0] > 0);
     assert!(sink.accepted[2] > 0);
-    // Per-query stats line up with what the sink saw.
-    for (got, stats) in sink.accepted.iter().zip(&batch.per_query) {
-        assert_eq!(*got as u64, stats.step4.emitted);
+    // Each query's own report lines up with what the sink saw between its
+    // boundaries, and the batch total with their sum.
+    for (got, q) in sink.accepted.iter().zip(&queries) {
+        assert_eq!(*got as u64, session.run(q).stats.step4.emitted);
     }
+    let accepted: usize = sink.accepted.iter().sum();
+    assert_eq!(batch.total_records(), accepted as u64);
 }
