@@ -2,14 +2,10 @@
 //!
 //! The paper's introduction frames ORIS against the exact algorithms:
 //! Needleman–Wunsch (global, 1970), Smith–Waterman (local, 1981) and
-//! Gotoh's affine-gap refinement (1982). They are implemented here in
-//! full — quadratic time and space, with traceback — and serve two roles
-//! in the reproduction:
-//!
-//! * **oracles**: heuristic results (HSPs, gapped X-drop extensions) are
-//!   validated against the optimum on small instances;
-//! * **completeness**: a downstream user gets the whole algorithm family
-//!   the paper situates itself in.
+//! Gotoh's affine-gap refinement (1982). The two local ones are
+//! implemented here in full — quadratic time and space, with traceback —
+//! as **oracles**: heuristic results (HSPs, gapped X-drop extensions) are
+//! validated against the optimum on small instances.
 
 use crate::cigar::AlignOp;
 use crate::scoring::ScoringScheme;
@@ -21,7 +17,7 @@ const NEG: i32 = i32::MIN / 4;
 pub struct ExactAlignment {
     /// Optimal score.
     pub score: i32,
-    /// Start offset on sequence 1 (0 for global alignments).
+    /// Start offset on sequence 1.
     pub start1: usize,
     /// Start offset on sequence 2.
     pub start2: usize,
@@ -44,76 +40,6 @@ impl ExactAlignment {
             .iter()
             .filter(|o| matches!(o, AlignOp::Match | AlignOp::Mismatch | AlignOp::Del))
             .count()
-    }
-}
-
-/// Needleman–Wunsch global alignment with linear gap costs.
-///
-/// Gap columns cost `scheme.gap_extend` each (no opening charge), matching
-/// the original 1970 formulation with a linear gap model.
-pub fn needleman_wunsch(s1: &[u8], s2: &[u8], scheme: &ScoringScheme) -> ExactAlignment {
-    let n = s1.len();
-    let m = s2.len();
-    let g = scheme.gap_extend;
-    let width = m + 1;
-    let mut dp = vec![0i32; (n + 1) * width];
-    // 0 = diag, 1 = up (consume s1), 2 = left (consume s2)
-    let mut tb = vec![0u8; (n + 1) * width];
-
-    for j in 1..=m {
-        dp[j] = g * j as i32;
-        tb[j] = 2;
-    }
-    for i in 1..=n {
-        dp[i * width] = g * i as i32;
-        tb[i * width] = 1;
-    }
-    for i in 1..=n {
-        for j in 1..=m {
-            let diag = dp[(i - 1) * width + j - 1] + scheme.pair(s1[i - 1], s2[j - 1]);
-            let up = dp[(i - 1) * width + j] + g;
-            let left = dp[i * width + j - 1] + g;
-            let (best, dir) = if diag >= up && diag >= left {
-                (diag, 0u8)
-            } else if up >= left {
-                (up, 1u8)
-            } else {
-                (left, 2u8)
-            };
-            dp[i * width + j] = best;
-            tb[i * width + j] = dir;
-        }
-    }
-
-    let mut ops = Vec::new();
-    let (mut i, mut j) = (n, m);
-    while i > 0 || j > 0 {
-        match tb[i * width + j] {
-            0 => {
-                ops.push(if scheme.is_match(s1[i - 1], s2[j - 1]) {
-                    AlignOp::Match
-                } else {
-                    AlignOp::Mismatch
-                });
-                i -= 1;
-                j -= 1;
-            }
-            1 => {
-                ops.push(AlignOp::Ins);
-                i -= 1;
-            }
-            _ => {
-                ops.push(AlignOp::Del);
-                j -= 1;
-            }
-        }
-    }
-    ops.reverse();
-    ExactAlignment {
-        score: dp[n * width + m],
-        start1: 0,
-        start2: 0,
-        ops,
     }
 }
 
@@ -320,35 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn nw_identical() {
-        let a = codes("ACGTACGT");
-        let out = needleman_wunsch(&a, &a, &scheme());
-        assert_eq!(out.score, 8);
-        assert!(out.ops.iter().all(|&o| o == AlignOp::Match));
-    }
-
-    #[test]
-    fn nw_one_gap() {
-        let a = codes("ACGTACGT");
-        let b = codes("ACGACGT"); // T deleted
-        let out = needleman_wunsch(&a, &b, &scheme());
-        // 7 matches + one gap column at linear cost -2
-        assert_eq!(out.score, 7 - 2);
-        let st = AlignStats::from_ops(&out.ops);
-        assert_eq!(st.consumed1, 8);
-        assert_eq!(st.consumed2, 7);
-    }
-
-    #[test]
-    fn nw_empty_vs_nonempty() {
-        let a = codes("");
-        let b = codes("ACG");
-        let out = needleman_wunsch(&a, &b, &scheme());
-        assert_eq!(out.score, -6);
-        assert_eq!(out.ops, vec![AlignOp::Del; 3]);
-    }
-
-    #[test]
     fn sw_finds_embedded_homology() {
         // Shared core "ACGTACGTACG" (11 nt) embedded in dissimilar flanks.
         let a = codes("TTTTTTACGTACGTACGGGGGG");
@@ -396,30 +293,15 @@ mod tests {
 
     #[test]
     fn len_helpers() {
-        let a = codes("ACGT");
-        let b = codes("ACT");
-        let out = needleman_wunsch(&a, &b, &scheme());
-        assert_eq!(out.len1(), 4);
-        assert_eq!(out.len2(), 3);
+        let a = codes("ACGTTGCAATCGGATCCTAGGTACCATGGCAATTCGCGAT");
+        let mut b = a.clone();
+        b.splice(20..20, codes("GG"));
+        let out = gotoh_local(&a, &b, &scheme());
+        assert_eq!(out.len1(), 40);
+        assert_eq!(out.len2(), 42);
     }
 
     proptest! {
-        /// NW traceback rescoring (linear gaps) equals the DP score.
-        #[test]
-        fn nw_traceback_consistent(s1 in "[ACGT]{0,25}", s2 in "[ACGT]{0,25}") {
-            let a = codes(&s1);
-            let b = codes(&s2);
-            let sc = scheme();
-            let out = needleman_wunsch(&a, &b, &sc);
-            let st = AlignStats::from_ops(&out.ops);
-            let linear = st.matches as i32 * sc.matsch
-                + st.mismatches as i32 * sc.mismatch
-                + st.gap_columns as i32 * sc.gap_extend;
-            prop_assert_eq!(linear, out.score);
-            prop_assert_eq!(st.consumed1, a.len());
-            prop_assert_eq!(st.consumed2, b.len());
-        }
-
         /// SW score is ≥ 0, ≤ min(len)·match, and the traceback rescoring
         /// agrees (linear gaps).
         #[test]

@@ -8,10 +8,9 @@
 //!   algorithmic contribution of the paper.
 //! * [`gapped`]: X-drop banded affine-gap extension used by step 3 to grow
 //!   HSPs into gapped alignments, with traceback.
-//! * [`exact`]: the classical optimal algorithms the paper cites as the
-//!   dynamic-programming family — Needleman–Wunsch (global), Smith–Waterman
-//!   (local) and Gotoh (affine local). They serve as test oracles and as
-//!   reference implementations.
+//! * [`exact`]: the optimal local algorithms of the dynamic-programming
+//!   family the paper cites — Smith–Waterman (linear gaps) and Gotoh
+//!   (affine gaps) — as the oracles tests compare the heuristics against.
 //! * [`cigar`]: alignment operation lists and the derived statistics that
 //!   the BLAST `-m 8` tabular format reports (identity %, mismatches, gap
 //!   openings).
@@ -23,7 +22,7 @@ pub mod scoring;
 pub mod ungapped;
 
 pub use cigar::{AlignOp, AlignStats};
-pub use exact::{gotoh_local, needleman_wunsch, smith_waterman, ExactAlignment};
+pub use exact::{gotoh_local, smith_waterman, ExactAlignment};
 pub use gapped::{
     extend_gapped_both, extend_gapped_right, GappedExtension, GappedParams, GappedScratch,
 };

@@ -92,14 +92,6 @@ pub enum OrderGuard<'a> {
     },
 }
 
-impl OrderGuard<'_> {
-    /// Whether any ordering rule is active.
-    #[inline]
-    pub fn is_ordered(&self) -> bool {
-        !matches!(self, OrderGuard::None)
-    }
-}
-
 /// Monomorphized per-walk guard behaviour. One implementation per
 /// [`OrderGuard`] shape, so the extension loops inline the guard logic
 /// with zero dispatch.
@@ -167,20 +159,16 @@ pub struct UngappedParams {
     pub xdrop: i32,
     /// Scoring scheme.
     pub scheme: ScoringScheme,
-    /// Maximum residues explored on each side of the seed (the paper's
-    /// `length` argument bounding the search space).
-    pub max_span: usize,
 }
 
 impl UngappedParams {
     /// Paper-flavoured defaults for a given seed length: X-drop 20 with the
-    /// BLASTN scheme, effectively unbounded span.
+    /// BLASTN scheme.
     pub fn new(w: usize) -> UngappedParams {
         UngappedParams {
             w,
             xdrop: 20,
             scheme: ScoringScheme::blastn(),
-            max_span: usize::MAX / 4,
         }
     }
 }
@@ -296,7 +284,7 @@ fn extend_left<W: GuardWalk>(
     let mut code = start_code;
 
     let mut l = 0usize;
-    while best - score < params.xdrop && l < params.max_span {
+    while best - score < params.xdrop {
         if p1 < l + 1 || p2 < l + 1 {
             break;
         }
@@ -358,7 +346,7 @@ fn extend_right<W: GuardWalk>(
     let mut code = start_code;
 
     let mut l = 0usize;
-    while best - score < params.xdrop && l < params.max_span {
+    while best - score < params.xdrop {
         let i1 = p1 + w + l;
         let i2 = p2 + w + l;
         if i1 >= d1.len() || i2 >= d2.len() {
@@ -445,7 +433,6 @@ mod tests {
             w,
             xdrop,
             scheme: ScoringScheme::blastn(),
-            max_span: usize::MAX / 4,
         }
     }
 
@@ -908,7 +895,7 @@ mod tests {
             let code = coder.encode(&codes(seedword)).unwrap();
             let p1 = ia + 1; // +1 for the framing sentinel
             let p2 = ib + 1;
-            let pars = UngappedParams { w, xdrop: i32::MAX / 4, scheme: ScoringScheme::blastn(), max_span: usize::MAX / 4 };
+            let pars = UngappedParams { w, xdrop: i32::MAX / 4, scheme: ScoringScheme::blastn() };
             match extend_hit(&d1, &d2, p1, p2, code, coder, &pars, OrderGuard::None) {
                 ExtensionOutcome::Hsp { score, .. } => {
                     let expect = brute_best(&d1, &d2, p1, p2, w, &pars.scheme);
@@ -927,7 +914,7 @@ mod tests {
             let coder = SeedCoder::new(w);
             let p = 1 + s.len() / 3;
             if let Some(code) = coder.encode(&d1[p..p + w]) {
-                let pars = UngappedParams { w, xdrop: 12, scheme: ScoringScheme::blastn(), max_span: usize::MAX / 4 };
+                let pars = UngappedParams { w, xdrop: 12, scheme: ScoringScheme::blastn() };
                 if let ExtensionOutcome::Hsp { score, left, right } =
                     extend_hit(&d1, &d2, p, p, code, coder, &pars, OrderGuard::None)
                 {

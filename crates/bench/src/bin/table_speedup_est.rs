@@ -1,8 +1,8 @@
 //! E3 — the section-3.3 EST speed-up table.
 //!
 //! Same eight rows as the paper: bank pair, search space, both execution
-//! times, speed-up — plus the paper's reported speed-up for side-by-side
-//! comparison in EXPERIMENTS.md.
+//! times, speed-up — plus the paper's reported speed-up in the last
+//! column, side by side with the measured one.
 
 use oris_bench::{run_pair, scale_from_args, EST_PAIRS, PAPER_EST_SPEEDUPS};
 use oris_eval::Table;

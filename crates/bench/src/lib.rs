@@ -1,7 +1,8 @@
 //! # oris-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! experiment index and EXPERIMENTS.md for paper-vs-measured numbers):
+//! One binary per table/figure of the paper; each prints the paper's row
+//! layout with the measured values (and, where the paper reports a number,
+//! that number beside them):
 //!
 //! | binary | paper item |
 //! |---|---|
@@ -19,8 +20,8 @@
 //! | `ablation_xdrop` | X-drop sweep (A4) |
 //!
 //! Every binary takes `--scale F` (default 0.25) multiplying the reduced
-//! bank grid of DESIGN.md §6, so quick runs and full runs use the same
-//! code path. Banks are deterministic; engine outputs are deterministic
+//! bank grid of `oris_simulate::paper_bank_specs`, so quick runs and full
+//! runs use the same code path. Banks are deterministic; engine outputs are deterministic
 //! for any thread count — the only nondeterminism in these experiments is
 //! the wall clock.
 //!
@@ -64,7 +65,7 @@ pub const LARGE_PAIRS: [(&str, &str); 6] = [
 ];
 
 /// Paper-reported speed-ups for the EST pairs (same order as
-/// [`EST_PAIRS`]), used by EXPERIMENTS.md comparisons.
+/// [`EST_PAIRS`]), printed beside the measured ones by `table_speedup_est`.
 pub const PAPER_EST_SPEEDUPS: [f64; 8] = [10.0, 16.2, 17.1, 18.5, 16.0, 24.0, 28.4, 28.8];
 
 /// Paper-reported speed-ups for the large pairs (same order as

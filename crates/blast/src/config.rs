@@ -26,8 +26,6 @@ pub struct BlastConfig {
     pub filter: FilterKind,
     /// Worker threads (`None` = rayon global default).
     pub threads: Option<usize>,
-    /// Maximum span of a gapped extension per direction.
-    pub max_gapped_span: usize,
     /// Query batching in nucleotides (`None` = one pass with the whole
     /// query bank in the lookup table).
     ///
@@ -58,7 +56,6 @@ impl Default for BlastConfig {
             scheme: ScoringScheme::blastn(),
             filter: FilterKind::Dust,
             threads: None,
-            max_gapped_span: 1 << 20,
             batch_nt: None,
             subject_space: oris_eval::SubjectSpace::PerSequence,
         }
@@ -94,7 +91,6 @@ impl BlastConfig {
                 FilterKind::Dust
             },
             threads: oris.threads,
-            max_gapped_span: oris.max_gapped_span,
             batch_nt: None,
             subject_space: oris.subject_space,
         }
@@ -122,7 +118,6 @@ impl BlastConfig {
             asymmetric: false,
             both_strands: false,
             threads: self.threads,
-            max_gapped_span: self.max_gapped_span,
             subject_space: self.subject_space,
         }
     }

@@ -7,10 +7,12 @@
 //! streamed ORIS path. [`compare_banks`] is the collect-everything
 //! wrapper.
 
+use oris_core::engine::mask_for;
 use oris_core::sink::{CollectSink, RecordSink};
-use oris_dust::{DustMasker, EntropyMasker, Masker};
+use oris_core::PreparedBank;
+use oris_dust::MaskSet;
 use oris_eval::M8Record;
-use oris_index::{BankIndex, IndexConfig};
+use oris_index::IndexConfig;
 use oris_obs::Stopwatch;
 use oris_seqio::Bank;
 
@@ -52,12 +54,17 @@ pub struct BlastResult {
     pub stats: BlastStats,
 }
 
-fn mask_for(cfg: &BlastConfig, bank: &Bank) -> Option<oris_dust::MaskSet> {
-    match cfg.filter {
-        oris_core::FilterKind::None => None,
-        oris_core::FilterKind::Dust => Some(DustMasker::default().mask_bank(bank)),
-        oris_core::FilterKind::Entropy => Some(EntropyMasker::default().mask_bank(bank)),
-    }
+/// The query-side lookup table: the batch's index at full stride, words
+/// overlapping a masked region discarded (BLAST lookup-table semantics)
+/// — the ORIS engine's step 1, literally.
+fn lookup_table<'b>(batch: &'b Bank, cfg: &BlastConfig) -> PreparedBank<'b> {
+    PreparedBank::prepare(batch, cfg.filter, IndexConfig::full(cfg.w))
+}
+
+/// The subject-side mask the scan consults: every word start whose word
+/// overlaps a masked region.
+fn subject_mask(bank2: &Bank, cfg: &BlastConfig) -> Option<MaskSet> {
+    mask_for(cfg.filter, bank2).map(|m| m.dilated_left(cfg.w))
 }
 
 /// Splits bank-1 records into batches of roughly `batch_nt` residues
@@ -128,23 +135,16 @@ fn run_batched(
 
     // Subject mask computed once, reused across batches.
     let t0 = Stopwatch::start();
-    let mask2 = mask_for(cfg, bank2).map(|m| m.dilated_left(cfg.w));
+    let mask2 = subject_mask(bank2, cfg);
     stats.lookup_secs += t0.elapsed_secs();
 
     for batch in query_batches(bank1, batch_nt) {
         let t0 = Stopwatch::start();
-        let m1 = mask_for(cfg, &batch);
-        let lookup = match &m1 {
-            Some(m) => {
-                let dilated = m.dilated_left(cfg.w);
-                BankIndex::build_filtered(&batch, IndexConfig::full(cfg.w), |p| dilated.contains(p))
-            }
-            None => BankIndex::build(&batch, IndexConfig::full(cfg.w)),
-        };
+        let lookup = lookup_table(&batch, cfg);
         stats.lookup_secs += t0.elapsed_secs();
 
         let t0 = Stopwatch::start();
-        let (hsps, scan_stats) = scan_bank(&batch, &lookup, bank2, cfg, mask2.as_ref());
+        let (hsps, scan_stats) = scan_bank(&batch, lookup.index(), bank2, cfg, mask2.as_ref());
         stats.hsps += hsps.len();
         stats.scan = ScanStats {
             probes: stats.scan.probes + scan_stats.probes,
@@ -183,28 +183,12 @@ fn run_pipeline(
 
     // Lookup table over the query bank (+ masks for both banks).
     let t0 = Stopwatch::start();
-    let (lookup, mask2) = rayon::join(
-        || {
-            let m1 = mask_for(cfg, bank1);
-            match &m1 {
-                Some(m) => {
-                    // discard words overlapping masked regions (BLAST
-                    // lookup-table semantics)
-                    let dilated = m.dilated_left(cfg.w);
-                    BankIndex::build_filtered(bank1, IndexConfig::full(cfg.w), |p| {
-                        dilated.contains(p)
-                    })
-                }
-                None => BankIndex::build(bank1, IndexConfig::full(cfg.w)),
-            }
-        },
-        || mask_for(cfg, bank2).map(|m| m.dilated_left(cfg.w)),
-    );
+    let (lookup, mask2) = rayon::join(|| lookup_table(bank1, cfg), || subject_mask(bank2, cfg));
     stats.lookup_secs = t0.elapsed_secs();
 
     // Subject scan.
     let t0 = Stopwatch::start();
-    let (hsps, scan_stats) = scan_bank(bank1, &lookup, bank2, cfg, mask2.as_ref());
+    let (hsps, scan_stats) = scan_bank(bank1, lookup.index(), bank2, cfg, mask2.as_ref());
     stats.hsps = hsps.len();
     stats.scan = scan_stats;
     stats.scan_secs = t0.elapsed_secs();

@@ -186,7 +186,6 @@ pub fn scan_bank(
         w: cfg.w,
         xdrop: cfg.xdrop_ungapped,
         scheme: cfg.scheme,
-        max_span: usize::MAX / 4,
     };
     let len1 = bank1.data().len();
     let max_len2 = bank2.records().iter().map(|r| r.len).max().unwrap_or(0);

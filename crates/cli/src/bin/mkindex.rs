@@ -21,7 +21,7 @@
 
 use std::process::ExitCode;
 
-use oris_cli::Args;
+use oris_cli::{read_bank, Args};
 use oris_core::{FilterKind, OrisConfig, PreparedBank};
 use oris_index::IndexMeta;
 
@@ -61,7 +61,7 @@ fn run() -> Result<(), String> {
     };
     cfg.validate()?;
 
-    let bank = oris_seqio::read_fasta_file(bank_path).map_err(|e| format!("{bank_path}: {e}"))?;
+    let bank = read_bank(bank_path)?;
     let prepared = PreparedBank::prepare(&bank, cfg.filter, cfg.subject_index_config());
     let meta = IndexMeta {
         masked_fraction: prepared.stats().masked_fraction,

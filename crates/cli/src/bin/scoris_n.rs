@@ -1,6 +1,15 @@
 //! `scoris-n` — Sequence COmparison using the ORIS algorithm on
 //! Nucleotides (the paper's prototype, as a command-line tool).
 //!
+//! Every run is one flow: a *subject source* (a FASTA bank prepared here,
+//! the same bank with its index attached from `--index`, or a `--db`
+//! database) × a *query source* (the positional query bank — a batch of
+//! one — or `--batch`'s directory / multi-FASTA file), every query
+//! searched in turn and its records sorted and written at its boundary by
+//! one `StreamWriter` over the `-o` destination. The sessions count what
+//! they run (`query` spans, `query_seconds`, `queries_total`,
+//! `records_total`); this file only assembles the `--stats` line.
+//!
 //! ```text
 //! scoris-n <bank1.fa> <bank2.fa> [options]
 //! scoris-n --batch <dir-or-multi.fa> <bank2.fa> [options]
@@ -47,14 +56,15 @@
 //!                       (after retrying transient faults) and complete the
 //!                       query over the surviving volumes, warning on stderr
 //!                       with the residue coverage actually searched
-//!       --batch PATH    many-query mode: prepare bank 2 once, stream each
+//!       --batch PATH    many queries: prepare bank 2 once, stream each
 //!                       query bank's records out as it finishes. PATH is a
 //!                       directory of FASTA files (sorted by name, one query
 //!                       bank each) or a multi-FASTA file (one query bank
 //!                       per record). Peak memory stays at one query's
 //!                       working set.
-//!       --stats         print per-step timings to stderr (one `key=value`
-//!                       line, same schema in plain/index/db/batch modes)
+//!       --stats         print per-step timings and counters to stderr: one
+//!                       `key=value` line whose `mode=` is plain, batch or
+//!                       db; the pipeline keys are the same in all three
 //!       --trace FILE    write span-style trace events (attach, per-volume
 //!                       search, steps 2–4, cache lookup, merge) to FILE as
 //!                       JSON lines; see `oris-obs` for the event schema
@@ -76,7 +86,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use oris_cli::Args;
+use oris_cli::{read_bank, Args};
 use oris_core::{FilterKind, OrisConfig, PipelineStats, PreparedBank, Session, StreamWriter};
 use oris_obs::{names, Obs, StatsBlock, Stopwatch};
 use oris_seqio::Bank;
@@ -190,20 +200,18 @@ impl Output {
     }
 }
 
-/// The `--batch` query source: a directory of FASTA files (sorted by
-/// file name, one query bank each) or a multi-FASTA file (one query bank
-/// per record, so each record gets its own e-value search space — the
-/// batch is N independent comparisons, not one big bank).
+/// The query source. `--batch` gives a directory of FASTA files (sorted
+/// by file name, one query bank each) or a multi-FASTA file (one query
+/// bank per record, so each record gets its own e-value search space —
+/// the batch is N independent comparisons, not one big bank); without it
+/// the positional query bank is a batch of `One`, already read.
 ///
 /// Query banks are produced **lazily** — a directory batch holds exactly
 /// one query file's bank in memory at a time (the multi-FASTA form keeps
 /// its one source bank resident, but still builds per-record query banks
 /// one at a time). A file that fails to read mid-batch fuses the
 /// iterator and parks the error in [`BatchQueries::error`] for the
-/// caller to surface after `run_batch` returns.
-///
-/// `One` is the `--db` mode's positional query: a single query is a
-/// batch of one bank, already read.
+/// caller to surface after the search returns.
 enum BatchQueries {
     Dir {
         files: std::vec::IntoIter<PathBuf>,
@@ -246,7 +254,7 @@ impl BatchQueries {
                 error: None,
             })
         } else {
-            let bank = oris_seqio::read_fasta_file(path).map_err(|e| format!("{path}: {e}"))?;
+            let bank = read_bank(path)?;
             if bank.num_sequences() == 0 {
                 return Err(format!("{path}: no sequences"));
             }
@@ -272,11 +280,10 @@ impl Iterator for &mut BatchQueries {
                 if error.is_some() {
                     return None;
                 }
-                let f = files.next()?;
-                match oris_seqio::read_fasta_file(&f) {
+                match read_bank(files.next()?) {
                     Ok(bank) => Some(bank),
                     Err(e) => {
-                        *error = Some(format!("{}: {e}", f.display()));
+                        *error = Some(e);
                         None
                     }
                 }
@@ -295,25 +302,26 @@ impl Iterator for &mut BatchQueries {
     }
 }
 
-/// Streams a batch to the `-o` destination: `run` drives `queries` into a
-/// [`StreamWriter`] over the atomic output, and any failure — `run`'s own
-/// or a query file that would not read — discards the output. Query banks
-/// are pulled from the source lazily — one resident at a time — so the
-/// batch's memory bound really is one query's working set, not the query
-/// set's total size. Returns `run`'s report and the records written.
+/// Streams the queries to the `-o` destination: `search` drives `queries`
+/// into a [`StreamWriter`] over the atomic output, and any failure —
+/// `search`'s own or a query file that would not read — discards the
+/// output. Query banks are pulled from the source lazily — one resident at
+/// a time — so the run's memory bound really is one query's working set,
+/// not the query set's total size. Returns `search`'s report and the
+/// records written.
 fn stream_batch<B, E: Into<CliError>>(
     args: &Args,
     mut queries: BatchQueries,
-    run: impl FnOnce(&mut BatchQueries, &mut StreamWriter<Box<dyn Write>>) -> Result<B, E>,
+    search: impl FnOnce(&mut BatchQueries, &mut StreamWriter<Box<dyn Write>>) -> Result<B, E>,
 ) -> Result<(B, u64), CliError> {
     let (w, out) = Output::open(args.options.get("out"))?;
     let mut sink = StreamWriter::new(w);
-    let batch = run(&mut queries, &mut sink).map_err(E::into);
-    match batch.and_then(|b| queries.error().map_or(Ok(b), |e| Err(e.into()))) {
-        Ok(batch) => {
+    let searched = search(&mut queries, &mut sink).map_err(E::into);
+    match searched.and_then(|b| queries.error().map_or(Ok(b), |e| Err(e.into()))) {
+        Ok(searched) => {
             let records = sink.records_written();
             out.finish(sink.into_inner())?;
-            Ok((batch, records))
+            Ok((searched, records))
         }
         Err(e) => {
             out.discard();
@@ -569,98 +577,122 @@ fn run() -> Result<(), CliError> {
     if engine != "oris" && db_mode {
         return Err("--db is only supported by the oris engine".into());
     }
+    if !matches!(engine, "oris" | "blast") {
+        return Err(format!("unknown engine {engine:?}").into());
+    }
 
     let obs = build_obs(&args)?;
-    if db_mode {
-        return run_db(&args, &cfg, &obs);
-    }
-    if batch_mode {
-        return run_batch(&args, &cfg, &obs);
-    }
 
-    let bank1 = oris_seqio::read_fasta_file(&args.positional[0])
-        .map_err(|e| format!("{}: {e}", args.positional[0]))?;
-    let bank2 = oris_seqio::read_fasta_file(&args.positional[1])
-        .map_err(|e| format!("{}: {e}", args.positional[1]))?;
-
-    let (records, report) = match engine {
-        "oris" => {
-            // The subject (bank 2) is prepared once — built here, or
-            // loaded from a `mkindex` file — and the per-run stats report
-            // the amortized cost: `index_secs` covers only the query's
-            // build, the subject's one-time cost is its own field.
-            let t0 = Stopwatch::start();
-            let (mut session, subject_source) =
-                build_session(&bank2, &cfg, args.options.get("index"))?;
-            let subject_secs = t0.elapsed_secs();
-            session.set_obs(obs.obs.clone());
-            let subject = session.subject_stats();
-            let qt = Stopwatch::start();
-            let r = session.run(&bank1);
-            obs.obs
-                .observe_secs(names::QUERY_SECONDS, qt.elapsed_secs());
-            let s = r.stats;
-            let mut b = StatsBlock::new("oris", "plain");
-            b.field("subject_source", subject_source);
-            b.secs("subject_secs", subject_secs);
-            b.field("subject_builds", subject.builds);
-            b.field("queries", 1);
-            b.field("records", r.alignments.len());
-            pipeline_fields(&mut b, &s);
-            (r.alignments, b)
-        }
-        "blast" => {
-            let bcfg = oris_blast::BlastConfig::matched(&cfg);
-            let qt = Stopwatch::start();
-            let r = oris_blast::compare_banks(&bank1, &bank2, &bcfg);
-            obs.obs
-                .observe_secs(names::QUERY_SECONDS, qt.elapsed_secs());
-            let s = r.stats;
-            let mut b = StatsBlock::new("blast", "plain");
-            b.field("queries", 1);
-            b.field("records", r.alignments.len());
-            b.secs("lookup_secs", s.lookup_secs);
-            b.secs("scan_secs", s.scan_secs);
-            b.secs("gapped_secs", s.gapped_secs);
-            b.secs("output_secs", s.output_secs);
-            b.field("hsps", s.hsps);
-            b.field("alignments", s.raw_alignments);
-            b.field("probes", s.scan.probes);
-            b.field("hits", s.scan.hits);
-            b.field("suppressed", s.scan.suppressed);
-            b.field("extensions", s.scan.extensions);
-            (r.alignments, b)
-        }
-        other => return Err(format!("unknown engine {other:?}").into()),
+    // Every input is opened BEFORE Output::open creates the .tmp.<pid>
+    // sibling: a bad query path, batch directory, subject bank, index file
+    // or database must fail without leaving a stray tmp file behind.
+    let queries = match args.options.get("batch") {
+        Some(batch_path) => BatchQueries::open(batch_path)?,
+        None => BatchQueries::One(Some(read_bank(&args.positional[0])?)),
     };
-    obs.obs.count(names::QUERIES_TOTAL, 1);
-    obs.obs.count(names::RECORDS_TOTAL, records.len() as u64);
-
-    let (mut w, out) = Output::open(args.options.get("out"))?;
-    for r in &records {
-        if let Err(e) = writeln!(w, "{r}") {
-            out.discard();
-            return Err(e.to_string().into());
+    let stats = match args.options.get("db") {
+        Some(db_dir) => search_db(&args, &cfg, db_dir, &obs.obs, queries)?,
+        None => {
+            let bank2 = read_bank(args.positional.last().expect("counted above"))?;
+            match engine {
+                "blast" => search_blast(&args, &cfg, &bank2, &obs.obs, queries)?,
+                _ => search_bank(&args, &cfg, &bank2, &obs.obs, queries)?,
+            }
         }
-    }
-    out.finish(w)?;
-
+    };
     if args.has_flag("stats") {
-        eprintln!("{}", report.render());
+        eprintln!("{}", stats.render());
     }
     finish_obs(&obs)?;
     Ok(())
 }
 
-/// The `--db` mode: search a `makedb` database. Every query runs across
-/// all volumes (attached via mmap, through a bounded window
-/// when `--window` is set), all volumes' records merge into one ordered
-/// stream per query, and e-values are computed over the database-wide
-/// residue total from the manifest — so the output is byte-identical to
-/// a single-bank run over the concatenated input under `--dbsize
-/// <total>`. Composes with `--batch` for many-query runs.
-fn run_db(args: &Args, cfg: &OrisConfig, obs: &ObsSetup) -> Result<(), CliError> {
-    let db_dir = args.options.get("db").expect("checked by caller");
+/// The FASTA subject `bank2`: prepared once — built here, or attached
+/// from `--index` — then every query in turn. The subject's one-time cost
+/// is its own stats field; `index_secs` covers only the queries' builds.
+fn search_bank(
+    args: &Args,
+    cfg: &OrisConfig,
+    bank2: &Bank,
+    obs: &Obs,
+    queries: BatchQueries,
+) -> Result<StatsBlock, CliError> {
+    let batch_mode = !matches!(queries, BatchQueries::One(_));
+    let t0 = Stopwatch::start();
+    let (mut session, subject_source) = build_session(bank2, cfg, args.options.get("index"))?;
+    let subject_secs = t0.elapsed_secs();
+    session.set_obs(obs.clone());
+
+    let (batch, records) = stream_batch(args, queries, |q, sink| {
+        session.run_batch(q, sink).map_err(|e| e.to_string())
+    })?;
+
+    let mut b = StatsBlock::new("oris", if batch_mode { "batch" } else { "plain" });
+    if batch_mode {
+        b.field("batch_queries", batch.queries());
+    }
+    b.field("subject_source", subject_source);
+    b.secs("subject_secs", subject_secs);
+    b.field("subject_builds", batch.subject.builds);
+    if !batch_mode {
+        b.field("queries", batch.queries());
+    }
+    b.field("records", records);
+    if batch_mode {
+        b.field("total_index_builds", batch.total_index_builds());
+    }
+    pipeline_fields(&mut b, &batch.query_totals());
+    Ok(b)
+}
+
+/// The same FASTA subject under the BLASTN-style baseline, whose unit of
+/// work is the one whole query bank. It has no session to count for it,
+/// so its query is counted here.
+fn search_blast(
+    args: &Args,
+    cfg: &OrisConfig,
+    bank2: &Bank,
+    obs: &Obs,
+    queries: BatchQueries,
+) -> Result<StatsBlock, CliError> {
+    let bcfg = oris_blast::BlastConfig::matched(cfg);
+    let (s, records) = stream_batch(args, queries, |mut queries, sink| {
+        let query = queries.next().expect("the positional query bank");
+        let _span = obs.timed_span("query", names::QUERY_SECONDS);
+        oris_blast::compare_banks_into(&query, bank2, &bcfg, sink).map_err(|e| e.to_string())
+    })?;
+    obs.count(names::QUERIES_TOTAL, 1);
+    obs.count(names::RECORDS_TOTAL, records);
+
+    let mut b = StatsBlock::new("blast", "plain");
+    b.field("queries", 1);
+    b.field("records", records);
+    b.secs("lookup_secs", s.lookup_secs);
+    b.secs("scan_secs", s.scan_secs);
+    b.secs("gapped_secs", s.gapped_secs);
+    b.secs("output_secs", s.output_secs);
+    b.field("hsps", s.hsps);
+    b.field("alignments", s.raw_alignments);
+    b.field("probes", s.scan.probes);
+    b.field("hits", s.scan.hits);
+    b.field("suppressed", s.scan.suppressed);
+    b.field("extensions", s.scan.extensions);
+    Ok(b)
+}
+
+/// The `--db` subject: a `makedb` database. Every query runs across all
+/// volumes (attached via mmap, through a bounded window when `--window` is
+/// set), all volumes' records merge into one ordered stream per query, and
+/// e-values are computed over the database-wide residue total from the
+/// manifest — so the output is byte-identical to a single-bank run over
+/// the concatenated input under `--dbsize <total>`.
+fn search_db(
+    args: &Args,
+    cfg: &OrisConfig,
+    db_dir: &str,
+    obs: &Obs,
+    queries: BatchQueries,
+) -> Result<StatsBlock, CliError> {
     let window: usize = args.get_or("window", 0).map_err(|e| e.to_string())?;
     // --workers 0 and 1 are both the sequential walk (0 would be a
     // useless footgun to reject; treat it as "no parallelism").
@@ -690,36 +722,22 @@ fn run_db(args: &Args, cfg: &OrisConfig, obs: &ObsSetup) -> Result<(), CliError>
     // config checks — everything between "a directory name" and "ready
     // to attach volumes".
     let t0 = Stopwatch::start();
-    let db = oris_db::Database::open(db_dir).map_err(|e| CliError {
+    let located = |e: oris_db::DbError| CliError {
         msg: format!("{db_dir}: {e}"),
         code: e.exit_code(),
-    })?;
+    };
+    let db = oris_db::Database::open(db_dir).map_err(located)?;
     let opts = oris_db::DbOptions {
         window,
         on_volume_error,
         deadline,
         volume_workers: workers.max(1),
         result_cache_bytes,
-        ..oris_db::DbOptions::default()
     };
-    let mut session = oris_db::DbSession::new(&db, cfg, opts).map_err(|e| CliError {
-        msg: format!("{db_dir}: {e}"),
-        code: e.exit_code(),
-    })?;
-    session.set_obs(obs.obs.clone());
+    let mut session = oris_db::DbSession::new(&db, cfg, opts).map_err(located)?;
+    session.set_obs(obs.clone());
     let open_secs = t0.elapsed_secs();
 
-    // Every input is opened BEFORE Output::open creates the .tmp.<pid>
-    // sibling: a bad query path or batch directory must fail without
-    // leaving a stray tmp file behind (the invariant the atomic-output
-    // tests pin for the non-db modes).
-    let queries = match args.options.get("batch") {
-        Some(batch_path) => BatchQueries::open(batch_path)?,
-        None => BatchQueries::One(Some(
-            oris_seqio::read_fasta_file(&args.positional[0])
-                .map_err(|e| format!("{}: {e}", args.positional[0]))?,
-        )),
-    };
     let (batch, records) = stream_batch(args, queries, |q, sink| session.run_batch(q, sink))?;
 
     // A degraded run succeeded by design — but it must say so, loudly and
@@ -737,90 +755,50 @@ fn run_db(args: &Args, cfg: &OrisConfig, obs: &ObsSetup) -> Result<(), CliError>
         );
     }
 
-    if args.has_flag("stats") {
-        let costs = session.volume_costs();
-        let attach_secs: f64 = costs.iter().map(|c| c.attach_secs).sum();
-        let strand_secs: f64 = costs.iter().map(|c| c.strand_build_secs).sum();
-        let mapped = costs.iter().filter(|c| c.mmap_backed).count();
-        let total = match session.config().subject_space {
-            oris_eval::SubjectSpace::Database(n) => n,
-            oris_eval::SubjectSpace::PerSequence => 0,
-        };
-        let cache = session.result_cache_counters();
-        // The counter fields render from the oris-obs metrics registry —
-        // --stats arms the handle, and the db_obs integration test pins
-        // these registry values equal to the ResultCache's own counters.
-        let o = &obs.obs;
-        let mut b = StatsBlock::new("oris", "db");
-        b.field("db", db_dir);
-        b.field("volumes", db.num_volumes());
-        b.field("db_residues", total);
-        b.field("queries", batch.queries());
-        b.field("records", records);
-        b.field("attaches", o.counter(names::VOLUME_ATTACHES_TOTAL));
-        b.secs("open_secs", open_secs);
-        b.secs("attach_secs", attach_secs);
-        b.secs("strand_build_secs", strand_secs);
-        b.field("mapped_volumes", mapped);
-        b.field("workers", workers);
-        b.field("dispatches", o.counter(names::WORKER_DISPATCH_TOTAL));
-        b.field("io_retries", o.counter(names::IO_RETRIES_TOTAL));
-        b.field("quarantines", o.counter(names::VOLUME_QUARANTINES_TOTAL));
-        b.field(
-            "deadline_expiries",
-            o.counter(names::DEADLINE_EXPIRIES_TOTAL),
-        );
-        b.field("cache_hits", o.counter(names::CACHE_HITS_TOTAL));
-        b.field("cache_misses", o.counter(names::CACHE_MISSES_TOTAL));
-        b.field("cache_insertions", o.counter(names::CACHE_INSERTIONS_TOTAL));
-        b.field("cache_evictions", o.counter(names::CACHE_EVICTIONS_TOTAL));
-        b.field(
-            "cache_invalidations",
-            o.counter(names::CACHE_INVALIDATIONS_TOTAL),
-        );
-        b.field("cache_entries", cache.entries);
-        b.field("cache_bytes", cache.bytes);
-        pipeline_fields(&mut b, &batch.query_totals());
-        eprintln!("{}", b.render());
+    let costs = session.volume_costs();
+    let total = match session.config().subject_space {
+        oris_eval::SubjectSpace::Database(n) => n,
+        oris_eval::SubjectSpace::PerSequence => 0,
+    };
+    let cache = session.result_cache_counters();
+    let mut b = StatsBlock::new("oris", "db");
+    b.field("db", db_dir);
+    b.field("volumes", db.num_volumes());
+    b.field("db_residues", total);
+    b.field("queries", batch.queries());
+    b.field("records", records);
+    b.field("attaches", obs.counter(names::VOLUME_ATTACHES_TOTAL));
+    b.secs("open_secs", open_secs);
+    b.secs("attach_secs", costs.iter().map(|c| c.attach_secs).sum());
+    b.secs(
+        "strand_build_secs",
+        costs.iter().map(|c| c.strand_build_secs).sum(),
+    );
+    b.field(
+        "mapped_volumes",
+        costs.iter().filter(|c| c.mmap_backed).count(),
+    );
+    b.field("workers", workers);
+    // These render from the oris-obs metrics registry — --stats arms the
+    // handle, and the db_obs integration test pins the registry values
+    // equal to the ResultCache's own counters.
+    for (key, counter) in [
+        ("dispatches", names::WORKER_DISPATCH_TOTAL),
+        ("io_retries", names::IO_RETRIES_TOTAL),
+        ("quarantines", names::VOLUME_QUARANTINES_TOTAL),
+        ("deadline_expiries", names::DEADLINE_EXPIRIES_TOTAL),
+        ("cache_hits", names::CACHE_HITS_TOTAL),
+        ("cache_misses", names::CACHE_MISSES_TOTAL),
+        ("cache_insertions", names::CACHE_INSERTIONS_TOTAL),
+        ("cache_evictions", names::CACHE_EVICTIONS_TOTAL),
+        ("cache_invalidations", names::CACHE_INVALIDATIONS_TOTAL),
+    ] {
+        b.field(key, obs.counter(counter));
     }
-    finish_obs(obs)?;
-    Ok(())
-}
-
-/// The `--batch` mode: one prepared subject, a stream of query banks,
-/// records leaving through a [`StreamWriter`] as each query finishes.
-fn run_batch(args: &Args, cfg: &OrisConfig, obs: &ObsSetup) -> Result<(), CliError> {
-    let batch_path = args.options.get("batch").expect("checked by caller");
-    let queries = BatchQueries::open(batch_path)?;
-    let bank2 = oris_seqio::read_fasta_file(&args.positional[0])
-        .map_err(|e| format!("{}: {e}", args.positional[0]))?;
-
-    let t0 = Stopwatch::start();
-    let (mut session, subject_source) = build_session(&bank2, cfg, args.options.get("index"))?;
-    let subject_secs = t0.elapsed_secs();
-    session.set_obs(obs.obs.clone());
-
-    let (batch, records) = stream_batch(args, queries, |q, sink| {
-        session.run_batch(q, sink).map_err(|e| e.to_string())
-    })?;
-    obs.obs.count(names::QUERIES_TOTAL, batch.queries() as u64);
-    obs.obs.count(names::RECORDS_TOTAL, records);
-
-    if args.has_flag("stats") {
-        let t = batch.query_totals();
-        let subject = &batch.subject;
-        let mut b = StatsBlock::new("oris", "batch");
-        b.field("batch_queries", batch.queries());
-        b.field("subject_source", subject_source);
-        b.secs("subject_secs", subject_secs);
-        b.field("subject_builds", subject.builds);
-        b.field("records", records);
-        b.field("total_index_builds", batch.total_index_builds());
-        pipeline_fields(&mut b, &t);
-        eprintln!("{}", b.render());
-    }
-    finish_obs(obs)?;
-    Ok(())
+    b.field("cache_entries", cache.entries);
+    b.field("cache_bytes", cache.bytes);
+    pipeline_fields(&mut b, &batch.query_totals());
+    Ok(b)
 }
 
 fn main() -> ExitCode {

@@ -73,6 +73,46 @@ fn flip_byte(path: &Path, offset: usize, mask: u8) {
     std::fs::write(path, bytes).unwrap();
 }
 
+/// Hand-edits the manifest of `db` and restamps its checksum (which is
+/// not a MAC: whoever edits the file can recompute it). Each edit would
+/// make the parser size or sum from a number it has only read.
+fn hand_edit_manifest(db: &Path, edit: &str) {
+    let path = db.join("manifest.orisdb");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    lines.pop(); // the checksum line
+    let row = |l: &str| -> Vec<String> { l.split(' ').map(str::to_string).collect() };
+    if edit == "wrapping residues" {
+        // Row 0 claims 2^64 − 1 residues and row 1 one more than the two
+        // really hold: the sum wraps around to exactly `total_residues`.
+        let at = lines
+            .iter()
+            .position(|l| l.starts_with("volume 0 "))
+            .unwrap();
+        let (mut r0, mut r1) = (row(&lines[at]), row(&lines[at + 1]));
+        let held: u64 = r0[2].parse::<u64>().unwrap() + r1[2].parse::<u64>().unwrap();
+        r0[2] = u64::MAX.to_string();
+        r1[2] = (held + 1).to_string();
+        lines[at] = r0.join(" ");
+        lines[at + 1] = r1.join(" ");
+    } else {
+        let at = lines
+            .iter()
+            .position(|l| l.starts_with("volumes "))
+            .unwrap();
+        lines[at] = edit.to_string();
+    }
+    let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let checksum = oris_index::persist::fnv1a(body.as_bytes());
+    std::fs::write(&path, format!("{body}checksum {checksum:016x}\n")).unwrap();
+}
+
+const HAND_EDITS: [&str; 3] = [
+    "volumes 18446744073709551615",
+    "volumes 100000000000000",
+    "wrapping residues",
+];
+
 fn search(db: &Path, query: &Path, extra: &[&str]) -> std::process::Output {
     scoris_n()
         .arg(query)
@@ -118,6 +158,11 @@ fn corrupt_manifest_exits_2() {
     flip_byte(&db.join("manifest.orisdb"), 20, 0x04);
     let out = search(&db, &query, &[]);
     assert_clean_failure(&out, 2, "manifest");
+    for edit in HAND_EDITS {
+        let (db, query) = fixture("manifest");
+        hand_edit_manifest(&db, edit);
+        assert_clean_failure(&search(&db, &query, &[]), 2, "manifest");
+    }
 }
 
 #[test]
@@ -257,6 +302,12 @@ fn verifydb_corrupt_manifest_exits_2() {
     flip_byte(&db.join("manifest.orisdb"), 25, 0x10);
     let out = verifydb().arg(&db).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    for edit in HAND_EDITS {
+        let (db, _) = fixture("verify_manifest");
+        hand_edit_manifest(&db, edit);
+        let out = verifydb().arg(&db).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{edit}: {out:?}");
+    }
 }
 
 #[test]

@@ -279,3 +279,64 @@ fn stats_schema_is_unified_across_modes() {
         assert!(dbs.contains(key), "db stats missing {key}: {dbs}");
     }
 }
+
+#[test]
+fn every_mode_counts_the_queries_it_runs() {
+    let dir = scratch("counts");
+    let (subject, query) = write_fixture(&dir);
+    let db = build_db(&dir, &subject);
+    // Three query banks as one multi-FASTA file: two homologs, one miss.
+    let batch = dir.join("batch.fa");
+    std::fs::write(
+        &batch,
+        format!(">a\nTTGACCGTAA{CORE}CCGG\n>b\n{CORE}\n>c\nACGTTGCAAGGCTTAACGTACGGATC\n"),
+    )
+    .unwrap();
+    let (subject, query, db, batch) = (
+        subject.to_str().unwrap(),
+        query.to_str().unwrap(),
+        db.to_str().unwrap(),
+        batch.to_str().unwrap(),
+    );
+    for (mode, inputs, banks) in [
+        ("plain", vec![query, subject], 1),
+        ("batch", vec!["--batch", batch, subject], 3),
+        ("db", vec![query, "--db", db], 1),
+        ("batch_db", vec!["--batch", batch, "--db", db], 3),
+    ] {
+        let metrics = dir.join(format!("{mode}.json"));
+        let trace = dir.join(format!("{mode}.jsonl"));
+        let out = scoris_n()
+            .args(&inputs)
+            .args(["-W", "8", "--metrics-json", metrics.to_str().unwrap()])
+            .args(["--trace", trace.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{mode}: {out:?}");
+        let lines = String::from_utf8(out.stdout).unwrap().lines().count();
+        assert!(lines > 0, "{mode}: the homologs must hit");
+
+        let doc = std::fs::read_to_string(&metrics).unwrap();
+        for counted in [
+            format!("\"queries_total\":{banks}"),
+            format!("\"records_total\":{lines}"),
+        ] {
+            assert!(doc.contains(&counted), "{mode}: no {counted} in {doc}");
+        }
+        let histogram = doc.split("\"query_seconds\":{").nth(1).unwrap();
+        let totals = histogram.split("\"buckets\"").next().unwrap();
+        assert!(
+            totals.contains(&format!(",\"count\":{banks},")),
+            "{mode}: query_seconds.count is not {banks}: {doc}"
+        );
+
+        let text = std::fs::read_to_string(&trace).unwrap();
+        let query_events = |ev: &str| {
+            text.lines()
+                .filter(|l| l.contains("\"span\":\"query\"") && l.contains(ev))
+                .count()
+        };
+        assert_eq!(query_events("\"ev\":\"begin\""), banks, "{mode}:\n{text}");
+        assert_eq!(query_events("\"ev\":\"end\""), banks, "{mode}:\n{text}");
+    }
+}

@@ -83,8 +83,6 @@ pub struct OrisConfig {
     /// Worker threads for steps 1–3. `None` = rayon's global default;
     /// `Some(1)` = fully sequential (reference behaviour).
     pub threads: Option<usize>,
-    /// Maximum span of a gapped extension per direction (safety bound).
-    pub max_gapped_span: usize,
     /// Subject-side effective search space for e-values
     /// ([`oris_eval::SubjectSpace`]): the SCORIS-N per-sequence
     /// convention by default; `Database(total)` for sharded-database
@@ -106,7 +104,6 @@ impl Default for OrisConfig {
             asymmetric: false,
             both_strands: false,
             threads: None,
-            max_gapped_span: 1 << 20,
             subject_space: SubjectSpace::PerSequence,
         }
     }

@@ -17,7 +17,7 @@
 //!   read, so code that threads a deadline through pays nothing when
 //!   the caller didn't ask for one (the no-fault/no-deadline path stays
 //!   byte-identical *and* cost-identical).
-//! * [`Deadline::after`] / [`Deadline::at`] arm a wall-clock expiry.
+//! * [`Deadline::after`] arms a wall-clock expiry.
 //! * [`Deadline::cancellable`] arms a pure cancel token with no expiry;
 //!   any clone can revoke the work with [`Deadline::cancel`] (e.g. a
 //!   supervisor thread timing out a request).
@@ -75,33 +75,24 @@ impl Deadline {
         Deadline { inner: None }
     }
 
-    /// A deadline expiring `budget` from now. A budget beyond the
-    /// clock's representable range can never be reached, so it degrades
-    /// to a pure cancel token instead of panicking.
+    /// A deadline expiring `budget` from now on the workspace's one
+    /// clock ([`oris_obs::monotonic_now`]). A budget beyond the clock's
+    /// representable range can never be reached, so it degrades to a
+    /// pure cancel token instead of panicking.
     pub fn after(budget: Duration) -> Deadline {
-        match monotonic_now().checked_add(budget) {
-            Some(t) => Deadline::at(t),
-            None => Deadline::cancellable(),
-        }
-    }
-
-    /// A deadline expiring at `t`, an offset from the
-    /// [`oris_obs::monotonic_now`] epoch (the workspace's one clock).
-    pub fn at(t: Duration) -> Deadline {
-        Deadline {
-            inner: Some(Arc::new(Inner {
-                expires: Some(t),
-                cancelled: AtomicBool::new(false),
-            })),
-        }
+        Deadline::armed(monotonic_now().checked_add(budget))
     }
 
     /// A pure cancel token: no wall-clock expiry, trips only when some
     /// clone calls [`Deadline::cancel`].
     pub fn cancellable() -> Deadline {
+        Deadline::armed(None)
+    }
+
+    fn armed(expires: Option<Duration>) -> Deadline {
         Deadline {
             inner: Some(Arc::new(Inner {
-                expires: None,
+                expires,
                 cancelled: AtomicBool::new(false),
             })),
         }
@@ -194,7 +185,8 @@ mod tests {
 
     #[test]
     fn past_offset_is_expired() {
-        let d = Deadline::at(monotonic_now().saturating_sub(Duration::from_millis(1)));
+        let past = monotonic_now().saturating_sub(Duration::from_millis(1));
+        let d = Deadline::armed(Some(past));
         assert!(d.expired());
     }
 

@@ -15,9 +15,8 @@
 //!   query exactly once, and a stream of N queries prepares the subject
 //!   exactly once.
 //!
-//! [`crate::compare_banks`] is a thin wrapper — one throwaway session, one
-//! query — so single-shot callers keep their API while paying the same
-//! costs as before. Every result carries `PipelineStats::index_builds`, a
+//! [`crate::compare_banks`] is one throwaway session and one
+//! [`Session::run`]. Every result carries `PipelineStats::index_builds`, a
 //! counter of mask+index constructions attributed to it, which is how the
 //! tests pin the amortization down (a session run reports only its query's
 //! build; the subject's one-time build is reported by
@@ -25,9 +24,9 @@
 
 use std::borrow::Cow;
 
-use oris_dust::{DustMasker, EntropyMasker, Masker};
+use oris_dust::{DustMasker, EntropyMasker, MaskSet};
 use oris_index::{BankIndex, IndexConfig};
-use oris_obs::{Obs, Stopwatch};
+use oris_obs::{names, Obs, Stopwatch};
 use oris_seqio::Bank;
 
 use crate::config::{FilterKind, OrisConfig};
@@ -49,15 +48,21 @@ pub struct PrepareStats {
     pub builds: u32,
 }
 
-fn mask_for(filter: FilterKind, bank: &Bank) -> Option<oris_dust::MaskSet> {
+/// The low-complexity mask `filter` puts on `bank` — the one place a
+/// [`FilterKind`] is turned into a masker (`None` for
+/// [`FilterKind::None`]). Both engines index through
+/// [`PreparedBank::prepare`], which discards every word *overlapping* the
+/// mask; the BLAST baseline also needs the subject's mask itself for its
+/// scan.
+pub fn mask_for(filter: FilterKind, bank: &Bank) -> Option<MaskSet> {
     match filter {
         FilterKind::None => None,
-        FilterKind::Entropy => Some(EntropyMasker::default().mask_bank(bank)),
-        FilterKind::Dust => Some(DustMasker::default().mask_bank(bank)),
+        FilterKind::Entropy => Some(EntropyMasker::default().mask(bank)),
+        FilterKind::Dust => Some(DustMasker::default().mask(bank)),
     }
 }
 
-fn build_index(bank: &Bank, cfg: IndexConfig, mask: &Option<oris_dust::MaskSet>) -> BankIndex {
+fn build_index(bank: &Bank, cfg: IndexConfig, mask: &Option<MaskSet>) -> BankIndex {
     match mask {
         Some(m) => {
             // BLAST masking semantics: discard a word when it *overlaps*
@@ -86,6 +91,11 @@ pub struct PreparedBank<'a> {
 
 impl<'a> PreparedBank<'a> {
     /// Runs step 1 (masking + indexing) on a borrowed bank.
+    ///
+    /// # Panics
+    /// Panics if the bank holds [`oris_index::MAX_BANK_LEN`] positions or
+    /// more (the command-line tools refuse such a bank when they read it
+    /// and point at `makedb --volume-size`).
     pub fn prepare(bank: &'a Bank, filter: FilterKind, icfg: IndexConfig) -> PreparedBank<'a> {
         Self::prepare_cow(Cow::Borrowed(bank), filter, icfg)
     }
@@ -307,39 +317,6 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// One-shot constructor for [`crate::compare_banks`]: prepares the
-    /// subject (both strands) and the query concurrently in the session's
-    /// pool, preserving the step-1 parallelism the per-call pipeline had.
-    pub(crate) fn new_with_query<'q>(
-        subject: &'a Bank,
-        query: &'q Bank,
-        cfg: &OrisConfig,
-    ) -> Result<(Session<'a>, PreparedBank<'q>), String> {
-        cfg.validate()?;
-        let pool = Self::pool_for(cfg)?;
-        let qcfg = cfg.query_index_config();
-        let work = || {
-            rayon::join(
-                || Self::prepare_strands(subject, cfg),
-                || PreparedBank::prepare(query, cfg.filter, qcfg),
-            )
-        };
-        let ((plus, minus), prepared_query) = match &pool {
-            Some(p) => p.install(work),
-            None => work(),
-        };
-        Ok((
-            Session {
-                cfg: *cfg,
-                plus,
-                minus,
-                pool,
-                obs: Obs::disarmed(),
-            },
-            prepared_query,
-        ))
-    }
-
     /// Builds a session around an already prepared subject — typically
     /// one whose index was loaded from disk via
     /// [`PreparedBank::from_index`].
@@ -531,28 +508,30 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// One whole query for the conveniences: [`Session::search`] without
-    /// a deadline, the query boundary, and the query's own build added
-    /// to the report.
-    pub(crate) fn search_to_boundary(
+    /// One whole query for the conveniences, counted as the database
+    /// session counts its own: a `query` span timed into `query_seconds`
+    /// around the query's step 1, [`Session::search`] without a deadline
+    /// and the query boundary, then `queries_total` and `records_total`.
+    /// ([`Session::search`] itself counts nothing — a database session
+    /// calls it once per volume of one query.)
+    fn search_to_boundary(
         &self,
-        query: &PreparedBank<'_>,
+        query: &Bank,
         sink: &mut dyn RecordSink,
     ) -> std::io::Result<PipelineStats> {
+        let _span = self.obs.timed_span("query", names::QUERY_SECONDS);
+        let prepared = self.install(|| {
+            PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config())
+        });
         let mut stats = self
-            .search(query, sink, &Deadline::none())
+            .search(&prepared, sink, &Deadline::none())
             .expect("the query was prepared under this configuration and no deadline is armed");
         sink.end_query()?;
-        stats.index_secs += query.stats.build_secs;
-        stats.index_builds += query.stats.builds;
+        stats.index_secs += prepared.stats.build_secs;
+        stats.index_builds += prepared.stats.builds;
+        self.obs.count(names::QUERIES_TOTAL, 1);
+        self.obs.count(names::RECORDS_TOTAL, stats.step4.emitted);
         Ok(stats)
-    }
-
-    /// Step 1 for a query bank, inside the session's pool.
-    fn prepare_query<'q>(&self, query: &'q Bank) -> PreparedBank<'q> {
-        self.install(|| {
-            PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config())
-        })
     }
 
     /// Prepares `query` (step 1, counted in the returned stats), runs it
@@ -560,7 +539,7 @@ impl<'a> Session<'a> {
     pub fn run(&self, query: &Bank) -> OrisResult {
         let mut sink = CollectSink::new();
         let stats = self
-            .search_to_boundary(&self.prepare_query(query), &mut sink)
+            .search_to_boundary(query, &mut sink)
             .expect("CollectSink does no IO and cannot fail");
         OrisResult {
             alignments: sink.into_records(),
@@ -598,8 +577,7 @@ impl<'a> Session<'a> {
             ..BatchStats::default()
         };
         for q in queries {
-            let prep = self.prepare_query(q.borrow());
-            let stats = self.search_to_boundary(&prep, sink)?;
+            let stats = self.search_to_boundary(q.borrow(), sink)?;
             batch.queries += 1;
             batch.totals = batch.totals.merge(&stats);
         }

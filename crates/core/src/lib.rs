@@ -31,8 +31,6 @@
 //!
 //! * [`sink::CollectSink`] keeps everything (this *is* how
 //!   [`OrisResult`] is built — the collected path is the streamed path);
-//! * [`sink::TopKSink`] retains the best `k` per query sequence in a
-//!   bounded heap (serving workloads);
 //! * [`sink::StreamWriter`] emits `-m 8` lines incrementally through
 //!   [`oris_eval::M8Writer`], holding at most one query's records.
 //!
@@ -47,10 +45,9 @@
 //! next query starts. [`engine::BatchStats`] reports the subject's
 //! one-time cost exactly once plus a per-query report each.
 //!
-//! * [`compare_banks`] — the single-shot wrapper (one throwaway session,
-//!   one query) that keeps the original two-bank API; a `both_strands`
-//!   call prepares each bank exactly once instead of rebuilding the
-//!   query per strand.
+//! * [`compare_banks`] — the single-shot two-bank call: one throwaway
+//!   session, one [`engine::Session::run`], the subject's preparation
+//!   folded into the report.
 //!
 //! **Scale out** (the `oris-db` crate builds on these hooks): a sharded
 //! subject database runs one query against many volumes, each volume an
@@ -140,7 +137,7 @@ pub use deadline::{Deadline, DeadlineExceeded};
 pub use engine::{BatchStats, PrepareStats, PreparedBank, SearchError, Session};
 pub use hsp::Hsp;
 pub use pipeline::{compare_banks, OrisResult, PipelineStats};
-pub use sink::{CollectSink, RecordSink, StreamWriter, TopKSink};
+pub use sink::{CollectSink, RecordSink, StreamWriter};
 
 /// The output record type (BLAST `-m 8` row), re-exported from
 /// `oris-eval` so both engines share one definition.

@@ -3,14 +3,13 @@
 //! module runs steps 2–4 against the prepared artifacts, one subject
 //! strand per call (the session sums the strands' reports; their records
 //! merge in the sink's boundary sort). [`compare_banks`] is the
-//! single-shot wrapper that glues the two together.
+//! single-shot call that glues the two together.
 //!
-//! Since the streaming refactor, steps 2–4 are **sink-driven**: the
-//! per-strand runner (`run_prepared_pipeline_into`) pushes records into a
-//! caller-supplied callback as step 3 finishes each `(query, subject)`
-//! record-pair group, instead of returning a whole `Vec`. Whole-result
-//! materialization is a *sink policy* (`CollectSink`) now, not a pipeline
-//! property.
+//! Steps 2–4 are **sink-driven**: the per-strand runner
+//! (`run_prepared_pipeline_into`) pushes records into a caller-supplied
+//! callback as step 3 finishes each `(query, subject)` record-pair group.
+//! Materializing a whole result is a *sink policy* (`CollectSink`), not a
+//! pipeline property.
 
 use oris_eval::M8Record;
 use oris_obs::{Field, Obs, Stopwatch};
@@ -20,7 +19,6 @@ use crate::config::OrisConfig;
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::engine::{PreparedBank, Session};
 use crate::hsp::Hsp;
-use crate::sink::CollectSink;
 use crate::step2::{self, Step2Stats};
 use crate::step3::{self, GappedAlignment, Step3Stats};
 use crate::step4::{self, Step4Stats};
@@ -252,13 +250,12 @@ pub(crate) fn run_prepared_pipeline_into(
 /// Compares two banks with the ORIS algorithm.
 ///
 /// This is the library's single-shot entry point — the equivalent of
-/// running the SCORIS-N prototype on two FASTA banks — implemented as a
-/// thin wrapper over a one-query [`Session`]: bank 2 is prepared once
-/// (both strands when `cfg.both_strands`, so a dual-strand run no longer
-/// rebuilds bank 1's mask+index a second time), bank 1 once, and the
-/// subject's preparation cost is folded back into the returned stats so
-/// the report covers the whole call. For *many* queries against one
-/// subject, hold a [`Session`] instead and pay the subject build once.
+/// running the SCORIS-N prototype on two FASTA banks: one throwaway
+/// [`Session`] over bank 2 (both strands when `cfg.both_strands`), one
+/// [`Session::run`] of bank 1, and the subject's preparation cost folded
+/// into the returned stats so the report covers the whole call. For
+/// *many* queries against one subject, hold a [`Session`] instead and pay
+/// the subject build once.
 ///
 /// `cfg.threads` selects the worker count (a dedicated rayon pool);
 /// `None` uses the global pool. With `cfg.both_strands` the complementary
@@ -268,25 +265,12 @@ pub(crate) fn run_prepared_pipeline_into(
 /// # Panics
 /// Panics if the configuration fails [`OrisConfig::validate`].
 pub fn compare_banks(bank1: &Bank, bank2: &Bank, cfg: &OrisConfig) -> OrisResult {
-    if let Err(e) = cfg.validate() {
-        panic!("invalid ORIS configuration: {e}");
-    }
-    // Subject strands and query are prepared concurrently (the step-1
-    // parallelism the per-call pipeline had), so index_secs sums per-bank
-    // build seconds that may overlap in wall-clock.
-    let (session, query) = Session::new_with_query(bank2, bank1, cfg)
-        .unwrap_or_else(|e| panic!("failed to start comparison session: {e}"));
-    let mut sink = CollectSink::new();
-    let mut stats = session
-        .search_to_boundary(&query, &mut sink)
-        .expect("CollectSink does no IO and cannot fail");
+    let session = Session::new(bank2, cfg).unwrap_or_else(|e| panic!("cannot compare banks: {e}"));
+    let mut result = session.run(bank1);
     let subject = session.subject_stats();
-    stats.index_secs += subject.build_secs;
-    stats.index_builds += subject.builds;
-    OrisResult {
-        alignments: sink.into_records(),
-        stats,
-    }
+    result.stats.index_secs += subject.build_secs;
+    result.stats.index_builds += subject.builds;
+    result
 }
 
 #[cfg(test)]
@@ -592,7 +576,7 @@ mod strand_tests {
         // partial_cmp().unwrap() there panicked when an e-value was NaN
         // (e.g. degenerate Karlin–Altschul parameters); total_cmp must
         // sort deterministically instead.
-        use crate::sink::RecordSink;
+        use crate::sink::{CollectSink, RecordSink};
         use oris_eval::M8Record;
         let rec = |sid: &str, evalue: f64| M8Record {
             qid: "q".into(),

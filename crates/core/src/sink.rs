@@ -1,18 +1,13 @@
 //! Result sinks — where streamed records go.
 //!
-//! Steps 2–4 no longer return whole `Vec`s through the pipeline: step 3
-//! hands each `(query record, subject record)` group to step 4 as soon as
-//! it is computed, and step 4 pushes the surviving records into a
+//! Step 3 hands each `(query record, subject record)` group to step 4 as
+//! soon as it is computed, and step 4 pushes the surviving records into a
 //! [`RecordSink`]. The sink owns ordering and retention policy:
 //!
 //! * [`CollectSink`] — keeps everything, sorting each query's records with
 //!   the strict total order [`M8Record::total_order`] at the query
-//!   boundary. Reproduces the pre-streaming `OrisResult` exactly (it *is*
-//!   how `Session::run` builds one).
-//! * [`TopKSink`] — serving-workload retention: at most `k` records per
-//!   query sequence, held in a bounded heap so memory never grows with hit
-//!   count. With `k` at least the per-sequence hit count it degenerates to
-//!   [`CollectSink`] (pinned by proptests).
+//!   boundary. It is how `Session::run` builds an `OrisResult`, and the
+//!   per-volume staging buffer of a database search.
 //! * [`StreamWriter`] — incremental `-m 8` emission through
 //!   [`oris_eval::M8Writer`]: buffers one query, sorts it at the boundary,
 //!   writes, frees. Peak memory tracks the largest single query, not the
@@ -24,8 +19,6 @@
 //! same strict total order, collected and streamed output are
 //! byte-identical regardless of thread count or batch order.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Write};
 
 use oris_eval::{M8Record, M8Writer};
@@ -83,120 +76,6 @@ impl RecordSink for CollectSink {
     fn end_query(&mut self) -> io::Result<()> {
         self.records[self.segment_start..].sort_by(|x, y| x.total_order(y));
         self.segment_start = self.records.len();
-        Ok(())
-    }
-}
-
-/// Max-heap entry ordered by [`M8Record::total_order`], so the heap's top
-/// is the *worst* retained record — the one a better arrival evicts.
-struct Worst(M8Record);
-
-impl PartialEq for Worst {
-    fn eq(&self, other: &Worst) -> bool {
-        self.0.total_order(&other.0) == Ordering::Equal
-    }
-}
-impl Eq for Worst {}
-impl PartialOrd for Worst {
-    fn partial_cmp(&self, other: &Worst) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Worst {
-    fn cmp(&self, other: &Worst) -> Ordering {
-        self.0.total_order(&other.0)
-    }
-}
-
-/// Best-`k` retention per query sequence *id* (`qid`), for serving
-/// workloads where only the strongest hits matter and memory must not
-/// grow with hit count: each id holds a bounded max-heap of its `k` best
-/// records (best under [`M8Record::total_order`], i.e. smallest e-value
-/// first), evicting the worst on overflow in O(log k).
-///
-/// The budget is keyed by the record's `qid` string — all a finished
-/// record carries — so two distinct query sequences sharing one FASTA
-/// name share one `k` budget. Banks with duplicate record names should
-/// be deduplicated upstream if per-sequence retention matters.
-///
-/// At each query boundary the retained records are frozen into the output
-/// in the same strict total order [`CollectSink`] uses, so with `k` ≥ the
-/// per-sequence hit count the two sinks produce identical output.
-#[derive(Default)]
-pub struct TopKSink {
-    k: usize,
-    /// Current query's retention, keyed by query sequence id.
-    // oris-lint: allow(det-hash) — per-query retention only; drained and sorted before anything is emitted
-    current: HashMap<String, BinaryHeap<Worst>>,
-    /// Records dropped by the bound so far (across all queries).
-    dropped: u64,
-    /// Completed queries' output, per-query sorted segments in batch order.
-    records: Vec<M8Record>,
-}
-
-impl TopKSink {
-    /// A sink retaining at most `k` records per query sequence.
-    ///
-    /// # Panics
-    /// Panics if `k` is zero (a sink that retains nothing is a
-    /// misconfiguration, not a policy).
-    pub fn new(k: usize) -> TopKSink {
-        assert!(k > 0, "TopKSink requires k >= 1");
-        TopKSink {
-            k,
-            ..TopKSink::default()
-        }
-    }
-
-    /// Records dropped by the `k` bound so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Retained records of all completed queries.
-    pub fn records(&self) -> &[M8Record] {
-        &self.records
-    }
-
-    /// Consumes the sink, returning the retained records.
-    pub fn into_records(self) -> Vec<M8Record> {
-        self.records
-    }
-}
-
-impl RecordSink for TopKSink {
-    fn accept(&mut self, rec: M8Record) {
-        // Probe by reference first: the overwhelmingly common case is a
-        // sequence already in the map, which must not pay a qid clone
-        // per record on this hot path.
-        match self.current.get_mut(&rec.qid) {
-            None => {
-                let mut heap = BinaryHeap::with_capacity(self.k + 1);
-                let qid = rec.qid.clone();
-                heap.push(Worst(rec));
-                self.current.insert(qid, heap);
-            }
-            Some(heap) => {
-                if heap.len() < self.k {
-                    heap.push(Worst(rec));
-                } else if rec.total_order(&heap.peek().expect("non-empty heap").0) == Ordering::Less
-                {
-                    heap.push(Worst(rec));
-                    heap.pop();
-                    self.dropped += 1;
-                } else {
-                    self.dropped += 1;
-                }
-            }
-        }
-    }
-
-    fn end_query(&mut self) -> io::Result<()> {
-        let start = self.records.len();
-        for (_, heap) in self.current.drain() {
-            self.records.extend(heap.into_iter().map(|w| w.0));
-        }
-        self.records[start..].sort_by(|x, y| x.total_order(y));
         Ok(())
     }
 }
@@ -285,148 +164,6 @@ mod tests {
         sink.end_query().unwrap();
         let sids: Vec<&str> = sink.records().iter().map(|r| r.sid.as_str()).collect();
         assert_eq!(sids, vec!["s1", "s2", "s0", "s1"]);
-    }
-
-    #[test]
-    fn topk_keeps_the_k_best_per_sequence() {
-        let mut sink = TopKSink::new(2);
-        for (sid, e) in [("a", 1e-2), ("b", 1e-8), ("c", 1e-5), ("d", 1e-1)] {
-            sink.accept(rec("q", sid, e, 40.0));
-        }
-        // A second sequence must have its own budget.
-        sink.accept(rec("r", "z", 1.0, 10.0));
-        sink.end_query().unwrap();
-        let kept: Vec<(&str, &str)> = sink
-            .records()
-            .iter()
-            .map(|r| (r.qid.as_str(), r.sid.as_str()))
-            .collect();
-        assert_eq!(kept, vec![("q", "b"), ("q", "c"), ("r", "z")]);
-        assert_eq!(sink.dropped(), 2);
-    }
-
-    #[test]
-    fn topk_with_large_k_matches_collect() {
-        let arrivals = [
-            rec("q1", "s2", 1e-3, 30.0),
-            rec("q2", "s1", 1e-6, 45.0),
-            rec("q1", "s1", 1e-9, 60.0),
-        ];
-        let mut collect = CollectSink::new();
-        let mut topk = TopKSink::new(100);
-        for r in &arrivals {
-            collect.accept(r.clone());
-            topk.accept(r.clone());
-        }
-        collect.end_query().unwrap();
-        topk.end_query().unwrap();
-        assert_eq!(collect.into_records(), topk.into_records());
-    }
-
-    #[test]
-    #[should_panic]
-    fn topk_rejects_zero_k() {
-        let _ = TopKSink::new(0);
-    }
-
-    /// Reference retention: CollectSink's sorted output truncated to the
-    /// first `k` records per qid — the behaviour TopKSink must reproduce
-    /// at the boundary.
-    fn collect_truncated(arrivals: &[M8Record], k: usize) -> Vec<M8Record> {
-        let mut collect = CollectSink::new();
-        for r in arrivals {
-            collect.accept(r.clone());
-        }
-        collect.end_query().unwrap();
-        let mut kept_per_qid: HashMap<String, usize> = HashMap::new();
-        let mut out = Vec::new();
-        for r in collect.into_records() {
-            let kept = kept_per_qid.entry(r.qid.clone()).or_insert(0);
-            if *kept < k {
-                *kept += 1;
-                out.push(r);
-            }
-        }
-        // Re-sort the survivors into one per-query segment order (the
-        // truncation above preserves order, so this is a no-op — kept for
-        // clarity that both sides are compared under total_order).
-        out.sort_by(|x, y| x.total_order(y));
-        out
-    }
-
-    #[test]
-    fn topk_with_k_exactly_equal_to_hit_count_keeps_everything() {
-        // The retention boundary from above: k == per-sequence hit count
-        // must behave exactly like CollectSink — nothing dropped, same
-        // bytes. (k = hits − 1 then drops exactly one, the worst.)
-        let arrivals: Vec<M8Record> = [
-            ("s3", 1e-3, 30.0),
-            ("s1", 1e-9, 60.0),
-            ("s2", 1e-6, 45.0),
-            ("s4", 1e-1, 20.0),
-        ]
-        .iter()
-        .map(|(sid, e, b)| rec("q", sid, *e, *b))
-        .collect();
-
-        let mut exact = TopKSink::new(arrivals.len());
-        for r in &arrivals {
-            exact.accept(r.clone());
-        }
-        exact.end_query().unwrap();
-        assert_eq!(exact.dropped(), 0, "k == hits must drop nothing");
-        assert_eq!(exact.into_records(), collect_truncated(&arrivals, 4));
-
-        let mut one_less = TopKSink::new(arrivals.len() - 1);
-        for r in &arrivals {
-            one_less.accept(r.clone());
-        }
-        one_less.end_query().unwrap();
-        assert_eq!(one_less.dropped(), 1, "k == hits − 1 drops exactly one");
-        let kept = one_less.into_records();
-        assert_eq!(kept, collect_truncated(&arrivals, 3));
-        assert!(
-            kept.iter().all(|r| r.sid != "s4"),
-            "the dropped record must be the worst under total_order"
-        );
-    }
-
-    #[test]
-    fn topk_ties_straddling_the_cutoff_match_collect_truncation() {
-        // Three records tied on (evalue, bitscore) straddle a k = 2
-        // cutoff; only the sid tiebreak of total_order decides which two
-        // survive. TopKSink's heap (which evicts only on strict Less)
-        // must agree with CollectSink's sort-then-truncate — regardless
-        // of arrival order.
-        let tied: Vec<M8Record> = ["sB", "sC", "sA"]
-            .iter()
-            .map(|sid| rec("q", sid, 1e-5, 40.0))
-            .collect();
-        let better = rec("q", "sZ", 1e-9, 80.0); // safely above the cutoff
-
-        // Every arrival permutation of the tied group must converge on
-        // the same retained set: {sZ, sA} (sA wins the sid tiebreak).
-        let perms: [[usize; 3]; 6] = [
-            [0, 1, 2],
-            [0, 2, 1],
-            [1, 0, 2],
-            [1, 2, 0],
-            [2, 0, 1],
-            [2, 1, 0],
-        ];
-        for perm in perms {
-            let mut arrivals = vec![better.clone()];
-            arrivals.extend(perm.iter().map(|&i| tied[i].clone()));
-            let mut topk = TopKSink::new(2);
-            for r in &arrivals {
-                topk.accept(r.clone());
-            }
-            topk.end_query().unwrap();
-            let kept = topk.into_records();
-            assert_eq!(kept, collect_truncated(&arrivals, 2), "perm {perm:?}");
-            let sids: Vec<&str> = kept.iter().map(|r| r.sid.as_str()).collect();
-            assert_eq!(sids, vec!["sZ", "sA"], "perm {perm:?}");
-        }
     }
 
     #[test]

@@ -334,7 +334,6 @@ fn find_hsps_grained(
         w: idx1.w(),
         xdrop: cfg.xdrop_ungapped,
         scheme: cfg.scheme,
-        max_span: usize::MAX / 4,
     };
 
     // Enough chunks to keep workers busy even when a few ranges run long;
@@ -586,7 +585,6 @@ mod tests {
             w: c.w,
             xdrop: c.xdrop_ungapped,
             scheme: c.scheme,
-            max_span: usize::MAX / 4,
         };
         let guard = select_guard(&i1, &i2);
         let sweep = |codes| {
@@ -767,7 +765,6 @@ mod tests {
             w: c.w,
             xdrop: c.xdrop_ungapped,
             scheme: c.scheme,
-            max_span: usize::MAX / 4,
         };
         let coder = i1.coder();
         let mut brute = std::collections::HashSet::new();

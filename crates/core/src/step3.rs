@@ -222,6 +222,11 @@ const WAVE_HSPS_PER_WORKER: usize = 128;
 /// is pure overhead.
 const INLINE_WAVE_HSPS: usize = 8;
 
+/// Safety bounds of one gapped extension, per direction: characters
+/// consumed on each tape, and DP cells computed (the memory guard).
+const MAX_GAPPED_SPAN: usize = 1 << 20;
+const MAX_GAPPED_CELLS: usize = 1 << 24;
+
 /// Cuts the groups (index ranges into the tagged HSP vector, ascending
 /// key) into waves: each wave is the shortest run of consecutive groups
 /// holding at least `2 × workers` groups — slack for uneven group sizes —
@@ -261,8 +266,8 @@ pub fn gapped_alignments_into(
     let params = GappedParams {
         scheme: cfg.scheme,
         xdrop: cfg.xdrop_gapped,
-        max_span: cfg.max_gapped_span,
-        max_cells: 1 << 24,
+        max_span: MAX_GAPPED_SPAN,
+        max_cells: MAX_GAPPED_CELLS,
     };
 
     // Tag each HSP with its sequence pair and sort on the tag. The sort

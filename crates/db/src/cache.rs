@@ -8,9 +8,8 @@
 //! exactly that function — each entry holds one `(query, volume)` pair's
 //! staged records plus its [`PipelineStats`], keyed by
 //! [`CacheKey`]'s three content fingerprints — under a **bounded-memory
-//! LRU**: the same discipline as `TopKSink`'s bounded heap, applied at
-//! the cache level (memory never grows with query-history length; the
-//! worst entry to keep is the least recently used one).
+//! LRU**: memory never grows with query-history length, and the entry
+//! given up first is the least recently used one.
 //!
 //! Correctness contract (enforced by `DbSession`, tested in
 //! `tests/db_equivalence.rs` and `crates/db/tests/serving.rs`):
@@ -135,8 +134,8 @@ impl ResultCache {
 
     /// Inserts a completed volume search's records and stats, evicting
     /// least-recently-used entries until the budget holds. An entry
-    /// larger than the whole budget is not stored (matching `TopKSink`'s
-    /// rule that the bound is never exceeded, not even transiently).
+    /// larger than the whole budget is not stored: the bound is never
+    /// exceeded, not even transiently.
     pub fn insert(&mut self, key: CacheKey, records: Vec<M8Record>, stats: PipelineStats) {
         let bytes = entry_bytes(&records);
         if bytes > self.capacity {
@@ -280,7 +279,6 @@ pub fn config_fingerprint(cfg: &OrisConfig) -> u64 {
     h.u64(u64::from(cfg.filter.code()));
     h.u64(u64::from(cfg.asymmetric));
     h.u64(u64::from(cfg.both_strands));
-    h.u64(cfg.max_gapped_span as u64);
     match cfg.subject_space {
         oris_eval::SubjectSpace::PerSequence => h.u64(0),
         oris_eval::SubjectSpace::Database(n) => {

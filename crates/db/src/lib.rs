@@ -59,8 +59,9 @@
 //!   delays — which is how the test suite reaches *every* error path
 //!   above without root or filesystem tricks.
 //! * **Degraded mode** — [`OnVolumeError::SkipAndReport`] lets a session
-//!   quarantine a failing volume (after bounded retry with backoff for
-//!   transient faults) and complete queries over the survivors; each
+//!   quarantine a failing volume (a transient fault is retried twice
+//!   first, after 10 ms and then 20 ms — constants of [`session`], not
+//!   options) and complete queries over the survivors; each
 //!   query's [`SearchReport`] records exactly what was searched, what
 //!   was skipped, and the residue coverage fraction.
 //! * **Deadlines** — [`DbOptions::deadline`] (or an explicit

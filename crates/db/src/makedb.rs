@@ -48,12 +48,28 @@ impl MakeDbOptions {
 /// `out_dir` is created if missing; an existing manifest there is
 /// refused (a database is built once, not accreted — delete the
 /// directory to rebuild). Returns the written manifest.
+///
+/// A volume is indexed, so it must stay under
+/// [`oris_index::MAX_BANK_LEN`] positions: the sequence that would take
+/// one there — a budget that large, or one sequence that long — is a
+/// [`DbError::Config`] naming it. (The *input* banks may be any size;
+/// they are only read.)
 pub fn make_db(
     sources: impl IntoIterator<Item = Bank>,
     out_dir: impl AsRef<Path>,
     opts: &MakeDbOptions,
 ) -> Result<Manifest, DbError> {
-    let out_dir = out_dir.as_ref();
+    make_db_within(sources, out_dir.as_ref(), opts, oris_index::MAX_BANK_LEN)
+}
+
+/// [`make_db`] with the per-volume position limit as a parameter, so the
+/// refusal is testable without 4 GB of input.
+pub(crate) fn make_db_within(
+    sources: impl IntoIterator<Item = Bank>,
+    out_dir: &Path,
+    opts: &MakeDbOptions,
+    max_positions: usize,
+) -> Result<Manifest, DbError> {
     std::fs::create_dir_all(out_dir).map_err(|e| DbError::Io(out_dir.to_path_buf(), e))?;
     let manifest_path = out_dir.join(MANIFEST_FILE);
     if manifest_path.exists() {
@@ -118,6 +134,18 @@ pub fn make_db(
             if current_seqs > 0 && current.residues() + rec.len > opts.volume_residues {
                 flush(&mut current, &mut current_seqs, &mut volumes)?;
             }
+            // Residues, one sentinel per sequence, plus the opening one.
+            let positions = current.residues() + rec.len + current_seqs as usize + 2;
+            if positions >= max_positions {
+                return Err(DbError::Config(format!(
+                    "sequence {:?} ({} nt) would take volume {} to {positions} positions and an \
+                     index addresses fewer than {max_positions}: lower --volume-size (a \
+                     sequence is never split across volumes)",
+                    rec.name,
+                    rec.len,
+                    volumes.len()
+                )));
+            }
             current.push_codes(&rec.name, bank.sequence(i));
             current_seqs += 1;
         }
@@ -142,4 +170,59 @@ pub fn make_db(
     std::fs::write(&manifest_path, manifest.to_text())
         .map_err(|e| DbError::Io(manifest_path, e))?;
     Ok(manifest)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_volume_at_or_over_the_position_limit_is_an_error_naming_the_sequence() {
+        let dir = std::env::temp_dir().join(format!("oris_makedb_limit_{}", std::process::id()));
+        let bank = || {
+            let mut b = BankBuilder::new();
+            b.push_str("first", "ACGTACGT").unwrap();
+            b.push_str("second", "GGCC").unwrap();
+            b.finish()
+        };
+        // One volume of both sequences is the whole bank: 15 positions.
+        assert_eq!(bank().data().len(), 15);
+        let opts = MakeDbOptions::new(&OrisConfig::small(4), 100);
+        for (limit, refused) in [(16, None), (15, Some("second")), (14, Some("second"))] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let made = make_db_within([bank()], &dir, &opts, limit);
+            match (made, refused) {
+                (Ok(m), None) => assert_eq!(m.volumes.len(), 1),
+                (Err(DbError::Config(msg)), Some(name)) => {
+                    assert!(msg.contains(&format!("sequence {name:?} (4 nt)")), "{msg}");
+                    assert!(msg.contains("to 15 positions"), "{msg}");
+                    assert!(msg.contains("--volume-size"), "{msg}");
+                    assert!(
+                        !dir.join(MANIFEST_FILE).exists(),
+                        "no manifest, no database"
+                    );
+                }
+                (other, _) => panic!("limit {limit}: {other:?}"),
+            }
+        }
+        // A budget that closes the volume first keeps both sequences legal
+        // under the limit that refused them together...
+        let _ = std::fs::remove_dir_all(&dir);
+        let split = MakeDbOptions::new(&OrisConfig::small(4), 8);
+        assert_eq!(
+            make_db_within([bank()], &dir, &split, 11)
+                .unwrap()
+                .volumes
+                .len(),
+            2
+        );
+        // ...and one sequence that is too long on its own has no budget
+        // that helps.
+        let _ = std::fs::remove_dir_all(&dir);
+        match make_db_within([bank()], &dir, &split, 10) {
+            Err(DbError::Config(msg)) => assert!(msg.contains("\"first\" (8 nt)"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -163,7 +163,9 @@ impl Manifest {
         let total_residues: u64 = field(&mut lines, "total_residues")?;
         let num_volumes: usize = field(&mut lines, "volumes")?;
 
-        let mut volumes = Vec::with_capacity(num_volumes);
+        // Grown from the rows actually present: `num_volumes` is a number
+        // the file merely states, and is held against them below.
+        let mut volumes = Vec::new();
         for line in lines {
             let mut it = line.split_ascii_whitespace();
             if it.next() != Some("volume") {
@@ -221,7 +223,10 @@ impl Manifest {
         if volumes.is_empty() {
             return Err("database has no volumes".into());
         }
-        let sum: u64 = volumes.iter().map(|v| v.residues).sum();
+        let sum = volumes
+            .iter()
+            .try_fold(0u64, |sum, v: &VolumeMeta| sum.checked_add(v.residues))
+            .ok_or("volume residue total overflows".to_string())?;
         if sum != total_residues {
             return Err(format!(
                 "total_residues {total_residues} does not match the volume sum {sum}"

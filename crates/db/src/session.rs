@@ -65,13 +65,6 @@ pub struct DbOptions {
     pub window: usize,
     /// Volume-failure policy (see [`OnVolumeError`]).
     pub on_volume_error: OnVolumeError,
-    /// Under [`OnVolumeError::SkipAndReport`], how many times a
-    /// *transient* attach failure ([`DbError::is_transient`]) is retried
-    /// before the volume is quarantined. Durable corruption is never
-    /// retried.
-    pub retries: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub retry_backoff: Duration,
     /// Per-query deadline. `None` (the default) runs unguarded;
     /// `Some(budget)` arms a fresh [`Deadline`] for each query (see
     /// [`DbSession::run_query_deadline`] for the guarantees).
@@ -102,8 +95,6 @@ impl Default for DbOptions {
         DbOptions {
             window: 0,
             on_volume_error: OnVolumeError::Fail,
-            retries: 2,
-            retry_backoff: Duration::from_millis(10),
             deadline: None,
             volume_workers: 1,
             result_cache_bytes: 0,
@@ -111,10 +102,18 @@ impl Default for DbOptions {
     }
 }
 
+/// Under [`OnVolumeError::SkipAndReport`], how many times a *transient*
+/// attach failure ([`DbError::is_transient`]) is retried before the volume
+/// is quarantined. Durable corruption is never retried.
+const RETRIES: u32 = 2;
+
+/// Sleep before the first retry; doubles per subsequent retry
+/// ([`retry_delay`]).
+const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Sleep before retry number `attempt` (0-based) of a transient attach
-/// failure: exponential backoff `base`, `2·base`, `4·base`, … — the
-/// schedule [`DbOptions::retry_backoff`] documents — with the doubling
-/// capped at `2^16·base`.
+/// failure: exponential backoff `base`, `2·base`, `4·base`, …, with the
+/// doubling capped at `2^16·base`.
 fn retry_delay(base: Duration, attempt: u32) -> Duration {
     base * (1u32 << attempt.min(16))
 }
@@ -497,7 +496,7 @@ impl<'d> DbSession<'d> {
     }
 
     /// Reads volume `v` from disk into a volume session — retrying
-    /// transient failures per the options — and books the attach cost.
+    /// transient failures [`RETRIES`] times — and books the attach cost.
     fn open_volume(&mut self, v: usize, retries: &mut u32) -> Result<Session<'static>, DbError> {
         let mut attempt = 0u32;
         let (prepared, attach) = loop {
@@ -505,10 +504,10 @@ impl<'d> DbSession<'d> {
                 Ok(ok) => break ok,
                 Err(e)
                     if self.opts.on_volume_error == OnVolumeError::SkipAndReport
-                        && attempt < self.opts.retries
+                        && attempt < RETRIES
                         && e.is_transient() =>
                 {
-                    std::thread::sleep(retry_delay(self.opts.retry_backoff, attempt));
+                    std::thread::sleep(retry_delay(RETRY_BACKOFF, attempt));
                     attempt += 1;
                     *retries += 1;
                     self.costs[v].retries += 1;
@@ -702,10 +701,9 @@ impl<'d> DbSession<'d> {
     /// every option, because only a query whose every volume completed
     /// is replayed; a partial query can never merge into the next
     /// query's boundary sort. The price is that one query's records are
-    /// resident before the sink sees the first: a sink's own retention
-    /// bound (e.g. [`oris_core::TopKSink`]'s O(k)) does not cover a
-    /// database query in flight — the set [`oris_core::StreamWriter`],
-    /// the only sink the CLI uses, buffers until the boundary anyway.
+    /// resident before the sink sees the first — the set
+    /// [`oris_core::StreamWriter`], the only sink the CLI uses, buffers
+    /// until the boundary anyway.
     ///
     /// Deadline guarantees:
     ///

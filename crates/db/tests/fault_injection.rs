@@ -82,7 +82,6 @@ fn build_db(test: &str) -> PathBuf {
 fn skip_opts() -> DbOptions {
     DbOptions {
         on_volume_error: OnVolumeError::SkipAndReport,
-        retry_backoff: Duration::from_micros(50),
         ..DbOptions::default()
     }
 }
@@ -588,12 +587,8 @@ fn retry_exhaustion_quarantines() {
         "vol00001.fa",
         Fault::Error(ErrorKind::Interrupted),
     )]);
-    let opts = DbOptions {
-        retries: 2,
-        ..skip_opts()
-    };
-    let (_, report) = run_faulted(&dir, io, opts).unwrap();
-    assert_eq!(report.retries, 2, "retried exactly `retries` times");
+    let (_, report) = run_faulted(&dir, io, skip_opts()).unwrap();
+    assert_eq!(report.retries, 2, "retried exactly RETRIES times");
     assert_eq!(report.skipped, vec![1]);
 }
 

@@ -128,7 +128,6 @@ fn obs_cache_counters_match_result_cache_after_hit_miss_quarantine() {
         window: 1, // re-attach per scan, so the fault is actually hit
         result_cache_bytes: 1 << 20,
         on_volume_error: OnVolumeError::SkipAndReport,
-        retry_backoff: Duration::from_micros(50),
         ..DbOptions::default()
     };
     let mut session = DbSession::new(&db, &cfg(), opts).unwrap();

@@ -166,7 +166,6 @@ fn parallel_degraded_mode_matches_sequential_exactly() {
     };
     let base = DbOptions {
         on_volume_error: OnVolumeError::SkipAndReport,
-        retry_backoff: Duration::from_micros(50),
         ..DbOptions::default()
     };
     let (seq_records, seq_report) = run_once(&dir, Some(rules()), base).unwrap();
@@ -269,7 +268,6 @@ fn quarantined_volume_is_invalidated_and_never_served_from_cache() {
         window: 1, // re-attach per scan, so the fault is actually hit
         result_cache_bytes: 1 << 20,
         on_volume_error: OnVolumeError::SkipAndReport,
-        retry_backoff: Duration::from_micros(50),
         ..DbOptions::default()
     };
     let mut session = DbSession::new(&db, &cfg(), opts).unwrap();
@@ -313,7 +311,6 @@ fn quarantined_volume_is_invalidated_and_never_served_from_cache() {
         DbOptions {
             window: 1,
             on_volume_error: OnVolumeError::SkipAndReport,
-            retry_backoff: Duration::from_micros(50),
             ..DbOptions::default()
         },
     )

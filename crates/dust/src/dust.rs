@@ -19,9 +19,9 @@
 //!
 //! Relative to the full SDUST algorithm (Morgulis et al. 2006) this keeps
 //! the original windowed greedy structure rather than SDUST's
-//! linear-time "perfect interval" bookkeeping — a documented
-//! simplification (DESIGN.md): the complexity statistic and thresholds are
-//! the same, only the boundary placement may differ by a few positions.
+//! linear-time "perfect interval" bookkeeping — a deliberate
+//! simplification: the complexity statistic and thresholds are the same,
+//! only the boundary placement may differ by a few positions.
 //! The paper requires exactly that the two engines' filters *differ
 //! slightly* (see [`crate::EntropyMasker`], the SCORIS-N-side filter).
 

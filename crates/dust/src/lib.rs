@@ -28,23 +28,3 @@ pub mod entropy;
 pub use dust::DustMasker;
 pub use entropy::EntropyMasker;
 pub use oris_index::MaskSet;
-
-use oris_seqio::Bank;
-
-/// A low-complexity masker over banks.
-pub trait Masker {
-    /// Computes the mask over global bank positions.
-    fn mask_bank(&self, bank: &Bank) -> MaskSet;
-}
-
-impl Masker for DustMasker {
-    fn mask_bank(&self, bank: &Bank) -> MaskSet {
-        self.mask(bank)
-    }
-}
-
-impl Masker for EntropyMasker {
-    fn mask_bank(&self, bank: &Bank) -> MaskSet {
-        self.mask(bank)
-    }
-}

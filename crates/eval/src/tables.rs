@@ -1,9 +1,9 @@
 //! Plain-text table rendering for the bench binaries.
 //!
 //! Every experiment binary prints its results in the row layout of the
-//! corresponding paper table, so EXPERIMENTS.md can put paper values and
-//! measured values side by side. Columns are right-aligned except the
-//! first (the row label).
+//! corresponding paper table, so paper values and measured values read
+//! side by side. Columns are right-aligned except the first (the row
+//! label).
 
 use std::fmt::Write as _;
 

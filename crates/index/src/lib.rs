@@ -63,4 +63,6 @@ pub use mask::MaskSet;
 pub use mmap::{map_index_file, Mapping};
 pub use persist::{read_index_file, write_index_file, IndexMeta, PersistError};
 pub use seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
-pub use structure::{BankIndex, IndexBackend, IndexConfig, IndexStats, PopulatedRows};
+pub use structure::{
+    BankIndex, IndexBackend, IndexConfig, IndexStats, PopulatedRows, MAX_BANK_LEN,
+};

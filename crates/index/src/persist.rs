@@ -456,7 +456,7 @@ fn read_header(r: &mut impl Read) -> Result<Header, PersistError> {
     let fully_indexed = flags & FLAG_FULLY_INDEXED != 0;
     let sparse = flags & FLAG_SPARSE != 0;
     let bank_len = read_u64(r)?;
-    if bank_len >= u32::MAX as u64 {
+    if bank_len >= crate::MAX_BANK_LEN as u64 {
         return Err(PersistError::Corrupt(format!(
             "bank length {bank_len} exceeds u32 position space"
         )));
@@ -1142,8 +1142,8 @@ mod tests {
             w in 2usize..6,
             stride in 1usize..3,
             sparse_sel in 0usize..2,
-            flips in proptest::collection::vec(0u64..u64::MAX, 1..5),
-            counts in proptest::collection::vec(0u64..u64::MAX, 3),
+            flips in proptest::collection::vec(0u64..=u64::MAX, 1..5),
+            counts in proptest::collection::vec(0u64..=u64::MAX, 3),
             counts_hit in 0usize..12,
         ) {
             let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();

@@ -88,18 +88,6 @@ impl SeedCoder {
         Some(code)
     }
 
-    /// Encodes assuming all bytes are valid nucleotides (used by hot loops
-    /// that have already established validity).
-    #[inline]
-    pub fn encode_unchecked(&self, window: &[u8]) -> u32 {
-        let mut code = 0u32;
-        for (i, &c) in window.iter().enumerate().take(self.w) {
-            debug_assert!(is_nucleotide(c));
-            code |= (c as u32) << (2 * i);
-        }
-        code
-    }
-
     /// Decodes a code back to `W` nucleotide code bytes.
     pub fn decode(&self, code: u32) -> Vec<u8> {
         assert!(

@@ -93,14 +93,12 @@
 //!          + 8·indexed_positions  sort keys
 //! ```
 //!
-//! The transient part is ≈ 2 bytes per posting for a dense build (it was
-//! 16: two arrays of 8-byte pairs), which is what sets a run's peak RSS
-//! when the bank is large.
+//! The transient part is ≈ 2 bytes per posting for a dense build, which
+//! is what sets a run's peak RSS when the bank is large.
 //!
 //! Since `k ≤ indexed_positions`, the sparse backend is bounded by
-//! `≈ 16·indexed_positions` bytes however large `W` gets — this is what
-//! retires the "benches must run at W = 9" workaround: a small query bank
-//! at W = 11 no longer pays a 16.8 MB offsets array per transient index.
+//! `≈ 16·indexed_positions` bytes however large `W` gets: a small query
+//! bank at W = 11 does not pay a 16.8 MB offsets array per transient index.
 //!
 //! The postings cost `4·indexed_positions` bytes — sized by the windows
 //! actually indexed, not by `len(SEQ)` as the paper's `next` array is — so
@@ -342,6 +340,11 @@ pub struct BankIndex {
     distinct: usize,
 }
 
+/// A bank's code array (residues, one sentinel per sequence, plus one)
+/// must be shorter than this: postings are `u32` positions, and
+/// `u32::MAX` itself is the sparse layout's empty-slot mark.
+pub const MAX_BANK_LEN: usize = u32::MAX as usize;
+
 impl BankIndex {
     /// Builds the index for `bank` under `cfg`, optionally excluding
     /// positions for which `masked(position)` returns true (used by the
@@ -351,6 +354,12 @@ impl BankIndex {
     /// A bank of at least 2^19 positions is scanned, scattered and sorted
     /// by up to `rayon::current_num_threads()` workers, a smaller one on
     /// the calling thread; the index is the same for every worker count.
+    ///
+    /// # Panics
+    /// Panics if the bank holds [`MAX_BANK_LEN`] positions or more. A
+    /// front end checks a bank it read against the constant first (the
+    /// command-line tools do, and `make_db` does per volume), so that
+    /// size is a message there and an invariant here.
     pub fn build_filtered(
         bank: &Bank,
         cfg: IndexConfig,
@@ -371,7 +380,7 @@ impl BankIndex {
         let coder = SeedCoder::new(cfg.w);
         let data = bank.data();
         assert!(
-            data.len() < u32::MAX as usize,
+            data.len() < MAX_BANK_LEN,
             "bank too large for u32 positions"
         );
         let radix = Radix::new(cfg.w);
@@ -490,7 +499,7 @@ impl BankIndex {
             // probe-free guard.
             return Err(format!("stride {stride} cannot be fully indexed"));
         }
-        if bank_bytes >= u32::MAX as usize {
+        if bank_bytes >= MAX_BANK_LEN {
             return Err("bank length exceeds u32 position space".into());
         }
         let coder = SeedCoder::new(w);
@@ -1107,7 +1116,7 @@ fn dense_rows(
                     if is_kept(words, pos) {
                         let (pos_slot, rank_slot) = &mut cursors[radix.part_of(code)];
                         let counted = "pass A counted this window";
-                        // oris-lint: allow(narrow-cast) — guarded by the `data.len() < u32::MAX` assert in build_sliced
+                        // oris-lint: allow(narrow-cast) — guarded by the `data.len() < MAX_BANK_LEN` assert in build_sliced
                         *pos_slot.next().expect(counted) = pos as u32;
                         *rank_slot.next().expect(counted) = radix.rank_of(code);
                     }

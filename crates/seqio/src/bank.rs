@@ -72,12 +72,6 @@ impl Bank {
         &self.data
     }
 
-    /// Code byte at global position `pos`.
-    #[inline]
-    pub fn code_at(&self, pos: usize) -> u8 {
-        self.data[pos]
-    }
-
     /// Sequence records, in bank order.
     #[inline]
     pub fn records(&self) -> &[SeqRecord] {
@@ -137,11 +131,6 @@ impl Bank {
             .iter()
             .map(|&c| code_to_char(c))
             .collect()
-    }
-
-    /// Iterates over `(global_start, record)` pairs.
-    pub fn iter_records(&self) -> impl Iterator<Item = (usize, &SeqRecord)> {
-        self.records.iter().map(|r| (r.start, r))
     }
 
     /// Approximate heap footprint of the bank in bytes (code array plus

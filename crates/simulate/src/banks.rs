@@ -2,9 +2,9 @@
 //!
 //! Every bank of the paper gets a named analogue here, scaled down 10×
 //! (EST banks) or 20× (large banks) so the full experiment grid runs on a
-//! laptop — see DESIGN.md §6. The `scale` parameter multiplies sizes
-//! further (e.g. `scale = 0.1` for quick tests; `scale = 1.0` is the
-//! standard reduced grid).
+//! laptop ([`paper_bank_specs`] is the table). The `scale` parameter
+//! multiplies sizes further (e.g. `scale = 0.1` for quick tests;
+//! `scale = 1.0` is the standard reduced grid).
 //!
 //! All EST banks sample the **same** gene pool and all genome banks embed
 //! the **same** repeat library (both fixed-seed), which is what produces
@@ -53,7 +53,7 @@ pub struct BankSpec {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Size multiplier applied to every `unit_nt` (1.0 = the reduced grid
-    /// of DESIGN.md §6).
+    /// of [`paper_bank_specs`]).
     pub scale: f64,
 }
 

@@ -4,8 +4,7 @@
 //! (6.4–40 Mbp), the viral division (VRL), a set of bacterial genomes
 //! (BCT) and human chromosomes 10 and 19. None of that data ships with
 //! this reproduction, so this crate builds *statistical analogues* whose
-//! properties drive the same code paths (see the substitution table in
-//! DESIGN.md):
+//! properties drive the same code paths:
 //!
 //! * **EST banks** ([`est`]): short sequences (log-normal lengths around
 //!   ~490 nt, the paper's mean) sampled as mutated fragments of a shared

@@ -72,11 +72,6 @@ impl EValueModel {
         (self.params.lambda * score as f64 - self.params.k.ln()) / std::f64::consts::LN_2
     }
 
-    /// E-value from a bit score: `E = m·n·2^{−S'}`.
-    pub fn evalue_from_bits(&self, bits: f64, space: SearchSpace) -> f64 {
-        space.product() * (-bits).exp2()
-    }
-
     /// The minimum raw score whose e-value is ≤ `threshold` in `space`
     /// (the cutoff used to prune alignments, paper's `-e 0.001`).
     pub fn score_cutoff(&self, threshold: f64, space: SearchSpace) -> i32 {
@@ -118,7 +113,8 @@ mod tests {
         let sp = SearchSpace::new(12_345, 678);
         for score in [15, 25, 40, 80] {
             let direct = m.evalue(score, sp);
-            let via_bits = m.evalue_from_bits(m.bit_score(score), sp);
+            // E = m·n·2^{−S'}
+            let via_bits = sp.product() * (-m.bit_score(score)).exp2();
             assert!(
                 (direct - via_bits).abs() <= 1e-9 * direct.max(1e-300),
                 "score {score}: {direct} vs {via_bits}"

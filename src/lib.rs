@@ -15,8 +15,10 @@
 //! assert!(!result.alignments.is_empty());
 //! ```
 //!
-//! See `DESIGN.md` at the repository root for the system inventory and the
-//! per-experiment index, and `EXPERIMENTS.md` for paper-vs-measured results.
+//! `README.md` at the repository root maps the crates and the
+//! command-line tools; the paper's tables and figures are reproduced by
+//! the `table_*`, `fig*` and `ablation_*` bins of `oris-bench`, and
+//! `benchmark/README.md` describes the end-to-end benchmark.
 
 pub use oris_align as align;
 pub use oris_blast as blast;
@@ -34,7 +36,7 @@ pub mod prelude {
     pub use oris_blast::{compare_banks as blast_compare_banks, BlastConfig};
     pub use oris_core::{
         compare_banks, AlignmentRecord, BatchStats, CollectSink, OrisConfig, OrisResult,
-        PreparedBank, RecordSink, Session, StreamWriter, TopKSink,
+        PreparedBank, RecordSink, Session, StreamWriter,
     };
     pub use oris_eval::{MissReport, SpeedupRow};
     pub use oris_index::{BankIndex, IndexConfig, IndexMeta, SeedCoder};

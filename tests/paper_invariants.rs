@@ -1,4 +1,11 @@
 //! Property-based tests of the paper's central claims, spanning crates.
+//!
+//! The exactly-once property is also the order guards' oracle: step 2 has
+//! one guard per index provenance and no second implementation to compare
+//! it with, so the guards are held to the rule itself — here over full,
+//! masked and strided indexes, and on fixtures in `oris-align`'s
+//! `ungapped` tests (`OrderedIndexed` against `OrderedFull` and the
+//! unguarded extent).
 
 use oris::prelude::*;
 use oris_align::{extend_hit, ExtensionOutcome, OrderGuard, UngappedParams};
@@ -66,7 +73,6 @@ proptest! {
             w,
             xdrop: cfg.xdrop_ungapped,
             scheme: cfg.scheme,
-            max_span: usize::MAX / 4,
         };
         let coder = i1.coder();
         let mut brute = std::collections::HashSet::new();

@@ -1,15 +1,14 @@
 //! Streaming ≡ collected, pinned at the workspace level.
 //!
-//! The sink refactor's central promise: `CollectSink` (the `OrisResult`
-//! path), `StreamWriter` (incremental `-m 8` emission) and `TopKSink`
-//! (with `k` at least the hit count) produce identical output — byte
-//! identical for the writer — across random banks, both strands, masked
-//! and fully-indexed configurations, thread counts, and batch order.
+//! The sinks' central promise: `CollectSink` (the `OrisResult` path) and
+//! `StreamWriter` (incremental `-m 8` emission) produce identical output
+//! — byte identical for the writer — across random banks, both strands,
+//! masked and fully-indexed configurations, thread counts, and batch order.
 //! Plus the tied-e-value regression: duplicated sequences make e-values
 //! tie exactly, and the strict total order must keep the output unique
 //! and thread-count-invariant anyway.
 
-use oris_core::{CollectSink, OrisConfig, RecordSink, Session, StreamWriter, TopKSink};
+use oris_core::{CollectSink, OrisConfig, RecordSink, Session, StreamWriter};
 use oris_eval::{M8Record, M8Writer};
 use oris_seqio::{Bank, BankBuilder};
 use proptest::prelude::*;
@@ -35,7 +34,7 @@ fn render(records: &[M8Record]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// CollectSink ≡ StreamWriter ≡ TopKSink(k ≥ hits) over random banks.
+    /// CollectSink ≡ StreamWriter over random banks.
     /// Query sequences embed the subject's (plus random flanks), so real
     /// records flow; a poly-A tail under the entropy filter exercises the
     /// masked-index configuration, `strands` the minus-strand merge.
@@ -96,47 +95,10 @@ proptest! {
         let streamed = stream.into_inner();
         prop_assert_eq!(&streamed, &render(&collected));
 
-        // TopK with k ≥ total hits keeps everything, in the same order.
-        let mut topk = TopKSink::new(collected.len().max(1));
-        session.run_batch(&queries, &mut topk).unwrap();
-        prop_assert_eq!(topk.records(), &collected[..]);
-
         // CollectSink across the same batch: the in-memory twin.
         let mut collect = CollectSink::new();
         session.run_batch(&queries, &mut collect).unwrap();
         prop_assert_eq!(collect.records(), &collected[..]);
-    }
-
-    /// TopK with a small k is a per-sequence prefix of the collected
-    /// order: for every query sequence, its retained records are exactly
-    /// the first k of that sequence's collected records.
-    #[test]
-    fn topk_retains_a_prefix_per_sequence(
-        seqs in proptest::collection::vec("[ACGT]{30,60}", 1..3),
-        k in 1usize..4,
-        w in 5usize..7,
-    ) {
-        let subject = bank_from(&seqs);
-        // Repeat the subject sequences so each query sequence hits
-        // several subject records.
-        let dup: Vec<String> = seqs.iter().chain(seqs.iter()).cloned().collect();
-        let query = bank_from(&dup);
-        let cfg = OrisConfig::small(w);
-        let session = Session::new(&subject, &cfg).unwrap();
-        let collected = session.run(&query).alignments;
-
-        let mut topk = TopKSink::new(k);
-        session.run_batch(&[query], &mut topk).unwrap();
-        let retained = topk.into_records();
-
-        for qid in collected.iter().map(|r| &r.qid) {
-            let all: Vec<&M8Record> =
-                collected.iter().filter(|r| &r.qid == qid).collect();
-            let kept: Vec<&M8Record> =
-                retained.iter().filter(|r| &r.qid == qid).collect();
-            let want = &all[..all.len().min(k)];
-            prop_assert_eq!(&kept[..], want);
-        }
     }
 }
 
