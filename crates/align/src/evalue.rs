@@ -71,14 +71,6 @@ impl EValueModel {
     pub fn bit_score(&self, score: i32) -> f64 {
         (self.params.lambda * score as f64 - self.params.k.ln()) / std::f64::consts::LN_2
     }
-
-    /// The minimum raw score whose e-value is ≤ `threshold` in `space`
-    /// (the cutoff used to prune alignments, paper's `-e 0.001`).
-    pub fn score_cutoff(&self, threshold: f64, space: SearchSpace) -> i32 {
-        // E(S) = K m n e^{-λS} ≤ t  ⇔  S ≥ ln(K m n / t) / λ
-        let s = ((self.params.k * space.product() / threshold).ln() / self.params.lambda).ceil();
-        s.max(1.0) as i32
-    }
 }
 
 #[cfg(test)]
@@ -120,16 +112,6 @@ mod tests {
                 "score {score}: {direct} vs {via_bits}"
             );
         }
-    }
-
-    #[test]
-    fn cutoff_is_tight() {
-        let m = model();
-        let sp = SearchSpace::new(1_000_000, 10_000);
-        let t = 1e-3;
-        let c = m.score_cutoff(t, sp);
-        assert!(m.evalue(c, sp) <= t, "cutoff not sufficient");
-        assert!(m.evalue(c - 1, sp) > t, "cutoff not tight");
     }
 
     #[test]

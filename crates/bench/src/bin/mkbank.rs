@@ -12,10 +12,17 @@
 //!
 //!   --list              print the data-set table (paper section 3.2) and exit
 //! ```
+//!
+//! A bank must fit an index: `--scale` is checked by
+//! [`oris_bench::parse_scale`], `--seqs × (--len + 1)` must stay below
+//! [`MAX_BANK_LEN`], and `--gc` is a fraction in `[0, 1]`. A refused value
+//! is one stderr line and exit code 1, and no file is written.
 
 use std::process::ExitCode;
 
+use oris_bench::parse_scale;
 use oris_cli::Args;
+use oris_index::MAX_BANK_LEN;
 use oris_simulate as sim;
 
 fn usage() -> &'static str {
@@ -62,12 +69,26 @@ fn run() -> Result<(), String> {
         let len: usize = args.get_or("len", 500).map_err(|e| e.to_string())?;
         let gc: f64 = args.get_or("gc", 0.5).map_err(|e| e.to_string())?;
         let seed: u64 = args.get_or("seed", 42).map_err(|e| e.to_string())?;
+        if !(0.0..=1.0).contains(&gc) {
+            return Err(format!("--gc {gc}: must be a fraction in [0, 1]"));
+        }
+        // Each sequence is its residues plus one sentinel position.
+        let positions = len.checked_add(1).and_then(|l| seqs.checked_mul(l));
+        if positions.is_none_or(|p| p >= MAX_BANK_LEN) {
+            return Err(format!(
+                "--seqs {seqs} --len {len}: the bank would reach the {MAX_BANK_LEN} positions \
+                 an index addresses"
+            ));
+        }
         sim::random_bank(seed, seqs, len, gc)
     } else {
-        let scale: f64 = args.get_or("scale", 1.0).map_err(|e| e.to_string())?;
-        if sim::banks::spec_by_name(name).is_none() {
+        let Some(spec) = sim::banks::spec_by_name(name) else {
             return Err(format!("unknown bank {name:?}\n{}", usage()));
-        }
+        };
+        let scale = match args.options.get("scale") {
+            Some(v) => parse_scale(v, spec.unit_nt)?,
+            None => 1.0,
+        };
         sim::paper_bank(name, scale).bank
     };
 

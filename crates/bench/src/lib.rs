@@ -18,10 +18,11 @@
 //! | `ablation_asymmetric` | asymmetric indexing (A2) |
 //! | `ablation_seed_len` | seed-length sweep (A3) |
 //! | `ablation_xdrop` | X-drop sweep (A4) |
+//! | `mkbank` | writes one paper bank, or a random one, as FASTA |
 //!
-//! Every binary takes `--scale F` (default 0.25) multiplying the reduced
-//! bank grid of `oris_simulate::paper_bank_specs`, so quick runs and full
-//! runs use the same code path. Banks are deterministic; engine outputs are deterministic
+//! Every binary takes `--scale F` (default 0.25; 1.0 for `mkbank`)
+//! multiplying the reduced bank grid of `oris_simulate::paper_bank_specs`,
+//! so quick runs and full runs use the same code path. Banks are deterministic; engine outputs are deterministic
 //! for any thread count — the only nondeterminism in these experiments is
 //! the wall clock.
 //!
@@ -37,10 +38,12 @@ pub mod memtrack;
 pub use memtrack::CountingAlloc;
 
 use oris_blast::{BlastConfig, BlastResult};
+use oris_cli::Args;
 use oris_core::{OrisConfig, OrisResult};
 use oris_eval::{MissReport, SpeedupRow};
+use oris_index::MAX_BANK_LEN;
 use oris_seqio::Bank;
-use oris_simulate::paper_bank;
+use oris_simulate::{paper_bank, paper_bank_specs};
 
 /// The eight EST bank pairs of the section-3.3/3.4 tables, in paper order.
 pub const EST_PAIRS: [(&str, &str); 8] = [
@@ -72,18 +75,45 @@ pub const PAPER_EST_SPEEDUPS: [f64; 8] = [10.0, 16.2, 17.1, 18.5, 16.0, 24.0, 28
 /// [`LARGE_PAIRS`]).
 pub const PAPER_LARGE_SPEEDUPS: [f64; 6] = [6.2, 8.6, 5.5, 9.2, 8.6, 6.6];
 
-/// Reads `--scale F` from the command line (default 0.25).
+/// Reads `--scale F` from the command line (default 0.25), checked by
+/// [`parse_scale`] against the largest paper bank. A bad, missing or
+/// extra argument ends the process with one stderr line and exit code 1.
 pub fn scale_from_args() -> f64 {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        if a == "--scale" {
-            if let Some(v) = it.next() {
-                return v.parse().expect("--scale takes a number");
-            }
-        }
+    let largest = paper_bank_specs().iter().map(|s| s.unit_nt).max();
+    let args = Args::parse(&argv, &["scale"], &[], &[]).map_err(|e| e.to_string());
+    let scale = args.and_then(
+        |args| match (args.positional.first(), args.options.get("scale")) {
+            (Some(extra), _) => Err(format!("unexpected argument {extra:?}")),
+            (None, Some(v)) => parse_scale(v, largest.unwrap_or(0)),
+            (None, None) => Ok(0.25),
+        },
+    );
+    scale.unwrap_or_else(|e| {
+        let program = std::env::args().next().unwrap_or_default();
+        eprintln!("{}: {e}", program.rsplit('/').next().unwrap_or_default());
+        std::process::exit(1)
+    })
+}
+
+/// Parses a `--scale` value for a bank of `unit_nt` residues at scale 1:
+/// a finite number above 0 under which the bank stays below
+/// [`MAX_BANK_LEN`] positions, the most an index addresses. The error is
+/// one line naming the value.
+pub fn parse_scale(value: &str, unit_nt: usize) -> Result<f64, String> {
+    let scale: f64 = value
+        .parse()
+        .map_err(|_| format!("invalid value {value:?} for --scale"))?;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!("--scale {value}: must be a finite number above 0"));
     }
-    0.25
+    if unit_nt as f64 * scale >= MAX_BANK_LEN as f64 {
+        return Err(format!(
+            "--scale {value}: {unit_nt} nt at scale 1 would reach the {MAX_BANK_LEN} positions \
+             an index addresses"
+        ));
+    }
+    Ok(scale)
 }
 
 /// Builds one paper bank at the given scale (cached per process run is

@@ -12,9 +12,8 @@
 //! beside this one would allocate into its measured regions.
 
 use oris_bench::{planted_bank, CountingAlloc};
-use oris_core::{OrisConfig, OrisResult, Session, StreamWriter};
+use oris_core::{M8Writer, OrisConfig, OrisResult, Session, StreamWriter, SubjectSpace};
 use oris_db::{make_db, Database, DbOptions, DbSession, MakeDbOptions};
-use oris_eval::{M8Writer, SubjectSpace};
 use oris_seqio::Bank;
 
 #[global_allocator]

@@ -42,7 +42,7 @@ pub struct BlastConfig {
     /// Subject-side effective search space for e-values (mirrors
     /// [`oris_core::OrisConfig::subject_space`], so a database-wide
     /// `--dbsize` run prices both engines' alignments identically).
-    pub subject_space: oris_eval::SubjectSpace,
+    pub subject_space: oris_core::SubjectSpace,
 }
 
 impl Default for BlastConfig {
@@ -57,7 +57,7 @@ impl Default for BlastConfig {
             filter: FilterKind::Dust,
             threads: None,
             batch_nt: None,
-            subject_space: oris_eval::SubjectSpace::PerSequence,
+            subject_space: oris_core::SubjectSpace::PerSequence,
         }
     }
 }

@@ -9,10 +9,8 @@
 
 use oris_core::engine::mask_for;
 use oris_core::sink::{CollectSink, RecordSink};
-use oris_core::PreparedBank;
-use oris_dust::MaskSet;
-use oris_eval::M8Record;
-use oris_index::IndexConfig;
+use oris_core::{M8Record, PreparedBank};
+use oris_index::{IndexConfig, MaskSet};
 use oris_obs::Stopwatch;
 use oris_seqio::Bank;
 

@@ -104,7 +104,7 @@ fn scan_record(
     params: &UngappedParams,
     min_score: i32,
     diags: &mut DiagTable,
-    masked2: Option<&oris_dust::MaskSet>,
+    masked2: Option<&oris_index::MaskSet>,
     out: &mut Vec<Hsp>,
 ) -> ScanStats {
     let d1 = bank1.data();
@@ -180,7 +180,7 @@ pub fn scan_bank(
     lookup: &BankIndex,
     bank2: &Bank,
     cfg: &BlastConfig,
-    masked2: Option<&oris_dust::MaskSet>,
+    masked2: Option<&oris_index::MaskSet>,
 ) -> (Vec<Hsp>, ScanStats) {
     let params = UngappedParams {
         w: cfg.w,
@@ -333,7 +333,7 @@ mod tests {
         let b2 = bank(&[s]);
         let c = cfg(6);
         let lookup = BankIndex::build(&b1, IndexConfig::full(c.w));
-        let mut mask = oris_dust::MaskSet::new(b2.data().len());
+        let mut mask = oris_index::MaskSet::new(b2.data().len());
         mask.set_range(0, b2.data().len());
         let (hsps, stats) = scan_bank(&b1, &lookup, &b2, &c, Some(&mask));
         assert!(hsps.is_empty());

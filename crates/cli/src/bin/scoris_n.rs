@@ -23,7 +23,6 @@
 //!   -s, --minscore N    minimum HSP score S1 (default 18)
 //!   -f, --filter KIND   none | entropy | dust (default entropy)
 //!   -t, --threads N     worker threads (default: all cores)
-//!       --engine NAME   oris | blast (default oris)
 //!       --asymmetric    asymmetric (W−1)-mer indexing (section 3.4)
 //!       --both-strands  also search the complementary strand (sstart > send)
 //!       --index FILE    load bank 2's index from a `mkindex` file instead
@@ -93,8 +92,8 @@ use oris_seqio::Bank;
 
 fn usage() -> &'static str {
     "usage: scoris-n <bank1.fa> <bank2.fa> [-W n] [-e x] [-x n] [-X n] [-s n]\n\
-     \t[-f none|entropy|dust] [-t n] [--engine oris|blast] [--asymmetric]\n\
-     \t[--both-strands] [--index bank2.oidx] [--batch dir-or-multi.fa]\n\
+     \t[-f none|entropy|dust] [-t n] [--asymmetric] [--both-strands]\n\
+     \t[--index bank2.oidx] [--batch dir-or-multi.fa]\n\
      \t[--db dir] [--window n] [--workers n]\n\
      \t[--result-cache mb] [--dbsize n]\n\
      \t[--deadline ms] [--skip-bad-volumes] [--stats] [--trace f.jsonl]\n\
@@ -422,7 +421,7 @@ fn finish_obs(setup: &ObsSetup) -> Result<(), String> {
     Ok(())
 }
 
-/// The pipeline-stats fields every oris-engine mode shares, in one
+/// The pipeline-stats fields every mode shares, in one
 /// place so plain, db, and batch `--stats` lines keep the same schema.
 fn pipeline_fields(b: &mut StatsBlock, s: &PipelineStats) {
     b.secs("index_secs", s.index_secs);
@@ -452,7 +451,6 @@ fn run() -> Result<(), CliError> {
             "minscore",
             "filter",
             "threads",
-            "engine",
             "index",
             "batch",
             "db",
@@ -536,7 +534,7 @@ fn run() -> Result<(), CliError> {
     // residue total (BLAST's -z). A --db search sets this implicitly
     // from the manifest; an explicit value overrides even that.
     let subject_space = match args.options.get("dbsize") {
-        None => oris_eval::SubjectSpace::PerSequence,
+        None => oris_core::SubjectSpace::PerSequence,
         Some(v) => {
             let n: u64 = v.parse().map_err(|e| format!("--dbsize {v:?}: {e}"))?;
             if n == 0 {
@@ -544,7 +542,7 @@ fn run() -> Result<(), CliError> {
                 // filter silently disabled by a typo.
                 return Err("--dbsize must be at least 1".into());
             }
-            oris_eval::SubjectSpace::Database(n)
+            oris_core::SubjectSpace::Database(n)
         }
     };
     let cfg = OrisConfig {
@@ -562,25 +560,6 @@ fn run() -> Result<(), CliError> {
     };
     cfg.validate()?;
 
-    let engine = args
-        .options
-        .get("engine")
-        .map(String::as_str)
-        .unwrap_or("oris");
-
-    if engine != "oris" && args.options.contains_key("index") {
-        return Err("--index is only supported by the oris engine".into());
-    }
-    if engine != "oris" && batch_mode {
-        return Err("--batch is only supported by the oris engine".into());
-    }
-    if engine != "oris" && db_mode {
-        return Err("--db is only supported by the oris engine".into());
-    }
-    if !matches!(engine, "oris" | "blast") {
-        return Err(format!("unknown engine {engine:?}").into());
-    }
-
     let obs = build_obs(&args)?;
 
     // Every input is opened BEFORE Output::open creates the .tmp.<pid>
@@ -594,10 +573,7 @@ fn run() -> Result<(), CliError> {
         Some(db_dir) => search_db(&args, &cfg, db_dir, &obs.obs, queries)?,
         None => {
             let bank2 = read_bank(args.positional.last().expect("counted above"))?;
-            match engine {
-                "blast" => search_blast(&args, &cfg, &bank2, &obs.obs, queries)?,
-                _ => search_bank(&args, &cfg, &bank2, &obs.obs, queries)?,
-            }
+            search_bank(&args, &cfg, &bank2, &obs.obs, queries)?
         }
     };
     if args.has_flag("stats") {
@@ -642,41 +618,6 @@ fn search_bank(
         b.field("total_index_builds", batch.total_index_builds());
     }
     pipeline_fields(&mut b, &batch.query_totals());
-    Ok(b)
-}
-
-/// The same FASTA subject under the BLASTN-style baseline, whose unit of
-/// work is the one whole query bank. It has no session to count for it,
-/// so its query is counted here.
-fn search_blast(
-    args: &Args,
-    cfg: &OrisConfig,
-    bank2: &Bank,
-    obs: &Obs,
-    queries: BatchQueries,
-) -> Result<StatsBlock, CliError> {
-    let bcfg = oris_blast::BlastConfig::matched(cfg);
-    let (s, records) = stream_batch(args, queries, |mut queries, sink| {
-        let query = queries.next().expect("the positional query bank");
-        let _span = obs.timed_span("query", names::QUERY_SECONDS);
-        oris_blast::compare_banks_into(&query, bank2, &bcfg, sink).map_err(|e| e.to_string())
-    })?;
-    obs.count(names::QUERIES_TOTAL, 1);
-    obs.count(names::RECORDS_TOTAL, records);
-
-    let mut b = StatsBlock::new("blast", "plain");
-    b.field("queries", 1);
-    b.field("records", records);
-    b.secs("lookup_secs", s.lookup_secs);
-    b.secs("scan_secs", s.scan_secs);
-    b.secs("gapped_secs", s.gapped_secs);
-    b.secs("output_secs", s.output_secs);
-    b.field("hsps", s.hsps);
-    b.field("alignments", s.raw_alignments);
-    b.field("probes", s.scan.probes);
-    b.field("hits", s.scan.hits);
-    b.field("suppressed", s.scan.suppressed);
-    b.field("extensions", s.scan.extensions);
     Ok(b)
 }
 
@@ -757,8 +698,8 @@ fn search_db(
 
     let costs = session.volume_costs();
     let total = match session.config().subject_space {
-        oris_eval::SubjectSpace::Database(n) => n,
-        oris_eval::SubjectSpace::PerSequence => 0,
+        oris_core::SubjectSpace::Database(n) => n,
+        oris_core::SubjectSpace::PerSequence => 0,
     };
     let cache = session.result_cache_counters();
     let mut b = StatsBlock::new("oris", "db");

@@ -1,19 +1,22 @@
 //! # oris-cli — command-line front ends
 //!
-//! Three binaries:
+//! Four binaries, all of the ORIS engine (the BLASTN-style baseline and
+//! the bank generator `mkbank` belong to the reproduction, in
+//! `oris-bench`):
 //!
 //! * **`scoris-n`** — the paper's prototype as a tool: compares two FASTA
-//!   banks and writes BLAST `-m 8` records to stdout or a file. The
-//!   `--engine blast` flag runs the BLASTN-style baseline instead, so the
-//!   paper's timing methodology (`time scoris-n A B` vs the baseline) can
-//!   be replayed from a shell. With `--index FILE` the subject bank's
-//!   index is loaded from a `mkindex` file instead of being rebuilt —
-//!   the intensive-comparison workflow, with byte-identical output.
+//!   banks and writes BLAST `-m 8` records to stdout or a file. With
+//!   `--index FILE` the subject bank's index is loaded from a `mkindex`
+//!   file instead of being rebuilt — the intensive-comparison workflow,
+//!   with byte-identical output; `--batch` runs many query banks and
+//!   `--db` searches a `makedb` database.
 //! * **`mkindex`** — builds a bank's occurrence index once (mask + CSR
 //!   arrays, exactly as `scoris-n` would for its second bank) and
 //!   persists it in the versioned `oris-index` on-disk format.
-//! * **`mkbank`** — materializes the synthetic paper banks (EST1…H19) or
-//!   custom random banks as FASTA files.
+//! * **`makedb`** — shards FASTA input into a database of size-bounded
+//!   volumes, each a bank plus its persisted index, under one manifest.
+//! * **`verifydb`** — checks a `makedb` database offline, volume by
+//!   volume, against its manifest.
 //!
 //! Argument parsing is hand-rolled (the sanctioned dependency set carries
 //! no CLI crate); [`args`] holds the tiny parser shared by the binaries.

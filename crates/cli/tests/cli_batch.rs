@@ -217,16 +217,6 @@ fn batch_argument_validation() {
         .unwrap();
     assert!(!out.status.success());
 
-    // The blast engine has no batch mode.
-    let out = scoris_n()
-        .args(["--engine", "blast", "--batch"])
-        .arg(&queries)
-        .arg(&subject)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("batch"));
-
     // A NaN e-value threshold would pass every record (`evalue > NaN` is
     // never true): refused like any other non-positive threshold.
     let out = scoris_n()

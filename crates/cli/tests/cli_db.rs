@@ -355,16 +355,6 @@ fn db_argument_validation() {
         .unwrap();
     assert!(!out.status.success());
 
-    // The blast engine has no database mode.
-    let out = scoris_n()
-        .args(["--engine", "blast"])
-        .arg(&query)
-        .arg("--db")
-        .arg(&db)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-
     // A configuration mismatch (different word length than the database
     // was built with) is a clean error naming the mismatch.
     let out = scoris_n()

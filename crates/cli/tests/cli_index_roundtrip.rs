@@ -181,20 +181,6 @@ fn mismatched_index_options_are_rejected() {
         .output()
         .unwrap();
     assert!(!out.status.success());
-
-    // The blast engine has no index path.
-    let out = scoris_n()
-        .args([
-            q.to_str().unwrap(),
-            s.to_str().unwrap(),
-            "--engine",
-            "blast",
-            "--index",
-        ])
-        .arg(&oidx)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! ORIS pipeline configuration.
 
 use oris_align::ScoringScheme;
-use oris_eval::SubjectSpace;
+
+use crate::space::SubjectSpace;
 
 /// Which low-complexity filter to apply before indexing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -9,7 +10,7 @@ pub enum FilterKind {
     /// No filtering.
     None,
     /// The windowed-entropy filter (the SCORIS-N-side filter, see
-    /// `oris-dust`). This is the ORIS default.
+    /// `oris_index::EntropyMasker`). This is the ORIS default.
     Entropy,
     /// The DUST-style triplet filter (what BLASTN uses).
     Dust,
@@ -84,7 +85,7 @@ pub struct OrisConfig {
     /// `Some(1)` = fully sequential (reference behaviour).
     pub threads: Option<usize>,
     /// Subject-side effective search space for e-values
-    /// ([`oris_eval::SubjectSpace`]): the SCORIS-N per-sequence
+    /// ([`crate::SubjectSpace`]): the SCORIS-N per-sequence
     /// convention by default; `Database(total)` for sharded-database
     /// searches, where `total` comes from the database manifest so every
     /// volume prices alignments over the same database-wide space.

@@ -24,8 +24,7 @@
 
 use std::borrow::Cow;
 
-use oris_dust::{DustMasker, EntropyMasker, MaskSet};
-use oris_index::{BankIndex, IndexConfig};
+use oris_index::{BankIndex, DustMasker, EntropyMasker, IndexConfig, MaskSet};
 use oris_obs::{names, Obs, Stopwatch};
 use oris_seqio::Bank;
 
@@ -442,7 +441,7 @@ impl<'a> Session<'a> {
     /// record-pair group, both strands when configured. The query
     /// boundary is **not** marked: the caller owns the
     /// [`RecordSink::end_query`] call, whose single boundary sort under
-    /// [`oris_eval::M8Record::total_order`] merges the two strands here
+    /// [`crate::M8Record::total_order`] merges the two strands here
     /// and all the volumes of a database search — one query runs through
     /// each volume's session in turn and the database session fires
     /// `end_query` once — into bytes identical to a single-bank run over
@@ -804,7 +803,7 @@ mod tests {
             boundaries: usize,
         }
         impl crate::sink::RecordSink for CountingSink {
-            fn accept(&mut self, _rec: oris_eval::M8Record) {
+            fn accept(&mut self, _rec: crate::M8Record) {
                 self.accepted += 1;
             }
             fn end_query(&mut self) -> std::io::Result<()> {
@@ -845,7 +844,7 @@ mod tests {
 
         let mut sink = crate::sink::CollectSink::new();
         let batch = session.run_batch(&queries, &mut sink).unwrap();
-        let expected: Vec<oris_eval::M8Record> = queries
+        let expected: Vec<crate::M8Record> = queries
             .iter()
             .flat_map(|q| session.run(q).alignments)
             .collect();

@@ -32,10 +32,10 @@
 //! * [`sink::CollectSink`] keeps everything (this *is* how
 //!   [`OrisResult`] is built — the collected path is the streamed path);
 //! * [`sink::StreamWriter`] emits `-m 8` lines incrementally through
-//!   [`oris_eval::M8Writer`], holding at most one query's records.
+//!   [`M8Writer`], holding at most one query's records.
 //!
 //! Every sink orders records with the strict total order
-//! [`oris_eval::M8Record::total_order`], so streamed and collected output
+//! [`M8Record::total_order`], so streamed and collected output
 //! are byte-identical regardless of thread count or batch order — even
 //! under tied e-values.
 //!
@@ -61,7 +61,7 @@
 //! concatenated single-bank run. E-values price the subject side under
 //! [`config::OrisConfig::subject_space`]: the SCORIS-N per-sequence
 //! convention by default, or a database-wide residue total
-//! (`oris_eval::SubjectSpace::Database`) so significance cannot depend
+//! ([`SubjectSpace::Database`]) so significance cannot depend
 //! on the sharding.
 //!
 //! ```no_run
@@ -94,7 +94,7 @@
 //!
 //! 1. **Step 1 — indexing** ([`engine`]): both banks are indexed with
 //!    the Figure-2 structure (`oris-index`), optionally after discarding
-//!    low-complexity words (`oris-dust`).
+//!    low-complexity words (`oris_index::EntropyMasker` / `DustMasker`).
 //! 2. **Step 2 — hit extension** ([`step2`]): all `4^W` seeds are
 //!    enumerated in increasing code order; each occurrence pair is
 //!    extended ungapped with the ordered-seed abort rule, producing
@@ -103,7 +103,7 @@
 //!    are grown into gapped alignments from their midpoints, skipping
 //!    HSPs contained in an already-computed alignment.
 //! 4. **Step 4 — display** ([`step4`]): e-values, sorting, BLAST `-m 8`
-//!    records.
+//!    records ([`m8`]; the e-value's subject side is [`space`]).
 //!
 //! The "perspectives" section of the paper observes that "the outer loop
 //! of step 2 which considers all the possible 4^W seeds can be run in
@@ -126,8 +126,10 @@ pub mod config;
 pub mod deadline;
 pub mod engine;
 pub mod hsp;
+pub mod m8;
 pub mod pipeline;
 pub mod sink;
+pub mod space;
 pub mod step2;
 pub mod step3;
 pub mod step4;
@@ -136,9 +138,7 @@ pub use config::{FilterKind, OrisConfig};
 pub use deadline::{Deadline, DeadlineExceeded};
 pub use engine::{BatchStats, PrepareStats, PreparedBank, SearchError, Session};
 pub use hsp::Hsp;
+pub use m8::{M8Record, M8Writer};
 pub use pipeline::{compare_banks, OrisResult, PipelineStats};
 pub use sink::{CollectSink, RecordSink, StreamWriter};
-
-/// The output record type (BLAST `-m 8` row), re-exported from
-/// `oris-eval` so both engines share one definition.
-pub type AlignmentRecord = oris_eval::M8Record;
+pub use space::SubjectSpace;

@@ -57,16 +57,6 @@ pub struct M8Record {
 }
 
 impl M8Record {
-    /// Query span length (inclusive coordinates).
-    pub fn qspan(&self) -> usize {
-        self.qend.saturating_sub(self.qstart) + 1
-    }
-
-    /// Subject span length (inclusive coordinates).
-    pub fn sspan(&self) -> usize {
-        self.send.saturating_sub(self.sstart) + 1
-    }
-
     /// Parses one `-m 8` line.
     pub fn parse(line: &str) -> Option<M8Record> {
         let mut it = line.trim_end().split('\t');
@@ -232,13 +222,6 @@ mod tests {
         assert_eq!(p.send, r.send);
         assert!((p.pident - r.pident).abs() < 0.01);
         assert!((p.evalue - r.evalue).abs() / r.evalue < 0.01);
-    }
-
-    #[test]
-    fn spans_are_inclusive() {
-        let r = sample();
-        assert_eq!(r.qspan(), 200);
-        assert_eq!(r.sspan(), 198);
     }
 
     #[test]

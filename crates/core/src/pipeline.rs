@@ -11,7 +11,6 @@
 //! Materializing a whole result is a *sink policy* (`CollectSink`), not a
 //! pipeline property.
 
-use oris_eval::M8Record;
 use oris_obs::{Field, Obs, Stopwatch};
 use oris_seqio::Bank;
 
@@ -19,6 +18,7 @@ use crate::config::OrisConfig;
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::engine::{PreparedBank, Session};
 use crate::hsp::Hsp;
+use crate::m8::M8Record;
 use crate::step2::{self, Step2Stats};
 use crate::step3::{self, GappedAlignment, Step3Stats};
 use crate::step4::{self, Step4Stats};
@@ -577,7 +577,7 @@ mod strand_tests {
         // (e.g. degenerate Karlin–Altschul parameters); total_cmp must
         // sort deterministically instead.
         use crate::sink::{CollectSink, RecordSink};
-        use oris_eval::M8Record;
+        use crate::M8Record;
         let rec = |sid: &str, evalue: f64| M8Record {
             qid: "q".into(),
             sid: sid.into(),

@@ -9,7 +9,7 @@
 //!   boundary. It is how `Session::run` builds an `OrisResult`, and the
 //!   per-volume staging buffer of a database search.
 //! * [`StreamWriter`] — incremental `-m 8` emission through
-//!   [`oris_eval::M8Writer`]: buffers one query, sorts it at the boundary,
+//!   [`crate::M8Writer`]: buffers one query, sorts it at the boundary,
 //!   writes, frees. Peak memory tracks the largest single query, not the
 //!   run.
 //!
@@ -21,7 +21,7 @@
 
 use std::io::{self, Write};
 
-use oris_eval::{M8Record, M8Writer};
+use crate::m8::{M8Record, M8Writer};
 
 /// Receives the record stream of one or more query runs.
 ///
@@ -82,7 +82,7 @@ impl RecordSink for CollectSink {
 
 /// Streams records to a writer: buffers one query, sorts it with the
 /// strict total order at `end_query`, emits it through
-/// [`oris_eval::M8Writer`], frees the buffer, flushes. The memory
+/// [`crate::M8Writer`], frees the buffer, flushes. The memory
 /// high-water mark is the largest single query's record set — the
 /// bounded-memory batch front-end rests on this sink.
 pub struct StreamWriter<W: Write> {

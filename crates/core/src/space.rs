@@ -19,10 +19,6 @@
 //!   reports exactly the numbers a single concatenated bank would under
 //!   the same convention. (BLAST's `-z`/`dbsize` override is this same
 //!   idea.)
-//!
-//! This type lives in `oris-eval` — next to [`crate::M8Record`], below
-//! both engines — so the convention is a shared, engine-agnostic
-//! parameter rather than a property of one pipeline's plumbing.
 
 /// Subject-side effective search-space policy for e-value computation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -22,11 +22,11 @@
 //! ([`EValueModel::dna`] solves the Karlin–Altschul parameters once per
 //! scoring scheme per process), and the rest is per alignment.
 
-use oris_eval::M8Record;
+use oris_align::{EValueModel, SearchSpace};
 use oris_seqio::Bank;
-use oris_stats::{EValueModel, SearchSpace};
 
 use crate::config::OrisConfig;
+use crate::m8::M8Record;
 use crate::step3::GappedAlignment;
 
 /// Counters reported by step 4.
@@ -121,7 +121,7 @@ pub fn emit_records(
         // Subject-side n under the configured convention: the subject
         // sequence's length (SCORIS-N, the default) or the database-wide
         // residue total (sharded search — shard-invariant by
-        // construction, see `oris_eval::SubjectSpace`). Built as f64
+        // construction, see `crate::SubjectSpace`). Built as f64
         // directly so a >4 Gbp database total survives 32-bit targets.
         let space = SearchSpace {
             m: m as f64,
@@ -272,7 +272,7 @@ mod tests {
         // on the fixed database total. Short and long subjects price the
         // same alignment identically, and the e-value scales with the
         // declared database size exactly as m·n does.
-        use oris_eval::SubjectSpace;
+        use crate::SubjectSpace;
         let q = "ACGTACGTACGTACGTACGTACGTACGTACGT";
         let b1 = bank(&[q]);
         let short = bank(&[q]);

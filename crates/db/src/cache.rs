@@ -36,8 +36,7 @@
 
 use std::collections::BTreeMap;
 
-use oris_core::{OrisConfig, PipelineStats};
-use oris_eval::M8Record;
+use oris_core::{M8Record, OrisConfig, PipelineStats};
 use oris_seqio::Bank;
 
 /// Cache key: the three content fingerprints that fully determine a
@@ -280,8 +279,8 @@ pub fn config_fingerprint(cfg: &OrisConfig) -> u64 {
     h.u64(u64::from(cfg.asymmetric));
     h.u64(u64::from(cfg.both_strands));
     match cfg.subject_space {
-        oris_eval::SubjectSpace::PerSequence => h.u64(0),
-        oris_eval::SubjectSpace::Database(n) => {
+        oris_core::SubjectSpace::PerSequence => h.u64(0),
+        oris_core::SubjectSpace::Database(n) => {
             h.u64(1);
             h.u64(n);
         }
@@ -431,7 +430,7 @@ mod tests {
             (
                 "space",
                 OrisConfig {
-                    subject_space: oris_eval::SubjectSpace::Database(1234),
+                    subject_space: oris_core::SubjectSpace::Database(1234),
                     ..base
                 },
             ),

@@ -24,10 +24,9 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use oris_core::{
-    CollectSink, Deadline, DeadlineExceeded, OrisConfig, PipelineStats, PreparedBank, RecordSink,
-    Session,
+    CollectSink, Deadline, DeadlineExceeded, M8Record, OrisConfig, PipelineStats, PreparedBank,
+    RecordSink, Session, SubjectSpace,
 };
-use oris_eval::{M8Record, SubjectSpace};
 use oris_obs::{names, Field, Obs};
 use oris_seqio::Bank;
 

@@ -3,9 +3,8 @@
 //! single-bank run over the concatenated input, shard-invariant
 //! e-values, mapped attach, bounded windows).
 
-use oris_core::{CollectSink, FilterKind, OrisConfig, OrisResult, Session};
+use oris_core::{CollectSink, FilterKind, OrisConfig, OrisResult, Session, SubjectSpace};
 use oris_db::{make_db, Database, DbOptions, DbSession, MakeDbOptions};
-use oris_eval::SubjectSpace;
 use oris_seqio::{Bank, BankBuilder};
 use std::path::PathBuf;
 
@@ -329,7 +328,7 @@ fn batch_streams_one_boundary_per_query_and_counts_attaches() {
         boundaries: usize,
     }
     impl oris_core::RecordSink for BoundaryCounter {
-        fn accept(&mut self, rec: oris_eval::M8Record) {
+        fn accept(&mut self, rec: oris_core::M8Record) {
             self.inner.accept(rec);
         }
         fn end_query(&mut self) -> std::io::Result<()> {

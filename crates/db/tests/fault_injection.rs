@@ -377,7 +377,7 @@ fn config_mismatch_is_config_error() {
 struct FailingSink;
 
 impl RecordSink for FailingSink {
-    fn accept(&mut self, _rec: oris_core::AlignmentRecord) {}
+    fn accept(&mut self, _rec: oris_core::M8Record) {}
     fn end_query(&mut self) -> std::io::Result<()> {
         Err(std::io::Error::other("injected sink failure"))
     }
@@ -404,7 +404,7 @@ fn bounded_window_failure_leaves_the_sink_untouched() {
     /// (records accepted, boundaries seen)
     struct Probe(usize, usize);
     impl RecordSink for Probe {
-        fn accept(&mut self, _rec: oris_core::AlignmentRecord) {
+        fn accept(&mut self, _rec: oris_core::M8Record) {
             self.0 += 1;
         }
         fn end_query(&mut self) -> std::io::Result<()> {
@@ -515,7 +515,7 @@ fn skip_and_report_completes_over_survivors_byte_identically() {
     .unwrap();
     let ref_db = Database::open(&ref_dir).unwrap();
     let mut ref_cfg = cfg();
-    ref_cfg.subject_space = oris_eval::SubjectSpace::Database(total);
+    ref_cfg.subject_space = oris_core::SubjectSpace::Database(total);
     let mut ref_session = DbSession::new(&ref_db, &ref_cfg, DbOptions::default()).unwrap();
     let mut ref_sink = CollectSink::new();
     ref_session

@@ -1,36 +1,25 @@
 //! # oris-eval — the paper's evaluation methodology (section 3)
 //!
-//! Everything section 3 of the paper measures lives here, engine-agnostic:
+//! What section 3 of the paper measures about the two programs, from
+//! their `-m 8` output ([`oris_core::M8Record`]) alone:
 //!
-//! * [`M8Record`]: the BLAST `-m 8` tabular alignment record both SCORIS-N
-//!   and BLASTN emit — twelve tab-separated fields, 1-based inclusive
-//!   coordinates;
 //! * [`overlap`]: the sensitivity metric — "two alignments are equivalent
 //!   if they overlap of more than 80 %";
 //! * [`sensitivity`]: the `SCmiss` / `BLmiss` / `SCORISmiss` / `BLASTmiss`
 //!   bookkeeping of section 3.4;
-//! * [`space`]: the effective search-space conventions e-values are
-//!   computed under — the paper's per-subject-sequence `n`, or a fixed
-//!   database-wide residue total for sharded-database searches;
-//! * [`timing`]: wall-clock measurement and the speed-up rows of the
-//!   section 3.3 tables;
+//! * [`timing`]: the speed-up rows of the section 3.3 tables;
 //! * [`tables`]: plain-text table rendering so every bench binary prints
 //!   rows in the paper's layout.
-//!
-//! The engine crates (`oris-core`, `oris-blast`) depend on this crate for
-//! the record type; this crate depends on nothing, so the evaluation
-//! cannot accidentally favour either engine.
 
-pub mod m8;
 pub mod overlap;
 pub mod sensitivity;
-pub mod space;
 pub mod tables;
 pub mod timing;
 
-pub use m8::{M8Record, M8Writer};
+// For the standalone `benchmark/` package, which imports the record from
+// here; the workspace imports it from `oris_core`.
+pub use oris_core::{M8Record, M8Writer};
 pub use overlap::{equivalent, overlap_fraction};
 pub use sensitivity::{compare_outputs, MissReport};
-pub use space::SubjectSpace;
 pub use tables::Table;
-pub use timing::{median_secs, time_secs, SpeedupRow};
+pub use timing::SpeedupRow;

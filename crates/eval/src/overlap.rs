@@ -8,7 +8,7 @@
 //! reported with slightly shifted ends (the common case between two
 //! heuristic engines) then still count as the same alignment.
 
-use crate::m8::M8Record;
+use oris_core::M8Record;
 
 /// Fraction of the shorter interval covered by the intersection of
 /// `[a1, a2]` and `[b1, b2]` (1-based inclusive).

@@ -15,7 +15,8 @@
 
 use std::collections::HashMap;
 
-use crate::m8::M8Record;
+use oris_core::M8Record;
+
 use crate::overlap::equivalent;
 
 /// Result of comparing two programs' outputs on one bank pair.

@@ -1,48 +1,9 @@
-//! Wall-clock measurement and speed-up rows (paper section 3.3).
+//! Speed-up rows (paper section 3.3).
 //!
 //! The paper measures `time` user seconds of whole program runs and
 //! reports, per bank pair, the search space (product of bank sizes in
 //! Mbp), both execution times, and the speed-up. [`SpeedupRow`] is that
-//! table row; [`median_secs`] gives a robust single number per
-//! configuration (the paper ran on a quiet machine; medians serve the
-//! same purpose here).
-
-use oris_obs::Stopwatch;
-
-/// Times one invocation of `f` in seconds, returning the result too.
-pub fn time_secs<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let sw = Stopwatch::start();
-    let out = f();
-    (sw.elapsed_secs(), out)
-}
-
-/// Runs `f` `runs` times and returns the median wall-clock seconds.
-///
-/// # Panics
-/// Panics if `runs == 0`.
-pub fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    assert!(runs > 0);
-    let times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let sw = Stopwatch::start();
-            f();
-            sw.elapsed_secs()
-        })
-        .collect();
-    median_of(times)
-}
-
-/// Median under `f64::total_cmp`, so a stray NaN (a zero-duration
-/// division upstream, a corrupted sample) sorts to the high end instead
-/// of panicking the whole measurement run.
-///
-/// # Panics
-/// Panics if `times` is empty.
-pub fn median_of(mut times: Vec<f64>) -> f64 {
-    assert!(!times.is_empty());
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
+//! table row.
 
 /// One row of a section-3.3 speed-up table.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,35 +32,6 @@ impl SpeedupRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_secs_returns_value() {
-        let (secs, v) = time_secs(|| 41 + 1);
-        assert_eq!(v, 42);
-        assert!(secs >= 0.0);
-    }
-
-    #[test]
-    fn median_of_odd_runs() {
-        let mut n = 0;
-        let m = median_secs(3, || {
-            n += 1;
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        });
-        assert_eq!(n, 3);
-        assert!(m >= 0.001);
-    }
-
-    #[test]
-    fn median_of_survives_nan_samples() {
-        // PR 2's e-value sort panicked on NaN via `partial_cmp`; the
-        // same failure shape existed here. total_cmp sorts NaN above
-        // every real sample, so the median of mostly-real data stays a
-        // real number and nothing panics.
-        let m = median_of(vec![2.0, f64::NAN, 1.0]);
-        assert_eq!(m, 2.0);
-        assert!(median_of(vec![f64::NAN]).is_nan());
-    }
 
     #[test]
     fn speedup_math() {

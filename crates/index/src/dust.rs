@@ -28,7 +28,7 @@
 use oris_seqio::alphabet::is_nucleotide;
 use oris_seqio::Bank;
 
-use oris_index::MaskSet;
+use crate::MaskSet;
 
 /// DUST-style windowed triplet masker.
 #[derive(Debug, Clone, Copy, PartialEq)]

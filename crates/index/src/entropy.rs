@@ -26,7 +26,7 @@
 use oris_seqio::alphabet::is_nucleotide;
 use oris_seqio::Bank;
 
-use oris_index::MaskSet;
+use crate::MaskSet;
 
 /// Windowed Shannon-entropy low-complexity masker.
 #[derive(Debug, Clone, Copy, PartialEq)]

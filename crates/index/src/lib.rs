@@ -51,7 +51,19 @@
 //! * Seed-occupancy statistics used by tests and the memory experiment (E7:
 //!   ≈5·N bytes for a fully indexed bank — 1 byte of `SEQ` + 4 bytes of
 //!   postings per position).
+//! * Low-complexity masking, which decides what the index leaves out
+//!   (section 2.1: "W character words belonging to low-complexity regions
+//!   are discarded from the index"). Section 3.4 charges part of the
+//!   SCORIS-N/BLASTN sensitivity gap to the two programs using *different*
+//!   filters, so there are two: [`EntropyMasker`], a windowed Shannon-
+//!   entropy test standing in for SCORIS-N's own filter, and
+//!   [`DustMasker`], a DUST-style windowed triplet score (Morgulis et al.
+//!   2006) for the BLASTN-like baseline. Both produce a [`MaskSet`] of
+//!   global bank positions; an indexed W-mer is discarded when its start
+//!   position is masked.
 
+pub mod dust;
+pub mod entropy;
 pub mod mask;
 pub mod mmap;
 pub mod persist;
@@ -59,6 +71,8 @@ pub(crate) mod section;
 pub mod seedcode;
 pub mod structure;
 
+pub use dust::DustMasker;
+pub use entropy::EntropyMasker;
 pub use mask::MaskSet;
 pub use mmap::{map_index_file, Mapping};
 pub use persist::{read_index_file, write_index_file, IndexMeta, PersistError};

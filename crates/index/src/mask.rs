@@ -110,20 +110,6 @@ impl MaskSet {
         self.bits[pos / 64] & (1u64 << (pos % 64)) != 0
     }
 
-    /// Union with another mask of the same length.
-    ///
-    /// # Panics
-    /// Panics if lengths differ.
-    pub fn union(&mut self, other: &MaskSet) {
-        assert_eq!(self.len, other.len, "mask length mismatch");
-        let mut masked = 0usize;
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= b;
-            masked += a.count_ones() as usize;
-        }
-        self.masked = masked;
-    }
-
     /// Returns a mask over *word start* positions: position `p` is set
     /// when any of the `w` positions `p .. p+w` is set in `self`.
     ///
@@ -228,17 +214,6 @@ mod tests {
         m.set_range(5, 8); // adjacent → merged implicitly
         m.set_range(15, 20);
         assert_eq!(m.intervals(), vec![(2, 8), (15, 20)]);
-    }
-
-    #[test]
-    fn union_combines() {
-        let mut a = MaskSet::new(10);
-        a.set_range(0, 3);
-        let mut b = MaskSet::new(10);
-        b.set_range(2, 6);
-        a.union(&b);
-        assert_eq!(a.intervals(), vec![(0, 6)]);
-        assert_eq!(a.masked_count(), 6);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 // after the clock centralised in oris-obs is bootstrapping a clock that
 // oris-obs itself cannot provide (e.g. a platform-specific fallback).
 
-pub fn time_secs<T>(f: impl FnOnce() -> T) -> (f64, T) {
+pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     // oris-lint: allow(det-time) — platform clock shim; cannot depend on oris-obs from here
     let t0 = std::time::Instant::now();
     let out = f();

@@ -3,7 +3,7 @@
 // oris-obs, these files are in scope like everyone else: measurement
 // goes through `oris_obs::Stopwatch`, not `Instant::now`.
 
-pub fn time_secs<T>(f: impl FnOnce() -> T) -> (f64, T) {
+pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let t0 = std::time::Instant::now();
     let out = f();
     (t0.elapsed().as_secs_f64(), out)

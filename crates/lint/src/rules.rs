@@ -49,8 +49,6 @@ const HASH_SCOPE: &[&str] = &[
     "oris-db",
     "oris-index",
     "oris-align",
-    "oris-stats",
-    "oris-dust",
     "oris-seqio",
     "oris-cli",
 ];

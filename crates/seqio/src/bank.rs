@@ -19,7 +19,7 @@
 //! `data[record.start - 1]` / `data[record.start + record.len]` are always
 //! valid sentinel-or-ambiguous stops.
 
-use crate::alphabet::{code_to_char, complement_code, is_nucleotide, nuc_from_char, SENTINEL};
+use crate::alphabet::{code_to_char, complement_code, nuc_from_char, SENTINEL};
 
 /// Metadata for one sequence inside a [`Bank`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,15 +159,6 @@ impl Bank {
             b.close_record();
         }
         b.finish()
-    }
-
-    /// Fraction of residues that are concrete nucleotides (not `N`).
-    pub fn acgt_fraction(&self) -> f64 {
-        if self.residues == 0 {
-            return 0.0;
-        }
-        let acgt = self.data.iter().filter(|&&c| is_nucleotide(c)).count();
-        acgt as f64 / self.residues as f64
     }
 }
 
@@ -377,13 +368,6 @@ mod tests {
         b.push_codes("x", &vec![0u8; 500_000]);
         let bank = b.finish();
         assert!((bank.mbp() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn acgt_fraction_counts_ambig() {
-        let bank = two_seq_bank(); // 9 residues, 1 N
-        let f = bank.acgt_fraction();
-        assert!((f - 8.0 / 9.0).abs() < 1e-9, "{f}");
     }
 
     #[test]

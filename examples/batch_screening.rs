@@ -16,7 +16,7 @@
 //! bytes equal what the collect-everything path would have produced.
 
 use oris::prelude::*;
-use oris_eval::M8Writer;
+use oris_core::M8Writer;
 
 fn main() {
     // One subject, prepared once; six query banks from the same simulated

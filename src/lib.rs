@@ -23,20 +23,18 @@
 pub use oris_align as align;
 pub use oris_blast as blast;
 pub use oris_core as core;
-pub use oris_dust as dust;
 pub use oris_eval as eval;
 pub use oris_index as index;
 pub use oris_obs as obs;
 pub use oris_seqio as seqio;
 pub use oris_simulate as simulate;
-pub use oris_stats as stats;
 
 /// Commonly used items, re-exported flat.
 pub mod prelude {
     pub use oris_blast::{compare_banks as blast_compare_banks, BlastConfig};
     pub use oris_core::{
-        compare_banks, AlignmentRecord, BatchStats, CollectSink, OrisConfig, OrisResult,
-        PreparedBank, RecordSink, Session, StreamWriter,
+        compare_banks, BatchStats, CollectSink, OrisConfig, OrisResult, PreparedBank, RecordSink,
+        Session, StreamWriter,
     };
     pub use oris_eval::{MissReport, SpeedupRow};
     pub use oris_index::{BankIndex, IndexConfig, IndexMeta, SeedCoder};

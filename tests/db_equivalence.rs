@@ -8,9 +8,10 @@
 //! banks, volume budgets, strands and filters all converge on the same
 //! `-m 8` bytes.
 
-use oris_core::{CollectSink, FilterKind, OrisConfig, Session, StreamWriter};
+use oris_core::{
+    CollectSink, FilterKind, M8Record, M8Writer, OrisConfig, Session, StreamWriter, SubjectSpace,
+};
 use oris_db::{make_db, Database, DbOptions, DbSession, MakeDbOptions};
-use oris_eval::{M8Record, M8Writer, SubjectSpace};
 use oris_seqio::{Bank, BankBuilder};
 use proptest::prelude::*;
 use std::path::PathBuf;

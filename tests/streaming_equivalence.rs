@@ -8,8 +8,7 @@
 //! tie exactly, and the strict total order must keep the output unique
 //! and thread-count-invariant anyway.
 
-use oris_core::{CollectSink, OrisConfig, RecordSink, Session, StreamWriter};
-use oris_eval::{M8Record, M8Writer};
+use oris_core::{CollectSink, M8Record, M8Writer, OrisConfig, RecordSink, Session, StreamWriter};
 use oris_seqio::{Bank, BankBuilder};
 use proptest::prelude::*;
 
