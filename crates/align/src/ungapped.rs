@@ -52,6 +52,48 @@
 //! bases) cannot be rolled; they also never match, so the run counter
 //! resets and by the time `L` reaches `W` again the code has been fully
 //! refreshed by `W` valid rolls — staleness is unobservable.
+//!
+//! # Word-wide walk
+//!
+//! A byte-at-a-time walk spends ~9 cycles per base on its sentinel test,
+//! bounds test, roll and branches, and a random flank runs ~10 bases a
+//! side before the X-drop ends it. The production walk therefore moves
+//! eight bases per step:
+//!
+//! * **Load.** Each bank's next eight code bytes are one `u64` — read
+//!   little-endian to the right and big-endian to the left, so walk byte
+//!   `j` always sits at bits `8j..8j+8`.
+//! * **Classify.** Branch-free zero-byte tests turn the two words into an
+//!   8-bit *match mask* (byte equal on both banks and `< 4` on bank 1 —
+//!   [`ScoringScheme::is_match`]) and a *stop* flag (a [`SENTINEL`] on
+//!   either bank).
+//! * **Score.** A table indexed by `(mask, deficit)`, `deficit = best −
+//!   score` (always `< xdrop` when a step starts), gives the best-score
+//!   gain, the offset of the last new best and the deficit after the
+//!   word — or after the byte where the X-drop ends the walk inside it.
+//!   It is derived from `(matsch, mismatch, xdrop)`: `256 · xdrop`
+//!   three-byte entries, 15 KB for the defaults. The defaults' table is
+//!   built once and shared; other parameters get one per thread, rebuilt
+//!   when a call brings a different set.
+//!
+//! **The order rule stays exact.** A candidate needs a run of `W`
+//! matches, and the run is only ever extended by *leading* matches — the
+//! word's bytes before its first mismatch. Those continue the current
+//! run; for each one whose run reaches `W` the walk rolls the code,
+//! compares it with `start_code` and probes the guard exactly as the byte
+//! walk does (the code is re-encoded from bank 1 the first time the run
+//! crosses `W` after a table step). A run started *after* a mismatch can
+//! only reach `W` inside the same word when `W ≤ 7`; such a word, a word
+//! holding a stop byte and a word running past either array end are
+//! handed to the byte walk (`extend_left` / `extend_right`), which
+//! resumes from the word's entry state and finishes the side. Parameters
+//! the table cannot express (a non-positive match score, a non-negative
+//! mismatch, an X-drop outside `1..=TABLE_MAX_XDROP`) use the byte walk
+//! throughout. The byte walk is the oracle of the word walk's
+//! differential proptest.
+
+use std::cell::RefCell;
+use std::sync::LazyLock;
 
 use oris_index::{BankIndex, SeedCoder};
 use oris_seqio::alphabet::SENTINEL;
@@ -213,48 +255,87 @@ pub fn extend_hit(
         Some(start_code),
         "start_code does not match the window at p1"
     );
-
-    match guard {
-        OrderGuard::None => extend_walks(d1, d2, p1, p2, start_code, coder, params, NoWalk),
-        OrderGuard::OrderedFull => {
-            extend_walks(d1, d2, p1, p2, start_code, coder, params, FullWalk)
-        }
-        OrderGuard::OrderedIndexed { idx1, idx2 } => extend_walks(
-            d1,
-            d2,
-            p1,
-            p2,
-            start_code,
-            coder,
-            params,
-            IndexedWalk { idx1, idx2 },
-        ),
+    let hit = Hit {
+        d1,
+        d2,
+        p1,
+        p2,
+        start_code,
+        coder,
+        params,
+    };
+    if WalkTable::key_of(params) == DEFAULT_TABLE.key {
+        return extend_guarded(&hit, guard, Some(&DEFAULT_TABLE));
     }
+    TABLE.with(|cell| {
+        let mut table = cell.borrow_mut();
+        if table.key != WalkTable::key_of(params) {
+            *table = WalkTable::new(params);
+        }
+        extend_guarded(&hit, guard, (!table.steps.is_empty()).then_some(&*table))
+    })
+}
+
+/// The word-walk table of the default parameters ([`UngappedParams::new`]),
+/// shared by every thread so the per-pair path pays no thread-local
+/// access (~7 ns a call).
+static DEFAULT_TABLE: LazyLock<WalkTable> =
+    LazyLock::new(|| WalkTable::new(&UngappedParams::new(1)));
+
+thread_local! {
+    /// This thread's word-walk table for other parameters, rebuilt
+    /// whenever a call brings different `(matsch, mismatch, xdrop)` than
+    /// the last one.
+    static TABLE: RefCell<WalkTable> = const { RefCell::new(WalkTable::EMPTY) };
+}
+
+/// Resolves the guard shape into a monomorphized pair of walks: word
+/// walks over `table`, or byte walks throughout when there is none.
+#[inline]
+fn extend_guarded(
+    hit: &Hit<'_>,
+    guard: OrderGuard<'_>,
+    table: Option<&WalkTable>,
+) -> ExtensionOutcome {
+    match guard {
+        OrderGuard::None => extend_walks(hit, NoWalk, table),
+        OrderGuard::OrderedFull => extend_walks(hit, FullWalk, table),
+        OrderGuard::OrderedIndexed { idx1, idx2 } => {
+            extend_walks(hit, IndexedWalk { idx1, idx2 }, table)
+        }
+    }
+}
+
+/// One seed hit: the banks, the seed's positions on them and its code.
+struct Hit<'a> {
+    d1: &'a [u8],
+    d2: &'a [u8],
+    p1: usize,
+    p2: usize,
+    start_code: u32,
+    coder: SeedCoder,
+    params: &'a UngappedParams,
 }
 
 /// Shared body: runs both direction walks under one monomorphized guard
 /// shape and assembles the outcome.
 fn extend_walks<G: GuardWalk>(
-    d1: &[u8],
-    d2: &[u8],
-    p1: usize,
-    p2: usize,
-    start_code: u32,
-    coder: SeedCoder,
-    params: &UngappedParams,
+    hit: &Hit<'_>,
     walk: G,
+    table: Option<&WalkTable>,
 ) -> ExtensionOutcome {
-    let (left_best, left_off) = match extend_left(d1, d2, p1, p2, start_code, coder, params, walk) {
-        Some(r) => r,
-        None => return ExtensionOutcome::Aborted,
+    let sides = match table {
+        Some(t) => word_walk::<Left, G>(hit, walk, t)
+            .and_then(|l| Some((l, word_walk::<Right, G>(hit, walk, t)?))),
+        None => {
+            let seed = WalkState::seed(hit);
+            extend_left(hit, walk, seed).and_then(|l| Some((l, extend_right(hit, walk, seed)?)))
+        }
     };
-    let (right_best, right_off) =
-        match extend_right(d1, d2, p1, p2, start_code, coder, params, walk) {
-            Some(r) => r,
-            None => return ExtensionOutcome::Aborted,
-        };
-
-    let seed_score = params.w as i32 * params.scheme.matsch;
+    let Some(((left_best, left_off), (right_best, right_off))) = sides else {
+        return ExtensionOutcome::Aborted;
+    };
+    let seed_score = hit.params.w as i32 * hit.params.scheme.matsch;
     ExtensionOutcome::Hsp {
         score: left_best + right_best - seed_score,
         left: left_off,
@@ -262,28 +343,62 @@ fn extend_walks<G: GuardWalk>(
     }
 }
 
-/// Left walk. Returns `(best_score_including_seed, residues_left_of_seed)`
-/// or `None` on an order abort.
-fn extend_left<W: GuardWalk>(
-    d1: &[u8],
-    d2: &[u8],
-    p1: usize,
-    p2: usize,
-    start_code: u32,
-    coder: SeedCoder,
-    params: &UngappedParams,
-    walk: W,
-) -> Option<(i32, usize)> {
+/// Where a one-sided walk stands: the byte walks start from
+/// [`WalkState::seed`] or resume from a word boundary of the word walk.
+#[derive(Debug, Clone, Copy)]
+struct WalkState {
+    score: i32,
+    best: i32,
+    /// Residues walked when `best` was last raised.
+    best_off: usize,
+    /// Consecutive matches ending at the last walked residue, seed
+    /// included.
+    run: usize,
+    /// Code of the `W` bank-1 residues ending at the last walked one
+    /// (walk order); only meaningful while `run ≥ W`.
+    code: u32,
+    /// Residues walked.
+    l: usize,
+}
+
+impl WalkState {
+    /// The state on the seed's edge: the seed scored, nothing walked.
+    fn seed(hit: &Hit<'_>) -> WalkState {
+        let seed_score = hit.params.w as i32 * hit.params.scheme.matsch;
+        WalkState {
+            score: seed_score,
+            best: seed_score,
+            best_off: 0,
+            run: hit.params.w,
+            code: hit.start_code,
+            l: 0,
+        }
+    }
+}
+
+/// Left walk from `from`. Returns `(best_score_including_seed,
+/// residues_left_of_seed)` or `None` on an order abort.
+fn extend_left<W: GuardWalk>(hit: &Hit<'_>, walk: W, from: WalkState) -> Option<(i32, usize)> {
+    let Hit {
+        d1,
+        d2,
+        p1,
+        p2,
+        start_code,
+        coder,
+        params,
+    } = *hit;
     let scheme = &params.scheme;
     let w = params.w;
-    let seed_score = w as i32 * scheme.matsch;
-    let mut score = seed_score;
-    let mut best = seed_score;
-    let mut best_off = 0usize;
-    let mut run = w; // consecutive matches from the current left edge
-    let mut code = start_code;
+    let WalkState {
+        mut score,
+        mut best,
+        mut best_off,
+        mut run, // consecutive matches from the current left edge
+        mut code,
+        mut l,
+    } = from;
 
-    let mut l = 0usize;
     while best - score < params.xdrop {
         if p1 < l + 1 || p2 < l + 1 {
             break;
@@ -324,28 +439,29 @@ fn extend_left<W: GuardWalk>(
     Some((best, best_off))
 }
 
-/// Right walk. Returns `(best_score_including_seed, residues_right_of_seed)`
-/// or `None` on an order abort.
-fn extend_right<W: GuardWalk>(
-    d1: &[u8],
-    d2: &[u8],
-    p1: usize,
-    p2: usize,
-    start_code: u32,
-    coder: SeedCoder,
-    params: &UngappedParams,
-    walk: W,
-) -> Option<(i32, usize)> {
+/// Right walk from `from`. Returns `(best_score_including_seed,
+/// residues_right_of_seed)` or `None` on an order abort.
+fn extend_right<W: GuardWalk>(hit: &Hit<'_>, walk: W, from: WalkState) -> Option<(i32, usize)> {
+    let Hit {
+        d1,
+        d2,
+        p1,
+        p2,
+        start_code,
+        coder,
+        params,
+    } = *hit;
     let scheme = &params.scheme;
     let w = params.w;
-    let seed_score = w as i32 * scheme.matsch;
-    let mut score = seed_score;
-    let mut best = seed_score;
-    let mut best_off = 0usize;
-    let mut run = w;
-    let mut code = start_code;
+    let WalkState {
+        mut score,
+        mut best,
+        mut best_off,
+        mut run,
+        mut code,
+        mut l,
+    } = from;
 
-    let mut l = 0usize;
     while best - score < params.xdrop {
         let i1 = p1 + w + l;
         let i2 = p2 + w + l;
@@ -385,6 +501,316 @@ fn extend_right<W: GuardWalk>(
         l += 1;
     }
     Some((best, best_off))
+}
+
+/// Largest X-drop the word walk tabulates: `256 · 64` entries are 64 KB.
+/// Beyond it the walks go byte by byte.
+const TABLE_MAX_XDROP: i32 = 64;
+
+/// What eight walk bytes with a given match mask do to a walk entering
+/// them with a given deficit. All three fields are relative, so one
+/// entry serves every absolute score.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Step {
+    /// Rise of the best score over the bytes walked.
+    gain: u8,
+    /// 1-based index of the byte that last raised the best; 0 if none.
+    off: u8,
+    /// `best − score` after the last byte walked. At or above `xdrop`
+    /// the walk ended at that byte, possibly inside the word.
+    deficit: u8,
+}
+
+/// The `(mask, deficit)` table of the word walk for one
+/// `(matsch, mismatch, xdrop)`.
+struct WalkTable {
+    key: (i32, i32, i32),
+    /// Entry `deficit · 256 + mask`; empty when the parameters are
+    /// outside what the table expresses.
+    steps: Vec<Step>,
+}
+
+impl WalkTable {
+    const EMPTY: WalkTable = WalkTable {
+        key: (0, 0, 0),
+        steps: Vec::new(),
+    };
+
+    fn key_of(params: &UngappedParams) -> (i32, i32, i32) {
+        (params.scheme.matsch, params.scheme.mismatch, params.xdrop)
+    }
+
+    /// Tabulates every `(mask, deficit)` with `deficit < xdrop`. Empty
+    /// unless matches score positive and mismatches negative — which is
+    /// what keeps the deficit non-negative and lets a run of leading
+    /// matches never end the walk — and the X-drop is in
+    /// `1..=TABLE_MAX_XDROP`; empty too if any field overflows its byte.
+    fn new(params: &UngappedParams) -> WalkTable {
+        let (matsch, mismatch, xdrop) = WalkTable::key_of(params);
+        let steps = if matsch > 0 && mismatch < 0 && (1..=TABLE_MAX_XDROP).contains(&xdrop) {
+            (0..xdrop)
+                .flat_map(|deficit| (0..=u8::MAX).map(move |mask| (mask, deficit)))
+                .map(|(mask, deficit)| Step::simulate(mask, deficit, matsch, mismatch, xdrop))
+                .collect::<Option<Vec<Step>>>()
+                .unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        WalkTable {
+            key: (matsch, mismatch, xdrop),
+            steps,
+        }
+    }
+
+    #[inline]
+    fn step(&self, mask: u8, deficit: i32) -> Step {
+        debug_assert!(deficit >= 0);
+        self.steps[(deficit as usize) << 8 | usize::from(mask)]
+    }
+}
+
+impl Step {
+    /// The byte walk's scoring over the eight bytes of `mask`, byte `j`
+    /// matching iff bit `j` is set, stopping where the X-drop does.
+    /// `None` if a field does not fit its byte.
+    fn simulate(mask: u8, deficit: i32, matsch: i32, mismatch: i32, xdrop: i32) -> Option<Step> {
+        let (mut score, mut best, mut off) = (-deficit, 0i32, 0u8);
+        for j in 0..8u8 {
+            if mask >> j & 1 == 1 {
+                score += matsch;
+                if score > best {
+                    best = score;
+                    off = j + 1;
+                }
+            } else {
+                score += mismatch;
+            }
+            if best - score >= xdrop {
+                break;
+            }
+        }
+        Some(Step {
+            gain: u8::try_from(best).ok()?,
+            off,
+            deficit: u8::try_from(best - score).ok()?,
+        })
+    }
+}
+
+/// Low seven bits of every byte.
+const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+/// One in every byte.
+const BYTE_ONES: u64 = 0x0101_0101_0101_0101;
+/// Bits a nucleotide code (`< 4`) leaves clear, in every byte.
+const NON_NUC: u64 = 0xFCFC_FCFC_FCFC_FCFC;
+/// [`SENTINEL`] in every byte.
+const SENTINELS: u64 = SENTINEL as u64 * BYTE_ONES;
+
+/// The high bit of each byte of the result is set iff that byte of `v`
+/// is zero. Exact per byte: no borrow crosses a byte boundary.
+#[inline]
+fn zero_bytes(v: u64) -> u64 {
+    !(((v & LOW7) + LOW7) | v | LOW7)
+}
+
+/// Packs the high bits of the eight bytes of `h` into one byte, byte `j`
+/// to bit `j`. The shifts `56 − 7j` land each bit in the top byte, and no
+/// two partial products share a bit position, so nothing carries into it.
+#[inline]
+fn gather(h: u64) -> u8 {
+    (h >> 7).wrapping_mul(0x0102_0408_1020_4080).to_be_bytes()[0]
+}
+
+/// Match mask of two loaded words, and whether either holds a stop byte.
+#[inline]
+fn classify(x1: u64, x2: u64) -> (u8, bool) {
+    let matches = gather(zero_bytes((x1 ^ x2) | (x1 & NON_NUC)));
+    let stops = (zero_bytes(x1 ^ SENTINELS) | zero_bytes(x2 ^ SENTINELS)) != 0;
+    (matches, stops)
+}
+
+/// Whether `bits` holds a run of at least `w` consecutive ones.
+#[inline]
+fn has_run(bits: u32, w: usize) -> bool {
+    let mut r = bits;
+    for _ in 1..w {
+        r &= r >> 1;
+    }
+    r != 0
+}
+
+/// One walk direction, as the word walk sees it. Offsets `l` count
+/// residues walked from the seed's edge.
+trait Side {
+    /// The eight bytes of `d` at walk offsets `l .. l + 8` of the seed at
+    /// `p`, walk byte `j` at bits `8j..8j+8`; `None` past the array end.
+    fn load(d: &[u8], p: usize, w: usize, l: usize) -> Option<u64>;
+    /// Position of walk offset `l`.
+    fn pos(p: usize, w: usize, l: usize) -> usize;
+    /// Start of the `W`-window a candidate check at offset `l` is about.
+    fn window(p: usize, w: usize, l: usize) -> usize;
+    /// Slides `code` over the residue `c` at the next offset.
+    fn roll(coder: SeedCoder, code: u32, c: u8) -> u32;
+    /// Whether a candidate with `code` owns the HSP instead of the seed.
+    fn defers(code: u32, start_code: u32) -> bool;
+    /// The byte walk of this side, resumed from `from`.
+    fn bytes<G: GuardWalk>(hit: &Hit<'_>, walk: G, from: WalkState) -> Option<(i32, usize)>;
+}
+
+/// Towards lower positions: a candidate window starts at the walked
+/// residue, and an equal code to the left is the canonical one.
+struct Left;
+
+impl Side for Left {
+    #[inline]
+    fn load(d: &[u8], p: usize, _: usize, l: usize) -> Option<u64> {
+        let end = p.checked_sub(l)?;
+        let word = d.get(end.checked_sub(8)?..end)?;
+        Some(u64::from_be_bytes(word.try_into().ok()?))
+    }
+    #[inline]
+    fn pos(p: usize, _: usize, l: usize) -> usize {
+        p - 1 - l
+    }
+    #[inline]
+    fn window(p: usize, _: usize, l: usize) -> usize {
+        p - 1 - l
+    }
+    #[inline]
+    fn roll(coder: SeedCoder, code: u32, c: u8) -> u32 {
+        coder.roll_left(code, c)
+    }
+    #[inline]
+    fn defers(code: u32, start_code: u32) -> bool {
+        code <= start_code
+    }
+    fn bytes<G: GuardWalk>(hit: &Hit<'_>, walk: G, from: WalkState) -> Option<(i32, usize)> {
+        extend_left(hit, walk, from)
+    }
+}
+
+/// Towards higher positions: a candidate window ends at the walked
+/// residue, and only a strictly smaller code defers.
+struct Right;
+
+impl Side for Right {
+    #[inline]
+    fn load(d: &[u8], p: usize, w: usize, l: usize) -> Option<u64> {
+        let start = p + w + l;
+        let word = d.get(start..start.checked_add(8)?)?;
+        Some(u64::from_le_bytes(word.try_into().ok()?))
+    }
+    #[inline]
+    fn pos(p: usize, w: usize, l: usize) -> usize {
+        p + w + l
+    }
+    #[inline]
+    fn window(p: usize, _: usize, l: usize) -> usize {
+        p + l + 1
+    }
+    #[inline]
+    fn roll(coder: SeedCoder, code: u32, c: u8) -> u32 {
+        coder.roll_right(code, c)
+    }
+    #[inline]
+    fn defers(code: u32, start_code: u32) -> bool {
+        code < start_code
+    }
+    fn bytes<G: GuardWalk>(hit: &Hit<'_>, walk: G, from: WalkState) -> Option<(i32, usize)> {
+        extend_right(hit, walk, from)
+    }
+}
+
+/// One side's walk, eight residues per [`WalkTable`] step (see the
+/// module docs' *Word-wide walk*). Same result as the byte walk of that
+/// side from the seed, which finishes whatever a word cannot decide.
+#[inline]
+fn word_walk<S: Side, G: GuardWalk>(
+    hit: &Hit<'_>,
+    walk: G,
+    table: &WalkTable,
+) -> Option<(i32, usize)> {
+    let Hit {
+        d1,
+        d2,
+        p1,
+        p2,
+        start_code,
+        coder,
+        params,
+    } = *hit;
+    let w = params.w;
+    let mut st = WalkState::seed(hit);
+    // Whether `st.code` is already the code of the last W walked bank-1
+    // residues (true on the seed); a table step leaves it stale.
+    let mut fresh = true;
+    loop {
+        let deficit = st.best - st.score;
+        if deficit >= params.xdrop {
+            return Some((st.best, st.best_off));
+        }
+        let (Some(x1), Some(x2)) = (S::load(d1, p1, w, st.l), S::load(d2, p2, w, st.l)) else {
+            break;
+        };
+        let (mask, stops) = classify(x1, x2);
+        if stops {
+            break;
+        }
+        let lead = mask.trailing_ones() as usize;
+        if G::ORDERED {
+            // A run starting after the first mismatch that reaches W
+            // inside this word: leave the word to the byte walk.
+            if lead < 8 && w <= 7 && has_run(u32::from(mask) >> (lead + 1), w) {
+                break;
+            }
+            // The leading matches continue the run; from the one whose
+            // run reaches W on, each is a candidate (leading matches only
+            // lower the deficit, so the walk reaches all of them).
+            let first = (w - 1).saturating_sub(st.run);
+            for j in first..lead {
+                let l = st.l + j;
+                st.code = if fresh {
+                    S::roll(coder, st.code, x1.to_le_bytes()[j])
+                } else {
+                    let at = S::window(p1, w, l);
+                    coder
+                        .encode(&d1[at..at + w])
+                        .expect("a run of W matches is W nucleotides")
+                };
+                fresh = true;
+                if S::defers(st.code, start_code)
+                    && walk.enumerated(S::window(p1, w, l), S::window(p2, w, l))
+                {
+                    return None;
+                }
+            }
+            fresh = lead == 8 && first < 8;
+            st.run = if lead == 8 {
+                st.run + 8
+            } else {
+                mask.leading_ones() as usize
+            };
+        }
+        let step = table.step(mask, deficit);
+        if step.off != 0 {
+            st.best_off = st.l + usize::from(step.off);
+        }
+        st.best += i32::from(step.gain);
+        st.score = st.best - i32::from(step.deficit);
+        st.l += 8;
+    }
+    // The byte walk takes over at this word boundary. Its run may reach W
+    // after fewer than W rolls of its own, so roll in the residues of the
+    // run carried so far; whatever else the code holds is shifted out by
+    // the time the run is a candidate. (A stale code always carries a run
+    // shorter than W that started inside the walk.)
+    if G::ORDERED && !fresh {
+        debug_assert!(st.run < w && st.run <= st.l);
+        for l in st.l - st.run..st.l {
+            st.code = S::roll(coder, st.code, d1[S::pos(p1, w, l)]);
+        }
+    }
+    S::bytes(hit, walk, st)
 }
 
 /// Rescoring helper: total ungapped score of aligning `d1[a1..a1+len]`
@@ -870,7 +1296,285 @@ mod tests {
         seed + best_left + best_right
     }
 
+    /// The byte walk throughout: the oracle the word walk is held to.
+    fn extend_hit_bytes(
+        d1: &[u8],
+        d2: &[u8],
+        p1: usize,
+        p2: usize,
+        start_code: u32,
+        coder: SeedCoder,
+        params: &UngappedParams,
+        guard: OrderGuard<'_>,
+    ) -> ExtensionOutcome {
+        let hit = Hit {
+            d1,
+            d2,
+            p1,
+            p2,
+            start_code,
+            coder,
+            params,
+        };
+        extend_guarded(&hit, guard, None)
+    }
+
+    /// SplitMix64: one proptest draw seeds a whole case.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// A code byte: mostly nucleotides, `odd_in_64` in 64 draws a
+        /// sentinel or an ambiguity code (5, 6 or 7).
+        fn code(&mut self, odd_in_64: u64) -> u8 {
+            if self.below(64) < odd_in_64 {
+                [SENTINEL, 5, 6, 7][self.below(4) as usize]
+            } else {
+                self.below(4) as u8
+            }
+        }
+
+        /// `len` code bytes, each repeating the byte one period back at
+        /// `repeat_in_64` / 64 and a fresh draw otherwise: tandem repeats
+        /// of period 1–4, so seeds recur inside their own HSPs and equal
+        /// codes meet the order rule.
+        fn tandem(&mut self, len: usize, repeat_in_64: u64, odd_in_64: u64) -> Vec<u8> {
+            let period = 1 + self.below(4) as usize;
+            let mut d = Vec::with_capacity(len);
+            for i in 0..len {
+                let c = if i >= period && self.below(64) < repeat_in_64 {
+                    d[i - period]
+                } else {
+                    self.code(odd_in_64)
+                };
+                d.push(c);
+            }
+            d
+        }
+
+        /// `d` with each byte replaced by a fresh draw at `rate_in_64` / 64.
+        fn mutate(&mut self, d: &[u8], rate_in_64: u64, odd_in_64: u64) -> Vec<u8> {
+            d.iter()
+                .map(|&c| {
+                    if self.below(64) < rate_in_64 {
+                        self.code(odd_in_64)
+                    } else {
+                        c
+                    }
+                })
+                .collect()
+        }
+    }
+
+    /// Every hit of `d1` against `d2` on the diagonal `p2 = p1 + shift`,
+    /// extended by the word walk and by the byte walk under `guard`: same
+    /// outcome, score and extent. Returns how many hits were compared.
+    fn walks_agree(
+        d1: &[u8],
+        d2: &[u8],
+        shift: usize,
+        params: &UngappedParams,
+        guard: OrderGuard<'_>,
+    ) -> Result<usize, TestCaseError> {
+        let w = params.w;
+        let coder = SeedCoder::new(w);
+        let mut hits = 0;
+        for p1 in 0..d1.len().saturating_sub(w - 1) {
+            let p2 = p1 + shift;
+            if p2 + w > d2.len() || d1[p1..p1 + w] != d2[p2..p2 + w] {
+                continue;
+            }
+            let Some(code) = coder.encode(&d1[p1..p1 + w]) else {
+                continue;
+            };
+            let word = extend_hit(d1, d2, p1, p2, code, coder, params, guard);
+            let byte = extend_hit_bytes(d1, d2, p1, p2, code, coder, params, guard);
+            prop_assert!(word == byte, "p1 {p1} p2 {p2}: word {word:?} byte {byte:?}");
+            hits += 1;
+        }
+        Ok(hits)
+    }
+
+    /// Random extension parameters: W in 3..=13 (both sides of 8, up to
+    /// the coder's limit), X-drop in 1..=72 (a few past the table's
+    /// limit), match 1..=4, mismatch −1..=−6.
+    fn random_params(mix: &mut Mix) -> UngappedParams {
+        let scheme = ScoringScheme {
+            matsch: 1 + mix.below(4) as i32,
+            mismatch: -1 - mix.below(6) as i32,
+            ..ScoringScheme::blastn()
+        };
+        UngappedParams {
+            w: 3 + mix.below(11) as usize,
+            xdrop: 1 + mix.below(72) as i32,
+            scheme,
+        }
+    }
+
+    #[test]
+    fn walk_table_matches_its_definition() {
+        let table = WalkTable::new(&params(11, 20));
+        assert_eq!(table.steps.len(), 256 * 20);
+        // Eight matches from the best: +8, the last one the new best.
+        let all = table.step(0xFF, 0);
+        assert_eq!((all.gain, all.off, all.deficit), (8, 8, 0));
+        // Match, mismatch, then six matches from deficit 5: 1 − 3 + 6 = 4
+        // above the entry score, so 4 − 5 < 0 leaves the best where it was.
+        let dip = table.step(0b1111_1101, 5);
+        assert_eq!((dip.gain, dip.off, dip.deficit), (0, 0, 1));
+        // All mismatches from deficit 19: the first one ends the walk.
+        let none = table.step(0, 19);
+        assert_eq!((none.gain, none.off, none.deficit), (0, 0, 22));
+        // Outside what the table expresses: no table.
+        for (xdrop, scheme) in [
+            (0, ScoringScheme::blastn()),
+            (TABLE_MAX_XDROP + 1, ScoringScheme::blastn()),
+            (
+                20,
+                ScoringScheme {
+                    mismatch: 0,
+                    ..ScoringScheme::blastn()
+                },
+            ),
+            (
+                20,
+                ScoringScheme {
+                    matsch: 40,
+                    ..ScoringScheme::blastn()
+                },
+            ),
+        ] {
+            let p = UngappedParams {
+                w: 11,
+                xdrop,
+                scheme,
+            };
+            assert!(WalkTable::new(&p).steps.is_empty(), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn classify_reads_matches_and_stops_per_byte() {
+        // Walk bytes 0..8: match A, mismatch, AMBIG both, match G,
+        // sentinel on bank 2, match T, code 6 both, match C.
+        let b1 = [0u8, 1, 5, 3, 2, 2, 6, 1];
+        let b2 = [0u8, 2, 5, 3, SENTINEL, 2, 6, 1];
+        let (mask, stops) = classify(u64::from_le_bytes(b1), u64::from_le_bytes(b2));
+        assert_eq!(mask, 0b1010_1001);
+        assert!(stops);
+        let (mask, stops) = classify(u64::from_le_bytes(b1), u64::from_le_bytes(b1));
+        assert_eq!(mask, 0b1011_1011);
+        assert!(!stops);
+        // Big-endian loads put the last array byte first in walk order.
+        let (mask, _) = classify(u64::from_be_bytes(b1), u64::from_be_bytes(b2));
+        assert_eq!(mask, 0b1001_0101);
+    }
+
+    #[test]
+    fn word_walk_checks_a_run_of_w_that_starts_inside_a_word() {
+        // W = 7: the walk's first byte mismatches (C against T) and the
+        // next seven match as AAAAAAA, code 0 — a run that starts and
+        // reaches W inside one word, so it owns the HSP on either side.
+        let w = 7;
+        let coder = SeedCoder::new(w);
+        let pars = params(w, 20);
+        let seed = "GGGGGGG";
+        let code = coder.encode(&codes(seed)).unwrap();
+        for (s1, s2) in [
+            (
+                format!("{seed}CAAAAAAATTTTTTTTTTTTTTTT"),
+                format!("{seed}TAAAAAAACCCCCCCCCCCCCCCC"),
+            ),
+            (
+                format!("TTTTTTTTTTTTTTTTAAAAAAAC{seed}"),
+                format!("CCCCCCCCCCCCCCCCAAAAAAAT{seed}"),
+            ),
+        ] {
+            let (d1, d2) = (framed(&s1), framed(&s2));
+            let p = find(&d1, &codes(seed));
+            for guard in [OrderGuard::None, OrderGuard::OrderedFull] {
+                let word = extend_hit(&d1, &d2, p, p, code, coder, &pars, guard);
+                let byte = extend_hit_bytes(&d1, &d2, p, p, code, coder, &pars, guard);
+                assert_eq!(word, byte, "{s1} {guard:?}");
+            }
+            let full = extend_hit(&d1, &d2, p, p, code, coder, &pars, OrderGuard::OrderedFull);
+            assert_eq!(full, ExtensionOutcome::Aborted, "{s1}");
+        }
+    }
+
     proptest! {
+        /// Word walk ≡ byte walk on raw code arrays under the two
+        /// index-free guards: near-identical to unrelated flanks,
+        /// sentinels and ambiguity codes in either array, arrays with no
+        /// framing (so seeds sit within a word of either end), every hit
+        /// on the diagonal compared.
+        #[test]
+        fn word_walk_matches_byte_walk(
+            seed in 0u64..=u64::MAX,
+            len in 8usize..240,
+            shift in 0usize..12,
+            rate_in_64 in 0u64..48,
+            odd_in_64 in 0u64..6,
+            repeat_in_64 in 0u64..64,
+        ) {
+            let mut mix = Mix(seed);
+            let pars = random_params(&mut mix);
+            let d1 = mix.tandem(len, repeat_in_64, odd_in_64);
+            let prefix: Vec<u8> = (0..shift).map(|_| mix.code(odd_in_64)).collect();
+            let d2 = [prefix, mix.mutate(&d1, rate_in_64, odd_in_64)].concat();
+            for guard in [OrderGuard::None, OrderGuard::OrderedFull] {
+                walks_agree(&d1, &d2, shift, &pars, guard)?;
+            }
+        }
+
+        /// The same identity under `OrderedIndexed`, on banks whose
+        /// indexes mask a random residue class of bank 1 and sample
+        /// bank 2 at stride 1 or 2 — the full guard included, since the
+        /// table and the order checks are shared by all three.
+        #[test]
+        fn word_walk_matches_byte_walk_indexed(
+            seed in 0u64..=u64::MAX,
+            lens in proptest::collection::vec(1usize..90, 1..4),
+            rate_in_64 in 0u64..24,
+            repeat_in_64 in 0u64..64,
+            mask_mod in 2usize..9,
+            stride in 1usize..3,
+        ) {
+            use oris_index::IndexConfig;
+            let mut mix = Mix(seed);
+            let pars = random_params(&mut mix);
+            let w = pars.w;
+            // Bank 2 repeats bank 1's records with substitutions, so the
+            // diagonals line up across the sentinels.
+            let text = |d: Vec<u8>| -> String {
+                d.into_iter().map(|c| char::from(*b"ACGT".get(usize::from(c)).unwrap_or(&b'N'))).collect()
+            };
+            let (mut bb1, mut bb2) = (oris_seqio::BankBuilder::new(), oris_seqio::BankBuilder::new());
+            for (i, &len) in lens.iter().enumerate() {
+                let r1 = mix.tandem(len, repeat_in_64, 2);
+                let r2 = mix.mutate(&r1, rate_in_64, 2);
+                bb1.push_str(&format!("s{i}"), &text(r1)).unwrap();
+                bb2.push_str(&format!("s{i}"), &text(r2)).unwrap();
+            }
+            let (b1, b2) = (bb1.finish(), bb2.finish());
+            let phase = mix.below(mask_mod as u64) as usize;
+            let i1 = BankIndex::build_filtered(&b1, IndexConfig::full(w), |p| p % mask_mod == phase);
+            let i2 = BankIndex::build(&b2, IndexConfig { stride, ..IndexConfig::full(w) });
+            let indexed = OrderGuard::OrderedIndexed { idx1: &i1, idx2: &i2 };
+            for guard in [indexed, OrderGuard::OrderedFull, OrderGuard::None] {
+                for shift in 0..3 {
+                    walks_agree(b1.data(), b2.data(), shift, &pars, guard)?;
+                }
+            }
+        }
+
         /// With a saturating X-drop and no order guard, the extension score
         /// equals the brute-force optimum of the through-seed ungapped
         /// alignment.

@@ -11,9 +11,29 @@
 //!   needed;
 //! * **locality** — all sequence portions sharing a seed are processed
 //!   together ("implicitly and simultaneously moved into the cache
-//!   memory"), giving the nested loops near-perfect cache reuse. With the
-//!   CSR index the X1/X2 occurrence lists are contiguous sorted slices, so
-//!   the inner loops stream through memory with no pointer chasing at all.
+//!   memory"). With the CSR index the X1/X2 occurrence lists are
+//!   contiguous sorted slices, so the *lists* stream. The sequence flanks
+//!   they point at do not: on Mbp banks every pair's flanks sit at random
+//!   positions of both banks.
+//!
+//! **Where the time goes.** Per pair, on random Mbp banks at W = 11
+//! (4.9 × 2.8 Mbp, one thread, 2-vCPU Xeon VM): the row lookup costs
+//! ~16 ns and a first touch of each flank another ~15 ns. The rest is the
+//! walk itself, about ten bases a side. Byte by byte it cost ~120 ns even
+//! with its flanks in cache, so the walk was the largest term, not the
+//! misses. Two layers attack it. `oris-align`'s walk moves eight bases
+//! per table step (see its *Word-wide walk*; ~47 ns cache-hot). Once the
+//! walk is that short the misses show, so `process_code_range` extends
+//! pairs in batches of `BATCH`, touching every flank of a batch as it
+//! collects the pairs, before the first walk: the misses overlap instead
+//! of each walk waiting on its own. Neither layer pays much alone
+//! (~165 → ~155 ns per pair each); together they take the pair from
+//! ~145–165 ns to ~80–105 (the VM's speed drifts between runs). On a
+//! cache-resident bank with long rows of repeats (the benchmark's
+//! `repeat_family`, ~30 ns per pair) the touches cost ~1 ns a pair, which
+//! is why a bank-1 flank is touched once per occurrence, not once per
+//! pair. The pair order, and with it the HSP order and every counter, is
+//! that of the plain nested loops.
 //!
 //! **Guard selection.** The ordered-seed abort rule needs to know whether
 //! a candidate seed is actually enumerated. [`find_hsps`] picks the
@@ -44,13 +64,15 @@
 //! capped at `total / GRAIN` pairs (`GRAIN` = 16 384), so a query whose
 //! whole pair product is below the grain gets one range, and the rayon
 //! shim runs a single range inline. The shim spawns an OS thread per
-//! chunk block (50–100 µs each); at the measured ~120 ns per pair a grain
-//! is ≈ 2 ms of extension work, which keeps the spawn under 5 % of what
-//! it buys — and a 150-nt read against one database volume (a dozen
-//! pairs) pays none of it. The chunk count never changes the output, so
-//! the grain is a constant, not an option — the third such call-site
-//! threshold after step 3's `INLINE_WAVE_HSPS` and the index build's
-//! `PAR_GRAIN`.
+//! chunk block (50–100 µs each). At the measured 80–105 ns per pair (down
+//! from 120–165 before the word walk and the batches) a grain is
+//! 1.3–1.7 ms of extension work, so the spawn costs 3–8 % of what it buys.
+//! Doubling the grain would halve that, but it would also keep queries of
+//! 16–32 k pairs on one thread, and no benchmark workload sits in that
+//! band to show which is better, so the constant stays. A 150-nt read
+//! against one database volume (a dozen pairs) pays none of it. The chunk count never changes the output, so the grain is a
+//! constant, not an option — the third such call-site threshold after
+//! step 3's `INLINE_WAVE_HSPS` and the index build's `PAR_GRAIN`.
 //!
 //! Both the work scan and the enumeration itself drive from the
 //! *populated* rows of whichever index holds fewer distinct codes
@@ -61,7 +83,7 @@
 //! populated ones.
 
 use oris_align::{extend_hit, ExtensionOutcome, OrderGuard, UngappedParams};
-use oris_index::BankIndex;
+use oris_index::{BankIndex, SeedCoder};
 use oris_seqio::Bank;
 use rayon::prelude::*;
 
@@ -70,10 +92,12 @@ use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::hsp::Hsp;
 
 /// With an armed [`Deadline`], the extension loop consults the clock
-/// after at most this many additional occurrence pairs — frequent enough
-/// that even a single hot seed code responds within a sliver of the
-/// range's work, rare enough that the clock read vanishes against the
-/// extensions it paces.
+/// before the first batch that starts at least this many pairs after the
+/// last check — frequent enough that even a single hot seed code responds
+/// within a sliver of the range's work, rare enough that the clock read
+/// vanishes against the extensions it paces. Checks fall on batch
+/// boundaries, so the worst-case latency is `DEADLINE_CHECK_PAIRS +
+/// BATCH` pairs (under 0.5 ms at ~105 ns per pair).
 const DEADLINE_CHECK_PAIRS: u64 = 4096;
 
 /// Minimum estimated work, in occurrence pairs, a range must carry before
@@ -176,13 +200,115 @@ fn partition_codes_grained(
     ranges
 }
 
+/// Occurrence pairs extended per batch: [`process_code_range`] collects
+/// this many `(a, b, code)` triples, touching their flanks as it goes —
+/// independent loads, so the cache misses overlap — then walks them in
+/// collection order.
+const BATCH: usize = 16;
+
+/// One occurrence pair of a seed code: `a` in bank 1, `b` in bank 2.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pair {
+    a: u32,
+    b: u32,
+    code: u32,
+}
+
+/// The pair loop of one code range: what every batch of pairs is
+/// extended against, and what the extensions have produced so far.
+struct Extender<'a> {
+    d1: &'a [u8],
+    d2: &'a [u8],
+    coder: SeedCoder,
+    params: &'a UngappedParams,
+    min_score: i32,
+    guard: OrderGuard<'a>,
+    deadline: &'a Deadline,
+    /// `pairs_examined` at which the next batch consults the deadline.
+    next_check: u64,
+    out: Vec<Hsp>,
+    stats: Step2Stats,
+}
+
+impl<'a> Extender<'a> {
+    /// A pair loop over `bank1` × `bank2` that has examined nothing and
+    /// next consults `deadline` after [`DEADLINE_CHECK_PAIRS`] pairs.
+    fn new(
+        bank1: &'a Bank,
+        bank2: &'a Bank,
+        coder: SeedCoder,
+        params: &'a UngappedParams,
+        min_score: i32,
+        guard: OrderGuard<'a>,
+        deadline: &'a Deadline,
+    ) -> Extender<'a> {
+        Extender {
+            d1: bank1.data(),
+            d2: bank2.data(),
+            coder,
+            params,
+            min_score,
+            guard,
+            deadline,
+            next_check: DEADLINE_CHECK_PAIRS,
+            out: Vec::new(),
+            stats: Step2Stats::default(),
+        }
+    }
+
+    /// Extends `pairs` in order, recording HSPs and counters. An armed
+    /// deadline is consulted first once [`DEADLINE_CHECK_PAIRS`] pairs
+    /// have passed since the last check.
+    fn run(&mut self, pairs: &[Pair]) -> Result<(), DeadlineExceeded> {
+        if self.deadline.is_armed() && self.stats.pairs_examined >= self.next_check {
+            self.deadline.check()?;
+            self.next_check = self.stats.pairs_examined + DEADLINE_CHECK_PAIRS;
+        }
+        let (d1, d2, coder, params, guard) =
+            (self.d1, self.d2, self.coder, self.params, self.guard);
+        let w = params.w;
+        // Counted in a local so they stay in registers across the walks.
+        let mut stats = self.stats;
+        for &Pair { a, b, code } in pairs {
+            stats.pairs_examined += 1;
+            match extend_hit(d1, d2, a as usize, b as usize, code, coder, params, guard) {
+                ExtensionOutcome::Aborted => stats.aborted += 1,
+                ExtensionOutcome::Hsp { score, left, right } => {
+                    if score >= self.min_score {
+                        stats.kept += 1;
+                        self.out.push(Hsp {
+                            start1: a - left as u32,
+                            start2: b - left as u32,
+                            len: (left + w + right) as u32,
+                            score,
+                        });
+                    } else {
+                        stats.below_threshold += 1;
+                    }
+                }
+            }
+        }
+        self.stats = stats;
+        Ok(())
+    }
+}
+
+/// Reads both ends of the first two words each walk of the seed at `p`
+/// loads — the lines a typical walk, ~10 bases a side, touches. A seed
+/// sits between sentinels, so `p ≥ 1` and `p + w < d.len()`.
+#[inline]
+fn touch_flanks(d: &[u8], p: usize, w: usize) -> u8 {
+    let last = d.len() - 1;
+    d[p.saturating_sub(16)] ^ d[p - 1] ^ d[p + w] ^ d[(p + w + 15).min(last)]
+}
+
 /// Processes one contiguous range of seed codes sequentially.
 ///
-/// With an armed `deadline` the pair loop re-checks the token every
-/// [`DEADLINE_CHECK_PAIRS`] examined pairs (and at the range entry) and
-/// returns [`DeadlineExceeded`] instead of its partial output; with the
-/// disarmed default the checks are a dead branch and the function cannot
-/// fail.
+/// With an armed `deadline` the pair loop re-checks the token before each
+/// batch once [`DEADLINE_CHECK_PAIRS`] pairs have passed (and at the range
+/// entry) and returns [`DeadlineExceeded`] instead of its partial output;
+/// with the disarmed default the checks are a dead branch and the function
+/// cannot fail.
 fn process_code_range(
     bank1: &Bank,
     idx1: &BankIndex,
@@ -194,17 +320,20 @@ fn process_code_range(
     guard: OrderGuard<'_>,
     deadline: &Deadline,
 ) -> Result<(Vec<Hsp>, Step2Stats), DeadlineExceeded> {
-    let d1 = bank1.data();
-    let d2 = bank2.data();
-    let coder = idx1.coder();
-    let w = params.w as u32;
-    let mut out = Vec::new();
-    let mut stats = Step2Stats::default();
-    let armed = deadline.is_armed();
-    if armed {
-        deadline.check()?;
-    }
-    let mut next_check = DEADLINE_CHECK_PAIRS;
+    deadline.check()?;
+    let mut ext = Extender::new(
+        bank1,
+        bank2,
+        idx1.coder(),
+        params,
+        min_score,
+        guard,
+        deadline,
+    );
+    let (d1, d2, w) = (bank1.data(), bank2.data(), params.w);
+    let mut batch = [Pair::default(); BATCH];
+    let mut len = 0;
+    let mut touched = 0u8;
 
     // Walk only the populated rows of the smaller-vocabulary index and
     // probe the partner per code. The visited (code, X1, X2) triples —
@@ -223,38 +352,31 @@ fn process_code_range(
         }
         // X1 × X2 hit extensions for this seed (paper notation): both
         // occurrence lists are contiguous sorted slices in the CSR index.
+        // Batches run across code boundaries; the pair order is the
+        // nested loops' order either way. Every flank is touched before
+        // the batch holding its pair is walked, a bank-1 flank once per
+        // occurrence rather than once per pair (rows of repeats are long).
         let (x1, x2) = if drive_is_1 {
             (drow, orow)
         } else {
             (orow, drow)
         };
         for &a in x1 {
-            if armed && stats.pairs_examined >= next_check {
-                deadline.check()?;
-                next_check = stats.pairs_examined + DEADLINE_CHECK_PAIRS;
-            }
+            touched ^= touch_flanks(d1, a as usize, w);
             for &b in x2 {
-                stats.pairs_examined += 1;
-                match extend_hit(d1, d2, a as usize, b as usize, code, coder, params, guard) {
-                    ExtensionOutcome::Aborted => stats.aborted += 1,
-                    ExtensionOutcome::Hsp { score, left, right } => {
-                        if score >= min_score {
-                            stats.kept += 1;
-                            out.push(Hsp {
-                                start1: a - left as u32,
-                                start2: b - left as u32,
-                                len: left as u32 + w + right as u32,
-                                score,
-                            });
-                        } else {
-                            stats.below_threshold += 1;
-                        }
-                    }
+                touched ^= touch_flanks(d2, b as usize, w);
+                batch[len] = Pair { a, b, code };
+                len += 1;
+                if len == BATCH {
+                    ext.run(&batch)?;
+                    len = 0;
                 }
             }
         }
     }
-    Ok((out, stats))
+    ext.run(&batch[..len])?;
+    std::hint::black_box(touched);
+    Ok((ext.out, ext.stats))
 }
 
 /// Picks the cheapest correct order guard for a pair of indexes, from
@@ -380,7 +502,17 @@ fn find_hsps_grained(
     // "the storage is made by sorting the HSPs by diagonal number to
     // optimize data access of the next step"
     hsps.sort_by(Hsp::diag_order);
-    hsps.dedup();
+    if matches!(guard, OrderGuard::None) {
+        // Without the rule every seed of an HSP emits it (the A1 ablation).
+        hsps.dedup();
+    } else {
+        // With it, each HSP is emitted exactly once (paper section 2.2).
+        debug_assert!(
+            hsps.windows(2)
+                .all(|p| Hsp::diag_order(&p[0], &p[1]).is_lt()),
+            "the ordered rule emitted an HSP twice"
+        );
+    }
     Ok((hsps, stats))
 }
 
@@ -683,6 +815,61 @@ mod tests {
                 "chunks = {chunks}"
             );
         }
+    }
+
+    #[test]
+    fn expired_deadline_stops_a_hot_code_within_one_batch_of_the_bound() {
+        // Poly-A at W = 4: code 0 alone carries 297² = 88 209 pairs.
+        let polya = "A".repeat(300);
+        let b1 = bank(&[&polya]);
+        let b2 = bank(&[&polya]);
+        let c = cfg(4);
+        let i1 = BankIndex::build(&b1, IndexConfig::full(c.w));
+        let i2 = BankIndex::build(&b2, IndexConfig::full(c.w));
+        assert!(i1.count(0) as u64 * i2.count(0) as u64 > DEADLINE_CHECK_PAIRS);
+        let guard = select_guard(&i1, &i2);
+        let expired = Deadline::cancellable();
+        expired.cancel();
+        for grain in [1, GRAIN] {
+            let res = find_hsps_grained(&b1, &i1, &b2, &i2, &c, guard, &expired, grain);
+            assert_eq!(res, Err(DeadlineExceeded), "grain {grain}");
+        }
+        // Past the range entry, a token that expires before the first
+        // pair is seen at the first batch boundary at or beyond
+        // DEADLINE_CHECK_PAIRS, less than one batch later.
+        let params = UngappedParams {
+            w: c.w,
+            xdrop: c.xdrop_ungapped,
+            scheme: c.scheme,
+        };
+        let pairs: Vec<Pair> = i1
+            .occurrences(0)
+            .iter()
+            .flat_map(|&a| {
+                i2.occurrences(0)
+                    .iter()
+                    .map(move |&b| Pair { a, b, code: 0 })
+            })
+            .collect();
+        let token = Deadline::cancellable();
+        let mut ext = Extender::new(
+            &b1,
+            &b2,
+            i1.coder(),
+            &params,
+            c.min_hsp_score,
+            guard,
+            &token,
+        );
+        token.cancel();
+        let stopped = pairs.chunks(BATCH).try_for_each(|batch| ext.run(batch));
+        assert_eq!(stopped, Err(DeadlineExceeded));
+        let examined = ext.stats.pairs_examined;
+        let bound = DEADLINE_CHECK_PAIRS..DEADLINE_CHECK_PAIRS + BATCH as u64;
+        assert!(
+            bound.contains(&examined),
+            "{examined} pairs before the check"
+        );
     }
 
     #[test]
