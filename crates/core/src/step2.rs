@@ -70,9 +70,12 @@
 //! Doubling the grain would halve that, but it would also keep queries of
 //! 16–32 k pairs on one thread, and no benchmark workload sits in that
 //! band to show which is better, so the constant stays. A 150-nt read
-//! against one database volume (a dozen pairs) pays none of it. The chunk count never changes the output, so the grain is a
-//! constant, not an option — the third such call-site threshold after
-//! step 3's `INLINE_WAVE_HSPS` and the index build's `PAR_GRAIN`.
+//! against one database volume pays none of it: it meets about 44 pairs
+//! (532 546 pairs over 12 000 (read, volume) calls on the benchmark's
+//! `reads_db_batch`), far under one grain. The chunk count never changes
+//! the output, so the grain is a constant, not an option — the third
+//! such call-site threshold after step 3's `INLINE_WAVE_HSPS` and the
+//! index build's `PAR_GRAIN`.
 //!
 //! Both the work scan and the enumeration itself drive from the
 //! *populated* rows of whichever index holds fewer distinct codes
@@ -81,9 +84,29 @@
 //! work, so skipping it changes neither the output nor the cut points —
 //! and at W = 11 the sweep would visit 4 M codes to find a few thousand
 //! populated ones.
+//!
+//! **Partner-row lookups.** Each driving row needs its partner's row, and
+//! for a short read that lookup, not the pair, is the cost. A 150-nt read
+//! drives about 139 lookups per volume (1 671 944 over `reads_db_batch`'s
+//! 12 000 calls) into a volume's sparse table: 8.4 MB mapped from disk,
+//! cold after the three other volumes. One at a time, each lookup is two
+//! or three dependent misses and cost 52–79 ns; at 0.32 pairs per lookup,
+//! the lookups took more of step 2 than the pairs did. So the walk pulls
+//! [`LOOKUP_BATCH`] driving rows ahead and resolves all their partners in
+//! one [`oris_index::BankIndex::occurrences_batch`]: every home slot first,
+//! then every key, so a batch's misses are in flight together instead of
+//! each waiting on the one before. That took the lookup to 31–41 ns and
+//! step 2 on `reads_db_batch` from 175–197 ms to 120–145 ms (in-process,
+//! one thread, 2-vCPU Xeon VM, runs spread over an hour). On a bank
+//! against a bank the partner is often dense, and a dense batch is the
+//! same loop as before. Codes and pairs are visited in the same order
+//! either way.
+
+use std::convert::Infallible;
+use std::ops::Range;
 
 use oris_align::{extend_hit, ExtensionOutcome, OrderGuard, UngappedParams};
-use oris_index::{BankIndex, SeedCoder};
+use oris_index::{BankIndex, SeedCoder, LOOKUP_BATCH};
 use oris_seqio::Bank;
 use rayon::prelude::*;
 
@@ -140,11 +163,7 @@ impl Step2Stats {
 /// trailing range for the remainder. `chunks` is first capped at
 /// `total / GRAIN`, so total work under one grain always yields the
 /// single range `0..num_codes`.
-pub fn partition_codes(
-    idx1: &BankIndex,
-    idx2: &BankIndex,
-    chunks: u32,
-) -> Vec<std::ops::Range<u32>> {
+pub fn partition_codes(idx1: &BankIndex, idx2: &BankIndex, chunks: u32) -> Vec<Range<u32>> {
     partition_codes_grained(idx1, idx2, chunks, GRAIN)
 }
 
@@ -156,28 +175,26 @@ fn partition_codes_grained(
     idx2: &BankIndex,
     chunks: u32,
     grain: u64,
-) -> Vec<std::ops::Range<u32>> {
+) -> Vec<Range<u32>> {
     let num_codes = idx1.coder().num_seeds() as u32;
     if chunks <= 1 {
         return vec![0..num_codes];
     }
-    // Drive from whichever index holds fewer populated rows and look the
-    // partner's count up per code. A code missing from either index
-    // carries zero work and zero work can never reach `target`, so
-    // skipping unpopulated codes leaves the cut points identical to a
-    // dense 0..4^W sweep — while the scan cost drops from 4^W to the
-    // populated-row count.
-    let (drive, other) = if idx1.distinct_codes() <= idx2.distinct_codes() {
-        (idx1, idx2)
-    } else {
-        (idx2, idx1)
-    };
-    let work_iter = || {
-        drive
-            .populated()
-            .map(|(code, row)| (code, row.len() as u64 * other.count(code) as u64))
-    };
-    let total: u64 = work_iter().map(|(_, w)| w).sum();
+    // Only codes populated in the driving index are visited. A code
+    // missing from either index carries zero work and zero work can never
+    // reach `target`, so the cut points are those of a dense 0..4^W sweep
+    // — while the scan cost drops from 4^W to the driving index's
+    // populated rows. The scan runs twice rather than storing a per-code
+    // work vector, which would cost megabytes on a large bank. It looks
+    // partner rows up in batches like the walk: at two threads every
+    // short read runs the first pass against each volume, and a scalar
+    // scan there cost as much as the batched walk saved.
+    let work = |x1: &[u32], x2: &[u32]| x1.len() as u64 * x2.len() as u64;
+    let mut total = 0u64;
+    let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |_, x1, x2| {
+        total += work(x1, x2);
+        Ok::<(), Infallible>(())
+    });
     let chunks = u64::from(chunks).min(total / grain);
     if chunks <= 1 {
         return vec![0..num_codes];
@@ -186,18 +203,69 @@ fn partition_codes_grained(
     let mut ranges = Vec::with_capacity(chunks as usize + 1);
     let mut lo = 0u32;
     let mut acc = 0u64;
-    for (c, w) in work_iter() {
-        acc += w;
+    let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |c, x1, x2| {
+        acc += work(x1, x2);
         if acc >= target {
             ranges.push(lo..c + 1);
             lo = c + 1;
             acc = 0;
         }
-    }
+        Ok::<(), Infallible>(())
+    });
     if lo < num_codes {
         ranges.push(lo..num_codes);
     }
     ranges
+}
+
+/// Calls `f(code, X1, X2)` for every code of `codes` populated in the
+/// driving index — whichever index holds fewer distinct codes; for a read
+/// against a volume, the read's — in ascending code order, and returns
+/// the first error `f` does. The partner's row may be empty: a caller
+/// that only sums `|X1|·|X2|` is then branch-free, where a skip would be
+/// an unpredictable branch on every code. Every code populated in both
+/// indexes is visited, as a `for code in codes` sweep over `occurrences`
+/// would. [`LOOKUP_BATCH`] driving rows are pulled ahead into stack
+/// arrays (about 1 KB) and their partner rows resolved in one
+/// [`BankIndex::occurrences_batch`] call, so a cold table's misses
+/// overlap.
+#[inline]
+fn for_each_seed<'i, E>(
+    idx1: &'i BankIndex,
+    idx2: &'i BankIndex,
+    codes: Range<u32>,
+    mut f: impl FnMut(u32, &'i [u32], &'i [u32]) -> Result<(), E>,
+) -> Result<(), E> {
+    let drive_is_1 = idx1.distinct_codes() <= idx2.distinct_codes();
+    let (drive, other) = if drive_is_1 {
+        (idx1, idx2)
+    } else {
+        (idx2, idx1)
+    };
+    let mut rows = drive.populated_in(codes);
+    let mut code = [0u32; LOOKUP_BATCH];
+    let mut x1: [&[u32]; LOOKUP_BATCH] = [&[]; LOOKUP_BATCH];
+    let mut x2: [&[u32]; LOOKUP_BATCH] = [&[]; LOOKUP_BATCH];
+    loop {
+        let (drive_rows, partner_rows) = if drive_is_1 {
+            (&mut x1, &mut x2)
+        } else {
+            (&mut x2, &mut x1)
+        };
+        let mut n = 0;
+        for (c, row) in rows.by_ref().take(LOOKUP_BATCH) {
+            code[n] = c;
+            drive_rows[n] = row;
+            n += 1;
+        }
+        other.occurrences_batch(&code[..n], &mut partner_rows[..n]);
+        for i in 0..n {
+            f(code[i], x1[i], x2[i])?;
+        }
+        if n < LOOKUP_BATCH {
+            return Ok(());
+        }
+    }
 }
 
 /// Occurrence pairs extended per batch: [`process_code_range`] collects
@@ -316,7 +384,7 @@ fn process_code_range(
     idx2: &BankIndex,
     params: &UngappedParams,
     min_score: i32,
-    codes: std::ops::Range<u32>,
+    codes: Range<u32>,
     guard: OrderGuard<'_>,
     deadline: &Deadline,
 ) -> Result<(Vec<Hsp>, Step2Stats), DeadlineExceeded> {
@@ -335,20 +403,15 @@ fn process_code_range(
     let mut len = 0;
     let mut touched = 0u8;
 
-    // Walk only the populated rows of the smaller-vocabulary index and
-    // probe the partner per code. The visited (code, X1, X2) triples —
-    // ascending codes, both rows non-empty — are exactly those of a
-    // `for code in codes` sweep, so the output is byte-identical; the
-    // iteration cost no longer scales with the range width (4^W/chunks).
-    let (drive_is_1, drive, other) = if idx1.distinct_codes() <= idx2.distinct_codes() {
-        (true, idx1, idx2)
-    } else {
-        (false, idx2, idx1)
-    };
-    for (code, drow) in drive.populated_in(codes) {
-        let orow = other.occurrences(code);
-        if orow.is_empty() {
-            continue;
+    // The codes with both rows non-empty, in ascending order, are exactly
+    // those of a `for code in codes` sweep, so the output is
+    // byte-identical; the iteration cost no longer scales with the range
+    // width (4^W/chunks).
+    for_each_seed(idx1, idx2, codes, |code, x1, x2| {
+        // An empty X2 would still touch every X1 flank; an empty X1 (the
+        // partner, when bank 2 drives) loops over nothing.
+        if x2.is_empty() {
+            return Ok(());
         }
         // X1 × X2 hit extensions for this seed (paper notation): both
         // occurrence lists are contiguous sorted slices in the CSR index.
@@ -356,11 +419,6 @@ fn process_code_range(
         // nested loops' order either way. Every flank is touched before
         // the batch holding its pair is walked, a bank-1 flank once per
         // occurrence rather than once per pair (rows of repeats are long).
-        let (x1, x2) = if drive_is_1 {
-            (drow, orow)
-        } else {
-            (orow, drow)
-        };
         for &a in x1 {
             touched ^= touch_flanks(d1, a as usize, w);
             for &b in x2 {
@@ -373,7 +431,8 @@ fn process_code_range(
                 }
             }
         }
-    }
+        Ok(())
+    })?;
     ext.run(&batch[..len])?;
     std::hint::black_box(touched);
     Ok((ext.out, ext.stats))
@@ -772,7 +831,7 @@ mod tests {
         let balanced = partition_codes_grained(&i1, &i2, chunks, 1);
         let work_of = |r: &std::ops::Range<u32>| -> u64 {
             (r.start..r.end)
-                .map(|c| i1.count(c) as u64 * i2.count(c) as u64)
+                .map(|c| i1.occurrences(c).len() as u64 * i2.occurrences(c).len() as u64)
                 .sum()
         };
         let total: u64 = work_of(&(0..i1.coder().num_seeds() as u32));
@@ -799,7 +858,7 @@ mod tests {
         let i2 = BankIndex::build(&b2, IndexConfig::full(4));
         let num_codes = i1.coder().num_seeds() as u32;
         let total: u64 = (0..num_codes)
-            .map(|c| i1.count(c) as u64 * i2.count(c) as u64)
+            .map(|c| i1.occurrences(c).len() as u64 * i2.occurrences(c).len() as u64)
             .sum();
         assert_eq!(total / GRAIN, 5);
         for chunks in [1u32, 2, 3, 5, 16, 64, 1024] {
@@ -826,7 +885,8 @@ mod tests {
         let c = cfg(4);
         let i1 = BankIndex::build(&b1, IndexConfig::full(c.w));
         let i2 = BankIndex::build(&b2, IndexConfig::full(c.w));
-        assert!(i1.count(0) as u64 * i2.count(0) as u64 > DEADLINE_CHECK_PAIRS);
+        let hot = i1.occurrences(0).len() as u64 * i2.occurrences(0).len() as u64;
+        assert!(hot > DEADLINE_CHECK_PAIRS);
         let guard = select_guard(&i1, &i2);
         let expired = Deadline::cancellable();
         expired.cancel();

@@ -1,15 +1,19 @@
-//! Step 2 on banks of a few hundred kbp against a byte-by-byte reference.
+//! Step 2 against a byte-by-byte reference, in both of its regimes.
 //!
-//! `find_hsps` extends seed pairs with the word-wide walk, in batches.
-//! The reference below is the paper's loop written out plainly: ascending
-//! codes, every X1 × X2 pair, one base at a time under the order rule. The
-//! HSP vector and every `Step2Stats` counter must agree at one thread and
-//! at two.
+//! `find_hsps` extends seed pairs with the word-wide walk, in batches, and
+//! resolves partner rows in batches. The reference below is the paper's
+//! loop written out plainly: ascending codes, every X1 × X2 pair with X2
+//! from the scalar `occurrences`, one base at a time under the order rule.
+//! The HSP vector and every `Step2Stats` counter must agree at one thread
+//! and at two — for banks of a few hundred kbp, and for 150-nt reads
+//! against the mapped sparse volumes of a database, where the read drives
+//! and nearly every partner lookup misses a cold table.
 
 use oris_align::{ExtensionOutcome, OrderGuard, UngappedParams};
 use oris_core::step2::{find_hsps, select_guard, Step2Stats};
 use oris_core::{FilterKind, Hsp, OrisConfig, PreparedBank};
-use oris_index::{BankIndex, IndexConfig, SeedCoder};
+use oris_db::{make_db, Database, MakeDbOptions};
+use oris_index::{BankIndex, IndexBackend, IndexConfig, SeedCoder};
 use oris_seqio::{Bank, BankBuilder, SENTINEL};
 
 /// SplitMix64, enough randomness for test banks.
@@ -35,6 +39,16 @@ impl Mix {
 
 const RECORDS: usize = 4;
 const RECORD_LEN: usize = 55_000;
+const READ_LEN: usize = 150;
+
+fn bank_of(records: &[Vec<u8>]) -> Bank {
+    let mut bb = BankBuilder::new();
+    for (i, r) in records.iter().enumerate() {
+        bb.push_str(&format!("r{i}"), std::str::from_utf8(r).unwrap())
+            .unwrap();
+    }
+    bb.finish()
+}
 
 /// Bank 1: random records with a few low-complexity stretches and `N`s.
 /// Bank 2: random records that also carry copies of bank-1 segments at
@@ -69,15 +83,7 @@ fn banks(mix: &mut Mix) -> (Bank, Bank) {
             }
         }
     }
-    let build = |recs: &[Vec<u8>]| {
-        let mut bb = BankBuilder::new();
-        for (i, r) in recs.iter().enumerate() {
-            bb.push_str(&format!("r{i}"), std::str::from_utf8(r).unwrap())
-                .unwrap();
-        }
-        bb.finish()
-    };
-    (build(&recs1), build(&recs2))
+    (bank_of(&recs1), bank_of(&recs2))
 }
 
 /// The extension of one seed pair, one base at a time: X-drop on the
@@ -232,4 +238,95 @@ fn word_walk_steps_2_like_the_byte_walk_at_one_and_two_threads() {
         assert_eq!(got_stats, want_stats, "-t {threads}");
         assert!(got == want, "-t {threads}: HSP vectors differ");
     }
+}
+
+#[test]
+fn short_reads_step_2_like_the_reference_against_mapped_sparse_volumes() {
+    let mut mix = Mix(0x0DB5_EED5);
+    let cfg = OrisConfig::default();
+    let subject: Vec<Vec<u8>> = (0..12).map(|_| mix.random(15_000)).collect();
+    let dir = std::env::temp_dir()
+        .join("oris_step2_short_reads")
+        .join(std::process::id().to_string());
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    make_db([bank_of(&subject)], &dir, &MakeDbOptions::new(&cfg, 60_000)).unwrap();
+    let db = Database::open(&dir).unwrap();
+    assert!(db.num_volumes() >= 3, "{} volumes", db.num_volumes());
+    let volumes: Vec<PreparedBank<'static>> = (0..db.num_volumes())
+        .map(|v| db.attach_volume(v).unwrap().0)
+        .collect();
+    for v in &volumes {
+        assert_eq!(v.index().backend(), IndexBackend::Sparse);
+        assert!(v.index().is_mmap_backed());
+    }
+
+    // Three reads in four copy a stretch of the first volume at 0–4 %
+    // substitutions; the rest are random, so most of their lookups miss.
+    let first = volumes[0].bank();
+    let reads: Vec<Vec<u8>> = (0..480)
+        .map(|i| {
+            if i % 4 == 3 {
+                return mix.random(READ_LEN);
+            }
+            let seq = first.sequence_string(mix.below(first.num_sequences() as u64) as usize);
+            let from = mix.below((seq.len() - READ_LEN) as u64) as usize;
+            let rate = mix.below(5);
+            seq.as_bytes()[from..from + READ_LEN]
+                .iter()
+                .map(|&c| if mix.below(100) < rate { mix.base() } else { c })
+                .collect()
+        })
+        .collect();
+    let read_banks: Vec<Bank> = reads
+        .iter()
+        .map(|r| bank_of(std::slice::from_ref(r)))
+        .collect();
+    let all_reads = bank_of(&reads);
+
+    // Each read as a query, then the whole read set as one.
+    let prepare = |b| PreparedBank::prepare(b, cfg.filter, cfg.query_index_config());
+    let mut queries: Vec<PreparedBank<'_>> = read_banks.iter().map(prepare).collect();
+    queries.push(prepare(&all_reads));
+
+    let mut want = Vec::new();
+    let mut total = Step2Stats::default();
+    for q in &queries {
+        for v in &volumes {
+            // The read drives.
+            assert!(q.index().distinct_codes() <= v.index().distinct_codes());
+            let r = reference_step2(q.bank(), q.index(), v.bank(), v.index(), &cfg);
+            total = total.merge(r.1);
+            want.push(r);
+        }
+    }
+    let whole_vs_first = &want[read_banks.len() * volumes.len()].1;
+    // Enough pairs for two threads to split the code space, and every
+    // outcome represented.
+    assert!(
+        whole_vs_first.pairs_examined > 2 * 16_384,
+        "{whole_vs_first:?}"
+    );
+    assert!(total.aborted > 0 && total.below_threshold > 0 && total.kept > 100);
+
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let mut want = want.iter();
+        for (qi, q) in queries.iter().enumerate() {
+            for (vi, v) in volumes.iter().enumerate() {
+                let got =
+                    pool.install(|| find_hsps(q.bank(), q.index(), v.bank(), v.index(), &cfg));
+                let (hsps, stats) = want.next().unwrap();
+                assert_eq!(&got.1, stats, "-t {threads}, query {qi}, volume {vi}");
+                assert!(
+                    &got.0 == hsps,
+                    "-t {threads}, query {qi}, volume {vi}: HSP vectors differ"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

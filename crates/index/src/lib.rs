@@ -12,8 +12,8 @@
 //!   work (a seed `SA` precedes `SB` iff `code(SA) < code(SB)`).
 //! * [`BankIndex`]: the Figure-2 occurrence index, stored as a **CSR
 //!   inverted index** — row boundaries over a contiguous `positions`
-//!   array — so `occurrences(code)` is a sorted `&[u32]` slice, `count`
-//!   is O(1), and step 2 streams postings instead of chasing the paper's
+//!   array — so `occurrences(code)` is a sorted `&[u32]` slice and
+//!   step 2 streams postings instead of chasing the paper's
 //!   `int *INDEX` chains. Two row-lookup backends sit behind the same
 //!   API ([`IndexBackend`]): a **dense** `offsets[4^W + 1]` array
 //!   (`≈ 4·(4^W + 1)` bytes — the large-bank fast path) and a **sparse**
@@ -78,5 +78,5 @@ pub use mmap::{map_index_file, Mapping};
 pub use persist::{read_index_file, write_index_file, IndexMeta, PersistError};
 pub use seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
 pub use structure::{
-    BankIndex, IndexBackend, IndexConfig, IndexStats, PopulatedRows, MAX_BANK_LEN,
+    BankIndex, IndexBackend, IndexConfig, IndexStats, PopulatedRows, LOOKUP_BATCH, MAX_BANK_LEN,
 };

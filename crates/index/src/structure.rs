@@ -37,6 +37,24 @@
 //! memory/speed trade, never a results change (pinned by proptests here
 //! and at the engine and db layers).
 //!
+//! **Batched lookup.** A sparse lookup is `slots[fib(code)]`, then
+//! `codes[row]`, then possibly more slots. On a cold table — a volume
+//! mapped from disk, probed by one short read — each step is a cache miss
+//! that waits on the one before and ends in a branch no predictor learns.
+//! [`BankIndex::occurrences_batch`] takes a run of codes and splits the
+//! chain across them, [`LOOKUP_BATCH`] at a time. Pass 1 loads every
+//! code's home slot. Pass 2 loads the key of every home's row, clamping
+//! the index instead of branching on an empty slot. Pass 3 answers each
+//! code: an empty home means absent, a key equal to the code is its row,
+//! and anything else — a collision, where the code sits further down its
+//! probe chain or another code owns its home — falls back to the scalar
+//! chain walk. The loads of one pass do not depend on each other, so the
+//! core keeps them in flight together: no prefetch intrinsic, no
+//! `unsafe`, no format change. Every answer is exactly the slice
+//! [`BankIndex::occurrences`] returns (a differential proptest below
+//! holds both backends, heap and mapped, to it). A dense lookup is one
+//! offsets load and has nothing to overlap, so its batch is a plain loop.
+//!
 //! The build is a counting sort that never materializes `(position,
 //! code)` pairs; the bank is rolled over instead of remembered.
 //!
@@ -68,8 +86,8 @@
 //! and 7). A bank under two grains of 2^18 positions is built on the
 //! calling thread: the rayon shim starts OS threads per call, which a
 //! 150-nt query must never pay. `occurrences(code)` hands step 2 a
-//! contiguous, ascending `&[u32]` slice, `count` is O(1), and `stats`
-//! needs no chain walks.
+//! contiguous, ascending `&[u32]` slice, and `stats` needs no chain
+//! walks.
 //!
 //! Memory model (heap bytes on top of the 1-byte-per-residue `SEQ` array):
 //!
@@ -269,6 +287,12 @@ pub(crate) fn build_slot_table(codes: &[u32]) -> Vec<u32> {
     slots
 }
 
+/// Codes [`BankIndex::occurrences_batch`] resolves per round of its
+/// three passes: enough independent misses in flight to cover a cold
+/// slot table, few enough that a round's state is a few hundred bytes
+/// of stack. Step 2 pulls this many driving rows ahead of its pair loops.
+pub const LOOKUP_BATCH: usize = 32;
+
 /// Looks up the row id of `code` via the slot table. Probes terminate
 /// because a validated table is at least half empty (and matches an exact
 /// rebuild from `codes`, so no corrupt table can reach this loop).
@@ -288,6 +312,54 @@ fn sparse_row_of(codes: &[u32], slots: &[u32], code: u32) -> Option<usize> {
             return Some(row as usize);
         }
         i = (i + 1) & mask;
+    }
+}
+
+/// Row `row` of a sparse table as its postings slice.
+#[inline]
+fn sparse_row<'s>(positions: &'s [u32], row_offsets: &[u32], row: usize) -> &'s [u32] {
+    &positions[row_offsets[row] as usize..row_offsets[row + 1] as usize]
+}
+
+/// One round of [`BankIndex::occurrences_batch`] over a sparse table, for
+/// at most [`LOOKUP_BATCH`] codes. Pass 1 loads every code's home slot and
+/// pass 2 the key of every home's row, its index clamped so an empty slot
+/// costs no branch; neither pass waits on the previous load of its own.
+/// Pass 3 answers: an empty home is an absent code, a key equal to the
+/// code is its row, and only a collision walks the probe chain.
+fn sparse_rows_batch<'s>(
+    keys: &[u32],
+    row_offsets: &[u32],
+    slots: &[u32],
+    positions: &'s [u32],
+    codes: &[u32],
+    rows: &mut [&'s [u32]],
+) {
+    if slots.is_empty() {
+        rows.fill(&[]);
+        return;
+    }
+    let n = codes.len();
+    // The row id each code's home slot holds, or `EMPTY_SLOT`.
+    let mut home_row = [EMPTY_SLOT; LOOKUP_BATCH];
+    for (row, &code) in home_row[..n].iter_mut().zip(codes) {
+        *row = slots[fib_slot(code, slots.len())];
+    }
+    // A non-empty table has at least one key.
+    let last = keys.len() - 1;
+    let mut key = [0u32; LOOKUP_BATCH];
+    for (key, &row) in key[..n].iter_mut().zip(&home_row[..n]) {
+        *key = keys[(row as usize).min(last)];
+    }
+    for (i, (out, &code)) in rows.iter_mut().zip(codes).enumerate() {
+        let row = if home_row[i] == EMPTY_SLOT {
+            None
+        } else if key[i] == code {
+            Some(home_row[i] as usize)
+        } else {
+            sparse_row_of(keys, slots, code)
+        };
+        *out = row.map_or(&[], |row| sparse_row(positions, row_offsets, row));
     }
 }
 
@@ -679,39 +751,46 @@ impl BankIndex {
                 codes,
                 row_offsets,
                 slots,
-            } => match sparse_row_of(codes, slots, code) {
-                Some(row) => {
-                    let lo = row_offsets[row] as usize;
-                    let hi = row_offsets[row + 1] as usize;
-                    &self.positions[lo..hi]
-                }
-                None => &[],
-            },
+            } => sparse_row_of(codes, slots, code)
+                .map_or(&[], |row| sparse_row(&self.positions, row_offsets, row)),
         }
     }
 
-    /// Number of occurrences of `code` — O(1) offset arithmetic (dense)
-    /// or one hashed lookup (sparse).
-    #[inline]
-    pub fn count(&self, code: u32) -> usize {
+    /// [`BankIndex::occurrences`] for many codes at once: `rows[i]`
+    /// becomes exactly the slice `occurrences(codes[i])` returns. A sparse
+    /// table resolves the codes [`LOOKUP_BATCH`] at a time, each round in
+    /// three passes (see the module docs' *Batched lookup*), so the cache
+    /// misses of a round overlap instead of each lookup waiting on its
+    /// own; a dense table answers each code with `occurrences`.
+    ///
+    /// # Panics
+    /// Panics if `codes` and `rows` differ in length.
+    pub fn occurrences_batch<'s>(&'s self, codes: &[u32], rows: &mut [&'s [u32]]) {
+        assert_eq!(codes.len(), rows.len(), "one output row per code");
         match &self.rows {
-            RowIndex::Dense { offsets } => {
-                (offsets[code as usize + 1] - offsets[code as usize]) as usize
+            RowIndex::Dense { .. } => {
+                for (out, &code) in rows.iter_mut().zip(codes) {
+                    *out = self.occurrences(code);
+                }
             }
             RowIndex::Sparse {
-                codes,
+                codes: keys,
                 row_offsets,
                 slots,
-            } => match sparse_row_of(codes, slots, code) {
-                Some(row) => (row_offsets[row + 1] - row_offsets[row]) as usize,
-                None => 0,
-            },
+            } => {
+                for (codes, rows) in codes
+                    .chunks(LOOKUP_BATCH)
+                    .zip(rows.chunks_mut(LOOKUP_BATCH))
+                {
+                    sparse_rows_batch(keys, row_offsets, slots, &self.positions, codes, rows);
+                }
+            }
         }
     }
 
     /// The dense CSR row-boundary array (`4^W + 1` entries), or `None`
     /// for a sparse-backed index. Prefer [`BankIndex::populated_in`] /
-    /// [`BankIndex::count`] — they are backend-agnostic; this accessor
+    /// [`BankIndex::occurrences`] — they are backend-agnostic; this accessor
     /// exists for persistence and the dense-layout tests.
     #[inline]
     pub fn dense_offsets(&self) -> Option<&[u32]> {
@@ -934,9 +1013,7 @@ impl<'a> Iterator for PopulatedRows<'a> {
                 }
                 let r = *row;
                 *row += 1;
-                let lo = row_offsets[r] as usize;
-                let hi = row_offsets[r + 1] as usize;
-                Some((codes[r], &positions[lo..hi]))
+                Some((codes[r], sparse_row(positions, row_offsets, r)))
             }
         }
     }
@@ -1336,7 +1413,7 @@ mod tests {
         let bank = bank_of(&["ACGNACG"]);
         let idx = BankIndex::build(&bank, IndexConfig::full(3));
         let code = idx.coder().string_to_code("ACG").unwrap();
-        assert_eq!(idx.count(code), 2);
+        assert_eq!(idx.occurrences(code).len(), 2);
         let cgn = idx.coder().string_to_code("CGN");
         assert!(cgn.is_none());
     }
@@ -1347,7 +1424,6 @@ mod tests {
         let idx = BankIndex::build(&bank, IndexConfig::full(3));
         let code = idx.coder().string_to_code("GGG").unwrap();
         assert_eq!(idx.first(code), None);
-        assert_eq!(idx.count(code), 0);
         assert!(idx.occurrences(code).is_empty());
     }
 
@@ -1617,6 +1693,83 @@ mod tests {
         }
     }
 
+    /// Distinct codes of the `w`-base code space, one per pick, where
+    /// every odd pick becomes a free code with the same home slot as the
+    /// code before it — in the table that many codes get — so the table
+    /// holds displaced codes and lookups meet collisions.
+    fn codes_with_collisions(w: usize, picks: &[u32]) -> Vec<u32> {
+        let num = 1u32 << (2 * w);
+        let slots = sparse_slot_count(picks.len());
+        let mut set = std::collections::BTreeSet::new();
+        let mut prev = 0;
+        for (i, &pick) in picks.iter().enumerate() {
+            let free: Vec<u32> = (0..num)
+                .map(|d| (pick % num + d) % num)
+                .filter(|c| !set.contains(c))
+                .collect();
+            let code = free
+                .iter()
+                .copied()
+                .find(|&c| i % 2 == 1 && fib_slot(c, slots) == fib_slot(prev, slots))
+                .unwrap_or(free[0]);
+            set.insert(code);
+            prev = code;
+        }
+        set.into_iter().collect()
+    }
+
+    /// A bank whose windows are exactly `codes`: one `W`-base record each.
+    fn bank_of_codes(coder: SeedCoder, codes: &[u32]) -> Bank {
+        let records: Vec<String> = codes.iter().map(|&c| coder.code_to_string(c)).collect();
+        let refs: Vec<&str> = records.iter().map(String::as_str).collect();
+        bank_of(&refs)
+    }
+
+    /// `idx` written to an index file and decoded back, into heap arrays
+    /// and mapped from a file.
+    fn round_trips(idx: &BankIndex) -> [BankIndex; 2] {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let mut bytes = Vec::new();
+        crate::persist::write_index(&mut bytes, idx, &crate::IndexMeta::default()).unwrap();
+        let heap = crate::persist::decode(&bytes, None).unwrap().0;
+        let path = std::env::temp_dir().join(format!(
+            "oris_lookup_batch_{}_{}.oidx",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, &bytes).unwrap();
+        let mapped = crate::mmap::map_index_file(&path).unwrap().0;
+        std::fs::remove_file(&path).ok();
+        [heap, mapped]
+    }
+
+    #[test]
+    fn collision_codes_share_home_slots() {
+        // The construction the batched-lookup proptest relies on: a
+        // sparse table over these codes holds codes off their home slot,
+        // so a lookup meets a key that is not its code.
+        let picks: Vec<u32> = (0..20u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        let codes = codes_with_collisions(5, &picks);
+        assert_eq!(codes.len(), picks.len());
+        let coder = SeedCoder::new(5);
+        let idx = BankIndex::build(
+            &bank_of_codes(coder, &codes),
+            IndexConfig::full(5).with_backend(IndexBackend::Sparse),
+        );
+        let RowIndex::Sparse {
+            codes: keys, slots, ..
+        } = idx.rows()
+        else {
+            panic!("sparse build")
+        };
+        let displaced = codes
+            .iter()
+            .filter(|&&c| keys[slots[fib_slot(c, slots.len())] as usize] != c)
+            .count();
+        assert!(displaced >= 5, "{displaced} displaced codes");
+    }
+
     fn in_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -1811,8 +1964,6 @@ mod tests {
                 let occ = idx.occurrences(code);
                 // rows are sorted ascending
                 prop_assert!(occ.windows(2).all(|p| p[0] < p[1]));
-                // count agrees with the slice
-                prop_assert_eq!(idx.count(code), occ.len());
                 got.extend(occ.iter().map(|&p| (p, code)));
             }
             let mut expected_sorted = expected.clone();
@@ -1848,7 +1999,6 @@ mod tests {
             prop_assert_eq!(dense.distinct_codes(), sparse.distinct_codes());
             for code in 0..dense.coder().num_seeds() as u32 {
                 prop_assert_eq!(dense.occurrences(code), sparse.occurrences(code));
-                prop_assert_eq!(dense.count(code), sparse.count(code));
             }
             let dw: Vec<(u32, Vec<u32>)> =
                 dense.populated().map(|(c, r)| (c, r.to_vec())).collect();
@@ -1893,6 +2043,51 @@ mod tests {
             let idx = BankIndex::build(&bank, IndexConfig::full(w));
             let expected = seq.len().saturating_sub(w - 1);
             prop_assert_eq!(idx.indexed_positions(), expected);
+        }
+
+        /// The batched lookup answers every code exactly as `occurrences`
+        /// does: dense and sparse, freshly built, decoded to the heap and
+        /// mapped from a file; every batch length from 0 past two rounds;
+        /// present codes, absent ones, codes whose home slot another code
+        /// owns, and an index of zero codes.
+        #[test]
+        fn batched_lookup_equals_occurrences(
+            w in 4usize..7,
+            picks in proptest::collection::vec(0u32..u32::MAX, 0..48),
+            queries in proptest::collection::vec(0u32..u32::MAX, 0..2 * LOOKUP_BATCH + 2),
+        ) {
+            let coder = SeedCoder::new(w);
+            let num = coder.num_seeds() as u32;
+            let codes = codes_with_collisions(w, &picks);
+            let bank = bank_of_codes(coder, &codes);
+            // Even draws ask a present code, odd draws any code.
+            let asked: Vec<u32> = queries
+                .iter()
+                .map(|&q| match codes.len() {
+                    n if n > 0 && q % 2 == 0 => codes[(q / 2) as usize % n],
+                    _ => q / 2 % num,
+                })
+                .collect();
+            let every: Vec<u32> = (0..num).collect();
+            for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
+                let built = BankIndex::build(&bank, IndexConfig::full(w).with_backend(backend));
+                prop_assert_eq!(built.distinct_codes(), codes.len());
+                let [heap, mapped] = round_trips(&built);
+                prop_assert!(codes.is_empty() || mapped.is_mmap_backed());
+                for idx in [&built, &heap, &mapped] {
+                    let want: Vec<&[u32]> = asked.iter().map(|&c| idx.occurrences(c)).collect();
+                    for n in 0..=asked.len() {
+                        let mut got = vec![&[][..]; n];
+                        idx.occurrences_batch(&asked[..n], &mut got);
+                        prop_assert_eq!(&got[..], &want[..n]);
+                    }
+                    let mut got = vec![&[][..]; every.len()];
+                    idx.occurrences_batch(&every, &mut got);
+                    for (&code, row) in every.iter().zip(&got) {
+                        prop_assert!(*row == idx.occurrences(code), "code {}", code);
+                    }
+                }
+            }
         }
 
         /// The slot table round-trips every inserted code and rejects
