@@ -110,9 +110,10 @@
 //! parallel since seed order prevents identical HSPs to be generated".
 //! [`step2::find_hsps`] implements exactly that with rayon, partitioning
 //! the seed-code space by estimated work (the per-code `|X1|·|X2|` pair
-//! product read from the CSR index offsets — see
+//! product, summed per block of codes in one pass over the indexes — see
 //! [`step2::partition_codes`]) once there is a grain of it to share — a
-//! short read's dozen pairs never leave the calling thread; [`step3`]
+//! short read's dozen pairs never leave the calling thread — into a few
+//! ranges per worker, which the workers pull one at a time; [`step3`]
 //! parallelizes over sequence-pair groups.
 //! Both are bit-for-bit deterministic regardless of thread count (verified
 //! by tests).

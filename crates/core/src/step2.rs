@@ -50,21 +50,39 @@
 //! for any thread count.
 //!
 //! **Scheduling.** Seed popularity is highly skewed (the paper's EST banks
-//! concentrate work in poly-A/poly-T codes), and the rayon shim hands each
-//! worker one contiguous block of the range list, so the ranges must carry
+//! concentrate work in poly-A/poly-T codes), so the ranges must carry
 //! comparable *work*, not comparable width: one range may own the `AAAA…A`
 //! code whose `|X1|·|X2|` pair product dwarfs everything else.
 //! [`partition_codes`] therefore sizes ranges by the per-code pair
 //! product, cutting a range whenever its accumulated work reaches
-//! `total/chunks`. Ranges remain contiguous and in code order, so results
-//! concatenate in range order and the output stays
-//! thread-count-independent.
+//! `total/chunks`, and asks for 16 ranges per worker. The estimate counts
+//! pairs, not bases walked, and an EST poly-A pair walks far longer than
+//! an aborted random one, so the rayon shim does not hand each worker a
+//! fixed share of the ranges: its workers pull them one at a time from a
+//! shared cursor, and a range that runs long only delays the tail. Ranges
+//! remain contiguous and in code order, and each result lands in its
+//! range's slot, so results concatenate in range order and the output
+//! stays thread-count-independent.
+//!
+//! The work scan is one pass, before any pair is walked, so it is the
+//! serial part of step 2. It sums the work of each of at most 1 024 equal
+//! blocks of codes (4 096 codes each at W = 11), not of each code, and
+//! then cuts code by code only inside the few blocks a cut falls in — at
+//! most one per cut — skipping the others whole. The cut points are those
+//! of a greedy scan over every code. When both indexes are dense the pass
+//! is a branch-free zip over their offset arrays, one subtraction per row;
+//! otherwise it walks the driving index's populated rows (see below),
+//! which on a dense index pays an unpredictable "row empty?" branch on
+//! each of the 4^W codes. On the benchmark's `est_x_est` (two dense
+//! 1.5 Mnt indexes at W = 11) the one pass takes 4–5 ms, where two
+//! populated-row passes took 42–45, as much as half of step 2 at two
+//! threads (in-process, 2-vCPU Xeon VM).
 //!
 //! Work under a grain never leaves the calling thread: the chunk count is
 //! capped at `total / GRAIN` pairs (`GRAIN` = 16 384), so a query whose
 //! whole pair product is below the grain gets one range, and the rayon
 //! shim runs a single range inline. The shim spawns an OS thread per
-//! chunk block (50–100 µs each). At the measured 80–105 ns per pair (down
+//! extra worker (50–100 µs each). At the measured 80–105 ns per pair (down
 //! from 120–165 before the word walk and the batches) a grain is
 //! 1.3–1.7 ms of extension work, so the spawn costs 3–8 % of what it buys.
 //! Doubling the grain would halve that, but it would also keep queries of
@@ -77,8 +95,8 @@
 //! such call-site threshold after step 3's `INLINE_WAVE_HSPS` and the
 //! index build's `PAR_GRAIN`.
 //!
-//! Both the work scan and the enumeration itself drive from the
-//! *populated* rows of whichever index holds fewer distinct codes
+//! The enumeration, and the work scan unless both indexes are dense, drive
+//! from the *populated* rows of whichever index holds fewer distinct codes
 //! ([`oris_index::BankIndex::populated_in`]) rather than sweeping
 //! `0..4^W`: a code absent from either index contributes no pairs and no
 //! work, so skipping it changes neither the output nor the cut points —
@@ -180,42 +198,93 @@ fn partition_codes_grained(
     if chunks <= 1 {
         return vec![0..num_codes];
     }
-    // Only codes populated in the driving index are visited. A code
-    // missing from either index carries zero work and zero work can never
-    // reach `target`, so the cut points are those of a dense 0..4^W sweep
-    // — while the scan cost drops from 4^W to the driving index's
-    // populated rows. The scan runs twice rather than storing a per-code
-    // work vector, which would cost megabytes on a large bank. It looks
-    // partner rows up in batches like the walk: at two threads every
-    // short read runs the first pass against each volume, and a scalar
-    // scan there cost as much as the batched walk saved.
-    let work = |x1: &[u32], x2: &[u32]| x1.len() as u64 * x2.len() as u64;
+    // One pass sums the work of each of at most 2^SCAN_BLOCK_BITS equal
+    // blocks of codes: 8 KB on the stack, where a per-code vector would
+    // cost megabytes, and a heap one an allocation on each short read's
+    // call.
+    let shift = (2 * idx1.w()).saturating_sub(SCAN_BLOCK_BITS);
+    let mut blocks = [0u64; 1 << SCAN_BLOCK_BITS];
+    let blocks = &mut blocks[..(num_codes >> shift) as usize];
     let mut total = 0u64;
-    let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |_, x1, x2| {
-        total += work(x1, x2);
-        Ok::<(), Infallible>(())
-    });
+    if let (Some(o1), Some(o2)) = (idx1.dense_offsets(), idx2.dense_offsets()) {
+        // Both rows of every code are one subtraction away: a branch-free
+        // zip over the offsets, where walking populated rows pays an
+        // unpredictable "row empty?" branch on each of the 4^W codes.
+        fn row_lens(offsets: &[u32]) -> impl Iterator<Item = u64> + '_ {
+            offsets[1..]
+                .iter()
+                .zip(offsets)
+                .map(|(hi, lo)| u64::from(hi - lo))
+        }
+        let per = 1usize << shift;
+        for (b, block) in blocks.iter_mut().enumerate() {
+            let codes = b * per..=(b + 1) * per;
+            *block = row_lens(&o1[codes.clone()])
+                .zip(row_lens(&o2[codes]))
+                .map(|(n1, n2)| n1 * n2)
+                .sum();
+            total += *block;
+        }
+    } else {
+        // Only codes populated in the driving index are visited: a code
+        // missing from either index carries zero work. Partner rows are
+        // looked up in batches like the walk: at two threads every short
+        // read runs this pass against each volume, and a scalar scan there
+        // cost as much as the batched walk saved.
+        let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |c, x1, x2| {
+            let work = work(x1, x2);
+            blocks[(c >> shift) as usize] += work;
+            total += work;
+            Ok::<(), Infallible>(())
+        });
+    }
     let chunks = u64::from(chunks).min(total / grain);
     if chunks <= 1 {
         return vec![0..num_codes];
     }
+    // The cuts of a greedy code-by-code scan: close a range at the code
+    // where its work reaches `target`. No cut can fall inside a block
+    // whose whole work leaves `acc` short of `target`, so such a block is
+    // skipped whole; only a block where `acc` reaches `target` (at most
+    // one per cut, so at most `chunks + 1` of them) is re-scanned code by
+    // code. A code absent from either index adds zero work, which never
+    // fires a cut, so visiting only the driving index's populated codes
+    // cuts where a dense `0..4^W` sweep would.
     let target = total.div_ceil(chunks);
     let mut ranges = Vec::with_capacity(chunks as usize + 1);
     let mut lo = 0u32;
     let mut acc = 0u64;
-    let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |c, x1, x2| {
-        acc += work(x1, x2);
-        if acc >= target {
-            ranges.push(lo..c + 1);
-            lo = c + 1;
-            acc = 0;
+    for (b, &block) in blocks.iter().enumerate() {
+        if acc + block < target {
+            acc += block;
+            continue;
         }
-        Ok::<(), Infallible>(())
-    });
+        let first = (b as u32) << shift;
+        let Ok(()) = for_each_seed(idx1, idx2, first..first + (1 << shift), |c, x1, x2| {
+            acc += work(x1, x2);
+            if acc >= target {
+                ranges.push(lo..c + 1);
+                lo = c + 1;
+                acc = 0;
+            }
+            Ok::<(), Infallible>(())
+        });
+    }
     if lo < num_codes {
         ranges.push(lo..num_codes);
     }
     ranges
+}
+
+/// Log2 of the most blocks [`partition_codes`]' work scan cuts the code
+/// space into: 4 096 codes per block at W = 11, one code per block at
+/// W ≤ 5.
+const SCAN_BLOCK_BITS: usize = 10;
+
+/// The work of one code: its occurrence-pair product `|X1|·|X2|`.
+#[inline]
+fn work(x1: &[u32], x2: &[u32]) -> u64 {
+    x1.len() as u64 * x2.len() as u64
 }
 
 /// Calls `f(code, X1, X2)` for every code of `codes` populated in the
@@ -1082,6 +1151,82 @@ mod tests {
         bank(&refs)
     }
 
+    /// The work scan [`partition_codes_grained`] replaced, kept as its
+    /// oracle: one pass of [`for_each_seed`] sums the total, a second cuts
+    /// greedily, code by code.
+    #[allow(clippy::single_range_in_vec_init)]
+    fn partition_codes_two_pass(
+        idx1: &BankIndex,
+        idx2: &BankIndex,
+        chunks: u32,
+        grain: u64,
+    ) -> Vec<Range<u32>> {
+        let num_codes = idx1.coder().num_seeds() as u32;
+        if chunks <= 1 {
+            return vec![0..num_codes];
+        }
+        let mut total = 0u64;
+        let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |_, x1, x2| {
+            total += work(x1, x2);
+            Ok::<(), Infallible>(())
+        });
+        let chunks = u64::from(chunks).min(total / grain);
+        if chunks <= 1 {
+            return vec![0..num_codes];
+        }
+        let target = total.div_ceil(chunks);
+        let mut ranges = Vec::new();
+        let mut lo = 0u32;
+        let mut acc = 0u64;
+        let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |c, x1, x2| {
+            acc += work(x1, x2);
+            if acc >= target {
+                ranges.push(lo..c + 1);
+                lo = c + 1;
+                acc = 0;
+            }
+            Ok::<(), Infallible>(())
+        });
+        if lo < num_codes {
+            ranges.push(lo..num_codes);
+        }
+        ranges
+    }
+
+    /// `bank` indexed at `w` by both backends: `[dense, sparse]`.
+    fn both_backends(bank: &Bank, w: usize) -> [BankIndex; 2] {
+        use oris_index::IndexBackend;
+        [IndexBackend::Dense, IndexBackend::Sparse]
+            .map(|backend| BankIndex::build(bank, IndexConfig::full(w).with_backend(backend)))
+    }
+
+    #[test]
+    fn block_scan_cuts_like_the_two_pass_scan_around_homopolymers() {
+        // Poly-A is code 0 and poly-T the last code, so the first and the
+        // last block both hold a cut and are re-scanned code by code; at
+        // W = 11 a block is 4 096 codes, at W = 5 one.
+        let polya = "A".repeat(400);
+        let polyt = "T".repeat(300);
+        let mixed = "ATGGCGTACGTTAGCCTAGGCTTAACGGATCGATCCGGTTAACCGTAGCTAGGATCC";
+        let b1 = bank(&[&format!("{polya}{mixed}{polyt}"), mixed]);
+        let b2 = bank(&[&format!("{polyt}{mixed}"), &format!("{mixed}{polya}")]);
+        for w in [5, 6, 11] {
+            let (i1s, i2s) = (both_backends(&b1, w), both_backends(&b2, w));
+            for (i1, i2) in i1s.iter().flat_map(|i1| i2s.iter().map(move |i2| (i1, i2))) {
+                for grain in [1, GRAIN] {
+                    for chunks in [2u32, 3, 7, 16, 32, 1024] {
+                        let want = partition_codes_two_pass(i1, i2, chunks, grain);
+                        let got = partition_codes_grained(i1, i2, chunks, grain);
+                        assert_eq!(got, want, "W = {w}, grain {grain}, chunks = {chunks}");
+                    }
+                }
+                // Poly-A alone outweighs a range: cut right after code 0.
+                let cuts = partition_codes_grained(i1, i2, 16, 1);
+                assert_eq!(cuts[0], 0..1, "W = {w}: {cuts:?}");
+            }
+        }
+    }
+
     proptest! {
         /// On fully indexed banks the auto-selected probe-free fast path
         /// (`OrderedFull`) and the indexed guard are byte-identical: same
@@ -1166,6 +1311,40 @@ mod tests {
                 ranges.len() <= chunks as usize + 1,
                 "{} ranges for {} chunks", ranges.len(), chunks
             );
+        }
+
+        /// The one-pass block scan cuts exactly where the two-pass
+        /// code-by-code scan does, in every backend pairing (the dense
+        /// pair takes the offsets arm), with one code per block (W ≤ 5)
+        /// and several (W = 6), at grain 1 and at the real grain. Half the
+        /// cases carry no homopolymer, so their small totals often land a
+        /// block's work exactly on the cut target.
+        #[test]
+        fn block_scan_cuts_like_the_two_pass_scan(
+            seqs1 in proptest::collection::vec("[ACGT]{0,80}", 1..4),
+            seqs2 in proptest::collection::vec("[ACGT]{0,80}", 1..4),
+            polya in 0usize..400,
+            polyt in 0usize..300,
+            w in 2usize..=6,
+            chunks in 1u32..40,
+        ) {
+            let polya = "A".repeat(polya.saturating_sub(200));
+            let polyt = "T".repeat(polyt.saturating_sub(150));
+            let (mut seqs1, mut seqs2) = (seqs1, seqs2);
+            seqs1[0] = format!("{polya}{}{polyt}", seqs1[0]);
+            seqs2[0] = format!("{polyt}{}{polya}", seqs2[0]);
+            let (b1, b2) = (banks_from(&seqs1), banks_from(&seqs2));
+            let (i1s, i2s) = (both_backends(&b1, w), both_backends(&b2, w));
+            for i1 in &i1s {
+                for i2 in &i2s {
+                    for grain in [1, GRAIN] {
+                        prop_assert_eq!(
+                            partition_codes_grained(i1, i2, chunks, grain),
+                            partition_codes_two_pass(i1, i2, chunks, grain)
+                        );
+                    }
+                }
+            }
         }
     }
 }

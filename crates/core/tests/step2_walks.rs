@@ -4,13 +4,13 @@
 //! resolves partner rows in batches. The reference below is the paper's
 //! loop written out plainly: ascending codes, every X1 × X2 pair with X2
 //! from the scalar `occurrences`, one base at a time under the order rule.
-//! The HSP vector and every `Step2Stats` counter must agree at one thread
-//! and at two — for banks of a few hundred kbp, and for 150-nt reads
-//! against the mapped sparse volumes of a database, where the read drives
-//! and nearly every partner lookup misses a cold table.
+//! The HSP vector and every `Step2Stats` counter must agree at one, two,
+//! three and eight threads — for banks of a few hundred kbp, and for
+//! 150-nt reads against the mapped sparse volumes of a database, where the
+//! read drives and nearly every partner lookup misses a cold table.
 
 use oris_align::{ExtensionOutcome, OrderGuard, UngappedParams};
-use oris_core::step2::{find_hsps, select_guard, Step2Stats};
+use oris_core::step2::{find_hsps, partition_codes, select_guard, Step2Stats};
 use oris_core::{FilterKind, Hsp, OrisConfig, PreparedBank};
 use oris_db::{make_db, Database, MakeDbOptions};
 use oris_index::{BankIndex, IndexBackend, IndexConfig, SeedCoder};
@@ -40,6 +40,9 @@ impl Mix {
 const RECORDS: usize = 4;
 const RECORD_LEN: usize = 55_000;
 const READ_LEN: usize = 150;
+/// Worker counts `find_hsps` runs at: inline, and more and fewer workers
+/// than the machine has cores.
+const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 fn bank_of(records: &[Vec<u8>]) -> Bank {
     let mut bb = BankBuilder::new();
@@ -225,11 +228,12 @@ fn word_walk_steps_2_like_the_byte_walk_at_one_and_two_threads() {
     ));
 
     let (want, want_stats) = reference_step2(&b1, i1, &b2, i2, &cfg);
-    // Enough work for two threads to split the code space, and every
-    // outcome represented.
+    // Enough work for two threads to split the code space, so the ranges
+    // really are dispatched to workers, and every outcome represented.
     assert!(want_stats.pairs_examined > 2 * 16_384, "{want_stats:?}");
+    assert!(partition_codes(i1, i2, 32).len() > 1);
     assert!(want_stats.aborted > 0 && want_stats.below_threshold > 0 && want_stats.kept > 100);
-    for threads in [1, 2] {
+    for threads in THREADS {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
@@ -307,9 +311,11 @@ fn short_reads_step_2_like_the_reference_against_mapped_sparse_volumes() {
         whole_vs_first.pairs_examined > 2 * 16_384,
         "{whole_vs_first:?}"
     );
+    let whole = &queries[read_banks.len()];
+    assert!(partition_codes(whole.index(), volumes[0].index(), 32).len() > 1);
     assert!(total.aborted > 0 && total.below_threshold > 0 && total.kept > 100);
 
-    for threads in [1, 2] {
+    for threads in THREADS {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()

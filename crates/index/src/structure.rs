@@ -1020,7 +1020,7 @@ impl<'a> Iterator for PopulatedRows<'a> {
 }
 
 /// Bank positions per worker below which a build takes no second
-/// worker: the rayon shim starts an OS thread per worker per pass (tens
+/// worker: the rayon shim starts an OS thread per extra worker per pass (tens
 /// of microseconds each, three passes), which a slice this long repays
 /// many times over and a 150-nt query never would.
 const PAR_GRAIN: usize = 1 << 18;
