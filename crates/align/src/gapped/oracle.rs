@@ -10,10 +10,13 @@
 use oris_seqio::alphabet::SENTINEL;
 
 use super::{
-    GappedParams, NEG, TB_E_EXTEND, TB_F_EXTEND, TB_H_DEAD, TB_H_FROM_E, TB_H_FROM_F, TB_H_FROM_H,
+    GappedParams, TB_E_EXTEND, TB_F_EXTEND, TB_H_DEAD, TB_H_FROM_E, TB_H_FROM_F, TB_H_FROM_H,
     TB_H_MASK, TB_H_START,
 };
 use crate::cigar::AlignOp;
+
+/// The oracle's dead value, with its dead-diagonal select below.
+const NEG: i32 = i32::MIN / 4;
 
 /// An extension with owned ops, listed left to right on the arrays.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -435,6 +435,9 @@ fn pipeline_fields(b: &mut StatsBlock, s: &PipelineStats) {
     b.field("aborted", s.step2.aborted);
     b.field("below", s.step2.below_threshold);
     b.field("kept", s.step2.kept);
+    b.field("extended", s.step3.extended);
+    b.field("contained", s.step3.skipped_contained);
+    b.field("dp_cells", s.step3.dp_cells);
     b.field("masked1", format!("{:.4}", s.masked_fraction1));
     b.field("masked2", format!("{:.4}", s.masked_fraction2));
 }

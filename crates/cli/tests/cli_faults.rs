@@ -253,6 +253,36 @@ fn deadline_without_db_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(1));
 }
 
+/// An x-drop past the gapped kernel's bound once made every extension fill
+/// its 2^24-cell cap (minutes on a small genome pair); it is refused up
+/// front as a usage error, before any input is read.
+#[test]
+fn oversized_gapped_xdrop_is_a_usage_error() {
+    let (db, query) = fixture("xdrop_gap");
+    let subject = db.parent().unwrap().join("subject.fa");
+    for value in ["1048577", "600000000"] {
+        let out = scoris_n()
+            .arg(&query)
+            .arg(&subject)
+            .args(["-W", "8", "--xdrop-gap", value])
+            .output()
+            .unwrap();
+        assert_clean_failure(
+            &out,
+            1,
+            &format!("gapped x-drop {value} exceeds the maximum 1048576"),
+        );
+    }
+    // The bound itself is accepted.
+    let out = scoris_n()
+        .arg(&query)
+        .arg(&subject)
+        .args(["-W", "8", "-X", "1048576"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+}
+
 // ---------------------------------------------------------------------
 // verifydb
 // ---------------------------------------------------------------------

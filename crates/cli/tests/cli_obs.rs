@@ -242,6 +242,9 @@ fn stats_schema_is_unified_across_modes() {
         "alignments=",
         "pairs=",
         "kept=",
+        "extended=",
+        "contained=",
+        "dp_cells=",
     ];
     // Plain two-bank mode.
     let out = scoris_n()
@@ -255,6 +258,26 @@ fn stats_schema_is_unified_across_modes() {
     assert!(plain.contains("subject_source=built"), "{plain}");
     for key in shared {
         assert!(plain.contains(key), "plain stats missing {key}: {plain}");
+    }
+    assert!(
+        !plain.contains("dp_cells=0 "),
+        "the homolog extends: {plain}"
+    );
+    // Batch mode: the one query bank as a batch.
+    let out = scoris_n()
+        .args([
+            "--batch",
+            query.to_str().unwrap(),
+            subject.to_str().unwrap(),
+        ])
+        .args(["-W", "8", "--stats"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let batch = String::from_utf8_lossy(&out.stderr);
+    assert!(batch.contains("mode=batch"), "{batch}");
+    for key in shared {
+        assert!(batch.contains(key), "batch stats missing {key}: {batch}");
     }
     // Database mode: same shared schema plus registry-backed fields.
     let out = scoris_n()

@@ -1,5 +1,6 @@
 //! ORIS pipeline configuration.
 
+use oris_align::gapped::MAX_XDROP;
 use oris_align::ScoringScheme;
 
 use crate::space::SubjectSpace;
@@ -166,6 +167,15 @@ impl OrisConfig {
         if self.xdrop_ungapped <= 0 || self.xdrop_gapped <= 0 {
             return Err("x-drop thresholds must be positive".into());
         }
+        // The gapped kernel's dead cells sit a fixed margin below every
+        // live one; an x-drop past the bound would let them pass the test
+        // (and every extension would fill its cell cap long before that).
+        if self.xdrop_gapped > MAX_XDROP {
+            return Err(format!(
+                "gapped x-drop {} exceeds the maximum {MAX_XDROP}",
+                self.xdrop_gapped
+            ));
+        }
         // NaN is refused with the non-positive values: `evalue > NaN` is
         // never true, which would switch the e-value filter off. An
         // infinite threshold stays legal — it is the explicit "no filter".
@@ -238,6 +248,21 @@ mod tests {
         let mut c = OrisConfig::default();
         c.evalue_threshold = f64::INFINITY;
         assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn gapped_xdrop_is_bounded_by_the_kernel_margin() {
+        let at = |xdrop_gapped| OrisConfig {
+            xdrop_gapped,
+            ..OrisConfig::default()
+        };
+        assert_eq!(at(MAX_XDROP).validate(), Ok(()));
+        assert_eq!(
+            at(MAX_XDROP + 1).validate(),
+            Err("gapped x-drop 1048577 exceeds the maximum 1048576".into())
+        );
+        assert!(at(600_000_000).validate().is_err());
+        assert!(at(i32::MAX).validate().is_err());
     }
 
     #[test]

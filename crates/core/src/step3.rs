@@ -96,6 +96,8 @@ pub struct Step3Stats {
     pub skipped_contained: u64,
     /// Gapped extensions performed.
     pub extended: u64,
+    /// X-drop DP cells computed over all extensions, both halves of each.
+    pub dp_cells: u64,
 }
 
 impl Step3Stats {
@@ -104,6 +106,7 @@ impl Step3Stats {
     pub fn merge(mut self, o: Step3Stats) -> Step3Stats {
         self.skipped_contained += o.skipped_contained;
         self.extended += o.extended;
+        self.dp_cells += o.dp_cells;
         self
     }
 }
@@ -116,14 +119,14 @@ type GroupResult = (Vec<GappedAlignment>, Step3Stats);
 
 /// Extends one HSP from its midpoint and packages the result, folding
 /// the column statistics and the diagonal range out of the ops while
-/// they still sit in the scratch.
+/// they still sit in the scratch. Returns the DP cells it took beside it.
 fn extend_one(
     bank1: &Bank,
     bank2: &Bank,
     hsp: &Hsp,
     params: &GappedParams,
     scratch: &mut GappedScratch,
-) -> GappedAlignment {
+) -> (GappedAlignment, usize) {
     let (m1, m2) = hsp.midpoint();
     let (merged, start1, start2) =
         extend_gapped_both(bank1.data(), bank2.data(), m1, m2, params, scratch);
@@ -144,7 +147,7 @@ fn extend_one(
             _ => {}
         }
     }
-    GappedAlignment {
+    let aln = GappedAlignment {
         start1,
         start2,
         len1: merged.len1,
@@ -153,7 +156,8 @@ fn extend_one(
         stats: AlignStats::from_ops(merged.ops),
         diag_min: dmin,
         diag_max: dmax,
-    }
+    };
+    (aln, merged.cells)
 }
 
 /// Sequential step 3 over one group's diagonal-sorted HSPs.
@@ -182,7 +186,8 @@ fn gapped_serial(
             continue;
         }
         stats.extended += 1;
-        let aln = extend_one(bank1, bank2, hsp, params, scratch);
+        let (aln, cells) = extend_one(bank1, bank2, hsp, params, scratch);
+        stats.dp_cells += cells as u64;
         active.push(out.len());
         out.push(aln);
     }
