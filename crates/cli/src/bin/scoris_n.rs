@@ -638,9 +638,12 @@ fn search_db(
     queries: BatchQueries,
 ) -> Result<StatsBlock, CliError> {
     let window: usize = args.get_or("window", 0).map_err(|e| e.to_string())?;
-    // --workers 0 and 1 are both the sequential walk (0 would be a
-    // useless footgun to reject; treat it as "no parallelism").
-    let workers: usize = args.get_or("workers", 1).map_err(|e| e.to_string())?;
+    // --workers 0 runs one worker, as 1 does (0 would be a useless
+    // footgun to reject; treat it as "no parallelism"), and --stats says so.
+    let workers: usize = args
+        .get_or("workers", 1usize)
+        .map_err(|e| e.to_string())?
+        .max(1);
     let result_cache_mb: usize = args.get_or("result-cache", 0).map_err(|e| e.to_string())?;
     // Megabytes to bytes, checked: a wrapped product would silently
     // shrink the cache or switch it off (0).
@@ -675,7 +678,7 @@ fn search_db(
         window,
         on_volume_error,
         deadline,
-        volume_workers: workers.max(1),
+        volume_workers: workers,
         result_cache_bytes,
     };
     let mut session = oris_db::DbSession::new(&db, cfg, opts).map_err(located)?;

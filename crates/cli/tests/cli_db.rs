@@ -268,6 +268,7 @@ fn workers_and_result_cache_are_invisible_in_output() {
 
     for extra in [
         &["--workers", "4"][..],
+        &["--workers", "0", "--stats"][..],
         &["--result-cache", "8"][..],
         &["--workers", "2", "--result-cache", "8"][..],
     ] {
@@ -285,6 +286,14 @@ fn workers_and_result_cache_are_invisible_in_output() {
             String::from_utf8_lossy(&out.stderr)
         );
         assert_eq!(out.stdout, plain.stdout, "{extra:?} changed output bytes");
+        if extra.contains(&"--stats") {
+            // --workers 0 runs one worker, and the stats line says so.
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.split_whitespace().any(|kv| kv == "workers=1"),
+                "{stderr}"
+            );
+        }
     }
 
     // A batch repeating the same query twice: the second pass is served

@@ -59,7 +59,7 @@
 //! pairs, not bases walked, and an EST poly-A pair walks far longer than
 //! an aborted random one, so the rayon shim does not hand each worker a
 //! fixed share of the ranges: its workers pull them one at a time from a
-//! shared cursor, and a range that runs long only delays the tail. Ranges
+//! shared queue, and a range that runs long only delays the tail. Ranges
 //! remain contiguous and in code order, and each result lands in its
 //! range's slot, so results concatenate in range order and the output
 //! stays thread-count-independent.

@@ -26,21 +26,20 @@
 //! Groups are scheduled in **waves sized by work**. A wave is the run of
 //! consecutive groups that holds at least `2 × workers` groups *and* an
 //! HSP budget proportional to the worker count, so 13 000 one-HSP groups
-//! make ~50 waves and six chromosome-pair groups make two. Within a wave
-//! up to `workers` dispatch loops claim groups off an atomic cursor, each
-//! loop with its own kernel scratch; a wave too small to repay a thread
-//! runs on the caller's. When the wave is done its groups are handed to
+//! make ~50 waves and six chromosome-pair groups make two. A wave is one
+//! parallel map (`map_init`) over its groups, each worker with its own
+//! kernel scratch; a wave too small to repay a thread runs on the
+//! caller's. When the wave is done its groups are handed to
 //! the [`Step3Emit`] receiver in ascending key order, so the stream is the
 //! same for any thread count and at most one wave's alignments are ever
 //! live — the streaming pipeline ([`gapped_alignments_into`]) never holds
 //! a whole query's. [`gapped_alignments`] collects the same stream.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use oris_align::{extend_gapped_both, AlignOp, AlignStats, GappedParams, GappedScratch};
 use oris_seqio::Bank;
+use rayon::prelude::*;
 
 use crate::config::OrisConfig;
 use crate::hsp::Hsp;
@@ -221,8 +220,8 @@ impl<F: FnMut(Vec<GappedAlignment>)> Step3Emit for F {
 const WAVE_HSPS_PER_WORKER: usize = 128;
 
 /// A wave with fewer HSPs than this runs on the calling thread. Starting
-/// and joining one scoped thread measured 15 µs on the benchmark host and
-/// a small extension 4–6 µs, so a second worker repays its start from
+/// and joining one thread costs 11–13 µs (the rayon shim's docs) and a
+/// small extension 4–6 µs, so a second worker repays its start from
 /// about six HSPs up; below that (a read mapped to two records, say) it
 /// is pure overhead.
 const INLINE_WAVE_HSPS: usize = 8;
@@ -297,52 +296,26 @@ pub fn gapped_alignments_into(
     }
 
     let workers = rayon::current_num_threads().max(1);
-    // The calling thread's kernel scratch, kept across waves. Spawned
-    // dispatch loops make their own on their own stacks: scratches side by
-    // side in one vector shared cache lines between workers, which cost
-    // `genome_repeats` its whole two-thread speed-up.
-    let mut scratch = GappedScratch::new();
-    let run = |group: &Range<usize>, scratch: &mut GappedScratch| {
+    let run = |scratch: &mut GappedScratch, group: &Range<usize>| {
         gapped_serial(bank1, bank2, &tagged[group.clone()], &params, scratch)
     };
+    // The calling thread's scratch for the waves too small to repay a
+    // thread, kept across them. A parallel wave builds one scratch per
+    // worker, on that worker's stack: scratches side by side in one vector
+    // shared cache lines between workers, which cost `genome_repeats` its
+    // whole two-thread speed-up.
+    let mut scratch = GappedScratch::new();
 
     let mut stats = Step3Stats::default();
     for wave in waves(&groups, workers) {
         let wave = &groups[wave];
         let wave_hsps = wave[wave.len() - 1].end - wave[0].start;
-        if workers == 1 || wave.len() == 1 || wave_hsps < INLINE_WAVE_HSPS {
-            for group in wave {
-                let (alns, s) = run(group, &mut scratch);
-                stats = stats.merge(s);
-                emit.group(alns);
-            }
-            continue;
-        }
-        // Dispatch loops, one scratch each: claim the next group of the
-        // wave, extend it, park the result in the group's slot. The
-        // cursor only hands out indexes (results travel through the slot
-        // locks and the scope's join), so relaxed ordering is enough.
-        let slots: Vec<Mutex<Option<GroupResult>>> =
-            wave.iter().map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let dispatch = |scratch: &mut GappedScratch| loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= wave.len() {
-                break;
-            }
-            *slots[i].lock().expect("slot lock") = Some(run(&wave[i], scratch));
+        let done: Vec<GroupResult> = if wave_hsps < INLINE_WAVE_HSPS {
+            wave.iter().map(|group| run(&mut scratch, group)).collect()
+        } else {
+            wave.par_iter().map_init(GappedScratch::new, run).collect()
         };
-        rayon::scope(|s| {
-            for _ in 1..workers.min(wave.len()) {
-                s.spawn(|_| dispatch(&mut GappedScratch::new()));
-            }
-            dispatch(&mut scratch);
-        });
-        for slot in slots {
-            let (alns, s) = slot
-                .into_inner()
-                .expect("slot lock")
-                .expect("every group of a finished wave was claimed");
+        for (alns, s) in done {
             stats = stats.merge(s);
             emit.group(alns);
         }

@@ -81,12 +81,13 @@
 //!
 //! ## Concurrency and the byte-identity contract
 //!
-//! [`DbOptions::volume_workers`] fans a query's volume searches across a
-//! scoped worker pool. Volumes are independent by construction (each is
-//! its own bank + index; an mmap-attached index is a read-only
-//! `Section<u32>` view shared for free), and the fan-out runs the very
-//! function the sequential walk runs per volume, so it changes *when*
-//! work happens but never *what* is computed:
+//! [`DbOptions::volume_workers`] sets the width of the one parallel map
+//! that runs a query's volume searches (at width 1 it runs inline on the
+//! calling thread). Volumes are independent by construction (each is its
+//! own bank + index; an mmap-attached index is a read-only
+//! `Section<u32>` view shared for free), and every width runs the very
+//! same function per volume, so the width changes *when* work happens
+//! but never *what* is computed:
 //!
 //! * Every volume search — on the calling thread or on a worker — stages
 //!   its records in a private buffer; no record reaches the caller's
@@ -102,9 +103,9 @@
 //!   the same [`SearchReport`] under any worker count; deadline checks
 //!   run inside each worker's step-2 loops, expiry stops dispatch of
 //!   remaining volumes, and an expired query leaves the sink untouched
-//!   exactly as in the sequential path. `volume_workers > 1` requires an
-//!   unbounded [`DbOptions::window`] (parallel search needs all volumes
-//!   resident; a bounded window's memory guarantee would be a lie).
+//!   at any width. `volume_workers > 1` requires an unbounded
+//!   [`DbOptions::window`] (parallel search needs all volumes resident;
+//!   a bounded window's memory guarantee would be a lie).
 //!
 //! [`DbOptions::result_cache_bytes`] adds a volume-level result cache
 //! ([`ResultCache`]): completed per-volume searches are memoized under

@@ -19,8 +19,7 @@
 //!   [`DbError::DeadlineExceeded`] with the caller's sink untouched and
 //!   the session ready for the next query.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use oris_core::{
@@ -29,6 +28,7 @@ use oris_core::{
 };
 use oris_obs::{names, Field, Obs};
 use oris_seqio::Bank;
+use rayon::prelude::*;
 
 use crate::cache::{self, CacheCounters, CacheKey, CachedVolume, ResultCache};
 use crate::database::{Database, DbError};
@@ -69,13 +69,15 @@ pub struct DbOptions {
     /// [`DbSession::run_query_deadline`] for the guarantees).
     pub deadline: Option<Duration>,
     /// Worker threads fanning one query's volume searches out in
-    /// parallel. `1` (the default, and any `0`) is the sequential walk
-    /// on the calling thread; `N > 1` spawns `min(N, volumes)` scoped
-    /// workers that pull volume ids from a shared cursor. Either way a
-    /// volume is searched by the same function into its own staging
-    /// buffer and the buffers merge in ascending volume order, so output
-    /// bytes are identical for any value (see the crate docs'
-    /// concurrency contract). Requires an unbounded
+    /// parallel: the width of the one parallel map that runs them. `1`
+    /// (the default, and any `0`) runs that map inline on the calling
+    /// thread; `N > 1` has `min(N, volumes)` workers, the calling thread
+    /// among them, claim volumes one at a time. Either way a volume is
+    /// searched by the same function into its own staging buffer and the
+    /// buffers merge in ascending volume order, so output bytes are
+    /// identical for any value (see the crate docs' concurrency
+    /// contract). The width is the fan-out's alone: each volume search
+    /// runs at the caller's worker count. `N > 1` requires an unbounded
     /// [`DbOptions::window`]: parallel search needs every volume resident
     /// at once, which is exactly what a bounded window promises not to do
     /// ([`DbSession::new`] rejects the combination).
@@ -115,6 +117,14 @@ const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 /// doubling capped at `2^16·base`.
 fn retry_delay(base: Duration, attempt: u32) -> Duration {
     base * (1u32 << attempt.min(16))
+}
+
+/// A logical pool of `n` workers (`0` = the machine's count).
+fn thread_pool(n: usize) -> Result<rayon::ThreadPool, DbError> {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(n)
+        .build()
+        .map_err(|e| DbError::Config(format!("failed to build thread pool: {e}")))
 }
 
 /// Per-volume step-1 cost attribution for a database session: what was
@@ -327,11 +337,7 @@ impl<'d> DbSession<'d> {
                 opts.volume_workers, opts.window
             )));
         }
-        let pool = cfg
-            .threads
-            .map(|n| rayon::ThreadPoolBuilder::new().num_threads(n).build())
-            .transpose()
-            .map_err(|e| DbError::Config(format!("failed to build thread pool: {e}")))?;
+        let pool = cfg.threads.map(thread_pool).transpose()?;
         let results = if opts.result_cache_bytes > 0 {
             Some(ResultCache::new(opts.result_cache_bytes))
         } else {
@@ -530,9 +536,9 @@ impl<'d> DbSession<'d> {
 
     /// Phase 3 — *search*, one volume: the single function that runs a
     /// prepared query against an attached volume, staging its records.
-    /// Associated rather than a method so the sequential walk (calling
-    /// thread) and the fan-out's scoped workers call the same code while
-    /// the session's other fields stay borrowed.
+    /// Associated rather than a method so the bounded window's walk and
+    /// the parallel map's items call the same code while the session's
+    /// other fields stay borrowed.
     fn volume_search(
         obs: &Obs,
         session: &Session<'static>,
@@ -553,14 +559,16 @@ impl<'d> DbSession<'d> {
 
     /// Searches every live volume the cache did not serve, each through
     /// [`DbSession::volume_search`]; `None` in the result = quarantined
-    /// or a cache hit. One worker walks the volumes on the calling
-    /// thread, attaching as it goes (a no-op after an unbounded
-    /// window's attach-ahead; the eviction point of a bounded one).
-    /// More workers claim volumes off an atomic cursor from scoped
-    /// threads: attach — and with it every retry and quarantine
-    /// decision — already happened (`new` guarantees the unbounded
-    /// window), and an expiry stops *dispatching* — volumes not yet
-    /// claimed are never started.
+    /// or a cache hit. Under an unbounded window every volume is already
+    /// attached — attach-ahead made every retry and quarantine decision —
+    /// so the searches run as one parallel map,
+    /// [`DbOptions::volume_workers`] wide (inline on the calling thread at
+    /// one worker). Each item first checks a stop flag and the deadline,
+    /// so an error or an expiry stops *dispatching*: a volume nobody
+    /// started reads as [`DbError::DeadlineExceeded`]. A bounded window
+    /// (one worker, by `new`) walks the volumes on the calling thread
+    /// instead, attaching as it goes — the one path that evicts between
+    /// searches.
     fn search_volumes(
         &mut self,
         prep: &PreparedBank<'_>,
@@ -570,12 +578,11 @@ impl<'d> DbSession<'d> {
     ) -> Result<Vec<Option<Staged>>, DbError> {
         let num = self.db.num_volumes();
         let mut fresh: Vec<Option<Staged>> = (0..num).map(|_| None).collect();
-        let workers = self.opts.volume_workers.max(1);
-        if workers == 1 {
-            for v in 0..num {
-                if self.quarantined[v].is_some() || hits[v].is_some() {
-                    continue;
-                }
+        let pending: Vec<usize> = (0..num)
+            .filter(|&v| self.quarantined[v].is_none() && hits[v].is_none())
+            .collect();
+        if self.capacity < num {
+            for v in pending {
                 deadline.check()?;
                 if self.attach(v, retries)? {
                     let session = self.attached[v].as_ref().expect("attached above");
@@ -584,37 +591,32 @@ impl<'d> DbSession<'d> {
             }
             return Ok(fresh);
         }
-        let pending: Vec<usize> = (0..num)
-            .filter(|&v| self.quarantined[v].is_none() && hits[v].is_none())
-            .collect();
-        let slots: Vec<Mutex<Option<Result<Staged, DbError>>>> =
-            pending.iter().map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
+        // The fan-out's width is its own: each search runs at the
+        // caller's worker count, as it would without a fan-out.
+        let caller = thread_pool(rayon::current_num_threads())?;
+        let fan_out = thread_pool(self.opts.volume_workers.max(1))?;
         let stop = AtomicBool::new(false);
         let (obs, attached) = (&self.obs, &self.attached);
-        rayon::scope(|s| {
-            for _ in 0..workers.min(pending.len()) {
-                s.spawn(|_| loop {
+        let done: Vec<Result<Staged, DbError>> = fan_out.install(|| {
+            pending
+                .par_iter()
+                .map(|&v| {
                     if stop.load(Ordering::Relaxed) || deadline.expired() {
                         stop.store(true, Ordering::Relaxed);
-                        break;
+                        return Err(DeadlineExceeded.into());
                     }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&v) = pending.get(i) else { break };
                     let session = attached[v].as_ref().expect("attached ahead of the fan-out");
-                    let done = Self::volume_search(obs, session, v, prep, deadline);
+                    let done =
+                        caller.install(|| Self::volume_search(obs, session, v, prep, deadline));
                     if done.is_err() {
                         stop.store(true, Ordering::Relaxed);
                     }
-                    *slots[i].lock().expect("slot lock") = Some(done);
-                });
-            }
+                    done
+                })
+                .collect()
         });
-        for (slot, &v) in slots.into_iter().zip(&pending) {
-            // A slot nobody filled was never dispatched: an expiry (the
-            // claimant's own, or a sibling's) stopped the fan-out first.
-            let done = slot.into_inner().expect("slot lock");
-            fresh[v] = Some(done.unwrap_or(Err(DeadlineExceeded.into()))?);
+        for (done, v) in done.into_iter().zip(pending) {
+            fresh[v] = Some(done?);
         }
         Ok(fresh)
     }

@@ -23,6 +23,7 @@ use oris_db::{
     make_db, Database, DbError, DbOptions, DbSession, Fault, FaultRule, FaultyIo, MakeDbOptions,
     OnVolumeError, SearchReport,
 };
+use oris_obs::{names, Obs};
 use oris_seqio::{Bank, BankBuilder};
 
 fn scratch(test: &str) -> PathBuf {
@@ -212,6 +213,62 @@ fn expired_deadline_leaves_sink_untouched_and_inserts_nothing() {
         .run_query_deadline(&query(), &mut sink, &Deadline::none())
         .unwrap();
     assert!(report.is_complete());
+    let (seq_records, _) = run_once(&dir, None, DbOptions::default()).unwrap();
+    assert_eq!(render(sink), seq_records);
+}
+
+/// A trace writer that cancels its token when the first volume search
+/// begins: the query is then inside the fan-out, past every check of
+/// attach-ahead. The trace sink writes each line whole, under its lock.
+struct CancelAtFirstSearch(Deadline);
+
+impl std::io::Write for CancelAtFirstSearch {
+    fn write(&mut self, line: &[u8]) -> std::io::Result<usize> {
+        if String::from_utf8_lossy(line).contains(r#""ev":"begin","span":"volume_search""#) {
+            self.0.cancel();
+        }
+        Ok(line.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn cancel_mid_fan_out_stops_dispatch() {
+    let dir = build_db("cancel_fan_out");
+    let db = Database::open(&dir).unwrap();
+    let num = db.num_volumes() as u64;
+    let opts = DbOptions {
+        volume_workers: 2,
+        result_cache_bytes: 1 << 20,
+        ..DbOptions::default()
+    };
+    let mut session = DbSession::new(&db, &cfg(), opts).unwrap();
+    let deadline = Deadline::cancellable();
+    let obs = Obs::builder()
+        .trace(Box::new(CancelAtFirstSearch(deadline.clone())))
+        .build();
+    session.set_obs(obs.clone());
+    let mut sink = CollectSink::new();
+    let err = session
+        .run_query_deadline(&query(), &mut sink, &deadline)
+        .expect_err("a token cancelled mid-fan-out must expire the query");
+    assert!(matches!(err, DbError::DeadlineExceeded(_)), "{err:?}");
+    assert!(render(sink).is_empty(), "sink must be untouched on expiry");
+    assert_eq!(session.result_cache_counters().insertions, 0);
+    // Each of the two workers may have claimed one volume before the
+    // token tripped; nobody claims another after it.
+    let dispatched = obs.counter(names::WORKER_DISPATCH_TOTAL);
+    assert!(
+        dispatched <= 2 && 2 < num,
+        "{dispatched} of {num} dispatched"
+    );
+    let mut sink = CollectSink::new();
+    session
+        .run_query_deadline(&query(), &mut sink, &Deadline::none())
+        .unwrap();
     let (seq_records, _) = run_once(&dir, None, DbOptions::default()).unwrap();
     assert_eq!(render(sink), seq_records);
 }
