@@ -193,6 +193,47 @@ fn corrupt_index_exits_3() {
     assert_clean_failure(&out, 3, "vol00001.oidx");
 }
 
+/// Rewrites the format version word (bytes 8..12) of `vol00000.oidx`
+/// to 2, the version before the word-wide checksum.
+fn patch_first_volume_to_version_2(db: &Path) {
+    let path = db.join("vol00000.oidx");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&path, bytes).unwrap();
+}
+
+#[test]
+fn version_2_volume_exits_3_with_the_rebuild_hint() {
+    let (db, query) = fixture("v2_search");
+    patch_first_volume_to_version_2(&db);
+    let out = search(&db, &query, &[]);
+    assert_clean_failure(&out, 3, "rebuild with makedb / mkindex");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("vol00000.oidx"),
+        "{out:?}"
+    );
+}
+
+#[test]
+fn verifydb_fails_only_the_version_2_volume() {
+    let (db, _) = fixture("v2_verify");
+    patch_first_volume_to_version_2(&db);
+    let out = verifydb().arg(&db).output().unwrap();
+    assert_eq!(out.status.code(), Some(3));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let failed: Vec<&str> = stdout.lines().filter(|l| l.contains("FAILED")).collect();
+    assert_eq!(failed.len(), 1, "{stdout}");
+    assert!(failed[0].contains("volume 00000"), "{stdout}");
+    assert!(
+        failed[0].contains("rebuild with makedb / mkindex"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.lines().filter(|l| l.contains(": OK")).count() >= 1,
+        "{stdout}"
+    );
+}
+
 #[test]
 fn zero_deadline_exits_7() {
     let (db, query) = fixture("deadline");

@@ -240,3 +240,30 @@ fn corrupt_index_file_fails_cleanly() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn version_2_index_file_asks_for_a_rebuild() {
+    // A file of the previous format version (version word 2) is refused
+    // before anything else is read, with the typed rebuild hint.
+    let dir = scratch("v2");
+    let (q, s) = write_fixture_banks(&dir);
+    let oidx = dir.join("subject.oidx");
+    let st = mkindex().arg(&s).arg("-o").arg(&oidx).status().unwrap();
+    assert!(st.success());
+    let mut bytes = std::fs::read(&oidx).unwrap();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&oidx, &bytes).unwrap();
+    let out = scoris_n()
+        .args([q.to_str().unwrap(), s.to_str().unwrap(), "--index"])
+        .arg(&oidx)
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unsupported index format version 2")
+            && stderr.contains("rebuild with makedb / mkindex"),
+        "{stderr}"
+    );
+}

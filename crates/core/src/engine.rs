@@ -895,9 +895,7 @@ mod tests {
         // Forge: set flags bit 0 (offset 20) and restamp the trailing
         // whole-stream checksum so the file parses.
         bytes[20] |= 1;
-        let body = bytes.len() - 8;
-        let h = oris_index::persist::fnv1a(&bytes[..body]);
-        bytes[body..].copy_from_slice(&h.to_le_bytes());
+        oris_index::persist::restamp_checksum(&mut bytes);
         let (forged, meta) = oris_index::persist::read_index(&mut bytes.as_slice()).unwrap();
         assert!(forged.is_fully_indexed(), "forgery must have taken");
         let err = PreparedBank::from_index(&subject, forged, &meta).unwrap_err();

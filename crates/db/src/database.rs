@@ -20,8 +20,11 @@ pub struct AttachedVolumeStats {
     /// Seconds spent mapping/reading the index file and re-reading the
     /// volume FASTA (index build time is always 0 on this path).
     pub attach_secs: f64,
-    /// Heap bytes of the attached index (near-zero for an mmap attach —
-    /// the big sections stay in the page cache).
+    /// Heap bytes of the attached index. For an mmap attach the postings,
+    /// row boundaries and code list stay in the page cache, and the heap
+    /// holds the copied bit-set (`len/8` bytes) plus, for a sparse index,
+    /// the slot table derived from its code list: `4·2^⌈log₂ 2k⌉` bytes
+    /// for k populated codes (4.2 MB at k ≈ 2^19).
     pub index_heap_bytes: usize,
     /// Whether the index sections are mmap-backed.
     pub mmap_backed: bool,

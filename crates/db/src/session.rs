@@ -58,8 +58,9 @@ pub enum OnVolumeError {
 pub struct DbOptions {
     /// Maximum volumes held attached at once. `0` (the default) keeps
     /// every volume attached after its first use — cheap under mmap,
-    /// where an attached volume's heap cost is its bank plus bit-set, not
-    /// its postings. A small window (e.g. 1) re-attaches volumes per
+    /// where an attached volume's heap cost is its bank, its bit-set and,
+    /// for a sparse index, the slot table derived from its code list
+    /// (`4·2^⌈log₂ 2k⌉` bytes for k populated codes), not its postings. A small window (e.g. 1) re-attaches volumes per
     /// query and bounds resident memory to one volume's working set.
     pub window: usize,
     /// Volume-failure policy (see [`OnVolumeError`]).
@@ -141,8 +142,9 @@ pub struct VolumeCost {
     /// Seconds spent building minus-strand indexes (only non-zero for
     /// `both_strands` configurations — an index file stores one strand).
     pub strand_build_secs: f64,
-    /// Heap bytes of the most recent attach (bank + index; near the bank
-    /// size alone for an mmap attach).
+    /// Heap bytes of the most recent attach: the bank plus
+    /// [`crate::database::AttachedVolumeStats::index_heap_bytes`] (for an mmap
+    /// attach, the bit-set and a sparse index's derived slot table).
     pub index_heap_bytes: usize,
     /// Whether the most recent attach was mmap-backed.
     pub mmap_backed: bool,

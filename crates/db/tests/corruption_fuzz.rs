@@ -1,5 +1,5 @@
 //! Byte-mutation fuzz: random single-byte flips and truncations of the
-//! manifest and the v2 index files must never panic the loaders, and
+//! manifest and the v3 index files must never panic the loaders, and
 //! never be silently accepted where a checksum vouches for the bytes.
 //! Structure-aware fuzz: manifest *fields* overwritten and rows shuffled
 //! with the checksum restamped — the checksum is not a MAC, so the parser
@@ -290,7 +290,7 @@ proptest! {
         }
     }
 
-    /// Any single-byte flip of a v2 index file is rejected by the real
+    /// Any single-byte flip of a v3 index file is rejected by the real
     /// attach path — header validation or the whole-stream checksum —
     /// without panicking.
     #[test]
@@ -310,7 +310,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Any truncation of a v2 index file is rejected by the real attach
+    /// Any truncation of a v3 index file is rejected by the real attach
     /// path without panicking.
     #[test]
     fn index_truncations_never_panic_never_pass(len_sel in 0usize..1_000_000) {

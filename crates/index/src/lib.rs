@@ -28,10 +28,11 @@
 //!   packed keys (sparse) lays out the rows.
 //! * [`persist`]: the on-disk index format (magic + version + config +
 //!   little-endian array sections, each starting on an 8-byte file
-//!   offset). Both backends serialize — a header flag selects the
-//!   section layout, dense files are bit-for-bit unchanged from before
-//!   the sparse backend existed, and sparse slot tables are validated
-//!   structurally on load (exact rebuild-and-compare). A loaded index is
+//!   offset, then a word-wide [`persist::checksum`] that detects every
+//!   single-byte flip with certainty). Both backends serialize — a
+//!   header flag selects the section layout — and a sparse file stores
+//!   its code list and row boundaries only: the slot table is derived
+//!   from the codes on load, never stored. A loaded index is
 //!   behaviourally identical to a fresh build, including the
 //!   `is_fully_indexed` provenance that drives step 2's guard
 //!   auto-selection.

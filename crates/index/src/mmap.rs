@@ -3,11 +3,13 @@
 //! A persisted index is attached, not loaded: [`map_index_file`] maps the
 //! file once and runs the format's one decoder (`persist::decode`) over
 //! the mapped bytes, which hands [`crate::BankIndex`] zero-copy views of
-//! the big sections (row lookup and postings). Attaching costs one mapping
-//! plus the small heap pieces — the indexed-positions bit-set the order
-//! guard probes is still copied; it is `len/8` bytes, an order of
-//! magnitude below the postings. A sharded database holds many volumes
-//! this way, and `scoris-n --index` attaches its one file the same way.
+//! the big sections (row boundaries and postings). Attaching costs one
+//! mapping plus the heap pieces: the indexed-positions bit-set the order
+//! guard probes is copied (`len/8` bytes, an order of magnitude below the
+//! postings), and a sparse index's slot table is derived from its mapped
+//! code list (`4·2^⌈log₂ 2k⌉` bytes for k populated codes; the file does
+//! not store it). A sharded database holds many volumes this way, and
+//! `scoris-n --index` attaches its one file the same way.
 //! The exact-size check, the whole-stream checksum and every structural
 //! invariant are verified at attach time by the same code
 //! [`crate::read_index_file`] runs over a heap read, so a mapped index
@@ -318,34 +320,66 @@ mod tests {
         }
     }
 
-    #[test]
-    fn both_loaders_reject_a_restamped_slot_table() {
-        use crate::structure::{BankIndex, IndexBackend, IndexConfig};
-        // A corrupt sparse slot table with a *recomputed* checksum gets
-        // past the hash; the structural rebuild-and-compare must reject
-        // it over mapped bytes too (this is the mapped backing's
-        // guarantee that hostile file bytes can't cause unterminated
-        // probes).
-        let bank = bank_of(&["ACGTACGTACGTTTGGCCAA"]);
+    /// A sparse index over a few hundred distinct codes, written to a
+    /// temp file: (fresh build, file path).
+    fn sparse_fixture(name: &str) -> (BankIndex, std::path::PathBuf) {
+        use crate::structure::{IndexBackend, IndexConfig};
+        let bank = bank_of(&[
+            &"ACGTTGCAAGGCTTACCGTA".repeat(8),
+            "TTGGCCAAGGTTACCANACGTACGGATC",
+        ]);
         let idx = BankIndex::build(
             &bank,
-            IndexConfig::full(4).with_backend(IndexBackend::Sparse),
+            IndexConfig::full(6).with_backend(IndexBackend::Sparse),
         );
         let mut bytes = Vec::new();
         crate::persist::write_index(&mut bytes, &idx, &IndexMeta::default()).unwrap();
-        let k = idx.distinct_codes();
-        assert!(k >= 2);
-        // Sections: header 76 → pad → codes(k) → pad → row_offsets(k+1)
-        // → pad → slots. Overwrite the first slot word and restamp.
-        let align = |at: usize| at + (8 - at % 8) % 8;
-        let codes_at = align(76);
-        let row_at = align(codes_at + 4 * k);
-        let slots_at = align(row_at + 4 * (k + 1));
-        bytes[slots_at..slots_at + 4].copy_from_slice(&0xDEAD_u32.to_le_bytes());
-        crate::persist::restamp_checksum(&mut bytes);
-        match map_index_file(tmp_file("restamped_slots", &bytes)) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("slot table"), "{msg}"),
-            other => panic!("accepted a corrupt slot table: {other:?}"),
+        (idx, tmp_file(name, &bytes))
+    }
+
+    #[test]
+    fn both_loaders_derive_the_same_slot_table() {
+        use crate::structure::RowIndex;
+        // No slot table is stored: both loaders derive it from the codes
+        // section, and it must be the fresh build's table, with every
+        // lookup — scalar and batched — answering as the build does.
+        let (built, path) = sparse_fixture("derived_slots");
+        let (mapped, _) = map_index_file(&path).unwrap();
+        let (heap, _) = crate::read_index_file(&path).unwrap();
+        assert!(mapped.is_mmap_backed() && !heap.is_mmap_backed());
+        let tables: Vec<&[u32]> = [&built, &mapped, &heap]
+            .iter()
+            .map(|idx| match idx.rows() {
+                RowIndex::Sparse(sparse) => sparse.slots(),
+                RowIndex::Dense { .. } => panic!("sparse index expected"),
+            })
+            .collect();
+        assert!(!tables[0].is_empty());
+        assert_eq!(tables[1], tables[0], "mapped");
+        assert_eq!(tables[2], tables[0], "heap");
+        let every: Vec<u32> = (0..built.coder().num_seeds() as u32).collect();
+        for idx in [&built, &mapped, &heap] {
+            let mut batched = vec![&[][..]; every.len()];
+            idx.occurrences_batch(&every, &mut batched);
+            for (&code, row) in every.iter().zip(&batched) {
+                assert_eq!(*row, built.occurrences(code), "code {code}");
+                assert_eq!(idx.occurrences(code), built.occurrences(code));
+            }
         }
+    }
+
+    #[test]
+    fn mapped_sparse_heap_is_its_slot_table_and_bitset() {
+        use crate::structure::sparse_slot_count;
+        // What a mapped sparse attach really holds on the heap: the slot
+        // table derived at load and the copied bit-set. Codes, row
+        // boundaries and postings stay in the mapping.
+        let (built, path) = sparse_fixture("heap_accounting");
+        let (mapped, _) = map_index_file(&path).unwrap();
+        assert!(mapped.is_mmap_backed());
+        let slot_bytes = 4 * sparse_slot_count(mapped.distinct_codes());
+        let bitset_bytes = 8 * mapped.indexed_words().len();
+        assert_eq!(mapped.heap_bytes(), slot_bytes + bitset_bytes);
+        assert!(built.heap_bytes() > mapped.heap_bytes());
     }
 }

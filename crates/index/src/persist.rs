@@ -11,11 +11,11 @@
 //! provenance, so step 2's guard auto-selection makes the same choice it
 //! would have made in memory.
 //!
-//! ## Format (version 2, all integers little-endian)
+//! ## Format (version 3, all integers little-endian)
 //!
 //! ```text
 //! magic             8 B   "ORISIDX\0"
-//! version           u32   2
+//! version           u32   3
 //! w                 u32   seed length
 //! stride            u32   sampling stride (1 = full, 2 = asymmetric)
 //! flags             u32   bit 0 = fully_indexed; bit 1 = sparse backend;
@@ -34,34 +34,45 @@
 //! -- or, sparse (flags bit 1 set):
 //!    codes          k × u32          ascending populated codes
 //!    row_offsets    (k + 1) × u32    row boundaries over positions
-//!    slots          S × u32          open-addressed code→row table,
-//!                                    S = sparse_slot_count(k) (derived, not stored)
 //!    positions      num_positions × u32
 //! -- finally, either way:
 //!    bitset         num_bitset_words × u64
-//!    checksum       u64   FNV-1a of every preceding byte of the stream
+//!    checksum       u64   checksum() of every preceding byte of the stream
 //! ```
 //!
 //! Every array section is preceded by zero padding to the next 8-byte
-//! file offset.
+//! file offset. That alignment is what lets the mapped attach path
+//! (`oris_index::mmap`) reference the big sections **zero-copy from the
+//! mapped file** — a `&[u32]` view requires its byte offset to be
+//! aligned, and an unaligned section would force the copy the mapping
+//! exists to avoid.
 //!
-//! Version 2 differs from version 1 only in the zero padding that starts
-//! every array section on an 8-byte file offset. That alignment is what
-//! lets the mapped attach path (`oris_index::mmap`) reference the
-//! offsets and postings sections **zero-copy from the mapped file**
-//! — a `&[u32]` view requires its byte offset to be aligned, and an
-//! unaligned section would force the copy the mapping exists to avoid.
-//! Version-1 files are refused with a typed error (rebuild with
-//! `mkindex`); the format carries no compatibility shims.
+//! **The checksum** is [`checksum`]: four independent lanes of the step
+//! `h = rotl((h ^ w)·K, 31)` (`K` odd) over the little-endian `u64` words
+//! of each 32-byte block, then the lanes, the words of the last partial
+//! block (zero-padded) and the byte length folded by the same step. The
+//! step is a bijection of the word for a fixed state and of the state for
+//! a fixed word, so a change confined to one aligned 8-byte word — every
+//! single-byte flip — is detected with certainty, not with high
+//! probability; the function's docs carry the argument. The lanes keep
+//! four multiplies in flight, so the check runs at memory speed.
 //!
-//! The sparse backend (flags bit 1) reuses version 2: a dense index file
-//! is **bit-for-bit identical** to what this module wrote before the
-//! sparse backend existed, and older readers reject a sparse file with
-//! their reserved-flag-bits check rather than misparsing it. The sparse
-//! slot table is stored (so attach needs no rebuild pass over the code
-//! list) but *validated* by exact reconstruction from the codes section
-//! on every load — a corrupt or crafted table can therefore never cause
-//! an unterminated probe chain or out-of-range row id, mapped or not.
+//! **The sparse slot table is derived, never stored.** The code→row hash
+//! table a sparse lookup probes is a pure function of the `codes` section
+//! (`build_slot_table`), so the decoder builds it from `codes` on every
+//! load, exactly as a fresh build does. A file therefore cannot carry a
+//! table that disagrees with its codes, and no bytes of one are written,
+//! checksummed or mapped.
+//!
+//! Version 3 differs from version 2 in those two points only: the
+//! checksum (v2: FNV-1a) and the sparse layout (v2 stored the slot table
+//! between `row_offsets` and `positions`); a dense file differs in its
+//! version word and checksum alone. Earlier versions — v1 had no section
+//! padding — are refused with [`PersistError::UnsupportedVersion`], whose
+//! message says to rebuild with `makedb` / `mkindex`: the format carries
+//! one decoder and no compatibility shims. Older readers reject a sparse
+//! file's flags bit 1 as reserved, or its version, rather than misparse
+//! it.
 //!
 //! `masked_fraction` and `filter_code` describe how the index was
 //! *prepared* (the mask itself is not persisted — steps 2–4 never consult
@@ -93,14 +104,14 @@
 //! everything allocated is bounded by the file's own length; (3) the
 //! trailing whole-stream checksum is verified; (4) the padding runs must
 //! be zero; (5) the arrays go through the same structural validation
-//! (`offsets` monotonicity, row ordering, slot-table reconstruction,
-//! bit-set agreement) that protects step 2 from a corrupt index. The
-//! checksum catches the corruptions structural validation cannot — a
-//! flipped provenance flag, a perturbed position that still happens to
-//! satisfy every invariant — so no random corruption can silently change
-//! step 2's behaviour. Wrong magic, unknown version, reserved flags,
-//! truncation, checksum mismatch and trailing bytes are all distinct,
-//! typed errors. (A deliberately *crafted* file with a recomputed checksum
+//! (`offsets` monotonicity, strictly ascending codes, strictly increasing
+//! row boundaries, row ordering, bit-set agreement) that protects step 2
+//! from a corrupt index. The checksum catches the corruptions structural
+//! validation cannot — a flipped provenance flag, a perturbed position
+//! that still happens to satisfy every invariant — so no random
+//! corruption can silently change step 2's behaviour. Wrong magic,
+//! unknown version, reserved flags, truncation, checksum mismatch and
+//! trailing bytes are all distinct, typed errors. (A deliberately *crafted* file with a recomputed checksum
 //! is outside this threat model; the one crafted lie that could change
 //! output — a false `fully_indexed` claim — is re-verified against the
 //! bank when the index is attached, see
@@ -115,14 +126,14 @@ use crate::mask::MaskSet;
 use crate::mmap::Mapping;
 use crate::section::Section;
 use crate::seedcode::MAX_SEED_LEN;
-use crate::structure::{sparse_slot_count, BankIndex, RowIndex};
+use crate::structure::{BankIndex, RowIndex, SparseRows};
 
 /// File magic, first 8 bytes of every index file.
 pub const MAGIC: [u8; 8] = *b"ORISIDX\0";
 
-/// Current format version (2: version 1 plus 8-byte section alignment,
-/// see the module docs).
-pub const FORMAT_VERSION: u32 = 2;
+/// Current format version (3: the word-wide [`checksum`] and no stored
+/// slot table, see the module docs).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes of the fixed header (everything before the first padding run).
 const HEADER_BYTES: u64 = 76;
@@ -131,7 +142,7 @@ const HEADER_BYTES: u64 = 76;
 const FLAG_FULLY_INDEXED: u32 = 1;
 
 /// Header flag bit 1: the row lookup is the sparse populated-codes
-/// backend (codes/row_offsets/slots sections instead of a dense offsets
+/// backend (codes/row_offsets sections instead of a dense offsets
 /// array). Readers predating the sparse backend reject this bit as
 /// reserved instead of misparsing the sections.
 const FLAG_SPARSE: u32 = 2;
@@ -157,17 +168,11 @@ pub struct IndexMeta {
 }
 
 /// FNV-1a 64-bit hash — the content fingerprint used for
-/// [`IndexMeta::bank_hash`] and the file checksum. Not cryptographic;
-/// it detects accidents, not adversaries.
+/// [`IndexMeta::bank_hash`] (and the database manifest's checksum). Not
+/// cryptographic; it detects accidents, not adversaries. The index file's
+/// own trailing checksum is the word-wide [`checksum`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_fold(FNV_OFFSET_BASIS, bytes)
-}
-
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a folding step over a byte run — the single definition the
-/// plain hash and the writer's streaming wrapper share.
-fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
@@ -175,20 +180,148 @@ fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Forwards writes while folding every byte into an FNV-1a state and
-/// counting bytes, so the trailing checksum covers the exact stream
-/// written and padding can be sized from the running file offset.
+/// Independent lanes of [`checksum`]: one 8-byte word each per block.
+const LANES: usize = 4;
+
+/// Bytes [`checksum`] folds per round, one word per lane.
+const BLOCK: usize = 8 * LANES;
+
+/// The odd multiplier of the checksum step (2^64/φ, rounded to odd).
+const MIX_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Starting state of each checksum lane (hex digits of π), distinct so
+/// that equal words in different lanes fold to different states.
+const LANE_SEEDS: [u64; LANES] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// The checksum step: `rotl((h ^ w)·K, 31)`. A bijection of `w` for a
+/// fixed `h` and of `h` for a fixed `w` — XOR with a constant, a multiply
+/// by an odd constant (invertible mod 2^64) and a rotation are each one.
+#[inline(always)]
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(MIX_K).rotate_left(31)
+}
+
+/// Word-wide stream checksum — the trailing checksum of an index file.
+///
+/// The input is read as little-endian `u64` words. Whole 32-byte blocks
+/// feed four independent lanes, word `j` of a block into lane `j`, each
+/// lane stepping `h = rotl((h ^ w)·K, 31)` with `K` odd; the four chains
+/// do not wait on each other, so the fold runs at memory speed where
+/// byte-serial FNV-1a waits one multiply per byte. The result folds, by
+/// the same step, into one state: the four lanes, then the words of the
+/// 0–31 bytes past the last whole block (the last one zero-padded), then
+/// the byte length.
+///
+/// **Certainty.** Each step is a bijection of its word for a fixed state
+/// and of its state for a fixed word. Take two inputs of equal length
+/// that differ only inside one aligned 8-byte word. That word enters
+/// exactly one step, a lane step or a tail step, and the state entering
+/// it is the same for both inputs; the step is injective in the word, so
+/// the states leaving it differ. Every later step takes the same word for
+/// both inputs and is injective in the state, so they still differ at
+/// the end of the lane, after the lane is folded in, and in the output.
+/// So every change confined to one aligned word — every single-byte flip
+/// among them — changes the checksum with certainty, not with high
+/// probability. Changes across two or more words are caught with the
+/// usual 2^-64 odds, and the decoder checks a file's exact length before
+/// it computes the checksum. Like [`fnv1a`], it detects accidents, not
+/// adversaries.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut sum = StreamChecksum::new();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// [`checksum`] over a stream that arrives in pieces: the state carries
+/// at most one unfinished block (31 bytes) between [`StreamChecksum::update`]
+/// calls, so any chunking gives the one-shot value.
+struct StreamChecksum {
+    lanes: [u64; LANES],
+    /// The unfinished block's bytes, `pending[..pending_len]`.
+    pending: [u8; BLOCK],
+    pending_len: usize,
+    /// Bytes seen so far.
+    len: u64,
+}
+
+impl StreamChecksum {
+    fn new() -> StreamChecksum {
+        StreamChecksum {
+            lanes: LANE_SEEDS,
+            pending: [0; BLOCK],
+            pending_len: 0,
+            len: 0,
+        }
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = (BLOCK - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < BLOCK {
+                return;
+            }
+            let block = self.pending;
+            self.fold_blocks(&block);
+            self.pending_len = 0;
+        }
+        let whole = bytes.len() - bytes.len() % BLOCK;
+        self.fold_blocks(&bytes[..whole]);
+        let rest = &bytes[whole..];
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
+    }
+
+    /// Folds whole blocks into the lanes (`bytes.len()` a multiple of
+    /// [`BLOCK`]).
+    fn fold_blocks(&mut self, bytes: &[u8]) {
+        let mut lanes = self.lanes;
+        for block in bytes.chunks_exact(BLOCK) {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = mix(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+            }
+        }
+        self.lanes = lanes;
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.lanes.iter().fold(0, |h, &lane| mix(h, lane));
+        for word in self.pending[..self.pending_len].chunks(8) {
+            let mut padded = [0u8; 8];
+            padded[..word.len()].copy_from_slice(word);
+            h = mix(h, u64::from_le_bytes(padded));
+        }
+        mix(h, self.len)
+    }
+}
+
+/// Forwards writes while folding every byte into a [`StreamChecksum`],
+/// so the trailing checksum covers the exact stream written and padding
+/// can be sized from the running file offset.
 struct HashingWriter<'w, W: Write> {
     inner: &'w mut W,
-    hash: u64,
-    written: u64,
+    sum: StreamChecksum,
+}
+
+impl<W: Write> HashingWriter<'_, W> {
+    /// Bytes written so far: the running file offset.
+    fn written(&self) -> u64 {
+        self.sum.len
+    }
 }
 
 impl<W: Write> Write for HashingWriter<'_, W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let n = self.inner.write(buf)?;
-        self.hash = fnv1a_fold(self.hash, &buf[..n]);
-        self.written += n as u64;
+        self.sum.update(&buf[..n]);
         Ok(n)
     }
 
@@ -216,12 +349,11 @@ impl std::fmt::Display for PersistError {
         match self {
             PersistError::Io(e) => write!(f, "i/o error: {e}"),
             PersistError::BadMagic => write!(f, "not an ORIS index file (bad magic)"),
-            PersistError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported index format version {v} (expected {FORMAT_VERSION})"
-                )
-            }
+            PersistError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported index format version {v} (expected {FORMAT_VERSION}): \
+                 rebuild with makedb / mkindex"
+            ),
             PersistError::Corrupt(msg) => write!(f, "corrupt index file: {msg}"),
         }
     }
@@ -265,8 +397,7 @@ fn padding_for(at: u64) -> u64 {
 pub fn write_index(out: &mut impl Write, idx: &BankIndex, meta: &IndexMeta) -> io::Result<()> {
     let mut out = HashingWriter {
         inner: out,
-        hash: FNV_OFFSET_BASIS,
-        written: 0,
+        sum: StreamChecksum::new(),
     };
     out.write_all(&MAGIC)?;
     out.write_all(&FORMAT_VERSION.to_le_bytes())?;
@@ -284,7 +415,7 @@ pub fn write_index(out: &mut impl Write, idx: &BankIndex, meta: &IndexMeta) -> i
     let flags = u32::from(idx.is_fully_indexed())
         | match rows {
             RowIndex::Dense { .. } => 0,
-            RowIndex::Sparse { .. } => FLAG_SPARSE,
+            RowIndex::Sparse(_) => FLAG_SPARSE,
         };
     out.write_all(&flags.to_le_bytes())?;
     out.write_all(&(idx.bank_len() as u64).to_le_bytes())?;
@@ -295,29 +426,23 @@ pub fn write_index(out: &mut impl Write, idx: &BankIndex, meta: &IndexMeta) -> i
     // (4^w + 1 slots) or the sparse populated-codes list (k entries).
     let first_section = match rows {
         RowIndex::Dense { offsets } => offsets.len(),
-        RowIndex::Sparse { codes, .. } => codes.len(),
+        RowIndex::Sparse(sparse) => sparse.codes().len(),
     };
     out.write_all(&(first_section as u64).to_le_bytes())?;
     out.write_all(&(idx.positions().len() as u64).to_le_bytes())?;
     let words = idx.indexed_words();
     out.write_all(&(words.len() as u64).to_le_bytes())?;
-    debug_assert_eq!(out.written, HEADER_BYTES);
+    debug_assert_eq!(out.written(), HEADER_BYTES);
     match rows {
         RowIndex::Dense { offsets } => {
             write_padding(&mut out)?;
             write_u32_section(&mut out, offsets)?;
         }
-        RowIndex::Sparse {
-            codes,
-            row_offsets,
-            slots,
-        } => {
+        RowIndex::Sparse(sparse) => {
             write_padding(&mut out)?;
-            write_u32_section(&mut out, codes)?;
+            write_u32_section(&mut out, sparse.codes())?;
             write_padding(&mut out)?;
-            write_u32_section(&mut out, row_offsets)?;
-            write_padding(&mut out)?;
-            write_u32_section(&mut out, slots)?;
+            write_u32_section(&mut out, sparse.row_offsets())?;
         }
     }
     write_padding(&mut out)?;
@@ -326,12 +451,12 @@ pub fn write_index(out: &mut impl Write, idx: &BankIndex, meta: &IndexMeta) -> i
     write_u64_section(&mut out, words)?;
     // The checksum itself is written to the inner stream, outside its own
     // coverage.
-    let checksum = out.hash;
+    let checksum = out.sum.finish();
     out.inner.write_all(&checksum.to_le_bytes())
 }
 
 fn write_padding<W: Write>(out: &mut HashingWriter<'_, W>) -> io::Result<()> {
-    let pad = padding_for(out.written) as usize;
+    let pad = padding_for(out.written()) as usize;
     out.write_all(&[0u8; SECTION_ALIGN as usize][..pad])
 }
 
@@ -400,15 +525,13 @@ impl Header {
     /// The section layout this header implies: one `(gap, start, end)`
     /// triple of file offsets per array section — the u32 sections in file
     /// order (dense `[offsets, positions]`, sparse `[codes, row_offsets,
-    /// slots, positions]`, the slot count derived from `k`, never trusted
-    /// from the file), then the bit-set. Each section starts on the next
+    /// positions]`), then the bit-set. Each section starts on the next
     /// 8-byte offset after its predecessor ends; `gap..start` is its zero
     /// padding, and the checksum follows the last `end`.
     fn spans(&self) -> Vec<(u64, u64, u64)> {
         let k = self.num_offsets;
         let u32_counts = if self.sparse {
-            let slots = sparse_slot_count(k as usize) as u64;
-            vec![k, k + 1, slots, self.num_positions]
+            vec![k, k + 1, self.num_positions]
         } else {
             vec![k, self.num_positions]
         };
@@ -567,7 +690,7 @@ pub(crate) fn decode(
     // caught here.
     let (body, stored) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(stored.try_into().expect("8 bytes"));
-    let computed = fnv1a(body);
+    let computed = checksum(body);
     if stored != computed {
         return Err(PersistError::Corrupt(format!(
             "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
@@ -594,14 +717,7 @@ pub(crate) fn decode(
             .into()
     };
     let (rows, positions) = if h.sparse {
-        (
-            RowIndex::Sparse {
-                codes: u32s(0),
-                row_offsets: u32s(1),
-                slots: u32s(2),
-            },
-            u32s(3),
-        )
+        (RowIndex::Sparse(SparseRows::new(u32s(0), u32s(1))), u32s(2))
     } else {
         (RowIndex::Dense { offsets: u32s(0) }, u32s(1))
     };
@@ -654,12 +770,15 @@ pub fn read_index_file(path: impl AsRef<Path>) -> Result<(BankIndex, IndexMeta),
     decode(&std::fs::read(path).map_err(PersistError::Io)?, None)
 }
 
-/// Recomputes the trailing whole-stream checksum after a deliberate
-/// corruption, so tests can reach the validation layers behind it.
-#[cfg(test)]
-pub(crate) fn restamp_checksum(bytes: &mut [u8]) {
+/// Recomputes the trailing [`checksum`] of an index file's bytes after a
+/// deliberate edit, so a test can reach the validation behind the
+/// checksum (which is not a MAC: whoever edits a file can restamp it).
+///
+/// # Panics
+/// Panics if `bytes` is shorter than the 8-byte checksum.
+pub fn restamp_checksum(bytes: &mut [u8]) {
     let body = bytes.len() - 8;
-    let h = fnv1a(&bytes[..body]);
+    let h = checksum(&bytes[..body]);
     bytes[body..].copy_from_slice(&h.to_le_bytes());
 }
 
@@ -808,14 +927,22 @@ mod tests {
             read_index(&mut bytes.as_slice()),
             Err(PersistError::UnsupportedVersion(99))
         ));
-        // Version-1 files (no section alignment) are refused too — there
-        // is no compatibility shim, rebuild with mkindex.
-        let mut v1 = to_bytes(&idx, &IndexMeta::default());
-        v1[8] = 1;
-        assert!(matches!(
-            read_index(&mut v1.as_slice()),
-            Err(PersistError::UnsupportedVersion(1))
-        ));
+        // Version-1 (no section alignment) and version-2 (FNV-1a, stored
+        // slot table) files are refused too, with the rebuild hint: there
+        // is no compatibility shim.
+        for old in [1u8, 2] {
+            let mut bytes = to_bytes(&idx, &IndexMeta::default());
+            bytes[8] = old;
+            match read_index(&mut bytes.as_slice()) {
+                Err(e @ PersistError::UnsupportedVersion(v)) if v == u32::from(old) => {
+                    assert!(
+                        e.to_string().contains("rebuild with makedb / mkindex"),
+                        "{e}"
+                    );
+                }
+                other => panic!("version {old} accepted as {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -929,15 +1056,14 @@ mod tests {
         u64::from_le_bytes(bytes[52..60].try_into().unwrap()) as usize
     }
 
-    /// File offsets of the sparse u32 sections
-    /// (codes, row_offsets, slots, positions).
-    fn sparse_section_offsets(k: usize) -> (usize, usize, usize, usize) {
+    /// File offsets of the sparse u32 sections (codes, row_offsets,
+    /// positions): version 3 stores no slot table.
+    fn sparse_section_offsets(k: usize) -> (usize, usize, usize) {
         let align = |at: usize| at + (8 - at % 8) % 8;
         let codes_at = align(76);
         let row_at = align(codes_at + 4 * k);
-        let slots_at = align(row_at + 4 * (k + 1));
-        let pos_at = align(slots_at + 4 * sparse_slot_count(k));
-        (codes_at, row_at, slots_at, pos_at)
+        let pos_at = align(row_at + 4 * (k + 1));
+        (codes_at, row_at, pos_at)
     }
 
     #[test]
@@ -962,10 +1088,10 @@ mod tests {
 
     #[test]
     fn dense_bytes_are_unchanged_by_the_backend_flag() {
-        // A dense file must be bit-for-bit what the pre-sparse format
-        // wrote: flags bit 1 clear, num_offsets = 4^w + 1, sections in
-        // the original order — old files keep loading, new dense files
-        // keep being readable by the old layout's expectations.
+        // A dense file keeps the layout of the format before the sparse
+        // backend: flags bit 1 clear, num_offsets = 4^w + 1, sections in
+        // the original order. Only the version word and the checksum
+        // have changed since.
         let bank = bank_of(&["ACGTACGTTTGGCCAA"]);
         let idx = BankIndex::build(
             &bank,
@@ -1005,41 +1131,47 @@ mod tests {
         }
     }
 
+    /// Swaps the little-endian u32 words at byte offsets `a` and `b`.
+    fn swap_words(bytes: &mut [u8], a: usize, b: usize) {
+        let first: [u8; 4] = bytes[a..a + 4].try_into().unwrap();
+        let second: [u8; 4] = bytes[b..b + 4].try_into().unwrap();
+        bytes[a..a + 4].copy_from_slice(&second);
+        bytes[b..b + 4].copy_from_slice(&first);
+    }
+
     #[test]
-    fn sparse_slot_table_corruption_is_structural() {
-        // Corrupt the slot table and RESTAMP the checksum: the
-        // rebuild-and-compare validation must still reject the file —
-        // this is what guarantees probe termination on hostile input.
+    fn sparse_code_list_corruption_is_structural() {
+        // The slot table is derived from the code list, so the checks on
+        // the lists themselves are what stand between hostile bytes and
+        // the lookups: edit a list and RESTAMP the checksum, and the
+        // structural validation must still reject the file.
         let bank = bank_of(&["ACGTACGTACGTTTGGCCAA"]);
         let idx = sparse_idx(&bank, 4);
         let bytes = to_bytes(&idx, &IndexMeta::default());
         let k = stored_k(&bytes);
         assert!(k >= 2, "test bank must populate at least two codes");
-        let (_, _, slots_at, _) = sparse_section_offsets(k);
-        // Point every slot at row 0: lookups would mis-resolve (or loop,
-        // were the table not validated).
-        let mut tainted = bytes.clone();
-        for s in (slots_at..slots_at + 4 * sparse_slot_count(k)).step_by(4) {
-            tainted[s..s + 4].copy_from_slice(&0u32.to_le_bytes());
-        }
-        restamp_checksum(&mut tainted);
-        assert!(matches!(
-            read_index(&mut tainted.as_slice()),
-            Err(PersistError::Corrupt(_))
-        ));
-        // Descending codes with a restamped checksum are structural too.
+        let (codes_at, row_at, _) = sparse_section_offsets(k);
+        let rejected = |tainted: &mut Vec<u8>, want: &str| {
+            restamp_checksum(tainted);
+            match read_index(&mut tainted.as_slice()) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("accepted a corrupt {want}: {other:?}"),
+            }
+        };
+        // Descending codes.
         let mut swapped = bytes.clone();
-        let (codes_at, ..) = sparse_section_offsets(k);
-        let (a, b) = (codes_at, codes_at + 4);
-        let first: [u8; 4] = swapped[a..a + 4].try_into().unwrap();
-        let second: [u8; 4] = swapped[b..b + 4].try_into().unwrap();
-        swapped[a..a + 4].copy_from_slice(&second);
-        swapped[b..b + 4].copy_from_slice(&first);
-        restamp_checksum(&mut swapped);
-        assert!(matches!(
-            read_index(&mut swapped.as_slice()),
-            Err(PersistError::Corrupt(_))
-        ));
+        swap_words(&mut swapped, codes_at, codes_at + 4);
+        rejected(&mut swapped, "codes are not strictly ascending");
+        // Row boundaries that stop increasing: rows 1 and 2 swap ends, so
+        // row 1 runs backwards and a lookup would slice out of order.
+        let mut rows = bytes.clone();
+        swap_words(&mut rows, row_at + 4, row_at + 8);
+        rejected(&mut rows, "row offsets are not strictly increasing");
+        // An empty row (a listed code owning no posting).
+        let mut empty = bytes.clone();
+        let second: [u8; 4] = empty[row_at + 8..row_at + 12].try_into().unwrap();
+        empty[row_at + 4..row_at + 8].copy_from_slice(&second);
+        rejected(&mut empty, "row offsets are not strictly increasing");
     }
 
     #[test]
@@ -1048,12 +1180,14 @@ mod tests {
         let idx = sparse_idx(&bank, 4);
         let bytes = to_bytes(&idx, &IndexMeta::default());
         let k = stored_k(&bytes);
-        let (codes_at, row_at, slots_at, pos_at) = sparse_section_offsets(k);
-        for at in [codes_at, row_at, slots_at, pos_at] {
+        let (codes_at, row_at, pos_at) = sparse_section_offsets(k);
+        for at in [codes_at, row_at, pos_at] {
             assert_eq!(at % 8, 0);
         }
-        // row_offsets[0] is 0 (row 0 starts at postings 0).
+        // row_offsets[0] is 0 (row 0 starts at postings 0), and the
+        // postings follow the row boundaries directly: no slot table.
         assert_eq!(&bytes[row_at..row_at + 4], &[0, 0, 0, 0]);
+        assert_eq!(bytes[pos_at..pos_at + 4], idx.positions()[0].to_le_bytes());
         // File size agrees with the layout walk.
         let bit_at = {
             let end = pos_at + 4 * idx.indexed_positions();
@@ -1061,6 +1195,118 @@ mod tests {
         };
         let words = bank.data().len().div_ceil(64);
         assert_eq!(bytes.len(), bit_at + 8 * words + 8);
+    }
+
+    /// Random buffers of every length 0..=200, so every tail length
+    /// (0–31 bytes past the last whole block) occurs several times.
+    fn checksum_buffers() -> impl Iterator<Item = Vec<u8>> {
+        let mut state = 0x5EED_u64;
+        (0..=200usize).map(move |len| {
+            (0..len)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    (state >> 56) as u8
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn checksum_detects_every_single_byte_change() {
+        for buf in checksum_buffers() {
+            let clean = checksum(&buf);
+            for at in 0..buf.len() {
+                // Every single-bit flip, and one whole-byte replacement.
+                for mask in (0..8).map(|b| 1u8 << b).chain([buf[at] ^ 0xA5 | 1]) {
+                    let mut tainted = buf.clone();
+                    tainted[at] ^= mask;
+                    assert_ne!(
+                        checksum(&tainted),
+                        clean,
+                        "len {} byte {at} mask {mask:#x}",
+                        buf.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_detects_every_change_inside_one_word() {
+        let mut state = 7u64;
+        for buf in checksum_buffers() {
+            let clean = checksum(&buf);
+            for start in (0..buf.len()).step_by(8) {
+                let word = start..buf.len().min(start + 8);
+                for round in 0..16 {
+                    // A random non-zero XOR over the word's bytes; the
+                    // first rounds flip its top bit alone and all bits.
+                    let mut tainted = buf.clone();
+                    let mut delta = match round {
+                        0 => 1u64 << (8 * word.len() - 1),
+                        1 => u64::MAX,
+                        _ => {
+                            state = state.wrapping_mul(MIX_K).rotate_left(29) ^ round;
+                            state
+                        }
+                    };
+                    if delta & (u64::MAX >> (64 - 8 * word.len())) == 0 {
+                        delta = 1;
+                    }
+                    for (b, d) in tainted[word.clone()].iter_mut().zip(delta.to_le_bytes()) {
+                        *b ^= d;
+                    }
+                    assert_ne!(
+                        checksum(&tainted),
+                        clean,
+                        "len {} word at {start} delta {delta:#x}",
+                        buf.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hashing_writer_equals_the_one_shot_checksum_for_any_chunking() {
+        let mut state = 11u64;
+        for buf in checksum_buffers() {
+            let mut chunkings: Vec<Vec<usize>> = [1, 7, 8, 31, 33]
+                .iter()
+                .map(|&n| vec![n; buf.len().div_ceil(n)])
+                .collect();
+            // Random split points, empty writes included.
+            for _ in 0..4 {
+                let mut sizes = vec![];
+                let mut left = buf.len();
+                while left > 0 {
+                    state = state.wrapping_mul(MIX_K).rotate_left(17) ^ 1;
+                    let n = (state % 70) as usize % (left + 1);
+                    sizes.push(n);
+                    left -= n;
+                }
+                chunkings.push(sizes);
+            }
+            for sizes in chunkings {
+                let mut sink = Vec::new();
+                let mut out = HashingWriter {
+                    inner: &mut sink,
+                    sum: StreamChecksum::new(),
+                };
+                let mut rest = &buf[..];
+                for n in sizes {
+                    let (chunk, tail) = rest.split_at(n.min(rest.len()));
+                    out.write_all(chunk).unwrap();
+                    assert!(out.sum.pending_len < BLOCK);
+                    rest = tail;
+                }
+                assert_eq!(out.written(), buf.len() as u64);
+                assert_eq!(out.sum.finish(), checksum(&buf), "len {}", buf.len());
+                assert_eq!(sink, buf);
+            }
+        }
     }
 
     proptest! {

@@ -104,7 +104,8 @@
 //!
 //! sparse:  ≈ 4·k                  populated codes        (k = distinct codes)
 //!          + 4·(k + 1)            row offsets
-//!          + 4·2k                 open-addressed slot table
+//!          + 4·2^⌈log₂ 2k⌉        open-addressed slot table (derived from the
+//!                                 codes, on the heap even for a mapped file)
 //!          + 4·indexed_positions  postings
 //!          + len(SEQ)/8           indexed-occurrence bit-set
 //!   while building, on top of the above:
@@ -272,8 +273,8 @@ fn fib_slot(code: u32, slots: usize) -> usize {
 
 /// Builds the open-addressed code→row table for an ascending list of
 /// distinct codes. Insertion order is the ascending code order, so the
-/// table bytes are a pure function of `codes` — which is what lets the
-/// deserializer validate a stored table by rebuilding and comparing.
+/// table is a pure function of `codes`: an index loaded from a file gets
+/// the table its fresh build had, without the file storing it.
 pub(crate) fn build_slot_table(codes: &[u32]) -> Vec<u32> {
     let s = sparse_slot_count(codes.len());
     let mut slots = vec![EMPTY_SLOT; s];
@@ -294,8 +295,8 @@ pub(crate) fn build_slot_table(codes: &[u32]) -> Vec<u32> {
 pub const LOOKUP_BATCH: usize = 32;
 
 /// Looks up the row id of `code` via the slot table. Probes terminate
-/// because a validated table is at least half empty (and matches an exact
-/// rebuild from `codes`, so no corrupt table can reach this loop).
+/// because the table is at least half empty, and its row ids are in range
+/// because [`SparseRows`] only ever derives it from `codes`.
 #[inline]
 fn sparse_row_of(codes: &[u32], slots: &[u32], code: u32) -> Option<usize> {
     if slots.is_empty() {
@@ -371,15 +372,69 @@ pub(crate) enum RowIndex {
     /// Dense CSR row boundaries: occurrences of `code` live at
     /// `positions[offsets[code] .. offsets[code + 1]]`; `4^W + 1` slots.
     Dense { offsets: Section<u32> },
-    /// Populated-codes table: `codes[k]` ascending distinct codes,
+    /// Populated-codes table, see [`SparseRows`].
+    Sparse(SparseRows),
+}
+
+pub(crate) use sparse_rows::SparseRows;
+
+/// [`SparseRows`] in a module of its own, so that its one constructor is
+/// the only way to pair a code list with a slot table.
+mod sparse_rows {
+    use super::build_slot_table;
+    use crate::section::Section;
+
+    /// The sparse row lookup: `codes[k]` ascending distinct codes,
     /// `row_offsets[k + 1]` row boundaries (row `r` of `codes[r]` is
-    /// `positions[row_offsets[r] .. row_offsets[r + 1]]`), and an
-    /// open-addressed `slots` table mapping code → row.
-    Sparse {
+    /// `positions[row_offsets[r] .. row_offsets[r + 1]]`), and the
+    /// open-addressed `slots` table mapping code → row. The table is
+    /// always derived from `codes` by [`SparseRows::new`] — for a fresh
+    /// build and for an index file alike, which stores no table — so no
+    /// caller can hand one in, and every table is exactly the one its
+    /// code list produces: at least half empty, its probe chains ending
+    /// at an empty slot, its row ids in range.
+    #[derive(Debug, Clone)]
+    pub(crate) struct SparseRows {
         codes: Section<u32>,
         row_offsets: Section<u32>,
-        slots: Section<u32>,
-    },
+        slots: Vec<u32>,
+    }
+
+    impl SparseRows {
+        /// Pairs `codes` and `row_offsets` with the slot table derived
+        /// from `codes`. Terminates on any code list (each insert finds
+        /// one of the ≥ k empty slots); the caller validates the lists.
+        pub(crate) fn new(codes: Section<u32>, row_offsets: Section<u32>) -> SparseRows {
+            let slots = build_slot_table(&codes);
+            SparseRows {
+                codes,
+                row_offsets,
+                slots,
+            }
+        }
+
+        pub(crate) fn codes(&self) -> &[u32] {
+            &self.codes
+        }
+
+        pub(crate) fn row_offsets(&self) -> &[u32] {
+            &self.row_offsets
+        }
+
+        pub(crate) fn slots(&self) -> &[u32] {
+            &self.slots
+        }
+
+        /// Heap bytes: the slot table always, the code list and row
+        /// boundaries unless they are views of a mapped file.
+        pub(crate) fn heap_bytes(&self) -> usize {
+            self.codes.heap_bytes() + self.row_offsets.heap_bytes() + 4 * self.slots.len()
+        }
+
+        pub(crate) fn is_mapped(&self) -> bool {
+            self.codes.is_mapped() || self.row_offsets.is_mapped()
+        }
+    }
 }
 
 /// The occurrence index over one bank, in CSR layout.
@@ -514,14 +569,9 @@ impl BankIndex {
             )
         } else {
             let (codes, row_offsets, positions) = sparse_rows(data, &words, coder, postings);
-            let slots = build_slot_table(&codes);
             let distinct = codes.len();
             (
-                RowIndex::Sparse {
-                    codes: codes.into(),
-                    row_offsets: row_offsets.into(),
-                    slots: slots.into(),
-                },
+                RowIndex::Sparse(SparseRows::new(codes.into(), row_offsets.into())),
                 positions,
                 distinct,
             )
@@ -600,11 +650,8 @@ impl BankIndex {
                 }
                 offsets.windows(2).filter(|p| p[0] < p[1]).count()
             }
-            RowIndex::Sparse {
-                codes,
-                row_offsets,
-                slots,
-            } => {
+            RowIndex::Sparse(sparse) => {
+                let (codes, row_offsets) = (sparse.codes(), sparse.row_offsets());
                 if codes.len() > num_seeds {
                     return Err(format!(
                         "{} populated codes exceed the 4^{w} code space",
@@ -641,16 +688,6 @@ impl BankIndex {
                         positions.len()
                     ));
                 }
-                // The slot table must be *exactly* the one this code list
-                // produces: rebuild and compare. This is airtight against
-                // arbitrary on-disk bytes — a table that passes cannot
-                // hold out-of-range rows, duplicates, or broken probe
-                // chains, so `sparse_row_of` always terminates and never
-                // indexes out of bounds, even on a hostile mmap'd file.
-                let expected = build_slot_table(codes);
-                if slots.len() != expected.len() || slots.iter().ne(expected.iter()) {
-                    return Err("slot table does not match its code list".into());
-                }
                 codes.len()
             }
         };
@@ -672,7 +709,7 @@ impl BankIndex {
         // inside the bank, every position present in the bit-set.
         let boundaries: &[u32] = match &rows {
             RowIndex::Dense { offsets } => offsets,
-            RowIndex::Sparse { row_offsets, .. } => row_offsets,
+            RowIndex::Sparse(sparse) => sparse.row_offsets(),
         };
         for row in boundaries.windows(2) {
             let row = &positions[row[0] as usize..row[1] as usize];
@@ -727,7 +764,7 @@ impl BankIndex {
     pub fn backend(&self) -> IndexBackend {
         match self.rows {
             RowIndex::Dense { .. } => IndexBackend::Dense,
-            RowIndex::Sparse { .. } => IndexBackend::Sparse,
+            RowIndex::Sparse(_) => IndexBackend::Sparse,
         }
     }
 
@@ -747,12 +784,10 @@ impl BankIndex {
                 let hi = offsets[code as usize + 1] as usize;
                 &self.positions[lo..hi]
             }
-            RowIndex::Sparse {
-                codes,
-                row_offsets,
-                slots,
-            } => sparse_row_of(codes, slots, code)
-                .map_or(&[], |row| sparse_row(&self.positions, row_offsets, row)),
+            RowIndex::Sparse(sparse) => sparse_row_of(sparse.codes(), sparse.slots(), code)
+                .map_or(&[], |row| {
+                    sparse_row(&self.positions, sparse.row_offsets(), row)
+                }),
         }
     }
 
@@ -773,16 +808,19 @@ impl BankIndex {
                     *out = self.occurrences(code);
                 }
             }
-            RowIndex::Sparse {
-                codes: keys,
-                row_offsets,
-                slots,
-            } => {
+            RowIndex::Sparse(sparse) => {
                 for (codes, rows) in codes
                     .chunks(LOOKUP_BATCH)
                     .zip(rows.chunks_mut(LOOKUP_BATCH))
                 {
-                    sparse_rows_batch(keys, row_offsets, slots, &self.positions, codes, rows);
+                    sparse_rows_batch(
+                        sparse.codes(),
+                        sparse.row_offsets(),
+                        sparse.slots(),
+                        &self.positions,
+                        codes,
+                        rows,
+                    );
                 }
             }
         }
@@ -796,7 +834,7 @@ impl BankIndex {
     pub fn dense_offsets(&self) -> Option<&[u32]> {
         match &self.rows {
             RowIndex::Dense { offsets } => Some(offsets),
-            RowIndex::Sparse { .. } => None,
+            RowIndex::Sparse(_) => None,
         }
     }
 
@@ -818,9 +856,8 @@ impl BankIndex {
                     .end
                     .min(u32::try_from(self.coder.num_seeds()).unwrap_or(u32::MAX)),
             },
-            RowIndex::Sparse {
-                codes, row_offsets, ..
-            } => {
+            RowIndex::Sparse(sparse) => {
+                let (codes, row_offsets) = (sparse.codes(), sparse.row_offsets());
                 let lo = codes.partition_point(|&c| c < range.start);
                 let hi = codes.partition_point(|&c| c < range.end);
                 PopulatedRows::Sparse {
@@ -889,7 +926,7 @@ impl BankIndex {
     pub fn stats(&self) -> IndexStats {
         let boundaries: &[u32] = match &self.rows {
             RowIndex::Dense { offsets } => offsets,
-            RowIndex::Sparse { row_offsets, .. } => row_offsets,
+            RowIndex::Sparse(sparse) => sparse.row_offsets(),
         };
         let mut max_chain = 0usize;
         for w in boundaries.windows(2) {
@@ -908,16 +945,14 @@ impl BankIndex {
     /// Heap bytes used by the index arrays (row lookup, postings and the
     /// indexed-position bit vector). For an mmap-backed index the mapped
     /// sections count zero — their bytes live in the shared, evictable
-    /// page cache, not this process's heap; only the copied bit-set
-    /// remains resident per attach.
+    /// page cache, not this process's heap. What an attach does hold on
+    /// the heap is the copied bit-set (`len/8` bytes) and, for a sparse
+    /// index, the slot table derived at load (`4·2^⌈log₂ 2k⌉` bytes for k
+    /// populated codes).
     pub fn heap_bytes(&self) -> usize {
         let rows = match &self.rows {
             RowIndex::Dense { offsets } => offsets.heap_bytes(),
-            RowIndex::Sparse {
-                codes,
-                row_offsets,
-                slots,
-            } => codes.heap_bytes() + row_offsets.heap_bytes() + slots.heap_bytes(),
+            RowIndex::Sparse(sparse) => sparse.heap_bytes(),
         };
         rows + self.positions.heap_bytes() + self.indexed.heap_bytes()
     }
@@ -927,11 +962,7 @@ impl BankIndex {
     pub fn is_mmap_backed(&self) -> bool {
         let rows = match &self.rows {
             RowIndex::Dense { offsets } => offsets.is_mapped(),
-            RowIndex::Sparse {
-                codes,
-                row_offsets,
-                slots,
-            } => codes.is_mapped() || row_offsets.is_mapped() || slots.is_mapped(),
+            RowIndex::Sparse(sparse) => sparse.is_mapped(),
         };
         rows || self.positions.is_mapped()
     }
@@ -1757,12 +1788,10 @@ mod tests {
             &bank_of_codes(coder, &codes),
             IndexConfig::full(5).with_backend(IndexBackend::Sparse),
         );
-        let RowIndex::Sparse {
-            codes: keys, slots, ..
-        } = idx.rows()
-        else {
+        let RowIndex::Sparse(sparse) = idx.rows() else {
             panic!("sparse build")
         };
+        let (keys, slots) = (sparse.codes(), sparse.slots());
         let displaced = codes
             .iter()
             .filter(|&&c| keys[slots[fib_slot(c, slots.len())] as usize] != c)
