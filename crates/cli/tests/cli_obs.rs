@@ -363,3 +363,53 @@ fn every_mode_counts_the_queries_it_runs() {
         assert_eq!(query_events("\"ev\":\"end\""), banks, "{mode}:\n{text}");
     }
 }
+
+#[test]
+fn the_query_step_1_is_a_prepare_span_inside_query_before_step2() {
+    let dir = scratch("prepare_span");
+    let (subject, query) = write_fixture(&dir);
+    let db = build_db(&dir, &subject);
+    let (subject, query, db) = (
+        subject.to_str().unwrap(),
+        query.to_str().unwrap(),
+        db.to_str().unwrap(),
+    );
+    for (mode, inputs) in [("plain", [query, subject]), ("db", [query, "--db"])] {
+        let trace = dir.join(format!("{mode}.jsonl"));
+        let out = scoris_n()
+            .args(inputs)
+            .args((mode == "db").then_some(db))
+            .args(["-W", "8", "--trace", trace.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{mode}: {out:?}");
+        let text = std::fs::read_to_string(&trace).unwrap();
+        // Events in `seq` order, which is the order they were written.
+        let at = |span: &str, ev: &str| {
+            let events: Vec<usize> = text
+                .lines()
+                .enumerate()
+                .filter(|(_, l)| {
+                    l.contains(&format!("\"span\":\"{span}\""))
+                        && l.contains(&format!("\"ev\":\"{ev}\""))
+                })
+                .map(|(i, _)| i)
+                .collect();
+            assert!(!events.is_empty(), "{mode}: no {span} {ev} in\n{text}");
+            events
+        };
+        let prepare = (at("prepare", "begin"), at("prepare", "end"));
+        assert_eq!(
+            (prepare.0.len(), prepare.1.len()),
+            (1, 1),
+            "{mode}: one prepare per query:\n{text}"
+        );
+        let (begin, end) = (prepare.0[0], prepare.1[0]);
+        let query = (at("query", "begin")[0], at("query", "end")[0]);
+        let first_step2 = at("step2", "begin")[0];
+        assert!(
+            query.0 < begin && begin < end && end < first_step2 && first_step2 < query.1,
+            "{mode}: prepare is not nested in query ahead of step2:\n{text}"
+        );
+    }
+}

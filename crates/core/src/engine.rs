@@ -509,8 +509,9 @@ impl<'a> Session<'a> {
 
     /// One whole query for the conveniences, counted as the database
     /// session counts its own: a `query` span timed into `query_seconds`
-    /// around the query's step 1, [`Session::search`] without a deadline
-    /// and the query boundary, then `queries_total` and `records_total`.
+    /// around the query's step 1 (its own `prepare` span),
+    /// [`Session::search`] without a deadline and the query boundary,
+    /// then `queries_total` and `records_total`.
     /// ([`Session::search`] itself counts nothing — a database session
     /// calls it once per volume of one query.)
     fn search_to_boundary(
@@ -519,9 +520,12 @@ impl<'a> Session<'a> {
         sink: &mut dyn RecordSink,
     ) -> std::io::Result<PipelineStats> {
         let _span = self.obs.timed_span("query", names::QUERY_SECONDS);
-        let prepared = self.install(|| {
-            PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config())
-        });
+        let prepared = {
+            let _span = self.obs.span("prepare");
+            self.install(|| {
+                PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config())
+            })
+        };
         let mut stats = self
             .search(&prepared, sink, &Deadline::none())
             .expect("the query was prepared under this configuration and no deadline is armed");

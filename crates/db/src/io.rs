@@ -18,11 +18,16 @@
 //! assert *which* [`crate::DbError`] variant each failure produces, and
 //! that no error arm in the database layer is unreachable.
 //!
-//! Scope: reads only. `makedb`'s writes go straight to `std::fs` —
-//! build-time failures are ordinary I/O errors on a directory the
-//! operator owns; the fault model worth testing is the *serving* path,
-//! where a long-lived session meets files that rot underneath it.
+//! Writes: `makedb` creates each volume file through
+//! [`VolumeIo::create`], so a test can fail the write of any volume and
+//! check what a crashed build leaves (the lowest failing volume's error,
+//! no manifest). The rest of a build — the output directory, the
+//! manifest — goes straight to `std::fs`: build-time failures are
+//! ordinary I/O errors on a directory the operator owns, and the fault
+//! model worth testing in depth is the *serving* path, where a
+//! long-lived session meets files that rot underneath it.
 
+use std::fs::File;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -44,6 +49,12 @@ pub trait VolumeIo: std::fmt::Debug + Send + Sync {
 
     /// Loads the index file at `path`.
     fn attach_index(&self, path: &Path) -> Result<(BankIndex, IndexMeta), PersistError>;
+
+    /// Creates (or truncates) the file at `path` for writing — how
+    /// `makedb` opens each volume file.
+    fn create(&self, path: &Path) -> io::Result<File> {
+        File::create(path)
+    }
 }
 
 /// The production implementation: plain filesystem reads and the mmap
@@ -175,7 +186,7 @@ impl FaultyIo {
         });
     }
 
-    /// Total operations (`is_file`, `read`, `attach_index`) observed —
+    /// Total operations (`is_file`, `read`, `attach_index`, `create`) observed —
     /// lets tests assert that a quarantined volume is *not* re-probed.
     pub fn operations(&self) -> u32 {
         self.ops.load(Ordering::Relaxed)
@@ -273,6 +284,15 @@ impl VolumeIo for FaultyIo {
         // failure, not a "truncated file".
         let bytes = self.read_with_faults(path).map_err(PersistError::Io)?;
         read_index(&mut bytes.as_slice())
+    }
+
+    /// A create under injection: an `Error` fault fails it. The other
+    /// faults strike reads, and are neither applied nor consumed here.
+    fn create(&self, path: &Path) -> io::Result<File> {
+        match self.fault_for(path, |f| matches!(f, Fault::Error(_))) {
+            Some(Fault::Error(kind)) => Err(Self::injected(kind)),
+            _ => File::create(path),
+        }
     }
 }
 

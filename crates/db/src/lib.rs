@@ -15,7 +15,10 @@
 //!   `oris_index::persist` format) — and the [`Manifest`] records, per
 //!   volume, the residue count, sequence count and bank content hash,
 //!   plus the index configuration and the **database-wide residue
-//!   total**.
+//!   total**. Up to `rayon::current_num_threads()` volumes are prepared
+//!   and written side by side, so peak memory is up to that many
+//!   volumes in flight; the files are the same bytes for any worker
+//!   count.
 //! * [`Database`] — opens a database directory, validates the manifest,
 //!   and attaches volumes on demand by **mmap**
 //!   ([`oris_index::map_index_file`] — the postings and offsets sections
@@ -53,11 +56,12 @@
 //!   `io::Error`. [`DbError::exit_code`] gives each class a stable CLI
 //!   exit code, and [`DbError::is_transient`] is the retry policy's
 //!   classifier.
-//! * **Fault injection** — all file access goes through the [`VolumeIo`]
-//!   trait: [`RealIo`] is the filesystem; [`FaultyIo`] deterministically
-//!   fails the Nth open/read, truncates, bit-flips a chosen byte, or
-//!   delays — which is how the test suite reaches *every* error path
-//!   above without root or filesystem tricks.
+//! * **Fault injection** — all volume file access, reads and `makedb`'s
+//!   creates, goes through the [`VolumeIo`] trait: [`RealIo`] is the
+//!   filesystem; [`FaultyIo`] deterministically fails the Nth
+//!   open/read/create, truncates, bit-flips a chosen byte, or delays —
+//!   which is how the test suite reaches *every* error path above
+//!   without root or filesystem tricks.
 //! * **Degraded mode** — [`OnVolumeError::SkipAndReport`] lets a session
 //!   quarantine a failing volume (a transient fault is retried twice
 //!   first, after 10 ms and then 20 ms — constants of [`session`], not

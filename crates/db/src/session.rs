@@ -770,9 +770,12 @@ impl<'d> DbSession<'d> {
         // single-bank session prepares it once for both strands.
         let prepare =
             || PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config());
-        let prep = match &self.pool {
-            Some(pool) => pool.install(prepare),
-            None => prepare(),
+        let prep = {
+            let _span = self.obs.span("prepare");
+            match &self.pool {
+                Some(pool) => pool.install(prepare),
+                None => prepare(),
+            }
         };
         let fresh = self.search_volumes(&prep, &hits, &mut report.retries, deadline)?;
         let mut stats = self.merge(query_fp, hits, fresh, sink, &mut report)?;

@@ -12,7 +12,9 @@
 //! masked here) but an extreme triplet score (always masked by DUST) —
 //! which is precisely the kind of discrepancy the paper describes.
 //!
-//! The scan is one pass per record with a sliding base count. Only full
+//! The scan is one pass over the bank's code array with a sliding base
+//! count. A sentinel (between records, and at both ends) or an ambiguous
+//! base resets the count, so a window never spans two records. Only full
 //! windows are judged, so the window total is a constant and a base
 //! count `c` can only ever contribute `p·log2 p` with `p = c / window`:
 //! those `window + 1` terms are tabulated once per call, and a window's
@@ -22,10 +24,29 @@
 //! `n − window + 1` of them), so they are merged into maximal intervals
 //! and each interval reaches the bit-set once, through the word-wise
 //! [`MaskSet::set_range`].
+//!
+//! **Slices and seams.** A bank of at least two `PAR_GRAIN`s (the index
+//! build's own threshold) is cut into one slice of the code array per
+//! worker, and every worker scans its slice on the shim's parallel map.
+//! A slice owns the windows that *end* inside it. To judge the first of
+//! them it re-reads up to `window − 1` bases before its start, and it
+//! starts that warm-up with an empty count, exactly as the scan does
+//! after a sentinel — so a window ending at `i` is judged from the same
+//! `window` bases, with the same count, whichever slice holds `i`. Each
+//! slice returns its merged low intervals, and the caller sets them in
+//! the bit-set. An interval may reach back over the seam into the slice
+//! before, and two slices may both mark a stretch around the seam, but
+//! [`MaskSet::set_range`] is idempotent, so the union needs no seam
+//! logic: the mask is the same bits for any worker count. Below two
+//! grains the same kernel runs once on the calling thread, without a
+//! thread query, writing straight into the bit-set — which is every
+//! read a batch of short queries prepares.
 
 use oris_seqio::alphabet::is_nucleotide;
 use oris_seqio::Bank;
+use rayon::prelude::*;
 
+use crate::structure::{slice_workers, PAR_GRAIN};
 use crate::MaskSet;
 
 /// Windowed Shannon-entropy low-complexity masker.
@@ -82,53 +103,92 @@ impl EntropyMasker {
         0.0 - terms[counts[0]] - terms[counts[1]] - terms[counts[2]] - terms[counts[3]]
     }
 
-    /// Masks low-entropy regions of `bank` (global positions).
+    /// Masks low-entropy regions of `bank` (global positions), on up to
+    /// `rayon::current_num_threads()` workers for a bank of at least two
+    /// `PAR_GRAIN`s, on the calling thread otherwise; the mask is the same
+    /// for every worker count (see the module docs' *Slices and seams*).
     pub fn mask(&self, bank: &Bank) -> MaskSet {
+        self.mask_sliced(bank, PAR_GRAIN)
+    }
+
+    /// [`EntropyMasker::mask`] with the parallel grain as a parameter, so
+    /// tests can cut a small bank into many slices.
+    fn mask_sliced(&self, bank: &Bank, grain: usize) -> MaskSet {
         let data = bank.data();
         let mut mask = MaskSet::new(data.len());
         let terms = self.entropy_terms();
-        let window = self.window;
+        let workers = slice_workers(data.len(), grain);
+        if workers == 1 {
+            self.low_intervals(data, 0, &terms, |lo, hi| mask.set_range(lo, hi));
+            return mask;
+        }
+        let slice_len = data.len().div_ceil(workers);
+        let lows: Vec<Vec<(usize, usize)>> = (0..workers)
+            .into_par_iter()
+            .map(|k| {
+                let start = k * slice_len;
+                let end = (start + slice_len).min(data.len());
+                let mut lows = Vec::new();
+                self.low_intervals(&data[..end], start, &terms, |lo, hi| lows.push((lo, hi)));
+                lows
+            })
+            .collect();
+        for (lo, hi) in lows.into_iter().flatten() {
+            mask.set_range(lo, hi);
+        }
+        mask
+    }
 
-        for rec in bank.records() {
-            let seq = &data[rec.start..rec.end()];
-            let mut counts = [0usize; 4];
-            // Valid nucleotides in the window ending at `i` (≤ `window`).
-            let mut filled = 0usize;
-            // Union of the low windows seen so far that is not in the
-            // mask yet, as record-local `[lo, hi)`.
-            let mut pending: Option<(usize, usize)> = None;
-            for (i, &c) in seq.iter().enumerate() {
-                if !is_nucleotide(c) {
-                    counts = [0; 4];
-                    filled = 0;
-                    continue;
-                }
-                counts[usize::from(c)] += 1;
-                if filled == window {
-                    counts[usize::from(seq[i - window])] -= 1;
-                } else {
-                    filled += 1;
-                }
-                if filled < window {
-                    continue;
-                }
-                if Self::window_entropy(&terms, &counts) < self.min_bits {
-                    let (lo, hi) = (i + 1 - window, i + 1);
-                    match &mut pending {
-                        Some((_, end)) if *end >= lo => *end = hi,
-                        _ => {
-                            if let Some((a, b)) = pending.replace((lo, hi)) {
-                                mask.set_range(rec.start + a, rec.start + b);
-                            }
+    /// The kernel: hands `emit` the maximal runs `[lo, hi)` of low windows
+    /// that end at `from` or later, for windows lying wholly in `data`.
+    /// It reads from `window − 1` bases before `from` with an empty count,
+    /// as after a sentinel; windows ending before `from` may be reported
+    /// too, and are as the whole-bank scan would judge them.
+    fn low_intervals(
+        &self,
+        data: &[u8],
+        from: usize,
+        terms: &[f64],
+        mut emit: impl FnMut(usize, usize),
+    ) {
+        let window = self.window;
+        let mut counts = [0usize; 4];
+        // Valid nucleotides in the window ending at `i` (≤ `window`).
+        let mut filled = 0usize;
+        // Union of the low windows seen so far that `emit` has not had
+        // yet, as `[lo, hi)`.
+        let mut pending: Option<(usize, usize)> = None;
+        let warm = from.saturating_sub(window - 1);
+        for (i, &c) in data.iter().enumerate().skip(warm) {
+            if !is_nucleotide(c) {
+                counts = [0; 4];
+                filled = 0;
+                continue;
+            }
+            counts[usize::from(c)] += 1;
+            if filled == window {
+                counts[usize::from(data[i - window])] -= 1;
+            } else {
+                filled += 1;
+            }
+            if filled < window {
+                continue;
+            }
+            if Self::window_entropy(terms, &counts) < self.min_bits {
+                let (lo, hi) = (i + 1 - window, i + 1);
+                match &mut pending {
+                    Some((_, end)) if *end >= lo => *end = hi,
+                    _ => {
+                        if let Some((a, b)) = pending.replace((lo, hi)) {
+                            emit(a, b);
                         }
                     }
                 }
             }
-            if let Some((a, b)) = pending {
-                mask.set_range(rec.start + a, rec.start + b);
-            }
         }
-        mask
+        if let Some((a, b)) = pending {
+            emit(a, b);
+        }
     }
 }
 
@@ -262,6 +322,132 @@ mod tests {
         mask
     }
 
+    /// The masker this module had before its slices, kept verbatim as
+    /// the reference of the differential tests: one pass per record on
+    /// the calling thread, each maximal run of low windows set as it
+    /// closes.
+    fn serial_mask(masker: &EntropyMasker, bank: &Bank) -> MaskSet {
+        let data = bank.data();
+        let mut mask = MaskSet::new(data.len());
+        let terms = masker.entropy_terms();
+        let window = masker.window;
+
+        for rec in bank.records() {
+            let seq = &data[rec.start..rec.end()];
+            let mut counts = [0usize; 4];
+            let mut filled = 0usize;
+            let mut pending: Option<(usize, usize)> = None;
+            for (i, &c) in seq.iter().enumerate() {
+                if !is_nucleotide(c) {
+                    counts = [0; 4];
+                    filled = 0;
+                    continue;
+                }
+                counts[usize::from(c)] += 1;
+                if filled == window {
+                    counts[usize::from(seq[i - window])] -= 1;
+                } else {
+                    filled += 1;
+                }
+                if filled < window {
+                    continue;
+                }
+                if EntropyMasker::window_entropy(&terms, &counts) < masker.min_bits {
+                    let (lo, hi) = (i + 1 - window, i + 1);
+                    match &mut pending {
+                        Some((_, end)) if *end >= lo => *end = hi,
+                        _ => {
+                            if let Some((a, b)) = pending.replace((lo, hi)) {
+                                mask.set_range(rec.start + a, rec.start + b);
+                            }
+                        }
+                    }
+                }
+            }
+            if let Some((a, b)) = pending {
+                mask.set_range(rec.start + a, rec.start + b);
+            }
+        }
+        mask
+    }
+
+    fn in_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
+    /// Records of random bases with `N` runs, poly-A and AT islands, and
+    /// two-letter stretches, from `segments` of `(kind, length)`.
+    fn segmented_records(seed: u64, records: &[Vec<(u8, usize)>]) -> Vec<Vec<u8>> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        records
+            .iter()
+            .map(|segments| {
+                let mut codes = Vec::new();
+                for &(kind, len) in segments {
+                    for j in 0..len {
+                        codes.push(match kind {
+                            0 => (next() % 4) as u8,
+                            1 => oris_seqio::AMBIG,
+                            2 => 0,
+                            3 => [0, 2][j % 2],
+                            _ => (next() % 2) as u8,
+                        });
+                    }
+                }
+                codes
+            })
+            .collect()
+    }
+
+    fn bank_of_codes(records: &[Vec<u8>]) -> Bank {
+        let mut b = BankBuilder::new();
+        for (i, codes) in records.iter().enumerate() {
+            b.push_codes(&format!("s{i}"), codes);
+        }
+        b.finish()
+    }
+
+    /// Overwrites `len` bases centred on global position `at` with
+    /// `pattern`, leaving sentinels where they are.
+    fn paint(bank: &Bank, records: &mut [Vec<u8>], at: usize, len: usize, pattern: &[u8]) {
+        let lo = at.saturating_sub(len / 2);
+        for (r, rec) in bank.records().iter().enumerate() {
+            for p in lo.max(rec.start)..(lo + len).min(rec.end()) {
+                records[r][p - rec.start] = pattern[(p - lo) % pattern.len()];
+            }
+        }
+    }
+
+    #[test]
+    fn a_bank_over_two_grains_masks_alike_in_any_pool() {
+        // Three grains of random bases, a poly-A island across the cut of
+        // a two-worker pool and an AT island across the first cut of a
+        // three-worker one.
+        let mut records = segmented_records(7, &[vec![(0, 3 * PAR_GRAIN)]]);
+        let bank = bank_of_codes(&records);
+        let len = bank.data().len();
+        paint(&bank, &mut records, len.div_ceil(2), 500, &[0]);
+        paint(&bank, &mut records, len.div_ceil(3), 300, &[0, 2]);
+        let bank = bank_of_codes(&records);
+        let masker = EntropyMasker::default();
+        let oracle = serial_mask(&masker, &bank);
+        assert!(oracle.masked_count() >= 800);
+        for threads in [1usize, 2, 3, 4, 7] {
+            let mask = in_pool(threads, || masker.mask(&bank));
+            assert_eq!(mask, oracle, "threads {threads}");
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(300))]
 
@@ -298,6 +484,57 @@ mod tests {
             let bank = b.finish();
             let masker = EntropyMasker::new(window, min_bits);
             proptest::prop_assert_eq!(masker.mask(&bank), per_window_formula_mask(&masker, &bank));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// The sliced masker sets exactly the bits of the serial one, for
+        /// banks cut into many slices by a small grain under pools of 1,
+        /// 2, 4 and 7 workers: random records with `N` runs, poly-A, AT
+        /// and two-letter stretches, a poly-A or AT island painted across
+        /// every slice cut, and the default masker or any window and
+        /// threshold.
+        #[test]
+        fn sliced_mask_equals_the_serial_mask(
+            records in proptest::collection::vec(
+                proptest::collection::vec(0usize..5 * 89, 0..10), 1..5),
+            seed in 0u64..u64::MAX,
+            grain in 1usize..300,
+            island in 0usize..80,
+            at_pattern in 0usize..2,
+            window in 4usize..65,
+            millibits in 0u32..2001,
+            default_params in 0usize..3,
+        ) {
+            let masker = if default_params == 0 {
+                EntropyMasker::default()
+            } else {
+                EntropyMasker::new(window, f64::from(millibits) / 1000.0)
+            };
+            // Each drawn number is one segment: kind, then length 1–89.
+            let records: Vec<Vec<(u8, usize)>> = records
+                .iter()
+                .map(|r| r.iter().map(|&v| ((v % 5) as u8, 1 + v / 5)).collect())
+                .collect();
+            let base = segmented_records(seed, &records);
+            let pattern: &[u8] = if at_pattern == 1 { &[0, 2] } else { &[0] };
+            for threads in [1usize, 2, 4, 7] {
+                let mut codes = base.clone();
+                let layout = bank_of_codes(&codes);
+                let len = layout.data().len();
+                let workers = in_pool(threads, || slice_workers(len, grain));
+                let slice_len = len.div_ceil(workers);
+                for k in 1..workers {
+                    paint(&layout, &mut codes, k * slice_len, island, pattern);
+                }
+                let bank = bank_of_codes(&codes);
+                let oracle = serial_mask(&masker, &bank);
+                let mask = in_pool(threads, || masker.mask_sliced(&bank, grain));
+                proptest::prop_assert!(mask.words() == oracle.words(), "threads {}", threads);
+                proptest::prop_assert_eq!(mask, oracle);
+            }
         }
     }
 }

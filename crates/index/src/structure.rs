@@ -60,17 +60,27 @@
 //!
 //! * **Pass A** rolls a `W`-window over the bank once. For every window
 //!   that survives the stride and the mask it sets the window's bit in the
-//!   `indexed` set and adds one to a histogram over *partitions* — the
-//!   high five bases of the code, ≤ 1024 equal-width code ranges. That
-//!   yields the posting count, hence the backend under `Auto`.
+//!   `indexed` set and adds one to a histogram over *partitions* —
+//!   equal-width code ranges named by the code's high bases. Their count
+//!   is a function of W: the fewest whose rank (the code's remaining low
+//!   bases) still fits a `u16`, and never fewer than 64. That is 64
+//!   partitions up to W = 11, 256 at W = 12 and 1 024 at W = 13 (`4^W`
+//!   below W = 3). Pass A yields the posting count, hence the backend
+//!   under `Auto`.
 //! * **Dense, pass B** rolls again and scatters every kept position (four
 //!   bytes) into the postings array, partition by partition, with its
 //!   *rank* inside the partition (the code's low bits, two bytes) into a
 //!   transient side array. **Pass C** then sorts each partition in place
 //!   by rank — count, prefix-sum, scatter through a copy of that one
 //!   partition — writing the partition's own stretch of `offsets` as it
-//!   goes. A partition is a few tens of kilobytes of offsets and postings,
-//!   so pass C runs in cache; an empty partition is one `fill`.
+//!   goes. A partition is at most `4^8` offsets (256 KiB) and its share
+//!   of the postings, so pass C runs in the core's own cache; an empty
+//!   partition is one `fill`. Pass B is bound by how many write streams
+//!   its scatter keeps open — two per partition per slice — which is why
+//!   the partitions are as few as the `u16` rank allows. On a 4.9 Mnt
+//!   bank at W = 11 with two workers (2-vCPU VM), 64 partitions scatter
+//!   in 31–34 ms where 1 024 took 56–62, and pass C, now out of L1, takes
+//!   28–34 ms instead of 19–22.
 //! * **Sparse** rolls again into `code·2^32 + position` keys, sorts them,
 //!   and splits codes, row boundaries and postings off the sorted run.
 //!
@@ -97,10 +107,10 @@
 //!          + len(SEQ)/8           indexed-occurrence bit-set
 //!   while building, on top of the above:
 //!          + 2·indexed_positions  ranks (pass B → pass C)
-//!          + 4 KiB per slice      partition histogram
+//!          + 4·partitions per slice  partition histogram (256 B at W ≤ 11)
 //!          + 4·(largest partition) per worker — typically
-//!            indexed_positions/1024, the whole postings array for a bank
-//!            whose windows all end in the same five bases
+//!            indexed_positions/64, the whole postings array for a bank
+//!            whose windows all end in the same three bases
 //!
 //! sparse:  ≈ 4·k                  populated codes        (k = distinct codes)
 //!          + 4·(k + 1)            row offsets
@@ -511,12 +521,7 @@ impl BankIndex {
             "bank too large for u32 positions"
         );
         let radix = Radix::new(cfg.w);
-        // One worker per whole grain of positions, capped by the pool: a
-        // bank under two grains builds on the calling thread.
-        let workers = match data.len() / grain {
-            0 | 1 => 1,
-            slices => slices.min(rayon::current_num_threads()),
-        };
+        let workers = slice_workers(data.len(), grain);
         // Whole bit-set words per slice, so slices share no word.
         let slice_len = data.len().div_ceil(workers).next_multiple_of(64);
 
@@ -1050,22 +1055,42 @@ impl<'a> Iterator for PopulatedRows<'a> {
     }
 }
 
-/// Bank positions per worker below which a build takes no second
-/// worker: the rayon shim starts an OS thread per extra worker per pass (tens
-/// of microseconds each, three passes), which a slice this long repays
-/// many times over and a 150-nt query never would.
-const PAR_GRAIN: usize = 1 << 18;
+/// Bank positions per worker below which step 1 takes no second worker,
+/// in the index build and in the entropy mask alike (see
+/// [`slice_workers`]): the rayon shim starts an OS thread per extra
+/// worker per pass (tens of microseconds each, three passes for a build),
+/// which a slice this long repays many times over and a 150-nt query
+/// never would.
+pub(crate) const PAR_GRAIN: usize = 1 << 18;
 
-/// Number of *bases* of code prefix used as the partition key: up to
-/// `4^RADIX_BASES = 1024` partitions, each owning a contiguous,
-/// equal-width range of seed codes.
-const RADIX_BASES: usize = 5;
+/// How many workers step 1 cuts `len` positions into: one per whole
+/// `grain`, capped by the pool, and one — the calling thread, with no
+/// thread query — for anything under two grains.
+pub(crate) fn slice_workers(len: usize, grain: usize) -> usize {
+    match len / grain {
+        0 | 1 => 1,
+        slices => slices.min(rayon::current_num_threads()),
+    }
+}
+
+/// Fewest partitions the code space is cut into, `4^MIN_RADIX_BASES = 64`:
+/// enough runs for pass C to balance across workers.
+const MIN_RADIX_BASES: usize = 3;
+
+/// Most bases a rank can hold: `4^8` codes per partition, so a rank fits
+/// a `u16`.
+const MAX_RANK_BASES: usize = 8;
 
 /// How the code space is cut into partitions: the high `bases` bases of a
 /// code (the *last* `bases` nucleotides of its window — the first
 /// nucleotide is the low-order digit) name the partition, the remaining
 /// low `w − bases` bases (the window's first nucleotides) are the code's
 /// rank inside it.
+///
+/// `bases` is the fewest that keeps the rank within a `u16`, but never
+/// under three: 64 partitions up to W = 11, 256 at W = 12, 1 024 at
+/// W = 13, and `4^W` (rank 0 only) for W < 3. Fewer partitions mean
+/// fewer write streams in pass B's scatter, which is what it is bound by.
 #[derive(Debug, Clone, Copy)]
 struct Radix {
     /// Number of partitions, `4^bases`.
@@ -1079,7 +1104,7 @@ struct Radix {
 
 impl Radix {
     fn new(w: usize) -> Radix {
-        let bases = RADIX_BASES.min(w);
+        let bases = w.saturating_sub(MAX_RANK_BASES).max(MIN_RADIX_BASES).min(w);
         Radix {
             parts: 1 << (2 * bases),
             width: 1 << (2 * (w - bases)),
@@ -1172,8 +1197,9 @@ fn is_kept(words: &[u64], pos: usize) -> bool {
 /// the scatter is stable by construction. Pass C then sorts every
 /// partition in place by rank (see [`sort_partitions`]). Ranks are carried
 /// rather than read back from the bank in pass C: a partition's positions
-/// lie about a kilobyte apart, so re-reading their windows cost a cache
-/// miss per posting — three times the whole of pass C as it is now.
+/// lie scattered over the whole bank, so re-reading their windows cost a
+/// cache miss per posting — three times the whole of pass C, measured
+/// with 1 024 partitions.
 fn dense_rows(
     data: &[u8],
     words: &[u64],
@@ -1925,18 +1951,42 @@ mod tests {
         b.finish()
     }
 
+    /// Dense builds at the widths the pipeline runs at — W = 11, and 10
+    /// for the asymmetric stride — where pass B scatters into 64
+    /// partitions and a rank holds eight bases; the proptest below draws
+    /// `w < 8`.
     #[test]
     fn parallel_build_equals_full_sweep_oracle_for_any_pool() {
         let bank = large_mixed_bank();
         assert!(bank.data().len() >= 3 * PAR_GRAIN);
         let masked = |p: usize| (p / 700).is_multiple_of(9);
-        for cfg in [IndexConfig::full(9), IndexConfig::asymmetric(8)] {
+        let cfgs = [9, 10, 11]
+            .into_iter()
+            .flat_map(|w| [IndexConfig::full(w), IndexConfig::asymmetric(w)])
+            .chain([IndexConfig::asymmetric(8)]);
+        for cfg in cfgs {
             let cfg = cfg.with_backend(IndexBackend::Dense);
             let oracle = oracle::build(&bank, cfg, masked);
             for threads in [1usize, 2, 4, 7] {
                 let built = in_pool(threads, || BankIndex::build_filtered(&bank, cfg, masked));
                 assert!(oracle.matches(&built), "{cfg:?}, threads {threads}");
             }
+        }
+    }
+
+    #[test]
+    fn partition_count_is_the_fewest_a_u16_rank_allows_and_at_least_64() {
+        for w in 1..=MAX_SEED_LEN {
+            let radix = Radix::new(w);
+            assert_eq!(radix.parts * radix.width, 1 << (2 * w), "w {w}");
+            assert!(radix.width <= 1 << 16, "w {w}: rank overflows a u16");
+            let expected = match w {
+                1 | 2 => 1 << (2 * w),
+                3..=11 => 64,
+                12 => 256,
+                _ => 1024,
+            };
+            assert_eq!(radix.parts, expected, "w {w}");
         }
     }
 
