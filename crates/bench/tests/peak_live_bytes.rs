@@ -1,7 +1,8 @@
 //! Peak live heap of the two bounded-memory paths, read from a counting
 //! global allocator instead of guessed from RSS: the streamed batch
-//! (`Session::run_batch` through a `StreamWriter`) must peak below the
-//! collect-everything path it replaced, and a database searched through a
+//! (`Session::run_batch` through a `StreamWriter`), which holds one chunk
+//! of query banks and its records, must peak below the collect-everything
+//! path it replaced, and a database searched through a
 //! one-volume window must peak below the same collection held as one
 //! concatenated bank (mapped sections live in the page cache, not the
 //! heap). Byte equality of each pair is held by
@@ -12,7 +13,10 @@
 //! beside this one would allocate into its measured regions.
 
 use oris_bench::{planted_bank, CountingAlloc};
-use oris_core::{M8Writer, OrisConfig, OrisResult, Session, StreamWriter, SubjectSpace};
+use oris_core::{
+    joint_chunks, M8Writer, OrisConfig, OrisResult, Session, StreamWriter, SubjectSpace,
+    JOINT_CHUNK_RESIDUES,
+};
 use oris_db::{make_db, Database, DbOptions, DbSession, MakeDbOptions};
 use oris_seqio::Bank;
 
@@ -43,10 +47,19 @@ fn bounded_memory_paths_peak_below_their_resident_twins() {
     let cfg = OrisConfig::default();
 
     // ---- streamed < collected --------------------------------------
-    // Output goes to the null writer so neither side's peak counts the
-    // output bytes themselves.
+    // A batch keeps one chunk of query banks resident, with its records
+    // until their boundaries are written. Each query bank here holds over
+    // half of JOINT_CHUNK_RESIDUES, so every chunk is one bank, and the
+    // batch must peak below collecting every bank's records. Output goes
+    // to the null writer so neither side's peak counts the output bytes
+    // themselves.
     let subject = planted_bank(404, 24, 80);
-    let queries = query_banks(4, 8);
+    let seq_len = JOINT_CHUNK_RESIDUES / 2 / 96 + 100;
+    let queries: Vec<Bank> = (0..4).map(|i| planted_bank(600 + i, 96, seq_len)).collect();
+    assert_eq!(
+        joint_chunks(&queries, JOINT_CHUNK_RESIDUES).count(),
+        queries.len()
+    );
     let session = Session::new(&subject, &cfg).unwrap();
     let collected = peak_of(|| {
         let results: Vec<OrisResult> = queries.iter().map(|q| session.run(q)).collect();

@@ -49,21 +49,28 @@
 //!                       total)
 //!       --deadline MS   per-query budget (with --db): a query that exceeds
 //!                       MS milliseconds fails cleanly with exit code 7,
-//!                       output untouched, instead of running unbounded
+//!                       output untouched, instead of running unbounded;
+//!                       a --batch chunk of n queries gets n × MS, and its
+//!                       expiry ends the batch
 //!       --skip-bad-volumes
 //!                       with --db: quarantine a volume that fails to attach
 //!                       (after retrying transient faults) and complete the
 //!                       query over the surviving volumes, warning on stderr
 //!                       with the residue coverage actually searched
-//!       --batch PATH    many queries: prepare bank 2 once, stream each
-//!                       query bank's records out as it finishes. PATH is a
+//!       --batch PATH    many queries: prepare bank 2 once, search the
+//!                       query banks in chunks joined into one bank, and
+//!                       stream each query bank's records out at its own
+//!                       boundary, as if it were searched alone. PATH is a
 //!                       directory of FASTA files (sorted by name, one query
 //!                       bank each) or a multi-FASTA file (one query bank
-//!                       per record). Peak memory stays at one query's
-//!                       working set.
+//!                       per record). Peak memory stays at one chunk's
+//!                       working set (at most 2^19 query positions).
 //!       --stats         print per-step timings and counters to stderr: one
 //!                       `key=value` line whose `mode=` is plain, batch or
 //!                       db; the pipeline keys are the same in all three
+//!                       (`index_builds`, `total_index_builds` and
+//!                       `dispatches` count --batch chunks, not queries;
+//!                       `masked1` is the largest chunk's masked fraction)
 //!       --trace FILE    write span-style trace events (attach, per-volume
 //!                       search, steps 2–4, cache lookup, merge) to FILE as
 //!                       JSON lines; see `oris-obs` for the event schema
@@ -202,15 +209,18 @@ impl Output {
 /// The query source. `--batch` gives a directory of FASTA files (sorted
 /// by file name, one query bank each) or a multi-FASTA file (one query
 /// bank per record, so each record gets its own e-value search space —
-/// the batch is N independent comparisons, not one big bank); without it
-/// the positional query bank is a batch of `One`, already read.
+/// the batch is N independent comparisons, not one big bank, even where
+/// the sessions search a chunk of them jointly); without it the
+/// positional query bank is a batch of `One`, already read.
 ///
-/// Query banks are produced **lazily** — a directory batch holds exactly
-/// one query file's bank in memory at a time (the multi-FASTA form keeps
-/// its one source bank resident, but still builds per-record query banks
-/// one at a time). A file that fails to read mid-batch fuses the
-/// iterator and parks the error in [`BatchQueries::error`] for the
-/// caller to surface after the search returns.
+/// Query banks are produced **lazily** — the sessions pull them into one
+/// resident chunk at a time (`oris_core::JOINT_CHUNK_RESIDUES` positions,
+/// plus the bank read to close the chunk), so a directory batch never
+/// holds more query files than that (the multi-FASTA form keeps its one
+/// source bank resident, and builds per-record query banks as they are
+/// pulled). A file that fails to read mid-batch fuses the iterator and
+/// parks the error in [`BatchQueries::error`] for the caller to surface
+/// after the search returns.
 enum BatchQueries {
     Dir {
         files: std::vec::IntoIter<PathBuf>,
@@ -291,8 +301,9 @@ impl Iterator for &mut BatchQueries {
                 if *next >= bank.num_sequences() {
                     return None;
                 }
-                let mut b = oris_seqio::BankBuilder::new();
-                b.push_codes(&bank.record(*next).name, bank.sequence(*next));
+                let codes = bank.sequence(*next);
+                let mut b = oris_seqio::BankBuilder::with_capacity(codes.len(), 1);
+                b.push_codes(&bank.record(*next).name, codes);
                 *next += 1;
                 Some(b.finish())
             }
@@ -304,10 +315,10 @@ impl Iterator for &mut BatchQueries {
 /// Streams the queries to the `-o` destination: `search` drives `queries`
 /// into a [`StreamWriter`] over the atomic output, and any failure —
 /// `search`'s own or a query file that would not read — discards the
-/// output. Query banks are pulled from the source lazily — one resident at
-/// a time — so the run's memory bound really is one query's working set,
-/// not the query set's total size. Returns `search`'s report and the
-/// records written.
+/// output. Query banks are pulled from the source lazily — one chunk
+/// resident at a time — so the run's memory bound really is one chunk's
+/// working set, not the query set's total size. Returns `search`'s report
+/// and the records written.
 fn stream_batch<B, E: Into<CliError>>(
     args: &Args,
     mut queries: BatchQueries,

@@ -278,9 +278,56 @@ fn batch_stats_report_single_subject_build() {
         .unwrap();
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    // One subject build amortized over the whole batch: 4 queries, one
-    // subject build, 4 + 1 total builds.
+    // One subject build amortized over the whole batch, and the 4 query
+    // banks searched as one chunk with one build: 1 + 1 total builds.
     assert!(stderr.contains("batch_queries=4"), "{stderr}");
     assert!(stderr.contains("subject_builds=1"), "{stderr}");
-    assert!(stderr.contains("total_index_builds=5"), "{stderr}");
+    assert!(stderr.contains("total_index_builds=2"), "{stderr}");
+}
+
+#[test]
+fn empty_and_all_n_records_are_empty_boundaries_in_a_batch() {
+    // A multi-FASTA batch whose one chunk holds an empty record and an
+    // all-N record between two homologs: both index nothing and align
+    // nowhere, the run exits 0, and its bytes are the two homologs' own
+    // runs, in order.
+    let dir = scratch("empty_records");
+    let (subject, _) = write_fixture(&dir);
+    let (a, b) = (
+        format!(">qa\nTTGACCGTAA{CORE}CCGGTAAGCT\n"),
+        format!(">qb\nAACC{CORE}TTGG\n"),
+    );
+    let batch = dir.join("batch.fa");
+    std::fs::write(
+        &batch,
+        format!("{a}>empty\n\n>alln\n{}\n{b}", "N".repeat(80)),
+    )
+    .unwrap();
+    let out = scoris_n()
+        .arg("--batch")
+        .arg(&batch)
+        .arg(&subject)
+        .arg("--stats")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("batch_queries=4"), "{stderr}");
+    assert!(
+        stderr.contains("total_index_builds=2"),
+        "one chunk: {stderr}"
+    );
+    let mut expected = Vec::new();
+    for (name, fasta) in [("a.fa", &a), ("b.fa", &b)] {
+        let query = dir.join(name);
+        std::fs::write(&query, fasta).unwrap();
+        let single = scoris_n().arg(&query).arg(&subject).output().unwrap();
+        assert!(single.status.success() && !single.stdout.is_empty());
+        expected.extend_from_slice(&single.stdout);
+    }
+    assert_eq!(out.stdout, expected);
 }

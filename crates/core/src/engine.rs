@@ -14,6 +14,30 @@
 //!   session, not once per comparison: a `both_strands` run prepares the
 //!   query exactly once, and a stream of N queries prepares the subject
 //!   exactly once.
+//! * [`QueryChunk`] — a batch's query banks ("members") joined into one
+//!   bank and prepared once. [`Session::run_batch`] pulls members into
+//!   chunks of at most [`JOINT_CHUNK_RESIDUES`] bank positions
+//!   ([`joint_chunks`]) and runs steps 1–3 once per chunk, as the paper
+//!   compares two *banks*: the code-ordered walk of step 2 then moves the
+//!   portions of every read that share a seed into the cache together.
+//!   Searched alone, a 150-nt read meets ~44 seed pairs per subject and
+//!   pays a cold partner lookup for each of its ~139 codes. Step 4 runs per
+//!   member, against the member's own residues, and each member's records
+//!   are sorted and written at its own boundary, so the bytes are those of
+//!   one search per member. A single query is a chunk of one.
+//!
+//! **Why a joint search finds each member's alignments and no others.**
+//! Both low-complexity masks start afresh at every record, the index
+//! stride belongs to the subject only, step 2's walks and step 3's
+//! extensions stop at the sentinel between two records, and step 3 groups
+//! HSPs by (query record, subject record), keeping their diagonal order
+//! inside a group (a record's shift in the joint bank moves every
+//! diagonal of its groups alike). So every group, its alignments and its
+//! step-3 counters are those of the member's own search; step 4 prices
+//! them against the member's residues. Step 2's counters are sums over
+//! seed pairs, so a chunk's are the sum of its members' searches. The
+//! `joint_equals_per_member` proptests hold all of this to one search per
+//! member.
 //!
 //! [`crate::compare_banks`] is one throwaway session and one
 //! [`Session::run`]. Every result carries `PipelineStats::index_builds`, a
@@ -22,15 +46,17 @@
 //! build; the subject's one-time build is reported by
 //! [`Session::subject_stats`]).
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 
 use oris_index::{BankIndex, DustMasker, EntropyMasker, IndexConfig, MaskSet};
 use oris_obs::{names, Obs, Stopwatch};
-use oris_seqio::Bank;
+use oris_seqio::{Bank, BankBuilder};
 
 use crate::config::{FilterKind, OrisConfig};
 use crate::deadline::{Deadline, DeadlineExceeded};
-use crate::pipeline::{run_prepared_pipeline_into, OrisResult, PipelineStats, SubjectStrand};
+use crate::pipeline::{
+    run_prepared_pipeline_into, MemberResult, Members, OrisResult, PipelineStats, SubjectStrand,
+};
 use crate::sink::{CollectSink, RecordSink};
 
 /// Cost and footprint of preparing one bank (mask + index).
@@ -250,6 +276,107 @@ impl<'a> PreparedBank<'a> {
     }
 }
 
+/// Bank positions — residues plus one sentinel per record — that one
+/// chunk of batch members may hold ([`joint_chunks`]). 2^19 holds the
+/// benchmark's 3 000 reads of 150 nt (453 000 positions) in one chunk; a
+/// joint bank under 2^19 positions is also indexed on the calling thread
+/// (two `PAR_GRAIN`s of the index build), as a read is. What a batch
+/// keeps resident is one chunk: its members, its joint index and, until
+/// the members' boundaries are written, its records.
+pub const JOINT_CHUNK_RESIDUES: usize = 1 << 19;
+
+/// A member's share of a chunk's bound: its residues and one sentinel per
+/// record, so a run of empty records still fills chunks.
+fn chunk_positions(bank: &Bank) -> usize {
+    bank.num_residues() + bank.num_sequences()
+}
+
+/// Pulls batch members from `queries`, in order, into chunks of at most
+/// `bound` bank positions ([`JOINT_CHUNK_RESIDUES`] for the sessions'
+/// `run_batch`; tests pass small bounds to cut toy batches into many
+/// chunks). A member larger than the bound is a chunk of its own; a
+/// member is never split. The source is read one member ahead of the
+/// chunk it closes.
+pub fn joint_chunks<I>(queries: I, bound: usize) -> impl Iterator<Item = Vec<I::Item>>
+where
+    I: IntoIterator,
+    I::Item: Borrow<Bank>,
+{
+    let mut queries = queries.into_iter().peekable();
+    std::iter::from_fn(move || {
+        let first = queries.next()?;
+        let mut positions = chunk_positions(first.borrow());
+        let mut chunk = vec![first];
+        while let Some(next) = queries.next_if(|q| positions + chunk_positions(q.borrow()) <= bound)
+        {
+            positions += chunk_positions(next.borrow());
+            chunk.push(next);
+        }
+        Some(chunk)
+    })
+}
+
+/// A chunk of query banks ("members") prepared as one: their records
+/// concatenated into one bank in member order, step 1 run once over it,
+/// and the record ranges that say which member owns which record (see the
+/// module docs for why a joint search equals one search per member).
+#[derive(Debug, Clone)]
+pub struct QueryChunk<'a> {
+    prepared: PreparedBank<'a>,
+    members: Members,
+}
+
+impl<'a> QueryChunk<'a> {
+    /// Joins `members` into one bank and runs step 1 on it. A chunk of one
+    /// member borrows the member's bank instead of copying it.
+    ///
+    /// # Panics
+    /// As [`PreparedBank::prepare`], if the joint bank holds
+    /// [`oris_index::MAX_BANK_LEN`] positions or more.
+    pub fn prepare<B: Borrow<Bank>>(
+        members: &'a [B],
+        filter: FilterKind,
+        icfg: IndexConfig,
+    ) -> QueryChunk<'a> {
+        let prepared = match members {
+            [one] => PreparedBank::prepare(one.borrow(), filter, icfg),
+            _ => PreparedBank::prepare_owned(join(members), filter, icfg),
+        };
+        QueryChunk {
+            prepared,
+            members: Members::of(members),
+        }
+    }
+
+    /// The joint bank with its step-1 artifacts.
+    #[inline]
+    pub fn prepared(&self) -> &PreparedBank<'a> {
+        &self.prepared
+    }
+
+    /// Number of members.
+    #[inline]
+    pub fn members(&self) -> usize {
+        self.members.len()
+    }
+}
+
+/// The records of `members`, in order, as one bank.
+fn join<B: Borrow<Bank>>(members: &[B]) -> Bank {
+    let (residues, records) = members.iter().fold((0, 0), |(n, r), m| {
+        let m = m.borrow();
+        (n + m.num_residues(), r + m.num_sequences())
+    });
+    let mut joint = BankBuilder::with_capacity(residues, records);
+    for member in members {
+        let member = member.borrow();
+        for (r, record) in member.records().iter().enumerate() {
+            joint.push_codes(&record.name, member.sequence(r));
+        }
+    }
+    joint.finish()
+}
+
 /// Names the first of word length, stride and filter on which `bank` (the
 /// `side`: "subject" or "query") was not prepared as a session needs it.
 fn config_mismatch(
@@ -433,22 +560,42 @@ impl<'a> Session<'a> {
 
     /// Runs an already prepared query against the prepared subject —
     /// steps 2–4 only, no index construction (`index_builds == 0`; the
-    /// caller that prepared the query adds its build). This is the one
-    /// way a prepared query runs: [`Session::run`] and
-    /// [`Session::run_batch`] are conveniences over it.
+    /// caller that prepared the query adds its build): the query as a
+    /// chunk of one member ([`Session::search_chunk`]).
     ///
-    /// Records are pushed into `sink` as step 3 finishes each
-    /// record-pair group, both strands when configured. The query
-    /// boundary is **not** marked: the caller owns the
-    /// [`RecordSink::end_query`] call, whose single boundary sort under
-    /// [`crate::M8Record::total_order`] merges the two strands here
-    /// and all the volumes of a database search — one query runs through
-    /// each volume's session in turn and the database session fires
-    /// `end_query` once — into bytes identical to a single-bank run over
-    /// the concatenated input.
+    /// The query's records, both strands when configured, are pushed into
+    /// `sink` once the search is complete. The query boundary is **not**
+    /// marked: the caller owns the [`RecordSink::end_query`] call, whose
+    /// single boundary sort under [`crate::M8Record::total_order`] merges
+    /// the two strands here and all the volumes of a database search into
+    /// bytes identical to a single-bank run over the concatenated input.
+    ///
+    /// # Errors
+    /// As [`Session::search_chunk`]; `sink` is untouched on either.
+    pub fn search(
+        &self,
+        query: &PreparedBank<'_>,
+        sink: &mut dyn RecordSink,
+        deadline: &Deadline,
+    ) -> Result<PipelineStats, SearchError> {
+        let bank = query.bank();
+        let members = Members::one(bank.num_sequences(), bank.num_residues());
+        let mut out = [MemberResult::default()];
+        let stats = self.search_members(query, &members, &mut out, deadline)?;
+        let [out] = out;
+        sink.accept_all(out.records);
+        Ok(stats)
+    }
+
+    /// Runs a prepared chunk against the prepared subject — steps 2–4, no
+    /// index construction: step 2 and the gapped stage once over the
+    /// joint bank per strand, step 4 per group against its member's
+    /// residues. Returns the chunk's report (step 2 once, steps 3–4
+    /// summed over the members; `index_builds == 0`) and, per member in
+    /// order, its records (unsorted) and its own step-3/4 counters.
     ///
     /// `deadline` is consulted at step-2 partition boundaries (and within
-    /// hot partitions) and between strands, so a pathological query — one
+    /// hot partitions) and between strands, so a pathological chunk — one
     /// hot seed code whose `|X1|·|X2|` pair product is quadratic — stops
     /// within a bounded sliver of work. The token never changes what is
     /// computed, only whether the run finishes; [`Deadline::none`] never
@@ -456,19 +603,30 @@ impl<'a> Session<'a> {
     ///
     /// # Errors
     /// * [`SearchError::ConfigMismatch`], before anything is computed, if
-    ///   the query was not prepared under this session's configuration —
+    ///   the chunk was not prepared under this session's configuration —
     ///   same word length, stride 1 ([`OrisConfig::query_index_config`]),
     ///   same filter. (The asymmetric stride belongs to the *subject*
     ///   side only; a strided query index would silently drop half the
     ///   query's seed occurrences, and a differently filtered query
     ///   would search a different effective sequence.)
-    /// * [`SearchError::DeadlineExceeded`] on expiry. The sink may
-    ///   already hold records pushed before it; the caller owns
-    ///   discarding them.
-    pub fn search(
+    /// * [`SearchError::DeadlineExceeded`] on expiry; nothing is returned.
+    pub fn search_chunk(
+        &self,
+        chunk: &QueryChunk<'_>,
+        deadline: &Deadline,
+    ) -> Result<(PipelineStats, Vec<MemberResult>), SearchError> {
+        let mut out = vec![MemberResult::default(); chunk.members()];
+        let stats = self.search_members(&chunk.prepared, &chunk.members, &mut out, deadline)?;
+        Ok((stats, out))
+    }
+
+    /// The one search both entry points run: each strand's share of every
+    /// member added to `out`.
+    fn search_members(
         &self,
         query: &PreparedBank<'_>,
-        sink: &mut dyn RecordSink,
+        members: &Members,
+        out: &mut [MemberResult],
         deadline: &Deadline,
     ) -> Result<PipelineStats, SearchError> {
         config_mismatch(
@@ -479,61 +637,58 @@ impl<'a> Session<'a> {
         )
         .map_err(SearchError::ConfigMismatch)?;
         self.install(|| {
-            let mut push = |rec| sink.accept(rec);
-            let plus = run_prepared_pipeline_into(
-                query,
-                &self.plus,
-                &self.cfg,
-                SubjectStrand::Plus,
-                &mut push,
-                deadline,
-                &self.obs,
-            )?;
+            let mut run = |subject: &PreparedBank<'_>, strand: SubjectStrand| {
+                run_prepared_pipeline_into(
+                    query, members, subject, &self.cfg, strand, out, deadline, &self.obs,
+                )
+            };
+            let plus = run(&self.plus, SubjectStrand::Plus)?;
             match &self.minus {
                 None => Ok(plus),
                 Some(minus) => {
                     deadline.check()?;
-                    Ok(plus.merge(&run_prepared_pipeline_into(
-                        query,
-                        minus,
-                        &self.cfg,
-                        SubjectStrand::Minus,
-                        &mut push,
-                        deadline,
-                        &self.obs,
-                    )?))
+                    Ok(plus.merge(&run(minus, SubjectStrand::Minus)?))
                 }
             }
         })
     }
 
-    /// One whole query for the conveniences, counted as the database
-    /// session counts its own: a `query` span timed into `query_seconds`
-    /// around the query's step 1 (its own `prepare` span),
-    /// [`Session::search`] without a deadline and the query boundary,
-    /// then `queries_total` and `records_total`.
+    /// One chunk of a batch, counted as the database session counts its
+    /// own: one `query` span per member, each timed into `query_seconds`
+    /// from the chunk's start to the member's boundary, around the chunk's
+    /// step 1 (its `prepare` span) and [`Session::search_chunk`] without a
+    /// deadline; then per member, in order, its records and its
+    /// [`RecordSink::end_query`], `queries_total` and `records_total`.
     /// ([`Session::search`] itself counts nothing — a database session
     /// calls it once per volume of one query.)
-    fn search_to_boundary(
+    fn search_to_boundaries<B: Borrow<Bank>>(
         &self,
-        query: &Bank,
+        members: &[B],
         sink: &mut dyn RecordSink,
     ) -> std::io::Result<PipelineStats> {
-        let _span = self.obs.timed_span("query", names::QUERY_SECONDS);
-        let prepared = {
+        let spans: Vec<_> = members
+            .iter()
+            .map(|_| self.obs.timed_span("query", names::QUERY_SECONDS))
+            .collect();
+        let chunk = {
             let _span = self.obs.span("prepare");
             self.install(|| {
-                PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config())
+                QueryChunk::prepare(members, self.cfg.filter, self.cfg.query_index_config())
             })
         };
-        let mut stats = self
-            .search(&prepared, sink, &Deadline::none())
-            .expect("the query was prepared under this configuration and no deadline is armed");
-        sink.end_query()?;
-        stats.index_secs += prepared.stats.build_secs;
-        stats.index_builds += prepared.stats.builds;
-        self.obs.count(names::QUERIES_TOTAL, 1);
-        self.obs.count(names::RECORDS_TOTAL, stats.step4.emitted);
+        let (mut stats, results) = self
+            .search_chunk(&chunk, &Deadline::none())
+            .expect("the chunk was prepared under this configuration and no deadline is armed");
+        for (result, span) in results.into_iter().zip(spans) {
+            sink.accept_all(result.records);
+            sink.end_query()?;
+            drop(span);
+            self.obs.count(names::QUERIES_TOTAL, 1);
+            self.obs.count(names::RECORDS_TOTAL, result.step4.emitted);
+        }
+        let prepared = chunk.prepared.stats;
+        stats.index_secs += prepared.build_secs;
+        stats.index_builds += prepared.builds;
         Ok(stats)
     }
 
@@ -542,7 +697,7 @@ impl<'a> Session<'a> {
     pub fn run(&self, query: &Bank) -> OrisResult {
         let mut sink = CollectSink::new();
         let stats = self
-            .search_to_boundary(query, &mut sink)
+            .search_to_boundaries(std::slice::from_ref(query), &mut sink)
             .expect("CollectSink does no IO and cannot fail");
         OrisResult {
             alignments: sink.into_records(),
@@ -552,36 +707,52 @@ impl<'a> Session<'a> {
 
     /// Runs a batch of query banks against the prepared subject, streaming
     /// records into `sink` (one [`RecordSink::end_query`] boundary per
-    /// bank, in batch order). Each query's working set — index, HSPs,
-    /// alignments, records — is built, streamed out and freed before the
-    /// next query starts; nothing accumulates across the batch unless the
-    /// sink chooses to keep it.
+    /// bank, in batch order). The banks are pulled into chunks of at most
+    /// [`JOINT_CHUNK_RESIDUES`] positions ([`joint_chunks`]) and each chunk
+    /// is searched as one [`QueryChunk`]; a bank's records are exactly
+    /// those [`Session::run`] gives it. One chunk's working set — its
+    /// banks, index, HSPs and records — is built, streamed out and freed
+    /// before the next chunk starts; nothing accumulates across the batch
+    /// unless the sink chooses to keep it.
     ///
     /// `queries` is any iterable of banks (`&[Bank]`, a `Vec<Bank>`
     /// reference, or a *lazy* iterator of owned banks). With a lazy
     /// iterator the bound is complete: not even the query banks themselves
-    /// are resident beyond the one being run — which is how the
-    /// `scoris-n --batch` directory mode holds exactly one query file at
-    /// a time.
+    /// are resident beyond one chunk's (and the next bank, read to close
+    /// it) — which is how the `scoris-n --batch` directory mode holds at
+    /// most a chunk of query files at a time.
     ///
-    /// Accounting: each query counts exactly its own preparation (1
-    /// build) in the running totals; the subject's one-time cost appears
+    /// Accounting: each chunk counts exactly its own preparation (1 build)
+    /// and its step-2 work once; the subject's one-time cost appears
     /// **once**, in [`BatchStats::subject`], never multiplied across
-    /// queries. The report is a fixed-size fold — a query's own report is
-    /// what [`Session::run`] returns for it.
+    /// queries. The report is a fixed-size fold.
     pub fn run_batch<I>(&self, queries: I, sink: &mut dyn RecordSink) -> std::io::Result<BatchStats>
     where
         I: IntoIterator,
-        I::Item: std::borrow::Borrow<Bank>,
+        I::Item: Borrow<Bank>,
     {
-        use std::borrow::Borrow;
+        self.run_batch_grained(queries, sink, JOINT_CHUNK_RESIDUES)
+    }
+
+    /// [`Session::run_batch`] with the chunk bound as a parameter, so tests
+    /// can cut a toy batch into chunks of every size.
+    fn run_batch_grained<I>(
+        &self,
+        queries: I,
+        sink: &mut dyn RecordSink,
+        bound: usize,
+    ) -> std::io::Result<BatchStats>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Bank>,
+    {
         let mut batch = BatchStats {
             subject: self.subject_stats(),
             ..BatchStats::default()
         };
-        for q in queries {
-            let stats = self.search_to_boundary(q.borrow(), sink)?;
-            batch.queries += 1;
+        for chunk in joint_chunks(queries, bound) {
+            let stats = self.search_to_boundaries(&chunk, sink)?;
+            batch.queries += chunk.len();
             batch.totals = batch.totals.merge(&stats);
         }
         Ok(batch)
@@ -618,8 +789,8 @@ impl From<DeadlineExceeded> for SearchError {
 
 /// Report of one [`Session::run_batch`]: the subject's one-time
 /// preparation cost (attributed **once**, regardless of how many queries
-/// amortize it) plus the running fold of the queries' own pipeline
-/// reports. Its size does not depend on the batch length.
+/// amortize it) plus the running fold of the chunks' pipeline reports.
+/// Its size does not depend on the batch length.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchStats {
     /// One-time subject preparation (both strands when configured) — the
@@ -636,16 +807,18 @@ impl BatchStats {
         self.queries
     }
 
-    /// The queries' reports merged in batch order, each counting exactly
-    /// 1 `index_builds` (its own preparation) and zero subject work (the
+    /// The chunks' reports merged in batch order, each counting exactly
+    /// 1 `index_builds` (its joint preparation) and zero subject work (the
     /// subject's one-time cost is *not* folded in — it lives in
-    /// [`BatchStats::subject`]).
+    /// [`BatchStats::subject`]). Counters other than `index_builds` are
+    /// the sums one search per query would report; `masked_fraction1` is
+    /// the largest masked fraction of any chunk's joint bank.
     pub fn query_totals(&self) -> PipelineStats {
         self.totals
     }
 
     /// Total index builds for the whole batch: the subject's once, plus
-    /// one per query.
+    /// one per chunk.
     pub fn total_index_builds(&self) -> u32 {
         self.subject.builds + self.totals.index_builds
     }
@@ -752,8 +925,8 @@ mod tests {
         // The double-count trap: a batch of N queries must not multiply
         // the subject's one-time index cost into every per-query report.
         // With both strands the subject costs 2 builds — they appear once
-        // in BatchStats::subject, while each per-query report counts
-        // exactly its own query's single build.
+        // in BatchStats::subject, while the batch's queries, one chunk,
+        // count the chunk's single build.
         let subject = bank(&[&format!("AA{CORE}TT")]);
         let queries = vec![
             bank(&[CORE]),
@@ -768,29 +941,37 @@ mod tests {
 
         assert_eq!(batch.queries(), 3);
         assert_eq!(batch.subject.builds, 2, "one build per subject strand");
-        // Totals: query builds sum WITHOUT the subject...
-        assert_eq!(batch.query_totals().index_builds, 3);
+        // Totals: the chunk's one build, WITHOUT the subject...
+        assert_eq!(batch.query_totals().index_builds, 1);
         // ...and the whole-batch figure adds the subject exactly once:
-        // 2 strand builds + 3 query builds — not the 3·(2+1) = 9 a
+        // 2 strand builds + 1 chunk build — not the 3·(2+1) = 9 a
         // per-query fold of compare_banks-style accounting would claim.
-        assert_eq!(batch.total_index_builds(), 5);
+        assert_eq!(batch.total_index_builds(), 3);
 
-        // The running totals are the fold of what the same queries report
-        // one at a time (the clock fields aside — those are measured).
+        // Every counter but the builds is the fold of what the same
+        // queries report one at a time (the clock fields aside — those
+        // are measured — and the footprints, which describe the one joint
+        // bank instead of the largest query).
         let mut folded = PipelineStats::default();
         for q in &queries {
             let single = session.run(q).stats;
             assert_eq!(single.index_builds, 1, "each query pays only its own build");
             folded = folded.merge(&single);
         }
-        let untimed = |s: PipelineStats| PipelineStats {
+        let counters = |s: PipelineStats| PipelineStats {
             index_secs: 0.0,
+            index_builds: 0,
             step2_secs: 0.0,
             step3_secs: 0.0,
             step4_secs: 0.0,
+            masked_fraction1: 0.0,
+            index_bytes: 0,
             ..s
         };
-        assert_eq!(untimed(batch.query_totals()), untimed(folded));
+        assert_eq!(counters(batch.query_totals()), counters(folded));
+        let joint = QueryChunk::prepare(&queries, cfg.filter, cfg.query_index_config());
+        let joint = *joint.prepared().stats();
+        assert_eq!(batch.query_totals().masked_fraction1, joint.masked_fraction);
         // And the batch record count matches the sink's contents.
         assert_eq!(batch.total_records() as usize, sink.records().len());
     }
@@ -973,5 +1154,217 @@ mod tests {
         assert_eq!(a.alignments, b.alignments);
         assert!(!a.alignments.is_empty());
         assert_eq!(loaded_session.subject_stats().builds, 0);
+    }
+
+    /// A batch searched in joint chunks against one search per member.
+    mod joint {
+        use super::*;
+        use crate::{step2, M8Record, M8Writer, StreamWriter};
+        use proptest::prelude::*;
+
+        /// Cores the subject carries and members plant; a poly-A run
+        /// gives the masks something to mask.
+        const CORES: [&str; 3] = [
+            CORE,
+            "GGCATTACGGATCCATTGGCCAATTGGCACGTACGTAACGGTTAACC",
+            "TTGACCGTAGGCATAACGGATCCATTGACGTTAGCAACGTACGATTG",
+        ];
+
+        fn subject() -> Bank {
+            bank(&[
+                &format!("CCGGAACCTT{}TTGGCCAACGGT{}", CORES[0], "A".repeat(40)),
+                &format!("GATTACA{}CC{}", CORES[1], CORES[2]),
+                &format!("{}ACGTTGCA", CORES[2].chars().rev().collect::<String>()),
+            ])
+        }
+
+        /// Members cut from `seqs`: record `r` gets the random stretch
+        /// `seqs[r]`, then per `shape[r]` a core, a poly-A run, nothing,
+        /// or it becomes an empty or an all-`N` record. Names repeat
+        /// across members (`q0`–`q2`), so members share names, not
+        /// sequences. `cut[r]` closes a member after record `r`.
+        fn members(seqs: &[String], shape: &[u8], cut: &[u8]) -> Vec<Bank> {
+            let mut out = Vec::new();
+            let mut b = BankBuilder::new();
+            let mut open = false;
+            for (r, seq) in seqs.iter().enumerate() {
+                let k = shape.get(r).copied().unwrap_or(0);
+                let record = match k {
+                    0 => String::new(),
+                    1 => "N".repeat(seq.len() + 12),
+                    2..=4 => format!("{seq}{}{seq}", CORES[usize::from(k) - 2]),
+                    5 => format!("{seq}{}", "A".repeat(30)),
+                    _ => seq.clone(),
+                };
+                b.push_str(&format!("q{}", r % 3), &record).unwrap();
+                open = true;
+                if cut.get(r).is_some_and(|&c| c == 0) {
+                    out.push(std::mem::replace(&mut b, BankBuilder::new()).finish());
+                    open = false;
+                }
+            }
+            if open {
+                out.push(b.finish());
+            }
+            out
+        }
+
+        /// The configuration `flags` and `threads` pick: both strands,
+        /// the asymmetric stride, and one of the three filters.
+        fn config(flags: u8, threads: usize) -> OrisConfig {
+            OrisConfig {
+                both_strands: flags & 1 != 0,
+                asymmetric: flags & 2 != 0,
+                filter: [FilterKind::None, FilterKind::Entropy, FilterKind::Dust]
+                    [usize::from(flags >> 2) % 3],
+                threads: Some([1, 2, 8][threads % 3]),
+                ..OrisConfig::small(9)
+            }
+        }
+
+        fn m8(records: &[M8Record]) -> Vec<u8> {
+            let mut w = M8Writer::new(Vec::new());
+            for r in records {
+                w.write_record(r).unwrap();
+            }
+            w.into_inner()
+        }
+
+        /// Every counter but the clocks, the builds and the footprints.
+        fn counters(s: PipelineStats) -> PipelineStats {
+            PipelineStats {
+                index_secs: 0.0,
+                index_builds: 0,
+                step2_secs: 0.0,
+                step3_secs: 0.0,
+                step4_secs: 0.0,
+                masked_fraction1: 0.0,
+                index_bytes: 0,
+                ..s
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Joint chunks of every size, 1 position up to the whole
+            /// batch, write the bytes and count the counters one search
+            /// per member does, under both strands, the asymmetric stride,
+            /// each filter and pools of 1, 2 and 8; and a chunk's step-2
+            /// HSPs are its members' HSPs, shifted.
+            #[test]
+            fn joint_equals_per_member(
+                seqs in proptest::collection::vec("[ACGTN]{0,40}", 1..12),
+                shape in proptest::collection::vec(0u8..8, 12),
+                cut in proptest::collection::vec(0u8..3, 12),
+                flags in 0u8..12,
+                threads in 0usize..3,
+                bound in 1usize..400,
+            ) {
+                let members = members(&seqs, &shape, &cut);
+                let subject = subject();
+                let cfg = config(flags, threads);
+                let session = Session::new(&subject, &cfg).unwrap();
+
+                let mut per_member = Vec::new();
+                let mut folded = PipelineStats::default();
+                for m in &members {
+                    let r = session.run(m);
+                    per_member.extend(r.alignments);
+                    folded = folded.merge(&r.stats);
+                }
+                let mut sink = StreamWriter::new(Vec::new());
+                let batch = session.run_batch_grained(&members, &mut sink, bound).unwrap();
+                prop_assert_eq!(batch.queries(), members.len());
+                prop_assert!(sink.into_inner() == m8(&per_member), "bytes differ");
+                prop_assert_eq!(counters(batch.query_totals()), counters(folded));
+                let chunks = joint_chunks(&members, bound).count() as u32;
+                prop_assert_eq!(batch.query_totals().index_builds, chunks);
+
+                // Step 2 over the whole batch as one chunk.
+                let joint = QueryChunk::prepare(&members, cfg.filter, cfg.query_index_config());
+                let (jb, ji) = (joint.prepared().bank(), joint.prepared().index());
+                let (sb, si) = (session.subject().bank(), session.subject().index());
+                let (hsps, s2) = session.install(|| step2::find_hsps(jb, ji, sb, si, &cfg));
+                let mut pairs = 0;
+                let mut first = 0;
+                for m in &members {
+                    let prep = PreparedBank::prepare(m, cfg.filter, cfg.query_index_config());
+                    let (own, own2) = step2::find_hsps(m, prep.index(), sb, si, &cfg);
+                    pairs += own2.pairs_examined;
+                    let records = first..first + m.num_sequences();
+                    first = records.end;
+                    let Some(&r0) = m.records().first().map(|_| &records.start) else {
+                        continue;
+                    };
+                    let shift = (jb.record(r0).start - m.record(0).start) as u32;
+                    let mine: Vec<crate::Hsp> = hsps
+                        .iter()
+                        .filter(|h| jb.locate(h.start1 as usize).is_some_and(|r| records.contains(&r)))
+                        .map(|h| crate::Hsp { start1: h.start1 - shift, ..*h })
+                        .collect();
+                    prop_assert_eq!(mine, own);
+                }
+                prop_assert_eq!(s2.pairs_examined, pairs);
+            }
+        }
+
+        #[test]
+        fn members_sharing_a_name_keep_their_own_records() {
+            // Three members named alike: two carry different cores, one
+            // carries nothing. Each gets its own records, priced against
+            // its own residues, at its own boundary.
+            let subject = subject();
+            let named = |seq: &str| bank(&[seq]);
+            let members = vec![
+                named(&format!("ACGT{}TTGA", CORES[0])),
+                named("ACGTTGCAAGGCTTAACGTACGGATC"),
+                named(&format!("{}{}", CORES[1], "GATTACA".repeat(9))),
+            ];
+            assert!(members.iter().all(|m| m.record(0).name == "s0"));
+            let cfg = OrisConfig::small(9);
+            let session = Session::new(&subject, &cfg).unwrap();
+            let mut sink = CollectSink::new();
+            let batch = session.run_batch(&members, &mut sink).unwrap();
+            assert_eq!(batch.query_totals().index_builds, 1, "one chunk");
+            let expected: Vec<M8Record> = members
+                .iter()
+                .flat_map(|m| session.run(m).alignments)
+                .collect();
+            assert!(expected.iter().any(|r| r.qend > CORES[0].len()));
+            assert_eq!(sink.into_records(), expected);
+        }
+
+        #[test]
+        fn empty_and_all_n_members_are_empty_boundaries() {
+            // An empty record and an all-N record index nothing and align
+            // nowhere: each is a boundary with no record, between members
+            // that do align, in one chunk.
+            struct Boundaries(Vec<usize>, usize);
+            impl RecordSink for Boundaries {
+                fn accept(&mut self, _rec: M8Record) {
+                    self.1 += 1;
+                }
+                fn end_query(&mut self) -> std::io::Result<()> {
+                    self.0.push(std::mem::take(&mut self.1));
+                    Ok(())
+                }
+            }
+            let members = vec![
+                bank(&[CORES[0]]),
+                bank(&[""]),
+                bank(&[&"N".repeat(50)]),
+                bank(&[CORES[1]]),
+            ];
+            let subject = subject();
+            let cfg = OrisConfig::small(9);
+            let session = Session::new(&subject, &cfg).unwrap();
+            let mut sink = Boundaries(Vec::new(), 0);
+            let batch = session.run_batch(&members, &mut sink).unwrap();
+            assert_eq!(batch.query_totals().index_builds, 1, "one chunk");
+            assert_eq!(sink.0.len(), 4);
+            assert_eq!(sink.0[1..3], [0, 0]);
+            assert!(sink.0[0] > 0 && sink.0[3] > 0, "{:?}", sink.0);
+        }
     }
 }

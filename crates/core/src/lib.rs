@@ -40,10 +40,12 @@
 //! under tied e-values.
 //!
 //! **Batch front-end**: [`engine::Session::run_batch`] runs N query banks
-//! against the prepared subject, streaming each query's records out (one
-//! `end_query` boundary per bank) and freeing its working set before the
-//! next query starts. [`engine::BatchStats`] reports the subject's
-//! one-time cost exactly once plus a per-query report each.
+//! against the prepared subject in chunks ([`engine::QueryChunk`]): each
+//! chunk of banks is joined into one bank and searched once, then each
+//! bank's records stream out at its own `end_query` boundary, and the
+//! chunk's working set is freed before the next chunk starts.
+//! [`engine::BatchStats`] reports the subject's one-time cost exactly once
+//! plus the fold of the chunks' reports.
 //!
 //! * [`compare_banks`] — the single-shot two-bank call: one throwaway
 //!   session, one [`engine::Session::run`], the subject's preparation
@@ -54,10 +56,10 @@
 //! [`engine::PreparedBank`] attached from disk
 //! ([`engine::PreparedBank::from_index_owned`], mmap-backed via
 //! `oris_index::mmap`). Per volume the search goes through
-//! [`engine::Session::search`] — record pushes without the query
-//! boundary — and the database session fires the sink's single
-//! `end_query` after the last volume, so one boundary sort merges all
-//! volumes and multi-volume output stays byte-identical to a
+//! [`engine::Session::search_chunk`] — each query's records and counters
+//! without the query boundary — and the database session fires each
+//! query's single `end_query` after the last volume, so one boundary sort
+//! merges all volumes and multi-volume output stays byte-identical to a
 //! concatenated single-bank run. E-values price the subject side under
 //! [`config::OrisConfig::subject_space`]: the SCORIS-N per-sequence
 //! convention by default, or a database-wide residue total
@@ -78,8 +80,9 @@
 //!     println!("{} alignments", result.alignments.len());
 //! }
 //!
-//! // Streamed: records leave as each query finishes; memory stays at one
-//! // query's working set no matter how many queries the batch holds.
+//! // Streamed: records leave as each chunk of queries finishes; memory
+//! // stays at one chunk's working set no matter how many queries the
+//! // batch holds.
 //! let mut sink = StreamWriter::new(std::io::stdout().lock());
 //! let batch = session.run_batch(&queries, &mut sink).unwrap();
 //! eprintln!(
@@ -137,9 +140,12 @@ pub mod step4;
 
 pub use config::{FilterKind, OrisConfig};
 pub use deadline::{Deadline, DeadlineExceeded};
-pub use engine::{BatchStats, PrepareStats, PreparedBank, SearchError, Session};
+pub use engine::{
+    joint_chunks, BatchStats, PrepareStats, PreparedBank, QueryChunk, SearchError, Session,
+    JOINT_CHUNK_RESIDUES,
+};
 pub use hsp::Hsp;
 pub use m8::{M8Record, M8Writer};
-pub use pipeline::{compare_banks, OrisResult, PipelineStats};
+pub use pipeline::{compare_banks, MemberResult, OrisResult, PipelineStats};
 pub use sink::{CollectSink, RecordSink, StreamWriter};
 pub use space::SubjectSpace;

@@ -5,11 +5,12 @@
 //! merge in the sink's boundary sort). [`compare_banks`] is the
 //! single-shot call that glues the two together.
 //!
-//! Steps 2–4 are **sink-driven**: the per-strand runner
-//! (`run_prepared_pipeline_into`) pushes records into a caller-supplied
-//! callback as step 3 finishes each `(query, subject)` record-pair group.
-//! Materializing a whole result is a *sink policy* (`CollectSink`), not a
-//! pipeline property.
+//! Steps 2–4 stream per group: the per-strand runner
+//! (`run_prepared_pipeline_into`) turns each `(query, subject)` record-pair
+//! group into records as soon as step 3 finishes it, and files them under
+//! the *member* — the query bank of a joint chunk — that owns the group's
+//! query record (`Members`), with step 4 pricing each against that
+//! member's own residues. A lone query bank is a chunk of one member.
 
 use oris_obs::{Field, Obs, Stopwatch};
 use oris_seqio::Bank;
@@ -20,7 +21,7 @@ use crate::engine::{PreparedBank, Session};
 use crate::hsp::Hsp;
 use crate::m8::M8Record;
 use crate::step2::{self, Step2Stats};
-use crate::step3::{self, GappedAlignment, Step3Stats};
+use crate::step3::{self, Step3Stats};
 use crate::step4::{self, Step4Stats};
 
 /// Timing and counter report for one pipeline run.
@@ -107,6 +108,86 @@ pub(crate) enum SubjectStrand {
     Minus,
 }
 
+/// The query banks ("members") a joint query bank was concatenated from,
+/// in order: member `m` owns the bank's records
+/// `first_record[m] .. first_record[m + 1]`, and its e-values are priced
+/// against its own residues, so a member's records come out exactly as a
+/// search of that bank alone would produce them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Members {
+    /// One entry per member plus the record count.
+    first_record: Vec<usize>,
+    /// Each member's residues: its step-4 query search space.
+    residues: Vec<usize>,
+}
+
+impl Members {
+    /// A bank of `records` records searched as one member whose e-values
+    /// are priced against `residues` query residues.
+    pub(crate) fn one(records: usize, residues: usize) -> Members {
+        Members {
+            first_record: vec![0, records],
+            residues: vec![residues],
+        }
+    }
+
+    /// The members of a bank concatenated from `banks`, in order.
+    pub(crate) fn of<B: std::borrow::Borrow<Bank>>(banks: &[B]) -> Members {
+        let mut first_record = vec![0];
+        let mut residues = Vec::with_capacity(banks.len());
+        for bank in banks {
+            let bank = bank.borrow();
+            first_record.push(first_record[first_record.len() - 1] + bank.num_sequences());
+            residues.push(bank.num_residues());
+        }
+        Members {
+            first_record,
+            residues,
+        }
+    }
+
+    /// Number of members.
+    pub(crate) fn len(&self) -> usize {
+        self.residues.len()
+    }
+
+    /// The member owning query record `record`. An empty member owns no
+    /// record, so the last member starting at or before it is the owner.
+    fn of_record(&self, record: usize) -> usize {
+        self.first_record.partition_point(|&f| f <= record) - 1
+    }
+}
+
+/// One member's share of a joint search against one subject: its records
+/// (arrival order — the boundary sort at `end_query` orders them) and its
+/// own step-3/4 counters. Step 3 groups by query record, so those counters
+/// belong to exactly one member; step 2's do not and are reported once,
+/// for the whole chunk.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MemberResult {
+    /// The member's records, unsorted.
+    pub records: Vec<M8Record>,
+    /// Gapped alignments out of step 3 for the member (pre e-value filter).
+    pub raw_alignments: usize,
+    /// The member's step-3 counters.
+    pub step3: Step3Stats,
+    /// The member's step-4 counters.
+    pub step4: Step4Stats,
+}
+
+impl MemberResult {
+    /// The member's counters as a pipeline report: steps 3–4 only, no
+    /// step-2 work, no seconds.
+    pub fn stats(&self) -> PipelineStats {
+        PipelineStats {
+            raw_alignments: self.raw_alignments,
+            step3: self.step3,
+            step4: self.step4,
+            ..PipelineStats::default()
+        }
+    }
+}
+
 /// Report of one fused steps-3+4 streaming stage ([`gapped_stage_into`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GappedStageReport {
@@ -123,22 +204,23 @@ pub struct GappedStageReport {
 }
 
 /// Fused steps 3+4 over step-2 HSPs: each record-pair group's alignments
-/// go straight through step 4 into `push` the moment step 3 finishes the
-/// group, and are freed — the whole-run alignment vector of the
-/// collect-then-merge pipeline never exists. Step 4 runs inside step 3's
+/// go straight through step 4 the moment step 3 finishes the group, and
+/// are freed — the whole-run alignment vector of the collect-then-merge
+/// pipeline never exists. Step 4 runs inside step 3's
 /// emission, so its seconds are metered separately and subtracted from
 /// the fused region's wall clock.
 ///
-/// Shared by the ORIS per-strand runner and the BLAST baseline's gapped
-/// stage (the engines differ in hit *detection* only — keeping the
+/// The BLAST baseline's gapped stage: one member over the ORIS runner's
+/// routed stage (the engines differ in hit *detection* only — keeping the
 /// result path literally the same code is what keeps the baseline
-/// comparable). `query_residues` is the e-value search-space size on the
-/// query side (the full bank for a batched baseline run); with
-/// `flip_subject`, subject coordinates are mapped back to the original
-/// records' plus-strand numbering *here*, where each alignment still
-/// resolves to a record index — a name-keyed mapping after the fact
-/// would corrupt coordinates whenever bank 2 carries duplicate record
-/// names.
+/// comparable). Records reach `push` once the stage is done.
+/// `query_residues` is the e-value
+/// search-space size on the query side (the full bank for a batched
+/// baseline run); with `flip_subject`, subject coordinates are mapped back
+/// to the original records' plus-strand numbering *here*, where each
+/// alignment still resolves to a record index — a name-keyed mapping after
+/// the fact would corrupt coordinates whenever bank 2 carries duplicate
+/// record names.
 pub fn gapped_stage_into(
     bank1: &Bank,
     bank2: &Bank,
@@ -148,38 +230,72 @@ pub fn gapped_stage_into(
     flip_subject: bool,
     push: &mut dyn FnMut(M8Record),
 ) -> GappedStageReport {
+    let members = Members::one(bank1.num_sequences(), query_residues);
+    let mut out = [MemberResult::default()];
+    let report = gapped_stage_routed(bank1, &members, bank2, hsps, cfg, flip_subject, &mut out);
+    let [out] = out;
+    out.records.into_iter().for_each(push);
+    report
+}
+
+/// [`gapped_stage_into`] over a joint query bank: each group's records
+/// and counters are added to the member owning its query record, `out[m]`,
+/// with e-values priced against that member's residues.
+fn gapped_stage_routed(
+    bank1: &Bank,
+    members: &Members,
+    bank2: &Bank,
+    hsps: &[Hsp],
+    cfg: &OrisConfig,
+    flip_subject: bool,
+    out: &mut [MemberResult],
+) -> GappedStageReport {
     let t0 = Stopwatch::start();
     let mut report = GappedStageReport::default();
-    let mut emit = |alns: Vec<GappedAlignment>| {
+    let mut emit = |alns: Vec<step3::GappedAlignment>, s3: Step3Stats| {
         let t4 = Stopwatch::start();
-        report.raw_alignments += alns.len();
+        // Every group holds at least one alignment (its first HSP is
+        // never contained), and all of them share one query record.
+        let record = bank1
+            .locate(alns[0].start1)
+            .expect("alignment start must lie inside a query sequence");
+        let m = members.of_record(record);
+        let member = &mut out[m];
+        let mut s4 = Step4Stats::default();
         step4::emit_records(
             bank1,
             bank2,
             &alns,
             cfg,
-            query_residues,
+            members.residues[m],
             flip_subject,
-            &mut report.step4,
-            push,
+            &mut s4,
+            &mut |rec| member.records.push(rec),
         );
+        member.raw_alignments += alns.len();
+        member.step3 = member.step3.merge(s3);
+        member.step4 = member.step4.merge(s4);
+        report.raw_alignments += alns.len();
+        report.step4 = report.step4.merge(s4);
         report.step4_secs += t4.elapsed_secs();
     };
-    report.step3 = step3::gapped_alignments_into(bank1, bank2, hsps, cfg, &mut emit);
+    report.step3 = step3::gapped_groups_into(bank1, bank2, hsps, cfg, &mut emit);
     report.step3_secs = (t0.elapsed_secs() - report.step4_secs).max(0.0);
     report
 }
 
-/// Steps 2–4 against prepared banks, streaming records into `push` as
-/// step 3 finishes each record-pair group (unsorted — ordering is the
-/// sink's job at the query boundary). Step 1 does not run here: the
+/// Steps 2–4 of one joint query bank against one prepared subject strand:
+/// step 2 once over the whole bank, then each step-3 group's records and
+/// counters filed under the member that owns its query record
+/// (`out[m]`, added to what it holds). Step 1 does not run here: the
 /// report's step-1 fields describe the prepared artifacts (masked
 /// fractions, resident index bytes) with zero build time and zero builds.
+/// The report's step-3/4 counters are the members' summed.
 ///
 /// `deadline` is the cooperative cancellation token, consulted at step-2
 /// partition boundaries (and within hot partitions — see
 /// [`step2::find_hsps_guarded`]); an expiry aborts the strand before
-/// the gapped stage pushes anything further. Disarmed
+/// the gapped stage adds anything further. Disarmed
 /// ([`Deadline::none`]) it costs one dead branch and the run is
 /// infallible.
 ///
@@ -189,10 +305,11 @@ pub fn gapped_stage_into(
 /// emission is one branch.
 pub(crate) fn run_prepared_pipeline_into(
     query: &PreparedBank<'_>,
+    members: &Members,
     subject: &PreparedBank<'_>,
     cfg: &OrisConfig,
     strand: SubjectStrand,
-    push: &mut dyn FnMut(M8Record),
+    out: &mut [MemberResult],
     deadline: &Deadline,
     obs: &Obs,
 ) -> Result<PipelineStats, DeadlineExceeded> {
@@ -222,14 +339,14 @@ pub(crate) fn run_prepared_pipeline_into(
 
     // ---- Steps 3+4, fused per group --------------------------------------
     let step3_span = obs.span("step3");
-    let r = gapped_stage_into(
+    let r = gapped_stage_routed(
         bank1,
+        members,
         bank2,
         &hsps,
         cfg,
-        bank1.num_residues(),
         matches!(strand, SubjectStrand::Minus),
-        push,
+        out,
     );
     drop(step3_span);
     obs.point(

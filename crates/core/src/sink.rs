@@ -34,6 +34,14 @@ pub trait RecordSink {
     /// One record of the current query's stream.
     fn accept(&mut self, rec: M8Record);
 
+    /// Many records of the current query's stream, in order — what a
+    /// search staged for one query. The buffering sinks take the vector
+    /// itself when their query buffer is empty, so a query's records are
+    /// not held twice while they change hands.
+    fn accept_all(&mut self, recs: Vec<M8Record>) {
+        recs.into_iter().for_each(|rec| self.accept(rec));
+    }
+
     /// The current query's stream is complete. IO-backed sinks sort and
     /// flush the query's records here; the error channel exists for them
     /// (in-memory sinks never fail).
@@ -71,6 +79,10 @@ impl CollectSink {
 impl RecordSink for CollectSink {
     fn accept(&mut self, rec: M8Record) {
         self.records.push(rec);
+    }
+
+    fn accept_all(&mut self, recs: Vec<M8Record>) {
+        take_or_extend(&mut self.records, recs);
     }
 
     fn end_query(&mut self) -> io::Result<()> {
@@ -117,6 +129,10 @@ impl<W: Write> RecordSink for StreamWriter<W> {
         self.pending.push(rec);
     }
 
+    fn accept_all(&mut self, recs: Vec<M8Record>) {
+        take_or_extend(&mut self.pending, recs);
+    }
+
     fn end_query(&mut self) -> io::Result<()> {
         self.pending.sort_by(|x, y| x.total_order(y));
         for rec in self.pending.drain(..) {
@@ -126,6 +142,15 @@ impl<W: Write> RecordSink for StreamWriter<W> {
         // its high-water allocation for the rest of the batch.
         self.pending = Vec::new();
         self.writer.flush()
+    }
+}
+
+/// Appends `recs` to `buf`, taking the vector itself when `buf` is empty.
+fn take_or_extend(buf: &mut Vec<M8Record>, recs: Vec<M8Record>) {
+    if buf.is_empty() {
+        *buf = recs;
+    } else {
+        buf.extend(recs);
     }
 }
 

@@ -88,12 +88,13 @@
 //! Doubling the grain would halve that, but it would also keep queries of
 //! 16–32 k pairs on one thread, and no benchmark workload sits in that
 //! band to show which is better, so the constant stays. A 150-nt read
-//! against one database volume pays none of it: it meets about 44 pairs
-//! (532 546 pairs over 12 000 (read, volume) calls on the benchmark's
-//! `reads_db_batch`), far under one grain. The chunk count never changes
-//! the output, so the grain is a constant, not an option — the third
-//! such call-site threshold after step 3's `INLINE_WAVE_HSPS` and the
-//! index build's `PAR_GRAIN`.
+//! alone against one database volume pays none of it: it meets about 44
+//! pairs, far under one grain. Searched as one chunk, the benchmark's
+//! `reads_db_batch` reads meet ~133 000 pairs per volume (532 546 over
+//! four), eight grains, and split across the workers. The chunk count
+//! never changes the output, so the grain is a constant, not an option —
+//! the third such call-site threshold after step 3's `INLINE_WAVE_HSPS`
+//! and the index build's `PAR_GRAIN`.
 //!
 //! The enumeration, and the work scan unless both indexes are dense, drive
 //! from the *populated* rows of whichever index holds fewer distinct codes
@@ -103,28 +104,30 @@
 //! and at W = 11 the sweep would visit 4 M codes to find a few thousand
 //! populated ones.
 //!
-//! **Partner-row lookups.** Each driving row needs its partner's row, and
-//! for a short read that lookup, not the pair, is the cost. A 150-nt read
-//! drives about 139 lookups per volume (1 671 944 over `reads_db_batch`'s
-//! 12 000 calls) into a volume's sparse table: 8.4 MB mapped from disk,
-//! cold after the three other volumes. One at a time, each lookup is two
-//! or three dependent misses and cost 52–79 ns; at 0.32 pairs per lookup,
-//! the lookups took more of step 2 than the pairs did. So the walk pulls
-//! [`LOOKUP_BATCH`] driving rows ahead and resolves all their partners in
-//! one [`oris_index::BankIndex::occurrences_batch`]: every home slot first,
-//! then every key, so a batch's misses are in flight together instead of
-//! each waiting on the one before. That took the lookup to 31–41 ns and
-//! step 2 on `reads_db_batch` from 175–197 ms to 120–145 ms (in-process,
-//! one thread, 2-vCPU Xeon VM, runs spread over an hour). On a bank
-//! against a bank the partner is often dense, and a dense batch is the
-//! same loop as before. Codes and pairs are visited in the same order
+//! **Partner-row lookups.** Each driving row needs its partner's row. The
+//! driving rows arrive in ascending code order within a range, so the
+//! partner is resolved by a forward [`oris_index::RowCursor`]: one offsets
+//! load on a dense partner, a gallop through the sorted code list from the
+//! previous answer on a sparse one. On `reads_db_batch` (3 000 reads of
+//! 150 nt against four volumes) the reads' joint chunk drives 289 583
+//! codes into volumes of ~343 000, so consecutive partner rows sit a probe
+//! or two apart in memory the walk streams anyway: ~18 ns a lookup, where
+//! the hashed slot table this replaced took 31–41 ns with its lookups
+//! batched. A lone 150-nt read drives ~139 codes spread over a whole
+//! volume and pays ~0.3 µs a lookup (in-process, one thread, 2-vCPU Xeon
+//! VM); reads are searched in chunks (see `engine.rs`), so only a caller
+//! that searches one read at a time pays it. The walk still pulls 32
+//! driving rows ahead of their partner lookups, so a dense partner's
+//! offsets misses overlap: resolving each row's partner inside the walk
+//! made `find_hsps` on 4.9 × 2.8 Mbp random banks 5–10 % slower
+//! (in-process, one thread). Codes and pairs are visited in the same order
 //! either way.
 
 use std::convert::Infallible;
 use std::ops::Range;
 
 use oris_align::{extend_hit, ExtensionOutcome, OrderGuard, UngappedParams};
-use oris_index::{BankIndex, SeedCoder, LOOKUP_BATCH};
+use oris_index::{BankIndex, SeedCoder};
 use oris_seqio::Bank;
 use rayon::prelude::*;
 
@@ -227,10 +230,7 @@ fn partition_codes_grained(
         }
     } else {
         // Only codes populated in the driving index are visited: a code
-        // missing from either index carries zero work. Partner rows are
-        // looked up in batches like the walk: at two threads every short
-        // read runs this pass against each volume, and a scalar scan there
-        // cost as much as the batched walk saved.
+        // missing from either index carries zero work.
         let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |c, x1, x2| {
             let work = work(x1, x2);
             blocks[(c >> shift) as usize] += work;
@@ -289,15 +289,16 @@ fn work(x1: &[u32], x2: &[u32]) -> u64 {
 
 /// Calls `f(code, X1, X2)` for every code of `codes` populated in the
 /// driving index — whichever index holds fewer distinct codes; for a read
-/// against a volume, the read's — in ascending code order, and returns
-/// the first error `f` does. The partner's row may be empty: a caller
-/// that only sums `|X1|·|X2|` is then branch-free, where a skip would be
-/// an unpredictable branch on every code. Every code populated in both
-/// indexes is visited, as a `for code in codes` sweep over `occurrences`
-/// would. [`LOOKUP_BATCH`] driving rows are pulled ahead into stack
-/// arrays (about 1 KB) and their partner rows resolved in one
-/// [`BankIndex::occurrences_batch`] call, so a cold table's misses
-/// overlap.
+/// chunk against a volume, usually the chunk's — in ascending code order,
+/// and returns the first error `f` does. The partner's row may be empty:
+/// a caller that only sums `|X1|·|X2|` is then branch-free, where a skip
+/// would be an unpredictable branch on every code. Every code populated in
+/// both indexes is visited, as a `for code in codes` sweep over
+/// `occurrences` would. [`ROWS_AHEAD`] driving rows are pulled ahead into
+/// stack arrays and their partner rows resolved together by a
+/// [`oris_index::RowCursor`] started at the range's first code, so on a
+/// dense partner the offsets loads of a round are independent and their
+/// misses overlap.
 #[inline]
 fn for_each_seed<'i, E>(
     idx1: &'i BankIndex,
@@ -311,10 +312,11 @@ fn for_each_seed<'i, E>(
     } else {
         (idx2, idx1)
     };
+    let mut partner = other.cursor_from(codes.start);
     let mut rows = drive.populated_in(codes);
-    let mut code = [0u32; LOOKUP_BATCH];
-    let mut x1: [&[u32]; LOOKUP_BATCH] = [&[]; LOOKUP_BATCH];
-    let mut x2: [&[u32]; LOOKUP_BATCH] = [&[]; LOOKUP_BATCH];
+    let mut code = [0u32; ROWS_AHEAD];
+    let mut x1: [&[u32]; ROWS_AHEAD] = [&[]; ROWS_AHEAD];
+    let mut x2: [&[u32]; ROWS_AHEAD] = [&[]; ROWS_AHEAD];
     loop {
         let (drive_rows, partner_rows) = if drive_is_1 {
             (&mut x1, &mut x2)
@@ -322,20 +324,27 @@ fn for_each_seed<'i, E>(
             (&mut x2, &mut x1)
         };
         let mut n = 0;
-        for (c, row) in rows.by_ref().take(LOOKUP_BATCH) {
+        for (c, row) in rows.by_ref().take(ROWS_AHEAD) {
             code[n] = c;
             drive_rows[n] = row;
             n += 1;
         }
-        other.occurrences_batch(&code[..n], &mut partner_rows[..n]);
+        for (out, &c) in partner_rows[..n].iter_mut().zip(&code[..n]) {
+            *out = partner.seek(c);
+        }
         for i in 0..n {
             f(code[i], x1[i], x2[i])?;
         }
-        if n < LOOKUP_BATCH {
+        if n < ROWS_AHEAD {
             return Ok(());
         }
     }
 }
+
+/// Driving rows [`for_each_seed`] pulls ahead of its partner lookups:
+/// enough independent loads in flight to cover a dense partner's
+/// offsets misses, few enough that a round is about 1 KB of stack.
+const ROWS_AHEAD: usize = 32;
 
 /// Occurrence pairs extended per batch: [`process_code_range`] collects
 /// this many `(a, b, code)` triples, touching their flanks as it goes —

@@ -267,6 +267,19 @@ pub fn gapped_alignments_into(
     cfg: &OrisConfig,
     emit: &mut dyn Step3Emit,
 ) -> Step3Stats {
+    gapped_groups_into(bank1, bank2, hsps, cfg, &mut |alns, _| emit.group(alns))
+}
+
+/// [`gapped_alignments_into`] handing each group's own counters to
+/// `emit` beside its alignments, so a caller can book them to the query
+/// record the group belongs to. Returns the counters summed.
+pub(crate) fn gapped_groups_into(
+    bank1: &Bank,
+    bank2: &Bank,
+    hsps: &[Hsp],
+    cfg: &OrisConfig,
+    emit: &mut dyn FnMut(Vec<GappedAlignment>, Step3Stats),
+) -> Step3Stats {
     let params = GappedParams {
         scheme: cfg.scheme,
         xdrop: cfg.xdrop_gapped,
@@ -317,7 +330,7 @@ pub fn gapped_alignments_into(
         };
         for (alns, s) in done {
             stats = stats.merge(s);
-            emit.group(alns);
+            emit(alns, s);
         }
     }
     stats

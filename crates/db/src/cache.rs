@@ -6,7 +6,7 @@
 //! a pure function of three things: the query bank's content, the volume
 //! bank's content, and the search configuration. [`ResultCache`] memoizes
 //! exactly that function — each entry holds one `(query, volume)` pair's
-//! staged records plus its [`PipelineStats`], keyed by
+//! staged records plus the query's own step-3/4 [`PipelineStats`], keyed by
 //! [`CacheKey`]'s three content fingerprints — under a **bounded-memory
 //! LRU**: memory never grows with query-history length, and the entry
 //! given up first is the least recently used one.
@@ -58,13 +58,15 @@ pub struct CacheKey {
 }
 
 /// One cached `(query, volume)` result: the records a fresh search of
-/// that volume would stage, plus its pipeline report.
+/// that volume would stage for the query, plus the query's own counters.
 #[derive(Debug, Clone)]
 pub struct CachedVolume {
     /// Per-volume records in staging (arrival) order.
     pub records: Vec<M8Record>,
-    /// The volume search's pipeline report (replayed on a hit so merged
-    /// per-query stats keep counting cached volumes' work).
+    /// The query's own step-3/4 counters on the volume (replayed on a hit
+    /// so merged stats keep counting cached volumes' work). A query is
+    /// searched in a chunk of queries, and step 2's counters belong to the
+    /// chunk, so they are not part of an entry.
     pub stats: PipelineStats,
     /// Approximate heap bytes this entry charges against the budget.
     bytes: usize,

@@ -22,9 +22,7 @@ pub struct AttachedVolumeStats {
     pub attach_secs: f64,
     /// Heap bytes of the attached index. For an mmap attach the postings,
     /// row boundaries and code list stay in the page cache, and the heap
-    /// holds the copied bit-set (`len/8` bytes) plus, for a sparse index,
-    /// the slot table derived from its code list: `4·2^⌈log₂ 2k⌉` bytes
-    /// for k populated codes (4.2 MB at k ≈ 2^19).
+    /// holds the copied bit-set alone (`len/8` bytes).
     pub index_heap_bytes: usize,
     /// Whether the index sections are mmap-backed.
     pub mmap_backed: bool,

@@ -33,7 +33,10 @@
 //!   [`RecordSink`](oris_core::RecordSink) whose single boundary sort
 //!   (under `M8Record::total_order`) merges them — so multi-volume
 //!   output is **byte-identical** to a single-bank run over the
-//!   concatenated input.
+//!   concatenated input. A batch ([`DbSession::run_batch`]) is searched
+//!   in chunks of queries joined into one bank
+//!   ([`oris_core::QueryChunk`]): one search per (chunk, volume), then
+//!   each query's records replayed at its own boundary.
 //!
 //! E-values are computed over the **database-wide** effective search
 //! space: [`DbSession`] sets
@@ -76,7 +79,7 @@
 //! * **Sink atomicity** — a query that fails for any reason other than
 //!   the sink's own `end_query` ([`DbError::Sink`]) leaves the caller's
 //!   sink untouched, under every option: all volumes' records are staged
-//!   until the whole query completed. What this costs is stated on
+//!   until the whole query (in a batch, its whole chunk) completed. What this costs is stated on
 //!   [`DbSession::run_query_deadline`]: one query's records are resident
 //!   before the sink sees the first, whatever the sink would have kept.
 //! * **Offline verification** — [`verify_db`] (the `verifydb` binary) is

@@ -14,17 +14,26 @@
 //!   skipped and retried plus the residue coverage fraction, so a
 //!   degraded result is explicitly labeled rather than silently partial.
 //! * [`DbOptions::deadline`] / [`DbSession::run_query_deadline`] — a
-//!   cooperative per-query budget checked at volume and step-2
-//!   partition boundaries; expiry returns a clean
-//!   [`DbError::DeadlineExceeded`] with the caller's sink untouched and
-//!   the session ready for the next query.
+//!   cooperative budget checked at volume and step-2 partition
+//!   boundaries; expiry returns a clean [`DbError::DeadlineExceeded`]
+//!   with the caller's sink untouched by the expired search and the
+//!   session ready for the next one.
+//!
+//! A batch ([`DbSession::run_batch`]) is searched in chunks: the queries
+//! are pulled into chunks of at most [`oris_core::JOINT_CHUNK_RESIDUES`]
+//! bank positions, the queries of a chunk the result cache does not
+//! serve are joined into one bank ([`oris_core::QueryChunk`]), and steps
+//! 1–3 run once per (chunk, volume). Each query still gets exactly the
+//! records, boundary and report a search of it alone would give it. A
+//! single query is a chunk of one.
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use oris_core::{
-    CollectSink, Deadline, DeadlineExceeded, M8Record, OrisConfig, PipelineStats, PreparedBank,
-    RecordSink, Session, SubjectSpace,
+    joint_chunks, Deadline, DeadlineExceeded, MemberResult, OrisConfig, PipelineStats, QueryChunk,
+    RecordSink, Session, SubjectSpace, JOINT_CHUNK_RESIDUES,
 };
 use oris_obs::{names, Field, Obs};
 use oris_seqio::Bank;
@@ -33,10 +42,10 @@ use rayon::prelude::*;
 use crate::cache::{self, CacheCounters, CacheKey, CachedVolume, ResultCache};
 use crate::database::{Database, DbError};
 
-/// One volume's staged search output: its records (arrival order, the
-/// boundary sort happens at `end_query`) and the pipeline stats of the
-/// search that produced them.
-type Staged = (Vec<M8Record>, PipelineStats);
+/// One volume's staged search of a chunk: the chunk's report (step 2 once
+/// for the chunk) and each joined query's records (arrival order, the
+/// boundary sort happens at `end_query`) and own step-3/4 counters.
+type Staged = (PipelineStats, Vec<MemberResult>);
 
 /// What a [`DbSession`] does when a volume fails to attach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,16 +67,19 @@ pub enum OnVolumeError {
 pub struct DbOptions {
     /// Maximum volumes held attached at once. `0` (the default) keeps
     /// every volume attached after its first use — cheap under mmap,
-    /// where an attached volume's heap cost is its bank, its bit-set and,
-    /// for a sparse index, the slot table derived from its code list
-    /// (`4·2^⌈log₂ 2k⌉` bytes for k populated codes), not its postings. A small window (e.g. 1) re-attaches volumes per
-    /// query and bounds resident memory to one volume's working set.
+    /// where an attached volume's heap cost is its bank and its bit-set,
+    /// not its code list or postings. A small window (e.g. 1) re-attaches
+    /// volumes per chunk of queries and bounds resident memory to one
+    /// volume's working set beside the chunk's.
     pub window: usize,
     /// Volume-failure policy (see [`OnVolumeError`]).
     pub on_volume_error: OnVolumeError,
     /// Per-query deadline. `None` (the default) runs unguarded;
-    /// `Some(budget)` arms a fresh [`Deadline`] for each query (see
-    /// [`DbSession::run_query_deadline`] for the guarantees).
+    /// `Some(budget)` arms a fresh [`Deadline`] for each chunk of queries
+    /// when its search starts: `n × budget` for the `n` queries the chunk
+    /// searches (one, for [`DbSession::run_query_reported`]). See
+    /// [`DbSession::run_query_deadline`] for the guarantees and
+    /// [`DbSession::run_batch`] for what an expiry ends.
     pub deadline: Option<Duration>,
     /// Worker threads fanning one query's volume searches out in
     /// parallel: the width of the one parallel map that runs them. `1`
@@ -144,7 +156,7 @@ pub struct VolumeCost {
     pub strand_build_secs: f64,
     /// Heap bytes of the most recent attach: the bank plus
     /// [`crate::database::AttachedVolumeStats::index_heap_bytes`] (for an mmap
-    /// attach, the bit-set and a sparse index's derived slot table).
+    /// attach, the bit-set alone).
     pub index_heap_bytes: usize,
     /// Whether the most recent attach was mmap-backed.
     pub mmap_backed: bool,
@@ -202,11 +214,21 @@ impl SearchReport {
 }
 
 /// Report of one [`DbSession::run_batch`]: the running fold of the
-/// queries' pipeline reports, the worst coverage any of them had, and the
+/// chunks' pipeline reports, the worst coverage any query had, and the
 /// volume attach costs paid so far — the database-session analogue of
 /// `oris_core::BatchStats`, with volume attaches playing the subject-build
 /// role (attributed once per attach, never folded into a query's report).
 /// Its size does not depend on the batch length.
+///
+/// What a chunk folds in: step 1 (`index_secs`, `index_builds`) once, and
+/// per searched volume its step-2 counters and seconds (`hsps`, `step2`)
+/// and its step-3/4 seconds once; then per (query, volume) the query's
+/// own step-3/4 counters (`raw_alignments`, `step3`, `step4`), fresh or
+/// replayed from the result cache. A batch the cache does not serve
+/// therefore reports the same counters one search per query would, except
+/// `index_builds` (one per chunk) and the footprints: `masked_fraction1`
+/// is the largest masked fraction of any chunk's joint bank and
+/// `index_bytes` the largest chunk's.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DbBatchStats {
     queries: usize,
@@ -225,9 +247,8 @@ impl DbBatchStats {
         self.queries
     }
 
-    /// The queries' merged reports, folded in batch order (each sums its
-    /// query's runs across all volumes; `index_builds` counts exactly the
-    /// query's own build).
+    /// The chunks' merged reports, folded in batch order (see the type's
+    /// docs for what a chunk books).
     pub fn query_totals(&self) -> PipelineStats {
         self.totals
     }
@@ -245,15 +266,17 @@ impl DbBatchStats {
 
 /// A many-query search session over a sharded [`Database`].
 ///
-/// The cross-volume contract: every query runs the same four phases —
-/// *probe* the result cache, *attach* what has to be searched (through
-/// at most [`DbOptions::window`] concurrently attached volume sessions),
-/// *search* each volume into a staging buffer of its own, *merge* the
-/// buffers into the caller's sink in ascending volume order — and only
-/// then fires the single [`RecordSink::end_query`], so the sink's one
-/// boundary sort merges volumes under `M8Record::total_order` and
-/// multi-volume output is byte-identical to a single-bank run over the
-/// concatenated input.
+/// The cross-volume contract: every chunk of queries (one query, for
+/// [`DbSession::run_query_reported`]) runs the same four phases —
+/// *probe* the result cache per query, *attach* what has to be searched
+/// (through at most [`DbOptions::window`] concurrently attached volume
+/// sessions), *search* each volume once for the chunk's joined queries
+/// into a staging buffer of its own, *merge* each query's share of the
+/// buffers into the caller's sink in ascending volume order — and fires
+/// each query's single [`RecordSink::end_query`] after its merge, so the
+/// sink's one boundary sort merges volumes under `M8Record::total_order`
+/// and multi-volume output is byte-identical to a single-bank run over the
+/// concatenated input, one query at a time.
 ///
 /// E-values are computed over the database-wide effective search space:
 /// the session forces
@@ -414,14 +437,17 @@ impl<'d> DbSession<'d> {
     }
 
     /// Phase 1 — *probe*. One O(1) cache lookup per live volume under
-    /// the query's fingerprint (`None` = caching is off); a hit withdraws
-    /// the volume from attach and search entirely — its records replay in
-    /// [`DbSession::merge`]. Quarantined volumes are never probed: their
-    /// entries were invalidated at quarantine time.
+    /// the query's fingerprint (`None` = caching is off, and the result is
+    /// empty: no volume serves the query); a hit withdraws the volume from
+    /// attach and search — its records replay in [`DbSession::merge`].
+    /// Quarantined volumes are never probed: their entries were
+    /// invalidated at quarantine time.
     fn probe(&mut self, query_fp: Option<u64>) -> Vec<Option<CachedVolume>> {
+        let Some(qfp) = query_fp else {
+            return Vec::new();
+        };
         let mut hits: Vec<Option<CachedVolume>> =
             (0..self.db.num_volumes()).map(|_| None).collect();
-        let Some(qfp) = query_fp else { return hits };
         let _span = self.obs.span("cache_lookup");
         for (v, hit) in hits.iter_mut().enumerate() {
             if self.quarantined[v].is_some() {
@@ -537,7 +563,7 @@ impl<'d> DbSession<'d> {
     }
 
     /// Phase 3 — *search*, one volume: the single function that runs a
-    /// prepared query against an attached volume, staging its records.
+    /// prepared chunk against an attached volume, staging its records.
     /// Associated rather than a method so the bounded window's walk and
     /// the parallel map's items call the same code while the session's
     /// other fields stay borrowed.
@@ -545,7 +571,7 @@ impl<'d> DbSession<'d> {
         obs: &Obs,
         session: &Session<'static>,
         v: usize,
-        prep: &PreparedBank<'_>,
+        chunk: &QueryChunk<'_>,
         deadline: &Deadline,
     ) -> Result<Staged, DbError> {
         obs.count(names::WORKER_DISPATCH_TOTAL, 1);
@@ -554,16 +580,14 @@ impl<'d> DbSession<'d> {
             names::VOLUME_SEARCH_SECONDS,
             &[Field::U64("volume", v as u64)],
         );
-        let mut buf = CollectSink::new();
-        let stats = session.search(prep, &mut buf, deadline)?;
-        Ok((buf.into_records(), stats))
+        Ok(session.search_chunk(chunk, deadline)?)
     }
 
-    /// Searches every live volume the cache did not serve, each through
-    /// [`DbSession::volume_search`]; `None` in the result = quarantined
-    /// or a cache hit. Under an unbounded window every volume is already
-    /// attached — attach-ahead made every retry and quarantine decision —
-    /// so the searches run as one parallel map,
+    /// Searches the chunk against every wanted volume that is not
+    /// quarantined, each through [`DbSession::volume_search`]; `None` in
+    /// the result = not searched. Under an unbounded window every such
+    /// volume is already attached — attach-ahead made every retry and
+    /// quarantine decision — so the searches run as one parallel map,
     /// [`DbOptions::volume_workers`] wide (inline on the calling thread at
     /// one worker). Each item first checks a stop flag and the deadline,
     /// so an error or an expiry stops *dispatching*: a volume nobody
@@ -573,22 +597,22 @@ impl<'d> DbSession<'d> {
     /// searches.
     fn search_volumes(
         &mut self,
-        prep: &PreparedBank<'_>,
-        hits: &[Option<CachedVolume>],
+        chunk: &QueryChunk<'_>,
+        wanted: &[bool],
         retries: &mut u32,
         deadline: &Deadline,
     ) -> Result<Vec<Option<Staged>>, DbError> {
         let num = self.db.num_volumes();
         let mut fresh: Vec<Option<Staged>> = (0..num).map(|_| None).collect();
         let pending: Vec<usize> = (0..num)
-            .filter(|&v| self.quarantined[v].is_none() && hits[v].is_none())
+            .filter(|&v| self.quarantined[v].is_none() && wanted[v])
             .collect();
         if self.capacity < num {
             for v in pending {
                 deadline.check()?;
                 if self.attach(v, retries)? {
                     let session = self.attached[v].as_ref().expect("attached above");
-                    fresh[v] = Some(Self::volume_search(&self.obs, session, v, prep, deadline)?);
+                    fresh[v] = Some(Self::volume_search(&self.obs, session, v, chunk, deadline)?);
                 }
             }
             return Ok(fresh);
@@ -609,7 +633,7 @@ impl<'d> DbSession<'d> {
                     }
                     let session = attached[v].as_ref().expect("attached ahead of the fan-out");
                     let done =
-                        caller.install(|| Self::volume_search(obs, session, v, prep, deadline));
+                        caller.install(|| Self::volume_search(obs, session, v, chunk, deadline));
                     if done.is_err() {
                         stop.store(true, Ordering::Relaxed);
                     }
@@ -623,37 +647,41 @@ impl<'d> DbSession<'d> {
         Ok(fresh)
     }
 
-    /// Phase 4 — *merge*. Strictly ascending volume order, so stats
-    /// accumulate exactly as a sequential walk's and the report's lists
-    /// come out sorted: each fresh result is inserted into the cache,
-    /// each fresh or cached result is replayed into `sink`, then the
+    /// Phase 4 — *merge*, one query: strictly ascending volume order, so
+    /// stats accumulate exactly as a sequential walk's and the report's
+    /// lists come out sorted. Each volume's result is the cache's (`hits`)
+    /// or the query's share of the chunk's search (`fresh(v)`, inserted
+    /// into the cache); either is replayed into `sink`, then the query's
     /// single `end_query` fires and the query is counted. Only complete
-    /// queries get here (an aborted one returned from an earlier phase),
-    /// so nothing partial is ever cached or replayed.
+    /// chunks get here (an aborted one returned from an earlier phase), so
+    /// nothing partial is ever cached or replayed. Returns the query's own
+    /// step-3/4 counters.
     fn merge(
         &mut self,
         query_fp: Option<u64>,
-        hits: Vec<Option<CachedVolume>>,
-        fresh: Vec<Option<Staged>>,
+        mut hits: Vec<Option<CachedVolume>>,
+        mut fresh: impl FnMut(usize) -> Option<MemberResult>,
         sink: &mut dyn RecordSink,
         report: &mut SearchReport,
     ) -> Result<PipelineStats, DbError> {
         let _span = self.obs.span("merge");
         let mut merged = PipelineStats::default();
-        for (v, (hit, fresh)) in hits.into_iter().zip(fresh).enumerate() {
-            let (records, stats) = match (hit, fresh) {
+        for v in 0..self.db.num_volumes() {
+            let hit = hits.get_mut(v).and_then(Option::take);
+            let (records, stats) = match (hit, fresh(v)) {
                 (Some(cached), _) => {
                     report.cache_hits.push(v);
                     (cached.records, cached.stats)
                 }
-                (None, Some((records, stats))) => {
+                (None, Some(result)) => {
+                    let stats = result.stats();
                     if let Some(qfp) = query_fp {
                         let key = self.cache_key(qfp, v);
                         let results = self.results.as_mut().expect("fingerprinted iff caching");
-                        results.insert(key, records.clone(), stats);
+                        results.insert(key, result.records.clone(), stats);
                         self.obs.count(names::CACHE_INSERTIONS_TOTAL, 1);
                     }
-                    (records, stats)
+                    (result.records, stats)
                 }
                 // Neither served nor searched: quarantined.
                 (None, None) => {
@@ -661,9 +689,7 @@ impl<'d> DbSession<'d> {
                     continue;
                 }
             };
-            for record in records {
-                sink.accept(record);
-            }
+            sink.accept_all(records);
             merged = merged.merge(&stats);
             report.searched.push(v);
             report.residues_searched += self.db.volume(v).residues;
@@ -675,29 +701,18 @@ impl<'d> DbSession<'d> {
         sink.end_query().map_err(DbError::Sink)?;
         self.obs.count(names::QUERIES_TOTAL, 1);
         self.obs.count(names::RECORDS_TOTAL, merged.step4.emitted);
-        // Residency and eviction counts live inside the ResultCache;
-        // sync them as absolutes (hits/misses/insertions are counted at
-        // their call sites — the obs_metrics integration test pins both
-        // views equal).
-        if self.results.is_some() {
-            let c = self.result_cache_counters();
-            self.obs
-                .set_counter(names::CACHE_EVICTIONS_TOTAL, c.evictions);
-            self.obs
-                .set_counter(names::CACHE_INVALIDATIONS_TOTAL, c.invalidations);
-            self.obs.set_gauge(names::CACHE_ENTRIES, c.entries as f64);
-            self.obs.set_gauge(names::CACHE_BYTES, c.bytes as f64);
-        }
         Ok(merged)
     }
 
     /// Runs one query bank across every volume into `sink`, firing
     /// exactly one `end_query` at the end, under an explicit [`Deadline`]
     /// token (e.g. [`Deadline::cancellable`] driven by a supervisor
-    /// thread). The returned stats merge the per-volume runs and count
-    /// the query's single index build; the [`SearchReport`] says which
-    /// volumes they cover; volume attach costs accumulate in
-    /// [`DbSession::volume_costs`].
+    /// thread): a chunk of one. The returned stats merge the per-volume
+    /// runs and count the query's single index build; the
+    /// [`SearchReport`] says which volumes they cover; volume attach costs
+    /// accumulate in [`DbSession::volume_costs`]. A volume served from the
+    /// result cache contributes its cached step-3/4 counters only: the
+    /// cache stores a query's own counters, not its chunk's step 2.
     ///
     /// Error atomicity: on any `Err` other than [`DbError::Sink`] the
     /// caller's sink is **untouched** — no record, no boundary — under
@@ -728,60 +743,7 @@ impl<'d> DbSession<'d> {
         sink: &mut dyn RecordSink,
         deadline: &Deadline,
     ) -> Result<(PipelineStats, SearchReport), DbError> {
-        let _span = self.obs.timed_span("query", names::QUERY_SECONDS);
-        let outcome = self.run_phases(query, sink, deadline);
-        if let Err(DbError::DeadlineExceeded(_)) = outcome {
-            self.obs.count(names::DEADLINE_EXPIRIES_TOTAL, 1);
-        }
-        outcome
-    }
-
-    /// The four phases of one query, in order.
-    fn run_phases(
-        &mut self,
-        query: &Bank,
-        sink: &mut dyn RecordSink,
-        deadline: &Deadline,
-    ) -> Result<(PipelineStats, SearchReport), DbError> {
-        let num = self.db.num_volumes();
-        let mut report = SearchReport {
-            volumes_total: num,
-            residues_total: self.db.total_residues(),
-            ..SearchReport::default()
-        };
-        let query_fp = self
-            .results
-            .as_ref()
-            .map(|_| cache::bank_fingerprint(query));
-        let hits = self.probe(query_fp);
-        if self.capacity == num {
-            // Attach-ahead: a no-op after the first query. Cache-hit
-            // volumes skip attach — a hit is served without touching the
-            // volume's files (the same staleness contract an
-            // already-attached volume has).
-            for (v, hit) in hits.iter().enumerate() {
-                deadline.check()?;
-                if self.quarantined[v].is_none() && hit.is_none() {
-                    self.attach(v, &mut report.retries)?;
-                }
-            }
-        }
-        // The query is prepared once for the whole database, exactly as a
-        // single-bank session prepares it once for both strands.
-        let prepare =
-            || PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config());
-        let prep = {
-            let _span = self.obs.span("prepare");
-            match &self.pool {
-                Some(pool) => pool.install(prepare),
-                None => prepare(),
-            }
-        };
-        let fresh = self.search_volumes(&prep, &hits, &mut report.retries, deadline)?;
-        let mut stats = self.merge(query_fp, hits, fresh, sink, &mut report)?;
-        stats.index_secs += prep.stats().build_secs;
-        stats.index_builds += prep.stats().builds;
-        Ok((stats, report))
+        self.run_alone(query, sink, Some(deadline))
     }
 
     /// [`DbSession::run_query_deadline`] under the options' deadline: a
@@ -792,21 +754,229 @@ impl<'d> DbSession<'d> {
         query: &Bank,
         sink: &mut dyn RecordSink,
     ) -> Result<(PipelineStats, SearchReport), DbError> {
-        let deadline = match self.opts.deadline {
-            Some(budget) => Deadline::after(budget),
-            None => Deadline::none(),
+        self.run_alone(query, sink, None)
+    }
+
+    /// One query as a chunk of one, with its report.
+    fn run_alone(
+        &mut self,
+        query: &Bank,
+        sink: &mut dyn RecordSink,
+        token: Option<&Deadline>,
+    ) -> Result<(PipelineStats, SearchReport), DbError> {
+        let mut report = None;
+        let stats = self.run_chunk(std::slice::from_ref(query), sink, token, &mut |r| {
+            report = Some(r)
+        })?;
+        Ok((stats, report.expect("a chunk of one reports once")))
+    }
+
+    /// One chunk of queries through the four phases, an expiry counted
+    /// once. `token` is the caller's deadline; `None` arms one from
+    /// [`DbOptions::deadline`] for the queries the chunk searches. Each
+    /// query's [`SearchReport`] goes to `reported`, in order, as its
+    /// boundary is written.
+    fn run_chunk<B: Borrow<Bank>>(
+        &mut self,
+        queries: &[B],
+        sink: &mut dyn RecordSink,
+        token: Option<&Deadline>,
+        reported: &mut dyn FnMut(SearchReport),
+    ) -> Result<PipelineStats, DbError> {
+        let outcome = self.chunk_phases(queries, sink, token, reported);
+        if let Err(DbError::DeadlineExceeded(_)) = outcome {
+            self.obs.count(names::DEADLINE_EXPIRIES_TOTAL, 1);
+        }
+        outcome
+    }
+
+    /// The four phases of one chunk, in order: *probe* the cache per
+    /// query, *attach* and *search* the volumes once for the queries the
+    /// cache did not wholly serve, joined into one bank, then *merge* per
+    /// query, in order. Each query is a `query` span, timed into
+    /// `query_seconds`, from the chunk's start to its own boundary.
+    ///
+    /// A query whose fingerprint repeats an earlier query of the chunk is
+    /// probed late, at its merge — after the earlier one's results are
+    /// inserted — so a batch that repeats a query is served from the
+    /// cache as a query-at-a-time search would serve it. It joins the
+    /// search all the same, for the case its entries were evicted by then.
+    fn chunk_phases<B: Borrow<Bank>>(
+        &mut self,
+        queries: &[B],
+        sink: &mut dyn RecordSink,
+        token: Option<&Deadline>,
+        reported: &mut dyn FnMut(SearchReport),
+    ) -> Result<PipelineStats, DbError> {
+        let spans: Vec<_> = queries
+            .iter()
+            .map(|_| self.obs.timed_span("query", names::QUERY_SECONDS))
+            .collect();
+        let num = self.db.num_volumes();
+        let fps: Vec<Option<u64>> = queries
+            .iter()
+            .map(|q| {
+                self.results
+                    .as_ref()
+                    .map(|_| cache::bank_fingerprint(q.borrow()))
+            })
+            .collect();
+        let mut seen = std::collections::BTreeSet::new();
+        let late: Vec<bool> = fps
+            .iter()
+            .map(|fp| fp.is_some_and(|fp| !seen.insert(fp)))
+            .collect();
+        let mut hits: Vec<Vec<Option<CachedVolume>>> = (0..queries.len())
+            .map(|i| self.probe(if late[i] { None } else { fps[i] }))
+            .collect();
+        let served =
+            |hits: &[Option<CachedVolume>], v: usize| hits.get(v).is_some_and(Option::is_some);
+        // A query joins the search if some live volume did not serve it;
+        // a volume is searched if some joined query was not served by it.
+        let live: Vec<bool> = self.quarantined.iter().map(Option::is_none).collect();
+        let joined: Vec<usize> = (0..queries.len())
+            .filter(|&i| (0..num).any(|v| live[v] && !served(&hits[i], v)))
+            .collect();
+        let wanted: Vec<bool> = (0..num)
+            .map(|v| live[v] && joined.iter().any(|&i| !served(&hits[i], v)))
+            .collect();
+        let armed;
+        let deadline = match token {
+            Some(token) => token,
+            None => {
+                armed = self.arm(joined.len());
+                &armed
+            }
         };
-        self.run_query_deadline(query, sink, &deadline)
+        let mut retries = 0;
+        if self.capacity == num {
+            // Attach-ahead: a no-op after the first chunk. Volumes no
+            // joined query needs skip attach — a hit is served without
+            // touching the volume's files (the same staleness contract an
+            // already-attached volume has).
+            for v in (0..num).filter(|&v| wanted[v]) {
+                deadline.check()?;
+                self.attach(v, &mut retries)?;
+            }
+        }
+        let mut totals = PipelineStats::default();
+        // Per volume, the joined queries' shares of its search, in joined
+        // order; `slot[i]` is query i's place in that order.
+        let mut searched: Vec<Option<Vec<MemberResult>>> = (0..num).map(|_| None).collect();
+        let mut slot: Vec<Option<usize>> = vec![None; queries.len()];
+        if !joined.is_empty() {
+            let banks: Vec<&Bank> = joined.iter().map(|&i| queries[i].borrow()).collect();
+            // The joined queries are prepared once for the whole database,
+            // exactly as a single-bank session prepares a query once for
+            // both strands.
+            let prepare =
+                || QueryChunk::prepare(&banks, self.cfg.filter, self.cfg.query_index_config());
+            let chunk = {
+                let _span = self.obs.span("prepare");
+                match &self.pool {
+                    Some(pool) => pool.install(prepare),
+                    None => prepare(),
+                }
+            };
+            let staged = self.search_volumes(&chunk, &wanted, &mut retries, deadline)?;
+            for (v, staged) in staged.into_iter().enumerate() {
+                if let Some((chunk_stats, results)) = staged {
+                    // Step 2 and the seconds belong to the chunk, booked
+                    // once; steps 3–4 are counted per query at its merge.
+                    totals = totals.merge(&PipelineStats {
+                        raw_alignments: 0,
+                        step3: Default::default(),
+                        step4: Default::default(),
+                        ..chunk_stats
+                    });
+                    searched[v] = Some(results);
+                }
+            }
+            totals.index_secs += chunk.prepared().stats().build_secs;
+            totals.index_builds += chunk.prepared().stats().builds;
+            for (k, &i) in joined.iter().enumerate() {
+                slot[i] = Some(k);
+            }
+        }
+        for (i, span) in spans.into_iter().enumerate() {
+            if late[i] {
+                hits[i] = self.probe(fps[i]);
+            }
+            let mut report = SearchReport {
+                volumes_total: num,
+                residues_total: self.db.total_residues(),
+                retries: if i == 0 { retries } else { 0 },
+                ..SearchReport::default()
+            };
+            let fresh = |v: usize| {
+                let k = slot[i]?;
+                Some(std::mem::take(&mut searched[v].as_mut()?[k]))
+            };
+            let own = self.merge(
+                fps[i],
+                std::mem::take(&mut hits[i]),
+                fresh,
+                sink,
+                &mut report,
+            )?;
+            drop(span);
+            totals = totals.merge(&own);
+            reported(report);
+        }
+        // Residency and eviction counts live inside the ResultCache;
+        // sync them as absolutes (hits/misses/insertions are counted at
+        // their call sites — the obs_metrics integration test pins both
+        // views equal).
+        if self.results.is_some() {
+            let c = self.result_cache_counters();
+            self.obs
+                .set_counter(names::CACHE_EVICTIONS_TOTAL, c.evictions);
+            self.obs
+                .set_counter(names::CACHE_INVALIDATIONS_TOTAL, c.invalidations);
+            self.obs.set_gauge(names::CACHE_ENTRIES, c.entries as f64);
+            self.obs.set_gauge(names::CACHE_BYTES, c.bytes as f64);
+        }
+        Ok(totals)
+    }
+
+    /// The token [`DbOptions::deadline`] arms for a chunk searching
+    /// `queries` queries: `queries × budget` (at least one budget).
+    fn arm(&self, queries: usize) -> Deadline {
+        match self.opts.deadline {
+            Some(budget) => Deadline::after(
+                budget.saturating_mul(u32::try_from(queries.max(1)).unwrap_or(u32::MAX)),
+            ),
+            None => Deadline::none(),
+        }
     }
 
     /// Runs a batch of query banks across the database — one
-    /// `end_query` boundary per bank, in batch order, each query's
-    /// working set freed before the next (and, with a small
-    /// [`DbOptions::window`], each volume's too). The returned stats are
-    /// a fixed-size fold: under [`OnVolumeError::SkipAndReport`] a batch
-    /// that limped over a bad volume says so through
-    /// [`DbBatchStats::worst_coverage`]; a query's own report is what
-    /// [`DbSession::run_query_reported`] returns for it.
+    /// `end_query` boundary per bank, in batch order. The banks are pulled
+    /// into chunks of at most [`JOINT_CHUNK_RESIDUES`] positions
+    /// ([`oris_core::joint_chunks`]), and each chunk is one pass of the
+    /// four phases: the queries the cache does not wholly serve are joined
+    /// into one bank, searched once per volume, and each query's records
+    /// and report are what [`DbSession::run_query_reported`] would give
+    /// it. One chunk's working set — its queries, joint index and records
+    /// — is freed before the next (and, with a small
+    /// [`DbOptions::window`], each volume's too). Under
+    /// [`OnVolumeError::SkipAndReport`] a batch that limped over a bad
+    /// volume says so through [`DbBatchStats::worst_coverage`].
+    ///
+    /// Per-query contracts inside a chunk:
+    ///
+    /// * *Deadline.* A chunk searching `n` queries is armed with
+    ///   `n × `[`DbOptions::deadline`] when its search starts. An expiry
+    ///   ends the batch with [`DbError::DeadlineExceeded`], as one query's
+    ///   expiry ended it before chunks; the chunk's queries write nothing
+    ///   (queries of earlier chunks are already written).
+    /// * *Cache.* Each query is probed before the chunk is searched; a
+    ///   volume that serves it replays its entry, and only a query some
+    ///   volume did not serve joins the joint bank. Entries are inserted
+    ///   per (query, volume) and hold the query's own step-3/4 counters.
+    /// * *Counters.* See [`DbBatchStats`]: step 1 and step 2 are booked
+    ///   once per chunk, steps 3–4 per query; `index_builds` and the
+    ///   volume dispatches count chunks.
     pub fn run_batch<I>(
         &mut self,
         queries: I,
@@ -814,19 +984,39 @@ impl<'d> DbSession<'d> {
     ) -> Result<DbBatchStats, DbError>
     where
         I: IntoIterator,
-        I::Item: std::borrow::Borrow<Bank>,
+        I::Item: Borrow<Bank>,
     {
-        use std::borrow::Borrow;
+        self.run_batch_grained(queries, sink, JOINT_CHUNK_RESIDUES)
+    }
+
+    /// [`DbSession::run_batch`] with the chunk bound as a parameter, so
+    /// tests can cut a toy batch into chunks of every size.
+    fn run_batch_grained<I>(
+        &mut self,
+        queries: I,
+        sink: &mut dyn RecordSink,
+        bound: usize,
+    ) -> Result<DbBatchStats, DbError>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Bank>,
+    {
         let mut batch = DbBatchStats::default();
-        for q in queries {
-            let (stats, report) = self.run_query_reported(q.borrow(), sink)?;
-            batch.queries += 1;
-            batch.totals = batch.totals.merge(&stats);
-            let worst = batch.worst_coverage.as_ref();
-            if !report.is_complete() && worst.is_none_or(|w| report.coverage() < w.coverage()) {
-                batch.worst_coverage = Some(report);
+        let mut worst: Option<SearchReport> = None;
+        let mut keep_worst = |report: SearchReport| {
+            let least = worst
+                .as_ref()
+                .is_none_or(|w| report.coverage() < w.coverage());
+            if !report.is_complete() && least {
+                worst = Some(report);
             }
+        };
+        for chunk in joint_chunks(queries, bound) {
+            let stats = self.run_chunk(&chunk, sink, None, &mut keep_worst)?;
+            batch.queries += chunk.len();
+            batch.totals = batch.totals.merge(&stats);
         }
+        batch.worst_coverage = worst;
         batch.volumes = self.costs.clone();
         Ok(batch)
     }
@@ -845,5 +1035,198 @@ mod tests {
         assert_eq!(retry_delay(base, 16), 65_536 * base);
         assert_eq!(retry_delay(base, 17), retry_delay(base, 16));
         assert_eq!(retry_delay(base, u32::MAX), retry_delay(base, 16));
+    }
+
+    /// A database batch searched in joint chunks against one search per
+    /// query.
+    mod joint {
+        use super::*;
+        use crate::{make_db, MakeDbOptions};
+        use oris_core::{FilterKind, StreamWriter};
+        use oris_seqio::BankBuilder;
+        use proptest::prelude::*;
+
+        /// Cores the subject carries and queries plant; a poly-A run
+        /// gives the masks something to mask.
+        const CORES: [&str; 3] = [
+            "ATGGCGTACGTTAGCCTAGGCTTAACGGATCGATCCGGTAAGCT",
+            "GGCATTACGGATCCATTGGCCAATTGGCACGTACGTAACGGTTAACC",
+            "TTGACCGTAGGCATAACGGATCCATTGACGTTAGCAACGTACGATTG",
+        ];
+
+        /// Six subject records, two per core, so any volume size cuts
+        /// the cores across volumes.
+        fn subject() -> Bank {
+            let mut b = BankBuilder::new();
+            for (i, core) in CORES.iter().chain(&CORES).enumerate() {
+                let flank = "ACGTTGCA".repeat(i + 1);
+                b.push_str(
+                    &format!("s{i}"),
+                    &format!("{flank}{core}{}", "A".repeat(30)),
+                )
+                .unwrap();
+            }
+            b.finish()
+        }
+
+        /// Queries as in the engine's joint test: per `shape[r]` record
+        /// `r` is empty, all-`N`, `seqs[r]` around a core, `seqs[r]`
+        /// before a poly-A run, or `seqs[r]` alone; names repeat
+        /// (`q0`–`q2`); `cut[r] == 0` closes a query after record `r`.
+        /// With `repeat`, the first query is submitted again at the end.
+        fn queries(seqs: &[String], shape: &[u8], cut: &[u8], repeat: bool) -> Vec<Bank> {
+            let mut out = Vec::new();
+            let mut b = BankBuilder::new();
+            let mut open = false;
+            for (r, seq) in seqs.iter().enumerate() {
+                let k = shape.get(r).copied().unwrap_or(0);
+                let record = match k {
+                    0 => String::new(),
+                    1 => "N".repeat(seq.len() + 12),
+                    2..=4 => format!("{seq}{}{seq}", CORES[usize::from(k) - 2]),
+                    5 => format!("{seq}{}", "A".repeat(30)),
+                    _ => seq.clone(),
+                };
+                b.push_str(&format!("q{}", r % 3), &record).unwrap();
+                open = true;
+                if cut.get(r).is_some_and(|&c| c == 0) {
+                    out.push(std::mem::replace(&mut b, BankBuilder::new()).finish());
+                    open = false;
+                }
+            }
+            if open {
+                out.push(b.finish());
+            }
+            if repeat {
+                out.push(out[0].clone());
+            }
+            out
+        }
+
+        fn scratch_db(cfg: &OrisConfig, volume_residues: usize) -> std::path::PathBuf {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "oris_db_joint_{}_{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            make_db([subject()], &dir, &MakeDbOptions::new(cfg, volume_residues)).unwrap();
+            dir
+        }
+
+        /// Every counter but the clocks, the builds and the footprints.
+        fn counters(s: PipelineStats) -> PipelineStats {
+            PipelineStats {
+                index_secs: 0.0,
+                index_builds: 0,
+                step2_secs: 0.0,
+                step3_secs: 0.0,
+                step4_secs: 0.0,
+                masked_fraction1: 0.0,
+                index_bytes: 0,
+                ..s
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Joint chunks of every size write the bytes one search per
+            /// query writes, over 1–6 volumes, under both strands, the
+            /// asymmetric stride, each filter, pools of 1, 2 and 8, a
+            /// one-volume window, two volume workers, an armed deadline
+            /// and the result cache — cold, and replayed by a second pass
+            /// — and a cold batch counts what the queries count one by one.
+            #[test]
+            fn joint_equals_per_member(
+                seqs in proptest::collection::vec("[ACGTN]{0,40}", 1..12),
+                shape in proptest::collection::vec(0u8..8, 12),
+                cut in proptest::collection::vec(0u8..3, 12),
+                flags in 0u8..12,
+                threads in 0usize..3,
+                options in 0u8..16,
+                volume_residues in 40usize..400,
+                bound in 1usize..400,
+            ) {
+                let cache = options & 1 != 0;
+                let queries = queries(&seqs, &shape, &cut, options & 8 != 0);
+                let cfg = OrisConfig {
+                    both_strands: flags & 1 != 0,
+                    asymmetric: flags & 2 != 0,
+                    filter: [FilterKind::None, FilterKind::Entropy, FilterKind::Dust]
+                        [usize::from(flags >> 2) % 3],
+                    threads: Some([1, 2, 8][threads]),
+                    ..OrisConfig::small(9)
+                };
+                let dir = scratch_db(&cfg, volume_residues);
+                let db = Database::open(&dir).unwrap();
+
+                let mut reference = DbSession::new(&db, &cfg, DbOptions::default()).unwrap();
+                let mut want = StreamWriter::new(Vec::new());
+                let mut folded = PipelineStats::default();
+                for q in &queries {
+                    folded = folded.merge(&reference.run_query_reported(q, &mut want).unwrap().0);
+                }
+                let want = want.into_inner();
+
+                let opts = DbOptions {
+                    window: usize::from(options & 2 != 0),
+                    volume_workers: if options & 2 == 0 && options & 4 != 0 { 2 } else { 1 },
+                    deadline: (options & 4 != 0).then(|| Duration::from_secs(600)),
+                    result_cache_bytes: if cache { 1 << 20 } else { 0 },
+                    ..DbOptions::default()
+                };
+                let mut session = DbSession::new(&db, &cfg, opts).unwrap();
+                for pass in 0..1 + usize::from(cache) {
+                    let mut sink = StreamWriter::new(Vec::new());
+                    let batch = session.run_batch_grained(&queries, &mut sink, bound).unwrap();
+                    prop_assert_eq!(batch.queries(), queries.len());
+                    prop_assert!(sink.into_inner() == want, "pass {}: bytes differ", pass);
+                    if !cache {
+                        prop_assert_eq!(counters(batch.query_totals()), counters(folded));
+                        let chunks = joint_chunks(&queries, bound).count() as u32;
+                        prop_assert_eq!(batch.query_totals().index_builds, chunks);
+                    }
+                }
+                if cache && queries.len() > 1 {
+                    // The replay pass found every query's entries.
+                    let c = session.result_cache_counters();
+                    prop_assert!(c.hits >= (queries.len() * db.num_volumes()) as u64, "{:?}", c);
+                }
+                drop(session);
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+
+        #[test]
+        fn a_repeated_query_in_one_chunk_is_served_from_the_cache() {
+            // The second copy is probed at its merge, after the first's
+            // entries went in: it hits on every volume, as it would if
+            // the two were searched one after the other.
+            let cfg = OrisConfig::small(9);
+            let dir = scratch_db(&cfg, 120);
+            let db = Database::open(&dir).unwrap();
+            let query = queries(&["ACGTAC".into()], &[2], &[0], true);
+            assert_eq!(query.len(), 2);
+            let opts = DbOptions {
+                result_cache_bytes: 1 << 20,
+                ..DbOptions::default()
+            };
+            let mut session = DbSession::new(&db, &cfg, opts).unwrap();
+            let mut sink = StreamWriter::new(Vec::new());
+            let batch = session.run_batch(&query, &mut sink).unwrap();
+            let c = session.result_cache_counters();
+            let volumes = db.num_volumes() as u64;
+            assert!(volumes > 1);
+            assert_eq!((c.misses, c.hits), (volumes, volumes));
+            assert_eq!(batch.query_totals().index_builds, 1, "one chunk");
+            let bytes = sink.into_inner();
+            let half = bytes.len() / 2;
+            assert!(half > 0 && bytes[..half] == bytes[half..]);
+            drop(session);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -364,7 +364,9 @@ fn batch_streams_one_boundary_per_query_and_counts_attaches() {
     assert_eq!(batch.worst_coverage, None, "no volume was skipped");
 
     // The running totals are the fold of what the same queries report one
-    // at a time (the clock fields aside — those are measured).
+    // at a time (the clock fields aside — those are measured), except what
+    // the batch's one chunk counts once: its one build, and its joint
+    // bank's footprints.
     let mut folded = oris_core::PipelineStats::default();
     for q in &queries {
         let (stats, report) = session
@@ -373,17 +375,23 @@ fn batch_streams_one_boundary_per_query_and_counts_attaches() {
         assert!(report.is_complete());
         folded = folded.merge(&stats);
     }
-    let untimed = |s: oris_core::PipelineStats| oris_core::PipelineStats {
+    let counters = |s: oris_core::PipelineStats| oris_core::PipelineStats {
         index_secs: 0.0,
+        index_builds: 0,
         step2_secs: 0.0,
         step3_secs: 0.0,
         step4_secs: 0.0,
+        masked_fraction1: 0.0,
+        index_bytes: 0,
         ..s
     };
-    assert_eq!(untimed(batch.query_totals()), untimed(folded));
+    assert_eq!(counters(batch.query_totals()), counters(folded));
+    assert_eq!(batch.query_totals().index_builds, 1, "one chunk");
+    assert_eq!(folded.index_builds as usize, queries.len());
 
-    // Window 1: one volume resident at a time — each query walks all
-    // volumes, so each volume re-attaches per query.
+    // Window 1: one volume resident at a time — each chunk walks all
+    // volumes, so each volume re-attaches per chunk (the batch is one
+    // chunk), and per query when the queries run one at a time.
     let mut bounded = DbSession::new(
         &db,
         &cfg,
@@ -396,7 +404,15 @@ fn batch_streams_one_boundary_per_query_and_counts_attaches() {
     let mut sink2 = CollectSink::new();
     let batch2 = bounded.run_batch(&queries, &mut sink2).unwrap();
     for v in &batch2.volumes {
-        assert_eq!(v.attaches as usize, queries.len());
+        assert_eq!(v.attaches, 1);
+    }
+    for q in &queries {
+        bounded
+            .run_query_reported(q, &mut CollectSink::new())
+            .unwrap();
+    }
+    for v in bounded.volume_costs() {
+        assert_eq!(v.attaches as usize, 1 + queries.len());
     }
     assert_eq!(sink.inner.records(), sink2.records());
 }

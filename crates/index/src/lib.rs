@@ -17,7 +17,7 @@
 //!   `int *INDEX` chains. Two row-lookup backends sit behind the same
 //!   API ([`IndexBackend`]): a **dense** `offsets[4^W + 1]` array
 //!   (`≈ 4·(4^W + 1)` bytes — the large-bank fast path) and a **sparse**
-//!   populated-codes table (ascending code list + open-addressed hash,
+//!   populated-codes table (ascending code list + row boundaries,
 //!   memory `∝ distinct codes` — what lets a small query bank run at
 //!   W = 11 without a 16.8 MB offsets array). `IndexBackend::Auto` (the
 //!   default) picks per build by density; results are byte-identical
@@ -31,8 +31,8 @@
 //!   offset, then a word-wide [`persist::checksum`] that detects every
 //!   single-byte flip with certainty). Both backends serialize — a
 //!   header flag selects the section layout — and a sparse file stores
-//!   its code list and row boundaries only: the slot table is derived
-//!   from the codes on load, never stored. A loaded index is
+//!   its code list and row boundaries, which are the whole sparse
+//!   structure. A loaded index is
 //!   behaviourally identical to a fresh build, including the
 //!   `is_fully_indexed` provenance that drives step 2's guard
 //!   auto-selection.
@@ -79,5 +79,5 @@ pub use mmap::{map_index_file, Mapping};
 pub use persist::{read_index_file, write_index_file, IndexMeta, PersistError};
 pub use seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
 pub use structure::{
-    BankIndex, IndexBackend, IndexConfig, IndexStats, PopulatedRows, LOOKUP_BATCH, MAX_BANK_LEN,
+    BankIndex, IndexBackend, IndexConfig, IndexStats, PopulatedRows, RowCursor, MAX_BANK_LEN,
 };

@@ -4,11 +4,10 @@
 //! file once and runs the format's one decoder (`persist::decode`) over
 //! the mapped bytes, which hands [`crate::BankIndex`] zero-copy views of
 //! the big sections (row boundaries and postings). Attaching costs one
-//! mapping plus the heap pieces: the indexed-positions bit-set the order
+//! mapping plus one heap piece: the indexed-positions bit-set the order
 //! guard probes is copied (`len/8` bytes, an order of magnitude below the
-//! postings), and a sparse index's slot table is derived from its mapped
-//! code list (`4·2^⌈log₂ 2k⌉` bytes for k populated codes; the file does
-//! not store it). A sharded database holds many volumes this way, and
+//! postings); a sparse index's code list and row boundaries are mapped
+//! like the rest. A sharded database holds many volumes this way, and
 //! `scoris-n --index` attaches its one file the same way.
 //! The exact-size check, the whole-stream checksum and every structural
 //! invariant are verified at attach time by the same code
@@ -338,48 +337,34 @@ mod tests {
     }
 
     #[test]
-    fn both_loaders_derive_the_same_slot_table() {
-        use crate::structure::RowIndex;
-        // No slot table is stored: both loaders derive it from the codes
-        // section, and it must be the fresh build's table, with every
-        // lookup — scalar and batched — answering as the build does.
-        let (built, path) = sparse_fixture("derived_slots");
+    fn both_loaders_answer_every_code_as_the_build_does() {
+        // Both loaders hand the index the file's code list as it is, and
+        // every lookup — one code, and an ascending cursor walk — must
+        // answer as the fresh build does.
+        let (built, path) = sparse_fixture("loaded_lookups");
         let (mapped, _) = map_index_file(&path).unwrap();
         let (heap, _) = crate::read_index_file(&path).unwrap();
         assert!(mapped.is_mmap_backed() && !heap.is_mmap_backed());
-        let tables: Vec<&[u32]> = [&built, &mapped, &heap]
-            .iter()
-            .map(|idx| match idx.rows() {
-                RowIndex::Sparse(sparse) => sparse.slots(),
-                RowIndex::Dense { .. } => panic!("sparse index expected"),
-            })
-            .collect();
-        assert!(!tables[0].is_empty());
-        assert_eq!(tables[1], tables[0], "mapped");
-        assert_eq!(tables[2], tables[0], "heap");
-        let every: Vec<u32> = (0..built.coder().num_seeds() as u32).collect();
+        assert!(built.distinct_codes() > 0);
         for idx in [&built, &mapped, &heap] {
-            let mut batched = vec![&[][..]; every.len()];
-            idx.occurrences_batch(&every, &mut batched);
-            for (&code, row) in every.iter().zip(&batched) {
-                assert_eq!(*row, built.occurrences(code), "code {code}");
+            let mut cursor = idx.cursor_from(0);
+            for code in 0..built.coder().num_seeds() as u32 {
+                assert_eq!(cursor.seek(code), built.occurrences(code), "code {code}");
                 assert_eq!(idx.occurrences(code), built.occurrences(code));
             }
         }
     }
 
     #[test]
-    fn mapped_sparse_heap_is_its_slot_table_and_bitset() {
-        use crate::structure::sparse_slot_count;
-        // What a mapped sparse attach really holds on the heap: the slot
-        // table derived at load and the copied bit-set. Codes, row
-        // boundaries and postings stay in the mapping.
+    fn mapped_sparse_heap_is_its_bitset() {
+        // What a mapped sparse attach really holds on the heap: the
+        // copied bit-set. Codes, row boundaries and postings stay in the
+        // mapping, and nothing is derived from them at load.
         let (built, path) = sparse_fixture("heap_accounting");
         let (mapped, _) = map_index_file(&path).unwrap();
         assert!(mapped.is_mmap_backed());
-        let slot_bytes = 4 * sparse_slot_count(mapped.distinct_codes());
         let bitset_bytes = 8 * mapped.indexed_words().len();
-        assert_eq!(mapped.heap_bytes(), slot_bytes + bitset_bytes);
+        assert_eq!(mapped.heap_bytes(), bitset_bytes);
         assert!(built.heap_bytes() > mapped.heap_bytes());
     }
 }

@@ -57,12 +57,10 @@
 //! probability; the function's docs carry the argument. The lanes keep
 //! four multiplies in flight, so the check runs at memory speed.
 //!
-//! **The sparse slot table is derived, never stored.** The code→row hash
-//! table a sparse lookup probes is a pure function of the `codes` section
-//! (`build_slot_table`), so the decoder builds it from `codes` on every
-//! load, exactly as a fresh build does. A file therefore cannot carry a
-//! table that disagrees with its codes, and no bytes of one are written,
-//! checksummed or mapped.
+//! **A sparse file is its code list and row boundaries.** A sparse
+//! lookup searches the `codes` section itself (a binary search, or step
+//! 2's forward cursor), so nothing is derived from it at load and no
+//! lookup structure is written, checksummed or mapped beside it.
 //!
 //! Version 3 differs from version 2 in those two points only: the
 //! checksum (v2: FNV-1a) and the sparse layout (v2 stored the slot table
@@ -132,7 +130,7 @@ use crate::structure::{BankIndex, RowIndex, SparseRows};
 pub const MAGIC: [u8; 8] = *b"ORISIDX\0";
 
 /// Current format version (3: the word-wide [`checksum`] and no stored
-/// slot table, see the module docs).
+/// slot table, which version 2 carried; see the module docs).
 pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes of the fixed header (everything before the first padding run).
@@ -1141,9 +1139,8 @@ mod tests {
 
     #[test]
     fn sparse_code_list_corruption_is_structural() {
-        // The slot table is derived from the code list, so the checks on
-        // the lists themselves are what stand between hostile bytes and
-        // the lookups: edit a list and RESTAMP the checksum, and the
+        // Lookups search the code list itself, so the checks on the lists
+        // are what stand between hostile bytes and the lookups: edit a list and RESTAMP the checksum, and the
         // structural validation must still reject the file.
         let bank = bank_of(&["ACGTACGTACGTTTGGCCAA"]);
         let idx = sparse_idx(&bank, 4);

@@ -23,10 +23,10 @@
 //!   O(1) lookup, but the offsets array costs `4·(4^W + 1)` bytes no
 //!   matter how small the bank is — 16.8 MB at W = 11.
 //! * **Sparse** — only the *populated* codes are materialized: an
-//!   ascending `codes[k]` array, `row_offsets[k + 1]` row boundaries, and
-//!   an open-addressed `slots[≈2k]` hash table mapping a code to its row
-//!   by Fibonacci hashing with linear probing. Lookup is O(1) expected,
-//!   and memory is `∝ distinct codes`, independent of `4^W`.
+//!   ascending `codes[k]` array and `row_offsets[k + 1]` row boundaries.
+//!   A code's row is its place in `codes`, found by a binary search — or,
+//!   for codes asked in ascending order, by a forward cursor (below).
+//!   Memory is `∝ distinct codes`, independent of `4^W`.
 //!
 //! [`IndexBackend::Auto`] (the default) picks per build: dense when the
 //! code space is comparably sized to the postings (`4^W ≤ 4·postings`,
@@ -37,23 +37,22 @@
 //! memory/speed trade, never a results change (pinned by proptests here
 //! and at the engine and db layers).
 //!
-//! **Batched lookup.** A sparse lookup is `slots[fib(code)]`, then
-//! `codes[row]`, then possibly more slots. On a cold table — a volume
-//! mapped from disk, probed by one short read — each step is a cache miss
-//! that waits on the one before and ends in a branch no predictor learns.
-//! [`BankIndex::occurrences_batch`] takes a run of codes and splits the
-//! chain across them, [`LOOKUP_BATCH`] at a time. Pass 1 loads every
-//! code's home slot. Pass 2 loads the key of every home's row, clamping
-//! the index instead of branching on an empty slot. Pass 3 answers each
-//! code: an empty home means absent, a key equal to the code is its row,
-//! and anything else — a collision, where the code sits further down its
-//! probe chain or another code owns its home — falls back to the scalar
-//! chain walk. The loads of one pass do not depend on each other, so the
-//! core keeps them in flight together: no prefetch intrinsic, no
-//! `unsafe`, no format change. Every answer is exactly the slice
-//! [`BankIndex::occurrences`] returns (a differential proptest below
-//! holds both backends, heap and mapped, to it). A dense lookup is one
-//! offsets load and has nothing to overlap, so its batch is a plain loop.
+//! **Partner rows.** Step 2 walks one index's populated rows in
+//! ascending code order and needs the other index's row of each code.
+//! [`BankIndex::cursor_from`] answers that walk with a [`RowCursor`]: on
+//! a dense index one offsets load per code, on a sparse one a gallop
+//! forward from the previous answer through the sorted code list. When
+//! both sides hold many codes — a chunk of reads searched jointly against
+//! a volume — consecutive codes sit a row or two apart, so a seek is a
+//! probe or two into memory the walk is streaming through anyway. A lone
+//! short read asks ~140 codes spread over a volume's whole list and pays
+//! ~20 probes each. A hashed code→row table would answer it in one or two,
+//! but it costs `4·2^⌈log₂ 2k⌉` heap bytes per index, derived at every
+//! attach (4.2 MB per `reads_db_batch` volume), and `--batch` searches
+//! reads in chunks, so the sparse layout carries no table. Every answer
+//! is exactly the slice [`BankIndex::occurrences`] returns (a differential
+//! proptest below holds both backends, heap and mapped, to it and to a
+//! hashed table's lookup).
 //!
 //! The build is a counting sort that never materializes `(position,
 //! code)` pairs; the bank is rolled over instead of remembered.
@@ -114,8 +113,6 @@
 //!
 //! sparse:  ≈ 4·k                  populated codes        (k = distinct codes)
 //!          + 4·(k + 1)            row offsets
-//!          + 4·2^⌈log₂ 2k⌉        open-addressed slot table (derived from the
-//!                                 codes, on the heap even for a mapped file)
 //!          + 4·indexed_positions  postings
 //!          + len(SEQ)/8           indexed-occurrence bit-set
 //!   while building, on top of the above:
@@ -126,7 +123,7 @@
 //! is what sets a run's peak RSS when the bank is large.
 //!
 //! Since `k ≤ indexed_positions`, the sparse backend is bounded by
-//! `≈ 16·indexed_positions` bytes however large `W` gets: a small query
+//! `≈ 12·indexed_positions` bytes however large `W` gets: a small query
 //! bank at W = 11 does not pay a 16.8 MB offsets array per transient index.
 //!
 //! The postings cost `4·indexed_positions` bytes — sized by the windows
@@ -179,7 +176,7 @@ use crate::seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
 /// every `occurrences` slice, every HSP, every output byte) is identical
 /// under either backend. It only trades memory against lookup cost:
 /// dense pays `4·(4^W + 1)` bytes for O(1) array indexing; sparse pays
-/// `∝ distinct codes` for O(1)-expected hashed lookup.
+/// `∝ distinct codes` for a search of its sorted code list.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IndexBackend {
     /// Always build the dense `offsets[4^W + 1]` CSR — the large-bank
@@ -253,125 +250,10 @@ pub struct IndexStats {
     pub total_bytes: usize,
 }
 
-/// Sentinel for an unoccupied slot in the sparse open-addressed table.
-/// `u32::MAX` can never be a valid row id: rows ≤ distinct codes ≤
-/// postings, and postings are bounded by the bank-length `< u32::MAX`
-/// guard.
-pub(crate) const EMPTY_SLOT: u32 = u32::MAX;
-
-/// Slot-table size for `distinct` populated codes: the next power of two
-/// at or above `2·distinct`, so the table is always at least half empty
-/// (probe chains stay short and every probe sequence terminates at an
-/// empty slot). Zero codes need zero slots.
-pub(crate) fn sparse_slot_count(distinct: usize) -> usize {
-    if distinct == 0 {
-        0
-    } else {
-        (2 * distinct).next_power_of_two()
-    }
-}
-
-/// Fibonacci-hash home slot for `code` in a power-of-two table of
-/// `slots ≥ 2` entries: multiply by 2^32/φ and keep the high bits. Pure
-/// u32 arithmetic — deterministic across platforms and runs.
-#[inline]
-fn fib_slot(code: u32, slots: usize) -> usize {
-    debug_assert!(slots.is_power_of_two() && slots >= 2);
-    // `slots ≥ 2` ⇒ `trailing_zeros ≥ 1` ⇒ the shift is ≤ 31: never UB.
-    (code.wrapping_mul(0x9E37_79B9) >> (32 - slots.trailing_zeros())) as usize
-}
-
-/// Builds the open-addressed code→row table for an ascending list of
-/// distinct codes. Insertion order is the ascending code order, so the
-/// table is a pure function of `codes`: an index loaded from a file gets
-/// the table its fresh build had, without the file storing it.
-pub(crate) fn build_slot_table(codes: &[u32]) -> Vec<u32> {
-    let s = sparse_slot_count(codes.len());
-    let mut slots = vec![EMPTY_SLOT; s];
-    for (row, &code) in codes.iter().enumerate() {
-        let mut i = fib_slot(code, s);
-        while slots[i] != EMPTY_SLOT {
-            i = (i + 1) & (s - 1);
-        }
-        slots[i] = u32::try_from(row).expect("row ids bounded by the bank-length guard");
-    }
-    slots
-}
-
-/// Codes [`BankIndex::occurrences_batch`] resolves per round of its
-/// three passes: enough independent misses in flight to cover a cold
-/// slot table, few enough that a round's state is a few hundred bytes
-/// of stack. Step 2 pulls this many driving rows ahead of its pair loops.
-pub const LOOKUP_BATCH: usize = 32;
-
-/// Looks up the row id of `code` via the slot table. Probes terminate
-/// because the table is at least half empty, and its row ids are in range
-/// because [`SparseRows`] only ever derives it from `codes`.
-#[inline]
-fn sparse_row_of(codes: &[u32], slots: &[u32], code: u32) -> Option<usize> {
-    if slots.is_empty() {
-        return None;
-    }
-    let mask = slots.len() - 1;
-    let mut i = fib_slot(code, slots.len());
-    loop {
-        let row = slots[i];
-        if row == EMPTY_SLOT {
-            return None;
-        }
-        if codes[row as usize] == code {
-            return Some(row as usize);
-        }
-        i = (i + 1) & mask;
-    }
-}
-
 /// Row `row` of a sparse table as its postings slice.
 #[inline]
 fn sparse_row<'s>(positions: &'s [u32], row_offsets: &[u32], row: usize) -> &'s [u32] {
     &positions[row_offsets[row] as usize..row_offsets[row + 1] as usize]
-}
-
-/// One round of [`BankIndex::occurrences_batch`] over a sparse table, for
-/// at most [`LOOKUP_BATCH`] codes. Pass 1 loads every code's home slot and
-/// pass 2 the key of every home's row, its index clamped so an empty slot
-/// costs no branch; neither pass waits on the previous load of its own.
-/// Pass 3 answers: an empty home is an absent code, a key equal to the
-/// code is its row, and only a collision walks the probe chain.
-fn sparse_rows_batch<'s>(
-    keys: &[u32],
-    row_offsets: &[u32],
-    slots: &[u32],
-    positions: &'s [u32],
-    codes: &[u32],
-    rows: &mut [&'s [u32]],
-) {
-    if slots.is_empty() {
-        rows.fill(&[]);
-        return;
-    }
-    let n = codes.len();
-    // The row id each code's home slot holds, or `EMPTY_SLOT`.
-    let mut home_row = [EMPTY_SLOT; LOOKUP_BATCH];
-    for (row, &code) in home_row[..n].iter_mut().zip(codes) {
-        *row = slots[fib_slot(code, slots.len())];
-    }
-    // A non-empty table has at least one key.
-    let last = keys.len() - 1;
-    let mut key = [0u32; LOOKUP_BATCH];
-    for (key, &row) in key[..n].iter_mut().zip(&home_row[..n]) {
-        *key = keys[(row as usize).min(last)];
-    }
-    for (i, (out, &code)) in rows.iter_mut().zip(codes).enumerate() {
-        let row = if home_row[i] == EMPTY_SLOT {
-            None
-        } else if key[i] == code {
-            Some(home_row[i] as usize)
-        } else {
-            sparse_row_of(keys, slots, code)
-        };
-        *out = row.map_or(&[], |row| sparse_row(positions, row_offsets, row));
-    }
 }
 
 /// The row-lookup structure: how a seed code maps to its postings row.
@@ -386,64 +268,41 @@ pub(crate) enum RowIndex {
     Sparse(SparseRows),
 }
 
-pub(crate) use sparse_rows::SparseRows;
+/// The sparse row lookup: `codes[k]` ascending distinct codes and
+/// `row_offsets[k + 1]` row boundaries — row `r`, the occurrences of
+/// `codes[r]`, is `positions[row_offsets[r] .. row_offsets[r + 1]]`. A
+/// code finds its row by a search of `codes` (a binary search for one
+/// code, a forward [`RowCursor`] for ascending ones); nothing else is
+/// derived or stored, so an index file's two sections are the whole
+/// structure.
+#[derive(Debug, Clone)]
+pub(crate) struct SparseRows {
+    codes: Section<u32>,
+    row_offsets: Section<u32>,
+}
 
-/// [`SparseRows`] in a module of its own, so that its one constructor is
-/// the only way to pair a code list with a slot table.
-mod sparse_rows {
-    use super::build_slot_table;
-    use crate::section::Section;
-
-    /// The sparse row lookup: `codes[k]` ascending distinct codes,
-    /// `row_offsets[k + 1]` row boundaries (row `r` of `codes[r]` is
-    /// `positions[row_offsets[r] .. row_offsets[r + 1]]`), and the
-    /// open-addressed `slots` table mapping code → row. The table is
-    /// always derived from `codes` by [`SparseRows::new`] — for a fresh
-    /// build and for an index file alike, which stores no table — so no
-    /// caller can hand one in, and every table is exactly the one its
-    /// code list produces: at least half empty, its probe chains ending
-    /// at an empty slot, its row ids in range.
-    #[derive(Debug, Clone)]
-    pub(crate) struct SparseRows {
-        codes: Section<u32>,
-        row_offsets: Section<u32>,
-        slots: Vec<u32>,
+impl SparseRows {
+    /// Pairs `codes` with `row_offsets`; the caller validates the lists.
+    pub(crate) fn new(codes: Section<u32>, row_offsets: Section<u32>) -> SparseRows {
+        SparseRows { codes, row_offsets }
     }
 
-    impl SparseRows {
-        /// Pairs `codes` and `row_offsets` with the slot table derived
-        /// from `codes`. Terminates on any code list (each insert finds
-        /// one of the ≥ k empty slots); the caller validates the lists.
-        pub(crate) fn new(codes: Section<u32>, row_offsets: Section<u32>) -> SparseRows {
-            let slots = build_slot_table(&codes);
-            SparseRows {
-                codes,
-                row_offsets,
-                slots,
-            }
-        }
+    pub(crate) fn codes(&self) -> &[u32] {
+        &self.codes
+    }
 
-        pub(crate) fn codes(&self) -> &[u32] {
-            &self.codes
-        }
+    pub(crate) fn row_offsets(&self) -> &[u32] {
+        &self.row_offsets
+    }
 
-        pub(crate) fn row_offsets(&self) -> &[u32] {
-            &self.row_offsets
-        }
+    /// Heap bytes: the code list and row boundaries unless they are
+    /// views of a mapped file.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.codes.heap_bytes() + self.row_offsets.heap_bytes()
+    }
 
-        pub(crate) fn slots(&self) -> &[u32] {
-            &self.slots
-        }
-
-        /// Heap bytes: the slot table always, the code list and row
-        /// boundaries unless they are views of a mapped file.
-        pub(crate) fn heap_bytes(&self) -> usize {
-            self.codes.heap_bytes() + self.row_offsets.heap_bytes() + 4 * self.slots.len()
-        }
-
-        pub(crate) fn is_mapped(&self) -> bool {
-            self.codes.is_mapped() || self.row_offsets.is_mapped()
-        }
+    pub(crate) fn is_mapped(&self) -> bool {
+        self.codes.is_mapped() || self.row_offsets.is_mapped()
     }
 }
 
@@ -478,8 +337,7 @@ pub struct BankIndex {
 }
 
 /// A bank's code array (residues, one sentinel per sequence, plus one)
-/// must be shorter than this: postings are `u32` positions, and
-/// `u32::MAX` itself is the sparse layout's empty-slot mark.
+/// must be shorter than this: postings are `u32` positions.
 pub const MAX_BANK_LEN: usize = u32::MAX as usize;
 
 impl BankIndex {
@@ -780,7 +638,9 @@ impl BankIndex {
     }
 
     /// All occurrences of `code` as a contiguous slice, in increasing
-    /// position order.
+    /// position order. A sparse index finds the row by a binary search of
+    /// its code list; step 2, which asks for codes in ascending order,
+    /// walks a [`RowCursor`] instead.
     #[inline]
     pub fn occurrences(&self, code: u32) -> &[u32] {
         match &self.rows {
@@ -789,46 +649,20 @@ impl BankIndex {
                 let hi = offsets[code as usize + 1] as usize;
                 &self.positions[lo..hi]
             }
-            RowIndex::Sparse(sparse) => sparse_row_of(sparse.codes(), sparse.slots(), code)
-                .map_or(&[], |row| {
-                    sparse_row(&self.positions, sparse.row_offsets(), row)
-                }),
+            RowIndex::Sparse(sparse) => sparse.codes().binary_search(&code).map_or(&[], |row| {
+                sparse_row(&self.positions, sparse.row_offsets(), row)
+            }),
         }
     }
 
-    /// [`BankIndex::occurrences`] for many codes at once: `rows[i]`
-    /// becomes exactly the slice `occurrences(codes[i])` returns. A sparse
-    /// table resolves the codes [`LOOKUP_BATCH`] at a time, each round in
-    /// three passes (see the module docs' *Batched lookup*), so the cache
-    /// misses of a round overlap instead of each lookup waiting on its
-    /// own; a dense table answers each code with `occurrences`.
-    ///
-    /// # Panics
-    /// Panics if `codes` and `rows` differ in length.
-    pub fn occurrences_batch<'s>(&'s self, codes: &[u32], rows: &mut [&'s [u32]]) {
-        assert_eq!(codes.len(), rows.len(), "one output row per code");
-        match &self.rows {
-            RowIndex::Dense { .. } => {
-                for (out, &code) in rows.iter_mut().zip(codes) {
-                    *out = self.occurrences(code);
-                }
-            }
-            RowIndex::Sparse(sparse) => {
-                for (codes, rows) in codes
-                    .chunks(LOOKUP_BATCH)
-                    .zip(rows.chunks_mut(LOOKUP_BATCH))
-                {
-                    sparse_rows_batch(
-                        sparse.codes(),
-                        sparse.row_offsets(),
-                        sparse.slots(),
-                        &self.positions,
-                        codes,
-                        rows,
-                    );
-                }
-            }
-        }
+    /// A cursor answering [`BankIndex::occurrences`] for codes asked in
+    /// ascending order from `start` on (see [`RowCursor`]).
+    pub fn cursor_from(&self, start: u32) -> RowCursor<'_> {
+        let next = match &self.rows {
+            RowIndex::Dense { .. } => 0,
+            RowIndex::Sparse(sparse) => sparse.codes().partition_point(|&c| c < start),
+        };
+        RowCursor { index: self, next }
     }
 
     /// The dense CSR row-boundary array (`4^W + 1` entries), or `None`
@@ -951,9 +785,7 @@ impl BankIndex {
     /// indexed-position bit vector). For an mmap-backed index the mapped
     /// sections count zero — their bytes live in the shared, evictable
     /// page cache, not this process's heap. What an attach does hold on
-    /// the heap is the copied bit-set (`len/8` bytes) and, for a sparse
-    /// index, the slot table derived at load (`4·2^⌈log₂ 2k⌉` bytes for k
-    /// populated codes).
+    /// the heap is the copied bit-set (`len/8` bytes).
     pub fn heap_bytes(&self) -> usize {
         let rows = match &self.rows {
             RowIndex::Dense { offsets } => offsets.heap_bytes(),
@@ -1053,6 +885,64 @@ impl<'a> Iterator for PopulatedRows<'a> {
             }
         }
     }
+}
+
+/// A forward cursor over an index's rows, for codes asked in ascending
+/// order — how step 2 resolves each driving row's partner row (see the
+/// module docs' *Partner rows*). [`RowCursor::seek`] answers exactly what
+/// [`BankIndex::occurrences`] does. On a dense index that is one offsets
+/// load. On a sparse one the cursor keeps its place in the sorted code
+/// list and gallops forward from it: it probes 1, 2, 4, … codes ahead
+/// until it passes the code asked, then binary-searches the last stride.
+/// A seek costs O(log d) for a skip of d codes, so codes asked densely —
+/// a joint read chunk against a volume — cost a probe or two each, and
+/// a whole ascending walk never goes back over a code.
+#[derive(Debug, Clone)]
+pub struct RowCursor<'a> {
+    index: &'a BankIndex,
+    /// Sparse: every code before this row is below the codes still to be
+    /// asked. Unused by a dense index.
+    next: usize,
+}
+
+impl<'a> RowCursor<'a> {
+    /// The occurrences of `code`, which must be at least every code asked
+    /// before it and the cursor's start.
+    #[inline]
+    pub fn seek(&mut self, code: u32) -> &'a [u32] {
+        let index = self.index;
+        match &index.rows {
+            RowIndex::Dense { .. } => index.occurrences(code),
+            RowIndex::Sparse(sparse) => {
+                let codes = sparse.codes();
+                let row = gallop(codes, self.next, code);
+                self.next = row;
+                if codes.get(row) == Some(&code) {
+                    sparse_row(&index.positions, sparse.row_offsets(), row)
+                } else {
+                    &[]
+                }
+            }
+        }
+    }
+}
+
+/// The first index at or after `from` whose code is at least `code`
+/// (`codes.len()` if none), for an ascending `codes`: probe `from`, then
+/// 1, 2, 4, … further on until a probe reaches `code` or the end, then
+/// binary-search the stride the last step jumped.
+#[inline]
+fn gallop(codes: &[u32], from: usize, code: u32) -> usize {
+    let mut lo = from;
+    let mut hi = from;
+    let mut step = 1;
+    while hi < codes.len() && codes[hi] < code {
+        lo = hi + 1;
+        hi = lo + step;
+        step *= 2;
+    }
+    let hi = hi.min(codes.len());
+    lo + codes[lo..hi].partition_point(|&c| c < code)
 }
 
 /// Bank positions per worker below which step 1 takes no second worker,
@@ -1415,6 +1305,62 @@ mod tests {
     use oris_seqio::BankBuilder;
     use proptest::prelude::*;
 
+    /// The hashed code→row lookup the sparse layout carried before the
+    /// row cursor, kept as an oracle of the cursor's answers: an
+    /// open-addressed table of `2^⌈log₂ 2k⌉` slots, Fibonacci-hashed,
+    /// linear-probed, built in ascending code order.
+    mod slot_oracle {
+        /// An unoccupied slot.
+        const EMPTY_SLOT: u32 = u32::MAX;
+
+        /// Slots for `distinct` codes: at least half empty, zero for none.
+        pub fn sparse_slot_count(distinct: usize) -> usize {
+            if distinct == 0 {
+                0
+            } else {
+                (2 * distinct).next_power_of_two()
+            }
+        }
+
+        /// Fibonacci-hash home slot of `code` in a table of `slots ≥ 2`.
+        pub fn fib_slot(code: u32, slots: usize) -> usize {
+            (code.wrapping_mul(0x9E37_79B9) >> (32 - slots.trailing_zeros())) as usize
+        }
+
+        /// The table of an ascending list of distinct codes.
+        pub fn build_slot_table(codes: &[u32]) -> Vec<u32> {
+            let s = sparse_slot_count(codes.len());
+            let mut slots = vec![EMPTY_SLOT; s];
+            for (row, &code) in codes.iter().enumerate() {
+                let mut i = fib_slot(code, s);
+                while slots[i] != EMPTY_SLOT {
+                    i = (i + 1) & (s - 1);
+                }
+                slots[i] = row as u32;
+            }
+            slots
+        }
+
+        /// The row of `code`, walking its probe chain to an empty slot.
+        pub fn sparse_row_of(codes: &[u32], slots: &[u32], code: u32) -> Option<usize> {
+            if slots.is_empty() {
+                return None;
+            }
+            let mut i = fib_slot(code, slots.len());
+            loop {
+                let row = slots[i];
+                if row == EMPTY_SLOT {
+                    return None;
+                }
+                if codes[row as usize] == code {
+                    return Some(row as usize);
+                }
+                i = (i + 1) & (slots.len() - 1);
+            }
+        }
+    }
+    use slot_oracle::{build_slot_table, fib_slot, sparse_row_of, sparse_slot_count};
+
     fn bank_of(seqs: &[&str]) -> Bank {
         let mut b = BankBuilder::new();
         for (i, s) in seqs.iter().enumerate() {
@@ -1512,15 +1458,10 @@ mod tests {
     }
 
     /// The sparse footprint model: 4 bytes per populated code, 4·(k+1)
-    /// row offsets, 4 bytes per slot-table entry, postings and bit-set
-    /// as dense.
+    /// row offsets, postings and bit-set as dense.
     fn expected_sparse_bytes(bank: &Bank, distinct: usize, indexed_positions: usize) -> usize {
         let n = bank.data().len();
-        4 * distinct
-            + 4 * (distinct + 1)
-            + 4 * sparse_slot_count(distinct)
-            + 4 * indexed_positions
-            + n.div_ceil(64) * 8
+        4 * distinct + 4 * (distinct + 1) + 4 * indexed_positions + n.div_ceil(64) * 8
     }
 
     #[test]
@@ -1752,8 +1693,8 @@ mod tests {
 
     /// Distinct codes of the `w`-base code space, one per pick, where
     /// every odd pick becomes a free code with the same home slot as the
-    /// code before it — in the table that many codes get — so the table
-    /// holds displaced codes and lookups meet collisions.
+    /// code before it — in the oracle table that many codes get — so the
+    /// table holds displaced codes and its lookups meet collisions.
     fn codes_with_collisions(w: usize, picks: &[u32]) -> Vec<u32> {
         let num = 1u32 << (2 * w);
         let slots = sparse_slot_count(picks.len());
@@ -1791,7 +1732,7 @@ mod tests {
         crate::persist::write_index(&mut bytes, idx, &crate::IndexMeta::default()).unwrap();
         let heap = crate::persist::decode(&bytes, None).unwrap().0;
         let path = std::env::temp_dir().join(format!(
-            "oris_lookup_batch_{}_{}.oidx",
+            "oris_row_cursor_{}_{}.oidx",
             std::process::id(),
             NEXT.fetch_add(1, Ordering::Relaxed)
         ));
@@ -1803,9 +1744,9 @@ mod tests {
 
     #[test]
     fn collision_codes_share_home_slots() {
-        // The construction the batched-lookup proptest relies on: a
-        // sparse table over these codes holds codes off their home slot,
-        // so a lookup meets a key that is not its code.
+        // The construction the cursor proptest relies on: the oracle's
+        // table over these codes holds codes off their home slot, so an
+        // oracle lookup meets a key that is not its code.
         let picks: Vec<u32> = (0..20u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
         let codes = codes_with_collisions(5, &picks);
         assert_eq!(codes.len(), picks.len());
@@ -1817,7 +1758,8 @@ mod tests {
         let RowIndex::Sparse(sparse) = idx.rows() else {
             panic!("sparse build")
         };
-        let (keys, slots) = (sparse.codes(), sparse.slots());
+        let keys = sparse.codes();
+        let slots = build_slot_table(keys);
         let displaced = codes
             .iter()
             .filter(|&&c| keys[slots[fib_slot(c, slots.len())] as usize] != c)
@@ -2124,46 +2066,54 @@ mod tests {
             prop_assert_eq!(idx.indexed_positions(), expected);
         }
 
-        /// The batched lookup answers every code exactly as `occurrences`
-        /// does: dense and sparse, freshly built, decoded to the heap and
-        /// mapped from a file; every batch length from 0 past two rounds;
+        /// The row cursor answers every code exactly as a binary search of
+        /// the code list and as the old slot table's lookup do: dense and
+        /// sparse, freshly built, decoded to the heap and mapped from a
+        /// file; from a cursor started at code 0 and one started mid-list;
         /// present codes, absent ones, codes whose home slot another code
-        /// owns, and an index of zero codes.
+        /// owns, codes past the last populated one, and an index of zero
+        /// codes. Sparse `occurrences` is held to the same answers.
         #[test]
-        fn batched_lookup_equals_occurrences(
+        fn cursor_lookup_equals_binary_search_and_slot_oracle(
             w in 4usize..7,
             picks in proptest::collection::vec(0u32..u32::MAX, 0..48),
-            queries in proptest::collection::vec(0u32..u32::MAX, 0..2 * LOOKUP_BATCH + 2),
+            queries in proptest::collection::vec(0u32..u32::MAX, 0..80),
+            start in 0u32..u32::MAX,
         ) {
             let coder = SeedCoder::new(w);
             let num = coder.num_seeds() as u32;
             let codes = codes_with_collisions(w, &picks);
             let bank = bank_of_codes(coder, &codes);
-            // Even draws ask a present code, odd draws any code.
-            let asked: Vec<u32> = queries
+            // Even draws ask a present code, odd draws any code; the walk
+            // asks them ascending, repeats included, then the last code.
+            let mut asked: Vec<u32> = queries
                 .iter()
                 .map(|&q| match codes.len() {
                     n if n > 0 && q % 2 == 0 => codes[(q / 2) as usize % n],
                     _ => q / 2 % num,
                 })
                 .collect();
-            let every: Vec<u32> = (0..num).collect();
+            asked.push(num - 1);
+            asked.sort_unstable();
+            let slots = build_slot_table(&codes);
+            let start = start % num;
             for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
                 let built = BankIndex::build(&bank, IndexConfig::full(w).with_backend(backend));
                 prop_assert_eq!(built.distinct_codes(), codes.len());
                 let [heap, mapped] = round_trips(&built);
                 prop_assert!(codes.is_empty() || mapped.is_mmap_backed());
                 for idx in [&built, &heap, &mapped] {
-                    let want: Vec<&[u32]> = asked.iter().map(|&c| idx.occurrences(c)).collect();
-                    for n in 0..=asked.len() {
-                        let mut got = vec![&[][..]; n];
-                        idx.occurrences_batch(&asked[..n], &mut got);
-                        prop_assert_eq!(&got[..], &want[..n]);
-                    }
-                    let mut got = vec![&[][..]; every.len()];
-                    idx.occurrences_batch(&every, &mut got);
-                    for (&code, row) in every.iter().zip(&got) {
-                        prop_assert!(*row == idx.occurrences(code), "code {}", code);
+                    // Row r of the populated walk belongs to codes[r].
+                    let rows: Vec<&[u32]> = idx.populated().map(|(_, row)| row).collect();
+                    for from in [0, start] {
+                        let mut cursor = idx.cursor_from(from);
+                        for &code in asked.iter().filter(|&&c| c >= from) {
+                            let row = codes.binary_search(&code).ok();
+                            prop_assert_eq!(sparse_row_of(&codes, &slots, code), row);
+                            let want = row.map_or(&[][..], |r| rows[r]);
+                            prop_assert!(cursor.seek(code) == want, "code {}", code);
+                            prop_assert_eq!(idx.occurrences(code), want);
+                        }
                     }
                 }
             }
