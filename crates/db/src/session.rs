@@ -848,6 +848,20 @@ impl<'d> DbSession<'d> {
                 &armed
             }
         };
+        // The joined queries are prepared once for the whole database,
+        // exactly as a single-bank session prepares a query once for both
+        // strands — and before the volumes attach, so the build's
+        // transient sort keys never sit beside every volume's pages.
+        let banks: Vec<&Bank> = joined.iter().map(|&i| queries[i].borrow()).collect();
+        let chunk = (!banks.is_empty()).then(|| {
+            let prepare =
+                || QueryChunk::prepare(&banks, self.cfg.filter, self.cfg.query_index_config());
+            let _span = self.obs.span("prepare");
+            match &self.pool {
+                Some(pool) => pool.install(prepare),
+                None => prepare(),
+            }
+        });
         let mut retries = 0;
         if self.capacity == num {
             // Attach-ahead: a no-op after the first chunk. Volumes no
@@ -864,21 +878,8 @@ impl<'d> DbSession<'d> {
         // order; `slot[i]` is query i's place in that order.
         let mut searched: Vec<Option<Vec<MemberResult>>> = (0..num).map(|_| None).collect();
         let mut slot: Vec<Option<usize>> = vec![None; queries.len()];
-        if !joined.is_empty() {
-            let banks: Vec<&Bank> = joined.iter().map(|&i| queries[i].borrow()).collect();
-            // The joined queries are prepared once for the whole database,
-            // exactly as a single-bank session prepares a query once for
-            // both strands.
-            let prepare =
-                || QueryChunk::prepare(&banks, self.cfg.filter, self.cfg.query_index_config());
-            let chunk = {
-                let _span = self.obs.span("prepare");
-                match &self.pool {
-                    Some(pool) => pool.install(prepare),
-                    None => prepare(),
-                }
-            };
-            let staged = self.search_volumes(&chunk, &wanted, &mut retries, deadline)?;
+        if let Some(chunk) = &chunk {
+            let staged = self.search_volumes(chunk, &wanted, &mut retries, deadline)?;
             for (v, staged) in staged.into_iter().enumerate() {
                 if let Some((chunk_stats, results)) = staged {
                     // Step 2 and the seconds belong to the chunk, booked
