@@ -43,9 +43,15 @@ use crate::cache::{self, CacheCounters, CacheKey, CachedVolume, ResultCache};
 use crate::database::{Database, DbError};
 
 /// One volume's staged search of a chunk: the chunk's report (step 2 once
-/// for the chunk) and each joined query's records (arrival order, the
-/// boundary sort happens at `end_query`) and own step-3/4 counters.
-type Staged = (PipelineStats, Vec<MemberResult>);
+/// for the chunk) and, in ascending order of their place `k` among the
+/// joined queries, `(k, share)` for each joined query the volume gave any
+/// step-3 work: its records (arrival order, the boundary sort happens at
+/// `end_query`) and own step-3/4 counters. Every other joined query's
+/// share is empty, so a volume holds what it found, not a slot per query.
+type Staged = (PipelineStats, Vec<(usize, MemberResult)>);
+
+/// A query's cache hits: `(volume, entry)` in ascending volume order.
+type Hits = Vec<(usize, CachedVolume)>;
 
 /// What a [`DbSession`] does when a volume fails to attach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -437,25 +443,22 @@ impl<'d> DbSession<'d> {
     }
 
     /// Phase 1 — *probe*. One O(1) cache lookup per live volume under
-    /// the query's fingerprint (`None` = caching is off, and the result is
-    /// empty: no volume serves the query); a hit withdraws the volume from
-    /// attach and search — its records replay in [`DbSession::merge`].
+    /// the query's fingerprint (`None` = caching is off: no volume serves
+    /// the query); a hit withdraws the volume from attach and search — its
+    /// records replay in [`DbSession::merge`].
     /// Quarantined volumes are never probed: their entries were
     /// invalidated at quarantine time.
-    fn probe(&mut self, query_fp: Option<u64>) -> Vec<Option<CachedVolume>> {
-        let Some(qfp) = query_fp else {
-            return Vec::new();
-        };
-        let mut hits: Vec<Option<CachedVolume>> =
-            (0..self.db.num_volumes()).map(|_| None).collect();
+    fn probe(&mut self, query_fp: Option<u64>) -> Hits {
+        let mut hits = Vec::new();
+        let Some(qfp) = query_fp else { return hits };
         let _span = self.obs.span("cache_lookup");
-        for (v, hit) in hits.iter_mut().enumerate() {
+        for v in 0..self.db.num_volumes() {
             if self.quarantined[v].is_some() {
                 continue;
             }
             let key = self.cache_key(qfp, v);
             let results = self.results.as_mut().expect("fingerprinted iff caching");
-            *hit = results.lookup(&key).cloned();
+            let hit = results.lookup(&key).cloned();
             self.obs.count(
                 if hit.is_some() {
                     names::CACHE_HITS_TOTAL
@@ -464,6 +467,7 @@ impl<'d> DbSession<'d> {
                 },
                 1,
             );
+            hits.extend(hit.map(|entry| (v, entry)));
         }
         hits
     }
@@ -580,7 +584,13 @@ impl<'d> DbSession<'d> {
             names::VOLUME_SEARCH_SECONDS,
             &[Field::U64("volume", v as u64)],
         );
-        Ok(session.search_chunk(chunk, deadline)?)
+        let (stats, shares) = session.search_chunk(chunk, deadline)?;
+        let found = shares
+            .into_iter()
+            .enumerate()
+            .filter(|(_, share)| *share != MemberResult::default())
+            .collect();
+        Ok((stats, found))
     }
 
     /// Searches the chunk against every wanted volume that is not
@@ -650,8 +660,9 @@ impl<'d> DbSession<'d> {
     /// Phase 4 — *merge*, one query: strictly ascending volume order, so
     /// stats accumulate exactly as a sequential walk's and the report's
     /// lists come out sorted. Each volume's result is the cache's (`hits`)
-    /// or the query's share of the chunk's search (`fresh(v)`, inserted
-    /// into the cache); either is replayed into `sink`, then the query's
+    /// or the query's share of the chunk's search (`fresh(v)`, `None` when
+    /// the volume was not searched; inserted into the cache); either is
+    /// replayed into `sink`, then the query's
     /// single `end_query` fires and the query is counted. Only complete
     /// chunks get here (an aborted one returned from an earlier phase), so
     /// nothing partial is ever cached or replayed. Returns the query's own
@@ -659,15 +670,16 @@ impl<'d> DbSession<'d> {
     fn merge(
         &mut self,
         query_fp: Option<u64>,
-        mut hits: Vec<Option<CachedVolume>>,
+        hits: Hits,
         mut fresh: impl FnMut(usize) -> Option<MemberResult>,
         sink: &mut dyn RecordSink,
         report: &mut SearchReport,
     ) -> Result<PipelineStats, DbError> {
         let _span = self.obs.span("merge");
         let mut merged = PipelineStats::default();
+        let mut hits = hits.into_iter().peekable();
         for v in 0..self.db.num_volumes() {
-            let hit = hits.get_mut(v).and_then(Option::take);
+            let hit = hits.next_if(|(at, _)| *at == v).map(|(_, entry)| entry);
             let (records, stats) = match (hit, fresh(v)) {
                 (Some(cached), _) => {
                     report.cache_hits.push(v);
@@ -826,19 +838,25 @@ impl<'d> DbSession<'d> {
             .iter()
             .map(|fp| fp.is_some_and(|fp| !seen.insert(fp)))
             .collect();
-        let mut hits: Vec<Vec<Option<CachedVolume>>> = (0..queries.len())
+        let mut hits: Vec<Hits> = (0..queries.len())
             .map(|i| self.probe(if late[i] { None } else { fps[i] }))
             .collect();
-        let served =
-            |hits: &[Option<CachedVolume>], v: usize| hits.get(v).is_some_and(Option::is_some);
-        // A query joins the search if some live volume did not serve it;
-        // a volume is searched if some joined query was not served by it.
+        // A query joins the search if some live volume did not serve it
+        // (hits come from live volumes only); a volume is searched if some
+        // joined query was not served by it.
         let live: Vec<bool> = self.quarantined.iter().map(Option::is_none).collect();
+        let live_volumes = live.iter().filter(|&&l| l).count();
         let joined: Vec<usize> = (0..queries.len())
-            .filter(|&i| (0..num).any(|v| live[v] && !served(&hits[i], v)))
+            .filter(|&i| hits[i].len() < live_volumes)
             .collect();
+        let mut served = vec![0; num];
+        for &i in &joined {
+            for &(v, _) in &hits[i] {
+                served[v] += 1;
+            }
+        }
         let wanted: Vec<bool> = (0..num)
-            .map(|v| live[v] && joined.iter().any(|&i| !served(&hits[i], v)))
+            .map(|v| live[v] && served[v] < joined.len())
             .collect();
         let armed;
         let deadline = match token {
@@ -874,9 +892,12 @@ impl<'d> DbSession<'d> {
             }
         }
         let mut totals = PipelineStats::default();
-        // Per volume, the joined queries' shares of its search, in joined
-        // order; `slot[i]` is query i's place in that order.
-        let mut searched: Vec<Option<Vec<MemberResult>>> = (0..num).map(|_| None).collect();
+        // Per volume, the shares its search found (see `Staged`), and how
+        // far the merge has taken them; `slot[i]` is query i's place among
+        // the joined queries.
+        let mut searched: Vec<Option<Vec<(usize, MemberResult)>>> =
+            (0..num).map(|_| None).collect();
+        let mut taken = vec![0; num];
         let mut slot: Vec<Option<usize>> = vec![None; queries.len()];
         if let Some(chunk) = &chunk {
             let staged = self.search_volumes(chunk, &wanted, &mut retries, deadline)?;
@@ -909,9 +930,20 @@ impl<'d> DbSession<'d> {
                 retries: if i == 0 { retries } else { 0 },
                 ..SearchReport::default()
             };
+            // Queries merge in joined order, so each volume's shares are
+            // taken front to back; a joined query without one found nothing
+            // there.
             let fresh = |v: usize| {
                 let k = slot[i]?;
-                Some(std::mem::take(&mut searched[v].as_mut()?[k]))
+                let found = searched[v].as_mut()?;
+                let at = &mut taken[v];
+                Some(match found.get_mut(*at) {
+                    Some((owner, share)) if *owner == k => {
+                        *at += 1;
+                        std::mem::take(share)
+                    }
+                    _ => MemberResult::default(),
+                })
             };
             let own = self.merge(
                 fps[i],
