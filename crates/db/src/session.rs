@@ -1007,6 +1007,9 @@ impl<'d> DbSession<'d> {
     ///   volume that serves it replays its entry, and only a query some
     ///   volume did not serve joins the joint bank. Entries are inserted
     ///   per (query, volume) and hold the query's own step-3/4 counters.
+    ///   A volume quarantined while the chunk attaches is skipped for the
+    ///   chunk's searched queries; an entry probed before the failure
+    ///   still replays, as it would for a query that ran before it.
     /// * *Counters.* See [`DbBatchStats`]: step 1 and step 2 are booked
     ///   once per chunk, steps 3–4 per query; `index_builds` and the
     ///   volume dispatches count chunks.
