@@ -1,10 +1,14 @@
 //! E7 — the section-3.1 memory model: "The index structure required for
 //! storing a bank of size N … is approximately equal to 5×N bytes."
 //!
-//! Measures the actual footprint (SEQ array + dictionary + successor
-//! chains + occurrence bit-set) across the bank grid and reports the
-//! bytes-per-residue ratio. The paper's 5·N holds for N ≫ 4^W; the
-//! dictionary adds a constant 16 MiB at W = 11.
+//! Measures the actual footprint (SEQ array + row map + postings +
+//! occurrence bit-set) across the bank grid and reports the
+//! bytes-per-residue ratio. A bank of N positions with k distinct codes
+//! takes `N` bytes of `SEQ` and, on the dense row map the large banks
+//! get, `4·N + 4·k + N/8 + 3·4^W/16` index bytes: the paper's 5·N, plus
+//! one row boundary per populated code, the bit-set, and 768 KB of
+//! presence bitmap and ranks at W = 11. A saturated bank (k ≈ 4^W) pays
+//! at most those 768 KB more than a `4^W + 1` offsets dictionary.
 
 use oris_bench::{bank, scale_from_args};
 use oris_core::OrisConfig;
@@ -43,8 +47,9 @@ fn main() {
     }
     print!("{t}");
     println!(
-        "\npaper model: ~5 bytes/residue (1 SEQ + 4 INDEX) plus the 4^W dictionary ({} MiB at W={})",
-        (4usize.pow(11) * 4) >> 20,
-        11
+        "\npaper model: ~5 bytes/residue (1 SEQ + 4 INDEX); here also 4 bytes per distinct seed, \
+         1/8 byte per position and the 4^W-bit presence bitmap with its ranks ({} KiB at W={})",
+        (3 * 4usize.pow(cfg.w as u32) / 16) >> 10,
+        cfg.w
     );
 }

@@ -12,7 +12,7 @@
 //! | `table_speedup_large` | §3.3 large-bank speed-up table (E4) |
 //! | `table_sensitivity_est` | §3.4 EST miss tables (E5) |
 //! | `table_sensitivity_large` | §3.4 large-bank miss tables (E6) |
-//! | `table_memory` | §3.1 index ≈5·N bytes (E7) |
+//! | `table_memory` | §3.1 index ≈5·N bytes, here `4·N + 4·k + N/8 + 3·4^W/16` (E7) |
 //! | `fig_parallel_scaling` | §4 multicore perspective (E8) |
 //! | `ablation_dedup` | ordered rule vs hash dedup (A1) |
 //! | `ablation_asymmetric` | asymmetric indexing (A2) |

@@ -194,31 +194,19 @@ fn corrupt_index_exits_3() {
 }
 
 /// Rewrites the format version word (bytes 8..12) of `vol00000.oidx`
-/// to 2, the version before the word-wide checksum.
-fn patch_first_volume_to_version_2(db: &Path) {
+/// to `version`: 2 is the version before the word-wide checksum, 3 the
+/// one before the presence bitmap.
+fn patch_first_volume_to_version(db: &Path, version: u32) {
     let path = db.join("vol00000.oidx");
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&version.to_le_bytes());
     std::fs::write(&path, bytes).unwrap();
 }
 
-#[test]
-fn version_2_volume_exits_3_with_the_rebuild_hint() {
-    let (db, query) = fixture("v2_search");
-    patch_first_volume_to_version_2(&db);
-    let out = search(&db, &query, &[]);
-    assert_clean_failure(&out, 3, "rebuild with makedb / mkindex");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("vol00000.oidx"),
-        "{out:?}"
-    );
-}
-
-#[test]
-fn verifydb_fails_only_the_version_2_volume() {
-    let (db, _) = fixture("v2_verify");
-    patch_first_volume_to_version_2(&db);
-    let out = verifydb().arg(&db).output().unwrap();
+/// Runs `verifydb` over `db` and checks that it fails exactly volume
+/// 00000, with the rebuild hint, and passes the others.
+fn assert_verifydb_fails_only_the_first_volume(db: &Path) {
+    let out = verifydb().arg(db).output().unwrap();
     assert_eq!(out.status.code(), Some(3));
     let stdout = String::from_utf8_lossy(&out.stdout);
     let failed: Vec<&str> = stdout.lines().filter(|l| l.contains("FAILED")).collect();
@@ -232,6 +220,34 @@ fn verifydb_fails_only_the_version_2_volume() {
         stdout.lines().filter(|l| l.contains(": OK")).count() >= 1,
         "{stdout}"
     );
+}
+
+#[test]
+fn version_2_volume_exits_3_with_the_rebuild_hint() {
+    let (db, query) = fixture("v2_search");
+    patch_first_volume_to_version(&db, 2);
+    let out = search(&db, &query, &[]);
+    assert_clean_failure(&out, 3, "rebuild with makedb / mkindex");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("vol00000.oidx"),
+        "{out:?}"
+    );
+}
+
+#[test]
+fn verifydb_fails_only_the_version_2_volume() {
+    let (db, _) = fixture("v2_verify");
+    patch_first_volume_to_version(&db, 2);
+    assert_verifydb_fails_only_the_first_volume(&db);
+}
+
+#[test]
+fn verifydb_fails_only_the_version_3_volume() {
+    // Version 3 stored a dense index as `4^W + 1` offsets; a v3 volume
+    // is named, with the rebuild hint, and the v4 volumes pass.
+    let (db, _) = fixture("v3_verify");
+    patch_first_volume_to_version(&db, 3);
+    assert_verifydb_fails_only_the_first_volume(&db);
 }
 
 #[test]
@@ -345,6 +361,46 @@ fn verifydb_passes_a_clean_database_both_modes() {
     let out = verifydb().arg(&db).arg("--quiet").output().unwrap();
     assert_eq!(out.status.code(), Some(0));
     assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn verifydb_passes_a_fresh_database_of_dense_volumes() {
+    // At W = 4 every 200-nt volume populates enough of the 256 codes for
+    // the presence bitmap: a fresh v4 database of dense volumes verifies.
+    let dir = scratch("verify_dense");
+    let subject = dir.join("subject.fa");
+    let records: String = (0..5)
+        .map(|i| {
+            format!(
+                ">subj{i}\nCCGGAATTAT{CORE}GGTTAACCGG{}\n",
+                "ACGT".repeat(4 + i)
+            )
+        })
+        .collect();
+    std::fs::write(&subject, records).unwrap();
+    let db = dir.join("db");
+    let out = makedb()
+        .arg(&subject)
+        .arg("-o")
+        .arg(&db)
+        .args(["--volume-size", "200", "-W", "4"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (index, _) = oris_index::map_index_file(db.join("vol00000.oidx")).unwrap();
+    assert_eq!(index.backend(), oris_index::IndexBackend::Dense);
+    let out = verifydb().arg(&db).output().unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("FAILED"));
 }
 
 #[test]

@@ -135,9 +135,9 @@ impl OrisConfig {
     }
 
     /// Index configuration for the query side (bank 1): always full
-    /// stride at the effective word length. The row layout is left to
-    /// the build (`oris_index::IndexBackend::Auto`, chosen per bank from
-    /// its observed density).
+    /// stride at the effective word length. The row map is left to the
+    /// build (`oris_index::IndexBackend::Auto`, chosen per bank from its
+    /// posting count).
     pub fn query_index_config(&self) -> oris_index::IndexConfig {
         oris_index::IndexConfig::full(self.indexed_w())
     }

@@ -57,7 +57,9 @@ pub struct PipelineStats {
     pub masked_fraction1: f64,
     /// Fraction of bank-2 positions masked by the filter.
     pub masked_fraction2: f64,
-    /// Index footprint (both banks), bytes — the paper's ≈5·N model.
+    /// Index footprint (both banks), heap bytes: per dense index
+    /// `4·N + 4·distinct + N/8 + 3·4^W/16` for N postings (the paper's
+    /// ≈5·N counts `SEQ` and postings only; see `oris_index::structure`).
     pub index_bytes: usize,
 }
 

@@ -69,14 +69,9 @@
 //! blocks of codes (4 096 codes each at W = 11), not of each code, and
 //! then cuts code by code only inside the few blocks a cut falls in — at
 //! most one per cut — skipping the others whole. The cut points are those
-//! of a greedy scan over every code. When both indexes are dense the pass
-//! is a branch-free zip over their offset arrays, one subtraction per row;
-//! otherwise it walks the driving index's populated rows (see below),
-//! which on a dense index pays an unpredictable "row empty?" branch on
-//! each of the 4^W codes. On the benchmark's `est_x_est` (two dense
-//! 1.5 Mnt indexes at W = 11) the one pass takes 4–5 ms, where two
-//! populated-row passes took 42–45, as much as half of step 2 at two
-//! threads (in-process, 2-vCPU Xeon VM).
+//! of a greedy scan over every code. The pass visits only the codes
+//! populated in both indexes (see below), so on two dense indexes it is a
+//! walk over the AND of their bitmaps, 64 codes per word.
 //!
 //! Work under a grain never leaves the calling thread: the chunk count is
 //! capped at `total / GRAIN` pairs (`GRAIN` = 16 384), so a query whose
@@ -96,32 +91,29 @@
 //! the third such call-site threshold after step 3's `INLINE_WAVE_HSPS`
 //! and the index build's `PAR_GRAIN`.
 //!
-//! The enumeration, and the work scan unless both indexes are dense, drive
-//! from the *populated* rows of whichever index holds fewer distinct codes
-//! ([`oris_index::BankIndex::populated_in`]) rather than sweeping
-//! `0..4^W`: a code absent from either index contributes no pairs and no
-//! work, so skipping it changes neither the output nor the cut points —
-//! and at W = 11 the sweep would visit 4 M codes to find a few thousand
-//! populated ones.
+//! The enumeration and the work scan visit only the codes populated in
+//! *both* indexes, rather than sweeping `0..4^W`: a code absent from
+//! either index contributes no pairs and no work, so skipping it changes
+//! neither the output nor the cut points — and at W = 11 the sweep would
+//! visit 4 M codes to find the populated ones.
 //!
-//! **Partner-row lookups.** Each driving row needs its partner's row. The
-//! driving rows arrive in ascending code order within a range, so the
-//! partner is resolved by a forward [`oris_index::RowCursor`]: one offsets
-//! load on a dense partner, a gallop through the sorted code list from the
-//! previous answer on a sparse one. On `reads_db_batch` (3 000 reads of
-//! 150 nt against four volumes) the reads' joint chunk drives 289 583
-//! codes into volumes of ~343 000, so consecutive partner rows sit a probe
-//! or two apart in memory the walk streams anyway: ~18 ns a lookup, where
-//! the hashed slot table this replaced took 31–41 ns with its lookups
-//! batched. A lone 150-nt read drives ~139 codes spread over a whole
-//! volume and pays ~0.3 µs a lookup (in-process, one thread, 2-vCPU Xeon
-//! VM); reads are searched in chunks (see `engine.rs`), so only a caller
-//! that searches one read at a time pays it. The walk still pulls 32
-//! driving rows ahead of their partner lookups, so a dense partner's
-//! offsets misses overlap: resolving each row's partner inside the walk
-//! made `find_hsps` on 4.9 × 2.8 Mbp random banks 5–10 % slower
-//! (in-process, one thread). Codes and pairs are visited in the same order
-//! either way.
+//! **Partner-row lookups.** When both indexes are dense (ranked presence
+//! bitmaps — every bank-against-bank workload, and a joint read chunk
+//! against a database volume), [`oris_index::BankIndex::for_each_shared`]
+//! walks the AND of the two bitmaps word by word with running ranks: each
+//! shared code's two rows are a popcount each, and no code populated on
+//! one side only is visited. Otherwise step 2 walks the populated rows of
+//! whichever index holds fewer distinct codes, in ascending code order
+//! within a range, and resolves each partner with a forward
+//! [`oris_index::RowCursor`]: a rank on a dense partner, a gallop through
+//! the sorted code list from the previous answer on a sparse one. A lone
+//! 150-nt read (a sparse index of ~139 codes) against a dense volume thus
+//! pays a rank per partner, where a gallop across a sparse volume's whole
+//! code list took ~0.3 µs. That walk pulls 32 driving rows ahead of their
+//! partner lookups, so the partners' row-boundary misses overlap:
+//! resolving each row's partner inside the walk made `find_hsps` on
+//! 4.9 × 2.8 Mbp random banks 5–10 % slower (in-process, one thread).
+//! Codes and pairs are visited in the same order either way.
 
 use std::convert::Infallible;
 use std::ops::Range;
@@ -209,35 +201,14 @@ fn partition_codes_grained(
     let mut blocks = [0u64; 1 << SCAN_BLOCK_BITS];
     let blocks = &mut blocks[..(num_codes >> shift) as usize];
     let mut total = 0u64;
-    if let (Some(o1), Some(o2)) = (idx1.dense_offsets(), idx2.dense_offsets()) {
-        // Both rows of every code are one subtraction away: a branch-free
-        // zip over the offsets, where walking populated rows pays an
-        // unpredictable "row empty?" branch on each of the 4^W codes.
-        fn row_lens(offsets: &[u32]) -> impl Iterator<Item = u64> + '_ {
-            offsets[1..]
-                .iter()
-                .zip(offsets)
-                .map(|(hi, lo)| u64::from(hi - lo))
-        }
-        let per = 1usize << shift;
-        for (b, block) in blocks.iter_mut().enumerate() {
-            let codes = b * per..=(b + 1) * per;
-            *block = row_lens(&o1[codes.clone()])
-                .zip(row_lens(&o2[codes]))
-                .map(|(n1, n2)| n1 * n2)
-                .sum();
-            total += *block;
-        }
-    } else {
-        // Only codes populated in the driving index are visited: a code
-        // missing from either index carries zero work.
-        let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |c, x1, x2| {
-            let work = work(x1, x2);
-            blocks[(c >> shift) as usize] += work;
-            total += work;
-            Ok::<(), Infallible>(())
-        });
-    }
+    // Only codes populated in both indexes are visited: a code missing
+    // from either carries zero work.
+    let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |c, x1, x2| {
+        let work = work(x1, x2);
+        blocks[(c >> shift) as usize] += work;
+        total += work;
+        Ok::<(), Infallible>(())
+    });
     let chunks = u64::from(chunks).min(total / grain);
     if chunks <= 1 {
         return vec![0..num_codes];
@@ -248,8 +219,8 @@ fn partition_codes_grained(
     // skipped whole; only a block where `acc` reaches `target` (at most
     // one per cut, so at most `chunks + 1` of them) is re-scanned code by
     // code. A code absent from either index adds zero work, which never
-    // fires a cut, so visiting only the driving index's populated codes
-    // cuts where a dense `0..4^W` sweep would.
+    // fires a cut, so visiting only the codes populated in both cuts
+    // where a `0..4^W` sweep would.
     let target = total.div_ceil(chunks);
     let mut ranges = Vec::with_capacity(chunks as usize + 1);
     let mut lo = 0u32;
@@ -287,18 +258,19 @@ fn work(x1: &[u32], x2: &[u32]) -> u64 {
     x1.len() as u64 * x2.len() as u64
 }
 
-/// Calls `f(code, X1, X2)` for every code of `codes` populated in the
-/// driving index — whichever index holds fewer distinct codes; for a read
-/// chunk against a volume, usually the chunk's — in ascending code order,
-/// and returns the first error `f` does. The partner's row may be empty:
-/// a caller that only sums `|X1|·|X2|` is then branch-free, where a skip
-/// would be an unpredictable branch on every code. Every code populated in
-/// both indexes is visited, as a `for code in codes` sweep over
-/// `occurrences` would. [`ROWS_AHEAD`] driving rows are pulled ahead into
-/// stack arrays and their partner rows resolved together by a
-/// [`oris_index::RowCursor`] started at the range's first code, so on a
-/// dense partner the offsets loads of a round are independent and their
-/// misses overlap.
+/// Calls `f(code, X1, X2)` for every code of `codes` populated in both
+/// indexes, in ascending code order — the codes with both rows non-empty
+/// that a `for code in codes` sweep over `occurrences` would visit — and
+/// returns the first error `f` does. Two dense indexes are walked
+/// together ([`BankIndex::for_each_shared`]). Otherwise the populated rows
+/// of the driving index — whichever holds fewer distinct codes; for a
+/// lone read against a volume, the read's — are pulled [`ROWS_AHEAD`] at
+/// a time into stack arrays and their partner rows resolved together by
+/// a [`oris_index::RowCursor`] started at the range's first code, so the
+/// partner lookups of a round are independent and their misses overlap.
+/// Either way `f` runs on rounds of up to [`ROWS_AHEAD`] resolved codes:
+/// calling it from inside the bitmap walk, one code at a time, made
+/// `find_hsps` 5–10 % slower (4.9 × 2.8 Mnt, one thread, in-process).
 #[inline]
 fn for_each_seed<'i, E>(
     idx1: &'i BankIndex,
@@ -306,6 +278,18 @@ fn for_each_seed<'i, E>(
     codes: Range<u32>,
     mut f: impl FnMut(u32, &'i [u32], &'i [u32]) -> Result<(), E>,
 ) -> Result<(), E> {
+    let mut round = Round::default();
+    let shared = idx1.for_each_shared(idx2, codes.clone(), |c, x1, x2| {
+        round.push(c, x1, x2);
+        if round.n == ROWS_AHEAD {
+            round.flush(&mut f)?;
+        }
+        Ok(())
+    });
+    if let Some(done) = shared {
+        done?;
+        return round.flush(&mut f);
+    }
     let drive_is_1 = idx1.distinct_codes() <= idx2.distinct_codes();
     let (drive, other) = if drive_is_1 {
         (idx1, idx2)
@@ -315,36 +299,78 @@ fn for_each_seed<'i, E>(
     let mut partner = other.cursor_from(codes.start);
     let mut rows = drive.populated_in(codes);
     let mut code = [0u32; ROWS_AHEAD];
-    let mut x1: [&[u32]; ROWS_AHEAD] = [&[]; ROWS_AHEAD];
-    let mut x2: [&[u32]; ROWS_AHEAD] = [&[]; ROWS_AHEAD];
+    let mut drive_rows: [&[u32]; ROWS_AHEAD] = [&[]; ROWS_AHEAD];
     loop {
-        let (drive_rows, partner_rows) = if drive_is_1 {
-            (&mut x1, &mut x2)
-        } else {
-            (&mut x2, &mut x1)
-        };
         let mut n = 0;
         for (c, row) in rows.by_ref().take(ROWS_AHEAD) {
             code[n] = c;
             drive_rows[n] = row;
             n += 1;
         }
-        for (out, &c) in partner_rows[..n].iter_mut().zip(&code[..n]) {
-            *out = partner.seek(c);
+        for (&c, &row) in code[..n].iter().zip(&drive_rows[..n]) {
+            let found = partner.seek(c);
+            if !found.is_empty() {
+                let (x1, x2) = if drive_is_1 {
+                    (row, found)
+                } else {
+                    (found, row)
+                };
+                round.push(c, x1, x2);
+            }
         }
-        for i in 0..n {
-            f(code[i], x1[i], x2[i])?;
-        }
+        round.flush(&mut f)?;
         if n < ROWS_AHEAD {
             return Ok(());
         }
     }
 }
 
-/// Driving rows [`for_each_seed`] pulls ahead of its partner lookups:
-/// enough independent loads in flight to cover a dense partner's
-/// offsets misses, few enough that a round is about 1 KB of stack.
+/// Driving rows [`for_each_seed`] pulls ahead of its partner lookups, and
+/// the most codes one of its rounds holds: enough independent loads in
+/// flight to cover the partners' row-boundary misses, few enough that a
+/// round is about 1 KB of stack.
 const ROWS_AHEAD: usize = 32;
+
+/// Codes whose rows are resolved, waiting for [`for_each_seed`]'s `f`.
+struct Round<'i> {
+    code: [u32; ROWS_AHEAD],
+    x1: [&'i [u32]; ROWS_AHEAD],
+    x2: [&'i [u32]; ROWS_AHEAD],
+    n: usize,
+}
+
+impl Default for Round<'_> {
+    fn default() -> Self {
+        Round {
+            code: [0; ROWS_AHEAD],
+            x1: [&[]; ROWS_AHEAD],
+            x2: [&[]; ROWS_AHEAD],
+            n: 0,
+        }
+    }
+}
+
+impl<'i> Round<'i> {
+    #[inline]
+    fn push(&mut self, code: u32, x1: &'i [u32], x2: &'i [u32]) {
+        let n = self.n;
+        (self.code[n], self.x1[n], self.x2[n]) = (code, x1, x2);
+        self.n += 1;
+    }
+
+    /// Runs `f` on the round's codes in order and empties it.
+    #[inline]
+    fn flush<E>(
+        &mut self,
+        f: &mut impl FnMut(u32, &'i [u32], &'i [u32]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let n = std::mem::take(&mut self.n);
+        for i in 0..n {
+            f(self.code[i], self.x1[i], self.x2[i])?;
+        }
+        Ok(())
+    }
+}
 
 /// Occurrence pairs extended per batch: [`process_code_range`] collects
 /// this many `(a, b, code)` triples, touching their flanks as it goes —
@@ -486,11 +512,6 @@ fn process_code_range(
     // byte-identical; the iteration cost no longer scales with the range
     // width (4^W/chunks).
     for_each_seed(idx1, idx2, codes, |code, x1, x2| {
-        // An empty X2 would still touch every X1 flank; an empty X1 (the
-        // partner, when bank 2 drives) loops over nothing.
-        if x2.is_empty() {
-            return Ok(());
-        }
         // X1 × X2 hit extensions for this seed (paper notation): both
         // occurrence lists are contiguous sorted slices in the CSR index.
         // Batches run across code boundaries; the pair order is the
@@ -1012,23 +1033,35 @@ mod tests {
 
     #[test]
     fn partition_is_identical_across_index_backends() {
-        // The work-balanced scan drives from populated rows only; since
-        // unpopulated codes carry zero work, the cut points must be the
-        // same whether the indexes are dense or sparse — in any backend
-        // pairing.
+        // The work-balanced scan visits the codes populated in both
+        // indexes only; since the others carry zero work, the cut points
+        // must be the same whether the rows come from bitmaps (the AND
+        // walk) or code lists (the cursor) — in any pairing — and so must
+        // the HSPs and the counters, on one range and split into many.
         use oris_index::IndexBackend;
         let polya = "A".repeat(300);
-        let b1 = bank(&[&format!("{polya}ATGGCGTACGTTAGCCTAGGCTTA")]);
-        let b2 = bank(&[&format!("{polya}GGCCATTAGGCCATTA")]);
-        let dense = IndexConfig::full(4).with_backend(IndexBackend::Dense);
-        let sparse = IndexConfig::full(4).with_backend(IndexBackend::Sparse);
-        let (d1, d2) = (BankIndex::build(&b1, dense), BankIndex::build(&b2, dense));
-        let (s1, s2) = (BankIndex::build(&b1, sparse), BankIndex::build(&b2, sparse));
-        for chunks in [1u32, 3, 16, 64] {
-            let reference = partition_codes_grained(&d1, &d2, chunks, 1);
-            assert_eq!(reference, partition_codes_grained(&s1, &s2, chunks, 1));
-            assert_eq!(reference, partition_codes_grained(&d1, &s2, chunks, 1));
-            assert_eq!(reference, partition_codes_grained(&s1, &d2, chunks, 1));
+        let mixed = "ATGGCGTACGTTAGCCTAGGCTTAACGGATCGATCCGGTTAACCGTAGCTAGGATCC";
+        let b1 = bank(&[&format!("{polya}{mixed}"), &mixed[7..]]);
+        let b2 = bank(&[&format!("{polya}GGCCATTA{mixed}"), &mixed[..40]]);
+        for w in [4, 11] {
+            let c = cfg(w);
+            let [d1, s1] = both_backends(&b1, w);
+            let [d2, s2] = both_backends(&b2, w);
+            assert_eq!(d1.backend(), IndexBackend::Dense);
+            assert_eq!(s1.backend(), IndexBackend::Sparse);
+            let pairings = [(&d1, &d2), (&s1, &s2), (&d1, &s2), (&s1, &d2)];
+            for chunks in [1u32, 3, 16, 64] {
+                let reference = partition_codes_grained(&d1, &d2, chunks, 1);
+                for (i1, i2) in pairings {
+                    assert_eq!(reference, partition_codes_grained(i1, i2, chunks, 1));
+                }
+            }
+            let whole = find_hsps(&b1, &d1, &b2, &d2, &c);
+            assert!(!whole.0.is_empty());
+            for (i1, i2) in pairings {
+                assert_eq!(find_hsps(&b1, i1, &b2, i2, &c), whole, "W = {w}");
+                assert_eq!(find_hsps_split(&b1, i1, &b2, i2, &c), whole, "W = {w}");
+            }
         }
     }
 
@@ -1202,7 +1235,7 @@ mod tests {
         ranges
     }
 
-    /// `bank` indexed at `w` by both backends: `[dense, sparse]`.
+    /// `bank` indexed at `w` by both row maps: `[dense, sparse]`.
     fn both_backends(bank: &Bank, w: usize) -> [BankIndex; 2] {
         use oris_index::IndexBackend;
         [IndexBackend::Dense, IndexBackend::Sparse]

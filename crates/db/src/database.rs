@@ -21,8 +21,9 @@ pub struct AttachedVolumeStats {
     /// volume FASTA (index build time is always 0 on this path).
     pub attach_secs: f64,
     /// Heap bytes of the attached index. For an mmap attach the postings,
-    /// row boundaries and code list stay in the page cache, and the heap
-    /// holds the copied bit-set alone (`len/8` bytes).
+    /// row boundaries and the bitmap or code list stay in the page cache,
+    /// and the heap holds the copied bit-set (`len/8` bytes) plus, for a
+    /// dense index, the ranks derived from its bitmap (`4^W/16` bytes).
     pub index_heap_bytes: usize,
     /// Whether the index sections are mmap-backed.
     pub mmap_backed: bool,
@@ -134,7 +135,7 @@ impl Database {
 
     /// Attaches volume `i`: re-reads its FASTA, loads its index through
     /// [`VolumeIo::attach_index`] (mmap under [`crate::RealIo`] —
-    /// zero-copy postings/offsets), and pairs them into a `PreparedBank`
+    /// zero-copy postings and row map), and pairs them into a `PreparedBank`
     /// after the full identity check chain:
     ///
     /// * the FASTA's content hash must match the manifest row (a volume

@@ -21,7 +21,7 @@
 //!   count.
 //! * [`Database`] — opens a database directory, validates the manifest,
 //!   and attaches volumes on demand by **mmap**
-//!   ([`oris_index::map_index_file`] — the postings and offsets sections
+//!   ([`oris_index::map_index_file`] — the postings and row-map sections
 //!   are referenced zero-copy from the mapped file; where the platform
 //!   or kernel cannot map, the same call reads the file into heap
 //!   arrays, and [`VolumeCost::mmap_backed`] reports which happened).

@@ -73,8 +73,8 @@ pub enum OnVolumeError {
 pub struct DbOptions {
     /// Maximum volumes held attached at once. `0` (the default) keeps
     /// every volume attached after its first use — cheap under mmap,
-    /// where an attached volume's heap cost is its bank and its bit-set,
-    /// not its code list or postings. A small window (e.g. 1) re-attaches
+    /// where an attached volume's heap cost is its bank, its bit-set and
+    /// its derived ranks, not its row map or postings. A small window (e.g. 1) re-attaches
     /// volumes per chunk of queries and bounds resident memory to one
     /// volume's working set beside the chunk's.
     pub window: usize,
@@ -162,7 +162,7 @@ pub struct VolumeCost {
     pub strand_build_secs: f64,
     /// Heap bytes of the most recent attach: the bank plus
     /// [`crate::database::AttachedVolumeStats::index_heap_bytes`] (for an mmap
-    /// attach, the bit-set alone).
+    /// attach, the bit-set and a dense index's ranks).
     pub index_heap_bytes: usize,
     /// Whether the most recent attach was mmap-backed.
     pub mmap_backed: bool,

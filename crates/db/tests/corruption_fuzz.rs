@@ -1,5 +1,5 @@
 //! Byte-mutation fuzz: random single-byte flips and truncations of the
-//! manifest and the v3 index files must never panic the loaders, and
+//! manifest and the v4 index files must never panic the loaders, and
 //! never be silently accepted where a checksum vouches for the bytes.
 //! Structure-aware fuzz: manifest *fields* overwritten and rows shuffled
 //! with the checksum restamped — the checksum is not a MAC, so the parser
@@ -13,7 +13,9 @@
 //! * the index loaders — [`oris_index::map_index_file`], the real attach
 //!   path, against mutated bytes on disk, and the streaming heap reader
 //!   through [`FaultyIo`] — which must reject every mutation via header
-//!   validation or the whole-stream checksum.
+//!   validation or the whole-stream checksum. The fixture's volumes are
+//!   sparse (a code list); a second database at W = 5 gives its volumes
+//!   the dense presence bitmap, every byte of which is flipped below.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -53,6 +55,68 @@ fn fixture() -> &'static (PathBuf, Vec<u8>, Vec<u8>) {
         let index = std::fs::read(dir.join("vol00000.oidx")).unwrap();
         (dir, manifest, index)
     })
+}
+
+/// A database whose volume indexes carry the dense presence bitmap: its
+/// directory and vol00000.oidx's bytes.
+fn dense_fixture() -> &'static (PathBuf, Vec<u8>) {
+    static FIXTURE: OnceLock<(PathBuf, Vec<u8>)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let dir = std::env::temp_dir()
+            .join("oris_db_fuzz")
+            .join(format!("dense_fixture_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut b = BankBuilder::new();
+        for i in 0..4 {
+            b.push_str(
+                &format!("s{i}"),
+                &"ATGGCGTACGTTAGCCTAGGCTTAACGGATCGATCCGGTAAGCTACCGGTA".repeat(2),
+            )
+            .unwrap();
+        }
+        let subject = b.finish();
+        let per_volume = subject.num_residues() / 2;
+        make_db(
+            [subject],
+            &dir,
+            &MakeDbOptions::new(&OrisConfig::small(5), per_volume),
+        )
+        .unwrap();
+        let index = std::fs::read(dir.join("vol00000.oidx")).unwrap();
+        (dir, index)
+    })
+}
+
+/// Every single-byte flip of a volume's presence bitmap — the words that
+/// decide which codes have rows — is refused by both attach modes: the
+/// mapped file, and the database attach through [`FaultyIo`], which reads
+/// the file into heap arrays.
+#[test]
+fn bitmap_flips_are_refused_by_both_attach_modes() {
+    let (dir, index) = dense_fixture();
+    let clean = oris_index::map_index_file(dir.join("vol00000.oidx"))
+        .unwrap()
+        .0;
+    assert_eq!(clean.backend(), oris_index::IndexBackend::Dense);
+    // Header 84 bytes, padded to 88; then ⌈4^5/64⌉ = 16 bitmap words.
+    for offset in 88..88 + 8 * 16 {
+        for mask in [0x01u8, 0x80] {
+            let mut bytes = index.clone();
+            bytes[offset] ^= mask;
+            let path = mutated_file(&bytes);
+            assert!(
+                oris_index::map_index_file(&path).is_err(),
+                "mapped attach accepted a flip at {offset} (mask {mask:#x})"
+            );
+            std::fs::remove_file(&path).ok();
+            let fault = Fault::FlipByte { offset, mask };
+            let io = FaultyIo::with_rules([FaultRule::always("vol00000.oidx", fault)]);
+            let db = Database::open_with_io(dir, Arc::new(io)).unwrap();
+            let e = db.attach_volume(0).unwrap_err();
+            assert!(matches!(e, DbError::Volume(_)), "{e:?}");
+        }
+    }
 }
 
 /// Writes `bytes` to a fresh scratch file and returns its path.
@@ -290,7 +354,7 @@ proptest! {
         }
     }
 
-    /// Any single-byte flip of a v3 index file is rejected by the real
+    /// Any single-byte flip of a v4 index file is rejected by the real
     /// attach path — header validation or the whole-stream checksum —
     /// without panicking.
     #[test]
@@ -310,7 +374,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Any truncation of a v3 index file is rejected by the real attach
+    /// Any truncation of a v4 index file is rejected by the real attach
     /// path without panicking.
     #[test]
     fn index_truncations_never_panic_never_pass(len_sel in 0usize..1_000_000) {

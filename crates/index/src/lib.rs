@@ -14,14 +14,15 @@
 //!   inverted index** — row boundaries over a contiguous `positions`
 //!   array — so `occurrences(code)` is a sorted `&[u32]` slice and
 //!   step 2 streams postings instead of chasing the paper's
-//!   `int *INDEX` chains. Two row-lookup backends sit behind the same
-//!   API ([`IndexBackend`]): a **dense** `offsets[4^W + 1]` array
-//!   (`≈ 4·(4^W + 1)` bytes — the large-bank fast path) and a **sparse**
-//!   populated-codes table (ascending code list + row boundaries,
-//!   memory `∝ distinct codes` — what lets a small query bank run at
-//!   W = 11 without a 16.8 MB offsets array). `IndexBackend::Auto` (the
-//!   default) picks per build by density; results are byte-identical
-//!   either way (see `structure` module docs for the memory model).
+//!   `int *INDEX` chains. Rows are stored for populated codes only, and
+//!   two row maps sit behind the same API ([`IndexBackend`]): a
+//!   **dense** presence bitmap over the `4^W` codes whose per-word ranks
+//!   give a code's row (`3·4^W/16` bytes, 768 KB at W = 11 — the
+//!   large-bank fast path) and a **sparse** sorted code list (4 bytes per
+//!   populated code — what a small query bank uses). `IndexBackend::Auto`
+//!   (the default) picks per build whichever the footprint models say is
+//!   smaller; results are byte-identical either way (see `structure`
+//!   module docs for the memory model).
 //!   Construction is one path: a scan marks and counts the windows that
 //!   survive masking, then a radix-partitioned counting sort of bare
 //!   positions (dense, data-parallel on large banks) or one sort of
@@ -29,17 +30,17 @@
 //! * [`persist`]: the on-disk index format (magic + version + config +
 //!   little-endian array sections, each starting on an 8-byte file
 //!   offset, then a word-wide [`persist::checksum`] that detects every
-//!   single-byte flip with certainty). Both backends serialize — a
-//!   header flag selects the section layout — and a sparse file stores
-//!   its code list and row boundaries, which are the whole sparse
-//!   structure. A loaded index is
+//!   single-byte flip with certainty). Both row maps serialize — a
+//!   header flag selects the key section, the dense bitmap or the sparse
+//!   code list, stored beside the row boundaries; the dense ranks are
+//!   derived at load. A loaded index is
 //!   behaviourally identical to a fresh build, including the
 //!   `is_fully_indexed` provenance that drives step 2's guard
 //!   auto-selection.
 //! * [`mmap`]: the zero-copy attach path for a persisted index, used by
 //!   `--db` for every volume and by `--index` for its one file —
 //!   [`map_index_file`] maps an index file and hands the [`BankIndex`]
-//!   direct views of its offsets and postings sections, so attaching
+//!   direct views of its row map and postings sections, so attaching
 //!   costs no postings copy and the big arrays live in the shared,
 //!   evictable page cache instead of the heap. Where the platform or
 //!   kernel cannot map, it falls back to [`read_index_file`]: the same
@@ -49,9 +50,11 @@
 //!   bank, the paper's remedy for sensitivity loss with shorter seeds. In
 //!   the CSR layout this halves the postings bytes too, not just the
 //!   sampled windows.
-//! * Seed-occupancy statistics used by tests and the memory experiment (E7:
-//!   ≈5·N bytes for a fully indexed bank — 1 byte of `SEQ` + 4 bytes of
-//!   postings per position).
+//! * Seed-occupancy statistics used by tests and the memory experiment
+//!   (E7). A fully indexed bank of N positions with k distinct codes takes
+//!   `4·N + 4·k + N/8 + 3·4^W/16` index bytes on the dense map beside its
+//!   N-byte `SEQ`: the paper's ≈5·N plus the rows of the populated codes,
+//!   the bit-set and the bitmap.
 //! * Low-complexity masking, which decides what the index leaves out
 //!   (section 2.1: "W character words belonging to low-complexity regions
 //!   are discarded from the index"). Section 3.4 charges part of the

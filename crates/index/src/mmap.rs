@@ -3,11 +3,12 @@
 //! A persisted index is attached, not loaded: [`map_index_file`] maps the
 //! file once and runs the format's one decoder (`persist::decode`) over
 //! the mapped bytes, which hands [`crate::BankIndex`] zero-copy views of
-//! the big sections (row boundaries and postings). Attaching costs one
-//! mapping plus one heap piece: the indexed-positions bit-set the order
-//! guard probes is copied (`len/8` bytes, an order of magnitude below the
-//! postings); a sparse index's code list and row boundaries are mapped
-//! like the rest. A sharded database holds many volumes this way, and
+//! the big sections (row map and postings). Attaching costs one mapping
+//! plus two heap pieces: the indexed-positions bit-set the order guard
+//! probes is copied (`len/8` bytes, an order of magnitude below the
+//! postings), and a dense index derives the rank of each presence-bitmap
+//! word (`4^W/16` bytes, 256 KB at W = 11); the bitmap, a sparse index's
+//! code list and the row boundaries are mapped like the rest. A sharded database holds many volumes this way, and
 //! `scoris-n --index` attaches its one file the same way.
 //! The exact-size check, the whole-stream checksum and every structural
 //! invariant are verified at attach time by the same code
@@ -167,7 +168,7 @@ impl Drop for Mapping {
 }
 
 /// Maps an index file written by [`crate::write_index_file`] and decodes
-/// it in place: the [`BankIndex`]'s offsets and postings sections are
+/// it in place: the [`BankIndex`]'s row map and postings sections are
 /// zero-copy views of the mapping. Where the platform cannot map the
 /// file the same decoder runs over a heap read of it
 /// ([`crate::read_index_file`]); either way a malformed file gets the same
@@ -257,7 +258,7 @@ mod tests {
                 assert!(!copied.is_mmap_backed());
                 assert_eq!(mapped.backend(), backend);
                 assert_eq!(copied.backend(), backend);
-                assert_eq!(mapped.dense_offsets(), copied.dense_offsets());
+                assert!(mapped.populated().eq(copied.populated()));
                 assert_eq!(mapped.positions(), copied.positions());
                 assert_eq!(mapped.indexed_words(), copied.indexed_words());
                 assert_eq!(mapped.is_fully_indexed(), copied.is_fully_indexed());
@@ -305,7 +306,7 @@ mod tests {
             trailing.push(0);
             variants.push(trailing);
             let mut padded = clean.clone();
-            padded[77] = 0xAB; // header ends at 76, first section starts at 80
+            padded[85] = 0xAB; // header ends at 84, first section starts at 88
             crate::persist::restamp_checksum(&mut padded);
             variants.push(padded);
 
@@ -353,6 +354,58 @@ mod tests {
                 assert_eq!(idx.occurrences(code), built.occurrences(code));
             }
         }
+    }
+
+    #[test]
+    fn both_loaders_refuse_every_bitmap_byte_flip() {
+        // The presence bitmap decides which codes have rows: every
+        // single-byte change of its words, mapped or read to the heap, is
+        // refused (the checksum detects any change inside one word).
+        use crate::structure::{IndexBackend, IndexConfig};
+        let bank = bank_of(&["ACGTTGCAAGGCTTACCGTANNACGTACGGATCTTGGCCAAGGTTACCA"]);
+        for w in [2usize, 4, 6] {
+            let idx = BankIndex::build(
+                &bank,
+                IndexConfig::full(w).with_backend(IndexBackend::Dense),
+            );
+            let mut clean = Vec::new();
+            crate::persist::write_index(&mut clean, &idx, &IndexMeta::default()).unwrap();
+            let bits = 88..88 + 8 * (1usize << (2 * w)).div_ceil(64);
+            for at in bits {
+                for mask in [0x01u8, 0x80, 0xFF] {
+                    let mut bytes = clean.clone();
+                    bytes[at] ^= mask;
+                    let path = tmp_file(&format!("bitmap_w{w}_{at}_{mask}"), &bytes);
+                    assert!(map_index_file(&path).is_err(), "mapped: W {w} byte {at}");
+                    assert!(
+                        crate::read_index_file(&path).is_err(),
+                        "heap: W {w} byte {at}"
+                    );
+                    std::fs::remove_file(&path).ok();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mapped_dense_heap_is_its_ranks_and_bitset() {
+        // A mapped dense attach holds the copied bit-set and the ranks it
+        // derives from the mapped bitmap, one u32 per bitmap word; the
+        // bitmap, row boundaries and postings stay in the mapping.
+        use crate::structure::{IndexBackend, IndexConfig};
+        let bank = bank_of(&[&"ACGTTGCAAGGCTTACCGTA".repeat(8)]);
+        let idx = BankIndex::build(
+            &bank,
+            IndexConfig::full(6).with_backend(IndexBackend::Dense),
+        );
+        let mut bytes = Vec::new();
+        crate::persist::write_index(&mut bytes, &idx, &IndexMeta::default()).unwrap();
+        let path = tmp_file("dense_heap_accounting", &bytes);
+        let (mapped, _) = map_index_file(&path).unwrap();
+        assert!(mapped.is_mmap_backed());
+        let bitset_bytes = 8 * mapped.indexed_words().len();
+        assert_eq!(mapped.heap_bytes(), bitset_bytes + 4 * (1 << 12) / 64);
+        assert!(idx.heap_bytes() > mapped.heap_bytes());
     }
 
     #[test]

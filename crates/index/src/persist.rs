@@ -11,31 +11,32 @@
 //! provenance, so step 2's guard auto-selection makes the same choice it
 //! would have made in memory.
 //!
-//! ## Format (version 3, all integers little-endian)
+//! ## Format (version 4, all integers little-endian)
 //!
 //! ```text
 //! magic             8 B   "ORISIDX\0"
-//! version           u32   3
+//! version           u32   4
 //! w                 u32   seed length
 //! stride            u32   sampling stride (1 = full, 2 = asymmetric)
-//! flags             u32   bit 0 = fully_indexed; bit 1 = sparse backend;
+//! flags             u32   bit 0 = fully_indexed; bit 1 = sparse row map;
 //!                         other bits reserved (must be 0)
 //! bank_len          u64   global coordinate space of the bank
 //! masked_fraction   f64   fraction of bank positions the filter masked
 //! filter_code       u32   caller-defined filter tag (see [`IndexMeta`])
 //! bank_hash         u64   FNV-1a of the bank data (0 = not recorded)
-//! num_offsets       u64   dense: must equal 4^w + 1;
-//!                         sparse: k = number of populated codes
+//! num_keys          u64   dense: presence-bitmap words, must equal ⌈4^w/64⌉;
+//!                         sparse: code-list entries, must equal num_rows
+//! num_rows          u64   k = number of populated codes
 //! num_positions     u64   number of postings
 //! num_bitset_words  u64   must equal bank_len.div_ceil(64)
 //! -- then, dense (flags bit 1 clear):
-//!    offsets        num_offsets × u32
-//!    positions      num_positions × u32
+//!    bitmap         num_keys × u64   bit c % 64 of word c / 64 set iff
+//!                                    code c is populated
 //! -- or, sparse (flags bit 1 set):
 //!    codes          k × u32          ascending populated codes
+//! -- then, either way:
 //!    row_offsets    (k + 1) × u32    row boundaries over positions
 //!    positions      num_positions × u32
-//! -- finally, either way:
 //!    bitset         num_bitset_words × u64
 //!    checksum       u64   checksum() of every preceding byte of the stream
 //! ```
@@ -57,20 +58,21 @@
 //! probability; the function's docs carry the argument. The lanes keep
 //! four multiplies in flight, so the check runs at memory speed.
 //!
-//! **A sparse file is its code list and row boundaries.** A sparse
-//! lookup searches the `codes` section itself (a binary search, or step
-//! 2's forward cursor), so nothing is derived from it at load and no
-//! lookup structure is written, checksummed or mapped beside it.
+//! **A file is its row map's keys and row boundaries.** A dense file
+//! stores the presence bitmap; the rank of each of its words is derived
+//! at load in one pass over the words (`4^W/16` heap bytes, 256 KB at
+//! W = 11) and never written. A sparse lookup searches the `codes`
+//! section itself (a binary search, or step 2's forward cursor), so
+//! nothing is derived from it at load. Either way both sections are
+//! checksummed and mapped like the postings.
 //!
-//! Version 3 differs from version 2 in those two points only: the
-//! checksum (v2: FNV-1a) and the sparse layout (v2 stored the slot table
-//! between `row_offsets` and `positions`); a dense file differs in its
-//! version word and checksum alone. Earlier versions — v1 had no section
-//! padding — are refused with [`PersistError::UnsupportedVersion`], whose
+//! Version 4 differs from version 3 in the dense layout (v3 stored an
+//! `offsets[4^w + 1]` array, 16.8 MB at W = 11, where v4 stores a bitmap
+//! and compact row boundaries) and in the header's `num_rows` field; v3
+//! in turn replaced v2's FNV-1a checksum and stored slot table. Earlier
+//! versions are refused with [`PersistError::UnsupportedVersion`], whose
 //! message says to rebuild with `makedb` / `mkindex`: the format carries
-//! one decoder and no compatibility shims. Older readers reject a sparse
-//! file's flags bit 1 as reserved, or its version, rather than misparse
-//! it.
+//! one decoder and no compatibility shims.
 //!
 //! `masked_fraction` and `filter_code` describe how the index was
 //! *prepared* (the mask itself is not persisted — steps 2–4 never consult
@@ -102,9 +104,10 @@
 //! everything allocated is bounded by the file's own length; (3) the
 //! trailing whole-stream checksum is verified; (4) the padding runs must
 //! be zero; (5) the arrays go through the same structural validation
-//! (`offsets` monotonicity, strictly ascending codes, strictly increasing
-//! row boundaries, row ordering, bit-set agreement) that protects step 2
-//! from a corrupt index. The checksum catches the corruptions structural
+//! (no bitmap bit past `4^w`, a bitmap popcount equal to the row count,
+//! strictly ascending codes, strictly increasing row boundaries, row
+//! ordering, bit-set agreement) that protects step 2 from a corrupt
+//! index. The checksum catches the corruptions structural
 //! validation cannot — a flipped provenance flag, a perturbed position
 //! that still happens to satisfy every invariant — so no random
 //! corruption can silently change step 2's behaviour. Wrong magic,
@@ -124,25 +127,24 @@ use crate::mask::MaskSet;
 use crate::mmap::Mapping;
 use crate::section::Section;
 use crate::seedcode::MAX_SEED_LEN;
-use crate::structure::{BankIndex, RowIndex, SparseRows};
+use crate::structure::{bitmap_words, BankIndex, BitmapRows, RowIndex, SparseRows};
 
 /// File magic, first 8 bytes of every index file.
 pub const MAGIC: [u8; 8] = *b"ORISIDX\0";
 
-/// Current format version (3: the word-wide [`checksum`] and no stored
-/// slot table, which version 2 carried; see the module docs).
-pub const FORMAT_VERSION: u32 = 3;
+/// Current format version (4: a dense index stores its presence bitmap
+/// and compact row boundaries, where version 3 stored `4^w + 1` offsets;
+/// see the module docs).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Bytes of the fixed header (everything before the first padding run).
-const HEADER_BYTES: u64 = 76;
+const HEADER_BYTES: u64 = 84;
 
 /// Header flag bit 0: the index is fully indexed (exclusion provenance).
 const FLAG_FULLY_INDEXED: u32 = 1;
 
-/// Header flag bit 1: the row lookup is the sparse populated-codes
-/// backend (codes/row_offsets sections instead of a dense offsets
-/// array). Readers predating the sparse backend reject this bit as
-/// reserved instead of misparsing the sections.
+/// Header flag bit 1: the row map is the sparse code list (a `codes`
+/// section instead of the dense presence bitmap).
 const FLAG_SPARSE: u32 = 2;
 
 /// File-offset alignment of every array section.
@@ -412,7 +414,7 @@ pub fn write_index(out: &mut impl Write, idx: &BankIndex, meta: &IndexMeta) -> i
     let rows = idx.rows();
     let flags = u32::from(idx.is_fully_indexed())
         | match rows {
-            RowIndex::Dense { .. } => 0,
+            RowIndex::Dense(_) => 0,
             RowIndex::Sparse(_) => FLAG_SPARSE,
         };
     out.write_all(&flags.to_le_bytes())?;
@@ -420,29 +422,25 @@ pub fn write_index(out: &mut impl Write, idx: &BankIndex, meta: &IndexMeta) -> i
     out.write_all(&meta.masked_fraction.to_le_bytes())?;
     out.write_all(&meta.filter_code.to_le_bytes())?;
     out.write_all(&meta.bank_hash.to_le_bytes())?;
-    // `num_offsets` counts the first u32 section: the dense offsets array
-    // (4^w + 1 slots) or the sparse populated-codes list (k entries).
-    let first_section = match rows {
-        RowIndex::Dense { offsets } => offsets.len(),
+    // `num_keys` counts the key section: the dense bitmap's words or the
+    // sparse code list's entries.
+    let keys = match rows {
+        RowIndex::Dense(bitmap) => bitmap.bits().len(),
         RowIndex::Sparse(sparse) => sparse.codes().len(),
     };
-    out.write_all(&(first_section as u64).to_le_bytes())?;
+    out.write_all(&(keys as u64).to_le_bytes())?;
+    out.write_all(&(idx.distinct_codes() as u64).to_le_bytes())?;
     out.write_all(&(idx.positions().len() as u64).to_le_bytes())?;
     let words = idx.indexed_words();
     out.write_all(&(words.len() as u64).to_le_bytes())?;
     debug_assert_eq!(out.written(), HEADER_BYTES);
+    write_padding(&mut out)?;
     match rows {
-        RowIndex::Dense { offsets } => {
-            write_padding(&mut out)?;
-            write_u32_section(&mut out, offsets)?;
-        }
-        RowIndex::Sparse(sparse) => {
-            write_padding(&mut out)?;
-            write_u32_section(&mut out, sparse.codes())?;
-            write_padding(&mut out)?;
-            write_u32_section(&mut out, sparse.row_offsets())?;
-        }
+        RowIndex::Dense(bitmap) => write_u64_section(&mut out, bitmap.bits())?,
+        RowIndex::Sparse(sparse) => write_u32_section(&mut out, sparse.codes())?,
     }
+    write_padding(&mut out)?;
+    write_u32_section(&mut out, rows.row_offsets())?;
     write_padding(&mut out)?;
     write_u32_section(&mut out, idx.positions())?;
     write_padding(&mut out)?;
@@ -459,8 +457,8 @@ fn write_padding<W: Write>(out: &mut HashingWriter<'_, W>) -> io::Result<()> {
 }
 
 /// Scalars encoded per chunk of section output — one `write_all` per
-/// ~64 KiB instead of one per scalar (the offsets section alone is
-/// `4^W + 1` entries).
+/// ~64–128 KiB instead of one per scalar (the postings of a Mnt bank are
+/// millions of entries).
 const SECTION_CHUNK: usize = 16 * 1024;
 
 fn write_u32_section(out: &mut impl Write, values: &[u32]) -> io::Result<()> {
@@ -514,36 +512,34 @@ struct Header {
     sparse: bool,
     bank_len: usize,
     meta: IndexMeta,
-    num_offsets: u64,
+    num_keys: u64,
+    num_rows: u64,
     num_positions: u64,
     num_words: u64,
 }
 
 impl Header {
     /// The section layout this header implies: one `(gap, start, end)`
-    /// triple of file offsets per array section — the u32 sections in file
-    /// order (dense `[offsets, positions]`, sparse `[codes, row_offsets,
-    /// positions]`), then the bit-set. Each section starts on the next
-    /// 8-byte offset after its predecessor ends; `gap..start` is its zero
-    /// padding, and the checksum follows the last `end`.
-    fn spans(&self) -> Vec<(u64, u64, u64)> {
-        let k = self.num_offsets;
-        let u32_counts = if self.sparse {
-            vec![k, k + 1, self.num_positions]
-        } else {
-            vec![k, self.num_positions]
-        };
-        let section_bytes = u32_counts.iter().map(|n| 4 * n);
+    /// triple of file offsets per array section, in file order — keys
+    /// (dense bitmap words or sparse codes), row offsets, positions,
+    /// bit-set. Each section starts on the next 8-byte offset after its
+    /// predecessor ends; `gap..start` is its zero padding, and the
+    /// checksum follows the last `end`.
+    fn spans(&self) -> [(u64, u64, u64); 4] {
+        let key_bytes = if self.sparse { 4 } else { 8 } * self.num_keys;
         let mut at = HEADER_BYTES;
-        section_bytes
-            .chain([8 * self.num_words])
-            .map(|len| {
-                let gap = at;
-                let start = gap + padding_for(gap);
-                at = start + len;
-                (gap, start, at)
-            })
-            .collect()
+        [
+            key_bytes,
+            4 * (self.num_rows + 1),
+            4 * self.num_positions,
+            8 * self.num_words,
+        ]
+        .map(|len| {
+            let gap = at;
+            let start = gap + padding_for(gap);
+            at = start + len;
+            (gap, start, at)
+        })
     }
 }
 
@@ -592,33 +588,39 @@ fn read_header(r: &mut impl Read) -> Result<Header, PersistError> {
     let filter_code = read_u32(r)?;
     let bank_hash = read_u64(r)?;
 
-    let num_offsets = read_u64(r)?;
+    let num_keys = read_u64(r)?;
+    let num_rows = read_u64(r)?;
     let num_positions = read_u64(r)?;
     if num_positions > bank_len as u64 {
         return Err(PersistError::Corrupt(format!(
             "{num_positions} postings for a bank of {bank_len} positions"
         )));
     }
+    // k, the populated-code count: every populated code owns at least one
+    // posting, and codes are distinct. Both bounds are header-level so a
+    // lying count can never size a huge allocation (k ≤ postings ≤
+    // bank_len < u32::MAX).
+    if num_rows > num_positions {
+        return Err(PersistError::Corrupt(format!(
+            "{num_rows} populated codes for {num_positions} postings"
+        )));
+    }
+    if num_rows > 1u64 << (2 * w) {
+        return Err(PersistError::Corrupt(format!(
+            "{num_rows} populated codes exceed the 4^{w} code space"
+        )));
+    }
     if sparse {
-        // `num_offsets` is k, the populated-code count: every listed code
-        // owns at least one posting, and codes are distinct. Both bounds
-        // are header-level so a lying count can never size a huge
-        // allocation (k ≤ postings ≤ bank_len < u32::MAX).
-        if num_offsets > num_positions {
+        if num_keys != num_rows {
             return Err(PersistError::Corrupt(format!(
-                "{num_offsets} populated codes for {num_positions} postings"
-            )));
-        }
-        if num_offsets > 1u64 << (2 * w) {
-            return Err(PersistError::Corrupt(format!(
-                "{num_offsets} populated codes exceed the 4^{w} code space"
+                "code list has {num_keys} entries for {num_rows} populated codes"
             )));
         }
     } else {
-        let expected_offsets = (1u64 << (2 * w)) + 1;
-        if num_offsets != expected_offsets {
+        let words = bitmap_words(1 << (2 * w)) as u64;
+        if num_keys != words {
             return Err(PersistError::Corrupt(format!(
-                "offsets section has {num_offsets} slots, expected 4^{w} + 1 = {expected_offsets}"
+                "presence bitmap has {num_keys} words, expected ⌈4^{w}/64⌉ = {words}"
             )));
         }
     }
@@ -640,7 +642,8 @@ fn read_header(r: &mut impl Read) -> Result<Header, PersistError> {
             filter_code,
             bank_hash,
         },
-        num_offsets,
+        num_keys,
+        num_rows,
         num_positions,
         num_words,
     })
@@ -668,7 +671,7 @@ pub(crate) fn decode(
     // Exact size first: every offset below is in bounds once it holds,
     // and nothing a lying count could inflate has been allocated yet.
     let spans = h.spans();
-    let size = spans.last().expect("the bit-set span").2 + 8;
+    let size = spans[3].2 + 8;
     if (bytes.len() as u64) < size {
         return Err(PersistError::Corrupt("truncated file".into()));
     }
@@ -677,10 +680,7 @@ pub(crate) fn decode(
             "trailing bytes after the index".into(),
         ));
     }
-    let spans: Vec<(usize, usize, usize)> = spans
-        .into_iter()
-        .map(|(gap, start, end)| (gap as usize, start as usize, end as usize))
-        .collect();
+    let spans = spans.map(|(gap, start, end)| (gap as usize, start as usize, end as usize));
 
     // Whole-stream checksum (padding included) before trusting the
     // arrays: a flipped bit that would survive every structural check (a
@@ -701,29 +701,41 @@ pub(crate) fn decode(
         return Err(PersistError::Corrupt("non-zero section padding".into()));
     }
 
+    /// Section `span` as a view of the mapping, where the target is
+    /// little-endian and the section aligned in it.
+    fn view<T>(
+        map: Option<&Arc<Mapping>>,
+        (_, start, end): (usize, usize, usize),
+    ) -> Option<Section<T>> {
+        let len = (end - start) / std::mem::size_of::<T>();
+        map.filter(|_| cfg!(target_endian = "little"))
+            .and_then(|m| Section::mapped(m, start, len))
+    }
     let u32s = |i: usize| -> Section<u32> {
+        view(map, spans[i]).unwrap_or_else(|| {
+            let (_, start, end) = spans[i];
+            bytes[start..end]
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+                .collect::<Vec<u32>>()
+                .into()
+        })
+    };
+    let u64s = |i: usize| -> Vec<u64> {
         let (_, start, end) = spans[i];
-        if cfg!(target_endian = "little") {
-            if let Some(s) = map.and_then(|m| Section::mapped(m, start, (end - start) / 4)) {
-                return s;
-            }
-        }
         bytes[start..end]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect::<Vec<u32>>()
-            .into()
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect()
     };
-    let (rows, positions) = if h.sparse {
-        (RowIndex::Sparse(SparseRows::new(u32s(0), u32s(1))), u32s(2))
+    let rows = if h.sparse {
+        RowIndex::Sparse(SparseRows::new(u32s(0), u32s(1)))
     } else {
-        (RowIndex::Dense { offsets: u32s(0) }, u32s(1))
+        let bits = view(map, spans[0]).unwrap_or_else(|| u64s(0).into());
+        RowIndex::Dense(BitmapRows::new(bits, u32s(1)))
     };
-    let &(_, start, end) = spans.last().expect("the bit-set span");
-    let words: Vec<u64> = bytes[start..end]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect();
+    let positions = u32s(2);
+    let words = u64s(3);
     let indexed = MaskSet::from_raw_words(words, h.bank_len)
         .ok_or_else(|| PersistError::Corrupt("bit-set has bits beyond the bank length".into()))?;
 
@@ -805,7 +817,8 @@ mod tests {
         assert_eq!(a.w(), b.w());
         assert_eq!(a.stride(), b.stride());
         assert_eq!(a.backend(), b.backend());
-        assert_eq!(a.dense_offsets(), b.dense_offsets());
+        assert_eq!(a.rows().row_offsets(), b.rows().row_offsets());
+        assert!(a.populated().eq(b.populated()));
         assert_eq!(a.positions(), b.positions());
         assert_eq!(a.indexed_words(), b.indexed_words());
         assert_eq!(a.is_fully_indexed(), b.is_fully_indexed());
@@ -832,11 +845,26 @@ mod tests {
         assert!(loaded.is_fully_indexed());
     }
 
+    /// File offsets of a dense file's sections (bitmap words, row
+    /// offsets, positions, bit-set) for `w` and `k` populated codes.
+    fn dense_section_offsets(w: usize, k: usize, postings: usize) -> [usize; 4] {
+        let align = |at: usize| at + (8 - at % 8) % 8;
+        let bits_at = align(84);
+        let row_at = align(bits_at + 8 * (1usize << (2 * w)).div_ceil(64));
+        let pos_at = align(row_at + 4 * (k + 1));
+        let bitset_at = align(pos_at + 4 * postings);
+        [bits_at, row_at, pos_at, bitset_at]
+    }
+
     #[test]
     fn sections_are_eight_byte_aligned() {
         // The property the mmap attach rests on: each array section must
         // start on an 8-byte file offset regardless of W or bank size.
-        for (w, seqs) in [(3usize, vec!["ACGTACG"]), (4, vec!["ACGTACGTTTGG", "CC"])] {
+        for (w, seqs) in [
+            (1usize, vec!["ACGTACG"]),
+            (3, vec!["ACGTACG"]),
+            (4, vec!["ACGTACGTTTGG", "CC"]),
+        ] {
             let refs: Vec<&str> = seqs.to_vec();
             let bank = bank_of(&refs);
             let idx = BankIndex::build(
@@ -844,19 +872,17 @@ mod tests {
                 IndexConfig::full(w).with_backend(IndexBackend::Dense),
             );
             let bytes = to_bytes(&idx, &IndexMeta::default());
-            let num_offsets = (1u64 << (2 * w)) + 1;
-            let offsets_at = 80u64; // header 76 + 4 padding
-            let pos_at = {
-                let end = offsets_at + 4 * num_offsets;
-                end + (8 - end % 8) % 8
+            let at = dense_section_offsets(w, idx.distinct_codes(), idx.indexed_positions());
+            assert_eq!(at[0], 88); // header 84 + 4 padding
+            assert!(at.iter().all(|a| a % 8 == 0));
+            // The bitmap's first word, and row_offsets[0] = 0.
+            let RowIndex::Dense(bitmap) = idx.rows() else {
+                panic!("dense build")
             };
-            assert_eq!(offsets_at % 8, 0);
-            assert_eq!(pos_at % 8, 0);
-            // The first offsets slot is 0 (row 0 starts at postings 0).
-            assert_eq!(
-                &bytes[offsets_at as usize..offsets_at as usize + 4],
-                &[0, 0, 0, 0]
-            );
+            assert_eq!(bytes[at[0]..at[0] + 8], bitmap.bits()[0].to_le_bytes());
+            assert_eq!(&bytes[at[1]..at[1] + 4], &[0, 0, 0, 0]);
+            let words = bank.data().len().div_ceil(64);
+            assert_eq!(bytes.len(), at[3] + 8 * words + 8);
         }
     }
 
@@ -925,10 +951,11 @@ mod tests {
             read_index(&mut bytes.as_slice()),
             Err(PersistError::UnsupportedVersion(99))
         ));
-        // Version-1 (no section alignment) and version-2 (FNV-1a, stored
-        // slot table) files are refused too, with the rebuild hint: there
-        // is no compatibility shim.
-        for old in [1u8, 2] {
+        // Version-1 (no section alignment), version-2 (FNV-1a, stored
+        // slot table) and version-3 (dense `4^w + 1` offsets) files are
+        // refused too, with the rebuild hint: there is no compatibility
+        // shim.
+        for old in [1u8, 2, 3] {
             let mut bytes = to_bytes(&idx, &IndexMeta::default());
             bytes[8] = old;
             match read_index(&mut bytes.as_slice()) {
@@ -960,12 +987,12 @@ mod tests {
         let bank = bank_of(&["ACGTACGTACGT"]);
         let idx = BankIndex::build(&bank, IndexConfig::full(3));
         let bytes = to_bytes(&idx, &IndexMeta::default());
-        // Header is 76 bytes, padded to 80; offsets follow. Overwrite the
-        // first offset slot with a huge value AND recompute the trailing
-        // checksum, so it is the structural validation (offsets[0] == 0)
-        // that must trip, not the checksum.
+        // Overwrite the first row offset with a huge value AND recompute
+        // the trailing checksum, so it is the structural validation
+        // (row_offsets[0] == 0) that must trip, not the checksum.
+        let row_at = dense_section_offsets(3, idx.distinct_codes(), 0)[1];
         let mut corrupt = bytes.clone();
-        corrupt[80..84].copy_from_slice(&u32::MAX.to_le_bytes());
+        corrupt[row_at..row_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         restamp_checksum(&mut corrupt);
         assert!(matches!(
             read_index(&mut corrupt.as_slice()),
@@ -978,10 +1005,10 @@ mod tests {
         let bank = bank_of(&["ACGTACGTACGT"]);
         let idx = BankIndex::build(&bank, IndexConfig::full(3));
         let mut bytes = to_bytes(&idx, &IndexMeta::default());
-        // The 4 padding bytes between header (76) and offsets (80) must
-        // be zero; a non-zero byte with a restamped checksum is caught by
-        // the padding check itself.
-        bytes[77] = 0xAB;
+        // The 4 padding bytes between header (84) and bitmap (88) must be
+        // zero; a non-zero byte with a restamped checksum is caught by the
+        // padding check itself.
+        bytes[85] = 0xAB;
         restamp_checksum(&mut bytes);
         assert!(matches!(
             read_index(&mut bytes.as_slice()),
@@ -1048,17 +1075,21 @@ mod tests {
         )
     }
 
-    /// Header field offsets (see the module docs): num_offsets lives at
-    /// bytes 52..60 and holds `k` for a sparse file.
-    fn stored_k(bytes: &[u8]) -> usize {
+    /// Header field offsets (see the module docs): num_keys lives at
+    /// bytes 52..60, num_rows (`k`) at 60..68.
+    fn stored_keys(bytes: &[u8]) -> usize {
         u64::from_le_bytes(bytes[52..60].try_into().unwrap()) as usize
     }
 
+    fn stored_k(bytes: &[u8]) -> usize {
+        u64::from_le_bytes(bytes[60..68].try_into().unwrap()) as usize
+    }
+
     /// File offsets of the sparse u32 sections (codes, row_offsets,
-    /// positions): version 3 stores no slot table.
+    /// positions).
     fn sparse_section_offsets(k: usize) -> (usize, usize, usize) {
         let align = |at: usize| at + (8 - at % 8) % 8;
-        let codes_at = align(76);
+        let codes_at = align(84);
         let row_at = align(codes_at + 4 * k);
         let pos_at = align(row_at + 4 * (k + 1));
         (codes_at, row_at, pos_at)
@@ -1074,10 +1105,11 @@ mod tests {
             bank_hash: fnv1a(bank.data()),
         };
         let bytes = to_bytes(&idx, &meta);
-        // flags carries the sparse bit, num_offsets carries k.
+        // flags carries the sparse bit, num_keys and num_rows carry k.
         let flags = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
         assert_ne!(flags & 2, 0, "sparse flag must be set");
         assert_eq!(stored_k(&bytes), idx.distinct_codes());
+        assert_eq!(stored_keys(&bytes), idx.distinct_codes());
         let (loaded, lmeta) = read_index(&mut bytes.as_slice()).unwrap();
         assert_same_index(&idx, &loaded);
         assert_eq!(loaded.backend(), IndexBackend::Sparse);
@@ -1086,19 +1118,68 @@ mod tests {
 
     #[test]
     fn dense_bytes_are_unchanged_by_the_backend_flag() {
-        // A dense file keeps the layout of the format before the sparse
-        // backend: flags bit 1 clear, num_offsets = 4^w + 1, sections in
-        // the original order. Only the version word and the checksum
-        // have changed since.
+        // A dense file leaves flags bit 1 clear; num_keys counts its
+        // bitmap words, ⌈4^w/64⌉, and num_rows its populated codes.
         let bank = bank_of(&["ACGTACGTTTGGCCAA"]);
-        let idx = BankIndex::build(
-            &bank,
-            IndexConfig::full(3).with_backend(IndexBackend::Dense),
-        );
-        let bytes = to_bytes(&idx, &IndexMeta::default());
-        let flags = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
-        assert_eq!(flags & !1, 0, "dense files use no new flag bits");
-        assert_eq!(stored_k(&bytes), (1 << 6) + 1);
+        for (w, words) in [(2, 1), (3, 1), (5, 16)] {
+            let idx = BankIndex::build(
+                &bank,
+                IndexConfig::full(w).with_backend(IndexBackend::Dense),
+            );
+            let bytes = to_bytes(&idx, &IndexMeta::default());
+            let flags = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
+            assert_eq!(flags & !1, 0, "dense files set no row-map flag");
+            assert_eq!(stored_keys(&bytes), words);
+            assert_eq!(stored_k(&bytes), idx.distinct_codes());
+        }
+    }
+
+    #[test]
+    fn dense_bitmap_corruption_is_structural() {
+        // The bitmap decides which codes have rows, so the checks on it
+        // stand between hostile bytes and the rank lookups: edit it and
+        // RESTAMP the checksum, and each lie gets its own error.
+        let bank = bank_of(&["ACGTACGTTTGGCCAA"]);
+        let rejected = |tainted: &mut Vec<u8>, want: &str| {
+            restamp_checksum(tainted);
+            match read_index(&mut tainted.as_slice()) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("accepted a corrupt {want}: {other:?}"),
+            }
+        };
+        for w in [2usize, 3] {
+            let idx = BankIndex::build(
+                &bank,
+                IndexConfig::full(w).with_backend(IndexBackend::Dense),
+            );
+            let bytes = to_bytes(&idx, &IndexMeta::default());
+            let bits_at = dense_section_offsets(w, idx.distinct_codes(), 0)[0];
+            let word = |b: &[u8]| u64::from_le_bytes(b[bits_at..bits_at + 8].try_into().unwrap());
+            let set =
+                |b: &mut Vec<u8>, v: u64| b[bits_at..bits_at + 8].copy_from_slice(&v.to_le_bytes());
+            // A popcount that differs from the row count: one code fewer.
+            let mut fewer = bytes.clone();
+            let first = word(&bytes);
+            set(&mut fewer, first & (first - 1));
+            rejected(&mut fewer, "presence bitmap holds");
+            // One code more, inside the code space.
+            let mut more = bytes.clone();
+            let absent = (!first).trailing_zeros();
+            if absent < 1 << (2 * w) {
+                set(&mut more, first | 1 << absent);
+                rejected(&mut more, "presence bitmap holds");
+            }
+            // A bit past 4^w (W = 2: sixteen codes in a 64-bit word).
+            if w == 2 {
+                let mut past = bytes.clone();
+                set(&mut past, first | 1 << 40);
+                rejected(&mut past, "past the 4^2 code space");
+            }
+            // A wrong word count in the header.
+            let mut count = bytes.clone();
+            count[52..60].copy_from_slice(&2u64.to_le_bytes());
+            rejected(&mut count, "presence bitmap has 2 words");
+        }
     }
 
     #[test]
@@ -1386,8 +1467,8 @@ mod tests {
             stride in 1usize..3,
             sparse_sel in 0usize..2,
             flips in proptest::collection::vec(0u64..=u64::MAX, 1..5),
-            counts in proptest::collection::vec(0u64..=u64::MAX, 3),
-            counts_hit in 0usize..12,
+            counts in proptest::collection::vec(0u64..=u64::MAX, 4),
+            counts_hit in 0usize..24,
         ) {
             let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
             let bank = bank_of(&refs);
@@ -1403,12 +1484,13 @@ mod tests {
                 let at = (v >> 10) as usize % reach;
                 bytes[at] ^= (*v as u8).max(1);
             }
-            // The three header counts (num_offsets, num_positions,
-            // num_bitset_words at 52 / 60 / 68), in 7 cases of 12: an
-            // arbitrary u64, or — odd draws — within ±4 of the stored one,
-            // which tends to pass the range checks and move the layout.
+            // The four header counts (num_keys, num_rows, num_positions,
+            // num_bitset_words at 52 / 60 / 68 / 76), in 15 cases of 24:
+            // an arbitrary u64, or — odd draws — within ±4 of the stored
+            // one, which tends to pass the range checks and move the
+            // layout.
             for (i, v) in counts.iter().enumerate() {
-                if counts_hit < 8 && counts_hit >> i & 1 == 1 {
+                if counts_hit < 16 && counts_hit >> i & 1 == 1 {
                     let field = 52 + 8 * i..60 + 8 * i;
                     let stored = u64::from_le_bytes(bytes[field.clone()].try_into().unwrap());
                     let n = if v & 1 == 1 { stored.wrapping_add((v >> 1) % 9).wrapping_sub(4) } else { *v };
@@ -1424,7 +1506,7 @@ mod tests {
             // refused on size alone: no section has been looked at, so
             // nothing the counts could inflate has been allocated.
             if let Ok(h) = read_header(&mut &bytes[..]) {
-                let implied = h.spans().last().unwrap().2 + 8;
+                let implied = h.spans()[3].2 + 8;
                 if implied != bytes.len() as u64 {
                     let msg = verdict.as_ref().expect_err("size mismatch accepted");
                     prop_assert!(

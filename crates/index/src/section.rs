@@ -1,17 +1,18 @@
 //! Backing storage for the CSR index arrays: owned heap vectors, or
 //! zero-copy views into a memory-mapped index file.
 //!
-//! The postings and row-lookup sections dominate an index's footprint
-//! (≈ `4·4^W` and `4·indexed_positions` bytes), and a sharded database
-//! attaches many volumes per process: copying those sections into heap
-//! arrays on every attach would multiply resident memory by the volume
-//! count. A [`Section`] lets [`crate::BankIndex`] hold either
-//! representation behind one `&[T]` view. Fresh builds own their arrays;
-//! the index-file decoder (`persist::decode`) produces mapped views when
-//! it is given the mapping its bytes come from and the target allows a
-//! typed view (little-endian, section aligned), and owned decoded copies
-//! otherwise. A mapped section's bytes stay in the (shared, evictable)
-//! page cache and the heap holds only the `Arc` and a fat pointer.
+//! The postings and row-map sections dominate an index's footprint
+//! (`4·indexed_positions` and ≈ `4·distinct + 4^W/8` bytes), and a
+//! sharded database attaches many volumes per process: copying those
+//! sections into heap arrays on every attach would multiply resident
+//! memory by the volume count. A [`Section`] lets [`crate::BankIndex`]
+//! hold either representation behind one `&[T]` view. Fresh builds own
+//! their arrays; the index-file decoder (`persist::decode`) produces
+//! mapped views when it is given the mapping its bytes come from and the
+//! target allows a typed view (little-endian, section aligned), and owned
+//! decoded copies otherwise. A mapped section's bytes stay in the
+//! (shared, evictable) page cache and the heap holds only the `Arc` and a
+//! fat pointer.
 
 use std::fmt;
 use std::ops::Deref;

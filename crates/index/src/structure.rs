@@ -1,5 +1,5 @@
 //! The bank index — Figure 2 of the paper, flattened to a CSR layout,
-//! with a sparse hashed backend for banks that populate few seed codes.
+//! with two row maps: a ranked presence bitmap and a sorted code list.
 //!
 //! The paper draws the occurrence index as a linked structure: a seed
 //! dictionary `dict[4^W]` pointing at the first occurrence of each seed,
@@ -9,50 +9,55 @@
 //! dependent, unpredictable load across a `4·len(SEQ)`-byte array.
 //!
 //! This module stores the same information as a **compressed sparse row**
-//! (CSR) inverted index. The postings array is common to both backends:
+//! (CSR) inverted index. Two arrays are common to both row maps:
 //!
 //! * `positions[indexed_positions]` — every occurrence, grouped by seed
 //!   code in ascending code order and in **ascending position order**
-//!   within each group.
+//!   within each group;
+//! * `row_offsets[k + 1]` — one boundary per *populated* code (`k`
+//!   distinct codes): row `r`, the occurrences of the `r`-th populated
+//!   code, is `positions[row_offsets[r] .. row_offsets[r + 1]]`.
 //!
-//! What differs is how a seed code finds its row (the crate-private
+//! What differs is how a seed code finds its row `r` (the crate-private
 //! `RowIndex`):
 //!
-//! * **Dense** — `offsets[4^W + 1]` row boundaries: the occurrences of
-//!   seed `code` are `positions[offsets[code] .. offsets[code + 1]]`.
-//!   O(1) lookup, but the offsets array costs `4·(4^W + 1)` bytes no
-//!   matter how small the bank is — 16.8 MB at W = 11.
-//! * **Sparse** — only the *populated* codes are materialized: an
-//!   ascending `codes[k]` array and `row_offsets[k + 1]` row boundaries.
-//!   A code's row is its place in `codes`, found by a binary search — or,
-//!   for codes asked in ascending order, by a forward cursor (below).
-//!   Memory is `∝ distinct codes`, independent of `4^W`.
+//! * **Dense** — a presence bitmap of `4^W` bits (bit `code % 64` of word
+//!   `code / 64` is set iff the code is populated) and, per bitmap word,
+//!   the number of bits set in the words before it: the *rank*, derived
+//!   at build and at attach and never stored. A populated code's row is
+//!   its rank, `ranks[code / 64] + popcount(word & below(code % 64))` —
+//!   two loads and a popcount. Bitmap and ranks cost `3·4^W/16` bytes,
+//!   768 KB at W = 11, small enough to stay in L2.
+//! * **Sparse** — an ascending `codes[k]` list. A code's row is its place
+//!   in `codes`, found by a binary search — or, for codes asked in
+//!   ascending order, by a forward cursor (below). Four bytes per
+//!   populated code, independent of `4^W`.
 //!
-//! [`IndexBackend::Auto`] (the default) picks per build: dense when the
-//! code space is comparably sized to the postings (`4^W ≤ 4·postings`,
-//! i.e. at least ~¼ of the offsets slots could be populated), sparse
-//! otherwise. Both backends order the postings identically, so every
-//! downstream consumer — step 2's ordered enumeration, the guards, the
-//! sinks — sees byte-identical occurrence slices; backend choice is a
-//! memory/speed trade, never a results change (pinned by proptests here
-//! and at the engine and db layers).
+//! [`IndexBackend::Auto`] (the default) picks per build whichever map the
+//! two footprint models below say is smaller. They differ by `3·4^W/16`
+//! bytes (dense) against `4·k` (sparse), and pass A knows the postings,
+//! which bound `k` from above: dense iff `3·4^W/16 ≤ 4·postings`, that is
+//! from 196 608 postings at W = 11. Both maps order the postings
+//! identically, so every downstream consumer — step 2's ordered
+//! enumeration, the guards, the sinks — sees byte-identical occurrence
+//! slices; the choice is a memory/speed trade, never a results change
+//! (pinned by proptests here and at the engine and db layers).
 //!
-//! **Partner rows.** Step 2 walks one index's populated rows in
-//! ascending code order and needs the other index's row of each code.
-//! [`BankIndex::cursor_from`] answers that walk with a [`RowCursor`]: on
-//! a dense index one offsets load per code, on a sparse one a gallop
-//! forward from the previous answer through the sorted code list. When
-//! both sides hold many codes — a chunk of reads searched jointly against
-//! a volume — consecutive codes sit a row or two apart, so a seek is a
-//! probe or two into memory the walk is streaming through anyway. A lone
-//! short read asks ~140 codes spread over a volume's whole list and pays
-//! ~20 probes each. A hashed code→row table would answer it in one or two,
-//! but it costs `4·2^⌈log₂ 2k⌉` heap bytes per index, derived at every
-//! attach (4.2 MB per `reads_db_batch` volume), and `--batch` searches
-//! reads in chunks, so the sparse layout carries no table. Every answer
-//! is exactly the slice [`BankIndex::occurrences`] returns (a differential
-//! proptest below holds both backends, heap and mapped, to it and to a
-//! hashed table's lookup).
+//! **Partner rows.** Step 2 needs both rows of every code populated in
+//! both indexes, in ascending code order. Two dense indexes are walked
+//! together: [`BankIndex::for_each_shared`] ANDs their bitmaps word by word
+//! with running ranks, so it visits only the codes populated in both.
+//! Otherwise step 2 walks the populated rows of the index with fewer
+//! codes and asks the other for each partner row through a
+//! [`RowCursor`] ([`BankIndex::cursor_from`]): a rank on a dense partner,
+//! a gallop forward from the previous answer through the code list on a
+//! sparse one. A lone short read — a sparse index of ~140 codes —
+//! therefore pays a rank per code against a dense database volume, where
+//! a gallop across a whole volume's code list took ~20 probes. Every
+//! answer is exactly the slice [`BankIndex::occurrences`] returns (a
+//! differential proptest below holds both maps, heap and mapped, to it,
+//! to a binary search and to the `offsets[4^W + 1]` build this module had
+//! before the bitmap).
 //!
 //! The build is a counting sort that never materializes `(position,
 //! code)` pairs; the bank is rolled over instead of remembered.
@@ -64,22 +69,24 @@
 //!   is a function of W: the fewest whose rank (the code's remaining low
 //!   bases) still fits a `u16`, and never fewer than 64. That is 64
 //!   partitions up to W = 11, 256 at W = 12 and 1 024 at W = 13 (`4^W`
-//!   below W = 3). Pass A yields the posting count, hence the backend
+//!   below W = 3). Pass A yields the posting count, hence the row map
 //!   under `Auto`.
 //! * **Dense, pass B** rolls again and scatters every kept position (four
 //!   bytes) into the postings array, partition by partition, with its
 //!   *rank* inside the partition (the code's low bits, two bytes) into a
 //!   transient side array. **Pass C** then sorts each partition in place
-//!   by rank — count, prefix-sum, scatter through a copy of that one
-//!   partition — writing the partition's own stretch of `offsets` as it
-//!   goes. A partition is at most `4^8` offsets (256 KiB) and its share
-//!   of the postings, so pass C runs in the core's own cache; an empty
-//!   partition is one `fill`. Pass B is bound by how many write streams
-//!   its scatter keeps open — two per partition per slice — which is why
-//!   the partitions are as few as the `u16` rank allows. On a 4.9 Mnt
-//!   bank at W = 11 with two workers (2-vCPU VM), 64 partitions scatter
-//!   in 31–34 ms where 1 024 took 56–62, and pass C, now out of L1, takes
-//!   28–34 ms instead of 19–22.
+//!   by rank — count into a per-worker scratch of `4^8` counters,
+//!   prefix-sum, scatter through a copy of that one partition — and sets
+//!   the partition's bits in the bitmap as it goes; an empty partition is
+//!   skipped. With the populated codes counted, the row boundaries are
+//!   written straight into their one exactly sized array: each partition
+//!   counts its ranks again and walks its set bits. The scratch and the
+//!   partition's share of the postings stay in the core's own cache.
+//!   Pass B is bound by how many write streams its scatter keeps open —
+//!   two per partition per slice — which is why the partitions are as few
+//!   as the `u16` rank allows. On a 4.9 Mnt bank at W = 11 with two
+//!   workers (2-vCPU VM), 64 partitions scatter in 31–34 ms where 1 024
+//!   took 56–62.
 //! * **Sparse** rolls again into `code·2^32 + position` keys, sorts them,
 //!   and splits codes, row boundaries and postings off the sorted run.
 //!
@@ -90,48 +97,51 @@
 //! stretch of the postings array, slices in bank order inside a partition
 //! — so pass B writes each partition's positions in ascending order
 //! whatever the worker count, and pass C, which walks its input forward,
-//! leaves every row ascending. The index is therefore the same bytes for
-//! any pool size (pinned against a full-sweep oracle for pools of 1, 2, 4
-//! and 7). A bank under two grains of 2^18 positions is built on the
-//! calling thread: the rayon shim starts OS threads per call, which a
-//! 150-nt query must never pay. `occurrences(code)` hands step 2 a
-//! contiguous, ascending `&[u32]` slice, and `stats` needs no chain
-//! walks.
+//! leaves every row ascending. Pass C's runs of partitions start on whole
+//! bitmap words, so no two share one. The index is therefore the same
+//! bytes for any pool size (pinned against the
+//! full-sweep oracle for pools of 1, 2, 4 and 7). A bank under two grains
+//! of 2^18 positions is built on the calling thread: the rayon shim
+//! starts OS threads per call, which a 150-nt query must never pay.
+//! `occurrences(code)` hands step 2 a contiguous, ascending `&[u32]`
+//! slice, and `stats` needs no chain walks.
 //!
-//! Memory model (heap bytes on top of the 1-byte-per-residue `SEQ` array):
+//! Memory model (heap bytes on top of the 1-byte-per-residue `SEQ` array;
+//! `k` = distinct codes, `N` = indexed positions):
 //!
 //! ```text
-//! dense:   ≈ 4·(4^W + 1)          offsets
-//!          + 4·indexed_positions  postings
-//!          + len(SEQ)/8           indexed-occurrence bit-set
-//!   while building, on top of the above:
-//!          + 2·indexed_positions  ranks (pass B → pass C)
-//!          + 4·partitions per slice  partition histogram (256 B at W ≤ 11)
-//!          + 4·(largest partition) per worker — typically
-//!            indexed_positions/64, the whole postings array for a bank
-//!            whose windows all end in the same three bases
-//!
-//! sparse:  ≈ 4·k                  populated codes        (k = distinct codes)
+//! dense:   ≈ 4^W/8 + 4^W/16       presence bitmap + per-word ranks
 //!          + 4·(k + 1)            row offsets
-//!          + 4·indexed_positions  postings
+//!          + 4·N                  postings
 //!          + len(SEQ)/8           indexed-occurrence bit-set
 //!   while building, on top of the above:
-//!          + 8·indexed_positions  sort keys
+//!          + 2·N                  ranks (pass B → pass C)
+//!          + 4·partitions per slice  partition histogram (256 B at W ≤ 11)
+//!          + 4·4^8 + 4·(largest partition) per worker — the count
+//!            scratch and a copy of the partition: typically N/64, the
+//!            whole postings array for a bank whose windows all end in
+//!            the same three bases
+//!
+//! sparse:  ≈ 4·k                  populated codes
+//!          + 4·(k + 1)            row offsets
+//!          + 4·N                  postings
+//!          + len(SEQ)/8           indexed-occurrence bit-set
+//!   while building, on top of the above:
+//!          + 8·N                  sort keys
 //! ```
 //!
-//! The transient part is ≈ 2 bytes per posting for a dense build, which
-//! is what sets a run's peak RSS when the bank is large.
-//!
-//! Since `k ≤ indexed_positions`, the sparse backend is bounded by
-//! `≈ 12·indexed_positions` bytes however large `W` gets: a small query
-//! bank at W = 11 does not pay a 16.8 MB offsets array per transient index.
-//!
-//! The postings cost `4·indexed_positions` bytes — sized by the windows
-//! actually indexed, not by `len(SEQ)` as the paper's `next` array is — so
-//! low-complexity masking and the asymmetric stride (section 3.4) shrink
-//! the index itself, not just the bit-set. For a fully indexed bank
-//! (`indexed_positions ≈ len(SEQ)`) the dense layout matches the paper's
-//! "approximately 5·N bytes" figure.
+//! A dense index is thus `4·N + 4·k + len(SEQ)/8 + 3·4^W/16` bytes,
+//! sized by what the bank populates: at W = 11 a bank pays 768 KB for
+//! the code space, not the 16.8 MB of an `offsets[4^W + 1]` array. A
+//! saturated bank (`k ≈ 4^W`, from ~12 Mnt at W = 11) pays at most
+//! `3·4^W/16` bytes — 0.77 MB — more than that array did. Since
+//! `k ≤ N`, the sparse map is bounded by `≈ 12·N` bytes however large `W`
+//! gets. The postings are sized by the windows actually indexed, not by
+//! `len(SEQ)` as the paper's `next` array is, so low-complexity masking
+//! and the asymmetric stride (section 3.4) shrink the index itself, not
+//! just the bit-set. The paper's "approximately 5·N bytes" (1 byte of
+//! `SEQ` and 4 of postings per position) is the first term; the row map
+//! adds `4·k + 3·4^W/16`.
 //!
 //! The one-bit-per-position `indexed` set is retained for the ORIS order
 //! guard: during extension the guard must ask "would the global enumeration
@@ -170,24 +180,25 @@ use crate::mask::MaskSet;
 use crate::section::Section;
 use crate::seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
 
-/// Which row-lookup structure backs the index.
+/// Which row map backs the index.
 ///
-/// Backend choice never changes results: the postings array (and thus
-/// every `occurrences` slice, every HSP, every output byte) is identical
-/// under either backend. It only trades memory against lookup cost:
-/// dense pays `4·(4^W + 1)` bytes for O(1) array indexing; sparse pays
-/// `∝ distinct codes` for a search of its sorted code list.
+/// The choice never changes results: the postings array (and thus every
+/// `occurrences` slice, every HSP, every output byte) is identical under
+/// either map. It only trades memory against lookup cost: dense pays
+/// `3·4^W/16` bytes for a rank lookup; sparse pays 4 bytes per populated
+/// code for a search of its sorted code list.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IndexBackend {
-    /// Always build the dense `offsets[4^W + 1]` CSR — the large-bank
-    /// fast path.
+    /// Always build the ranked presence bitmap — the large-bank fast
+    /// path.
     Dense,
-    /// Always build the compact populated-codes table — the small-bank /
-    /// large-W memory saver.
+    /// Always build the sorted code list — the small-bank / large-W
+    /// memory saver.
     Sparse,
-    /// Decide per build from the observed density: dense when
-    /// `4^W ≤ 4·indexed_positions` (at least ~¼ of the code space could
-    /// be populated, since distinct codes ≤ postings), sparse otherwise.
+    /// Decide per build from the two footprint models: dense when
+    /// `3·4^W/16 ≤ 4·indexed_positions` (the bitmap and its ranks cost no
+    /// more than a code list as long as the bank could populate that many
+    /// codes, since distinct codes ≤ postings), sparse otherwise.
     #[default]
     Auto,
 }
@@ -203,7 +214,7 @@ pub struct IndexConfig {
     /// sampled on one bank only, all 11-nt seed matches are still anchored
     /// while the index halves in size (section 3.4).
     pub stride: usize,
-    /// Row-lookup backend policy (see [`IndexBackend`]).
+    /// Row map policy (see [`IndexBackend`]).
     pub backend: IndexBackend,
 }
 
@@ -226,7 +237,7 @@ impl IndexConfig {
         }
     }
 
-    /// Same config with an explicit backend policy.
+    /// Same config with an explicit row map policy.
     pub fn with_backend(mut self, backend: IndexBackend) -> IndexConfig {
         self.backend = backend;
         self
@@ -242,39 +253,122 @@ pub struct IndexStats {
     pub indexed_positions: usize,
     /// Length of the longest occurrence list.
     pub max_chain_len: usize,
-    /// Heap bytes used by the row-lookup arrays + `positions` + the
-    /// indexed bit-set (excludes the bank's own array).
+    /// Heap bytes used by the row map + `positions` + the indexed bit-set
+    /// (excludes the bank's own array).
     pub index_bytes: usize,
-    /// Heap bytes including the underlying `SEQ` array — the paper's ≈5·N
-    /// figure when the bank is fully indexed (dense backend).
+    /// Heap bytes including the underlying `SEQ` array: `5·N` plus the
+    /// row map's `4·k + 3·4^W/16` (dense) or `8·k` (sparse) and the
+    /// bit-set's `N/8` for a fully indexed bank (see the module docs).
     pub total_bytes: usize,
 }
 
-/// Row `row` of a sparse table as its postings slice.
+/// Row `row` as its postings slice.
 #[inline]
-fn sparse_row<'s>(positions: &'s [u32], row_offsets: &[u32], row: usize) -> &'s [u32] {
+fn row_slice<'s>(positions: &'s [u32], row_offsets: &[u32], row: usize) -> &'s [u32] {
     &positions[row_offsets[row] as usize..row_offsets[row + 1] as usize]
 }
 
-/// The row-lookup structure: how a seed code maps to its postings row.
-/// Both variants index the same `positions` array; see the module docs
-/// for the memory model.
+/// The row map: how a seed code finds its postings row. Both variants
+/// index the same `positions` array through the same compact row
+/// boundaries; see the module docs for the memory model.
 #[derive(Debug, Clone)]
 pub(crate) enum RowIndex {
-    /// Dense CSR row boundaries: occurrences of `code` live at
-    /// `positions[offsets[code] .. offsets[code + 1]]`; `4^W + 1` slots.
-    Dense { offsets: Section<u32> },
-    /// Populated-codes table, see [`SparseRows`].
+    /// The ranked presence bitmap, see [`BitmapRows`].
+    Dense(BitmapRows),
+    /// The sorted code list, see [`SparseRows`].
     Sparse(SparseRows),
 }
 
-/// The sparse row lookup: `codes[k]` ascending distinct codes and
-/// `row_offsets[k + 1]` row boundaries — row `r`, the occurrences of
-/// `codes[r]`, is `positions[row_offsets[r] .. row_offsets[r + 1]]`. A
-/// code finds its row by a search of `codes` (a binary search for one
-/// code, a forward [`RowCursor`] for ascending ones); nothing else is
-/// derived or stored, so an index file's two sections are the whole
-/// structure.
+impl RowIndex {
+    /// Row boundaries, one per populated code plus one.
+    pub(crate) fn row_offsets(&self) -> &[u32] {
+        match self {
+            RowIndex::Dense(bitmap) => &bitmap.row_offsets,
+            RowIndex::Sparse(sparse) => &sparse.row_offsets,
+        }
+    }
+}
+
+/// Words of a presence bitmap over `num_seeds` codes.
+pub(crate) fn bitmap_words(num_seeds: usize) -> usize {
+    num_seeds.div_ceil(64)
+}
+
+/// The dense row map: a presence bitmap over the whole code space, the
+/// rank of each of its words, and `row_offsets[k + 1]` row boundaries —
+/// the `r`-th populated code owns `positions[row_offsets[r] ..
+/// row_offsets[r + 1]]`. Only the bitmap and the boundaries are stored
+/// in an index file; the ranks are derived from the bitmap in one pass
+/// over its words.
+#[derive(Debug, Clone)]
+pub(crate) struct BitmapRows {
+    bits: Section<u64>,
+    /// `ranks[i]` = bits set in `bits[..i]`.
+    ranks: Vec<u32>,
+    row_offsets: Section<u32>,
+}
+
+impl BitmapRows {
+    /// Pairs a bitmap with its row boundaries and derives the ranks; the
+    /// caller validates the pair (see [`BankIndex::from_raw_parts`]).
+    pub(crate) fn new(bits: Section<u64>, row_offsets: Section<u32>) -> BitmapRows {
+        let mut ranks = Vec::with_capacity(bits.len());
+        let mut sum = 0u32;
+        for &word in bits.iter() {
+            ranks.push(sum);
+            sum += word.count_ones();
+        }
+        BitmapRows {
+            bits,
+            ranks,
+            row_offsets,
+        }
+    }
+
+    pub(crate) fn bits(&self) -> &[u64] {
+        &self.bits
+    }
+
+    /// Codes whose bit is set.
+    fn populated(&self) -> usize {
+        match (self.ranks.last(), self.bits.last()) {
+            (Some(&rank), Some(&word)) => rank as usize + word.count_ones() as usize,
+            _ => 0,
+        }
+    }
+
+    /// Row of `code`, or `None` if it is absent (or past the bitmap).
+    #[inline]
+    fn row_of(&self, code: u32) -> Option<usize> {
+        let i = (code / 64) as usize;
+        let word = *self.bits.get(i)?;
+        let bit = code % 64;
+        (word >> bit & 1 == 1).then(|| rank_in(self.ranks[i], word, bit))
+    }
+
+    /// Heap bytes: the derived ranks always, the bitmap and row
+    /// boundaries unless they are views of a mapped file.
+    fn heap_bytes(&self) -> usize {
+        4 * self.ranks.len() + self.bits.heap_bytes() + self.row_offsets.heap_bytes()
+    }
+
+    fn is_mapped(&self) -> bool {
+        self.bits.is_mapped() || self.row_offsets.is_mapped()
+    }
+}
+
+/// Rank of bit `bit` of `word`: `rank` (the bits set before the word)
+/// plus the bits of the word below `bit`.
+#[inline]
+fn rank_in(rank: u32, word: u64, bit: u32) -> usize {
+    rank as usize + (word & ((1u64 << bit) - 1)).count_ones() as usize
+}
+
+/// The sparse row map: `codes[k]` ascending distinct codes beside the row
+/// boundaries — row `r` holds the occurrences of `codes[r]`. A code finds
+/// its row by a search of `codes` (a binary search for one code, a
+/// forward [`RowCursor`] for ascending ones); nothing else is derived or
+/// stored, so an index file's two sections are the whole structure.
 #[derive(Debug, Clone)]
 pub(crate) struct SparseRows {
     codes: Section<u32>,
@@ -291,17 +385,13 @@ impl SparseRows {
         &self.codes
     }
 
-    pub(crate) fn row_offsets(&self) -> &[u32] {
-        &self.row_offsets
-    }
-
     /// Heap bytes: the code list and row boundaries unless they are
     /// views of a mapped file.
-    pub(crate) fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> usize {
         self.codes.heap_bytes() + self.row_offsets.heap_bytes()
     }
 
-    pub(crate) fn is_mapped(&self) -> bool {
+    fn is_mapped(&self) -> bool {
         self.codes.is_mapped() || self.row_offsets.is_mapped()
     }
 }
@@ -311,8 +401,9 @@ impl SparseRows {
 pub struct BankIndex {
     coder: SeedCoder,
     stride: usize,
-    /// Code → postings-row lookup. Owned for a fresh build; zero-copy
-    /// views into the index file for an mmap attach.
+    /// Code → postings-row map. Owned for a fresh build; zero-copy views
+    /// into the index file for an mmap attach (the dense map's ranks are
+    /// derived on the heap either way).
     rows: RowIndex,
     /// All indexed positions, grouped by seed code in ascending code
     /// order, ascending within a group. Same storage duality as `rows`.
@@ -330,10 +421,6 @@ pub struct BankIndex {
     /// mask predicate. See [`BankIndex::is_fully_indexed`].
     fully_indexed: bool,
     bank_bytes: usize,
-    /// Number of distinct populated codes, cached at build/validation
-    /// time so `distinct_codes()` is O(1) for either backend (step 2
-    /// uses it to pick which index drives the populated-code walk).
-    distinct: usize,
 }
 
 /// A bank's code array (residues, one sentinel per sequence, plus one)
@@ -410,33 +497,27 @@ impl BankIndex {
         // the order guard may skip its bit-set probes entirely.
         let policy_excluded: usize = scans.iter().map(|s| s.policy_excluded).sum();
 
-        // Resolve the Auto policy from the observed density: distinct
-        // codes ≤ postings, so `4^W > 4·postings` means under ¼ of the
-        // offsets slots could possibly be populated — the dense array
-        // would be ≥ 16 bytes per posting of mostly-empty rows.
+        // Resolve the Auto policy from the two footprint models: the
+        // bitmap and its ranks (3·4^W/16 bytes) against a code list of at
+        // most one code per posting (4 bytes each).
         let dense = match cfg.backend {
             IndexBackend::Dense => true,
             IndexBackend::Sparse => false,
-            IndexBackend::Auto => coder.num_seeds() <= 4 * postings,
+            IndexBackend::Auto => 3 * coder.num_seeds() <= 64 * postings,
         };
 
-        let (rows, positions, distinct) = if dense {
-            let (offsets, positions, distinct) =
+        let (rows, positions) = if dense {
+            let (bits, row_offsets, positions) =
                 dense_rows(data, &words, slice_len, coder, radix, &scans, postings);
             (
-                RowIndex::Dense {
-                    offsets: offsets.into(),
-                },
+                RowIndex::Dense(BitmapRows::new(bits.into(), row_offsets.into())),
                 positions,
-                distinct,
             )
         } else {
             let (codes, row_offsets, positions) = sparse_rows(data, &words, coder, postings);
-            let distinct = codes.len();
             (
                 RowIndex::Sparse(SparseRows::new(codes.into(), row_offsets.into())),
                 positions,
-                distinct,
             )
         };
 
@@ -449,7 +530,6 @@ impl BankIndex {
                 .expect("one word per 64 positions, no bit past the last position"),
             fully_indexed: cfg.stride == 1 && policy_excluded == 0,
             bank_bytes: data.len(),
-            distinct,
         }
     }
 
@@ -489,38 +569,31 @@ impl BankIndex {
         }
         let coder = SeedCoder::new(w);
         let num_seeds = coder.num_seeds();
-        let distinct = match &rows {
-            RowIndex::Dense { offsets } => {
-                if offsets.len() != num_seeds + 1 {
+        match &rows {
+            RowIndex::Dense(bitmap) => {
+                let bits = bitmap.bits();
+                if bits.len() != bitmap_words(num_seeds) {
                     return Err(format!(
-                        "offsets array has {} slots, expected 4^{w} + 1 = {}",
-                        offsets.len(),
-                        num_seeds + 1
+                        "presence bitmap has {} words, expected ⌈4^{w}/64⌉ = {}",
+                        bits.len(),
+                        bitmap_words(num_seeds)
                     ));
                 }
-                if offsets[0] != 0 {
-                    return Err("offsets[0] must be 0".into());
-                }
-                if offsets.windows(2).any(|p| p[0] > p[1]) {
-                    return Err("offsets are not monotonically non-decreasing".into());
-                }
-                if *offsets.last().unwrap() as usize != positions.len() {
+                if !num_seeds.is_multiple_of(64) && bits[0] >> num_seeds != 0 {
                     return Err(format!(
-                        "last offset {} does not match {} positions",
-                        offsets.last().unwrap(),
-                        positions.len()
+                        "presence bitmap sets a bit past the 4^{w} code space"
                     ));
                 }
-                offsets.windows(2).filter(|p| p[0] < p[1]).count()
+                let rows = rows.row_offsets().len().saturating_sub(1);
+                if bitmap.populated() != rows {
+                    return Err(format!(
+                        "presence bitmap holds {} codes for {rows} rows",
+                        bitmap.populated()
+                    ));
+                }
             }
             RowIndex::Sparse(sparse) => {
-                let (codes, row_offsets) = (sparse.codes(), sparse.row_offsets());
-                if codes.len() > num_seeds {
-                    return Err(format!(
-                        "{} populated codes exceed the 4^{w} code space",
-                        codes.len()
-                    ));
-                }
+                let codes = sparse.codes();
                 if codes.windows(2).any(|p| p[0] >= p[1]) {
                     return Err("populated codes are not strictly ascending".into());
                 }
@@ -529,31 +602,34 @@ impl BankIndex {
                         return Err(format!("code {last} outside the 4^{w} code space"));
                     }
                 }
-                if row_offsets.len() != codes.len() + 1 {
+                if rows.row_offsets().len() != codes.len() + 1 {
                     return Err(format!(
                         "row-offsets array has {} slots, expected {} populated codes + 1",
-                        row_offsets.len(),
+                        rows.row_offsets().len(),
                         codes.len()
                     ));
                 }
-                if row_offsets[0] != 0 {
-                    return Err("row_offsets[0] must be 0".into());
-                }
-                // Strictly increasing: a listed code owns at least one
-                // posting (the build never materializes an empty row).
-                if row_offsets.windows(2).any(|p| p[0] >= p[1]) {
-                    return Err("row offsets are not strictly increasing".into());
-                }
-                if *row_offsets.last().unwrap() as usize != positions.len() {
-                    return Err(format!(
-                        "last row offset {} does not match {} positions",
-                        row_offsets.last().unwrap(),
-                        positions.len()
-                    ));
-                }
-                codes.len()
             }
-        };
+        }
+        let row_offsets = rows.row_offsets();
+        if row_offsets.is_empty() {
+            return Err("row-offsets array is empty".into());
+        }
+        if row_offsets[0] != 0 {
+            return Err("row_offsets[0] must be 0".into());
+        }
+        // Strictly increasing: a populated code owns at least one posting
+        // (the build never materializes an empty row).
+        if row_offsets.windows(2).any(|p| p[0] >= p[1]) {
+            return Err("row offsets are not strictly increasing".into());
+        }
+        if *row_offsets.last().unwrap() as usize != positions.len() {
+            return Err(format!(
+                "last row offset {} does not match {} positions",
+                row_offsets.last().unwrap(),
+                positions.len()
+            ));
+        }
         if indexed.len() != bank_bytes {
             return Err(format!(
                 "indexed bit-set covers {} positions, bank has {bank_bytes}",
@@ -570,11 +646,7 @@ impl BankIndex {
         // Per-row invariants: strictly ascending positions (step 2 and the
         // uniqueness argument assume the enumeration order), every position
         // inside the bank, every position present in the bit-set.
-        let boundaries: &[u32] = match &rows {
-            RowIndex::Dense { offsets } => offsets,
-            RowIndex::Sparse(sparse) => sparse.row_offsets(),
-        };
-        for row in boundaries.windows(2) {
+        for row in row_offsets.windows(2) {
             let row = &positions[row[0] as usize..row[1] as usize];
             for pair in row.windows(2) {
                 if pair[0] >= pair[1] {
@@ -598,7 +670,6 @@ impl BankIndex {
             indexed,
             fully_indexed,
             bank_bytes,
-            distinct,
         })
     }
 
@@ -620,13 +691,13 @@ impl BankIndex {
         self.stride
     }
 
-    /// The resolved row-lookup backend — [`IndexBackend::Dense`] or
+    /// The resolved row map — [`IndexBackend::Dense`] or
     /// [`IndexBackend::Sparse`], never `Auto` (Auto is resolved at build
-    /// time from the observed density).
+    /// time from the posting count).
     #[inline]
     pub fn backend(&self) -> IndexBackend {
         match self.rows {
-            RowIndex::Dense { .. } => IndexBackend::Dense,
+            RowIndex::Dense(_) => IndexBackend::Dense,
             RowIndex::Sparse(_) => IndexBackend::Sparse,
         }
     }
@@ -637,44 +708,38 @@ impl BankIndex {
         self.occurrences(code).first().copied()
     }
 
+    /// Row of `code`, or `None` if the seed is absent.
+    #[inline]
+    fn row_of(&self, code: u32) -> Option<usize> {
+        match &self.rows {
+            RowIndex::Dense(bitmap) => bitmap.row_of(code),
+            RowIndex::Sparse(sparse) => sparse.codes().binary_search(&code).ok(),
+        }
+    }
+
+    /// Row `row` as its postings slice.
+    #[inline]
+    fn row(&self, row: usize) -> &[u32] {
+        row_slice(&self.positions, self.rows.row_offsets(), row)
+    }
+
     /// All occurrences of `code` as a contiguous slice, in increasing
-    /// position order. A sparse index finds the row by a binary search of
-    /// its code list; step 2, which asks for codes in ascending order,
-    /// walks a [`RowCursor`] instead.
+    /// position order. A dense index finds the row by its rank, a sparse
+    /// one by a binary search of its code list; step 2, which asks for
+    /// codes in ascending order, walks a [`RowCursor`] instead.
     #[inline]
     pub fn occurrences(&self, code: u32) -> &[u32] {
-        match &self.rows {
-            RowIndex::Dense { offsets } => {
-                let lo = offsets[code as usize] as usize;
-                let hi = offsets[code as usize + 1] as usize;
-                &self.positions[lo..hi]
-            }
-            RowIndex::Sparse(sparse) => sparse.codes().binary_search(&code).map_or(&[], |row| {
-                sparse_row(&self.positions, sparse.row_offsets(), row)
-            }),
-        }
+        self.row_of(code).map_or(&[], |row| self.row(row))
     }
 
     /// A cursor answering [`BankIndex::occurrences`] for codes asked in
     /// ascending order from `start` on (see [`RowCursor`]).
     pub fn cursor_from(&self, start: u32) -> RowCursor<'_> {
         let next = match &self.rows {
-            RowIndex::Dense { .. } => 0,
+            RowIndex::Dense(_) => 0,
             RowIndex::Sparse(sparse) => sparse.codes().partition_point(|&c| c < start),
         };
         RowCursor { index: self, next }
-    }
-
-    /// The dense CSR row-boundary array (`4^W + 1` entries), or `None`
-    /// for a sparse-backed index. Prefer [`BankIndex::populated_in`] /
-    /// [`BankIndex::occurrences`] — they are backend-agnostic; this accessor
-    /// exists for persistence and the dense-layout tests.
-    #[inline]
-    pub fn dense_offsets(&self) -> Option<&[u32]> {
-        match &self.rows {
-            RowIndex::Dense { offsets } => Some(offsets),
-            RowIndex::Sparse(_) => None,
-        }
     }
 
     /// Iterates the *populated* codes in `range` in ascending code order,
@@ -682,26 +747,38 @@ impl BankIndex {
     /// as [`BankIndex::occurrences`] would return it.
     ///
     /// This is the enumeration primitive step 2 schedules and drives on:
-    /// dense skips empty rows while sweeping the range; sparse binary-
-    /// searches the populated-code list for the range bounds and walks
-    /// the rows directly — never touching the `4^W` code space.
+    /// dense walks the set bits of its bitmap words with a running rank;
+    /// sparse binary-searches the code list for the range bounds and walks
+    /// the rows directly. Neither visits an absent code.
     pub fn populated_in(&self, range: Range<u32>) -> PopulatedRows<'_> {
+        let end = range.end.min(self.num_codes());
         match &self.rows {
-            RowIndex::Dense { offsets } => PopulatedRows::Dense {
-                offsets,
-                positions: &self.positions,
-                next: range.start,
-                end: range
-                    .end
-                    .min(u32::try_from(self.coder.num_seeds()).unwrap_or(u32::MAX)),
-            },
+            RowIndex::Dense(bitmap) => {
+                let (cur, row) = if range.start < end {
+                    let i = (range.start / 64) as usize;
+                    let w = bitmap.bits[i];
+                    let below = (1u64 << (range.start % 64)) - 1;
+                    (w & !below, rank_in(bitmap.ranks[i], w, range.start % 64))
+                } else {
+                    (0, 0)
+                };
+                PopulatedRows::Dense {
+                    bits: &bitmap.bits,
+                    row_offsets: &bitmap.row_offsets,
+                    positions: &self.positions,
+                    base: range.start.min(end) & !63,
+                    cur,
+                    row,
+                    end,
+                }
+            }
             RowIndex::Sparse(sparse) => {
-                let (codes, row_offsets) = (sparse.codes(), sparse.row_offsets());
+                let codes = sparse.codes();
                 let lo = codes.partition_point(|&c| c < range.start);
                 let hi = codes.partition_point(|&c| c < range.end);
                 PopulatedRows::Sparse {
                     codes,
-                    row_offsets,
+                    row_offsets: &sparse.row_offsets,
                     positions: &self.positions,
                     row: lo,
                     end_row: hi,
@@ -712,14 +789,68 @@ impl BankIndex {
 
     /// Iterates every populated code of the index in ascending order.
     pub fn populated(&self) -> PopulatedRows<'_> {
-        let num = u32::try_from(self.coder.num_seeds()).unwrap_or(u32::MAX);
-        self.populated_in(0..num)
+        self.populated_in(0..self.num_codes())
     }
 
-    /// Number of distinct populated codes — O(1), cached at build time.
+    /// Calls `f(code, self's occurrences, other's occurrences)` for every
+    /// code of `range` populated in both `self` and `other`, in ascending
+    /// code order, and returns the first error `f` does — or `None`,
+    /// calling nothing, unless both indexes are dense. The walk ANDs the
+    /// two bitmaps word by word and keeps each word's ranks, so it visits
+    /// no code absent from either index and finds each row with one
+    /// popcount.
+    ///
+    /// # Panics
+    /// Panics if the indexes have different seed lengths.
+    #[inline]
+    pub fn for_each_shared<'a, E>(
+        &'a self,
+        other: &'a BankIndex,
+        range: Range<u32>,
+        mut f: impl FnMut(u32, &'a [u32], &'a [u32]) -> Result<(), E>,
+    ) -> Option<Result<(), E>> {
+        assert_eq!(self.w(), other.w(), "both indexes must use the same W");
+        let (RowIndex::Dense(a), RowIndex::Dense(b)) = (&self.rows, &other.rows) else {
+            return None;
+        };
+        let (pa, pb) = (&*self.positions, &*other.positions);
+        let end = range.end.min(self.num_codes());
+        // `base` is the code of bit 0 of the word at hand.
+        let mut base = range.start & !63;
+        while base < end {
+            let i = (base / 64) as usize;
+            let (wa, wb) = (a.bits[i], b.bits[i]);
+            let mut shared = wa & wb;
+            if base < range.start {
+                shared &= !((1u64 << (range.start % 64)) - 1);
+            }
+            if end - base < 64 {
+                shared &= (1u64 << (end - base)) - 1;
+            }
+            let (ra, rb) = (a.ranks[i], b.ranks[i]);
+            while shared != 0 {
+                let bit = shared.trailing_zeros();
+                shared &= shared - 1;
+                let x1 = row_slice(pa, &a.row_offsets, rank_in(ra, wa, bit));
+                let x2 = row_slice(pb, &b.row_offsets, rank_in(rb, wb, bit));
+                if let Err(e) = f(base + bit, x1, x2) {
+                    return Some(Err(e));
+                }
+            }
+            base += 64;
+        }
+        Some(Ok(()))
+    }
+
+    /// `4^W` as a code bound (`u32::MAX` past it, which no W reaches).
+    fn num_codes(&self) -> u32 {
+        u32::try_from(self.coder.num_seeds()).unwrap_or(u32::MAX)
+    }
+
+    /// Number of distinct populated codes — O(1).
     #[inline]
     pub fn distinct_codes(&self) -> usize {
-        self.distinct
+        self.rows.row_offsets().len() - 1
     }
 
     /// Total indexed positions.
@@ -763,17 +894,16 @@ impl BankIndex {
     /// Computes occupancy/footprint statistics — pure boundary
     /// arithmetic, no postings traversal.
     pub fn stats(&self) -> IndexStats {
-        let boundaries: &[u32] = match &self.rows {
-            RowIndex::Dense { offsets } => offsets,
-            RowIndex::Sparse(sparse) => sparse.row_offsets(),
-        };
-        let mut max_chain = 0usize;
-        for w in boundaries.windows(2) {
-            max_chain = max_chain.max((w[1] - w[0]) as usize);
-        }
+        let max_chain = self
+            .rows
+            .row_offsets()
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0);
         let index_bytes = self.heap_bytes();
         IndexStats {
-            distinct_seeds: self.distinct,
+            distinct_seeds: self.distinct_codes(),
             indexed_positions: self.positions.len(),
             max_chain_len: max_chain,
             index_bytes,
@@ -781,30 +911,31 @@ impl BankIndex {
         }
     }
 
-    /// Heap bytes used by the index arrays (row lookup, postings and the
+    /// Heap bytes used by the index arrays (row map, postings and the
     /// indexed-position bit vector). For an mmap-backed index the mapped
     /// sections count zero — their bytes live in the shared, evictable
     /// page cache, not this process's heap. What an attach does hold on
-    /// the heap is the copied bit-set (`len/8` bytes).
+    /// the heap is the copied bit-set (`len/8` bytes) and, for a dense
+    /// index, the derived ranks (`4^W/16` bytes).
     pub fn heap_bytes(&self) -> usize {
         let rows = match &self.rows {
-            RowIndex::Dense { offsets } => offsets.heap_bytes(),
+            RowIndex::Dense(bitmap) => bitmap.heap_bytes(),
             RowIndex::Sparse(sparse) => sparse.heap_bytes(),
         };
         rows + self.positions.heap_bytes() + self.indexed.heap_bytes()
     }
 
-    /// Whether the row-lookup/postings sections are zero-copy views into
-    /// a memory-mapped index file (see `oris_index::mmap`).
+    /// Whether the row map/postings sections are zero-copy views into a
+    /// memory-mapped index file (see `oris_index::mmap`).
     pub fn is_mmap_backed(&self) -> bool {
         let rows = match &self.rows {
-            RowIndex::Dense { offsets } => offsets.is_mapped(),
+            RowIndex::Dense(bitmap) => bitmap.is_mapped(),
             RowIndex::Sparse(sparse) => sparse.is_mapped(),
         };
         rows || self.positions.is_mapped()
     }
 
-    /// The row-lookup structure (persistence needs the raw sections).
+    /// The row map (persistence needs the raw sections).
     #[inline]
     pub(crate) fn rows(&self) -> &RowIndex {
         &self.rows
@@ -832,9 +963,15 @@ impl BankIndex {
 pub enum PopulatedRows<'a> {
     #[doc(hidden)]
     Dense {
-        offsets: &'a [u32],
+        bits: &'a [u64],
+        row_offsets: &'a [u32],
         positions: &'a [u32],
-        next: u32,
+        /// Code of bit 0 of the bitmap word `cur` came from.
+        base: u32,
+        /// Its set bits not yet yielded.
+        cur: u64,
+        /// Row of the lowest bit of `cur`.
+        row: usize,
         end: u32,
     },
     #[doc(hidden)]
@@ -853,22 +990,31 @@ impl<'a> Iterator for PopulatedRows<'a> {
     fn next(&mut self) -> Option<(u32, &'a [u32])> {
         match self {
             PopulatedRows::Dense {
-                offsets,
+                bits,
+                row_offsets,
                 positions,
-                next,
+                base,
+                cur,
+                row,
                 end,
-            } => {
-                while *next < *end {
-                    let code = *next;
-                    *next += 1;
-                    let lo = offsets[code as usize] as usize;
-                    let hi = offsets[code as usize + 1] as usize;
-                    if hi > lo {
-                        return Some((code, &positions[lo..hi]));
+            } => loop {
+                if *cur != 0 {
+                    let code = *base + cur.trailing_zeros();
+                    if code >= *end {
+                        *cur = 0;
+                        return None;
                     }
+                    *cur &= *cur - 1;
+                    let r = *row;
+                    *row += 1;
+                    return Some((code, row_slice(positions, row_offsets, r)));
                 }
-                None
-            }
+                if *base + 64 >= *end {
+                    return None;
+                }
+                *base += 64;
+                *cur = bits[(*base / 64) as usize];
+            },
             PopulatedRows::Sparse {
                 codes,
                 row_offsets,
@@ -881,22 +1027,23 @@ impl<'a> Iterator for PopulatedRows<'a> {
                 }
                 let r = *row;
                 *row += 1;
-                Some((codes[r], sparse_row(positions, row_offsets, r)))
+                Some((codes[r], row_slice(positions, row_offsets, r)))
             }
         }
     }
 }
 
 /// A forward cursor over an index's rows, for codes asked in ascending
-/// order — how step 2 resolves each driving row's partner row (see the
-/// module docs' *Partner rows*). [`RowCursor::seek`] answers exactly what
-/// [`BankIndex::occurrences`] does. On a dense index that is one offsets
-/// load. On a sparse one the cursor keeps its place in the sorted code
-/// list and gallops forward from it: it probes 1, 2, 4, … codes ahead
-/// until it passes the code asked, then binary-searches the last stride.
-/// A seek costs O(log d) for a skip of d codes, so codes asked densely —
-/// a joint read chunk against a volume — cost a probe or two each, and
-/// a whole ascending walk never goes back over a code.
+/// order — how step 2 resolves each driving row's partner row when the
+/// two indexes are not both dense (see the module docs' *Partner rows*).
+/// [`RowCursor::seek`] answers exactly what [`BankIndex::occurrences`]
+/// does. On a dense index that is the code's rank. On a sparse one the
+/// cursor keeps its place in the sorted code list and gallops forward
+/// from it: it probes 1, 2, 4, … codes ahead until it passes the code
+/// asked, then binary-searches the last stride. A seek costs O(log d) for
+/// a skip of d codes, so codes asked densely — a joint read chunk against
+/// a volume — cost a probe or two each, and a whole ascending walk never
+/// goes back over a code.
 #[derive(Debug, Clone)]
 pub struct RowCursor<'a> {
     index: &'a BankIndex,
@@ -912,13 +1059,13 @@ impl<'a> RowCursor<'a> {
     pub fn seek(&mut self, code: u32) -> &'a [u32] {
         let index = self.index;
         match &index.rows {
-            RowIndex::Dense { .. } => index.occurrences(code),
+            RowIndex::Dense(_) => index.occurrences(code),
             RowIndex::Sparse(sparse) => {
                 let codes = sparse.codes();
                 let row = gallop(codes, self.next, code);
                 self.next = row;
                 if codes.get(row) == Some(&code) {
-                    sparse_row(&index.positions, sparse.row_offsets(), row)
+                    index.row(row)
                 } else {
                     &[]
                 }
@@ -1014,6 +1161,13 @@ impl Radix {
         // oris-lint: allow(narrow-cast) — masked to `shift ≤ 16` bits
         (code & ((1u32 << self.shift) - 1)) as u16
     }
+
+    /// Partitions per bitmap word: pass C cuts its runs at multiples of
+    /// this, so no two runs share a word (1 from W = 6 on, where a
+    /// partition spans whole words).
+    fn parts_per_word(&self) -> usize {
+        (64 / self.width).max(1)
+    }
 }
 
 /// What pass A learns about one slice of the bank.
@@ -1077,7 +1231,8 @@ fn is_kept(words: &[u64], pos: usize) -> bool {
 }
 
 /// Dense row assembly: a radix-partitioned counting sort of the kept
-/// positions by code, returning `(offsets, postings, distinct codes)`.
+/// positions by code, returning `(presence bitmap, row offsets,
+/// postings)`.
 ///
 /// Pass B scatters each kept position into the postings array by
 /// partition, and its rank into a transient array of the same shape. The
@@ -1098,7 +1253,7 @@ fn dense_rows(
     radix: Radix,
     scans: &[SliceScan],
     postings: usize,
-) -> (Vec<u32>, Vec<u32>, usize) {
+) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
     let as_u32 =
         |n: usize| u32::try_from(n).expect("postings are bounded by the bank-length guard");
     // `pbase[p]` = postings in partitions before `p`.
@@ -1149,112 +1304,226 @@ fn dense_rows(
     }
 
     // Pass C: contiguous runs of partitions, one per slice of pass A,
-    // cut where the postings (not the partition count) divide evenly.
-    let mut offsets = vec![0u32; coder.num_seeds() + 1];
-    let distinct = {
-        let mut runs: Vec<PartitionRun<'_>> = Vec::with_capacity(scans.len());
-        let mut off_rest: &mut [u32] = &mut offsets[..coder.num_seeds()];
+    // cut where the postings (not the partition count) divide evenly and
+    // rounded to whole bitmap words.
+    let mut cuts = Vec::with_capacity(scans.len());
+    let mut first = 0usize;
+    for k in 1..=scans.len() {
+        let share = as_u32(postings / scans.len() * k);
+        let end = if k == scans.len() {
+            radix.parts
+        } else {
+            (first + pbase[first..radix.parts].partition_point(|&b| b < share))
+                .next_multiple_of(radix.parts_per_word())
+                .min(radix.parts)
+        };
+        cuts.push(first..end);
+        first = end;
+    }
+    let run_words = |parts: &Range<usize>| (parts.len() * radix.width).div_ceil(64);
+    let postings_of = |parts: &Range<usize>| pbase[parts.start] as usize..pbase[parts.end] as usize;
+    let mut bits = vec![0u64; bitmap_words(coder.num_seeds())];
+    let sorted: Vec<Vec<PartitionRows>> = {
+        let mut bits_rest: &mut [u64] = &mut bits;
         let mut pos_rest: &mut [u32] = &mut positions;
-        let mut first = 0usize;
-        for k in 1..=scans.len() {
-            let share = as_u32(postings / scans.len() * k);
-            let end = if k == scans.len() {
-                radix.parts
-            } else {
-                first + pbase[first..radix.parts].partition_point(|&b| b < share)
-            };
-            let (offsets, tail) =
-                std::mem::take(&mut off_rest).split_at_mut((end - first) * radix.width);
-            off_rest = tail;
-            let (from, to) = (pbase[first] as usize, pbase[end] as usize);
-            let (postings, tail) = std::mem::take(&mut pos_rest).split_at_mut(to - from);
-            pos_rest = tail;
-            runs.push(PartitionRun {
-                first,
-                offsets,
-                postings,
-                ranks: &ranks[from..to],
-            });
-            first = end;
-        }
-        let per_run: Vec<usize> = runs
+        let mut rank_rest: &mut [u16] = &mut ranks;
+        cuts.iter()
+            .map(|parts| {
+                let (bits, tail) = std::mem::take(&mut bits_rest).split_at_mut(run_words(parts));
+                bits_rest = tail;
+                let n = postings_of(parts).len();
+                let (postings, tail) = std::mem::take(&mut pos_rest).split_at_mut(n);
+                pos_rest = tail;
+                let (ranks, tail) = std::mem::take(&mut rank_rest).split_at_mut(n);
+                rank_rest = tail;
+                (parts.clone(), bits, postings, ranks)
+            })
+            .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|run| sort_partitions(radix, &pbase, run))
-            .collect();
-        per_run.iter().sum()
+            .map(|(parts, bits, postings, ranks)| {
+                sort_partitions(radix, &pbase, parts, bits, postings, ranks)
+            })
+            .collect()
     };
-    offsets[coder.num_seeds()] = as_u32(postings);
-    (offsets, positions, distinct)
+    // Row boundaries: the runs counted their populated codes above, so
+    // each writes its own stretch of one exactly sized array.
+    let run_rows = |run: &[PartitionRows]| run.iter().map(|p| p.populated).sum::<usize>();
+    let mut row_offsets = vec![0u32; sorted.iter().map(|run| run_rows(run)).sum::<usize>() + 1];
+    {
+        let mut bits_rest: &[u64] = &bits;
+        let mut rows_rest: &mut [u32] = &mut row_offsets;
+        cuts.iter()
+            .zip(&sorted)
+            .map(|(parts, run)| {
+                let (bits, tail) = bits_rest.split_at(run_words(parts));
+                bits_rest = tail;
+                let (rows, tail) = std::mem::take(&mut rows_rest).split_at_mut(run_rows(run));
+                rows_rest = tail;
+                (parts.clone(), run, bits, &ranks[postings_of(parts)], rows)
+            })
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .for_each(|(parts, run, bits, ranks, rows)| {
+                row_starts(radix, &pbase, parts, run, bits, ranks, rows);
+            });
+    }
+    *row_offsets.last_mut().expect("one boundary past the rows") = as_u32(postings);
+    (bits, row_offsets, positions)
 }
 
-/// A contiguous run of partitions, the unit of work of pass C.
-struct PartitionRun<'a> {
-    /// Index of the run's first partition.
-    first: usize,
-    /// The partitions' stretches of the offsets array, `width` each.
-    offsets: &'a mut [u32],
-    /// Their postings as scattered by pass B…
-    postings: &'a mut [u32],
-    /// …and the ranks that go with them.
-    ranks: &'a [u16],
+/// What pass C leaves of one partition for its row boundaries.
+struct PartitionRows {
+    /// Populated codes.
+    populated: usize,
+    /// Whether the head of the partition's rank stretch now holds the
+    /// length of each populated row, in code order — false where a row
+    /// outgrew a `u16`, and the ranks are left for a recount.
+    lengths: bool,
+}
+
+/// The populated rows of a partition, as the offsets of its counters:
+/// calls `f(r)` for every set bit `r` of `bits`' stretch `[first_bit,
+/// first_bit + width)`, in ascending order.
+#[inline]
+fn for_each_set_bit(bits: &[u64], first_bit: usize, width: usize, mut f: impl FnMut(usize)) {
+    for j in 0..width.div_ceil(64) {
+        let bit = first_bit + 64 * j;
+        let mut word = bits[bit / 64] >> (bit % 64);
+        if width < 64 {
+            word &= (1u64 << width) - 1;
+        }
+        while word != 0 {
+            f(64 * j + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+    }
 }
 
 /// Pass C over one run of partitions: sorts each partition by rank —
-/// count, prefix-sum, scatter through a copy of the partition, all within
-/// the partition's few tens of kilobytes — filling its offsets as it
-/// goes, and returns the number of non-empty rows.
-fn sort_partitions(radix: Radix, pbase: &[u32], run: PartitionRun<'_>) -> usize {
-    let PartitionRun {
-        first,
-        offsets,
-        mut postings,
-        mut ranks,
-    } = run;
-    let mut distinct = 0usize;
+/// count into a `4^8`-counter scratch, prefix-sum, scatter through a copy
+/// of the partition, all within the scratch and the partition's few tens
+/// of kilobytes — setting the bits of its populated codes in `bits` (the
+/// run's words) as it goes. Once a partition is sorted its ranks are
+/// spent, so the head of their stretch takes the populated rows' lengths
+/// for [`row_starts`].
+fn sort_partitions(
+    radix: Radix,
+    pbase: &[u32],
+    parts: Range<usize>,
+    bits: &mut [u64],
+    mut postings: &mut [u32],
+    mut ranks: &mut [u16],
+) -> Vec<PartitionRows> {
+    let mut out = Vec::with_capacity(parts.len());
+    // Per row: its count, then its start, then its write cursor.
+    let mut rows = vec![0u32; radix.width];
+    // The populated rows' lengths, gathered as the prefix sum meets them:
+    // written at every row and kept only where the row is populated, so
+    // the sum takes no data-dependent branch.
+    let mut lengths = vec![0u16; radix.width];
     // The partition's positions in scatter order.
     let mut held: Vec<u32> = Vec::new();
-    for (i, rows) in offsets.chunks_exact_mut(radix.width).enumerate() {
-        let base = pbase[first + i];
-        let len = (pbase[first + i + 1] - base) as usize;
+    for (i, p) in parts.enumerate() {
+        let base = pbase[p];
+        let len = (pbase[p + 1] - base) as usize;
         let (stretch, tail) = std::mem::take(&mut postings).split_at_mut(len);
         postings = tail;
-        let (stretch_ranks, tail) = ranks.split_at(len);
+        let (stretch_ranks, tail) = std::mem::take(&mut ranks).split_at_mut(len);
         ranks = tail;
         if stretch.is_empty() {
-            // Every row of an empty partition starts (and ends) at the
-            // partition base.
-            rows.fill(base);
+            out.push(PartitionRows {
+                populated: 0,
+                lengths: true,
+            });
             continue;
         }
         held.clear();
         held.extend_from_slice(stretch);
-        // Count per row (stored at `rows[rank]` for now)...
-        for &rank in stretch_ranks {
+        // Count per row...
+        for &rank in stretch_ranks.iter() {
             rows[usize::from(rank)] += 1;
         }
-        // ...exclusive prefix-sum in place (`rows[r]` = start of row `r`)...
+        // ...exclusive prefix-sum in place (`rows[r]` = start of row `r`),
+        // one bitmap word per 64 rows (a partition narrower than a word
+        // fills its share of one)...
+        let first_bit = i * radix.width;
         let mut sum = base;
-        for slot in rows.iter_mut() {
-            let count = *slot;
-            *slot = sum;
-            sum += count;
-            distinct += usize::from(count > 0);
+        let mut n = 0;
+        let mut wide = 0;
+        for (j, chunk) in rows.chunks_mut(64).enumerate() {
+            let mut word = 0u64;
+            for (b, slot) in chunk.iter_mut().enumerate() {
+                let count = *slot;
+                let present = count > 0;
+                word |= u64::from(present) << b;
+                // oris-lint: allow(narrow-cast) — a count past u16 sets `wide`, and the lengths are then not used
+                lengths[n] = count as u16;
+                n += usize::from(present);
+                wide |= count >> 16;
+                *slot = sum;
+                sum += count;
+            }
+            let bit = first_bit + 64 * j;
+            bits[bit / 64] |= word << (bit % 64);
         }
         // ...and scatter, each row's start slot serving as its write
         // cursor. The forward walk keeps positions ascending in a row.
-        for (&pos, &rank) in held.iter().zip(stretch_ranks) {
+        for (&pos, &rank) in held.iter().zip(stretch_ranks.iter()) {
             let slot = &mut rows[usize::from(rank)];
             stretch[(*slot - base) as usize] = pos;
             *slot += 1;
         }
-        // After the scatter `rows[r]` holds the END of row `r`, which is
-        // the start of row `r + 1`: shift right one slot to restore the
-        // CSR convention (the last row's end is the next partition's
-        // base, written by that partition).
-        rows.copy_within(0..radix.width - 1, 1);
-        rows[0] = base;
+        rows.fill(0);
+        // n ≤ len: every populated row holds a posting.
+        if wide == 0 {
+            stretch_ranks[..n].copy_from_slice(&lengths[..n]);
+        }
+        out.push(PartitionRows {
+            populated: n,
+            lengths: wide == 0,
+        });
     }
-    distinct
+    out
+}
+
+/// Row boundaries of one run of partitions, once pass C has sorted them:
+/// per partition, a running sum over the row lengths it left at the head
+/// of its rank stretch — or, for a partition with a row past `u16`, a
+/// recount of its ranks read back along its set bits.
+fn row_starts(
+    radix: Radix,
+    pbase: &[u32],
+    parts: Range<usize>,
+    run: &[PartitionRows],
+    bits: &[u64],
+    mut ranks: &[u16],
+    mut rows: &mut [u32],
+) {
+    let mut counts = Vec::new();
+    for ((i, p), part) in parts.enumerate().zip(run) {
+        let len = (pbase[p + 1] - pbase[p]) as usize;
+        let (stretch_ranks, tail) = ranks.split_at(len);
+        ranks = tail;
+        let (out, tail) = std::mem::take(&mut rows).split_at_mut(part.populated);
+        rows = tail;
+        let mut sum = pbase[p];
+        if part.lengths {
+            for (start, &length) in out.iter_mut().zip(stretch_ranks) {
+                *start = sum;
+                sum += u32::from(length);
+            }
+        } else {
+            counts.resize(radix.width, 0u32);
+            for &rank in stretch_ranks {
+                counts[usize::from(rank)] += 1;
+            }
+            let mut next = out.iter_mut();
+            for_each_set_bit(bits, i * radix.width, radix.width, |r| {
+                *next.next().expect("one start per set bit") = sum;
+                sum += std::mem::take(&mut counts[r]);
+            });
+        }
+    }
 }
 
 /// Sparse row assembly: the kept windows as `code·2^32 + position` keys,
@@ -1263,7 +1532,7 @@ fn sort_partitions(radix: Radix, pbase: &[u32], run: PartitionRun<'_>) -> usize 
 /// codes, their row boundaries and the postings. Cost is
 /// `O(postings · log postings)`, independent of `4^W`; eight transient
 /// bytes per posting, on banks that are small against the code space by
-/// the definition of this backend.
+/// the definition of this row map.
 fn sparse_rows(
     data: &[u8],
     words: &[u64],
@@ -1369,6 +1638,19 @@ mod tests {
         b.finish()
     }
 
+    /// `len` pseudo-random bases (a fixed xorshift stream).
+    fn random_dna(len: usize) -> String {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                b"ACGT"[(state >> 32) as usize % 4] as char
+            })
+            .collect()
+    }
+
     /// Brute-force reference: all (pos, code) with optional stride.
     fn reference_occurrences(bank: &Bank, w: usize, stride: usize) -> Vec<(u32, u32)> {
         let coder = SeedCoder::new(w);
@@ -1447,14 +1729,24 @@ mod tests {
         assert_eq!(idx.occurrences(code), &[5]);
     }
 
-    /// The dense CSR footprint model: 4 bytes per offsets slot (4^W + 1),
-    /// 4 bytes per *indexed* position, 1 bit per bank position for the
-    /// occurrence set. The `stats_match_footprint_model_*` tests pin this
-    /// model, so they force [`IndexBackend::Dense`] — Auto would pick
-    /// sparse for these banks at W = 8.
-    fn expected_index_bytes(bank: &Bank, w: usize, indexed_positions: usize) -> usize {
+    /// The dense footprint model: a presence bitmap of ⌈4^W/64⌉ words
+    /// and one u32 rank per word (`3·4^W/16` bytes from W = 3 on), 4 bytes
+    /// per row boundary (distinct codes + 1), 4 bytes per *indexed*
+    /// position, 1 bit per bank position for the occurrence set. The
+    /// `stats_match_footprint_model_*` tests pin this model, so they force
+    /// [`IndexBackend::Dense`] — Auto would pick sparse for these banks at
+    /// W = 8.
+    fn expected_index_bytes(
+        bank: &Bank,
+        w: usize,
+        distinct: usize,
+        indexed_positions: usize,
+    ) -> usize {
         let n = bank.data().len();
-        4 * ((1usize << (2 * w)) + 1) + 4 * indexed_positions + n.div_ceil(64) * 8
+        12 * (1usize << (2 * w)).div_ceil(64)
+            + 4 * (distinct + 1)
+            + 4 * indexed_positions
+            + n.div_ceil(64) * 8
     }
 
     /// The sparse footprint model: 4 bytes per populated code, 4·(k+1)
@@ -1473,7 +1765,7 @@ mod tests {
         let n = bank.data().len();
         assert_eq!(
             stats.index_bytes,
-            expected_index_bytes(&bank, 8, stats.indexed_positions)
+            expected_index_bytes(&bank, 8, stats.distinct_seeds, stats.indexed_positions)
         );
         assert_eq!(stats.total_bytes, stats.index_bytes + n);
         assert!(stats.indexed_positions > 0);
@@ -1496,7 +1788,7 @@ mod tests {
         let stats = idx.stats();
         assert_eq!(
             stats.index_bytes,
-            expected_index_bytes(&bank, 8, stats.indexed_positions)
+            expected_index_bytes(&bank, 8, stats.distinct_seeds, stats.indexed_positions)
         );
         let full = BankIndex::build(&bank, cfg).stats();
         assert!(stats.indexed_positions * 2 <= full.indexed_positions + 16);
@@ -1511,10 +1803,11 @@ mod tests {
         let stats = idx.stats();
         assert_eq!(
             stats.index_bytes,
-            expected_index_bytes(&bank, 8, stats.indexed_positions)
+            expected_index_bytes(&bank, 8, stats.distinct_seeds, stats.indexed_positions)
         );
-        // Half the windows → half the postings bytes (+offsets/bit-set,
-        // which don't depend on the stride).
+        // Half the windows → half the postings bytes, and the row
+        // boundaries of the codes only odd positions held (the bitmap and
+        // the bit-set don't depend on the stride).
         let full = BankIndex::build(
             &bank,
             IndexConfig::full(8).with_backend(IndexBackend::Dense),
@@ -1524,6 +1817,7 @@ mod tests {
         assert_eq!(
             full.index_bytes - stats.index_bytes,
             4 * (full.indexed_positions - stats.indexed_positions)
+                + 4 * (full.distinct_seeds - stats.distinct_seeds)
         );
     }
 
@@ -1543,9 +1837,10 @@ mod tests {
 
     #[test]
     fn sparse_footprint_wins_big_at_w11() {
-        // The acceptance bar of the backend: at W = 11 on a small
-        // bank, sparse is ≤ 1/10 the dense footprint (dense pays the
-        // 16.8 MB offsets array regardless of bank size).
+        // At W = 11 on a small bank the dense map pays its 768 KB of
+        // bitmap and ranks whatever the bank populates; the code list pays
+        // 8 bytes per populated code. Both follow their models, and sparse
+        // is ≤ 1/10 of dense here.
         let bank = bank_of(&[&"ACGTTGCAAGGTTCCAATGC".repeat(500)]); // 10 kb
         let dense = BankIndex::build(
             &bank,
@@ -1555,8 +1850,20 @@ mod tests {
             &bank,
             IndexConfig::full(11).with_backend(IndexBackend::Sparse),
         );
-        let db = dense.stats().index_bytes;
-        let sb = sparse.stats().index_bytes;
+        let (ds, ss) = (dense.stats(), sparse.stats());
+        assert_eq!(
+            ds.index_bytes,
+            expected_index_bytes(&bank, 11, ds.distinct_seeds, ds.indexed_positions)
+        );
+        assert_eq!(
+            ss.index_bytes,
+            expected_sparse_bytes(&bank, ss.distinct_seeds, ss.indexed_positions)
+        );
+        assert_eq!(
+            ds.index_bytes - ss.index_bytes,
+            3 * (1 << 22) / 16 - 4 * ss.distinct_seeds
+        );
+        let (db, sb) = (ds.index_bytes, ss.index_bytes);
         assert!(
             sb * 10 <= db,
             "sparse {sb} bytes not ≤ 1/10 of dense {db} bytes"
@@ -1566,7 +1873,7 @@ mod tests {
     #[test]
     fn auto_picks_sparse_for_small_bank_large_w() {
         // 10 kb of bank cannot populate more than ~10k of the 4^11 ≈ 4.2M
-        // codes: Auto must choose sparse.
+        // codes: the code list is smaller, and Auto must choose it.
         let bank = bank_of(&[&"ACGTTGCAAGGTTCCAATGC".repeat(500)]);
         let idx = BankIndex::build(&bank, IndexConfig::full(11));
         assert_eq!(idx.backend(), IndexBackend::Sparse);
@@ -1579,6 +1886,18 @@ mod tests {
         let bank = bank_of(&[&"ACGTTGCA".repeat(2000)]);
         let idx = BankIndex::build(&bank, IndexConfig::full(4));
         assert_eq!(idx.backend(), IndexBackend::Dense);
+        // The rule is the two models' crossing with one code per posting,
+        // the most a bank can populate: dense from 3·4^W/16 = 4·postings
+        // on — 3 072 postings at W = 8 (196 608 at W = 11).
+        for (postings, backend) in [(3071, IndexBackend::Sparse), (3072, IndexBackend::Dense)] {
+            let bank = bank_of(&[&random_dna(postings + 7)]);
+            let idx = BankIndex::build(&bank, IndexConfig::full(8));
+            assert_eq!(idx.indexed_positions(), postings);
+            assert_eq!(idx.backend(), backend, "{postings} postings");
+            let dense_model = expected_index_bytes(&bank, 8, postings, postings);
+            let sparse_model = expected_sparse_bytes(&bank, postings, postings);
+            assert_eq!(dense_model <= sparse_model, backend == IndexBackend::Dense);
+        }
     }
 
     #[test]
@@ -1644,27 +1963,58 @@ mod tests {
 
     #[test]
     fn offsets_are_monotonic_and_cover_positions() {
+        // A dense build's row boundaries: one per populated code plus
+        // one, from 0, strictly increasing, up to the postings; its bitmap
+        // is ⌈4^W/64⌉ words holding one bit per populated code.
         let bank = bank_of(&["ACGTACGTTTGGCCAAACGT"]);
-        let idx = BankIndex::build(
-            &bank,
-            IndexConfig::full(4).with_backend(IndexBackend::Dense),
-        );
-        let off = idx.dense_offsets().expect("dense build has dense offsets");
-        assert_eq!(off.len(), idx.coder().num_seeds() + 1);
-        assert_eq!(off[0], 0);
-        assert!(off.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(*off.last().unwrap() as usize, idx.indexed_positions());
+        for w in [2, 4] {
+            let idx = BankIndex::build(
+                &bank,
+                IndexConfig::full(w).with_backend(IndexBackend::Dense),
+            );
+            let RowIndex::Dense(bitmap) = idx.rows() else {
+                panic!("dense build")
+            };
+            let off = idx.rows().row_offsets();
+            assert_eq!(off.len(), idx.distinct_codes() + 1);
+            assert_eq!(off[0], 0);
+            assert!(off.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(*off.last().unwrap() as usize, idx.indexed_positions());
+            assert_eq!(bitmap.bits().len(), idx.coder().num_seeds().div_ceil(64));
+            let set: u32 = bitmap.bits().iter().map(|w| w.count_ones()).sum();
+            assert_eq!(set as usize, idx.distinct_codes());
+        }
     }
 
     #[test]
     fn sparse_has_no_dense_offsets() {
+        // A sparse build carries no bitmap: its rows are found through
+        // the code list, and it never takes part in a bitmap AND walk.
         let bank = bank_of(&["ACGTACGTTTGGCCAAACGT"]);
         let idx = BankIndex::build(
             &bank,
             IndexConfig::full(4).with_backend(IndexBackend::Sparse),
         );
-        assert!(idx.dense_offsets().is_none());
+        assert!(matches!(idx.rows(), RowIndex::Sparse(_)));
         assert_eq!(idx.backend(), IndexBackend::Sparse);
+        let dense = BankIndex::build(
+            &bank,
+            IndexConfig::full(4).with_backend(IndexBackend::Dense),
+        );
+        let visit = |a: &BankIndex, b: &BankIndex| {
+            let mut calls = 0;
+            let done = a.for_each_shared(b, 0..256, |_, _, _| {
+                calls += 1;
+                Ok::<(), ()>(())
+            });
+            (done, calls)
+        };
+        assert_eq!(visit(&idx, &dense), (None, 0));
+        assert_eq!(visit(&dense, &idx), (None, 0));
+        assert_eq!(
+            visit(&dense, &dense),
+            (Some(Ok(())), dense.distinct_codes())
+        );
     }
 
     #[test]
@@ -1775,32 +2125,72 @@ mod tests {
             .install(f)
     }
 
-    /// The build this module had before the pair-free one, kept as the
-    /// reference of the differential tests: one rolling scan collects
-    /// `(position, code)` pairs, one counting sort across the entire
-    /// `4^W` code space lays out the rows.
+    /// The build this module had before the pair-free one and the
+    /// bitmap, kept as the reference of the differential tests: one
+    /// rolling scan collects `(position, code)` pairs, one counting sort
+    /// across the entire `4^W` code space lays out `offsets[4^W + 1]`.
+    /// Past W = 11 that array would take 67–268 MB, so there a stable sort
+    /// of the pairs by code lays out the same rows.
     mod oracle {
         use super::*;
 
         pub struct Built {
-            offsets: Vec<u32>,
+            /// Populated codes, ascending, and their rows' boundaries.
+            codes: Vec<u32>,
+            row_offsets: Vec<u32>,
             positions: Vec<u32>,
             indexed: MaskSet,
             fully_indexed: bool,
         }
 
         impl Built {
-            /// Whether `idx` is this index: offsets, postings, bit-set,
-            /// provenance, and the stats that derive from them.
+            /// The oracle's answer to `occurrences(code)`.
+            pub fn occurrences(&self, code: u32) -> &[u32] {
+                self.codes.binary_search(&code).map_or(&[], |r| {
+                    &self.positions[self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize]
+                })
+            }
+
+            /// The populated codes.
+            pub fn codes(&self) -> &[u32] {
+                &self.codes
+            }
+
+            /// The populated rows, in code order.
+            fn rows(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+                self.codes
+                    .iter()
+                    .zip(self.row_offsets.windows(2))
+                    .map(|(&c, b)| (c, &self.positions[b[0] as usize..b[1] as usize]))
+            }
+
+            /// Whether `idx` is this index: postings, bit-set, provenance,
+            /// the populated walk, the answer for every code (past W = 8,
+            /// for every populated code, the code after it and both ends of
+            /// the code space), and the stats that derive from them.
             pub fn matches(&self, idx: &BankIndex) -> bool {
                 let stats = idx.stats();
-                let rows = self.offsets.windows(2).map(|p| (p[1] - p[0]) as usize);
-                idx.dense_offsets() == Some(&self.offsets[..])
-                    && idx.positions() == self.positions
+                let rows = self.row_offsets.windows(2).map(|p| (p[1] - p[0]) as usize);
+                let num = idx.coder().num_seeds() as u32;
+                let answers = if num <= 1 << 16 {
+                    (0..num).all(|c| idx.occurrences(c) == self.occurrences(c))
+                } else {
+                    self.rows().all(|(c, row)| idx.occurrences(c) == row)
+                        && self
+                            .codes
+                            .iter()
+                            .map(|&c| c + 1)
+                            .chain([0, num - 1])
+                            .filter(|&c| c < num)
+                            .all(|c| idx.occurrences(c) == self.occurrences(c))
+                };
+                idx.positions() == self.positions
                     && idx.indexed_words() == self.indexed.words()
                     && idx.is_fully_indexed() == self.fully_indexed
+                    && idx.populated().eq(self.rows())
+                    && answers
                     && stats.indexed_positions == self.positions.len()
-                    && stats.distinct_seeds == rows.clone().filter(|&n| n > 0).count()
+                    && stats.distinct_seeds == self.codes.len()
                     && stats.distinct_seeds == idx.distinct_codes()
                     && stats.max_chain_len == rows.max().unwrap_or(0)
             }
@@ -1820,9 +2210,31 @@ mod tests {
                 pairs.push((pos as u32, code));
                 indexed.set(pos);
             }
-            let (offsets, positions) = full_sweep_rows(coder.num_seeds(), &pairs);
+            let (codes, row_offsets, positions) = if cfg.w <= 11 {
+                let (offsets, positions) = full_sweep_rows(coder.num_seeds(), &pairs);
+                let codes: Vec<u32> = (0..coder.num_seeds() as u32)
+                    .filter(|&c| offsets[c as usize] < offsets[c as usize + 1])
+                    .collect();
+                let mut row_offsets: Vec<u32> =
+                    codes.iter().map(|&c| offsets[c as usize]).collect();
+                row_offsets.push(positions.len() as u32);
+                (codes, row_offsets, positions)
+            } else {
+                let mut pairs = pairs;
+                pairs.sort_by_key(|&(_, code)| code);
+                let (mut codes, mut row_offsets) = (Vec::new(), Vec::new());
+                for (i, &(_, code)) in pairs.iter().enumerate() {
+                    if codes.last() != Some(&code) {
+                        codes.push(code);
+                        row_offsets.push(i as u32);
+                    }
+                }
+                row_offsets.push(pairs.len() as u32);
+                (codes, row_offsets, pairs.iter().map(|&(p, _)| p).collect())
+            };
             Built {
-                offsets,
+                codes,
+                row_offsets,
                 positions,
                 indexed,
                 fully_indexed: cfg.stride == 1 && policy_excluded == 0,
@@ -1912,6 +2324,26 @@ mod tests {
             for threads in [1usize, 2, 4, 7] {
                 let built = in_pool(threads, || BankIndex::build_filtered(&bank, cfg, masked));
                 assert!(oracle.matches(&built), "{cfg:?}, threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_past_u16_postings_take_the_recount() {
+        // Pass C hands row lengths to the row boundaries as u16s; a
+        // partition holding a row of 2^16 postings or more — here poly-A,
+        // beside rows of one posting — is recounted instead, and every
+        // pool builds the oracle's index either way.
+        let bank = bank_of(&[&"A".repeat(70_000), &random_dna(3_000)]);
+        for w in [3, 8, 11] {
+            let cfg = IndexConfig::full(w).with_backend(IndexBackend::Dense);
+            let oracle = oracle::build(&bank, cfg, |_| false);
+            assert!(oracle.occurrences(0).len() > 1 << 16);
+            for threads in [1, 2] {
+                let built = in_pool(threads, || {
+                    BankIndex::build_sliced(&bank, cfg, |_| false, 4096)
+                });
+                assert!(oracle.matches(&built), "W {w}, threads {threads}");
             }
         }
     }
@@ -2138,6 +2570,149 @@ mod tests {
                 if raw.binary_search(&probe).is_err() {
                     prop_assert_eq!(sparse_row_of(&raw, &slots, probe), None);
                 }
+            }
+        }
+    }
+
+    /// Holds `idx` to `oracle` on the reads step 2 makes: every answer of
+    /// [`oracle::Built::matches`], the populated walk over each of
+    /// `ranges`, and a cursor started at `start` seeking the oracle's
+    /// codes and `probes` in ascending order.
+    fn assert_rows_answer_as(
+        oracle: &oracle::Built,
+        idx: &BankIndex,
+        ranges: &[Range<u32>],
+        start: u32,
+        probes: &[u32],
+    ) {
+        let label = format!("{:?}, mapped {}", idx.backend(), idx.is_mmap_backed());
+        assert!(oracle.matches(idx), "{label}");
+        let num = idx.coder().num_seeds() as u32;
+        for range in ranges {
+            let got: Vec<(u32, &[u32])> = idx.populated_in(range.clone()).collect();
+            let want: Vec<(u32, &[u32])> = oracle
+                .codes()
+                .iter()
+                .filter(|c| range.contains(c))
+                .map(|&c| (c, oracle.occurrences(c)))
+                .collect();
+            assert_eq!(got, want, "{label}, range {range:?}");
+        }
+        let mut asked: Vec<u32> = oracle
+            .codes()
+            .iter()
+            .copied()
+            .chain(probes.iter().map(|&p| p % num))
+            .chain([num - 1])
+            .filter(|&c| c >= start)
+            .collect();
+        asked.sort_unstable();
+        let mut cursor = idx.cursor_from(start);
+        for code in asked {
+            assert_eq!(
+                cursor.seek(code),
+                oracle.occurrences(code),
+                "{label}, code {code}"
+            );
+        }
+    }
+
+    proptest! {
+        /// The two row maps and the `offsets[4^W + 1]` oracle give the
+        /// same answers — `occurrences` for every code (every populated
+        /// code and its neighbours past W = 8), the populated walk over
+        /// random ranges, cursor seeks started mid-range, `stats()` and
+        /// `distinct_codes` — at every W from 1 to 13 (below W = 3 the
+        /// bitmap is part of one word), for random banks and the edge
+        /// banks (empty, all masked, one code), strides 1 and 2, built
+        /// by pools of 1, 2, 4 and 7 workers over slices of a few words,
+        /// and decoded from an index file to the heap and mapped.
+        #[test]
+        fn row_maps_equal_the_offsets_oracle(
+            seqs in proptest::collection::vec("[ACGTN]{0,300}", 1..5),
+            kind in 0usize..8,
+            w in 1usize..=13,
+            stride in 1usize..3,
+            mask_mod in 0usize..9,
+            grain in 1usize..200,
+            lows in proptest::collection::vec(0u32..u32::MAX, 1..5),
+            highs in proptest::collection::vec(0u32..u32::MAX, 1..5),
+            start in 0u32..u32::MAX,
+            probes in proptest::collection::vec(0u32..u32::MAX, 0..64),
+        ) {
+            let bank = match kind {
+                0 => Bank::empty(),
+                // One code: a poly-A record holds only code 0.
+                1 => bank_of(&[&"A".repeat(70)]),
+                _ => bank_of(&seqs.iter().map(String::as_str).collect::<Vec<_>>()),
+            };
+            // mask_mod 0 masks every window, 1 none.
+            let masked = |p: usize| match mask_mod {
+                0 => true,
+                1 => false,
+                m => p.is_multiple_of(m),
+            };
+            let cfg = IndexConfig { stride, ..IndexConfig::full(w) };
+            let num = 1u64 << (2 * w);
+            let ranges: Vec<Range<u32>> = lows
+                .iter()
+                .zip(&highs)
+                .map(|(&a, &b)| {
+                    let (a, b) = ((u64::from(a) % (num + 1)) as u32, (u64::from(b) % (num + 1)) as u32);
+                    a.min(b)..a.max(b)
+                })
+                .collect();
+            let start = (u64::from(start) % num) as u32;
+            let oracle = oracle::build(&bank, cfg, masked);
+            for threads in [1usize, 2, 4, 7] {
+                for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
+                    let cfg = cfg.with_backend(backend);
+                    let built =
+                        in_pool(threads, || BankIndex::build_sliced(&bank, cfg, masked, grain));
+                    prop_assert_eq!(built.backend(), backend);
+                    assert_rows_answer_as(&oracle, &built, &ranges, start, &probes);
+                    if threads == 1 {
+                        for loaded in round_trips(&built) {
+                            prop_assert_eq!(loaded.backend(), backend);
+                            prop_assert_eq!(loaded.stats().distinct_seeds, built.stats().distinct_seeds);
+                            prop_assert_eq!(loaded.stats().max_chain_len, built.stats().max_chain_len);
+                            assert_rows_answer_as(&oracle, &loaded, &ranges, start, &probes);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Two dense indexes walked together visit exactly the codes
+        /// populated in both, in ascending order, with each side's
+        /// `occurrences` — over random ranges, at widths whose bitmap is
+        /// part of a word, one word and many.
+        #[test]
+        fn shared_rows_visit_the_codes_populated_in_both(
+            seqs1 in proptest::collection::vec("[ACGTN]{0,200}", 1..4),
+            seqs2 in proptest::collection::vec("[ACGTN]{0,200}", 1..4),
+            w in 1usize..=7,
+            low in 0u32..u32::MAX,
+            high in 0u32..u32::MAX,
+        ) {
+            let dense = IndexConfig::full(w).with_backend(IndexBackend::Dense);
+            let i1 = BankIndex::build(&bank_of(&seqs1.iter().map(String::as_str).collect::<Vec<_>>()), dense);
+            let i2 = BankIndex::build(&bank_of(&seqs2.iter().map(String::as_str).collect::<Vec<_>>()), dense);
+            let num = 1u32 << (2 * w);
+            let (a, b) = (low % (num + 1), high % (num + 1));
+            for range in [0..num, a.min(b)..a.max(b)] {
+                let mut got: Vec<(u32, &[u32], &[u32])> = Vec::new();
+                let done = i1.for_each_shared(&i2, range.clone(), |c, x1, x2| {
+                    got.push((c, x1, x2));
+                    Ok::<(), ()>(())
+                });
+                prop_assert_eq!(done, Some(Ok(())));
+                let want: Vec<(u32, &[u32], &[u32])> = range
+                    .clone()
+                    .map(|c| (c, i1.occurrences(c), i2.occurrences(c)))
+                    .filter(|(_, x1, x2)| !x1.is_empty() && !x2.is_empty())
+                    .collect();
+                prop_assert!(got == want, "range {:?}", range);
             }
         }
     }

@@ -9,7 +9,8 @@
 //! `-m 8` bytes.
 
 use oris_core::{
-    CollectSink, FilterKind, M8Record, M8Writer, OrisConfig, Session, StreamWriter, SubjectSpace,
+    CollectSink, Deadline, FilterKind, M8Record, M8Writer, OrisConfig, RecordSink, Session,
+    StreamWriter, SubjectSpace,
 };
 use oris_db::{make_db, Database, DbOptions, DbSession, MakeDbOptions};
 use oris_seqio::{Bank, BankBuilder};
@@ -273,12 +274,13 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The occurrence-index row layout is invisible in the output:
-    /// sessions and whole databases whose indexes are forced `Dense`,
-    /// forced `Sparse` or left to `Auto` produce byte-identical `-m 8`
-    /// streams for random banks, strands, and filters. (The layout is a
-    /// space/time trade inside `oris-index`, chosen per build; nothing
-    /// downstream may observe it.)
+    /// The occurrence-index row map is invisible in the output:
+    /// sessions and whole databases whose indexes are forced `Dense` (the
+    /// ranked presence bitmap), forced `Sparse` (the code list) or left
+    /// to `Auto` — subject and query in every pairing — produce
+    /// byte-identical `-m 8` streams for random banks, strands, and
+    /// filters. (The row map is a space/time trade inside `oris-index`,
+    /// chosen per build; nothing downstream may observe it.)
     #[test]
     fn index_backend_is_invisible_in_m8_output(
         seqs in proptest::collection::vec("[ACGT]{30,80}", 2..6),
@@ -304,24 +306,39 @@ proptest! {
             ..OrisConfig::small(w)
         };
 
-        // Session level: the subject index forced to each layout (and
-        // left to the density rule), same rendered bytes.
-        let session_bytes = |backend| {
-            let cfg = OrisConfig {
-                subject_space: SubjectSpace::Database(total),
-                ..cfg
-            };
+        // Session level: the subject index forced to each row map (and
+        // left to the footprint rule), same rendered bytes; and every
+        // pairing of a subject row map with a query row map, the query
+        // prepared apart and searched through `Session::search`.
+        let session_cfg = OrisConfig {
+            subject_space: SubjectSpace::Database(total),
+            ..cfg
+        };
+        let session_of = |backend| {
             let prepared = PreparedBank::prepare(
                 &subject,
-                cfg.filter,
-                cfg.subject_index_config().with_backend(backend),
+                session_cfg.filter,
+                session_cfg.subject_index_config().with_backend(backend),
             );
-            let session = Session::with_subject(prepared, &cfg).unwrap();
-            render(&session.run(&query).alignments)
+            Session::with_subject(prepared, &session_cfg).unwrap()
         };
-        let expected = session_bytes(IndexBackend::Dense);
-        prop_assert_eq!(&session_bytes(IndexBackend::Sparse), &expected);
-        prop_assert_eq!(&session_bytes(IndexBackend::Auto), &expected);
+        let expected = render(&session_of(IndexBackend::Dense).run(&query).alignments);
+        let backends = [IndexBackend::Dense, IndexBackend::Sparse, IndexBackend::Auto];
+        for subject_backend in backends {
+            let session = session_of(subject_backend);
+            prop_assert_eq!(&render(&session.run(&query).alignments), &expected);
+            for query_backend in backends {
+                let prepared = PreparedBank::prepare(
+                    &query,
+                    session_cfg.filter,
+                    session_cfg.query_index_config().with_backend(query_backend),
+                );
+                let mut stream = StreamWriter::new(Vec::new());
+                session.search(&prepared, &mut stream, &Deadline::none()).unwrap();
+                stream.end_query().unwrap();
+                prop_assert_eq!(&stream.into_inner(), &expected);
+            }
+        }
 
         // Database level: a dense-built and a sparse-built database give
         // the same bytes under the one search configuration there is
