@@ -1329,7 +1329,7 @@ mod tests {
 
         /// The work-balanced partition returns at most `chunks + 1`
         /// contiguous, in-order ranges covering the whole code space —
-        /// the documented greedy-cut bound — for random offset arrays.
+        /// the documented greedy-cut bound — for random banks.
         #[test]
         fn partition_bound_holds_for_random_offsets(
             seqs1 in proptest::collection::vec("[ACGT]{0,80}", 1..4),
@@ -1356,8 +1356,8 @@ mod tests {
         }
 
         /// The one-pass block scan cuts exactly where the two-pass
-        /// code-by-code scan does, in every backend pairing (the dense
-        /// pair takes the offsets arm), with one code per block (W ≤ 5)
+        /// code-by-code scan does, in every row-map pairing (the dense
+        /// pair takes the bitmap AND walk), with one code per block (W ≤ 5)
         /// and several (W = 6), at grain 1 and at the real grain. Half the
         /// cases carry no homopolymer, so their small totals often land a
         /// block's work exactly on the cut target.
