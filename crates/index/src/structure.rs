@@ -2465,10 +2465,10 @@ mod tests {
             prop_assert_eq!(ds.max_chain_len, ss.max_chain_len);
         }
 
-        /// The sliced build equals the full-sweep oracle — offsets,
-        /// postings, bit-set, provenance, stats — for random banks,
-        /// widths, strides and masks, cut into slices of a few words
-        /// under pools of 1, 2, 4 and 7 workers.
+        /// The sliced build equals the full-sweep oracle — rows and every
+        /// code's answer, postings, bit-set, provenance, stats — for
+        /// random banks, widths, strides and masks, cut into slices of a
+        /// few words under pools of 1, 2, 4 and 7 workers.
         #[test]
         fn build_equals_full_sweep_oracle(
             seqs in proptest::collection::vec("[ACGTN]{0,300}", 1..5),
