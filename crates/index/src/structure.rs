@@ -78,10 +78,18 @@
 //!   by rank — count into a per-worker scratch of `4^8` counters,
 //!   prefix-sum, scatter through a copy of that one partition — and sets
 //!   the partition's bits in the bitmap as it goes; an empty partition is
-//!   skipped. With the populated codes counted, the row boundaries are
-//!   written straight into their one exactly sized array: each partition
-//!   counts its ranks again and walks its set bits. The scratch and the
-//!   partition's share of the postings stay in the core's own cache.
+//!   skipped. A sorted partition's ranks are spent, so pass C writes its
+//!   populated rows' lengths, as `u16`s in code order, over the head of
+//!   their stretch. With the populated codes counted, a last pass turns
+//!   those lengths into row boundaries in their one exactly sized array.
+//!   A partition holding a row of 2^16 postings or more cannot leave its
+//!   lengths as `u16`s; that pass counts its ranks again and walks its set
+//!   bits instead. Reading the lengths back rather than recounting every
+//!   partition makes the build of a 4.9 Mnt bank at W = 11 3–8 % faster
+//!   (2-vCPU VM, alternating in-process runs: 103 ms against 111 at one
+//!   worker, faster in 24 of 30 pairs; 75 against 82 at two, 18 of 20).
+//!   The scratch and the partition's share of the postings stay in the
+//!   core's own cache.
 //!   Pass B is bound by how many write streams its scatter keeps open —
 //!   two per partition per slice — which is why the partitions are as few
 //!   as the `u16` rank allows. On a 4.9 Mnt bank at W = 11 with two
@@ -1244,7 +1252,8 @@ fn is_kept(words: &[u64], pos: usize) -> bool {
 /// rather than read back from the bank in pass C: a partition's positions
 /// lie scattered over the whole bank, so re-reading their windows cost a
 /// cache miss per posting — three times the whole of pass C, measured
-/// with 1 024 partitions.
+/// with 1 024 partitions. The row boundaries follow from the lengths pass
+/// C leaves in the spent ranks (see [`row_starts`]).
 fn dense_rows(
     data: &[u8],
     words: &[u64],
