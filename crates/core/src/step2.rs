@@ -102,14 +102,23 @@
 //! against a database volume), [`oris_index::BankIndex::for_each_shared`]
 //! walks the AND of the two bitmaps word by word with running ranks: each
 //! shared code's two rows are a popcount each, and no code populated on
-//! one side only is visited. Otherwise step 2 walks the populated rows of
-//! whichever index holds fewer distinct codes, in ascending code order
-//! within a range, and resolves each partner with a forward
-//! [`oris_index::RowCursor`]: a rank on a dense partner, a gallop through
-//! the sorted code list from the previous answer on a sparse one. A lone
-//! 150-nt read (a sparse index of ~139 codes) against a dense volume thus
-//! pays a rank per partner, where a gallop across a sparse volume's whole
-//! code list took ~0.3 µs. That walk pulls 32 driving rows ahead of their
+//! one side only is visited. The cursor walk below would serve two dense
+//! indexes too, at a higher price: on `est_x_est`'s banks (1.1 M codes
+//! each, 2-vCPU VM, alternating in-process runs of ten pairs) the AND
+//! walk takes the work scan from 24 to 8 ms (every pair) and `find_hsps`
+//! from 152 to 132 ms at one thread (8 pairs of 10), 143 to 98 ms at two
+//! (every pair); on `genome_null`'s (1.8 and 2.8 M codes) the scan goes
+//! from 52 to 20 ms (every pair) and `find_hsps` from 667 to 636 ms at
+//! one thread (7 of 10).
+//!
+//! Otherwise step 2 walks the populated rows of whichever index holds
+//! fewer distinct codes, in ascending code order within a range, and
+//! resolves each partner with a forward [`oris_index::RowCursor`]: a
+//! rank on a dense partner, a gallop through the sorted code list from
+//! the previous answer on a sparse one. A lone 150-nt read (a sparse
+//! index of ~139 codes) against a dense volume thus pays a rank per
+//! partner, where a gallop across a sparse volume's whole code list took
+//! ~0.3 µs. That walk pulls 32 driving rows ahead of their
 //! partner lookups, so the partners' row-boundary misses overlap:
 //! resolving each row's partner inside the walk made `find_hsps` on
 //! 4.9 × 2.8 Mbp random banks 5–10 % slower (in-process, one thread).
