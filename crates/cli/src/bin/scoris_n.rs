@@ -33,10 +33,6 @@
 //!                       over the database-wide residue total
 //!       --window N      max volumes attached at once (default 0 = all;
 //!                       1 bounds memory to one volume's working set)
-//!       --workers N     with --db: search volumes in parallel with N
-//!                       worker threads (default 1 = sequential; output
-//!                       is byte-identical for any value; needs an
-//!                       unbounded --window)
 //!       --result-cache MB
 //!                       with --db: memoize completed per-volume results
 //!                       in an LRU bounded to MB megabytes, so repeated
@@ -101,8 +97,7 @@ fn usage() -> &'static str {
     "usage: scoris-n <bank1.fa> <bank2.fa> [-W n] [-e x] [-x n] [-X n] [-s n]\n\
      \t[-f none|entropy|dust] [-t n] [--asymmetric] [--both-strands]\n\
      \t[--index bank2.oidx] [--batch dir-or-multi.fa]\n\
-     \t[--db dir] [--window n] [--workers n]\n\
-     \t[--result-cache mb] [--dbsize n]\n\
+     \t[--db dir] [--window n] [--result-cache mb] [--dbsize n]\n\
      \t[--deadline ms] [--skip-bad-volumes] [--stats] [--trace f.jsonl]\n\
      \t[--metrics-json f.json] [--metrics-prom f.prom] [-o out.m8]"
 }
@@ -469,7 +464,6 @@ fn run() -> Result<(), CliError> {
             "batch",
             "db",
             "window",
-            "workers",
             "result-cache",
             "dbsize",
             "deadline",
@@ -526,7 +520,7 @@ fn run() -> Result<(), CliError> {
             "--db and --index are mutually exclusive (a database carries its own indexes)".into(),
         );
     }
-    for db_only in ["window", "deadline", "workers", "result-cache"] {
+    for db_only in ["window", "deadline", "result-cache"] {
         if !db_mode && args.options.contains_key(db_only) {
             // Silently ignoring these would let a mistyped --db flag run
             // the plain two-bank path with none of the requested
@@ -649,12 +643,6 @@ fn search_db(
     queries: BatchQueries,
 ) -> Result<StatsBlock, CliError> {
     let window: usize = args.get_or("window", 0).map_err(|e| e.to_string())?;
-    // --workers 0 runs one worker, as 1 does (0 would be a useless
-    // footgun to reject; treat it as "no parallelism"), and --stats says so.
-    let workers: usize = args
-        .get_or("workers", 1usize)
-        .map_err(|e| e.to_string())?
-        .max(1);
     let result_cache_mb: usize = args.get_or("result-cache", 0).map_err(|e| e.to_string())?;
     // Megabytes to bytes, checked: a wrapped product would silently
     // shrink the cache or switch it off (0).
@@ -689,7 +677,6 @@ fn search_db(
         window,
         on_volume_error,
         deadline,
-        volume_workers: workers,
         result_cache_bytes,
     };
     let mut session = oris_db::DbSession::new(&db, cfg, opts).map_err(located)?;
@@ -736,7 +723,6 @@ fn search_db(
         "mapped_volumes",
         costs.iter().filter(|c| c.mmap_backed).count(),
     );
-    b.field("workers", workers);
     // These render from the oris-obs metrics registry — --stats arms the
     // handle, and the db_obs integration test pins the registry values
     // equal to the ResultCache's own counters.

@@ -167,7 +167,11 @@ fn removed_attach_option_is_a_usage_error_and_leaves_no_output() {
     let (subject, query, _) = write_fixture(&dir);
     let db = build_db(&dir, &subject, 250);
     let out_path = dir.join("out.m8");
-    for removed in [["--attach", "copy"], ["--index-backend", "dense"]] {
+    for removed in [
+        ["--attach", "copy"],
+        ["--index-backend", "dense"],
+        ["--workers", "2"],
+    ] {
         let out = scoris_n()
             .arg(&query)
             .arg("--db")
@@ -245,9 +249,9 @@ fn db_batch_composes_and_matches_per_query_runs() {
 
 #[test]
 fn workers_and_result_cache_are_invisible_in_output() {
-    // --workers N and --result-cache MB change wall-clock, never bytes:
-    // every variant's stdout equals the plain sequential run, and the
-    // stats line reports the cache doing its job on a repeated query.
+    // The worker count (-t) and --result-cache MB change wall-clock, never
+    // bytes: every variant's stdout equals the plain run, and the stats
+    // line reports the cache doing its job on a repeated query.
     let dir = scratch("serve");
     let (subject, query, _) = write_fixture(&dir);
     let db = build_db(&dir, &subject, 250);
@@ -267,10 +271,10 @@ fn workers_and_result_cache_are_invisible_in_output() {
     assert!(!plain.stdout.is_empty());
 
     for extra in [
-        &["--workers", "4"][..],
-        &["--workers", "0", "--stats"][..],
+        &["-t", "1"][..],
+        &["-t", "2", "--stats"][..],
         &["--result-cache", "8"][..],
-        &["--workers", "2", "--result-cache", "8"][..],
+        &["-t", "1", "--result-cache", "8"][..],
     ] {
         let out = scoris_n()
             .arg(&query)
@@ -286,14 +290,6 @@ fn workers_and_result_cache_are_invisible_in_output() {
             String::from_utf8_lossy(&out.stderr)
         );
         assert_eq!(out.stdout, plain.stdout, "{extra:?} changed output bytes");
-        if extra.contains(&"--stats") {
-            // --workers 0 runs one worker, and the stats line says so.
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(
-                stderr.split_whitespace().any(|kv| kv == "workers=1"),
-                "{stderr}"
-            );
-        }
     }
 
     // A batch repeating the same query twice: the second pass is served
@@ -308,15 +304,7 @@ fn workers_and_result_cache_are_invisible_in_output() {
         .arg(&queries)
         .arg("--db")
         .arg(&db)
-        .args([
-            "-W",
-            "8",
-            "--result-cache",
-            "8",
-            "--workers",
-            "2",
-            "--stats",
-        ])
+        .args(["-W", "8", "--result-cache", "8", "--stats"])
         .output()
         .unwrap();
     assert!(
@@ -326,7 +314,6 @@ fn workers_and_result_cache_are_invisible_in_output() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("cache_hits=0 "), "{stderr}");
-    assert!(stderr.contains("workers=2"), "{stderr}");
     // And the doubled output is exactly the plain output twice.
     let mut twice = plain.stdout.clone();
     twice.extend_from_slice(&plain.stdout);
@@ -379,11 +366,7 @@ fn db_argument_validation() {
 
     // --window and friends without --db would otherwise be silently
     // ignored on the plain two-bank path.
-    for flag in [
-        ["--window", "1"],
-        ["--workers", "2"],
-        ["--result-cache", "8"],
-    ] {
+    for flag in [["--window", "1"], ["--result-cache", "8"]] {
         let out = scoris_n()
             .arg(&query)
             .arg(&subject)

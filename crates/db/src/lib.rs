@@ -88,31 +88,30 @@
 //!
 //! ## Concurrency and the byte-identity contract
 //!
-//! [`DbOptions::volume_workers`] sets the width of the one parallel map
-//! that runs a query's volume searches (at width 1 it runs inline on the
-//! calling thread). Volumes are independent by construction (each is its
-//! own bank + index; an mmap-attached index is a read-only
-//! `Section<u32>` view shared for free), and every width runs the very
-//! same function per volume, so the width changes *when* work happens
-//! but never *what* is computed:
+//! A chunk of queries searches its volumes in one walk, in ascending
+//! volume order on the calling thread: each volume is attached (a no-op
+//! once it is) and searched at the session's full `-t` width, since the
+//! parallelism lives inside one (chunk, volume) search — step 2 cuts its
+//! seed-code space into ranges and step 3 runs its waves over the
+//! installed pool, as the paper parallelises one bank-against-bank
+//! comparison. Volumes are independent by construction (each is its own
+//! bank + index; an mmap-attached index is a read-only `Section<u32>`
+//! view), so neither the pool size nor the window changes *what* is
+//! computed:
 //!
-//! * Every volume search — on the calling thread or on a worker — stages
-//!   its records in a private buffer; no record reaches the caller's
-//!   sink until **every** volume completed.
+//! * Every volume search stages its records in a private buffer; no
+//!   record reaches the caller's sink until **every** volume completed.
 //! * The staged buffers are merged **in ascending volume order** through
-//!   the single existing `end_query` boundary, whose sort under
+//!   the single `end_query` boundary, whose sort under
 //!   `M8Record::total_order` is a strict total order — so `-m 8` output
-//!   bytes are identical to the sequential walk for **any** worker
-//!   count. The `db_equivalence` proptests quantify over
-//!   `volume_workers ∈ {1, 2, 4}`.
-//! * Attach (and therefore retry/quarantine accounting) stays
-//!   sequential and ahead of the fan-out, so a failing volume produces
-//!   the same [`SearchReport`] under any worker count; deadline checks
-//!   run inside each worker's step-2 loops, expiry stops dispatch of
-//!   remaining volumes, and an expired query leaves the sink untouched
-//!   at any width. `volume_workers > 1` requires an unbounded
-//!   [`DbOptions::window`] (parallel search needs all volumes resident;
-//!   a bounded window's memory guarantee would be a lie).
+//!   bytes are identical for any pool size, window and cache state. The
+//!   `db_equivalence` proptests quantify over window × cache, the
+//!   session's `joint` proptest over window × cache × pool size.
+//! * Attach (and therefore retry/quarantine accounting) happens in the
+//!   walk, volume by volume, so a failing volume produces the same
+//!   [`SearchReport`] under any window; the deadline is checked before
+//!   each volume and inside each volume's step-2 loops, and an expired
+//!   query leaves the sink untouched.
 //!
 //! [`DbOptions::result_cache_bytes`] adds a volume-level result cache
 //! ([`ResultCache`]): completed per-volume searches are memoized under

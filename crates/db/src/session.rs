@@ -28,16 +28,14 @@
 //! single query is a chunk of one.
 
 use std::borrow::Borrow;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use oris_core::{
-    joint_chunks, Deadline, DeadlineExceeded, MemberResult, OrisConfig, PipelineStats, QueryChunk,
-    RecordSink, Session, SubjectSpace, JOINT_CHUNK_RESIDUES,
+    joint_chunks, Deadline, MemberResult, OrisConfig, PipelineStats, QueryChunk, RecordSink,
+    Session, SubjectSpace, JOINT_CHUNK_RESIDUES,
 };
 use oris_obs::{names, Field, Obs};
 use oris_seqio::Bank;
-use rayon::prelude::*;
 
 use crate::cache::{self, CacheCounters, CacheKey, CachedVolume, ResultCache};
 use crate::database::{Database, DbError};
@@ -87,20 +85,6 @@ pub struct DbOptions {
     /// [`DbSession::run_query_deadline`] for the guarantees and
     /// [`DbSession::run_batch`] for what an expiry ends.
     pub deadline: Option<Duration>,
-    /// Worker threads fanning one query's volume searches out in
-    /// parallel: the width of the one parallel map that runs them. `1`
-    /// (the default, and any `0`) runs that map inline on the calling
-    /// thread; `N > 1` has `min(N, volumes)` workers, the calling thread
-    /// among them, claim volumes one at a time. Either way a volume is
-    /// searched by the same function into its own staging buffer and the
-    /// buffers merge in ascending volume order, so output bytes are
-    /// identical for any value (see the crate docs' concurrency
-    /// contract). The width is the fan-out's alone: each volume search
-    /// runs at the caller's worker count. `N > 1` requires an unbounded
-    /// [`DbOptions::window`]: parallel search needs every volume resident
-    /// at once, which is exactly what a bounded window promises not to do
-    /// ([`DbSession::new`] rejects the combination).
-    pub volume_workers: usize,
     /// Memory budget for the volume-level [`ResultCache`]. `0` (the
     /// default) disables caching; `N > 0` memoizes completed per-volume
     /// searches under `(query hash, volume hash, config fingerprint)` in
@@ -116,7 +100,6 @@ impl Default for DbOptions {
             window: 0,
             on_volume_error: OnVolumeError::Fail,
             deadline: None,
-            volume_workers: 1,
             result_cache_bytes: 0,
         }
     }
@@ -297,12 +280,11 @@ pub struct DbSession<'d> {
     db: &'d Database,
     cfg: OrisConfig,
     opts: DbOptions,
-    /// Attached volume sessions, one slot per volume id (O(1) lookup,
-    /// and a borrow the fan-out's workers can share while other fields
-    /// are read).
+    /// Attached volume sessions, one slot per volume id.
     attached: Vec<Option<Session<'static>>>,
-    /// Most slots occupied at once: the volume count under an unbounded
-    /// window, [`DbOptions::window`] under a bounded one.
+    /// Most slots occupied at once — the volume count under an unbounded
+    /// window, [`DbOptions::window`] under a bounded one — which sets when
+    /// [`DbSession::attach`] evicts.
     capacity: usize,
     /// The logical pool the query is prepared in, present iff
     /// `cfg.threads` is set — so `-t` means the same thing with and
@@ -361,13 +343,6 @@ impl<'d> DbSession<'d> {
             0 => num,
             window => window.min(num),
         };
-        if opts.volume_workers > 1 && capacity < num {
-            return Err(DbError::Config(format!(
-                "volume_workers={} needs every volume attached at once, which contradicts the \
-                 bounded window={} (use window=0, or window >= {num} volumes)",
-                opts.volume_workers, opts.window
-            )));
-        }
         let pool = cfg.threads.map(thread_pool).transpose()?;
         let results = if opts.result_cache_bytes > 0 {
             Some(ResultCache::new(opts.result_cache_bytes))
@@ -566,45 +541,15 @@ impl<'d> DbSession<'d> {
         Ok(session)
     }
 
-    /// Phase 3 — *search*, one volume: the single function that runs a
-    /// prepared chunk against an attached volume, staging its records.
-    /// Associated rather than a method so the bounded window's walk and
-    /// the parallel map's items call the same code while the session's
-    /// other fields stay borrowed.
-    fn volume_search(
-        obs: &Obs,
-        session: &Session<'static>,
-        v: usize,
-        chunk: &QueryChunk<'_>,
-        deadline: &Deadline,
-    ) -> Result<Staged, DbError> {
-        obs.count(names::WORKER_DISPATCH_TOTAL, 1);
-        let _span = obs.timed_span_with(
-            "volume_search",
-            names::VOLUME_SEARCH_SECONDS,
-            &[Field::U64("volume", v as u64)],
-        );
-        let (stats, shares) = session.search_chunk(chunk, deadline)?;
-        let found = shares
-            .into_iter()
-            .enumerate()
-            .filter(|(_, share)| *share != MemberResult::default())
-            .collect();
-        Ok((stats, found))
-    }
-
-    /// Searches the chunk against every wanted volume that is not
-    /// quarantined, each through [`DbSession::volume_search`]; `None` in
-    /// the result = not searched. Under an unbounded window every such
-    /// volume is already attached — attach-ahead made every retry and
-    /// quarantine decision — so the searches run as one parallel map,
-    /// [`DbOptions::volume_workers`] wide (inline on the calling thread at
-    /// one worker). Each item first checks a stop flag and the deadline,
-    /// so an error or an expiry stops *dispatching*: a volume nobody
-    /// started reads as [`DbError::DeadlineExceeded`]. A bounded window
-    /// (one worker, by `new`) walks the volumes on the calling thread
-    /// instead, attaching as it goes — the one path that evicts between
-    /// searches.
+    /// Phase 3 — *search*: walks the wanted volumes in ascending order on
+    /// the calling thread, attaching each as it goes (a no-op for one
+    /// already attached, and the one place a bounded window evicts), and
+    /// runs the chunk against it at full width (the volume session's
+    /// `OrisConfig::threads` pool, or the caller's) into a staging buffer
+    /// of its own; `None` in the result = not searched (quarantined by its
+    /// attach, or not wanted). The deadline is checked before each volume,
+    /// so an expiry or an error stops the walk before the next volume is
+    /// attached or searched.
     fn search_volumes(
         &mut self,
         chunk: &QueryChunk<'_>,
@@ -614,45 +559,25 @@ impl<'d> DbSession<'d> {
     ) -> Result<Vec<Option<Staged>>, DbError> {
         let num = self.db.num_volumes();
         let mut fresh: Vec<Option<Staged>> = (0..num).map(|_| None).collect();
-        let pending: Vec<usize> = (0..num)
-            .filter(|&v| self.quarantined[v].is_none() && wanted[v])
-            .collect();
-        if self.capacity < num {
-            for v in pending {
-                deadline.check()?;
-                if self.attach(v, retries)? {
-                    let session = self.attached[v].as_ref().expect("attached above");
-                    fresh[v] = Some(Self::volume_search(&self.obs, session, v, chunk, deadline)?);
-                }
+        for v in (0..num).filter(|&v| wanted[v]) {
+            deadline.check()?;
+            if !self.attach(v, retries)? {
+                continue;
             }
-            return Ok(fresh);
-        }
-        // The fan-out's width is its own: each search runs at the
-        // caller's worker count, as it would without a fan-out.
-        let caller = thread_pool(rayon::current_num_threads())?;
-        let fan_out = thread_pool(self.opts.volume_workers.max(1))?;
-        let stop = AtomicBool::new(false);
-        let (obs, attached) = (&self.obs, &self.attached);
-        let done: Vec<Result<Staged, DbError>> = fan_out.install(|| {
-            pending
-                .par_iter()
-                .map(|&v| {
-                    if stop.load(Ordering::Relaxed) || deadline.expired() {
-                        stop.store(true, Ordering::Relaxed);
-                        return Err(DeadlineExceeded.into());
-                    }
-                    let session = attached[v].as_ref().expect("attached ahead of the fan-out");
-                    let done =
-                        caller.install(|| Self::volume_search(obs, session, v, chunk, deadline));
-                    if done.is_err() {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    done
-                })
-                .collect()
-        });
-        for (done, v) in done.into_iter().zip(pending) {
-            fresh[v] = Some(done?);
+            let session = self.attached[v].as_ref().expect("attached above");
+            self.obs.count(names::WORKER_DISPATCH_TOTAL, 1);
+            let _span = self.obs.timed_span_with(
+                "volume_search",
+                names::VOLUME_SEARCH_SECONDS,
+                &[Field::U64("volume", v as u64)],
+            );
+            let (stats, shares) = session.search_chunk(chunk, deadline)?;
+            let found = shares
+                .into_iter()
+                .enumerate()
+                .filter(|(_, share)| *share != MemberResult::default())
+                .collect();
+            fresh[v] = Some((stats, found));
         }
         Ok(fresh)
     }
@@ -843,7 +768,10 @@ impl<'d> DbSession<'d> {
             .collect();
         // A query joins the search if some live volume did not serve it
         // (hits come from live volumes only); a volume is searched if some
-        // joined query was not served by it.
+        // joined query was not served by it. Any other volume is neither
+        // attached nor searched — a hit is served without touching the
+        // volume's files (the same staleness contract an already-attached
+        // volume has).
         let live: Vec<bool> = self.quarantined.iter().map(Option::is_none).collect();
         let live_volumes = live.iter().filter(|&&l| l).count();
         let joined: Vec<usize> = (0..queries.len())
@@ -881,16 +809,6 @@ impl<'d> DbSession<'d> {
             }
         });
         let mut retries = 0;
-        if self.capacity == num {
-            // Attach-ahead: a no-op after the first chunk. Volumes no
-            // joined query needs skip attach — a hit is served without
-            // touching the volume's files (the same staleness contract an
-            // already-attached volume has).
-            for v in (0..num).filter(|&v| wanted[v]) {
-                deadline.check()?;
-                self.attach(v, &mut retries)?;
-            }
-        }
         let mut totals = PipelineStats::default();
         // Per volume, the shares its search found (see `Staged`), and how
         // far the merge has taken them; `slot[i]` is query i's place among
@@ -1172,9 +1090,9 @@ mod tests {
             /// Joint chunks of every size write the bytes one search per
             /// query writes, over 1–6 volumes, under both strands, the
             /// asymmetric stride, each filter, pools of 1, 2 and 8, a
-            /// one-volume window, two volume workers, an armed deadline
-            /// and the result cache — cold, and replayed by a second pass
-            /// — and a cold batch counts what the queries count one by one.
+            /// one-volume window, an armed deadline and the result cache —
+            /// cold, and replayed by a second pass — and a cold batch counts
+            /// what the queries count one by one.
             #[test]
             fn joint_equals_per_member(
                 seqs in proptest::collection::vec("[ACGTN]{0,40}", 1..12),
@@ -1209,7 +1127,6 @@ mod tests {
 
                 let opts = DbOptions {
                     window: usize::from(options & 2 != 0),
-                    volume_workers: if options & 2 == 0 && options & 4 != 0 { 2 } else { 1 },
                     deadline: (options & 4 != 0).then(|| Duration::from_secs(600)),
                     result_cache_bytes: if cache { 1 << 20 } else { 0 },
                     ..DbOptions::default()

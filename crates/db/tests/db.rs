@@ -252,11 +252,11 @@ fn evalues_are_shard_invariant() {
 #[test]
 fn failed_query_leaves_the_sink_untouched() {
     // Error atomicity under the unbounded window (the serving default):
-    // all volumes attach BEFORE the first record flows, so a volume
-    // whose index file vanished after Database::open (here: deleted,
-    // with earlier volumes still fine) fails the query with the caller's
-    // sink seeing no records and no boundary — a partial query must
-    // never merge into the next query's boundary sort.
+    // every volume's records are staged until the whole query completed,
+    // so a volume whose index file vanished after Database::open (here:
+    // deleted, with earlier volumes still fine) fails the query with the
+    // caller's sink seeing no records and no boundary — a partial query
+    // must never merge into the next query's boundary sort.
     let cfg = small_cfg();
     let dir = build_db("sink_atomic", &cfg, 3);
     let db = Database::open(&dir).unwrap();
@@ -267,8 +267,9 @@ fn failed_query_leaves_the_sink_untouched() {
 
     let last = db.num_volumes() - 1;
     std::fs::remove_file(dir.join(&db.volume(last).index)).unwrap();
-    // Fresh session: nothing cached, so the query must attach — and the
-    // attach-ahead fails before volume 0's records could leak out.
+    // Fresh session: nothing cached, so the walk searches the earlier
+    // volumes and then fails to attach the last; their staged records
+    // are dropped, never merged.
     let mut session = DbSession::new(&db, &cfg, DbOptions::default()).unwrap();
     let mut sink = CollectSink::new();
     assert!(session.run_query_reported(&query, &mut sink).is_err());

@@ -1,19 +1,14 @@
-//! Concurrent-serving suite: the parallel volume fan-out and the
-//! volume-level result cache, exercised together with PR 6's failure
-//! machinery. The contracts pinned here:
+//! Serving suite: the walk over the volumes and the volume-level result
+//! cache, exercised together with the failure machinery (deadlines,
+//! cancellation, quarantine). The contracts pinned here:
 //!
-//! * Parallel output is **byte-identical** to the sequential walk for
-//!   any worker count, with or without injected faults, and the
-//!   [`SearchReport`] (searched / skipped / retries / coverage) is
-//!   *equal*, not merely equivalent.
-//! * A deadline that expires mid-fan-out leaves the caller's sink
-//!   untouched, inserts nothing into the cache, and leaves the session
-//!   fully usable.
+//! * A deadline that expires, or a token cancelled, mid-walk leaves the
+//!   caller's sink untouched, inserts nothing into the cache, stops the
+//!   walk before the next volume, and leaves the session fully usable.
 //! * Cache hits replay byte-identical records and are labeled in the
 //!   report; a quarantined volume's entries are invalidated and never
 //!   served again.
 
-use std::io::ErrorKind;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -102,94 +97,10 @@ fn run_once(
 }
 
 #[test]
-fn workers_require_unbounded_window() {
-    let dir = build_db("workers_window");
-    let db = Database::open(&dir).unwrap();
-    let err = DbSession::new(
-        &db,
-        &cfg(),
-        DbOptions {
-            volume_workers: 2,
-            window: 1,
-            ..DbOptions::default()
-        },
-    )
-    .err()
-    .expect("bounded window + workers must be rejected");
-    assert!(matches!(err, DbError::Config(_)), "{err:?}");
-    // window >= volumes is effectively unbounded and therefore fine.
-    DbSession::new(
-        &db,
-        &cfg(),
-        DbOptions {
-            volume_workers: 2,
-            window: db.num_volumes(),
-            ..DbOptions::default()
-        },
-    )
-    .unwrap();
-}
-
-#[test]
-fn parallel_output_and_report_match_sequential() {
-    let dir = build_db("parallel_eq");
-    let (seq_records, seq_report) = run_once(&dir, None, DbOptions::default()).unwrap();
-    assert!(!seq_records.is_empty(), "workload must produce records");
-    for workers in [2, 4, 16] {
-        let opts = DbOptions {
-            volume_workers: workers,
-            ..DbOptions::default()
-        };
-        let (records, report) = run_once(&dir, None, opts).unwrap();
-        assert_eq!(records, seq_records, "workers={workers} changed bytes");
-        assert_eq!(report, seq_report, "workers={workers} changed the report");
-    }
-}
-
-#[test]
-fn parallel_degraded_mode_matches_sequential_exactly() {
-    // One volume durably corrupt, one suffering a single transient
-    // fault: quarantine, retry count and surviving-volume bytes must be
-    // identical whatever the worker count — attach (where every failure
-    // happens) is sequential by design.
-    let dir = build_db("parallel_fault");
-    let rules = || {
-        FaultyIo::with_rules([
-            FaultRule::always(
-                "vol00001.oidx",
-                Fault::FlipByte {
-                    offset: 64,
-                    mask: 0xFF,
-                },
-            ),
-            FaultRule::first("vol00002.fa", 1, Fault::Error(ErrorKind::Interrupted)),
-        ])
-    };
-    let base = DbOptions {
-        on_volume_error: OnVolumeError::SkipAndReport,
-        ..DbOptions::default()
-    };
-    let (seq_records, seq_report) = run_once(&dir, Some(rules()), base).unwrap();
-    assert_eq!(seq_report.skipped, vec![1]);
-    assert_eq!(seq_report.retries, 1);
-    assert!(!seq_report.is_complete());
-    for workers in [2, 4] {
-        let opts = DbOptions {
-            volume_workers: workers,
-            ..base
-        };
-        let (records, report) = run_once(&dir, Some(rules()), opts).unwrap();
-        assert_eq!(records, seq_records, "workers={workers} changed bytes");
-        assert_eq!(report, seq_report, "workers={workers} changed the report");
-    }
-}
-
-#[test]
 fn expired_deadline_leaves_sink_untouched_and_inserts_nothing() {
-    let dir = build_db("deadline_parallel");
+    let dir = build_db("deadline_expired");
     let db = Database::open(&dir).unwrap();
     let opts = DbOptions {
-        volume_workers: 2,
         result_cache_bytes: 1 << 20,
         ..DbOptions::default()
     };
@@ -218,8 +129,9 @@ fn expired_deadline_leaves_sink_untouched_and_inserts_nothing() {
 }
 
 /// A trace writer that cancels its token when the first volume search
-/// begins: the query is then inside the fan-out, past every check of
-/// attach-ahead. The trace sink writes each line whole, under its lock.
+/// begins: the walk has passed the token check before volume 0, and the
+/// check before volume 1 sees the cancellation. The trace sink writes each
+/// line whole, under its lock.
 struct CancelAtFirstSearch(Deadline);
 
 impl std::io::Write for CancelAtFirstSearch {
@@ -241,7 +153,6 @@ fn cancel_mid_fan_out_stops_dispatch() {
     let db = Database::open(&dir).unwrap();
     let num = db.num_volumes() as u64;
     let opts = DbOptions {
-        volume_workers: 2,
         result_cache_bytes: 1 << 20,
         ..DbOptions::default()
     };
@@ -254,15 +165,15 @@ fn cancel_mid_fan_out_stops_dispatch() {
     let mut sink = CollectSink::new();
     let err = session
         .run_query_deadline(&query(), &mut sink, &deadline)
-        .expect_err("a token cancelled mid-fan-out must expire the query");
+        .expect_err("a token cancelled mid-walk must expire the query");
     assert!(matches!(err, DbError::DeadlineExceeded(_)), "{err:?}");
     assert!(render(sink).is_empty(), "sink must be untouched on expiry");
     assert_eq!(session.result_cache_counters().insertions, 0);
-    // Each of the two workers may have claimed one volume before the
-    // token tripped; nobody claims another after it.
+    // Volume 0 was dispatched before the token tripped; the check
+    // before volume 1 stops the walk.
     let dispatched = obs.counter(names::WORKER_DISPATCH_TOTAL);
     assert!(
-        dispatched <= 2 && 2 < num,
+        dispatched == 1 && 1 < num,
         "{dispatched} of {num} dispatched"
     );
     let mut sink = CollectSink::new();
@@ -396,27 +307,4 @@ fn undersized_cache_stores_nothing_but_output_is_correct() {
     let (seq_records, _) = run_once(&dir, None, DbOptions::default()).unwrap();
     assert_eq!(render(first), seq_records);
     assert_eq!(render(second), seq_records);
-}
-
-#[test]
-fn parallel_and_cache_compose() {
-    // workers > 1 with the cache on: cold run parallel-searches, warm
-    // run replays — both byte-identical to the sequential cacheless walk.
-    let dir = build_db("parallel_cache");
-    let db = Database::open(&dir).unwrap();
-    let num = db.num_volumes();
-    let opts = DbOptions {
-        volume_workers: 4,
-        result_cache_bytes: 1 << 20,
-        ..DbOptions::default()
-    };
-    let mut session = DbSession::new(&db, &cfg(), opts).unwrap();
-    let mut cold = CollectSink::new();
-    session.run_query_reported(&query(), &mut cold).unwrap();
-    let mut warm = CollectSink::new();
-    let (_, report) = session.run_query_reported(&query(), &mut warm).unwrap();
-    assert_eq!(report.cache_hits.len(), num);
-    let (seq_records, _) = run_once(&dir, None, DbOptions::default()).unwrap();
-    assert_eq!(render(cold), seq_records);
-    assert_eq!(render(warm), seq_records);
 }

@@ -196,11 +196,11 @@ mod tests {
     #[test]
     fn stats_block_renders_space_separated_schema() {
         let mut b = StatsBlock::new("oris", "db");
-        b.field("workers", 2).field("cache_hits", 9);
+        b.field("volumes", 2).field("cache_hits", 9);
         b.secs("attach_secs", 0.12345);
         assert_eq!(
             b.render(),
-            "engine=oris mode=db workers=2 cache_hits=9 attach_secs=0.123"
+            "engine=oris mode=db volumes=2 cache_hits=9 attach_secs=0.123"
         );
     }
 }

@@ -8,7 +8,7 @@
 //! ## Why the clock lives here
 //!
 //! The workspace's central invariant is *byte identity*: `-m 8` output
-//! must not depend on thread count, worker count, cache state, volume
+//! must not depend on thread count, window, cache state, volume
 //! layout — or on what time it is. PR 4 encoded that as oris-lint's
 //! `det-time` rule, but enforcement was porous: 15 scoped allows let
 //! `Instant::now` leak into whatever module needed a timer. This crate
@@ -30,7 +30,7 @@
 //!   default path stays within noise of un-instrumented code. What the
 //!   tests hold is the invisibility, not the clock:
 //!   `armed_obs_is_byte_invisible` in `crates/db/tests/obs.rs` (records
-//!   and reports equal, armed or not, over workers × cache) and
+//!   and reports equal, armed or not, over window × cache) and
 //!   `armed_instrumentation_is_byte_invisible_end_to_end` in
 //!   `crates/cli/tests/cli_obs.rs` (a bare run diffed against a fully
 //!   armed one).

@@ -37,7 +37,7 @@ pub mod names {
     pub const VOLUME_QUARANTINES_TOTAL: &str = "volume_quarantines_total";
     /// Counter: queries cut short by an expired deadline.
     pub const DEADLINE_EXPIRIES_TOTAL: &str = "deadline_expiries_total";
-    /// Counter: per-volume work units claimed by search workers.
+    /// Counter: (chunk, volume) searches dispatched by the volume walk.
     pub const WORKER_DISPATCH_TOTAL: &str = "worker_dispatch_total";
     /// Counter: volume attaches performed (cold opens, not cache hits).
     pub const VOLUME_ATTACHES_TOTAL: &str = "volume_attaches_total";

@@ -1,8 +1,7 @@
 //! Sharded-database ≡ single-bank, pinned at the workspace level.
 //!
 //! The database layer's central promise: searching a `makedb` database —
-//! any volume count, any window, any `volume_workers` count, result
-//! cache on or off — produces records **byte-identical** to a
+//! any volume count, any window, result cache on or off — produces records **byte-identical** to a
 //! single-bank session over the concatenated input, with e-values
 //! computed over the same database-wide effective search space. Random
 //! banks, volume budgets, strands and filters all converge on the same
@@ -65,10 +64,9 @@ proptest! {
         flank in "[ACGT]{5,20}",
         w in 5usize..8,
         volume_budget in 40usize..400,
-        flags in 0u8..8,
+        flags in 0u8..4,
     ) {
-        let (both_strands, masked, tiny_window) =
-            (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+        let (both_strands, masked) = (flags & 1 != 0, flags & 2 != 0);
         let subject = bank_from(&seqs);
         let total = subject.num_residues() as u64;
         // Queries embed subject sequences (guaranteed homology) plus a
@@ -114,21 +112,16 @@ proptest! {
         let expected = reference.run(&query);
         let expected_bytes = render(&expected.alignments);
 
-        for workers in [1usize, 2, 4] {
+        for window in [0usize, 1] {
             for cache_bytes in [0usize, 1 << 20] {
-                // Parallel fan-out requires every volume resident, so
-                // the bounded-window axis only composes with the
-                // sequential walk.
-                let window = if tiny_window && workers == 1 { 1 } else { 0 };
                 let opts = DbOptions {
                     window,
-                    volume_workers: workers,
                     result_cache_bytes: cache_bytes,
                     ..DbOptions::default()
                 };
                 let mut session = DbSession::new(&db, &cfg, opts).unwrap();
 
-                if workers == 1 && cache_bytes == 0 {
+                if cache_bytes == 0 {
                     // Collected records agree...
                     let mut collected = CollectSink::new();
                     session.run_query_reported(&query, &mut collected).unwrap();
@@ -137,7 +130,7 @@ proptest! {
 
                 // ...and streamed bytes agree (the sink's single
                 // boundary sort really does merge the volumes) — for
-                // any worker count, cache on or off.
+                // either window, cache on or off.
                 let mut stream = StreamWriter::new(Vec::new());
                 session.run_query_reported(&query, &mut stream).unwrap();
                 prop_assert_eq!(&stream.into_inner(), &expected_bytes);
@@ -217,10 +210,10 @@ proptest! {
 
         // Degraded runs: volume `bad`'s index has a flipped magic byte.
         // The quarantine decision, the report and the surviving bytes
-        // must be identical whatever the worker count, cache on or off
-        // (a failed volume's entries are invalidated, never served).
+        // must be identical whatever the window, cache on or off (a
+        // failed volume's entries are invalidated, never served).
         let mut degraded: Vec<(CollectSink, oris_db::SearchReport)> = Vec::new();
-        for (workers, cache_bytes) in [(1usize, 0usize), (2, 0), (4, 1 << 20)] {
+        for (window, cache_bytes) in [(0usize, 0usize), (1, 0), (0, 1 << 20)] {
             let io = FaultyIo::with_rules([FaultRule::always(
                 &manifest.volumes[bad].index,
                 Fault::FlipByte { offset: 0, mask: 0xFF },
@@ -228,7 +221,7 @@ proptest! {
             let db = Database::open_with_io(&dir, Arc::new(io)).unwrap();
             let opts = DbOptions {
                 on_volume_error: OnVolumeError::SkipAndReport,
-                volume_workers: workers,
+                window,
                 result_cache_bytes: cache_bytes,
                 ..DbOptions::default()
             };
