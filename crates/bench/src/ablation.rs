@@ -4,20 +4,18 @@
 //! copies, leading to add a costly procedure to suppress all the
 //! duplicates." This module *is* that costly procedure: the same seed
 //! enumeration with the order guard disabled, followed by hash-set
-//! duplicate suppression. `oris-bench`'s `ablation_dedup` binary measures
-//! the difference; the tests here verify both variants agree on the final
-//! HSP set.
+//! duplicate suppression. The `ablation_dedup` binary measures the
+//! difference; the tests here verify both variants agree on the final
+//! HSP set. It is reproduction code, so it lives here and not in the
+//! engine.
 
 use std::collections::HashSet;
 
 use oris_align::OrderGuard;
+use oris_core::step2::{find_hsps_guarded, Step2Stats};
+use oris_core::{Deadline, Hsp, OrisConfig};
 use oris_index::BankIndex;
 use oris_seqio::Bank;
-
-use crate::config::OrisConfig;
-use crate::deadline::Deadline;
-use crate::hsp::Hsp;
-use crate::step2::{find_hsps_guarded, Step2Stats};
 
 /// Counters for the unordered + dedup variant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,7 +50,6 @@ pub fn find_hsps_unordered_dedup(
     // find_hsps_guarded dedups *exact* duplicates already via sort +
     // dedup; to measure the true duplicate volume we re-run the counting
     // from the kept statistic.
-    // oris-lint: allow(det-hash) — membership probe only; output order comes from the input slice
     let mut seen: HashSet<(u32, u32, u32)> = HashSet::with_capacity(raw.len());
     let mut out = Vec::with_capacity(raw.len());
     for h in &raw {
@@ -95,7 +92,7 @@ mod tests {
         let i1 = BankIndex::build(&b1, IndexConfig::full(cfg.w));
         let i2 = BankIndex::build(&b2, IndexConfig::full(cfg.w));
 
-        let (ordered, _) = crate::step2::find_hsps(&b1, &i1, &b2, &i2, &cfg);
+        let (ordered, _) = oris_core::step2::find_hsps(&b1, &i1, &b2, &i2, &cfg);
         let (dedup, stats) = find_hsps_unordered_dedup(&b1, &i1, &b2, &i2, &cfg);
 
         let set_a: HashSet<(u32, u32, u32)> = ordered

@@ -12,8 +12,8 @@
 //! Reports times, duplicate volume, and verifies both variants produce
 //! the same HSP set.
 
+use oris_bench::ablation::find_hsps_unordered_dedup;
 use oris_bench::{bank, scale_from_args};
-use oris_core::ablation::find_hsps_unordered_dedup;
 use oris_core::{step2, OrisConfig};
 use oris_eval::Table;
 use oris_index::{BankIndex, IndexConfig};

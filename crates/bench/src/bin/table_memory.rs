@@ -5,9 +5,10 @@
 //! occurrence bit-set) across the bank grid and reports the
 //! bytes-per-residue ratio. A bank of N positions with k distinct codes
 //! takes `N` bytes of `SEQ` and, on the dense row map the large banks
-//! get, `4·N + 4·k + N/8 + 3·4^W/16` index bytes: the paper's 5·N, plus
-//! one row boundary per populated code, the bit-set, and 768 KB of
-//! presence bitmap and ranks at W = 11. A saturated bank (k ≈ 4^W) pays
+//! get, `4·N + 2·k + k/16 + N/8 + 3·4^W/16` index bytes: the paper's
+//! 5·N, plus a two-byte row start per populated code and a four-byte
+//! anchor per 64 of them, the bit-set, and 768 KB of presence bitmap and
+//! ranks at W = 11. A saturated bank (k ≈ 4^W) pays
 //! at most those 768 KB more than a `4^W + 1` offsets dictionary.
 
 use oris_bench::{bank, scale_from_args};
@@ -47,8 +48,9 @@ fn main() {
     }
     print!("{t}");
     println!(
-        "\npaper model: ~5 bytes/residue (1 SEQ + 4 INDEX); here also 4 bytes per distinct seed, \
-         1/8 byte per position and the 4^W-bit presence bitmap with its ranks ({} KiB at W={})",
+        "\npaper model: ~5 bytes/residue (1 SEQ + 4 INDEX); here also 2 + 1/16 bytes per distinct \
+         seed, 1/8 byte per position and the 4^W-bit presence bitmap with its ranks ({} KiB at \
+         W={})",
         (3 * 4usize.pow(cfg.w as u32) / 16) >> 10,
         cfg.w
     );

@@ -12,7 +12,7 @@
 //! | `table_speedup_large` | §3.3 large-bank speed-up table (E4) |
 //! | `table_sensitivity_est` | §3.4 EST miss tables (E5) |
 //! | `table_sensitivity_large` | §3.4 large-bank miss tables (E6) |
-//! | `table_memory` | §3.1 index ≈5·N bytes, here `4·N + 4·k + N/8 + 3·4^W/16` (E7) |
+//! | `table_memory` | §3.1 index ≈5·N bytes, here `4·N + 2·k + k/16 + N/8 + 3·4^W/16` (E7) |
 //! | `fig_parallel_scaling` | §4 multicore perspective (E8) |
 //! | `ablation_dedup` | ordered rule vs hash dedup (A1) |
 //! | `ablation_asymmetric` | asymmetric indexing (A2) |
@@ -29,10 +29,13 @@
 //! This library holds the shared harness: bank construction, matched
 //! engine configurations, timing, and the paper's table row formats —
 //! plus [`CountingAlloc`], the live-heap gauge behind
-//! `tests/peak_live_bytes.rs`. Performance is not measured here: the
+//! `tests/peak_live_bytes.rs`, and [`ablation`], the unordered step 2
+//! with hash-set duplicate suppression that experiment A1 runs against
+//! the ordered rule. Performance is not measured here: the
 //! end-to-end, layer-attributed benchmark is the standalone `benchmark/`
 //! package at the repository root.
 
+pub mod ablation;
 pub mod memtrack;
 
 pub use memtrack::CountingAlloc;

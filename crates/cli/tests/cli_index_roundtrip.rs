@@ -267,3 +267,104 @@ fn version_2_index_file_asks_for_a_rebuild() {
         "{stderr}"
     );
 }
+
+fn makedb() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_makedb"))
+}
+
+/// `len` pseudo-random bases from `seed` (an xorshift stream).
+fn random_dna(len: usize, mut seed: u64) -> String {
+    (0..len)
+        .map(|_| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            b"ACGT"[(seed >> 32) as usize % 4] as char
+        })
+        .collect()
+}
+
+#[test]
+fn wide_row_group_bank_is_byte_identical_plain_indexed_and_db() {
+    // A 70 000-nt poly-A run inside the subject, unmasked: code A^11 owns
+    // a row of ~70 000 postings, so the row group holding it spans more
+    // than 2^16 postings and keeps its starts as u32s. The query meets
+    // that group — the subject's stretch into the run, windows ending in
+    // A's — and ordinary shared sequence; the -m 8 output of a plain run,
+    // an mkindex file and a makedb database is the same bytes.
+    let dir = scratch("wide_group");
+    let head = random_dna(50_000, 0x5EED);
+    let tail = random_dna(150_000, 0xBEEF);
+    let s = dir.join("subject.fa");
+    std::fs::write(
+        &s,
+        format!(">s1 long run\n{head}{}{tail}\n", "A".repeat(70_000)),
+    )
+    .unwrap();
+    let q = dir.join("query.fa");
+    std::fs::write(
+        &q,
+        format!(
+            ">q1 into the run\n{}AAAAAAAAAA{}\n>q2 shared\n{}\n",
+            &head[head.len() - 300..],
+            random_dna(200, 7),
+            &tail[40_000..41_000],
+        ),
+    )
+    .unwrap();
+    let run = |extra: &[&std::ffi::OsStr], out: &Path| {
+        let st = scoris_n()
+            .arg(&q)
+            .args(extra)
+            .args(["-f", "none", "-o"])
+            .arg(out)
+            .output()
+            .unwrap();
+        assert!(
+            st.status.success(),
+            "{}",
+            String::from_utf8_lossy(&st.stderr)
+        );
+        std::fs::read(out).unwrap()
+    };
+    let plain = run(&[s.as_os_str()], &dir.join("plain.m8"));
+    assert!(
+        plain.split(|&b| b == b'\n').count() > 2,
+        "the fixture must produce records"
+    );
+
+    let oidx = dir.join("subject.oidx");
+    let st = mkindex()
+        .arg(&s)
+        .args(["-f", "none", "--stats", "-o"])
+        .arg(&oidx)
+        .output()
+        .unwrap();
+    assert!(
+        st.status.success(),
+        "{}",
+        String::from_utf8_lossy(&st.stderr)
+    );
+    assert!(String::from_utf8_lossy(&st.stderr).contains("rows=bitmap"));
+    let indexed = run(
+        &[s.as_os_str(), "--index".as_ref(), oidx.as_os_str()],
+        &dir.join("indexed.m8"),
+    );
+    assert_eq!(indexed, plain, "--index output differs from the plain run");
+
+    let db = dir.join("db");
+    let st = makedb()
+        .arg(&s)
+        .args(["-f", "none", "-o"])
+        .arg(&db)
+        .output()
+        .unwrap();
+    assert!(
+        st.status.success(),
+        "{}",
+        String::from_utf8_lossy(&st.stderr)
+    );
+    let via_db = run(&["--db".as_ref(), db.as_os_str()], &dir.join("db.m8"));
+    assert_eq!(via_db, plain, "--db output differs from the plain run");
+    std::fs::remove_dir_all(&dir).ok();
+}

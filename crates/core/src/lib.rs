@@ -120,12 +120,7 @@
 //! parallelizes over sequence-pair groups.
 //! Both are bit-for-bit deterministic regardless of thread count (verified
 //! by tests).
-//!
-//! [`ablation`] contains the unordered variant (hash-set duplicate
-//! suppression) that the paper's design argument rules out — benchmarked
-//! against the ordered rule in experiment A1.
 
-pub mod ablation;
 pub mod config;
 pub mod deadline;
 pub mod engine;

@@ -77,12 +77,13 @@
 //! capped at `total / GRAIN` pairs (`GRAIN` = 16 384), so a query whose
 //! whole pair product is below the grain gets one range, and the rayon
 //! shim runs a single range inline. The shim spawns an OS thread per
-//! extra worker (50–100 µs each). At the measured 80–105 ns per pair (down
-//! from 120–165 before the word walk and the batches) a grain is
-//! 1.3–1.7 ms of extension work, so the spawn costs 3–8 % of what it buys.
-//! Doubling the grain would halve that, but it would also keep queries of
-//! 16–32 k pairs on one thread, and no benchmark workload sits in that
-//! band to show which is better, so the constant stays. A 150-nt read
+//! extra worker, 11–13 µs to start and join (the shim's docs; step 3
+//! sizes its waves from the same figure). At the measured 80–105 ns per
+//! pair (down from 120–165 before the word walk and the batches) a grain
+//! is 1.3–1.7 ms of extension work, so the spawn costs about 1 % of what
+//! it buys. A larger grain could save little of that, and it would keep
+//! queries of 16–32 k pairs on one thread; no benchmark workload sits in
+//! that band to show which is better, so the constant stays. A 150-nt read
 //! alone against one database volume pays none of it: it meets about 44
 //! pairs, far under one grain. Searched as one chunk, the benchmark's
 //! `reads_db_batch` reads meet ~133 000 pairs per volume (532 546 over

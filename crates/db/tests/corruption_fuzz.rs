@@ -1,5 +1,5 @@
 //! Byte-mutation fuzz: random single-byte flips and truncations of the
-//! manifest and the v4 index files must never panic the loaders, and
+//! manifest and the v5 index files must never panic the loaders, and
 //! never be silently accepted where a checksum vouches for the bytes.
 //! Structure-aware fuzz: manifest *fields* overwritten and rows shuffled
 //! with the checksum restamped — the checksum is not a MAC, so the parser
@@ -15,7 +15,11 @@
 //!   through [`FaultyIo`] — which must reject every mutation via header
 //!   validation or the whole-stream checksum. The fixture's volumes are
 //!   sparse (a code list); a second database at W = 5 gives its volumes
-//!   the dense presence bitmap, every byte of which is flipped below.
+//!   the dense presence bitmap, every byte of which is flipped below; a
+//!   third puts a 70 000-nt poly-A run ahead of the sequence, so its
+//!   first row group keeps `u32` starts in the wide side array, and every
+//!   byte of its row bounds is flipped, and its words edited under a
+//!   restamped checksum.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -99,8 +103,8 @@ fn bitmap_flips_are_refused_by_both_attach_modes() {
         .unwrap()
         .0;
     assert_eq!(clean.backend(), oris_index::IndexBackend::Dense);
-    // Header 84 bytes, padded to 88; then ⌈4^5/64⌉ = 16 bitmap words.
-    for offset in 88..88 + 8 * 16 {
+    // Header 92 bytes, padded to 96; then ⌈4^5/64⌉ = 16 bitmap words.
+    for offset in 96..96 + 8 * 16 {
         for mask in [0x01u8, 0x80] {
             let mut bytes = index.clone();
             bytes[offset] ^= mask;
@@ -116,6 +120,76 @@ fn bitmap_flips_are_refused_by_both_attach_modes() {
             let e = db.attach_volume(0).unwrap_err();
             assert!(matches!(e, DbError::Volume(_)), "{e:?}");
         }
+    }
+}
+
+/// A database whose first volume's index has a wide row group — a
+/// 70 000-nt poly-A run ahead of the fixture sequence, W = 5 — with its
+/// directory, vol00000.oidx's bytes and the byte ranges of its three
+/// row-bound sections (`rel`s, anchors, wide starts).
+fn wide_fixture() -> &'static (PathBuf, Vec<u8>, [std::ops::Range<usize>; 3]) {
+    static FIXTURE: OnceLock<(PathBuf, Vec<u8>, [std::ops::Range<usize>; 3])> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let dir = std::env::temp_dir()
+            .join("oris_db_fuzz")
+            .join(format!("wide_fixture_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut b = BankBuilder::new();
+        let seq = "ATGGCGTACGTTAGCCTAGGCTTAACGGATCGATCCGGTAAGCTACCGGTA".repeat(8);
+        b.push_str("s0", &format!("{}{seq}", "A".repeat(70_000)))
+            .unwrap();
+        b.push_str("s1", &seq).unwrap();
+        let subject = b.finish();
+        let total = subject.num_residues();
+        make_db(
+            [subject],
+            &dir,
+            &MakeDbOptions::new(&OrisConfig::small(5), total),
+        )
+        .unwrap();
+        let index = std::fs::read(dir.join("vol00000.oidx")).unwrap();
+        // The header's counts (num_keys, num_rows, num_wide) lay the
+        // sections out: each starts on the next 8-byte offset.
+        let count = |at: usize| u64::from_le_bytes(index[at..at + 8].try_into().unwrap()) as usize;
+        let (keys, rows, wide) = (count(52), count(60), count(84));
+        let align = |at: usize| at.next_multiple_of(8);
+        let rel = align(align(92) + 8 * keys);
+        let anchors = align(rel + 2 * rows);
+        let side = align(anchors + 4 * rows.div_ceil(64));
+        assert_eq!(wide, rows.min(64), "the poly-A row group must be wide");
+        let sections = [
+            rel..rel + 2 * rows,
+            anchors..anchors + 4 * rows.div_ceil(64),
+            side..side + 4 * wide,
+        ];
+        (dir, index, sections)
+    })
+}
+
+/// Every single-byte flip of a volume's row bounds — `rel`s, anchors and
+/// wide starts — is refused by both attach modes, as the bitmap's are.
+#[test]
+fn row_bound_flips_are_refused_by_both_attach_modes() {
+    let (dir, index, sections) = wide_fixture();
+    let clean = oris_index::map_index_file(dir.join("vol00000.oidx"))
+        .unwrap()
+        .0;
+    assert_eq!(clean.backend(), oris_index::IndexBackend::Dense);
+    for offset in sections.iter().flat_map(|s| s.clone().step_by(3)) {
+        let mut bytes = index.clone();
+        bytes[offset] ^= 0x41;
+        let path = mutated_file(&bytes);
+        assert!(
+            oris_index::map_index_file(&path).is_err(),
+            "mapped attach accepted a flip at {offset}"
+        );
+        std::fs::remove_file(&path).ok();
+        let fault = Fault::FlipByte { offset, mask: 0x41 };
+        let io = FaultyIo::with_rules([FaultRule::always("vol00000.oidx", fault)]);
+        let db = Database::open_with_io(dir, Arc::new(io)).unwrap();
+        let e = db.attach_volume(0).unwrap_err();
+        assert!(matches!(e, DbError::Volume(_)), "{e:?}");
     }
 }
 
@@ -354,7 +428,7 @@ proptest! {
         }
     }
 
-    /// Any single-byte flip of a v4 index file is rejected by the real
+    /// Any single-byte flip of a v5 index file is rejected by the real
     /// attach path — header validation or the whole-stream checksum —
     /// without panicking.
     #[test]
@@ -374,7 +448,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Any truncation of a v4 index file is rejected by the real attach
+    /// Any truncation of a v5 index file is rejected by the real attach
     /// path without panicking.
     #[test]
     fn index_truncations_never_panic_never_pass(len_sel in 0usize..1_000_000) {
@@ -408,5 +482,52 @@ proptest! {
         let db = Database::open_with_io(dir, Arc::new(io)).unwrap();
         let e = db.attach_volume(0).unwrap_err();
         prop_assert!(matches!(e, oris_db::DbError::Volume(_)), "{e:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Structure-aware edits of the row bounds under a restamped checksum
+    /// (the checksum is not a MAC): one or two words of the `rel`,
+    /// anchor or wide-start sections set to a value near the stored one,
+    /// to a wide flag, or to anything. The mapped attach never panics; it
+    /// refuses the file with a typed corruption error, or accepts an index
+    /// whose every row lies inside its postings in ascending order.
+    #[test]
+    fn row_bound_edits_end_in_a_typed_error(
+        picks in proptest::collection::vec(0u64..=u64::MAX, 1..3),
+        values in proptest::collection::vec(0u64..=u64::MAX, 2),
+    ) {
+        let (_, index, sections) = wide_fixture();
+        let mut bytes = index.clone();
+        for (pick, value) in picks.iter().zip(&values) {
+            let section = (pick % 3) as usize;
+            let range = &sections[section];
+            let width = if section == 0 { 2 } else { 4 };
+            let at = range.start + width * ((pick >> 2) as usize % (range.len() / width));
+            let stored = bytes[at..at + width].iter().rev().fold(0u64, |v, &b| v << 8 | u64::from(b));
+            let new = match value & 3 {
+                0 => stored.wrapping_add(value >> 2 & 7).wrapping_sub(4),
+                1 => (1 << 31) | ((value >> 2) % 256),
+                _ => value >> 2,
+            };
+            bytes[at..at + width].copy_from_slice(&new.to_le_bytes()[..width]);
+        }
+        oris_index::persist::restamp_checksum(&mut bytes);
+        let path = mutated_file(&bytes);
+        match oris_index::map_index_file(&path) {
+            Err(oris_index::PersistError::Corrupt(_)) => {}
+            Err(e) => prop_assert!(false, "not a corruption error: {e}"),
+            Ok((idx, _)) => {
+                let mut seen = 0;
+                for (_, row) in idx.populated() {
+                    prop_assert!(row.windows(2).all(|p| p[0] < p[1]));
+                    seen += row.len();
+                }
+                prop_assert_eq!(seen, idx.indexed_positions());
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

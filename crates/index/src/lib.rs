@@ -11,8 +11,9 @@
 //!   code order is the total order that makes the ORIS uniqueness argument
 //!   work (a seed `SA` precedes `SB` iff `code(SA) < code(SB)`).
 //! * [`BankIndex`]: the Figure-2 occurrence index, stored as a **CSR
-//!   inverted index** — row boundaries over a contiguous `positions`
-//!   array — so `occurrences(code)` is a sorted `&[u32]` slice and
+//!   inverted index** — row starts over a contiguous `positions`
+//!   array, two bytes a row over one anchor per 64 rows — so
+//!   `occurrences(code)` is a sorted `&[u32]` slice and
 //!   step 2 streams postings instead of chasing the paper's
 //!   `int *INDEX` chains. Rows are stored for populated codes only, and
 //!   two row maps sit behind the same API ([`IndexBackend`]): a
@@ -32,7 +33,7 @@
 //!   offset, then a word-wide [`persist::checksum`] that detects every
 //!   single-byte flip with certainty). Both row maps serialize — a
 //!   header flag selects the key section, the dense bitmap or the sparse
-//!   code list, stored beside the row boundaries; the dense ranks are
+//!   code list, stored beside the row bounds; the dense ranks are
 //!   derived at load. A loaded index is
 //!   behaviourally identical to a fresh build, including the
 //!   `is_fully_indexed` provenance that drives step 2's guard
@@ -52,9 +53,10 @@
 //!   sampled windows.
 //! * Seed-occupancy statistics used by tests and the memory experiment
 //!   (E7). A fully indexed bank of N positions with k distinct codes takes
-//!   `4·N + 4·k + N/8 + 3·4^W/16` index bytes on the dense map beside its
-//!   N-byte `SEQ`: the paper's ≈5·N plus the rows of the populated codes,
-//!   the bit-set and the bitmap.
+//!   `4·N + 2·k + k/16 + N/8 + 3·4^W/16` index bytes on the dense map
+//!   beside its N-byte `SEQ`: the paper's ≈5·N plus the row bounds of the
+//!   populated codes (a two-byte start each over a four-byte anchor per
+//!   64), the bit-set and the bitmap.
 //! * Low-complexity masking, which decides what the index leaves out
 //!   (section 2.1: "W character words belonging to low-complexity regions
 //!   are discarded from the index"). Section 3.4 charges part of the

@@ -370,7 +370,7 @@ mod tests {
             );
             let mut clean = Vec::new();
             crate::persist::write_index(&mut clean, &idx, &IndexMeta::default()).unwrap();
-            let bits = 88..88 + 8 * (1usize << (2 * w)).div_ceil(64);
+            let bits = 96..96 + 8 * (1usize << (2 * w)).div_ceil(64);
             for at in bits {
                 for mask in [0x01u8, 0x80, 0xFF] {
                     let mut bytes = clean.clone();

@@ -11,11 +11,11 @@
 //! provenance, so step 2's guard auto-selection makes the same choice it
 //! would have made in memory.
 //!
-//! ## Format (version 4, all integers little-endian)
+//! ## Format (version 5, all integers little-endian)
 //!
 //! ```text
 //! magic             8 B   "ORISIDX\0"
-//! version           u32   4
+//! version           u32   5
 //! w                 u32   seed length
 //! stride            u32   sampling stride (1 = full, 2 = asymmetric)
 //! flags             u32   bit 0 = fully_indexed; bit 1 = sparse row map;
@@ -29,13 +29,20 @@
 //! num_rows          u64   k = number of populated codes
 //! num_positions     u64   number of postings
 //! num_bitset_words  u64   must equal bank_len.div_ceil(64)
+//! num_wide          u64   starts kept by the wide row groups (≤ k)
 //! -- then, dense (flags bit 1 clear):
 //!    bitmap         num_keys × u64   bit c % 64 of word c / 64 set iff
 //!                                    code c is populated
 //! -- or, sparse (flags bit 1 set):
 //!    codes          k × u32          ascending populated codes
-//! -- then, either way:
-//!    row_offsets    (k + 1) × u32    row boundaries over positions
+//! -- then, either way, the row bounds (one start per row; row r ends
+//!    where row r + 1 starts, the last at num_positions):
+//!    row_rel        k × u16          start of row r less its group's anchor
+//!    row_anchors    ⌈k/64⌉ × u32     per group of 64 rows: its first
+//!                                    row's start, or bit 31 set and where
+//!                                    its starts begin in row_wide
+//!    row_wide       num_wide × u32   the starts of the groups whose rows
+//!                                    span 2^16 postings or more
 //!    positions      num_positions × u32
 //!    bitset         num_bitset_words × u64
 //!    checksum       u64   checksum() of every preceding byte of the stream
@@ -58,21 +65,27 @@
 //! probability; the function's docs carry the argument. The lanes keep
 //! four multiplies in flight, so the check runs at memory speed.
 //!
-//! **A file is its row map's keys and row boundaries.** A dense file
+//! **A file is its row map's keys and row bounds.** A dense file
 //! stores the presence bitmap; the rank of each of its words is derived
 //! at load in one pass over the words (`4^W/16` heap bytes, 256 KB at
 //! W = 11) and never written. A sparse lookup searches the `codes`
 //! section itself (a binary search, or step 2's forward cursor), so
-//! nothing is derived from it at load. Either way both sections are
-//! checksummed and mapped like the postings.
+//! nothing is derived from it at load. The three row-bound sections are
+//! read as stored: row `r` starts at `row_anchors[r / 64] +
+//! row_rel[r]`, or, where that anchor has bit 31 set, at `row_wide[a +
+//! r % 64]` with `a` its other bits. Every section is checksummed and
+//! mapped like the postings.
 //!
-//! Version 4 differs from version 3 in the dense layout (v3 stored an
-//! `offsets[4^w + 1]` array, 16.8 MB at W = 11, where v4 stores a bitmap
-//! and compact row boundaries) and in the header's `num_rows` field; v3
-//! in turn replaced v2's FNV-1a checksum and stored slot table. Earlier
-//! versions are refused with [`PersistError::UnsupportedVersion`], whose
-//! message says to rebuild with `makedb` / `mkindex`: the format carries
-//! one decoder and no compatibility shims.
+//! Version 5 differs from version 4 in the row boundaries: v4 stored
+//! `k + 1` `u32` boundaries, where v5 stores `k` two-byte starts over one
+//! anchor per 64 rows (the `row_rel`, `row_anchors` and `row_wide`
+//! sections, and the header's `num_wide`), about `2·k` bytes less. v4 in
+//! turn replaced v3's dense `offsets[4^w + 1]` array (16.8 MB at W = 11)
+//! with the bitmap, and v3 replaced v2's FNV-1a checksum and stored slot
+//! table. Earlier versions are refused with
+//! [`PersistError::UnsupportedVersion`], whose message says to rebuild
+//! with `makedb` / `mkindex`: the format carries one decoder and no
+//! compatibility shims.
 //!
 //! `masked_fraction` and `filter_code` describe how the index was
 //! *prepared* (the mask itself is not persisted — steps 2–4 never consult
@@ -105,8 +118,10 @@
 //! trailing whole-stream checksum is verified; (4) the padding runs must
 //! be zero; (5) the arrays go through the same structural validation
 //! (no bitmap bit past `4^w`, a bitmap popcount equal to the row count,
-//! strictly ascending codes, strictly increasing row boundaries, row
-//! ordering, bit-set agreement) that protects step 2 from a corrupt
+//! strictly ascending codes, row bounds strictly increasing inside their
+//! groups' spans with every wide group inside its side array and the
+//! last row ending at the postings' end, row ordering, bit-set
+//! agreement) that protects step 2 from a corrupt
 //! index. The checksum catches the corruptions structural
 //! validation cannot — a flipped provenance flag, a perturbed position
 //! that still happens to satisfy every invariant — so no random
@@ -127,18 +142,18 @@ use crate::mask::MaskSet;
 use crate::mmap::Mapping;
 use crate::section::Section;
 use crate::seedcode::MAX_SEED_LEN;
-use crate::structure::{bitmap_words, BankIndex, BitmapRows, RowIndex, SparseRows};
+use crate::structure::{bitmap_words, BankIndex, BitmapRows, RowBounds, RowIndex, SparseRows};
 
 /// File magic, first 8 bytes of every index file.
 pub const MAGIC: [u8; 8] = *b"ORISIDX\0";
 
-/// Current format version (4: a dense index stores its presence bitmap
-/// and compact row boundaries, where version 3 stored `4^w + 1` offsets;
-/// see the module docs).
-pub const FORMAT_VERSION: u32 = 4;
+/// Current format version (5: the row boundaries are two-byte starts over
+/// 64-row anchors, where version 4 stored `k + 1` `u32`s; see the module
+/// docs).
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Bytes of the fixed header (everything before the first padding run).
-const HEADER_BYTES: u64 = 84;
+const HEADER_BYTES: u64 = 92;
 
 /// Header flag bit 0: the index is fully indexed (exclusion provenance).
 const FLAG_FULLY_INDEXED: u32 = 1;
@@ -433,52 +448,43 @@ pub fn write_index(out: &mut impl Write, idx: &BankIndex, meta: &IndexMeta) -> i
     out.write_all(&(idx.positions().len() as u64).to_le_bytes())?;
     let words = idx.indexed_words();
     out.write_all(&(words.len() as u64).to_le_bytes())?;
+    let (rel, anchors, wide) = rows.bounds().sections();
+    out.write_all(&(wide.len() as u64).to_le_bytes())?;
     debug_assert_eq!(out.written(), HEADER_BYTES);
-    write_padding(&mut out)?;
     match rows {
-        RowIndex::Dense(bitmap) => write_u64_section(&mut out, bitmap.bits())?,
-        RowIndex::Sparse(sparse) => write_u32_section(&mut out, sparse.codes())?,
+        RowIndex::Dense(bitmap) => write_section(&mut out, bitmap.bits(), u64::to_le_bytes)?,
+        RowIndex::Sparse(sparse) => write_section(&mut out, sparse.codes(), u32::to_le_bytes)?,
     }
-    write_padding(&mut out)?;
-    write_u32_section(&mut out, rows.row_offsets())?;
-    write_padding(&mut out)?;
-    write_u32_section(&mut out, idx.positions())?;
-    write_padding(&mut out)?;
-    write_u64_section(&mut out, words)?;
+    write_section(&mut out, rel, u16::to_le_bytes)?;
+    write_section(&mut out, anchors, u32::to_le_bytes)?;
+    write_section(&mut out, wide, u32::to_le_bytes)?;
+    write_section(&mut out, idx.positions(), u32::to_le_bytes)?;
+    write_section(&mut out, words, u64::to_le_bytes)?;
     // The checksum itself is written to the inner stream, outside its own
     // coverage.
     let checksum = out.sum.finish();
     out.inner.write_all(&checksum.to_le_bytes())
 }
 
-fn write_padding<W: Write>(out: &mut HashingWriter<'_, W>) -> io::Result<()> {
-    let pad = padding_for(out.written()) as usize;
-    out.write_all(&[0u8; SECTION_ALIGN as usize][..pad])
-}
-
 /// Scalars encoded per chunk of section output — one `write_all` per
-/// ~64–128 KiB instead of one per scalar (the postings of a Mnt bank are
+/// ~32–128 KiB instead of one per scalar (the postings of a Mnt bank are
 /// millions of entries).
 const SECTION_CHUNK: usize = 16 * 1024;
 
-fn write_u32_section(out: &mut impl Write, values: &[u32]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(SECTION_CHUNK.min(values.len()) * 4);
+/// Writes one array section: zero padding to the next 8-byte file
+/// offset, then `values` as `le` encodes them.
+fn write_section<W: Write, T: Copy, const B: usize>(
+    out: &mut HashingWriter<'_, W>,
+    values: &[T],
+    le: fn(T) -> [u8; B],
+) -> io::Result<()> {
+    let pad = padding_for(out.written()) as usize;
+    out.write_all(&[0u8; SECTION_ALIGN as usize][..pad])?;
+    let mut buf = Vec::with_capacity(SECTION_CHUNK.min(values.len()) * B);
     for chunk in values.chunks(SECTION_CHUNK) {
         buf.clear();
         for &v in chunk {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        out.write_all(&buf)?;
-    }
-    Ok(())
-}
-
-fn write_u64_section(out: &mut impl Write, values: &[u64]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(SECTION_CHUNK.min(values.len()) * 8);
-    for chunk in values.chunks(SECTION_CHUNK) {
-        buf.clear();
-        for &v in chunk {
-            buf.extend_from_slice(&v.to_le_bytes());
+            buf.extend_from_slice(&le(v));
         }
         out.write_all(&buf)?;
     }
@@ -516,21 +522,25 @@ struct Header {
     num_rows: u64,
     num_positions: u64,
     num_words: u64,
+    num_wide: u64,
 }
 
 impl Header {
     /// The section layout this header implies: one `(gap, start, end)`
     /// triple of file offsets per array section, in file order — keys
-    /// (dense bitmap words or sparse codes), row offsets, positions,
-    /// bit-set. Each section starts on the next 8-byte offset after its
-    /// predecessor ends; `gap..start` is its zero padding, and the
-    /// checksum follows the last `end`.
-    fn spans(&self) -> [(u64, u64, u64); 4] {
+    /// (dense bitmap words or sparse codes), the three row-bound sections
+    /// (`rel`, anchors, wide starts), positions, bit-set. Each section
+    /// starts on the next 8-byte offset after its predecessor ends;
+    /// `gap..start` is its zero padding, and the checksum follows the
+    /// last `end`.
+    fn spans(&self) -> [(u64, u64, u64); 6] {
         let key_bytes = if self.sparse { 4 } else { 8 } * self.num_keys;
         let mut at = HEADER_BYTES;
         [
             key_bytes,
-            4 * (self.num_rows + 1),
+            2 * self.num_rows,
+            4 * self.num_rows.div_ceil(64),
+            4 * self.num_wide,
             4 * self.num_positions,
             8 * self.num_words,
         ]
@@ -631,6 +641,12 @@ fn read_header(r: &mut impl Read) -> Result<Header, PersistError> {
             bank_len.div_ceil(64)
         )));
     }
+    let num_wide = read_u64(r)?;
+    if num_wide > num_rows {
+        return Err(PersistError::Corrupt(format!(
+            "{num_wide} wide row starts for {num_rows} rows"
+        )));
+    }
     Ok(Header {
         w,
         stride,
@@ -646,6 +662,7 @@ fn read_header(r: &mut impl Read) -> Result<Header, PersistError> {
         num_rows,
         num_positions,
         num_words,
+        num_wide,
     })
 }
 
@@ -671,7 +688,7 @@ pub(crate) fn decode(
     // Exact size first: every offset below is in bounds once it holds,
     // and nothing a lying count could inflate has been allocated yet.
     let spans = h.spans();
-    let size = spans[3].2 + 8;
+    let size = spans[5].2 + 8;
     if (bytes.len() as u64) < size {
         return Err(PersistError::Corrupt("truncated file".into()));
     }
@@ -711,31 +728,43 @@ pub(crate) fn decode(
         map.filter(|_| cfg!(target_endian = "little"))
             .and_then(|m| Section::mapped(m, start, len))
     }
-    let u32s = |i: usize| -> Section<u32> {
-        view(map, spans[i]).unwrap_or_else(|| {
-            let (_, start, end) = spans[i];
+    /// Section `span` as a view of the mapping where one is possible,
+    /// else decoded from `bytes` by `le`.
+    fn section<T, const B: usize>(
+        bytes: &[u8],
+        map: Option<&Arc<Mapping>>,
+        span: (usize, usize, usize),
+        le: fn([u8; B]) -> T,
+    ) -> Section<T> {
+        view(map, span).unwrap_or_else(|| {
+            let (_, start, end) = span;
             bytes[start..end]
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                .collect::<Vec<u32>>()
+                .chunks_exact(B)
+                .map(|c| le(c.try_into().expect("B bytes")))
+                .collect::<Vec<T>>()
                 .into()
         })
-    };
-    let u64s = |i: usize| -> Vec<u64> {
-        let (_, start, end) = spans[i];
-        bytes[start..end]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect()
-    };
+    }
+    let bounds = RowBounds::from_raw_parts(
+        section(bytes, map, spans[1], u16::from_le_bytes),
+        section(bytes, map, spans[2], u32::from_le_bytes),
+        section(bytes, map, spans[3], u32::from_le_bytes),
+        h.num_positions as usize,
+    )
+    .map_err(PersistError::Corrupt)?;
     let rows = if h.sparse {
-        RowIndex::Sparse(SparseRows::new(u32s(0), u32s(1)))
+        let codes = section(bytes, map, spans[0], u32::from_le_bytes);
+        RowIndex::Sparse(SparseRows::new(codes, bounds))
     } else {
-        let bits = view(map, spans[0]).unwrap_or_else(|| u64s(0).into());
-        RowIndex::Dense(BitmapRows::new(bits, u32s(1)))
+        let bits = section(bytes, map, spans[0], u64::from_le_bytes);
+        RowIndex::Dense(BitmapRows::new(bits, bounds))
     };
-    let positions = u32s(2);
-    let words = u64s(3);
+    let positions = section(bytes, map, spans[4], u32::from_le_bytes);
+    let (_, start, end) = spans[5];
+    let words = bytes[start..end]
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+        .collect();
     let indexed = MaskSet::from_raw_words(words, h.bank_len)
         .ok_or_else(|| PersistError::Corrupt("bit-set has bits beyond the bank length".into()))?;
 
@@ -817,7 +846,7 @@ mod tests {
         assert_eq!(a.w(), b.w());
         assert_eq!(a.stride(), b.stride());
         assert_eq!(a.backend(), b.backend());
-        assert_eq!(a.rows().row_offsets(), b.rows().row_offsets());
+        assert_eq!(a.rows().bounds().sections(), b.rows().bounds().sections());
         assert!(a.populated().eq(b.populated()));
         assert_eq!(a.positions(), b.positions());
         assert_eq!(a.indexed_words(), b.indexed_words());
@@ -845,15 +874,12 @@ mod tests {
         assert!(loaded.is_fully_indexed());
     }
 
-    /// File offsets of a dense file's sections (bitmap words, row
-    /// offsets, positions, bit-set) for `w` and `k` populated codes.
-    fn dense_section_offsets(w: usize, k: usize, postings: usize) -> [usize; 4] {
-        let align = |at: usize| at + (8 - at % 8) % 8;
-        let bits_at = align(84);
-        let row_at = align(bits_at + 8 * (1usize << (2 * w)).div_ceil(64));
-        let pos_at = align(row_at + 4 * (k + 1));
-        let bitset_at = align(pos_at + 4 * postings);
-        [bits_at, row_at, pos_at, bitset_at]
+    /// File offsets where each array section of `bytes` starts — keys,
+    /// row `rel`s, row anchors, wide starts, positions, bit-set — from
+    /// its header.
+    fn section_offsets(bytes: &[u8]) -> [usize; 6] {
+        let h = read_header(&mut &bytes[..]).unwrap();
+        h.spans().map(|(_, start, _)| start as usize)
     }
 
     #[test]
@@ -872,17 +898,20 @@ mod tests {
                 IndexConfig::full(w).with_backend(IndexBackend::Dense),
             );
             let bytes = to_bytes(&idx, &IndexMeta::default());
-            let at = dense_section_offsets(w, idx.distinct_codes(), idx.indexed_positions());
-            assert_eq!(at[0], 88); // header 84 + 4 padding
+            let at = section_offsets(&bytes);
+            assert_eq!(at[0], 96); // header 92 + 4 padding
             assert!(at.iter().all(|a| a % 8 == 0));
-            // The bitmap's first word, and row_offsets[0] = 0.
+            // The bitmap's first word, the first row's rel (0) and anchor
+            // (row 0 starts at posting 0).
             let RowIndex::Dense(bitmap) = idx.rows() else {
                 panic!("dense build")
             };
             assert_eq!(bytes[at[0]..at[0] + 8], bitmap.bits()[0].to_le_bytes());
-            assert_eq!(&bytes[at[1]..at[1] + 4], &[0, 0, 0, 0]);
+            assert_eq!(&bytes[at[1]..at[1] + 2], &[0, 0]);
+            assert_eq!(&bytes[at[2]..at[2] + 4], &[0, 0, 0, 0]);
+            assert_eq!(at[4] - at[3], 0, "no wide starts");
             let words = bank.data().len().div_ceil(64);
-            assert_eq!(bytes.len(), at[3] + 8 * words + 8);
+            assert_eq!(bytes.len(), at[5] + 8 * words + 8);
         }
     }
 
@@ -952,10 +981,10 @@ mod tests {
             Err(PersistError::UnsupportedVersion(99))
         ));
         // Version-1 (no section alignment), version-2 (FNV-1a, stored
-        // slot table) and version-3 (dense `4^w + 1` offsets) files are
-        // refused too, with the rebuild hint: there is no compatibility
-        // shim.
-        for old in [1u8, 2, 3] {
+        // slot table), version-3 (dense `4^w + 1` offsets) and version-4
+        // (`k + 1` u32 row boundaries) files are refused too, with the
+        // rebuild hint: there is no compatibility shim.
+        for old in [1u8, 2, 3, 4] {
             let mut bytes = to_bytes(&idx, &IndexMeta::default());
             bytes[8] = old;
             match read_index(&mut bytes.as_slice()) {
@@ -987,12 +1016,13 @@ mod tests {
         let bank = bank_of(&["ACGTACGTACGT"]);
         let idx = BankIndex::build(&bank, IndexConfig::full(3));
         let bytes = to_bytes(&idx, &IndexMeta::default());
-        // Overwrite the first row offset with a huge value AND recompute
-        // the trailing checksum, so it is the structural validation
-        // (row_offsets[0] == 0) that must trip, not the checksum.
-        let row_at = dense_section_offsets(3, idx.distinct_codes(), 0)[1];
+        // Overwrite the first row's rel with a huge value AND recompute
+        // the trailing checksum, so it is the structural validation (a
+        // group's first row starts at its anchor) that must trip, not the
+        // checksum.
+        let rel_at = section_offsets(&bytes)[1];
         let mut corrupt = bytes.clone();
-        corrupt[row_at..row_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        corrupt[rel_at..rel_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
         restamp_checksum(&mut corrupt);
         assert!(matches!(
             read_index(&mut corrupt.as_slice()),
@@ -1005,10 +1035,10 @@ mod tests {
         let bank = bank_of(&["ACGTACGTACGT"]);
         let idx = BankIndex::build(&bank, IndexConfig::full(3));
         let mut bytes = to_bytes(&idx, &IndexMeta::default());
-        // The 4 padding bytes between header (84) and bitmap (88) must be
+        // The 4 padding bytes between header (92) and bitmap (96) must be
         // zero; a non-zero byte with a restamped checksum is caught by the
         // padding check itself.
-        bytes[85] = 0xAB;
+        bytes[93] = 0xAB;
         restamp_checksum(&mut bytes);
         assert!(matches!(
             read_index(&mut bytes.as_slice()),
@@ -1085,16 +1115,6 @@ mod tests {
         u64::from_le_bytes(bytes[60..68].try_into().unwrap()) as usize
     }
 
-    /// File offsets of the sparse u32 sections (codes, row_offsets,
-    /// positions).
-    fn sparse_section_offsets(k: usize) -> (usize, usize, usize) {
-        let align = |at: usize| at + (8 - at % 8) % 8;
-        let codes_at = align(84);
-        let row_at = align(codes_at + 4 * k);
-        let pos_at = align(row_at + 4 * (k + 1));
-        (codes_at, row_at, pos_at)
-    }
-
     #[test]
     fn sparse_roundtrip_and_header_shape() {
         let bank = bank_of(&["ACGTACGTTTGGCCAAACGTNACGT", "TTGGCCAA"]);
@@ -1153,7 +1173,7 @@ mod tests {
                 IndexConfig::full(w).with_backend(IndexBackend::Dense),
             );
             let bytes = to_bytes(&idx, &IndexMeta::default());
-            let bits_at = dense_section_offsets(w, idx.distinct_codes(), 0)[0];
+            let bits_at = section_offsets(&bytes)[0];
             let word = |b: &[u8]| u64::from_le_bytes(b[bits_at..bits_at + 8].try_into().unwrap());
             let set =
                 |b: &mut Vec<u8>, v: u64| b[bits_at..bits_at + 8].copy_from_slice(&v.to_le_bytes());
@@ -1210,12 +1230,12 @@ mod tests {
         }
     }
 
-    /// Swaps the little-endian u32 words at byte offsets `a` and `b`.
+    /// Swaps the little-endian u16 words at byte offsets `a` and `b`.
     fn swap_words(bytes: &mut [u8], a: usize, b: usize) {
-        let first: [u8; 4] = bytes[a..a + 4].try_into().unwrap();
-        let second: [u8; 4] = bytes[b..b + 4].try_into().unwrap();
-        bytes[a..a + 4].copy_from_slice(&second);
-        bytes[b..b + 4].copy_from_slice(&first);
+        let first: [u8; 2] = bytes[a..a + 2].try_into().unwrap();
+        let second: [u8; 2] = bytes[b..b + 2].try_into().unwrap();
+        bytes[a..a + 2].copy_from_slice(&second);
+        bytes[b..b + 2].copy_from_slice(&first);
     }
 
     #[test]
@@ -1227,8 +1247,8 @@ mod tests {
         let idx = sparse_idx(&bank, 4);
         let bytes = to_bytes(&idx, &IndexMeta::default());
         let k = stored_k(&bytes);
-        assert!(k >= 2, "test bank must populate at least two codes");
-        let (codes_at, row_at, _) = sparse_section_offsets(k);
+        assert!(k >= 3, "test bank must populate at least three codes");
+        let [codes_at, rel_at, ..] = section_offsets(&bytes);
         let rejected = |tainted: &mut Vec<u8>, want: &str| {
             restamp_checksum(tainted);
             match read_index(&mut tainted.as_slice()) {
@@ -1238,18 +1258,22 @@ mod tests {
         };
         // Descending codes.
         let mut swapped = bytes.clone();
-        swap_words(&mut swapped, codes_at, codes_at + 4);
+        let (a, b) = (codes_at, codes_at + 4);
+        let first: [u8; 4] = swapped[a..a + 4].try_into().unwrap();
+        let second: [u8; 4] = swapped[b..b + 4].try_into().unwrap();
+        swapped[a..a + 4].copy_from_slice(&second);
+        swapped[b..b + 4].copy_from_slice(&first);
         rejected(&mut swapped, "codes are not strictly ascending");
-        // Row boundaries that stop increasing: rows 1 and 2 swap ends, so
+        // Row starts that stop increasing: rows 1 and 2 swap starts, so
         // row 1 runs backwards and a lookup would slice out of order.
         let mut rows = bytes.clone();
-        swap_words(&mut rows, row_at + 4, row_at + 8);
-        rejected(&mut rows, "row offsets are not strictly increasing");
+        swap_words(&mut rows, rel_at + 2, rel_at + 4);
+        rejected(&mut rows, "row boundaries are not strictly increasing");
         // An empty row (a listed code owning no posting).
         let mut empty = bytes.clone();
-        let second: [u8; 4] = empty[row_at + 8..row_at + 12].try_into().unwrap();
-        empty[row_at + 4..row_at + 8].copy_from_slice(&second);
-        rejected(&mut empty, "row offsets are not strictly increasing");
+        let second: [u8; 2] = empty[rel_at + 4..rel_at + 6].try_into().unwrap();
+        empty[rel_at + 2..rel_at + 4].copy_from_slice(&second);
+        rejected(&mut empty, "row boundaries are not strictly increasing");
     }
 
     #[test]
@@ -1257,22 +1281,92 @@ mod tests {
         let bank = bank_of(&["ACGTACGTTTGG", "CC"]);
         let idx = sparse_idx(&bank, 4);
         let bytes = to_bytes(&idx, &IndexMeta::default());
-        let k = stored_k(&bytes);
-        let (codes_at, row_at, pos_at) = sparse_section_offsets(k);
-        for at in [codes_at, row_at, pos_at] {
-            assert_eq!(at % 8, 0);
-        }
-        // row_offsets[0] is 0 (row 0 starts at postings 0), and the
-        // postings follow the row boundaries directly: no slot table.
-        assert_eq!(&bytes[row_at..row_at + 4], &[0, 0, 0, 0]);
-        assert_eq!(bytes[pos_at..pos_at + 4], idx.positions()[0].to_le_bytes());
+        let at = section_offsets(&bytes);
+        assert!(at.iter().all(|a| a % 8 == 0));
+        // Row 0 starts at posting 0, and the postings follow the row
+        // bounds directly: no slot table.
+        assert_eq!(&bytes[at[1]..at[1] + 2], &[0, 0]);
+        assert_eq!(bytes[at[4]..at[4] + 4], idx.positions()[0].to_le_bytes());
         // File size agrees with the layout walk.
-        let bit_at = {
-            let end = pos_at + 4 * idx.indexed_positions();
-            end + (8 - end % 8) % 8
-        };
         let words = bank.data().len().div_ceil(64);
-        assert_eq!(bytes.len(), bit_at + 8 * words + 8);
+        assert_eq!(bytes.len(), at[5] + 8 * words + 8);
+    }
+
+    #[test]
+    fn row_bound_corruption_is_structural() {
+        // The row bounds slice the postings for every lookup, so each lie
+        // about them — edited in and the checksum RESTAMPED — ends in a
+        // typed error: a decreasing boundary, a rel beyond its group's
+        // span, a wide flag past the side array, a last row that does not
+        // end at the postings' end; and on a file with wide groups, a wide
+        // start that decreases and a side-array count that disagrees.
+        let rejected = |tainted: &mut Vec<u8>, want: &str| {
+            restamp_checksum(tainted);
+            match read_index(&mut tainted.as_slice()) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("accepted a corrupt {want}: {other:?}"),
+            }
+        };
+        let put16 =
+            |b: &mut Vec<u8>, at: usize, v: u16| b[at..at + 2].copy_from_slice(&v.to_le_bytes());
+        let put32 =
+            |b: &mut Vec<u8>, at: usize, v: u32| b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        let get16 = |b: &[u8], at: usize| u16::from_le_bytes(b[at..at + 2].try_into().unwrap());
+        let mut dna = String::new();
+        let mut state = 0x9E37_79B9u32;
+        for _ in 0..3000 {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            dna.push(b"ACGT"[(state >> 7) as usize % 4] as char);
+        }
+        let bank = bank_of(&[&dna]);
+        for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
+            let idx = BankIndex::build(&bank, IndexConfig::full(6).with_backend(backend));
+            let bytes = to_bytes(&idx, &IndexMeta::default());
+            let k = stored_k(&bytes);
+            assert!(k > 2 * 64, "{k} rows: the test wants three groups");
+            let [_, rel, anchors, ..] = section_offsets(&bytes);
+            // Rows 5 and 6 swap starts.
+            let mut down = bytes.clone();
+            swap_words(&mut down, rel + 10, rel + 12);
+            rejected(&mut down, "row boundaries are not strictly increasing");
+            // Row 63 starts past group 1's anchor.
+            let mut past = bytes.clone();
+            put16(&mut past, rel + 2 * 63, u16::MAX);
+            rejected(&mut past, "beyond its group's span");
+            // Group 1 flagged wide, pointing past an empty side array.
+            let mut wide = bytes.clone();
+            put32(&mut wide, anchors + 4, (1 << 31) | 3);
+            rejected(&mut wide, "run past the 0-entry side array");
+            // The last row starting at or past the postings' end.
+            let mut last = bytes.clone();
+            let at = rel + 2 * (k - 1);
+            put16(&mut last, at, get16(&bytes, at) + 3000);
+            rejected(&mut last, "last row starts at");
+        }
+        // Poly-A ahead of ordinary sequence: group 0 spans 70 000
+        // postings and keeps its starts in the side array.
+        let bank = bank_of(&[&format!("{}{dna}", "A".repeat(70_000))]);
+        let idx = BankIndex::build(
+            &bank,
+            IndexConfig::full(6).with_backend(IndexBackend::Dense),
+        );
+        let bytes = to_bytes(&idx, &IndexMeta::default());
+        let [_, _, anchors, wide, ..] = section_offsets(&bytes);
+        assert_eq!(
+            u32::from_le_bytes(bytes[anchors..anchors + 4].try_into().unwrap()),
+            1 << 31
+        );
+        assert_eq!(u64::from_le_bytes(bytes[84..92].try_into().unwrap()), 64);
+        let (loaded, _) = read_index(&mut bytes.as_slice()).unwrap();
+        assert_same_index(&idx, &loaded);
+        let mut down = bytes.clone();
+        put32(&mut down, wide + 4 * 9, 1);
+        rejected(&mut down, "row boundaries are not strictly increasing");
+        let mut count = bytes.clone();
+        count[84..92].copy_from_slice(&0u64.to_le_bytes());
+        rejected(&mut count, "trailing bytes");
     }
 
     /// Random buffers of every length 0..=200, so every tail length
@@ -1467,8 +1561,9 @@ mod tests {
             stride in 1usize..3,
             sparse_sel in 0usize..2,
             flips in proptest::collection::vec(0u64..=u64::MAX, 1..5),
-            counts in proptest::collection::vec(0u64..=u64::MAX, 4),
-            counts_hit in 0usize..24,
+            counts in proptest::collection::vec(0u64..=u64::MAX, 5),
+            counts_hit in 0usize..48,
+            bounds_edit in 0u64..=u64::MAX,
         ) {
             let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
             let bank = bank_of(&refs);
@@ -1476,6 +1571,31 @@ mod tests {
             let cfg = IndexConfig { stride, ..IndexConfig::full(w) }.with_backend(backend);
             let mut bytes = to_bytes(&BankIndex::build(&bank, cfg), &IndexMeta::default());
 
+            // One word of the row bounds, in three cases of four: a `rel`,
+            // an anchor or (where the file has one) a wide start, set
+            // within ±4 of the stored value or — for an anchor, one draw
+            // in four — flagged wide with a small side-array offset.
+            let spans = read_header(&mut &bytes[..]).unwrap().spans();
+            let (kind, pick, delta) = (bounds_edit & 3, (bounds_edit >> 8) as usize, (bounds_edit >> 2) % 9);
+            let (_, start, end) = spans[kind as usize];
+            let (start, end) = (start as usize, end as usize);
+            if kind > 0 && end > start {
+                let width = if kind == 1 { 2 } else { 4 };
+                let at = start + width * (pick % ((end - start) / width));
+                if width == 2 {
+                    let v = u16::from_le_bytes(bytes[at..at + 2].try_into().unwrap());
+                    let v = v.wrapping_add(delta as u16).wrapping_sub(4);
+                    bytes[at..at + 2].copy_from_slice(&v.to_le_bytes());
+                } else {
+                    let v = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+                    let v = if kind == 2 && bounds_edit >> 6 & 3 == 0 {
+                        (1 << 31) | delta as u32
+                    } else {
+                        v.wrapping_add(delta as u32).wrapping_sub(4)
+                    };
+                    bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                }
+            }
             // 1–4 byte flips, one in four aimed at the first 128 bytes
             // (header, first padding run, head of the first section), where
             // every byte is load-bearing; the rest anywhere in the file.
@@ -1484,13 +1604,13 @@ mod tests {
                 let at = (v >> 10) as usize % reach;
                 bytes[at] ^= (*v as u8).max(1);
             }
-            // The four header counts (num_keys, num_rows, num_positions,
-            // num_bitset_words at 52 / 60 / 68 / 76), in 15 cases of 24:
-            // an arbitrary u64, or — odd draws — within ±4 of the stored
-            // one, which tends to pass the range checks and move the
-            // layout.
+            // The five header counts (num_keys, num_rows, num_positions,
+            // num_bitset_words, num_wide at 52 / 60 / 68 / 76 / 84), in 31
+            // cases of 48: an arbitrary u64, or — odd draws — within ±4
+            // of the stored one, which tends to pass the range checks and
+            // move the layout.
             for (i, v) in counts.iter().enumerate() {
-                if counts_hit < 16 && counts_hit >> i & 1 == 1 {
+                if counts_hit < 32 && counts_hit >> i & 1 == 1 {
                     let field = 52 + 8 * i..60 + 8 * i;
                     let stored = u64::from_le_bytes(bytes[field.clone()].try_into().unwrap());
                     let n = if v & 1 == 1 { stored.wrapping_add((v >> 1) % 9).wrapping_sub(4) } else { *v };
@@ -1506,7 +1626,7 @@ mod tests {
             // refused on size alone: no section has been looked at, so
             // nothing the counts could inflate has been allocated.
             if let Ok(h) = read_header(&mut &bytes[..]) {
-                let implied = h.spans()[3].2 + 8;
+                let implied = h.spans()[5].2 + 8;
                 if implied != bytes.len() as u64 {
                     let msg = verdict.as_ref().expect_err("size mismatch accepted");
                     prop_assert!(

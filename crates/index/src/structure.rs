@@ -14,9 +14,13 @@
 //! * `positions[indexed_positions]` — every occurrence, grouped by seed
 //!   code in ascending code order and in **ascending position order**
 //!   within each group;
-//! * `row_offsets[k + 1]` — one boundary per *populated* code (`k`
-//!   distinct codes): row `r`, the occurrences of the `r`-th populated
-//!   code, is `positions[row_offsets[r] .. row_offsets[r + 1]]`.
+//! * the row bounds — where each row starts, for the *populated* codes
+//!   only (`k` distinct codes): row `r`, the occurrences of the `r`-th
+//!   populated code, runs from its start to the start of row `r + 1` (the
+//!   last row to the end of `positions`). A start is two bytes, relative
+//!   to its group's anchor, one four-byte anchor per 64 rows; a group
+//!   whose starts span 2^16 postings or more keeps them as `u32`s in a
+//!   side array (the crate-private `RowBounds`).
 //!
 //! What differs is how a seed code finds its row `r` (the crate-private
 //! `RowIndex`):
@@ -81,10 +85,16 @@
 //!   skipped. A sorted partition's ranks are spent, so pass C writes its
 //!   populated rows' lengths, as `u16`s in code order, over the head of
 //!   their stretch. With the populated codes counted, a last pass turns
-//!   those lengths into row boundaries in their one exactly sized array.
-//!   A partition holding a row of 2^16 postings or more cannot leave its
-//!   lengths as `u16`s; that pass counts its ranks again and walks its set
-//!   bits instead. Reading the lengths back rather than recounting every
+//!   those lengths into the rows' two-byte starts **in the rank array
+//!   itself**: each run of partitions compacts its starts to the head of
+//!   its own stretch (every row lands at or before the length it is made
+//!   from), the runs move down to their first rows in ascending order,
+//!   the few groups a run's edge cuts (and the wide ones) are encoded
+//!   last, and the array is cut to `k` entries. So the build never holds
+//!   a second `k`-sized array beside the `2·N`-byte ranks. A partition
+//!   holding a row of 2^16 postings or more cannot leave its lengths as
+//!   `u16`s; that pass counts its ranks again and walks its set bits
+//!   instead. Reading the lengths back rather than recounting every
 //!   partition makes the build of a 4.9 Mnt bank at W = 11 3–8 % faster
 //!   (2-vCPU VM, alternating in-process runs: 103 ms against 111 at one
 //!   worker, faster in 24 of 30 pairs; 75 against 82 at two, 18 of 20).
@@ -96,7 +106,7 @@
 //!   workers (2-vCPU VM), 64 partitions scatter in 31–34 ms where 1 024
 //!   took 56–62.
 //! * **Sparse** rolls again into `code·2^32 + position` keys, sorts them,
-//!   and splits codes, row boundaries and postings off the sorted run.
+//!   and splits codes, row starts and postings off the sorted run.
 //!
 //! On a large bank the three passes are data-parallel. The bank is cut
 //! into one contiguous slice per worker (on 64-position boundaries, so
@@ -119,11 +129,13 @@
 //!
 //! ```text
 //! dense:   ≈ 4^W/8 + 4^W/16       presence bitmap + per-word ranks
-//!          + 4·(k + 1)            row offsets
+//!          + 2·k + k/16           row bounds (+ 4 bytes per row of a
+//!                                 wide group, none on a typical bank)
 //!          + 4·N                  postings
 //!          + len(SEQ)/8           indexed-occurrence bit-set
 //!   while building, on top of the above:
-//!          + 2·N                  ranks (pass B → pass C)
+//!          + 2·N − 2·k            ranks (pass B → pass C; their head
+//!                                 becomes the row bounds)
 //!          + 4·partitions per slice  partition histogram (256 B at W ≤ 11)
 //!          + 4·4^8 + 4·(largest partition) per worker — the count
 //!            scratch and a copy of the partition: typically N/64, the
@@ -131,25 +143,25 @@
 //!            the same three bases
 //!
 //! sparse:  ≈ 4·k                  populated codes
-//!          + 4·(k + 1)            row offsets
+//!          + 2·k + k/16           row bounds
 //!          + 4·N                  postings
 //!          + len(SEQ)/8           indexed-occurrence bit-set
 //!   while building, on top of the above:
 //!          + 8·N                  sort keys
 //! ```
 //!
-//! A dense index is thus `4·N + 4·k + len(SEQ)/8 + 3·4^W/16` bytes,
-//! sized by what the bank populates: at W = 11 a bank pays 768 KB for
-//! the code space, not the 16.8 MB of an `offsets[4^W + 1]` array. A
-//! saturated bank (`k ≈ 4^W`, from ~12 Mnt at W = 11) pays at most
-//! `3·4^W/16` bytes — 0.77 MB — more than that array did. Since
-//! `k ≤ N`, the sparse map is bounded by `≈ 12·N` bytes however large `W`
-//! gets. The postings are sized by the windows actually indexed, not by
+//! A dense index is thus `4·N + 2·k + k/16 + len(SEQ)/8 + 3·4^W/16`
+//! bytes, sized by what the bank populates: at W = 11 a bank pays 768 KB
+//! for the code space, not the 16.8 MB of an `offsets[4^W + 1]` array. A
+//! saturated bank (`k ≈ 4^W`, from ~12 Mnt at W = 11) pays `2.25·4^W`
+//! bytes for bitmap, ranks and bounds, under the `4·4^W` of that array.
+//! Since `k ≤ N`, the sparse map is bounded by `≈ 10·N` bytes however
+//! large `W` gets. The postings are sized by the windows actually indexed, not by
 //! `len(SEQ)` as the paper's `next` array is, so low-complexity masking
 //! and the asymmetric stride (section 3.4) shrink the index itself, not
 //! just the bit-set. The paper's "approximately 5·N bytes" (1 byte of
-//! `SEQ` and 4 of postings per position) is the first term; the row map
-//! adds `4·k + 3·4^W/16`.
+//! `SEQ` and 4 of postings per position) is the first term; the row
+//! bounds add `2·k + k/16` and the bitmap `3·4^W/16`.
 //!
 //! The one-bit-per-position `indexed` set is retained for the ORIS order
 //! guard: during extension the guard must ask "would the global enumeration
@@ -265,20 +277,296 @@ pub struct IndexStats {
     /// (excludes the bank's own array).
     pub index_bytes: usize,
     /// Heap bytes including the underlying `SEQ` array: `5·N` plus the
-    /// row map's `4·k + 3·4^W/16` (dense) or `8·k` (sparse) and the
-    /// bit-set's `N/8` for a fully indexed bank (see the module docs).
+    /// row bounds' `2·k + k/16`, the row map's `3·4^W/16` (dense) or `4·k`
+    /// (sparse) and the bit-set's `N/8` for a fully indexed bank (see the
+    /// module docs).
     pub total_bytes: usize,
 }
 
-/// Row `row` as its postings slice.
-#[inline]
-fn row_slice<'s>(positions: &'s [u32], row_offsets: &[u32], row: usize) -> &'s [u32] {
-    &positions[row_offsets[row] as usize..row_offsets[row + 1] as usize]
+/// Rows per group of [`RowBounds`]: one anchor each.
+const GROUP: usize = 64;
+
+/// The flag of an anchor whose group keeps its starts in the wide side
+/// array; the anchor's other bits say where they begin.
+const WIDE: u32 = 1 << 31;
+
+/// Where each of the `k` rows starts in the postings: two bytes per row
+/// over one four-byte anchor per [`GROUP`] rows. Row `r` starts at
+/// `anchors[r / 64] + rel[r]` and ends where row `r + 1` starts, the
+/// last row at the end of the postings — so `k` starts and no `k + 1`-th.
+///
+/// A group whose starts span 2^16 postings or more (or whose first start
+/// is 2^31 or more) cannot keep them as `u16`s: its anchor sets [`WIDE`]
+/// and names where its starts begin in `wide`, as `u32`s, and its `rel`s
+/// are 0; a lookup tests the flag, a branch that all but never turns. A
+/// group spans 64 rows, so only rows averaging a thousand postings make
+/// one.
+///
+/// The encoding is canonical — [`RowBounds::from_starts`] writes it, the
+/// dense build's parallel pass writes the same sections, and
+/// [`RowBounds::from_raw_parts`] refuses any other — so an index has one
+/// set of file bytes.
+#[derive(Debug, Clone)]
+pub(crate) struct RowBounds {
+    /// Per row, its start less its group's anchor; 0 in a wide group.
+    rel: Section<u16>,
+    /// Per group, its first row's start, or [`WIDE`] and where its
+    /// starts begin in `wide`.
+    anchors: Section<u32>,
+    /// The wide groups' starts, group after group.
+    wide: Section<u32>,
+}
+
+/// Whether a group of `starts` must keep them as `u32`s: its `rel`s would
+/// pass a `u16`, or its anchor the flag bit.
+fn is_wide(starts: &[u32]) -> bool {
+    match (starts.first(), starts.last()) {
+        (Some(&first), Some(&last)) => first >= WIDE || last - first > u32::from(u16::MAX),
+        _ => false,
+    }
+}
+
+/// Encodes one group: writes its `rel`s and returns its anchor, or
+/// appends its starts to `wide` and returns the flagged anchor.
+fn encode_group(starts: &[u32], rel: &mut [u16], wide: &mut Vec<u32>) -> u32 {
+    if is_wide(starts) {
+        rel.fill(0);
+        let at = u32::try_from(wide.len()).expect("rows ≤ 4^13 < 2^31");
+        wide.extend_from_slice(starts);
+        WIDE | at
+    } else {
+        encode_narrow(starts, rel)
+    }
+}
+
+/// Encodes a group that is not wide: writes its `rel`s, returns its
+/// anchor.
+fn encode_narrow(starts: &[u32], rel: &mut [u16]) -> u32 {
+    for (r, &s) in rel.iter_mut().zip(starts) {
+        // oris-lint: allow(narrow-cast) — not wide, so every start is within u16::MAX of the first
+        *r = (s - starts[0]) as u16;
+    }
+    starts[0]
+}
+
+impl RowBounds {
+    /// Encodes ascending row starts — the encoder the sparse build uses
+    /// and the reference of the dense build's parallel pass.
+    pub(crate) fn from_starts(starts: &[u32]) -> RowBounds {
+        let mut rel = vec![0u16; starts.len()];
+        let mut wide = Vec::new();
+        let anchors: Vec<u32> = starts
+            .chunks(GROUP)
+            .zip(rel.chunks_mut(GROUP))
+            .map(|(starts, rel)| encode_group(starts, rel, &mut wide))
+            .collect();
+        RowBounds {
+            rel: rel.into(),
+            anchors: anchors.into(),
+            wide: wide.into(),
+        }
+    }
+
+    /// Pairs decoded sections over `postings` postings, checking what a
+    /// lookup relies on: a `rel` per row and an anchor per group, each
+    /// wide group inside the side array and the side array used up, every
+    /// boundary strictly increasing from 0 inside its group's span, and
+    /// the last row ending at `postings` — all in the one encoding
+    /// [`RowBounds::from_starts`] writes. Returns the first violation.
+    pub(crate) fn from_raw_parts(
+        rel: Section<u16>,
+        anchors: Section<u32>,
+        wide: Section<u32>,
+        postings: usize,
+    ) -> Result<RowBounds, String> {
+        let rows = rel.len();
+        if anchors.len() != rows.div_ceil(GROUP) {
+            return Err(format!(
+                "{} row anchors for {rows} rows, expected ⌈{rows}/64⌉",
+                anchors.len()
+            ));
+        }
+        if rows == 0 && postings > 0 {
+            return Err(format!("no rows for {postings} postings"));
+        }
+        // A wide group's starts, or the error of an anchor pointing past
+        // the side array.
+        let wide_starts = |g: usize, anchor: u32| -> Result<&[u32], String> {
+            let n = rows.min(g * GROUP + GROUP) - g * GROUP;
+            let at = (anchor & !WIDE) as usize;
+            wide.get(at..at + n).ok_or_else(|| {
+                format!(
+                    "group {g}'s wide starts at {at} run past the {}-entry side array",
+                    wide.len()
+                )
+            })
+        };
+        let first_start = |g: usize| -> Result<usize, String> {
+            match anchors.get(g) {
+                None => Ok(postings),
+                Some(&a) if a & WIDE == 0 => Ok(a as usize),
+                Some(&a) => Ok(wide_starts(g, a)?[0] as usize),
+            }
+        };
+        let mut used = 0;
+        let mut prev: Option<usize> = None;
+        let mut starts = [0usize; GROUP];
+        for (g, &anchor) in anchors.iter().enumerate() {
+            let span_end = first_start(g + 1)?;
+            let rels = &rel[g * GROUP..rows.min(g * GROUP + GROUP)];
+            let starts = &mut starts[..rels.len()];
+            if anchor & WIDE == 0 {
+                if rels[0] != 0 {
+                    return Err(format!(
+                        "group {g}'s first row does not start at its anchor"
+                    ));
+                }
+                for (s, &r) in starts.iter_mut().zip(rels) {
+                    *s = anchor as usize + usize::from(r);
+                }
+            } else {
+                let wide = wide_starts(g, anchor)?;
+                if (anchor & !WIDE) as usize != used {
+                    return Err(format!("group {g}'s wide starts are out of order"));
+                }
+                if rels.iter().any(|&r| r != 0) {
+                    return Err(format!("wide group {g} has non-zero rels"));
+                }
+                if !is_wide(wide) {
+                    return Err(format!("group {g} is stored wide but fits u16 starts"));
+                }
+                used += wide.len();
+                for (s, &w) in starts.iter_mut().zip(wide) {
+                    *s = w as usize;
+                }
+            }
+            for (i, &start) in starts.iter().enumerate() {
+                let row = g * GROUP + i;
+                match prev {
+                    None if start != 0 => return Err(format!("row 0 starts at {start}, not 0")),
+                    Some(p) if start <= p => {
+                        return Err("row boundaries are not strictly increasing".into())
+                    }
+                    _ => {}
+                }
+                if row + 1 == rows && start >= postings {
+                    return Err(format!(
+                        "last row starts at {start}, so it cannot end at positions.len() = {postings}"
+                    ));
+                }
+                if start >= span_end {
+                    return Err(format!(
+                        "row {row} starts at {start}, beyond its group's span (next group at {span_end})"
+                    ));
+                }
+                prev = Some(start);
+            }
+        }
+        if used != wide.len() {
+            return Err(format!(
+                "wide groups use {used} of the side array's {} starts",
+                wide.len()
+            ));
+        }
+        Ok(RowBounds { rel, anchors, wide })
+    }
+
+    /// Rows: the populated codes.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.rel.len()
+    }
+
+    /// The sections as plain slices, to look rows up through.
+    #[inline]
+    pub(crate) fn view(&self) -> BoundsView<'_> {
+        BoundsView {
+            rel: &self.rel,
+            anchors: &self.anchors,
+            wide: &self.wide,
+        }
+    }
+
+    /// Row `row` as its slice of `positions`.
+    #[inline]
+    pub(crate) fn row<'s>(&self, positions: &'s [u32], row: usize) -> &'s [u32] {
+        self.view().row(positions, row)
+    }
+
+    /// The three sections, as an index file stores them.
+    pub(crate) fn sections(&self) -> (&[u16], &[u32], &[u32]) {
+        (&self.rel, &self.anchors, &self.wide)
+    }
+
+    /// Heap bytes: the sections unless they are views of a mapped file.
+    fn heap_bytes(&self) -> usize {
+        self.rel.heap_bytes() + self.anchors.heap_bytes() + self.wide.heap_bytes()
+    }
+
+    fn is_mapped(&self) -> bool {
+        self.rel.is_mapped() || self.anchors.is_mapped() || self.wide.is_mapped()
+    }
+}
+
+/// A [`RowBounds`]' sections as plain slices. A walk over many rows takes
+/// one and looks its rows up through it, so it reads each section's
+/// address once, not once per row (a [`Section`] derefs through a
+/// match). A row whose both ends lie in one narrow group — 63 in 64 —
+/// costs one anchor and two adjacent `rel`s; the rest take a cold path.
+/// Against the `u32` boundaries this replaces, step 2's work scan on two
+/// dense 4.9 and 2.8 Mnt indexes went 12 → 16 ms and `find_hsps` stayed
+/// within noise (in-process, 2-vCPU VM).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BoundsView<'a> {
+    rel: &'a [u16],
+    anchors: &'a [u32],
+    wide: &'a [u32],
+}
+
+impl BoundsView<'_> {
+    /// Where row `row` starts in the postings.
+    #[inline]
+    fn start(self, row: usize) -> usize {
+        let anchor = self.anchors[row / GROUP];
+        if anchor & WIDE == 0 {
+            (anchor + u32::from(self.rel[row])) as usize
+        } else {
+            self.wide[(anchor & !WIDE) as usize + row % GROUP] as usize
+        }
+    }
+
+    /// Row `row` as its slice of `positions`.
+    #[inline]
+    pub(crate) fn row(self, positions: &[u32], row: usize) -> &[u32] {
+        let anchor = self.anchors[row / GROUP];
+        // Both ends in one narrow group: one anchor, two adjacent `rel`s.
+        if anchor & WIDE == 0 && row % GROUP != GROUP - 1 {
+            if let Some(&[a, b, ..]) = self.rel.get(row..) {
+                let anchor = anchor as usize;
+                return &positions[anchor + usize::from(a)..anchor + usize::from(b)];
+            }
+        }
+        self.row_across(positions, row)
+    }
+
+    /// [`BoundsView::row`] for a row that ends in another group, in a
+    /// wide group, or at the end of the postings: one in 64 at most on a
+    /// typical bank.
+    #[cold]
+    #[inline(never)]
+    fn row_across(self, positions: &[u32], row: usize) -> &[u32] {
+        let end = if row + 1 < self.rel.len() {
+            self.start(row + 1)
+        } else {
+            positions.len()
+        };
+        &positions[self.start(row)..end]
+    }
 }
 
 /// The row map: how a seed code finds its postings row. Both variants
-/// index the same `positions` array through the same compact row
-/// boundaries; see the module docs for the memory model.
+/// index the same `positions` array through the same [`RowBounds`]; see
+/// the module docs for the memory model.
 #[derive(Debug, Clone)]
 pub(crate) enum RowIndex {
     /// The ranked presence bitmap, see [`BitmapRows`].
@@ -288,11 +576,11 @@ pub(crate) enum RowIndex {
 }
 
 impl RowIndex {
-    /// Row boundaries, one per populated code plus one.
-    pub(crate) fn row_offsets(&self) -> &[u32] {
+    /// The row boundaries, one start per populated code.
+    pub(crate) fn bounds(&self) -> &RowBounds {
         match self {
-            RowIndex::Dense(bitmap) => &bitmap.row_offsets,
-            RowIndex::Sparse(sparse) => &sparse.row_offsets,
+            RowIndex::Dense(bitmap) => &bitmap.bounds,
+            RowIndex::Sparse(sparse) => &sparse.bounds,
         }
     }
 }
@@ -303,23 +591,22 @@ pub(crate) fn bitmap_words(num_seeds: usize) -> usize {
 }
 
 /// The dense row map: a presence bitmap over the whole code space, the
-/// rank of each of its words, and `row_offsets[k + 1]` row boundaries —
-/// the `r`-th populated code owns `positions[row_offsets[r] ..
-/// row_offsets[r + 1]]`. Only the bitmap and the boundaries are stored
-/// in an index file; the ranks are derived from the bitmap in one pass
-/// over its words.
+/// rank of each of its words, and the [`RowBounds`] of the populated
+/// codes — the `r`-th populated code owns row `r`. Only the bitmap and
+/// the bounds are stored in an index file; the ranks are derived from
+/// the bitmap in one pass over its words.
 #[derive(Debug, Clone)]
 pub(crate) struct BitmapRows {
     bits: Section<u64>,
     /// `ranks[i]` = bits set in `bits[..i]`.
     ranks: Vec<u32>,
-    row_offsets: Section<u32>,
+    bounds: RowBounds,
 }
 
 impl BitmapRows {
-    /// Pairs a bitmap with its row boundaries and derives the ranks; the
+    /// Pairs a bitmap with its row bounds and derives the ranks; the
     /// caller validates the pair (see [`BankIndex::from_raw_parts`]).
-    pub(crate) fn new(bits: Section<u64>, row_offsets: Section<u32>) -> BitmapRows {
+    pub(crate) fn new(bits: Section<u64>, bounds: RowBounds) -> BitmapRows {
         let mut ranks = Vec::with_capacity(bits.len());
         let mut sum = 0u32;
         for &word in bits.iter() {
@@ -329,7 +616,7 @@ impl BitmapRows {
         BitmapRows {
             bits,
             ranks,
-            row_offsets,
+            bounds,
         }
     }
 
@@ -355,13 +642,13 @@ impl BitmapRows {
     }
 
     /// Heap bytes: the derived ranks always, the bitmap and row
-    /// boundaries unless they are views of a mapped file.
+    /// bounds unless they are views of a mapped file.
     fn heap_bytes(&self) -> usize {
-        4 * self.ranks.len() + self.bits.heap_bytes() + self.row_offsets.heap_bytes()
+        4 * self.ranks.len() + self.bits.heap_bytes() + self.bounds.heap_bytes()
     }
 
     fn is_mapped(&self) -> bool {
-        self.bits.is_mapped() || self.row_offsets.is_mapped()
+        self.bits.is_mapped() || self.bounds.is_mapped()
     }
 }
 
@@ -372,35 +659,35 @@ fn rank_in(rank: u32, word: u64, bit: u32) -> usize {
     rank as usize + (word & ((1u64 << bit) - 1)).count_ones() as usize
 }
 
-/// The sparse row map: `codes[k]` ascending distinct codes beside the row
-/// boundaries — row `r` holds the occurrences of `codes[r]`. A code finds
-/// its row by a search of `codes` (a binary search for one code, a
+/// The sparse row map: `codes[k]` ascending distinct codes beside the
+/// [`RowBounds`] — row `r` holds the occurrences of `codes[r]`. A code
+/// finds its row by a search of `codes` (a binary search for one code, a
 /// forward [`RowCursor`] for ascending ones); nothing else is derived or
-/// stored, so an index file's two sections are the whole structure.
+/// stored, so an index file's sections are the whole structure.
 #[derive(Debug, Clone)]
 pub(crate) struct SparseRows {
     codes: Section<u32>,
-    row_offsets: Section<u32>,
+    bounds: RowBounds,
 }
 
 impl SparseRows {
-    /// Pairs `codes` with `row_offsets`; the caller validates the lists.
-    pub(crate) fn new(codes: Section<u32>, row_offsets: Section<u32>) -> SparseRows {
-        SparseRows { codes, row_offsets }
+    /// Pairs `codes` with their row bounds; the caller validates them.
+    pub(crate) fn new(codes: Section<u32>, bounds: RowBounds) -> SparseRows {
+        SparseRows { codes, bounds }
     }
 
     pub(crate) fn codes(&self) -> &[u32] {
         &self.codes
     }
 
-    /// Heap bytes: the code list and row boundaries unless they are
-    /// views of a mapped file.
+    /// Heap bytes: the code list and row bounds unless they are views of
+    /// a mapped file.
     fn heap_bytes(&self) -> usize {
-        self.codes.heap_bytes() + self.row_offsets.heap_bytes()
+        self.codes.heap_bytes() + self.bounds.heap_bytes()
     }
 
     fn is_mapped(&self) -> bool {
-        self.codes.is_mapped() || self.row_offsets.is_mapped()
+        self.codes.is_mapped() || self.bounds.is_mapped()
     }
 }
 
@@ -515,16 +802,16 @@ impl BankIndex {
         };
 
         let (rows, positions) = if dense {
-            let (bits, row_offsets, positions) =
+            let (bits, bounds, positions) =
                 dense_rows(data, &words, slice_len, coder, radix, &scans, postings);
             (
-                RowIndex::Dense(BitmapRows::new(bits.into(), row_offsets.into())),
+                RowIndex::Dense(BitmapRows::new(bits.into(), bounds)),
                 positions,
             )
         } else {
-            let (codes, row_offsets, positions) = sparse_rows(data, &words, coder, postings);
+            let (codes, bounds, positions) = sparse_rows(data, &words, coder, postings);
             (
-                RowIndex::Sparse(SparseRows::new(codes.into(), row_offsets.into())),
+                RowIndex::Sparse(SparseRows::new(codes.into(), bounds)),
                 positions,
             )
         };
@@ -592,7 +879,7 @@ impl BankIndex {
                         "presence bitmap sets a bit past the 4^{w} code space"
                     ));
                 }
-                let rows = rows.row_offsets().len().saturating_sub(1);
+                let rows = rows.bounds().len();
                 if bitmap.populated() != rows {
                     return Err(format!(
                         "presence bitmap holds {} codes for {rows} rows",
@@ -610,33 +897,14 @@ impl BankIndex {
                         return Err(format!("code {last} outside the 4^{w} code space"));
                     }
                 }
-                if rows.row_offsets().len() != codes.len() + 1 {
+                if rows.bounds().len() != codes.len() {
                     return Err(format!(
-                        "row-offsets array has {} slots, expected {} populated codes + 1",
-                        rows.row_offsets().len(),
+                        "{} row starts for {} populated codes",
+                        rows.bounds().len(),
                         codes.len()
                     ));
                 }
             }
-        }
-        let row_offsets = rows.row_offsets();
-        if row_offsets.is_empty() {
-            return Err("row-offsets array is empty".into());
-        }
-        if row_offsets[0] != 0 {
-            return Err("row_offsets[0] must be 0".into());
-        }
-        // Strictly increasing: a populated code owns at least one posting
-        // (the build never materializes an empty row).
-        if row_offsets.windows(2).any(|p| p[0] >= p[1]) {
-            return Err("row offsets are not strictly increasing".into());
-        }
-        if *row_offsets.last().unwrap() as usize != positions.len() {
-            return Err(format!(
-                "last row offset {} does not match {} positions",
-                row_offsets.last().unwrap(),
-                positions.len()
-            ));
         }
         if indexed.len() != bank_bytes {
             return Err(format!(
@@ -653,9 +921,11 @@ impl BankIndex {
         }
         // Per-row invariants: strictly ascending positions (step 2 and the
         // uniqueness argument assume the enumeration order), every position
-        // inside the bank, every position present in the bit-set.
-        for row in row_offsets.windows(2) {
-            let row = &positions[row[0] as usize..row[1] as usize];
+        // inside the bank, every position present in the bit-set. The
+        // bounds themselves were checked against the postings as they were
+        // decoded (`RowBounds::from_raw_parts`).
+        let bounds = rows.bounds().view();
+        for row in (0..rows.bounds().len()).map(|r| bounds.row(&positions, r)) {
             for pair in row.windows(2) {
                 if pair[0] >= pair[1] {
                     return Err("row positions are not strictly ascending".into());
@@ -728,7 +998,7 @@ impl BankIndex {
     /// Row `row` as its postings slice.
     #[inline]
     fn row(&self, row: usize) -> &[u32] {
-        row_slice(&self.positions, self.rows.row_offsets(), row)
+        self.rows.bounds().row(&self.positions, row)
     }
 
     /// All occurrences of `code` as a contiguous slice, in increasing
@@ -770,27 +1040,27 @@ impl BankIndex {
                 } else {
                     (0, 0)
                 };
-                PopulatedRows::Dense {
+                PopulatedRows(Walk::Dense {
                     bits: &bitmap.bits,
-                    row_offsets: &bitmap.row_offsets,
+                    bounds: bitmap.bounds.view(),
                     positions: &self.positions,
                     base: range.start.min(end) & !63,
                     cur,
                     row,
                     end,
-                }
+                })
             }
             RowIndex::Sparse(sparse) => {
                 let codes = sparse.codes();
                 let lo = codes.partition_point(|&c| c < range.start);
                 let hi = codes.partition_point(|&c| c < range.end);
-                PopulatedRows::Sparse {
+                PopulatedRows(Walk::Sparse {
                     codes,
-                    row_offsets: &sparse.row_offsets,
+                    bounds: sparse.bounds.view(),
                     positions: &self.positions,
                     row: lo,
                     end_row: hi,
-                }
+                })
             }
         }
     }
@@ -822,6 +1092,7 @@ impl BankIndex {
             return None;
         };
         let (pa, pb) = (&*self.positions, &*other.positions);
+        let (ba, bb) = (a.bounds.view(), b.bounds.view());
         let end = range.end.min(self.num_codes());
         // `base` is the code of bit 0 of the word at hand.
         let mut base = range.start & !63;
@@ -839,8 +1110,8 @@ impl BankIndex {
             while shared != 0 {
                 let bit = shared.trailing_zeros();
                 shared &= shared - 1;
-                let x1 = row_slice(pa, &a.row_offsets, rank_in(ra, wa, bit));
-                let x2 = row_slice(pb, &b.row_offsets, rank_in(rb, wb, bit));
+                let x1 = ba.row(pa, rank_in(ra, wa, bit));
+                let x2 = bb.row(pb, rank_in(rb, wb, bit));
                 if let Err(e) = f(base + bit, x1, x2) {
                     return Some(Err(e));
                 }
@@ -858,7 +1129,7 @@ impl BankIndex {
     /// Number of distinct populated codes — O(1).
     #[inline]
     pub fn distinct_codes(&self) -> usize {
-        self.rows.row_offsets().len() - 1
+        self.rows.bounds().len()
     }
 
     /// Total indexed positions.
@@ -902,11 +1173,9 @@ impl BankIndex {
     /// Computes occupancy/footprint statistics — pure boundary
     /// arithmetic, no postings traversal.
     pub fn stats(&self) -> IndexStats {
-        let max_chain = self
-            .rows
-            .row_offsets()
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
+        let bounds = self.rows.bounds().view();
+        let max_chain = (0..self.distinct_codes())
+            .map(|r| bounds.row(&self.positions, r).len())
             .max()
             .unwrap_or(0);
         let index_bytes = self.heap_bytes();
@@ -968,11 +1237,14 @@ impl BankIndex {
 /// Iterator over the populated `(code, occurrences)` rows of a
 /// [`BankIndex`] — see [`BankIndex::populated_in`].
 #[derive(Debug)]
-pub enum PopulatedRows<'a> {
-    #[doc(hidden)]
+pub struct PopulatedRows<'a>(Walk<'a>);
+
+/// The walk behind [`PopulatedRows`], one per row map.
+#[derive(Debug)]
+enum Walk<'a> {
     Dense {
         bits: &'a [u64],
-        row_offsets: &'a [u32],
+        bounds: BoundsView<'a>,
         positions: &'a [u32],
         /// Code of bit 0 of the bitmap word `cur` came from.
         base: u32,
@@ -982,10 +1254,9 @@ pub enum PopulatedRows<'a> {
         row: usize,
         end: u32,
     },
-    #[doc(hidden)]
     Sparse {
         codes: &'a [u32],
-        row_offsets: &'a [u32],
+        bounds: BoundsView<'a>,
         positions: &'a [u32],
         row: usize,
         end_row: usize,
@@ -996,10 +1267,10 @@ impl<'a> Iterator for PopulatedRows<'a> {
     type Item = (u32, &'a [u32]);
 
     fn next(&mut self) -> Option<(u32, &'a [u32])> {
-        match self {
-            PopulatedRows::Dense {
+        match &mut self.0 {
+            Walk::Dense {
                 bits,
-                row_offsets,
+                bounds,
                 positions,
                 base,
                 cur,
@@ -1015,7 +1286,7 @@ impl<'a> Iterator for PopulatedRows<'a> {
                     *cur &= *cur - 1;
                     let r = *row;
                     *row += 1;
-                    return Some((code, row_slice(positions, row_offsets, r)));
+                    return Some((code, bounds.row(positions, r)));
                 }
                 if *base + 64 >= *end {
                     return None;
@@ -1023,9 +1294,9 @@ impl<'a> Iterator for PopulatedRows<'a> {
                 *base += 64;
                 *cur = bits[(*base / 64) as usize];
             },
-            PopulatedRows::Sparse {
+            Walk::Sparse {
                 codes,
-                row_offsets,
+                bounds,
                 positions,
                 row,
                 end_row,
@@ -1035,7 +1306,7 @@ impl<'a> Iterator for PopulatedRows<'a> {
                 }
                 let r = *row;
                 *row += 1;
-                Some((codes[r], row_slice(positions, row_offsets, r)))
+                Some((codes[r], bounds.row(positions, r)))
             }
         }
     }
@@ -1239,7 +1510,7 @@ fn is_kept(words: &[u64], pos: usize) -> bool {
 }
 
 /// Dense row assembly: a radix-partitioned counting sort of the kept
-/// positions by code, returning `(presence bitmap, row offsets,
+/// positions by code, returning `(presence bitmap, row bounds,
 /// postings)`.
 ///
 /// Pass B scatters each kept position into the postings array by
@@ -1252,8 +1523,9 @@ fn is_kept(words: &[u64], pos: usize) -> bool {
 /// rather than read back from the bank in pass C: a partition's positions
 /// lie scattered over the whole bank, so re-reading their windows cost a
 /// cache miss per posting — three times the whole of pass C, measured
-/// with 1 024 partitions. The row boundaries follow from the lengths pass
-/// C leaves in the spent ranks (see [`row_starts`]).
+/// with 1 024 partitions. The row bounds follow from the lengths pass C
+/// leaves in the spent ranks, and take their place (see [`run_bounds`]):
+/// the rank array becomes the `rel` section, cut to one entry per row.
 fn dense_rows(
     data: &[u8],
     words: &[u64],
@@ -1262,7 +1534,7 @@ fn dense_rows(
     radix: Radix,
     scans: &[SliceScan],
     postings: usize,
-) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
+) -> (Vec<u64>, RowBounds, Vec<u32>) {
     let as_u32 =
         |n: usize| u32::try_from(n).expect("postings are bounded by the bank-length guard");
     // `pbase[p]` = postings in partitions before `p`.
@@ -1354,30 +1626,73 @@ fn dense_rows(
             })
             .collect()
     };
-    // Row boundaries: the runs counted their populated codes above, so
-    // each writes its own stretch of one exactly sized array.
-    let run_rows = |run: &[PartitionRows]| run.iter().map(|p| p.populated).sum::<usize>();
-    let mut row_offsets = vec![0u32; sorted.iter().map(|run| run_rows(run)).sum::<usize>() + 1];
-    {
+    // Row bounds, written into the spent ranks. Each run compacts its
+    // rows' `rel`s to the head of its own stretch, where every row lands
+    // at or before its length (a populated row holds a posting), and
+    // writes the anchors of the groups it starts; then the runs move down
+    // in ascending order, each to its first row, which lies at or before
+    // the stretch it leaves. The groups no run could finish alone — cut
+    // by a run's edge, or wide — are encoded last, in ascending order.
+    let run_rows: Vec<usize> = sorted
+        .iter()
+        .map(|run| run.iter().map(|p| p.populated).sum())
+        .collect();
+    let rows: usize = run_rows.iter().sum();
+    let mut anchors = vec![0u32; rows.div_ceil(GROUP)];
+    let pieces: Vec<Vec<(usize, Vec<u32>)>> = {
         let mut bits_rest: &[u64] = &bits;
-        let mut rows_rest: &mut [u32] = &mut row_offsets;
+        let mut rank_rest: &mut [u16] = &mut ranks;
+        let mut anchors_rest: &mut [u32] = &mut anchors;
+        let mut first_row = 0;
         cuts.iter()
             .zip(&sorted)
-            .map(|(parts, run)| {
+            .zip(&run_rows)
+            .map(|((parts, run), &n)| {
                 let (bits, tail) = bits_rest.split_at(run_words(parts));
                 bits_rest = tail;
-                let (rows, tail) = std::mem::take(&mut rows_rest).split_at_mut(run_rows(run));
-                rows_rest = tail;
-                (parts.clone(), run, bits, &ranks[postings_of(parts)], rows)
+                let (ranks, tail) =
+                    std::mem::take(&mut rank_rest).split_at_mut(postings_of(parts).len());
+                rank_rest = tail;
+                let groups = (first_row + n).div_ceil(GROUP) - first_row.div_ceil(GROUP);
+                let (anchors, tail) = std::mem::take(&mut anchors_rest).split_at_mut(groups);
+                anchors_rest = tail;
+                let at = first_row;
+                first_row += n;
+                (parts.clone(), run, bits, ranks, at, anchors)
             })
             .collect::<Vec<_>>()
             .into_par_iter()
-            .for_each(|(parts, run, bits, ranks, rows)| {
-                row_starts(radix, &pbase, parts, run, bits, ranks, rows);
-            });
+            .map(|(parts, run, bits, ranks, first_row, anchors)| {
+                let mut groups = GroupWriter::new(first_row, rows, anchors);
+                run_bounds(radix, &pbase, parts, run, bits, ranks, &mut groups);
+                groups.pieces
+            })
+            .collect()
+    };
+    let mut first_row = 0;
+    for (parts, n) in cuts.iter().zip(run_rows) {
+        let from = pbase[parts.start] as usize;
+        ranks.copy_within(from..from + n, first_row);
+        first_row += n;
     }
-    *row_offsets.last_mut().expect("one boundary past the rows") = as_u32(postings);
-    (bits, row_offsets, positions)
+    ranks.truncate(rows);
+    ranks.shrink_to_fit();
+    let mut wide = Vec::new();
+    let mut pieces = pieces.into_iter().flatten().peekable();
+    while let Some((g, mut starts)) = pieces.next() {
+        while let Some((_, more)) = pieces.next_if(|(h, _)| *h == g) {
+            starts.extend(more);
+        }
+        let rel = &mut ranks[g * GROUP..g * GROUP + starts.len()];
+        debug_assert_eq!(starts.len(), rows.min(g * GROUP + GROUP) - g * GROUP);
+        anchors[g] = encode_group(&starts, rel, &mut wide);
+    }
+    let bounds = RowBounds {
+        rel: ranks.into(),
+        anchors: anchors.into(),
+        wide: wide.into(),
+    };
+    (bits, bounds, positions)
 }
 
 /// What pass C leaves of one partition for its row boundaries.
@@ -1414,7 +1729,7 @@ fn for_each_set_bit(bits: &[u64], first_bit: usize, width: usize, mut f: impl Fn
 /// of kilobytes — setting the bits of its populated codes in `bits` (the
 /// run's words) as it goes. Once a partition is sorted its ranks are
 /// spent, so the head of their stretch takes the populated rows' lengths
-/// for [`row_starts`].
+/// for [`run_bounds`].
 fn sort_partitions(
     radix: Radix,
     pbase: &[u32],
@@ -1495,44 +1810,113 @@ fn sort_partitions(
     out
 }
 
-/// Row boundaries of one run of partitions, once pass C has sorted them:
-/// per partition, a running sum over the row lengths it left at the head
-/// of its rank stretch — or, for a partition with a row past `u16`, a
-/// recount of its ranks read back along its set bits.
-fn row_starts(
+/// One run's share of the row bounds: takes its rows' starts in order
+/// and, for each 64-row group the run holds whole and narrow, writes the
+/// anchor and the `rel`s over the head of the run's rank stretch; any
+/// other piece of a group — cut by the run's edge, or wide — it keeps,
+/// for the encoding that follows the runs.
+struct GroupWriter<'a> {
+    /// The run's first row (global).
+    first_row: usize,
+    /// The next row's global index.
+    row: usize,
+    /// The first row of the piece in `starts`.
+    piece: usize,
+    /// Rows of the whole index.
+    rows: usize,
+    /// Starts of the piece so far, at their place in the group.
+    starts: [u32; GROUP],
+    /// Anchors of the groups whose first row lies in the run.
+    anchors: &'a mut [u32],
+    /// `(group, starts)` of each piece left to encode.
+    pieces: Vec<(usize, Vec<u32>)>,
+}
+
+impl<'a> GroupWriter<'a> {
+    /// A writer for the run whose rows start at `first_row`, of `rows` in
+    /// all, with the anchors of the groups that start inside it.
+    fn new(first_row: usize, rows: usize, anchors: &'a mut [u32]) -> GroupWriter<'a> {
+        GroupWriter {
+            first_row,
+            row: first_row,
+            piece: first_row,
+            rows,
+            starts: [0; GROUP],
+            anchors,
+            pieces: Vec::new(),
+        }
+    }
+
+    /// Takes the next row's start; `ranks` is the run's stretch.
+    #[inline]
+    fn push(&mut self, start: u32, ranks: &mut [u16]) {
+        self.starts[self.row % GROUP] = start;
+        self.row += 1;
+        if self.row.is_multiple_of(GROUP) || self.row == self.rows {
+            self.flush(ranks);
+        }
+    }
+
+    /// Ends the piece in `starts`: a whole narrow group is written, any
+    /// other piece kept.
+    fn flush(&mut self, ranks: &mut [u16]) {
+        if self.piece == self.row {
+            return;
+        }
+        let g = self.piece / GROUP;
+        let starts = &self.starts[self.piece % GROUP..(self.row - 1) % GROUP + 1];
+        let whole =
+            self.piece.is_multiple_of(GROUP) && self.row == self.rows.min(g * GROUP + GROUP);
+        if whole && !is_wide(starts) {
+            let at = self.piece - self.first_row;
+            self.anchors[g - self.first_row.div_ceil(GROUP)] =
+                encode_narrow(starts, &mut ranks[at..at + starts.len()]);
+        } else {
+            self.pieces.push((g, starts.to_vec()));
+        }
+        self.piece = self.row;
+    }
+}
+
+/// Row bounds of one run of partitions, once pass C has sorted them: per
+/// partition, a running sum over the row lengths it left at the head of
+/// its rank stretch — or, for a partition with a row past `u16`, a
+/// recount of its ranks read back along its set bits — hands `groups`
+/// each row's start. Every row's `rel` lands at or before the length it
+/// came from, which is read first, so the run compacts in place.
+fn run_bounds(
     radix: Radix,
     pbase: &[u32],
     parts: Range<usize>,
     run: &[PartitionRows],
     bits: &[u64],
-    mut ranks: &[u16],
-    mut rows: &mut [u32],
+    ranks: &mut [u16],
+    groups: &mut GroupWriter<'_>,
 ) {
     let mut counts = Vec::new();
+    let mut at = 0;
     for ((i, p), part) in parts.enumerate().zip(run) {
         let len = (pbase[p + 1] - pbase[p]) as usize;
-        let (stretch_ranks, tail) = ranks.split_at(len);
-        ranks = tail;
-        let (out, tail) = std::mem::take(&mut rows).split_at_mut(part.populated);
-        rows = tail;
         let mut sum = pbase[p];
         if part.lengths {
-            for (start, &length) in out.iter_mut().zip(stretch_ranks) {
-                *start = sum;
+            for j in at..at + part.populated {
+                let length = ranks[j];
+                groups.push(sum, ranks);
                 sum += u32::from(length);
             }
         } else {
             counts.resize(radix.width, 0u32);
-            for &rank in stretch_ranks {
+            for &rank in &ranks[at..at + len] {
                 counts[usize::from(rank)] += 1;
             }
-            let mut next = out.iter_mut();
             for_each_set_bit(bits, i * radix.width, radix.width, |r| {
-                *next.next().expect("one start per set bit") = sum;
+                groups.push(sum, ranks);
                 sum += std::mem::take(&mut counts[r]);
             });
         }
+        at += len;
     }
+    groups.flush(ranks);
 }
 
 /// Sparse row assembly: the kept windows as `code·2^32 + position` keys,
@@ -1547,7 +1931,7 @@ fn sparse_rows(
     words: &[u64],
     coder: SeedCoder,
     postings: usize,
-) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+) -> (Vec<u32>, RowBounds, Vec<u32>) {
     let mut keys: Vec<u64> = Vec::with_capacity(postings);
     keys.extend(
         slice_windows(data, 0, words.len(), coder)
@@ -1556,25 +1940,21 @@ fn sparse_rows(
     );
     keys.sort_unstable();
     let mut codes: Vec<u32> = Vec::new();
-    let mut row_offsets: Vec<u32> = Vec::new();
+    let mut starts: Vec<u32> = Vec::new();
     let mut positions: Vec<u32> = Vec::with_capacity(keys.len());
     for &key in &keys {
         // oris-lint: allow(narrow-cast) — the two halves the key was packed from
         let (code, pos) = ((key >> 32) as u32, key as u32);
         if codes.last() != Some(&code) {
             codes.push(code);
-            row_offsets.push(
+            starts.push(
                 u32::try_from(positions.len())
                     .expect("position count is u32-bounded by the bank-length guard"),
             );
         }
         positions.push(pos);
     }
-    row_offsets.push(
-        u32::try_from(positions.len())
-            .expect("position count is u32-bounded by the bank-length guard"),
-    );
-    (codes, row_offsets, positions)
+    (codes, RowBounds::from_starts(&starts), positions)
 }
 
 #[cfg(test)]
@@ -1738,10 +2118,16 @@ mod tests {
         assert_eq!(idx.occurrences(code), &[5]);
     }
 
+    /// The row bounds' footprint for `k` rows in groups whose starts fit
+    /// `u16`s: two bytes per row and a four-byte anchor per 64 rows.
+    fn bounds_bytes(k: usize) -> usize {
+        2 * k + 4 * k.div_ceil(64)
+    }
+
     /// The dense footprint model: a presence bitmap of ⌈4^W/64⌉ words
-    /// and one u32 rank per word (`3·4^W/16` bytes from W = 3 on), 4 bytes
-    /// per row boundary (distinct codes + 1), 4 bytes per *indexed*
-    /// position, 1 bit per bank position for the occurrence set. The
+    /// and one u32 rank per word (`3·4^W/16` bytes from W = 3 on), the row
+    /// bounds of the distinct codes, 4 bytes per *indexed* position, 1 bit
+    /// per bank position for the occurrence set. The
     /// `stats_match_footprint_model_*` tests pin this model, so they force
     /// [`IndexBackend::Dense`] — Auto would pick sparse for these banks at
     /// W = 8.
@@ -1753,16 +2139,16 @@ mod tests {
     ) -> usize {
         let n = bank.data().len();
         12 * (1usize << (2 * w)).div_ceil(64)
-            + 4 * (distinct + 1)
+            + bounds_bytes(distinct)
             + 4 * indexed_positions
             + n.div_ceil(64) * 8
     }
 
-    /// The sparse footprint model: 4 bytes per populated code, 4·(k+1)
-    /// row offsets, postings and bit-set as dense.
+    /// The sparse footprint model: 4 bytes per populated code, the row
+    /// bounds, postings and bit-set as dense.
     fn expected_sparse_bytes(bank: &Bank, distinct: usize, indexed_positions: usize) -> usize {
         let n = bank.data().len();
-        4 * distinct + 4 * (distinct + 1) + 4 * indexed_positions + n.div_ceil(64) * 8
+        4 * distinct + bounds_bytes(distinct) + 4 * indexed_positions + n.div_ceil(64) * 8
     }
 
     #[test]
@@ -1826,7 +2212,8 @@ mod tests {
         assert_eq!(
             full.index_bytes - stats.index_bytes,
             4 * (full.indexed_positions - stats.indexed_positions)
-                + 4 * (full.distinct_seeds - stats.distinct_seeds)
+                + bounds_bytes(full.distinct_seeds)
+                - bounds_bytes(stats.distinct_seeds)
         );
     }
 
@@ -1848,8 +2235,9 @@ mod tests {
     fn sparse_footprint_wins_big_at_w11() {
         // At W = 11 on a small bank the dense map pays its 768 KB of
         // bitmap and ranks whatever the bank populates; the code list pays
-        // 8 bytes per populated code. Both follow their models, and sparse
-        // is ≤ 1/10 of dense here.
+        // 4 bytes per populated code beside the row bounds both maps
+        // carry. Both follow their models, and sparse is ≤ 1/10 of dense
+        // here.
         let bank = bank_of(&[&"ACGTTGCAAGGTTCCAATGC".repeat(500)]); // 10 kb
         let dense = BankIndex::build(
             &bank,
@@ -1972,8 +2360,8 @@ mod tests {
 
     #[test]
     fn offsets_are_monotonic_and_cover_positions() {
-        // A dense build's row boundaries: one per populated code plus
-        // one, from 0, strictly increasing, up to the postings; its bitmap
+        // A dense build's row bounds: one start per populated code, from
+        // 0, strictly increasing, the rows tiling the postings; its bitmap
         // is ⌈4^W/64⌉ words holding one bit per populated code.
         let bank = bank_of(&["ACGTACGTTTGGCCAAACGT"]);
         for w in [2, 4] {
@@ -1984,11 +2372,15 @@ mod tests {
             let RowIndex::Dense(bitmap) = idx.rows() else {
                 panic!("dense build")
             };
-            let off = idx.rows().row_offsets();
-            assert_eq!(off.len(), idx.distinct_codes() + 1);
-            assert_eq!(off[0], 0);
-            assert!(off.windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(*off.last().unwrap() as usize, idx.indexed_positions());
+            let bounds = idx.rows().bounds();
+            assert_eq!(bounds.len(), idx.distinct_codes());
+            let mut end = 0;
+            for r in 0..bounds.len() {
+                assert_eq!(bounds.view().start(r), end, "row {r}");
+                end += bounds.row(idx.positions(), r).len();
+                assert!(end > bounds.view().start(r), "row {r} is empty");
+            }
+            assert_eq!(end, idx.indexed_positions());
             assert_eq!(bitmap.bits().len(), idx.coder().num_seeds().div_ceil(64));
             let set: u32 = bitmap.bits().iter().map(|w| w.count_ones()).sum();
             assert_eq!(set as usize, idx.distinct_codes());
@@ -2173,7 +2565,9 @@ mod tests {
                     .map(|(&c, b)| (c, &self.positions[b[0] as usize..b[1] as usize]))
             }
 
-            /// Whether `idx` is this index: postings, bit-set, provenance,
+            /// Whether `idx` is this index: postings, row bounds encoded
+            /// as [`RowBounds::from_starts`] encodes the oracle's row
+            /// starts, bit-set, provenance,
             /// the populated walk, the answer for every code (past W = 8,
             /// for every populated code, the code after it and both ends of
             /// the code space), and the stats that derive from them.
@@ -2193,7 +2587,10 @@ mod tests {
                             .filter(|&c| c < num)
                             .all(|c| idx.occurrences(c) == self.occurrences(c))
                 };
+                // The one encoding of these rows' starts.
+                let bounds = RowBounds::from_starts(&self.row_offsets[..self.codes.len()]);
                 idx.positions() == self.positions
+                    && idx.rows().bounds().sections() == bounds.sections()
                     && idx.indexed_words() == self.indexed.words()
                     && idx.is_fully_indexed() == self.fully_indexed
                     && idx.populated().eq(self.rows())
@@ -2722,6 +3119,284 @@ mod tests {
                     .filter(|(_, x1, x2)| !x1.is_empty() && !x2.is_empty())
                     .collect();
                 prop_assert!(got == want, "range {:?}", range);
+            }
+        }
+    }
+
+    /// Row starts that make every kind of group: narrow ones, one spanning
+    /// exactly `u16::MAX` postings (still narrow), one spanning 2^16
+    /// (wide), and from 2^31 on only wide ones, the last group short.
+    fn starts_of_every_group_kind() -> Vec<u32> {
+        let mut starts = vec![0u32];
+        let gaps = |gap: u32, n: usize, starts: &mut Vec<u32>| {
+            for _ in 0..n {
+                starts.push(starts.last().unwrap() + gap);
+            }
+        };
+        gaps(3, 63, &mut starts);
+        gaps(1, 63, &mut starts);
+        gaps(u32::from(u16::MAX) - 62, 1, &mut starts);
+        gaps(1, 63, &mut starts);
+        gaps(u32::from(u16::MAX) - 61, 1, &mut starts);
+        gaps(5, 64, &mut starts);
+        gaps(WIDE - starts.last().unwrap(), 1, &mut starts);
+        gaps(7, 63 + 10, &mut starts);
+        starts
+    }
+
+    #[test]
+    fn wide_groups_keep_u32_starts() {
+        let starts = starts_of_every_group_kind();
+        let postings = *starts.last().unwrap() as usize + 9;
+        let bounds = RowBounds::from_starts(&starts);
+        let (rel, anchors, wide) = bounds.sections();
+        assert_eq!(rel.len(), starts.len());
+        assert_eq!(anchors.len(), starts.len().div_ceil(GROUP));
+        let flags: Vec<bool> = anchors.iter().map(|&a| a & WIDE != 0).collect();
+        assert_eq!(flags, [false, false, true, false, true, true]);
+        assert_eq!(wide.len(), 64 + 64 + 10);
+        assert!(rel[2 * GROUP..3 * GROUP].iter().all(|&r| r == 0));
+        assert_eq!(rel[2 * GROUP - 1], u16::MAX);
+        // Every start decodes to itself, on the heap and as decoded
+        // sections, and the decoder takes the sections as they are.
+        let decoded = RowBounds::from_raw_parts(
+            rel.to_vec().into(),
+            anchors.to_vec().into(),
+            wide.to_vec().into(),
+            postings,
+        )
+        .unwrap();
+        for b in [&bounds, &decoded] {
+            for (r, &s) in starts.iter().enumerate() {
+                assert_eq!(b.view().start(r), s as usize, "row {r}");
+            }
+        }
+        // A last row ending exactly at its start is refused.
+        let short = RowBounds::from_raw_parts(
+            rel.to_vec().into(),
+            anchors.to_vec().into(),
+            wide.to_vec().into(),
+            *starts.last().unwrap() as usize,
+        );
+        assert!(short.unwrap_err().starts_with("last row starts at"));
+    }
+
+    #[test]
+    fn row_bounds_refuse_every_broken_section() {
+        // Each lie a decoded file could tell about its row bounds, and
+        // the error it gets; `bounds` is the honest encoding.
+        let starts = starts_of_every_group_kind();
+        let postings = *starts.last().unwrap() as usize + 9;
+        let bounds = RowBounds::from_starts(&starts);
+        let (rel, anchors, wide) = bounds.sections();
+        let refused = |rel: &[u16], anchors: &[u32], wide: &[u32], postings: usize, want: &str| {
+            let got = RowBounds::from_raw_parts(
+                rel.to_vec().into(),
+                anchors.to_vec().into(),
+                wide.to_vec().into(),
+                postings,
+            );
+            match got {
+                Err(msg) => assert!(msg.contains(want), "{msg} (wanted {want})"),
+                Ok(_) => panic!("accepted bounds that {want}"),
+            }
+        };
+        let with = |v: &[u16], i: usize, x: u16| {
+            let mut v = v.to_vec();
+            v[i] = x;
+            v
+        };
+        let with32 = |v: &[u32], i: usize, x: u32| {
+            let mut v = v.to_vec();
+            v[i] = x;
+            v
+        };
+        // A boundary that decreases, inside a group.
+        refused(
+            &with(rel, 5, rel[3]),
+            anchors,
+            wide,
+            postings,
+            "not strictly increasing",
+        );
+        // A rel past the next group's anchor.
+        refused(
+            &with(rel, 63, u16::MAX),
+            anchors,
+            wide,
+            postings,
+            "beyond its group's span",
+        );
+        // A narrow group whose first row is off its anchor.
+        refused(
+            &with(rel, 64, 1),
+            anchors,
+            wide,
+            postings,
+            "does not start at its anchor",
+        );
+        // A wide flag pointing past the side array, and one out of order.
+        let past = WIDE | wide.len() as u32;
+        refused(
+            rel,
+            &with32(anchors, 2, past),
+            wide,
+            postings,
+            "run past the",
+        );
+        refused(
+            rel,
+            &with32(anchors, 4, WIDE | 65),
+            wide,
+            postings,
+            "out of order",
+        );
+        // A wide group with a `rel`, one whose starts fit u16s, and a
+        // wide start that decreases.
+        refused(
+            &with(rel, 2 * GROUP + 2, 1),
+            anchors,
+            wide,
+            postings,
+            "wide group 2 has non-zero rels",
+        );
+        let mut narrow: Vec<u32> = (wide[0]..wide[0] + 64).collect();
+        narrow.extend_from_slice(&wide[64..]);
+        refused(
+            rel,
+            anchors,
+            &narrow,
+            postings,
+            "stored wide but fits u16 starts",
+        );
+        refused(
+            rel,
+            anchors,
+            &with32(wide, 70, wide[68]),
+            postings,
+            "not strictly increasing",
+        );
+        // Side-array starts no group uses, and an anchor count off by one.
+        let mut extra = wide.to_vec();
+        extra.push(u32::MAX);
+        refused(rel, anchors, &extra, postings, "wide groups use");
+        refused(rel, &anchors[1..], wide, postings, "row anchors for");
+        // A first row off 0, rows for no postings, and no rows for some.
+        let shifted: Vec<u32> = starts.iter().map(|&s| s + 1).collect();
+        let b = RowBounds::from_starts(&shifted);
+        let (r1, a1, w1) = b.sections();
+        refused(r1, a1, w1, postings + 1, "row 0 starts at 1");
+        refused(&[], &[], &[], 3, "no rows for 3 postings");
+        refused(&[0], &[0], &[], 0, "last row starts at 0");
+    }
+
+    /// `bank` with a 70 000-nt poly-A run and a 70 000-nt poly-T run ahead
+    /// of its first record's ordinary sequence: rows of 70 000 postings
+    /// and more, so the groups holding codes `A^W` and `T^W` span 2^16
+    /// postings or more wherever a row follows them in the group.
+    fn bank_with_long_runs(seqs: &[String], ordinary: usize) -> Bank {
+        let mut records: Vec<String> = seqs.to_vec();
+        records[0] = format!(
+            "{}{}{}{}",
+            "A".repeat(70_000),
+            random_dna(ordinary),
+            "T".repeat(70_000),
+            records[0]
+        );
+        bank_of(&records.iter().map(String::as_str).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn long_run_banks_have_wide_groups() {
+        // The construction the oracle proptest relies on: at the pipeline's
+        // widths both built maps hold wide groups.
+        let bank = bank_with_long_runs(&["ACGT".repeat(50)], 3_000);
+        for w in [8, 11, 13] {
+            for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
+                let idx = BankIndex::build(&bank, IndexConfig::full(w).with_backend(backend));
+                let (_, anchors, wide) = idx.rows().bounds().sections();
+                let flagged = anchors.iter().filter(|&&a| a & WIDE != 0).count();
+                assert!(flagged >= 2, "W {w} {backend:?}: {flagged} wide groups");
+                assert_eq!(wide.len(), GROUP * flagged);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The two-byte row bounds answer as the `offsets[4^W + 1]` oracle
+        /// (a stable sort past W = 11) and its plain `u32` boundaries do:
+        /// `occurrences` for every code (the populated ones and their
+        /// neighbours past W = 8), the populated walk over random ranges,
+        /// cursor seeks, and the two-bitmap walk against a second bank —
+        /// and they are the one encoding of the oracle's starts. Banks
+        /// carry 70 000-nt poly-A and poly-T runs ahead of ordinary
+        /// sequence, so groups span 2^16 postings and more; W = 1..13,
+        /// both row maps, pools of 1, 2, 4 and 7 over slices of a few
+        /// words (groups cut between runs), and each index also persisted,
+        /// decoded to the heap and mapped.
+        #[test]
+        fn row_bounds_equal_the_offsets_oracle(
+            seqs in proptest::collection::vec("[ACGTN]{0,300}", 1..4),
+            ordinary in 0usize..6000,
+            w in 1usize..=13,
+            stride in 1usize..3,
+            grain in 64usize..20_000,
+            lows in proptest::collection::vec(0u32..u32::MAX, 1..4),
+            highs in proptest::collection::vec(0u32..u32::MAX, 1..4),
+            start in 0u32..u32::MAX,
+            probes in proptest::collection::vec(0u32..u32::MAX, 0..32),
+        ) {
+            let bank = bank_with_long_runs(&seqs, ordinary);
+            let other = bank_of(&seqs.iter().map(String::as_str).collect::<Vec<_>>());
+            let cfg = IndexConfig { stride, ..IndexConfig::full(w) };
+            let num = 1u64 << (2 * w);
+            let ranges: Vec<Range<u32>> = lows
+                .iter()
+                .zip(&highs)
+                .map(|(&a, &b)| {
+                    let (a, b) = ((u64::from(a) % (num + 1)) as u32, (u64::from(b) % (num + 1)) as u32);
+                    a.min(b)..a.max(b)
+                })
+                .collect();
+            let start = (u64::from(start) % num) as u32;
+            let oracle = oracle::build(&bank, cfg, |_| false);
+            let other_oracle = oracle::build(&other, cfg, |_| false);
+            let dense = cfg.with_backend(IndexBackend::Dense);
+            let partner = BankIndex::build(&other, dense);
+            for threads in [1usize, 2, 4, 7] {
+                for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
+                    let cfg = cfg.with_backend(backend);
+                    let built =
+                        in_pool(threads, || BankIndex::build_sliced(&bank, cfg, |_| false, grain));
+                    let loaded = if threads == 1 { round_trips(&built).to_vec() } else { vec![] };
+                    for idx in std::iter::once(&built).chain(&loaded) {
+                        prop_assert_eq!(idx.backend(), backend);
+                        assert_rows_answer_as(&oracle, idx, &ranges, start, &probes);
+                        for range in &ranges {
+                            let mut got: Vec<(u32, &[u32], &[u32])> = Vec::new();
+                            let done = idx.for_each_shared(&partner, range.clone(), |c, x1, x2| {
+                                got.push((c, x1, x2));
+                                Ok::<(), ()>(())
+                            });
+                            let want: Vec<(u32, &[u32], &[u32])> = oracle
+                                .codes()
+                                .iter()
+                                .filter(|c| range.contains(c))
+                                .map(|&c| (c, oracle.occurrences(c), other_oracle.occurrences(c)))
+                                .filter(|(_, _, x2)| !x2.is_empty())
+                                .collect();
+                            match backend {
+                                IndexBackend::Dense => {
+                                    prop_assert_eq!(done, Some(Ok(())));
+                                    prop_assert!(got == want, "range {:?}", range);
+                                }
+                                _ => prop_assert_eq!(done, None),
+                            }
+                        }
+                    }
+                }
             }
         }
     }
