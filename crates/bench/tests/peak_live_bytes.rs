@@ -1,8 +1,9 @@
 //! Peak live heap of the two bounded-memory paths, read from a counting
 //! global allocator instead of guessed from RSS: the streamed batch
-//! (`Session::run_batch` through a `StreamWriter`), which holds one chunk
-//! of query banks and its records, must peak below the collect-everything
-//! path it replaced, and a database searched through a
+//! (`DbSession::run_batch` over a resident subject, through a
+//! `StreamWriter`), which holds one chunk of query banks and its records,
+//! must peak below the collect-everything path it replaced, and a
+//! database searched through a
 //! one-volume window must peak below the same collection held as one
 //! concatenated bank (mapped sections live in the page cache, not the
 //! heap). Byte equality of each pair is held by
@@ -69,6 +70,7 @@ fn bounded_memory_paths_peak_below_their_resident_twins() {
         }
         m8.flush().unwrap();
     });
+    let mut session = DbSession::resident(session, DbOptions::default()).unwrap();
     let mut records = 0;
     let streamed = peak_of(|| {
         let mut sink = StreamWriter::new(std::io::sink());
@@ -104,6 +106,7 @@ fn bounded_memory_paths_peak_below_their_resident_twins() {
     };
     let concatenated = peak_of(|| {
         let session = Session::new(&subject, &concat_cfg).unwrap();
+        let mut session = DbSession::resident(session, DbOptions::default()).unwrap();
         let mut sink = StreamWriter::new(std::io::sink());
         session.run_batch(&queries, &mut sink).unwrap();
     });

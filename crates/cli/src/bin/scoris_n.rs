@@ -6,9 +6,12 @@
 //! database) × a *query source* (the positional query bank — a batch of
 //! one — or `--batch`'s directory / multi-FASTA file), every query
 //! searched in turn and its records sorted and written at its boundary by
-//! one `StreamWriter` over the `-o` destination. The sessions count what
-//! they run (`query` spans, `query_seconds`, `queries_total`,
-//! `records_total`); this file only assembles the `--stats` line.
+//! one `StreamWriter` over the `-o` destination. Every subject is searched
+//! by one `oris_db::DbSession` — a FASTA subject as a database of one
+//! resident volume — so `--deadline`, `--result-cache` and the `--stats`
+//! counters mean the same for each. The session counts what it runs
+//! (`query` spans, `query_seconds`, `queries_total`, `records_total`);
+//! this file only assembles the `--stats` line.
 //!
 //! ```text
 //! scoris-n <bank1.fa> <bank2.fa> [options]
@@ -34,20 +37,22 @@
 //!       --window N      max volumes attached at once (default 0 = all;
 //!                       1 bounds memory to one volume's working set)
 //!       --result-cache MB
-//!                       with --db: memoize completed per-volume results
-//!                       in an LRU bounded to MB megabytes, so repeated
-//!                       queries are served without re-searching
-//!                       (default 0 = off; hits replay identical bytes)
+//!                       memoize completed per-volume results (a FASTA
+//!                       subject is one volume) in an LRU bounded to MB
+//!                       megabytes, so repeated queries are served without
+//!                       re-searching (default 0 = off; hits replay
+//!                       identical bytes)
 //!       --dbsize N      subject-side effective search space: price every
 //!                       alignment against N residues instead of the
 //!                       subject sequence's length (BLAST's -z; what a
 //!                       --db search does implicitly with the manifest
 //!                       total)
-//!       --deadline MS   per-query budget (with --db): a query that exceeds
-//!                       MS milliseconds fails cleanly with exit code 7,
-//!                       output untouched, instead of running unbounded;
-//!                       a --batch chunk of n queries gets n × MS, and its
-//!                       expiry ends the batch
+//!       --deadline MS   per-query budget: a query that exceeds MS
+//!                       milliseconds fails cleanly with exit code 7,
+//!                       output untouched, instead of running unbounded
+//!                       (read before each volume, inside step 2 and before
+//!                       each step-3 wave); a --batch chunk of n queries
+//!                       gets n × MS, and its expiry ends the batch
 //!       --skip-bad-volumes
 //!                       with --db: quarantine a volume that fails to attach
 //!                       (after retrying transient faults) and complete the
@@ -63,10 +68,12 @@
 //!                       working set (at most 2^19 query positions).
 //!       --stats         print per-step timings and counters to stderr: one
 //!                       `key=value` line whose `mode=` is plain, batch or
-//!                       db; the pipeline keys are the same in all three
-//!                       (`index_builds`, `total_index_builds` and
-//!                       `dispatches` count --batch chunks, not queries;
-//!                       `masked1` is the largest chunk's masked fraction)
+//!                       db; the registry counters (`dispatches`,
+//!                       `deadline_expiries`, `cache_*`) and the pipeline
+//!                       keys are the same in all three (`index_builds`,
+//!                       `total_index_builds` and `dispatches` count --batch
+//!                       chunks, not queries; `masked1` is the largest
+//!                       chunk's masked fraction)
 //!       --trace FILE    write span-style trace events (attach, per-volume
 //!                       search, steps 2–4, cache lookup, merge) to FILE as
 //!                       JSON lines; see `oris-obs` for the event schema
@@ -90,6 +97,7 @@ use std::process::ExitCode;
 
 use oris_cli::{read_bank, Args};
 use oris_core::{FilterKind, OrisConfig, PipelineStats, PreparedBank, Session, StreamWriter};
+use oris_db::{DbOptions, DbSession};
 use oris_obs::{names, Obs, StatsBlock, Stopwatch};
 use oris_seqio::Bank;
 
@@ -307,34 +315,6 @@ impl Iterator for &mut BatchQueries {
     }
 }
 
-/// Streams the queries to the `-o` destination: `search` drives `queries`
-/// into a [`StreamWriter`] over the atomic output, and any failure —
-/// `search`'s own or a query file that would not read — discards the
-/// output. Query banks are pulled from the source lazily — one chunk
-/// resident at a time — so the run's memory bound really is one chunk's
-/// working set, not the query set's total size. Returns `search`'s report
-/// and the records written.
-fn stream_batch<B, E: Into<CliError>>(
-    args: &Args,
-    mut queries: BatchQueries,
-    search: impl FnOnce(&mut BatchQueries, &mut StreamWriter<Box<dyn Write>>) -> Result<B, E>,
-) -> Result<(B, u64), CliError> {
-    let (w, out) = Output::open(args.options.get("out"))?;
-    let mut sink = StreamWriter::new(w);
-    let searched = search(&mut queries, &mut sink).map_err(E::into);
-    match searched.and_then(|b| queries.error().map_or(Ok(b), |e| Err(e.into()))) {
-        Ok(searched) => {
-            let records = sink.records_written();
-            out.finish(sink.into_inner())?;
-            Ok((searched, records))
-        }
-        Err(e) => {
-            out.discard();
-            Err(e)
-        }
-    }
-}
-
 /// Builds the session for bank 2: fresh preparation, or attach from a
 /// `mkindex` file. Returns the session and a stats-line tag naming the
 /// subject's provenance.
@@ -520,13 +500,12 @@ fn run() -> Result<(), CliError> {
             "--db and --index are mutually exclusive (a database carries its own indexes)".into(),
         );
     }
-    for db_only in ["window", "deadline", "result-cache"] {
-        if !db_mode && args.options.contains_key(db_only) {
-            // Silently ignoring these would let a mistyped --db flag run
-            // the plain two-bank path with none of the requested
-            // attach/memory behaviour.
-            return Err(format!("--{db_only} requires --db").into());
-        }
+    // These two govern how a database's volumes attach; a FASTA subject
+    // is one volume, attached from the start. Silently ignoring them would
+    // let a mistyped --db flag run the plain two-bank path with none of
+    // the requested attach/memory behaviour.
+    if !db_mode && args.options.contains_key("window") {
+        return Err("--window requires --db".into());
     }
     if !db_mode && args.has_flag("skip-bad-volumes") {
         return Err("--skip-bad-volumes requires --db".into());
@@ -568,6 +547,7 @@ fn run() -> Result<(), CliError> {
     };
     cfg.validate()?;
 
+    let opts = db_options(&args)?;
     let obs = build_obs(&args)?;
 
     // Every input is opened BEFORE Output::open creates the .tmp.<pid>
@@ -577,13 +557,48 @@ fn run() -> Result<(), CliError> {
         Some(batch_path) => BatchQueries::open(batch_path)?,
         None => BatchQueries::One(Some(read_bank(&args.positional[0])?)),
     };
-    let stats = match args.options.get("db") {
-        Some(db_dir) => search_db(&args, &cfg, db_dir, &obs.obs, queries)?,
+    let (db, bank2);
+    let (session, head, subject_builds) = match args.options.get("db") {
+        // `open` covers the whole manifest read + validation + session
+        // config checks — everything between "a directory name" and
+        // "ready to attach volumes".
+        Some(dir) => {
+            let t0 = Stopwatch::start();
+            let located = |e: oris_db::DbError| CliError {
+                msg: format!("{dir}: {e}"),
+                code: e.exit_code(),
+            };
+            db = oris_db::Database::open(dir).map_err(located)?;
+            let session = DbSession::new(&db, &cfg, opts).map_err(located)?;
+            let mut head = StatsBlock::new("oris", "db");
+            head.field("db", dir);
+            head.field("volumes", db.num_volumes());
+            // The residues every alignment is priced against: the
+            // manifest total, or a --dbsize override.
+            let priced = match session.config().subject_space {
+                oris_core::SubjectSpace::Database(n) => n,
+                oris_core::SubjectSpace::PerSequence => 0,
+            };
+            head.field("db_residues", priced);
+            head.secs("open_secs", t0.elapsed_secs());
+            (session, head, None)
+        }
+        // The FASTA subject, prepared once — built here, or attached from
+        // `--index` — and searched as a database of one resident volume.
         None => {
-            let bank2 = read_bank(args.positional.last().expect("counted above"))?;
-            search_bank(&args, &cfg, &bank2, &obs.obs, queries)?
+            bank2 = read_bank(args.positional.last().expect("counted above"))?;
+            let t0 = Stopwatch::start();
+            let (session, source) = build_session(&bank2, &cfg, args.options.get("index"))?;
+            let builds = session.subject_stats().builds;
+            let session = DbSession::resident(session, opts)?;
+            let mut head = StatsBlock::new("oris", if batch_mode { "batch" } else { "plain" });
+            head.field("subject_source", source);
+            head.secs("subject_secs", t0.elapsed_secs());
+            head.field("subject_builds", builds);
+            (session, head, Some(builds))
         }
     };
+    let stats = search(&args, session, head, subject_builds, &obs.obs, queries)?;
     if args.has_flag("stats") {
         eprintln!("{}", stats.render());
     }
@@ -591,57 +606,9 @@ fn run() -> Result<(), CliError> {
     Ok(())
 }
 
-/// The FASTA subject `bank2`: prepared once — built here, or attached
-/// from `--index` — then every query in turn. The subject's one-time cost
-/// is its own stats field; `index_secs` covers only the queries' builds.
-fn search_bank(
-    args: &Args,
-    cfg: &OrisConfig,
-    bank2: &Bank,
-    obs: &Obs,
-    queries: BatchQueries,
-) -> Result<StatsBlock, CliError> {
-    let batch_mode = !matches!(queries, BatchQueries::One(_));
-    let t0 = Stopwatch::start();
-    let (mut session, subject_source) = build_session(bank2, cfg, args.options.get("index"))?;
-    let subject_secs = t0.elapsed_secs();
-    session.set_obs(obs.clone());
-
-    let (batch, records) = stream_batch(args, queries, |q, sink| {
-        session.run_batch(q, sink).map_err(|e| e.to_string())
-    })?;
-
-    let mut b = StatsBlock::new("oris", if batch_mode { "batch" } else { "plain" });
-    if batch_mode {
-        b.field("batch_queries", batch.queries());
-    }
-    b.field("subject_source", subject_source);
-    b.secs("subject_secs", subject_secs);
-    b.field("subject_builds", batch.subject.builds);
-    if !batch_mode {
-        b.field("queries", batch.queries());
-    }
-    b.field("records", records);
-    if batch_mode {
-        b.field("total_index_builds", batch.total_index_builds());
-    }
-    pipeline_fields(&mut b, &batch.query_totals());
-    Ok(b)
-}
-
-/// The `--db` subject: a `makedb` database. Every query runs across all
-/// volumes (attached via mmap, through a bounded window when `--window` is
-/// set), all volumes' records merge into one ordered stream per query, and
-/// e-values are computed over the database-wide residue total from the
-/// manifest — so the output is byte-identical to a single-bank run over
-/// the concatenated input under `--dbsize <total>`.
-fn search_db(
-    args: &Args,
-    cfg: &OrisConfig,
-    db_dir: &str,
-    obs: &Obs,
-    queries: BatchQueries,
-) -> Result<StatsBlock, CliError> {
+/// The session options the flags set. `--window` and `--skip-bad-volumes`
+/// were refused above unless the subject is a database.
+fn db_options(args: &Args) -> Result<DbOptions, CliError> {
     let window: usize = args.get_or("window", 0).map_err(|e| e.to_string())?;
     let result_cache_mb: usize = args.get_or("result-cache", 0).map_err(|e| e.to_string())?;
     // Megabytes to bytes, checked: a wrapped product would silently
@@ -663,27 +630,45 @@ fn search_db(
     } else {
         oris_db::OnVolumeError::Fail
     };
-
-    // `open` covers the whole manifest read + validation + session
-    // config checks — everything between "a directory name" and "ready
-    // to attach volumes".
-    let t0 = Stopwatch::start();
-    let located = |e: oris_db::DbError| CliError {
-        msg: format!("{db_dir}: {e}"),
-        code: e.exit_code(),
-    };
-    let db = oris_db::Database::open(db_dir).map_err(located)?;
-    let opts = oris_db::DbOptions {
+    Ok(DbOptions {
         window,
         on_volume_error,
         deadline,
         result_cache_bytes,
-    };
-    let mut session = oris_db::DbSession::new(&db, cfg, opts).map_err(located)?;
-    session.set_obs(obs.clone());
-    let open_secs = t0.elapsed_secs();
+    })
+}
 
-    let (batch, records) = stream_batch(args, queries, |q, sink| session.run_batch(q, sink))?;
+/// Streams every query through `session` to the `-o` destination and
+/// appends the run's keys to `b`, the `--stats` line's subject fields.
+/// Query banks are pulled from the source lazily — one chunk resident at
+/// a time — so the run's memory bound really is one chunk's working set;
+/// any failure, the search's own or a query file that would not read,
+/// discards the output. `subject_builds` is a FASTA subject's one-time
+/// builds, `None` for a database.
+fn search(
+    args: &Args,
+    mut session: DbSession<'_>,
+    mut b: StatsBlock,
+    subject_builds: Option<u32>,
+    obs: &Obs,
+    mut queries: BatchQueries,
+) -> Result<StatsBlock, CliError> {
+    let batch_mode = !matches!(queries, BatchQueries::One(_));
+    session.set_obs(obs.clone());
+    let (w, out) = Output::open(args.options.get("out"))?;
+    let mut sink = StreamWriter::new(w);
+    let searched = session
+        .run_batch(&mut queries, &mut sink)
+        .map_err(CliError::from);
+    let batch = match searched.and_then(|b| queries.error().map_or(Ok(b), |e| Err(e.into()))) {
+        Ok(batch) => batch,
+        Err(e) => {
+            out.discard();
+            return Err(e);
+        }
+    };
+    let records = sink.records_written();
+    out.finish(sink.into_inner())?;
 
     // A degraded run succeeded by design — but it must say so, loudly and
     // per quarantined volume, on stderr (the results channel stays clean).
@@ -700,36 +685,42 @@ fn search_db(
         );
     }
 
-    let costs = session.volume_costs();
-    let total = match session.config().subject_space {
-        oris_core::SubjectSpace::Database(n) => n,
-        oris_core::SubjectSpace::PerSequence => 0,
-    };
-    let cache = session.result_cache_counters();
-    let mut b = StatsBlock::new("oris", "db");
-    b.field("db", db_dir);
-    b.field("volumes", db.num_volumes());
-    b.field("db_residues", total);
-    b.field("queries", batch.queries());
-    b.field("records", records);
-    b.field("attaches", obs.counter(names::VOLUME_ATTACHES_TOTAL));
-    b.secs("open_secs", open_secs);
-    b.secs("attach_secs", costs.iter().map(|c| c.attach_secs).sum());
-    b.secs(
-        "strand_build_secs",
-        costs.iter().map(|c| c.strand_build_secs).sum(),
-    );
+    let totals = batch.query_totals();
+    let fasta_batch = batch_mode && subject_builds.is_some();
     b.field(
-        "mapped_volumes",
-        costs.iter().filter(|c| c.mmap_backed).count(),
+        if fasta_batch {
+            "batch_queries"
+        } else {
+            "queries"
+        },
+        batch.queries(),
     );
+    b.field("records", records);
+    match subject_builds {
+        Some(builds) => {
+            b.field("total_index_builds", builds + totals.index_builds);
+        }
+        None => {
+            let costs = session.volume_costs();
+            b.field("attaches", obs.counter(names::VOLUME_ATTACHES_TOTAL));
+            b.secs("attach_secs", costs.iter().map(|c| c.attach_secs).sum());
+            b.secs(
+                "strand_build_secs",
+                costs.iter().map(|c| c.strand_build_secs).sum(),
+            );
+            b.field(
+                "mapped_volumes",
+                costs.iter().filter(|c| c.mmap_backed).count(),
+            );
+            b.field("io_retries", obs.counter(names::IO_RETRIES_TOTAL));
+            b.field("quarantines", obs.counter(names::VOLUME_QUARANTINES_TOTAL));
+        }
+    }
     // These render from the oris-obs metrics registry — --stats arms the
     // handle, and the db_obs integration test pins the registry values
     // equal to the ResultCache's own counters.
     for (key, counter) in [
         ("dispatches", names::WORKER_DISPATCH_TOTAL),
-        ("io_retries", names::IO_RETRIES_TOTAL),
-        ("quarantines", names::VOLUME_QUARANTINES_TOTAL),
         ("deadline_expiries", names::DEADLINE_EXPIRIES_TOTAL),
         ("cache_hits", names::CACHE_HITS_TOTAL),
         ("cache_misses", names::CACHE_MISSES_TOTAL),
@@ -739,9 +730,10 @@ fn search_db(
     ] {
         b.field(key, obs.counter(counter));
     }
+    let cache = session.result_cache_counters();
     b.field("cache_entries", cache.entries);
     b.field("cache_bytes", cache.bytes);
-    pipeline_fields(&mut b, &batch.query_totals());
+    pipeline_fields(&mut b, &totals);
     Ok(b)
 }
 

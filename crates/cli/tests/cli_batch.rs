@@ -331,3 +331,41 @@ fn empty_and_all_n_records_are_empty_boundaries_in_a_batch() {
     }
     assert_eq!(out.stdout, expected);
 }
+
+#[test]
+fn batch_result_cache_replays_identical_bytes() {
+    // A FASTA subject is one resident volume, so --result-cache serves a
+    // plain batch too: the repeated query is replayed from the cache, and
+    // the bytes are those of the run without it.
+    let dir = scratch("result_cache");
+    let (subject, _) = write_fixture(&dir);
+    let hit = format!(">qa\nTTGACCGTAA{CORE}CCGGTAAGCT\n");
+    let batch = dir.join("repeated.fa");
+    std::fs::write(&batch, format!("{hit}>qc\nAACC{CORE}TTGG\n{hit}")).unwrap();
+    let run = |extra: &[&str]| {
+        let out = scoris_n()
+            .arg("--batch")
+            .arg(&batch)
+            .arg(&subject)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    let bare = run(&[]);
+    assert!(!bare.stdout.is_empty(), "the homologs must hit");
+    let cached = run(&["--result-cache", "8", "--stats"]);
+    assert_eq!(
+        cached.stdout, bare.stdout,
+        "a cache hit must replay the same bytes"
+    );
+    let stderr = String::from_utf8_lossy(&cached.stderr);
+    assert!(stderr.contains("batch_queries=3"), "{stderr}");
+    assert!(stderr.contains("cache_hits=1 "), "{stderr}");
+    assert!(stderr.contains("cache_misses=2 "), "{stderr}");
+}

@@ -364,9 +364,10 @@ fn db_argument_validation() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("w="), "{stderr}");
 
-    // --window and friends without --db would otherwise be silently
-    // ignored on the plain two-bank path.
-    for flag in [["--window", "1"], ["--result-cache", "8"]] {
+    // --window and --skip-bad-volumes without --db would otherwise be
+    // silently ignored on the plain two-bank path, whose one resident
+    // volume they cannot change.
+    for flag in [&["--window", "1"][..], &["--skip-bad-volumes"][..]] {
         let out = scoris_n()
             .arg(&query)
             .arg(&subject)

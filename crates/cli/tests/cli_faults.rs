@@ -291,23 +291,127 @@ fn skip_bad_volumes_degrades_with_warning() {
 }
 
 #[test]
-fn deadline_without_db_is_a_usage_error() {
+fn skip_bad_volumes_without_db_is_a_usage_error() {
+    // A FASTA subject is one volume, attached from the start: there is
+    // no volume to skip, so the flag is refused rather than ignored.
     let (db, query) = fixture("usage");
     let subject = db.parent().unwrap().join("subject.fa");
-    let out = scoris_n()
-        .arg(&query)
-        .arg(&subject)
-        .args(["-W", "8", "--deadline", "5"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
     let out = scoris_n()
         .arg(&query)
         .arg(&subject)
         .args(["-W", "8", "--skip-bad-volumes"])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(1));
+    assert_clean_failure(&out, 1, "--skip-bad-volumes requires --db");
+}
+
+/// Asserts that a failed run left neither `out` nor a `.tmp.<pid>`
+/// sibling of it in its directory.
+fn assert_no_output(out: &Path) {
+    let dir = out.parent().unwrap();
+    let name = out.file_name().unwrap().to_str().unwrap();
+    let left: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|f| f.starts_with(name))
+        .collect();
+    assert!(left.is_empty(), "a failed run left {left:?}");
+}
+
+#[test]
+fn plain_zero_deadline_exits_7_and_leaves_no_output() {
+    // A FASTA subject is searched as a database of one resident volume,
+    // so --deadline bounds a plain run as it bounds a --db run.
+    let (db, query) = fixture("plain_deadline");
+    let dir = db.parent().unwrap();
+    let out_file = dir.join("hits.m8");
+    let out = scoris_n()
+        .arg(&query)
+        .arg(dir.join("subject.fa"))
+        .args(["-W", "8", "--deadline", "0", "-o"])
+        .arg(&out_file)
+        .output()
+        .unwrap();
+    assert_clean_failure(&out, 7, "deadline");
+    assert_no_output(&out_file);
+}
+
+/// `n` bases from a fixed xorshift64 stream, so the input is the same
+/// every run.
+fn bases(n: usize, rng: &mut u64) -> Vec<u8> {
+    (0..n)
+        .map(|_| {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            b"ACGT"[(*rng >> 32) as usize % 4]
+        })
+        .collect()
+}
+
+/// `n` records of 200 nt, each a random 168-nt stretch with `repeat`
+/// inserted at a random offset, named `prefix0`, `prefix1`, ….
+fn repeat_family(prefix: &str, n: usize, repeat: &[u8], rng: &mut u64) -> String {
+    let mut fasta = String::new();
+    for i in 0..n {
+        let mut seq = bases(168, rng);
+        let at = (*rng % 169) as usize;
+        seq.splice(at..at, repeat.iter().copied());
+        let seq = String::from_utf8(seq).unwrap();
+        fasta.push_str(&format!(">{prefix}{i}\n{seq}\n"));
+    }
+    fasta
+}
+
+#[test]
+fn plain_deadline_stops_a_repeat_family_within_one_wave() {
+    // Every query record shares one 32-nt repeat with every subject
+    // record: 75 000 record pairs, one extension each, so steps 3–4 hold
+    // most of the run (about 1 s at -t 2 in release, step 2 about a
+    // tenth). Step 3 reads the token before each wave, so a 200 ms budget
+    // ends the query within one wave of expiring, with exit 7 and no
+    // output; a step 3 that never read it ran the query to completion.
+    // An unoptimised build runs step 2 here in about 1 s and step 3 in
+    // 15, so it gets 2 s: either way step 2 ends inside the budget and
+    // only a read before a step-3 wave can stop the query.
+    let budget_ms: u64 = if cfg!(debug_assertions) { 2_000 } else { 200 };
+    let dir = scratch("repeat_family");
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let repeat = bases(32, &mut rng);
+    let query = dir.join("query.fa");
+    let subject = dir.join("subject.fa");
+    std::fs::write(&query, repeat_family("q", 50, &repeat, &mut rng)).unwrap();
+    std::fs::write(&subject, repeat_family("s", 1500, &repeat, &mut rng)).unwrap();
+    let (out_file, trace) = (dir.join("hits.m8"), dir.join("trace.jsonl"));
+    let out = scoris_n()
+        .arg(&query)
+        .arg(&subject)
+        .args(["-t", "2", "--deadline", &budget_ms.to_string(), "-o"])
+        .arg(&out_file)
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert_clean_failure(&out, 7, "deadline");
+    assert_no_output(&out_file);
+    // The query span runs from the chunk's start, where the budget is
+    // armed, to the expiry: the budget plus at most one wave of 256
+    // extensions (tens of milliseconds), with room for a loaded machine.
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let end = text
+        .lines()
+        .find(|l| l.contains("\"span\":\"query\"") && l.contains("\"ev\":\"end\""))
+        .unwrap_or_else(|| panic!("no query span end in\n{text}"));
+    let dur_us: u64 = end
+        .split("\"dur_us\":")
+        .nth(1)
+        .and_then(|v| v.trim_end_matches('}').parse().ok())
+        .unwrap_or_else(|| panic!("no dur_us in {end}"));
+    let budget_us = budget_ms * 1_000;
+    assert!(
+        (budget_us..budget_us + 1_000_000).contains(&dur_us),
+        "the query ran {dur_us} µs under a {budget_ms} ms budget"
+    );
 }
 
 /// An x-drop past the gapped kernel's bound once made every extension fill

@@ -1,11 +1,11 @@
 //! Cooperative per-query deadlines and cancellation.
 //!
-//! A database search is a long, CPU-bound scan with no natural
-//! preemption point: one adversarial repeat-heavy query can sit in the
-//! quadratic corner of step 2 (a single hot seed code whose
-//! `|X1|·|X2|` pair product dwarfs the rest of the code space) for
-//! arbitrarily long. A serving deployment needs *bounded per-query
-//! cost*, which a pipeline of pure functions can only provide
+//! A search is a long, CPU-bound scan with no natural preemption point:
+//! one adversarial repeat-heavy query can sit in the quadratic corner of
+//! step 2 (a single hot seed code whose `|X1|·|X2|` pair product dwarfs
+//! the rest of the code space), then extend every HSP that corner kept
+//! in step 3, for arbitrarily long. A serving deployment needs *bounded
+//! per-query cost*, which a pipeline of pure functions can only provide
 //! cooperatively: the hot loops consult a shared token at their natural
 //! boundaries and bail out cleanly.
 //!
@@ -23,10 +23,11 @@
 //!   supervisor thread timing out a request).
 //!
 //! Checks happen at *boundaries* (a volume, a step-2 partition, a batch
-//! of extension pairs), never mid-extension, so an expired run stops at
-//! a clean point having produced a well-formed error — the pipeline's
-//! determinism guarantees are unaffected because a deadline never
-//! changes what is computed, only whether the run completes.
+//! of extension pairs, a subject strand, a step-3 wave), never inside a
+//! wave or in step 4, so an expired run stops at a clean point having
+//! produced a well-formed error — the pipeline's determinism guarantees
+//! are unaffected because a deadline never changes what is computed,
+//! only whether the run completes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

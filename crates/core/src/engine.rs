@@ -15,16 +15,19 @@
 //!   query exactly once, and a stream of N queries prepares the subject
 //!   exactly once.
 //! * [`QueryChunk`] — a batch's query banks ("members") joined into one
-//!   bank and prepared once. [`Session::run_batch`] pulls members into
-//!   chunks of at most [`JOINT_CHUNK_RESIDUES`] bank positions
-//!   ([`joint_chunks`]) and runs steps 1–3 once per chunk, as the paper
-//!   compares two *banks*: the code-ordered walk of step 2 then moves the
-//!   portions of every read that share a seed into the cache together.
-//!   Searched alone, a 150-nt read meets ~44 seed pairs per subject and
-//!   pays a cold partner lookup for each of its ~139 codes. Step 4 runs per
-//!   member, against the member's own residues, and each member's records
-//!   are sorted and written at its own boundary, so the bytes are those of
-//!   one search per member. A single query is a chunk of one.
+//!   bank and prepared once. A batch (the batch loop of
+//!   `oris_db::DbSession`, over a database or one resident subject
+//!   session) pulls members into chunks of at most
+//!   [`JOINT_CHUNK_RESIDUES`] bank positions ([`joint_chunks`]) and runs
+//!   steps 1–3 once per chunk ([`Session::search_chunk`]), as the paper
+//!   compares two *banks*: the code-ordered walk of step 2 then moves
+//!   the portions of every read that share a seed into the cache
+//!   together. Searched alone, a 150-nt read meets ~44 seed pairs per
+//!   subject and pays a cold partner lookup for each of its ~139 codes.
+//!   Step 4 runs per member, against the member's own residues, and each
+//!   member's records are sorted and written at its own boundary, so the
+//!   bytes are those of one search per member. A single query is a chunk
+//!   of one.
 //!
 //! **Why a joint search finds each member's alignments and no others.**
 //! Both low-complexity masks start afresh at every record, the index
@@ -49,7 +52,7 @@
 use std::borrow::{Borrow, Cow};
 
 use oris_index::{BankIndex, DustMasker, EntropyMasker, IndexConfig, MaskSet};
-use oris_obs::{names, Obs, Stopwatch};
+use oris_obs::{Obs, Stopwatch};
 use oris_seqio::{Bank, BankBuilder};
 
 use crate::config::{FilterKind, OrisConfig};
@@ -292,11 +295,11 @@ fn chunk_positions(bank: &Bank) -> usize {
 }
 
 /// Pulls batch members from `queries`, in order, into chunks of at most
-/// `bound` bank positions ([`JOINT_CHUNK_RESIDUES`] for the sessions'
-/// `run_batch`; tests pass small bounds to cut toy batches into many
-/// chunks). A member larger than the bound is a chunk of its own; a
-/// member is never split. The source is read one member ahead of the
-/// chunk it closes.
+/// `bound` bank positions ([`JOINT_CHUNK_RESIDUES`] for the batches of
+/// `oris_db::DbSession`; tests pass small bounds to cut toy batches into
+/// many chunks). A member larger than the bound is a chunk
+/// of its own; a member is never split. The source is read one member
+/// ahead of the chunk it closes.
 pub fn joint_chunks<I>(queries: I, bound: usize) -> impl Iterator<Item = Vec<I::Item>>
 where
     I: IntoIterator,
@@ -407,12 +410,15 @@ fn config_mismatch(
 /// A many-query comparison session against one prepared subject.
 ///
 /// Construction runs step 1 on the subject — both strands when
-/// `cfg.both_strands` — and builds the worker pool; [`Session::run`] then
-/// executes steps 2–4 (plus the query's own step 1) per query. The
-/// subject is never re-indexed, and the returned per-run statistics count
-/// only the work done for that run ([`PipelineStats::index_builds`] is 1
-/// per `run`, 0 per [`Session::search`]); the subject's one-time cost is
-/// reported by [`Session::subject_stats`].
+/// `cfg.both_strands` — and builds the worker pool; [`Session::search`]
+/// and [`Session::search_chunk`] then execute steps 2–4 of a prepared
+/// query or chunk, and [`Session::run`] prepares one query bank first.
+/// The subject is never re-indexed, and the returned per-run statistics
+/// count only the work done for that run ([`PipelineStats::index_builds`]
+/// is 1 per `run`, 0 per [`Session::search`]); the subject's one-time
+/// cost is reported by [`Session::subject_stats`]. A batch of query banks
+/// runs through `oris_db::DbSession`, which holds a session as its one
+/// resident volume.
 ///
 /// [`PipelineStats::index_builds`]: crate::PipelineStats::index_builds
 pub struct Session<'a> {
@@ -594,12 +600,14 @@ impl<'a> Session<'a> {
     /// summed over the members; `index_builds == 0`) and, per member in
     /// order, its records (unsorted) and its own step-3/4 counters.
     ///
-    /// `deadline` is consulted at step-2 partition boundaries (and within
-    /// hot partitions) and between strands, so a pathological chunk — one
-    /// hot seed code whose `|X1|·|X2|` pair product is quadratic — stops
-    /// within a bounded sliver of work. The token never changes what is
-    /// computed, only whether the run finishes; [`Deadline::none`] never
-    /// expires.
+    /// `deadline` is read at step-2 partition boundaries, before every
+    /// batch of pairs inside a hot partition, between strands and before
+    /// each step-3 wave. It is not read inside a wave, nor in step 4. A
+    /// pathological chunk — one hot seed code whose `|X1|·|X2|` pair
+    /// product is quadratic, or the tens of thousands of extensions it
+    /// feeds step 3 — therefore stops within one step-2 batch or one
+    /// step-3 wave. The token never changes what is computed, only
+    /// whether the run finishes; [`Deadline::none`] never expires.
     ///
     /// # Errors
     /// * [`SearchError::ConfigMismatch`], before anything is computed, if
@@ -653,109 +661,27 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// One chunk of a batch, counted as the database session counts its
-    /// own: one `query` span per member, each timed into `query_seconds`
-    /// from the chunk's start to the member's boundary, around the chunk's
-    /// step 1 (its `prepare` span) and [`Session::search_chunk`] without a
-    /// deadline; then per member, in order, its records and its
-    /// [`RecordSink::end_query`], `queries_total` and `records_total`.
-    /// ([`Session::search`] itself counts nothing — a database session
-    /// calls it once per volume of one query.)
-    fn search_to_boundaries<B: Borrow<Bank>>(
-        &self,
-        members: &[B],
-        sink: &mut dyn RecordSink,
-    ) -> std::io::Result<PipelineStats> {
-        let spans: Vec<_> = members
-            .iter()
-            .map(|_| self.obs.timed_span("query", names::QUERY_SECONDS))
-            .collect();
-        let chunk = {
-            let _span = self.obs.span("prepare");
-            self.install(|| {
-                QueryChunk::prepare(members, self.cfg.filter, self.cfg.query_index_config())
-            })
-        };
-        let (mut stats, results) = self
-            .search_chunk(&chunk, &Deadline::none())
-            .expect("the chunk was prepared under this configuration and no deadline is armed");
-        for (result, span) in results.into_iter().zip(spans) {
-            sink.accept_all(result.records);
-            sink.end_query()?;
-            drop(span);
-            self.obs.count(names::QUERIES_TOTAL, 1);
-            self.obs.count(names::RECORDS_TOTAL, result.step4.emitted);
-        }
-        let prepared = chunk.prepared.stats;
-        stats.index_secs += prepared.build_secs;
-        stats.index_builds += prepared.builds;
-        Ok(stats)
-    }
-
     /// Prepares `query` (step 1, counted in the returned stats), runs it
-    /// against the prepared subject and collects the sorted records.
+    /// against the prepared subject ([`Session::search`]) and collects the
+    /// sorted records. It counts no query into the observability handle
+    /// (`queries_total`, `query_seconds`): `oris_db::DbSession` counts the
+    /// queries of a batch.
     pub fn run(&self, query: &Bank) -> OrisResult {
+        let prepared = self.install(|| {
+            PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config())
+        });
         let mut sink = CollectSink::new();
-        let stats = self
-            .search_to_boundaries(std::slice::from_ref(query), &mut sink)
+        let mut stats = self
+            .search(&prepared, &mut sink, &Deadline::none())
+            .expect("the query was prepared under this configuration and no deadline is armed");
+        sink.end_query()
             .expect("CollectSink does no IO and cannot fail");
+        stats.index_secs += prepared.stats.build_secs;
+        stats.index_builds += prepared.stats.builds;
         OrisResult {
             alignments: sink.into_records(),
             stats,
         }
-    }
-
-    /// Runs a batch of query banks against the prepared subject, streaming
-    /// records into `sink` (one [`RecordSink::end_query`] boundary per
-    /// bank, in batch order). The banks are pulled into chunks of at most
-    /// [`JOINT_CHUNK_RESIDUES`] positions ([`joint_chunks`]) and each chunk
-    /// is searched as one [`QueryChunk`]; a bank's records are exactly
-    /// those [`Session::run`] gives it. One chunk's working set — its
-    /// banks, index, HSPs and records — is built, streamed out and freed
-    /// before the next chunk starts; nothing accumulates across the batch
-    /// unless the sink chooses to keep it.
-    ///
-    /// `queries` is any iterable of banks (`&[Bank]`, a `Vec<Bank>`
-    /// reference, or a *lazy* iterator of owned banks). With a lazy
-    /// iterator the bound is complete: not even the query banks themselves
-    /// are resident beyond one chunk's (and the next bank, read to close
-    /// it) — which is how the `scoris-n --batch` directory mode holds at
-    /// most a chunk of query files at a time.
-    ///
-    /// Accounting: each chunk counts exactly its own preparation (1 build)
-    /// and its step-2 work once; the subject's one-time cost appears
-    /// **once**, in [`BatchStats::subject`], never multiplied across
-    /// queries. The report is a fixed-size fold.
-    pub fn run_batch<I>(&self, queries: I, sink: &mut dyn RecordSink) -> std::io::Result<BatchStats>
-    where
-        I: IntoIterator,
-        I::Item: Borrow<Bank>,
-    {
-        self.run_batch_grained(queries, sink, JOINT_CHUNK_RESIDUES)
-    }
-
-    /// [`Session::run_batch`] with the chunk bound as a parameter, so tests
-    /// can cut a toy batch into chunks of every size.
-    fn run_batch_grained<I>(
-        &self,
-        queries: I,
-        sink: &mut dyn RecordSink,
-        bound: usize,
-    ) -> std::io::Result<BatchStats>
-    where
-        I: IntoIterator,
-        I::Item: Borrow<Bank>,
-    {
-        let mut batch = BatchStats {
-            subject: self.subject_stats(),
-            ..BatchStats::default()
-        };
-        for chunk in joint_chunks(queries, bound) {
-            let stats = self.search_to_boundaries(&chunk, sink)?;
-            batch.queries += chunk.len();
-            batch.totals = batch.totals.merge(&stats);
-        }
-        Ok(batch)
     }
 }
 
@@ -784,48 +710,6 @@ impl std::error::Error for SearchError {}
 impl From<DeadlineExceeded> for SearchError {
     fn from(e: DeadlineExceeded) -> SearchError {
         SearchError::DeadlineExceeded(e)
-    }
-}
-
-/// Report of one [`Session::run_batch`]: the subject's one-time
-/// preparation cost (attributed **once**, regardless of how many queries
-/// amortize it) plus the running fold of the chunks' pipeline reports.
-/// Its size does not depend on the batch length.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchStats {
-    /// One-time subject preparation (both strands when configured) — the
-    /// cost `index_builds` would double-count if it were folded into every
-    /// query's report.
-    pub subject: PrepareStats,
-    queries: usize,
-    totals: PipelineStats,
-}
-
-impl BatchStats {
-    /// Number of queries in the batch.
-    pub fn queries(&self) -> usize {
-        self.queries
-    }
-
-    /// The chunks' reports merged in batch order, each counting exactly
-    /// 1 `index_builds` (its joint preparation) and zero subject work (the
-    /// subject's one-time cost is *not* folded in — it lives in
-    /// [`BatchStats::subject`]). Counters other than `index_builds` are
-    /// the sums one search per query would report; `masked_fraction1` is
-    /// the largest masked fraction of any chunk's joint bank.
-    pub fn query_totals(&self) -> PipelineStats {
-        self.totals
-    }
-
-    /// Total index builds for the whole batch: the subject's once, plus
-    /// one per chunk.
-    pub fn total_index_builds(&self) -> u32 {
-        self.subject.builds + self.totals.index_builds
-    }
-
-    /// Total records emitted across the batch.
-    pub fn total_records(&self) -> u64 {
-        self.totals.step4.emitted
     }
 }
 
@@ -918,124 +802,6 @@ mod tests {
             r.alignments,
             compare_banks(&query, &subject, &cfg).alignments
         );
-    }
-
-    #[test]
-    fn batch_attributes_subject_build_exactly_once() {
-        // The double-count trap: a batch of N queries must not multiply
-        // the subject's one-time index cost into every per-query report.
-        // With both strands the subject costs 2 builds — they appear once
-        // in BatchStats::subject, while the batch's queries, one chunk,
-        // count the chunk's single build.
-        let subject = bank(&[&format!("AA{CORE}TT")]);
-        let queries = vec![
-            bank(&[CORE]),
-            bank(&["ATATATATGCGCGCGCATATATAT"]),
-            bank(&[&format!("GG{CORE}CC")]),
-        ];
-        let mut cfg = OrisConfig::small(8);
-        cfg.both_strands = true;
-        let session = Session::new(&subject, &cfg).unwrap();
-        let mut sink = crate::sink::CollectSink::new();
-        let batch = session.run_batch(&queries, &mut sink).unwrap();
-
-        assert_eq!(batch.queries(), 3);
-        assert_eq!(batch.subject.builds, 2, "one build per subject strand");
-        // Totals: the chunk's one build, WITHOUT the subject...
-        assert_eq!(batch.query_totals().index_builds, 1);
-        // ...and the whole-batch figure adds the subject exactly once:
-        // 2 strand builds + 1 chunk build — not the 3·(2+1) = 9 a
-        // per-query fold of compare_banks-style accounting would claim.
-        assert_eq!(batch.total_index_builds(), 3);
-
-        // Every counter but the builds is the fold of what the same
-        // queries report one at a time (the clock fields aside — those
-        // are measured — and the footprints, which describe the one joint
-        // bank instead of the largest query).
-        let mut folded = PipelineStats::default();
-        for q in &queries {
-            let single = session.run(q).stats;
-            assert_eq!(single.index_builds, 1, "each query pays only its own build");
-            folded = folded.merge(&single);
-        }
-        let counters = |s: PipelineStats| PipelineStats {
-            index_secs: 0.0,
-            index_builds: 0,
-            step2_secs: 0.0,
-            step3_secs: 0.0,
-            step4_secs: 0.0,
-            masked_fraction1: 0.0,
-            index_bytes: 0,
-            ..s
-        };
-        assert_eq!(counters(batch.query_totals()), counters(folded));
-        let joint = QueryChunk::prepare(&queries, cfg.filter, cfg.query_index_config());
-        let joint = *joint.prepared().stats();
-        assert_eq!(batch.query_totals().masked_fraction1, joint.masked_fraction);
-        // And the batch record count matches the sink's contents.
-        assert_eq!(batch.total_records() as usize, sink.records().len());
-    }
-
-    #[test]
-    fn run_batch_with_zero_queries_attributes_subject_once() {
-        // The degenerate batch: no query banks at all. The subject's
-        // one-time cost must still be attributed (exactly once) in
-        // BatchStats::subject, the query totals must be empty, and the
-        // sink must see NO end_query boundary — an empty batch is zero
-        // queries, not one empty query.
-        struct CountingSink {
-            accepted: usize,
-            boundaries: usize,
-        }
-        impl crate::sink::RecordSink for CountingSink {
-            fn accept(&mut self, _rec: crate::M8Record) {
-                self.accepted += 1;
-            }
-            fn end_query(&mut self) -> std::io::Result<()> {
-                self.boundaries += 1;
-                Ok(())
-            }
-        }
-
-        let subject = bank(&[&format!("AA{CORE}TT")]);
-        let mut cfg = OrisConfig::small(8);
-        cfg.both_strands = true;
-        let session = Session::new(&subject, &cfg).unwrap();
-        let mut sink = CountingSink {
-            accepted: 0,
-            boundaries: 0,
-        };
-        let queries: Vec<Bank> = Vec::new();
-        let batch = session.run_batch(&queries, &mut sink).unwrap();
-
-        assert_eq!(batch.queries(), 0);
-        assert_eq!(batch.subject.builds, 2, "both strands, attributed once");
-        assert_eq!(batch.total_index_builds(), 2, "no query builds to add");
-        assert_eq!(batch.query_totals(), PipelineStats::default());
-        assert_eq!(batch.total_records(), 0);
-        assert_eq!(sink.accepted, 0);
-        assert_eq!(sink.boundaries, 0, "no queries → no query boundaries");
-    }
-
-    #[test]
-    fn run_batch_streams_each_query_in_order() {
-        let subject = bank(&[&format!("CCGGAACCTT{CORE}TTGGCCAACGGT")]);
-        let queries = vec![
-            bank(&[&format!("TT{CORE}GG")]),
-            bank(&[CORE, "GGTTCCAAGGTTCCAAGGTTCCAA"]),
-        ];
-        let cfg = OrisConfig::small(8);
-        let session = Session::new(&subject, &cfg).unwrap();
-
-        let mut sink = crate::sink::CollectSink::new();
-        let batch = session.run_batch(&queries, &mut sink).unwrap();
-        let expected: Vec<crate::M8Record> = queries
-            .iter()
-            .flat_map(|q| session.run(q).alignments)
-            .collect();
-        assert!(!expected.is_empty());
-        assert_eq!(sink.into_records(), expected);
-        assert_eq!(batch.queries(), 2);
     }
 
     #[test]
@@ -1248,10 +1014,12 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// Joint chunks of every size, 1 position up to the whole
-            /// batch, write the bytes and count the counters one search
-            /// per member does, under both strands, the asymmetric stride,
-            /// each filter and pools of 1, 2 and 8; and a chunk's step-2
-            /// HSPs are its members' HSPs, shifted.
+            /// batch, searched by [`Session::search_chunk`], give each
+            /// member the records and step-3/4 counters one search of it
+            /// alone gives, and sum to the counters of those searches,
+            /// under both strands, the asymmetric stride, each filter and
+            /// pools of 1, 2 and 8; and a chunk's step-2 HSPs are its
+            /// members' HSPs, shifted.
             #[test]
             fn joint_equals_per_member(
                 seqs in proptest::collection::vec("[ACGTN]{0,40}", 1..12),
@@ -1266,20 +1034,36 @@ mod tests {
                 let cfg = config(flags, threads);
                 let session = Session::new(&subject, &cfg).unwrap();
 
+                let alone: Vec<OrisResult> = members.iter().map(|m| session.run(m)).collect();
                 let mut per_member = Vec::new();
                 let mut folded = PipelineStats::default();
-                for m in &members {
-                    let r = session.run(m);
-                    per_member.extend(r.alignments);
+                for r in &alone {
+                    per_member.extend_from_slice(&r.alignments);
                     folded = folded.merge(&r.stats);
                 }
                 let mut sink = StreamWriter::new(Vec::new());
-                let batch = session.run_batch_grained(&members, &mut sink, bound).unwrap();
-                prop_assert_eq!(batch.queries(), members.len());
+                let mut joint = PipelineStats::default();
+                let mut alone = alone.iter();
+                for chunk in joint_chunks(&members, bound) {
+                    let prepared = session.install(|| {
+                        QueryChunk::prepare(&chunk, cfg.filter, cfg.query_index_config())
+                    });
+                    prop_assert_eq!(prepared.members(), chunk.len());
+                    let (stats, shares) = session.search_chunk(&prepared, &Deadline::none()).unwrap();
+                    for share in shares {
+                        let own = alone.next().unwrap().stats;
+                        prop_assert_eq!(
+                            (share.raw_alignments, share.step3, share.step4),
+                            (own.raw_alignments, own.step3, own.step4)
+                        );
+                        sink.accept_all(share.records);
+                        sink.end_query().unwrap();
+                    }
+                    joint = joint.merge(&stats);
+                }
+                prop_assert!(alone.next().is_none());
                 prop_assert!(sink.into_inner() == m8(&per_member), "bytes differ");
-                prop_assert_eq!(counters(batch.query_totals()), counters(folded));
-                let chunks = joint_chunks(&members, bound).count() as u32;
-                prop_assert_eq!(batch.query_totals().index_builds, chunks);
+                prop_assert_eq!(counters(joint), counters(folded));
 
                 // Step 2 over the whole batch as one chunk.
                 let joint = QueryChunk::prepare(&members, cfg.filter, cfg.query_index_config());
@@ -1307,64 +1091,6 @@ mod tests {
                 }
                 prop_assert_eq!(s2.pairs_examined, pairs);
             }
-        }
-
-        #[test]
-        fn members_sharing_a_name_keep_their_own_records() {
-            // Three members named alike: two carry different cores, one
-            // carries nothing. Each gets its own records, priced against
-            // its own residues, at its own boundary.
-            let subject = subject();
-            let named = |seq: &str| bank(&[seq]);
-            let members = vec![
-                named(&format!("ACGT{}TTGA", CORES[0])),
-                named("ACGTTGCAAGGCTTAACGTACGGATC"),
-                named(&format!("{}{}", CORES[1], "GATTACA".repeat(9))),
-            ];
-            assert!(members.iter().all(|m| m.record(0).name == "s0"));
-            let cfg = OrisConfig::small(9);
-            let session = Session::new(&subject, &cfg).unwrap();
-            let mut sink = CollectSink::new();
-            let batch = session.run_batch(&members, &mut sink).unwrap();
-            assert_eq!(batch.query_totals().index_builds, 1, "one chunk");
-            let expected: Vec<M8Record> = members
-                .iter()
-                .flat_map(|m| session.run(m).alignments)
-                .collect();
-            assert!(expected.iter().any(|r| r.qend > CORES[0].len()));
-            assert_eq!(sink.into_records(), expected);
-        }
-
-        #[test]
-        fn empty_and_all_n_members_are_empty_boundaries() {
-            // An empty record and an all-N record index nothing and align
-            // nowhere: each is a boundary with no record, between members
-            // that do align, in one chunk.
-            struct Boundaries(Vec<usize>, usize);
-            impl RecordSink for Boundaries {
-                fn accept(&mut self, _rec: M8Record) {
-                    self.1 += 1;
-                }
-                fn end_query(&mut self) -> std::io::Result<()> {
-                    self.0.push(std::mem::take(&mut self.1));
-                    Ok(())
-                }
-            }
-            let members = vec![
-                bank(&[CORES[0]]),
-                bank(&[""]),
-                bank(&[&"N".repeat(50)]),
-                bank(&[CORES[1]]),
-            ];
-            let subject = subject();
-            let cfg = OrisConfig::small(9);
-            let session = Session::new(&subject, &cfg).unwrap();
-            let mut sink = Boundaries(Vec::new(), 0);
-            let batch = session.run_batch(&members, &mut sink).unwrap();
-            assert_eq!(batch.query_totals().index_builds, 1, "one chunk");
-            assert_eq!(sink.0.len(), 4);
-            assert_eq!(sink.0[1..3], [0, 0]);
-            assert!(sink.0[0] > 0 && sink.0[3] > 0, "{:?}", sink.0);
         }
     }
 }

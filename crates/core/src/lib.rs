@@ -20,8 +20,8 @@
 //!   are its arguments, the query boundary is the caller's, a query
 //!   prepared under another configuration is a typed
 //!   [`engine::SearchError::ConfigMismatch`] — and
-//!   [`engine::Session::run`] / [`engine::Session::run_batch`] are the
-//!   prepare-search-boundary conveniences over it.
+//!   [`engine::Session::run`] is the prepare-search-boundary convenience
+//!   over it, for one query bank.
 //!
 //! **Stream results** ([`sink`]): steps 2–4 hand off per-record-pair
 //! results as they are produced — step 3 emits each `(query, subject)`
@@ -39,20 +39,23 @@
 //! are byte-identical regardless of thread count or batch order — even
 //! under tied e-values.
 //!
-//! **Batch front-end**: [`engine::Session::run_batch`] runs N query banks
-//! against the prepared subject in chunks ([`engine::QueryChunk`]): each
-//! chunk of banks is joined into one bank and searched once, then each
-//! bank's records stream out at its own `end_query` boundary, and the
-//! chunk's working set is freed before the next chunk starts.
-//! [`engine::BatchStats`] reports the subject's one-time cost exactly once
-//! plus the fold of the chunks' reports.
+//! **Batches**: this crate holds a batch's parts, not its loop. A chunk
+//! of query banks ([`engine::joint_chunks`]) is joined into one bank and
+//! prepared once ([`engine::QueryChunk`]), and
+//! [`engine::Session::search_chunk`] searches it against the subject,
+//! handing back each bank's records and counters. The one batch loop is
+//! the `oris-db` crate's `DbSession`: it serves a sharded database and,
+//! as a database of one resident volume, a session built here
+//! (`DbSession::resident`), streaming each bank's records out at its own
+//! `end_query` boundary and freeing a chunk's working set before the
+//! next chunk starts.
 //!
 //! * [`compare_banks`] — the single-shot two-bank call: one throwaway
 //!   session, one [`engine::Session::run`], the subject's preparation
 //!   folded into the report.
 //!
 //! **Scale out** (the `oris-db` crate builds on these hooks): a sharded
-//! subject database runs one query against many volumes, each volume an
+//! subject database runs a chunk of queries against many volumes, each volume an
 //! [`engine::PreparedBank`] attached from disk
 //! ([`engine::PreparedBank::from_index_owned`], mmap-backed via
 //! `oris_index::mmap`). Per volume the search goes through
@@ -69,28 +72,21 @@
 //! ```no_run
 //! # let subject = oris_seqio::parse_fasta(">s\nACGT\n").unwrap();
 //! # let queries: Vec<oris_seqio::Bank> = vec![];
-//! use oris_core::{OrisConfig, Session, StreamWriter};
+//! use oris_core::{compare_banks, OrisConfig, Session};
 //!
 //! let cfg = OrisConfig::default();
-//! let session = Session::new(&subject, &cfg).unwrap(); // step 1, once
 //!
-//! // Collected: one OrisResult per query.
+//! // One comparison: the subject is prepared and dropped with the call.
+//! let first = compare_banks(&queries[0], &subject, &cfg);
+//! println!("{} alignments, {} index builds", first.alignments.len(), first.stats.index_builds);
+//!
+//! // Many: prepare the subject once, then each query pays its own step 1.
+//! let session = Session::new(&subject, &cfg).unwrap();
 //! for query in &queries {
 //!     let result = session.run(query); // steps 2–4 (+ query's step 1)
 //!     println!("{} alignments", result.alignments.len());
 //! }
-//!
-//! // Streamed: records leave as each chunk of queries finishes; memory
-//! // stays at one chunk's working set no matter how many queries the
-//! // batch holds.
-//! let mut sink = StreamWriter::new(std::io::stdout().lock());
-//! let batch = session.run_batch(&queries, &mut sink).unwrap();
-//! eprintln!(
-//!     "{} records from {} queries, subject built {} time(s)",
-//!     batch.total_records(),
-//!     batch.queries(),
-//!     batch.subject.builds,
-//! );
+//! eprintln!("subject built {} time(s)", session.subject_stats().builds);
 //! ```
 //!
 //! The pipeline itself is structured exactly as the paper's Figure 1:
@@ -136,7 +132,7 @@ pub mod step4;
 pub use config::{FilterKind, OrisConfig};
 pub use deadline::{Deadline, DeadlineExceeded};
 pub use engine::{
-    joint_chunks, BatchStats, PrepareStats, PreparedBank, QueryChunk, SearchError, Session,
+    joint_chunks, PrepareStats, PreparedBank, QueryChunk, SearchError, Session,
     JOINT_CHUNK_RESIDUES,
 };
 pub use hsp::Hsp;

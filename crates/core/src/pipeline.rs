@@ -235,7 +235,17 @@ pub fn gapped_stage_into(
 ) -> GappedStageReport {
     let members = Members::one(bank1.num_sequences(), query_residues);
     let mut out = [MemberResult::default()];
-    let report = gapped_stage_routed(bank1, &members, bank2, hsps, cfg, flip_subject, &mut out);
+    let report = gapped_stage_routed(
+        bank1,
+        &members,
+        bank2,
+        hsps,
+        cfg,
+        flip_subject,
+        &mut out,
+        &Deadline::none(),
+    )
+    .expect("a disarmed deadline cannot expire");
     let [out] = out;
     out.records.into_iter().for_each(push);
     report
@@ -243,7 +253,9 @@ pub fn gapped_stage_into(
 
 /// [`gapped_stage_into`] over a joint query bank: each group's records
 /// and counters are added to the member owning its query record, `out[m]`,
-/// with e-values priced against that member's residues.
+/// with e-values priced against that member's residues. `deadline` is
+/// read before each step-3 wave; on expiry `out` holds the waves before
+/// it, and the caller drops it.
 fn gapped_stage_routed(
     bank1: &Bank,
     members: &Members,
@@ -252,7 +264,8 @@ fn gapped_stage_routed(
     cfg: &OrisConfig,
     flip_subject: bool,
     out: &mut [MemberResult],
-) -> GappedStageReport {
+    deadline: &Deadline,
+) -> Result<GappedStageReport, DeadlineExceeded> {
     let t0 = Stopwatch::start();
     let mut report = GappedStageReport::default();
     let mut emit = |alns: Vec<step3::GappedAlignment>, s3: Step3Stats| {
@@ -282,9 +295,9 @@ fn gapped_stage_routed(
         report.step4 = report.step4.merge(s4);
         report.step4_secs += t4.elapsed_secs();
     };
-    report.step3 = step3::gapped_groups_into(bank1, bank2, hsps, cfg, &mut emit);
+    report.step3 = step3::gapped_groups_into(bank1, bank2, hsps, cfg, deadline, &mut emit)?;
     report.step3_secs = (t0.elapsed_secs() - report.step4_secs).max(0.0);
-    report
+    Ok(report)
 }
 
 /// Steps 2–4 of one joint query bank against one prepared subject strand:
@@ -295,12 +308,14 @@ fn gapped_stage_routed(
 /// fractions, resident index bytes) with zero build time and zero builds.
 /// The report's step-3/4 counters are the members' summed.
 ///
-/// `deadline` is the cooperative cancellation token, consulted at step-2
-/// partition boundaries (and within hot partitions — see
-/// [`step2::find_hsps_guarded`]); an expiry aborts the strand before
-/// the gapped stage adds anything further. Disarmed
-/// ([`Deadline::none`]) it costs one dead branch and the run is
-/// infallible.
+/// `deadline` is the cooperative cancellation token. It is read at
+/// step-2 partition boundaries and before every batch of pairs inside a
+/// hot partition ([`step2::find_hsps_guarded`]), then before each step-3
+/// wave. It is not read inside a wave, nor in step 4, which runs inside
+/// step 3's group callback: a wave and its groups' records always finish.
+/// An expiry returns [`DeadlineExceeded`], and the records already filed
+/// in `out` are the caller's to drop. Disarmed ([`Deadline::none`]) each
+/// read is one dead branch and the run is infallible.
 ///
 /// `obs` emits `step2`/`step3` spans and a `step4` point event (steps
 /// 3+4 are fused — step 4 runs inside step 3's group callback, so its
@@ -350,7 +365,8 @@ pub(crate) fn run_prepared_pipeline_into(
         cfg,
         matches!(strand, SubjectStrand::Minus),
         out,
-    );
+        deadline,
+    )?;
     drop(step3_span);
     obs.point(
         "step4",

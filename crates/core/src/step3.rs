@@ -33,7 +33,9 @@
 //! the [`Step3Emit`] receiver in ascending key order, so the stream is the
 //! same for any thread count and at most one wave's alignments are ever
 //! live — the streaming pipeline ([`gapped_alignments_into`]) never holds
-//! a whole query's. [`gapped_alignments`] collects the same stream.
+//! a whole query's. [`gapped_alignments`] collects the same stream. A
+//! session's deadline is read before each wave and never inside one, so
+//! an expired search stops within one wave.
 
 use std::ops::Range;
 
@@ -42,6 +44,7 @@ use oris_seqio::Bank;
 use rayon::prelude::*;
 
 use crate::config::OrisConfig;
+use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::hsp::Hsp;
 
 /// A gapped alignment in global bank coordinates.
@@ -267,19 +270,32 @@ pub fn gapped_alignments_into(
     cfg: &OrisConfig,
     emit: &mut dyn Step3Emit,
 ) -> Step3Stats {
-    gapped_groups_into(bank1, bank2, hsps, cfg, &mut |alns, _| emit.group(alns))
+    gapped_groups_into(
+        bank1,
+        bank2,
+        hsps,
+        cfg,
+        &Deadline::none(),
+        &mut |alns, _| emit.group(alns),
+    )
+    .expect("a disarmed deadline cannot expire")
 }
 
 /// [`gapped_alignments_into`] handing each group's own counters to
 /// `emit` beside its alignments, so a caller can book them to the query
 /// record the group belongs to. Returns the counters summed.
+///
+/// `deadline` is read before each wave, never inside one: an expiry
+/// returns [`DeadlineExceeded`] with the waves before it already emitted,
+/// so the caller drops what `emit` gathered.
 pub(crate) fn gapped_groups_into(
     bank1: &Bank,
     bank2: &Bank,
     hsps: &[Hsp],
     cfg: &OrisConfig,
+    deadline: &Deadline,
     emit: &mut dyn FnMut(Vec<GappedAlignment>, Step3Stats),
-) -> Step3Stats {
+) -> Result<Step3Stats, DeadlineExceeded> {
     let params = GappedParams {
         scheme: cfg.scheme,
         xdrop: cfg.xdrop_gapped,
@@ -321,6 +337,7 @@ pub(crate) fn gapped_groups_into(
 
     let mut stats = Step3Stats::default();
     for wave in waves(&groups, workers) {
+        deadline.check()?;
         let wave = &groups[wave];
         let wave_hsps = wave[wave.len() - 1].end - wave[0].start;
         let done: Vec<GroupResult> = if wave_hsps < INLINE_WAVE_HSPS {
@@ -333,7 +350,7 @@ pub(crate) fn gapped_groups_into(
             emit(alns, s);
         }
     }
-    stats
+    Ok(stats)
 }
 
 /// Collect-everything wrapper over [`gapped_alignments_into`], for the

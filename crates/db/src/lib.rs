@@ -38,6 +38,15 @@
 //!   ([`oris_core::QueryChunk`]): one search per (chunk, volume), then
 //!   each query's records replayed at its own boundary.
 //!
+//! A session's subject is a database or **one resident bank**:
+//! [`DbSession::resident`] takes a prepared `oris_core::Session` — a FASTA
+//! subject indexed in memory, or attached from an `mkindex` file — as a
+//! database of one volume, attached from the start, never evicted and
+//! never quarantined, priced under its own configuration's search space.
+//! So `run_batch` is the one batch loop of the workspace: `scoris_n` runs
+//! every subject through it, and the deadline, the result cache and the
+//! counters mean the same for each.
+//!
 //! E-values are computed over the **database-wide** effective search
 //! space: [`DbSession`] sets
 //! [`OrisConfig::subject_space`](oris_core::OrisConfig) to
@@ -74,8 +83,9 @@
 //! * **Deadlines** — [`DbOptions::deadline`] (or an explicit
 //!   [`Deadline`](oris_core::Deadline) token via
 //!   [`DbSession::run_query_deadline`]) bounds a query's wall-clock
-//!   cost; expiry is a clean [`DbError::DeadlineExceeded`] with the
-//!   session still usable.
+//!   cost: the token is read before each volume, inside step 2, between
+//!   strands and before each step-3 wave; expiry is a clean
+//!   [`DbError::DeadlineExceeded`] with the session still usable.
 //! * **Sink atomicity** — a query that fails for any reason other than
 //!   the sink's own `end_query` ([`DbError::Sink`]) leaves the caller's
 //!   sink untouched, under every option: all volumes' records are staged
@@ -110,7 +120,7 @@
 //! * Attach (and therefore retry/quarantine accounting) happens in the
 //!   walk, volume by volume, so a failing volume produces the same
 //!   [`SearchReport`] under any window; the deadline is checked before
-//!   each volume and inside each volume's step-2 loops, and an expired
+//!   each volume and inside each volume's steps 2 and 3, and an expired
 //!   query leaves the sink untouched.
 //!
 //! [`DbOptions::result_cache_bytes`] adds a volume-level result cache

@@ -14,10 +14,11 @@
 //!   skipped and retried plus the residue coverage fraction, so a
 //!   degraded result is explicitly labeled rather than silently partial.
 //! * [`DbOptions::deadline`] / [`DbSession::run_query_deadline`] — a
-//!   cooperative budget checked at volume and step-2 partition
-//!   boundaries; expiry returns a clean [`DbError::DeadlineExceeded`]
-//!   with the caller's sink untouched by the expired search and the
-//!   session ready for the next one.
+//!   cooperative budget read before each volume and inside each volume's
+//!   steps 2 and 3 (the places are listed on
+//!   [`DbSession::run_query_deadline`]); expiry returns a clean
+//!   [`DbError::DeadlineExceeded`] with the caller's sink untouched by the
+//!   expired search and the session ready for the next one.
 //!
 //! A batch ([`DbSession::run_batch`]) is searched in chunks: the queries
 //! are pulled into chunks of at most [`oris_core::JOINT_CHUNK_RESIDUES`]
@@ -26,6 +27,12 @@
 //! 1–3 run once per (chunk, volume). Each query still gets exactly the
 //! records, boundary and report a search of it alone would give it. A
 //! single query is a chunk of one.
+//!
+//! A session's subject is a [`Database`] or one resident bank
+//! ([`DbSession::resident`]): a FASTA subject prepared in memory, or
+//! attached from an `mkindex` file, is a database of one volume attached
+//! from the start. So this loop is the one batch loop for every subject,
+//! and the deadline, the result cache and the counters apply to each.
 
 use std::borrow::Borrow;
 use std::time::Duration;
@@ -34,6 +41,7 @@ use oris_core::{
     joint_chunks, Deadline, MemberResult, OrisConfig, PipelineStats, QueryChunk, RecordSink,
     Session, SubjectSpace, JOINT_CHUNK_RESIDUES,
 };
+use oris_index::persist::fnv1a;
 use oris_obs::{names, Field, Obs};
 use oris_seqio::Bank;
 
@@ -81,9 +89,11 @@ pub struct DbOptions {
     /// Per-query deadline. `None` (the default) runs unguarded;
     /// `Some(budget)` arms a fresh [`Deadline`] for each chunk of queries
     /// when its search starts: `n × budget` for the `n` queries the chunk
-    /// searches (one, for [`DbSession::run_query_reported`]). See
-    /// [`DbSession::run_query_deadline`] for the guarantees and
-    /// [`DbSession::run_batch`] for what an expiry ends.
+    /// searches (one, for [`DbSession::run_query_reported`]). The token is
+    /// read before each volume, at step-2 partitions and pair batches,
+    /// between strands and before each step-3 wave; not inside a wave,
+    /// nor in step 4. See [`DbSession::run_query_deadline`] for the
+    /// guarantees and [`DbSession::run_batch`] for what an expiry ends.
     pub deadline: Option<Duration>,
     /// Memory budget for the volume-level [`ResultCache`]. `0` (the
     /// default) disables caching; `N > 0` memoizes completed per-volume
@@ -178,7 +188,8 @@ pub struct SearchReport {
     pub retries: u32,
     /// Residues actually searched (sum over `searched`).
     pub residues_searched: u64,
-    /// Database-wide residue total (the manifest's).
+    /// Database-wide residue total (the manifest's; a resident subject's
+    /// own residues).
     pub residues_total: u64,
     /// Volumes served from the result cache (a subset of `searched`:
     /// a hit covers the volume exactly as a fresh search would).
@@ -204,10 +215,10 @@ impl SearchReport {
 
 /// Report of one [`DbSession::run_batch`]: the running fold of the
 /// chunks' pipeline reports, the worst coverage any query had, and the
-/// volume attach costs paid so far — the database-session analogue of
-/// `oris_core::BatchStats`, with volume attaches playing the subject-build
-/// role (attributed once per attach, never folded into a query's report).
-/// Its size does not depend on the batch length.
+/// volume attach costs paid so far (attributed once per attach, never
+/// folded into a query's report, as a resident subject's one-time build
+/// is reported by its `Session::subject_stats`). Its size does not depend
+/// on the batch length.
 ///
 /// What a chunk folds in: step 1 (`index_secs`, `index_builds`) once, and
 /// per searched volume its step-2 counters and seconds (`hsps`, `step2`)
@@ -253,7 +264,8 @@ impl DbBatchStats {
     }
 }
 
-/// A many-query search session over a sharded [`Database`].
+/// A many-query search session over a sharded [`Database`], or over one
+/// resident subject ([`DbSession::resident`]) as a database of one volume.
 ///
 /// The cross-volume contract: every chunk of queries (one query, for
 /// [`DbSession::run_query_reported`]) runs the same four phases —
@@ -268,20 +280,28 @@ impl DbBatchStats {
 /// concatenated input, one query at a time.
 ///
 /// E-values are computed over the database-wide effective search space:
-/// the session forces
+/// a session over a [`Database`] forces
 /// [`OrisConfig::subject_space`](oris_core::OrisConfig) to
 /// `SubjectSpace::Database(total_residues)` from the manifest (an
 /// explicit `Database(_)` already set by the caller — a `--dbsize`
-/// override — is kept).
+/// override — is kept). A resident subject keeps its session's
+/// configuration as it is.
 ///
 /// The failure model (quarantine, retries, deadlines) is described in
 /// the [module docs](self) and on [`DbSession::run_query_deadline`].
 pub struct DbSession<'d> {
-    db: &'d Database,
+    /// The database volumes attach from; `None` for a resident subject,
+    /// whose one volume is attached from the start and never evicted.
+    db: Option<&'d Database>,
+    /// Per volume: its residues and its content hash (the result cache's
+    /// volume key; 0 for a resident subject while the cache is off).
+    volumes: Vec<(u64, u64)>,
+    /// The residue total a query's coverage is priced against.
+    total_residues: u64,
     cfg: OrisConfig,
     opts: DbOptions,
     /// Attached volume sessions, one slot per volume id.
-    attached: Vec<Option<Session<'static>>>,
+    attached: Vec<Option<Session<'d>>>,
     /// Most slots occupied at once — the volume count under an unbounded
     /// window, [`DbOptions::window`] under a bounded one — which sets when
     /// [`DbSession::attach`] evicts.
@@ -338,7 +358,39 @@ impl<'d> DbSession<'d> {
         if cfg.subject_space == SubjectSpace::PerSequence {
             cfg.subject_space = SubjectSpace::Database(db.total_residues());
         }
-        let num = db.num_volumes();
+        let volumes = m.volumes.iter().map(|v| (v.residues, v.bank_hash));
+        DbSession::assemble(Some(db), volumes.collect(), cfg, opts)
+    }
+
+    /// A session over one prepared subject — a FASTA bank prepared in
+    /// memory, or attached from an index file — as a database of one
+    /// volume: attached from the start, never evicted and never
+    /// quarantined, so [`DbOptions::window`] and
+    /// [`DbOptions::on_volume_error`] change nothing. The deadline and the
+    /// result cache apply as they do to a database; a cache entry is keyed
+    /// by the subject bank's content hash, the one `mkindex` records. The
+    /// session keeps `subject`'s configuration, `subject_space` included,
+    /// so each query gets the records and e-values [`Session::run`] gives
+    /// it.
+    pub fn resident(subject: Session<'d>, opts: DbOptions) -> Result<DbSession<'d>, DbError> {
+        let bank = subject.subject().bank();
+        let cached = opts.result_cache_bytes > 0;
+        let hash = if cached { fnv1a(bank.data()) } else { 0 };
+        let residues = bank.num_residues() as u64;
+        let cfg = *subject.config();
+        let mut session = DbSession::assemble(None, vec![(residues, hash)], cfg, opts)?;
+        session.attached[0] = Some(subject);
+        Ok(session)
+    }
+
+    /// The session both constructors build, every volume detached.
+    fn assemble(
+        db: Option<&'d Database>,
+        volumes: Vec<(u64, u64)>,
+        cfg: OrisConfig,
+        opts: DbOptions,
+    ) -> Result<DbSession<'d>, DbError> {
+        let num = volumes.len();
         let capacity = match opts.window {
             0 => num,
             window => window.min(num),
@@ -352,6 +404,8 @@ impl<'d> DbSession<'d> {
         let config_fp = cache::config_fingerprint(&cfg);
         Ok(DbSession {
             db,
+            total_residues: volumes.iter().map(|&(residues, _)| residues).sum(),
+            volumes,
             cfg,
             opts,
             attached: (0..num).map(|_| None).collect(),
@@ -376,8 +430,8 @@ impl<'d> DbSession<'d> {
         }
     }
 
-    /// The effective configuration (with the database-wide
-    /// `subject_space` applied).
+    /// The effective configuration (with a database's residue total as
+    /// `subject_space`, unless the caller set one).
     pub fn config(&self) -> &OrisConfig {
         &self.cfg
     }
@@ -412,7 +466,7 @@ impl<'d> DbSession<'d> {
         CacheKey {
             query,
             volume: v,
-            volume_hash: self.db.volume(v).bank_hash,
+            volume_hash: self.volumes[v].1,
             config: self.config_fp,
         }
     }
@@ -427,7 +481,7 @@ impl<'d> DbSession<'d> {
         let mut hits = Vec::new();
         let Some(qfp) = query_fp else { return hits };
         let _span = self.obs.span("cache_lookup");
-        for v in 0..self.db.num_volumes() {
+        for v in 0..self.volumes.len() {
             if self.quarantined[v].is_some() {
                 continue;
             }
@@ -509,10 +563,13 @@ impl<'d> DbSession<'d> {
 
     /// Reads volume `v` from disk into a volume session — retrying
     /// transient failures [`RETRIES`] times — and books the attach cost.
-    fn open_volume(&mut self, v: usize, retries: &mut u32) -> Result<Session<'static>, DbError> {
+    fn open_volume(&mut self, v: usize, retries: &mut u32) -> Result<Session<'d>, DbError> {
+        // A resident subject's one volume is attached from the start and
+        // a window of one never evicts it, so only a database's gets here.
+        let db = self.db.expect("a resident subject is never detached");
         let mut attempt = 0u32;
         let (prepared, attach) = loop {
-            match self.db.attach_volume(v) {
+            match db.attach_volume(v) {
                 Ok(ok) => break ok,
                 Err(e)
                     if self.opts.on_volume_error == OnVolumeError::SkipAndReport
@@ -557,7 +614,7 @@ impl<'d> DbSession<'d> {
         retries: &mut u32,
         deadline: &Deadline,
     ) -> Result<Vec<Option<Staged>>, DbError> {
-        let num = self.db.num_volumes();
+        let num = self.volumes.len();
         let mut fresh: Vec<Option<Staged>> = (0..num).map(|_| None).collect();
         for v in (0..num).filter(|&v| wanted[v]) {
             deadline.check()?;
@@ -603,7 +660,7 @@ impl<'d> DbSession<'d> {
         let _span = self.obs.span("merge");
         let mut merged = PipelineStats::default();
         let mut hits = hits.into_iter().peekable();
-        for v in 0..self.db.num_volumes() {
+        for v in 0..self.volumes.len() {
             let hit = hits.next_if(|(at, _)| *at == v).map(|(_, entry)| entry);
             let (records, stats) = match (hit, fresh(v)) {
                 (Some(cached), _) => {
@@ -629,7 +686,7 @@ impl<'d> DbSession<'d> {
             sink.accept_all(records);
             merged = merged.merge(&stats);
             report.searched.push(v);
-            report.residues_searched += self.db.volume(v).residues;
+            report.residues_searched += self.volumes[v].0;
         }
         // An end_query failure is the caller's *output* stream failing
         // (e.g. a full disk under a StreamWriter), not a database
@@ -662,10 +719,15 @@ impl<'d> DbSession<'d> {
     ///
     /// Deadline guarantees:
     ///
-    /// * The token is checked at every volume boundary and, inside each
-    ///   volume, at step-2 partition boundaries (and every few thousand
-    ///   extension pairs within a hot partition) — the places a
-    ///   pathological query actually spends its time.
+    /// * The token is read before each volume and, inside each volume's
+    ///   search, at every step-2 partition boundary, before every batch
+    ///   of pairs once a few thousand have passed within a partition,
+    ///   between the two subject strands, and before each step-3 wave. It
+    ///   is not read inside a step-3 wave (one wave is at least `2 ×
+    ///   workers` record-pair groups and `128 × workers` HSPs, and one
+    ///   group can be a whole chromosome pair), nor in step 4, which runs
+    ///   inside step 3's group callback. So an expired query stops within
+    ///   one batch of step-2 pairs or one step-3 wave.
     /// * On expiry the query returns [`DbError::DeadlineExceeded`] and
     ///   nothing is inserted into the result cache.
     /// * The session remains fully usable: the next query runs normally,
@@ -749,7 +811,7 @@ impl<'d> DbSession<'d> {
             .iter()
             .map(|_| self.obs.timed_span("query", names::QUERY_SECONDS))
             .collect();
-        let num = self.db.num_volumes();
+        let num = self.volumes.len();
         let fps: Vec<Option<u64>> = queries
             .iter()
             .map(|q| {
@@ -844,7 +906,7 @@ impl<'d> DbSession<'d> {
             }
             let mut report = SearchReport {
                 volumes_total: num,
-                residues_total: self.db.total_residues(),
+                residues_total: self.total_residues,
                 retries: if i == 0 { retries } else { 0 },
                 ..SearchReport::default()
             };
@@ -991,14 +1053,15 @@ mod tests {
         assert_eq!(retry_delay(base, u32::MAX), retry_delay(base, 16));
     }
 
-    /// A database batch searched in joint chunks against one search per
-    /// query.
+    /// A batch searched in joint chunks, over a database and over a
+    /// resident subject, against one search per query.
     mod joint {
         use super::*;
         use crate::{make_db, MakeDbOptions};
-        use oris_core::{FilterKind, StreamWriter};
+        use oris_core::{FilterKind, M8Writer, PreparedBank, StreamWriter};
         use oris_seqio::BankBuilder;
         use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
 
         /// Cores the subject carries and queries plant; a poly-A run
         /// gives the masks something to mask.
@@ -1084,6 +1147,40 @@ mod tests {
             }
         }
 
+        /// Runs `queries` through `session` in chunks of at most `bound`
+        /// positions — twice with the cache on, the second pass replayed
+        /// from it — and holds every pass to `want`'s bytes and a cold pass
+        /// to the counters `folded` sums.
+        fn batch_matches(
+            session: &mut DbSession<'_>,
+            queries: &[Bank],
+            bound: usize,
+            cache: bool,
+            want: &[u8],
+            folded: PipelineStats,
+        ) -> Result<(), TestCaseError> {
+            for pass in 0..1 + usize::from(cache) {
+                let mut sink = StreamWriter::new(Vec::new());
+                let batch = session
+                    .run_batch_grained(queries, &mut sink, bound)
+                    .unwrap();
+                prop_assert_eq!(batch.queries(), queries.len());
+                prop_assert!(sink.into_inner() == want, "pass {}: bytes differ", pass);
+                if !cache {
+                    prop_assert_eq!(counters(batch.query_totals()), counters(folded));
+                    let chunks = joint_chunks(queries, bound).count() as u32;
+                    prop_assert_eq!(batch.query_totals().index_builds, chunks);
+                }
+            }
+            if cache && queries.len() > 1 {
+                // The replay pass found every query's entries.
+                let c = session.result_cache_counters();
+                let volumes = session.volumes.len();
+                prop_assert!(c.hits >= (queries.len() * volumes) as u64, "{:?}", c);
+            }
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -1092,7 +1189,9 @@ mod tests {
             /// asymmetric stride, each filter, pools of 1, 2 and 8, a
             /// one-volume window, an armed deadline and the result cache —
             /// cold, and replayed by a second pass — and a cold batch counts
-            /// what the queries count one by one.
+            /// what the queries count one by one. The same holds over the
+            /// subject as one resident volume, freshly prepared and loaded
+            /// from an index file, against one `Session::run` per query.
             #[test]
             fn joint_equals_per_member(
                 seqs in proptest::collection::vec("[ACGTN]{0,40}", 1..12),
@@ -1132,23 +1231,43 @@ mod tests {
                     ..DbOptions::default()
                 };
                 let mut session = DbSession::new(&db, &cfg, opts).unwrap();
-                for pass in 0..1 + usize::from(cache) {
-                    let mut sink = StreamWriter::new(Vec::new());
-                    let batch = session.run_batch_grained(&queries, &mut sink, bound).unwrap();
-                    prop_assert_eq!(batch.queries(), queries.len());
-                    prop_assert!(sink.into_inner() == want, "pass {}: bytes differ", pass);
-                    if !cache {
-                        prop_assert_eq!(counters(batch.query_totals()), counters(folded));
-                        let chunks = joint_chunks(&queries, bound).count() as u32;
-                        prop_assert_eq!(batch.query_totals().index_builds, chunks);
+                batch_matches(&mut session, &queries, bound, cache, &want, folded)?;
+                drop(session);
+
+                // The subject as one resident volume: its own per-sequence
+                // search space, so the reference is one Session::run each.
+                let subject = subject();
+                let fresh = Session::new(&subject, &cfg).unwrap();
+                let mut want = M8Writer::new(Vec::new());
+                let mut folded = PipelineStats::default();
+                for q in &queries {
+                    let r = fresh.run(q);
+                    folded = folded.merge(&r.stats);
+                    for rec in &r.alignments {
+                        want.write_record(rec).unwrap();
                     }
                 }
-                if cache && queries.len() > 1 {
-                    // The replay pass found every query's entries.
-                    let c = session.result_cache_counters();
-                    prop_assert!(c.hits >= (queries.len() * db.num_volumes()) as u64, "{:?}", c);
+                let want = want.into_inner();
+                let index = dir.join("subject.oidx");
+                let prepared = PreparedBank::prepare(&subject, cfg.filter, cfg.subject_index_config());
+                let meta = oris_index::IndexMeta {
+                    masked_fraction: prepared.stats().masked_fraction,
+                    filter_code: cfg.filter.code(),
+                    bank_hash: fnv1a(subject.data()),
+                };
+                let mut file = std::fs::File::create(&index).unwrap();
+                oris_index::persist::write_index(&mut file, prepared.index(), &meta).unwrap();
+                drop(file);
+                let (mapped, meta) = oris_index::map_index_file(&index).unwrap();
+                let loaded = PreparedBank::from_index(&subject, mapped, &meta).unwrap();
+                prop_assert_eq!(loaded.stats().builds, 0);
+                let loaded = Session::with_subject(loaded, &cfg).unwrap();
+                for subject_session in [fresh, loaded] {
+                    let mut session = DbSession::resident(subject_session, opts).unwrap();
+                    prop_assert_eq!(session.config(), &cfg);
+                    batch_matches(&mut session, &queries, bound, cache, &want, folded)?;
+                    prop_assert_eq!(session.volume_costs(), &[VolumeCost::default()]);
                 }
-                drop(session);
                 std::fs::remove_dir_all(&dir).unwrap();
             }
         }

@@ -6,17 +6,20 @@
 //! ```
 //!
 //! The paper's *intensive comparison* scenario at its fullest: one
-//! subject bank is prepared once ([`Session`]), a stream of query banks
-//! runs against it ([`Session::run_batch`]), and each query's records
-//! leave through a [`StreamWriter`] the moment the query finishes —
-//! peak memory holds one query's working set no matter how long the
-//! batch is. The example screens six EST banks, prints the batch totals
-//! from the returned [`BatchStats`] (a fixed-size fold — a query's own
-//! report comes from [`Session::run`]), and verifies that the streamed
-//! bytes equal what the collect-everything path would have produced.
+//! subject bank is prepared once ([`Session`]), held as the one resident
+//! volume of a [`DbSession`] (the loop `scoris_n --batch` runs), a stream
+//! of query banks runs against it ([`DbSession::run_batch`]), and each
+//! query's records leave through a [`StreamWriter`] the moment the query
+//! finishes — peak memory holds one chunk of queries' working set no
+//! matter how long the batch is. The example screens six EST banks,
+//! prints the batch totals from the returned [`DbBatchStats`] (a
+//! fixed-size fold — a query's own report comes from [`Session::run`]),
+//! and verifies that the streamed bytes equal what the collect-everything
+//! path would have produced.
 
 use oris::prelude::*;
 use oris_core::M8Writer;
+use oris_db::{DbBatchStats, DbOptions, DbSession};
 
 fn main() {
     // One subject, prepared once; six query banks from the same simulated
@@ -30,20 +33,14 @@ fn main() {
     let cfg = OrisConfig::default();
 
     let session = Session::new(&subject, &cfg).expect("valid configuration");
+    let prepared = session.subject_stats();
 
-    // --- Streamed: records leave as each query finishes ----------------
-    let mut sink = StreamWriter::new(Vec::new());
-    let batch = session
-        .run_batch(&queries, &mut sink)
-        .expect("memory writer cannot fail");
-    let streamed = sink.into_inner();
-
+    // --- Collected: one `Session::run` per query, whose report is that
+    // query's own (the batch stats below are their fold) ----------------
     println!(
         "# batch screening — {} queries, one prepared subject",
-        batch.queries()
+        queries.len()
     );
-    // --- Collected: one `Session::run` per query, whose report is that
-    // query's own (the batch stats above are their fold) ----------------
     let mut collected = Vec::new();
     let mut m8 = M8Writer::new(&mut collected);
     for (name, q) in query_names.iter().zip(&queries) {
@@ -56,16 +53,26 @@ fn main() {
             m8.write_record(rec).unwrap();
         }
     }
+
+    // --- Streamed: records leave as each query finishes ----------------
+    let mut session =
+        DbSession::resident(session, DbOptions::default()).expect("valid configuration");
+    let mut sink = StreamWriter::new(Vec::new());
+    let batch: DbBatchStats = session
+        .run_batch(&queries, &mut sink)
+        .expect("memory writer cannot fail");
+    let streamed = sink.into_inner();
+
     println!(
         "\nsubject prepared once: {} build(s), {:.3} s — amortized over {} queries",
-        batch.subject.builds,
-        batch.subject.build_secs,
+        prepared.builds,
+        prepared.build_secs,
         batch.queries(),
     );
     println!(
-        "{} records streamed, {} index builds total (subject once + one per query)",
+        "{} records streamed, {} index builds total (subject once + one per chunk of queries)",
         batch.total_records(),
-        batch.total_index_builds(),
+        prepared.builds + batch.query_totals().index_builds,
     );
 
     // --- Cross-check: the streamed bytes are the collected bytes -------

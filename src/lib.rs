@@ -33,8 +33,8 @@ pub use oris_simulate as simulate;
 pub mod prelude {
     pub use oris_blast::{compare_banks as blast_compare_banks, BlastConfig};
     pub use oris_core::{
-        compare_banks, BatchStats, CollectSink, OrisConfig, OrisResult, PreparedBank, RecordSink,
-        Session, StreamWriter,
+        compare_banks, CollectSink, OrisConfig, OrisResult, PreparedBank, RecordSink, Session,
+        StreamWriter,
     };
     pub use oris_eval::{MissReport, SpeedupRow};
     pub use oris_index::{BankIndex, IndexConfig, IndexMeta, SeedCoder};

@@ -4,11 +4,14 @@
 //! `StreamWriter` (incremental `-m 8` emission) produce identical output
 //! — byte identical for the writer — across random banks, both strands,
 //! masked and fully-indexed configurations, thread counts, and batch order.
+//! A batch streams through `DbSession::run_batch` over the subject as one
+//! resident volume, the path `scoris_n` takes for a FASTA subject.
 //! Plus the tied-e-value regression: duplicated sequences make e-values
 //! tie exactly, and the strict total order must keep the output unique
 //! and thread-count-invariant anyway.
 
 use oris_core::{CollectSink, M8Record, M8Writer, OrisConfig, RecordSink, Session, StreamWriter};
+use oris_db::{DbOptions, DbSession};
 use oris_seqio::{Bank, BankBuilder};
 use proptest::prelude::*;
 
@@ -88,6 +91,7 @@ proptest! {
             .collect();
 
         // Streamed path: byte-identical to the rendered reference.
+        let mut session = DbSession::resident(session, DbOptions::default()).unwrap();
         let mut stream = StreamWriter::new(Vec::new());
         let batch = session.run_batch(&queries, &mut stream).unwrap();
         prop_assert_eq!(batch.queries(), queries.len());
@@ -137,7 +141,8 @@ fn tied_evalues_order_deterministically() {
         // Streamed bytes match collected bytes and are identical across
         // thread counts.
         let mut stream = StreamWriter::new(Vec::new());
-        session
+        DbSession::resident(session, DbOptions::default())
+            .unwrap()
             .run_batch(std::slice::from_ref(&query), &mut stream)
             .unwrap();
         let bytes = stream.into_inner();
@@ -183,8 +188,10 @@ fn batch_marks_one_boundary_per_query() {
     ];
     let cfg = OrisConfig::small(8);
     let session = Session::new(&subject, &cfg).unwrap();
+    let mut resident =
+        DbSession::resident(Session::new(&subject, &cfg).unwrap(), DbOptions::default()).unwrap();
     let mut sink = Boundaries::default();
-    let batch = session.run_batch(&queries, &mut sink).unwrap();
+    let batch = resident.run_batch(&queries, &mut sink).unwrap();
     assert_eq!(sink.accepted.len(), 3);
     assert_eq!(sink.accepted[1], 0, "{:?}", sink.accepted);
     assert!(sink.accepted[0] > 0);
