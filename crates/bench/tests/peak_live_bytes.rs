@@ -42,9 +42,10 @@ fn query_banks(n: usize, seqs: usize) -> Vec<Bank> {
 
 #[test]
 fn bounded_memory_paths_peak_below_their_resident_twins() {
-    // W = 11 under the default Auto backend: small banks get the sparse
-    // index, so a query's transient is ∝ its distinct seeds and does not
-    // drown the difference measured here in a 16.8 MB offsets array.
+    // W = 11: a small bank's row map stores only the bitmap words it
+    // populates under a 12 KB top level, so a query's transient is ∝ its
+    // distinct seeds and does not drown the difference measured here in
+    // a 16.8 MB offsets array.
     let cfg = OrisConfig::default();
 
     // ---- streamed < collected --------------------------------------

@@ -8,7 +8,7 @@
 //!   -W, --word N        seed length (default 11; asymmetric mode indexes W−1)
 //!   -f, --filter KIND   none | entropy | dust (default entropy)
 //!       --asymmetric    subject-side (W−1)-mer stride-2 indexing (section 3.4)
-//!       --stats         print build time, row map and footprint to stderr
+//!       --stats         print build time and footprint to stderr
 //!   -o, --out FILE      output index (default <bank.fa>.oidx)
 //! ```
 //!
@@ -23,7 +23,7 @@ use std::process::ExitCode;
 
 use oris_cli::{read_bank, Args};
 use oris_core::{FilterKind, OrisConfig, PreparedBank};
-use oris_index::{IndexBackend, IndexMeta};
+use oris_index::IndexMeta;
 
 fn usage() -> &'static str {
     "usage: mkindex <bank.fa> [-W n] [-f none|entropy|dust] [--asymmetric]\n\
@@ -82,14 +82,8 @@ fn run() -> Result<(), String> {
     let s = prepared.stats();
     let istats = prepared.index().stats();
     if args.has_flag("stats") {
-        // The row map the footprint rule chose: a presence bitmap ranked
-        // per word, or the sorted list of populated codes.
-        let rows = match prepared.index().backend() {
-            IndexBackend::Sparse => "code-list",
-            _ => "bitmap",
-        };
         eprintln!(
-            "build={:.3}s w={} stride={} rows={rows} positions={} distinct={} masked={:.4} index_bytes={} fully_indexed={}",
+            "build={:.3}s w={} stride={} positions={} distinct={} masked={:.4} index_bytes={} fully_indexed={}",
             s.build_secs,
             prepared.index().w(),
             prepared.index().stride(),

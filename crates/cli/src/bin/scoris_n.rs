@@ -69,7 +69,7 @@
 //!       --stats         print per-step timings and counters to stderr: one
 //!                       `key=value` line whose `mode=` is plain, batch or
 //!                       db; the registry counters (`dispatches`,
-//!                       `deadline_expiries`, `cache_*`) and the pipeline
+//!                       `cache_*`) and the pipeline
 //!                       keys are the same in all three (`index_builds`,
 //!                       `total_index_builds` and `dispatches` count --batch
 //!                       chunks, not queries; `masked1` is the largest
@@ -79,10 +79,12 @@
 //!                       JSON lines; see `oris-obs` for the event schema
 //!       --metrics-json FILE
 //!                       write the metrics registry (counters, gauges,
-//!                       latency histograms) to FILE as JSON on exit
+//!                       latency histograms) to FILE as JSON on exit, a
+//!                       failed run's included
 //!       --metrics-prom FILE
 //!                       write the metrics registry to FILE in the
-//!                       Prometheus text exposition format on exit
+//!                       Prometheus text exposition format on exit, a
+//!                       failed run's included
 //!   -o, --out FILE      write -m 8 records to FILE (buffered, written to a
 //!                       temporary sibling and atomically renamed on success;
 //!                       default stdout)
@@ -351,7 +353,7 @@ fn build_session<'a>(
 /// The run's observability wiring: one [`Obs`] handle (armed when any of
 /// `--stats` / `--trace` / `--metrics-json` / `--metrics-prom` is given,
 /// disarmed — a single branch per instrumented operation — otherwise)
-/// plus the exposition paths to write when the run succeeds.
+/// plus the exposition paths to write when the run ends.
 struct ObsSetup {
     obs: Obs,
     metrics_json: Option<String>,
@@ -383,9 +385,8 @@ fn build_obs(args: &Args) -> Result<ObsSetup, String> {
     })
 }
 
-/// Flushes the trace sink and writes the `--metrics-*` documents. Called
-/// on the success path only: a failed run keeps whatever trace lines made
-/// it out (useful for debugging the failure) but writes no metrics files.
+/// Flushes the trace sink and writes the `--metrics-*` documents, after a
+/// failed run as after a successful one.
 fn finish_obs(setup: &ObsSetup) -> Result<(), String> {
     setup
         .obs
@@ -549,7 +550,26 @@ fn run() -> Result<(), CliError> {
 
     let opts = db_options(&args)?;
     let obs = build_obs(&args)?;
+    let searched = search_subject(&args, &cfg, opts, batch_mode, &obs.obs);
+    // The trace and the metrics documents are written whether the run
+    // succeeded or not: a failed run's counters (a deadline expiry above
+    // all) are part of what they report. The failure's exit code wins.
+    let finished = finish_obs(&obs);
+    searched?;
+    finished?;
+    Ok(())
+}
 
+/// Opens the queries and the subject — a database, or a FASTA bank
+/// built here or attached from `--index` — searches them into the
+/// output and prints the `--stats` line.
+fn search_subject(
+    args: &Args,
+    cfg: &OrisConfig,
+    opts: DbOptions,
+    batch_mode: bool,
+    obs: &Obs,
+) -> Result<(), CliError> {
     // Every input is opened BEFORE Output::open creates the .tmp.<pid>
     // sibling: a bad query path, batch directory, subject bank, index file
     // or database must fail without leaving a stray tmp file behind.
@@ -569,7 +589,7 @@ fn run() -> Result<(), CliError> {
                 code: e.exit_code(),
             };
             db = oris_db::Database::open(dir).map_err(located)?;
-            let session = DbSession::new(&db, &cfg, opts).map_err(located)?;
+            let session = DbSession::new(&db, cfg, opts).map_err(located)?;
             let mut head = StatsBlock::new("oris", "db");
             head.field("db", dir);
             head.field("volumes", db.num_volumes());
@@ -588,7 +608,7 @@ fn run() -> Result<(), CliError> {
         None => {
             bank2 = read_bank(args.positional.last().expect("counted above"))?;
             let t0 = Stopwatch::start();
-            let (session, source) = build_session(&bank2, &cfg, args.options.get("index"))?;
+            let (session, source) = build_session(&bank2, cfg, args.options.get("index"))?;
             let builds = session.subject_stats().builds;
             let session = DbSession::resident(session, opts)?;
             let mut head = StatsBlock::new("oris", if batch_mode { "batch" } else { "plain" });
@@ -598,11 +618,10 @@ fn run() -> Result<(), CliError> {
             (session, head, Some(builds))
         }
     };
-    let stats = search(&args, session, head, subject_builds, &obs.obs, queries)?;
+    let stats = search(args, session, head, subject_builds, obs, queries)?;
     if args.has_flag("stats") {
         eprintln!("{}", stats.render());
     }
-    finish_obs(&obs)?;
     Ok(())
 }
 
@@ -721,7 +740,6 @@ fn search(
     // equal to the ResultCache's own counters.
     for (key, counter) in [
         ("dispatches", names::WORKER_DISPATCH_TOTAL),
-        ("deadline_expiries", names::DEADLINE_EXPIRIES_TOTAL),
         ("cache_hits", names::CACHE_HITS_TOTAL),
         ("cache_misses", names::CACHE_MISSES_TOTAL),
         ("cache_insertions", names::CACHE_INSERTIONS_TOTAL),

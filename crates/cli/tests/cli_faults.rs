@@ -336,6 +336,36 @@ fn plain_zero_deadline_exits_7_and_leaves_no_output() {
     assert_no_output(&out_file);
 }
 
+#[test]
+fn zero_deadline_still_writes_the_metrics_documents() {
+    // The metrics documents are written on exit, a failed run's too: the
+    // expiry that ends the run is counted in them, while the output is
+    // left as a failed run leaves it — absent, with no tmp sibling.
+    let (db, query) = fixture("deadline_metrics");
+    let dir = db.parent().unwrap();
+    let (out_file, json, prom) = (dir.join("hits.m8"), dir.join("m.json"), dir.join("m.prom"));
+    let out = scoris_n()
+        .arg(&query)
+        .arg(dir.join("subject.fa"))
+        .args(["-W", "8", "--deadline", "0", "--metrics-json"])
+        .arg(&json)
+        .arg("--metrics-prom")
+        .arg(&prom)
+        .arg("-o")
+        .arg(&out_file)
+        .output()
+        .unwrap();
+    assert_clean_failure(&out, 7, "deadline");
+    assert_no_output(&out_file);
+    let json = std::fs::read_to_string(&json).unwrap();
+    assert!(json.contains("\"deadline_expiries_total\":1"), "{json}");
+    let prom = std::fs::read_to_string(&prom).unwrap();
+    assert!(
+        prom.lines().any(|l| l == "oris_deadline_expiries_total 1"),
+        "{prom}"
+    );
+}
+
 /// `n` bases from a fixed xorshift64 stream, so the input is the same
 /// every run.
 fn bases(n: usize, rng: &mut u64) -> Vec<u8> {
@@ -469,8 +499,9 @@ fn verifydb_passes_a_clean_database_both_modes() {
 
 #[test]
 fn verifydb_passes_a_fresh_database_of_dense_volumes() {
-    // At W = 4 every 200-nt volume populates enough of the 256 codes for
-    // the presence bitmap: a fresh v4 database of dense volumes verifies.
+    // At W = 4 every 200-nt volume populates most of the 256 codes, so
+    // its row map stores every bitmap word: a fresh database of dense
+    // volumes verifies.
     let dir = scratch("verify_dense");
     let subject = dir.join("subject.fa");
     let records: String = (0..5)
@@ -496,7 +527,10 @@ fn verifydb_passes_a_fresh_database_of_dense_volumes() {
         String::from_utf8_lossy(&out.stderr)
     );
     let (index, _) = oris_index::map_index_file(db.join("vol00000.oidx")).unwrap();
-    assert_eq!(index.backend(), oris_index::IndexBackend::Dense);
+    assert!(
+        index.distinct_codes() > 64,
+        "most of the 256 codes populated"
+    );
     let out = verifydb().arg(&db).output().unwrap();
     assert_eq!(
         out.status.code(),

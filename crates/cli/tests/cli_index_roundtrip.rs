@@ -345,7 +345,12 @@ fn wide_row_group_bank_is_byte_identical_plain_indexed_and_db() {
         "{}",
         String::from_utf8_lossy(&st.stderr)
     );
-    assert!(String::from_utf8_lossy(&st.stderr).contains("rows=bitmap"));
+    // One row map: `--stats` reports the footprint, no map choice.
+    let stats = String::from_utf8_lossy(&st.stderr);
+    assert!(
+        stats.contains("positions=") && !stats.contains("rows="),
+        "{stats}"
+    );
     let indexed = run(
         &[s.as_os_str(), "--index".as_ref(), oidx.as_os_str()],
         &dir.join("indexed.m8"),

@@ -135,9 +135,7 @@ impl OrisConfig {
     }
 
     /// Index configuration for the query side (bank 1): always full
-    /// stride at the effective word length. The row map is left to the
-    /// build (`oris_index::IndexBackend::Auto`, chosen per bank from its
-    /// posting count).
+    /// stride at the effective word length.
     pub fn query_index_config(&self) -> oris_index::IndexConfig {
         oris_index::IndexConfig::full(self.indexed_w())
     }
@@ -145,8 +143,7 @@ impl OrisConfig {
     /// Index configuration for the subject side (bank 2): stride 2 in
     /// asymmetric mode (section 3.4), full otherwise. This is the
     /// configuration `mkindex` must use for an index that
-    /// `scoris-n --index` will accept (the row layout is not part of
-    /// it — sessions never reject an index over its layout).
+    /// `scoris-n --index` will accept.
     pub fn subject_index_config(&self) -> oris_index::IndexConfig {
         if self.asymmetric {
             oris_index::IndexConfig::asymmetric(self.indexed_w())

@@ -57,10 +57,10 @@ pub struct PipelineStats {
     pub masked_fraction1: f64,
     /// Fraction of bank-2 positions masked by the filter.
     pub masked_fraction2: f64,
-    /// Index footprint (both banks), heap bytes: per dense index
-    /// `4·N + 2·distinct + distinct/16 + N/8 + 3·4^W/16` for N postings
-    /// (the paper's ≈5·N counts `SEQ` and postings only; see
-    /// `oris_index::structure`).
+    /// Index footprint (both banks), heap bytes: per index
+    /// `4·N + 2·distinct + distinct/16 + N/8 + 12·words + 12·⌈4^W/4096⌉`
+    /// for N postings in `words` populated bitmap words (the paper's ≈5·N
+    /// counts `SEQ` and postings only; see `oris_index::structure`).
     pub index_bytes: usize,
 }
 

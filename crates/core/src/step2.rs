@@ -70,8 +70,8 @@
 //! then cuts code by code only inside the few blocks a cut falls in — at
 //! most one per cut — skipping the others whole. The cut points are those
 //! of a greedy scan over every code. The pass visits only the codes
-//! populated in both indexes (see below), so on two dense indexes it is a
-//! walk over the AND of their bitmaps, 64 codes per word.
+//! populated in both indexes (see below): a walk over the AND of the two
+//! row maps, 64 codes per bitmap word.
 //!
 //! Work under a grain never leaves the calling thread: the chunk count is
 //! capped at `total / GRAIN` pairs (`GRAIN` = 16 384), so a query whose
@@ -98,32 +98,22 @@
 //! neither the output nor the cut points — and at W = 11 the sweep would
 //! visit 4 M codes to find the populated ones.
 //!
-//! **Partner-row lookups.** When both indexes are dense (ranked presence
-//! bitmaps — every bank-against-bank workload, and a joint read chunk
-//! against a database volume), [`oris_index::BankIndex::for_each_shared`]
-//! walks the AND of the two bitmaps word by word with running ranks: each
-//! shared code's two rows are a popcount each, and no code populated on
-//! one side only is visited. The cursor walk below would serve two dense
-//! indexes too, at a higher price: on `est_x_est`'s banks (1.1 M codes
-//! each, 2-vCPU VM, alternating in-process runs of ten pairs) the AND
-//! walk takes the work scan from 24 to 8 ms (every pair) and `find_hsps`
-//! from 152 to 132 ms at one thread (8 pairs of 10), 143 to 98 ms at two
-//! (every pair); on `genome_null`'s (1.8 and 2.8 M codes) the scan goes
-//! from 52 to 20 ms (every pair) and `find_hsps` from 667 to 636 ms at
-//! one thread (7 of 10).
-//!
-//! Otherwise step 2 walks the populated rows of whichever index holds
-//! fewer distinct codes, in ascending code order within a range, and
-//! resolves each partner with a forward [`oris_index::RowCursor`]: a
-//! rank on a dense partner, a gallop through the sorted code list from
-//! the previous answer on a sparse one. A lone 150-nt read (a sparse
-//! index of ~139 codes) against a dense volume thus pays a rank per
-//! partner, where a gallop across a sparse volume's whole code list took
-//! ~0.3 µs. That walk pulls 32 driving rows ahead of their
-//! partner lookups, so the partners' row-boundary misses overlap:
-//! resolving each row's partner inside the walk made `find_hsps` on
-//! 4.9 × 2.8 Mbp random banks 5–10 % slower (in-process, one thread).
-//! Codes and pairs are visited in the same order either way.
+//! **Partner-row lookups.** [`oris_index::BankIndex::for_each_shared`]
+//! walks the two row maps together, one walk for every pair of indexes:
+//! it ANDs the two top levels word by word, then the two stored bitmap
+//! words under each top bit both set, with running ranks, so each shared
+//! code's two rows are a popcount each and no code populated on one side
+//! only is visited. Two dense banks (every bank-against-bank workload,
+//! and a joint read chunk against a database volume) meet nearly every
+//! bitmap word; a lone 150-nt read against a volume ANDs the two 1 024-word
+//! top levels (W = 11) and then meets only the read's hundred-odd words.
+//! On two dense indexes the AND walk took step 2's work scan from 24 to
+//! 8 ms and `find_hsps` from 152 to 132 ms against a per-code lookup
+//! (`est_x_est`'s banks, one thread, 2-vCPU VM, alternating in-process
+//! runs), and the top level costs it nothing measurable: on
+//! `genome_null`'s banks `find_hsps` at one thread took a median of 509
+//! against 505 ms for a one-level bitmap in ten alternating in-process
+//! pairs, inside the latter's quartile spread of 472–519 ms.
 
 use std::convert::Infallible;
 use std::ops::Range;
@@ -271,16 +261,11 @@ fn work(x1: &[u32], x2: &[u32]) -> u64 {
 /// Calls `f(code, X1, X2)` for every code of `codes` populated in both
 /// indexes, in ascending code order — the codes with both rows non-empty
 /// that a `for code in codes` sweep over `occurrences` would visit — and
-/// returns the first error `f` does. Two dense indexes are walked
-/// together ([`BankIndex::for_each_shared`]). Otherwise the populated rows
-/// of the driving index — whichever holds fewer distinct codes; for a
-/// lone read against a volume, the read's — are pulled [`ROWS_AHEAD`] at
-/// a time into stack arrays and their partner rows resolved together by
-/// a [`oris_index::RowCursor`] started at the range's first code, so the
-/// partner lookups of a round are independent and their misses overlap.
-/// Either way `f` runs on rounds of up to [`ROWS_AHEAD`] resolved codes:
-/// calling it from inside the bitmap walk, one code at a time, made
-/// `find_hsps` 5–10 % slower (4.9 × 2.8 Mnt, one thread, in-process).
+/// returns the first error `f` does. The two row maps are walked together
+/// ([`BankIndex::for_each_shared`]), which gathers the resolved codes into
+/// rounds of up to [`ROUND`]; `f` runs on a round once it is full: calling
+/// it from inside the bitmap walk, one code at a time, made `find_hsps`
+/// 5–10 % slower (4.9 × 2.8 Mnt, one thread, in-process).
 #[inline]
 fn for_each_seed<'i, E>(
     idx1: &'i BankIndex,
@@ -289,72 +274,34 @@ fn for_each_seed<'i, E>(
     mut f: impl FnMut(u32, &'i [u32], &'i [u32]) -> Result<(), E>,
 ) -> Result<(), E> {
     let mut round = Round::default();
-    let shared = idx1.for_each_shared(idx2, codes.clone(), |c, x1, x2| {
+    idx1.for_each_shared(idx2, codes, |c, x1, x2| {
         round.push(c, x1, x2);
-        if round.n == ROWS_AHEAD {
+        if round.n == ROUND {
             round.flush(&mut f)?;
         }
         Ok(())
-    });
-    if let Some(done) = shared {
-        done?;
-        return round.flush(&mut f);
-    }
-    let drive_is_1 = idx1.distinct_codes() <= idx2.distinct_codes();
-    let (drive, other) = if drive_is_1 {
-        (idx1, idx2)
-    } else {
-        (idx2, idx1)
-    };
-    let mut partner = other.cursor_from(codes.start);
-    let mut rows = drive.populated_in(codes);
-    let mut code = [0u32; ROWS_AHEAD];
-    let mut drive_rows: [&[u32]; ROWS_AHEAD] = [&[]; ROWS_AHEAD];
-    loop {
-        let mut n = 0;
-        for (c, row) in rows.by_ref().take(ROWS_AHEAD) {
-            code[n] = c;
-            drive_rows[n] = row;
-            n += 1;
-        }
-        for (&c, &row) in code[..n].iter().zip(&drive_rows[..n]) {
-            let found = partner.seek(c);
-            if !found.is_empty() {
-                let (x1, x2) = if drive_is_1 {
-                    (row, found)
-                } else {
-                    (found, row)
-                };
-                round.push(c, x1, x2);
-            }
-        }
-        round.flush(&mut f)?;
-        if n < ROWS_AHEAD {
-            return Ok(());
-        }
-    }
+    })?;
+    round.flush(&mut f)
 }
 
-/// Driving rows [`for_each_seed`] pulls ahead of its partner lookups, and
-/// the most codes one of its rounds holds: enough independent loads in
-/// flight to cover the partners' row-boundary misses, few enough that a
-/// round is about 1 KB of stack.
-const ROWS_AHEAD: usize = 32;
+/// The most codes one of [`for_each_seed`]'s rounds holds: about 1 KB of
+/// stack.
+const ROUND: usize = 32;
 
 /// Codes whose rows are resolved, waiting for [`for_each_seed`]'s `f`.
 struct Round<'i> {
-    code: [u32; ROWS_AHEAD],
-    x1: [&'i [u32]; ROWS_AHEAD],
-    x2: [&'i [u32]; ROWS_AHEAD],
+    code: [u32; ROUND],
+    x1: [&'i [u32]; ROUND],
+    x2: [&'i [u32]; ROUND],
     n: usize,
 }
 
 impl Default for Round<'_> {
     fn default() -> Self {
         Round {
-            code: [0; ROWS_AHEAD],
-            x1: [&[]; ROWS_AHEAD],
-            x2: [&[]; ROWS_AHEAD],
+            code: [0; ROUND],
+            x1: [&[]; ROUND],
+            x2: [&[]; ROUND],
             n: 0,
         }
     }
@@ -1045,20 +992,18 @@ mod tests {
     fn partition_is_identical_across_index_backends() {
         // The work-balanced scan visits the codes populated in both
         // indexes only; since the others carry zero work, the cut points
-        // must be the same whether the rows come from bitmaps (the AND
-        // walk) or code lists (the cursor) — in any pairing — and so must
-        // the HSPs and the counters, on one range and split into many.
-        use oris_index::IndexBackend;
+        // must be the same whether an index is a fresh build or mapped
+        // from its file — in any pairing — and so must the HSPs and the
+        // counters, on one range and split into many.
         let polya = "A".repeat(300);
         let mixed = "ATGGCGTACGTTAGCCTAGGCTTAACGGATCGATCCGGTTAACCGTAGCTAGGATCC";
         let b1 = bank(&[&format!("{polya}{mixed}"), &mixed[7..]]);
         let b2 = bank(&[&format!("{polya}GGCCATTA{mixed}"), &mixed[..40]]);
         for w in [4, 11] {
             let c = cfg(w);
-            let [d1, s1] = both_backends(&b1, w);
-            let [d2, s2] = both_backends(&b2, w);
-            assert_eq!(d1.backend(), IndexBackend::Dense);
-            assert_eq!(s1.backend(), IndexBackend::Sparse);
+            let [d1, s1] = both_backings(&b1, w);
+            let [d2, s2] = both_backings(&b2, w);
+            assert!(!d1.is_mmap_backed() && s1.is_mmap_backed());
             let pairings = [(&d1, &d2), (&s1, &s2), (&d1, &s2), (&s1, &d2)];
             for chunks in [1u32, 3, 16, 64] {
                 let reference = partition_codes_grained(&d1, &d2, chunks, 1);
@@ -1077,16 +1022,15 @@ mod tests {
 
     #[test]
     fn sparse_partition_handles_w11_code_space() {
-        // At W = 11 the code space holds 4^11 ≈ 4.2 M codes; the sparse
-        // work scan must touch only the populated handful. (Correctness,
-        // not speed, is asserted — the old dense sweep would still pass,
-        // but only the populated-row walk makes W = 11 partitioning
+        // At W = 11 the code space holds 4^11 ≈ 4.2 M codes; the work
+        // scan must touch only the populated handful. (Correctness, not
+        // speed, is asserted — a `0..4^W` sweep would still pass, but only
+        // the walk over the stored words makes W = 11 partitioning
         // proportionate to bank size.)
-        use oris_index::IndexBackend;
         let shared = "ATGGCGTACGTTAGCCTAGGCTTAACGGATCGATCCGGTTAACC";
         let b1 = bank(&[&format!("TTTT{shared}GGGG")]);
         let b2 = bank(&[&format!("CCCC{shared}AAAA")]);
-        let icfg = IndexConfig::full(11).with_backend(IndexBackend::Sparse);
+        let icfg = IndexConfig::full(11);
         let i1 = BankIndex::build(&b1, icfg);
         let i2 = BankIndex::build(&b2, icfg);
         let num_codes = i1.coder().num_seeds() as u32;
@@ -1245,11 +1189,27 @@ mod tests {
         ranges
     }
 
-    /// `bank` indexed at `w` by both row maps: `[dense, sparse]`.
-    fn both_backends(bank: &Bank, w: usize) -> [BankIndex; 2] {
-        use oris_index::IndexBackend;
-        [IndexBackend::Dense, IndexBackend::Sparse]
-            .map(|backend| BankIndex::build(bank, IndexConfig::full(w).with_backend(backend)))
+    /// `idx` written to an index file and mapped from it.
+    fn mapped(idx: &BankIndex) -> BankIndex {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "oris_step2_backing_{}_{}.oidx",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        oris_index::write_index_file(&path, idx, &Default::default()).unwrap();
+        let mapped = oris_index::map_index_file(&path).unwrap().0;
+        std::fs::remove_file(&path).ok();
+        mapped
+    }
+
+    /// `bank` indexed at `w`, twice: the fresh build, and the same index
+    /// mapped from its file.
+    fn both_backings(bank: &Bank, w: usize) -> [BankIndex; 2] {
+        let built = BankIndex::build(bank, IndexConfig::full(w));
+        let mapped = mapped(&built);
+        [built, mapped]
     }
 
     #[test]
@@ -1263,7 +1223,7 @@ mod tests {
         let b1 = bank(&[&format!("{polya}{mixed}{polyt}"), mixed]);
         let b2 = bank(&[&format!("{polyt}{mixed}"), &format!("{mixed}{polya}")]);
         for w in [5, 6, 11] {
-            let (i1s, i2s) = (both_backends(&b1, w), both_backends(&b2, w));
+            let (i1s, i2s) = (both_backings(&b1, w), both_backings(&b2, w));
             for (i1, i2) in i1s.iter().flat_map(|i1| i2s.iter().map(move |i2| (i1, i2))) {
                 for grain in [1, GRAIN] {
                     for chunks in [2u32, 3, 7, 16, 32, 1024] {
@@ -1305,31 +1265,26 @@ mod tests {
             prop_assert_eq!(&auto, &indexed);
         }
 
-        /// Dense and sparse index backends are interchangeable in step 2:
+        /// A fresh and a mapped index are interchangeable in step 2:
         /// same HSP vector (order included) and same `Step2Stats`, for
-        /// random banks, word lengths, masking and stride — including the
-        /// mixed pairing one mmap-attached dense volume against a fresh
-        /// sparse query index produces.
+        /// random banks, word lengths (a top level of part of a word, and
+        /// of many), masking and stride — including the pairing one
+        /// mmap-attached volume against a fresh query index produces.
         #[test]
         fn step2_output_is_backend_invariant(
             seqs1 in proptest::collection::vec("[ACGTN]{5,60}", 1..4),
             seqs2 in proptest::collection::vec("[ACGTN]{5,60}", 1..4),
-            w in 3usize..6,
+            w in 3usize..=8,
             mask_mod in 2usize..7,
             stride in 1usize..3,
         ) {
-            use oris_index::IndexBackend;
             let b1 = banks_from(&seqs1);
             let b2 = banks_from(&seqs2);
             let c = cfg(w);
-            let dense = IndexConfig::full(w).with_backend(IndexBackend::Dense);
-            let sparse = IndexConfig::full(w).with_backend(IndexBackend::Sparse);
-            let d1 = BankIndex::build_filtered(&b1, dense, |p| p % mask_mod == 0);
-            let s1 = BankIndex::build_filtered(&b1, sparse, |p| p % mask_mod == 0);
-            let strided = |backend| IndexConfig { stride, ..IndexConfig::full(w) }
-                .with_backend(backend);
-            let d2 = BankIndex::build(&b2, strided(IndexBackend::Dense));
-            let s2 = BankIndex::build(&b2, strided(IndexBackend::Sparse));
+            let d1 = BankIndex::build_filtered(&b1, IndexConfig::full(w), |p| p % mask_mod == 0);
+            let s1 = mapped(&d1);
+            let d2 = BankIndex::build(&b2, IndexConfig { stride, ..IndexConfig::full(w) });
+            let s2 = mapped(&d2);
 
             let reference = find_hsps(&b1, &d1, &b2, &d2, &c);
             prop_assert_eq!(&reference, &find_hsps(&b1, &s1, &b2, &s2, &c));
@@ -1386,7 +1341,7 @@ mod tests {
             seqs1[0] = format!("{polya}{}{polyt}", seqs1[0]);
             seqs2[0] = format!("{polyt}{}{polya}", seqs2[0]);
             let (b1, b2) = (banks_from(&seqs1), banks_from(&seqs2));
-            let (i1s, i2s) = (both_backends(&b1, w), both_backends(&b2, w));
+            let (i1s, i2s) = (both_backings(&b1, w), both_backings(&b2, w));
             for i1 in &i1s {
                 for i2 in &i2s {
                     for grain in [1, GRAIN] {

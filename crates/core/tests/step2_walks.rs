@@ -7,13 +7,14 @@
 //! The HSP vector and every `Step2Stats` counter must agree at one, two,
 //! three and eight threads — for banks of a few hundred kbp, and for
 //! 150-nt reads against the mapped sparse volumes of a database, where the
-//! read drives and nearly every partner lookup misses a cold table.
+//! walk over the two top levels meets a few bitmap words per read and
+//! nearly every partner lookup misses a cold table.
 
 use oris_align::{ExtensionOutcome, OrderGuard, UngappedParams};
 use oris_core::step2::{find_hsps, partition_codes, select_guard, Step2Stats};
 use oris_core::{FilterKind, Hsp, OrisConfig, PreparedBank};
 use oris_db::{make_db, Database, MakeDbOptions};
-use oris_index::{BankIndex, IndexBackend, IndexConfig, SeedCoder};
+use oris_index::{BankIndex, IndexConfig, SeedCoder};
 use oris_seqio::{Bank, BankBuilder, SENTINEL};
 
 /// SplitMix64, enough randomness for test banks.
@@ -260,8 +261,10 @@ fn short_reads_step_2_like_the_reference_against_mapped_sparse_volumes() {
     let volumes: Vec<PreparedBank<'static>> = (0..db.num_volumes())
         .map(|v| db.attach_volume(v).unwrap().0)
         .collect();
+    // Each ~60 000-position volume populates a sliver of the 4^11 codes,
+    // about one per bitmap word it stores.
     for v in &volumes {
-        assert_eq!(v.index().backend(), IndexBackend::Sparse);
+        assert!(v.index().distinct_codes() < 65_536);
         assert!(v.index().is_mmap_backed());
     }
 
@@ -297,7 +300,6 @@ fn short_reads_step_2_like_the_reference_against_mapped_sparse_volumes() {
     let mut total = Step2Stats::default();
     for q in &queries {
         for v in &volumes {
-            // The read drives.
             assert!(q.index().distinct_codes() <= v.index().distinct_codes());
             let r = reference_step2(q.bank(), q.index(), v.bank(), v.index(), &cfg);
             total = total.merge(r.1);

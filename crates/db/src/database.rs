@@ -21,9 +21,10 @@ pub struct AttachedVolumeStats {
     /// volume FASTA (index build time is always 0 on this path).
     pub attach_secs: f64,
     /// Heap bytes of the attached index. For an mmap attach the postings,
-    /// row boundaries and the bitmap or code list stay in the page cache,
-    /// and the heap holds the copied bit-set (`len/8` bytes) plus, for a
-    /// dense index, the ranks derived from its bitmap (`4^W/16` bytes).
+    /// row boundaries and the row map's two levels stay in the page
+    /// cache, and the heap holds the copied bit-set (`len/8` bytes) plus
+    /// the ranks derived from the two levels (4 bytes per top-level word
+    /// and per stored bitmap word).
     pub index_heap_bytes: usize,
     /// Whether the index sections are mmap-backed.
     pub mmap_backed: bool,

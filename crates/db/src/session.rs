@@ -155,7 +155,7 @@ pub struct VolumeCost {
     pub strand_build_secs: f64,
     /// Heap bytes of the most recent attach: the bank plus
     /// [`crate::database::AttachedVolumeStats::index_heap_bytes`] (for an mmap
-    /// attach, the bit-set and a dense index's ranks).
+    /// attach, the bit-set and the row map's ranks).
     pub index_heap_bytes: usize,
     /// Whether the most recent attach was mmap-backed.
     pub mmap_backed: bool,

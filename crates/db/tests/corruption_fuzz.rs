@@ -1,5 +1,5 @@
 //! Byte-mutation fuzz: random single-byte flips and truncations of the
-//! manifest and the v5 index files must never panic the loaders, and
+//! manifest and the v6 index files must never panic the loaders, and
 //! never be silently accepted where a checksum vouches for the bytes.
 //! Structure-aware fuzz: manifest *fields* overwritten and rows shuffled
 //! with the checksum restamped — the checksum is not a MAC, so the parser
@@ -13,13 +13,14 @@
 //! * the index loaders — [`oris_index::map_index_file`], the real attach
 //!   path, against mutated bytes on disk, and the streaming heap reader
 //!   through [`FaultyIo`] — which must reject every mutation via header
-//!   validation or the whole-stream checksum. The fixture's volumes are
-//!   sparse (a code list); a second database at W = 5 gives its volumes
-//!   the dense presence bitmap, every byte of which is flipped below; a
-//!   third puts a 70 000-nt poly-A run ahead of the sequence, so its
-//!   first row group keeps `u32` starts in the wide side array, and every
-//!   byte of its row bounds is flipped, and its words edited under a
-//!   restamped checksum.
+//!   validation or the whole-stream checksum. The fixture's volumes store
+//!   few of their row map's bitmap words (W = 8); a second database at
+//!   W = 5 stores nearly every word, and every byte of its two levels is
+//!   flipped below, and each lie about them told under a restamped
+//!   checksum; a third puts a 70 000-nt poly-A run ahead of the
+//!   sequence, so its first row group keeps `u32` starts in the wide side
+//!   array, and every byte of its row bounds is flipped, and its words
+//!   edited under a restamped checksum.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -61,8 +62,8 @@ fn fixture() -> &'static (PathBuf, Vec<u8>, Vec<u8>) {
     })
 }
 
-/// A database whose volume indexes carry the dense presence bitmap: its
-/// directory and vol00000.oidx's bytes.
+/// A database whose volume indexes store nearly every bitmap word of
+/// their row map (W = 5): its directory and vol00000.oidx's bytes.
 fn dense_fixture() -> &'static (PathBuf, Vec<u8>) {
     static FIXTURE: OnceLock<(PathBuf, Vec<u8>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
@@ -92,19 +93,31 @@ fn dense_fixture() -> &'static (PathBuf, Vec<u8>) {
     })
 }
 
-/// Every single-byte flip of a volume's presence bitmap — the words that
-/// decide which codes have rows — is refused by both attach modes: the
-/// mapped file, and the database attach through [`FaultyIo`], which reads
-/// the file into heap arrays.
+/// The byte range of an index file's two row-map levels at W = 5: the
+/// header is 92 bytes, padded to 96; then the one top-level word and the
+/// stored bitmap words (at most ⌈4^5/64⌉ = 16, as many as the header's
+/// `num_words` at 52..60).
+fn bitmap_bytes(index: &[u8]) -> std::ops::Range<usize> {
+    let words = u64::from_le_bytes(index[52..60].try_into().unwrap()) as usize;
+    96..104 + 8 * words
+}
+
+/// Every single-byte flip of a volume's row map — the top level and the
+/// stored words that decide which codes have rows — is refused by both
+/// attach modes: the mapped file, and the database attach through
+/// [`FaultyIo`], which reads the file into heap arrays.
 #[test]
 fn bitmap_flips_are_refused_by_both_attach_modes() {
     let (dir, index) = dense_fixture();
     let clean = oris_index::map_index_file(dir.join("vol00000.oidx"))
         .unwrap()
         .0;
-    assert_eq!(clean.backend(), oris_index::IndexBackend::Dense);
-    // Header 92 bytes, padded to 96; then ⌈4^5/64⌉ = 16 bitmap words.
-    for offset in 96..96 + 8 * 16 {
+    assert!(clean.distinct_codes() > 0);
+    assert!(
+        bitmap_bytes(index).len() >= 8 + 8 * 8,
+        "most of the 16 words stored"
+    );
+    for offset in bitmap_bytes(index) {
         for mask in [0x01u8, 0x80] {
             let mut bytes = index.clone();
             bytes[offset] ^= mask;
@@ -121,6 +134,63 @@ fn bitmap_flips_are_refused_by_both_attach_modes() {
             assert!(matches!(e, DbError::Volume(_)), "{e:?}");
         }
     }
+}
+
+/// Each lie a v6 file can tell about its row map — a top bit whose word
+/// is absent, a stored word of zero, fewer top bits than stored words, a
+/// top or word bit past 4^W, a word popcount other than the row count —
+/// told under a restamped checksum, ends in [`PersistError::Corrupt`]
+/// under both attach modes: the mapped file and the heap reader.
+///
+/// [`PersistError::Corrupt`]: oris_index::PersistError::Corrupt
+#[test]
+fn row_map_lies_end_in_a_typed_error_under_both_attach_modes() {
+    let refused = |bytes: &[u8], want: &str| {
+        let mut bytes = bytes.to_vec();
+        oris_index::persist::restamp_checksum(&mut bytes);
+        let path = mutated_file(&bytes);
+        let mapped = oris_index::map_index_file(&path);
+        std::fs::remove_file(&path).ok();
+        let heap = oris_index::persist::read_index(&mut &bytes[..]);
+        for verdict in [mapped.map(|_| ()), heap.map(|_| ())] {
+            match verdict {
+                Err(oris_index::PersistError::Corrupt(msg)) => {
+                    assert!(msg.contains(want), "{msg} (wanted {want})")
+                }
+                other => panic!("a lie about {want} got {other:?}"),
+            }
+        }
+    };
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let with = |b: &[u8], at: usize, v: u64| {
+        let mut b = b.to_vec();
+        b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        b
+    };
+    // W = 5: one top word over 16 bitmap words, most of them stored.
+    let (_, index) = dense_fixture();
+    let (top, first) = (word(index, 96), word(index, 104));
+    let stored = (top.count_ones()) as usize;
+    assert_eq!(bitmap_bytes(index).len(), 8 + 8 * stored);
+    refused(&with(index, 104, 0), "a stored bitmap word is zero");
+    refused(&with(index, 96, top & (top - 1)), "stored words for the");
+    refused(
+        &with(index, 96, top | 1 << 20),
+        "marks a word past the 1024-code space",
+    );
+    let more = first | 1 << (!first).trailing_zeros();
+    refused(&with(index, 104, more), "bitmap words hold");
+    // W = 8: sixteen top words over 1 024 bitmap words, a few stored; a
+    // top bit marking a word the file does not store.
+    let (dir, _, _) = fixture();
+    let sparse = std::fs::read(dir.join("vol00000.oidx")).unwrap();
+    let t = (0..16).find(|&t| word(&sparse, 96 + 8 * t) != 0).unwrap();
+    let top = word(&sparse, 96 + 8 * t);
+    let free = (!top).trailing_zeros();
+    refused(
+        &with(&sparse, 96 + 8 * t, top | 1 << free),
+        "a marked word is absent",
+    );
 }
 
 /// A database whose first volume's index has a wide row group — a
@@ -149,12 +219,13 @@ fn wide_fixture() -> &'static (PathBuf, Vec<u8>, [std::ops::Range<usize>; 3]) {
         )
         .unwrap();
         let index = std::fs::read(dir.join("vol00000.oidx")).unwrap();
-        // The header's counts (num_keys, num_rows, num_wide) lay the
-        // sections out: each starts on the next 8-byte offset.
+        // The header's counts (num_words, num_rows, num_wide) lay the
+        // sections out: each starts on the next 8-byte offset, the top
+        // level (one word at W = 5) first.
         let count = |at: usize| u64::from_le_bytes(index[at..at + 8].try_into().unwrap()) as usize;
-        let (keys, rows, wide) = (count(52), count(60), count(84));
+        let (words, rows, wide) = (count(52), count(60), count(84));
         let align = |at: usize| at.next_multiple_of(8);
-        let rel = align(align(92) + 8 * keys);
+        let rel = align(align(92) + 8 + 8 * words);
         let anchors = align(rel + 2 * rows);
         let side = align(anchors + 4 * rows.div_ceil(64));
         assert_eq!(wide, rows.min(64), "the poly-A row group must be wide");
@@ -175,7 +246,7 @@ fn row_bound_flips_are_refused_by_both_attach_modes() {
     let clean = oris_index::map_index_file(dir.join("vol00000.oidx"))
         .unwrap()
         .0;
-    assert_eq!(clean.backend(), oris_index::IndexBackend::Dense);
+    assert!(clean.positions().len() > 70_000);
     for offset in sections.iter().flat_map(|s| s.clone().step_by(3)) {
         let mut bytes = index.clone();
         bytes[offset] ^= 0x41;
@@ -428,7 +499,7 @@ proptest! {
         }
     }
 
-    /// Any single-byte flip of a v5 index file is rejected by the real
+    /// Any single-byte flip of a v6 index file is rejected by the real
     /// attach path — header validation or the whole-stream checksum —
     /// without panicking.
     #[test]
@@ -448,7 +519,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Any truncation of a v5 index file is rejected by the real attach
+    /// Any truncation of a v6 index file is rejected by the real attach
     /// path without panicking.
     #[test]
     fn index_truncations_never_panic_never_pass(len_sel in 0usize..1_000_000) {

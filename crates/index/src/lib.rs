@@ -16,24 +16,22 @@
 //!   `occurrences(code)` is a sorted `&[u32]` slice and
 //!   step 2 streams postings instead of chasing the paper's
 //!   `int *INDEX` chains. Rows are stored for populated codes only, and
-//!   two row maps sit behind the same API ([`IndexBackend`]): a
-//!   **dense** presence bitmap over the `4^W` codes whose per-word ranks
-//!   give a code's row (`3·4^W/16` bytes, 768 KB at W = 11 — the
-//!   large-bank fast path) and a **sparse** sorted code list (4 bytes per
-//!   populated code — what a small query bank uses). `IndexBackend::Auto`
-//!   (the default) picks per build whichever the footprint models say is
-//!   smaller; results are byte-identical either way (see `structure`
-//!   module docs for the memory model).
-//!   Construction is one path: a scan marks and counts the windows that
-//!   survive masking, then a radix-partitioned counting sort of bare
-//!   positions (dense, data-parallel on large banks) or one sort of
-//!   packed keys (sparse) lays out the rows.
+//!   one row map serves every bank size: a **two-level ranked bitmap**.
+//!   Of the presence bitmap over the `4^W` codes only the non-zero words
+//!   are stored, under a top level of one bit per bitmap word; a code's
+//!   row is two rank steps. A 150-nt read's index stays under 16 KB at
+//!   W = 11, and a dense bank pays the one-level bitmap's `3·4^W/16`
+//!   bytes plus 12 KB (see the `structure` module docs for the memory
+//!   model). Construction is one path: a scan marks and counts the
+//!   windows that survive masking, then a radix-partitioned sort of bare
+//!   positions (data-parallel on large banks) lays out the rows — each
+//!   partition counted, or, when it holds few postings against its `4^8`
+//!   codes, sorted by comparison.
 //! * [`persist`]: the on-disk index format (magic + version + config +
 //!   little-endian array sections, each starting on an 8-byte file
 //!   offset, then a word-wide [`persist::checksum`] that detects every
-//!   single-byte flip with certainty). Both row maps serialize — a
-//!   header flag selects the key section, the dense bitmap or the sparse
-//!   code list, stored beside the row bounds; the dense ranks are
+//!   single-byte flip with certainty). The row map's top level and
+//!   stored words are written beside the row bounds; their ranks are
 //!   derived at load. A loaded index is
 //!   behaviourally identical to a fresh build, including the
 //!   `is_fully_indexed` provenance that drives step 2's guard
@@ -52,11 +50,12 @@
 //!   the CSR layout this halves the postings bytes too, not just the
 //!   sampled windows.
 //! * Seed-occupancy statistics used by tests and the memory experiment
-//!   (E7). A fully indexed bank of N positions with k distinct codes takes
-//!   `4·N + 2·k + k/16 + N/8 + 3·4^W/16` index bytes on the dense map
+//!   (E7). A fully indexed bank of N positions with k distinct codes in
+//!   `words` populated bitmap words takes
+//!   `4·N + 2·k + k/16 + N/8 + 12·words + 12·⌈4^W/4096⌉` index bytes
 //!   beside its N-byte `SEQ`: the paper's ≈5·N plus the row bounds of the
 //!   populated codes (a two-byte start each over a four-byte anchor per
-//!   64), the bit-set and the bitmap.
+//!   64), the bit-set and the row map's two levels with their ranks.
 //! * Low-complexity masking, which decides what the index leaves out
 //!   (section 2.1: "W character words belonging to low-complexity regions
 //!   are discarded from the index"). Section 3.4 charges part of the
@@ -83,6 +82,4 @@ pub use mask::MaskSet;
 pub use mmap::{map_index_file, Mapping};
 pub use persist::{read_index_file, write_index_file, IndexMeta, PersistError};
 pub use seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
-pub use structure::{
-    BankIndex, IndexBackend, IndexConfig, IndexStats, PopulatedRows, RowCursor, MAX_BANK_LEN,
-};
+pub use structure::{BankIndex, IndexConfig, IndexStats, PopulatedRows, MAX_BANK_LEN};

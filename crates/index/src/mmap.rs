@@ -6,9 +6,11 @@
 //! the big sections (row map and postings). Attaching costs one mapping
 //! plus two heap pieces: the indexed-positions bit-set the order guard
 //! probes is copied (`len/8` bytes, an order of magnitude below the
-//! postings), and a dense index derives the rank of each presence-bitmap
-//! word (`4^W/16` bytes, 256 KB at W = 11); the bitmap, a sparse index's
-//! code list and the row boundaries are mapped like the rest. A sharded database holds many volumes this way, and
+//! postings), and the row map's ranks are derived, 4 bytes per top-level
+//! word and per stored bitmap word (4 KB at W = 11, plus up to 256 KB for
+//! a volume storing all 65 536 words); the row map's two levels and the
+//! row boundaries are mapped like the rest. A sharded database holds
+//! many volumes this way, and
 //! `scoris-n --index` attaches its one file the same way.
 //! The exact-size check, the whole-stream checksum and every structural
 //! invariant are verified at attach time by the same code
@@ -226,72 +228,68 @@ mod tests {
 
     #[test]
     fn mmap_attach_equals_heap_copy() {
-        use crate::structure::{BankIndex, IndexBackend, IndexConfig};
+        use crate::structure::{BankIndex, IndexConfig};
         // The equivalence the database layer relies on: both loaders
         // produce behaviourally identical indexes — same occurrences
         // slices, stats, provenance — differing only in where the big
-        // sections live. Covered for both row-lookup backends.
+        // sections live. Covered for a row map storing most of its
+        // bitmap words (W = 4) and few of them (W = 8).
         let bank = bank_of(&["ACGTACGTTTGGCCAAACGTNACGT", "TTGGCCAAGGTTACCA"]);
-        for base in [IndexConfig::full(4), IndexConfig::asymmetric(5)] {
-            for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
-                let cfg = base.with_backend(backend);
-                let idx = BankIndex::build(&bank, cfg);
-                assert_eq!(idx.backend(), backend);
-                let meta = IndexMeta {
-                    masked_fraction: 0.0,
-                    filter_code: 1,
-                    bank_hash: crate::persist::fnv1a(bank.data()),
-                };
-                let path = {
-                    let mut buf = Vec::new();
-                    crate::persist::write_index(&mut buf, &idx, &meta).unwrap();
-                    tmp_file(
-                        &format!("attach_w{}s{}b{:?}", cfg.w, cfg.stride, backend),
-                        &buf,
-                    )
-                };
-                let (mapped, m_meta) = map_index_file(&path).unwrap();
-                let (copied, c_meta) = crate::read_index_file(&path).unwrap();
-                assert_eq!(m_meta, c_meta);
-                assert_eq!(m_meta, meta);
-                assert!(mapped.is_mmap_backed(), "unix target must really map");
-                assert!(!copied.is_mmap_backed());
-                assert_eq!(mapped.backend(), backend);
-                assert_eq!(copied.backend(), backend);
-                assert!(mapped.populated().eq(copied.populated()));
-                assert_eq!(mapped.positions(), copied.positions());
-                assert_eq!(mapped.indexed_words(), copied.indexed_words());
-                assert_eq!(mapped.is_fully_indexed(), copied.is_fully_indexed());
-                assert_eq!(mapped.bank_len(), copied.bank_len());
-                assert_eq!(mapped.distinct_codes(), copied.distinct_codes());
-                for code in 0..mapped.coder().num_seeds() as u32 {
-                    assert_eq!(mapped.occurrences(code), copied.occurrences(code));
-                }
-                // The mapped index keeps the big sections off the heap.
-                assert!(mapped.heap_bytes() < copied.heap_bytes());
-                // A clone of a mapped index shares the mapping and stays
-                // valid after the original is dropped.
-                let cloned = mapped.clone();
-                drop(mapped);
-                assert_eq!(cloned.positions(), copied.positions());
-                for code in 0..cloned.coder().num_seeds() as u32 {
-                    assert_eq!(cloned.occurrences(code), copied.occurrences(code));
-                }
+        for cfg in [
+            IndexConfig::full(4),
+            IndexConfig::asymmetric(5),
+            IndexConfig::full(8),
+        ] {
+            let idx = BankIndex::build(&bank, cfg);
+            let meta = IndexMeta {
+                masked_fraction: 0.0,
+                filter_code: 1,
+                bank_hash: crate::persist::fnv1a(bank.data()),
+            };
+            let path = {
+                let mut buf = Vec::new();
+                crate::persist::write_index(&mut buf, &idx, &meta).unwrap();
+                tmp_file(&format!("attach_w{}s{}", cfg.w, cfg.stride), &buf)
+            };
+            let (mapped, m_meta) = map_index_file(&path).unwrap();
+            let (copied, c_meta) = crate::read_index_file(&path).unwrap();
+            assert_eq!(m_meta, c_meta);
+            assert_eq!(m_meta, meta);
+            assert!(mapped.is_mmap_backed(), "unix target must really map");
+            assert!(!copied.is_mmap_backed());
+            assert!(mapped.populated().eq(copied.populated()));
+            assert_eq!(mapped.positions(), copied.positions());
+            assert_eq!(mapped.indexed_words(), copied.indexed_words());
+            assert_eq!(mapped.is_fully_indexed(), copied.is_fully_indexed());
+            assert_eq!(mapped.bank_len(), copied.bank_len());
+            assert_eq!(mapped.distinct_codes(), copied.distinct_codes());
+            for code in 0..mapped.coder().num_seeds() as u32 {
+                assert_eq!(mapped.occurrences(code), copied.occurrences(code));
+            }
+            // The mapped index keeps the big sections off the heap.
+            assert!(mapped.heap_bytes() < copied.heap_bytes());
+            // A clone of a mapped index shares the mapping and stays
+            // valid after the original is dropped.
+            let cloned = mapped.clone();
+            drop(mapped);
+            assert_eq!(cloned.positions(), copied.positions());
+            for code in 0..cloned.coder().num_seeds() as u32 {
+                assert_eq!(cloned.occurrences(code), copied.occurrences(code));
             }
         }
     }
 
     #[test]
     fn both_loaders_reject_the_same_corruptions() {
-        use crate::structure::{BankIndex, IndexBackend, IndexConfig};
+        use crate::structure::{BankIndex, IndexConfig};
         let bank = bank_of(&["ACGTACGTACGTTTGGCCAA"]);
-        for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
-            let idx = BankIndex::build(&bank, IndexConfig::full(4).with_backend(backend));
+        for w in [4, 11] {
+            let idx = BankIndex::build(&bank, IndexConfig::full(w));
             let mut clean = Vec::new();
             crate::persist::write_index(&mut clean, &idx, &IndexMeta::default()).unwrap();
 
             // Truncations, a payload flip, trailing junk and a restamped
-            // non-zero padding byte: the decoder must return an error
+            // non-zero header byte: the decoder must return an error
             // (never panic or accept) over mapped bytes exactly as
             // `persist::tests` shows it does over a heap buffer.
             let mut variants: Vec<Vec<u8>> = vec![];
@@ -306,12 +304,12 @@ mod tests {
             trailing.push(0);
             variants.push(trailing);
             let mut padded = clean.clone();
-            padded[85] = 0xAB; // header ends at 84, first section starts at 88
+            padded[93] = 0xAB; // header ends at 92, the top level starts at 96
             crate::persist::restamp_checksum(&mut padded);
             variants.push(padded);
 
             for (i, bytes) in variants.iter().enumerate() {
-                let path = tmp_file(&format!("corrupt{backend:?}{i}"), bytes);
+                let path = tmp_file(&format!("corrupt_w{w}_{i}"), bytes);
                 assert!(
                     map_index_file(&path).is_err(),
                     "variant {i} must be rejected"
@@ -320,18 +318,16 @@ mod tests {
         }
     }
 
-    /// A sparse index over a few hundred distinct codes, written to a
-    /// temp file: (fresh build, file path).
+    /// An index populating a sliver of its code space — a few hundred
+    /// codes at W = 8, so the row map stores few of its 1 024 bitmap
+    /// words — written to a temp file: (fresh build, file path).
     fn sparse_fixture(name: &str) -> (BankIndex, std::path::PathBuf) {
-        use crate::structure::{IndexBackend, IndexConfig};
+        use crate::structure::IndexConfig;
         let bank = bank_of(&[
             &"ACGTTGCAAGGCTTACCGTA".repeat(8),
             "TTGGCCAAGGTTACCANACGTACGGATC",
         ]);
-        let idx = BankIndex::build(
-            &bank,
-            IndexConfig::full(6).with_backend(IndexBackend::Sparse),
-        );
+        let idx = BankIndex::build(&bank, IndexConfig::full(8));
         let mut bytes = Vec::new();
         crate::persist::write_index(&mut bytes, &idx, &IndexMeta::default()).unwrap();
         (idx, tmp_file(name, &bytes))
@@ -339,39 +335,43 @@ mod tests {
 
     #[test]
     fn both_loaders_answer_every_code_as_the_build_does() {
-        // Both loaders hand the index the file's code list as it is, and
-        // every lookup — one code, and an ascending cursor walk — must
-        // answer as the fresh build does.
+        // Both loaders hand the index the file's two levels as they are,
+        // and every lookup must answer as the fresh build does.
         let (built, path) = sparse_fixture("loaded_lookups");
         let (mapped, _) = map_index_file(&path).unwrap();
         let (heap, _) = crate::read_index_file(&path).unwrap();
         assert!(mapped.is_mmap_backed() && !heap.is_mmap_backed());
         assert!(built.distinct_codes() > 0);
         for idx in [&built, &mapped, &heap] {
-            let mut cursor = idx.cursor_from(0);
+            assert!(idx.populated().eq(built.populated()));
             for code in 0..built.coder().num_seeds() as u32 {
-                assert_eq!(cursor.seek(code), built.occurrences(code), "code {code}");
                 assert_eq!(idx.occurrences(code), built.occurrences(code));
             }
         }
     }
 
+    /// Byte range of the top level and of the stored bitmap words in an
+    /// index file of seed length `w`: the top level starts at 96 (header
+    /// 92, padded), the words on the next 8-byte offset after it.
+    fn bitmap_bytes(bytes: &[u8], w: usize) -> std::ops::Range<usize> {
+        let top = 8 * (1usize << (2 * w)).div_ceil(4096);
+        let words = u64::from_le_bytes(bytes[52..60].try_into().unwrap()) as usize;
+        96..96 + top + 8 * words
+    }
+
     #[test]
     fn both_loaders_refuse_every_bitmap_byte_flip() {
-        // The presence bitmap decides which codes have rows: every
-        // single-byte change of its words, mapped or read to the heap, is
-        // refused (the checksum detects any change inside one word).
-        use crate::structure::{IndexBackend, IndexConfig};
+        // The two levels decide which codes have rows: every single-byte
+        // change of the top level or of a stored word, mapped or read to
+        // the heap, is refused (the checksum detects any change inside
+        // one word).
+        use crate::structure::IndexConfig;
         let bank = bank_of(&["ACGTTGCAAGGCTTACCGTANNACGTACGGATCTTGGCCAAGGTTACCA"]);
-        for w in [2usize, 4, 6] {
-            let idx = BankIndex::build(
-                &bank,
-                IndexConfig::full(w).with_backend(IndexBackend::Dense),
-            );
+        for w in [2usize, 4, 6, 7] {
+            let idx = BankIndex::build(&bank, IndexConfig::full(w));
             let mut clean = Vec::new();
             crate::persist::write_index(&mut clean, &idx, &IndexMeta::default()).unwrap();
-            let bits = 96..96 + 8 * (1usize << (2 * w)).div_ceil(64);
-            for at in bits {
+            for at in bitmap_bytes(&clean, w) {
                 for mask in [0x01u8, 0x80, 0xFF] {
                     let mut bytes = clean.clone();
                     bytes[at] ^= mask;
@@ -389,35 +389,37 @@ mod tests {
 
     #[test]
     fn mapped_dense_heap_is_its_ranks_and_bitset() {
-        // A mapped dense attach holds the copied bit-set and the ranks it
-        // derives from the mapped bitmap, one u32 per bitmap word; the
-        // bitmap, row boundaries and postings stay in the mapping.
-        use crate::structure::{IndexBackend, IndexConfig};
+        // A mapped attach holds the copied bit-set and the ranks it
+        // derives from the mapped levels, one u32 per top-level word and
+        // per stored word; the levels, row boundaries and postings stay
+        // in the mapping. This bank stores every bitmap word of W = 4.
+        use crate::structure::IndexConfig;
         let bank = bank_of(&[&"ACGTTGCAAGGCTTACCGTA".repeat(8)]);
-        let idx = BankIndex::build(
-            &bank,
-            IndexConfig::full(6).with_backend(IndexBackend::Dense),
-        );
+        let idx = BankIndex::build(&bank, IndexConfig::full(4));
+        assert_eq!(idx.rows().sections().1.len(), 4);
         let mut bytes = Vec::new();
         crate::persist::write_index(&mut bytes, &idx, &IndexMeta::default()).unwrap();
         let path = tmp_file("dense_heap_accounting", &bytes);
         let (mapped, _) = map_index_file(&path).unwrap();
         assert!(mapped.is_mmap_backed());
         let bitset_bytes = 8 * mapped.indexed_words().len();
-        assert_eq!(mapped.heap_bytes(), bitset_bytes + 4 * (1 << 12) / 64);
+        assert_eq!(mapped.heap_bytes(), bitset_bytes + 4 * (1 + 4));
         assert!(idx.heap_bytes() > mapped.heap_bytes());
     }
 
     #[test]
-    fn mapped_sparse_heap_is_its_bitset() {
-        // What a mapped sparse attach really holds on the heap: the
-        // copied bit-set. Codes, row boundaries and postings stay in the
-        // mapping, and nothing is derived from them at load.
+    fn mapped_sparse_heap_is_its_bitset_and_ranks() {
+        // What a mapped attach of a sparsely populated index really holds
+        // on the heap: the copied bit-set, and a rank per top-level word
+        // (16 at W = 8) and per stored word. The levels, row boundaries
+        // and postings stay in the mapping.
         let (built, path) = sparse_fixture("heap_accounting");
         let (mapped, _) = map_index_file(&path).unwrap();
         assert!(mapped.is_mmap_backed());
+        let words = built.rows().sections().1.len();
+        assert!(words < 1024 / 4, "{words} stored words");
         let bitset_bytes = 8 * mapped.indexed_words().len();
-        assert_eq!(mapped.heap_bytes(), bitset_bytes);
+        assert_eq!(mapped.heap_bytes(), bitset_bytes + 4 * (16 + words));
         assert!(built.heap_bytes() > mapped.heap_bytes());
     }
 }

@@ -11,32 +11,34 @@
 //! provenance, so step 2's guard auto-selection makes the same choice it
 //! would have made in memory.
 //!
-//! ## Format (version 5, all integers little-endian)
+//! ## Format (version 6, all integers little-endian)
 //!
 //! ```text
 //! magic             8 B   "ORISIDX\0"
-//! version           u32   5
+//! version           u32   6
 //! w                 u32   seed length
 //! stride            u32   sampling stride (1 = full, 2 = asymmetric)
-//! flags             u32   bit 0 = fully_indexed; bit 1 = sparse row map;
-//!                         other bits reserved (must be 0)
+//! flags             u32   bit 0 = fully_indexed; other bits reserved
+//!                         (must be 0)
 //! bank_len          u64   global coordinate space of the bank
 //! masked_fraction   f64   fraction of bank positions the filter masked
 //! filter_code       u32   caller-defined filter tag (see [`IndexMeta`])
 //! bank_hash         u64   FNV-1a of the bank data (0 = not recorded)
-//! num_keys          u64   dense: presence-bitmap words, must equal ⌈4^w/64⌉;
-//!                         sparse: code-list entries, must equal num_rows
+//! num_words         u64   stored bitmap words (≤ num_rows): the popcount
+//!                         of the top level
 //! num_rows          u64   k = number of populated codes
 //! num_positions     u64   number of postings
 //! num_bitset_words  u64   must equal bank_len.div_ceil(64)
 //! num_wide          u64   starts kept by the wide row groups (≤ k)
-//! -- then, dense (flags bit 1 clear):
-//!    bitmap         num_keys × u64   bit c % 64 of word c / 64 set iff
-//!                                    code c is populated
-//! -- or, sparse (flags bit 1 set):
-//!    codes          k × u32          ascending populated codes
-//! -- then, either way, the row bounds (one start per row; row r ends
-//!    where row r + 1 starts, the last at num_positions):
+//! -- then the row map:
+//!    top            ⌈4^w/4096⌉ × u64  bit j of word t set iff bitmap
+//!                                     word 64·t + j is stored
+//!    words          num_words × u64   the non-zero words of the presence
+//!                                     bitmap (bit c % 64 of word c / 64
+//!                                     set iff code c is populated),
+//!                                     ascending
+//! -- then the row bounds (one start per row; row r ends where row r + 1
+//!    starts, the last at num_positions):
 //!    row_rel        k × u16          start of row r less its group's anchor
 //!    row_anchors    ⌈k/64⌉ × u32     per group of 64 rows: its first
 //!                                    row's start, or bit 31 set and where
@@ -65,24 +67,23 @@
 //! probability; the function's docs carry the argument. The lanes keep
 //! four multiplies in flight, so the check runs at memory speed.
 //!
-//! **A file is its row map's keys and row bounds.** A dense file
-//! stores the presence bitmap; the rank of each of its words is derived
-//! at load in one pass over the words (`4^W/16` heap bytes, 256 KB at
-//! W = 11) and never written. A sparse lookup searches the `codes`
-//! section itself (a binary search, or step 2's forward cursor), so
-//! nothing is derived from it at load. The three row-bound sections are
-//! read as stored: row `r` starts at `row_anchors[r / 64] +
-//! row_rel[r]`, or, where that anchor has bit 31 set, at `row_wide[a +
-//! r % 64]` with `a` its other bits. Every section is checksummed and
-//! mapped like the postings.
+//! **A file is its row map's two levels and its row bounds.** The rank of
+//! each top word and of each stored word is derived at load in one pass
+//! over each level (4 bytes per word: 4 KB for the top level at W = 11,
+//! and 256 KB more for a volume that stores all 65 536 bitmap words) and
+//! never written. The three row-bound sections are read as stored: row
+//! `r` starts at `row_anchors[r / 64] + row_rel[r]`, or, where that
+//! anchor has bit 31 set, at `row_wide[a + r % 64]` with `a` its other
+//! bits. Every section is checksummed and mapped like the postings.
 //!
-//! Version 5 differs from version 4 in the row boundaries: v4 stored
-//! `k + 1` `u32` boundaries, where v5 stores `k` two-byte starts over one
-//! anchor per 64 rows (the `row_rel`, `row_anchors` and `row_wide`
-//! sections, and the header's `num_wide`), about `2·k` bytes less. v4 in
-//! turn replaced v3's dense `offsets[4^w + 1]` array (16.8 MB at W = 11)
-//! with the bitmap, and v3 replaced v2's FNV-1a checksum and stored slot
-//! table. Earlier versions are refused with
+//! Version 6 differs from version 5 in the row map: v5 stored either a
+//! presence bitmap of `⌈4^w/64⌉` words or, under a header flag, a sorted
+//! list of the populated codes, where v6 stores one two-level bitmap (the
+//! `top` and `words` sections, and the header's `num_words`). v5 in turn
+//! stored `k` two-byte row starts where v4 stored `k + 1` `u32`
+//! boundaries; v4 replaced v3's dense `offsets[4^w + 1]` array (16.8 MB
+//! at W = 11) with the bitmap, and v3 replaced v2's FNV-1a checksum and
+//! stored slot table. Earlier versions are refused with
 //! [`PersistError::UnsupportedVersion`], whose message says to rebuild
 //! with `makedb` / `mkindex`: the format carries one decoder and no
 //! compatibility shims.
@@ -117,11 +118,12 @@
 //! everything allocated is bounded by the file's own length; (3) the
 //! trailing whole-stream checksum is verified; (4) the padding runs must
 //! be zero; (5) the arrays go through the same structural validation
-//! (no bitmap bit past `4^w`, a bitmap popcount equal to the row count,
-//! strictly ascending codes, row bounds strictly increasing inside their
-//! groups' spans with every wide group inside its side array and the
-//! last row ending at the postings' end, row ordering, bit-set
-//! agreement) that protects step 2 from a corrupt
+//! (a stored word for every top bit and no more, no stored word zero, no
+//! top or word bit past `4^w`, the stored words' popcount equal to the
+//! row count, row bounds strictly increasing inside their groups' spans
+//! with every wide group inside its side array and the last row ending
+//! at the postings' end, row ordering, bit-set agreement) that protects
+//! step 2 from a corrupt
 //! index. The checksum catches the corruptions structural
 //! validation cannot — a flipped provenance flag, a perturbed position
 //! that still happens to satisfy every invariant — so no random
@@ -142,25 +144,21 @@ use crate::mask::MaskSet;
 use crate::mmap::Mapping;
 use crate::section::Section;
 use crate::seedcode::MAX_SEED_LEN;
-use crate::structure::{bitmap_words, BankIndex, BitmapRows, RowBounds, RowIndex, SparseRows};
+use crate::structure::{top_words, BankIndex, RowBounds, RowMap};
 
 /// File magic, first 8 bytes of every index file.
 pub const MAGIC: [u8; 8] = *b"ORISIDX\0";
 
-/// Current format version (5: the row boundaries are two-byte starts over
-/// 64-row anchors, where version 4 stored `k + 1` `u32`s; see the module
-/// docs).
-pub const FORMAT_VERSION: u32 = 5;
+/// Current format version (6: the row map is a top level over the stored
+/// bitmap words, where version 5 stored a whole presence bitmap or a code
+/// list; see the module docs).
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Bytes of the fixed header (everything before the first padding run).
 const HEADER_BYTES: u64 = 92;
 
 /// Header flag bit 0: the index is fully indexed (exclusion provenance).
 const FLAG_FULLY_INDEXED: u32 = 1;
-
-/// Header flag bit 1: the row map is the sparse code list (a `codes`
-/// section instead of the dense presence bitmap).
-const FLAG_SPARSE: u32 = 2;
 
 /// File-offset alignment of every array section.
 const SECTION_ALIGN: u64 = 8;
@@ -426,35 +424,23 @@ pub fn write_index(out: &mut impl Write, idx: &BankIndex, meta: &IndexMeta) -> i
             .expect("stride fits u32")
             .to_le_bytes(),
     )?;
-    let rows = idx.rows();
-    let flags = u32::from(idx.is_fully_indexed())
-        | match rows {
-            RowIndex::Dense(_) => 0,
-            RowIndex::Sparse(_) => FLAG_SPARSE,
-        };
+    let flags = u32::from(idx.is_fully_indexed());
     out.write_all(&flags.to_le_bytes())?;
     out.write_all(&(idx.bank_len() as u64).to_le_bytes())?;
     out.write_all(&meta.masked_fraction.to_le_bytes())?;
     out.write_all(&meta.filter_code.to_le_bytes())?;
     out.write_all(&meta.bank_hash.to_le_bytes())?;
-    // `num_keys` counts the key section: the dense bitmap's words or the
-    // sparse code list's entries.
-    let keys = match rows {
-        RowIndex::Dense(bitmap) => bitmap.bits().len(),
-        RowIndex::Sparse(sparse) => sparse.codes().len(),
-    };
-    out.write_all(&(keys as u64).to_le_bytes())?;
+    let (top, stored, bounds) = idx.rows().sections();
+    out.write_all(&(stored.len() as u64).to_le_bytes())?;
     out.write_all(&(idx.distinct_codes() as u64).to_le_bytes())?;
     out.write_all(&(idx.positions().len() as u64).to_le_bytes())?;
     let words = idx.indexed_words();
     out.write_all(&(words.len() as u64).to_le_bytes())?;
-    let (rel, anchors, wide) = rows.bounds().sections();
+    let (rel, anchors, wide) = bounds.sections();
     out.write_all(&(wide.len() as u64).to_le_bytes())?;
     debug_assert_eq!(out.written(), HEADER_BYTES);
-    match rows {
-        RowIndex::Dense(bitmap) => write_section(&mut out, bitmap.bits(), u64::to_le_bytes)?,
-        RowIndex::Sparse(sparse) => write_section(&mut out, sparse.codes(), u32::to_le_bytes)?,
-    }
+    write_section(&mut out, top, u64::to_le_bytes)?;
+    write_section(&mut out, stored, u64::to_le_bytes)?;
     write_section(&mut out, rel, u16::to_le_bytes)?;
     write_section(&mut out, anchors, u32::to_le_bytes)?;
     write_section(&mut out, wide, u32::to_le_bytes)?;
@@ -515,10 +501,9 @@ struct Header {
     w: usize,
     stride: usize,
     fully_indexed: bool,
-    sparse: bool,
     bank_len: usize,
     meta: IndexMeta,
-    num_keys: u64,
+    num_stored: u64,
     num_rows: u64,
     num_positions: u64,
     num_words: u64,
@@ -527,17 +512,17 @@ struct Header {
 
 impl Header {
     /// The section layout this header implies: one `(gap, start, end)`
-    /// triple of file offsets per array section, in file order — keys
-    /// (dense bitmap words or sparse codes), the three row-bound sections
+    /// triple of file offsets per array section, in file order — the top
+    /// level, the stored bitmap words, the three row-bound sections
     /// (`rel`, anchors, wide starts), positions, bit-set. Each section
     /// starts on the next 8-byte offset after its predecessor ends;
     /// `gap..start` is its zero padding, and the checksum follows the
     /// last `end`.
-    fn spans(&self) -> [(u64, u64, u64); 6] {
-        let key_bytes = if self.sparse { 4 } else { 8 } * self.num_keys;
+    fn spans(&self) -> [(u64, u64, u64); 7] {
         let mut at = HEADER_BYTES;
         [
-            key_bytes,
+            8 * top_words(1 << (2 * self.w)) as u64,
+            8 * self.num_stored,
             2 * self.num_rows,
             4 * self.num_rows.div_ceil(64),
             4 * self.num_wide,
@@ -575,13 +560,12 @@ fn read_header(r: &mut impl Read) -> Result<Header, PersistError> {
         return Err(PersistError::Corrupt("stride must be at least 1".into()));
     }
     let flags = read_u32(r)?;
-    if flags & !(FLAG_FULLY_INDEXED | FLAG_SPARSE) != 0 {
+    if flags & !FLAG_FULLY_INDEXED != 0 {
         return Err(PersistError::Corrupt(format!(
             "reserved flag bits set ({flags:#x})"
         )));
     }
     let fully_indexed = flags & FLAG_FULLY_INDEXED != 0;
-    let sparse = flags & FLAG_SPARSE != 0;
     let bank_len = read_u64(r)?;
     if bank_len >= crate::MAX_BANK_LEN as u64 {
         return Err(PersistError::Corrupt(format!(
@@ -598,7 +582,7 @@ fn read_header(r: &mut impl Read) -> Result<Header, PersistError> {
     let filter_code = read_u32(r)?;
     let bank_hash = read_u64(r)?;
 
-    let num_keys = read_u64(r)?;
+    let num_stored = read_u64(r)?;
     let num_rows = read_u64(r)?;
     let num_positions = read_u64(r)?;
     if num_positions > bank_len as u64 {
@@ -620,19 +604,11 @@ fn read_header(r: &mut impl Read) -> Result<Header, PersistError> {
             "{num_rows} populated codes exceed the 4^{w} code space"
         )));
     }
-    if sparse {
-        if num_keys != num_rows {
-            return Err(PersistError::Corrupt(format!(
-                "code list has {num_keys} entries for {num_rows} populated codes"
-            )));
-        }
-    } else {
-        let words = bitmap_words(1 << (2 * w)) as u64;
-        if num_keys != words {
-            return Err(PersistError::Corrupt(format!(
-                "presence bitmap has {num_keys} words, expected ⌈4^{w}/64⌉ = {words}"
-            )));
-        }
+    // Every stored bitmap word holds a populated code.
+    if num_stored > num_rows {
+        return Err(PersistError::Corrupt(format!(
+            "{num_stored} stored bitmap words for {num_rows} populated codes"
+        )));
     }
     let num_words = read_u64(r)?;
     if num_words != bank_len.div_ceil(64) as u64 {
@@ -651,14 +627,13 @@ fn read_header(r: &mut impl Read) -> Result<Header, PersistError> {
         w,
         stride,
         fully_indexed,
-        sparse,
         bank_len,
         meta: IndexMeta {
             masked_fraction,
             filter_code,
             bank_hash,
         },
-        num_keys,
+        num_stored,
         num_rows,
         num_positions,
         num_words,
@@ -688,7 +663,7 @@ pub(crate) fn decode(
     // Exact size first: every offset below is in bounds once it holds,
     // and nothing a lying count could inflate has been allocated yet.
     let spans = h.spans();
-    let size = spans[5].2 + 8;
+    let size = spans[6].2 + 8;
     if (bytes.len() as u64) < size {
         return Err(PersistError::Corrupt("truncated file".into()));
     }
@@ -746,21 +721,21 @@ pub(crate) fn decode(
         })
     }
     let bounds = RowBounds::from_raw_parts(
-        section(bytes, map, spans[1], u16::from_le_bytes),
-        section(bytes, map, spans[2], u32::from_le_bytes),
+        section(bytes, map, spans[2], u16::from_le_bytes),
         section(bytes, map, spans[3], u32::from_le_bytes),
+        section(bytes, map, spans[4], u32::from_le_bytes),
         h.num_positions as usize,
     )
     .map_err(PersistError::Corrupt)?;
-    let rows = if h.sparse {
-        let codes = section(bytes, map, spans[0], u32::from_le_bytes);
-        RowIndex::Sparse(SparseRows::new(codes, bounds))
-    } else {
-        let bits = section(bytes, map, spans[0], u64::from_le_bytes);
-        RowIndex::Dense(BitmapRows::new(bits, bounds))
-    };
-    let positions = section(bytes, map, spans[4], u32::from_le_bytes);
-    let (_, start, end) = spans[5];
+    let rows = RowMap::from_raw_parts(
+        section(bytes, map, spans[0], u64::from_le_bytes),
+        section(bytes, map, spans[1], u64::from_le_bytes),
+        bounds,
+        1 << (2 * h.w),
+    )
+    .map_err(PersistError::Corrupt)?;
+    let positions = section(bytes, map, spans[5], u32::from_le_bytes);
+    let (_, start, end) = spans[6];
     let words = bytes[start..end]
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
@@ -824,7 +799,7 @@ pub fn restamp_checksum(bytes: &mut [u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structure::{IndexBackend, IndexConfig};
+    use crate::structure::IndexConfig;
     use oris_seqio::{Bank, BankBuilder};
     use proptest::prelude::*;
 
@@ -845,8 +820,9 @@ mod tests {
     fn assert_same_index(a: &BankIndex, b: &BankIndex) {
         assert_eq!(a.w(), b.w());
         assert_eq!(a.stride(), b.stride());
-        assert_eq!(a.backend(), b.backend());
-        assert_eq!(a.rows().bounds().sections(), b.rows().bounds().sections());
+        let ((at, aw, ab), (bt, bw, bb)) = (a.rows().sections(), b.rows().sections());
+        assert_eq!((at, aw), (bt, bw));
+        assert_eq!(ab.sections(), bb.sections());
         assert!(a.populated().eq(b.populated()));
         assert_eq!(a.positions(), b.positions());
         assert_eq!(a.indexed_words(), b.indexed_words());
@@ -874,10 +850,10 @@ mod tests {
         assert!(loaded.is_fully_indexed());
     }
 
-    /// File offsets where each array section of `bytes` starts — keys,
-    /// row `rel`s, row anchors, wide starts, positions, bit-set — from
-    /// its header.
-    fn section_offsets(bytes: &[u8]) -> [usize; 6] {
+    /// File offsets where each array section of `bytes` starts — top
+    /// level, stored words, row `rel`s, row anchors, wide starts,
+    /// positions, bit-set — from its header.
+    fn section_offsets(bytes: &[u8]) -> [usize; 7] {
         let h = read_header(&mut &bytes[..]).unwrap();
         h.spans().map(|(_, start, _)| start as usize)
     }
@@ -890,28 +866,26 @@ mod tests {
             (1usize, vec!["ACGTACG"]),
             (3, vec!["ACGTACG"]),
             (4, vec!["ACGTACGTTTGG", "CC"]),
+            (9, vec!["ACGTACGTTTGG", "CC"]),
         ] {
             let refs: Vec<&str> = seqs.to_vec();
             let bank = bank_of(&refs);
-            let idx = BankIndex::build(
-                &bank,
-                IndexConfig::full(w).with_backend(IndexBackend::Dense),
-            );
+            let idx = BankIndex::build(&bank, IndexConfig::full(w));
             let bytes = to_bytes(&idx, &IndexMeta::default());
             let at = section_offsets(&bytes);
             assert_eq!(at[0], 96); // header 92 + 4 padding
             assert!(at.iter().all(|a| a % 8 == 0));
-            // The bitmap's first word, the first row's rel (0) and anchor
-            // (row 0 starts at posting 0).
-            let RowIndex::Dense(bitmap) = idx.rows() else {
-                panic!("dense build")
-            };
-            assert_eq!(bytes[at[0]..at[0] + 8], bitmap.bits()[0].to_le_bytes());
-            assert_eq!(&bytes[at[1]..at[1] + 2], &[0, 0]);
-            assert_eq!(&bytes[at[2]..at[2] + 4], &[0, 0, 0, 0]);
-            assert_eq!(at[4] - at[3], 0, "no wide starts");
+            // The top level's and the stored words' first words, the first
+            // row's rel (0) and anchor (row 0 starts at posting 0).
+            let (top, words, _) = idx.rows().sections();
+            assert_eq!(bytes[at[0]..at[0] + 8], top[0].to_le_bytes());
+            assert_eq!(at[1] - at[0], 8 * top.len());
+            assert_eq!(bytes[at[1]..at[1] + 8], words[0].to_le_bytes());
+            assert_eq!(&bytes[at[2]..at[2] + 2], &[0, 0]);
+            assert_eq!(&bytes[at[3]..at[3] + 4], &[0, 0, 0, 0]);
+            assert_eq!(at[5] - at[4], 0, "no wide starts");
             let words = bank.data().len().div_ceil(64);
-            assert_eq!(bytes.len(), at[5] + 8 * words + 8);
+            assert_eq!(bytes.len(), at[6] + 8 * words + 8);
         }
     }
 
@@ -981,10 +955,11 @@ mod tests {
             Err(PersistError::UnsupportedVersion(99))
         ));
         // Version-1 (no section alignment), version-2 (FNV-1a, stored
-        // slot table), version-3 (dense `4^w + 1` offsets) and version-4
-        // (`k + 1` u32 row boundaries) files are refused too, with the
-        // rebuild hint: there is no compatibility shim.
-        for old in [1u8, 2, 3, 4] {
+        // slot table), version-3 (dense `4^w + 1` offsets), version-4
+        // (`k + 1` u32 row boundaries) and version-5 (a whole presence
+        // bitmap or a code list) files are refused too, with the rebuild
+        // hint: there is no compatibility shim.
+        for old in [1u8, 2, 3, 4, 5] {
             let mut bytes = to_bytes(&idx, &IndexMeta::default());
             bytes[8] = old;
             match read_index(&mut bytes.as_slice()) {
@@ -1003,12 +978,17 @@ mod tests {
     fn reserved_flags_error() {
         let bank = bank_of(&["ACGTACGT"]);
         let idx = BankIndex::build(&bank, IndexConfig::full(3));
-        let mut bytes = to_bytes(&idx, &IndexMeta::default());
-        bytes[20] |= 0x80; // flags field (magic 8 + version 4 + w 4 + stride 4), a reserved bit
-        assert!(matches!(
-            read_index(&mut bytes.as_slice()),
-            Err(PersistError::Corrupt(_))
-        ));
+        // Every flag bit but bit 0 is reserved — bit 1 included, the
+        // version-5 code-list flag.
+        for bit in [0x02u8, 0x80] {
+            let mut bytes = to_bytes(&idx, &IndexMeta::default());
+            bytes[20] |= bit; // flags field (magic 8 + version 4 + w 4 + stride 4)
+            restamp_checksum(&mut bytes);
+            assert!(matches!(
+                read_index(&mut bytes.as_slice()),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
@@ -1020,7 +1000,7 @@ mod tests {
         // the trailing checksum, so it is the structural validation (a
         // group's first row starts at its anchor) that must trip, not the
         // checksum.
-        let rel_at = section_offsets(&bytes)[1];
+        let rel_at = section_offsets(&bytes)[2];
         let mut corrupt = bytes.clone();
         corrupt[rel_at..rel_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
         restamp_checksum(&mut corrupt);
@@ -1035,9 +1015,9 @@ mod tests {
         let bank = bank_of(&["ACGTACGTACGT"]);
         let idx = BankIndex::build(&bank, IndexConfig::full(3));
         let mut bytes = to_bytes(&idx, &IndexMeta::default());
-        // The 4 padding bytes between header (92) and bitmap (96) must be
-        // zero; a non-zero byte with a restamped checksum is caught by the
-        // padding check itself.
+        // The 4 padding bytes between header (92) and top level (96) must
+        // be zero; a non-zero byte with a restamped checksum is caught by
+        // the padding check itself.
         bytes[93] = 0xAB;
         restamp_checksum(&mut bytes);
         assert!(matches!(
@@ -1098,16 +1078,15 @@ mod tests {
         ));
     }
 
-    fn sparse_idx(bank: &Bank, w: usize) -> BankIndex {
-        BankIndex::build(
-            bank,
-            IndexConfig::full(w).with_backend(IndexBackend::Sparse),
-        )
+    /// An index populating a sliver of its code space: at W = 9 a short
+    /// bank stores a handful of its 4 096 bitmap words.
+    fn sparse_idx(bank: &Bank) -> BankIndex {
+        BankIndex::build(bank, IndexConfig::full(9))
     }
 
-    /// Header field offsets (see the module docs): num_keys lives at
+    /// Header field offsets (see the module docs): num_words lives at
     /// bytes 52..60, num_rows (`k`) at 60..68.
-    fn stored_keys(bytes: &[u8]) -> usize {
+    fn stored_words(bytes: &[u8]) -> usize {
         u64::from_le_bytes(bytes[52..60].try_into().unwrap()) as usize
     }
 
@@ -1118,94 +1097,137 @@ mod tests {
     #[test]
     fn sparse_roundtrip_and_header_shape() {
         let bank = bank_of(&["ACGTACGTTTGGCCAAACGTNACGT", "TTGGCCAA"]);
-        let idx = sparse_idx(&bank, 4);
+        let idx = sparse_idx(&bank);
         let meta = IndexMeta {
             masked_fraction: 0.0,
             filter_code: 1,
             bank_hash: fnv1a(bank.data()),
         };
         let bytes = to_bytes(&idx, &meta);
-        // flags carries the sparse bit, num_keys and num_rows carry k.
+        // No flag but provenance; num_words counts the stored words, one
+        // per 64-code stretch the k codes populate, and num_rows k.
         let flags = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
-        assert_ne!(flags & 2, 0, "sparse flag must be set");
+        assert_eq!(flags & !1, 0);
+        let mut stretches: Vec<u32> = idx.populated().map(|(c, _)| c / 64).collect();
+        stretches.dedup();
+        assert_eq!(stored_words(&bytes), stretches.len());
         assert_eq!(stored_k(&bytes), idx.distinct_codes());
-        assert_eq!(stored_keys(&bytes), idx.distinct_codes());
         let (loaded, lmeta) = read_index(&mut bytes.as_slice()).unwrap();
         assert_same_index(&idx, &loaded);
-        assert_eq!(loaded.backend(), IndexBackend::Sparse);
         assert_eq!(meta, lmeta);
     }
 
     #[test]
     fn dense_bytes_are_unchanged_by_the_backend_flag() {
-        // A dense file leaves flags bit 1 clear; num_keys counts its
-        // bitmap words, ⌈4^w/64⌉, and num_rows its populated codes.
-        let bank = bank_of(&["ACGTACGTTTGGCCAA"]);
-        for (w, words) in [(2, 1), (3, 1), (5, 16)] {
-            let idx = BankIndex::build(
-                &bank,
-                IndexConfig::full(w).with_backend(IndexBackend::Dense),
-            );
+        // A file's flags carry provenance alone, whatever the bank
+        // populates; num_words counts the stored bitmap words — every
+        // word of ⌈4^w/64⌉ this bank populates — and num_rows its codes.
+        let bank = bank_of(&[&"ACGTACGTTTGGCCAA".repeat(40)]);
+        for (w, words) in [(2, 1), (3, 1), (4, 4)] {
+            let idx = BankIndex::build(&bank, IndexConfig::full(w));
             let bytes = to_bytes(&idx, &IndexMeta::default());
             let flags = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
-            assert_eq!(flags & !1, 0, "dense files set no row-map flag");
-            assert_eq!(stored_keys(&bytes), words);
+            assert_eq!(flags & !1, 0, "no row-map flag");
+            assert_eq!(stored_words(&bytes), words);
             assert_eq!(stored_k(&bytes), idx.distinct_codes());
+        }
+    }
+
+    /// Decodes `bytes`, its checksum RESTAMPED, on both backings and
+    /// expects the corruption error naming `want`.
+    fn refused(bytes: &mut Vec<u8>, want: &str) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        restamp_checksum(bytes);
+        let tmp = std::env::temp_dir().join(format!(
+            "oris_persist_refused_{}_{}.oidx",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let verdict = decode_on_both_backings(bytes, &tmp);
+        std::fs::remove_file(&tmp).ok();
+        match (verdict, read_index(&mut bytes.as_slice())) {
+            (Err(msg), Err(PersistError::Corrupt(_))) => {
+                assert!(msg.contains(want), "{msg} (wanted {want})")
+            }
+            (verdict, heap) => panic!("accepted a corrupt {want}: {verdict:?} / {heap:?}"),
         }
     }
 
     #[test]
     fn dense_bitmap_corruption_is_structural() {
-        // The bitmap decides which codes have rows, so the checks on it
-        // stand between hostile bytes and the rank lookups: edit it and
-        // RESTAMP the checksum, and each lie gets its own error.
+        // The two levels decide which codes have rows, so the checks on
+        // them stand between hostile bytes and the rank lookups: edit
+        // them and RESTAMP the checksum, and each lie gets its own typed
+        // error on both backings.
         let bank = bank_of(&["ACGTACGTTTGGCCAA"]);
-        let rejected = |tainted: &mut Vec<u8>, want: &str| {
-            restamp_checksum(tainted);
-            match read_index(&mut tainted.as_slice()) {
-                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(want), "{msg}"),
-                other => panic!("accepted a corrupt {want}: {other:?}"),
-            }
-        };
-        for w in [2usize, 3] {
-            let idx = BankIndex::build(
-                &bank,
-                IndexConfig::full(w).with_backend(IndexBackend::Dense),
-            );
+        for w in [2usize, 3, 4, 8] {
+            let idx = BankIndex::build(&bank, IndexConfig::full(w));
             let bytes = to_bytes(&idx, &IndexMeta::default());
-            let bits_at = section_offsets(&bytes)[0];
-            let word = |b: &[u8]| u64::from_le_bytes(b[bits_at..bits_at + 8].try_into().unwrap());
-            let set =
-                |b: &mut Vec<u8>, v: u64| b[bits_at..bits_at + 8].copy_from_slice(&v.to_le_bytes());
-            // A popcount that differs from the row count: one code fewer.
-            let mut fewer = bytes.clone();
-            let first = word(&bytes);
-            set(&mut fewer, first & (first - 1));
-            rejected(&mut fewer, "presence bitmap holds");
-            // One code more, inside the code space.
-            let mut more = bytes.clone();
-            let absent = (!first).trailing_zeros();
-            if absent < 1 << (2 * w) {
-                set(&mut more, first | 1 << absent);
-                rejected(&mut more, "presence bitmap holds");
+            let [top0, words_at, ..] = section_offsets(&bytes);
+            let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+            let set = |b: &mut Vec<u8>, at: usize, v: u64| {
+                b[at..at + 8].copy_from_slice(&v.to_le_bytes())
+            };
+            // The first top word marking a stored word, and that word.
+            let t = (0..).find(|t| word(&bytes, top0 + 8 * t) != 0).unwrap();
+            let top_at = top0 + 8 * t;
+            let (top, stored) = (word(&bytes, top_at), word(&bytes, words_at));
+            let marked = stored_words(&bytes);
+            let bitmap_words = (1usize << (2 * w)).div_ceil(64);
+            // A top bit whose word is absent, where a bitmap word is free.
+            let free = (!top).trailing_zeros() as usize;
+            if 64 * t + free < bitmap_words {
+                let mut absent = bytes.clone();
+                set(&mut absent, top_at, top | 1 << free);
+                refused(&mut absent, "a marked word is absent");
             }
-            // A bit past 4^w (W = 2: sixteen codes in a 64-bit word).
+            // Fewer top bits than stored words: a word count that differs
+            // from the top level's popcount.
+            let mut count = bytes.clone();
+            set(&mut count, top_at, top & (top - 1));
+            refused(&mut count, &format!("{marked} stored words for the"));
+            // A stored word of zero.
+            let mut zero = bytes.clone();
+            set(&mut zero, words_at, 0);
+            refused(&mut zero, "a stored bitmap word is zero");
+            // A word popcount that differs from k: one code fewer, and
+            // one more inside the code space.
+            let mut fewer = bytes.clone();
+            set(&mut fewer, words_at, stored & (stored - 1));
+            if stored.count_ones() > 1 {
+                refused(&mut fewer, "bitmap words hold");
+            }
+            let absent_code = (!stored).trailing_zeros();
+            if absent_code < 1 << (2 * w).min(6) {
+                let mut more = bytes.clone();
+                set(&mut more, words_at, stored | 1 << absent_code);
+                refused(&mut more, "bitmap words hold");
+            }
+            // A word bit past 4^w (W = 2: sixteen codes in one word), and
+            // a top bit past the ⌈4^w/64⌉ bitmap words (W = 4: four).
             if w == 2 {
                 let mut past = bytes.clone();
-                set(&mut past, first | 1 << 40);
-                rejected(&mut past, "past the 4^2 code space");
+                set(&mut past, words_at, stored | 1 << 40);
+                refused(&mut past, "past the 16-code space");
             }
-            // A wrong word count in the header.
-            let mut count = bytes.clone();
-            count[52..60].copy_from_slice(&2u64.to_le_bytes());
-            rejected(&mut count, "presence bitmap has 2 words");
+            if w == 4 {
+                let mut past = bytes.clone();
+                set(&mut past, top_at, top | 1 << 10);
+                refused(&mut past, "marks a word past the 256-code space");
+            }
+            // A header word count past the populated codes.
+            let mut header = bytes.clone();
+            let k = stored_k(&bytes) as u64;
+            header[52..60].copy_from_slice(&(k + 1).to_le_bytes());
+            refused(&mut header, "stored bitmap words for");
         }
     }
 
     #[test]
     fn sparse_every_truncation_errors() {
         let bank = bank_of(&["ACGTACGTACGTTTGG"]);
-        let idx = sparse_idx(&bank, 3);
+        let idx = sparse_idx(&bank);
         let bytes = to_bytes(&idx, &IndexMeta::default());
         for cut in 0..bytes.len() {
             let err = read_index(&mut &bytes[..cut]);
@@ -1216,7 +1238,7 @@ mod tests {
     #[test]
     fn sparse_payload_bit_flip_is_caught_by_checksum() {
         let bank = bank_of(&["ACGTACGTACGTTTGGCCAA"]);
-        let idx = sparse_idx(&bank, 4);
+        let idx = sparse_idx(&bank);
         let clean = to_bytes(&idx, &IndexMeta::default());
         // Flip one bit at every offset: the checksum (or a structural /
         // header check) must reject each mutant outright.
@@ -1239,57 +1261,54 @@ mod tests {
     }
 
     #[test]
-    fn sparse_code_list_corruption_is_structural() {
-        // Lookups search the code list itself, so the checks on the lists
-        // are what stand between hostile bytes and the lookups: edit a list and RESTAMP the checksum, and the
-        // structural validation must still reject the file.
+    fn sparse_word_corruption_is_structural() {
+        // A sparsely populated index stores few bitmap words, and its
+        // lookups rank through them: edit a word or a row and RESTAMP the
+        // checksum, and the structural validation still rejects the file.
         let bank = bank_of(&["ACGTACGTACGTTTGGCCAA"]);
-        let idx = sparse_idx(&bank, 4);
+        let idx = sparse_idx(&bank);
         let bytes = to_bytes(&idx, &IndexMeta::default());
         let k = stored_k(&bytes);
         assert!(k >= 3, "test bank must populate at least three codes");
-        let [codes_at, rel_at, ..] = section_offsets(&bytes);
-        let rejected = |tainted: &mut Vec<u8>, want: &str| {
-            restamp_checksum(tainted);
-            match read_index(&mut tainted.as_slice()) {
-                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(want), "{msg}"),
-                other => panic!("accepted a corrupt {want}: {other:?}"),
-            }
-        };
-        // Descending codes.
-        let mut swapped = bytes.clone();
-        let (a, b) = (codes_at, codes_at + 4);
-        let first: [u8; 4] = swapped[a..a + 4].try_into().unwrap();
-        let second: [u8; 4] = swapped[b..b + 4].try_into().unwrap();
-        swapped[a..a + 4].copy_from_slice(&second);
-        swapped[b..b + 4].copy_from_slice(&first);
-        rejected(&mut swapped, "codes are not strictly ascending");
+        let [_, words_at, rel_at, ..] = section_offsets(&bytes);
+        // Every stored word zeroed in turn, and each with a code added.
+        for i in 0..stored_words(&bytes) {
+            let at = words_at + 8 * i;
+            let mut zero = bytes.clone();
+            zero[at..at + 8].fill(0);
+            refused(&mut zero, "a stored bitmap word is zero");
+            let stored = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let mut more = bytes.clone();
+            let added = stored | 1 << (!stored).trailing_zeros();
+            more[at..at + 8].copy_from_slice(&added.to_le_bytes());
+            refused(&mut more, "bitmap words hold");
+        }
         // Row starts that stop increasing: rows 1 and 2 swap starts, so
         // row 1 runs backwards and a lookup would slice out of order.
         let mut rows = bytes.clone();
         swap_words(&mut rows, rel_at + 2, rel_at + 4);
-        rejected(&mut rows, "row boundaries are not strictly increasing");
-        // An empty row (a listed code owning no posting).
+        refused(&mut rows, "row boundaries are not strictly increasing");
+        // An empty row (a populated code owning no posting).
         let mut empty = bytes.clone();
         let second: [u8; 2] = empty[rel_at + 4..rel_at + 6].try_into().unwrap();
         empty[rel_at + 2..rel_at + 4].copy_from_slice(&second);
-        rejected(&mut empty, "row boundaries are not strictly increasing");
+        refused(&mut empty, "row boundaries are not strictly increasing");
     }
 
     #[test]
     fn sparse_sections_are_eight_byte_aligned() {
         let bank = bank_of(&["ACGTACGTTTGG", "CC"]);
-        let idx = sparse_idx(&bank, 4);
+        let idx = sparse_idx(&bank);
         let bytes = to_bytes(&idx, &IndexMeta::default());
         let at = section_offsets(&bytes);
         assert!(at.iter().all(|a| a % 8 == 0));
         // Row 0 starts at posting 0, and the postings follow the row
-        // bounds directly: no slot table.
-        assert_eq!(&bytes[at[1]..at[1] + 2], &[0, 0]);
-        assert_eq!(bytes[at[4]..at[4] + 4], idx.positions()[0].to_le_bytes());
+        // bounds directly.
+        assert_eq!(&bytes[at[2]..at[2] + 2], &[0, 0]);
+        assert_eq!(bytes[at[5]..at[5] + 4], idx.positions()[0].to_le_bytes());
         // File size agrees with the layout walk.
         let words = bank.data().len().div_ceil(64);
-        assert_eq!(bytes.len(), at[5] + 8 * words + 8);
+        assert_eq!(bytes.len(), at[6] + 8 * words + 8);
     }
 
     #[test]
@@ -1321,12 +1340,13 @@ mod tests {
             dna.push(b"ACGT"[(state >> 7) as usize % 4] as char);
         }
         let bank = bank_of(&[&dna]);
-        for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
-            let idx = BankIndex::build(&bank, IndexConfig::full(6).with_backend(backend));
+        // Most of the bitmap words stored (W = 6), and few (W = 11).
+        for w in [6, 11] {
+            let idx = BankIndex::build(&bank, IndexConfig::full(w));
             let bytes = to_bytes(&idx, &IndexMeta::default());
             let k = stored_k(&bytes);
             assert!(k > 2 * 64, "{k} rows: the test wants three groups");
-            let [_, rel, anchors, ..] = section_offsets(&bytes);
+            let [_, _, rel, anchors, ..] = section_offsets(&bytes);
             // Rows 5 and 6 swap starts.
             let mut down = bytes.clone();
             swap_words(&mut down, rel + 10, rel + 12);
@@ -1348,12 +1368,9 @@ mod tests {
         // Poly-A ahead of ordinary sequence: group 0 spans 70 000
         // postings and keeps its starts in the side array.
         let bank = bank_of(&[&format!("{}{dna}", "A".repeat(70_000))]);
-        let idx = BankIndex::build(
-            &bank,
-            IndexConfig::full(6).with_backend(IndexBackend::Dense),
-        );
+        let idx = BankIndex::build(&bank, IndexConfig::full(6));
         let bytes = to_bytes(&idx, &IndexMeta::default());
-        let [_, _, anchors, wide, ..] = section_offsets(&bytes);
+        let [_, _, _, anchors, wide, ..] = section_offsets(&bytes);
         assert_eq!(
             u32::from_le_bytes(bytes[anchors..anchors + 4].try_into().unwrap()),
             1 << 31
@@ -1483,22 +1500,19 @@ mod tests {
 
     proptest! {
         /// Serialize → deserialize round-trips to an identical index for
-        /// random banks, seed lengths, strides, masks and backends —
-        /// `occurrences()` slices, `stats()` and `is_fully_indexed` all
-        /// agree.
+        /// random banks, seed lengths (up to a bitmap of 4 096 words),
+        /// strides and masks — `occurrences()` slices, `stats()` and
+        /// `is_fully_indexed` all agree.
         #[test]
         fn roundtrip_preserves_everything(
             seqs in proptest::collection::vec("[ACGTN]{0,60}", 1..4),
-            w in 2usize..7,
+            w in 2usize..=9,
             stride in 1usize..3,
             mask_mod in 1usize..9,
-            sparse_sel in 0usize..2,
         ) {
             let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
             let bank = bank_of(&refs);
-            let sparse = sparse_sel == 1;
-            let backend = if sparse { IndexBackend::Sparse } else { IndexBackend::Dense };
-            let cfg = IndexConfig { stride, ..IndexConfig::full(w) }.with_backend(backend);
+            let cfg = IndexConfig { stride, ..IndexConfig::full(w) };
             // mask_mod == 1 masks nothing (p % 1 == 0 would mask all);
             // use it as the unmasked case.
             let masked = |p: usize| mask_mod > 1 && p.is_multiple_of(mask_mod);
@@ -1507,7 +1521,6 @@ mod tests {
 
             let bytes = to_bytes(&idx, &meta);
             let (loaded, lmeta) = read_index(&mut bytes.as_slice()).unwrap();
-            prop_assert_eq!(loaded.backend(), backend);
             prop_assert_eq!(lmeta, meta);
             prop_assert_eq!(loaded.is_fully_indexed(), idx.is_fully_indexed());
             prop_assert_eq!(loaded.stats(), idx.stats());
@@ -1557,9 +1570,8 @@ mod tests {
         #[test]
         fn mutated_files_get_one_bounded_verdict(
             seqs in proptest::collection::vec("[ACGTN]{0,60}", 1..4),
-            w in 2usize..6,
+            w in 2usize..=7,
             stride in 1usize..3,
-            sparse_sel in 0usize..2,
             flips in proptest::collection::vec(0u64..=u64::MAX, 1..5),
             counts in proptest::collection::vec(0u64..=u64::MAX, 5),
             counts_hit in 0usize..48,
@@ -1567,33 +1579,42 @@ mod tests {
         ) {
             let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
             let bank = bank_of(&refs);
-            let backend = [IndexBackend::Dense, IndexBackend::Sparse][sparse_sel];
-            let cfg = IndexConfig { stride, ..IndexConfig::full(w) }.with_backend(backend);
+            let cfg = IndexConfig { stride, ..IndexConfig::full(w) };
             let mut bytes = to_bytes(&BankIndex::build(&bank, cfg), &IndexMeta::default());
 
-            // One word of the row bounds, in three cases of four: a `rel`,
-            // an anchor or (where the file has one) a wide start, set
-            // within ±4 of the stored value or — for an anchor, one draw
-            // in four — flagged wide with a small side-array offset.
+            // One word of the row map or the row bounds, in five cases of
+            // six: a top-level or stored bitmap word with one bit flipped,
+            // or a `rel`, an anchor or (where the file has one) a wide
+            // start, set within ±4 of the stored value or — for an anchor,
+            // one draw in four — flagged wide with a small side-array
+            // offset.
             let spans = read_header(&mut &bytes[..]).unwrap().spans();
-            let (kind, pick, delta) = (bounds_edit & 3, (bounds_edit >> 8) as usize, (bounds_edit >> 2) % 9);
-            let (_, start, end) = spans[kind as usize];
+            let (kind, pick, delta) = ((bounds_edit % 6) as usize, (bounds_edit >> 8) as usize, (bounds_edit >> 3) % 9);
+            let (_, start, end) = spans[kind.saturating_sub(1)];
             let (start, end) = (start as usize, end as usize);
             if kind > 0 && end > start {
-                let width = if kind == 1 { 2 } else { 4 };
+                let width = [8, 8, 2, 4, 4][kind - 1];
                 let at = start + width * (pick % ((end - start) / width));
-                if width == 2 {
-                    let v = u16::from_le_bytes(bytes[at..at + 2].try_into().unwrap());
-                    let v = v.wrapping_add(delta as u16).wrapping_sub(4);
-                    bytes[at..at + 2].copy_from_slice(&v.to_le_bytes());
-                } else {
-                    let v = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-                    let v = if kind == 2 && bounds_edit >> 6 & 3 == 0 {
-                        (1 << 31) | delta as u32
-                    } else {
-                        v.wrapping_add(delta as u32).wrapping_sub(4)
-                    };
-                    bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                match width {
+                    8 => {
+                        let v = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+                        let v = v ^ 1 << ((bounds_edit >> 16) % 64);
+                        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                    }
+                    2 => {
+                        let v = u16::from_le_bytes(bytes[at..at + 2].try_into().unwrap());
+                        let v = v.wrapping_add(delta as u16).wrapping_sub(4);
+                        bytes[at..at + 2].copy_from_slice(&v.to_le_bytes());
+                    }
+                    _ => {
+                        let v = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+                        let v = if kind == 4 && bounds_edit >> 6 & 3 == 0 {
+                            (1 << 31) | delta as u32
+                        } else {
+                            v.wrapping_add(delta as u32).wrapping_sub(4)
+                        };
+                        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                    }
                 }
             }
             // 1–4 byte flips, one in four aimed at the first 128 bytes
@@ -1604,7 +1625,7 @@ mod tests {
                 let at = (v >> 10) as usize % reach;
                 bytes[at] ^= (*v as u8).max(1);
             }
-            // The five header counts (num_keys, num_rows, num_positions,
+            // The five header counts (num_words, num_rows, num_positions,
             // num_bitset_words, num_wide at 52 / 60 / 68 / 76 / 84), in 31
             // cases of 48: an arbitrary u64, or — odd draws — within ±4
             // of the stored one, which tends to pass the range checks and
@@ -1626,7 +1647,7 @@ mod tests {
             // refused on size alone: no section has been looked at, so
             // nothing the counts could inflate has been allocated.
             if let Ok(h) = read_header(&mut &bytes[..]) {
-                let implied = h.spans()[5].2 + 8;
+                let implied = h.spans()[6].2 + 8;
                 if implied != bytes.len() as u64 {
                     let msg = verdict.as_ref().expect_err("size mismatch accepted");
                     prop_assert!(

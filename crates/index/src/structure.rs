@@ -1,5 +1,5 @@
 //! The bank index — Figure 2 of the paper, flattened to a CSR layout,
-//! with two row maps: a ranked presence bitmap and a sorted code list.
+//! with one row map for every bank size: a two-level ranked bitmap.
 //!
 //! The paper draws the occurrence index as a linked structure: a seed
 //! dictionary `dict[4^W]` pointing at the first occurrence of each seed,
@@ -9,7 +9,7 @@
 //! dependent, unpredictable load across a `4·len(SEQ)`-byte array.
 //!
 //! This module stores the same information as a **compressed sparse row**
-//! (CSR) inverted index. Two arrays are common to both row maps:
+//! (CSR) inverted index:
 //!
 //! * `positions[indexed_positions]` — every occurrence, grouped by seed
 //!   code in ascending code order and in **ascending position order**
@@ -20,47 +20,40 @@
 //!   last row to the end of `positions`). A start is two bytes, relative
 //!   to its group's anchor, one four-byte anchor per 64 rows; a group
 //!   whose starts span 2^16 postings or more keeps them as `u32`s in a
-//!   side array (the crate-private `RowBounds`).
+//!   side array (the crate-private `RowBounds`);
+//! * the row map, by which a seed code finds its row `r` (the
+//!   crate-private `RowMap`). Picture a presence bitmap of `4^W` bits,
+//!   bit `code % 64` of word `code / 64` set iff the code is populated.
+//!   Only its non-zero words are stored, in ascending order, and a top
+//!   level of `⌈4^W/4096⌉` words has one bit per bitmap word, set iff
+//!   that word is stored. Two ranks are derived at build and at attach
+//!   and never stored: per top word, the stored words before it, and per
+//!   stored word, the rows before it. A code's row is two rank steps,
+//!   each a load and a popcount: its word's place among the stored words,
+//!   `top_rank[t] + popcount(top[t] & below(w % 64))` for bitmap word `w`
+//!   under top word `t`, then its bit's place among the rows,
+//!   `word_rank[i] + popcount(words[i] & below(code % 64))`.
 //!
-//! What differs is how a seed code finds its row `r` (the crate-private
-//! `RowIndex`):
-//!
-//! * **Dense** — a presence bitmap of `4^W` bits (bit `code % 64` of word
-//!   `code / 64` is set iff the code is populated) and, per bitmap word,
-//!   the number of bits set in the words before it: the *rank*, derived
-//!   at build and at attach and never stored. A populated code's row is
-//!   its rank, `ranks[code / 64] + popcount(word & below(code % 64))` —
-//!   two loads and a popcount. Bitmap and ranks cost `3·4^W/16` bytes,
-//!   768 KB at W = 11, small enough to stay in L2.
-//! * **Sparse** — an ascending `codes[k]` list. A code's row is its place
-//!   in `codes`, found by a binary search — or, for codes asked in
-//!   ascending order, by a forward cursor (below). Four bytes per
-//!   populated code, independent of `4^W`.
-//!
-//! [`IndexBackend::Auto`] (the default) picks per build whichever map the
-//! two footprint models below say is smaller. They differ by `3·4^W/16`
-//! bytes (dense) against `4·k` (sparse), and pass A knows the postings,
-//! which bound `k` from above: dense iff `3·4^W/16 ≤ 4·postings`, that is
-//! from 196 608 postings at W = 11. Both maps order the postings
-//! identically, so every downstream consumer — step 2's ordered
-//! enumeration, the guards, the sinks — sees byte-identical occurrence
-//! slices; the choice is a memory/speed trade, never a results change
-//! (pinned by proptests here and at the engine and db layers).
+//! The map costs 12 bytes (a word and its rank) per stored word and per
+//! top word. A read or a small bank pays for the words it populates and
+//! an 8 KB top level at W = 11 (plus 4 KB of its ranks); a dense bank,
+//! which stores nearly all `4^W/64` words, pays the one-level bitmap's
+//! `3·4^W/16` bytes plus the top level's 12 KB — and no bank pays the
+//! 16.8 MB of an `offsets[4^W + 1]` array. Every consumer — step 2's
+//! ordered enumeration, the guards, the sinks — sees the occurrence
+//! slices in one layout, whatever the bank's size.
 //!
 //! **Partner rows.** Step 2 needs both rows of every code populated in
-//! both indexes, in ascending code order. Two dense indexes are walked
-//! together: [`BankIndex::for_each_shared`] ANDs their bitmaps word by word
-//! with running ranks, so it visits only the codes populated in both.
-//! Otherwise step 2 walks the populated rows of the index with fewer
-//! codes and asks the other for each partner row through a
-//! [`RowCursor`] ([`BankIndex::cursor_from`]): a rank on a dense partner,
-//! a gallop forward from the previous answer through the code list on a
-//! sparse one. A lone short read — a sparse index of ~140 codes —
-//! therefore pays a rank per code against a dense database volume, where
-//! a gallop across a whole volume's code list took ~20 probes. Every
-//! answer is exactly the slice [`BankIndex::occurrences`] returns (a
-//! differential proptest below holds both maps, heap and mapped, to it,
-//! to a binary search and to the `offsets[4^W + 1]` build this module had
+//! both indexes, in ascending code order. [`BankIndex::for_each_shared`]
+//! walks two indexes together: it ANDs their top levels word by word,
+//! then, under each top bit both set, the two stored words, keeping each
+//! word's ranks, so it visits only the bitmap words both indexes store
+//! and finds each row with a popcount. Two dense banks meet nearly every
+//! word; a lone read against a database volume ANDs the two 1 024-word
+//! top levels and then meets the read's hundred-odd words. Every answer
+//! is exactly the slice [`BankIndex::occurrences`] returns (differential
+//! proptests below hold the map, built by any pool, heap and mapped, to
+//! a binary search and to the `offsets[4^W + 1]` build this module had
 //! before the bitmap).
 //!
 //! The build is a counting sort that never materializes `(position,
@@ -73,40 +66,43 @@
 //!   is a function of W: the fewest whose rank (the code's remaining low
 //!   bases) still fits a `u16`, and never fewer than 64. That is 64
 //!   partitions up to W = 11, 256 at W = 12 and 1 024 at W = 13 (`4^W`
-//!   below W = 3). Pass A yields the posting count, hence the row map
-//!   under `Auto`.
-//! * **Dense, pass B** rolls again and scatters every kept position (four
-//!   bytes) into the postings array, partition by partition, with its
-//!   *rank* inside the partition (the code's low bits, two bytes) into a
-//!   transient side array. **Pass C** then sorts each partition in place
-//!   by rank — count into a per-worker scratch of `4^8` counters,
-//!   prefix-sum, scatter through a copy of that one partition — and sets
-//!   the partition's bits in the bitmap as it goes; an empty partition is
-//!   skipped. A sorted partition's ranks are spent, so pass C writes its
-//!   populated rows' lengths, as `u16`s in code order, over the head of
-//!   their stretch. With the populated codes counted, a last pass turns
-//!   those lengths into the rows' two-byte starts **in the rank array
-//!   itself**: each run of partitions compacts its starts to the head of
-//!   its own stretch (every row lands at or before the length it is made
-//!   from), the runs move down to their first rows in ascending order,
-//!   the few groups a run's edge cuts (and the wide ones) are encoded
-//!   last, and the array is cut to `k` entries. So the build never holds
-//!   a second `k`-sized array beside the `2·N`-byte ranks. A partition
-//!   holding a row of 2^16 postings or more cannot leave its lengths as
-//!   `u16`s; that pass counts its ranks again and walks its set bits
-//!   instead. Reading the lengths back rather than recounting every
-//!   partition makes the build of a 4.9 Mnt bank at W = 11 3–8 % faster
-//!   (2-vCPU VM, alternating in-process runs: 103 ms against 111 at one
-//!   worker, faster in 24 of 30 pairs; 75 against 82 at two, 18 of 20).
-//!   The scratch and the partition's share of the postings stay in the
-//!   core's own cache.
+//!   below W = 3).
+//! * **Pass B** rolls again and scatters every kept position (four bytes)
+//!   into the postings array, partition by partition, with its *rank*
+//!   inside the partition (the code's low bits, two bytes) into a
+//!   transient side array.
+//! * **Pass C** then sorts each partition in place by rank, and marks its
+//!   populated codes in the bitmap words it covers; a word left zero is
+//!   not stored, so the build never holds a `4^W/64`-word bitmap. A
+//!   partition of at least `1/16` as many postings as it has rows (4 096
+//!   at W = 11) is counted — count into a per-worker scratch of `4^8`
+//!   counters, prefix-sum, scatter through a copy of that one partition —
+//!   and an empty one skipped. A smaller one sorts its `(rank, position)`
+//!   pairs instead: counting sweeps all `4^8` rows whatever the postings,
+//!   which cost a 150-nt read 5 ms for its 64 partitions where the sort
+//!   takes microseconds. A sorted partition's ranks are spent, so pass C
+//!   writes its populated rows' lengths, as `u16`s in code order, over the
+//!   head of their stretch. With the populated codes counted, a last pass
+//!   turns those lengths into the rows' two-byte starts **in the rank
+//!   array itself**: each run of partitions compacts its starts to the
+//!   head of its own stretch (every row lands at or before the length it
+//!   is made from), the runs move down to their first rows in ascending
+//!   order, the few groups a run's edge cuts (and the wide ones) are
+//!   encoded last, and the array is cut to `k` entries. So the build never
+//!   holds a second `k`-sized array beside the `2·N`-byte ranks. A
+//!   partition holding a row of 2^16 postings or more cannot leave its
+//!   lengths as `u16`s; that pass counts its ranks again instead. Reading
+//!   the lengths back rather than recounting every partition makes the
+//!   build of a 4.9 Mnt bank at W = 11 3–8 % faster (2-vCPU VM,
+//!   alternating in-process runs: 103 ms against 111 at one worker,
+//!   faster in 24 of 30 pairs; 75 against 82 at two, 18 of 20). The
+//!   scratch and the partition's share of the postings stay in the core's
+//!   own cache.
 //!   Pass B is bound by how many write streams its scatter keeps open —
 //!   two per partition per slice — which is why the partitions are as few
 //!   as the `u16` rank allows. On a 4.9 Mnt bank at W = 11 with two
 //!   workers (2-vCPU VM), 64 partitions scatter in 31–34 ms where 1 024
 //!   took 56–62.
-//! * **Sparse** rolls again into `code·2^32 + position` keys, sorts them,
-//!   and splits codes, row starts and postings off the sorted run.
 //!
 //! On a large bank the three passes are data-parallel. The bank is cut
 //! into one contiguous slice per worker (on 64-position boundaries, so
@@ -114,54 +110,49 @@
 //! histogram, from which every (partition, slice) pair gets its own
 //! stretch of the postings array, slices in bank order inside a partition
 //! — so pass B writes each partition's positions in ascending order
-//! whatever the worker count, and pass C, which walks its input forward,
-//! leaves every row ascending. Pass C's runs of partitions start on whole
-//! bitmap words, so no two share one. The index is therefore the same
-//! bytes for any pool size (pinned against the
-//! full-sweep oracle for pools of 1, 2, 4 and 7). A bank under two grains
-//! of 2^18 positions is built on the calling thread: the rayon shim
-//! starts OS threads per call, which a 150-nt query must never pay.
-//! `occurrences(code)` hands step 2 a contiguous, ascending `&[u32]`
+//! whatever the worker count, and pass C, which walks its input forward
+//! or sorts by (rank, position), leaves every row ascending. Pass C's
+//! runs of partitions start on whole bitmap words, so no two mark one.
+//! The index is therefore the same bytes for any pool size (pinned
+//! against the full-sweep oracle for pools of 1, 2, 4 and 7). A bank
+//! under two grains of 2^18 positions is built on the calling thread: the
+//! rayon shim starts OS threads per call, which a 150-nt query must never
+//! pay. `occurrences(code)` hands step 2 a contiguous, ascending `&[u32]`
 //! slice, and `stats` needs no chain walks.
 //!
 //! Memory model (heap bytes on top of the 1-byte-per-residue `SEQ` array;
-//! `k` = distinct codes, `N` = indexed positions):
+//! `k` = distinct codes, `N` = indexed positions, `words` = stored bitmap
+//! words, at most `min(k, 4^W/64)`):
 //!
 //! ```text
-//! dense:   ≈ 4^W/8 + 4^W/16       presence bitmap + per-word ranks
-//!          + 2·k + k/16           row bounds (+ 4 bytes per row of a
-//!                                 wide group, none on a typical bank)
-//!          + 4·N                  postings
-//!          + len(SEQ)/8           indexed-occurrence bit-set
+//!   4·N                    postings
+//! + 2·k + k/16             row bounds (+ 4 bytes per row of a wide group,
+//!                          none on a typical bank)
+//! + len(SEQ)/8             indexed-occurrence bit-set
+//! + 12·words               stored bitmap words and their ranks
+//! + 12·⌈4^W/4096⌉          top level and its ranks (12 KB at W = 11,
+//!                          192 KB at W = 13)
 //!   while building, on top of the above:
-//!          + 2·N − 2·k            ranks (pass B → pass C; their head
-//!                                 becomes the row bounds)
-//!          + 4·partitions per slice  partition histogram (256 B at W ≤ 11)
-//!          + 4·4^8 + 4·(largest partition) per worker — the count
-//!            scratch and a copy of the partition: typically N/64, the
-//!            whole postings array for a bank whose windows all end in
-//!            the same three bases
-//!
-//! sparse:  ≈ 4·k                  populated codes
-//!          + 2·k + k/16           row bounds
-//!          + 4·N                  postings
-//!          + len(SEQ)/8           indexed-occurrence bit-set
-//!   while building, on top of the above:
-//!          + 8·N                  sort keys
+//! + 2·N − 2·k              ranks (pass B → pass C; their head becomes
+//!                          the row bounds)
+//! + 4·partitions per slice partition histogram (256 B at W ≤ 11)
+//! + 8·words                the runs' marked words
+//! + per worker, for a counted partition: 6·4^8 bytes of count scratch
+//!   and row lengths, and 4·(largest partition) for its copy — typically
+//!   N/64, the whole postings array for a bank whose windows all end in
+//!   the same three bases; for a sorted one, 8 bytes per posting of keys
 //! ```
 //!
-//! A dense index is thus `4·N + 2·k + k/16 + len(SEQ)/8 + 3·4^W/16`
-//! bytes, sized by what the bank populates: at W = 11 a bank pays 768 KB
-//! for the code space, not the 16.8 MB of an `offsets[4^W + 1]` array. A
-//! saturated bank (`k ≈ 4^W`, from ~12 Mnt at W = 11) pays `2.25·4^W`
-//! bytes for bitmap, ranks and bounds, under the `4·4^W` of that array.
-//! Since `k ≤ N`, the sparse map is bounded by `≈ 10·N` bytes however
-//! large `W` gets. The postings are sized by the windows actually indexed, not by
-//! `len(SEQ)` as the paper's `next` array is, so low-complexity masking
-//! and the asymmetric stride (section 3.4) shrink the index itself, not
-//! just the bit-set. The paper's "approximately 5·N bytes" (1 byte of
-//! `SEQ` and 4 of postings per position) is the first term; the row
-//! bounds add `2·k + k/16` and the bitmap `3·4^W/16`.
+//! A fully indexed 150-nt read at W = 11 is thus under 16 KB, a dense
+//! bank the one-level bitmap's cost plus 12 KB, and a saturated bank
+//! (`k ≈ 4^W`, from ~12 Mnt at W = 11) pays `2.25·4^W` bytes plus the top
+//! level, under the `4·4^W` of an `offsets` array. The postings are sized
+//! by the windows actually indexed, not by `len(SEQ)` as the paper's
+//! `next` array is, so low-complexity masking and the asymmetric stride
+//! (section 3.4) shrink the index itself, not just the bit-set. The
+//! paper's "approximately 5·N bytes" (1 byte of `SEQ` and 4 of postings
+//! per position) is the first term; the row bounds add `2·k + k/16` and
+//! the row map `12·words + 12·⌈4^W/4096⌉`.
 //!
 //! The one-bit-per-position `indexed` set is retained for the ORIS order
 //! guard: during extension the guard must ask "would the global enumeration
@@ -200,29 +191,6 @@ use crate::mask::MaskSet;
 use crate::section::Section;
 use crate::seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
 
-/// Which row map backs the index.
-///
-/// The choice never changes results: the postings array (and thus every
-/// `occurrences` slice, every HSP, every output byte) is identical under
-/// either map. It only trades memory against lookup cost: dense pays
-/// `3·4^W/16` bytes for a rank lookup; sparse pays 4 bytes per populated
-/// code for a search of its sorted code list.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum IndexBackend {
-    /// Always build the ranked presence bitmap — the large-bank fast
-    /// path.
-    Dense,
-    /// Always build the sorted code list — the small-bank / large-W
-    /// memory saver.
-    Sparse,
-    /// Decide per build from the two footprint models: dense when
-    /// `3·4^W/16 ≤ 4·indexed_positions` (the bitmap and its ranks cost no
-    /// more than a code list as long as the bank could populate that many
-    /// codes, since distinct codes ≤ postings), sparse otherwise.
-    #[default]
-    Auto,
-}
-
 /// Options controlling index construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexConfig {
@@ -234,33 +202,17 @@ pub struct IndexConfig {
     /// sampled on one bank only, all 11-nt seed matches are still anchored
     /// while the index halves in size (section 3.4).
     pub stride: usize,
-    /// Row map policy (see [`IndexBackend`]).
-    pub backend: IndexBackend,
 }
 
 impl IndexConfig {
     /// Full indexing with seed length `w` (the common case).
     pub fn full(w: usize) -> IndexConfig {
-        IndexConfig {
-            w,
-            stride: 1,
-            backend: IndexBackend::Auto,
-        }
+        IndexConfig { w, stride: 1 }
     }
 
     /// Asymmetric (half-sampled) indexing with seed length `w`.
     pub fn asymmetric(w: usize) -> IndexConfig {
-        IndexConfig {
-            w,
-            stride: 2,
-            backend: IndexBackend::Auto,
-        }
-    }
-
-    /// Same config with an explicit row map policy.
-    pub fn with_backend(mut self, backend: IndexBackend) -> IndexConfig {
-        self.backend = backend;
-        self
+        IndexConfig { w, stride: 2 }
     }
 }
 
@@ -277,9 +229,9 @@ pub struct IndexStats {
     /// (excludes the bank's own array).
     pub index_bytes: usize,
     /// Heap bytes including the underlying `SEQ` array: `5·N` plus the
-    /// row bounds' `2·k + k/16`, the row map's `3·4^W/16` (dense) or `4·k`
-    /// (sparse) and the bit-set's `N/8` for a fully indexed bank (see the
-    /// module docs).
+    /// row bounds' `2·k + k/16`, the row map's `12·words + 12·⌈4^W/4096⌉`
+    /// and the bit-set's `N/8` for a fully indexed bank (see the module
+    /// docs).
     pub total_bytes: usize,
 }
 
@@ -302,10 +254,9 @@ const WIDE: u32 = 1 << 31;
 /// group spans 64 rows, so only rows averaging a thousand postings make
 /// one.
 ///
-/// The encoding is canonical — [`RowBounds::from_starts`] writes it, the
-/// dense build's parallel pass writes the same sections, and
-/// [`RowBounds::from_raw_parts`] refuses any other — so an index has one
-/// set of file bytes.
+/// The encoding is canonical — the build's parallel pass writes it (held
+/// to a reference encoder in the tests), and [`RowBounds::from_raw_parts`]
+/// refuses any other — so an index has one set of file bytes.
 #[derive(Debug, Clone)]
 pub(crate) struct RowBounds {
     /// Per row, its start less its group's anchor; 0 in a wide group.
@@ -350,8 +301,9 @@ fn encode_narrow(starts: &[u32], rel: &mut [u16]) -> u32 {
 }
 
 impl RowBounds {
-    /// Encodes ascending row starts — the encoder the sparse build uses
-    /// and the reference of the dense build's parallel pass.
+    /// Encodes ascending row starts — the reference encoder the build's
+    /// parallel pass is held to.
+    #[cfg(test)]
     pub(crate) fn from_starts(starts: &[u32]) -> RowBounds {
         let mut rel = vec![0u16; starts.len()];
         let mut wide = Vec::new();
@@ -564,92 +516,179 @@ impl BoundsView<'_> {
     }
 }
 
-/// The row map: how a seed code finds its postings row. Both variants
-/// index the same `positions` array through the same [`RowBounds`]; see
-/// the module docs for the memory model.
+/// Codes under one top-level word: 64 bitmap words of 64 codes each.
+const TOP_SPAN: usize = 64 * 64;
+
+/// Words of the top level over `num_seeds` codes, `⌈4^W/4096⌉`.
+pub(crate) fn top_words(num_seeds: usize) -> usize {
+    num_seeds.div_ceil(TOP_SPAN)
+}
+
+/// The row map: a two-level ranked bitmap over the code space and the
+/// [`RowBounds`] of the populated codes — the `r`-th populated code owns
+/// row `r`.
+///
+/// Think of a presence bitmap of `4^W` bits, bit `c % 64` of word `c / 64`
+/// set iff code `c` is populated. Only its non-zero words are stored
+/// (`words`, ascending); the top level has one bit per bitmap word, bit
+/// `j` of `top[t]` set iff bitmap word `64·t + j` is stored. Two rank
+/// arrays are derived from them at build and at attach and never stored:
+/// per top word, the stored words before it, and per stored word, the
+/// rows before it. A code's row is two rank steps — its word's place
+/// among the stored words, then its bit's place among the rows — each one
+/// load and a popcount (see [`RowMap::row_of`]).
 #[derive(Debug, Clone)]
-pub(crate) enum RowIndex {
-    /// The ranked presence bitmap, see [`BitmapRows`].
-    Dense(BitmapRows),
-    /// The sorted code list, see [`SparseRows`].
-    Sparse(SparseRows),
-}
-
-impl RowIndex {
-    /// The row boundaries, one start per populated code.
-    pub(crate) fn bounds(&self) -> &RowBounds {
-        match self {
-            RowIndex::Dense(bitmap) => &bitmap.bounds,
-            RowIndex::Sparse(sparse) => &sparse.bounds,
-        }
-    }
-}
-
-/// Words of a presence bitmap over `num_seeds` codes.
-pub(crate) fn bitmap_words(num_seeds: usize) -> usize {
-    num_seeds.div_ceil(64)
-}
-
-/// The dense row map: a presence bitmap over the whole code space, the
-/// rank of each of its words, and the [`RowBounds`] of the populated
-/// codes — the `r`-th populated code owns row `r`. Only the bitmap and
-/// the bounds are stored in an index file; the ranks are derived from
-/// the bitmap in one pass over its words.
-#[derive(Debug, Clone)]
-pub(crate) struct BitmapRows {
-    bits: Section<u64>,
-    /// `ranks[i]` = bits set in `bits[..i]`.
-    ranks: Vec<u32>,
+pub(crate) struct RowMap {
+    top: Section<u64>,
+    words: Section<u64>,
+    /// `top_ranks[t]` = bits set in `top[..t]`.
+    top_ranks: Vec<u32>,
+    /// `word_ranks[i]` = bits set in `words[..i]`.
+    word_ranks: Vec<u32>,
     bounds: RowBounds,
 }
 
-impl BitmapRows {
-    /// Pairs a bitmap with its row bounds and derives the ranks; the
-    /// caller validates the pair (see [`BankIndex::from_raw_parts`]).
-    pub(crate) fn new(bits: Section<u64>, bounds: RowBounds) -> BitmapRows {
-        let mut ranks = Vec::with_capacity(bits.len());
-        let mut sum = 0u32;
-        for &word in bits.iter() {
-            ranks.push(sum);
+/// Exclusive prefix popcounts of `words`: per word, the bits set before
+/// it.
+fn ranks_of(words: &[u64]) -> Vec<u32> {
+    let mut sum = 0u32;
+    words
+        .iter()
+        .map(|&word| {
+            let rank = sum;
             sum += word.count_ones();
-        }
-        BitmapRows {
-            bits,
-            ranks,
+            rank
+        })
+        .collect()
+}
+
+impl RowMap {
+    /// Pairs the two levels with their row bounds and derives the ranks;
+    /// [`RowMap::from_raw_parts`] validates a decoded triple first.
+    fn new(top: Section<u64>, words: Section<u64>, bounds: RowBounds) -> RowMap {
+        RowMap {
+            top_ranks: ranks_of(&top),
+            word_ranks: ranks_of(&words),
+            top,
+            words,
             bounds,
         }
     }
 
-    pub(crate) fn bits(&self) -> &[u64] {
-        &self.bits
+    /// Pairs decoded sections over a `num_seeds`-code space, checking what
+    /// a lookup relies on: a top level of `⌈4^W/4096⌉` words marking no
+    /// word past the code space, one stored word per top bit, no stored
+    /// word zero or holding a code past the space, and one row per stored
+    /// code — the one encoding the build writes. Returns the first
+    /// violation.
+    pub(crate) fn from_raw_parts(
+        top: Section<u64>,
+        words: Section<u64>,
+        bounds: RowBounds,
+        num_seeds: usize,
+    ) -> Result<RowMap, String> {
+        if top.len() != top_words(num_seeds) {
+            return Err(format!(
+                "top level has {} words, expected ⌈{num_seeds}/4096⌉ = {}",
+                top.len(),
+                top_words(num_seeds)
+            ));
+        }
+        // Bitmap words past the code space: only a top level of one
+        // partial word (W ≤ 5) has any.
+        let bitmap_words = num_seeds.div_ceil(64);
+        if bitmap_words < 64 && top[0] >> bitmap_words != 0 {
+            return Err(format!(
+                "top level marks a word past the {num_seeds}-code space"
+            ));
+        }
+        let marked: usize = top.iter().map(|t| t.count_ones() as usize).sum();
+        if marked > words.len() {
+            return Err(format!(
+                "top level marks {marked} words, {} stored: a marked word is absent",
+                words.len()
+            ));
+        }
+        if marked < words.len() {
+            return Err(format!(
+                "{} stored words for the {marked} the top level marks",
+                words.len()
+            ));
+        }
+        if words.contains(&0) {
+            return Err("a stored bitmap word is zero".into());
+        }
+        // Codes past the space: only a bitmap of one partial word (W ≤ 2).
+        if num_seeds < 64 && words.first().is_some_and(|&w| w >> num_seeds != 0) {
+            return Err(format!(
+                "a bitmap word sets a code past the {num_seeds}-code space"
+            ));
+        }
+        let codes: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+        if codes != bounds.len() {
+            return Err(format!(
+                "bitmap words hold {codes} codes for {} rows",
+                bounds.len()
+            ));
+        }
+        Ok(RowMap::new(top, words, bounds))
     }
 
-    /// Codes whose bit is set.
-    fn populated(&self) -> usize {
-        match (self.ranks.last(), self.bits.last()) {
-            (Some(&rank), Some(&word)) => rank as usize + word.count_ones() as usize,
-            _ => 0,
+    /// The stored sections, as an index file holds them: top level,
+    /// populated words, row bounds.
+    pub(crate) fn sections(&self) -> (&[u64], &[u64], &RowBounds) {
+        (&self.top, &self.words, &self.bounds)
+    }
+
+    /// The two levels and their ranks as plain slices.
+    #[inline]
+    fn view(&self) -> MapView<'_> {
+        MapView {
+            top: &self.top,
+            words: &self.words,
+            top_ranks: &self.top_ranks,
+            word_ranks: &self.word_ranks,
         }
     }
 
-    /// Row of `code`, or `None` if it is absent (or past the bitmap).
+    /// Row of `code`, or `None` if it is absent (or past the code space).
     #[inline]
     fn row_of(&self, code: u32) -> Option<usize> {
-        let i = (code / 64) as usize;
-        let word = *self.bits.get(i)?;
+        let map = self.view();
+        let t = code as usize / TOP_SPAN;
+        let top = *map.top.get(t)?;
+        let j = code / 64 % 64;
+        if top >> j & 1 == 0 {
+            return None;
+        }
+        let i = rank_in(map.top_ranks[t], top, j);
+        let bits = map.words[i];
         let bit = code % 64;
-        (word >> bit & 1 == 1).then(|| rank_in(self.ranks[i], word, bit))
+        (bits >> bit & 1 == 1).then(|| rank_in(map.word_ranks[i], bits, bit))
     }
 
-    /// Heap bytes: the derived ranks always, the bitmap and row
+    /// Heap bytes: the derived ranks always, the two levels and the row
     /// bounds unless they are views of a mapped file.
     fn heap_bytes(&self) -> usize {
-        4 * self.ranks.len() + self.bits.heap_bytes() + self.bounds.heap_bytes()
+        4 * (self.top_ranks.len() + self.word_ranks.len())
+            + self.top.heap_bytes()
+            + self.words.heap_bytes()
+            + self.bounds.heap_bytes()
     }
 
     fn is_mapped(&self) -> bool {
-        self.bits.is_mapped() || self.bounds.is_mapped()
+        self.top.is_mapped() || self.words.is_mapped() || self.bounds.is_mapped()
     }
+}
+
+/// A [`RowMap`]'s levels and ranks as plain slices, read once per walk
+/// rather than once per code (a [`Section`] derefs through a match).
+#[derive(Debug, Clone, Copy)]
+struct MapView<'a> {
+    top: &'a [u64],
+    words: &'a [u64],
+    top_ranks: &'a [u32],
+    word_ranks: &'a [u32],
 }
 
 /// Rank of bit `bit` of `word`: `rank` (the bits set before the word)
@@ -659,47 +698,15 @@ fn rank_in(rank: u32, word: u64, bit: u32) -> usize {
     rank as usize + (word & ((1u64 << bit) - 1)).count_ones() as usize
 }
 
-/// The sparse row map: `codes[k]` ascending distinct codes beside the
-/// [`RowBounds`] — row `r` holds the occurrences of `codes[r]`. A code
-/// finds its row by a search of `codes` (a binary search for one code, a
-/// forward [`RowCursor`] for ascending ones); nothing else is derived or
-/// stored, so an index file's sections are the whole structure.
-#[derive(Debug, Clone)]
-pub(crate) struct SparseRows {
-    codes: Section<u32>,
-    bounds: RowBounds,
-}
-
-impl SparseRows {
-    /// Pairs `codes` with their row bounds; the caller validates them.
-    pub(crate) fn new(codes: Section<u32>, bounds: RowBounds) -> SparseRows {
-        SparseRows { codes, bounds }
-    }
-
-    pub(crate) fn codes(&self) -> &[u32] {
-        &self.codes
-    }
-
-    /// Heap bytes: the code list and row bounds unless they are views of
-    /// a mapped file.
-    fn heap_bytes(&self) -> usize {
-        self.codes.heap_bytes() + self.bounds.heap_bytes()
-    }
-
-    fn is_mapped(&self) -> bool {
-        self.codes.is_mapped() || self.bounds.is_mapped()
-    }
-}
-
 /// The occurrence index over one bank, in CSR layout.
 #[derive(Debug, Clone)]
 pub struct BankIndex {
     coder: SeedCoder,
     stride: usize,
     /// Code → postings-row map. Owned for a fresh build; zero-copy views
-    /// into the index file for an mmap attach (the dense map's ranks are
-    /// derived on the heap either way).
-    rows: RowIndex,
+    /// into the index file for an mmap attach (its ranks are derived on
+    /// the heap either way).
+    rows: RowMap,
     /// All indexed positions, grouped by seed code in ascending code
     /// order, ascending within a group. Same storage duality as `rows`.
     positions: Section<u32>,
@@ -742,16 +749,18 @@ impl BankIndex {
         cfg: IndexConfig,
         masked: impl Fn(usize) -> bool + Sync,
     ) -> BankIndex {
-        Self::build_sliced(bank, cfg, masked, PAR_GRAIN)
+        Self::build_sliced(bank, cfg, masked, PAR_GRAIN, Radix::new(cfg.w))
     }
 
-    /// [`BankIndex::build_filtered`] with the parallel grain as a
-    /// parameter, so tests can cut a small bank into many slices.
+    /// [`BankIndex::build_filtered`] with the parallel grain and the
+    /// partitions as parameters, so tests can cut a small bank into many
+    /// slices and move partitions across the sort rule.
     fn build_sliced(
         bank: &Bank,
         cfg: IndexConfig,
         masked: impl Fn(usize) -> bool + Sync,
         grain: usize,
+        radix: Radix,
     ) -> BankIndex {
         assert!(cfg.stride >= 1, "stride must be at least 1");
         let coder = SeedCoder::new(cfg.w);
@@ -760,7 +769,6 @@ impl BankIndex {
             data.len() < MAX_BANK_LEN,
             "bank too large for u32 positions"
         );
-        let radix = Radix::new(cfg.w);
         let workers = slice_workers(data.len(), grain);
         // Whole bit-set words per slice, so slices share no word.
         let slice_len = data.len().div_ceil(workers).next_multiple_of(64);
@@ -792,30 +800,7 @@ impl BankIndex {
         // the order guard may skip its bit-set probes entirely.
         let policy_excluded: usize = scans.iter().map(|s| s.policy_excluded).sum();
 
-        // Resolve the Auto policy from the two footprint models: the
-        // bitmap and its ranks (3·4^W/16 bytes) against a code list of at
-        // most one code per posting (4 bytes each).
-        let dense = match cfg.backend {
-            IndexBackend::Dense => true,
-            IndexBackend::Sparse => false,
-            IndexBackend::Auto => 3 * coder.num_seeds() <= 64 * postings,
-        };
-
-        let (rows, positions) = if dense {
-            let (bits, bounds, positions) =
-                dense_rows(data, &words, slice_len, coder, radix, &scans, postings);
-            (
-                RowIndex::Dense(BitmapRows::new(bits.into(), bounds)),
-                positions,
-            )
-        } else {
-            let (codes, bounds, positions) = sparse_rows(data, &words, coder, postings);
-            (
-                RowIndex::Sparse(SparseRows::new(codes.into(), bounds)),
-                positions,
-            )
-        };
-
+        let (rows, positions) = sort_rows(data, &words, slice_len, coder, radix, &scans, postings);
         BankIndex {
             coder,
             stride: cfg.stride,
@@ -834,14 +819,15 @@ impl BankIndex {
     }
 
     /// Reassembles an index from its raw arrays (the deserialization path
-    /// of `persist`), validating every structural invariant the rest of
-    /// the system relies on. Returns a description of the first violation
-    /// instead of constructing an index that would panic (or silently
-    /// corrupt step 2) later.
+    /// of `persist`; the row map was checked by [`RowMap::from_raw_parts`]),
+    /// validating every structural invariant the rest of the system relies
+    /// on. Returns a description of the first violation instead of
+    /// constructing an index that would panic (or silently corrupt step 2)
+    /// later.
     pub(crate) fn from_raw_parts(
         w: usize,
         stride: usize,
-        rows: RowIndex,
+        rows: RowMap,
         positions: Section<u32>,
         indexed: MaskSet,
         fully_indexed: bool,
@@ -863,49 +849,6 @@ impl BankIndex {
             return Err("bank length exceeds u32 position space".into());
         }
         let coder = SeedCoder::new(w);
-        let num_seeds = coder.num_seeds();
-        match &rows {
-            RowIndex::Dense(bitmap) => {
-                let bits = bitmap.bits();
-                if bits.len() != bitmap_words(num_seeds) {
-                    return Err(format!(
-                        "presence bitmap has {} words, expected ⌈4^{w}/64⌉ = {}",
-                        bits.len(),
-                        bitmap_words(num_seeds)
-                    ));
-                }
-                if !num_seeds.is_multiple_of(64) && bits[0] >> num_seeds != 0 {
-                    return Err(format!(
-                        "presence bitmap sets a bit past the 4^{w} code space"
-                    ));
-                }
-                let rows = rows.bounds().len();
-                if bitmap.populated() != rows {
-                    return Err(format!(
-                        "presence bitmap holds {} codes for {rows} rows",
-                        bitmap.populated()
-                    ));
-                }
-            }
-            RowIndex::Sparse(sparse) => {
-                let codes = sparse.codes();
-                if codes.windows(2).any(|p| p[0] >= p[1]) {
-                    return Err("populated codes are not strictly ascending".into());
-                }
-                if let Some(&last) = codes.last() {
-                    if last as usize >= num_seeds {
-                        return Err(format!("code {last} outside the 4^{w} code space"));
-                    }
-                }
-                if rows.bounds().len() != codes.len() {
-                    return Err(format!(
-                        "{} row starts for {} populated codes",
-                        rows.bounds().len(),
-                        codes.len()
-                    ));
-                }
-            }
-        }
         if indexed.len() != bank_bytes {
             return Err(format!(
                 "indexed bit-set covers {} positions, bank has {bank_bytes}",
@@ -924,8 +867,8 @@ impl BankIndex {
         // inside the bank, every position present in the bit-set. The
         // bounds themselves were checked against the postings as they were
         // decoded (`RowBounds::from_raw_parts`).
-        let bounds = rows.bounds().view();
-        for row in (0..rows.bounds().len()).map(|r| bounds.row(&positions, r)) {
+        let bounds = rows.bounds.view();
+        for row in (0..rows.bounds.len()).map(|r| bounds.row(&positions, r)) {
             for pair in row.windows(2) {
                 if pair[0] >= pair[1] {
                     return Err("row positions are not strictly ascending".into());
@@ -969,114 +912,49 @@ impl BankIndex {
         self.stride
     }
 
-    /// The resolved row map — [`IndexBackend::Dense`] or
-    /// [`IndexBackend::Sparse`], never `Auto` (Auto is resolved at build
-    /// time from the posting count).
-    #[inline]
-    pub fn backend(&self) -> IndexBackend {
-        match self.rows {
-            RowIndex::Dense(_) => IndexBackend::Dense,
-            RowIndex::Sparse(_) => IndexBackend::Sparse,
-        }
-    }
-
     /// First occurrence of `code`, or `None` if the seed is absent.
     #[inline]
     pub fn first(&self, code: u32) -> Option<u32> {
         self.occurrences(code).first().copied()
     }
 
-    /// Row of `code`, or `None` if the seed is absent.
-    #[inline]
-    fn row_of(&self, code: u32) -> Option<usize> {
-        match &self.rows {
-            RowIndex::Dense(bitmap) => bitmap.row_of(code),
-            RowIndex::Sparse(sparse) => sparse.codes().binary_search(&code).ok(),
-        }
-    }
-
-    /// Row `row` as its postings slice.
-    #[inline]
-    fn row(&self, row: usize) -> &[u32] {
-        self.rows.bounds().row(&self.positions, row)
-    }
-
     /// All occurrences of `code` as a contiguous slice, in increasing
-    /// position order. A dense index finds the row by its rank, a sparse
-    /// one by a binary search of its code list; step 2, which asks for
-    /// codes in ascending order, walks a [`RowCursor`] instead.
+    /// position order: the row the two rank steps of the row map find.
     #[inline]
     pub fn occurrences(&self, code: u32) -> &[u32] {
-        self.row_of(code).map_or(&[], |row| self.row(row))
+        self.rows
+            .row_of(code)
+            .map_or(&[], |row| self.rows.bounds.row(&self.positions, row))
     }
 
-    /// A cursor answering [`BankIndex::occurrences`] for codes asked in
-    /// ascending order from `start` on (see [`RowCursor`]).
-    pub fn cursor_from(&self, start: u32) -> RowCursor<'_> {
-        let next = match &self.rows {
-            RowIndex::Dense(_) => 0,
-            RowIndex::Sparse(sparse) => sparse.codes().partition_point(|&c| c < start),
-        };
-        RowCursor { index: self, next }
-    }
-
-    /// Iterates the *populated* codes in `range` in ascending code order,
+    /// Iterates every populated code of the index in ascending order,
     /// yielding `(code, occurrences)` with the occurrences slice exactly
-    /// as [`BankIndex::occurrences`] would return it.
-    ///
-    /// This is the enumeration primitive step 2 schedules and drives on:
-    /// dense walks the set bits of its bitmap words with a running rank;
-    /// sparse binary-searches the code list for the range bounds and walks
-    /// the rows directly. Neither visits an absent code.
-    pub fn populated_in(&self, range: Range<u32>) -> PopulatedRows<'_> {
-        let end = range.end.min(self.num_codes());
-        match &self.rows {
-            RowIndex::Dense(bitmap) => {
-                let (cur, row) = if range.start < end {
-                    let i = (range.start / 64) as usize;
-                    let w = bitmap.bits[i];
-                    let below = (1u64 << (range.start % 64)) - 1;
-                    (w & !below, rank_in(bitmap.ranks[i], w, range.start % 64))
-                } else {
-                    (0, 0)
-                };
-                PopulatedRows(Walk::Dense {
-                    bits: &bitmap.bits,
-                    bounds: bitmap.bounds.view(),
-                    positions: &self.positions,
-                    base: range.start.min(end) & !63,
-                    cur,
-                    row,
-                    end,
-                })
-            }
-            RowIndex::Sparse(sparse) => {
-                let codes = sparse.codes();
-                let lo = codes.partition_point(|&c| c < range.start);
-                let hi = codes.partition_point(|&c| c < range.end);
-                PopulatedRows(Walk::Sparse {
-                    codes,
-                    bounds: sparse.bounds.view(),
-                    positions: &self.positions,
-                    row: lo,
-                    end_row: hi,
-                })
-            }
-        }
-    }
-
-    /// Iterates every populated code of the index in ascending order.
+    /// as [`BankIndex::occurrences`] would return it: a walk over the set
+    /// bits of the stored words, rows in order, visiting no absent code.
     pub fn populated(&self) -> PopulatedRows<'_> {
-        self.populated_in(0..self.num_codes())
+        let map = self.rows.view();
+        PopulatedRows {
+            top: map.top,
+            words: map.words,
+            bounds: self.rows.bounds.view(),
+            positions: &self.positions,
+            t: 0,
+            top_bits: map.top[0],
+            next_word: 0,
+            base: 0,
+            cur: 0,
+            row: 0,
+        }
     }
 
     /// Calls `f(code, self's occurrences, other's occurrences)` for every
     /// code of `range` populated in both `self` and `other`, in ascending
-    /// code order, and returns the first error `f` does — or `None`,
-    /// calling nothing, unless both indexes are dense. The walk ANDs the
-    /// two bitmaps word by word and keeps each word's ranks, so it visits
-    /// no code absent from either index and finds each row with one
-    /// popcount.
+    /// code order, and returns the first error `f` does. The walk ANDs the
+    /// two top levels word by word, then, under each top bit they share,
+    /// the two stored bitmap words, keeping each word's ranks: it visits
+    /// only the bitmap words both indexes store and no code absent from
+    /// either, and finds each row with a popcount. A lone read against a
+    /// volume thus touches the top levels and the read's few words.
     ///
     /// # Panics
     /// Panics if the indexes have different seed lengths.
@@ -1086,39 +964,57 @@ impl BankIndex {
         other: &'a BankIndex,
         range: Range<u32>,
         mut f: impl FnMut(u32, &'a [u32], &'a [u32]) -> Result<(), E>,
-    ) -> Option<Result<(), E>> {
+    ) -> Result<(), E> {
         assert_eq!(self.w(), other.w(), "both indexes must use the same W");
-        let (RowIndex::Dense(a), RowIndex::Dense(b)) = (&self.rows, &other.rows) else {
-            return None;
-        };
-        let (pa, pb) = (&*self.positions, &*other.positions);
-        let (ba, bb) = (a.bounds.view(), b.bounds.view());
         let end = range.end.min(self.num_codes());
-        // `base` is the code of bit 0 of the word at hand.
-        let mut base = range.start & !63;
-        while base < end {
-            let i = (base / 64) as usize;
-            let (wa, wb) = (a.bits[i], b.bits[i]);
-            let mut shared = wa & wb;
-            if base < range.start {
-                shared &= !((1u64 << (range.start % 64)) - 1);
+        if range.start >= end {
+            return Ok(());
+        }
+        let (a, b) = (self.rows.view(), other.rows.view());
+        let (pa, pb) = (&*self.positions, &*other.positions);
+        let (ba, bb) = (self.rows.bounds.view(), other.rows.bounds.view());
+        // The bitmap words the range touches, first and last.
+        let (first, last) = (range.start / 64, (end - 1) / 64);
+        for t in first / 64..=last / 64 {
+            let ti = t as usize;
+            let (ta, tb) = (a.top[ti], b.top[ti]);
+            let mut shared_words = ta & tb;
+            // `lo` is the bitmap word of top bit 0.
+            let lo = 64 * t;
+            if first > lo {
+                shared_words &= u64::MAX << (first - lo);
             }
-            if end - base < 64 {
-                shared &= (1u64 << (end - base)) - 1;
+            if last - lo < 63 {
+                shared_words &= (1u64 << (last - lo + 1)) - 1;
             }
-            let (ra, rb) = (a.ranks[i], b.ranks[i]);
-            while shared != 0 {
-                let bit = shared.trailing_zeros();
-                shared &= shared - 1;
-                let x1 = ba.row(pa, rank_in(ra, wa, bit));
-                let x2 = bb.row(pb, rank_in(rb, wb, bit));
-                if let Err(e) = f(base + bit, x1, x2) {
-                    return Some(Err(e));
+            while shared_words != 0 {
+                let j = shared_words.trailing_zeros();
+                shared_words &= shared_words - 1;
+                let (ia, ib) = (
+                    rank_in(a.top_ranks[ti], ta, j),
+                    rank_in(b.top_ranks[ti], tb, j),
+                );
+                let (wa, wb) = (a.words[ia], b.words[ib]);
+                // `base` is the code of bit 0 of the word at hand.
+                let base = 64 * (lo + j);
+                let mut shared = wa & wb;
+                if base < range.start {
+                    shared &= u64::MAX << (range.start - base);
+                }
+                if end - base < 64 {
+                    shared &= (1u64 << (end - base)) - 1;
+                }
+                let (ra, rb) = (a.word_ranks[ia], b.word_ranks[ib]);
+                while shared != 0 {
+                    let bit = shared.trailing_zeros();
+                    shared &= shared - 1;
+                    let x1 = ba.row(pa, rank_in(ra, wa, bit));
+                    let x2 = bb.row(pb, rank_in(rb, wb, bit));
+                    f(base + bit, x1, x2)?;
                 }
             }
-            base += 64;
         }
-        Some(Ok(()))
+        Ok(())
     }
 
     /// `4^W` as a code bound (`u32::MAX` past it, which no W reaches).
@@ -1129,7 +1025,7 @@ impl BankIndex {
     /// Number of distinct populated codes — O(1).
     #[inline]
     pub fn distinct_codes(&self) -> usize {
-        self.rows.bounds().len()
+        self.rows.bounds.len()
     }
 
     /// Total indexed positions.
@@ -1173,7 +1069,7 @@ impl BankIndex {
     /// Computes occupancy/footprint statistics — pure boundary
     /// arithmetic, no postings traversal.
     pub fn stats(&self) -> IndexStats {
-        let bounds = self.rows.bounds().view();
+        let bounds = self.rows.bounds.view();
         let max_chain = (0..self.distinct_codes())
             .map(|r| bounds.row(&self.positions, r).len())
             .max()
@@ -1192,29 +1088,21 @@ impl BankIndex {
     /// indexed-position bit vector). For an mmap-backed index the mapped
     /// sections count zero — their bytes live in the shared, evictable
     /// page cache, not this process's heap. What an attach does hold on
-    /// the heap is the copied bit-set (`len/8` bytes) and, for a dense
-    /// index, the derived ranks (`4^W/16` bytes).
+    /// the heap is the copied bit-set (`len/8` bytes) and the derived
+    /// ranks (4 bytes per top-level word and per stored bitmap word).
     pub fn heap_bytes(&self) -> usize {
-        let rows = match &self.rows {
-            RowIndex::Dense(bitmap) => bitmap.heap_bytes(),
-            RowIndex::Sparse(sparse) => sparse.heap_bytes(),
-        };
-        rows + self.positions.heap_bytes() + self.indexed.heap_bytes()
+        self.rows.heap_bytes() + self.positions.heap_bytes() + self.indexed.heap_bytes()
     }
 
     /// Whether the row map/postings sections are zero-copy views into a
     /// memory-mapped index file (see `oris_index::mmap`).
     pub fn is_mmap_backed(&self) -> bool {
-        let rows = match &self.rows {
-            RowIndex::Dense(bitmap) => bitmap.is_mapped(),
-            RowIndex::Sparse(sparse) => sparse.is_mapped(),
-        };
-        rows || self.positions.is_mapped()
+        self.rows.is_mapped() || self.positions.is_mapped()
     }
 
     /// The row map (persistence needs the raw sections).
     #[inline]
-    pub(crate) fn rows(&self) -> &RowIndex {
+    pub(crate) fn rows(&self) -> &RowMap {
         &self.rows
     }
 
@@ -1235,140 +1123,48 @@ impl BankIndex {
 }
 
 /// Iterator over the populated `(code, occurrences)` rows of a
-/// [`BankIndex`] — see [`BankIndex::populated_in`].
+/// [`BankIndex`] — see [`BankIndex::populated`].
 #[derive(Debug)]
-pub struct PopulatedRows<'a>(Walk<'a>);
-
-/// The walk behind [`PopulatedRows`], one per row map.
-#[derive(Debug)]
-enum Walk<'a> {
-    Dense {
-        bits: &'a [u64],
-        bounds: BoundsView<'a>,
-        positions: &'a [u32],
-        /// Code of bit 0 of the bitmap word `cur` came from.
-        base: u32,
-        /// Its set bits not yet yielded.
-        cur: u64,
-        /// Row of the lowest bit of `cur`.
-        row: usize,
-        end: u32,
-    },
-    Sparse {
-        codes: &'a [u32],
-        bounds: BoundsView<'a>,
-        positions: &'a [u32],
-        row: usize,
-        end_row: usize,
-    },
+pub struct PopulatedRows<'a> {
+    top: &'a [u64],
+    words: &'a [u64],
+    bounds: BoundsView<'a>,
+    positions: &'a [u32],
+    /// The top word `top_bits` came from.
+    t: usize,
+    /// Its set bits — stored words — not yet entered.
+    top_bits: u64,
+    /// Index of the next stored word to enter.
+    next_word: usize,
+    /// Code of bit 0 of the word `cur` came from.
+    base: u32,
+    /// Its set bits not yet yielded.
+    cur: u64,
+    /// Row of the lowest bit of `cur`.
+    row: usize,
 }
 
 impl<'a> Iterator for PopulatedRows<'a> {
     type Item = (u32, &'a [u32]);
 
     fn next(&mut self) -> Option<(u32, &'a [u32])> {
-        match &mut self.0 {
-            Walk::Dense {
-                bits,
-                bounds,
-                positions,
-                base,
-                cur,
-                row,
-                end,
-            } => loop {
-                if *cur != 0 {
-                    let code = *base + cur.trailing_zeros();
-                    if code >= *end {
-                        *cur = 0;
-                        return None;
-                    }
-                    *cur &= *cur - 1;
-                    let r = *row;
-                    *row += 1;
-                    return Some((code, bounds.row(positions, r)));
-                }
-                if *base + 64 >= *end {
-                    return None;
-                }
-                *base += 64;
-                *cur = bits[(*base / 64) as usize];
-            },
-            Walk::Sparse {
-                codes,
-                bounds,
-                positions,
-                row,
-                end_row,
-            } => {
-                if *row >= *end_row {
-                    return None;
-                }
-                let r = *row;
-                *row += 1;
-                Some((codes[r], bounds.row(positions, r)))
+        while self.cur == 0 {
+            while self.top_bits == 0 {
+                self.t += 1;
+                self.top_bits = *self.top.get(self.t)?;
             }
+            let j = self.top_bits.trailing_zeros() as usize;
+            self.top_bits &= self.top_bits - 1;
+            self.base = u32::try_from(64 * (64 * self.t + j)).expect("codes < 4^13 fit u32");
+            self.cur = self.words[self.next_word];
+            self.next_word += 1;
         }
+        let code = self.base + self.cur.trailing_zeros();
+        self.cur &= self.cur - 1;
+        let row = self.row;
+        self.row += 1;
+        Some((code, self.bounds.row(self.positions, row)))
     }
-}
-
-/// A forward cursor over an index's rows, for codes asked in ascending
-/// order — how step 2 resolves each driving row's partner row when the
-/// two indexes are not both dense (see the module docs' *Partner rows*).
-/// [`RowCursor::seek`] answers exactly what [`BankIndex::occurrences`]
-/// does. On a dense index that is the code's rank. On a sparse one the
-/// cursor keeps its place in the sorted code list and gallops forward
-/// from it: it probes 1, 2, 4, … codes ahead until it passes the code
-/// asked, then binary-searches the last stride. A seek costs O(log d) for
-/// a skip of d codes, so codes asked densely — a joint read chunk against
-/// a volume — cost a probe or two each, and a whole ascending walk never
-/// goes back over a code.
-#[derive(Debug, Clone)]
-pub struct RowCursor<'a> {
-    index: &'a BankIndex,
-    /// Sparse: every code before this row is below the codes still to be
-    /// asked. Unused by a dense index.
-    next: usize,
-}
-
-impl<'a> RowCursor<'a> {
-    /// The occurrences of `code`, which must be at least every code asked
-    /// before it and the cursor's start.
-    #[inline]
-    pub fn seek(&mut self, code: u32) -> &'a [u32] {
-        let index = self.index;
-        match &index.rows {
-            RowIndex::Dense(_) => index.occurrences(code),
-            RowIndex::Sparse(sparse) => {
-                let codes = sparse.codes();
-                let row = gallop(codes, self.next, code);
-                self.next = row;
-                if codes.get(row) == Some(&code) {
-                    index.row(row)
-                } else {
-                    &[]
-                }
-            }
-        }
-    }
-}
-
-/// The first index at or after `from` whose code is at least `code`
-/// (`codes.len()` if none), for an ascending `codes`: probe `from`, then
-/// 1, 2, 4, … further on until a probe reaches `code` or the end, then
-/// binary-search the stride the last step jumped.
-#[inline]
-fn gallop(codes: &[u32], from: usize, code: u32) -> usize {
-    let mut lo = from;
-    let mut hi = from;
-    let mut step = 1;
-    while hi < codes.len() && codes[hi] < code {
-        lo = hi + 1;
-        hi = lo + step;
-        step *= 2;
-    }
-    let hi = hi.min(codes.len());
-    lo + codes[lo..hi].partition_point(|&c| c < code)
 }
 
 /// Bank positions per worker below which step 1 takes no second worker,
@@ -1416,15 +1212,32 @@ struct Radix {
     width: usize,
     /// Bits of rank: `code >> shift` is the partition of `code`.
     shift: u32,
+    /// Pass C sorts a partition of fewer postings than this by comparison,
+    /// and counts the others (see [`SORT_FILL`]). At most 2^16, so a
+    /// sorted partition's rows are shorter than a `u16`.
+    sort_below: usize,
 }
 
+/// A partition whose postings number under `1/SORT_FILL` of its rows is
+/// sorted by comparison, not counted: counting sweeps all of its rows
+/// (4^8 at W = 11) twice, whatever the postings, where a comparison sort
+/// of `n` postings costs `O(n log n)`. At W = 11 that is under 4 096
+/// postings, a partition of a bank under ~260 k positions — a read, a
+/// small query, `repeat_family`'s banks — while an `est_x_est` or
+/// `genome_null` bank, or a database volume, holds ten thousand and more
+/// per partition and is counted.
+const SORT_FILL: usize = 16;
+
 impl Radix {
+    /// The partitions of the `4^w` code space, under the sort rule.
     fn new(w: usize) -> Radix {
         let bases = w.saturating_sub(MAX_RANK_BASES).max(MIN_RADIX_BASES).min(w);
+        let width = 1 << (2 * (w - bases));
         Radix {
             parts: 1 << (2 * bases),
-            width: 1 << (2 * (w - bases)),
+            width,
             shift: 2 * u32::try_from(w - bases).expect("seed width fits u32"),
+            sort_below: width / SORT_FILL,
         }
     }
 
@@ -1442,7 +1255,7 @@ impl Radix {
     }
 
     /// Partitions per bitmap word: pass C cuts its runs at multiples of
-    /// this, so no two runs share a word (1 from W = 6 on, where a
+    /// this, so no two runs share a stored word (1 from W = 6 on, where a
     /// partition spans whole words).
     fn parts_per_word(&self) -> usize {
         (64 / self.width).max(1)
@@ -1509,9 +1322,8 @@ fn is_kept(words: &[u64], pos: usize) -> bool {
     words[pos / 64] >> (pos % 64) & 1 == 1
 }
 
-/// Dense row assembly: a radix-partitioned counting sort of the kept
-/// positions by code, returning `(presence bitmap, row bounds,
-/// postings)`.
+/// Row assembly: a radix-partitioned sort of the kept positions by code,
+/// returning the row map and the postings.
 ///
 /// Pass B scatters each kept position into the postings array by
 /// partition, and its rank into a transient array of the same shape. The
@@ -1519,14 +1331,17 @@ fn is_kept(words: &[u64], pos: usize) -> bool {
 /// stretch, slices in bank order inside a partition, so each partition
 /// receives its positions in ascending order whatever the worker count:
 /// the scatter is stable by construction. Pass C then sorts every
-/// partition in place by rank (see [`sort_partitions`]). Ranks are carried
-/// rather than read back from the bank in pass C: a partition's positions
-/// lie scattered over the whole bank, so re-reading their windows cost a
-/// cache miss per posting — three times the whole of pass C, measured
-/// with 1 024 partitions. The row bounds follow from the lengths pass C
-/// leaves in the spent ranks, and take their place (see [`run_bounds`]):
-/// the rank array becomes the `rel` section, cut to one entry per row.
-fn dense_rows(
+/// partition in place by rank and marks its populated codes in the
+/// bitmap words it covers (see [`sort_partitions`]); the stored words
+/// are the non-zero ones, and the top level marks where they fall. Ranks
+/// are carried rather than read back from the bank in pass C: a
+/// partition's positions lie scattered over the whole bank, so
+/// re-reading their windows cost a cache miss per posting — three times
+/// the whole of pass C, measured with 1 024 partitions. The row bounds
+/// follow from the lengths pass C leaves in the spent ranks, and take
+/// their place (see [`run_bounds`]): the rank array becomes the `rel`
+/// section, cut to one entry per row.
+fn sort_rows(
     data: &[u8],
     words: &[u64],
     slice_len: usize,
@@ -1534,7 +1349,7 @@ fn dense_rows(
     radix: Radix,
     scans: &[SliceScan],
     postings: usize,
-) -> (Vec<u64>, RowBounds, Vec<u32>) {
+) -> (RowMap, Vec<u32>) {
     let as_u32 =
         |n: usize| u32::try_from(n).expect("postings are bounded by the bank-length guard");
     // `pbase[p]` = postings in partitions before `p`.
@@ -1601,29 +1416,22 @@ fn dense_rows(
         cuts.push(first..end);
         first = end;
     }
-    let run_words = |parts: &Range<usize>| (parts.len() * radix.width).div_ceil(64);
     let postings_of = |parts: &Range<usize>| pbase[parts.start] as usize..pbase[parts.end] as usize;
-    let mut bits = vec![0u64; bitmap_words(coder.num_seeds())];
-    let sorted: Vec<Vec<PartitionRows>> = {
-        let mut bits_rest: &mut [u64] = &mut bits;
+    let sorted: Vec<SortedRun> = {
         let mut pos_rest: &mut [u32] = &mut positions;
         let mut rank_rest: &mut [u16] = &mut ranks;
         cuts.iter()
             .map(|parts| {
-                let (bits, tail) = std::mem::take(&mut bits_rest).split_at_mut(run_words(parts));
-                bits_rest = tail;
                 let n = postings_of(parts).len();
                 let (postings, tail) = std::mem::take(&mut pos_rest).split_at_mut(n);
                 pos_rest = tail;
                 let (ranks, tail) = std::mem::take(&mut rank_rest).split_at_mut(n);
                 rank_rest = tail;
-                (parts.clone(), bits, postings, ranks)
+                (parts.clone(), postings, ranks)
             })
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(parts, bits, postings, ranks)| {
-                sort_partitions(radix, &pbase, parts, bits, postings, ranks)
-            })
+            .map(|(parts, postings, ranks)| sort_partitions(radix, &pbase, parts, postings, ranks))
             .collect()
     };
     // Row bounds, written into the spent ranks. Each run compacts its
@@ -1635,12 +1443,11 @@ fn dense_rows(
     // by a run's edge, or wide — are encoded last, in ascending order.
     let run_rows: Vec<usize> = sorted
         .iter()
-        .map(|run| run.iter().map(|p| p.populated).sum())
+        .map(|run| run.parts.iter().map(|p| p.populated).sum())
         .collect();
     let rows: usize = run_rows.iter().sum();
     let mut anchors = vec![0u32; rows.div_ceil(GROUP)];
     let pieces: Vec<Vec<(usize, Vec<u32>)>> = {
-        let mut bits_rest: &[u64] = &bits;
         let mut rank_rest: &mut [u16] = &mut ranks;
         let mut anchors_rest: &mut [u32] = &mut anchors;
         let mut first_row = 0;
@@ -1648,8 +1455,6 @@ fn dense_rows(
             .zip(&sorted)
             .zip(&run_rows)
             .map(|((parts, run), &n)| {
-                let (bits, tail) = bits_rest.split_at(run_words(parts));
-                bits_rest = tail;
                 let (ranks, tail) =
                     std::mem::take(&mut rank_rest).split_at_mut(postings_of(parts).len());
                 rank_rest = tail;
@@ -1658,13 +1463,13 @@ fn dense_rows(
                 anchors_rest = tail;
                 let at = first_row;
                 first_row += n;
-                (parts.clone(), run, bits, ranks, at, anchors)
+                (parts.clone(), &run.parts, ranks, at, anchors)
             })
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(parts, run, bits, ranks, first_row, anchors)| {
+            .map(|(parts, run, ranks, first_row, anchors)| {
                 let mut groups = GroupWriter::new(first_row, rows, anchors);
-                run_bounds(radix, &pbase, parts, run, bits, ranks, &mut groups);
+                run_bounds(radix, &pbase, parts, run, ranks, &mut groups);
                 groups.pieces
             })
             .collect()
@@ -1692,7 +1497,17 @@ fn dense_rows(
         anchors: anchors.into(),
         wide: wide.into(),
     };
-    (bits, bounds, positions)
+    // The two levels: the runs' stored words in order, and the top bit of
+    // each.
+    let mut top = vec![0u64; top_words(coder.num_seeds())];
+    let mut stored = Vec::with_capacity(sorted.iter().map(|run| run.words.len()).sum());
+    for run in &sorted {
+        for (t, &bits) in top[run.top_base..].iter_mut().zip(&run.top) {
+            *t |= bits;
+        }
+        stored.extend_from_slice(&run.words);
+    }
+    (RowMap::new(top.into(), stored.into(), bounds), positions)
 }
 
 /// What pass C leaves of one partition for its row boundaries.
@@ -1705,61 +1520,121 @@ struct PartitionRows {
     lengths: bool,
 }
 
-/// The populated rows of a partition, as the offsets of its counters:
-/// calls `f(r)` for every set bit `r` of `bits`' stretch `[first_bit,
-/// first_bit + width)`, in ascending order.
-#[inline]
-fn for_each_set_bit(bits: &[u64], first_bit: usize, width: usize, mut f: impl FnMut(usize)) {
-    for j in 0..width.div_ceil(64) {
-        let bit = first_bit + 64 * j;
-        let mut word = bits[bit / 64] >> (bit % 64);
-        if width < 64 {
-            word &= (1u64 << width) - 1;
-        }
-        while word != 0 {
-            f(64 * j + word.trailing_zeros() as usize);
-            word &= word - 1;
+/// What pass C leaves of one run of partitions: each partition's rows,
+/// the non-zero bitmap words the run covers, ascending, and the top-level
+/// words over them.
+struct SortedRun {
+    parts: Vec<PartitionRows>,
+    words: Vec<u64>,
+    /// Bit `j` of `top[i]` is set iff bitmap word `64·(top_base + i) + j`
+    /// is in `words`.
+    top: Vec<u64>,
+    top_base: usize,
+    /// The bitmap word the last of `words` is.
+    last: usize,
+}
+
+impl SortedRun {
+    /// ORs `bits` into bitmap word `word` — the last word marked, or a
+    /// later one.
+    #[inline]
+    fn mark(&mut self, word: usize, bits: u64) {
+        if self.last == word {
+            *self.words.last_mut().expect("the last word is stored") |= bits;
+        } else if bits != 0 {
+            self.last = word;
+            self.words.push(bits);
+            self.top[word / 64 - self.top_base] |= 1 << (word % 64);
         }
     }
 }
 
-/// Pass C over one run of partitions: sorts each partition by rank —
-/// count into a `4^8`-counter scratch, prefix-sum, scatter through a copy
-/// of the partition, all within the scratch and the partition's few tens
-/// of kilobytes — setting the bits of its populated codes in `bits` (the
-/// run's words) as it goes. Once a partition is sorted its ranks are
-/// spent, so the head of their stretch takes the populated rows' lengths
-/// for [`run_bounds`].
+/// Pass C over one run of partitions: sorts each partition by rank,
+/// marking the bits of its populated codes in the run's bitmap words as
+/// it goes. A partition of at least [`Radix::sort_below`] postings is
+/// counted — count into a `4^8`-counter scratch, prefix-sum, scatter
+/// through a copy of the partition, all within the scratch and the
+/// partition's few tens of kilobytes; a smaller one sorts its
+/// `(rank, position)` pairs, which keeps a read's or a small bank's
+/// build from sweeping `4^8` counters per partition (see [`SORT_FILL`]).
+/// Either sort leaves each row's positions ascending. Once a partition is
+/// sorted its ranks are spent, so the head of their stretch takes the
+/// populated rows' lengths for [`run_bounds`].
 fn sort_partitions(
     radix: Radix,
     pbase: &[u32],
     parts: Range<usize>,
-    bits: &mut [u64],
     mut postings: &mut [u32],
     mut ranks: &mut [u16],
-) -> Vec<PartitionRows> {
-    let mut out = Vec::with_capacity(parts.len());
-    // Per row: its count, then its start, then its write cursor.
-    let mut rows = vec![0u32; radix.width];
+) -> SortedRun {
+    // The run's bitmap words, and the most of them it can populate.
+    let run_words = parts.start * radix.width / 64..(parts.end * radix.width).div_ceil(64);
+    let mut run = SortedRun {
+        parts: Vec::with_capacity(parts.len()),
+        words: Vec::with_capacity(run_words.len().min(postings.len())),
+        top: vec![0; run_words.end.div_ceil(64) - run_words.start / 64],
+        top_base: run_words.start / 64,
+        last: usize::MAX,
+    };
+    // Per row: its count, then its start, then its write cursor —
+    // allocated by the first partition that counts.
+    let mut rows: Vec<u32> = Vec::new();
     // The populated rows' lengths, gathered as the prefix sum meets them:
     // written at every row and kept only where the row is populated, so
     // the sum takes no data-dependent branch.
-    let mut lengths = vec![0u16; radix.width];
-    // The partition's positions in scatter order.
+    let mut lengths: Vec<u16> = Vec::new();
+    // A counted partition's positions in scatter order; a sorted one's
+    // keys.
     let mut held: Vec<u32> = Vec::new();
-    for (i, p) in parts.enumerate() {
+    let mut keys: Vec<u64> = Vec::new();
+    for p in parts {
         let base = pbase[p];
         let len = (pbase[p + 1] - base) as usize;
         let (stretch, tail) = std::mem::take(&mut postings).split_at_mut(len);
         postings = tail;
         let (stretch_ranks, tail) = std::mem::take(&mut ranks).split_at_mut(len);
         ranks = tail;
-        if stretch.is_empty() {
-            out.push(PartitionRows {
+        if len == 0 {
+            run.parts.push(PartitionRows {
                 populated: 0,
                 lengths: true,
             });
             continue;
+        }
+        let first_bit = p * radix.width;
+        if len < radix.sort_below {
+            // Rank above position: one sort orders the rows and keeps
+            // each row's positions ascending.
+            keys.clear();
+            keys.extend(
+                stretch
+                    .iter()
+                    .zip(stretch_ranks.iter())
+                    .map(|(&pos, &rank)| u64::from(rank) << 32 | u64::from(pos)),
+            );
+            keys.sort_unstable();
+            let mut n = 0;
+            for (j, &key) in keys.iter().enumerate() {
+                stretch[j] = key as u32;
+                let rank = (key >> 32) as usize;
+                if j == 0 || keys[j - 1] >> 32 != key >> 32 {
+                    let bit = first_bit + rank;
+                    run.mark(bit / 64, 1 << (bit % 64));
+                    stretch_ranks[n] = 0;
+                    n += 1;
+                }
+                // Under `sort_below` ≤ 2^16 postings, no row passes a u16.
+                stretch_ranks[n - 1] += 1;
+            }
+            run.parts.push(PartitionRows {
+                populated: n,
+                lengths: true,
+            });
+            continue;
+        }
+        if rows.is_empty() {
+            rows = vec![0u32; radix.width];
+            lengths = vec![0u16; radix.width];
         }
         held.clear();
         held.extend_from_slice(stretch);
@@ -1770,7 +1645,6 @@ fn sort_partitions(
         // ...exclusive prefix-sum in place (`rows[r]` = start of row `r`),
         // one bitmap word per 64 rows (a partition narrower than a word
         // fills its share of one)...
-        let first_bit = i * radix.width;
         let mut sum = base;
         let mut n = 0;
         let mut wide = 0;
@@ -1788,7 +1662,7 @@ fn sort_partitions(
                 sum += count;
             }
             let bit = first_bit + 64 * j;
-            bits[bit / 64] |= word << (bit % 64);
+            run.mark(bit / 64, word << (bit % 64));
         }
         // ...and scatter, each row's start slot serving as its write
         // cursor. The forward walk keeps positions ascending in a row.
@@ -1802,12 +1676,12 @@ fn sort_partitions(
         if wide == 0 {
             stretch_ranks[..n].copy_from_slice(&lengths[..n]);
         }
-        out.push(PartitionRows {
+        run.parts.push(PartitionRows {
             populated: n,
             lengths: wide == 0,
         });
     }
-    out
+    run
 }
 
 /// One run's share of the row bounds: takes its rows' starts in order
@@ -1881,21 +1755,20 @@ impl<'a> GroupWriter<'a> {
 /// Row bounds of one run of partitions, once pass C has sorted them: per
 /// partition, a running sum over the row lengths it left at the head of
 /// its rank stretch — or, for a partition with a row past `u16`, a
-/// recount of its ranks read back along its set bits — hands `groups`
-/// each row's start. Every row's `rel` lands at or before the length it
-/// came from, which is read first, so the run compacts in place.
+/// recount of its ranks — hands `groups` each row's start. Every row's
+/// `rel` lands at or before the length it came from, which is read first,
+/// so the run compacts in place.
 fn run_bounds(
     radix: Radix,
     pbase: &[u32],
     parts: Range<usize>,
     run: &[PartitionRows],
-    bits: &[u64],
     ranks: &mut [u16],
     groups: &mut GroupWriter<'_>,
 ) {
     let mut counts = Vec::new();
     let mut at = 0;
-    for ((i, p), part) in parts.enumerate().zip(run) {
+    for (p, part) in parts.zip(run) {
         let len = (pbase[p + 1] - pbase[p]) as usize;
         let mut sum = pbase[p];
         if part.lengths {
@@ -1909,52 +1782,14 @@ fn run_bounds(
             for &rank in &ranks[at..at + len] {
                 counts[usize::from(rank)] += 1;
             }
-            for_each_set_bit(bits, i * radix.width, radix.width, |r| {
+            for count in counts.iter_mut().filter(|c| **c > 0) {
                 groups.push(sum, ranks);
-                sum += std::mem::take(&mut counts[r]);
-            });
+                sum += std::mem::take(count);
+            }
         }
         at += len;
     }
     groups.flush(ranks);
-}
-
-/// Sparse row assembly: the kept windows as `code·2^32 + position` keys,
-/// sorted — ascending code, ascending position inside a code, the exact
-/// postings order of the dense build — then split into the distinct
-/// codes, their row boundaries and the postings. Cost is
-/// `O(postings · log postings)`, independent of `4^W`; eight transient
-/// bytes per posting, on banks that are small against the code space by
-/// the definition of this row map.
-fn sparse_rows(
-    data: &[u8],
-    words: &[u64],
-    coder: SeedCoder,
-    postings: usize,
-) -> (Vec<u32>, RowBounds, Vec<u32>) {
-    let mut keys: Vec<u64> = Vec::with_capacity(postings);
-    keys.extend(
-        slice_windows(data, 0, words.len(), coder)
-            .filter(|&(pos, _)| is_kept(words, pos))
-            .map(|(pos, code)| u64::from(code) << 32 | pos as u64),
-    );
-    keys.sort_unstable();
-    let mut codes: Vec<u32> = Vec::new();
-    let mut starts: Vec<u32> = Vec::new();
-    let mut positions: Vec<u32> = Vec::with_capacity(keys.len());
-    for &key in &keys {
-        // oris-lint: allow(narrow-cast) — the two halves the key was packed from
-        let (code, pos) = ((key >> 32) as u32, key as u32);
-        if codes.last() != Some(&code) {
-            codes.push(code);
-            starts.push(
-                u32::try_from(positions.len())
-                    .expect("position count is u32-bounded by the bank-length guard"),
-            );
-        }
-        positions.push(pos);
-    }
-    (codes, RowBounds::from_starts(&starts), positions)
 }
 
 #[cfg(test)]
@@ -1963,8 +1798,8 @@ mod tests {
     use oris_seqio::BankBuilder;
     use proptest::prelude::*;
 
-    /// The hashed code→row lookup the sparse layout carried before the
-    /// row cursor, kept as an oracle of the cursor's answers: an
+    /// The hashed code→row lookup an earlier code-list layout carried,
+    /// kept as an independent oracle of the row map's answers: an
     /// open-addressed table of `2^⌈log₂ 2k⌉` slots, Fibonacci-hashed,
     /// linear-probed, built in ascending code order.
     mod slot_oracle {
@@ -2124,44 +1959,29 @@ mod tests {
         2 * k + 4 * k.div_ceil(64)
     }
 
-    /// The dense footprint model: a presence bitmap of ⌈4^W/64⌉ words
-    /// and one u32 rank per word (`3·4^W/16` bytes from W = 3 on), the row
-    /// bounds of the distinct codes, 4 bytes per *indexed* position, 1 bit
-    /// per bank position for the occurrence set. The
-    /// `stats_match_footprint_model_*` tests pin this model, so they force
-    /// [`IndexBackend::Dense`] — Auto would pick sparse for these banks at
-    /// W = 8.
-    fn expected_index_bytes(
-        bank: &Bank,
-        w: usize,
-        distinct: usize,
-        indexed_positions: usize,
-    ) -> usize {
-        let n = bank.data().len();
-        12 * (1usize << (2 * w)).div_ceil(64)
-            + bounds_bytes(distinct)
-            + 4 * indexed_positions
-            + n.div_ceil(64) * 8
-    }
-
-    /// The sparse footprint model: 4 bytes per populated code, the row
-    /// bounds, postings and bit-set as dense.
-    fn expected_sparse_bytes(bank: &Bank, distinct: usize, indexed_positions: usize) -> usize {
-        let n = bank.data().len();
-        4 * distinct + bounds_bytes(distinct) + 4 * indexed_positions + n.div_ceil(64) * 8
+    /// The footprint model: 4 bytes per *indexed* position, the row
+    /// bounds of the `k` populated codes, 1 bit per bank position for the
+    /// occurrence set, and a word and its rank (12 bytes) per stored
+    /// bitmap word and per top-level word —
+    /// `4·N + 2·k + k/16 + N/8 + 12·words + 12·⌈4^W/4096⌉`. The stored
+    /// words are counted from the populated codes, not read off the map.
+    fn model_bytes(bank: &Bank, idx: &BankIndex) -> usize {
+        let mut words: Vec<u32> = idx.populated().map(|(c, _)| c / 64).collect();
+        words.dedup();
+        4 * idx.indexed_positions()
+            + bounds_bytes(idx.distinct_codes())
+            + bank.data().len().div_ceil(64) * 8
+            + 12 * words.len()
+            + 12 * top_words(idx.coder().num_seeds())
     }
 
     #[test]
     fn stats_match_footprint_model_full() {
         let bank = bank_of(&[&"ACGTTGCA".repeat(2000)]); // 16 kb
-        let cfg = IndexConfig::full(8).with_backend(IndexBackend::Dense);
-        let idx = BankIndex::build(&bank, cfg);
+        let idx = BankIndex::build(&bank, IndexConfig::full(8));
         let stats = idx.stats();
         let n = bank.data().len();
-        assert_eq!(
-            stats.index_bytes,
-            expected_index_bytes(&bank, 8, stats.distinct_seeds, stats.indexed_positions)
-        );
+        assert_eq!(stats.index_bytes, model_bytes(&bank, &idx));
         assert_eq!(stats.total_bytes, stats.index_bytes + n);
         assert!(stats.indexed_positions > 0);
         assert!(stats.distinct_seeds > 0);
@@ -2176,15 +1996,12 @@ mod tests {
     fn stats_match_footprint_model_masked() {
         let bank = bank_of(&[&"ACGTTGCA".repeat(2000)]);
         let n = bank.data().len();
-        let cfg = IndexConfig::full(8).with_backend(IndexBackend::Dense);
+        let cfg = IndexConfig::full(8);
         // Mask the first half of the bank: the postings array must shrink
         // by (roughly) the masked windows.
         let idx = BankIndex::build_filtered(&bank, cfg, |p| p < n / 2);
         let stats = idx.stats();
-        assert_eq!(
-            stats.index_bytes,
-            expected_index_bytes(&bank, 8, stats.distinct_seeds, stats.indexed_positions)
-        );
+        assert_eq!(stats.index_bytes, model_bytes(&bank, &idx));
         let full = BankIndex::build(&bank, cfg).stats();
         assert!(stats.indexed_positions * 2 <= full.indexed_positions + 16);
         assert!(stats.index_bytes < full.index_bytes);
@@ -2193,125 +2010,143 @@ mod tests {
     #[test]
     fn stats_match_footprint_model_asymmetric() {
         let bank = bank_of(&[&"ACGTTGCA".repeat(2000)]);
-        let cfg = IndexConfig::asymmetric(8).with_backend(IndexBackend::Dense);
-        let idx = BankIndex::build(&bank, cfg);
+        let idx = BankIndex::build(&bank, IndexConfig::asymmetric(8));
         let stats = idx.stats();
-        assert_eq!(
-            stats.index_bytes,
-            expected_index_bytes(&bank, 8, stats.distinct_seeds, stats.indexed_positions)
-        );
-        // Half the windows → half the postings bytes, and the row
-        // boundaries of the codes only odd positions held (the bitmap and
+        assert_eq!(stats.index_bytes, model_bytes(&bank, &idx));
+        // Half the windows → half the postings bytes, and the rows and
+        // words of the codes only odd positions held (the top level and
         // the bit-set don't depend on the stride).
-        let full = BankIndex::build(
-            &bank,
-            IndexConfig::full(8).with_backend(IndexBackend::Dense),
-        )
-        .stats();
+        let full_idx = BankIndex::build(&bank, IndexConfig::full(8));
+        let full = full_idx.stats();
         assert!(stats.indexed_positions * 2 <= full.indexed_positions + 2);
         assert_eq!(
             full.index_bytes - stats.index_bytes,
-            4 * (full.indexed_positions - stats.indexed_positions)
-                + bounds_bytes(full.distinct_seeds)
-                - bounds_bytes(stats.distinct_seeds)
+            model_bytes(&bank, &full_idx) - model_bytes(&bank, &idx)
         );
     }
 
     #[test]
     fn sparse_stats_match_sparse_footprint_model() {
-        let bank = bank_of(&[&"ACGTTGCA".repeat(2000)]);
-        let cfg = IndexConfig::full(8).with_backend(IndexBackend::Sparse);
-        let idx = BankIndex::build(&bank, cfg);
-        assert_eq!(idx.backend(), IndexBackend::Sparse);
+        // A bank populating a sliver of the code space (W = 11) follows
+        // the same model; its code-space term is the top level alone, and
+        // it stores no more bitmap words than it has codes.
+        let bank = bank_of(&[&random_dna(16_000)]);
+        let idx = BankIndex::build(&bank, IndexConfig::full(11));
         let stats = idx.stats();
-        assert_eq!(
-            stats.index_bytes,
-            expected_sparse_bytes(&bank, stats.distinct_seeds, stats.indexed_positions)
-        );
+        assert_eq!(stats.index_bytes, model_bytes(&bank, &idx));
         assert_eq!(stats.distinct_seeds, idx.distinct_codes());
+        let (top, words, _) = idx.rows().sections();
+        assert_eq!(top.len(), (1 << 22) / 4096);
+        assert!(words.len() <= idx.distinct_codes());
     }
 
     #[test]
     fn sparse_footprint_wins_big_at_w11() {
-        // At W = 11 on a small bank the dense map pays its 768 KB of
-        // bitmap and ranks whatever the bank populates; the code list pays
-        // 4 bytes per populated code beside the row bounds both maps
-        // carry. Both follow their models, and sparse is ≤ 1/10 of dense
-        // here.
+        // At W = 11 a 150-nt read's index is its postings, rows and words
+        // and the 12 KB top level: under 16 KB, where the one-level
+        // bitmap and its ranks alone took 768 KB.
+        let read = bank_of(&[&random_dna(150)]);
+        let idx = BankIndex::build(&read, IndexConfig::full(11));
+        assert_eq!(idx.indexed_positions(), 140);
+        let bytes = idx.stats().index_bytes;
+        assert_eq!(bytes, model_bytes(&read, &idx));
+        assert!(bytes <= 16 * 1024, "{bytes} bytes for a 150-nt read");
+        // The model holds on full, masked and asymmetric banks, and a
+        // 10 kb bank stays under a tenth of the one-level bitmap's bytes.
         let bank = bank_of(&[&"ACGTTGCAAGGTTCCAATGC".repeat(500)]); // 10 kb
-        let dense = BankIndex::build(
-            &bank,
-            IndexConfig::full(11).with_backend(IndexBackend::Dense),
-        );
-        let sparse = BankIndex::build(
-            &bank,
-            IndexConfig::full(11).with_backend(IndexBackend::Sparse),
-        );
-        let (ds, ss) = (dense.stats(), sparse.stats());
-        assert_eq!(
-            ds.index_bytes,
-            expected_index_bytes(&bank, 11, ds.distinct_seeds, ds.indexed_positions)
-        );
-        assert_eq!(
-            ss.index_bytes,
-            expected_sparse_bytes(&bank, ss.distinct_seeds, ss.indexed_positions)
-        );
-        assert_eq!(
-            ds.index_bytes - ss.index_bytes,
-            3 * (1 << 22) / 16 - 4 * ss.distinct_seeds
-        );
-        let (db, sb) = (ds.index_bytes, ss.index_bytes);
-        assert!(
-            sb * 10 <= db,
-            "sparse {sb} bytes not ≤ 1/10 of dense {db} bytes"
-        );
+        let builds = [
+            BankIndex::build(&bank, IndexConfig::full(11)),
+            BankIndex::build_filtered(&bank, IndexConfig::full(11), |p| p % 3 == 0),
+            BankIndex::build(&bank, IndexConfig::asymmetric(11)),
+        ];
+        for idx in &builds {
+            let bytes = idx.stats().index_bytes;
+            assert_eq!(bytes, model_bytes(&bank, idx));
+            assert!(bytes * 10 <= 3 * (1 << 22) / 16, "{bytes} bytes");
+        }
+    }
+
+    /// The partitions' postings of the oracle's index of `bank`.
+    fn partition_postings(oracle: &oracle::Built, radix: Radix) -> Vec<usize> {
+        let mut per_part = vec![0; radix.parts];
+        for &c in oracle.codes() {
+            per_part[radix.part_of(c)] += oracle.occurrences(c).len();
+        }
+        per_part
     }
 
     #[test]
     fn auto_picks_sparse_for_small_bank_large_w() {
-        // 10 kb of bank cannot populate more than ~10k of the 4^11 ≈ 4.2M
-        // codes: the code list is smaller, and Auto must choose it.
-        let bank = bank_of(&[&"ACGTTGCAAGGTTCCAATGC".repeat(500)]);
-        let idx = BankIndex::build(&bank, IndexConfig::full(11));
-        assert_eq!(idx.backend(), IndexBackend::Sparse);
+        // At W = 11 a partition spans 4^8 codes, and one of fewer than
+        // 4 096 postings is sorted by comparison: every partition of a
+        // 10 kb bank is, and the build is the oracle's index.
+        let radix = Radix::new(11);
+        assert_eq!(radix.sort_below, 4096);
+        let bank = bank_of(&[&random_dna(10_000)]);
+        let cfg = IndexConfig::full(11);
+        let oracle = oracle::build(&bank, cfg, |_| false);
+        assert!(partition_postings(&oracle, radix)
+            .iter()
+            .all(|&n| n < radix.sort_below));
+        assert!(oracle.matches(&BankIndex::build(&bank, cfg)));
     }
 
     #[test]
     fn auto_picks_dense_for_dense_code_space() {
-        // 16 kb of bank at W = 4 (256 codes): essentially every code is
-        // populated — Auto must choose dense.
+        // 16 kb of bank at W = 4 (256 codes in partitions of 4): no
+        // partition is sparse enough to sort, so all are counted.
+        let radix = Radix::new(4);
+        assert_eq!(radix.sort_below, 0);
         let bank = bank_of(&[&"ACGTTGCA".repeat(2000)]);
-        let idx = BankIndex::build(&bank, IndexConfig::full(4));
-        assert_eq!(idx.backend(), IndexBackend::Dense);
-        // The rule is the two models' crossing with one code per posting,
-        // the most a bank can populate: dense from 3·4^W/16 = 4·postings
-        // on — 3 072 postings at W = 8 (196 608 at W = 11).
-        for (postings, backend) in [(3071, IndexBackend::Sparse), (3072, IndexBackend::Dense)] {
-            let bank = bank_of(&[&random_dna(postings + 7)]);
-            let idx = BankIndex::build(&bank, IndexConfig::full(8));
-            assert_eq!(idx.indexed_positions(), postings);
-            assert_eq!(idx.backend(), backend, "{postings} postings");
-            let dense_model = expected_index_bytes(&bank, 8, postings, postings);
-            let sparse_model = expected_sparse_bytes(&bank, postings, postings);
-            assert_eq!(dense_model <= sparse_model, backend == IndexBackend::Dense);
+        let cfg = IndexConfig::full(4);
+        assert!(oracle::build(&bank, cfg, |_| false).matches(&BankIndex::build(&bank, cfg)));
+        // The rule's edge at W = 8 (partitions of 4^5 codes, sorted below
+        // 64 postings): partitions 0 and 5 of 63 or 64 postings beside a
+        // counted one of 300, built by every pool over slices of a few
+        // words, and persisted to the heap and mapped: the oracle's index.
+        let radix = Radix::new(8);
+        assert_eq!(radix.sort_below, 64);
+        let coder = SeedCoder::new(8);
+        for postings in [63u32, 64] {
+            let mut codes: Vec<u32> = (0..postings).map(|i| i * 7 % 1024).collect();
+            codes.extend((0..postings).map(|i| 5 * 1024 + i * 13 % 1024));
+            codes.extend((0..300).map(|i| 40 * 1024 + i % 97));
+            let bank = bank_of_codes(coder, &codes);
+            let cfg = IndexConfig::full(8);
+            let oracle = oracle::build(&bank, cfg, |_| false);
+            let per_part = partition_postings(&oracle, radix);
+            assert_eq!(per_part[0], postings as usize);
+            assert_eq!(per_part[5], postings as usize);
+            assert_eq!(per_part[40], 300);
+            for threads in [1, 2, 4, 7] {
+                let built = in_pool(threads, || {
+                    BankIndex::build_sliced(&bank, cfg, |_| false, 256, radix)
+                });
+                assert!(
+                    oracle.matches(&built),
+                    "{postings} postings, threads {threads}"
+                );
+                for loaded in round_trips(&built) {
+                    assert!(oracle.matches(&loaded), "{postings} postings, loaded");
+                }
+            }
         }
     }
 
     #[test]
     fn empty_bank_builds() {
-        let bank = Bank::empty();
-        for backend in [
-            IndexBackend::Dense,
-            IndexBackend::Sparse,
-            IndexBackend::Auto,
-        ] {
-            let idx = BankIndex::build(&bank, IndexConfig::full(4).with_backend(backend));
-            assert_eq!(idx.indexed_positions(), 0);
-            assert_eq!(idx.stats().distinct_seeds, 0);
-            assert_eq!(idx.populated().count(), 0);
-            // No window was policy-excluded (vacuously): the fast path is
-            // safe.
-            assert!(idx.is_fully_indexed());
+        for bank in [Bank::empty(), bank_of(&["NNNNNNNNNNNNNNNNNNNN"])] {
+            for w in [4, 11, 13] {
+                let idx = BankIndex::build(&bank, IndexConfig::full(w));
+                assert_eq!(idx.indexed_positions(), 0);
+                assert_eq!(idx.stats().distinct_seeds, 0);
+                assert_eq!(idx.populated().count(), 0);
+                let (top, words, _) = idx.rows().sections();
+                assert!(top.iter().all(|&t| t == 0) && words.is_empty());
+                // No window was policy-excluded (vacuously): the fast path
+                // is safe.
+                assert!(idx.is_fully_indexed());
+            }
         }
     }
 
@@ -2360,19 +2195,14 @@ mod tests {
 
     #[test]
     fn offsets_are_monotonic_and_cover_positions() {
-        // A dense build's row bounds: one start per populated code, from
-        // 0, strictly increasing, the rows tiling the postings; its bitmap
-        // is ⌈4^W/64⌉ words holding one bit per populated code.
+        // The row bounds: one start per populated code, from 0, strictly
+        // increasing, the rows tiling the postings. The row map: a top
+        // level of ⌈4^W/4096⌉ words marking each stored word, no stored
+        // word zero, one bit per populated code.
         let bank = bank_of(&["ACGTACGTTTGGCCAAACGT"]);
-        for w in [2, 4] {
-            let idx = BankIndex::build(
-                &bank,
-                IndexConfig::full(w).with_backend(IndexBackend::Dense),
-            );
-            let RowIndex::Dense(bitmap) = idx.rows() else {
-                panic!("dense build")
-            };
-            let bounds = idx.rows().bounds();
+        for w in [2, 4, 7] {
+            let idx = BankIndex::build(&bank, IndexConfig::full(w));
+            let (top, words, bounds) = idx.rows().sections();
             assert_eq!(bounds.len(), idx.distinct_codes());
             let mut end = 0;
             for r in 0..bounds.len() {
@@ -2381,64 +2211,79 @@ mod tests {
                 assert!(end > bounds.view().start(r), "row {r} is empty");
             }
             assert_eq!(end, idx.indexed_positions());
-            assert_eq!(bitmap.bits().len(), idx.coder().num_seeds().div_ceil(64));
-            let set: u32 = bitmap.bits().iter().map(|w| w.count_ones()).sum();
+            assert_eq!(top.len(), idx.coder().num_seeds().div_ceil(4096));
+            let marked: u32 = top.iter().map(|t| t.count_ones()).sum();
+            assert_eq!(marked as usize, words.len());
+            assert!(!words.contains(&0));
+            let set: u32 = words.iter().map(|w| w.count_ones()).sum();
             assert_eq!(set as usize, idx.distinct_codes());
         }
     }
 
     #[test]
     fn sparse_has_no_dense_offsets() {
-        // A sparse build carries no bitmap: its rows are found through
-        // the code list, and it never takes part in a bitmap AND walk.
-        let bank = bank_of(&["ACGTACGTTTGGCCAAACGT"]);
-        let idx = BankIndex::build(
-            &bank,
-            IndexConfig::full(4).with_backend(IndexBackend::Sparse),
+        // A read-sized index at W = 11 stores one bitmap word per 64-code
+        // stretch it populates and nothing sized by the 4^11 codes but its
+        // 1 024-word top level — and it still walks against a dense index:
+        // the AND of the two top levels finds the words both store.
+        let read = bank_of(&[&random_dna(150)]);
+        let idx = BankIndex::build(&read, IndexConfig::full(11));
+        let (top, words, _) = idx.rows().sections();
+        let mut stretches: Vec<u32> = idx.populated().map(|(c, _)| c / 64).collect();
+        stretches.dedup();
+        assert_eq!(words.len(), stretches.len());
+        assert_eq!(top.len(), 1024);
+        let dense = BankIndex::build(&bank_of(&[&random_dna(300_000)]), IndexConfig::full(11));
+        assert!(
+            dense.rows().sections().1.len() > 60_000,
+            "dense stores most words"
         );
-        assert!(matches!(idx.rows(), RowIndex::Sparse(_)));
-        assert_eq!(idx.backend(), IndexBackend::Sparse);
-        let dense = BankIndex::build(
-            &bank,
-            IndexConfig::full(4).with_backend(IndexBackend::Dense),
-        );
-        let visit = |a: &BankIndex, b: &BankIndex| {
-            let mut calls = 0;
-            let done = a.for_each_shared(b, 0..256, |_, _, _| {
-                calls += 1;
-                Ok::<(), ()>(())
+        for (a, b) in [(&idx, &dense), (&dense, &idx)] {
+            let mut got = Vec::new();
+            let Ok(()) = a.for_each_shared(b, 0..1 << 22, |c, x1, x2| {
+                got.push((c, x1, x2));
+                Ok::<(), std::convert::Infallible>(())
             });
-            (done, calls)
-        };
-        assert_eq!(visit(&idx, &dense), (None, 0));
-        assert_eq!(visit(&dense, &idx), (None, 0));
-        assert_eq!(
-            visit(&dense, &dense),
-            (Some(Ok(())), dense.distinct_codes())
-        );
+            let want: Vec<(u32, &[u32], &[u32])> = idx
+                .populated()
+                .map(|(c, _)| (c, a.occurrences(c), b.occurrences(c)))
+                .filter(|(_, x1, x2)| !x1.is_empty() && !x2.is_empty())
+                .collect();
+            assert!(!want.is_empty());
+            assert!(got == want);
+        }
     }
 
     #[test]
-    fn populated_in_respects_range_bounds() {
+    fn shared_walk_respects_range_bounds() {
+        // An index walked with itself visits its populated codes: split
+        // at any code, the two halves partition the whole walk, and each
+        // row is `occurrences`' answer.
         let bank = bank_of(&["ACGTACGTTTGGCCAAACGT"]);
-        for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
-            let idx = BankIndex::build(&bank, IndexConfig::full(4).with_backend(backend));
-            let num = idx.coder().num_seeds() as u32;
-            let all: Vec<u32> = idx.populated().map(|(c, _)| c).collect();
-            assert!(all.windows(2).all(|p| p[0] < p[1]), "ascending codes");
-            assert_eq!(all.len(), idx.distinct_codes());
-            // Split the space at an arbitrary boundary: the two halves
-            // must partition the full walk.
-            let mid = num / 3;
-            let lo: Vec<u32> = idx.populated_in(0..mid).map(|(c, _)| c).collect();
-            let hi: Vec<u32> = idx.populated_in(mid..num).map(|(c, _)| c).collect();
-            let glued: Vec<u32> = lo.iter().chain(hi.iter()).copied().collect();
-            assert_eq!(glued, all, "{backend:?}");
-            // Row contents agree with occurrences().
-            for (code, row) in idx.populated() {
-                assert_eq!(row, idx.occurrences(code));
-                assert!(!row.is_empty());
-            }
+        let idx = BankIndex::build(&bank, IndexConfig::full(4));
+        let num = idx.coder().num_seeds() as u32;
+        let walk = |range: Range<u32>| {
+            let mut codes = Vec::new();
+            let Ok(()) = idx.for_each_shared(&idx, range, |c, x1, x2| {
+                assert_eq!(x1, idx.occurrences(c));
+                assert_eq!(x1, x2);
+                codes.push(c);
+                Ok::<(), std::convert::Infallible>(())
+            });
+            codes
+        };
+        let all: Vec<u32> = idx.populated().map(|(c, _)| c).collect();
+        assert!(all.windows(2).all(|p| p[0] < p[1]), "ascending codes");
+        assert_eq!(all.len(), idx.distinct_codes());
+        assert_eq!(walk(0..num), all);
+        for mid in [0, 1, num / 3, 64, 65, num - 1, num] {
+            let mut glued = walk(0..mid);
+            glued.extend(walk(mid..num));
+            assert_eq!(glued, all, "split at {mid}");
+        }
+        for (code, row) in idx.populated() {
+            assert_eq!(row, idx.occurrences(code));
+            assert!(!row.is_empty());
         }
     }
 
@@ -2483,7 +2328,7 @@ mod tests {
         crate::persist::write_index(&mut bytes, idx, &crate::IndexMeta::default()).unwrap();
         let heap = crate::persist::decode(&bytes, None).unwrap().0;
         let path = std::env::temp_dir().join(format!(
-            "oris_row_cursor_{}_{}.oidx",
+            "oris_row_map_{}_{}.oidx",
             std::process::id(),
             NEXT.fetch_add(1, Ordering::Relaxed)
         ));
@@ -2495,22 +2340,17 @@ mod tests {
 
     #[test]
     fn collision_codes_share_home_slots() {
-        // The construction the cursor proptest relies on: the oracle's
+        // The construction the lookup proptest relies on: the oracle's
         // table over these codes holds codes off their home slot, so an
         // oracle lookup meets a key that is not its code.
         let picks: Vec<u32> = (0..20u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
         let codes = codes_with_collisions(5, &picks);
         assert_eq!(codes.len(), picks.len());
         let coder = SeedCoder::new(5);
-        let idx = BankIndex::build(
-            &bank_of_codes(coder, &codes),
-            IndexConfig::full(5).with_backend(IndexBackend::Sparse),
-        );
-        let RowIndex::Sparse(sparse) = idx.rows() else {
-            panic!("sparse build")
-        };
-        let keys = sparse.codes();
-        let slots = build_slot_table(keys);
+        let idx = BankIndex::build(&bank_of_codes(coder, &codes), IndexConfig::full(5));
+        let keys: Vec<u32> = idx.populated().map(|(c, _)| c).collect();
+        assert_eq!(keys, codes);
+        let slots = build_slot_table(&keys);
         let displaced = codes
             .iter()
             .filter(|&&c| keys[slots[fib_slot(c, slots.len())] as usize] != c)
@@ -2567,7 +2407,7 @@ mod tests {
 
             /// Whether `idx` is this index: postings, row bounds encoded
             /// as [`RowBounds::from_starts`] encodes the oracle's row
-            /// starts, bit-set, provenance,
+            /// starts, the two levels of its codes, bit-set, provenance,
             /// the populated walk, the answer for every code (past W = 8,
             /// for every populated code, the code after it and both ends of
             /// the code space), and the stats that derive from them.
@@ -2587,10 +2427,28 @@ mod tests {
                             .filter(|&c| c < num)
                             .all(|c| idx.occurrences(c) == self.occurrences(c))
                 };
-                // The one encoding of these rows' starts.
+                // The one encoding of these rows' starts, and the two
+                // levels of these codes: a word per 64-code stretch they
+                // populate, a top bit per word.
                 let bounds = RowBounds::from_starts(&self.row_offsets[..self.codes.len()]);
+                let mut words: Vec<(usize, u64)> = Vec::new();
+                for &c in &self.codes {
+                    let (at, bit) = ((c / 64) as usize, 1u64 << (c % 64));
+                    match words.last_mut() {
+                        Some((last, word)) if *last == at => *word |= bit,
+                        _ => words.push((at, bit)),
+                    }
+                }
+                let mut top = vec![0u64; idx.coder().num_seeds().div_ceil(4096)];
+                for &(at, _) in &words {
+                    top[at / 64] |= 1 << (at % 64);
+                }
+                let words: Vec<u64> = words.into_iter().map(|(_, word)| word).collect();
+                let (idx_top, idx_words, idx_bounds) = idx.rows().sections();
                 idx.positions() == self.positions
-                    && idx.rows().bounds().sections() == bounds.sections()
+                    && idx_top == top
+                    && idx_words == words
+                    && idx_bounds.sections() == bounds.sections()
                     && idx.indexed_words() == self.indexed.words()
                     && idx.is_fully_indexed() == self.fully_indexed
                     && idx.populated().eq(self.rows())
@@ -2711,10 +2569,9 @@ mod tests {
         b.finish()
     }
 
-    /// Dense builds at the widths the pipeline runs at — W = 11, and 10
-    /// for the asymmetric stride — where pass B scatters into 64
-    /// partitions and a rank holds eight bases; the proptest below draws
-    /// `w < 8`.
+    /// Builds at the widths the pipeline runs at — W = 11, and 10 for the
+    /// asymmetric stride — where pass B scatters into 64 partitions and a
+    /// rank holds eight bases; the proptest below draws `w < 8`.
     #[test]
     fn parallel_build_equals_full_sweep_oracle_for_any_pool() {
         let bank = large_mixed_bank();
@@ -2725,7 +2582,6 @@ mod tests {
             .flat_map(|w| [IndexConfig::full(w), IndexConfig::asymmetric(w)])
             .chain([IndexConfig::asymmetric(8)]);
         for cfg in cfgs {
-            let cfg = cfg.with_backend(IndexBackend::Dense);
             let oracle = oracle::build(&bank, cfg, masked);
             for threads in [1usize, 2, 4, 7] {
                 let built = in_pool(threads, || BankIndex::build_filtered(&bank, cfg, masked));
@@ -2742,12 +2598,12 @@ mod tests {
         // pool builds the oracle's index either way.
         let bank = bank_of(&[&"A".repeat(70_000), &random_dna(3_000)]);
         for w in [3, 8, 11] {
-            let cfg = IndexConfig::full(w).with_backend(IndexBackend::Dense);
+            let cfg = IndexConfig::full(w);
             let oracle = oracle::build(&bank, cfg, |_| false);
             assert!(oracle.occurrences(0).len() > 1 << 16);
             for threads in [1, 2] {
                 let built = in_pool(threads, || {
-                    BankIndex::build_sliced(&bank, cfg, |_| false, 4096)
+                    BankIndex::build_sliced(&bank, cfg, |_| false, 4096, Radix::new(w))
                 });
                 assert!(oracle.matches(&built), "W {w}, threads {threads}");
             }
@@ -2767,6 +2623,7 @@ mod tests {
                 _ => 1024,
             };
             assert_eq!(radix.parts, expected, "w {w}");
+            assert_eq!(radix.sort_below, radix.width / SORT_FILL, "w {w}");
         }
     }
 
@@ -2788,32 +2645,41 @@ mod tests {
             calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             p.is_multiple_of(11)
         };
-        for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
-            let cfg = IndexConfig::full(6).with_backend(backend);
+        for w in [6, 11] {
+            let cfg = IndexConfig::full(w);
             let built = in_pool(7, || BankIndex::build_filtered(&bank, cfg, masked));
-            assert_eq!(built.backend(), backend);
-            if backend == IndexBackend::Dense {
-                assert!(oracle::build(&bank, cfg, masked).matches(&built));
-            }
+            assert!(oracle::build(&bank, cfg, masked).matches(&built));
         }
         assert!(calls.load(std::sync::atomic::Ordering::Relaxed) > 0);
     }
 
+    /// `radix` with its sort rule moved: `sort` 0 keeps the rule, 1 counts
+    /// every partition, 2 sorts by comparison every partition a `u16`
+    /// row length allows (under 2^16 postings).
+    fn with_sort(radix: Radix, sort: usize) -> Radix {
+        let sort_below = match sort {
+            0 => radix.sort_below,
+            1 => 0,
+            _ => 1 << 16,
+        };
+        Radix {
+            sort_below,
+            ..radix
+        }
+    }
+
     proptest! {
         /// The CSR index reproduces the brute-force occurrence list for
-        /// every seed, in sorted order, for random banks and strides —
-        /// under either backend.
+        /// every seed, in sorted order, for random banks and strides.
         #[test]
         fn index_equals_bruteforce(
             seqs in proptest::collection::vec("[ACGTN]{0,40}", 1..4),
             w in 2usize..6,
             stride in 1usize..3,
-            dense in 0usize..2,
         ) {
             let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
             let bank = bank_of(&refs);
-            let backend = if dense == 1 { IndexBackend::Dense } else { IndexBackend::Sparse };
-            let cfg = IndexConfig { stride, ..IndexConfig::full(w) }.with_backend(backend);
+            let cfg = IndexConfig { stride, ..IndexConfig::full(w) };
             let idx = BankIndex::build(&bank, cfg);
             let mut expected = reference_occurrences(&bank, w, stride);
             expected.sort_by_key(|&(_, code)| code);
@@ -2831,44 +2697,36 @@ mod tests {
             prop_assert_eq!(got, expected_sorted);
         }
 
-        /// The sparse backend is observationally identical to the dense
-        /// backend: same occurrences slice for every code, same postings
-        /// array, same bit-set, provenance, distinct/max-chain stats and
-        /// populated-row walk — only the footprint differs.
+        /// Pass C's two sorts are interchangeable: sorting every
+        /// partition by comparison (the sparse sort) and counting every
+        /// one (the dense sort) build the same sections — row map, row
+        /// bounds, postings, bit-set and provenance — for random banks,
+        /// widths up to the pipeline's, strides and masks.
         #[test]
         fn sparse_backend_equals_dense(
-            seqs in proptest::collection::vec("[ACGTN]{0,60}", 1..4),
-            w in 2usize..8,
+            seqs in proptest::collection::vec("[ACGTN]{0,300}", 1..4),
+            w in 2usize..=11,
             stride in 1usize..3,
             mask_mod in 1usize..9,
+            grain in 64usize..400,
         ) {
             let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
             let bank = bank_of(&refs);
             let masked = |p: usize| mask_mod > 1 && p.is_multiple_of(mask_mod);
-            let base = IndexConfig { stride, ..IndexConfig::full(w) };
-            let dense = BankIndex::build_filtered(
-                &bank, base.with_backend(IndexBackend::Dense), masked,
-            );
-            let sparse = BankIndex::build_filtered(
-                &bank, base.with_backend(IndexBackend::Sparse), masked,
-            );
+            let cfg = IndexConfig { stride, ..IndexConfig::full(w) };
+            let build = |sort| {
+                BankIndex::build_sliced(&bank, cfg, masked, grain, with_sort(Radix::new(w), sort))
+            };
+            let (dense, sparse) = (build(1), build(2));
+            let (dt, dw, db) = dense.rows().sections();
+            let (st, sw, sb) = sparse.rows().sections();
+            prop_assert_eq!(dt, st);
+            prop_assert_eq!(dw, sw);
+            prop_assert_eq!(db.sections(), sb.sections());
             prop_assert_eq!(dense.positions(), sparse.positions());
             prop_assert_eq!(dense.indexed_words(), sparse.indexed_words());
             prop_assert_eq!(dense.is_fully_indexed(), sparse.is_fully_indexed());
-            prop_assert_eq!(dense.distinct_codes(), sparse.distinct_codes());
-            for code in 0..dense.coder().num_seeds() as u32 {
-                prop_assert_eq!(dense.occurrences(code), sparse.occurrences(code));
-            }
-            let dw: Vec<(u32, Vec<u32>)> =
-                dense.populated().map(|(c, r)| (c, r.to_vec())).collect();
-            let sw: Vec<(u32, Vec<u32>)> =
-                sparse.populated().map(|(c, r)| (c, r.to_vec())).collect();
-            prop_assert_eq!(dw, sw);
-            let ds = dense.stats();
-            let ss = sparse.stats();
-            prop_assert_eq!(ds.distinct_seeds, ss.distinct_seeds);
-            prop_assert_eq!(ds.indexed_positions, ss.indexed_positions);
-            prop_assert_eq!(ds.max_chain_len, ss.max_chain_len);
+            prop_assert_eq!(dense.stats(), sparse.stats());
         }
 
         /// The sliced build equals the full-sweep oracle — rows and every
@@ -2885,12 +2743,13 @@ mod tests {
         ) {
             let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
             let bank = bank_of(&refs);
-            let cfg = IndexConfig { stride, ..IndexConfig::full(w) }
-                .with_backend(IndexBackend::Dense);
+            let cfg = IndexConfig { stride, ..IndexConfig::full(w) };
             let masked = |p: usize| mask_mod > 1 && p.is_multiple_of(mask_mod);
             let oracle = oracle::build(&bank, cfg, masked);
             for threads in [1usize, 2, 4, 7] {
-                let built = in_pool(threads, || BankIndex::build_sliced(&bank, cfg, masked, grain));
+                let built = in_pool(threads, || {
+                    BankIndex::build_sliced(&bank, cfg, masked, grain, Radix::new(w))
+                });
                 prop_assert!(oracle.matches(&built), "threads {}", threads);
             }
         }
@@ -2904,26 +2763,24 @@ mod tests {
             prop_assert_eq!(idx.indexed_positions(), expected);
         }
 
-        /// The row cursor answers every code exactly as a binary search of
-        /// the code list and as the old slot table's lookup do: dense and
-        /// sparse, freshly built, decoded to the heap and mapped from a
-        /// file; from a cursor started at code 0 and one started mid-list;
+        /// `occurrences` answers every code exactly as a binary search of
+        /// the populated codes and as the old slot table's lookup do:
+        /// freshly built, decoded to the heap and mapped from a file;
         /// present codes, absent ones, codes whose home slot another code
         /// owns, codes past the last populated one, and an index of zero
-        /// codes. Sparse `occurrences` is held to the same answers.
+        /// codes.
         #[test]
-        fn cursor_lookup_equals_binary_search_and_slot_oracle(
+        fn lookup_equals_binary_search_and_slot_oracle(
             w in 4usize..7,
             picks in proptest::collection::vec(0u32..u32::MAX, 0..48),
             queries in proptest::collection::vec(0u32..u32::MAX, 0..80),
-            start in 0u32..u32::MAX,
         ) {
             let coder = SeedCoder::new(w);
             let num = coder.num_seeds() as u32;
             let codes = codes_with_collisions(w, &picks);
             let bank = bank_of_codes(coder, &codes);
-            // Even draws ask a present code, odd draws any code; the walk
-            // asks them ascending, repeats included, then the last code.
+            // Even draws ask a present code, odd draws any code, then the
+            // last code of the space.
             let mut asked: Vec<u32> = queries
                 .iter()
                 .map(|&q| match codes.len() {
@@ -2932,27 +2789,19 @@ mod tests {
                 })
                 .collect();
             asked.push(num - 1);
-            asked.sort_unstable();
             let slots = build_slot_table(&codes);
-            let start = start % num;
-            for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
-                let built = BankIndex::build(&bank, IndexConfig::full(w).with_backend(backend));
-                prop_assert_eq!(built.distinct_codes(), codes.len());
-                let [heap, mapped] = round_trips(&built);
-                prop_assert!(codes.is_empty() || mapped.is_mmap_backed());
-                for idx in [&built, &heap, &mapped] {
-                    // Row r of the populated walk belongs to codes[r].
-                    let rows: Vec<&[u32]> = idx.populated().map(|(_, row)| row).collect();
-                    for from in [0, start] {
-                        let mut cursor = idx.cursor_from(from);
-                        for &code in asked.iter().filter(|&&c| c >= from) {
-                            let row = codes.binary_search(&code).ok();
-                            prop_assert_eq!(sparse_row_of(&codes, &slots, code), row);
-                            let want = row.map_or(&[][..], |r| rows[r]);
-                            prop_assert!(cursor.seek(code) == want, "code {}", code);
-                            prop_assert_eq!(idx.occurrences(code), want);
-                        }
-                    }
+            let built = BankIndex::build(&bank, IndexConfig::full(w));
+            prop_assert_eq!(built.distinct_codes(), codes.len());
+            let [heap, mapped] = round_trips(&built);
+            prop_assert!(codes.is_empty() || mapped.is_mmap_backed());
+            for idx in [&built, &heap, &mapped] {
+                // Row r of the populated walk belongs to codes[r].
+                let rows: Vec<&[u32]> = idx.populated().map(|(_, row)| row).collect();
+                for &code in &asked {
+                    let row = codes.binary_search(&code).ok();
+                    prop_assert_eq!(sparse_row_of(&codes, &slots, code), row);
+                    let want = row.map_or(&[][..], |r| rows[r]);
+                    prop_assert!(idx.occurrences(code) == want, "code {}", code);
                 }
             }
         }
@@ -2980,22 +2829,35 @@ mod tests {
         }
     }
 
+    /// The codes a lookup test asks beyond the populated ones: both ends
+    /// of the code space and both sides of a top-word boundary, where the
+    /// space has them.
+    fn edge_codes(num: u32) -> impl Iterator<Item = u32> {
+        [0, 63, 64, 4095, 4096, num - 1]
+            .into_iter()
+            .filter(move |&c| c < num)
+    }
+
     /// Holds `idx` to `oracle` on the reads step 2 makes: every answer of
-    /// [`oracle::Built::matches`], the populated walk over each of
-    /// `ranges`, and a cursor started at `start` seeking the oracle's
-    /// codes and `probes` in ascending order.
+    /// [`oracle::Built::matches`], the shared walk of `idx` with itself
+    /// over each of `ranges`, and `occurrences` of `probes` and the edge
+    /// codes.
     fn assert_rows_answer_as(
         oracle: &oracle::Built,
         idx: &BankIndex,
         ranges: &[Range<u32>],
-        start: u32,
         probes: &[u32],
     ) {
-        let label = format!("{:?}, mapped {}", idx.backend(), idx.is_mmap_backed());
+        let label = format!("mapped {}", idx.is_mmap_backed());
         assert!(oracle.matches(idx), "{label}");
         let num = idx.coder().num_seeds() as u32;
         for range in ranges {
-            let got: Vec<(u32, &[u32])> = idx.populated_in(range.clone()).collect();
+            let mut got: Vec<(u32, &[u32])> = Vec::new();
+            let Ok(()) = idx.for_each_shared(idx, range.clone(), |c, x1, x2| {
+                assert_eq!(x1, x2);
+                got.push((c, x1));
+                Ok::<(), std::convert::Infallible>(())
+            });
             let want: Vec<(u32, &[u32])> = oracle
                 .codes()
                 .iter()
@@ -3004,54 +2866,75 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "{label}, range {range:?}");
         }
-        let mut asked: Vec<u32> = oracle
-            .codes()
-            .iter()
-            .copied()
-            .chain(probes.iter().map(|&p| p % num))
-            .chain([num - 1])
-            .filter(|&c| c >= start)
-            .collect();
-        asked.sort_unstable();
-        let mut cursor = idx.cursor_from(start);
-        for code in asked {
+        for code in probes.iter().map(|&p| p % num).chain(edge_codes(num)) {
             assert_eq!(
-                cursor.seek(code),
+                idx.occurrences(code),
                 oracle.occurrences(code),
                 "{label}, code {code}"
             );
         }
     }
 
+    /// The bank of `kind` for the oracle proptests: 0 empty, 1 one code
+    /// (poly-A holds only code 0), 2 all `N`, 3 a 150-nt read, 4 the codes
+    /// at both ends of the space and of a top word, otherwise `seqs`.
+    fn bank_of_kind(kind: usize, w: usize, seqs: &[String]) -> Bank {
+        match kind {
+            0 => Bank::empty(),
+            1 => bank_of(&[&"A".repeat(70)]),
+            2 => bank_of(&[&"N".repeat(70)]),
+            3 => bank_of(&[&random_dna(150)]),
+            4 => {
+                let coder = SeedCoder::new(w);
+                let codes: Vec<u32> = edge_codes(coder.num_seeds() as u32).collect();
+                bank_of_codes(coder, &codes)
+            }
+            _ => bank_of(&seqs.iter().map(String::as_str).collect::<Vec<_>>()),
+        }
+    }
+
+    /// `count` random ranges of the `4^w` code space, from `lows` and
+    /// `highs`.
+    fn ranges_of(w: usize, lows: &[u32], highs: &[u32]) -> Vec<Range<u32>> {
+        let num = 1u64 << (2 * w);
+        lows.iter()
+            .zip(highs)
+            .map(|(&a, &b)| {
+                let (a, b) = (
+                    (u64::from(a) % (num + 1)) as u32,
+                    (u64::from(b) % (num + 1)) as u32,
+                );
+                a.min(b)..a.max(b)
+            })
+            .collect()
+    }
+
     proptest! {
-        /// The two row maps and the `offsets[4^W + 1]` oracle give the
-        /// same answers — `occurrences` for every code (every populated
-        /// code and its neighbours past W = 8), the populated walk over
-        /// random ranges, cursor seeks started mid-range, `stats()` and
-        /// `distinct_codes` — at every W from 1 to 13 (below W = 3 the
-        /// bitmap is part of one word), for random banks and the edge
-        /// banks (empty, all masked, one code), strides 1 and 2, built
-        /// by pools of 1, 2, 4 and 7 workers over slices of a few words,
-        /// and decoded from an index file to the heap and mapped.
+        /// The row map and the `offsets[4^W + 1]` oracle give the same
+        /// answers — `occurrences` for every code (every populated code,
+        /// its neighbours and the edge codes past W = 8), the shared walk
+        /// over random ranges, `stats()` and `distinct_codes` — at every W
+        /// from 1 to 13 (up to W = 5 the top level is part of one word, up
+        /// to W = 2 the bitmap too), for random banks and the edge banks
+        /// (empty, one code, all `N`, a 150-nt read, the codes at the ends
+        /// of the space and of a top word), strides 1 and 2, under the
+        /// sort rule and with every partition counted or sorted, built by
+        /// pools of 1, 2, 4 and 7 workers over slices of a few words, and
+        /// decoded from an index file to the heap and mapped.
         #[test]
         fn row_maps_equal_the_offsets_oracle(
             seqs in proptest::collection::vec("[ACGTN]{0,300}", 1..5),
-            kind in 0usize..8,
+            kind in 0usize..9,
             w in 1usize..=13,
             stride in 1usize..3,
             mask_mod in 0usize..9,
             grain in 1usize..200,
+            sort in 0usize..3,
             lows in proptest::collection::vec(0u32..u32::MAX, 1..5),
             highs in proptest::collection::vec(0u32..u32::MAX, 1..5),
-            start in 0u32..u32::MAX,
             probes in proptest::collection::vec(0u32..u32::MAX, 0..64),
         ) {
-            let bank = match kind {
-                0 => Bank::empty(),
-                // One code: a poly-A record holds only code 0.
-                1 => bank_of(&[&"A".repeat(70)]),
-                _ => bank_of(&seqs.iter().map(String::as_str).collect::<Vec<_>>()),
-            };
+            let bank = bank_of_kind(kind, w, &seqs);
             // mask_mod 0 masks every window, 1 none.
             let masked = |p: usize| match mask_mod {
                 0 => true,
@@ -3059,66 +2942,60 @@ mod tests {
                 m => p.is_multiple_of(m),
             };
             let cfg = IndexConfig { stride, ..IndexConfig::full(w) };
-            let num = 1u64 << (2 * w);
-            let ranges: Vec<Range<u32>> = lows
-                .iter()
-                .zip(&highs)
-                .map(|(&a, &b)| {
-                    let (a, b) = ((u64::from(a) % (num + 1)) as u32, (u64::from(b) % (num + 1)) as u32);
-                    a.min(b)..a.max(b)
-                })
-                .collect();
-            let start = (u64::from(start) % num) as u32;
+            let ranges = ranges_of(w, &lows, &highs);
             let oracle = oracle::build(&bank, cfg, masked);
+            let radix = with_sort(Radix::new(w), sort);
             for threads in [1usize, 2, 4, 7] {
-                for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
-                    let cfg = cfg.with_backend(backend);
-                    let built =
-                        in_pool(threads, || BankIndex::build_sliced(&bank, cfg, masked, grain));
-                    prop_assert_eq!(built.backend(), backend);
-                    assert_rows_answer_as(&oracle, &built, &ranges, start, &probes);
-                    if threads == 1 {
-                        for loaded in round_trips(&built) {
-                            prop_assert_eq!(loaded.backend(), backend);
-                            prop_assert_eq!(loaded.stats().distinct_seeds, built.stats().distinct_seeds);
-                            prop_assert_eq!(loaded.stats().max_chain_len, built.stats().max_chain_len);
-                            assert_rows_answer_as(&oracle, &loaded, &ranges, start, &probes);
-                        }
+                let built =
+                    in_pool(threads, || BankIndex::build_sliced(&bank, cfg, masked, grain, radix));
+                assert_rows_answer_as(&oracle, &built, &ranges, &probes);
+                if threads == 1 {
+                    for loaded in round_trips(&built) {
+                        prop_assert_eq!(loaded.stats().distinct_seeds, built.stats().distinct_seeds);
+                        prop_assert_eq!(loaded.stats().max_chain_len, built.stats().max_chain_len);
+                        assert_rows_answer_as(&oracle, &loaded, &ranges, &probes);
                     }
                 }
             }
         }
 
-        /// Two dense indexes walked together visit exactly the codes
-        /// populated in both, in ascending order, with each side's
-        /// `occurrences` — over random ranges, at widths whose bitmap is
-        /// part of a word, one word and many.
+        /// Two indexes walked together visit exactly the codes populated
+        /// in both, in ascending order, with each side's `occurrences` —
+        /// over random ranges, for every pairing of a 150-nt read, a small
+        /// bank and a bank populating nearly every bitmap word, at widths
+        /// whose bitmap is part of a word, one word and many.
         #[test]
         fn shared_rows_visit_the_codes_populated_in_both(
-            seqs1 in proptest::collection::vec("[ACGTN]{0,200}", 1..4),
-            seqs2 in proptest::collection::vec("[ACGTN]{0,200}", 1..4),
+            seqs in proptest::collection::vec("[ACGTN]{0,200}", 1..4),
             w in 1usize..=7,
             low in 0u32..u32::MAX,
             high in 0u32..u32::MAX,
         ) {
-            let dense = IndexConfig::full(w).with_backend(IndexBackend::Dense);
-            let i1 = BankIndex::build(&bank_of(&seqs1.iter().map(String::as_str).collect::<Vec<_>>()), dense);
-            let i2 = BankIndex::build(&bank_of(&seqs2.iter().map(String::as_str).collect::<Vec<_>>()), dense);
+            let cfg = IndexConfig::full(w);
+            let indexes = [
+                BankIndex::build(&bank_of(&[&random_dna(150)]), cfg),
+                BankIndex::build(&bank_of(&seqs.iter().map(String::as_str).collect::<Vec<_>>()), cfg),
+                BankIndex::build(&bank_of(&[&random_dna(4 << (2 * w))]), cfg),
+            ];
             let num = 1u32 << (2 * w);
             let (a, b) = (low % (num + 1), high % (num + 1));
-            for range in [0..num, a.min(b)..a.max(b)] {
-                let mut got: Vec<(u32, &[u32], &[u32])> = Vec::new();
-                let done = i1.for_each_shared(&i2, range.clone(), |c, x1, x2| {
-                    got.push((c, x1, x2));
-                    Ok::<(), ()>(())
-                });
-                prop_assert_eq!(done, Some(Ok(())));
-                let want: Vec<(u32, &[u32], &[u32])> = range
-                    .clone()
-                    .map(|c| (c, i1.occurrences(c), i2.occurrences(c)))
-                    .filter(|(_, x1, x2)| !x1.is_empty() && !x2.is_empty())
-                    .collect();
-                prop_assert!(got == want, "range {:?}", range);
+            for i1 in &indexes {
+                for i2 in &indexes {
+                    for range in [0..num, a.min(b)..a.max(b)] {
+                        let mut got: Vec<(u32, &[u32], &[u32])> = Vec::new();
+                        let done = i1.for_each_shared(i2, range.clone(), |c, x1, x2| {
+                            got.push((c, x1, x2));
+                            Ok::<(), ()>(())
+                        });
+                        prop_assert_eq!(done, Ok(()));
+                        let want: Vec<(u32, &[u32], &[u32])> = range
+                            .clone()
+                            .map(|c| (c, i1.occurrences(c), i2.occurrences(c)))
+                            .filter(|(_, x1, x2)| !x1.is_empty() && !x2.is_empty())
+                            .collect();
+                        prop_assert!(got == want, "range {:?}", range);
+                    }
+                }
             }
         }
     }
@@ -3309,16 +3186,14 @@ mod tests {
     #[test]
     fn long_run_banks_have_wide_groups() {
         // The construction the oracle proptest relies on: at the pipeline's
-        // widths both built maps hold wide groups.
+        // widths the built index holds wide groups.
         let bank = bank_with_long_runs(&["ACGT".repeat(50)], 3_000);
         for w in [8, 11, 13] {
-            for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
-                let idx = BankIndex::build(&bank, IndexConfig::full(w).with_backend(backend));
-                let (_, anchors, wide) = idx.rows().bounds().sections();
-                let flagged = anchors.iter().filter(|&&a| a & WIDE != 0).count();
-                assert!(flagged >= 2, "W {w} {backend:?}: {flagged} wide groups");
-                assert_eq!(wide.len(), GROUP * flagged);
-            }
+            let idx = BankIndex::build(&bank, IndexConfig::full(w));
+            let (_, anchors, wide) = idx.rows().sections().2.sections();
+            let flagged = anchors.iter().filter(|&&a| a & WIDE != 0).count();
+            assert!(flagged >= 2, "W {w}: {flagged} wide groups");
+            assert_eq!(wide.len(), GROUP * flagged);
         }
     }
 
@@ -3328,14 +3203,14 @@ mod tests {
         /// The two-byte row bounds answer as the `offsets[4^W + 1]` oracle
         /// (a stable sort past W = 11) and its plain `u32` boundaries do:
         /// `occurrences` for every code (the populated ones and their
-        /// neighbours past W = 8), the populated walk over random ranges,
-        /// cursor seeks, and the two-bitmap walk against a second bank —
-        /// and they are the one encoding of the oracle's starts. Banks
-        /// carry 70 000-nt poly-A and poly-T runs ahead of ordinary
-        /// sequence, so groups span 2^16 postings and more; W = 1..13,
-        /// both row maps, pools of 1, 2, 4 and 7 over slices of a few
-        /// words (groups cut between runs), and each index also persisted,
-        /// decoded to the heap and mapped.
+        /// neighbours past W = 8), the shared walk over random ranges, and
+        /// the walk against a second bank — and they are the one encoding
+        /// of the oracle's starts. Banks carry 70 000-nt poly-A and poly-T
+        /// runs ahead of ordinary sequence, so groups span 2^16 postings
+        /// and more; W = 1..13, under the sort rule and with every
+        /// partition counted or sorted, pools of 1, 2, 4 and 7 over slices
+        /// of a few words (groups cut between runs), and each index also
+        /// persisted, decoded to the heap and mapped.
         #[test]
         fn row_bounds_equal_the_offsets_oracle(
             seqs in proptest::collection::vec("[ACGTN]{0,300}", 1..4),
@@ -3343,58 +3218,40 @@ mod tests {
             w in 1usize..=13,
             stride in 1usize..3,
             grain in 64usize..20_000,
+            sort in 0usize..3,
             lows in proptest::collection::vec(0u32..u32::MAX, 1..4),
             highs in proptest::collection::vec(0u32..u32::MAX, 1..4),
-            start in 0u32..u32::MAX,
             probes in proptest::collection::vec(0u32..u32::MAX, 0..32),
         ) {
             let bank = bank_with_long_runs(&seqs, ordinary);
             let other = bank_of(&seqs.iter().map(String::as_str).collect::<Vec<_>>());
             let cfg = IndexConfig { stride, ..IndexConfig::full(w) };
-            let num = 1u64 << (2 * w);
-            let ranges: Vec<Range<u32>> = lows
-                .iter()
-                .zip(&highs)
-                .map(|(&a, &b)| {
-                    let (a, b) = ((u64::from(a) % (num + 1)) as u32, (u64::from(b) % (num + 1)) as u32);
-                    a.min(b)..a.max(b)
-                })
-                .collect();
-            let start = (u64::from(start) % num) as u32;
+            let ranges = ranges_of(w, &lows, &highs);
             let oracle = oracle::build(&bank, cfg, |_| false);
             let other_oracle = oracle::build(&other, cfg, |_| false);
-            let dense = cfg.with_backend(IndexBackend::Dense);
-            let partner = BankIndex::build(&other, dense);
+            let partner = BankIndex::build(&other, cfg);
+            let radix = with_sort(Radix::new(w), sort);
             for threads in [1usize, 2, 4, 7] {
-                for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
-                    let cfg = cfg.with_backend(backend);
-                    let built =
-                        in_pool(threads, || BankIndex::build_sliced(&bank, cfg, |_| false, grain));
-                    let loaded = if threads == 1 { round_trips(&built).to_vec() } else { vec![] };
-                    for idx in std::iter::once(&built).chain(&loaded) {
-                        prop_assert_eq!(idx.backend(), backend);
-                        assert_rows_answer_as(&oracle, idx, &ranges, start, &probes);
-                        for range in &ranges {
-                            let mut got: Vec<(u32, &[u32], &[u32])> = Vec::new();
-                            let done = idx.for_each_shared(&partner, range.clone(), |c, x1, x2| {
-                                got.push((c, x1, x2));
-                                Ok::<(), ()>(())
-                            });
-                            let want: Vec<(u32, &[u32], &[u32])> = oracle
-                                .codes()
-                                .iter()
-                                .filter(|c| range.contains(c))
-                                .map(|&c| (c, oracle.occurrences(c), other_oracle.occurrences(c)))
-                                .filter(|(_, _, x2)| !x2.is_empty())
-                                .collect();
-                            match backend {
-                                IndexBackend::Dense => {
-                                    prop_assert_eq!(done, Some(Ok(())));
-                                    prop_assert!(got == want, "range {:?}", range);
-                                }
-                                _ => prop_assert_eq!(done, None),
-                            }
-                        }
+                let built =
+                    in_pool(threads, || BankIndex::build_sliced(&bank, cfg, |_| false, grain, radix));
+                let loaded = if threads == 1 { round_trips(&built).to_vec() } else { vec![] };
+                for idx in std::iter::once(&built).chain(&loaded) {
+                    assert_rows_answer_as(&oracle, idx, &ranges, &probes);
+                    for range in &ranges {
+                        let mut got: Vec<(u32, &[u32], &[u32])> = Vec::new();
+                        let done = idx.for_each_shared(&partner, range.clone(), |c, x1, x2| {
+                            got.push((c, x1, x2));
+                            Ok::<(), ()>(())
+                        });
+                        let want: Vec<(u32, &[u32], &[u32])> = oracle
+                            .codes()
+                            .iter()
+                            .filter(|c| range.contains(c))
+                            .map(|&c| (c, oracle.occurrences(c), other_oracle.occurrences(c)))
+                            .filter(|(_, _, x2)| !x2.is_empty())
+                            .collect();
+                        prop_assert_eq!(done, Ok(()));
+                        prop_assert!(got == want, "range {:?}", range);
                     }
                 }
             }

@@ -36,6 +36,33 @@ fn render(records: &[M8Record]) -> Vec<u8> {
 
 /// A unique scratch directory (proptest shrinking reruns cases, so a
 /// per-process counter keeps every build in a fresh directory).
+/// `bank` prepared under `icfg`, then its index written to `path` and
+/// attached again decoded to the heap and mapped: the three storage
+/// backings of one index.
+fn index_backings<'b>(
+    bank: &'b Bank,
+    cfg: &OrisConfig,
+    icfg: oris_index::IndexConfig,
+    path: &std::path::Path,
+) -> Vec<oris_core::PreparedBank<'b>> {
+    use oris_core::PreparedBank;
+    use oris_index::{map_index_file, read_index_file, write_index_file, IndexMeta};
+    let built = PreparedBank::prepare(bank, cfg.filter, icfg);
+    let meta = IndexMeta {
+        masked_fraction: built.stats().masked_fraction,
+        filter_code: cfg.filter.code(),
+        bank_hash: oris_index::persist::fnv1a(bank.data()),
+    };
+    write_index_file(path, built.index(), &meta).unwrap();
+    let loaded = [
+        read_index_file(path).unwrap().0,
+        map_index_file(path).unwrap().0,
+    ];
+    let mut out = vec![built];
+    out.extend(loaded.map(|idx| PreparedBank::from_index(bank, idx, &meta).unwrap()));
+    out
+}
+
 fn scratch() -> PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -267,13 +294,13 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The occurrence-index row map is invisible in the output:
-    /// sessions and whole databases whose indexes are forced `Dense` (the
-    /// ranked presence bitmap), forced `Sparse` (the code list) or left
-    /// to `Auto` — subject and query in every pairing — produce
-    /// byte-identical `-m 8` streams for random banks, strands, and
-    /// filters. (The row map is a space/time trade inside `oris-index`,
-    /// chosen per build; nothing downstream may observe it.)
+    /// Where the occurrence index lives is invisible in the output:
+    /// sessions whose subject index is a fresh build, its index file
+    /// decoded to the heap or mapped, each searched with a query index
+    /// built fresh or decoded from its file, and a whole `make_db`
+    /// database produce byte-identical `-m 8` streams for random banks,
+    /// strands, and filters. (The storage backing is a memory trade
+    /// inside `oris-index`; nothing downstream may observe it.)
     #[test]
     fn index_backend_is_invisible_in_m8_output(
         seqs in proptest::collection::vec("[ACGT]{30,80}", 2..6),
@@ -282,8 +309,6 @@ proptest! {
         volume_budget in 40usize..400,
         flags in 0u8..4,
     ) {
-        use oris_core::PreparedBank;
-        use oris_index::IndexBackend;
         let (both_strands, masked) = (flags & 1 != 0, flags & 2 != 0);
         let subject = bank_from(&seqs);
         let total = subject.num_residues() as u64;
@@ -299,57 +324,41 @@ proptest! {
             ..OrisConfig::small(w)
         };
 
-        // Session level: the subject index forced to each row map (and
-        // left to the footprint rule), same rendered bytes; and every
-        // pairing of a subject row map with a query row map, the query
-        // prepared apart and searched through `Session::search`.
         let session_cfg = OrisConfig {
             subject_space: SubjectSpace::Database(total),
             ..cfg
         };
-        let session_of = |backend| {
-            let prepared = PreparedBank::prepare(
-                &subject,
-                session_cfg.filter,
-                session_cfg.subject_index_config().with_backend(backend),
-            );
-            Session::with_subject(prepared, &session_cfg).unwrap()
-        };
-        let expected = render(&session_of(IndexBackend::Dense).run(&query).alignments);
-        let backends = [IndexBackend::Dense, IndexBackend::Sparse, IndexBackend::Auto];
-        for subject_backend in backends {
-            let session = session_of(subject_backend);
-            prop_assert_eq!(&render(&session.run(&query).alignments), &expected);
-            for query_backend in backends {
-                let prepared = PreparedBank::prepare(
-                    &query,
-                    session_cfg.filter,
-                    session_cfg.query_index_config().with_backend(query_backend),
-                );
+        let dir = scratch();
+        let subject_icfg = session_cfg.subject_index_config();
+        let subjects = index_backings(&subject, &session_cfg, subject_icfg, &dir.join("s.oidx"));
+        let query_icfg = session_cfg.query_index_config();
+        let queries = index_backings(&query, &session_cfg, query_icfg, &dir.join("q.oidx"));
+        prop_assert!(subjects[2].index().is_mmap_backed() || !cfg!(unix));
+        let mut expected = None;
+        for prepared in subjects {
+            let session = Session::with_subject(prepared, &session_cfg).unwrap();
+            let rendered = render(&session.run(&query).alignments);
+            let expected = expected.get_or_insert_with(|| rendered.clone());
+            prop_assert_eq!(&rendered, &*expected);
+            for prepared in &queries {
                 let mut stream = StreamWriter::new(Vec::new());
-                session.search(&prepared, &mut stream, &Deadline::none()).unwrap();
+                session.search(prepared, &mut stream, &Deadline::none()).unwrap();
                 stream.end_query().unwrap();
-                prop_assert_eq!(&stream.into_inner(), &expected);
+                prop_assert_eq!(&stream.into_inner(), &*expected);
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
 
-        // Database level: a dense-built and a sparse-built database give
-        // the same bytes under the one search configuration there is
-        // (the layout is never a compatibility axis).
-        for backend in [IndexBackend::Dense, IndexBackend::Sparse] {
-            let dir = scratch();
-            let opts = MakeDbOptions {
-                index_config: cfg.subject_index_config().with_backend(backend),
-                ..MakeDbOptions::new(&cfg, volume_budget)
-            };
-            make_db([subject.clone()], &dir, &opts).unwrap();
-            let db = Database::open(&dir).unwrap();
-            let mut session = DbSession::new(&db, &cfg, DbOptions::default()).unwrap();
-            let mut stream = StreamWriter::new(Vec::new());
-            session.run_query_reported(&query, &mut stream).unwrap();
-            prop_assert_eq!(&stream.into_inner(), &expected);
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        // Database level: the same bytes from the volumes `make_db`
+        // writes and the search maps.
+        let dir = scratch();
+        make_db([subject.clone()], &dir, &MakeDbOptions::new(&cfg, volume_budget)).unwrap();
+        let db = Database::open(&dir).unwrap();
+        let mut session = DbSession::new(&db, &cfg, DbOptions::default()).unwrap();
+        let mut stream = StreamWriter::new(Vec::new());
+        session.run_query_reported(&query, &mut stream).unwrap();
+        prop_assert_eq!(&stream.into_inner(), expected.as_ref().unwrap());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// An armed (deadline + SkipAndReport through a rule-less injector)

@@ -173,7 +173,6 @@ fn file_level_roundtrip_via_tempdir() {
     oris_index::write_index_file(&path, &idx, &meta).unwrap();
     let (loaded, lmeta) = read_index_file(&path).unwrap();
     assert_eq!(lmeta, meta);
-    assert_eq!(loaded.backend(), idx.backend());
     assert!(loaded.populated().eq(idx.populated()));
     assert_eq!(loaded.stats(), idx.stats());
     assert_eq!(loaded.positions(), idx.positions());
