@@ -3,13 +3,16 @@
 //!
 //! Measures the actual footprint (SEQ array + row map + postings +
 //! occurrence bit-set) across the bank grid and reports the
-//! bytes-per-residue ratio. A bank of N positions with k distinct codes
-//! takes `N` bytes of `SEQ` and, on the dense row map the large banks
-//! get, `4·N + 2·k + k/16 + N/8 + 3·4^W/16` index bytes: the paper's
-//! 5·N, plus a two-byte row start per populated code and a four-byte
-//! anchor per 64 of them, the bit-set, and 768 KB of presence bitmap and
-//! ranks at W = 11. A saturated bank (k ≈ 4^W) pays
-//! at most those 768 KB more than a `4^W + 1` offsets dictionary.
+//! bytes-per-residue ratio and each bank's posting width. A bank of N
+//! positions with k distinct codes in `words` stored bitmap words takes
+//! `N` bytes of `SEQ` and `b·N/8 + 2·k + k/16 + N/8 + 12·words +
+//! 12·⌈4^W/4096⌉` index bytes: the postings packed at the bank's bit
+//! width `b = ⌈log2 len(SEQ)⌉` (the paper's 5·N counts four bytes of
+//! them per position), a two-byte row start per populated code and a
+//! four-byte anchor per 64 of them, the bit-set, and a word and its rank
+//! per stored bitmap word and per top-level word — at W = 11 a dense bank
+//! stores nearly all 65 536 bitmap words (768 KB) beside the 12 KB top
+//! level.
 
 use oris_bench::{bank, scale_from_args};
 use oris_core::OrisConfig;
@@ -27,6 +30,7 @@ fn main() {
         "bank",
         "residues",
         "SEQ bytes",
+        "posting bits",
         "index bytes",
         "total bytes",
         "bytes / residue",
@@ -40,6 +44,7 @@ fn main() {
             name.to_string(),
             format!("{n}"),
             format!("{}", b.data().len()),
+            format!("{}", idx.posting_bits()),
             format!("{}", stats.index_bytes),
             format!("{}", stats.total_bytes),
             format!("{:.2}", stats.total_bytes as f64 / n as f64),
@@ -48,10 +53,11 @@ fn main() {
     }
     print!("{t}");
     println!(
-        "\npaper model: ~5 bytes/residue (1 SEQ + 4 INDEX); here also 2 + 1/16 bytes per distinct \
-         seed, 1/8 byte per position and the 4^W-bit presence bitmap with its ranks ({} KiB at \
-         W={})",
-        (3 * 4usize.pow(cfg.w as u32) / 16) >> 10,
+        "\npaper model: ~5 bytes/residue (1 SEQ + 4 INDEX); here b/8 bytes of postings per \
+         position (b = posting bits, the bank length's bit width), 2 + 1/16 bytes per distinct \
+         seed, 1/8 byte per position, and 12 bytes per stored bitmap word and per top-level word \
+         ({} KiB of top level at W={})",
+        (12 * 4usize.pow(cfg.w as u32).div_ceil(4096)) >> 10,
         cfg.w
     );
 }

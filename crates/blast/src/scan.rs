@@ -124,7 +124,7 @@ fn scan_record(
             }
         }
         stats.probes += 1;
-        for &p1 in lookup.occurrences(code) {
+        for p1 in lookup.occurrences(code) {
             stats.hits += 1;
             // Table key: diagonal in record-local subject coordinates
             // (the table is sized for one record and reset per record).

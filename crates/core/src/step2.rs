@@ -12,9 +12,9 @@
 //! * **locality** — all sequence portions sharing a seed are processed
 //!   together ("implicitly and simultaneously moved into the cache
 //!   memory"). With the CSR index the X1/X2 occurrence lists are
-//!   contiguous sorted slices, so the *lists* stream. The sequence flanks
-//!   they point at do not: on Mbp banks every pair's flanks sit at random
-//!   positions of both banks.
+//!   contiguous sorted rows of the postings, so the *lists* stream. The
+//!   sequence flanks they point at do not: on Mbp banks every pair's
+//!   flanks sit at random positions of both banks.
 //!
 //! **Where the time goes.** Per pair, on random Mbp banks at W = 11
 //! (4.9 × 2.8 Mbp, one thread, 2-vCPU Xeon VM): the row lookup costs
@@ -107,6 +107,12 @@
 //! and a joint read chunk against a database volume) meet nearly every
 //! bitmap word; a lone 150-nt read against a volume ANDs the two 1 024-word
 //! top levels (W = 11) and then meets only the read's hundred-odd words.
+//! The walk hands each row over undecoded — a start and a length in the
+//! postings, which are packed at the bank's bit width — so the work scan
+//! reads the rows' lengths and decodes nothing, and the enumeration
+//! decodes each shared row once, a round of codes at a time, into two
+//! scratch vectors it reuses for the whole range: the pair loop and the
+//! flank touches read plain `u32` slices, never a posting per pair.
 //! On two dense indexes the AND walk took step 2's work scan from 24 to
 //! 8 ms and `find_hsps` from 152 to 132 ms against a per-code lookup
 //! (`est_x_est`'s banks, one thread, 2-vCPU VM, alternating in-process
@@ -119,7 +125,7 @@ use std::convert::Infallible;
 use std::ops::Range;
 
 use oris_align::{extend_hit, ExtensionOutcome, OrderGuard, UngappedParams};
-use oris_index::{BankIndex, SeedCoder};
+use oris_index::{BankIndex, Row, SeedCoder};
 use oris_seqio::Bank;
 use rayon::prelude::*;
 
@@ -202,9 +208,10 @@ fn partition_codes_grained(
     let blocks = &mut blocks[..(num_codes >> shift) as usize];
     let mut total = 0u64;
     // Only codes populated in both indexes are visited: a code missing
-    // from either carries zero work.
-    let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |c, x1, x2| {
-        let work = work(x1, x2);
+    // from either carries zero work. The rows' lengths are the work, so
+    // no posting is decoded.
+    let Ok(()) = idx1.for_each_shared(idx2, 0..num_codes, |c, x1, x2| {
+        let work = work(x1.len(), x2.len());
         blocks[(c >> shift) as usize] += work;
         total += work;
         Ok::<(), Infallible>(())
@@ -231,8 +238,8 @@ fn partition_codes_grained(
             continue;
         }
         let first = (b as u32) << shift;
-        let Ok(()) = for_each_seed(idx1, idx2, first..first + (1 << shift), |c, x1, x2| {
-            acc += work(x1, x2);
+        let Ok(()) = idx1.for_each_shared(idx2, first..first + (1 << shift), |c, x1, x2| {
+            acc += work(x1.len(), x2.len());
             if acc >= target {
                 ranges.push(lo..c + 1);
                 lo = c + 1;
@@ -254,29 +261,30 @@ const SCAN_BLOCK_BITS: usize = 10;
 
 /// The work of one code: its occurrence-pair product `|X1|·|X2|`.
 #[inline]
-fn work(x1: &[u32], x2: &[u32]) -> u64 {
-    x1.len() as u64 * x2.len() as u64
+fn work(x1: usize, x2: usize) -> u64 {
+    x1 as u64 * x2 as u64
 }
 
 /// Calls `f(code, X1, X2)` for every code of `codes` populated in both
 /// indexes, in ascending code order — the codes with both rows non-empty
 /// that a `for code in codes` sweep over `occurrences` would visit — and
 /// returns the first error `f` does. The two row maps are walked together
-/// ([`BankIndex::for_each_shared`]), which gathers the resolved codes into
-/// rounds of up to [`ROUND`]; `f` runs on a round once it is full: calling
-/// it from inside the bitmap walk, one code at a time, made `find_hsps`
-/// 5–10 % slower (4.9 × 2.8 Mnt, one thread, in-process).
+/// ([`BankIndex::for_each_shared`]), which gathers the codes' rows,
+/// undecoded, into rounds of up to [`ROUND`]; once a round is full its
+/// rows are decoded, each once, and `f` runs on each code's two slices:
+/// calling `f` from inside the bitmap walk, one code at a time, made
+/// `find_hsps` 5–10 % slower (4.9 × 2.8 Mnt, one thread, in-process).
 #[inline]
 fn for_each_seed<'i, E>(
     idx1: &'i BankIndex,
     idx2: &'i BankIndex,
     codes: Range<u32>,
-    mut f: impl FnMut(u32, &'i [u32], &'i [u32]) -> Result<(), E>,
+    mut f: impl FnMut(u32, &[u32], &[u32]) -> Result<(), E>,
 ) -> Result<(), E> {
-    let mut round = Round::default();
+    let mut round = Round::new();
     idx1.for_each_shared(idx2, codes, |c, x1, x2| {
-        round.push(c, x1, x2);
-        if round.n == ROUND {
+        round.rows.push((c, x1, x2));
+        if round.rows.len() == ROUND {
             round.flush(&mut f)?;
         }
         Ok(())
@@ -284,47 +292,51 @@ fn for_each_seed<'i, E>(
     round.flush(&mut f)
 }
 
-/// The most codes one of [`for_each_seed`]'s rounds holds: about 1 KB of
-/// stack.
+/// The most codes one of [`for_each_seed`]'s rounds holds.
 const ROUND: usize = 32;
 
-/// Codes whose rows are resolved, waiting for [`for_each_seed`]'s `f`.
+/// Codes whose rows are resolved, waiting for [`for_each_seed`]'s `f`,
+/// and the scratch their rows are decoded into — allocated once per
+/// walk and reused by every round.
 struct Round<'i> {
-    code: [u32; ROUND],
-    x1: [&'i [u32]; ROUND],
-    x2: [&'i [u32]; ROUND],
-    n: usize,
+    /// Each code and its two rows, undecoded.
+    rows: Vec<(u32, Row<'i>, Row<'i>)>,
+    /// The round's X1 rows decoded end to end, and its X2 rows.
+    x1: Vec<u32>,
+    x2: Vec<u32>,
 }
 
-impl Default for Round<'_> {
-    fn default() -> Self {
+impl Round<'_> {
+    fn new() -> Self {
         Round {
-            code: [0; ROUND],
-            x1: [&[]; ROUND],
-            x2: [&[]; ROUND],
-            n: 0,
+            rows: Vec::with_capacity(ROUND),
+            x1: Vec::new(),
+            x2: Vec::new(),
         }
     }
-}
 
-impl<'i> Round<'i> {
-    #[inline]
-    fn push(&mut self, code: u32, x1: &'i [u32], x2: &'i [u32]) {
-        let n = self.n;
-        (self.code[n], self.x1[n], self.x2[n]) = (code, x1, x2);
-        self.n += 1;
-    }
-
-    /// Runs `f` on the round's codes in order and empties it.
+    /// Decodes the round's rows, runs `f` on its codes in order and
+    /// empties it.
     #[inline]
     fn flush<E>(
         &mut self,
-        f: &mut impl FnMut(u32, &'i [u32], &'i [u32]) -> Result<(), E>,
+        f: &mut impl FnMut(u32, &[u32], &[u32]) -> Result<(), E>,
     ) -> Result<(), E> {
-        let n = std::mem::take(&mut self.n);
-        for i in 0..n {
-            f(self.code[i], self.x1[i], self.x2[i])?;
+        self.x1.clear();
+        self.x2.clear();
+        self.x1.reserve(self.rows.iter().map(|r| r.1.len()).sum());
+        self.x2.reserve(self.rows.iter().map(|r| r.2.len()).sum());
+        for (_, x1, x2) in &self.rows {
+            x1.decode_into(&mut self.x1);
+            x2.decode_into(&mut self.x2);
         }
+        let (mut at1, mut at2) = (0, 0);
+        for &(code, x1, x2) in &self.rows {
+            let (end1, end2) = (at1 + x1.len(), at2 + x2.len());
+            f(code, &self.x1[at1..end1], &self.x2[at2..end2])?;
+            (at1, at2) = (end1, end2);
+        }
+        self.rows.clear();
         Ok(())
     }
 }
@@ -470,7 +482,7 @@ fn process_code_range(
     // width (4^W/chunks).
     for_each_seed(idx1, idx2, codes, |code, x1, x2| {
         // X1 × X2 hit extensions for this seed (paper notation): both
-        // occurrence lists are contiguous sorted slices in the CSR index.
+        // occurrence lists are sorted slices, decoded from the CSR index.
         // Batches run across code boundaries; the pair order is the
         // nested loops' order either way. Every flank is touched before
         // the batch holding its pair is walked, a bank-1 flank once per
@@ -961,10 +973,10 @@ mod tests {
         let pairs: Vec<Pair> = i1
             .occurrences(0)
             .iter()
-            .flat_map(|&a| {
+            .flat_map(|a| {
                 i2.occurrences(0)
                     .iter()
-                    .map(move |&b| Pair { a, b, code: 0 })
+                    .map(move |b| Pair { a, b, code: 0 })
             })
             .collect();
         let token = Deadline::cancellable();
@@ -989,7 +1001,7 @@ mod tests {
     }
 
     #[test]
-    fn partition_is_identical_across_index_backends() {
+    fn partition_is_identical_fresh_and_mapped() {
         // The work-balanced scan visits the codes populated in both
         // indexes only; since the others carry zero work, the cut points
         // must be the same whether an index is a fresh build or mapped
@@ -1021,7 +1033,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_partition_handles_w11_code_space() {
+    fn partition_handles_the_w11_code_space() {
         // At W = 11 the code space holds 4^11 ≈ 4.2 M codes; the work
         // scan must touch only the populated handful. (Correctness, not
         // speed, is asserted — a `0..4^W` sweep would still pass, but only
@@ -1081,8 +1093,8 @@ mod tests {
         let coder = i1.coder();
         let mut brute = std::collections::HashSet::new();
         for code in 0..coder.num_seeds() as u32 {
-            for &a in i1.occurrences(code) {
-                for &b in i2.occurrences(code) {
+            for a in i1.occurrences(code) {
+                for b in i2.occurrences(code) {
                     if let ExtensionOutcome::Hsp { score, left, right } = extend_hit(
                         b1.data(),
                         b2.data(),
@@ -1149,7 +1161,8 @@ mod tests {
 
     /// The work scan [`partition_codes_grained`] replaced, kept as its
     /// oracle: one pass of [`for_each_seed`] sums the total, a second cuts
-    /// greedily, code by code.
+    /// greedily, code by code — over the decoded rows, where the scan
+    /// reads the rows' lengths alone.
     #[allow(clippy::single_range_in_vec_init)]
     fn partition_codes_two_pass(
         idx1: &BankIndex,
@@ -1163,7 +1176,7 @@ mod tests {
         }
         let mut total = 0u64;
         let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |_, x1, x2| {
-            total += work(x1, x2);
+            total += work(x1.len(), x2.len());
             Ok::<(), Infallible>(())
         });
         let chunks = u64::from(chunks).min(total / grain);
@@ -1175,7 +1188,7 @@ mod tests {
         let mut lo = 0u32;
         let mut acc = 0u64;
         let Ok(()) = for_each_seed(idx1, idx2, 0..num_codes, |c, x1, x2| {
-            acc += work(x1, x2);
+            acc += work(x1.len(), x2.len());
             if acc >= target {
                 ranges.push(lo..c + 1);
                 lo = c + 1;
@@ -1271,7 +1284,7 @@ mod tests {
         /// of many), masking and stride — including the pairing one
         /// mmap-attached volume against a fresh query index produces.
         #[test]
-        fn step2_output_is_backend_invariant(
+        fn step2_output_is_identical_fresh_and_mapped(
             seqs1 in proptest::collection::vec("[ACGTN]{5,60}", 1..4),
             seqs2 in proptest::collection::vec("[ACGTN]{5,60}", 1..4),
             w in 3usize..=8,

@@ -183,8 +183,8 @@ fn reference_step2(
     let mut hsps = Vec::new();
     let mut st = Step2Stats::default();
     for (code, x1) in i1.populated() {
-        for &a in x1 {
-            for &b in i2.occurrences(code) {
+        for a in x1 {
+            for b in i2.occurrences(code) {
                 st.pairs_examined += 1;
                 let (a_, b_) = (a as usize, b as usize);
                 match extend_bytes(b1.data(), b2.data(), a_, b_, code, &params, guard) {

@@ -1,5 +1,5 @@
 //! Byte-mutation fuzz: random single-byte flips and truncations of the
-//! manifest and the v6 index files must never panic the loaders, and
+//! manifest and the v7 index files must never panic the loaders, and
 //! never be silently accepted where a checksum vouches for the bytes.
 //! Structure-aware fuzz: manifest *fields* overwritten and rows shuffled
 //! with the checksum restamped — the checksum is not a MAC, so the parser
@@ -20,7 +20,10 @@
 //!   checksum; a third puts a 70 000-nt poly-A run ahead of the
 //!   sequence, so its first row group keeps `u32` starts in the wide side
 //!   array, and every byte of its row bounds is flipped, and its words
-//!   edited under a restamped checksum.
+//!   edited under a restamped checksum. The packed postings are lied
+//!   about too: a position past the bank, stray bits past the last
+//!   posting, a header width other than the bank length's, and a section
+//!   cut short.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -94,7 +97,7 @@ fn dense_fixture() -> &'static (PathBuf, Vec<u8>) {
 }
 
 /// The byte range of an index file's two row-map levels at W = 5: the
-/// header is 92 bytes, padded to 96; then the one top-level word and the
+/// header is 96 bytes; then the one top-level word and the
 /// stored bitmap words (at most ⌈4^5/64⌉ = 16, as many as the header's
 /// `num_words` at 52..60).
 fn bitmap_bytes(index: &[u8]) -> std::ops::Range<usize> {
@@ -136,7 +139,29 @@ fn bitmap_flips_are_refused_by_both_attach_modes() {
     }
 }
 
-/// Each lie a v6 file can tell about its row map — a top bit whose word
+/// Restamps the checksum of `bytes`, an edited index file, and holds
+/// both attach modes — the mapped file and the heap reader — to a
+/// [`PersistError::Corrupt`] naming `want`.
+///
+/// [`PersistError::Corrupt`]: oris_index::PersistError::Corrupt
+fn refused(bytes: &[u8], want: &str) {
+    let mut bytes = bytes.to_vec();
+    oris_index::persist::restamp_checksum(&mut bytes);
+    let path = mutated_file(&bytes);
+    let mapped = oris_index::map_index_file(&path);
+    std::fs::remove_file(&path).ok();
+    let heap = oris_index::persist::read_index(&mut &bytes[..]);
+    for verdict in [mapped.map(|_| ()), heap.map(|_| ())] {
+        match verdict {
+            Err(oris_index::PersistError::Corrupt(msg)) => {
+                assert!(msg.contains(want), "{msg} (wanted {want})")
+            }
+            other => panic!("a lie about {want} got {other:?}"),
+        }
+    }
+}
+
+/// Each lie a v7 file can tell about its row map — a top bit whose word
 /// is absent, a stored word of zero, fewer top bits than stored words, a
 /// top or word bit past 4^W, a word popcount other than the row count —
 /// told under a restamped checksum, ends in [`PersistError::Corrupt`]
@@ -145,22 +170,6 @@ fn bitmap_flips_are_refused_by_both_attach_modes() {
 /// [`PersistError::Corrupt`]: oris_index::PersistError::Corrupt
 #[test]
 fn row_map_lies_end_in_a_typed_error_under_both_attach_modes() {
-    let refused = |bytes: &[u8], want: &str| {
-        let mut bytes = bytes.to_vec();
-        oris_index::persist::restamp_checksum(&mut bytes);
-        let path = mutated_file(&bytes);
-        let mapped = oris_index::map_index_file(&path);
-        std::fs::remove_file(&path).ok();
-        let heap = oris_index::persist::read_index(&mut &bytes[..]);
-        for verdict in [mapped.map(|_| ()), heap.map(|_| ())] {
-            match verdict {
-                Err(oris_index::PersistError::Corrupt(msg)) => {
-                    assert!(msg.contains(want), "{msg} (wanted {want})")
-                }
-                other => panic!("a lie about {want} got {other:?}"),
-            }
-        }
-    };
     let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
     let with = |b: &[u8], at: usize, v: u64| {
         let mut b = b.to_vec();
@@ -225,7 +234,7 @@ fn wide_fixture() -> &'static (PathBuf, Vec<u8>, [std::ops::Range<usize>; 3]) {
         let count = |at: usize| u64::from_le_bytes(index[at..at + 8].try_into().unwrap()) as usize;
         let (words, rows, wide) = (count(52), count(60), count(84));
         let align = |at: usize| at.next_multiple_of(8);
-        let rel = align(align(92) + 8 + 8 * words);
+        let rel = align(96 + 8 + 8 * words);
         let anchors = align(rel + 2 * rows);
         let side = align(anchors + 4 * rows.div_ceil(64));
         assert_eq!(wide, rows.min(64), "the poly-A row group must be wide");
@@ -246,7 +255,7 @@ fn row_bound_flips_are_refused_by_both_attach_modes() {
     let clean = oris_index::map_index_file(dir.join("vol00000.oidx"))
         .unwrap()
         .0;
-    assert!(clean.positions().len() > 70_000);
+    assert!(clean.postings().len() > 70_000);
     for offset in sections.iter().flat_map(|s| s.clone().step_by(3)) {
         let mut bytes = index.clone();
         bytes[offset] ^= 0x41;
@@ -262,6 +271,106 @@ fn row_bound_flips_are_refused_by_both_attach_modes() {
         let e = db.attach_volume(0).unwrap_err();
         assert!(matches!(e, DbError::Volume(_)), "{e:?}");
     }
+}
+
+/// Where an index file keeps its packed postings, from its header: the
+/// section's byte range, the posting width, the postings and the bank
+/// length. The section follows the top level, the stored bitmap words
+/// and the three row-bound sections, each on the next 8-byte offset.
+fn postings_layout(index: &[u8]) -> (std::ops::Range<usize>, usize, usize, usize) {
+    let field = |at: usize, n: usize| {
+        index[at..at + n]
+            .iter()
+            .rev()
+            .fold(0usize, |v, &b| v << 8 | usize::from(b))
+    };
+    let (w, bank_len) = (field(12, 4), field(24, 8));
+    let (words, rows, postings, wide, bits) = (
+        field(52, 8),
+        field(60, 8),
+        field(68, 8),
+        field(84, 8),
+        field(92, 4),
+    );
+    let align = |at: usize| at.next_multiple_of(8);
+    let stored = 96 + 8 * (1usize << (2 * w)).div_ceil(4096);
+    let rel = align(stored + 8 * words);
+    let anchors = align(rel + 2 * rows);
+    let side = align(anchors + 4 * rows.div_ceil(64));
+    let start = align(side + 4 * wide);
+    let len = 8 * ((bits * postings).div_ceil(64) + 1);
+    (start..start + len, bits, postings, bank_len)
+}
+
+/// `bytes` with `bits` bits from stream bit `bit` of the section at
+/// `start` set to `value`.
+fn with_bits(bytes: &[u8], start: usize, bit: usize, bits: usize, value: u64) -> Vec<u8> {
+    let mut bytes = bytes.to_vec();
+    for j in 0..bits {
+        let (at, mask) = (start + (bit + j) / 8, 1u8 << ((bit + j) % 8));
+        if value >> j & 1 == 1 {
+            bytes[at] |= mask;
+        } else {
+            bytes[at] &= !mask;
+        }
+    }
+    bytes
+}
+
+/// Each lie a v7 file can tell about its packed postings, told under a
+/// restamped checksum, ends in [`PersistError::Corrupt`] under both
+/// attach modes: a posting at or past the bank's length, a bit set past
+/// the last posting, a header width other than the bank length's bit
+/// width (one more, one less), and a postings section cut short.
+///
+/// [`PersistError::Corrupt`]: oris_index::PersistError::Corrupt
+#[test]
+fn postings_lies_end_in_a_typed_error_under_both_attach_modes() {
+    let (dir, _, _) = fixture();
+    let index = std::fs::read(dir.join("vol00000.oidx")).unwrap();
+    let (section, bits, postings, bank_len) = postings_layout(&index);
+    let clean = oris_index::map_index_file(dir.join("vol00000.oidx"))
+        .unwrap()
+        .0;
+    assert_eq!(
+        (clean.posting_bits() as usize, postings),
+        (bits, clean.indexed_positions())
+    );
+    assert!(bank_len < 1 << bits, "the width has room past the bank");
+    // The last posting, the end of the last row, at and past the bank.
+    for past in [bank_len, (1 << bits) - 1] {
+        let tainted = with_bits(
+            &index,
+            section.start,
+            bits * (postings - 1),
+            bits,
+            past as u64,
+        );
+        refused(
+            &tainted,
+            &format!("position {past} outside bank of {bank_len}"),
+        );
+    }
+    // A stray bit just past the last posting, and one in the pad word.
+    for bit in [bits * postings, 8 * section.len() - 1] {
+        refused(
+            &with_bits(&index, section.start, bit, 1, 1),
+            "non-zero bits past the last",
+        );
+    }
+    // A header width one off either way.
+    for lie in [bits + 1, bits - 1] {
+        let mut tainted = index.clone();
+        tainted[92..96].copy_from_slice(&(lie as u32).to_le_bytes());
+        refused(
+            &tainted,
+            &format!("postings of {lie} bits for a bank of {bank_len}"),
+        );
+    }
+    // The section one word short.
+    let mut short = index.clone();
+    short.drain(section.start..section.start + 8);
+    refused(&short, "truncated file");
 }
 
 /// Writes `bytes` to a fresh scratch file and returns its path.
@@ -499,7 +608,7 @@ proptest! {
         }
     }
 
-    /// Any single-byte flip of a v6 index file is rejected by the real
+    /// Any single-byte flip of a v7 index file is rejected by the real
     /// attach path — header validation or the whole-stream checksum —
     /// without panicking.
     #[test]
@@ -519,7 +628,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Any truncation of a v6 index file is rejected by the real attach
+    /// Any truncation of a v7 index file is rejected by the real attach
     /// path without panicking.
     #[test]
     fn index_truncations_never_panic_never_pass(len_sel in 0usize..1_000_000) {
@@ -593,7 +702,7 @@ proptest! {
             Ok((idx, _)) => {
                 let mut seen = 0;
                 for (_, row) in idx.populated() {
-                    prop_assert!(row.windows(2).all(|p| p[0] < p[1]));
+                    prop_assert!(row.to_vec().windows(2).all(|p| p[0] < p[1]));
                     seen += row.len();
                 }
                 prop_assert_eq!(seen, idx.indexed_positions());

@@ -109,7 +109,7 @@ fn makedb_splits_and_manifest_adds_up() {
         assert!(s.mmap_backed);
         assert!(mapped.index().is_mmap_backed());
         let (copied, _) = oris_index::read_index_file(dir.join(&db.volume(i).index)).unwrap();
-        assert_eq!(mapped.index().positions(), copied.positions());
+        assert_eq!(mapped.index().postings(), copied.postings());
     }
 }
 

@@ -11,11 +11,12 @@
 //!   code order is the total order that makes the ORIS uniqueness argument
 //!   work (a seed `SA` precedes `SB` iff `code(SA) < code(SB)`).
 //! * [`BankIndex`]: the Figure-2 occurrence index, stored as a **CSR
-//!   inverted index** — row starts over a contiguous `positions`
-//!   array, two bytes a row over one anchor per 64 rows — so
-//!   `occurrences(code)` is a sorted `&[u32]` slice and
-//!   step 2 streams postings instead of chasing the paper's
-//!   `int *INDEX` chains. Rows are stored for populated codes only, and
+//!   inverted index** — row starts over one contiguous postings stream,
+//!   two bytes a row over one anchor per 64 rows, each posting packed in
+//!   `⌈log2 len(SEQ)⌉` bits — so `occurrences(code)` is a [`Row`], an
+//!   ascending run of the stream decoded as it is read, and step 2
+//!   streams postings instead of chasing the paper's `int *INDEX`
+//!   chains. Rows are stored for populated codes only, and
 //!   one row map serves every bank size: a **two-level ranked bitmap**.
 //!   Of the presence bitmap over the `4^W` codes only the non-zero words
 //!   are stored, under a top level of one bit per bitmap word; a code's
@@ -52,10 +53,12 @@
 //! * Seed-occupancy statistics used by tests and the memory experiment
 //!   (E7). A fully indexed bank of N positions with k distinct codes in
 //!   `words` populated bitmap words takes
-//!   `4·N + 2·k + k/16 + N/8 + 12·words + 12·⌈4^W/4096⌉` index bytes
-//!   beside its N-byte `SEQ`: the paper's ≈5·N plus the row bounds of the
-//!   populated codes (a two-byte start each over a four-byte anchor per
-//!   64), the bit-set and the row map's two levels with their ranks.
+//!   `b·N/8 + 2·k + k/16 + N/8 + 12·words + 12·⌈4^W/4096⌉` index bytes
+//!   beside its N-byte `SEQ`, `b = ⌈log2 len(SEQ)⌉`: the postings at the
+//!   bank's bit width (the paper's ≈5·N counts four bytes each), the row
+//!   bounds of the populated codes (a two-byte start each over a
+//!   four-byte anchor per 64), the bit-set and the row map's two levels
+//!   with their ranks.
 //! * Low-complexity masking, which decides what the index leaves out
 //!   (section 2.1: "W character words belonging to low-complexity regions
 //!   are discarded from the index"). Section 3.4 charges part of the
@@ -72,6 +75,7 @@ pub mod entropy;
 pub mod mask;
 pub mod mmap;
 pub mod persist;
+mod postings;
 pub(crate) mod section;
 pub mod seedcode;
 pub mod structure;
@@ -81,5 +85,6 @@ pub use entropy::EntropyMasker;
 pub use mask::MaskSet;
 pub use mmap::{map_index_file, Mapping};
 pub use persist::{read_index_file, write_index_file, IndexMeta, PersistError};
+pub use postings::{Row, RowIter};
 pub use seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
 pub use structure::{BankIndex, IndexConfig, IndexStats, PopulatedRows, MAX_BANK_LEN};

@@ -258,7 +258,7 @@ mod tests {
             assert!(mapped.is_mmap_backed(), "unix target must really map");
             assert!(!copied.is_mmap_backed());
             assert!(mapped.populated().eq(copied.populated()));
-            assert_eq!(mapped.positions(), copied.positions());
+            assert_eq!(mapped.postings(), copied.postings());
             assert_eq!(mapped.indexed_words(), copied.indexed_words());
             assert_eq!(mapped.is_fully_indexed(), copied.is_fully_indexed());
             assert_eq!(mapped.bank_len(), copied.bank_len());
@@ -272,7 +272,7 @@ mod tests {
             // valid after the original is dropped.
             let cloned = mapped.clone();
             drop(mapped);
-            assert_eq!(cloned.positions(), copied.positions());
+            assert_eq!(cloned.postings(), copied.postings());
             for code in 0..cloned.coder().num_seeds() as u32 {
                 assert_eq!(cloned.occurrences(code), copied.occurrences(code));
             }

@@ -11,11 +11,11 @@
 //! provenance, so step 2's guard auto-selection makes the same choice it
 //! would have made in memory.
 //!
-//! ## Format (version 6, all integers little-endian)
+//! ## Format (version 7, all integers little-endian)
 //!
 //! ```text
 //! magic             8 B   "ORISIDX\0"
-//! version           u32   6
+//! version           u32   7
 //! w                 u32   seed length
 //! stride            u32   sampling stride (1 = full, 2 = asymmetric)
 //! flags             u32   bit 0 = fully_indexed; other bits reserved
@@ -30,6 +30,8 @@
 //! num_positions     u64   number of postings
 //! num_bitset_words  u64   must equal bank_len.div_ceil(64)
 //! num_wide          u64   starts kept by the wide row groups (≤ k)
+//! posting_bits      u32   b = ⌈log2 bank_len⌉ (at least 1): the bits of
+//!                         one posting, a function of bank_len
 //! -- then the row map:
 //!    top            ⌈4^w/4096⌉ × u64  bit j of word t set iff bitmap
 //!                                     word 64·t + j is stored
@@ -45,7 +47,11 @@
 //!                                    its starts begin in row_wide
 //!    row_wide       num_wide × u32   the starts of the groups whose rows
 //!                                    span 2^16 postings or more
-//!    positions      num_positions × u32
+//!    postings       ⌈b·num_positions/64⌉ + 1 × u64  the positions, each
+//!                                    in b bits of one little-endian bit
+//!                                    stream (bit j is bit j % 64 of word
+//!                                    j / 64), then a zero word; no bit
+//!                                    set past b·num_positions
 //!    bitset         num_bitset_words × u64
 //!    checksum       u64   checksum() of every preceding byte of the stream
 //! ```
@@ -53,9 +59,10 @@
 //! Every array section is preceded by zero padding to the next 8-byte
 //! file offset. That alignment is what lets the mapped attach path
 //! (`oris_index::mmap`) reference the big sections **zero-copy from the
-//! mapped file** — a `&[u32]` view requires its byte offset to be
+//! mapped file** — a `&[u64]` view requires its byte offset to be
 //! aligned, and an unaligned section would force the copy the mapping
-//! exists to avoid.
+//! exists to avoid. The packed postings are read in place like the rest:
+//! a row is decoded only as step 2 reads it.
 //!
 //! **The checksum** is [`checksum`]: four independent lanes of the step
 //! `h = rotl((h ^ w)·K, 31)` (`K` odd) over the little-endian `u64` words
@@ -76,10 +83,13 @@
 //! anchor has bit 31 set, at `row_wide[a + r % 64]` with `a` its other
 //! bits. Every section is checksummed and mapped like the postings.
 //!
-//! Version 6 differs from version 5 in the row map: v5 stored either a
-//! presence bitmap of `⌈4^w/64⌉` words or, under a header flag, a sorted
-//! list of the populated codes, where v6 stores one two-level bitmap (the
-//! `top` and `words` sections, and the header's `num_words`). v5 in turn
+//! Version 7 differs from version 6 in the postings: v6 stored each as a
+//! `u32` (`4·num_positions` bytes), where v7 packs it in the header's
+//! `posting_bits`. Version 6 differs from version 5 in the row map: v5
+//! stored either a presence bitmap of `⌈4^w/64⌉` words or, under a header
+//! flag, a sorted list of the populated codes, where v6 stores one
+//! two-level bitmap (the `top` and `words` sections, and the header's
+//! `num_words`). v5 in turn
 //! stored `k` two-byte row starts where v4 stored `k + 1` `u32`
 //! boundaries; v4 replaced v3's dense `offsets[4^w + 1]` array (16.8 MB
 //! at W = 11) with the bitmap, and v3 replaced v2's FNV-1a checksum and
@@ -122,8 +132,10 @@
 //! top or word bit past `4^w`, the stored words' popcount equal to the
 //! row count, row bounds strictly increasing inside their groups' spans
 //! with every wide group inside its side array and the last row ending
-//! at the postings' end, row ordering, bit-set agreement) that protects
-//! step 2 from a corrupt
+//! at the postings' end, a posting width equal to the bank length's and
+//! no bit set past the last posting, every posting inside the bank and
+//! every row ascending — one streaming decode of the postings — and
+//! bit-set agreement) that protects step 2 from a corrupt
 //! index. The checksum catches the corruptions structural
 //! validation cannot — a flipped provenance flag, a perturbed position
 //! that still happens to satisfy every invariant — so no random
@@ -142,6 +154,7 @@ use std::sync::Arc;
 
 use crate::mask::MaskSet;
 use crate::mmap::Mapping;
+use crate::postings::{bit_width, words_for, Packed};
 use crate::section::Section;
 use crate::seedcode::MAX_SEED_LEN;
 use crate::structure::{top_words, BankIndex, RowBounds, RowMap};
@@ -149,13 +162,12 @@ use crate::structure::{top_words, BankIndex, RowBounds, RowMap};
 /// File magic, first 8 bytes of every index file.
 pub const MAGIC: [u8; 8] = *b"ORISIDX\0";
 
-/// Current format version (6: the row map is a top level over the stored
-/// bitmap words, where version 5 stored a whole presence bitmap or a code
-/// list; see the module docs).
-pub const FORMAT_VERSION: u32 = 6;
+/// Current format version (7: the postings are packed at the bank's bit
+/// width, where version 6 stored them as `u32`s; see the module docs).
+pub const FORMAT_VERSION: u32 = 7;
 
-/// Bytes of the fixed header (everything before the first padding run).
-const HEADER_BYTES: u64 = 92;
+/// Bytes of the fixed header (everything before the first section).
+const HEADER_BYTES: u64 = 96;
 
 /// Header flag bit 0: the index is fully indexed (exclusion provenance).
 const FLAG_FULLY_INDEXED: u32 = 1;
@@ -433,18 +445,20 @@ pub fn write_index(out: &mut impl Write, idx: &BankIndex, meta: &IndexMeta) -> i
     let (top, stored, bounds) = idx.rows().sections();
     out.write_all(&(stored.len() as u64).to_le_bytes())?;
     out.write_all(&(idx.distinct_codes() as u64).to_le_bytes())?;
-    out.write_all(&(idx.positions().len() as u64).to_le_bytes())?;
+    out.write_all(&(idx.indexed_positions() as u64).to_le_bytes())?;
     let words = idx.indexed_words();
     out.write_all(&(words.len() as u64).to_le_bytes())?;
     let (rel, anchors, wide) = bounds.sections();
     out.write_all(&(wide.len() as u64).to_le_bytes())?;
+    out.write_all(&idx.posting_bits().to_le_bytes())?;
     debug_assert_eq!(out.written(), HEADER_BYTES);
     write_section(&mut out, top, u64::to_le_bytes)?;
     write_section(&mut out, stored, u64::to_le_bytes)?;
     write_section(&mut out, rel, u16::to_le_bytes)?;
     write_section(&mut out, anchors, u32::to_le_bytes)?;
     write_section(&mut out, wide, u32::to_le_bytes)?;
-    write_section(&mut out, idx.positions(), u32::to_le_bytes)?;
+    write_padding(&mut out)?;
+    out.write_all(idx.packed().bytes())?;
     write_section(&mut out, words, u64::to_le_bytes)?;
     // The checksum itself is written to the inner stream, outside its own
     // coverage.
@@ -464,8 +478,7 @@ fn write_section<W: Write, T: Copy, const B: usize>(
     values: &[T],
     le: fn(T) -> [u8; B],
 ) -> io::Result<()> {
-    let pad = padding_for(out.written()) as usize;
-    out.write_all(&[0u8; SECTION_ALIGN as usize][..pad])?;
+    write_padding(out)?;
     let mut buf = Vec::with_capacity(SECTION_CHUNK.min(values.len()) * B);
     for chunk in values.chunks(SECTION_CHUNK) {
         buf.clear();
@@ -475,6 +488,12 @@ fn write_section<W: Write, T: Copy, const B: usize>(
         out.write_all(&buf)?;
     }
     Ok(())
+}
+
+/// Writes zero padding to the next 8-byte file offset.
+fn write_padding<W: Write>(out: &mut HashingWriter<'_, W>) -> io::Result<()> {
+    let pad = padding_for(out.written()) as usize;
+    out.write_all(&[0u8; SECTION_ALIGN as usize][..pad])
 }
 
 fn read_array<const B: usize>(r: &mut impl Read) -> Result<[u8; B], PersistError> {
@@ -508,13 +527,14 @@ struct Header {
     num_positions: u64,
     num_words: u64,
     num_wide: u64,
+    posting_bits: u32,
 }
 
 impl Header {
     /// The section layout this header implies: one `(gap, start, end)`
     /// triple of file offsets per array section, in file order — the top
     /// level, the stored bitmap words, the three row-bound sections
-    /// (`rel`, anchors, wide starts), positions, bit-set. Each section
+    /// (`rel`, anchors, wide starts), postings, bit-set. Each section
     /// starts on the next 8-byte offset after its predecessor ends;
     /// `gap..start` is its zero padding, and the checksum follows the
     /// last `end`.
@@ -526,7 +546,7 @@ impl Header {
             2 * self.num_rows,
             4 * self.num_rows.div_ceil(64),
             4 * self.num_wide,
-            4 * self.num_positions,
+            8 * words_for(self.num_positions as usize, self.posting_bits) as u64,
             8 * self.num_words,
         ]
         .map(|len| {
@@ -623,6 +643,14 @@ fn read_header(r: &mut impl Read) -> Result<Header, PersistError> {
             "{num_wide} wide row starts for {num_rows} rows"
         )));
     }
+    // One width per bank length: the bits its last position needs.
+    let posting_bits = read_u32(r)?;
+    if posting_bits != bit_width(bank_len) {
+        return Err(PersistError::Corrupt(format!(
+            "postings of {posting_bits} bits for a bank of {bank_len} positions, expected {}",
+            bit_width(bank_len)
+        )));
+    }
     Ok(Header {
         w,
         stride,
@@ -638,6 +666,7 @@ fn read_header(r: &mut impl Read) -> Result<Header, PersistError> {
         num_positions,
         num_words,
         num_wide,
+        posting_bits,
     })
 }
 
@@ -734,7 +763,14 @@ pub(crate) fn decode(
         1 << (2 * h.w),
     )
     .map_err(PersistError::Corrupt)?;
-    let positions = section(bytes, map, spans[5], u32::from_le_bytes);
+    // The packed postings are little-endian bytes already: a view of the
+    // mapping, or one copy.
+    let postings = Packed::from_raw_parts(
+        view(map, spans[5]).unwrap_or_else(|| bytes[spans[5].1..spans[5].2].to_vec().into()),
+        h.posting_bits,
+        h.num_positions as usize,
+    )
+    .map_err(PersistError::Corrupt)?;
     let (_, start, end) = spans[6];
     let words = bytes[start..end]
         .chunks_exact(8)
@@ -747,7 +783,7 @@ pub(crate) fn decode(
         h.w,
         h.stride,
         rows,
-        positions,
+        postings,
         indexed,
         h.fully_indexed,
         h.bank_len,
@@ -824,7 +860,7 @@ mod tests {
         assert_eq!((at, aw), (bt, bw));
         assert_eq!(ab.sections(), bb.sections());
         assert!(a.populated().eq(b.populated()));
-        assert_eq!(a.positions(), b.positions());
+        assert_eq!(a.postings(), b.postings());
         assert_eq!(a.indexed_words(), b.indexed_words());
         assert_eq!(a.is_fully_indexed(), b.is_fully_indexed());
         assert_eq!(a.bank_len(), b.bank_len());
@@ -873,7 +909,7 @@ mod tests {
             let idx = BankIndex::build(&bank, IndexConfig::full(w));
             let bytes = to_bytes(&idx, &IndexMeta::default());
             let at = section_offsets(&bytes);
-            assert_eq!(at[0], 96); // header 92 + 4 padding
+            assert_eq!(at[0], 96); // the header, no padding
             assert!(at.iter().all(|a| a % 8 == 0));
             // The top level's and the stored words' first words, the first
             // row's rel (0) and anchor (row 0 starts at posting 0).
@@ -956,10 +992,11 @@ mod tests {
         ));
         // Version-1 (no section alignment), version-2 (FNV-1a, stored
         // slot table), version-3 (dense `4^w + 1` offsets), version-4
-        // (`k + 1` u32 row boundaries) and version-5 (a whole presence
-        // bitmap or a code list) files are refused too, with the rebuild
-        // hint: there is no compatibility shim.
-        for old in [1u8, 2, 3, 4, 5] {
+        // (`k + 1` u32 row boundaries), version-5 (a whole presence
+        // bitmap or a code list) and version-6 (`u32` postings) files are
+        // refused too, with the rebuild hint: there is no compatibility
+        // shim.
+        for old in [1u8, 2, 3, 4, 5, 6] {
             let mut bytes = to_bytes(&idx, &IndexMeta::default());
             bytes[8] = old;
             match read_index(&mut bytes.as_slice()) {
@@ -1015,10 +1052,15 @@ mod tests {
         let bank = bank_of(&["ACGTACGTACGT"]);
         let idx = BankIndex::build(&bank, IndexConfig::full(3));
         let mut bytes = to_bytes(&idx, &IndexMeta::default());
-        // The 4 padding bytes between header (92) and top level (96) must
-        // be zero; a non-zero byte with a restamped checksum is caught by
-        // the padding check itself.
-        bytes[93] = 0xAB;
+        // The padding ahead of a section (here the first that has any)
+        // must be zero; a non-zero byte with a restamped checksum is
+        // caught by the padding check itself.
+        let spans = read_header(&mut &bytes[..]).unwrap().spans();
+        let (gap, _, _) = spans
+            .into_iter()
+            .find(|(gap, start, _)| gap < start)
+            .unwrap();
+        bytes[gap as usize] = 0xAB;
         restamp_checksum(&mut bytes);
         assert!(matches!(
             read_index(&mut bytes.as_slice()),
@@ -1252,6 +1294,79 @@ mod tests {
         }
     }
 
+    #[test]
+    fn packed_postings_corruption_is_structural() {
+        // The packed postings are read wherever a row is, so each lie
+        // about them — edited in and the checksum RESTAMPED — ends in a
+        // typed error on both backings: a position at or past the bank's
+        // length, a row that stops ascending, a bit past the last
+        // posting (in its word and in the pad word), a header width other
+        // than the bank length's, and a section cut short.
+        let bank = bank_of(&["ACGTACGTTTGGCCAAACGTNACGT", "TTGGCCAAGT"]);
+        let idx = BankIndex::build(&bank, IndexConfig::full(4));
+        let bytes = to_bytes(&idx, &IndexMeta::default());
+        let (n, b, len) = (
+            idx.indexed_positions(),
+            idx.posting_bits(),
+            bank.data().len(),
+        );
+        assert_eq!(b, 6);
+        assert!(len < 1 << b, "the width has room past the bank");
+        let at = section_offsets(&bytes)[5];
+        // Posting `i` of the stream set to `value`, a bit at a time.
+        let with_posting = |i: usize, value: u64| {
+            let mut bytes = bytes.clone();
+            for j in 0..b as usize {
+                let bit = i * b as usize + j;
+                let (byte, mask) = (at + bit / 8, 1u8 << (bit % 8));
+                bytes[byte] = bytes[byte] & !mask | (u8::from(value >> j & 1 == 1) * mask);
+            }
+            bytes
+        };
+        // The last posting of the first row of two or more, at and past
+        // the bank's length; then set below the row's first.
+        let mut first = 0;
+        let row = idx
+            .populated()
+            .map(|(_, row)| row)
+            .find(|row| {
+                first += row.len();
+                row.len() >= 2
+            })
+            .unwrap();
+        let last = first - 1;
+        for past in [len as u64, (1 << b) - 1] {
+            refused(
+                &mut with_posting(last, past),
+                &format!("position {past} outside bank of {len}"),
+            );
+        }
+        refused(
+            &mut with_posting(last, u64::from(row.get(0))),
+            "row positions are not strictly ascending",
+        );
+        // A stray bit just past the last posting, and one in the pad word.
+        let bytes_in = idx.packed().bytes().len();
+        for bit in [n * b as usize, 8 * bytes_in - 1] {
+            let mut stray = bytes.clone();
+            stray[at + bit / 8] |= 1 << (bit % 8);
+            refused(&mut stray, "non-zero bits past the last");
+        }
+        // The header's width, one off either way.
+        for lie in [b + 1, b - 1] {
+            let mut header = bytes.clone();
+            header[92..96].copy_from_slice(&lie.to_le_bytes());
+            refused(
+                &mut header,
+                &format!("postings of {lie} bits for a bank of {len}"),
+            );
+        }
+        // The section one word short.
+        let mut short = bytes.clone();
+        short.drain(at..at + 8);
+        refused(&mut short, "truncated file");
+    }
+
     /// Swaps the little-endian u16 words at byte offsets `a` and `b`.
     fn swap_words(bytes: &mut [u8], a: usize, b: usize) {
         let first: [u8; 2] = bytes[a..a + 2].try_into().unwrap();
@@ -1305,7 +1420,12 @@ mod tests {
         // Row 0 starts at posting 0, and the postings follow the row
         // bounds directly.
         assert_eq!(&bytes[at[2]..at[2] + 2], &[0, 0]);
-        assert_eq!(bytes[at[5]..at[5] + 4], idx.positions()[0].to_le_bytes());
+        // The postings section is the packed stream, its first posting
+        // the low bits of its first word.
+        let first = u64::from_le_bytes(bytes[at[5]..at[5] + 8].try_into().unwrap());
+        assert_eq!(first.to_le_bytes(), idx.packed().bytes()[..8]);
+        let mask = (1u64 << idx.posting_bits()) - 1;
+        assert_eq!(first & mask, u64::from(idx.postings().get(0)));
         // File size agrees with the layout walk.
         let words = bank.data().len().div_ceil(64);
         assert_eq!(bytes.len(), at[6] + 8 * words + 8);
@@ -1582,18 +1702,18 @@ mod tests {
             let cfg = IndexConfig { stride, ..IndexConfig::full(w) };
             let mut bytes = to_bytes(&BankIndex::build(&bank, cfg), &IndexMeta::default());
 
-            // One word of the row map or the row bounds, in five cases of
-            // six: a top-level or stored bitmap word with one bit flipped,
-            // or a `rel`, an anchor or (where the file has one) a wide
-            // start, set within ±4 of the stored value or — for an anchor,
-            // one draw in four — flagged wide with a small side-array
-            // offset.
+            // One word of the row map, the row bounds or the postings, in
+            // six cases of seven: a top-level or stored bitmap word or a
+            // word of the packed postings with one bit flipped, or a
+            // `rel`, an anchor or (where the file has one) a wide start,
+            // set within ±4 of the stored value or — for an anchor, one
+            // draw in four — flagged wide with a small side-array offset.
             let spans = read_header(&mut &bytes[..]).unwrap().spans();
-            let (kind, pick, delta) = ((bounds_edit % 6) as usize, (bounds_edit >> 8) as usize, (bounds_edit >> 3) % 9);
+            let (kind, pick, delta) = ((bounds_edit % 7) as usize, (bounds_edit >> 8) as usize, (bounds_edit >> 3) % 9);
             let (_, start, end) = spans[kind.saturating_sub(1)];
             let (start, end) = (start as usize, end as usize);
             if kind > 0 && end > start {
-                let width = [8, 8, 2, 4, 4][kind - 1];
+                let width = [8, 8, 2, 4, 4, 8][kind - 1];
                 let at = start + width * (pick % ((end - start) / width));
                 match width {
                     8 => {
@@ -1662,7 +1782,7 @@ mod tests {
                     prop_assert!(idx
                         .occurrences(code)
                         .iter()
-                        .all(|&p| (p as usize) < idx.bank_len()));
+                        .all(|p| (p as usize) < idx.bank_len()));
                 }
                 let indexed = (0..idx.bank_len()).filter(|&p| idx.is_indexed(p)).count();
                 prop_assert_eq!(indexed, idx.indexed_positions());

@@ -2,7 +2,8 @@
 //! zero-copy views into a memory-mapped index file.
 //!
 //! The postings and row-map sections dominate an index's footprint
-//! (`4·indexed_positions` and ≈ `2·distinct + 4^W/8` bytes), and a
+//! (`b·indexed_positions/8` for `b`-bit postings, and ≈ `2·distinct +
+//! 4^W/8` bytes), and a
 //! sharded database attaches many volumes per process: copying those
 //! sections into heap arrays on every attach would multiply resident
 //! memory by the volume count. A [`Section`] lets [`crate::BankIndex`]

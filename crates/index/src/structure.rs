@@ -11,13 +11,15 @@
 //! This module stores the same information as a **compressed sparse row**
 //! (CSR) inverted index:
 //!
-//! * `positions[indexed_positions]` — every occurrence, grouped by seed
-//!   code in ascending code order and in **ascending position order**
-//!   within each group;
+//! * the postings — every occurrence, grouped by seed code in ascending
+//!   code order and in **ascending position order** within each group,
+//!   each position packed in `b = ⌈log2 len(SEQ)⌉` bits of one bit
+//!   stream (`crate::postings`: 21 bits on a 1.5 Mnt bank, 23 on a
+//!   4.9 Mnt one);
 //! * the row bounds — where each row starts, for the *populated* codes
 //!   only (`k` distinct codes): row `r`, the occurrences of the `r`-th
 //!   populated code, runs from its start to the start of row `r + 1` (the
-//!   last row to the end of `positions`). A start is two bytes, relative
+//!   last row to the end of the postings). A start is two bytes, relative
 //!   to its group's anchor, one four-byte anchor per 64 rows; a group
 //!   whose starts span 2^16 postings or more keeps them as `u32`s in a
 //!   side array (the crate-private `RowBounds`);
@@ -41,7 +43,7 @@
 //! `3·4^W/16` bytes plus the top level's 12 KB — and no bank pays the
 //! 16.8 MB of an `offsets[4^W + 1]` array. Every consumer — step 2's
 //! ordered enumeration, the guards, the sinks — sees the occurrence
-//! slices in one layout, whatever the bank's size.
+//! rows in one layout, whatever the bank's size.
 //!
 //! **Partner rows.** Step 2 needs both rows of every code populated in
 //! both indexes, in ascending code order. [`BankIndex::for_each_shared`]
@@ -50,8 +52,9 @@
 //! word's ranks, so it visits only the bitmap words both indexes store
 //! and finds each row with a popcount. Two dense banks meet nearly every
 //! word; a lone read against a database volume ANDs the two 1 024-word
-//! top levels and then meets the read's hundred-odd words. Every answer
-//! is exactly the slice [`BankIndex::occurrences`] returns (differential
+//! top levels and then meets the read's hundred-odd words. It hands each
+//! row over as a start and a length, undecoded. Every answer is exactly
+//! the row [`BankIndex::occurrences`] returns (differential
 //! proptests below hold the map, built by any pool, heap and mapped, to
 //! a binary search and to the `offsets[4^W + 1]` build this module had
 //! before the bitmap).
@@ -67,20 +70,27 @@
 //!   bases) still fits a `u16`, and never fewer than 64. That is 64
 //!   partitions up to W = 11, 256 at W = 12 and 1 024 at W = 13 (`4^W`
 //!   below W = 3).
-//! * **Pass B** rolls again and scatters every kept position (four bytes)
-//!   into the postings array, partition by partition, with its *rank*
-//!   inside the partition (the code's low bits, two bytes) into a
-//!   transient side array.
-//! * **Pass C** then sorts each partition in place by rank, and marks its
-//!   populated codes in the bitmap words it covers; a word left zero is
-//!   not stored, so the build never holds a `4^W/64`-word bitmap. A
-//!   partition of at least `1/16` as many postings as it has rows (4 096
-//!   at W = 11) is counted — count into a per-worker scratch of `4^8`
-//!   counters, prefix-sum, scatter through a copy of that one partition —
-//!   and an empty one skipped. A smaller one sorts its `(rank, position)`
-//!   pairs instead: counting sweeps all `4^8` rows whatever the postings,
-//!   which cost a 150-nt read 5 ms for its 64 partitions where the sort
-//!   takes microseconds. A sorted partition's ranks are spent, so pass C
+//! * **Pass B** rolls again and scatters every kept position, packed at
+//!   `b` bits, into the postings stream, partition by partition, with its
+//!   *rank* inside the partition (the code's low bits, two bytes) into a
+//!   transient side array. The stream is laid out with room to spare: each
+//!   (partition, slice) stretch in words of its own and a zero word after
+//!   them, so the slices' writers share no word and need no merge.
+//! * **Pass C** then sorts each partition by rank — reading its stretches,
+//!   packing the sorted positions at their final bits of the unpadded
+//!   stream, which end before the next partition's stretches begin (a
+//!   run's first partition, whose final bits lie below the run's words,
+//!   goes to a side stream copied in after the runs). It also marks each
+//!   partition's populated codes in the bitmap words it covers; a word
+//!   left zero is not stored, so the build never holds a `4^W/64`-word
+//!   bitmap. A partition of at least `1/16` as many postings as it has
+//!   rows (4 096 at W = 11) is counted — count into a per-worker scratch
+//!   of `4^8` counters, prefix-sum, scatter into a per-worker scratch of
+//!   that one partition's positions — and an empty one skipped. A
+//!   smaller one sorts its `(rank, position)` pairs instead: counting
+//!   sweeps all `4^8` rows whatever the postings, which cost a 150-nt
+//!   read 5 ms for its 64 partitions where the sort takes
+//!   microseconds. A sorted partition's ranks are spent, so pass C
 //!   writes its populated rows' lengths, as `u16`s in code order, over the
 //!   head of their stretch. With the populated codes counted, a last pass
 //!   turns those lengths into the rows' two-byte starts **in the rank
@@ -108,7 +118,7 @@
 //! into one contiguous slice per worker (on 64-position boundaries, so
 //! slices share no bit-set word); pass A gives every slice its own
 //! histogram, from which every (partition, slice) pair gets its own
-//! stretch of the postings array, slices in bank order inside a partition
+//! stretch of the postings stream, slices in bank order inside a partition
 //! — so pass B writes each partition's positions in ascending order
 //! whatever the worker count, and pass C, which walks its input forward
 //! or sorts by (rank, position), leaves every row ascending. Pass C's
@@ -117,15 +127,16 @@
 //! against the full-sweep oracle for pools of 1, 2, 4 and 7). A bank
 //! under two grains of 2^18 positions is built on the calling thread: the
 //! rayon shim starts OS threads per call, which a 150-nt query must never
-//! pay. `occurrences(code)` hands step 2 a contiguous, ascending `&[u32]`
-//! slice, and `stats` needs no chain walks.
+//! pay. `occurrences(code)` hands step 2 a contiguous, ascending row of
+//! the stream, and `stats` needs no chain walks.
 //!
 //! Memory model (heap bytes on top of the 1-byte-per-residue `SEQ` array;
-//! `k` = distinct codes, `N` = indexed positions, `words` = stored bitmap
-//! words, at most `min(k, 4^W/64)`):
+//! `k` = distinct codes, `N` = indexed positions, `b = ⌈log2 len(SEQ)⌉`,
+//! `words` = stored bitmap words, at most `min(k, 4^W/64)`):
 //!
 //! ```text
-//!   4·N                    postings
+//!   b·N/8                  postings (in whole words, and a zero pad
+//!                          word)
 //! + 2·k + k/16             row bounds (+ 4 bytes per row of a wide group,
 //!                          none on a typical bank)
 //! + len(SEQ)/8             indexed-occurrence bit-set
@@ -133,14 +144,19 @@
 //! + 12·⌈4^W/4096⌉          top level and its ranks (12 KB at W = 11,
 //!                          192 KB at W = 13)
 //!   while building, on top of the above:
+//! + 16·partitions per slice the postings' room to spare, at most (pass
+//!                          B → C: each stretch's part-filled last word
+//!                          and a zero word; 1 KB per slice at W ≤ 11)
 //! + 2·N − 2·k              ranks (pass B → pass C; their head becomes
 //!                          the row bounds)
 //! + 4·partitions per slice partition histogram (256 B at W ≤ 11)
 //! + 8·words                the runs' marked words
 //! + per worker, for a counted partition: 6·4^8 bytes of count scratch
-//!   and row lengths, and 4·(largest partition) for its copy — typically
-//!   N/64, the whole postings array for a bank whose windows all end in
-//!   the same three bases; for a sorted one, 8 bytes per posting of keys
+//!   and row lengths, and 4·(largest partition) for its sorted positions
+//!   — typically N/64, the whole postings for a bank whose windows all end
+//!   in the same three bases; for a sorted one, 8 bytes per posting of
+//!   keys; and per run but the first, its first partition packed (b/8
+//!   bytes a posting) until the runs are done
 //! ```
 //!
 //! A fully indexed 150-nt read at W = 11 is thus under 16 KB, a dense
@@ -151,8 +167,9 @@
 //! `next` array is, so low-complexity masking and the asymmetric stride
 //! (section 3.4) shrink the index itself, not just the bit-set. The
 //! paper's "approximately 5·N bytes" (1 byte of `SEQ` and 4 of postings
-//! per position) is the first term; the row bounds add `2·k + k/16` and
-//! the row map `12·words + 12·⌈4^W/4096⌉`.
+//! per position) is the first term with `b = 32`; at the bank's bit width
+//! the postings take `b/8` bytes a position instead, and the row bounds
+//! add `2·k + k/16` and the row map `12·words + 12·⌈4^W/4096⌉`.
 //!
 //! The one-bit-per-position `indexed` set is retained for the ORIS order
 //! guard: during extension the guard must ask "would the global enumeration
@@ -188,6 +205,9 @@ use oris_seqio::Bank;
 use rayon::prelude::*;
 
 use crate::mask::MaskSet;
+use crate::postings::{
+    bit_width, copy_bits, extract_at, room, seal, Packed, PackedView, Packer, Row,
+};
 use crate::section::Section;
 use crate::seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
 
@@ -225,13 +245,14 @@ pub struct IndexStats {
     pub indexed_positions: usize,
     /// Length of the longest occurrence list.
     pub max_chain_len: usize,
-    /// Heap bytes used by the row map + `positions` + the indexed bit-set
-    /// (excludes the bank's own array).
+    /// Heap bytes used by the row map + the packed postings + the indexed
+    /// bit-set (excludes the bank's own array).
     pub index_bytes: usize,
-    /// Heap bytes including the underlying `SEQ` array: `5·N` plus the
-    /// row bounds' `2·k + k/16`, the row map's `12·words + 12·⌈4^W/4096⌉`
-    /// and the bit-set's `N/8` for a fully indexed bank (see the module
-    /// docs).
+    /// Heap bytes including the underlying `SEQ` array: `N` of `SEQ` and
+    /// `b·N/8` of postings at `b = ⌈log2 len(SEQ)⌉` bits each, plus the
+    /// row bounds' `2·k + k/16`, the row map's `12·words +
+    /// 12·⌈4^W/4096⌉` and the bit-set's `N/8` for a fully indexed bank
+    /// (see the module docs).
     pub total_bytes: usize,
 }
 
@@ -439,12 +460,6 @@ impl RowBounds {
         }
     }
 
-    /// Row `row` as its slice of `positions`.
-    #[inline]
-    pub(crate) fn row<'s>(&self, positions: &'s [u32], row: usize) -> &'s [u32] {
-        self.view().row(positions, row)
-    }
-
     /// The three sections, as an index file stores them.
     pub(crate) fn sections(&self) -> (&[u16], &[u32], &[u32]) {
         (&self.rel, &self.anchors, &self.wide)
@@ -487,18 +502,18 @@ impl BoundsView<'_> {
         }
     }
 
-    /// Row `row` as its slice of `positions`.
+    /// The postings of row `row`, of `postings` in all.
     #[inline]
-    pub(crate) fn row(self, positions: &[u32], row: usize) -> &[u32] {
+    pub(crate) fn row(self, postings: usize, row: usize) -> Range<usize> {
         let anchor = self.anchors[row / GROUP];
         // Both ends in one narrow group: one anchor, two adjacent `rel`s.
         if anchor & WIDE == 0 && row % GROUP != GROUP - 1 {
             if let Some(&[a, b, ..]) = self.rel.get(row..) {
                 let anchor = anchor as usize;
-                return &positions[anchor + usize::from(a)..anchor + usize::from(b)];
+                return anchor + usize::from(a)..anchor + usize::from(b);
             }
         }
-        self.row_across(positions, row)
+        self.row_across(postings, row)
     }
 
     /// [`BoundsView::row`] for a row that ends in another group, in a
@@ -506,13 +521,13 @@ impl BoundsView<'_> {
     /// typical bank.
     #[cold]
     #[inline(never)]
-    fn row_across(self, positions: &[u32], row: usize) -> &[u32] {
+    fn row_across(self, postings: usize, row: usize) -> Range<usize> {
         let end = if row + 1 < self.rel.len() {
             self.start(row + 1)
         } else {
-            positions.len()
+            postings
         };
-        &positions[self.start(row)..end]
+        self.start(row)..end
     }
 }
 
@@ -708,8 +723,9 @@ pub struct BankIndex {
     /// the heap either way).
     rows: RowMap,
     /// All indexed positions, grouped by seed code in ascending code
-    /// order, ascending within a group. Same storage duality as `rows`.
-    positions: Section<u32>,
+    /// order, ascending within a group, each in `⌈log2 len(SEQ)⌉` bits.
+    /// Same storage duality as `rows`.
+    postings: Packed,
     /// One bit per bank position: is a seed occurrence anchored here?
     ///
     /// This answers the question the ORIS order guard must ask during
@@ -800,12 +816,15 @@ impl BankIndex {
         // the order guard may skip its bit-set probes entirely.
         let policy_excluded: usize = scans.iter().map(|s| s.policy_excluded).sum();
 
-        let (rows, positions) = sort_rows(data, &words, slice_len, coder, radix, &scans, postings);
+        let bits = bit_width(data.len());
+        let (rows, packed) = sort_rows(
+            data, &words, slice_len, coder, radix, &scans, postings, bits,
+        );
         BankIndex {
             coder,
             stride: cfg.stride,
             rows,
-            positions: positions.into(),
+            postings: Packed::new(packed, bits, postings),
             indexed: MaskSet::from_raw_words(words, data.len())
                 .expect("one word per 64 positions, no bit past the last position"),
             fully_indexed: cfg.stride == 1 && policy_excluded == 0,
@@ -819,16 +838,17 @@ impl BankIndex {
     }
 
     /// Reassembles an index from its raw arrays (the deserialization path
-    /// of `persist`; the row map was checked by [`RowMap::from_raw_parts`]),
-    /// validating every structural invariant the rest of the system relies
-    /// on. Returns a description of the first violation instead of
-    /// constructing an index that would panic (or silently corrupt step 2)
-    /// later.
+    /// of `persist`; the row map was checked by [`RowMap::from_raw_parts`],
+    /// the postings' stream by [`Packed::from_raw_parts`] and its width by
+    /// the file header), validating every structural invariant the rest
+    /// of the system relies on. Returns a description of the first
+    /// violation instead of constructing an index that would panic (or
+    /// silently corrupt step 2) later.
     pub(crate) fn from_raw_parts(
         w: usize,
         stride: usize,
         rows: RowMap,
-        positions: Section<u32>,
+        postings: Packed,
         indexed: MaskSet,
         fully_indexed: bool,
         bank_bytes: usize,
@@ -855,39 +875,40 @@ impl BankIndex {
                 indexed.len()
             ));
         }
-        if indexed.masked_count() != positions.len() {
+        if indexed.masked_count() != postings.len() {
             return Err(format!(
                 "indexed bit-set has {} bits set for {} positions",
                 indexed.masked_count(),
-                positions.len()
+                postings.len()
             ));
         }
-        // Per-row invariants: strictly ascending positions (step 2 and the
-        // uniqueness argument assume the enumeration order), every position
-        // inside the bank, every position present in the bit-set. The
-        // bounds themselves were checked against the postings as they were
-        // decoded (`RowBounds::from_raw_parts`).
+        // Per-row invariants, in one streaming decode of the postings:
+        // strictly ascending positions (step 2 and the uniqueness argument
+        // assume the enumeration order), every position inside the bank,
+        // every position present in the bit-set. The bounds themselves
+        // were checked against the postings count as they were decoded
+        // (`RowBounds::from_raw_parts`).
         let bounds = rows.bounds.view();
-        for row in (0..rows.bounds.len()).map(|r| bounds.row(&positions, r)) {
-            for pair in row.windows(2) {
-                if pair[0] >= pair[1] {
+        for r in 0..rows.bounds.len() {
+            let mut prev = None;
+            for p in postings.row(bounds.row(postings.len(), r)) {
+                if prev.is_some_and(|q| q >= p) {
                     return Err("row positions are not strictly ascending".into());
                 }
-            }
-            for &p in row {
                 if p as usize >= bank_bytes {
                     return Err(format!("position {p} outside bank of {bank_bytes}"));
                 }
                 if !indexed.contains(p as usize) {
                     return Err(format!("position {p} missing from the indexed bit-set"));
                 }
+                prev = Some(p);
             }
         }
         Ok(BankIndex {
             coder,
             stride,
             rows,
-            positions,
+            postings,
             indexed,
             fully_indexed,
             bank_bytes,
@@ -915,21 +936,25 @@ impl BankIndex {
     /// First occurrence of `code`, or `None` if the seed is absent.
     #[inline]
     pub fn first(&self, code: u32) -> Option<u32> {
-        self.occurrences(code).first().copied()
+        self.occurrences(code).first()
     }
 
-    /// All occurrences of `code` as a contiguous slice, in increasing
-    /// position order: the row the two rank steps of the row map find.
+    /// All occurrences of `code`, in increasing position order: the row
+    /// the two rank steps of the row map find, decoded as it is read (an
+    /// empty row for an absent code).
     #[inline]
-    pub fn occurrences(&self, code: u32) -> &[u32] {
-        self.rows
+    pub fn occurrences(&self, code: u32) -> Row<'_> {
+        let n = self.postings.len();
+        let range = self
+            .rows
             .row_of(code)
-            .map_or(&[], |row| self.rows.bounds.row(&self.positions, row))
+            .map_or(n..n, |row| self.rows.bounds.view().row(n, row));
+        self.postings.row(range)
     }
 
     /// Iterates every populated code of the index in ascending order,
-    /// yielding `(code, occurrences)` with the occurrences slice exactly
-    /// as [`BankIndex::occurrences`] would return it: a walk over the set
+    /// yielding `(code, occurrences)` with the occurrences exactly as
+    /// [`BankIndex::occurrences`] would return them: a walk over the set
     /// bits of the stored words, rows in order, visiting no absent code.
     pub fn populated(&self) -> PopulatedRows<'_> {
         let map = self.rows.view();
@@ -937,7 +962,8 @@ impl BankIndex {
             top: map.top,
             words: map.words,
             bounds: self.rows.bounds.view(),
-            positions: &self.positions,
+            postings: self.postings.view(),
+            total: self.postings.len(),
             t: 0,
             top_bits: map.top[0],
             next_word: 0,
@@ -954,7 +980,9 @@ impl BankIndex {
     /// the two stored bitmap words, keeping each word's ranks: it visits
     /// only the bitmap words both indexes store and no code absent from
     /// either, and finds each row with a popcount. A lone read against a
-    /// volume thus touches the top levels and the read's few words.
+    /// volume thus touches the top levels and the read's few words. The
+    /// rows are handed over undecoded, a start and a length each, so a
+    /// caller that wants only their lengths decodes nothing.
     ///
     /// # Panics
     /// Panics if the indexes have different seed lengths.
@@ -963,7 +991,7 @@ impl BankIndex {
         &'a self,
         other: &'a BankIndex,
         range: Range<u32>,
-        mut f: impl FnMut(u32, &'a [u32], &'a [u32]) -> Result<(), E>,
+        mut f: impl FnMut(u32, Row<'a>, Row<'a>) -> Result<(), E>,
     ) -> Result<(), E> {
         assert_eq!(self.w(), other.w(), "both indexes must use the same W");
         let end = range.end.min(self.num_codes());
@@ -971,7 +999,8 @@ impl BankIndex {
             return Ok(());
         }
         let (a, b) = (self.rows.view(), other.rows.view());
-        let (pa, pb) = (&*self.positions, &*other.positions);
+        let (na, nb) = (self.postings.len(), other.postings.len());
+        let (pa, pb) = (self.postings.view(), other.postings.view());
         let (ba, bb) = (self.rows.bounds.view(), other.rows.bounds.view());
         // The bitmap words the range touches, first and last.
         let (first, last) = (range.start / 64, (end - 1) / 64);
@@ -1008,8 +1037,8 @@ impl BankIndex {
                 while shared != 0 {
                     let bit = shared.trailing_zeros();
                     shared &= shared - 1;
-                    let x1 = ba.row(pa, rank_in(ra, wa, bit));
-                    let x2 = bb.row(pb, rank_in(rb, wb, bit));
+                    let x1 = pa.row(ba.row(na, rank_in(ra, wa, bit)));
+                    let x2 = pb.row(bb.row(nb, rank_in(rb, wb, bit)));
                     f(base + bit, x1, x2)?;
                 }
             }
@@ -1031,7 +1060,13 @@ impl BankIndex {
     /// Total indexed positions.
     #[inline]
     pub fn indexed_positions(&self) -> usize {
-        self.positions.len()
+        self.postings.len()
+    }
+
+    /// Bits each posting is stored in: `⌈log2 len(SEQ)⌉`, at least 1.
+    #[inline]
+    pub fn posting_bits(&self) -> u32 {
+        self.postings.bits()
     }
 
     /// Whether a seed occurrence is anchored at global position `pos`
@@ -1071,13 +1106,13 @@ impl BankIndex {
     pub fn stats(&self) -> IndexStats {
         let bounds = self.rows.bounds.view();
         let max_chain = (0..self.distinct_codes())
-            .map(|r| bounds.row(&self.positions, r).len())
+            .map(|r| bounds.row(self.postings.len(), r).len())
             .max()
             .unwrap_or(0);
         let index_bytes = self.heap_bytes();
         IndexStats {
             distinct_seeds: self.distinct_codes(),
-            indexed_positions: self.positions.len(),
+            indexed_positions: self.postings.len(),
             max_chain_len: max_chain,
             index_bytes,
             total_bytes: index_bytes + self.bank_bytes,
@@ -1091,13 +1126,13 @@ impl BankIndex {
     /// the heap is the copied bit-set (`len/8` bytes) and the derived
     /// ranks (4 bytes per top-level word and per stored bitmap word).
     pub fn heap_bytes(&self) -> usize {
-        self.rows.heap_bytes() + self.positions.heap_bytes() + self.indexed.heap_bytes()
+        self.rows.heap_bytes() + self.postings.heap_bytes() + self.indexed.heap_bytes()
     }
 
     /// Whether the row map/postings sections are zero-copy views into a
     /// memory-mapped index file (see `oris_index::mmap`).
     pub fn is_mmap_backed(&self) -> bool {
-        self.rows.is_mapped() || self.positions.is_mapped()
+        self.rows.is_mapped() || self.postings.is_mapped()
     }
 
     /// The row map (persistence needs the raw sections).
@@ -1106,11 +1141,17 @@ impl BankIndex {
         &self.rows
     }
 
-    /// The full postings array: every indexed position, grouped by seed
-    /// code in ascending code order and ascending within each row.
+    /// The packed postings (persistence needs the raw stream).
     #[inline]
-    pub fn positions(&self) -> &[u32] {
-        &self.positions
+    pub(crate) fn packed(&self) -> &Packed {
+        &self.postings
+    }
+
+    /// Every indexed position, as one row: grouped by seed code in
+    /// ascending code order and ascending within each code's row.
+    #[inline]
+    pub fn postings(&self) -> Row<'_> {
+        self.postings.row(0..self.postings.len())
     }
 
     /// Length of the bank (its global coordinate space, sentinels
@@ -1129,7 +1170,9 @@ pub struct PopulatedRows<'a> {
     top: &'a [u64],
     words: &'a [u64],
     bounds: BoundsView<'a>,
-    positions: &'a [u32],
+    postings: PackedView<'a>,
+    /// Postings in all.
+    total: usize,
     /// The top word `top_bits` came from.
     t: usize,
     /// Its set bits — stored words — not yet entered.
@@ -1145,9 +1188,9 @@ pub struct PopulatedRows<'a> {
 }
 
 impl<'a> Iterator for PopulatedRows<'a> {
-    type Item = (u32, &'a [u32]);
+    type Item = (u32, Row<'a>);
 
-    fn next(&mut self) -> Option<(u32, &'a [u32])> {
+    fn next(&mut self) -> Option<(u32, Row<'a>)> {
         while self.cur == 0 {
             while self.top_bits == 0 {
                 self.t += 1;
@@ -1163,7 +1206,8 @@ impl<'a> Iterator for PopulatedRows<'a> {
         self.cur &= self.cur - 1;
         let row = self.row;
         self.row += 1;
-        Some((code, self.bounds.row(self.positions, row)))
+        let range = self.bounds.row(self.total, row);
+        Some((code, self.postings.row(range)))
     }
 }
 
@@ -1323,17 +1367,22 @@ fn is_kept(words: &[u64], pos: usize) -> bool {
 }
 
 /// Row assembly: a radix-partitioned sort of the kept positions by code,
-/// returning the row map and the postings.
+/// returning the row map and the postings' packed stream of `bits`-bit
+/// positions.
 ///
-/// Pass B scatters each kept position into the postings array by
+/// Pass B scatters each kept position into the packed stream by
 /// partition, and its rank into a transient array of the same shape. The
 /// slice histograms of pass A give every (partition, slice) pair its own
 /// stretch, slices in bank order inside a partition, so each partition
 /// receives its positions in ascending order whatever the worker count:
-/// the scatter is stable by construction. Pass C then sorts every
-/// partition in place by rank and marks its populated codes in the
-/// bitmap words it covers (see [`sort_partitions`]); the stored words
-/// are the non-zero ones, and the top level marks where they fall. Ranks
+/// the scatter is stable by construction. Pass B lays the stretches out
+/// with room to spare — each in words of its own and a zero word after
+/// them — so the slices' packers share no word; the build never holds a
+/// `u32` postings array. Pass C then sorts every partition by rank,
+/// packs it at its final bits of the unpadded stream (see
+/// [`pack_sorted`]) and marks its populated codes in the bitmap words it
+/// covers (see [`sort_partitions`]); the stored words are the non-zero
+/// ones, and the top level marks where they fall. Ranks
 /// are carried rather than read back from the bank in pass C: a
 /// partition's positions lie scattered over the whole bank, so
 /// re-reading their windows cost a cache miss per posting — three times
@@ -1341,6 +1390,7 @@ fn is_kept(words: &[u64], pos: usize) -> bool {
 /// follow from the lengths pass C leaves in the spent ranks, and take
 /// their place (see [`run_bounds`]): the rank array becomes the `rel`
 /// section, cut to one entry per row.
+#[allow(clippy::too_many_arguments)] // the build's state, passed down once
 fn sort_rows(
     data: &[u8],
     words: &[u64],
@@ -1349,7 +1399,8 @@ fn sort_rows(
     radix: Radix,
     scans: &[SliceScan],
     postings: usize,
-) -> (RowMap, Vec<u32>) {
+    bits: u32,
+) -> (RowMap, Vec<u8>) {
     let as_u32 =
         |n: usize| u32::try_from(n).expect("postings are bounded by the bank-length guard");
     // `pbase[p]` = postings in partitions before `p`.
@@ -1359,25 +1410,42 @@ fn sort_rows(
         pbase[p + 1] = pbase[p] + in_part;
     }
 
-    let mut positions = vec![0u32; postings];
+    // The padded layout pass B writes and pass C sorts in: the
+    // (partition, slice) stretches in stream order, each in whole words of
+    // its own and a zero word after them (`room`), so writers side by side
+    // share no word. `stretch_at[p·S + s]` is the first byte of the
+    // stretch of partition `p` and slice `s`.
+    let mut stretch_at = Vec::with_capacity(radix.parts * scans.len() + 1);
+    let mut bytes_in = 0;
+    for p in 0..radix.parts {
+        for scan in scans {
+            stretch_at.push(bytes_in);
+            bytes_in += room(scan.hist[p] as usize, bits);
+        }
+    }
+    stretch_at.push(bytes_in);
+    let part_at = |p: usize| stretch_at[p * scans.len()];
+    let mut packed = vec![0u8; bytes_in];
+    let b = bits as usize;
     let mut ranks = vec![0u16; postings];
-    // Pass B: per slice, one write cursor per partition into each array.
+    // Pass B: per slice, one packer per partition into its stretch and
+    // one cursor per partition into the ranks. A packer stores whole
+    // words, so the stream's pages are first written, not read.
     {
-        type Cursors<'a> = Vec<(std::slice::IterMut<'a, u32>, std::slice::IterMut<'a, u16>)>;
-        let mut cursors: Vec<Cursors<'_>> = scans
+        let mut cursors: Vec<Vec<_>> = scans
             .iter()
             .map(|_| Vec::with_capacity(radix.parts))
             .collect();
-        let mut pos_rest: &mut [u32] = &mut positions;
+        let mut byte_rest: &mut [u8] = &mut packed;
         let mut rank_rest: &mut [u16] = &mut ranks;
         for p in 0..radix.parts {
-            for (scan, cursors) in scans.iter().zip(&mut cursors) {
+            for (cursors, scan) in cursors.iter_mut().zip(scans) {
                 let n = scan.hist[p] as usize;
-                let (pos, tail) = std::mem::take(&mut pos_rest).split_at_mut(n);
-                pos_rest = tail;
+                let (bytes, tail) = std::mem::take(&mut byte_rest).split_at_mut(room(n, bits));
+                byte_rest = tail;
                 let (rank, tail) = std::mem::take(&mut rank_rest).split_at_mut(n);
                 rank_rest = tail;
-                cursors.push((pos.iter_mut(), rank.iter_mut()));
+                cursors.push((Packer::over(bytes, 0..n * b), bytes, rank.iter_mut()));
             }
         }
         cursors
@@ -1389,12 +1457,15 @@ fn sort_rows(
                 let start = k * slice_len;
                 for (pos, code) in slice_windows(data, start, slice_len / 64, coder) {
                     if is_kept(words, pos) {
-                        let (pos_slot, rank_slot) = &mut cursors[radix.part_of(code)];
-                        let counted = "pass A counted this window";
+                        let (packer, bytes, rank_slot) = &mut cursors[radix.part_of(code)];
                         // oris-lint: allow(narrow-cast) — guarded by the `data.len() < MAX_BANK_LEN` assert in build_sliced
-                        *pos_slot.next().expect(counted) = pos as u32;
-                        *rank_slot.next().expect(counted) = radix.rank_of(code);
+                        packer.push(bytes, pos as u32, bits);
+                        *rank_slot.next().expect("pass A counted this window") =
+                            radix.rank_of(code);
                     }
+                }
+                for (packer, bytes, _) in cursors {
+                    packer.finish(bytes);
                 }
             });
     }
@@ -1418,22 +1489,43 @@ fn sort_rows(
     }
     let postings_of = |parts: &Range<usize>| pbase[parts.start] as usize..pbase[parts.end] as usize;
     let sorted: Vec<SortedRun> = {
-        let mut pos_rest: &mut [u32] = &mut positions;
+        let mut byte_rest: &mut [u8] = &mut packed;
         let mut rank_rest: &mut [u16] = &mut ranks;
         cuts.iter()
             .map(|parts| {
-                let n = postings_of(parts).len();
-                let (postings, tail) = std::mem::take(&mut pos_rest).split_at_mut(n);
-                pos_rest = tail;
-                let (ranks, tail) = std::mem::take(&mut rank_rest).split_at_mut(n);
+                let room = part_at(parts.end) - part_at(parts.start);
+                let (bytes, tail) = std::mem::take(&mut byte_rest).split_at_mut(room);
+                byte_rest = tail;
+                let (ranks, tail) =
+                    std::mem::take(&mut rank_rest).split_at_mut(postings_of(parts).len());
                 rank_rest = tail;
-                (parts.clone(), postings, ranks)
+                (parts.clone(), bytes, ranks)
             })
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(parts, postings, ranks)| sort_partitions(radix, &pbase, parts, postings, ranks))
+            .map(|(parts, bytes, ranks)| {
+                let layout = Layout {
+                    bits,
+                    scans,
+                    stretch_at: &stretch_at,
+                    first: part_at(parts.start),
+                };
+                sort_partitions(radix, &pbase, parts, &layout, bytes, ranks)
+            })
             .collect()
     };
+    // The partitions each run could not yet write at their final bits,
+    // then the stream cut to its postings and its pad word.
+    for run in &sorted {
+        let deferred = &run.deferred_postings;
+        copy_bits(
+            &mut packed,
+            deferred.start * b,
+            &run.deferred,
+            deferred.len() * b,
+        );
+    }
+    seal(&mut packed, postings * b);
     // Row bounds, written into the spent ranks. Each run compacts its
     // rows' `rel`s to the head of its own stretch, where every row lands
     // at or before its length (a populated row holds a posting), and
@@ -1507,7 +1599,7 @@ fn sort_rows(
         }
         stored.extend_from_slice(&run.words);
     }
-    (RowMap::new(top.into(), stored.into(), bounds), positions)
+    (RowMap::new(top.into(), stored.into(), bounds), packed)
 }
 
 /// What pass C leaves of one partition for its row boundaries.
@@ -1525,6 +1617,11 @@ struct PartitionRows {
 /// words over them.
 struct SortedRun {
     parts: Vec<PartitionRows>,
+    /// The sorted positions of the run's first partitions whose final
+    /// bits lie before its bytes, packed from the run's first final bit
+    /// on, and the postings they are.
+    deferred: Vec<u8>,
+    deferred_postings: Range<usize>,
     words: Vec<u64>,
     /// Bit `j` of `top[i]` is set iff bitmap word `64·(top_base + i) + j`
     /// is in `words`.
@@ -1549,33 +1646,63 @@ impl SortedRun {
     }
 }
 
+/// Where pass B left a run of partitions in the padded layout: the first
+/// byte of each (partition, slice) stretch, the first of the run's — the
+/// first of `bytes` — and each stretch's postings.
+struct Layout<'a> {
+    bits: u32,
+    scans: &'a [SliceScan],
+    stretch_at: &'a [usize],
+    first: usize,
+}
+
+impl Layout<'_> {
+    /// The stretches of partition `p` in pass B's order — slice by slice,
+    /// its positions ascending — each as the bit of its first posting in
+    /// the run's bytes and its postings.
+    fn stretches(&self, p: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.scans.iter().enumerate().map(move |(s, scan)| {
+            let at = 8 * (self.stretch_at[p * self.scans.len() + s] - self.first);
+            (at, scan.hist[p] as usize)
+        })
+    }
+}
+
 /// Pass C over one run of partitions: sorts each partition by rank,
 /// marking the bits of its populated codes in the run's bitmap words as
-/// it goes. A partition of at least [`Radix::sort_below`] postings is
-/// counted — count into a `4^8`-counter scratch, prefix-sum, scatter
-/// through a copy of the partition, all within the scratch and the
-/// partition's few tens of kilobytes; a smaller one sorts its
-/// `(rank, position)` pairs, which keeps a read's or a small bank's
-/// build from sweeping `4^8` counters per partition (see [`SORT_FILL`]).
-/// Either sort leaves each row's positions ascending. Once a partition is
-/// sorted its ranks are spent, so the head of their stretch takes the
-/// populated rows' lengths for [`run_bounds`].
+/// it goes. A partition's positions are read from its stretches of the
+/// padded layout (`bytes`, the run's) and its sorted positions packed at
+/// their final bits (see [`pack_sorted`]). A partition of at least
+/// [`Radix::sort_below`] postings is counted — count into a
+/// `4^8`-counter scratch, prefix-sum, scatter into a partition-sized
+/// scratch, all within the scratch and the partition's few tens of
+/// kilobytes; a smaller one sorts its `(rank, position)` pairs, which
+/// keeps a read's or a small bank's build from sweeping `4^8` counters per
+/// partition (see [`SORT_FILL`]). Either sort leaves each row's positions
+/// ascending. Once a partition is sorted its ranks are spent, so the head
+/// of their stretch takes the populated rows' lengths for
+/// [`run_bounds`].
 fn sort_partitions(
     radix: Radix,
     pbase: &[u32],
     parts: Range<usize>,
-    mut postings: &mut [u32],
+    layout: &Layout<'_>,
+    bytes: &mut [u8],
     mut ranks: &mut [u16],
 ) -> SortedRun {
     // The run's bitmap words, and the most of them it can populate.
     let run_words = parts.start * radix.width / 64..(parts.end * radix.width).div_ceil(64);
     let mut run = SortedRun {
         parts: Vec::with_capacity(parts.len()),
-        words: Vec::with_capacity(run_words.len().min(postings.len())),
+        deferred: Vec::new(),
+        deferred_postings: pbase[parts.start] as usize..pbase[parts.start] as usize,
+        words: Vec::with_capacity(run_words.len().min(ranks.len())),
         top: vec![0; run_words.end.div_ceil(64) - run_words.start / 64],
         top_base: run_words.start / 64,
         last: usize::MAX,
     };
+    let bits = layout.bits;
+    let b = bits as usize;
     // Per row: its count, then its start, then its write cursor —
     // allocated by the first partition that counts.
     let mut rows: Vec<u32> = Vec::new();
@@ -1583,15 +1710,13 @@ fn sort_partitions(
     // written at every row and kept only where the row is populated, so
     // the sum takes no data-dependent branch.
     let mut lengths: Vec<u16> = Vec::new();
-    // A counted partition's positions in scatter order; a sorted one's
+    // A counted partition's positions in row order (grown, never
+    // cleared: the scatter writes every slot it reads); a sorted one's
     // keys.
-    let mut held: Vec<u32> = Vec::new();
+    let mut order: Vec<u32> = Vec::new();
     let mut keys: Vec<u64> = Vec::new();
     for p in parts {
-        let base = pbase[p];
-        let len = (pbase[p + 1] - base) as usize;
-        let (stretch, tail) = std::mem::take(&mut postings).split_at_mut(len);
-        postings = tail;
+        let len = (pbase[p + 1] - pbase[p]) as usize;
         let (stretch_ranks, tail) = std::mem::take(&mut ranks).split_at_mut(len);
         ranks = tail;
         if len == 0 {
@@ -1606,16 +1731,15 @@ fn sort_partitions(
             // Rank above position: one sort orders the rows and keeps
             // each row's positions ascending.
             keys.clear();
-            keys.extend(
-                stretch
-                    .iter()
-                    .zip(stretch_ranks.iter())
-                    .map(|(&pos, &rank)| u64::from(rank) << 32 | u64::from(pos)),
-            );
+            let mut ranks_in = stretch_ranks.iter();
+            for (at, n) in layout.stretches(p) {
+                keys.extend(ranks_in.by_ref().take(n).enumerate().map(|(j, &rank)| {
+                    u64::from(rank) << 32 | u64::from(extract_at(bytes, at + j * b, bits))
+                }));
+            }
             keys.sort_unstable();
             let mut n = 0;
             for (j, &key) in keys.iter().enumerate() {
-                stretch[j] = key as u32;
                 let rank = (key >> 32) as usize;
                 if j == 0 || keys[j - 1] >> 32 != key >> 32 {
                     let bit = first_bit + rank;
@@ -1626,6 +1750,9 @@ fn sort_partitions(
                 // Under `sort_below` ≤ 2^16 postings, no row passes a u16.
                 stretch_ranks[n - 1] += 1;
             }
+            // The keys' low halves are the positions.
+            let sorted = keys.iter().map(|&key| key as u32);
+            pack_sorted(&mut run, layout, bytes, p..p + 1, pbase, sorted);
             run.parts.push(PartitionRows {
                 populated: n,
                 lengths: true,
@@ -1636,16 +1763,14 @@ fn sort_partitions(
             rows = vec![0u32; radix.width];
             lengths = vec![0u16; radix.width];
         }
-        held.clear();
-        held.extend_from_slice(stretch);
         // Count per row...
         for &rank in stretch_ranks.iter() {
             rows[usize::from(rank)] += 1;
         }
-        // ...exclusive prefix-sum in place (`rows[r]` = start of row `r`),
-        // one bitmap word per 64 rows (a partition narrower than a word
-        // fills its share of one)...
-        let mut sum = base;
+        // ...exclusive prefix-sum in place (`rows[r]` = start of row `r`
+        // in the partition), one bitmap word per 64 rows (a partition
+        // narrower than a word fills its share of one)...
+        let mut sum = 0;
         let mut n = 0;
         let mut wide = 0;
         for (j, chunk) in rows.chunks_mut(64).enumerate() {
@@ -1665,12 +1790,28 @@ fn sort_partitions(
             run.mark(bit / 64, word << (bit % 64));
         }
         // ...and scatter, each row's start slot serving as its write
-        // cursor. The forward walk keeps positions ascending in a row.
-        for (&pos, &rank) in held.iter().zip(stretch_ranks.iter()) {
-            let slot = &mut rows[usize::from(rank)];
-            stretch[(*slot - base) as usize] = pos;
-            *slot += 1;
+        // cursor — the forward walk keeps positions ascending in a row —
+        // then pack the sorted partition.
+        if order.len() < len {
+            order.resize(len, 0);
         }
+        let mut from = 0;
+        for (at, n) in layout.stretches(p) {
+            for (j, &rank) in stretch_ranks[from..from + n].iter().enumerate() {
+                let slot = &mut rows[usize::from(rank)];
+                order[*slot as usize] = extract_at(bytes, at + j * b, bits);
+                *slot += 1;
+            }
+            from += n;
+        }
+        pack_sorted(
+            &mut run,
+            layout,
+            bytes,
+            p..p + 1,
+            pbase,
+            order[..len].iter().copied(),
+        );
         rows.fill(0);
         // n ≤ len: every populated row holds a posting.
         if wide == 0 {
@@ -1682,6 +1823,38 @@ fn sort_partitions(
         });
     }
     run
+}
+
+/// Packs the sorted positions of partition `part.start` at its final bits
+/// of the unpadded stream: in the run's `bytes` when they lie inside them
+/// — each partition's final bits end at or before the next one's room,
+/// so no position yet to be read is overwritten — else into the run's
+/// deferred stream, copied in once every run is done. Only a run's first
+/// one or two partitions are deferred — every partition of the first run
+/// is written in place — since the rooms before a run outgrow its final
+/// bits by a few kilobytes at most.
+fn pack_sorted(
+    run: &mut SortedRun,
+    layout: &Layout<'_>,
+    bytes: &mut [u8],
+    part: Range<usize>,
+    pbase: &[u32],
+    sorted: impl Iterator<Item = u32>,
+) {
+    let b = layout.bits as usize;
+    let (from, to) = (pbase[part.start] as usize * b, pbase[part.end] as usize * b);
+    let first = 8 * layout.first;
+    if from >= first {
+        let span = from - first..to - first;
+        Packer::over(bytes, span).push_all(bytes, sorted, layout.bits);
+    } else {
+        let deferred = &mut run.deferred_postings;
+        debug_assert_eq!(from, deferred.end * b, "deferred partitions lead the run");
+        let span = from - deferred.start * b..to - deferred.start * b;
+        run.deferred.resize(8 * (span.end.div_ceil(64) + 1), 0);
+        Packer::over(&run.deferred, span).push_all(&mut run.deferred, sorted, layout.bits);
+        deferred.end = pbase[part.end] as usize;
+    }
 }
 
 /// One run's share of the row bounds: takes its rows' starts in order
@@ -1898,7 +2071,7 @@ mod tests {
         let coder = idx.coder();
         let code = coder.string_to_code("ACGT").unwrap();
         // positions are global (bank data starts with a sentinel at 0)
-        assert_eq!(idx.occurrences(code), &[1, 5, 9]);
+        assert_eq!(idx.occurrences(code).to_vec(), [1, 5, 9]);
     }
 
     #[test]
@@ -1911,7 +2084,7 @@ mod tests {
         let occ = idx.occurrences(code);
         assert_eq!(occ.len(), 2);
         // Every occurrence is fully inside one record.
-        for &p in occ {
+        for p in occ {
             let rec = bank.locate(p as usize).unwrap();
             assert!(p as usize + 4 <= bank.record(rec).end());
         }
@@ -1950,7 +2123,7 @@ mod tests {
         let bank = bank_of(&["ACGTACGT"]);
         let idx = BankIndex::build_filtered(&bank, IndexConfig::full(4), |p| p < 3);
         let code = idx.coder().string_to_code("ACGT").unwrap();
-        assert_eq!(idx.occurrences(code), &[5]);
+        assert_eq!(idx.occurrences(code).to_vec(), [5]);
     }
 
     /// The row bounds' footprint for `k` rows in groups whose starts fit
@@ -1959,16 +2132,19 @@ mod tests {
         2 * k + 4 * k.div_ceil(64)
     }
 
-    /// The footprint model: 4 bytes per *indexed* position, the row
-    /// bounds of the `k` populated codes, 1 bit per bank position for the
-    /// occurrence set, and a word and its rank (12 bytes) per stored
-    /// bitmap word and per top-level word —
-    /// `4·N + 2·k + k/16 + N/8 + 12·words + 12·⌈4^W/4096⌉`. The stored
-    /// words are counted from the populated codes, not read off the map.
+    /// The footprint model: `b = ⌈log2 len(SEQ)⌉` bits per *indexed*
+    /// position in whole words plus a pad word, the row bounds of the `k`
+    /// populated codes, 1 bit per bank position for the occurrence set,
+    /// and a word and its rank (12 bytes) per stored bitmap word and per
+    /// top-level word — `b·N/8 + 2·k + k/16 + N/8 + 12·words +
+    /// 12·⌈4^W/4096⌉`. The width is taken from the bank's length and the
+    /// stored words are counted from the populated codes, neither read
+    /// off the index.
     fn model_bytes(bank: &Bank, idx: &BankIndex) -> usize {
         let mut words: Vec<u32> = idx.populated().map(|(c, _)| c / 64).collect();
         words.dedup();
-        4 * idx.indexed_positions()
+        let bits = (usize::BITS - (bank.data().len().max(2) - 1).leading_zeros()) as usize;
+        8 * ((bits * idx.indexed_positions()).div_ceil(64) + 1)
             + bounds_bytes(idx.distinct_codes())
             + bank.data().len().div_ceil(64) * 8
             + 12 * words.len()
@@ -2207,7 +2383,7 @@ mod tests {
             let mut end = 0;
             for r in 0..bounds.len() {
                 assert_eq!(bounds.view().start(r), end, "row {r}");
-                end += bounds.row(idx.positions(), r).len();
+                end += bounds.view().row(idx.indexed_positions(), r).len();
                 assert!(end > bounds.view().start(r), "row {r} is empty");
             }
             assert_eq!(end, idx.indexed_positions());
@@ -2244,7 +2420,7 @@ mod tests {
                 got.push((c, x1, x2));
                 Ok::<(), std::convert::Infallible>(())
             });
-            let want: Vec<(u32, &[u32], &[u32])> = idx
+            let want: Vec<(u32, Row<'_>, Row<'_>)> = idx
                 .populated()
                 .map(|(c, _)| (c, a.occurrences(c), b.occurrences(c)))
                 .filter(|(_, x1, x2)| !x1.is_empty() && !x2.is_empty())
@@ -2405,9 +2581,11 @@ mod tests {
                     .map(|(&c, b)| (c, &self.positions[b[0] as usize..b[1] as usize]))
             }
 
-            /// Whether `idx` is this index: postings, row bounds encoded
-            /// as [`RowBounds::from_starts`] encodes the oracle's row
-            /// starts, the two levels of its codes, bit-set, provenance,
+            /// Whether `idx` is this index: postings — the positions, and
+            /// the stream [`pack`] makes of them at the bank's bit width —
+            /// row bounds encoded as [`RowBounds::from_starts`] encodes the
+            /// oracle's row starts, the two levels of its codes, bit-set,
+            /// provenance,
             /// the populated walk, the answer for every code (past W = 8,
             /// for every populated code, the code after it and both ends of
             /// the code space), and the stats that derive from them.
@@ -2445,19 +2623,40 @@ mod tests {
                 }
                 let words: Vec<u64> = words.into_iter().map(|(_, word)| word).collect();
                 let (idx_top, idx_words, idx_bounds) = idx.rows().sections();
-                idx.positions() == self.positions
+                let bits = bit_width(self.indexed.len());
+                idx.postings() == self.positions[..]
+                    && idx.posting_bits() == bits
+                    && idx.packed().bytes() == pack(&self.positions, bits)
                     && idx_top == top
                     && idx_words == words
                     && idx_bounds.sections() == bounds.sections()
                     && idx.indexed_words() == self.indexed.words()
                     && idx.is_fully_indexed() == self.fully_indexed
-                    && idx.populated().eq(self.rows())
+                    && idx
+                        .populated()
+                        .map(|(c, row)| (c, row.to_vec()))
+                        .eq(self.rows().map(|(c, row)| (c, row.to_vec())))
                     && answers
                     && stats.indexed_positions == self.positions.len()
                     && stats.distinct_seeds == self.codes.len()
                     && stats.distinct_seeds == idx.distinct_codes()
                     && stats.max_chain_len == rows.max().unwrap_or(0)
             }
+        }
+
+        /// `positions` packed at `bits` bits a bit at a time into
+        /// little-endian words, with the pad word: the stream an index of
+        /// these postings must hold.
+        pub fn pack(positions: &[u32], bits: u32) -> Vec<u8> {
+            let bits = bits as usize;
+            let mut words = vec![0u64; (positions.len() * bits).div_ceil(64) + 1];
+            for (i, &p) in positions.iter().enumerate() {
+                for j in (0..bits).filter(|&j| p >> j & 1 == 1) {
+                    let bit = i * bits + j;
+                    words[bit / 64] |= 1 << (bit % 64);
+                }
+            }
+            words.iter().flat_map(|w| w.to_le_bytes()).collect()
         }
 
         pub fn build(bank: &Bank, cfg: IndexConfig, masked: impl Fn(usize) -> bool) -> Built {
@@ -2590,6 +2789,38 @@ mod tests {
         }
     }
 
+    /// Banks of exactly `2^b` and `2^b + 1` positions: the posting width
+    /// steps from `b` to `b + 1` at the boundary, and each bank's index is
+    /// the oracle's — its rows, and their stream packed a bit at a time at
+    /// that width — built by pools of 1, 2, 4 and 7 workers over slices of
+    /// a few words, full and asymmetric, then written, decoded to the heap
+    /// and mapped back to the same stream.
+    #[test]
+    fn posting_width_steps_up_past_a_power_of_two() {
+        for b in [5u32, 11, 16] {
+            for len in [1usize << b, (1 << b) + 1] {
+                let bank = bank_of(&[&random_dna(len - 2)]);
+                assert_eq!(bank.data().len(), len);
+                let want = if len == 1 << b { b } else { b + 1 };
+                for cfg in [IndexConfig::full(4), IndexConfig::asymmetric(11)] {
+                    let oracle = oracle::build(&bank, cfg, |_| false);
+                    for threads in [1, 2, 4, 7] {
+                        let built = in_pool(threads, || {
+                            BankIndex::build_sliced(&bank, cfg, |_| false, 64, Radix::new(cfg.w))
+                        });
+                        assert_eq!(built.posting_bits(), want, "{len} positions");
+                        assert!(oracle.matches(&built), "{len} positions, threads {threads}");
+                        for loaded in round_trips(&built) {
+                            assert_eq!(loaded.posting_bits(), want);
+                            assert_eq!(loaded.packed().bytes(), built.packed().bytes());
+                            assert!(oracle.matches(&loaded), "{len} positions, loaded");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn rows_past_u16_postings_take_the_recount() {
         // Pass C hands row lengths to the row boundaries as u16s; a
@@ -2686,7 +2917,7 @@ mod tests {
 
             let mut got: Vec<(u32, u32)> = Vec::new();
             for code in 0..idx.coder().num_seeds() as u32 {
-                let occ = idx.occurrences(code);
+                let occ = idx.occurrences(code).to_vec();
                 // rows are sorted ascending
                 prop_assert!(occ.windows(2).all(|p| p[0] < p[1]));
                 got.extend(occ.iter().map(|&p| (p, code)));
@@ -2698,12 +2929,12 @@ mod tests {
         }
 
         /// Pass C's two sorts are interchangeable: sorting every
-        /// partition by comparison (the sparse sort) and counting every
-        /// one (the dense sort) build the same sections — row map, row
-        /// bounds, postings, bit-set and provenance — for random banks,
-        /// widths up to the pipeline's, strides and masks.
+        /// partition by comparison and counting every one build the same
+        /// sections — row map, row bounds, packed postings, bit-set and
+        /// provenance — for random banks, widths up to the pipeline's,
+        /// strides and masks.
         #[test]
-        fn sparse_backend_equals_dense(
+        fn comparison_sort_equals_counting_sort(
             seqs in proptest::collection::vec("[ACGTN]{0,300}", 1..4),
             w in 2usize..=11,
             stride in 1usize..3,
@@ -2717,16 +2948,16 @@ mod tests {
             let build = |sort| {
                 BankIndex::build_sliced(&bank, cfg, masked, grain, with_sort(Radix::new(w), sort))
             };
-            let (dense, sparse) = (build(1), build(2));
-            let (dt, dw, db) = dense.rows().sections();
-            let (st, sw, sb) = sparse.rows().sections();
-            prop_assert_eq!(dt, st);
-            prop_assert_eq!(dw, sw);
-            prop_assert_eq!(db.sections(), sb.sections());
-            prop_assert_eq!(dense.positions(), sparse.positions());
-            prop_assert_eq!(dense.indexed_words(), sparse.indexed_words());
-            prop_assert_eq!(dense.is_fully_indexed(), sparse.is_fully_indexed());
-            prop_assert_eq!(dense.stats(), sparse.stats());
+            let (counted, compared) = (build(1), build(2));
+            let (ct, cw, cb) = counted.rows().sections();
+            let (st, sw, sb) = compared.rows().sections();
+            prop_assert_eq!(ct, st);
+            prop_assert_eq!(cw, sw);
+            prop_assert_eq!(cb.sections(), sb.sections());
+            prop_assert_eq!(counted.packed().bytes(), compared.packed().bytes());
+            prop_assert_eq!(counted.indexed_words(), compared.indexed_words());
+            prop_assert_eq!(counted.is_fully_indexed(), compared.is_fully_indexed());
+            prop_assert_eq!(counted.stats(), compared.stats());
         }
 
         /// The sliced build equals the full-sweep oracle — rows and every
@@ -2796,11 +3027,11 @@ mod tests {
             prop_assert!(codes.is_empty() || mapped.is_mmap_backed());
             for idx in [&built, &heap, &mapped] {
                 // Row r of the populated walk belongs to codes[r].
-                let rows: Vec<&[u32]> = idx.populated().map(|(_, row)| row).collect();
+                let rows: Vec<Vec<u32>> = idx.populated().map(|(_, row)| row.to_vec()).collect();
                 for &code in &asked {
                     let row = codes.binary_search(&code).ok();
                     prop_assert_eq!(sparse_row_of(&codes, &slots, code), row);
-                    let want = row.map_or(&[][..], |r| rows[r]);
+                    let want = row.map_or(&[][..], |r| &rows[r][..]);
                     prop_assert!(idx.occurrences(code) == want, "code {}", code);
                 }
             }
@@ -2852,17 +3083,17 @@ mod tests {
         assert!(oracle.matches(idx), "{label}");
         let num = idx.coder().num_seeds() as u32;
         for range in ranges {
-            let mut got: Vec<(u32, &[u32])> = Vec::new();
+            let mut got: Vec<(u32, Vec<u32>)> = Vec::new();
             let Ok(()) = idx.for_each_shared(idx, range.clone(), |c, x1, x2| {
                 assert_eq!(x1, x2);
-                got.push((c, x1));
+                got.push((c, x1.to_vec()));
                 Ok::<(), std::convert::Infallible>(())
             });
-            let want: Vec<(u32, &[u32])> = oracle
+            let want: Vec<(u32, Vec<u32>)> = oracle
                 .codes()
                 .iter()
                 .filter(|c| range.contains(c))
-                .map(|&c| (c, oracle.occurrences(c)))
+                .map(|&c| (c, oracle.occurrences(c).to_vec()))
                 .collect();
             assert_eq!(got, want, "{label}, range {range:?}");
         }
@@ -2982,13 +3213,13 @@ mod tests {
             for i1 in &indexes {
                 for i2 in &indexes {
                     for range in [0..num, a.min(b)..a.max(b)] {
-                        let mut got: Vec<(u32, &[u32], &[u32])> = Vec::new();
+                        let mut got: Vec<(u32, Row<'_>, Row<'_>)> = Vec::new();
                         let done = i1.for_each_shared(i2, range.clone(), |c, x1, x2| {
                             got.push((c, x1, x2));
                             Ok::<(), ()>(())
                         });
                         prop_assert_eq!(done, Ok(()));
-                        let want: Vec<(u32, &[u32], &[u32])> = range
+                        let want: Vec<(u32, Row<'_>, Row<'_>)> = range
                             .clone()
                             .map(|c| (c, i1.occurrences(c), i2.occurrences(c)))
                             .filter(|(_, x1, x2)| !x1.is_empty() && !x2.is_empty())
@@ -3238,16 +3469,16 @@ mod tests {
                 for idx in std::iter::once(&built).chain(&loaded) {
                     assert_rows_answer_as(&oracle, idx, &ranges, &probes);
                     for range in &ranges {
-                        let mut got: Vec<(u32, &[u32], &[u32])> = Vec::new();
+                        let mut got: Vec<(u32, Vec<u32>, Vec<u32>)> = Vec::new();
                         let done = idx.for_each_shared(&partner, range.clone(), |c, x1, x2| {
-                            got.push((c, x1, x2));
+                            got.push((c, x1.to_vec(), x2.to_vec()));
                             Ok::<(), ()>(())
                         });
-                        let want: Vec<(u32, &[u32], &[u32])> = oracle
+                        let want: Vec<(u32, Vec<u32>, Vec<u32>)> = oracle
                             .codes()
                             .iter()
                             .filter(|c| range.contains(c))
-                            .map(|&c| (c, oracle.occurrences(c), other_oracle.occurrences(c)))
+                            .map(|&c| (c, oracle.occurrences(c).to_vec(), other_oracle.occurrences(c).to_vec()))
                             .filter(|(_, _, x2)| !x2.is_empty())
                             .collect();
                         prop_assert_eq!(done, Ok(()));

@@ -302,7 +302,7 @@ proptest! {
     /// strands, and filters. (The storage backing is a memory trade
     /// inside `oris-index`; nothing downstream may observe it.)
     #[test]
-    fn index_backend_is_invisible_in_m8_output(
+    fn fresh_decoded_and_mapped_indexes_give_the_same_m8_output(
         seqs in proptest::collection::vec("[ACGT]{30,80}", 2..6),
         flank in "[ACGT]{5,20}",
         w in 5usize..8,

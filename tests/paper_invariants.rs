@@ -81,8 +81,8 @@ proptest! {
         // extension yields.
         let mut owners = std::collections::HashMap::new();
         for code in 0..coder.num_seeds() as u32 {
-            for &a in i1.occurrences(code) {
-                for &b in i2.occurrences(code) {
+            for a in i1.occurrences(code) {
+                for b in i2.occurrences(code) {
                     let ExtensionOutcome::Hsp { score, left, right } = extend_hit(
                         b1.data(), b2.data(), a as usize, b as usize,
                         code, coder, &params, OrderGuard::None,

@@ -151,10 +151,12 @@ fn wrong_version_reports_unsupported() {
     let idx = oris::index::BankIndex::build(&b, IndexConfig::full(4));
     let mut bytes = Vec::new();
     write_index(&mut bytes, &idx, &IndexMeta::default()).unwrap();
-    bytes[8] = 7; // version field
+    // The version field, one past the current format.
+    let next = oris::index::persist::FORMAT_VERSION + 1;
+    bytes[8..12].copy_from_slice(&next.to_le_bytes());
     match read_index(&mut bytes.as_slice()) {
-        Err(PersistError::UnsupportedVersion(7)) => {}
-        other => panic!("expected UnsupportedVersion(7), got {other:?}"),
+        Err(PersistError::UnsupportedVersion(v)) if v == next => {}
+        other => panic!("expected UnsupportedVersion({next}), got {other:?}"),
     }
 }
 
@@ -175,7 +177,7 @@ fn file_level_roundtrip_via_tempdir() {
     assert_eq!(lmeta, meta);
     assert!(loaded.populated().eq(idx.populated()));
     assert_eq!(loaded.stats(), idx.stats());
-    assert_eq!(loaded.positions(), idx.positions());
+    assert_eq!(loaded.postings(), idx.postings());
     assert_eq!(
         FilterKind::from_code(lmeta.filter_code),
         Some(FilterKind::Dust)
