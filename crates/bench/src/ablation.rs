@@ -4,7 +4,7 @@
 //! copies, leading to add a costly procedure to suppress all the
 //! duplicates." This module *is* that costly procedure: the same seed
 //! enumeration with the order guard disabled, followed by hash-set
-//! duplicate suppression. The `ablation_dedup` binary measures the
+//! duplicate suppression. Experiment A1 of `reproduce` measures the
 //! difference; the tests here verify both variants agree on the final
 //! HSP set. It is reproduction code, so it lives here and not in the
 //! engine.

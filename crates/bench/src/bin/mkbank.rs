@@ -47,7 +47,7 @@ fn run() -> Result<(), String> {
     }
     if args.has_flag("list") {
         let mut t =
-            oris_eval::Table::new(vec!["Bank", "Origin (analogue)", "paper Mbp", "unit nt"]);
+            oris_bench::Table::new(vec!["Bank", "Origin (analogue)", "paper Mbp", "unit nt"]);
         for s in sim::paper_bank_specs() {
             t.row(vec![
                 s.name.to_string(),

@@ -1,34 +1,36 @@
 //! # oris-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper; each prints the paper's row
-//! layout with the measured values (and, where the paper reports a number,
-//! that number beside them):
+//! The `reproduce` binary runs the paper's experiments, each a row of one
+//! list, and prints each as a markdown table in the paper's row layout
+//! with the measured values (and, where the paper reports a number, that
+//! number beside them):
 //!
-//! | binary | paper item |
+//! | id | paper item |
 //! |---|---|
-//! | `table_datasets` | §3.2 data-set table (E1) |
-//! | `fig3_exec_time` | Figure 3, time vs search space (E2) |
-//! | `table_speedup_est` | §3.3 EST speed-up table (E3) |
-//! | `table_speedup_large` | §3.3 large-bank speed-up table (E4) |
-//! | `table_sensitivity_est` | §3.4 EST miss tables (E5) |
-//! | `table_sensitivity_large` | §3.4 large-bank miss tables (E6) |
-//! | `table_memory` | §3.1 index ≈5·N bytes, here `4·N + 2·k + k/16 + N/8 + 3·4^W/16` (E7) |
-//! | `fig_parallel_scaling` | §4 multicore perspective (E8) |
-//! | `ablation_dedup` | ordered rule vs hash dedup (A1) |
-//! | `ablation_asymmetric` | asymmetric indexing (A2) |
-//! | `ablation_seed_len` | seed-length sweep (A3) |
-//! | `ablation_xdrop` | X-drop sweep (A4) |
-//! | `mkbank` | writes one paper bank, or a random one, as FASTA |
+//! | E1 | §3.2 data-set table |
+//! | E2 | Figure 3, time vs search space |
+//! | E3 | §3.3 EST speed-up table |
+//! | E4 | §3.3 large-bank speed-up table |
+//! | E5 | §3.4 EST miss tables |
+//! | E6 | §3.4 large-bank miss tables |
+//! | E7 | §3.1 index ≈5·N bytes, here `N` of `SEQ` and `b·N/8 + 2·k + k/16 + N/8 + 12·words + 12·⌈4^W/4096⌉`, `b = ⌈log2 len(SEQ)⌉` |
+//! | E8 | §4 multicore perspective |
+//! | A1 | ordered rule vs hash dedup |
+//! | A2 | asymmetric indexing |
+//! | A3 | seed-length sweep |
+//! | A4 | X-drop sweep |
 //!
-//! Every binary takes `--scale F` (default 0.25; 1.0 for `mkbank`)
-//! multiplying the reduced bank grid of `oris_simulate::paper_bank_specs`,
-//! so quick runs and full runs use the same code path. Banks are deterministic; engine outputs are deterministic
-//! for any thread count — the only nondeterminism in these experiments is
-//! the wall clock.
+//! `reproduce [--scale F] [ID ...]` runs the named experiments, or all
+//! twelve; `--scale F` (default 0.25) multiplies the reduced bank grid of
+//! `oris_simulate::paper_bank_specs`, so quick runs and full runs use the
+//! same code path. `mkbank` writes one paper bank, or a random one, as
+//! FASTA. Banks are deterministic; engine outputs are deterministic for
+//! any thread count — the only nondeterminism in these experiments is the
+//! wall clock.
 //!
 //! This library holds the shared harness: bank construction, matched
-//! engine configurations, timing, and the paper's table row formats —
-//! plus [`CountingAlloc`], the live-heap gauge behind
+//! engine runs, the paper's speed-up rows and [`Table`] — plus
+//! [`CountingAlloc`], the live-heap gauge behind
 //! `tests/peak_live_bytes.rs`, and [`ablation`], the unordered step 2
 //! with hash-set duplicate suppression that experiment A1 runs against
 //! the ordered rule. Performance is not measured here: the
@@ -37,16 +39,17 @@
 
 pub mod ablation;
 pub mod memtrack;
+pub mod tables;
 
 pub use memtrack::CountingAlloc;
+pub use tables::Table;
 
-use oris_blast::{BlastConfig, BlastResult};
-use oris_cli::Args;
-use oris_core::{OrisConfig, OrisResult};
-use oris_eval::{MissReport, SpeedupRow};
+use oris_blast::BlastConfig;
+use oris_core::OrisConfig;
+use oris_eval::MissReport;
 use oris_index::MAX_BANK_LEN;
 use oris_seqio::Bank;
-use oris_simulate::{paper_bank, paper_bank_specs};
+use oris_simulate::paper_bank;
 
 /// The eight EST bank pairs of the section-3.3/3.4 tables, in paper order.
 pub const EST_PAIRS: [(&str, &str); 8] = [
@@ -71,33 +74,12 @@ pub const LARGE_PAIRS: [(&str, &str); 6] = [
 ];
 
 /// Paper-reported speed-ups for the EST pairs (same order as
-/// [`EST_PAIRS`]), printed beside the measured ones by `table_speedup_est`.
+/// [`EST_PAIRS`]), printed beside the measured ones by experiment E3.
 pub const PAPER_EST_SPEEDUPS: [f64; 8] = [10.0, 16.2, 17.1, 18.5, 16.0, 24.0, 28.4, 28.8];
 
 /// Paper-reported speed-ups for the large pairs (same order as
 /// [`LARGE_PAIRS`]).
 pub const PAPER_LARGE_SPEEDUPS: [f64; 6] = [6.2, 8.6, 5.5, 9.2, 8.6, 6.6];
-
-/// Reads `--scale F` from the command line (default 0.25), checked by
-/// [`parse_scale`] against the largest paper bank. A bad, missing or
-/// extra argument ends the process with one stderr line and exit code 1.
-pub fn scale_from_args() -> f64 {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let largest = paper_bank_specs().iter().map(|s| s.unit_nt).max();
-    let args = Args::parse(&argv, &["scale"], &[], &[]).map_err(|e| e.to_string());
-    let scale = args.and_then(
-        |args| match (args.positional.first(), args.options.get("scale")) {
-            (Some(extra), _) => Err(format!("unexpected argument {extra:?}")),
-            (None, Some(v)) => parse_scale(v, largest.unwrap_or(0)),
-            (None, None) => Ok(0.25),
-        },
-    );
-    scale.unwrap_or_else(|e| {
-        let program = std::env::args().next().unwrap_or_default();
-        eprintln!("{}: {e}", program.rsplit('/').next().unwrap_or_default());
-        std::process::exit(1)
-    })
-}
 
 /// Parses a `--scale` value for a bank of `unit_nt` residues at scale 1:
 /// a finite number above 0 under which the bank stays below
@@ -125,16 +107,29 @@ pub fn bank(name: &str, scale: f64) -> Bank {
     paper_bank(name, scale).bank
 }
 
-/// The standard matched configurations both engines run with: paper
-/// parameters (`W = 11`, `e ≤ 1e-3`), each engine's own filter, and the
-/// baseline in blastall-2.2.17 mode (lookup per ~20 kbp query batch, full
-/// database rescan per batch — the cost structure of the program the
-/// paper actually measured). Batching changes timing only; records are
-/// identical to the one-pass baseline.
-pub fn standard_configs() -> (OrisConfig, BlastConfig) {
-    let oris = OrisConfig::default();
-    let blast = BlastConfig::blastall_like(&oris);
-    (oris, blast)
+/// One row of a section-3.3 speed-up table. The paper measures `time`
+/// user seconds of whole program runs; here each engine's call is timed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpeedupRow {
+    /// Bank pair label, e.g. "EST1 vs EST2".
+    pub banks: String,
+    /// Search space: product of bank sizes in Mbp² (the paper's x-axis).
+    pub search_space: f64,
+    /// SCORIS-N (ORIS engine) seconds.
+    pub scoris_secs: f64,
+    /// BLASTN-like baseline seconds.
+    pub blast_secs: f64,
+}
+
+impl SpeedupRow {
+    /// Speed-up of the ORIS engine over the baseline.
+    pub fn speedup(&self) -> f64 {
+        if self.scoris_secs > 0.0 {
+            self.blast_secs / self.scoris_secs
+        } else {
+            f64::INFINITY
+        }
+    }
 }
 
 /// Outcome of running both engines on one bank pair.
@@ -144,42 +139,38 @@ pub struct PairOutcome {
     pub row: SpeedupRow,
     /// Sensitivity comparison (A = ORIS engine, B = baseline).
     pub miss: MissReport,
-    /// ORIS engine full result.
-    pub oris: OrisResult,
-    /// Baseline full result.
-    pub blast: BlastResult,
 }
 
 /// Runs both engines on a named bank pair and packages the paper rows.
+///
+/// Both run the matched configurations: paper parameters (`W = 11`,
+/// `e ≤ 1e-3`), each engine's own filter, and the baseline in
+/// blastall-2.2.17 mode (lookup per ~20 kbp query batch, full database
+/// rescan per batch — the cost structure of the program the paper
+/// actually measured). Batching changes timing only; records are
+/// identical to the one-pass baseline.
 pub fn run_pair(name1: &str, name2: &str, scale: f64) -> PairOutcome {
     let b1 = bank(name1, scale);
     let b2 = bank(name2, scale);
-    run_pair_banks(&format!("{name1} vs {name2}"), &b1, &b2)
-}
-
-/// Runs both engines on explicit banks.
-pub fn run_pair_banks(label: &str, b1: &Bank, b2: &Bank) -> PairOutcome {
-    let (oris_cfg, blast_cfg) = standard_configs();
+    let oris_cfg = OrisConfig::default();
+    let blast_cfg = BlastConfig::blastall_like(&oris_cfg);
 
     let t0 = oris_obs::Stopwatch::start();
-    let oris = oris_core::compare_banks(b1, b2, &oris_cfg);
+    let oris = oris_core::compare_banks(&b1, &b2, &oris_cfg);
     let scoris_secs = t0.elapsed_secs();
 
     let t0 = oris_obs::Stopwatch::start();
-    let blast = oris_blast::compare_banks(b1, b2, &blast_cfg);
+    let blast = oris_blast::compare_banks(&b1, &b2, &blast_cfg);
     let blast_secs = t0.elapsed_secs();
 
-    let miss = oris_eval::compare_outputs(&oris.alignments, &blast.alignments, 0.8);
     PairOutcome {
         row: SpeedupRow {
-            banks: label.to_string(),
+            banks: format!("{name1} vs {name2}"),
             search_space: b1.mbp() * b2.mbp(),
             scoris_secs,
             blast_secs,
         },
-        miss,
-        oris,
-        blast,
+        miss: oris_eval::compare_outputs(&oris.alignments, &blast.alignments, 0.8),
     }
 }
 
@@ -236,6 +227,28 @@ mod tests {
         assert!(out.row.blast_secs > 0.0);
         // Both engines report something comparable.
         assert!(out.miss.a_total > 0 || out.miss.b_total > 0);
+    }
+
+    #[test]
+    fn speedup_math() {
+        let row = SpeedupRow {
+            banks: "EST1 vs EST2".into(),
+            search_space: 42.8,
+            scoris_secs: 2.0,
+            blast_secs: 20.0,
+        };
+        assert!((row.speedup() - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zero_time_is_infinite_speedup() {
+        let row = SpeedupRow {
+            banks: "x".into(),
+            search_space: 1.0,
+            scoris_secs: 0.0,
+            blast_secs: 1.0,
+        };
+        assert!(row.speedup().is_infinite());
     }
 
     #[test]

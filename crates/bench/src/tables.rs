@@ -1,13 +1,14 @@
-//! Plain-text table rendering for the bench binaries.
+//! The tables `reproduce` and `mkbank --list` print, as GitHub markdown,
+//! so their output can be committed as it is.
 //!
-//! Every experiment binary prints its results in the row layout of the
+//! Every experiment prints its results in the row layout of the
 //! corresponding paper table, so paper values and measured values read
 //! side by side. Columns are right-aligned except the first (the row
-//! label).
+//! label), and padded so the raw text lines up too.
 
 use std::fmt::Write as _;
 
-/// A simple fixed-column text table.
+/// A simple fixed-column markdown table.
 #[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,
@@ -41,10 +42,10 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders the table.
+    /// Renders the table: a header row, the alignment row, the data rows.
     pub fn render(&self) -> String {
-        let ncol = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        // Three columns at least: the alignment row needs a colon and dashes.
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len().max(3)).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
                 widths[i] = widths[i].max(cell.len());
@@ -54,17 +55,23 @@ impl Table {
         let fmt_row = |out: &mut String, cells: &[String]| {
             for (i, cell) in cells.iter().enumerate() {
                 if i == 0 {
-                    let _ = write!(out, "{:<width$}", cell, width = widths[0]);
+                    let _ = write!(out, "| {:<width$} ", cell, width = widths[0]);
                 } else {
-                    let _ = write!(out, "  {:>width$}", cell, width = widths[i]);
+                    let _ = write!(out, "| {:>width$} ", cell, width = widths[i]);
                 }
             }
-            out.push('\n');
+            out.push_str("|\n");
         };
         fmt_row(&mut out, &self.headers);
-        let total: usize = widths.iter().sum::<usize>() + 2 * (ncol - 1);
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
+        let align: Vec<String> = widths
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| match i {
+                0 => format!(":{}", "-".repeat(w - 1)),
+                _ => format!("{}:", "-".repeat(w - 1)),
+            })
+            .collect();
+        fmt_row(&mut out, &align);
         for row in &self.rows {
             fmt_row(&mut out, row);
         }
@@ -87,20 +94,25 @@ mod tests {
         let mut t = Table::new(vec!["banks", "speed up"]);
         t.row(vec!["EST1 vs EST2", "10.0"]);
         t.row(vec!["EST5 vs EST7", "28.8"]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("banks"));
-        assert!(lines[2].starts_with("EST1 vs EST2"));
-        // numeric column right-aligned to same end offset
-        assert_eq!(lines[2].len(), lines[3].len());
+        assert_eq!(
+            t.render(),
+            "| banks        | speed up |\n\
+             | :----------- | -------: |\n\
+             | EST1 vs EST2 |     10.0 |\n\
+             | EST5 vs EST7 |     28.8 |\n"
+        );
     }
 
     #[test]
     fn pads_short_rows() {
         let mut t = Table::new(vec!["a", "b", "c"]);
         t.row(vec!["x"]);
-        assert!(t.render().lines().count() == 3);
+        assert_eq!(
+            t.render(),
+            "| a   |   b |   c |\n\
+             | :-- | --: | --: |\n\
+             | x   |     |     |\n"
+        );
     }
 
     #[test]

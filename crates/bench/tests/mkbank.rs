@@ -1,7 +1,8 @@
-//! `mkbank` and the paper bins refuse a bank no index could address, and
+//! `mkbank` and `reproduce` refuse a bank no index could address, and
 //! any value that is not a size, before they generate anything: one
 //! stderr line, exit code 1, no output file — never a panic or an
-//! allocation abort.
+//! allocation abort. `reproduce` refuses an unknown experiment the same
+//! way, and runs exactly the experiments it is given.
 
 use std::process::Command;
 
@@ -67,7 +68,28 @@ fn paper_bins_refuse_a_bad_scale_with_one_line() {
         &["--scale", "1000"],
         &["--scael", "1"],
         &["0.5"],
+        &["E9"],
+        &["E1", "e2"],
     ] {
-        refused(env!("CARGO_BIN_EXE_table_datasets"), "table_datasets", args);
+        refused(env!("CARGO_BIN_EXE_reproduce"), "reproduce", args);
     }
+}
+
+#[test]
+fn reproduce_runs_exactly_the_named_experiments() {
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--scale", "0.01", "E7", "A3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let headings: Vec<&str> = stdout.lines().filter(|l| l.starts_with("## ")).collect();
+    assert_eq!(
+        headings,
+        [
+            "## E7: index memory footprint (paper section 3.1)",
+            "## A3: seed length sweep (ORIS engine)"
+        ],
+        "{stdout}"
+    );
 }

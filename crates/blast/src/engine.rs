@@ -1,33 +1,22 @@
 //! The full BLASTN-style pipeline: filter → lookup → scan → gapped stage.
 //!
-//! The gapped stage and record output are shared with the ORIS engine —
-//! including the sink-driven streaming shape: [`compare_banks_into`]
-//! pushes records into any `oris_core::RecordSink` as each record-pair
-//! group finishes, so baseline measurements stay comparable to the
-//! streamed ORIS path. [`compare_banks`] is the collect-everything
-//! wrapper.
+//! The gapped stage and record output are shared with the ORIS engine:
+//! every query batch runs the ORIS engine's fused steps-3+4 runner into
+//! one [`CollectSink`], and [`compare_banks`] sorts the whole run's
+//! records once at the end.
 
 use oris_core::engine::mask_for;
 use oris_core::sink::{CollectSink, RecordSink};
 use oris_core::{M8Record, PreparedBank};
 use oris_index::{IndexConfig, MaskSet};
-use oris_obs::Stopwatch;
 use oris_seqio::Bank;
 
 use crate::config::BlastConfig;
 use crate::scan::{scan_bank, ScanStats};
 
-/// Timing and counter report for one baseline run.
+/// Counter report for one baseline run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BlastStats {
-    /// Seconds building the query lookup table (and masks).
-    pub lookup_secs: f64,
-    /// Seconds scanning the subject bank.
-    pub scan_secs: f64,
-    /// Seconds in the gapped stage.
-    pub gapped_secs: f64,
-    /// Seconds producing records.
-    pub output_secs: f64,
     /// HSPs surviving the scan.
     pub hsps: usize,
     /// Scan counters.
@@ -36,19 +25,12 @@ pub struct BlastStats {
     pub raw_alignments: usize,
 }
 
-impl BlastStats {
-    /// Total wall-clock seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.lookup_secs + self.scan_secs + self.gapped_secs + self.output_secs
-    }
-}
-
 /// Result of one baseline comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlastResult {
     /// Final `-m 8` records, sorted by e-value.
     pub alignments: Vec<M8Record>,
-    /// Timing/counter report.
+    /// Counter report.
     pub stats: BlastStats,
 }
 
@@ -88,11 +70,10 @@ fn query_batches(bank1: &Bank, batch_nt: usize) -> Vec<Bank> {
     out
 }
 
-/// Shared gapped stage + streamed output for one query batch: literally
-/// the ORIS engine's fused steps-3+4 runner
+/// Shared gapped stage + output for one query batch: literally the ORIS
+/// engine's fused steps-3+4 runner
 /// (`oris_core::pipeline::gapped_stage_into`), so the baseline's result
-/// path stays byte-comparable by construction. Its step-3/step-4 seconds
-/// land in the baseline's gapped/output buckets.
+/// path stays byte-comparable by construction.
 fn gapped_stage_into(
     batch: &Bank,
     bank2: &Bank,
@@ -100,7 +81,7 @@ fn gapped_stage_into(
     oris_cfg: &oris_core::OrisConfig,
     query_residues: usize,
     stats: &mut BlastStats,
-    sink: &mut dyn RecordSink,
+    sink: &mut CollectSink,
 ) {
     let mut push = |rec: M8Record| sink.accept(rec);
     let r = oris_core::pipeline::gapped_stage_into(
@@ -113,8 +94,6 @@ fn gapped_stage_into(
         &mut push,
     );
     stats.raw_alignments += r.raw_alignments;
-    stats.output_secs += r.step4_secs;
-    stats.gapped_secs += r.step3_secs;
 }
 
 /// The blastall-style batched pipeline: lookup per query batch, full
@@ -125,36 +104,23 @@ fn run_batched(
     bank2: &Bank,
     cfg: &BlastConfig,
     batch_nt: usize,
-    sink: &mut dyn RecordSink,
+    sink: &mut CollectSink,
 ) -> BlastStats {
     let mut stats = BlastStats::default();
     let oris_cfg = cfg.as_oris();
     let full_query_residues = bank1.num_residues();
 
     // Subject mask computed once, reused across batches.
-    let t0 = Stopwatch::start();
     let mask2 = subject_mask(bank2, cfg);
-    stats.lookup_secs += t0.elapsed_secs();
 
     for batch in query_batches(bank1, batch_nt) {
-        let t0 = Stopwatch::start();
         let lookup = lookup_table(&batch, cfg);
-        stats.lookup_secs += t0.elapsed_secs();
-
-        let t0 = Stopwatch::start();
         let (hsps, scan_stats) = scan_bank(&batch, lookup.index(), bank2, cfg, mask2.as_ref());
         stats.hsps += hsps.len();
-        stats.scan = ScanStats {
-            probes: stats.scan.probes + scan_stats.probes,
-            hits: stats.scan.hits + scan_stats.hits,
-            suppressed: stats.scan.suppressed + scan_stats.suppressed,
-            extensions: stats.scan.extensions + scan_stats.extensions,
-            kept: stats.scan.kept + scan_stats.kept,
-        };
-        stats.scan_secs += t0.elapsed_secs();
+        stats.scan = stats.scan.merge(scan_stats);
 
-        // All batches stream into one sink; the single end_query sort in
-        // `compare_banks_into` reproduces the old global cross-batch sort.
+        // All batches land in one sink; the single end_query sort in
+        // `compare_banks` orders every batch's records together.
         gapped_stage_into(
             &batch,
             bank2,
@@ -172,25 +138,20 @@ fn run_pipeline(
     bank1: &Bank,
     bank2: &Bank,
     cfg: &BlastConfig,
-    sink: &mut dyn RecordSink,
+    sink: &mut CollectSink,
 ) -> BlastStats {
     if let Some(batch_nt) = cfg.batch_nt {
         return run_batched(bank1, bank2, cfg, batch_nt, sink);
     }
-    let mut stats = BlastStats::default();
-
-    // Lookup table over the query bank (+ masks for both banks).
-    let t0 = Stopwatch::start();
+    // Lookup table over the query bank (+ masks for both banks), then the
+    // subject scan.
     let (lookup, mask2) = rayon::join(|| lookup_table(bank1, cfg), || subject_mask(bank2, cfg));
-    stats.lookup_secs = t0.elapsed_secs();
-
-    // Subject scan.
-    let t0 = Stopwatch::start();
-    let (hsps, scan_stats) = scan_bank(bank1, lookup.index(), bank2, cfg, mask2.as_ref());
-    stats.hsps = hsps.len();
-    stats.scan = scan_stats;
-    stats.scan_secs = t0.elapsed_secs();
-
+    let (hsps, scan) = scan_bank(bank1, lookup.index(), bank2, cfg, mask2.as_ref());
+    let mut stats = BlastStats {
+        hsps: hsps.len(),
+        scan,
+        raw_alignments: 0,
+    };
     let oris_cfg = cfg.as_oris();
     gapped_stage_into(
         bank1,
@@ -204,45 +165,28 @@ fn run_pipeline(
     stats
 }
 
-/// Compares two banks with the BLASTN-style baseline, streaming records
-/// into `sink` (one `end_query` boundary for the whole run — the
-/// baseline's unit of work is the full query bank).
+/// Compares two banks with the BLASTN-style baseline. The records are
+/// sorted once for the whole run: the baseline's unit of work is the full
+/// query bank.
 ///
 /// # Panics
 /// Panics if the configuration fails [`BlastConfig::validate`].
-pub fn compare_banks_into(
-    bank1: &Bank,
-    bank2: &Bank,
-    cfg: &BlastConfig,
-    sink: &mut dyn RecordSink,
-) -> std::io::Result<BlastStats> {
+pub fn compare_banks(bank1: &Bank, bank2: &Bank, cfg: &BlastConfig) -> BlastResult {
     if let Err(e) = cfg.validate() {
         panic!("invalid BLAST configuration: {e}");
     }
-    let mut stats = match cfg.threads {
-        None => run_pipeline(bank1, bank2, cfg, sink),
+    let mut sink = CollectSink::new();
+    let stats = match cfg.threads {
+        None => run_pipeline(bank1, bank2, cfg, &mut sink),
         Some(n) => {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(n)
                 .build()
                 .expect("failed to build thread pool");
-            pool.install(|| run_pipeline(bank1, bank2, cfg, sink))
+            pool.install(|| run_pipeline(bank1, bank2, cfg, &mut sink))
         }
     };
-    let t0 = Stopwatch::start();
-    sink.end_query()?;
-    stats.output_secs += t0.elapsed_secs();
-    Ok(stats)
-}
-
-/// Compares two banks with the BLASTN-style baseline: a [`CollectSink`]
-/// over [`compare_banks_into`].
-///
-/// # Panics
-/// Panics if the configuration fails [`BlastConfig::validate`].
-pub fn compare_banks(bank1: &Bank, bank2: &Bank, cfg: &BlastConfig) -> BlastResult {
-    let mut sink = CollectSink::new();
-    let stats = compare_banks_into(bank1, bank2, cfg, &mut sink)
+    sink.end_query()
         .expect("CollectSink does no IO and cannot fail");
     BlastResult {
         alignments: sink.into_records(),
@@ -309,7 +253,8 @@ mod tests {
         let r = compare_banks(&b, &b, &BlastConfig::small(6));
         assert!(r.stats.hsps > 0);
         assert!(r.stats.scan.probes > 0);
-        assert!(r.stats.total_secs() > 0.0);
+        assert!(r.stats.scan.kept > 0);
+        assert!(r.stats.raw_alignments > 0);
     }
 
     #[test]

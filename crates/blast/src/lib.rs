@@ -28,4 +28,4 @@ pub mod engine;
 pub mod scan;
 
 pub use config::BlastConfig;
-pub use engine::{compare_banks, compare_banks_into, BlastResult, BlastStats};
+pub use engine::{compare_banks, BlastResult, BlastStats};

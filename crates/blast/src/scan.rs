@@ -38,7 +38,7 @@ pub struct ScanStats {
 }
 
 impl ScanStats {
-    fn merge(mut self, o: ScanStats) -> ScanStats {
+    pub(crate) fn merge(mut self, o: ScanStats) -> ScanStats {
         self.probes += o.probes;
         self.hits += o.hits;
         self.suppressed += o.suppressed;

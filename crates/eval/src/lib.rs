@@ -6,20 +6,13 @@
 //! * [`overlap`]: the sensitivity metric — "two alignments are equivalent
 //!   if they overlap of more than 80 %";
 //! * [`sensitivity`]: the `SCmiss` / `BLmiss` / `SCORISmiss` / `BLASTmiss`
-//!   bookkeeping of section 3.4;
-//! * [`timing`]: the speed-up rows of the section 3.3 tables;
-//! * [`tables`]: plain-text table rendering so every bench binary prints
-//!   rows in the paper's layout.
+//!   bookkeeping of section 3.4.
 
 pub mod overlap;
 pub mod sensitivity;
-pub mod tables;
-pub mod timing;
 
 // For the standalone `benchmark/` package, which imports the record from
 // here; the workspace imports it from `oris_core`.
 pub use oris_core::{M8Record, M8Writer};
 pub use overlap::{equivalent, overlap_fraction};
 pub use sensitivity::{compare_outputs, MissReport};
-pub use tables::Table;
-pub use timing::SpeedupRow;

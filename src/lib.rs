@@ -17,8 +17,8 @@
 //!
 //! `README.md` at the repository root maps the crates and the
 //! command-line tools; the paper's tables and figures are reproduced by
-//! the `table_*`, `fig*` and `ablation_*` bins of `oris-bench`, and
-//! `benchmark/README.md` describes the end-to-end benchmark.
+//! the `reproduce` binary of `oris-bench`, and `benchmark/README.md`
+//! describes the end-to-end benchmark.
 
 pub use oris_align as align;
 pub use oris_blast as blast;
@@ -36,7 +36,7 @@ pub mod prelude {
         compare_banks, CollectSink, OrisConfig, OrisResult, PreparedBank, RecordSink, Session,
         StreamWriter,
     };
-    pub use oris_eval::{MissReport, SpeedupRow};
+    pub use oris_eval::MissReport;
     pub use oris_index::{BankIndex, IndexConfig, IndexMeta, SeedCoder};
     pub use oris_seqio::{parse_fasta, read_fasta_file, Bank, BankBuilder};
     pub use oris_simulate::{paper_banks, BankSpec, SimConfig};
