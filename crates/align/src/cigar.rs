@@ -99,8 +99,10 @@ impl AlignStats {
     }
 }
 
-/// Renders ops as a compact CIGAR-like string (`=`, `X`, `I`, `D` runs).
-pub fn ops_to_string(ops: &[AlignOp]) -> String {
+/// Renders ops as a compact CIGAR-like string (`=`, `X`, `I`, `D` runs),
+/// for test messages.
+#[cfg(test)]
+fn ops_to_string(ops: &[AlignOp]) -> String {
     let mut out = String::new();
     let mut run: Option<(AlignOp, usize)> = None;
     let sym = |op: AlignOp| match op {

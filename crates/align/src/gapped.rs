@@ -679,8 +679,10 @@ pub fn extend_gapped_right<'s>(
 /// Extends leftward from `(o1, o2)`: the first aligned pair considered is
 /// `d1[o1]` / `d2[o2]`, walking toward lower positions. Ops come back in
 /// left-to-right (original) order — the order the traceback of a leftward
-/// DP walks them in.
-pub fn extend_gapped_left<'s>(
+/// DP walks them in. Step 3 extends both ways at once
+/// ([`extend_gapped_both`]); the tests extend one side.
+#[cfg(test)]
+fn extend_gapped_left<'s>(
     d1: &[u8],
     d2: &[u8],
     o1: usize,

@@ -42,12 +42,12 @@ const EXPERIMENTS: [Experiment; 12] = [
         fig3,
     ),
     ("E3", "EST speed-up table (paper section 3.3)", |run| {
-        speedups(run, &EST_PAIRS, &PAPER_EST_SPEEDUPS, 2)
+        speedups(run, &EST_PAIRS, &PAPER_EST_SPEEDUPS)
     }),
     (
         "E4",
         "large-bank speed-up table (paper section 3.3)",
-        |run| speedups(run, &LARGE_PAIRS, &PAPER_LARGE_SPEEDUPS, 0),
+        |run| speedups(run, &LARGE_PAIRS, &PAPER_LARGE_SPEEDUPS),
     ),
     ("E5", "EST sensitivity tables (paper section 3.4)", |run| {
         misses(run, &EST_PAIRS)
@@ -148,7 +148,7 @@ fn fig3(run: &mut Run) {
     for r in &rows {
         t.row(vec![
             r.banks.clone(),
-            format!("{:.2}", r.search_space),
+            sig3(r.search_space),
             format!("{:.3}", r.scoris_secs),
             format!("{:.3}", r.blast_secs),
         ]);
@@ -156,7 +156,7 @@ fn fig3(run: &mut Run) {
     print!("{t}");
     let series = |f: fn(&SpeedupRow) -> String| rows.iter().map(f).collect::<Vec<_>>().join(", ");
     println!("\nSeries (x = Mbp^2):\n");
-    println!("- x = [{}]", series(|r| format!("{:.1}", r.search_space)));
+    println!("- x = [{}]", series(|r| sig3(r.search_space)));
     println!(
         "- scoris_n = [{}]",
         series(|r| format!("{:.3}", r.scoris_secs))
@@ -171,7 +171,7 @@ fn fig3(run: &mut Run) {
 /// speed-up, with the paper's speed-up in the last column. Paper shape:
 /// the large pairs' speed-ups are smaller than the EST ones (5–9× vs
 /// 10–29×) "mostly because in that situation BLASTN performs well".
-fn speedups(run: &mut Run, pairs: &[(&'static str, &'static str)], paper: &[f64], digits: usize) {
+fn speedups(run: &mut Run, pairs: &[(&'static str, &'static str)], paper: &[f64]) {
     let mut t = Table::new(vec![
         "banks",
         "search space (Mbp^2)",
@@ -184,7 +184,7 @@ fn speedups(run: &mut Run, pairs: &[(&'static str, &'static str)], paper: &[f64]
         let row = &run.pair(a, b).row;
         t.row(vec![
             row.banks.clone(),
-            format!("{:.digits$}", row.search_space),
+            sig3(row.search_space),
             format!("{:.3}", row.scoris_secs),
             format!("{:.3}", row.blast_secs),
             format!("{:.1}", row.speedup()),
@@ -192,6 +192,20 @@ fn speedups(run: &mut Run, pairs: &[(&'static str, &'static str)], paper: &[f64]
         ]);
     }
     print!("{t}");
+}
+
+/// `x` to three significant digits in positional notation, the form every
+/// search-space cell takes (a number of 1 000 or more keeps all its
+/// integer digits).
+fn sig3(x: f64) -> String {
+    // The exponent of `x` once rounded to three digits, so 9.996 prints
+    // as 10.0, not 10.00.
+    let sci = format!("{x:.2e}");
+    let exp: i32 = sci
+        .split_once('e')
+        .map_or(0, |(_, e)| e.parse().unwrap_or(0));
+    let decimals = usize::try_from(2 - exp).unwrap_or(0);
+    format!("{x:.decimals$}")
 }
 
 /// E5, E6: both engines' `-m 8` outputs compared with the 80 %-overlap
@@ -550,5 +564,21 @@ mod tests {
             ids,
             ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "A1", "A2", "A3", "A4"]
         );
+    }
+
+    #[test]
+    fn search_spaces_print_three_significant_digits() {
+        for (x, want) in [
+            (0.0314, "0.0314"),
+            (0.03141, "0.0314"),
+            (0.1, "0.100"),
+            (1.234, "1.23"),
+            (9.996, "10.0"),
+            (163.4, "163"),
+            (999.6, "1000"),
+            (1634.2, "1634"),
+        ] {
+            assert_eq!(sig3(x), want, "{x}");
+        }
     }
 }

@@ -37,11 +37,10 @@
 //!       --window N      max volumes attached at once (default 0 = all;
 //!                       1 bounds memory to one volume's working set)
 //!       --result-cache MB
-//!                       memoize completed per-volume results (a FASTA
-//!                       subject is one volume) in an LRU bounded to MB
-//!                       megabytes, so repeated queries are served without
-//!                       re-searching (default 0 = off; hits replay
-//!                       identical bytes)
+//!                       memoize each completed query's whole answer in an
+//!                       LRU bounded to MB megabytes, so a repeated query
+//!                       is served without searching a volume (default 0 =
+//!                       off; hits replay identical bytes)
 //!       --dbsize N      subject-side effective search space: price every
 //!                       alignment against N residues instead of the
 //!                       subject sequence's length (BLAST's -z; what a
@@ -68,8 +67,8 @@
 //!                       working set (at most 2^19 query positions).
 //!       --stats         print per-step timings and counters to stderr: one
 //!                       `key=value` line whose `mode=` is plain, batch or
-//!                       db; the registry counters (`dispatches`,
-//!                       `cache_*`) and the pipeline
+//!                       db; `dispatches`, the `cache_*` counters (one hit
+//!                       or miss per query) and the pipeline
 //!                       keys are the same in all three (`index_builds`,
 //!                       `total_index_builds` and `dispatches` count --batch
 //!                       chunks, not queries; `masked1` is the largest
@@ -721,7 +720,7 @@ fn search(
         }
         None => {
             let costs = session.volume_costs();
-            b.field("attaches", obs.counter(names::VOLUME_ATTACHES_TOTAL));
+            b.field("attaches", batch.total_attaches());
             b.secs("attach_secs", costs.iter().map(|c| c.attach_secs).sum());
             b.secs(
                 "strand_build_secs",
@@ -731,24 +730,19 @@ fn search(
                 "mapped_volumes",
                 costs.iter().filter(|c| c.mmap_backed).count(),
             );
-            b.field("io_retries", obs.counter(names::IO_RETRIES_TOTAL));
-            b.field("quarantines", obs.counter(names::VOLUME_QUARANTINES_TOTAL));
+            b.field("io_retries", costs.iter().map(|c| c.retries).sum::<u32>());
+            b.field("quarantines", session.quarantined().count());
         }
     }
-    // These render from the oris-obs metrics registry — --stats arms the
-    // handle, and the db_obs integration test pins the registry values
-    // equal to the ResultCache's own counters.
-    for (key, counter) in [
-        ("dispatches", names::WORKER_DISPATCH_TOTAL),
-        ("cache_hits", names::CACHE_HITS_TOTAL),
-        ("cache_misses", names::CACHE_MISSES_TOTAL),
-        ("cache_insertions", names::CACHE_INSERTIONS_TOTAL),
-        ("cache_evictions", names::CACHE_EVICTIONS_TOTAL),
-        ("cache_invalidations", names::CACHE_INVALIDATIONS_TOTAL),
-    ] {
-        b.field(key, obs.counter(counter));
-    }
+    // Dispatches are counted by the registry alone (--stats arms the
+    // handle); the cache's counts are the session's own.
+    b.field("dispatches", obs.counter(names::WORKER_DISPATCH_TOTAL));
     let cache = session.result_cache_counters();
+    b.field("cache_hits", cache.hits);
+    b.field("cache_misses", cache.misses);
+    b.field("cache_insertions", cache.insertions);
+    b.field("cache_evictions", cache.evictions);
+    b.field("cache_invalidations", cache.invalidations);
     b.field("cache_entries", cache.entries);
     b.field("cache_bytes", cache.bytes);
     pipeline_fields(&mut b, &totals);

@@ -22,12 +22,27 @@
 //!   any clone can revoke the work with [`Deadline::cancel`] (e.g. a
 //!   supervisor thread timing out a request).
 //!
-//! Checks happen at *boundaries* (a volume, a step-2 partition, a batch
-//! of extension pairs, a subject strand, a step-3 wave), never inside a
-//! wave or in step 4, so an expired run stops at a clean point having
-//! produced a well-formed error — the pipeline's determinism guarantees
-//! are unaffected because a deadline never changes what is computed,
-//! only whether the run completes.
+//! ## Where a search reads the token
+//!
+//! This is the one list of those points; the functions that take a
+//! [`Deadline`] link here. A search reads its token
+//!
+//! * before each volume of a database search (`oris_db`'s walk over the
+//!   volumes);
+//! * at every step-2 partition boundary, and before every batch of seed
+//!   pairs once a few thousand pairs have passed within a partition
+//!   ([`step2::find_hsps_guarded`](crate::step2::find_hsps_guarded));
+//! * between the two subject strands;
+//! * before each step-3 wave.
+//!
+//! It is not read inside a step-3 wave (one wave is at least `2 × workers`
+//! record-pair groups and `128 × workers` HSPs, and one group can be a
+//! whole chromosome pair), nor in step 4, which runs inside step 3's group
+//! callback. So an expired search stops within one batch of step-2 pairs
+//! or one step-3 wave, at a clean point, having produced a well-formed
+//! error — the pipeline's determinism guarantees are unaffected because a
+//! deadline never changes what is computed, only whether the run
+//! completes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

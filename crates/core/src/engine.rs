@@ -130,11 +130,7 @@ impl<'a> PreparedBank<'a> {
 
     /// Runs step 1 on an owned bank (e.g. a reverse complement that has
     /// no other owner).
-    pub fn prepare_owned(
-        bank: Bank,
-        filter: FilterKind,
-        icfg: IndexConfig,
-    ) -> PreparedBank<'static> {
+    fn prepare_owned(bank: Bank, filter: FilterKind, icfg: IndexConfig) -> PreparedBank<'static> {
         PreparedBank::<'static>::prepare_cow(Cow::Owned(bank), filter, icfg)
     }
 
@@ -600,14 +596,12 @@ impl<'a> Session<'a> {
     /// summed over the members; `index_builds == 0`) and, per member in
     /// order, its records (unsorted) and its own step-3/4 counters.
     ///
-    /// `deadline` is read at step-2 partition boundaries, before every
-    /// batch of pairs inside a hot partition, between strands and before
-    /// each step-3 wave. It is not read inside a wave, nor in step 4. A
+    /// `deadline` is read at the points [`crate::deadline`] lists, so a
     /// pathological chunk — one hot seed code whose `|X1|·|X2|` pair
     /// product is quadratic, or the tens of thousands of extensions it
-    /// feeds step 3 — therefore stops within one step-2 batch or one
-    /// step-3 wave. The token never changes what is computed, only
-    /// whether the run finishes; [`Deadline::none`] never expires.
+    /// feeds step 3 — stops within one step-2 batch or one step-3 wave.
+    /// The token never changes what is computed, only whether the run
+    /// finishes; [`Deadline::none`] never expires.
     ///
     /// # Errors
     /// * [`SearchError::ConfigMismatch`], before anything is computed, if

@@ -309,11 +309,8 @@ fn gapped_stage_routed(
 /// fractions, resident index bytes) with zero build time and zero builds.
 /// The report's step-3/4 counters are the members' summed.
 ///
-/// `deadline` is the cooperative cancellation token. It is read at
-/// step-2 partition boundaries and before every batch of pairs inside a
-/// hot partition ([`step2::find_hsps_guarded`]), then before each step-3
-/// wave. It is not read inside a wave, nor in step 4, which runs inside
-/// step 3's group callback: a wave and its groups' records always finish.
+/// `deadline` is the cooperative cancellation token, read at the points
+/// [`crate::deadline`] lists: a wave and its groups' records always finish.
 /// An expiry returns [`DeadlineExceeded`], and the records already filed
 /// in `out` are the caller's to drop. Disarmed ([`Deadline::none`]) each
 /// read is one dead branch and the run is infallible.

@@ -543,13 +543,12 @@ pub fn find_hsps(
 
 /// Full-control entry point: the same enumeration under an explicit guard
 /// (the ablation uses [`OrderGuard::None`]) and a cooperative
-/// [`Deadline`]. The token is consulted at every partition boundary and
-/// every `DEADLINE_CHECK_PAIRS` extension pairs within a partition, and
-/// an expiry surfaces as a clean [`DeadlineExceeded`] with no partial
-/// output. The deadline never changes *what* is computed — the chunk
-/// count never affects output, ranges concatenate in code order — so a
-/// run that completes under a generous budget is byte-identical to one
-/// under [`Deadline::none`], which cannot fail.
+/// [`Deadline`], consulted at step 2's points in [`crate::deadline`]'s
+/// list; an expiry surfaces as a clean [`DeadlineExceeded`] with no
+/// partial output. The deadline never changes *what* is computed — the
+/// chunk count never affects output, ranges concatenate in code order —
+/// so a run that completes under a generous budget is byte-identical to
+/// one under [`Deadline::none`], which cannot fail.
 pub fn find_hsps_guarded(
     bank1: &Bank,
     idx1: &BankIndex,

@@ -33,9 +33,8 @@
 //! the [`Step3Emit`] receiver in ascending key order, so the stream is the
 //! same for any thread count and at most one wave's alignments are ever
 //! live — the streaming pipeline ([`gapped_alignments_into`]) never holds
-//! a whole query's. [`gapped_alignments`] collects the same stream. A
-//! session's deadline is read before each wave and never inside one, so
-//! an expired search stops within one wave.
+//! a whole query's (the tests collect the same stream). Where a search's
+//! deadline is read is listed in [`crate::deadline`].
 
 use std::ops::Range;
 
@@ -354,9 +353,10 @@ pub(crate) fn gapped_groups_into(
 }
 
 /// Collect-everything wrapper over [`gapped_alignments_into`], for the
-/// tests, the brute-force references and any caller that genuinely needs
-/// the whole vector: the concatenation of the emitted groups.
-pub fn gapped_alignments(
+/// tests and their brute-force references: the concatenation of the
+/// emitted groups.
+#[cfg(test)]
+fn gapped_alignments(
     bank1: &Bank,
     bank2: &Bank,
     hsps: &[Hsp],

@@ -11,10 +11,10 @@
 //! The streaming pipeline enters through [`emit_records`]: it converts one
 //! group of alignments into records and pushes them *unsorted* into a
 //! callback (the sink plumbing), leaving ordering to the sink at query
-//! end. The `display_records*` functions are the collect-then-sort
-//! wrappers over the same conversion; all of them sort with the strict
-//! total order [`M8Record::total_order`], so collected and streamed
-//! output agree byte-for-byte even under tied e-values.
+//! end. The tests' collect-then-sort wrapper over the same conversion and
+//! every sink sort with the strict total order [`M8Record::total_order`],
+//! so collected and streamed output agree byte-for-byte even under tied
+//! e-values.
 //!
 //! `emit_records` is called once per record-pair group — thousands of
 //! times per query on a repeat-family screen — so everything it does per
@@ -48,10 +48,11 @@ impl Step4Stats {
 }
 
 /// Converts gapped alignments to sorted, filtered `-m 8` records — the
-/// plus-strand collect form of [`emit_records`]. (The pipeline streams
-/// through `emit_records` directly; minus-strand flipping and explicit
-/// query search-space sizes are parameters there.)
-pub fn display_records(
+/// plus-strand collect form of [`emit_records`], for the tests. (The
+/// pipeline streams through `emit_records` directly; minus-strand flipping
+/// and explicit query search-space sizes are parameters there.)
+#[cfg(test)]
+fn display_records(
     bank1: &Bank,
     bank2: &Bank,
     alignments: &[GappedAlignment],

@@ -1,33 +1,31 @@
-//! The volume-level result cache: repeated queries cost ~0 volume
-//! searches.
+//! The result cache: a repeated query costs no volume search.
 //!
 //! A serving deployment sees the same queries over and over (heavy
-//! traffic is repetitive traffic), and a volume's records for a query are
-//! a pure function of three things: the query bank's content, the volume
-//! bank's content, and the search configuration. [`ResultCache`] memoizes
-//! exactly that function — each entry holds one `(query, volume)` pair's
-//! staged records plus the query's own step-3/4 [`PipelineStats`], keyed by
-//! [`CacheKey`]'s three content fingerprints — under a **bounded-memory
-//! LRU**: memory never grows with query-history length, and the entry
-//! given up first is the least recently used one.
+//! traffic is repetitive traffic), and within one session a query's answer
+//! is a pure function of the query bank's content: the session's volumes
+//! and its configuration never change under it. [`ResultCache`] memoizes
+//! that function — each entry is one query's whole answer ([`CachedQuery`]:
+//! every searched volume's records, the query's own step-3/4
+//! [`PipelineStats`] and the volumes its search covered), keyed by the
+//! query's [`bank_fingerprint`] — under a **bounded-memory LRU**: memory
+//! never grows with query-history length, and the entry given up first is
+//! the least recently used one.
 //!
 //! Correctness contract (enforced by `DbSession`, tested in
 //! `tests/db_equivalence.rs` and `crates/db/tests/serving.rs`):
 //!
-//! * A hit replays **byte-identical** records: entries store the exact
-//!   per-volume record vector a fresh search would stage, and the sink's
-//!   boundary sort under `M8Record::total_order` makes arrival order
-//!   irrelevant — so cached and cold output bytes are equal.
-//! * Only a *completed* volume search populates the cache. A
-//!   deadline-aborted search inserts nothing (its partial records are
-//!   discarded with the staging buffer).
-//! * A quarantined volume is never served from the cache: the session
-//!   checks quarantine before probing, and [`ResultCache::invalidate_volume`]
-//!   drops a volume's entries the moment it is quarantined.
+//! * A hit replays **byte-identical** records: an entry stores the exact
+//!   records a fresh search stages, and the sink's boundary sort under
+//!   `M8Record::total_order` makes arrival order irrelevant — so cached
+//!   and cold output bytes are equal.
+//! * Only a *completed* search populates the cache. A deadline-aborted
+//!   search inserts nothing (its partial records are discarded with the
+//!   staging buffer).
+//! * A quarantine empties the cache ([`ResultCache::clear`]): an answer
+//!   that covered the failed volume is never served afterwards.
 //! * Staleness matches the attach cache's contract: a cached entry (like
 //!   a cached attached volume) assumes the volume's files are not swapped
-//!   out from under an open session. The volume fingerprint is the
-//!   manifest's content hash, revalidated on every real attach.
+//!   out from under an open session.
 //!
 //! Determinism note: the map is a `BTreeMap` (ordered, deterministic
 //! iteration) and the LRU order is an explicit queue — no hash-iteration
@@ -36,38 +34,22 @@
 
 use std::collections::BTreeMap;
 
-use oris_core::{M8Record, OrisConfig, PipelineStats};
+use oris_core::{M8Record, PipelineStats};
 use oris_seqio::Bank;
 
-/// Cache key: the three content fingerprints that fully determine a
-/// volume's records for a query, plus the volume's id (fingerprints are
-/// content hashes; the id pins the entry to its manifest row so
-/// [`ResultCache::invalidate_volume`] can drop a quarantined volume's
-/// entries without hashing anything).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CacheKey {
-    /// [`bank_fingerprint`] of the query bank (data, names, boundaries).
-    pub query: u64,
-    /// Volume id (dense manifest ordinal).
-    pub volume: usize,
-    /// The volume's content hash (the manifest's `bank_hash`, verified
-    /// against the FASTA and the index file on every real attach).
-    pub volume_hash: u64,
-    /// [`config_fingerprint`] of the session's effective configuration.
-    pub config: u64,
-}
-
-/// One cached `(query, volume)` result: the records a fresh search of
-/// that volume would stage for the query, plus the query's own counters.
+/// One query's whole answer: what its search merged into the sink.
 #[derive(Debug, Clone)]
-pub struct CachedVolume {
-    /// Per-volume records in staging (arrival) order.
+pub struct CachedQuery {
+    /// The searched volumes' records, in ascending volume order and, within
+    /// a volume, in staging (arrival) order.
     pub records: Vec<M8Record>,
-    /// The query's own step-3/4 counters on the volume (replayed on a hit
-    /// so merged stats keep counting cached volumes' work). A query is
-    /// searched in a chunk of queries, and step 2's counters belong to the
-    /// chunk, so they are not part of an entry.
+    /// The query's own step-3/4 counters over those volumes (replayed on a
+    /// hit so merged stats keep counting cached work). A query is searched
+    /// in a chunk of queries, and step 2's counters belong to the chunk, so
+    /// they are not part of an entry.
     pub stats: PipelineStats,
+    /// The volumes the search covered, ascending.
+    pub searched: Vec<usize>,
     /// Approximate heap bytes this entry charges against the budget.
     bytes: usize,
 }
@@ -75,15 +57,15 @@ pub struct CachedVolume {
 /// Session-lifetime cache counters (monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Probes that found a usable entry.
+    /// Queries the cache answered.
     pub hits: u64,
-    /// Probes that found nothing (and led to a real volume search).
+    /// Queries it did not (each led to a search of every live volume).
     pub misses: u64,
     /// Entries inserted.
     pub insertions: u64,
     /// Entries evicted by the memory bound (LRU order).
     pub evictions: u64,
-    /// Entries dropped by [`ResultCache::invalidate_volume`].
+    /// Entries dropped by [`ResultCache::clear`].
     pub invalidations: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -91,20 +73,21 @@ pub struct CacheCounters {
     pub bytes: usize,
 }
 
-/// Bounded-memory LRU over per-volume query results. See the
+/// Bounded-memory LRU over whole query answers. See the
 /// [module docs](self) for the correctness contract.
 #[derive(Debug, Default)]
 pub struct ResultCache {
     /// Memory budget in bytes (entry payloads, approximate).
     capacity: usize,
-    /// Keyed entries. `BTreeMap`, not `HashMap`: deterministic iteration
-    /// order, so nothing about this structure can leak nondeterminism
-    /// into a result path (and the det-hash lint stays clean).
-    entries: BTreeMap<CacheKey, CachedVolume>,
+    /// Entries by query fingerprint. `BTreeMap`, not `HashMap`:
+    /// deterministic iteration order, so nothing about this structure can
+    /// leak nondeterminism into a result path (and the det-hash lint stays
+    /// clean).
+    entries: BTreeMap<u64, CachedQuery>,
     /// LRU order, least recently used first. Touch = move to back. The
     /// queue is small (one element per resident entry), so the linear
     /// remove on touch is cheaper than a second ordered index.
-    order: Vec<CacheKey>,
+    order: Vec<u64>,
     counters: CacheCounters,
 }
 
@@ -117,36 +100,38 @@ impl ResultCache {
         }
     }
 
-    /// Looks up `key`, counting a hit or miss and refreshing the entry's
-    /// LRU position on a hit.
-    pub fn lookup(&mut self, key: &CacheKey) -> Option<&CachedVolume> {
-        match self.entries.get(key) {
-            Some(_) => {
-                self.counters.hits += 1;
-                self.touch(key);
-                self.entries.get(key)
-            }
-            None => {
-                self.counters.misses += 1;
-                None
-            }
+    /// Looks up the query with fingerprint `query`, counting a hit or miss
+    /// and refreshing the entry's LRU position on a hit.
+    pub fn lookup(&mut self, query: u64) -> Option<&CachedQuery> {
+        if self.entries.contains_key(&query) {
+            self.counters.hits += 1;
+            self.touch(query);
+        } else {
+            self.counters.misses += 1;
         }
+        self.entries.get(&query)
     }
 
-    /// Inserts a completed volume search's records and stats, evicting
-    /// least-recently-used entries until the budget holds. An entry
-    /// larger than the whole budget is not stored: the bound is never
-    /// exceeded, not even transiently.
-    pub fn insert(&mut self, key: CacheKey, records: Vec<M8Record>, stats: PipelineStats) {
-        let bytes = entry_bytes(&records);
+    /// Inserts a completed search's answer, evicting least-recently-used
+    /// entries until the budget holds. An entry larger than the whole
+    /// budget is not stored: the bound is never exceeded, not even
+    /// transiently.
+    pub fn insert(
+        &mut self,
+        query: u64,
+        records: Vec<M8Record>,
+        stats: PipelineStats,
+        searched: Vec<usize>,
+    ) {
+        let bytes = entry_bytes(&records, &searched);
         if bytes > self.capacity {
             return;
         }
-        if let Some(old) = self.entries.remove(&key) {
-            // Re-insert of a live key (e.g. after invalidate+requery
-            // races in caller logic): replace, don't double-charge.
+        if let Some(old) = self.entries.remove(&query) {
+            // Replace, don't double-charge: the bound holds whatever the
+            // caller inserts.
             self.counters.bytes -= old.bytes;
-            self.order.retain(|k| k != &key);
+            self.order.retain(|&q| q != query);
         }
         while self.counters.bytes + bytes > self.capacity && !self.order.is_empty() {
             let victim = self.order.remove(0);
@@ -157,36 +142,26 @@ impl ResultCache {
         }
         self.counters.bytes += bytes;
         self.counters.insertions += 1;
-        self.order.push(key);
+        self.order.push(query);
         self.entries.insert(
-            key,
-            CachedVolume {
+            query,
+            CachedQuery {
                 records,
                 stats,
+                searched,
                 bytes,
             },
         );
-        self.counters.entries = self.entries.len();
     }
 
-    /// Drops every entry belonging to volume `v` — called the moment a
-    /// volume is quarantined, so a volume that failed is never served
-    /// from the cache afterwards.
-    pub fn invalidate_volume(&mut self, v: usize) {
-        let victims: Vec<CacheKey> = self
-            .order
-            .iter()
-            .filter(|k| k.volume == v)
-            .copied()
-            .collect();
-        for key in victims {
-            if let Some(e) = self.entries.remove(&key) {
-                self.counters.bytes -= e.bytes;
-                self.counters.invalidations += 1;
-            }
-        }
-        self.order.retain(|k| k.volume != v);
-        self.counters.entries = self.entries.len();
+    /// Drops every entry — called the moment a volume is quarantined, so
+    /// an answer that covered a volume which failed is never served
+    /// afterwards.
+    pub fn clear(&mut self) {
+        self.counters.invalidations += self.entries.len() as u64;
+        self.counters.bytes = 0;
+        self.entries.clear();
+        self.order.clear();
     }
 
     /// Session-lifetime counters.
@@ -197,24 +172,46 @@ impl ResultCache {
         }
     }
 
-    /// Moves `key` to the back of the LRU queue.
-    fn touch(&mut self, key: &CacheKey) {
-        if let Some(pos) = self.order.iter().position(|k| k == key) {
-            let k = self.order.remove(pos);
-            self.order.push(k);
+    /// Moves `query` to the back of the LRU queue.
+    fn touch(&mut self, query: u64) {
+        if let Some(pos) = self.order.iter().position(|&q| q == query) {
+            let q = self.order.remove(pos);
+            self.order.push(q);
         }
     }
 }
 
-/// Approximate heap bytes of one entry's record payload.
-fn entry_bytes(records: &[M8Record]) -> usize {
+/// Approximate heap bytes of one entry.
+fn entry_bytes(records: &[M8Record], searched: &[usize]) -> usize {
     let strings: usize = records.iter().map(|r| r.qid.len() + r.sid.len()).sum();
-    std::mem::size_of_val(records) + strings + std::mem::size_of::<CachedVolume>()
+    std::mem::size_of_val(records)
+        + strings
+        + std::mem::size_of_val(searched)
+        + std::mem::size_of::<CachedQuery>()
 }
 
-/// Incremental FNV-1a (the same constants as
-/// `oris_index::persist::fnv1a`, in fold form so multi-part fingerprints
-/// need no intermediate buffer).
+/// Content fingerprint of a bank, by FNV-1a (the constants of
+/// `oris_index::persist::fnv1a`): packed code data **plus** record names
+/// and boundaries. The manifest's `bank_hash` covers the data alone; a
+/// cache key must also distinguish banks whose sequences agree but whose
+/// names differ, because record names appear verbatim in the output
+/// (`qid`/`sid` columns).
+pub fn bank_fingerprint(bank: &Bank) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(bank.data());
+    h.u64(bank.num_sequences() as u64);
+    for r in bank.records() {
+        h.bytes(r.name.as_bytes());
+        // Separator + boundaries: names are free text, so frame them.
+        h.bytes(&[0xFF]);
+        h.u64(r.start as u64);
+        h.u64(r.len as u64);
+    }
+    h.0
+}
+
+/// Incremental FNV-1a, so a multi-part fingerprint needs no intermediate
+/// buffer.
 #[derive(Debug, Clone, Copy)]
 struct Fnv(u64);
 
@@ -236,58 +233,6 @@ impl Fnv {
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
-
-    fn i64(&mut self, v: i64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
-
-/// Content fingerprint of a bank: packed code data **plus** record names
-/// and boundaries. The manifest's `bank_hash` covers the data alone; a
-/// cache key must also distinguish banks whose sequences agree but whose
-/// names differ, because record names appear verbatim in the output
-/// (`qid`/`sid` columns).
-pub fn bank_fingerprint(bank: &Bank) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(bank.data());
-    h.u64(bank.num_sequences() as u64);
-    for r in bank.records() {
-        h.bytes(r.name.as_bytes());
-        // Separator + boundaries: names are free text, so frame them.
-        h.bytes(&[0xFF]);
-        h.u64(r.start as u64);
-        h.u64(r.len as u64);
-    }
-    h.0
-}
-
-/// Fingerprint of every configuration field that can change what a
-/// search emits. Excluded on purpose: `threads` (byte-identical by the
-/// workspace's determinism contract — pinned by the `db_equivalence`
-/// proptests) and the deadline (a completed search under a deadline is
-/// byte-identical to one without).
-pub fn config_fingerprint(cfg: &OrisConfig) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(cfg.w as u64);
-    h.i64(i64::from(cfg.xdrop_ungapped));
-    h.i64(i64::from(cfg.xdrop_gapped));
-    h.i64(i64::from(cfg.min_hsp_score));
-    h.u64(cfg.evalue_threshold.to_bits());
-    h.i64(i64::from(cfg.scheme.matsch));
-    h.i64(i64::from(cfg.scheme.mismatch));
-    h.i64(i64::from(cfg.scheme.gap_open));
-    h.i64(i64::from(cfg.scheme.gap_extend));
-    h.u64(u64::from(cfg.filter.code()));
-    h.u64(u64::from(cfg.asymmetric));
-    h.u64(u64::from(cfg.both_strands));
-    match cfg.subject_space {
-        oris_core::SubjectSpace::PerSequence => h.u64(0),
-        oris_core::SubjectSpace::Database(n) => {
-            h.u64(1);
-            h.u64(n);
-        }
-    }
-    h.0
 }
 
 #[cfg(test)]
@@ -312,40 +257,37 @@ mod tests {
         }
     }
 
-    fn key(q: u64, v: usize) -> CacheKey {
-        CacheKey {
-            query: q,
-            volume: v,
-            volume_hash: 0xabc + v as u64,
-            config: 7,
-        }
+    /// Inserts `records` as query `q`'s answer over volumes 0 and 1.
+    fn put(c: &mut ResultCache, q: u64, records: Vec<M8Record>) {
+        c.insert(q, records, PipelineStats::default(), vec![0, 1]);
     }
 
     #[test]
     fn hit_replays_exact_records_and_counts() {
         let mut c = ResultCache::new(1 << 20);
         let records = vec![rec("s1", 1e-5), rec("s0", 1e-9)];
-        c.insert(key(1, 0), records.clone(), PipelineStats::default());
-        assert!(c.lookup(&key(2, 0)).is_none(), "different query must miss");
-        let hit = c.lookup(&key(1, 0)).expect("hit");
+        put(&mut c, 1, records.clone());
+        assert!(c.lookup(2).is_none(), "different query must miss");
+        let hit = c.lookup(1).expect("hit");
         assert_eq!(hit.records, records);
+        assert_eq!(hit.searched, [0, 1]);
         let n = c.counters();
         assert_eq!((n.hits, n.misses, n.insertions), (1, 1, 1));
     }
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        let one = entry_bytes(&[rec("s", 1.0)]);
+        let one = entry_bytes(&[rec("s", 1.0)], &[0, 1]);
         // Room for exactly two single-record entries.
         let mut c = ResultCache::new(2 * one);
-        c.insert(key(1, 0), vec![rec("a", 1.0)], PipelineStats::default());
-        c.insert(key(2, 0), vec![rec("b", 1.0)], PipelineStats::default());
+        put(&mut c, 1, vec![rec("a", 1.0)]);
+        put(&mut c, 2, vec![rec("b", 1.0)]);
         // Touch entry 1 so entry 2 becomes the LRU victim.
-        assert!(c.lookup(&key(1, 0)).is_some());
-        c.insert(key(3, 0), vec![rec("c", 1.0)], PipelineStats::default());
-        assert!(c.lookup(&key(2, 0)).is_none(), "LRU entry evicted");
-        assert!(c.lookup(&key(1, 0)).is_some(), "touched entry survives");
-        assert!(c.lookup(&key(3, 0)).is_some());
+        assert!(c.lookup(1).is_some());
+        put(&mut c, 3, vec![rec("c", 1.0)]);
+        assert!(c.lookup(2).is_none(), "LRU entry evicted");
+        assert!(c.lookup(1).is_some(), "touched entry survives");
+        assert!(c.lookup(3).is_some());
         let n = c.counters();
         assert_eq!(n.evictions, 1);
         assert_eq!(n.entries, 2);
@@ -355,43 +297,46 @@ mod tests {
     #[test]
     fn oversized_entry_is_never_stored() {
         let mut c = ResultCache::new(8);
-        c.insert(key(1, 0), vec![rec("s", 1.0)], PipelineStats::default());
+        put(&mut c, 1, vec![rec("s", 1.0)]);
         assert_eq!(c.counters().entries, 0);
         assert_eq!(c.counters().bytes, 0);
-        assert!(c.lookup(&key(1, 0)).is_none());
+        assert!(c.lookup(1).is_none());
     }
 
     #[test]
     fn zero_capacity_disables_storage() {
         let mut c = ResultCache::new(0);
-        c.insert(key(1, 0), Vec::new(), PipelineStats::default());
+        put(&mut c, 1, Vec::new());
         assert_eq!(c.counters().entries, 0);
     }
 
     #[test]
-    fn invalidate_volume_drops_only_that_volume() {
+    fn clear_drops_every_entry_and_counts_each() {
         let mut c = ResultCache::new(1 << 20);
-        c.insert(key(1, 0), vec![rec("a", 1.0)], PipelineStats::default());
-        c.insert(key(1, 1), vec![rec("b", 1.0)], PipelineStats::default());
-        c.insert(key(2, 1), vec![rec("c", 1.0)], PipelineStats::default());
-        c.invalidate_volume(1);
-        assert!(c.lookup(&key(1, 1)).is_none());
-        assert!(c.lookup(&key(2, 1)).is_none());
-        assert!(c.lookup(&key(1, 0)).is_some());
+        put(&mut c, 1, vec![rec("a", 1.0)]);
+        put(&mut c, 2, vec![rec("b", 1.0)]);
+        put(&mut c, 3, vec![rec("c", 1.0)]);
+        assert!(c.lookup(2).is_some());
+        c.clear();
         let n = c.counters();
-        assert_eq!(n.invalidations, 2);
+        assert_eq!((n.invalidations, n.entries, n.bytes), (3, 0, 0));
+        assert!((1..=3).all(|q| c.lookup(q).is_none()));
+        // The emptied cache takes entries again, from a zero charge.
+        put(&mut c, 1, vec![rec("a", 1.0)]);
+        let n = c.counters();
         assert_eq!(n.entries, 1);
+        assert_eq!(n.bytes, entry_bytes(&[rec("a", 1.0)], &[0, 1]));
     }
 
     #[test]
     fn reinserting_a_live_key_replaces_without_double_charging() {
         let mut c = ResultCache::new(1 << 20);
-        c.insert(key(1, 0), vec![rec("a", 1.0)], PipelineStats::default());
+        put(&mut c, 1, vec![rec("a", 1.0)]);
         let before = c.counters().bytes;
-        c.insert(key(1, 0), vec![rec("b", 1.0)], PipelineStats::default());
+        put(&mut c, 1, vec![rec("b", 1.0)]);
         assert_eq!(c.counters().bytes, before);
         assert_eq!(c.counters().entries, 1);
-        assert_eq!(c.lookup(&key(1, 0)).unwrap().records[0].sid, "b");
+        assert_eq!(c.lookup(1).unwrap().records[0].sid, "b");
     }
 
     #[test]
@@ -406,44 +351,5 @@ mod tests {
         assert_eq!(a.data(), b.data(), "same packed data by construction");
         assert_ne!(bank_fingerprint(&a), bank_fingerprint(&b));
         assert_eq!(bank_fingerprint(&a), bank_fingerprint(&mk("s0")));
-    }
-
-    #[test]
-    fn config_fingerprint_tracks_output_affecting_fields() {
-        let base = OrisConfig::small(7);
-        let fp = config_fingerprint(&base);
-        assert_eq!(fp, config_fingerprint(&base.clone()));
-        for (name, cfg) in [
-            ("w", OrisConfig::small(6)),
-            (
-                "evalue",
-                OrisConfig {
-                    evalue_threshold: 1.0,
-                    ..base
-                },
-            ),
-            (
-                "strands",
-                OrisConfig {
-                    both_strands: true,
-                    ..base
-                },
-            ),
-            (
-                "space",
-                OrisConfig {
-                    subject_space: oris_core::SubjectSpace::Database(1234),
-                    ..base
-                },
-            ),
-        ] {
-            assert_ne!(fp, config_fingerprint(&cfg), "{name} must change the key");
-        }
-        // Thread count is invisible in output, so it must not split the key.
-        let threaded = OrisConfig {
-            threads: Some(4),
-            ..base
-        };
-        assert_eq!(fp, config_fingerprint(&threaded));
     }
 }

@@ -83,9 +83,9 @@
 //! * **Deadlines** — [`DbOptions::deadline`] (or an explicit
 //!   [`Deadline`](oris_core::Deadline) token via
 //!   [`DbSession::run_query_deadline`]) bounds a query's wall-clock
-//!   cost: the token is read before each volume, inside step 2, between
-//!   strands and before each step-3 wave; expiry is a clean
-//!   [`DbError::DeadlineExceeded`] with the session still usable.
+//!   cost: the token is read at the points [`oris_core::deadline`]
+//!   lists; expiry is a clean [`DbError::DeadlineExceeded`] with the
+//!   session still usable.
 //! * **Sink atomicity** — a query that fails for any reason other than
 //!   the sink's own `end_query` ([`DbError::Sink`]) leaves the caller's
 //!   sink untouched, under every option: all volumes' records are staged
@@ -119,18 +119,16 @@
 //!   session's `joint` proptest over window × cache × pool size.
 //! * Attach (and therefore retry/quarantine accounting) happens in the
 //!   walk, volume by volume, so a failing volume produces the same
-//!   [`SearchReport`] under any window; the deadline is checked before
-//!   each volume and inside each volume's steps 2 and 3, and an expired
-//!   query leaves the sink untouched.
+//!   [`SearchReport`] under any window; an expired query leaves the sink
+//!   untouched.
 //!
-//! [`DbOptions::result_cache_bytes`] adds a volume-level result cache
-//! ([`ResultCache`]): completed per-volume searches are memoized under
-//! `(query content hash, volume content hash, config fingerprint)` in a
-//! bounded-memory LRU, so a repeated query costs ~0 volume searches.
-//! Hits replay byte-identical records through the same boundary sort;
-//! quarantined volumes are invalidated and never served from the cache;
-//! deadline-aborted queries insert nothing. See the [`cache`] module
-//! docs for the full contract.
+//! [`DbOptions::result_cache_bytes`] adds a result cache
+//! ([`ResultCache`]): each completed query's whole answer is memoized
+//! under the query bank's content hash in a bounded-memory LRU, so a
+//! repeated query costs no volume search. Hits replay byte-identical
+//! records through the same boundary sort; a quarantine empties the
+//! cache; deadline-aborted queries insert nothing. See the [`cache`]
+//! module docs for the full contract.
 //!
 //! ```no_run
 //! use oris_core::{CollectSink, OrisConfig};
@@ -159,7 +157,7 @@ pub mod manifest;
 pub mod session;
 pub mod verify;
 
-pub use cache::{CacheCounters, CacheKey, CachedVolume, ResultCache};
+pub use cache::{CacheCounters, CachedQuery, ResultCache};
 pub use database::{Database, DbError};
 pub use error::{VolumeCause, VolumeError};
 pub use io::{Fault, FaultRule, FaultyIo, RealIo, VolumeIo};

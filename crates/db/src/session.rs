@@ -14,11 +14,10 @@
 //!   skipped and retried plus the residue coverage fraction, so a
 //!   degraded result is explicitly labeled rather than silently partial.
 //! * [`DbOptions::deadline`] / [`DbSession::run_query_deadline`] — a
-//!   cooperative budget read before each volume and inside each volume's
-//!   steps 2 and 3 (the places are listed on
-//!   [`DbSession::run_query_deadline`]); expiry returns a clean
-//!   [`DbError::DeadlineExceeded`] with the caller's sink untouched by the
-//!   expired search and the session ready for the next one.
+//!   cooperative budget, read at the points [`oris_core::deadline`]
+//!   lists; expiry returns a clean [`DbError::DeadlineExceeded`] with the
+//!   caller's sink untouched by the expired search and the session ready
+//!   for the next one.
 //!
 //! A batch ([`DbSession::run_batch`]) is searched in chunks: the queries
 //! are pulled into chunks of at most [`oris_core::JOINT_CHUNK_RESIDUES`]
@@ -35,17 +34,17 @@
 //! and the deadline, the result cache and the counters apply to each.
 
 use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use oris_core::{
     joint_chunks, Deadline, MemberResult, OrisConfig, PipelineStats, QueryChunk, RecordSink,
     Session, SubjectSpace, JOINT_CHUNK_RESIDUES,
 };
-use oris_index::persist::fnv1a;
 use oris_obs::{names, Field, Obs};
 use oris_seqio::Bank;
 
-use crate::cache::{self, CacheCounters, CacheKey, CachedVolume, ResultCache};
+use crate::cache::{self, CacheCounters, CachedQuery, ResultCache};
 use crate::database::{Database, DbError};
 
 /// One volume's staged search of a chunk: the chunk's report (step 2 once
@@ -55,9 +54,6 @@ use crate::database::{Database, DbError};
 /// `end_query`) and own step-3/4 counters. Every other joined query's
 /// share is empty, so a volume holds what it found, not a slot per query.
 type Staged = (PipelineStats, Vec<(usize, MemberResult)>);
-
-/// A query's cache hits: `(volume, entry)` in ascending volume order.
-type Hits = Vec<(usize, CachedVolume)>;
 
 /// What a [`DbSession`] does when a volume fails to attach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,18 +85,16 @@ pub struct DbOptions {
     /// Per-query deadline. `None` (the default) runs unguarded;
     /// `Some(budget)` arms a fresh [`Deadline`] for each chunk of queries
     /// when its search starts: `n × budget` for the `n` queries the chunk
-    /// searches (one, for [`DbSession::run_query_reported`]). The token is
-    /// read before each volume, at step-2 partitions and pair batches,
-    /// between strands and before each step-3 wave; not inside a wave,
-    /// nor in step 4. See [`DbSession::run_query_deadline`] for the
-    /// guarantees and [`DbSession::run_batch`] for what an expiry ends.
+    /// searches (one, for [`DbSession::run_query_reported`]). Where the
+    /// token is read is listed in [`oris_core::deadline`]. See
+    /// [`DbSession::run_query_deadline`] for the guarantees and
+    /// [`DbSession::run_batch`] for what an expiry ends.
     pub deadline: Option<Duration>,
-    /// Memory budget for the volume-level [`ResultCache`]. `0` (the
-    /// default) disables caching; `N > 0` memoizes completed per-volume
-    /// searches under `(query hash, volume hash, config fingerprint)` in
-    /// an LRU bounded to `N` bytes of record payload, so a repeated
-    /// query is served without re-searching (or re-attaching) its
-    /// cache-hit volumes.
+    /// Memory budget for the [`ResultCache`]. `0` (the default) disables
+    /// caching; `N > 0` memoizes each completed query's whole answer under
+    /// the query bank's content hash in an LRU bounded to `N` bytes of
+    /// record payload, so a repeated query is served without searching
+    /// (or attaching) any volume.
     pub result_cache_bytes: usize,
 }
 
@@ -191,8 +185,9 @@ pub struct SearchReport {
     /// Database-wide residue total (the manifest's; a resident subject's
     /// own residues).
     pub residues_total: u64,
-    /// Volumes served from the result cache (a subset of `searched`:
-    /// a hit covers the volume exactly as a fresh search would).
+    /// Volumes served from the result cache: all of `searched` when the
+    /// cache answered the query (a hit replays the report its search
+    /// gave, `retries` aside), none when the query was searched.
     pub cache_hits: Vec<usize>,
 }
 
@@ -222,13 +217,13 @@ impl SearchReport {
 ///
 /// What a chunk folds in: step 1 (`index_secs`, `index_builds`) once, and
 /// per searched volume its step-2 counters and seconds (`hsps`, `step2`)
-/// and its step-3/4 seconds once; then per (query, volume) the query's
-/// own step-3/4 counters (`raw_alignments`, `step3`, `step4`), fresh or
-/// replayed from the result cache. A batch the cache does not serve
-/// therefore reports the same counters one search per query would, except
-/// `index_builds` (one per chunk) and the footprints: `masked_fraction1`
-/// is the largest masked fraction of any chunk's joint bank and
-/// `index_bytes` the largest chunk's.
+/// and its step-3/4 seconds once; then per query its own step-3/4
+/// counters (`raw_alignments`, `step3`, `step4`) over every volume it
+/// covers, fresh or replayed from the result cache. A batch the cache
+/// does not serve therefore reports the same counters one search per
+/// query would, except `index_builds` (one per chunk) and the footprints:
+/// `masked_fraction1` is the largest masked fraction of any chunk's joint
+/// bank and `index_bytes` the largest chunk's.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DbBatchStats {
     queries: usize,
@@ -269,7 +264,7 @@ impl DbBatchStats {
 ///
 /// The cross-volume contract: every chunk of queries (one query, for
 /// [`DbSession::run_query_reported`]) runs the same four phases —
-/// *probe* the result cache per query, *attach* what has to be searched
+/// *probe* the result cache once per query, *attach* the live volumes
 /// (through at most [`DbOptions::window`] concurrently attached volume
 /// sessions), *search* each volume once for the chunk's joined queries
 /// into a staging buffer of its own, *merge* each query's share of the
@@ -293,9 +288,8 @@ pub struct DbSession<'d> {
     /// The database volumes attach from; `None` for a resident subject,
     /// whose one volume is attached from the start and never evicted.
     db: Option<&'d Database>,
-    /// Per volume: its residues and its content hash (the result cache's
-    /// volume key; 0 for a resident subject while the cache is off).
-    volumes: Vec<(u64, u64)>,
+    /// Per volume, its residues.
+    residues: Vec<u64>,
     /// The residue total a query's coverage is priced against.
     total_residues: u64,
     cfg: OrisConfig,
@@ -314,12 +308,9 @@ pub struct DbSession<'d> {
     /// Quarantined volumes (the session-lifetime skip set under
     /// [`OnVolumeError::SkipAndReport`]) and why each was quarantined.
     quarantined: Vec<Option<DbError>>,
-    /// Volume-level result cache, present iff
-    /// [`DbOptions::result_cache_bytes`] > 0.
+    /// The result cache, present iff [`DbOptions::result_cache_bytes`] >
+    /// 0.
     results: Option<ResultCache>,
-    /// [`cache::config_fingerprint`] of the effective configuration,
-    /// computed once (the config is immutable for the session).
-    config_fp: u64,
     /// Observability handle ([`Obs::disarmed`] by default). Strictly
     /// off the result path: armed or not, records and reports are
     /// identical (pinned by the `db_equivalence` proptests).
@@ -358,8 +349,8 @@ impl<'d> DbSession<'d> {
         if cfg.subject_space == SubjectSpace::PerSequence {
             cfg.subject_space = SubjectSpace::Database(db.total_residues());
         }
-        let volumes = m.volumes.iter().map(|v| (v.residues, v.bank_hash));
-        DbSession::assemble(Some(db), volumes.collect(), cfg, opts)
+        let residues = m.volumes.iter().map(|v| v.residues).collect();
+        DbSession::assemble(Some(db), residues, cfg, opts)
     }
 
     /// A session over one prepared subject — a FASTA bank prepared in
@@ -367,18 +358,13 @@ impl<'d> DbSession<'d> {
     /// volume: attached from the start, never evicted and never
     /// quarantined, so [`DbOptions::window`] and
     /// [`DbOptions::on_volume_error`] change nothing. The deadline and the
-    /// result cache apply as they do to a database; a cache entry is keyed
-    /// by the subject bank's content hash, the one `mkindex` records. The
-    /// session keeps `subject`'s configuration, `subject_space` included,
-    /// so each query gets the records and e-values [`Session::run`] gives
-    /// it.
+    /// result cache apply as they do to a database. The session keeps
+    /// `subject`'s configuration, `subject_space` included, so each query
+    /// gets the records and e-values [`Session::run`] gives it.
     pub fn resident(subject: Session<'d>, opts: DbOptions) -> Result<DbSession<'d>, DbError> {
-        let bank = subject.subject().bank();
-        let cached = opts.result_cache_bytes > 0;
-        let hash = if cached { fnv1a(bank.data()) } else { 0 };
-        let residues = bank.num_residues() as u64;
+        let residues = subject.subject().bank().num_residues() as u64;
         let cfg = *subject.config();
-        let mut session = DbSession::assemble(None, vec![(residues, hash)], cfg, opts)?;
+        let mut session = DbSession::assemble(None, vec![residues], cfg, opts)?;
         session.attached[0] = Some(subject);
         Ok(session)
     }
@@ -386,11 +372,11 @@ impl<'d> DbSession<'d> {
     /// The session both constructors build, every volume detached.
     fn assemble(
         db: Option<&'d Database>,
-        volumes: Vec<(u64, u64)>,
+        residues: Vec<u64>,
         cfg: OrisConfig,
         opts: DbOptions,
     ) -> Result<DbSession<'d>, DbError> {
-        let num = volumes.len();
+        let num = residues.len();
         let capacity = match opts.window {
             0 => num,
             window => window.min(num),
@@ -401,11 +387,10 @@ impl<'d> DbSession<'d> {
         } else {
             None
         };
-        let config_fp = cache::config_fingerprint(&cfg);
         Ok(DbSession {
             db,
-            total_residues: volumes.iter().map(|&(residues, _)| residues).sum(),
-            volumes,
+            total_residues: residues.iter().sum(),
+            residues,
             cfg,
             opts,
             attached: (0..num).map(|_| None).collect(),
@@ -414,7 +399,6 @@ impl<'d> DbSession<'d> {
             costs: vec![VolumeCost::default(); num],
             quarantined: (0..num).map(|_| None).collect(),
             results,
-            config_fp,
             obs: Obs::disarmed(),
         })
     }
@@ -442,7 +426,8 @@ impl<'d> DbSession<'d> {
     }
 
     /// Result-cache counters so far (hits, misses, insertions,
-    /// evictions, residency). All zeros when the cache is disabled
+    /// evictions, invalidations, residency), one per query for hits and
+    /// misses. All zeros when the cache is disabled
     /// ([`DbOptions::result_cache_bytes`] = 0).
     pub fn result_cache_counters(&self) -> CacheCounters {
         self.results
@@ -461,53 +446,22 @@ impl<'d> DbSession<'d> {
             .filter_map(|(v, e)| e.as_ref().map(|e| (v, e)))
     }
 
-    /// The result-cache key of volume `v` for a query fingerprint.
-    fn cache_key(&self, query: u64, v: usize) -> CacheKey {
-        CacheKey {
-            query,
-            volume: v,
-            volume_hash: self.volumes[v].1,
-            config: self.config_fp,
-        }
-    }
-
-    /// Phase 1 — *probe*. One O(1) cache lookup per live volume under
-    /// the query's fingerprint (`None` = caching is off: no volume serves
-    /// the query); a hit withdraws the volume from attach and search — its
-    /// records replay in [`DbSession::merge`].
-    /// Quarantined volumes are never probed: their entries were
-    /// invalidated at quarantine time.
-    fn probe(&mut self, query_fp: Option<u64>) -> Hits {
-        let mut hits = Vec::new();
-        let Some(qfp) = query_fp else { return hits };
+    /// Phase 1 — *probe*. One cache lookup under the query's fingerprint;
+    /// a hit is the query's whole answer, replayed in [`DbSession::merge`]
+    /// without attaching or searching a volume.
+    fn probe(&mut self, query_fp: u64) -> Option<CachedQuery> {
         let _span = self.obs.span("cache_lookup");
-        for v in 0..self.volumes.len() {
-            if self.quarantined[v].is_some() {
-                continue;
-            }
-            let key = self.cache_key(qfp, v);
-            let results = self.results.as_mut().expect("fingerprinted iff caching");
-            let hit = results.lookup(&key).cloned();
-            self.obs.count(
-                if hit.is_some() {
-                    names::CACHE_HITS_TOTAL
-                } else {
-                    names::CACHE_MISSES_TOTAL
-                },
-                1,
-            );
-            hits.extend(hit.map(|entry| (v, entry)));
-        }
-        hits
+        let results = self.results.as_mut().expect("fingerprinted iff caching");
+        results.lookup(query_fp).cloned()
     }
 
     /// Phase 2 — *attach*. Makes volume `v` searchable, applying the
     /// volume-failure policy: `Ok(true)` = attached (at no cost when it
     /// already was), `Ok(false)` = the attach failed and the volume is
     /// now quarantined ([`OnVolumeError::SkipAndReport`]; the query goes
-    /// on without it, and its result-cache entries are dropped on the
-    /// spot — a volume that failed is never served from the cache
-    /// again), `Err` = the query fails. `retries` accumulates into the
+    /// on without it, and the result cache is emptied on the spot — an
+    /// answer that covered a volume which failed is never served again),
+    /// `Err` = the query fails. `retries` accumulates into the
     /// current query's report.
     ///
     /// Eviction policy (bounded window): every query scans volumes in
@@ -549,11 +503,10 @@ impl<'d> DbSession<'d> {
             }
             (Err(e @ DbError::Volume(_)), OnVolumeError::SkipAndReport) => {
                 self.quarantined[v] = Some(e);
-                self.obs.count(names::VOLUME_QUARANTINES_TOTAL, 1);
                 self.obs
                     .point("quarantine", &[Field::U64("volume", v as u64)]);
                 if let Some(results) = self.results.as_mut() {
-                    results.invalidate_volume(v);
+                    results.clear();
                 }
                 Ok(false)
             }
@@ -580,7 +533,6 @@ impl<'d> DbSession<'d> {
                     attempt += 1;
                     *retries += 1;
                     self.costs[v].retries += 1;
-                    self.obs.count(names::IO_RETRIES_TOTAL, 1);
                 }
                 Err(e) => return Err(e),
             }
@@ -588,7 +540,6 @@ impl<'d> DbSession<'d> {
         let bank_bytes = prepared.bank().heap_bytes();
         let mut session = Session::with_subject(prepared, &self.cfg).map_err(DbError::Config)?;
         session.set_obs(self.obs.clone());
-        self.obs.count(names::VOLUME_ATTACHES_TOTAL, 1);
         let cost = &mut self.costs[v];
         cost.attaches += 1;
         cost.attach_secs += attach.attach_secs;
@@ -598,27 +549,30 @@ impl<'d> DbSession<'d> {
         Ok(session)
     }
 
-    /// Phase 3 — *search*: walks the wanted volumes in ascending order on
+    /// Phase 3 — *search*: walks the live volumes in ascending order on
     /// the calling thread, attaching each as it goes (a no-op for one
     /// already attached, and the one place a bounded window evicts), and
     /// runs the chunk against it at full width (the volume session's
     /// `OrisConfig::threads` pool, or the caller's) into a staging buffer
-    /// of its own; `None` in the result = not searched (quarantined by its
-    /// attach, or not wanted). The deadline is checked before each volume,
-    /// so an expiry or an error stops the walk before the next volume is
+    /// of its own; `None` in the result = not searched (quarantined, now
+    /// or earlier). The deadline is checked before each volume, so an
+    /// expiry or an error stops the walk before the next volume is
     /// attached or searched.
     fn search_volumes(
         &mut self,
         chunk: &QueryChunk<'_>,
-        wanted: &[bool],
         retries: &mut u32,
         deadline: &Deadline,
     ) -> Result<Vec<Option<Staged>>, DbError> {
-        let num = self.volumes.len();
-        let mut fresh: Vec<Option<Staged>> = (0..num).map(|_| None).collect();
-        for v in (0..num).filter(|&v| wanted[v]) {
-            deadline.check()?;
-            if !self.attach(v, retries)? {
+        let num = self.residues.len();
+        let mut fresh = Vec::with_capacity(num);
+        for v in 0..num {
+            let live = self.quarantined[v].is_none();
+            if live {
+                deadline.check()?;
+            }
+            if !live || !self.attach(v, retries)? {
+                fresh.push(None);
                 continue;
             }
             let session = self.attached[v].as_ref().expect("attached above");
@@ -634,60 +588,61 @@ impl<'d> DbSession<'d> {
                 .enumerate()
                 .filter(|(_, share)| *share != MemberResult::default())
                 .collect();
-            fresh[v] = Some((stats, found));
+            fresh.push(Some((stats, found)));
         }
         Ok(fresh)
     }
 
-    /// Phase 4 — *merge*, one query: strictly ascending volume order, so
-    /// stats accumulate exactly as a sequential walk's and the report's
-    /// lists come out sorted. Each volume's result is the cache's (`hits`)
-    /// or the query's share of the chunk's search (`fresh(v)`, `None` when
-    /// the volume was not searched; inserted into the cache); either is
-    /// replayed into `sink`, then the query's
-    /// single `end_query` fires and the query is counted. Only complete
-    /// chunks get here (an aborted one returned from an earlier phase), so
-    /// nothing partial is ever cached or replayed. Returns the query's own
-    /// step-3/4 counters.
+    /// Phase 4 — *merge*, one query. A hit (`hit`) replays the query's
+    /// whole cached answer. Otherwise `fresh[v]` is the query's share of
+    /// the chunk's search of volume `v` (`None` when `v` was not searched:
+    /// quarantined), taken in ascending volume order, so stats accumulate
+    /// exactly as a sequential walk's and the report's lists come out
+    /// sorted; the answer is inserted into the cache. Either way the
+    /// records go to `sink`, then the query's single `end_query` fires and
+    /// the query is counted. Only complete chunks get here (an aborted one
+    /// returned from an earlier phase), so nothing partial is ever cached
+    /// or replayed. Returns the query's own step-3/4 counters.
     fn merge(
         &mut self,
         query_fp: Option<u64>,
-        hits: Hits,
-        mut fresh: impl FnMut(usize) -> Option<MemberResult>,
+        hit: Option<CachedQuery>,
+        fresh: Vec<Option<MemberResult>>,
         sink: &mut dyn RecordSink,
         report: &mut SearchReport,
     ) -> Result<PipelineStats, DbError> {
         let _span = self.obs.span("merge");
-        let mut merged = PipelineStats::default();
-        let mut hits = hits.into_iter().peekable();
-        for v in 0..self.volumes.len() {
-            let hit = hits.next_if(|(at, _)| *at == v).map(|(_, entry)| entry);
-            let (records, stats) = match (hit, fresh(v)) {
-                (Some(cached), _) => {
-                    report.cache_hits.push(v);
-                    (cached.records, cached.stats)
-                }
-                (None, Some(result)) => {
-                    let stats = result.stats();
-                    if let Some(qfp) = query_fp {
-                        let key = self.cache_key(qfp, v);
-                        let results = self.results.as_mut().expect("fingerprinted iff caching");
-                        results.insert(key, result.records.clone(), stats);
-                        self.obs.count(names::CACHE_INSERTIONS_TOTAL, 1);
+        let merged = match hit {
+            Some(entry) => {
+                sink.accept_all(entry.records);
+                report.cache_hits.clone_from(&entry.searched);
+                report.searched = entry.searched;
+                entry.stats
+            }
+            None => {
+                let mut merged = PipelineStats::default();
+                let mut answer = Vec::new();
+                for (v, share) in fresh.into_iter().enumerate() {
+                    let Some(share) = share else { continue };
+                    merged = merged.merge(&share.stats());
+                    if query_fp.is_some() {
+                        answer.extend_from_slice(&share.records);
                     }
-                    (result.records, stats)
+                    sink.accept_all(share.records);
+                    report.searched.push(v);
                 }
-                // Neither served nor searched: quarantined.
-                (None, None) => {
-                    report.skipped.push(v);
-                    continue;
+                if let Some(fp) = query_fp {
+                    let results = self.results.as_mut().expect("fingerprinted iff caching");
+                    results.insert(fp, answer, merged, report.searched.clone());
                 }
-            };
-            sink.accept_all(records);
-            merged = merged.merge(&stats);
-            report.searched.push(v);
-            report.residues_searched += self.volumes[v].0;
-        }
+                merged
+            }
+        };
+        // Neither served nor searched: quarantined.
+        report.skipped = (0..self.residues.len())
+            .filter(|v| !report.searched.contains(v))
+            .collect();
+        report.residues_searched = report.searched.iter().map(|&v| self.residues[v]).sum();
         // An end_query failure is the caller's *output* stream failing
         // (e.g. a full disk under a StreamWriter), not a database
         // problem — attribute it to the sink, never to the (read-only)
@@ -704,7 +659,7 @@ impl<'d> DbSession<'d> {
     /// thread): a chunk of one. The returned stats merge the per-volume
     /// runs and count the query's single index build; the
     /// [`SearchReport`] says which volumes they cover; volume attach costs
-    /// accumulate in [`DbSession::volume_costs`]. A volume served from the
+    /// accumulate in [`DbSession::volume_costs`]. A query answered by the
     /// result cache contributes its cached step-3/4 counters only: the
     /// cache stores a query's own counters, not its chunk's step 2.
     ///
@@ -717,17 +672,9 @@ impl<'d> DbSession<'d> {
     /// [`oris_core::StreamWriter`], the only sink the CLI uses, buffers
     /// until the boundary anyway.
     ///
-    /// Deadline guarantees:
+    /// Deadline guarantees (where the token is read, and so how far an
+    /// expired query runs on, is listed in [`oris_core::deadline`]):
     ///
-    /// * The token is read before each volume and, inside each volume's
-    ///   search, at every step-2 partition boundary, before every batch
-    ///   of pairs once a few thousand have passed within a partition,
-    ///   between the two subject strands, and before each step-3 wave. It
-    ///   is not read inside a step-3 wave (one wave is at least `2 ×
-    ///   workers` record-pair groups and `128 × workers` HSPs, and one
-    ///   group can be a whole chromosome pair), nor in step 4, which runs
-    ///   inside step 3's group callback. So an expired query stops within
-    ///   one batch of step-2 pairs or one step-3 wave.
     /// * On expiry the query returns [`DbError::DeadlineExceeded`] and
     ///   nothing is inserted into the result cache.
     /// * The session remains fully usable: the next query runs normally,
@@ -771,7 +718,8 @@ impl<'d> DbSession<'d> {
     }
 
     /// One chunk of queries through the four phases, an expiry counted
-    /// once. `token` is the caller's deadline; `None` arms one from
+    /// once and the session's ledger published, whatever the outcome.
+    /// `token` is the caller's deadline; `None` arms one from
     /// [`DbOptions::deadline`] for the queries the chunk searches. Each
     /// query's [`SearchReport`] goes to `reported`, in order, as its
     /// boundary is written.
@@ -786,20 +734,47 @@ impl<'d> DbSession<'d> {
         if let Err(DbError::DeadlineExceeded(_)) = outcome {
             self.obs.count(names::DEADLINE_EXPIRIES_TOTAL, 1);
         }
+        self.publish();
         outcome
     }
 
-    /// The four phases of one chunk, in order: *probe* the cache per
-    /// query, *attach* and *search* the volumes once for the queries the
-    /// cache did not wholly serve, joined into one bank, then *merge* per
+    /// Sets the registry's instruments for what the session counts itself
+    /// — the [`ResultCache`]'s counters, the [`VolumeCost`] attaches and
+    /// retries, the quarantines — to the session's values. Those structs
+    /// are the one ledger of these counts; the registry shows them as of
+    /// the last chunk.
+    fn publish(&self) {
+        let c = self.result_cache_counters();
+        let attaches = self.costs.iter().map(|c| u64::from(c.attaches)).sum();
+        let retries = self.costs.iter().map(|c| u64::from(c.retries)).sum();
+        let quarantines = self.quarantined().count() as u64;
+        for (name, value) in [
+            (names::CACHE_HITS_TOTAL, c.hits),
+            (names::CACHE_MISSES_TOTAL, c.misses),
+            (names::CACHE_INSERTIONS_TOTAL, c.insertions),
+            (names::CACHE_EVICTIONS_TOTAL, c.evictions),
+            (names::CACHE_INVALIDATIONS_TOTAL, c.invalidations),
+            (names::VOLUME_ATTACHES_TOTAL, attaches),
+            (names::IO_RETRIES_TOTAL, retries),
+            (names::VOLUME_QUARANTINES_TOTAL, quarantines),
+        ] {
+            self.obs.set_counter(name, value);
+        }
+        self.obs.set_gauge(names::CACHE_ENTRIES, c.entries as f64);
+        self.obs.set_gauge(names::CACHE_BYTES, c.bytes as f64);
+    }
+
+    /// The four phases of one chunk, in order: *probe* the cache once per
+    /// query, *attach* and *search* every live volume once for the queries
+    /// the cache did not answer, joined into one bank, then *merge* per
     /// query, in order. Each query is a `query` span, timed into
     /// `query_seconds`, from the chunk's start to its own boundary.
     ///
     /// A query whose fingerprint repeats an earlier query of the chunk is
-    /// probed late, at its merge — after the earlier one's results are
+    /// probed late, at its merge — after the earlier one's answer is
     /// inserted — so a batch that repeats a query is served from the
     /// cache as a query-at-a-time search would serve it. It joins the
-    /// search all the same, for the case its entries were evicted by then.
+    /// search all the same, for the case that answer was evicted by then.
     fn chunk_phases<B: Borrow<Bank>>(
         &mut self,
         queries: &[B],
@@ -811,7 +786,7 @@ impl<'d> DbSession<'d> {
             .iter()
             .map(|_| self.obs.timed_span("query", names::QUERY_SECONDS))
             .collect();
-        let num = self.volumes.len();
+        let num = self.residues.len();
         let fps: Vec<Option<u64>> = queries
             .iter()
             .map(|q| {
@@ -820,33 +795,22 @@ impl<'d> DbSession<'d> {
                     .map(|_| cache::bank_fingerprint(q.borrow()))
             })
             .collect();
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = BTreeSet::new();
         let late: Vec<bool> = fps
             .iter()
             .map(|fp| fp.is_some_and(|fp| !seen.insert(fp)))
             .collect();
-        let mut hits: Vec<Hits> = (0..queries.len())
-            .map(|i| self.probe(if late[i] { None } else { fps[i] }))
+        // The hits by query index: a map, not a slot per query, so a batch
+        // the cache does not serve holds no entry-sized slots.
+        let mut hits: BTreeMap<usize, CachedQuery> = (0..queries.len())
+            .filter(|&i| !late[i])
+            .filter_map(|i| Some((i, self.probe(fps[i]?)?)))
             .collect();
-        // A query joins the search if some live volume did not serve it
-        // (hits come from live volumes only); a volume is searched if some
-        // joined query was not served by it. Any other volume is neither
-        // attached nor searched — a hit is served without touching the
-        // volume's files (the same staleness contract an already-attached
-        // volume has).
-        let live: Vec<bool> = self.quarantined.iter().map(Option::is_none).collect();
-        let live_volumes = live.iter().filter(|&&l| l).count();
+        // Every query the cache did not answer joins the search; a hit is
+        // served without touching a volume's files (the same staleness
+        // contract an already-attached volume has).
         let joined: Vec<usize> = (0..queries.len())
-            .filter(|&i| hits[i].len() < live_volumes)
-            .collect();
-        let mut served = vec![0; num];
-        for &i in &joined {
-            for &(v, _) in &hits[i] {
-                served[v] += 1;
-            }
-        }
-        let wanted: Vec<bool> = (0..num)
-            .map(|v| live[v] && served[v] < joined.len())
+            .filter(|i| !hits.contains_key(i))
             .collect();
         let armed;
         let deadline = match token {
@@ -880,7 +844,7 @@ impl<'d> DbSession<'d> {
         let mut taken = vec![0; num];
         let mut slot: Vec<Option<usize>> = vec![None; queries.len()];
         if let Some(chunk) = &chunk {
-            let staged = self.search_volumes(chunk, &wanted, &mut retries, deadline)?;
+            let staged = self.search_volumes(chunk, &mut retries, deadline)?;
             for (v, staged) in staged.into_iter().enumerate() {
                 if let Some((chunk_stats, results)) = staged {
                     // Step 2 and the seconds belong to the chunk, booked
@@ -901,53 +865,38 @@ impl<'d> DbSession<'d> {
             }
         }
         for (i, span) in spans.into_iter().enumerate() {
-            if late[i] {
-                hits[i] = self.probe(fps[i]);
-            }
+            // Queries merge in joined order, so each volume's shares are
+            // taken front to back; a joined query without one found nothing
+            // there. A repeat takes its shares even when its probe hits.
+            let fresh = (0..num)
+                .map(|v| {
+                    let k = slot[i]?;
+                    let found = searched[v].as_mut()?;
+                    let at = &mut taken[v];
+                    Some(match found.get_mut(*at) {
+                        Some((owner, share)) if *owner == k => {
+                            *at += 1;
+                            std::mem::take(share)
+                        }
+                        _ => MemberResult::default(),
+                    })
+                })
+                .collect();
+            let hit = if late[i] {
+                fps[i].and_then(|fp| self.probe(fp))
+            } else {
+                hits.remove(&i)
+            };
             let mut report = SearchReport {
                 volumes_total: num,
                 residues_total: self.total_residues,
                 retries: if i == 0 { retries } else { 0 },
                 ..SearchReport::default()
             };
-            // Queries merge in joined order, so each volume's shares are
-            // taken front to back; a joined query without one found nothing
-            // there.
-            let fresh = |v: usize| {
-                let k = slot[i]?;
-                let found = searched[v].as_mut()?;
-                let at = &mut taken[v];
-                Some(match found.get_mut(*at) {
-                    Some((owner, share)) if *owner == k => {
-                        *at += 1;
-                        std::mem::take(share)
-                    }
-                    _ => MemberResult::default(),
-                })
-            };
-            let own = self.merge(
-                fps[i],
-                std::mem::take(&mut hits[i]),
-                fresh,
-                sink,
-                &mut report,
-            )?;
+            let own = self.merge(fps[i], hit, fresh, sink, &mut report)?;
             drop(span);
             totals = totals.merge(&own);
             reported(report);
-        }
-        // Residency and eviction counts live inside the ResultCache;
-        // sync them as absolutes (hits/misses/insertions are counted at
-        // their call sites — the obs_metrics integration test pins both
-        // views equal).
-        if self.results.is_some() {
-            let c = self.result_cache_counters();
-            self.obs
-                .set_counter(names::CACHE_EVICTIONS_TOTAL, c.evictions);
-            self.obs
-                .set_counter(names::CACHE_INVALIDATIONS_TOTAL, c.invalidations);
-            self.obs.set_gauge(names::CACHE_ENTRIES, c.entries as f64);
-            self.obs.set_gauge(names::CACHE_BYTES, c.bytes as f64);
         }
         Ok(totals)
     }
@@ -967,7 +916,7 @@ impl<'d> DbSession<'d> {
     /// `end_query` boundary per bank, in batch order. The banks are pulled
     /// into chunks of at most [`JOINT_CHUNK_RESIDUES`] positions
     /// ([`oris_core::joint_chunks`]), and each chunk is one pass of the
-    /// four phases: the queries the cache does not wholly serve are joined
+    /// four phases: the queries the cache does not answer are joined
     /// into one bank, searched once per volume, and each query's records
     /// and report are what [`DbSession::run_query_reported`] would give
     /// it. One chunk's working set — its queries, joint index and records
@@ -983,13 +932,14 @@ impl<'d> DbSession<'d> {
     ///   ends the batch with [`DbError::DeadlineExceeded`], as one query's
     ///   expiry ended it before chunks; the chunk's queries write nothing
     ///   (queries of earlier chunks are already written).
-    /// * *Cache.* Each query is probed before the chunk is searched; a
-    ///   volume that serves it replays its entry, and only a query some
-    ///   volume did not serve joins the joint bank. Entries are inserted
-    ///   per (query, volume) and hold the query's own step-3/4 counters.
-    ///   A volume quarantined while the chunk attaches is skipped for the
-    ///   chunk's searched queries; an entry probed before the failure
-    ///   still replays, as it would for a query that ran before it.
+    /// * *Cache.* Each query is probed once, before the chunk is searched
+    ///   (a repeat within the chunk, at its merge); a hit replays the
+    ///   query's whole answer, and every other query joins the joint bank.
+    ///   An entry is one query's answer over every volume it covered, with
+    ///   its own step-3/4 counters. A volume quarantined while the chunk
+    ///   attaches empties the cache and is skipped for the chunk's searched
+    ///   queries; an answer probed before the failure still replays, as it
+    ///   would for a query that ran before it.
     /// * *Counters.* See [`DbBatchStats`]: step 1 and step 2 are booked
     ///   once per chunk, steps 3–4 per query; `index_builds` and the
     ///   volume dispatches count chunks.
@@ -1059,6 +1009,7 @@ mod tests {
         use super::*;
         use crate::{make_db, MakeDbOptions};
         use oris_core::{FilterKind, M8Writer, PreparedBank, StreamWriter};
+        use oris_index::persist::fnv1a;
         use oris_seqio::BankBuilder;
         use proptest::prelude::*;
         use proptest::test_runner::TestCaseError;
@@ -1173,10 +1124,9 @@ mod tests {
                 }
             }
             if cache && queries.len() > 1 {
-                // The replay pass found every query's entries.
+                // The replay pass found every query's answer.
                 let c = session.result_cache_counters();
-                let volumes = session.volumes.len();
-                prop_assert!(c.hits >= (queries.len() * volumes) as u64, "{:?}", c);
+                prop_assert!(c.hits >= queries.len() as u64, "{:?}", c);
             }
             Ok(())
         }
@@ -1275,8 +1225,8 @@ mod tests {
         #[test]
         fn a_repeated_query_in_one_chunk_is_served_from_the_cache() {
             // The second copy is probed at its merge, after the first's
-            // entries went in: it hits on every volume, as it would if
-            // the two were searched one after the other.
+            // answer went in: it hits once, as it would if the two were
+            // searched one after the other, whatever the volume count.
             let cfg = OrisConfig::small(9);
             let dir = scratch_db(&cfg, 120);
             let db = Database::open(&dir).unwrap();
@@ -1290,9 +1240,9 @@ mod tests {
             let mut sink = StreamWriter::new(Vec::new());
             let batch = session.run_batch(&query, &mut sink).unwrap();
             let c = session.result_cache_counters();
-            let volumes = db.num_volumes() as u64;
-            assert!(volumes > 1);
-            assert_eq!((c.misses, c.hits), (volumes, volumes));
+            assert!(db.num_volumes() > 1);
+            assert_eq!((c.misses, c.hits), (1, 1));
+            assert_eq!((c.insertions, c.entries), (1, 1));
             assert_eq!(batch.query_totals().index_builds, 1, "one chunk");
             let bytes = sink.into_inner();
             let half = bytes.len() / 2;

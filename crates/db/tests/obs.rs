@@ -6,8 +6,9 @@
 //! * Property: for either window and cache size, a fully armed session
 //!   produces the same `-m 8` bytes *and* the same [`SearchReport`] as
 //!   a disarmed one.
-//! * The obs cache counters equal [`ResultCache`]'s own counters after
-//!   a scripted hit / miss / quarantine sequence.
+//! * The registry's cache, attach, retry and quarantine counters equal
+//!   the session's own ledger after a scripted hit / miss / quarantine
+//!   sequence.
 //! * Deadline expiries and volume quarantines are counted.
 
 use std::io::ErrorKind;
@@ -114,11 +115,12 @@ proptest! {
 
 #[test]
 fn obs_cache_counters_match_result_cache_after_hit_miss_quarantine() {
-    // Scripted sequence against one session: a cold query (all misses,
-    // all insertions), a byte-identical repeat (all hits), then a fault
-    // that quarantines volume 1 (invalidating its cached entries) and a
-    // final degraded repeat. After every step the obs registry must
-    // agree exactly with the ResultCache's own counters.
+    // Scripted sequence against one session: a cold query (one miss, one
+    // insertion), a byte-identical repeat (one hit), then a fault that
+    // quarantines volume 1 (emptying the cache) and a final degraded
+    // repeat. After every step the obs registry must agree exactly with
+    // the session's ledger: the ResultCache's counters, the volumes'
+    // attaches and retries, and the quarantine list.
     let io = Arc::new(FaultyIo::new());
     let db = Database::open_with_io(shared_db(), io.clone()).unwrap();
     let opts = DbOptions {
@@ -164,21 +166,36 @@ fn obs_cache_counters_match_result_cache_after_hit_miss_quarantine() {
             c.bytes as f64,
             "{step}: bytes"
         );
+        let costs = session.volume_costs();
+        assert_eq!(
+            obs.counter(names::VOLUME_ATTACHES_TOTAL),
+            costs.iter().map(|c| u64::from(c.attaches)).sum::<u64>(),
+            "{step}: attaches"
+        );
+        assert_eq!(
+            obs.counter(names::IO_RETRIES_TOTAL),
+            costs.iter().map(|c| u64::from(c.retries)).sum::<u64>(),
+            "{step}: retries"
+        );
+        assert_eq!(
+            obs.counter(names::VOLUME_QUARANTINES_TOTAL),
+            session.quarantined().count() as u64,
+            "{step}: quarantines"
+        );
     };
 
     let mut sink = CollectSink::new();
     session.run_query_reported(&query(), &mut sink).unwrap();
     check(&obs, &session, "cold");
-    assert!(obs.counter(names::CACHE_MISSES_TOTAL) >= 4);
+    assert_eq!(obs.counter(names::CACHE_MISSES_TOTAL), 1);
     assert_eq!(obs.counter(names::CACHE_HITS_TOTAL), 0);
+    assert!(obs.counter(names::VOLUME_ATTACHES_TOTAL) >= 4);
 
     let mut sink = CollectSink::new();
     let (_, warm) = session.run_query_reported(&query(), &mut sink).unwrap();
     check(&obs, &session, "warm");
-    assert_eq!(
-        obs.counter(names::CACHE_HITS_TOTAL) as usize,
-        warm.cache_hits.len()
-    );
+    assert_eq!(obs.counter(names::CACHE_HITS_TOTAL), 1);
+    assert_eq!(warm.cache_hits, warm.searched);
     assert!(!warm.cache_hits.is_empty());
 
     io.push(FaultRule::always(
@@ -196,13 +213,13 @@ fn obs_cache_counters_match_result_cache_after_hit_miss_quarantine() {
         Fault::Error(ErrorKind::Interrupted),
     ));
     // A never-cached query scans, re-attaches, trips the fault on
-    // volume 1 → quarantine + invalidation of its cached entries.
+    // volume 1 → quarantine, and the one cached answer is dropped.
     let other = bank(&[("q2", &format!("AA{CORE}CC"))]);
     let mut sink = CollectSink::new();
     let (_, degraded) = session.run_query_reported(&other, &mut sink).unwrap();
     assert_eq!(degraded.skipped, vec![1]);
     check(&obs, &session, "quarantine");
-    assert!(obs.counter(names::CACHE_INVALIDATIONS_TOTAL) >= 1);
+    assert_eq!(obs.counter(names::CACHE_INVALIDATIONS_TOTAL), 1);
     assert_eq!(obs.counter(names::VOLUME_QUARANTINES_TOTAL), 1);
     assert!(obs.counter(names::IO_RETRIES_TOTAL) >= 1);
 

@@ -5,9 +5,9 @@
 //! * A deadline that expires, or a token cancelled, mid-walk leaves the
 //!   caller's sink untouched, inserts nothing into the cache, stops the
 //!   walk before the next volume, and leaves the session fully usable.
-//! * Cache hits replay byte-identical records and are labeled in the
-//!   report; a quarantined volume's entries are invalidated and never
-//!   served again.
+//! * A cache hit replays a query's whole answer, byte-identical records
+//!   and the report its search gave, labeled as served; a quarantine
+//!   empties the cache, so a failed volume is never served again.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -196,22 +196,34 @@ fn repeated_query_is_served_from_cache_byte_identically() {
     let mut session = DbSession::new(&db, &cfg(), opts).unwrap();
 
     let mut cold = CollectSink::new();
-    let (_, cold_report) = session.run_query_reported(&query(), &mut cold).unwrap();
+    let (cold_stats, cold_report) = session.run_query_reported(&query(), &mut cold).unwrap();
     assert!(cold_report.cache_hits.is_empty());
+    // One query is one miss, one insertion and one entry, whatever the
+    // volume count.
+    assert!(num >= 4);
     let counters = session.result_cache_counters();
-    assert_eq!(counters.misses as usize, num);
-    assert_eq!(counters.insertions as usize, num);
+    assert_eq!(
+        (counters.misses, counters.insertions, counters.entries),
+        (1, 1, 1)
+    );
 
     let mut warm = CollectSink::new();
-    let (_, warm_report) = session.run_query_reported(&query(), &mut warm).unwrap();
+    let (warm_stats, warm_report) = session.run_query_reported(&query(), &mut warm).unwrap();
     assert_eq!(
         warm_report.cache_hits,
         (0..num).collect::<Vec<_>>(),
-        "every volume must be a hit on the repeat"
+        "the hit covers every volume the search covered"
     );
-    assert_eq!(warm_report.searched, cold_report.searched);
-    assert_eq!(warm_report.residues_searched, cold_report.residues_searched);
-    assert_eq!(session.result_cache_counters().hits as usize, num);
+    assert_eq!(
+        SearchReport {
+            cache_hits: Vec::new(),
+            ..warm_report
+        },
+        cold_report,
+        "a hit replays the search's report"
+    );
+    assert_eq!(warm_stats.step4, cold_stats.step4);
+    assert_eq!(session.result_cache_counters().hits, 1);
     assert_eq!(render(warm), render(cold), "a hit must replay exact bytes");
 
     // A different query bank misses: the key is content, not identity.
@@ -219,16 +231,15 @@ fn repeated_query_is_served_from_cache_byte_identically() {
     let mut sink = CollectSink::new();
     let (_, report) = session.run_query_reported(&other, &mut sink).unwrap();
     assert!(report.cache_hits.is_empty());
-    assert_eq!(session.result_cache_counters().misses as usize, 2 * num);
+    assert_eq!(session.result_cache_counters().misses, 2);
 }
 
 #[test]
 fn quarantined_volume_is_invalidated_and_never_served_from_cache() {
     // Populate the cache, then break volume 1 and force a re-attach via
     // a window-bounded session scanning a *different* query: the attach
-    // failure quarantines the volume and drops its cached entries — a
-    // repeat of the original query must not resurrect volume 1's records
-    // from the cache.
+    // failure quarantines the volume and empties the cache — a repeat of
+    // the original query must not resurrect volume 1's records from it.
     let dir = build_db("cache_quarantine");
     let io = Arc::new(FaultyIo::new());
     let db = Database::open_with_io(&dir, io.clone()).unwrap();
@@ -256,14 +267,20 @@ fn quarantined_volume_is_invalidated_and_never_served_from_cache() {
     let mut sink = CollectSink::new();
     let (_, degraded) = session.run_query_reported(&other, &mut sink).unwrap();
     assert_eq!(degraded.skipped, vec![1]);
+    // The quarantine dropped the one answer cached before it; the
+    // degraded query's own answer went in after.
+    let counters = session.result_cache_counters();
+    assert_eq!((counters.invalidations, counters.entries), (1, 1));
 
-    // The original query repeats: volumes 0, 2, 3… replay from cache,
-    // volume 1 is skipped — not served from its stale entries.
+    // The original query repeats: its answer is gone, so it is searched
+    // again over the surviving volumes, and volume 1 is skipped — not
+    // served from a stale entry.
     let mut sink = CollectSink::new();
     let (_, repeat) = session.run_query_reported(&query(), &mut sink).unwrap();
     assert_eq!(repeat.skipped, vec![1]);
-    assert!(!repeat.cache_hits.contains(&1));
+    assert!(repeat.cache_hits.is_empty());
     assert!(!repeat.searched.contains(&1));
+    assert_eq!(session.result_cache_counters().misses, 3);
     let surviving = render(sink);
     assert!(!surviving.is_empty());
     // And the surviving bytes equal a fresh cacheless degraded run.

@@ -183,7 +183,8 @@ impl Obs {
     /// Open a span with extra fields on both `begin` and `end` events.
     /// Only `U64` fields are carried to the `end` event (span identity
     /// like a volume number; strings would need owned storage).
-    pub fn span_with(&self, name: &'static str, fields: &[Field<'_>]) -> SpanGuard {
+    #[cfg(test)]
+    fn span_with(&self, name: &'static str, fields: &[Field<'_>]) -> SpanGuard {
         self.span_impl(name, fields, None)
     }
 

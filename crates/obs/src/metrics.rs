@@ -17,15 +17,17 @@ pub mod names {
     pub const QUERIES_TOTAL: &str = "queries_total";
     /// Counter: `-m 8` records emitted.
     pub const RECORDS_TOTAL: &str = "records_total";
-    /// Counter: result-cache probes that found a usable entry.
+    /// Counter: queries the result cache answered (an entry is one
+    /// query's whole answer over every volume).
     pub const CACHE_HITS_TOTAL: &str = "cache_hits_total";
-    /// Counter: result-cache probes that missed.
+    /// Counter: queries the result cache did not answer.
     pub const CACHE_MISSES_TOTAL: &str = "cache_misses_total";
-    /// Counter: result-cache entries inserted.
+    /// Counter: result-cache entries (query answers) inserted.
     pub const CACHE_INSERTIONS_TOTAL: &str = "cache_insertions_total";
     /// Counter: result-cache entries evicted by the memory bound.
     pub const CACHE_EVICTIONS_TOTAL: &str = "cache_evictions_total";
-    /// Counter: result-cache entries dropped by volume invalidation.
+    /// Counter: result-cache entries dropped because a volume was
+    /// quarantined (a quarantine empties the cache).
     pub const CACHE_INVALIDATIONS_TOTAL: &str = "cache_invalidations_total";
     /// Gauge: result-cache entries currently resident.
     pub const CACHE_ENTRIES: &str = "cache_entries";
@@ -140,7 +142,8 @@ impl Histogram {
     }
 
     /// Raw per-bucket counts (last slot is overflow).
-    pub fn bucket_counts(&self) -> &[u64] {
+    #[cfg(test)]
+    fn bucket_counts(&self) -> &[u64] {
         &self.buckets
     }
 }

@@ -96,8 +96,8 @@ impl Nuc {
     }
 
     /// Upper-case ASCII letter of this nucleotide.
-    #[inline]
-    pub fn to_char(self) -> char {
+    #[cfg(test)]
+    fn to_char(self) -> char {
         match self {
             Nuc::A => 'A',
             Nuc::C => 'C',
