@@ -239,13 +239,16 @@ fn misses(run: &mut Run, pairs: &[(&'static str, &'static str)]) {
 /// E7: "The index structure required for storing a bank of size N … is
 /// approximately equal to 5×N bytes." A bank of N positions with k
 /// distinct codes in `words` stored bitmap words takes `N` bytes of `SEQ`
-/// and `b·N/8 + 2·k + k/16 + N/8 + 12·words + 12·⌈4^W/4096⌉` index bytes:
-/// the postings packed at the bank's bit width `b = ⌈log2 len(SEQ)⌉` (the
-/// paper's 5·N counts four bytes of them per position), a two-byte row
-/// start per populated code and a four-byte anchor per 64 of them, the
-/// bit-set, and a word and its rank per stored bitmap word and per
-/// top-level word — at W = 11 a dense bank stores nearly all 65 536
-/// bitmap words (768 KB) beside the 12 KB top level.
+/// and, at `l = ⌊log2(N/k)⌋ = 0` (every bank at the default scale),
+/// `b·N/8 + (N + k)/8 + k/16 + (N + k)/1024 + N/8 + 12·words +
+/// 12·⌈4^W/4096⌉` index bytes: the postings packed at the bank's bit width `b = ⌈log2 len(SEQ)⌉` (the
+/// paper's 5·N counts four bytes of them per position), the row starts
+/// as one Elias–Fano sequence (a set bit per populated code and a clear
+/// bit per posting) with a derived select sample per 64 rows and rank
+/// per 4 096 of its bits, the bit-set, and a word and its rank per
+/// stored bitmap word and per top-level word — at W = 11 a dense bank
+/// stores nearly all 65 536 bitmap words (768 KB) beside the 12 KB top
+/// level. At `l > 0` the starts take `((N >> l) + k)/8 + l·k/8` bytes.
 fn memory(run: &mut Run) {
     let cfg = OrisConfig::default();
     let mut t = Table::new(vec![
@@ -275,9 +278,11 @@ fn memory(run: &mut Run) {
     print!("{t}");
     println!(
         "\nPaper model: ~5 bytes/residue (1 SEQ + 4 INDEX); here b/8 bytes of postings per \
-         position (b = posting bits, the bank length's bit width), 2 + 1/16 bytes per distinct \
-         seed, 1/8 byte per position, and 12 bytes per stored bitmap word and per top-level word \
-         ({} KiB of top level at W={}).",
+         position (b = posting bits, the bank length's bit width), the row starts as one \
+         Elias-Fano sequence (at l = floor(log2(N/k)) = 0, 1/8 byte per distinct seed and per \
+         position, 1/16 byte per distinct seed of select samples and 1/1024 of block ranks), \
+         1/8 byte per position, and 12 bytes per stored bitmap word and \
+         per top-level word ({} KiB of top level at W={}).",
         (12 * 4usize.pow(cfg.w as u32).div_ceil(4096)) >> 10,
         cfg.w
     );

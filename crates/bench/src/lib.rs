@@ -13,7 +13,7 @@
 //! | E4 | §3.3 large-bank speed-up table |
 //! | E5 | §3.4 EST miss tables |
 //! | E6 | §3.4 large-bank miss tables |
-//! | E7 | §3.1 index ≈5·N bytes, here `N` of `SEQ` and `b·N/8 + 2·k + k/16 + N/8 + 12·words + 12·⌈4^W/4096⌉`, `b = ⌈log2 len(SEQ)⌉` |
+//! | E7 | §3.1 index ≈5·N bytes, here `N` of `SEQ` and `b·N/8 + (N + k)/8 + k/16 + (N + k)/1024 + N/8 + 12·words + 12·⌈4^W/4096⌉` at `l = ⌊log2(N/k)⌋ = 0`, `b = ⌈log2 len(SEQ)⌉` |
 //! | E8 | §4 multicore perspective |
 //! | A1 | ordered rule vs hash dedup |
 //! | A2 | asymmetric indexing |

@@ -285,14 +285,16 @@ fn random_dna(len: usize, mut seed: u64) -> String {
 }
 
 #[test]
-fn wide_row_group_bank_is_byte_identical_plain_indexed_and_db() {
+fn long_row_bank_is_byte_identical_plain_indexed_and_db() {
     // A 70 000-nt poly-A run inside the subject, unmasked: code A^11 owns
-    // a row of ~70 000 postings, so the row group holding it spans more
-    // than 2^16 postings and keeps its starts as u32s. The query meets
-    // that group — the subject's stretch into the run, windows ending in
-    // A's — and ordinary shared sequence; the -m 8 output of a plain run,
-    // an mkindex file and a makedb database is the same bytes.
-    let dir = scratch("wide_group");
+    // a row of ~70 000 postings among rows of one or two, so the row
+    // starts keep no low bits and that row's clear high bits span whole
+    // rank blocks, which the lookups of the rows after it jump over. The
+    // query meets those rows — the subject's stretch into the run,
+    // windows ending in A's — and ordinary shared sequence; the -m 8
+    // output of a plain run, an mkindex file and a makedb database is the
+    // same bytes.
+    let dir = scratch("long_row");
     let head = random_dna(50_000, 0x5EED);
     let tail = random_dna(150_000, 0xBEEF);
     let s = dir.join("subject.fa");

@@ -58,10 +58,12 @@ pub struct PipelineStats {
     /// Fraction of bank-2 positions masked by the filter.
     pub masked_fraction2: f64,
     /// Index footprint (both banks), heap bytes: per index
-    /// `b·N/8 + 2·k + k/16 + N/8 + 12·words + 12·⌈4^W/4096⌉` for N
-    /// postings of `b = ⌈log2 len(SEQ)⌉` bits, k distinct codes and
-    /// `words` populated bitmap words (the paper's ≈5·N counts `SEQ` and
-    /// postings only; see `oris_index::structure`).
+    /// `b·N/8 + (N + k)/8 + k/16 + (N + k)/1024 + N/8 + 12·words +
+    /// 12·⌈4^W/4096⌉` for N postings of `b = ⌈log2 len(SEQ)⌉` bits, k
+    /// distinct codes and `words` populated bitmap words, when
+    /// `l = ⌊log2(N/k)⌋` is 0 (the general `l` adds `l·k/8` and shrinks
+    /// the `N` of the row starts to `N >> l`; the paper's ≈5·N counts
+    /// `SEQ` and postings only; see `oris_index::structure`).
     pub index_bytes: usize,
 }
 

@@ -21,10 +21,11 @@ pub struct AttachedVolumeStats {
     /// volume FASTA (index build time is always 0 on this path).
     pub attach_secs: f64,
     /// Heap bytes of the attached index. For an mmap attach the postings,
-    /// row boundaries and the row map's two levels stay in the page
-    /// cache, and the heap holds the copied bit-set (`len/8` bytes) plus
-    /// the ranks derived from the two levels (4 bytes per top-level word
-    /// and per stored bitmap word).
+    /// row starts and the row map's two levels stay in the page cache,
+    /// and the heap holds the copied bit-set (`len/8` bytes) plus what is
+    /// derived from them: the two levels' ranks (4 bytes per top-level
+    /// word and per stored bitmap word) and the row starts' select samples
+    /// and block ranks (4 bytes per 64 rows and per 4 096 high bits).
     pub index_heap_bytes: usize,
     /// Whether the index sections are mmap-backed.
     pub mmap_backed: bool,

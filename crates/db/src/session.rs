@@ -185,10 +185,10 @@ pub struct SearchReport {
     /// Database-wide residue total (the manifest's; a resident subject's
     /// own residues).
     pub residues_total: u64,
-    /// Volumes served from the result cache: all of `searched` when the
-    /// cache answered the query (a hit replays the report its search
-    /// gave, `retries` aside), none when the query was searched.
-    pub cache_hits: Vec<usize>,
+    /// Whether the result cache answered the query: a hit replays the
+    /// report its search gave (`searched` and the residues included),
+    /// `retries` aside.
+    pub from_cache: bool,
 }
 
 impl SearchReport {
@@ -615,7 +615,7 @@ impl<'d> DbSession<'d> {
         let merged = match hit {
             Some(entry) => {
                 sink.accept_all(entry.records);
-                report.cache_hits.clone_from(&entry.searched);
+                report.from_cache = true;
                 report.searched = entry.searched;
                 entry.stats
             }

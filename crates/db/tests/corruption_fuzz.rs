@@ -1,5 +1,5 @@
 //! Byte-mutation fuzz: random single-byte flips and truncations of the
-//! manifest and the v7 index files must never panic the loaders, and
+//! manifest and the v8 index files must never panic the loaders, and
 //! never be silently accepted where a checksum vouches for the bytes.
 //! Structure-aware fuzz: manifest *fields* overwritten and rows shuffled
 //! with the checksum restamped — the checksum is not a MAC, so the parser
@@ -18,9 +18,9 @@
 //!   W = 5 stores nearly every word, and every byte of its two levels is
 //!   flipped below, and each lie about them told under a restamped
 //!   checksum; a third puts a 70 000-nt poly-A run ahead of the
-//!   sequence, so its first row group keeps `u32` starts in the wide side
-//!   array, and every byte of its row bounds is flipped, and its words
-//!   edited under a restamped checksum. The packed postings are lied
+//!   sequence, so its row starts keep low bits beside their high words,
+//!   and every third byte of both is flipped, and their words edited
+//!   under a restamped checksum. The packed postings are lied
 //!   about too: a position past the bank, stray bits past the last
 //!   posting, a header width other than the bank length's, and a section
 //!   cut short.
@@ -96,13 +96,45 @@ fn dense_fixture() -> &'static (PathBuf, Vec<u8>) {
     })
 }
 
-/// The byte range of an index file's two row-map levels at W = 5: the
-/// header is 96 bytes; then the one top-level word and the
-/// stored bitmap words (at most ⌈4^5/64⌉ = 16, as many as the header's
-/// `num_words` at 52..60).
+/// The byte ranges of an index file's sections, from its header (88
+/// bytes): the top level, the stored bitmap words, the row starts' high
+/// words and low stream, the packed postings and the bit-set, each whole
+/// words and right after the one before.
+fn sections(index: &[u8]) -> [std::ops::Range<usize>; 6] {
+    let field = |at: usize, n: usize| {
+        index[at..at + n]
+            .iter()
+            .rev()
+            .fold(0usize, |v, &b| v << 8 | usize::from(b))
+    };
+    let (w, bank_len) = (field(12, 4), field(24, 8));
+    let (words, rows, postings, bits) = (field(52, 8), field(60, 8), field(68, 8), field(84, 4));
+    let l = postings.checked_div(rows).map_or(0, |q| q.ilog2() as usize);
+    let lens = [
+        8 * (1usize << (2 * w)).div_ceil(4096),
+        8 * words,
+        8 * ((postings >> l) + rows).div_ceil(64),
+        if l == 0 {
+            0
+        } else {
+            8 * ((l * rows).div_ceil(64) + 1)
+        },
+        8 * ((bits * postings).div_ceil(64) + 1),
+        8 * bank_len.div_ceil(64),
+    ];
+    let mut at = 88;
+    lens.map(|len| {
+        at += len;
+        at - len..at
+    })
+}
+
+/// The byte range of an index file's two row-map levels: the top level
+/// (one word at W = 5) and the stored bitmap words (at most ⌈4^5/64⌉ =
+/// 16, as many as the header's `num_words` at 52..60).
 fn bitmap_bytes(index: &[u8]) -> std::ops::Range<usize> {
-    let words = u64::from_le_bytes(index[52..60].try_into().unwrap()) as usize;
-    96..104 + 8 * words
+    let [top, words, ..] = sections(index);
+    top.start..words.end
 }
 
 /// Every single-byte flip of a volume's row map — the top level and the
@@ -161,7 +193,7 @@ fn refused(bytes: &[u8], want: &str) {
     }
 }
 
-/// Each lie a v7 file can tell about its row map — a top bit whose word
+/// Each lie a v8 file can tell about its row map — a top bit whose word
 /// is absent, a stored word of zero, fewer top bits than stored words, a
 /// top or word bit past 4^W, a word popcount other than the row count —
 /// told under a restamped checksum, ends in [`PersistError::Corrupt`]
@@ -178,40 +210,40 @@ fn row_map_lies_end_in_a_typed_error_under_both_attach_modes() {
     };
     // W = 5: one top word over 16 bitmap words, most of them stored.
     let (_, index) = dense_fixture();
-    let (top, first) = (word(index, 96), word(index, 104));
+    let (top, first) = (word(index, 88), word(index, 96));
     let stored = (top.count_ones()) as usize;
     assert_eq!(bitmap_bytes(index).len(), 8 + 8 * stored);
-    refused(&with(index, 104, 0), "a stored bitmap word is zero");
-    refused(&with(index, 96, top & (top - 1)), "stored words for the");
+    refused(&with(index, 96, 0), "a stored bitmap word is zero");
+    refused(&with(index, 88, top & (top - 1)), "stored words for the");
     refused(
-        &with(index, 96, top | 1 << 20),
+        &with(index, 88, top | 1 << 20),
         "marks a word past the 1024-code space",
     );
     let more = first | 1 << (!first).trailing_zeros();
-    refused(&with(index, 104, more), "bitmap words hold");
+    refused(&with(index, 96, more), "bitmap words hold");
     // W = 8: sixteen top words over 1 024 bitmap words, a few stored; a
     // top bit marking a word the file does not store.
     let (dir, _, _) = fixture();
     let sparse = std::fs::read(dir.join("vol00000.oidx")).unwrap();
-    let t = (0..16).find(|&t| word(&sparse, 96 + 8 * t) != 0).unwrap();
-    let top = word(&sparse, 96 + 8 * t);
+    let t = (0..16).find(|&t| word(&sparse, 88 + 8 * t) != 0).unwrap();
+    let top = word(&sparse, 88 + 8 * t);
     let free = (!top).trailing_zeros();
     refused(
-        &with(&sparse, 96 + 8 * t, top | 1 << free),
+        &with(&sparse, 88 + 8 * t, top | 1 << free),
         "a marked word is absent",
     );
 }
 
-/// A database whose first volume's index has a wide row group — a
-/// 70 000-nt poly-A run ahead of the fixture sequence, W = 5 — with its
-/// directory, vol00000.oidx's bytes and the byte ranges of its three
-/// row-bound sections (`rel`s, anchors, wide starts).
-fn wide_fixture() -> &'static (PathBuf, Vec<u8>, [std::ops::Range<usize>; 3]) {
-    static FIXTURE: OnceLock<(PathBuf, Vec<u8>, [std::ops::Range<usize>; 3])> = OnceLock::new();
+/// A database whose first volume's index has a row of 70 000 postings —
+/// a poly-A run ahead of the fixture sequence, W = 5, so N/k passes 2 and
+/// the row starts keep low bits — with its directory, vol00000.oidx's
+/// bytes and the byte ranges of its row starts' high words and low stream.
+fn long_row_fixture() -> &'static (PathBuf, Vec<u8>, [std::ops::Range<usize>; 2]) {
+    static FIXTURE: OnceLock<(PathBuf, Vec<u8>, [std::ops::Range<usize>; 2])> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let dir = std::env::temp_dir()
             .join("oris_db_fuzz")
-            .join(format!("wide_fixture_{}", std::process::id()));
+            .join(format!("long_row_fixture_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let mut b = BankBuilder::new();
@@ -228,30 +260,17 @@ fn wide_fixture() -> &'static (PathBuf, Vec<u8>, [std::ops::Range<usize>; 3]) {
         )
         .unwrap();
         let index = std::fs::read(dir.join("vol00000.oidx")).unwrap();
-        // The header's counts (num_words, num_rows, num_wide) lay the
-        // sections out: each starts on the next 8-byte offset, the top
-        // level (one word at W = 5) first.
-        let count = |at: usize| u64::from_le_bytes(index[at..at + 8].try_into().unwrap()) as usize;
-        let (words, rows, wide) = (count(52), count(60), count(84));
-        let align = |at: usize| at.next_multiple_of(8);
-        let rel = align(96 + 8 + 8 * words);
-        let anchors = align(rel + 2 * rows);
-        let side = align(anchors + 4 * rows.div_ceil(64));
-        assert_eq!(wide, rows.min(64), "the poly-A row group must be wide");
-        let sections = [
-            rel..rel + 2 * rows,
-            anchors..anchors + 4 * rows.div_ceil(64),
-            side..side + 4 * wide,
-        ];
-        (dir, index, sections)
+        let [_, _, high, low, ..] = sections(&index);
+        assert!(!low.is_empty(), "the row starts must keep low bits");
+        (dir, index, [high, low])
     })
 }
 
-/// Every single-byte flip of a volume's row bounds — `rel`s, anchors and
-/// wide starts — is refused by both attach modes, as the bitmap's are.
+/// Every third byte of a volume's row starts — high words and low stream
+/// — flipped is refused by both attach modes, as the bitmap's are.
 #[test]
 fn row_bound_flips_are_refused_by_both_attach_modes() {
-    let (dir, index, sections) = wide_fixture();
+    let (dir, index, sections) = long_row_fixture();
     let clean = oris_index::map_index_file(dir.join("vol00000.oidx"))
         .unwrap()
         .0;
@@ -275,8 +294,7 @@ fn row_bound_flips_are_refused_by_both_attach_modes() {
 
 /// Where an index file keeps its packed postings, from its header: the
 /// section's byte range, the posting width, the postings and the bank
-/// length. The section follows the top level, the stored bitmap words
-/// and the three row-bound sections, each on the next 8-byte offset.
+/// length.
 fn postings_layout(index: &[u8]) -> (std::ops::Range<usize>, usize, usize, usize) {
     let field = |at: usize, n: usize| {
         index[at..at + n]
@@ -284,22 +302,8 @@ fn postings_layout(index: &[u8]) -> (std::ops::Range<usize>, usize, usize, usize
             .rev()
             .fold(0usize, |v, &b| v << 8 | usize::from(b))
     };
-    let (w, bank_len) = (field(12, 4), field(24, 8));
-    let (words, rows, postings, wide, bits) = (
-        field(52, 8),
-        field(60, 8),
-        field(68, 8),
-        field(84, 8),
-        field(92, 4),
-    );
-    let align = |at: usize| at.next_multiple_of(8);
-    let stored = 96 + 8 * (1usize << (2 * w)).div_ceil(4096);
-    let rel = align(stored + 8 * words);
-    let anchors = align(rel + 2 * rows);
-    let side = align(anchors + 4 * rows.div_ceil(64));
-    let start = align(side + 4 * wide);
-    let len = 8 * ((bits * postings).div_ceil(64) + 1);
-    (start..start + len, bits, postings, bank_len)
+    let [_, _, _, _, postings, _] = sections(index);
+    (postings, field(84, 4), field(68, 8), field(24, 8))
 }
 
 /// `bytes` with `bits` bits from stream bit `bit` of the section at
@@ -317,7 +321,7 @@ fn with_bits(bytes: &[u8], start: usize, bit: usize, bits: usize, value: u64) ->
     bytes
 }
 
-/// Each lie a v7 file can tell about its packed postings, told under a
+/// Each lie a v8 file can tell about its packed postings, told under a
 /// restamped checksum, ends in [`PersistError::Corrupt`] under both
 /// attach modes: a posting at or past the bank's length, a bit set past
 /// the last posting, a header width other than the bank length's bit
@@ -361,7 +365,7 @@ fn postings_lies_end_in_a_typed_error_under_both_attach_modes() {
     // A header width one off either way.
     for lie in [bits + 1, bits - 1] {
         let mut tainted = index.clone();
-        tainted[92..96].copy_from_slice(&(lie as u32).to_le_bytes());
+        tainted[84..88].copy_from_slice(&(lie as u32).to_le_bytes());
         refused(
             &tainted,
             &format!("postings of {lie} bits for a bank of {bank_len}"),
@@ -608,7 +612,7 @@ proptest! {
         }
     }
 
-    /// Any single-byte flip of a v7 index file is rejected by the real
+    /// Any single-byte flip of a v8 index file is rejected by the real
     /// attach path — header validation or the whole-stream checksum —
     /// without panicking.
     #[test]
@@ -628,7 +632,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Any truncation of a v7 index file is rejected by the real attach
+    /// Any truncation of a v8 index file is rejected by the real attach
     /// path without panicking.
     #[test]
     fn index_truncations_never_panic_never_pass(len_sel in 0usize..1_000_000) {
@@ -668,31 +672,31 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Structure-aware edits of the row bounds under a restamped checksum
-    /// (the checksum is not a MAC): one or two words of the `rel`,
-    /// anchor or wide-start sections set to a value near the stored one,
-    /// to a wide flag, or to anything. The mapped attach never panics; it
-    /// refuses the file with a typed corruption error, or accepts an index
-    /// whose every row lies inside its postings in ascending order.
+    /// Structure-aware edits of the row starts under a restamped checksum
+    /// (the checksum is not a MAC): one or two words of the high words or
+    /// the low stream with a set bit moved to a clear neighbour (the
+    /// set-bit count kept), one bit flipped, or set to anything. The
+    /// mapped attach never panics; it refuses the file with a typed
+    /// corruption error, or accepts an index whose every row lies inside
+    /// its postings in ascending order.
     #[test]
     fn row_bound_edits_end_in_a_typed_error(
         picks in proptest::collection::vec(0u64..=u64::MAX, 1..3),
         values in proptest::collection::vec(0u64..=u64::MAX, 2),
     ) {
-        let (_, index, sections) = wide_fixture();
+        let (_, index, sections) = long_row_fixture();
         let mut bytes = index.clone();
         for (pick, value) in picks.iter().zip(&values) {
-            let section = (pick % 3) as usize;
-            let range = &sections[section];
-            let width = if section == 0 { 2 } else { 4 };
-            let at = range.start + width * ((pick >> 2) as usize % (range.len() / width));
-            let stored = bytes[at..at + width].iter().rev().fold(0u64, |v, &b| v << 8 | u64::from(b));
+            let range = &sections[(pick % 2) as usize];
+            let at = range.start + 8 * ((pick >> 1) as usize % (range.len() / 8));
+            let stored = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let j = (value >> 2) % 63;
             let new = match value & 3 {
-                0 => stored.wrapping_add(value >> 2 & 7).wrapping_sub(4),
-                1 => (1 << 31) | ((value >> 2) % 256),
+                0 if (stored >> j ^ stored >> (j + 1)) & 1 == 1 => stored ^ 3 << j,
+                0 | 1 => stored ^ 1 << j,
                 _ => value >> 2,
             };
-            bytes[at..at + width].copy_from_slice(&new.to_le_bytes()[..width]);
+            bytes[at..at + 8].copy_from_slice(&new.to_le_bytes());
         }
         oris_index::persist::restamp_checksum(&mut bytes);
         let path = mutated_file(&bytes);

@@ -197,7 +197,7 @@ fn repeated_query_is_served_from_cache_byte_identically() {
 
     let mut cold = CollectSink::new();
     let (cold_stats, cold_report) = session.run_query_reported(&query(), &mut cold).unwrap();
-    assert!(cold_report.cache_hits.is_empty());
+    assert!(!cold_report.from_cache);
     // One query is one miss, one insertion and one entry, whatever the
     // volume count.
     assert!(num >= 4);
@@ -209,14 +209,15 @@ fn repeated_query_is_served_from_cache_byte_identically() {
 
     let mut warm = CollectSink::new();
     let (warm_stats, warm_report) = session.run_query_reported(&query(), &mut warm).unwrap();
+    assert!(warm_report.from_cache);
     assert_eq!(
-        warm_report.cache_hits,
+        warm_report.searched,
         (0..num).collect::<Vec<_>>(),
         "the hit covers every volume the search covered"
     );
     assert_eq!(
         SearchReport {
-            cache_hits: Vec::new(),
+            from_cache: false,
             ..warm_report
         },
         cold_report,
@@ -230,7 +231,7 @@ fn repeated_query_is_served_from_cache_byte_identically() {
     let other = bank(&[("q2", &format!("AA{CORE}CC"))]);
     let mut sink = CollectSink::new();
     let (_, report) = session.run_query_reported(&other, &mut sink).unwrap();
-    assert!(report.cache_hits.is_empty());
+    assert!(!report.from_cache);
     assert_eq!(session.result_cache_counters().misses, 2);
 }
 
@@ -278,7 +279,7 @@ fn quarantined_volume_is_invalidated_and_never_served_from_cache() {
     let mut sink = CollectSink::new();
     let (_, repeat) = session.run_query_reported(&query(), &mut sink).unwrap();
     assert_eq!(repeat.skipped, vec![1]);
-    assert!(repeat.cache_hits.is_empty());
+    assert!(!repeat.from_cache);
     assert!(!repeat.searched.contains(&1));
     assert_eq!(session.result_cache_counters().misses, 3);
     let surviving = render(sink);
@@ -318,7 +319,7 @@ fn undersized_cache_stores_nothing_but_output_is_correct() {
     session.run_query_reported(&query(), &mut first).unwrap();
     let mut second = CollectSink::new();
     let (_, report) = session.run_query_reported(&query(), &mut second).unwrap();
-    assert!(report.cache_hits.is_empty());
+    assert!(!report.from_cache);
     let counters = session.result_cache_counters();
     assert_eq!((counters.insertions, counters.hits), (0, 0));
     let (seq_records, _) = run_once(&dir, None, DbOptions::default()).unwrap();

@@ -12,8 +12,8 @@
 //!   work (a seed `SA` precedes `SB` iff `code(SA) < code(SB)`).
 //! * [`BankIndex`]: the Figure-2 occurrence index, stored as a **CSR
 //!   inverted index** — row starts over one contiguous postings stream,
-//!   two bytes a row over one anchor per 64 rows, each posting packed in
-//!   `⌈log2 len(SEQ)⌉` bits — so `occurrences(code)` is a [`Row`], an
+//!   one Elias–Fano sequence (about `1 + N/k` bits a row), each posting
+//!   packed in `⌈log2 len(SEQ)⌉` bits — so `occurrences(code)` is a [`Row`], an
 //!   ascending run of the stream decoded as it is read, and step 2
 //!   streams postings instead of chasing the paper's `int *INDEX`
 //!   chains. Rows are stored for populated codes only, and
@@ -32,8 +32,8 @@
 //!   little-endian array sections, each starting on an 8-byte file
 //!   offset, then a word-wide [`persist::checksum`] that detects every
 //!   single-byte flip with certainty). The row map's top level and
-//!   stored words are written beside the row bounds; their ranks are
-//!   derived at load. A loaded index is
+//!   stored words are written beside the row starts' high and low bits;
+//!   their ranks, and the starts' select samples, are derived at load. A loaded index is
 //!   behaviourally identical to a fresh build, including the
 //!   `is_fully_indexed` provenance that drives step 2's guard
 //!   auto-selection.
@@ -52,13 +52,14 @@
 //!   sampled windows.
 //! * Seed-occupancy statistics used by tests and the memory experiment
 //!   (E7). A fully indexed bank of N positions with k distinct codes in
-//!   `words` populated bitmap words takes
-//!   `b·N/8 + 2·k + k/16 + N/8 + 12·words + 12·⌈4^W/4096⌉` index bytes
-//!   beside its N-byte `SEQ`, `b = ⌈log2 len(SEQ)⌉`: the postings at the
-//!   bank's bit width (the paper's ≈5·N counts four bytes each), the row
-//!   bounds of the populated codes (a two-byte start each over a
-//!   four-byte anchor per 64), the bit-set and the row map's two levels
-//!   with their ranks.
+//!   `words` populated bitmap words takes, when `l = ⌊log2(N/k)⌋` is 0,
+//!   `b·N/8 + (N + k)/8 + k/16 + (N + k)/1024 + N/8 + 12·words +
+//!   12·⌈4^W/4096⌉` index bytes beside its N-byte `SEQ`, `b = ⌈log2
+//!   len(SEQ)⌉`: the postings at the bank's bit width (the paper's ≈5·N
+//!   counts four bytes each), the row starts' high vector with its
+//!   derived select samples and block ranks, the bit-set and the row
+//!   map's two levels with their ranks (at `l > 0` the high vector is
+//!   `((N >> l) + k)/8` bytes and the low bits add `l·k/8`).
 //! * Low-complexity masking, which decides what the index leaves out
 //!   (section 2.1: "W character words belonging to low-complexity regions
 //!   are discarded from the index"). Section 3.4 charges part of the

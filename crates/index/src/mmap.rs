@@ -8,8 +8,10 @@
 //! probes is copied (`len/8` bytes, an order of magnitude below the
 //! postings), and the row map's ranks are derived, 4 bytes per top-level
 //! word and per stored bitmap word (4 KB at W = 11, plus up to 256 KB for
-//! a volume storing all 65 536 words); the row map's two levels and the
-//! row boundaries are mapped like the rest. A sharded database holds
+//! a volume storing all 65 536 words), as are the row starts' select
+//! samples and block ranks (4 bytes per 64 rows and per 4 096 high bits);
+//! the row map's two levels and the row starts are mapped like the
+//! rest. A sharded database holds
 //! many volumes this way, and
 //! `scoris-n --index` attaches its one file the same way.
 //! The exact-size check, the whole-stream checksum and every structural
@@ -303,10 +305,10 @@ mod tests {
             let mut trailing = clean.clone();
             trailing.push(0);
             variants.push(trailing);
-            let mut padded = clean.clone();
-            padded[93] = 0xAB; // header ends at 92, the top level starts at 96
-            crate::persist::restamp_checksum(&mut padded);
-            variants.push(padded);
+            let mut reserved = clean.clone();
+            reserved[21] = 0xAB; // a reserved flag byte (flags at 20..24)
+            crate::persist::restamp_checksum(&mut reserved);
+            variants.push(reserved);
 
             for (i, bytes) in variants.iter().enumerate() {
                 let path = tmp_file(&format!("corrupt_w{w}_{i}"), bytes);
@@ -351,12 +353,19 @@ mod tests {
     }
 
     /// Byte range of the top level and of the stored bitmap words in an
-    /// index file of seed length `w`: the top level starts at 96 (header
-    /// 92, padded), the words on the next 8-byte offset after it.
+    /// index file of seed length `w`: the top level starts at 88, after
+    /// the header, and the words right after it.
     fn bitmap_bytes(bytes: &[u8], w: usize) -> std::ops::Range<usize> {
         let top = 8 * (1usize << (2 * w)).div_ceil(4096);
         let words = u64::from_le_bytes(bytes[52..60].try_into().unwrap()) as usize;
-        96..96 + top + 8 * words
+        88..88 + top + 8 * words
+    }
+
+    /// The row starts' derived arrays of `idx`, in `u32`s: a select
+    /// sample per 64 rows and a rank per 64 high words and one more.
+    fn derived_bounds(idx: &BankIndex) -> usize {
+        let (n, k) = (idx.indexed_positions(), idx.distinct_codes());
+        k.div_ceil(64) + crate::structure::high_len(n, k).div_ceil(64).div_ceil(64) + 1
     }
 
     #[test]
@@ -389,10 +398,11 @@ mod tests {
 
     #[test]
     fn mapped_dense_heap_is_its_ranks_and_bitset() {
-        // A mapped attach holds the copied bit-set and the ranks it
-        // derives from the mapped levels, one u32 per top-level word and
-        // per stored word; the levels, row boundaries and postings stay
-        // in the mapping. This bank stores every bitmap word of W = 4.
+        // A mapped attach holds the copied bit-set and what it derives
+        // from the mapped sections: one u32 per top-level word and per
+        // stored word, and the row starts' samples and block ranks; the
+        // levels, row starts and postings stay in the mapping. This bank
+        // stores every bitmap word of W = 4.
         use crate::structure::IndexConfig;
         let bank = bank_of(&[&"ACGTTGCAAGGCTTACCGTA".repeat(8)]);
         let idx = BankIndex::build(&bank, IndexConfig::full(4));
@@ -403,23 +413,30 @@ mod tests {
         let (mapped, _) = map_index_file(&path).unwrap();
         assert!(mapped.is_mmap_backed());
         let bitset_bytes = 8 * mapped.indexed_words().len();
-        assert_eq!(mapped.heap_bytes(), bitset_bytes + 4 * (1 + 4));
+        assert_eq!(
+            mapped.heap_bytes(),
+            bitset_bytes + 4 * (1 + 4) + 4 * derived_bounds(&idx)
+        );
         assert!(idx.heap_bytes() > mapped.heap_bytes());
     }
 
     #[test]
     fn mapped_sparse_heap_is_its_bitset_and_ranks() {
         // What a mapped attach of a sparsely populated index really holds
-        // on the heap: the copied bit-set, and a rank per top-level word
-        // (16 at W = 8) and per stored word. The levels, row boundaries
-        // and postings stay in the mapping.
+        // on the heap: the copied bit-set, a rank per top-level word (16
+        // at W = 8) and per stored word, and the row starts' samples and
+        // block ranks. The levels, row starts and postings stay in the
+        // mapping.
         let (built, path) = sparse_fixture("heap_accounting");
         let (mapped, _) = map_index_file(&path).unwrap();
         assert!(mapped.is_mmap_backed());
         let words = built.rows().sections().1.len();
         assert!(words < 1024 / 4, "{words} stored words");
         let bitset_bytes = 8 * mapped.indexed_words().len();
-        assert_eq!(mapped.heap_bytes(), bitset_bytes + 4 * (16 + words));
+        assert_eq!(
+            mapped.heap_bytes(),
+            bitset_bytes + 4 * (16 + words) + 4 * derived_bounds(&built)
+        );
         assert!(built.heap_bytes() > mapped.heap_bytes());
     }
 }

@@ -19,10 +19,12 @@
 //! * the row bounds — where each row starts, for the *populated* codes
 //!   only (`k` distinct codes): row `r`, the occurrences of the `r`-th
 //!   populated code, runs from its start to the start of row `r + 1` (the
-//!   last row to the end of the postings). A start is two bytes, relative
-//!   to its group's anchor, one four-byte anchor per 64 rows; a group
-//!   whose starts span 2^16 postings or more keeps them as `u32`s in a
-//!   side array (the crate-private `RowBounds`);
+//!   last row to the end of the postings). The `k` starts in the `N`
+//!   postings are one Elias–Fano sequence (the crate-private
+//!   `RowBounds`): at `l = ⌊log2(N/k)⌋`, a start's low `l` bits in a
+//!   packed stream, and row `r`'s set bit at `(start >> l) + r` of a high
+//!   vector of `(N >> l) + k` bits — at `l = 0`, on every bank whose rows
+//!   average under two postings, the rows' lengths in unary;
 //! * the row map, by which a seed code finds its row `r` (the
 //!   crate-private `RowMap`). Picture a presence bitmap of `4^W` bits,
 //!   bit `code % 64` of word `code / 64` set iff the code is populated.
@@ -52,8 +54,12 @@
 //! word's ranks, so it visits only the bitmap words both indexes store
 //! and finds each row with a popcount. Two dense banks meet nearly every
 //! word; a lone read against a database volume ANDs the two 1 024-word
-//! top levels and then meets the read's hundred-odd words. It hands each
-//! row over as a start and a length, undecoded. Every answer is exactly
+//! top levels and then meets the read's hundred-odd words. Each index's
+//! row bounds are read by one forward cursor: the shared rows come in
+//! ascending order, so reaching the next is a step over a few set bits,
+//! and its end is the next set bit (a row 64 or more ahead is reached
+//! from its select sample instead). It hands each row over as a start
+//! and a length, undecoded. Every answer is exactly
 //! the row [`BankIndex::occurrences`] returns (differential
 //! proptests below hold the map, built by any pool, heap and mapped, to
 //! a binary search and to the `offsets[4^W + 1]` build this module had
@@ -92,16 +98,15 @@
 //!   read 5 ms for its 64 partitions where the sort takes
 //!   microseconds. A sorted partition's ranks are spent, so pass C
 //!   writes its populated rows' lengths, as `u16`s in code order, over the
-//!   head of their stretch. With the populated codes counted, a last pass
-//!   turns those lengths into the rows' two-byte starts **in the rank
-//!   array itself**: each run of partitions compacts its starts to the
-//!   head of its own stretch (every row lands at or before the length it
-//!   is made from), the runs move down to their first rows in ascending
-//!   order, the few groups a run's edge cuts (and the wide ones) are
-//!   encoded last, and the array is cut to `k` entries. So the build never
-//!   holds a second `k`-sized array beside the `2·N`-byte ranks. A
-//!   partition holding a row of 2^16 postings or more cannot leave its
-//!   lengths as `u16`s; that pass counts its ranks again instead. Reading
+//!   head of their stretch. With the populated codes counted, `l` is
+//!   known, and a last pass encodes the row starts from those lengths,
+//!   one run of partitions per worker: each run sets its rows' high bits
+//!   in the words it owns — from the first wholly past its first row's
+//!   bit — and hands back the few bits below them and its rows' low bits,
+//!   which are put in place after the runs, so every pool writes the same
+//!   bits. A partition holding a row of 2^16 postings or more cannot
+//!   leave its lengths as `u16`s; that pass counts its ranks again
+//!   instead. Reading
 //!   the lengths back rather than recounting every partition makes the
 //!   build of a 4.9 Mnt bank at W = 11 3–8 % faster (2-vCPU VM,
 //!   alternating in-process runs: 103 ms against 111 at one worker,
@@ -132,13 +137,18 @@
 //!
 //! Memory model (heap bytes on top of the 1-byte-per-residue `SEQ` array;
 //! `k` = distinct codes, `N` = indexed positions, `b = ⌈log2 len(SEQ)⌉`,
-//! `words` = stored bitmap words, at most `min(k, 4^W/64)`):
+//! `l = ⌊log2(N/k)⌋`, `words` = stored bitmap words, at most
+//! `min(k, 4^W/64)`):
 //!
 //! ```text
 //!   b·N/8                  postings (in whole words, and a zero pad
 //!                          word)
-//! + 2·k + k/16             row bounds (+ 4 bytes per row of a wide group,
-//!                          none on a typical bank)
+//! + ((N >> l) + k)/8       row starts' high vector (in whole words):
+//!                          (N + k)/8 at l = 0
+//! + l·k/8                  their low bits (in whole words, and a zero
+//!                          pad word; none at l = 0)
+//! + k/16                   their select samples, a u32 per 64 rows
+//! + ((N >> l) + k)/1024    their block ranks, a u32 per 4 096 high bits
 //! + len(SEQ)/8             indexed-occurrence bit-set
 //! + 12·words               stored bitmap words and their ranks
 //! + 12·⌈4^W/4096⌉          top level and its ranks (12 KB at W = 11,
@@ -147,8 +157,10 @@
 //! + 16·partitions per slice the postings' room to spare, at most (pass
 //!                          B → C: each stretch's part-filled last word
 //!                          and a zero word; 1 KB per slice at W ≤ 11)
-//! + 2·N − 2·k              ranks (pass B → pass C; their head becomes
-//!                          the row bounds)
+//! + 2·N                    ranks (pass B → pass C, then the rows'
+//!                          lengths over their head until the row starts
+//!                          are encoded)
+//! + l·k/8                  each run's low bits, until the runs are done
 //! + 4·partitions per slice partition histogram (256 B at W ≤ 11)
 //! + 8·words                the runs' marked words
 //! + per worker, for a counted partition: 6·4^8 bytes of count scratch
@@ -161,15 +173,17 @@
 //!
 //! A fully indexed 150-nt read at W = 11 is thus under 16 KB, a dense
 //! bank the one-level bitmap's cost plus 12 KB, and a saturated bank
-//! (`k ≈ 4^W`, from ~12 Mnt at W = 11) pays `2.25·4^W` bytes plus the top
-//! level, under the `4·4^W` of an `offsets` array. The postings are sized
+//! (`k ≈ 4^W`, from ~12 Mnt at W = 11, where `l = 1`) pays about
+//! `3·4^W/16` bytes for its map and `N/16 + 0.31·4^W` for its row
+//! starts, under the `4·4^W` of an `offsets` array. The postings are sized
 //! by the windows actually indexed, not by `len(SEQ)` as the paper's
 //! `next` array is, so low-complexity masking and the asymmetric stride
 //! (section 3.4) shrink the index itself, not just the bit-set. The
 //! paper's "approximately 5·N bytes" (1 byte of `SEQ` and 4 of postings
 //! per position) is the first term with `b = 32`; at the bank's bit width
-//! the postings take `b/8` bytes a position instead, and the row bounds
-//! add `2·k + k/16` and the row map `12·words + 12·⌈4^W/4096⌉`.
+//! the postings take `b/8` bytes a position instead, the row starts add
+//! `(N + k)/8 + k/16 + (N + k)/1024` at `l = 0`, and the row map
+//! `12·words + 12·⌈4^W/4096⌉`.
 //!
 //! The one-bit-per-position `indexed` set is retained for the ORIS order
 //! guard: during extension the guard must ask "would the global enumeration
@@ -206,7 +220,8 @@ use rayon::prelude::*;
 
 use crate::mask::MaskSet;
 use crate::postings::{
-    bit_width, copy_bits, extract_at, room, seal, Packed, PackedView, Packer, Row,
+    bit_width, copy_bits, extract, extract_at, room, seal, words_for, Packed, PackedView, Packer,
+    Row,
 };
 use crate::section::Section;
 use crate::seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
@@ -250,284 +265,388 @@ pub struct IndexStats {
     pub index_bytes: usize,
     /// Heap bytes including the underlying `SEQ` array: `N` of `SEQ` and
     /// `b·N/8` of postings at `b = ⌈log2 len(SEQ)⌉` bits each, plus the
-    /// row bounds' `2·k + k/16`, the row map's `12·words +
-    /// 12·⌈4^W/4096⌉` and the bit-set's `N/8` for a fully indexed bank
-    /// (see the module docs).
+    /// row starts' `(N + k)/8 + k/16 + (N + k)/1024` at `l = ⌊log2(N/k)⌋
+    /// = 0` (`l·k/8` more, and `N >> l` for `N`, at `l > 0`), the row
+    /// map's `12·words + 12·⌈4^W/4096⌉` and the bit-set's `N/8` for a
+    /// fully indexed bank (see the module docs).
     pub total_bytes: usize,
 }
 
-/// Rows per group of [`RowBounds`]: one anchor each.
-const GROUP: usize = 64;
+/// Rows per select sample: where every 64th row's set bit lies is derived
+/// at build and at attach, never stored.
+const SAMPLE: usize = 64;
 
-/// The flag of an anchor whose group keeps its starts in the wide side
-/// array; the anchor's other bits say where they begin.
-const WIDE: u32 = 1 << 31;
+/// High words per rank block: the set bits before every block are derived
+/// beside the samples, so a step past a long row's clear bits jumps to
+/// the block it wants instead of reading the blocks between.
+const BLOCK_WORDS: usize = 64;
 
-/// Where each of the `k` rows starts in the postings: two bytes per row
-/// over one four-byte anchor per [`GROUP`] rows. Row `r` starts at
-/// `anchors[r / 64] + rel[r]` and ends where row `r + 1` starts, the
-/// last row at the end of the postings — so `k` starts and no `k + 1`-th.
+/// Low bits kept per start of `rows` row starts over `postings` postings:
+/// `⌊log2(N/k)⌋`, and 0 for no rows.
+pub(crate) fn low_width(postings: usize, rows: usize) -> u32 {
+    match rows {
+        0 => 0,
+        k => (postings / k).max(1).ilog2(),
+    }
+}
+
+/// Bytes of the low stream of `rows` starts of `l` low bits: its words and
+/// a zero pad word, as the postings' codec lays a stream out; none at
+/// `l = 0`.
+pub(crate) fn low_bytes(rows: usize, l: u32) -> usize {
+    if l == 0 {
+        0
+    } else {
+        8 * words_for(rows, l)
+    }
+}
+
+/// High bits of `rows` row starts over `postings` postings, `(N >> l) +
+/// k`: a set bit per row and a clear bit per `2^l` postings.
+pub(crate) fn high_len(postings: usize, rows: usize) -> usize {
+    (postings >> low_width(postings, rows)) + rows
+}
+
+/// Where each of the `k` rows starts in the `N` postings: one Elias–Fano
+/// sequence (Vigna, *Quasi-succinct indices*, WSDM 2013). Row `r` runs
+/// from its start to the start of row `r + 1`, the last row to `N` — so
+/// `k` starts and no `k + 1`-th.
 ///
-/// A group whose starts span 2^16 postings or more (or whose first start
-/// is 2^31 or more) cannot keep them as `u16`s: its anchor sets [`WIDE`]
-/// and names where its starts begin in `wide`, as `u32`s, and its `rel`s
-/// are 0; a lookup tests the flag, a branch that all but never turns. A
-/// group spans 64 rows, so only rows averaging a thousand postings make
-/// one.
+/// With `l = ⌊log2(N/k)⌋`, the low `l` bits of each start go in a packed
+/// stream of that width (the postings' codec; there is none at `l = 0`),
+/// and row `r` sets bit `(start_r >> l) + r` of a high vector of `(N >>
+/// l) + k` bits. At `l = 0` — every bank whose rows average under two
+/// postings — the vector is the rows' lengths in unary: a set bit, then a
+/// clear bit per posting. A row starts where its set bit lies, less `r`
+/// (shifted up past its low bits), and ends where the next row starts:
+/// the next set bit.
 ///
-/// The encoding is canonical — the build's parallel pass writes it (held
-/// to a reference encoder in the tests), and [`RowBounds::from_raw_parts`]
-/// refuses any other — so an index has one set of file bytes.
+/// Two arrays are derived from the high bits at build and at attach and
+/// never stored: the place of every 64th row's set bit ([`SAMPLE`]), so a
+/// lookup steps over at most 63 set bits, and the set bits before every
+/// block of 64 words ([`BLOCK_WORDS`]), so a step that meets a long row's
+/// clear bits jumps to the block holding the bit it wants, reading at
+/// most its own block and that one word by word, however long the rows
+/// between.
+///
+/// The encoding is canonical — a sequence of starts has one — and
+/// [`RowBounds::from_raw_parts`] refuses any bits that do not encode `k`
+/// non-empty rows tiling the postings, so an index has one set of file
+/// bytes.
 #[derive(Debug, Clone)]
 pub(crate) struct RowBounds {
-    /// Per row, its start less its group's anchor; 0 in a wide group.
-    rel: Section<u16>,
-    /// Per group, its first row's start, or [`WIDE`] and where its
-    /// starts begin in `wide`.
-    anchors: Section<u32>,
-    /// The wide groups' starts, group after group.
-    wide: Section<u32>,
+    /// Rows, `k`.
+    rows: usize,
+    /// Postings, `N`: where the last row ends.
+    postings: usize,
+    /// Low bits per start, `l`.
+    l: u32,
+    /// The high vector, `(N >> l) + k` bits in whole words.
+    high: Section<u64>,
+    /// The starts' low bits, `l` each; none at `l = 0`.
+    low: Option<Packed>,
+    /// `samples[j]` = `start >> l` of row `64·j`, whose set bit is bit
+    /// `samples[j] + 64·j`.
+    samples: Vec<u32>,
+    /// `ranks[b]` = the set bits before high word `64·b`, and `k` after
+    /// the last block.
+    ranks: Vec<u32>,
 }
 
-/// Whether a group of `starts` must keep them as `u32`s: its `rel`s would
-/// pass a `u16`, or its anchor the flag bit.
-fn is_wide(starts: &[u32]) -> bool {
-    match (starts.first(), starts.last()) {
-        (Some(&first), Some(&last)) => first >= WIDE || last - first > u32::from(u16::MAX),
-        _ => false,
+/// The select samples and block ranks of the high vector `high`, which
+/// sets `rows` bits (see [`RowBounds`]).
+fn derive(high: &[u64], rows: usize) -> (Vec<u32>, Vec<u32>) {
+    let as_u32 = |n: usize| u32::try_from(n).expect("a start and a row count fit u32");
+    let mut samples = Vec::with_capacity(rows.div_ceil(SAMPLE));
+    let mut ranks = Vec::with_capacity(high.len().div_ceil(BLOCK_WORDS) + 1);
+    let mut rank = 0;
+    for (i, &word) in high.iter().enumerate() {
+        if i % BLOCK_WORDS == 0 {
+            ranks.push(as_u32(rank));
+        }
+        let n = word.count_ones() as usize;
+        // A word sets at most 64 bits, so it holds at most one sample.
+        let next = SAMPLE * samples.len();
+        if next < rank + n {
+            let mut rest = word;
+            for _ in rank..next {
+                rest &= rest - 1;
+            }
+            let bit = 64 * i + rest.trailing_zeros() as usize;
+            samples.push(as_u32(bit - next));
+        }
+        rank += n;
     }
-}
-
-/// Encodes one group: writes its `rel`s and returns its anchor, or
-/// appends its starts to `wide` and returns the flagged anchor.
-fn encode_group(starts: &[u32], rel: &mut [u16], wide: &mut Vec<u32>) -> u32 {
-    if is_wide(starts) {
-        rel.fill(0);
-        let at = u32::try_from(wide.len()).expect("rows ≤ 4^13 < 2^31");
-        wide.extend_from_slice(starts);
-        WIDE | at
-    } else {
-        encode_narrow(starts, rel)
-    }
-}
-
-/// Encodes a group that is not wide: writes its `rel`s, returns its
-/// anchor.
-fn encode_narrow(starts: &[u32], rel: &mut [u16]) -> u32 {
-    for (r, &s) in rel.iter_mut().zip(starts) {
-        // oris-lint: allow(narrow-cast) — not wide, so every start is within u16::MAX of the first
-        *r = (s - starts[0]) as u16;
-    }
-    starts[0]
+    ranks.push(as_u32(rank));
+    (samples, ranks)
 }
 
 impl RowBounds {
-    /// Encodes ascending row starts — the reference encoder the build's
-    /// parallel pass is held to.
-    #[cfg(test)]
-    pub(crate) fn from_starts(starts: &[u32]) -> RowBounds {
-        let mut rel = vec![0u16; starts.len()];
-        let mut wide = Vec::new();
-        let anchors: Vec<u32> = starts
-            .chunks(GROUP)
-            .zip(rel.chunks_mut(GROUP))
-            .map(|(starts, rel)| encode_group(starts, rel, &mut wide))
-            .collect();
+    /// Pairs the stored parts with the samples and ranks derived from
+    /// them.
+    fn new(high: Section<u64>, low: Option<Packed>, rows: usize, postings: usize) -> RowBounds {
+        let (samples, ranks) = derive(&high, rows);
         RowBounds {
-            rel: rel.into(),
-            anchors: anchors.into(),
-            wide: wide.into(),
+            rows,
+            postings,
+            l: low_width(postings, rows),
+            high,
+            low,
+            samples,
+            ranks,
         }
     }
 
-    /// Pairs decoded sections over `postings` postings, checking what a
-    /// lookup relies on: a `rel` per row and an anchor per group, each
-    /// wide group inside the side array and the side array used up, every
-    /// boundary strictly increasing from 0 inside its group's span, and
-    /// the last row ending at `postings` — all in the one encoding
-    /// [`RowBounds::from_starts`] writes. Returns the first violation.
+    /// Encodes ascending row starts over `postings` postings a bit at a
+    /// time — the reference encoder the build's parallel pass is held to.
+    #[cfg(test)]
+    pub(crate) fn from_starts(starts: &[u32], postings: usize) -> RowBounds {
+        let (rows, l) = (starts.len(), low_width(postings, starts.len()));
+        let mut high = vec![0u64; high_len(postings, rows).div_ceil(64)];
+        let mut low = vec![0u64; words_for(rows, l.max(1))];
+        for (r, &start) in starts.iter().enumerate() {
+            let bit = (start as usize >> l) + r;
+            high[bit / 64] |= 1 << (bit % 64);
+            for j in (0..l as usize).filter(|&j| start >> j & 1 == 1) {
+                let bit = r * l as usize + j;
+                low[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        let low = (l > 0).then(|| {
+            let bytes = low.iter().flat_map(|w| w.to_le_bytes()).collect();
+            Packed::new(bytes, l, rows)
+        });
+        RowBounds::new(high.into(), low, rows, postings)
+    }
+
+    /// Pairs decoded sections with the header's `rows` and `postings`,
+    /// checking what a lookup relies on: `(N >> l) + k` high bits, none
+    /// set past them and `k` set; low bits that fit `l` (no stream at
+    /// `l = 0`, no bit past the last start's); row 0 starting at 0, no
+    /// row empty and the last ending at `N` — so the sections are the one
+    /// encoding of `k` rows tiling the postings. Returns the first
+    /// violation.
     pub(crate) fn from_raw_parts(
-        rel: Section<u16>,
-        anchors: Section<u32>,
-        wide: Section<u32>,
+        high: Section<u64>,
+        low: Section<u8>,
+        rows: usize,
         postings: usize,
     ) -> Result<RowBounds, String> {
-        let rows = rel.len();
-        if anchors.len() != rows.div_ceil(GROUP) {
-            return Err(format!(
-                "{} row anchors for {rows} rows, expected ⌈{rows}/64⌉",
-                anchors.len()
-            ));
-        }
         if rows == 0 && postings > 0 {
             return Err(format!("no rows for {postings} postings"));
         }
-        // A wide group's starts, or the error of an anchor pointing past
-        // the side array.
-        let wide_starts = |g: usize, anchor: u32| -> Result<&[u32], String> {
-            let n = rows.min(g * GROUP + GROUP) - g * GROUP;
-            let at = (anchor & !WIDE) as usize;
-            wide.get(at..at + n).ok_or_else(|| {
-                format!(
-                    "group {g}'s wide starts at {at} run past the {}-entry side array",
-                    wide.len()
-                )
-            })
-        };
-        let first_start = |g: usize| -> Result<usize, String> {
-            match anchors.get(g) {
-                None => Ok(postings),
-                Some(&a) if a & WIDE == 0 => Ok(a as usize),
-                Some(&a) => Ok(wide_starts(g, a)?[0] as usize),
-            }
-        };
-        let mut used = 0;
-        let mut prev: Option<usize> = None;
-        let mut starts = [0usize; GROUP];
-        for (g, &anchor) in anchors.iter().enumerate() {
-            let span_end = first_start(g + 1)?;
-            let rels = &rel[g * GROUP..rows.min(g * GROUP + GROUP)];
-            let starts = &mut starts[..rels.len()];
-            if anchor & WIDE == 0 {
-                if rels[0] != 0 {
-                    return Err(format!(
-                        "group {g}'s first row does not start at its anchor"
-                    ));
-                }
-                for (s, &r) in starts.iter_mut().zip(rels) {
-                    *s = anchor as usize + usize::from(r);
-                }
-            } else {
-                let wide = wide_starts(g, anchor)?;
-                if (anchor & !WIDE) as usize != used {
-                    return Err(format!("group {g}'s wide starts are out of order"));
-                }
-                if rels.iter().any(|&r| r != 0) {
-                    return Err(format!("wide group {g} has non-zero rels"));
-                }
-                if !is_wide(wide) {
-                    return Err(format!("group {g} is stored wide but fits u16 starts"));
-                }
-                used += wide.len();
-                for (s, &w) in starts.iter_mut().zip(wide) {
-                    *s = w as usize;
-                }
-            }
-            for (i, &start) in starts.iter().enumerate() {
-                let row = g * GROUP + i;
-                match prev {
-                    None if start != 0 => return Err(format!("row 0 starts at {start}, not 0")),
-                    Some(p) if start <= p => {
-                        return Err("row boundaries are not strictly increasing".into())
-                    }
-                    _ => {}
-                }
-                if row + 1 == rows && start >= postings {
-                    return Err(format!(
-                        "last row starts at {start}, so it cannot end at positions.len() = {postings}"
-                    ));
-                }
-                if start >= span_end {
-                    return Err(format!(
-                        "row {row} starts at {start}, beyond its group's span (next group at {span_end})"
-                    ));
-                }
-                prev = Some(start);
-            }
+        let (l, len) = (low_width(postings, rows), high_len(postings, rows));
+        if high.len() != len.div_ceil(64) {
+            return Err(format!("{} high words for {len} high bits", high.len()));
         }
-        if used != wide.len() {
+        if high
+            .last()
+            .is_some_and(|&w| !len.is_multiple_of(64) && w >> (len % 64) != 0)
+        {
+            return Err(format!("stray high bits past the first {len}"));
+        }
+        let set: usize = high.iter().map(|w| w.count_ones() as usize).sum();
+        if set != rows {
+            return Err(format!("high bits set for {set} rows, expected {rows}"));
+        }
+        let low = match l {
+            0 if low.is_empty() => None,
+            0 => return Err(format!("{} low bytes for starts of no low bits", low.len())),
+            l => Some(
+                Packed::from_raw_parts(low, l, rows)
+                    .map_err(|e| format!("the starts' {l} low bits: {e}"))?,
+            ),
+        };
+        let bounds = RowBounds::new(high, low, rows, postings);
+        let mut cursor = bounds.view().cursor();
+        let mut prev = None;
+        for r in 0..rows {
+            let start = cursor.start(r);
+            match prev {
+                None if start != 0 => return Err(format!("row 0 starts at {start}, not 0")),
+                Some(p) if start <= p => return Err(format!("row {} is empty", r - 1)),
+                _ => {}
+            }
+            prev = Some(start);
+        }
+        if let Some(last) = prev.filter(|&start| start >= postings) {
             return Err(format!(
-                "wide groups use {used} of the side array's {} starts",
-                wide.len()
+                "last row starts at {last}, so it cannot end at the {postings}th posting"
             ));
         }
-        Ok(RowBounds { rel, anchors, wide })
+        Ok(bounds)
     }
 
     /// Rows: the populated codes.
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.rel.len()
+        self.rows
     }
 
-    /// The sections as plain slices, to look rows up through.
+    /// The parts and the derived arrays as plain slices, to look rows up
+    /// through.
     #[inline]
     pub(crate) fn view(&self) -> BoundsView<'_> {
         BoundsView {
-            rel: &self.rel,
-            anchors: &self.anchors,
-            wide: &self.wide,
+            high: &self.high,
+            low: self.low.as_ref().map_or(&[], Packed::bytes),
+            l: self.l,
+            rows: self.rows,
+            postings: self.postings,
+            samples: &self.samples,
+            ranks: &self.ranks,
         }
     }
 
-    /// The three sections, as an index file stores them.
-    pub(crate) fn sections(&self) -> (&[u16], &[u32], &[u32]) {
-        (&self.rel, &self.anchors, &self.wide)
+    /// The high words and the low stream's bytes (none at `l = 0`), as an
+    /// index file stores them.
+    pub(crate) fn sections(&self) -> (&[u64], &[u8]) {
+        (&self.high, self.low.as_ref().map_or(&[], Packed::bytes))
     }
 
-    /// Heap bytes: the sections unless they are views of a mapped file.
+    /// Heap bytes: the derived samples and ranks always, the high words
+    /// and the low stream unless they are views of a mapped file.
     fn heap_bytes(&self) -> usize {
-        self.rel.heap_bytes() + self.anchors.heap_bytes() + self.wide.heap_bytes()
+        4 * (self.samples.len() + self.ranks.len())
+            + self.high.heap_bytes()
+            + self.low.as_ref().map_or(0, Packed::heap_bytes)
     }
 
     fn is_mapped(&self) -> bool {
-        self.rel.is_mapped() || self.anchors.is_mapped() || self.wide.is_mapped()
+        self.high.is_mapped() || self.low.as_ref().is_some_and(Packed::is_mapped)
     }
 }
 
-/// A [`RowBounds`]' sections as plain slices. A walk over many rows takes
-/// one and looks its rows up through it, so it reads each section's
-/// address once, not once per row (a [`Section`] derefs through a
-/// match). A row whose both ends lie in one narrow group — 63 in 64 —
-/// costs one anchor and two adjacent `rel`s; the rest take a cold path.
-/// Against the `u32` boundaries this replaces, step 2's work scan on two
-/// dense 4.9 and 2.8 Mnt indexes went 12 → 16 ms and `find_hsps` stayed
-/// within noise (in-process, 2-vCPU VM).
+/// A [`RowBounds`]' parts and derived arrays as plain slices. A walk over
+/// many rows takes one and reads each section's address once, not once
+/// per row (a [`Section`] derefs through a match).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BoundsView<'a> {
-    rel: &'a [u16],
-    anchors: &'a [u32],
-    wide: &'a [u32],
+    high: &'a [u64],
+    low: &'a [u8],
+    l: u32,
+    rows: usize,
+    postings: usize,
+    samples: &'a [u32],
+    ranks: &'a [u32],
 }
 
-impl BoundsView<'_> {
-    /// Where row `row` starts in the postings.
-    #[inline]
-    fn start(self, row: usize) -> usize {
-        let anchor = self.anchors[row / GROUP];
-        if anchor & WIDE == 0 {
-            (anchor + u32::from(self.rel[row])) as usize
-        } else {
-            self.wide[(anchor & !WIDE) as usize + row % GROUP] as usize
+impl<'a> BoundsView<'a> {
+    /// A cursor before row 0.
+    pub(crate) fn cursor(self) -> Cursor<'a> {
+        Cursor {
+            view: self,
+            at: 0,
+            base: 0,
+            n: 0,
+            places: [0; 64],
         }
     }
 
-    /// The postings of row `row`, of `postings` in all.
+    /// The postings of row `r`: its word found from its select sample,
+    /// and the next set bit for its end.
     #[inline]
-    pub(crate) fn row(self, postings: usize, row: usize) -> Range<usize> {
-        let anchor = self.anchors[row / GROUP];
-        // Both ends in one narrow group: one anchor, two adjacent `rel`s.
-        if anchor & WIDE == 0 && row % GROUP != GROUP - 1 {
-            if let Some(&[a, b, ..]) = self.rel.get(row..) {
-                let anchor = anchor as usize;
-                return anchor + usize::from(a)..anchor + usize::from(b);
+    pub(crate) fn row(self, r: usize) -> Range<usize> {
+        self.cursor().row(r)
+    }
+}
+
+/// A forward walk over a [`RowBounds`]' high vector. It holds one high
+/// word decoded — the places of its set bits — so a row in that word is
+/// one lookup, with no chain from one row to the next; asked for a row
+/// past the word, it skips whole words by popcount (and whole blocks by
+/// their ranks), or starts from the row's select sample when it lies 64
+/// rows ahead or more, and decodes the word that holds it. A walk over
+/// rows in ascending order, such as step 2's, decodes each word it meets
+/// once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cursor<'a> {
+    view: BoundsView<'a>,
+    /// The high word decoded.
+    at: usize,
+    /// The row whose set bit is its first.
+    base: usize,
+    /// Its set bits: how many (0 before the first decode), and where.
+    n: usize,
+    places: [u8; 64],
+}
+
+impl Cursor<'_> {
+    /// The postings of row `r` — at or after the rows asked before it, and
+    /// below `k`.
+    #[inline(always)]
+    pub(crate) fn row(&mut self, r: usize) -> Range<usize> {
+        let i = r - self.base;
+        if i + 1 < self.n {
+            // Both ends in the word at hand.
+            return self.decoded(i, r)..self.decoded(i + 1, r + 1);
+        }
+        let start = self.start(r);
+        let end = if r + 1 < self.view.rows {
+            self.start(r + 1)
+        } else {
+            self.view.postings
+        };
+        start..end
+    }
+
+    /// Where row `r` starts.
+    #[inline(always)]
+    fn start(&mut self, r: usize) -> usize {
+        if r - self.base >= self.n {
+            self.seek(r);
+        }
+        self.decoded(r - self.base, r)
+    }
+
+    /// Where row `r`, the `i`-th of the word at hand, starts.
+    #[inline(always)]
+    fn decoded(&self, i: usize, r: usize) -> usize {
+        let v = self.view;
+        // `i` is below `n`, at most 64: the mask only spares the check.
+        let high = 64 * self.at + usize::from(self.places[i & 63]) - r;
+        if v.l == 0 {
+            high
+        } else {
+            high << v.l | extract(v.low, v.l, r) as usize
+        }
+    }
+
+    /// Decodes the high word holding row `r`'s set bit, which lies past
+    /// the word at hand.
+    #[inline(never)]
+    fn seek(&mut self, r: usize) {
+        let v = self.view;
+        let (mut at, mut base) = if self.n == 0 || r - self.base >= SAMPLE {
+            let j = r / SAMPLE;
+            let bit = v.samples[j] as usize + SAMPLE * j;
+            let below = v.high[bit / 64] & !(u64::MAX << (bit % 64));
+            (bit / 64, SAMPLE * j - below.count_ones() as usize)
+        } else {
+            (self.at + 1, self.base + self.n)
+        };
+        let mut word = v.high[at];
+        while r - base >= word.count_ones() as usize {
+            base += word.count_ones() as usize;
+            at += 1;
+            // A block wholly before the bit is jumped over.
+            if at.is_multiple_of(BLOCK_WORDS) && v.ranks[at / BLOCK_WORDS + 1] as usize <= r {
+                let block = v.ranks.partition_point(|&rank| rank as usize <= r) - 1;
+                (at, base) = (block * BLOCK_WORDS, v.ranks[block] as usize);
+            }
+            word = v.high[at];
+        }
+        // Eight places a round, past the last set bit too (a spent word's
+        // places are 64, never read): the rounds a word takes vary less
+        // than its bits, so the loop's exit is rarely mispredicted.
+        (self.at, self.base, self.n) = (at, base, word.count_ones() as usize);
+        for round in self.places.chunks_exact_mut(8).take(self.n.div_ceil(8)) {
+            for place in round {
+                // oris-lint: allow(narrow-cast) — a bit's place in a word is at most 64
+                *place = word.trailing_zeros() as u8;
+                word &= word.wrapping_sub(1);
             }
         }
-        self.row_across(postings, row)
-    }
-
-    /// [`BoundsView::row`] for a row that ends in another group, in a
-    /// wide group, or at the end of the postings: one in 64 at most on a
-    /// typical bank.
-    #[cold]
-    #[inline(never)]
-    fn row_across(self, postings: usize, row: usize) -> Range<usize> {
-        let end = if row + 1 < self.rel.len() {
-            self.start(row + 1)
-        } else {
-            postings
-        };
-        self.start(row)..end
     }
 }
 
@@ -888,10 +1007,10 @@ impl BankIndex {
         // every position present in the bit-set. The bounds themselves
         // were checked against the postings count as they were decoded
         // (`RowBounds::from_raw_parts`).
-        let bounds = rows.bounds.view();
+        let mut bounds = rows.bounds.view().cursor();
         for r in 0..rows.bounds.len() {
             let mut prev = None;
-            for p in postings.row(bounds.row(postings.len(), r)) {
+            for p in postings.row(bounds.row(r)) {
                 if prev.is_some_and(|q| q >= p) {
                     return Err("row positions are not strictly ascending".into());
                 }
@@ -948,7 +1067,7 @@ impl BankIndex {
         let range = self
             .rows
             .row_of(code)
-            .map_or(n..n, |row| self.rows.bounds.view().row(n, row));
+            .map_or(n..n, |row| self.rows.bounds.view().row(row));
         self.postings.row(range)
     }
 
@@ -961,9 +1080,8 @@ impl BankIndex {
         PopulatedRows {
             top: map.top,
             words: map.words,
-            bounds: self.rows.bounds.view(),
+            bounds: self.rows.bounds.view().cursor(),
             postings: self.postings.view(),
-            total: self.postings.len(),
             t: 0,
             top_bits: map.top[0],
             next_word: 0,
@@ -999,9 +1117,13 @@ impl BankIndex {
             return Ok(());
         }
         let (a, b) = (self.rows.view(), other.rows.view());
-        let (na, nb) = (self.postings.len(), other.postings.len());
         let (pa, pb) = (self.postings.view(), other.postings.view());
-        let (ba, bb) = (self.rows.bounds.view(), other.rows.bounds.view());
+        // One forward cursor per index: the shared rows come in ascending
+        // order, so each moves a few set bits per row.
+        let (mut ba, mut bb) = (
+            self.rows.bounds.view().cursor(),
+            other.rows.bounds.view().cursor(),
+        );
         // The bitmap words the range touches, first and last.
         let (first, last) = (range.start / 64, (end - 1) / 64);
         for t in first / 64..=last / 64 {
@@ -1037,8 +1159,8 @@ impl BankIndex {
                 while shared != 0 {
                     let bit = shared.trailing_zeros();
                     shared &= shared - 1;
-                    let x1 = pa.row(ba.row(na, rank_in(ra, wa, bit)));
-                    let x2 = pb.row(bb.row(nb, rank_in(rb, wb, bit)));
+                    let x1 = pa.row(ba.row(rank_in(ra, wa, bit)));
+                    let x2 = pb.row(bb.row(rank_in(rb, wb, bit)));
                     f(base + bit, x1, x2)?;
                 }
             }
@@ -1104,9 +1226,9 @@ impl BankIndex {
     /// Computes occupancy/footprint statistics — pure boundary
     /// arithmetic, no postings traversal.
     pub fn stats(&self) -> IndexStats {
-        let bounds = self.rows.bounds.view();
+        let mut bounds = self.rows.bounds.view().cursor();
         let max_chain = (0..self.distinct_codes())
-            .map(|r| bounds.row(self.postings.len(), r).len())
+            .map(|r| bounds.row(r).len())
             .max()
             .unwrap_or(0);
         let index_bytes = self.heap_bytes();
@@ -1169,10 +1291,8 @@ impl BankIndex {
 pub struct PopulatedRows<'a> {
     top: &'a [u64],
     words: &'a [u64],
-    bounds: BoundsView<'a>,
+    bounds: Cursor<'a>,
     postings: PackedView<'a>,
-    /// Postings in all.
-    total: usize,
     /// The top word `top_bits` came from.
     t: usize,
     /// Its set bits — stored words — not yet entered.
@@ -1206,7 +1326,7 @@ impl<'a> Iterator for PopulatedRows<'a> {
         self.cur &= self.cur - 1;
         let row = self.row;
         self.row += 1;
-        let range = self.bounds.row(self.total, row);
+        let range = self.bounds.row(row);
         Some((code, self.postings.row(range)))
     }
 }
@@ -1387,9 +1507,8 @@ fn is_kept(words: &[u64], pos: usize) -> bool {
 /// partition's positions lie scattered over the whole bank, so
 /// re-reading their windows cost a cache miss per posting — three times
 /// the whole of pass C, measured with 1 024 partitions. The row bounds
-/// follow from the lengths pass C leaves in the spent ranks, and take
-/// their place (see [`run_bounds`]): the rank array becomes the `rel`
-/// section, cut to one entry per row.
+/// are encoded from the lengths pass C leaves in the spent ranks (see
+/// [`encode_run`]), and the rank array is freed.
 #[allow(clippy::too_many_arguments)] // the build's state, passed down once
 fn sort_rows(
     data: &[u8],
@@ -1526,69 +1645,64 @@ fn sort_rows(
         );
     }
     seal(&mut packed, postings * b);
-    // Row bounds, written into the spent ranks. Each run compacts its
-    // rows' `rel`s to the head of its own stretch, where every row lands
-    // at or before its length (a populated row holds a posting), and
-    // writes the anchors of the groups it starts; then the runs move down
-    // in ascending order, each to its first row, which lies at or before
-    // the stretch it leaves. The groups no run could finish alone — cut
-    // by a run's edge, or wide — are encoded last, in ascending order.
+    // Row bounds, from the lengths pass C left in the spent ranks: each
+    // run encodes its rows' starts (see [`encode_run`]) into the high
+    // words it owns — from the first word wholly past its first row's set
+    // bit — and hands back the bits it sets below them and its rows' low
+    // bits, put in place once the runs are done.
     let run_rows: Vec<usize> = sorted
         .iter()
         .map(|run| run.parts.iter().map(|p| p.populated).sum())
         .collect();
     let rows: usize = run_rows.iter().sum();
-    let mut anchors = vec![0u32; rows.div_ceil(GROUP)];
-    let pieces: Vec<Vec<(usize, Vec<u32>)>> = {
-        let mut rank_rest: &mut [u16] = &mut ranks;
-        let mut anchors_rest: &mut [u32] = &mut anchors;
-        let mut first_row = 0;
+    let l = low_width(postings, rows);
+    // Each run's first row and that row's set bit, then the end of the
+    // high vector.
+    let mut firsts = Vec::with_capacity(cuts.len() + 1);
+    let mut first_row = 0;
+    for (parts, &n) in cuts.iter().zip(&run_rows) {
+        firsts.push((first_row, (pbase[parts.start] as usize >> l) + first_row));
+        first_row += n;
+    }
+    firsts.push((rows, high_len(postings, rows)));
+    let mut high = vec![0u64; high_len(postings, rows).div_ceil(64)];
+    let edges: Vec<(u64, Vec<u8>)> = {
+        let mut rest: &mut [u64] = &mut high;
         cuts.iter()
             .zip(&sorted)
-            .zip(&run_rows)
-            .map(|((parts, run), &n)| {
-                let (ranks, tail) =
-                    std::mem::take(&mut rank_rest).split_at_mut(postings_of(parts).len());
-                rank_rest = tail;
-                let groups = (first_row + n).div_ceil(GROUP) - first_row.div_ceil(GROUP);
-                let (anchors, tail) = std::mem::take(&mut anchors_rest).split_at_mut(groups);
-                anchors_rest = tail;
-                let at = first_row;
-                first_row += n;
-                (parts.clone(), &run.parts, ranks, at, anchors)
+            .zip(firsts.windows(2))
+            .map(|((parts, run), pair)| {
+                let ((first_row, bit), (_, next)) = (pair[0], pair[1]);
+                let owned = next.div_ceil(64) - bit.div_ceil(64);
+                let (words, tail) = std::mem::take(&mut rest).split_at_mut(owned);
+                rest = tail;
+                (
+                    parts.clone(),
+                    &run.parts,
+                    first_row,
+                    bit.div_ceil(64),
+                    words,
+                )
             })
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(parts, run, ranks, first_row, anchors)| {
-                let mut groups = GroupWriter::new(first_row, rows, anchors);
-                run_bounds(radix, &pbase, parts, run, ranks, &mut groups);
-                groups.pieces
+            .map(|(parts, run, first_row, first_word, words)| {
+                encode_run(
+                    radix, &pbase, parts, run, &ranks, l, first_row, first_word, words,
+                )
             })
             .collect()
     };
-    let mut first_row = 0;
-    for (parts, n) in cuts.iter().zip(run_rows) {
-        let from = pbase[parts.start] as usize;
-        ranks.copy_within(from..from + n, first_row);
-        first_row += n;
-    }
-    ranks.truncate(rows);
-    ranks.shrink_to_fit();
-    let mut wide = Vec::new();
-    let mut pieces = pieces.into_iter().flatten().peekable();
-    while let Some((g, mut starts)) = pieces.next() {
-        while let Some((_, more)) = pieces.next_if(|(h, _)| *h == g) {
-            starts.extend(more);
+    drop(ranks);
+    let mut low = vec![0u8; low_bytes(rows, l)];
+    for ((&(first_row, bit), (below, run_low)), n) in firsts.iter().zip(edges).zip(run_rows) {
+        if below != 0 {
+            high[bit / 64] |= below;
         }
-        let rel = &mut ranks[g * GROUP..g * GROUP + starts.len()];
-        debug_assert_eq!(starts.len(), rows.min(g * GROUP + GROUP) - g * GROUP);
-        anchors[g] = encode_group(&starts, rel, &mut wide);
+        copy_bits(&mut low, first_row * l as usize, &run_low, n * l as usize);
     }
-    let bounds = RowBounds {
-        rel: ranks.into(),
-        anchors: anchors.into(),
-        wide: wide.into(),
-    };
+    let low = (l > 0).then(|| Packed::new(low, l, rows));
+    let bounds = RowBounds::new(high.into(), low, rows, postings);
     // The two levels: the runs' stored words in order, and the top bit of
     // each.
     let mut top = vec![0u64; top_words(coder.num_seeds())];
@@ -1681,7 +1795,7 @@ impl Layout<'_> {
 /// partition (see [`SORT_FILL`]). Either sort leaves each row's positions
 /// ascending. Once a partition is sorted its ranks are spent, so the head
 /// of their stretch takes the populated rows' lengths for
-/// [`run_bounds`].
+/// [`encode_run`].
 fn sort_partitions(
     radix: Radix,
     pbase: &[u32],
@@ -1857,112 +1971,62 @@ fn pack_sorted(
     }
 }
 
-/// One run's share of the row bounds: takes its rows' starts in order
-/// and, for each 64-row group the run holds whole and narrow, writes the
-/// anchor and the `rel`s over the head of the run's rank stretch; any
-/// other piece of a group — cut by the run's edge, or wide — it keeps,
-/// for the encoding that follows the runs.
-struct GroupWriter<'a> {
-    /// The run's first row (global).
-    first_row: usize,
-    /// The next row's global index.
-    row: usize,
-    /// The first row of the piece in `starts`.
-    piece: usize,
-    /// Rows of the whole index.
-    rows: usize,
-    /// Starts of the piece so far, at their place in the group.
-    starts: [u32; GROUP],
-    /// Anchors of the groups whose first row lies in the run.
-    anchors: &'a mut [u32],
-    /// `(group, starts)` of each piece left to encode.
-    pieces: Vec<(usize, Vec<u32>)>,
-}
-
-impl<'a> GroupWriter<'a> {
-    /// A writer for the run whose rows start at `first_row`, of `rows` in
-    /// all, with the anchors of the groups that start inside it.
-    fn new(first_row: usize, rows: usize, anchors: &'a mut [u32]) -> GroupWriter<'a> {
-        GroupWriter {
-            first_row,
-            row: first_row,
-            piece: first_row,
-            rows,
-            starts: [0; GROUP],
-            anchors,
-            pieces: Vec::new(),
-        }
-    }
-
-    /// Takes the next row's start; `ranks` is the run's stretch.
-    #[inline]
-    fn push(&mut self, start: u32, ranks: &mut [u16]) {
-        self.starts[self.row % GROUP] = start;
-        self.row += 1;
-        if self.row.is_multiple_of(GROUP) || self.row == self.rows {
-            self.flush(ranks);
-        }
-    }
-
-    /// Ends the piece in `starts`: a whole narrow group is written, any
-    /// other piece kept.
-    fn flush(&mut self, ranks: &mut [u16]) {
-        if self.piece == self.row {
-            return;
-        }
-        let g = self.piece / GROUP;
-        let starts = &self.starts[self.piece % GROUP..(self.row - 1) % GROUP + 1];
-        let whole =
-            self.piece.is_multiple_of(GROUP) && self.row == self.rows.min(g * GROUP + GROUP);
-        if whole && !is_wide(starts) {
-            let at = self.piece - self.first_row;
-            self.anchors[g - self.first_row.div_ceil(GROUP)] =
-                encode_narrow(starts, &mut ranks[at..at + starts.len()]);
-        } else {
-            self.pieces.push((g, starts.to_vec()));
-        }
-        self.piece = self.row;
-    }
-}
-
-/// Row bounds of one run of partitions, once pass C has sorted them: per
+/// One run's share of the row bounds, once pass C has sorted it: per
 /// partition, a running sum over the row lengths it left at the head of
 /// its rank stretch — or, for a partition with a row past `u16`, a
-/// recount of its ranks — hands `groups` each row's start. Every row's
-/// `rel` lands at or before the length it came from, which is read first,
-/// so the run compacts in place.
-fn run_bounds(
+/// recount of its ranks — gives the start of each row, from `first_row`
+/// on. Its set bit goes in `words`, the high words from `first_word` on,
+/// or in the word returned when it lies below them; its low `l` bits go
+/// in the stream returned.
+fn encode_run(
     radix: Radix,
     pbase: &[u32],
     parts: Range<usize>,
     run: &[PartitionRows],
-    ranks: &mut [u16],
-    groups: &mut GroupWriter<'_>,
-) {
+    ranks: &[u16],
+    l: u32,
+    first_row: usize,
+    first_word: usize,
+    words: &mut [u64],
+) -> (u64, Vec<u8>) {
+    let rows: usize = run.iter().map(|p| p.populated).sum();
+    let mut low = vec![0u8; low_bytes(rows, l)];
+    let mut packer = Packer::over(&low, 0..rows * l as usize);
+    let mut below = 0u64;
+    let mut row = first_row;
+    let mut put = |start: u32| {
+        let bit = (start as usize >> l) + row;
+        match (bit / 64).checked_sub(first_word) {
+            Some(i) => words[i] |= 1 << (bit % 64),
+            None => below |= 1 << (bit % 64),
+        }
+        if l > 0 {
+            packer.push(&mut low, start & ((1 << l) - 1), l);
+        }
+        row += 1;
+    };
     let mut counts = Vec::new();
-    let mut at = 0;
     for (p, part) in parts.zip(run) {
-        let len = (pbase[p + 1] - pbase[p]) as usize;
+        let stretch = &ranks[pbase[p] as usize..pbase[p + 1] as usize];
         let mut sum = pbase[p];
         if part.lengths {
-            for j in at..at + part.populated {
-                let length = ranks[j];
-                groups.push(sum, ranks);
+            for &length in &stretch[..part.populated] {
+                put(sum);
                 sum += u32::from(length);
             }
         } else {
             counts.resize(radix.width, 0u32);
-            for &rank in &ranks[at..at + len] {
+            for &rank in stretch {
                 counts[usize::from(rank)] += 1;
             }
             for count in counts.iter_mut().filter(|c| **c > 0) {
-                groups.push(sum, ranks);
+                put(sum);
                 sum += std::mem::take(count);
             }
         }
-        at += len;
     }
-    groups.flush(ranks);
+    packer.finish(&mut low);
+    (below, low)
 }
 
 #[cfg(test)]
@@ -2126,26 +2190,35 @@ mod tests {
         assert_eq!(idx.occurrences(code).to_vec(), [5]);
     }
 
-    /// The row bounds' footprint for `k` rows in groups whose starts fit
-    /// `u16`s: two bytes per row and a four-byte anchor per 64 rows.
-    fn bounds_bytes(k: usize) -> usize {
-        2 * k + 4 * k.div_ceil(64)
+    /// The row bounds' footprint for `k` rows over `n` postings: the
+    /// `(n >> l) + k` high bits in whole words, at `l = ⌊log2(n/k)⌋` the
+    /// low bits in whole words and a pad word, a four-byte sample per 64
+    /// rows and a four-byte rank per 64 high words and one more.
+    fn bounds_bytes(n: usize, k: usize) -> usize {
+        let l = n.checked_div(k).map_or(0, |q| q.ilog2() as usize);
+        let words = ((n >> l) + k).div_ceil(64);
+        let low = if l == 0 {
+            0
+        } else {
+            8 * ((k * l).div_ceil(64) + 1)
+        };
+        8 * words + low + 4 * k.div_ceil(64) + 4 * (words.div_ceil(64) + 1)
     }
 
     /// The footprint model: `b = ⌈log2 len(SEQ)⌉` bits per *indexed*
     /// position in whole words plus a pad word, the row bounds of the `k`
     /// populated codes, 1 bit per bank position for the occurrence set,
     /// and a word and its rank (12 bytes) per stored bitmap word and per
-    /// top-level word — `b·N/8 + 2·k + k/16 + N/8 + 12·words +
-    /// 12·⌈4^W/4096⌉`. The width is taken from the bank's length and the
-    /// stored words are counted from the populated codes, neither read
-    /// off the index.
+    /// top-level word — at `l = 0`, `b·N/8 + (N + k)/8 + k/16 + N/8 +
+    /// 12·words + 12·⌈4^W/4096⌉` and a rank per 4 096 high bits. The
+    /// width is taken from the bank's length and the stored words are
+    /// counted from the populated codes, neither read off the index.
     fn model_bytes(bank: &Bank, idx: &BankIndex) -> usize {
         let mut words: Vec<u32> = idx.populated().map(|(c, _)| c / 64).collect();
         words.dedup();
         let bits = (usize::BITS - (bank.data().len().max(2) - 1).leading_zeros()) as usize;
         8 * ((bits * idx.indexed_positions()).div_ceil(64) + 1)
-            + bounds_bytes(idx.distinct_codes())
+            + bounds_bytes(idx.indexed_positions(), idx.distinct_codes())
             + bank.data().len().div_ceil(64) * 8
             + 12 * words.len()
             + 12 * top_words(idx.coder().num_seeds())
@@ -2382,9 +2455,10 @@ mod tests {
             assert_eq!(bounds.len(), idx.distinct_codes());
             let mut end = 0;
             for r in 0..bounds.len() {
-                assert_eq!(bounds.view().start(r), end, "row {r}");
-                end += bounds.view().row(idx.indexed_positions(), r).len();
-                assert!(end > bounds.view().start(r), "row {r} is empty");
+                let row = bounds.view().row(r);
+                assert_eq!(row.start, end, "row {r}");
+                assert!(row.end > row.start, "row {r} is empty");
+                end = row.end;
             }
             assert_eq!(end, idx.indexed_positions());
             assert_eq!(top.len(), idx.coder().num_seeds().div_ceil(4096));
@@ -2584,7 +2658,8 @@ mod tests {
             /// Whether `idx` is this index: postings — the positions, and
             /// the stream [`pack`] makes of them at the bank's bit width —
             /// row bounds encoded as [`RowBounds::from_starts`] encodes the
-            /// oracle's row starts, the two levels of its codes, bit-set,
+            /// oracle's row starts a bit at a time, the two levels of its
+            /// codes, bit-set,
             /// provenance,
             /// the populated walk, the answer for every code (past W = 8,
             /// for every populated code, the code after it and both ends of
@@ -2608,7 +2683,10 @@ mod tests {
                 // The one encoding of these rows' starts, and the two
                 // levels of these codes: a word per 64-code stretch they
                 // populate, a top bit per word.
-                let bounds = RowBounds::from_starts(&self.row_offsets[..self.codes.len()]);
+                let bounds = RowBounds::from_starts(
+                    &self.row_offsets[..self.codes.len()],
+                    self.positions.len(),
+                );
                 let mut words: Vec<(usize, u64)> = Vec::new();
                 for &c in &self.codes {
                     let (at, bit) = ((c / 64) as usize, 1u64 << (c % 64));
@@ -3231,171 +3309,198 @@ mod tests {
         }
     }
 
-    /// Row starts that make every kind of group: narrow ones, one spanning
-    /// exactly `u16::MAX` postings (still narrow), one spanning 2^16
-    /// (wide), and from 2^31 on only wide ones, the last group short.
-    fn starts_of_every_group_kind() -> Vec<u32> {
-        let mut starts = vec![0u32];
-        let gaps = |gap: u32, n: usize, starts: &mut Vec<u32>| {
-            for _ in 0..n {
-                starts.push(starts.last().unwrap() + gap);
-            }
-        };
-        gaps(3, 63, &mut starts);
-        gaps(1, 63, &mut starts);
-        gaps(u32::from(u16::MAX) - 62, 1, &mut starts);
-        gaps(1, 63, &mut starts);
-        gaps(u32::from(u16::MAX) - 61, 1, &mut starts);
-        gaps(5, 64, &mut starts);
-        gaps(WIDE - starts.last().unwrap(), 1, &mut starts);
-        gaps(7, 63 + 10, &mut starts);
-        starts
+    /// The starts of rows of `lengths` postings (each at least one), and
+    /// the postings they tile.
+    fn starts_of(lengths: &[u32]) -> (Vec<u32>, usize) {
+        let mut n = 0;
+        let starts = lengths
+            .iter()
+            .map(|&len| {
+                n += len;
+                n - len
+            })
+            .collect();
+        (starts, n as usize)
     }
 
-    #[test]
-    fn wide_groups_keep_u32_starts() {
-        let starts = starts_of_every_group_kind();
-        let postings = *starts.last().unwrap() as usize + 9;
-        let bounds = RowBounds::from_starts(&starts);
-        let (rel, anchors, wide) = bounds.sections();
-        assert_eq!(rel.len(), starts.len());
-        assert_eq!(anchors.len(), starts.len().div_ceil(GROUP));
-        let flags: Vec<bool> = anchors.iter().map(|&a| a & WIDE != 0).collect();
-        assert_eq!(flags, [false, false, true, false, true, true]);
-        assert_eq!(wide.len(), 64 + 64 + 10);
-        assert!(rel[2 * GROUP..3 * GROUP].iter().all(|&r| r == 0));
-        assert_eq!(rel[2 * GROUP - 1], u16::MAX);
-        // Every start decodes to itself, on the heap and as decoded
-        // sections, and the decoder takes the sections as they are.
-        let decoded = RowBounds::from_raw_parts(
-            rel.to_vec().into(),
-            anchors.to_vec().into(),
-            wide.to_vec().into(),
-            postings,
-        )
-        .unwrap();
-        for b in [&bounds, &decoded] {
-            for (r, &s) in starts.iter().enumerate() {
-                assert_eq!(b.view().start(r), s as usize, "row {r}");
+    /// `k` rows drawn for `l` low bits — `2^l` postings each and up to as
+    /// many more, so `⌊log2(N/k)⌋ = l` — then `long` of them made 2^16
+    /// postings or more, and with `filler`, rows of one posting enough to
+    /// bring `N/k` back under 2 past the long ones.
+    fn drawn_lengths(l: u32, k: usize, draws: &[u32], long: usize, filler: bool) -> Vec<u32> {
+        let mut lengths: Vec<u32> = draws[..k]
+            .iter()
+            .map(|&d| (1 << l) + d % (1 << l))
+            .collect();
+        for i in 0..long.min(k) {
+            lengths[draws[i] as usize % k] = (1 << 16) + draws[k - 1 - i] % 5000;
+        }
+        if filler {
+            let mid = k / 2;
+            lengths.splice(mid..mid, std::iter::repeat_n(1, long * 70_536));
+        }
+        lengths
+    }
+
+    proptest! {
+        /// The Elias–Fano row bounds answer as the plain `u32` starts they
+        /// encode: select at every row, and one cursor walked over an
+        /// ascending subset of the rows (steps of a row or two, and jumps
+        /// past a sample), equal each row's starts; and the sections,
+        /// decoded back, are the same bits with the same answers. For an
+        /// empty index, one row of all the postings, a row per posting,
+        /// and rows drawn for every `l` from 0 to 8 — with rows of 2^16
+        /// postings or more, at `l = 0` among rows of one posting, so a
+        /// step meets their clear bits across whole rank blocks.
+        #[test]
+        fn row_starts_decode_to_the_u32_oracle(
+            shape in 0usize..8,
+            l in 0u32..=8,
+            k in 1usize..300,
+            draws in proptest::collection::vec(0u32..u32::MAX, 300),
+            long in 0usize..3,
+            filler in 0usize..2,
+        ) {
+            let lengths = match shape {
+                0 => vec![],
+                1 => vec![1 + draws[0] % 140_000],
+                2 => vec![1; k],
+                _ => drawn_lengths(l, k, &draws, long, filler == 1),
+            };
+            let (starts, n) = starts_of(&lengths);
+            let k = starts.len();
+            let bounds = RowBounds::from_starts(&starts, n);
+            let (high, low) = bounds.sections();
+            prop_assert_eq!(high.len(), high_len(n, k).div_ceil(64));
+            prop_assert_eq!(low.is_empty(), low_width(n, k) == 0);
+            let decoded =
+                RowBounds::from_raw_parts(high.to_vec().into(), low.to_vec().into(), k, n).unwrap();
+            prop_assert_eq!(decoded.sections(), bounds.sections());
+            let ends: Vec<usize> = starts.iter().skip(1).map(|&s| s as usize).chain([n]).collect();
+            for b in [&bounds, &decoded] {
+                prop_assert_eq!(b.len(), k);
+                let view = b.view();
+                for r in 0..k {
+                    prop_assert!(view.row(r) == (starts[r] as usize..ends[r]), "row {}", r);
+                }
+                let mut cursor = view.cursor();
+                let (mut r, mut i) = (0, 0);
+                while r < k {
+                    prop_assert!(cursor.row(r) == view.row(r), "cursor at row {}", r);
+                    let d = draws[i % draws.len()] as usize;
+                    r += 1 + if d.is_multiple_of(8) { d % 300 } else { d % 2 };
+                    i += 1;
+                }
             }
         }
-        // A last row ending exactly at its start is refused.
-        let short = RowBounds::from_raw_parts(
-            rel.to_vec().into(),
-            anchors.to_vec().into(),
-            wide.to_vec().into(),
-            *starts.last().unwrap() as usize,
-        );
-        assert!(short.unwrap_err().starts_with("last row starts at"));
     }
 
     #[test]
     fn row_bounds_refuse_every_broken_section() {
-        // Each lie a decoded file could tell about its row bounds, and
-        // the error it gets; `bounds` is the honest encoding.
-        let starts = starts_of_every_group_kind();
-        let postings = *starts.last().unwrap() as usize + 9;
-        let bounds = RowBounds::from_starts(&starts);
-        let (rel, anchors, wide) = bounds.sections();
-        let refused = |rel: &[u16], anchors: &[u32], wide: &[u32], postings: usize, want: &str| {
-            let got = RowBounds::from_raw_parts(
-                rel.to_vec().into(),
-                anchors.to_vec().into(),
-                wide.to_vec().into(),
+        // Each lie a decoded file could tell about its row bounds, and the
+        // error it gets, at l = 0 (rows of one to three postings) and at
+        // l = 2 (rows of four to seven).
+        let refused = |high: &[u64], low: &[u8], rows: usize, postings: usize, want: &str| {
+            match RowBounds::from_raw_parts(
+                high.to_vec().into(),
+                low.to_vec().into(),
+                rows,
                 postings,
-            );
-            match got {
+            ) {
                 Err(msg) => assert!(msg.contains(want), "{msg} (wanted {want})"),
                 Ok(_) => panic!("accepted bounds that {want}"),
             }
         };
-        let with = |v: &[u16], i: usize, x: u16| {
-            let mut v = v.to_vec();
-            v[i] = x;
-            v
+        let with = |high: &[u64], clear: Option<usize>, set: Option<usize>| {
+            let mut high = high.to_vec();
+            if let Some(bit) = clear {
+                high[bit / 64] &= !(1 << (bit % 64));
+            }
+            if let Some(bit) = set {
+                high[bit / 64] |= 1 << (bit % 64);
+            }
+            high
         };
-        let with32 = |v: &[u32], i: usize, x: u32| {
-            let mut v = v.to_vec();
-            v[i] = x;
-            v
-        };
-        // A boundary that decreases, inside a group.
+        let lengths: Vec<u32> = (0..100).map(|i| 1 + i % 3).collect();
+        let (starts, n) = starts_of(&lengths);
+        let bounds = RowBounds::from_starts(&starts, n);
+        let (high, low) = bounds.sections();
+        assert!(low.is_empty(), "l = 0");
+        let bit_of = |r: usize| starts[r] as usize + r;
+        let len = n + 100;
+        // A set bit taken away, and one added.
         refused(
-            &with(rel, 5, rel[3]),
-            anchors,
-            wide,
-            postings,
-            "not strictly increasing",
-        );
-        // A rel past the next group's anchor.
-        refused(
-            &with(rel, 63, u16::MAX),
-            anchors,
-            wide,
-            postings,
-            "beyond its group's span",
-        );
-        // A narrow group whose first row is off its anchor.
-        refused(
-            &with(rel, 64, 1),
-            anchors,
-            wide,
-            postings,
-            "does not start at its anchor",
-        );
-        // A wide flag pointing past the side array, and one out of order.
-        let past = WIDE | wide.len() as u32;
-        refused(
-            rel,
-            &with32(anchors, 2, past),
-            wide,
-            postings,
-            "run past the",
+            &with(high, Some(bit_of(99)), None),
+            low,
+            100,
+            n,
+            "high bits set for 99 rows, expected 100",
         );
         refused(
-            rel,
-            &with32(anchors, 4, WIDE | 65),
-            wide,
-            postings,
-            "out of order",
+            &with(high, None, Some(1)),
+            low,
+            100,
+            n,
+            "high bits set for 101 rows",
         );
-        // A wide group with a `rel`, one whose starts fit u16s, and a
-        // wide start that decreases.
+        // Row 1's bit moved onto row 0's posting: row 0 empty.
         refused(
-            &with(rel, 2 * GROUP + 2, 1),
-            anchors,
-            wide,
-            postings,
-            "wide group 2 has non-zero rels",
+            &with(high, Some(bit_of(1)), Some(1)),
+            low,
+            100,
+            n,
+            "row 0 is empty",
         );
-        let mut narrow: Vec<u32> = (wide[0]..wide[0] + 64).collect();
-        narrow.extend_from_slice(&wide[64..]);
+        // Row 0's bit moved onto its posting: row 0 starts at 1.
         refused(
-            rel,
-            anchors,
-            &narrow,
-            postings,
-            "stored wide but fits u16 starts",
+            &with(high, Some(0), Some(1)),
+            low,
+            100,
+            n,
+            "row 0 starts at 1, not 0",
         );
+        // The last row's bit moved to the vector's end: it starts at N.
         refused(
-            rel,
-            anchors,
-            &with32(wide, 70, wide[68]),
-            postings,
-            "not strictly increasing",
+            &with(high, Some(bit_of(99)), Some(len - 1)),
+            low,
+            100,
+            n,
+            &format!("last row starts at {n}"),
         );
-        // Side-array starts no group uses, and an anchor count off by one.
-        let mut extra = wide.to_vec();
-        extra.push(u32::MAX);
-        refused(rel, anchors, &extra, postings, "wide groups use");
-        refused(rel, &anchors[1..], wide, postings, "row anchors for");
-        // A first row off 0, rows for no postings, and no rows for some.
-        let shifted: Vec<u32> = starts.iter().map(|&s| s + 1).collect();
-        let b = RowBounds::from_starts(&shifted);
-        let (r1, a1, w1) = b.sections();
-        refused(r1, a1, w1, postings + 1, "row 0 starts at 1");
-        refused(&[], &[], &[], 3, "no rows for 3 postings");
-        refused(&[0], &[0], &[], 0, "last row starts at 0");
+        // A bit past the vector's end, a word short, a low stream at l = 0
+        // and rows for no postings.
+        refused(&with(high, None, Some(len)), low, 100, n, "stray high bits");
+        refused(&high[1..], low, 100, n, "high words for");
+        refused(high, &[0; 8], 100, n, "low bytes for starts of no low bits");
+        refused(&[0], &[], 0, 3, "no rows for 3 postings");
+        // At l = 2: a low bit past the last start's, and the last row's
+        // low bits raised past N.
+        let lengths: Vec<u32> = (0..100).map(|i| 4 + i % 4).collect();
+        let (starts, n) = starts_of(&lengths);
+        let bounds = RowBounds::from_starts(&starts, n);
+        let (high, low) = bounds.sections();
+        assert_eq!(low_width(n, 100), 2);
+        let mut stray = low.to_vec();
+        stray[200 / 8] |= 1;
+        refused(
+            high,
+            &stray,
+            100,
+            n,
+            "low bits: non-zero bits past the last",
+        );
+        let last = starts[99] as usize;
+        let (at, top) = ((last >> 2) + 99, ((n >> 2) << 2) + 3);
+        assert!(top >= n, "the last row can start past N");
+        let mut past = low.to_vec();
+        past[198 / 8] |= 0b11 << (198 % 8);
+        refused(
+            &with(high, Some(at), Some((n >> 2) + 99)),
+            &past,
+            100,
+            n,
+            &format!("last row starts at {top}"),
+        );
     }
 
     /// `bank` with a 70 000-nt poly-A run and a 70 000-nt poly-T run ahead
@@ -3415,33 +3520,47 @@ mod tests {
     }
 
     #[test]
-    fn long_run_banks_have_wide_groups() {
-        // The construction the oracle proptest relies on: at the pipeline's
-        // widths the built index holds wide groups.
+    fn long_run_banks_have_rows_past_u16_postings() {
+        // The construction the oracle proptest relies on: at the
+        // pipeline's widths the built index holds rows of 2^16 postings and
+        // more. Beside 300 000 nt of ordinary sequence at W = 11, N/k is
+        // under 2, so l = 0 and the poly-A row's clear bits span whole rank
+        // blocks, which every pool builds and every lookup jumps over as
+        // the oracle answers.
         let bank = bank_with_long_runs(&["ACGT".repeat(50)], 3_000);
         for w in [8, 11, 13] {
             let idx = BankIndex::build(&bank, IndexConfig::full(w));
-            let (_, anchors, wide) = idx.rows().sections().2.sections();
-            let flagged = anchors.iter().filter(|&&a| a & WIDE != 0).count();
-            assert!(flagged >= 2, "W {w}: {flagged} wide groups");
-            assert_eq!(wide.len(), GROUP * flagged);
+            assert!(idx.stats().max_chain_len >= 1 << 16, "W {w}");
+        }
+        let bank = bank_with_long_runs(&["ACGT".repeat(50)], 300_000);
+        let cfg = IndexConfig::full(11);
+        let oracle = oracle::build(&bank, cfg, |_| false);
+        for threads in [1, 2] {
+            let built = in_pool(threads, || {
+                BankIndex::build_sliced(&bank, cfg, |_| false, 1 << 16, Radix::new(11))
+            });
+            let (n, k) = (built.indexed_positions(), built.distinct_codes());
+            assert_eq!(low_width(n, k), 0, "{n} postings over {k} rows");
+            // Poly-A's clear bits: two rank blocks or more.
+            assert!(built.occurrences(0).len() >= 2 * 64 * BLOCK_WORDS);
+            assert!(oracle.matches(&built), "threads {threads}");
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// The two-byte row bounds answer as the `offsets[4^W + 1]` oracle
-        /// (a stable sort past W = 11) and its plain `u32` boundaries do:
-        /// `occurrences` for every code (the populated ones and their
-        /// neighbours past W = 8), the shared walk over random ranges, and
-        /// the walk against a second bank — and they are the one encoding
-        /// of the oracle's starts. Banks carry 70 000-nt poly-A and poly-T
-        /// runs ahead of ordinary sequence, so groups span 2^16 postings
-        /// and more; W = 1..13, under the sort rule and with every
-        /// partition counted or sorted, pools of 1, 2, 4 and 7 over slices
-        /// of a few words (groups cut between runs), and each index also
-        /// persisted, decoded to the heap and mapped.
+        /// The Elias–Fano row bounds answer as the `offsets[4^W + 1]`
+        /// oracle (a stable sort past W = 11) and its plain `u32`
+        /// boundaries do: `occurrences` for every code (the populated ones
+        /// and their neighbours past W = 8), the shared walk over random
+        /// ranges, and the walk against a second bank — and they are the
+        /// one encoding of the oracle's starts. Banks carry 70 000-nt
+        /// poly-A and poly-T runs ahead of ordinary sequence, so rows hold
+        /// 2^16 postings and more; W = 1..13, under the sort rule and with
+        /// every partition counted or sorted, pools of 1, 2, 4 and 7 over
+        /// slices of a few words (runs cut inside a high word), and each
+        /// index also persisted, decoded to the heap and mapped.
         #[test]
         fn row_bounds_equal_the_offsets_oracle(
             seqs in proptest::collection::vec("[ACGTN]{0,300}", 1..4),
