@@ -366,6 +366,54 @@ fn zero_deadline_still_writes_the_metrics_documents() {
     );
 }
 
+/// `--deadline` at `u64::MAX` milliseconds: a budget some 580 million
+/// years long, past what the clock can add for a chunk of 1 001 queries.
+const MAX_DEADLINE_MS: &str = "18446744073709551615";
+
+/// A plain run of `query` (a `--batch` file when `extra` says so) against
+/// the fixture's FASTA subject, which must exit 0.
+fn plain_run(dir: &Path, query: &Path, extra: &[&str]) -> Vec<u8> {
+    let out = scoris_n()
+        .args(extra)
+        .arg(query)
+        .arg(dir.join("subject.fa"))
+        .args(["-W", "8"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    out.stdout
+}
+
+#[test]
+fn max_deadline_runs_to_completion() {
+    // The expiry is set, far off: the run ends as it would without one.
+    let (db, query) = fixture("max_deadline");
+    let dir = db.parent().unwrap();
+    let plain = plain_run(dir, &query, &[]);
+    assert!(!plain.is_empty(), "fixture must produce alignments");
+    let guarded = plain_run(dir, &query, &["--deadline", MAX_DEADLINE_MS]);
+    assert_eq!(plain, guarded, "deadline must not change output");
+}
+
+#[test]
+fn max_deadline_batch_of_1001_queries_runs_to_completion() {
+    // 1 001 short queries make one chunk, armed with 1 001 × the budget:
+    // the product saturates at `Duration::MAX`, and the expiry overflows
+    // the clock, which must disarm the deadline rather than panic.
+    let (db, _) = fixture("max_deadline_batch");
+    let dir = db.parent().unwrap();
+    let batch = dir.join("batch.fa");
+    let queries: String = (0..1001)
+        .map(|i| format!(">b{i}\n{}\n", &CORE[i % 80..i % 80 + 40]))
+        .collect();
+    std::fs::write(&batch, queries).unwrap();
+    let plain = plain_run(dir, &batch, &["--batch"]);
+    assert!(!plain.is_empty(), "fixture must produce alignments");
+    let guarded = plain_run(dir, &batch, &["--deadline", MAX_DEADLINE_MS, "--batch"]);
+    assert_eq!(plain, guarded, "deadline must not change output");
+}
+
 /// `n` bases from a fixed xorshift64 stream, so the input is the same
 /// every run.
 fn bases(n: usize, rng: &mut u64) -> Vec<u8> {

@@ -1,4 +1,4 @@
-//! Cooperative per-query deadlines and cancellation.
+//! Cooperative per-query deadlines.
 //!
 //! A search is a long, CPU-bound scan with no natural preemption point:
 //! one adversarial repeat-heavy query can sit in the quadratic corner of
@@ -6,21 +6,20 @@
 //! the rest of the code space), then extend every HSP that corner kept
 //! in step 3, for arbitrarily long. A serving deployment needs *bounded
 //! per-query cost*, which a pipeline of pure functions can only provide
-//! cooperatively: the hot loops consult a shared token at their natural
+//! cooperatively: the hot loops consult a token at their natural
 //! boundaries and bail out cleanly.
 //!
-//! [`Deadline`] is that token — a cheap, clonable handle carrying an
-//! optional wall-clock expiry and a cancel flag:
+//! [`Deadline`] is that token — a `Copy` value carrying an optional
+//! wall-clock expiry:
 //!
 //! * [`Deadline::none`] (the [`Default`]) is **disarmed**: every check
 //!   compiles down to one branch on an `Option` discriminant, no clock
 //!   read, so code that threads a deadline through pays nothing when
 //!   the caller didn't ask for one (the no-fault/no-deadline path stays
 //!   byte-identical *and* cost-identical).
-//! * [`Deadline::after`] arms a wall-clock expiry.
-//! * [`Deadline::cancellable`] arms a pure cancel token with no expiry;
-//!   any clone can revoke the work with [`Deadline::cancel`] (e.g. a
-//!   supervisor thread timing out a request).
+//! * [`Deadline::after`] arms a wall-clock expiry. Every copy reads the
+//!   same clock against the same instant, so the workers of a parallel
+//!   step 2 all stop once it has passed.
 //!
 //! ## Where a search reads the token
 //!
@@ -44,15 +43,13 @@
 //! deadline never changes what is computed, only whether the run
 //! completes.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use oris_obs::monotonic_now;
 
 /// The error a deadline-guarded computation returns when its [`Deadline`]
-/// expires or is cancelled. Carries no payload: the caller that armed the
-/// deadline knows the budget it set.
+/// expires. Carries no payload: the caller that armed the deadline knows
+/// the budget it set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeadlineExceeded;
 
@@ -64,83 +61,42 @@ impl std::fmt::Display for DeadlineExceeded {
 
 impl std::error::Error for DeadlineExceeded {}
 
-#[derive(Debug)]
-struct Inner {
-    /// Expiry as an offset from the `oris-obs` monotonic epoch;
-    /// `None` for a pure cancel token.
-    expires: Option<Duration>,
-    /// Set by [`Deadline::cancel`] from any clone.
-    cancelled: AtomicBool,
-}
-
-/// A cooperative deadline / cancel token. See the [module docs](self).
-///
-/// Cloning is cheap (an `Arc` bump) and every clone observes the same
-/// state: cancelling one clone cancels them all, which is what lets a
-/// parallel step-2 run — many partitions checking the same token — stop
-/// collectively once any observer sees the expiry.
-#[derive(Debug, Clone, Default)]
+/// A cooperative deadline. See the [module docs](self).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Deadline {
-    inner: Option<Arc<Inner>>,
+    /// Expiry as an offset from the `oris-obs` monotonic epoch; `None`
+    /// when disarmed.
+    expires: Option<Duration>,
 }
 
 impl Deadline {
     /// The disarmed deadline: never expires, [`Deadline::check`] is one
     /// branch with no clock read.
     pub const fn none() -> Deadline {
-        Deadline { inner: None }
+        Deadline { expires: None }
     }
 
     /// A deadline expiring `budget` from now on the workspace's one
     /// clock ([`oris_obs::monotonic_now`]). A budget beyond the clock's
-    /// representable range can never be reached, so it degrades to a
-    /// pure cancel token instead of panicking.
+    /// representable range can never be reached, so it disarms the
+    /// deadline instead of panicking.
     pub fn after(budget: Duration) -> Deadline {
-        Deadline::armed(monotonic_now().checked_add(budget))
-    }
-
-    /// A pure cancel token: no wall-clock expiry, trips only when some
-    /// clone calls [`Deadline::cancel`].
-    pub fn cancellable() -> Deadline {
-        Deadline::armed(None)
-    }
-
-    fn armed(expires: Option<Duration>) -> Deadline {
         Deadline {
-            inner: Some(Arc::new(Inner {
-                expires,
-                cancelled: AtomicBool::new(false),
-            })),
+            expires: monotonic_now().checked_add(budget),
         }
     }
 
-    /// Revokes the work guarded by this token (and every clone of it).
-    /// A no-op on a disarmed deadline.
-    pub fn cancel(&self) {
-        if let Some(inner) = &self.inner {
-            inner.cancelled.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether this token can ever trip (armed with an expiry or as a
-    /// cancel token). Hot loops use this to skip per-iteration clock
-    /// reads entirely on the disarmed path.
+    /// Whether this deadline can ever expire. Hot loops use this to skip
+    /// per-iteration clock reads entirely on the disarmed path.
     #[inline]
     pub fn is_armed(&self) -> bool {
-        self.inner.is_some()
+        self.expires.is_some()
     }
 
-    /// Whether the deadline has passed or the token was cancelled.
-    /// Reads the clock only when armed with an expiry.
+    /// Whether the deadline has passed. Reads the clock only when armed.
     #[inline]
     pub fn expired(&self) -> bool {
-        match &self.inner {
-            None => false,
-            Some(inner) => {
-                inner.cancelled.load(Ordering::Relaxed)
-                    || inner.expires.is_some_and(|t| monotonic_now() >= t)
-            }
-        }
+        self.expires.is_some_and(|t| monotonic_now() >= t)
     }
 
     /// [`Deadline::expired`] as a `Result`, for `?`-style propagation
@@ -165,8 +121,6 @@ mod tests {
         assert!(!d.is_armed());
         assert!(!d.expired());
         assert_eq!(d.check(), Ok(()));
-        d.cancel(); // no-op
-        assert!(!d.expired());
     }
 
     #[test]
@@ -190,19 +144,20 @@ mod tests {
     }
 
     #[test]
-    fn cancel_trips_every_clone() {
-        let d = Deadline::cancellable();
-        let observer = d.clone();
-        assert!(!observer.expired());
-        d.cancel();
-        assert!(observer.expired());
-        assert_eq!(observer.check(), Err(DeadlineExceeded));
+    fn budget_past_the_clock_range_never_expires() {
+        // Armed at `Duration::MAX` when the clock still reads 0, disarmed
+        // otherwise: either way it never trips.
+        let d = Deadline::after(Duration::MAX);
+        assert!(!d.expired());
+        assert_eq!(d.check(), Ok(()));
     }
 
     #[test]
     fn past_offset_is_expired() {
         let past = monotonic_now().saturating_sub(Duration::from_millis(1));
-        let d = Deadline::armed(Some(past));
+        let d = Deadline {
+            expires: Some(past),
+        };
         assert!(d.expired());
     }
 

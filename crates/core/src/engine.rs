@@ -406,15 +406,15 @@ fn config_mismatch(
 /// A many-query comparison session against one prepared subject.
 ///
 /// Construction runs step 1 on the subject — both strands when
-/// `cfg.both_strands` — and builds the worker pool; [`Session::search`]
-/// and [`Session::search_chunk`] then execute steps 2–4 of a prepared
-/// query or chunk, and [`Session::run`] prepares one query bank first.
-/// The subject is never re-indexed, and the returned per-run statistics
-/// count only the work done for that run ([`PipelineStats::index_builds`]
-/// is 1 per `run`, 0 per [`Session::search`]); the subject's one-time
-/// cost is reported by [`Session::subject_stats`]. A batch of query banks
-/// runs through `oris_db::DbSession`, which holds a session as its one
-/// resident volume.
+/// `cfg.both_strands` — and builds the worker pool;
+/// [`Session::search_chunk`] then executes steps 2–4 of a prepared query
+/// chunk, and [`Session::run`] prepares one query bank as a chunk of one
+/// first. The subject is never re-indexed, and the returned per-run
+/// statistics count only the work done for that run
+/// ([`PipelineStats::index_builds`] is 1 per `run`, 0 per `search_chunk`);
+/// the subject's one-time cost is reported by [`Session::subject_stats`].
+/// A batch of query banks runs through `oris_db::DbSession`, which holds a
+/// session as its one resident volume.
 ///
 /// [`PipelineStats::index_builds`]: crate::PipelineStats::index_builds
 pub struct Session<'a> {
@@ -560,41 +560,18 @@ impl<'a> Session<'a> {
         s
     }
 
-    /// Runs an already prepared query against the prepared subject —
-    /// steps 2–4 only, no index construction (`index_builds == 0`; the
-    /// caller that prepared the query adds its build): the query as a
-    /// chunk of one member ([`Session::search_chunk`]).
-    ///
-    /// The query's records, both strands when configured, are pushed into
-    /// `sink` once the search is complete. The query boundary is **not**
-    /// marked: the caller owns the [`RecordSink::end_query`] call, whose
-    /// single boundary sort under [`crate::M8Record::total_order`] merges
-    /// the two strands here and all the volumes of a database search into
-    /// bytes identical to a single-bank run over the concatenated input.
-    ///
-    /// # Errors
-    /// As [`Session::search_chunk`]; `sink` is untouched on either.
-    pub fn search(
-        &self,
-        query: &PreparedBank<'_>,
-        sink: &mut dyn RecordSink,
-        deadline: &Deadline,
-    ) -> Result<PipelineStats, SearchError> {
-        let bank = query.bank();
-        let members = Members::one(bank.num_sequences(), bank.num_residues());
-        let mut out = [MemberResult::default()];
-        let stats = self.search_members(query, &members, &mut out, deadline)?;
-        let [out] = out;
-        sink.accept_all(out.records);
-        Ok(stats)
-    }
-
     /// Runs a prepared chunk against the prepared subject — steps 2–4, no
     /// index construction: step 2 and the gapped stage once over the
     /// joint bank per strand, step 4 per group against its member's
     /// residues. Returns the chunk's report (step 2 once, steps 3–4
     /// summed over the members; `index_builds == 0`) and, per member in
-    /// order, its records (unsorted) and its own step-3/4 counters.
+    /// order, its records and its own step-3/4 counters. A member's
+    /// records, both strands when configured, come back unsorted: the
+    /// caller sorts them at the member's boundary
+    /// ([`RecordSink::end_query`], under [`crate::M8Record::total_order`]),
+    /// which merges the two strands here and all the volumes of a
+    /// database search into bytes identical to a single-bank run over the
+    /// concatenated input.
     ///
     /// `deadline` is read at the points [`crate::deadline`] lists, so a
     /// pathological chunk — one hot seed code whose `|X1|·|X2|` pair
@@ -617,20 +594,7 @@ impl<'a> Session<'a> {
         chunk: &QueryChunk<'_>,
         deadline: &Deadline,
     ) -> Result<(PipelineStats, Vec<MemberResult>), SearchError> {
-        let mut out = vec![MemberResult::default(); chunk.members()];
-        let stats = self.search_members(&chunk.prepared, &chunk.members, &mut out, deadline)?;
-        Ok((stats, out))
-    }
-
-    /// The one search both entry points run: each strand's share of every
-    /// member added to `out`.
-    fn search_members(
-        &self,
-        query: &PreparedBank<'_>,
-        members: &Members,
-        out: &mut [MemberResult],
-        deadline: &Deadline,
-    ) -> Result<PipelineStats, SearchError> {
+        let (query, members) = (&chunk.prepared, &chunk.members);
         config_mismatch(
             "query",
             query,
@@ -638,10 +602,11 @@ impl<'a> Session<'a> {
             self.cfg.filter,
         )
         .map_err(SearchError::ConfigMismatch)?;
-        self.install(|| {
+        let mut out = vec![MemberResult::default(); chunk.members()];
+        let stats = self.install(|| -> Result<PipelineStats, DeadlineExceeded> {
             let mut run = |subject: &PreparedBank<'_>, strand: SubjectStrand| {
                 run_prepared_pipeline_into(
-                    query, members, subject, &self.cfg, strand, out, deadline, &self.obs,
+                    query, members, subject, &self.cfg, strand, &mut out, deadline, &self.obs,
                 )
             };
             let plus = run(&self.plus, SubjectStrand::Plus)?;
@@ -652,26 +617,35 @@ impl<'a> Session<'a> {
                     Ok(plus.merge(&run(minus, SubjectStrand::Minus)?))
                 }
             }
-        })
+        })?;
+        Ok((stats, out))
     }
 
-    /// Prepares `query` (step 1, counted in the returned stats), runs it
-    /// against the prepared subject ([`Session::search`]) and collects the
-    /// sorted records. It counts no query into the observability handle
-    /// (`queries_total`, `query_seconds`): `oris_db::DbSession` counts the
-    /// queries of a batch.
+    /// Prepares `query` as a chunk of one (step 1, counted in the returned
+    /// stats), runs it against the prepared subject
+    /// ([`Session::search_chunk`]) and collects the sorted records. It
+    /// counts no query into the observability handle (`queries_total`,
+    /// `query_seconds`): `oris_db::DbSession` counts the queries of a
+    /// batch.
     pub fn run(&self, query: &Bank) -> OrisResult {
-        let prepared = self.install(|| {
-            PreparedBank::prepare(query, self.cfg.filter, self.cfg.query_index_config())
+        let chunk = self.install(|| {
+            QueryChunk::prepare(
+                std::slice::from_ref(query),
+                self.cfg.filter,
+                self.cfg.query_index_config(),
+            )
         });
-        let mut sink = CollectSink::new();
-        let mut stats = self
-            .search(&prepared, &mut sink, &Deadline::none())
+        let (mut stats, out) = self
+            .search_chunk(&chunk, &Deadline::none())
             .expect("the query was prepared under this configuration and no deadline is armed");
+        let mut sink = CollectSink::new();
+        for member in out {
+            sink.accept_all(member.records);
+        }
         sink.end_query()
             .expect("CollectSink does no IO and cannot fail");
-        stats.index_secs += prepared.stats.build_secs;
-        stats.index_builds += prepared.stats.builds;
+        stats.index_secs += chunk.prepared.stats.build_secs;
+        stats.index_builds += chunk.prepared.stats.builds;
         OrisResult {
             alignments: sink.into_records(),
             stats,
@@ -679,7 +653,7 @@ impl<'a> Session<'a> {
     }
 }
 
-/// Why [`Session::search`] refused or abandoned a query.
+/// Why [`Session::search_chunk`] refused or abandoned a chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SearchError {
     /// The query was prepared under a different configuration than the
@@ -750,11 +724,15 @@ mod tests {
         let query = bank(&[CORE]);
         let cfg = OrisConfig::small(8);
         let session = Session::new(&subject, &cfg).unwrap();
-        let prep = PreparedBank::prepare(&query, cfg.filter, cfg.query_index_config());
-        let mut sink = CollectSink::new();
-        let stats = session.search(&prep, &mut sink, &Deadline::none()).unwrap();
-        sink.end_query().unwrap();
+        let one = std::slice::from_ref(&query);
+        let chunk = QueryChunk::prepare(one, cfg.filter, cfg.query_index_config());
+        let (stats, out) = session.search_chunk(&chunk, &Deadline::none()).unwrap();
         assert_eq!(stats.index_builds, 0);
+        let mut sink = CollectSink::new();
+        for member in out {
+            sink.accept_all(member.records);
+        }
+        sink.end_query().unwrap();
         assert_eq!(sink.into_records(), session.run(&query).alignments);
     }
 
@@ -770,13 +748,11 @@ mod tests {
             (cfg.filter, IndexConfig::asymmetric(8), "stride"),
             (FilterKind::Dust, right, "filter"),
         ] {
-            let prep = PreparedBank::prepare(&query, filter, icfg);
-            let mut sink = CollectSink::new();
-            match session.search(&prep, &mut sink, &Deadline::none()) {
+            let chunk = QueryChunk::prepare(std::slice::from_ref(&query), filter, icfg);
+            match session.search_chunk(&chunk, &Deadline::none()) {
                 Err(SearchError::ConfigMismatch(msg)) => assert!(msg.contains(field), "{msg}"),
                 other => panic!("{field}: expected ConfigMismatch, got {other:?}"),
             }
-            assert!(sink.records().is_empty());
         }
     }
 

@@ -16,12 +16,12 @@
 //! * [`engine::Session`] — one prepared subject (both strands if
 //!   configured) plus the worker pool; any number of query banks run
 //!   against it without the subject ever being re-indexed. A prepared
-//!   query runs one way, [`engine::Session::search`] — sink and deadline
-//!   are its arguments, the query boundary is the caller's, a query
-//!   prepared under another configuration is a typed
+//!   query runs one way, [`engine::Session::search_chunk`] — a chunk and
+//!   a deadline are its arguments, each member's boundary is the
+//!   caller's, a chunk prepared under another configuration is a typed
 //!   [`engine::SearchError::ConfigMismatch`] — and
 //!   [`engine::Session::run`] is the prepare-search-boundary convenience
-//!   over it, for one query bank.
+//!   over it, for one query bank as a chunk of one.
 //!
 //! **Stream results** ([`sink`]): steps 2–4 hand off per-record-pair
 //! results as they are produced — step 3 emits each `(query, subject)`

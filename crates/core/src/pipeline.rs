@@ -35,7 +35,7 @@ pub struct PipelineStats {
     /// Number of mask+index builds attributed to this result. A
     /// `both_strands` [`compare_banks`] performs 3 (query once, subject
     /// twice — one per strand); a session run performs 1 (its query);
-    /// `Session::search` performs 0.
+    /// `Session::search_chunk` performs 0.
     pub index_builds: u32,
     /// Seconds spent in step 2 (hit extension).
     pub step2_secs: f64,
@@ -311,7 +311,7 @@ fn gapped_stage_routed(
 /// fractions, resident index bytes) with zero build time and zero builds.
 /// The report's step-3/4 counters are the members' summed.
 ///
-/// `deadline` is the cooperative cancellation token, read at the points
+/// `deadline` is the cooperative token, read at the points
 /// [`crate::deadline`] lists: a wave and its groups' records always finish.
 /// An expiry returns [`DeadlineExceeded`], and the records already filed
 /// in `out` are the caller's to drop. Disarmed ([`Deadline::none`]) each

@@ -600,7 +600,7 @@ fn find_hsps_grained(
     // shim runs on the calling thread. An armed deadline gets no finer
     // split: the pair loop inside each range already polls the token
     // every [`DEADLINE_CHECK_PAIRS`] extensions, so partition granularity
-    // adds nothing to cancellation latency — only overhead.
+    // adds nothing to expiry latency — only overhead.
     let threads = rayon::current_num_threads();
     let chunks = if threads <= 1 {
         1
@@ -655,6 +655,7 @@ mod tests {
     use super::*;
     use oris_index::IndexConfig;
     use oris_seqio::BankBuilder;
+    use std::time::Duration;
 
     fn bank(seqs: &[&str]) -> Bank {
         let mut b = BankBuilder::new();
@@ -963,8 +964,7 @@ mod tests {
         let hot = i1.occurrences(0).len() as u64 * i2.occurrences(0).len() as u64;
         assert!(hot > DEADLINE_CHECK_PAIRS);
         let guard = select_guard(&i1, &i2);
-        let expired = Deadline::cancellable();
-        expired.cancel();
+        let expired = Deadline::after(Duration::ZERO);
         for grain in [1, GRAIN] {
             let res = find_hsps_grained(&b1, &i1, &b2, &i2, &c, guard, &expired, grain);
             assert_eq!(res, Err(DeadlineExceeded), "grain {grain}");
@@ -986,7 +986,6 @@ mod tests {
                     .map(move |b| Pair { a, b, code: 0 })
             })
             .collect();
-        let token = Deadline::cancellable();
         let mut ext = Extender::new(
             &b1,
             &b2,
@@ -994,9 +993,8 @@ mod tests {
             &params,
             c.min_hsp_score,
             guard,
-            &token,
+            &expired,
         );
-        token.cancel();
         let stopped = pairs.chunks(BATCH).try_for_each(|batch| ext.run(batch));
         assert_eq!(stopped, Err(DeadlineExceeded));
         let examined = ext.stats.pairs_examined;

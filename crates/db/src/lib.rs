@@ -80,17 +80,15 @@
 //!   options) and complete queries over the survivors; each
 //!   query's [`SearchReport`] records exactly what was searched, what
 //!   was skipped, and the residue coverage fraction.
-//! * **Deadlines** — [`DbOptions::deadline`] (or an explicit
-//!   [`Deadline`](oris_core::Deadline) token via
-//!   [`DbSession::run_query_deadline`]) bounds a query's wall-clock
-//!   cost: the token is read at the points [`oris_core::deadline`]
+//! * **Deadlines** — [`DbOptions::deadline`] bounds a query's wall-clock
+//!   cost: the deadline is read at the points [`oris_core::deadline`]
 //!   lists; expiry is a clean [`DbError::DeadlineExceeded`] with the
 //!   session still usable.
 //! * **Sink atomicity** — a query that fails for any reason other than
 //!   the sink's own `end_query` ([`DbError::Sink`]) leaves the caller's
 //!   sink untouched, under every option: all volumes' records are staged
 //!   until the whole query (in a batch, its whole chunk) completed. What this costs is stated on
-//!   [`DbSession::run_query_deadline`]: one query's records are resident
+//!   [`DbSession::run_query_reported`]: one query's records are resident
 //!   before the sink sees the first, whatever the sink would have kept.
 //! * **Offline verification** — [`verify_db`] (the `verifydb` binary) is
 //!   the fsck: manifest checksum, per-volume bank and index content

@@ -13,11 +13,10 @@
 //! * [`SearchReport`] — per-query accounting of volumes searched,
 //!   skipped and retried plus the residue coverage fraction, so a
 //!   degraded result is explicitly labeled rather than silently partial.
-//! * [`DbOptions::deadline`] / [`DbSession::run_query_deadline`] — a
-//!   cooperative budget, read at the points [`oris_core::deadline`]
-//!   lists; expiry returns a clean [`DbError::DeadlineExceeded`] with the
-//!   caller's sink untouched by the expired search and the session ready
-//!   for the next one.
+//! * [`DbOptions::deadline`] — a cooperative per-query budget, read at
+//!   the points [`oris_core::deadline`] lists; expiry returns a clean
+//!   [`DbError::DeadlineExceeded`] with the caller's sink untouched by the
+//!   expired search and the session ready for the next one.
 //!
 //! A batch ([`DbSession::run_batch`]) is searched in chunks: the queries
 //! are pulled into chunks of at most [`oris_core::JOINT_CHUNK_RESIDUES`]
@@ -82,13 +81,24 @@ pub struct DbOptions {
     pub window: usize,
     /// Volume-failure policy (see [`OnVolumeError`]).
     pub on_volume_error: OnVolumeError,
-    /// Per-query deadline. `None` (the default) runs unguarded;
-    /// `Some(budget)` arms a fresh [`Deadline`] for each chunk of queries
-    /// when its search starts: `n × budget` for the `n` queries the chunk
-    /// searches (one, for [`DbSession::run_query_reported`]). Where the
-    /// token is read is listed in [`oris_core::deadline`]. See
-    /// [`DbSession::run_query_deadline`] for the guarantees and
-    /// [`DbSession::run_batch`] for what an expiry ends.
+    /// Per-query deadline, the one way to bound a search. `None` (the
+    /// default) runs unguarded; `Some(budget)` arms a fresh [`Deadline`]
+    /// for each chunk of queries when its search starts: `n × budget` for
+    /// the `n` queries the chunk searches (one, for
+    /// [`DbSession::run_query_reported`]). Where the deadline is read, and
+    /// so how far an expired search runs on, is listed in
+    /// [`oris_core::deadline`]; [`DbSession::run_batch`] says what an
+    /// expiry ends. The guarantees:
+    ///
+    /// * On expiry the search returns [`DbError::DeadlineExceeded`]; the
+    ///   caller's sink is untouched by the expired chunk's queries, and
+    ///   nothing is inserted into the result cache.
+    /// * The session remains fully usable: the next query runs normally,
+    ///   volumes attached before the expiry stay attached, and no volume
+    ///   is quarantined by a deadline (slowness is not corruption).
+    /// * A query that completes under a deadline is byte-identical to
+    ///   the same query without one: the deadline never changes what is
+    ///   computed.
     pub deadline: Option<Duration>,
     /// Memory budget for the [`ResultCache`]. `0` (the default) disables
     /// caching; `N > 0` memoizes each completed query's whole answer under
@@ -283,7 +293,8 @@ impl DbBatchStats {
 /// configuration as it is.
 ///
 /// The failure model (quarantine, retries, deadlines) is described in
-/// the [module docs](self) and on [`DbSession::run_query_deadline`].
+/// the [module docs](self), on [`DbOptions`] and on
+/// [`DbSession::run_query_reported`].
 pub struct DbSession<'d> {
     /// The database volumes attach from; `None` for a resident subject,
     /// whose one volume is attached from the start and never evicted.
@@ -654,9 +665,8 @@ impl<'d> DbSession<'d> {
     }
 
     /// Runs one query bank across every volume into `sink`, firing
-    /// exactly one `end_query` at the end, under an explicit [`Deadline`]
-    /// token (e.g. [`Deadline::cancellable`] driven by a supervisor
-    /// thread): a chunk of one. The returned stats merge the per-volume
+    /// exactly one `end_query` at the end: a chunk of one, bounded by
+    /// [`DbOptions::deadline`]. The returned stats merge the per-volume
     /// runs and count the query's single index build; the
     /// [`SearchReport`] says which volumes they cover; volume attach costs
     /// accumulate in [`DbSession::volume_costs`]. A query answered by the
@@ -672,65 +682,32 @@ impl<'d> DbSession<'d> {
     /// [`oris_core::StreamWriter`], the only sink the CLI uses, buffers
     /// until the boundary anyway.
     ///
-    /// Deadline guarantees (where the token is read, and so how far an
-    /// expired query runs on, is listed in [`oris_core::deadline`]):
-    ///
-    /// * On expiry the query returns [`DbError::DeadlineExceeded`] and
-    ///   nothing is inserted into the result cache.
-    /// * The session remains fully usable: the next query runs normally,
-    ///   volumes attached before the expiry stay attached, and no volume
-    ///   is quarantined by a deadline (slowness is not corruption).
-    /// * A query that completes under a deadline is byte-identical to
-    ///   the same query without one: the token never changes what is
-    ///   computed.
-    pub fn run_query_deadline(
-        &mut self,
-        query: &Bank,
-        sink: &mut dyn RecordSink,
-        deadline: &Deadline,
-    ) -> Result<(PipelineStats, SearchReport), DbError> {
-        self.run_alone(query, sink, Some(deadline))
-    }
-
-    /// [`DbSession::run_query_deadline`] under the options' deadline: a
-    /// fresh token armed from [`DbOptions::deadline`] when one is
-    /// configured, [`Deadline::none`] otherwise.
+    /// On expiry of the deadline the query returns
+    /// [`DbError::DeadlineExceeded`], caches nothing, quarantines no
+    /// volume and leaves the session ready for the next query; a query
+    /// that completes under a deadline is byte-identical to the same
+    /// query without one ([`DbOptions::deadline`]).
     pub fn run_query_reported(
         &mut self,
         query: &Bank,
         sink: &mut dyn RecordSink,
     ) -> Result<(PipelineStats, SearchReport), DbError> {
-        self.run_alone(query, sink, None)
-    }
-
-    /// One query as a chunk of one, with its report.
-    fn run_alone(
-        &mut self,
-        query: &Bank,
-        sink: &mut dyn RecordSink,
-        token: Option<&Deadline>,
-    ) -> Result<(PipelineStats, SearchReport), DbError> {
         let mut report = None;
-        let stats = self.run_chunk(std::slice::from_ref(query), sink, token, &mut |r| {
-            report = Some(r)
-        })?;
+        let stats = self.run_chunk(std::slice::from_ref(query), sink, &mut |r| report = Some(r))?;
         Ok((stats, report.expect("a chunk of one reports once")))
     }
 
     /// One chunk of queries through the four phases, an expiry counted
     /// once and the session's ledger published, whatever the outcome.
-    /// `token` is the caller's deadline; `None` arms one from
-    /// [`DbOptions::deadline`] for the queries the chunk searches. Each
-    /// query's [`SearchReport`] goes to `reported`, in order, as its
+    /// Each query's [`SearchReport`] goes to `reported`, in order, as its
     /// boundary is written.
     fn run_chunk<B: Borrow<Bank>>(
         &mut self,
         queries: &[B],
         sink: &mut dyn RecordSink,
-        token: Option<&Deadline>,
         reported: &mut dyn FnMut(SearchReport),
     ) -> Result<PipelineStats, DbError> {
-        let outcome = self.chunk_phases(queries, sink, token, reported);
+        let outcome = self.chunk_phases(queries, sink, reported);
         if let Err(DbError::DeadlineExceeded(_)) = outcome {
             self.obs.count(names::DEADLINE_EXPIRIES_TOTAL, 1);
         }
@@ -766,8 +743,9 @@ impl<'d> DbSession<'d> {
 
     /// The four phases of one chunk, in order: *probe* the cache once per
     /// query, *attach* and *search* every live volume once for the queries
-    /// the cache did not answer, joined into one bank, then *merge* per
-    /// query, in order. Each query is a `query` span, timed into
+    /// the cache did not answer, joined into one bank under the deadline
+    /// [`DbOptions::deadline`] arms for them, then *merge* per query, in
+    /// order. Each query is a `query` span, timed into
     /// `query_seconds`, from the chunk's start to its own boundary.
     ///
     /// A query whose fingerprint repeats an earlier query of the chunk is
@@ -779,7 +757,6 @@ impl<'d> DbSession<'d> {
         &mut self,
         queries: &[B],
         sink: &mut dyn RecordSink,
-        token: Option<&Deadline>,
         reported: &mut dyn FnMut(SearchReport),
     ) -> Result<PipelineStats, DbError> {
         let spans: Vec<_> = queries
@@ -812,14 +789,7 @@ impl<'d> DbSession<'d> {
         let joined: Vec<usize> = (0..queries.len())
             .filter(|i| !hits.contains_key(i))
             .collect();
-        let armed;
-        let deadline = match token {
-            Some(token) => token,
-            None => {
-                armed = self.arm(joined.len());
-                &armed
-            }
-        };
+        let deadline = self.arm(joined.len());
         // The joined queries are prepared once for the whole database,
         // exactly as a single-bank session prepares a query once for both
         // strands — and before the volumes attach, so the build's
@@ -844,7 +814,7 @@ impl<'d> DbSession<'d> {
         let mut taken = vec![0; num];
         let mut slot: Vec<Option<usize>> = vec![None; queries.len()];
         if let Some(chunk) = &chunk {
-            let staged = self.search_volumes(chunk, &mut retries, deadline)?;
+            let staged = self.search_volumes(chunk, &mut retries, &deadline)?;
             for (v, staged) in staged.into_iter().enumerate() {
                 if let Some((chunk_stats, results)) = staged {
                     // Step 2 and the seconds belong to the chunk, booked
@@ -901,7 +871,7 @@ impl<'d> DbSession<'d> {
         Ok(totals)
     }
 
-    /// The token [`DbOptions::deadline`] arms for a chunk searching
+    /// The deadline [`DbOptions::deadline`] arms for a chunk searching
     /// `queries` queries: `queries × budget` (at least one budget).
     fn arm(&self, queries: usize) -> Deadline {
         match self.opts.deadline {
@@ -978,7 +948,7 @@ impl<'d> DbSession<'d> {
             }
         };
         for chunk in joint_chunks(queries, bound) {
-            let stats = self.run_chunk(&chunk, sink, None, &mut keep_worst)?;
+            let stats = self.run_chunk(&chunk, sink, &mut keep_worst)?;
             batch.queries += chunk.len();
             batch.totals = batch.totals.merge(&stats);
         }

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use oris_core::{CollectSink, Deadline, OrisConfig, RecordSink};
+use oris_core::{CollectSink, OrisConfig, RecordSink};
 use oris_db::{
     make_db, verify_db, Database, DbError, DbOptions, DbSession, Fault, FaultRule, FaultyIo,
     MakeDbOptions, OnVolumeError, SearchReport, VolumeCause,
@@ -627,16 +627,45 @@ fn no_fault_injector_path_is_byte_identical() {
 // Deadlines.
 // ---------------------------------------------------------------------
 
+/// A per-query budget far above a toy query's whole search, and far
+/// below [`SLOW_READ`].
+const BUDGET: Duration = Duration::from_millis(250);
+
+/// The one slow device read that makes a query outlive [`BUDGET`].
+const SLOW_READ: Duration = Duration::from_secs(1);
+
+/// Opens `dir` with the attach read of volume `v`'s FASTA delayed by
+/// [`SLOW_READ`] once: the first query to attach it expires under
+/// [`BUDGET`], every later one runs at full speed. (`skip: 1` lets the
+/// open-time existence probe through so the delay lands on the attach
+/// read.)
+fn open_with_one_slow_attach(dir: &PathBuf, v: usize) -> Database {
+    let io = FaultyIo::with_rules([FaultRule {
+        file: Some(format!("vol{v:05}.fa")),
+        skip: 1,
+        times: 1,
+        fault: Fault::Delay(SLOW_READ),
+    }]);
+    Database::open_with_io(dir, Arc::new(io)).unwrap()
+}
+
+fn budgeted() -> DbOptions {
+    DbOptions {
+        deadline: Some(BUDGET),
+        ..DbOptions::default()
+    }
+}
+
 #[test]
 fn expired_deadline_fails_cleanly_and_session_survives() {
     let dir = build_db("deadline");
-    let db = Database::open(&dir).unwrap();
-    let mut session = DbSession::new(&db, &cfg(), DbOptions::default()).unwrap();
+    // Volume 0 attaches at full speed; volume 1's attach outlives the
+    // budget, so the search of volume 1 expires.
+    let db = open_with_one_slow_attach(&dir, 1);
+    let mut session = DbSession::new(&db, &cfg(), budgeted()).unwrap();
     let mut sink = CollectSink::new();
 
-    let e = session
-        .run_query_deadline(&query(), &mut sink, &Deadline::after(Duration::ZERO))
-        .unwrap_err();
+    let e = session.run_query_reported(&query(), &mut sink).unwrap_err();
     assert!(matches!(e, DbError::DeadlineExceeded(_)), "{e:?}");
     assert_eq!(e.exit_code(), 7);
     assert_eq!(
@@ -650,11 +679,12 @@ fn expired_deadline_fails_cleanly_and_session_survives() {
         "slowness is not corruption"
     );
 
-    // The session is fully usable afterwards.
-    let (_, report) = session
-        .run_query_deadline(&query(), &mut sink, &Deadline::none())
-        .unwrap();
+    // The session is fully usable afterwards, and the volumes attached
+    // before the expiry stayed attached.
+    let (_, report) = session.run_query_reported(&query(), &mut sink).unwrap();
     assert!(report.is_complete());
+    let attaches: Vec<u32> = session.volume_costs().iter().map(|c| c.attaches).collect();
+    assert!(attaches.iter().all(|&n| n == 1), "{attaches:?}");
     let records: Vec<String> = sink.into_records().iter().map(|r| r.to_string()).collect();
     assert_eq!(records, baseline(&dir));
 }
@@ -662,16 +692,14 @@ fn expired_deadline_fails_cleanly_and_session_survives() {
 #[test]
 fn generous_deadline_is_byte_identical() {
     let dir = build_db("deadline_ok");
+    let opts = DbOptions {
+        deadline: Some(Duration::from_secs(3600)),
+        ..DbOptions::default()
+    };
     let db = Database::open(&dir).unwrap();
-    let mut session = DbSession::new(&db, &cfg(), DbOptions::default()).unwrap();
+    let mut session = DbSession::new(&db, &cfg(), opts).unwrap();
     let mut sink = CollectSink::new();
-    session
-        .run_query_deadline(
-            &query(),
-            &mut sink,
-            &Deadline::after(Duration::from_secs(3600)),
-        )
-        .unwrap();
+    session.run_query_reported(&query(), &mut sink).unwrap();
     let records: Vec<String> = sink.into_records().iter().map(|r| r.to_string()).collect();
     assert_eq!(records, baseline(&dir));
 }
@@ -679,49 +707,19 @@ fn generous_deadline_is_byte_identical() {
 #[test]
 fn slow_volume_trips_the_deadline() {
     let dir = build_db("deadline_slow");
-    // One slow device read (50 ms) against a 5 ms budget: the boundary
-    // check after the delayed attach fires. (`skip: 1` lets the open-time
-    // existence probe through so the delay lands on the attach read.)
-    let io = FaultyIo::with_rules([FaultRule {
-        file: Some("vol00000.fa".into()),
-        skip: 1,
-        times: 1,
-        fault: Fault::Delay(Duration::from_millis(50)),
-    }]);
-    let db = Database::open_with_io(&dir, Arc::new(io)).unwrap();
-    let mut session = DbSession::new(&db, &cfg(), DbOptions::default()).unwrap();
+    // The first volume's attach outlives the budget: the search of
+    // volume 0 reads the deadline after the delayed attach and expires.
+    let db = open_with_one_slow_attach(&dir, 0);
+    let mut session = DbSession::new(&db, &cfg(), budgeted()).unwrap();
     let mut sink = CollectSink::new();
-    let e = session
-        .run_query_deadline(
-            &query(),
-            &mut sink,
-            &Deadline::after(Duration::from_millis(5)),
-        )
-        .unwrap_err();
+    let e = session.run_query_reported(&query(), &mut sink).unwrap_err();
     assert!(matches!(e, DbError::DeadlineExceeded(_)), "{e:?}");
     assert_eq!(sink.records().len(), 0);
     // The slow (not corrupt) volume was not quarantined, and the session
     // recovers once the transient slowness clears.
-    session
-        .run_query_deadline(&query(), &mut sink, &Deadline::none())
-        .unwrap();
+    session.run_query_reported(&query(), &mut sink).unwrap();
     let records: Vec<String> = sink.into_records().iter().map(|r| r.to_string()).collect();
     assert_eq!(records, baseline(&dir));
-}
-
-#[test]
-fn cancellation_token_stops_the_query() {
-    let dir = build_db("cancel");
-    let db = Database::open(&dir).unwrap();
-    let mut session = DbSession::new(&db, &cfg(), DbOptions::default()).unwrap();
-    let mut sink = CollectSink::new();
-    let token = Deadline::cancellable();
-    token.cancel();
-    let e = session
-        .run_query_deadline(&query(), &mut sink, &token)
-        .unwrap_err();
-    assert!(matches!(e, DbError::DeadlineExceeded(_)), "{e:?}");
-    assert_eq!(sink.records().len(), 0);
 }
 
 // ---------------------------------------------------------------------

@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use oris_core::{CollectSink, Deadline, OrisConfig};
+use oris_core::{CollectSink, OrisConfig};
 use oris_db::{
     make_db, Database, DbOptions, DbSession, Fault, FaultRule, FaultyIo, MakeDbOptions,
     OnVolumeError, SearchReport,
@@ -232,13 +232,16 @@ fn obs_cache_counters_match_result_cache_after_hit_miss_quarantine() {
 #[test]
 fn deadline_expiry_is_counted() {
     let db = Database::open(shared_db()).unwrap();
-    let mut session = DbSession::new(&db, &cfg(), DbOptions::default()).unwrap();
+    let opts = DbOptions {
+        deadline: Some(Duration::ZERO),
+        ..DbOptions::default()
+    };
+    let mut session = DbSession::new(&db, &cfg(), opts).unwrap();
     let obs = Obs::armed();
     session.set_obs(obs.clone());
     let mut sink = CollectSink::new();
-    let expired = Deadline::after(Duration::ZERO);
     session
-        .run_query_deadline(&query(), &mut sink, &expired)
+        .run_query_reported(&query(), &mut sink)
         .expect_err("zero budget must expire");
     assert_eq!(obs.counter(names::DEADLINE_EXPIRIES_TOTAL), 1);
     // The failed query still opened (and closed) its latency span.

@@ -1,10 +1,10 @@
 //! Serving suite: the walk over the volumes and the volume-level result
 //! cache, exercised together with the failure machinery (deadlines,
-//! cancellation, quarantine). The contracts pinned here:
+//! quarantine). The contracts pinned here:
 //!
-//! * A deadline that expires, or a token cancelled, mid-walk leaves the
-//!   caller's sink untouched, inserts nothing into the cache, stops the
-//!   walk before the next volume, and leaves the session fully usable.
+//! * A deadline that expires mid-walk leaves the caller's sink untouched,
+//!   inserts nothing into the cache, stops the walk at the volume it
+//!   expired on, and leaves the session fully usable.
 //! * A cache hit replays a query's whole answer, byte-identical records
 //!   and the report its search gave, labeled as served; a quarantine
 //!   empties the cache, so a failed volume is never served again.
@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use oris_core::{CollectSink, Deadline, OrisConfig};
+use oris_core::{CollectSink, OrisConfig};
 use oris_db::{
     make_db, Database, DbError, DbOptions, DbSession, Fault, FaultRule, FaultyIo, MakeDbOptions,
     OnVolumeError, SearchReport,
@@ -96,19 +96,46 @@ fn run_once(
     Ok((render(sink), report))
 }
 
-#[test]
-fn expired_deadline_leaves_sink_untouched_and_inserts_nothing() {
-    let dir = build_db("deadline_expired");
-    let db = Database::open(&dir).unwrap();
+/// A per-query budget far above a toy query's whole search, and far
+/// below [`SLOW_READ`].
+const BUDGET: Duration = Duration::from_millis(250);
+
+/// The one slow device read that makes a query outlive [`BUDGET`].
+const SLOW_READ: Duration = Duration::from_secs(1);
+
+/// A session under [`BUDGET`] and a 1 MiB result cache, over `db`.
+fn budgeted_session(db: &Database) -> DbSession<'_> {
     let opts = DbOptions {
+        deadline: Some(BUDGET),
         result_cache_bytes: 1 << 20,
         ..DbOptions::default()
     };
-    let mut session = DbSession::new(&db, &cfg(), opts).unwrap();
+    DbSession::new(db, &cfg(), opts).unwrap()
+}
+
+/// Opens `dir` with the attach read of volume `v`'s FASTA delayed by
+/// [`SLOW_READ`] once: the first query to attach it expires under
+/// [`BUDGET`], every later one runs at full speed. (`skip: 1` lets the
+/// open-time existence probe through.)
+fn open_with_one_slow_attach(dir: &PathBuf, v: usize) -> Database {
+    let io = FaultyIo::with_rules([FaultRule {
+        file: Some(format!("vol{v:05}.fa")),
+        skip: 1,
+        times: 1,
+        fault: Fault::Delay(SLOW_READ),
+    }]);
+    Database::open_with_io(dir, Arc::new(io)).unwrap()
+}
+
+#[test]
+fn expired_deadline_leaves_sink_untouched_and_inserts_nothing() {
+    let dir = build_db("deadline_expired");
+    let db = open_with_one_slow_attach(&dir, 0);
+    let mut session = budgeted_session(&db);
     let mut sink = CollectSink::new();
     let err = session
-        .run_query_deadline(&query(), &mut sink, &Deadline::after(Duration::ZERO))
-        .expect_err("zero deadline must expire");
+        .run_query_reported(&query(), &mut sink)
+        .expect_err("a query outliving its budget must expire");
     assert!(matches!(err, DbError::DeadlineExceeded(_)), "{err:?}");
     assert!(render(sink).is_empty(), "sink must be untouched on expiry");
     let counters = session.result_cache_counters();
@@ -117,69 +144,39 @@ fn expired_deadline_leaves_sink_untouched_and_inserts_nothing() {
         (0, 0),
         "an aborted query must not populate the cache"
     );
-    // The session survives: the same query without a deadline completes
-    // and matches a fresh sequential run byte for byte.
+    // The session survives: the same query, now within its budget,
+    // completes and matches a fresh sequential run byte for byte.
     let mut sink = CollectSink::new();
-    let (_, report) = session
-        .run_query_deadline(&query(), &mut sink, &Deadline::none())
-        .unwrap();
+    let (_, report) = session.run_query_reported(&query(), &mut sink).unwrap();
     assert!(report.is_complete());
     let (seq_records, _) = run_once(&dir, None, DbOptions::default()).unwrap();
     assert_eq!(render(sink), seq_records);
 }
 
-/// A trace writer that cancels its token when the first volume search
-/// begins: the walk has passed the token check before volume 0, and the
-/// check before volume 1 sees the cancellation. The trace sink writes each
-/// line whole, under its lock.
-struct CancelAtFirstSearch(Deadline);
-
-impl std::io::Write for CancelAtFirstSearch {
-    fn write(&mut self, line: &[u8]) -> std::io::Result<usize> {
-        if String::from_utf8_lossy(line).contains(r#""ev":"begin","span":"volume_search""#) {
-            self.0.cancel();
-        }
-        Ok(line.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 #[test]
-fn cancel_mid_fan_out_stops_dispatch() {
-    let dir = build_db("cancel_fan_out");
-    let db = Database::open(&dir).unwrap();
+fn expiry_mid_walk_stops_dispatch() {
+    let dir = build_db("expiry_mid_walk");
+    let db = open_with_one_slow_attach(&dir, 1);
     let num = db.num_volumes() as u64;
-    let opts = DbOptions {
-        result_cache_bytes: 1 << 20,
-        ..DbOptions::default()
-    };
-    let mut session = DbSession::new(&db, &cfg(), opts).unwrap();
-    let deadline = Deadline::cancellable();
-    let obs = Obs::builder()
-        .trace(Box::new(CancelAtFirstSearch(deadline.clone())))
-        .build();
+    let mut session = budgeted_session(&db);
+    let obs = Obs::armed();
     session.set_obs(obs.clone());
     let mut sink = CollectSink::new();
     let err = session
-        .run_query_deadline(&query(), &mut sink, &deadline)
-        .expect_err("a token cancelled mid-walk must expire the query");
+        .run_query_reported(&query(), &mut sink)
+        .expect_err("a query outliving its budget mid-walk must expire");
     assert!(matches!(err, DbError::DeadlineExceeded(_)), "{err:?}");
     assert!(render(sink).is_empty(), "sink must be untouched on expiry");
     assert_eq!(session.result_cache_counters().insertions, 0);
-    // Volume 0 was dispatched before the token tripped; the check
-    // before volume 1 stops the walk.
+    // Volumes 0 and 1 were dispatched; the search of volume 1, after its
+    // slow attach, expired, and no later volume was dispatched.
     let dispatched = obs.counter(names::WORKER_DISPATCH_TOTAL);
     assert!(
-        dispatched == 1 && 1 < num,
+        dispatched == 2 && 2 < num,
         "{dispatched} of {num} dispatched"
     );
     let mut sink = CollectSink::new();
-    session
-        .run_query_deadline(&query(), &mut sink, &Deadline::none())
-        .unwrap();
+    session.run_query_reported(&query(), &mut sink).unwrap();
     let (seq_records, _) = run_once(&dir, None, DbOptions::default()).unwrap();
     assert_eq!(render(sink), seq_records);
 }

@@ -109,7 +109,8 @@ impl Obs {
     /// Clock read through this handle's clock; `Duration::ZERO` when
     /// disarmed (instrumented code never branches on this value — the
     /// off-result-path rule).
-    pub fn now(&self) -> Duration {
+    #[cfg(test)]
+    fn now(&self) -> Duration {
         match &self.inner {
             Some(i) => i.clock.now(),
             None => Duration::ZERO,

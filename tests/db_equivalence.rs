@@ -8,8 +8,7 @@
 //! `-m 8` bytes.
 
 use oris_core::{
-    CollectSink, Deadline, FilterKind, M8Record, M8Writer, OrisConfig, RecordSink, Session,
-    StreamWriter, SubjectSpace,
+    CollectSink, FilterKind, M8Record, M8Writer, OrisConfig, Session, StreamWriter, SubjectSpace,
 };
 use oris_db::{make_db, Database, DbOptions, DbSession, MakeDbOptions};
 use oris_seqio::{Bank, BankBuilder};
@@ -34,20 +33,17 @@ fn render(records: &[M8Record]) -> Vec<u8> {
     out
 }
 
-/// A unique scratch directory (proptest shrinking reruns cases, so a
-/// per-process counter keeps every build in a fresh directory).
-/// `bank` prepared under `icfg`, then its index written to `path` and
-/// attached again decoded to the heap and mapped: the three storage
-/// backings of one index.
+/// `bank` prepared as a subject under `cfg`, then its index written to
+/// `path` and attached again decoded to the heap and mapped: the three
+/// storage backings of one index.
 fn index_backings<'b>(
     bank: &'b Bank,
     cfg: &OrisConfig,
-    icfg: oris_index::IndexConfig,
     path: &std::path::Path,
 ) -> Vec<oris_core::PreparedBank<'b>> {
     use oris_core::PreparedBank;
     use oris_index::{map_index_file, read_index_file, write_index_file, IndexMeta};
-    let built = PreparedBank::prepare(bank, cfg.filter, icfg);
+    let built = PreparedBank::prepare(bank, cfg.filter, cfg.subject_index_config());
     let meta = IndexMeta {
         masked_fraction: built.stats().masked_fraction,
         filter_code: cfg.filter.code(),
@@ -63,6 +59,8 @@ fn index_backings<'b>(
     out
 }
 
+/// A unique scratch directory (proptest shrinking reruns cases, so a
+/// per-process counter keeps every build in a fresh directory).
 fn scratch() -> PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -295,11 +293,10 @@ proptest! {
     }
 
     /// Where the occurrence index lives is invisible in the output:
-    /// sessions whose subject index is a fresh build, its index file
-    /// decoded to the heap or mapped, each searched with a query index
-    /// built fresh or decoded from its file, and a whole `make_db`
-    /// database produce byte-identical `-m 8` streams for random banks,
-    /// strands, and filters. (The storage backing is a memory trade
+    /// sessions whose subject index is a fresh build or its index file
+    /// decoded to the heap or mapped, and a whole `make_db` database,
+    /// produce byte-identical `-m 8` streams for random banks, strands,
+    /// and filters. (The storage backing is a memory trade
     /// inside `oris-index`; nothing downstream may observe it.)
     #[test]
     fn fresh_decoded_and_mapped_indexes_give_the_same_m8_output(
@@ -329,10 +326,7 @@ proptest! {
             ..cfg
         };
         let dir = scratch();
-        let subject_icfg = session_cfg.subject_index_config();
-        let subjects = index_backings(&subject, &session_cfg, subject_icfg, &dir.join("s.oidx"));
-        let query_icfg = session_cfg.query_index_config();
-        let queries = index_backings(&query, &session_cfg, query_icfg, &dir.join("q.oidx"));
+        let subjects = index_backings(&subject, &session_cfg, &dir.join("s.oidx"));
         prop_assert!(subjects[2].index().is_mmap_backed() || !cfg!(unix));
         let mut expected = None;
         for prepared in subjects {
@@ -340,12 +334,6 @@ proptest! {
             let rendered = render(&session.run(&query).alignments);
             let expected = expected.get_or_insert_with(|| rendered.clone());
             prop_assert_eq!(&rendered, &*expected);
-            for prepared in &queries {
-                let mut stream = StreamWriter::new(Vec::new());
-                session.search(prepared, &mut stream, &Deadline::none()).unwrap();
-                stream.end_query().unwrap();
-                prop_assert_eq!(&stream.into_inner(), &*expected);
-            }
         }
         std::fs::remove_dir_all(&dir).ok();
 

@@ -2,7 +2,7 @@
 //! exercising the public API exactly as the experiment harness does.
 
 use oris::prelude::*;
-use oris_core::{Deadline, FilterKind};
+use oris_core::{Deadline, FilterKind, QueryChunk};
 
 fn small_est_pair() -> (Bank, Bank) {
     let b1 = paper_banks(&["EST1"], 0.05).remove(0).bank;
@@ -211,11 +211,15 @@ fn prepared_queries_skip_all_builds() {
     let query = paper_banks(&["EST1"], 0.04).remove(0).bank;
     let cfg = OrisConfig::default();
     let session = Session::new(&subject, &cfg).unwrap();
-    let prep = PreparedBank::prepare(&query, cfg.filter, cfg.query_index_config());
-    let mut sink = CollectSink::new();
-    let stats = session.search(&prep, &mut sink, &Deadline::none()).unwrap();
-    sink.end_query().unwrap();
+    let one = std::slice::from_ref(&query);
+    let chunk = QueryChunk::prepare(one, cfg.filter, cfg.query_index_config());
+    let (stats, members) = session.search_chunk(&chunk, &Deadline::none()).unwrap();
     assert_eq!(stats.index_builds, 0);
+    let mut sink = CollectSink::new();
+    for member in members {
+        sink.accept_all(member.records);
+    }
+    sink.end_query().unwrap();
     assert_eq!(
         sink.into_records(),
         compare_banks(&query, &subject, &cfg).alignments
