@@ -212,7 +212,7 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Arbitrary argv against the three binaries' key tables: the
+        /// Arbitrary argv against the two binaries' key tables: the
         /// parser ends in `Ok` or `ArgError` (never a panic), only
         /// declared names come out, and `--key=value` ≡ `--key value`.
         #[test]
@@ -222,7 +222,6 @@ mod tests {
         ) {
             for src in [
                 include_str!("bin/scoris_n.rs"),
-                include_str!("bin/mkindex.rs"),
                 include_str!("bin/makedb.rs"),
             ] {
                 let [values, flags, aliases] = tables(src);

@@ -2,11 +2,10 @@
 //! Nucleotides (the paper's prototype, as a command-line tool).
 //!
 //! Every run is one flow: a *subject source* (a FASTA bank prepared here,
-//! the same bank with its index attached from `--index`, or a `--db`
-//! database) × a *query source* (the positional query bank — a batch of
-//! one — or `--batch`'s directory / multi-FASTA file), every query
-//! searched in turn and its records sorted and written at its boundary by
-//! one `StreamWriter` over the `-o` destination. Every subject is searched
+//! or a `--db` database) × a *query source* (the positional query bank —
+//! a batch of one — or `--batch`'s directory / multi-FASTA file), every
+//! query searched in turn and its records sorted and written at its
+//! boundary by one `StreamWriter` over the `-o` destination. Every subject is searched
 //! by one `oris_db::DbSession` — a FASTA subject as a database of one
 //! resident volume — so `--deadline`, `--result-cache` and the `--stats`
 //! counters mean the same for each. The session counts what it runs
@@ -28,8 +27,6 @@
 //!   -t, --threads N     worker threads (default: all cores)
 //!       --asymmetric    asymmetric (W−1)-mer indexing (section 3.4)
 //!       --both-strands  also search the complementary strand (sstart > send)
-//!       --index FILE    load bank 2's index from a `mkindex` file instead
-//!                       of building it (must match -W/-f/--asymmetric)
 //!       --db DIR        search a `makedb` database instead of a subject
 //!                       FASTA: every volume is searched per query, records
 //!                       merged into one output stream, e-values computed
@@ -97,7 +94,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use oris_cli::{read_bank, Args};
-use oris_core::{FilterKind, OrisConfig, PipelineStats, PreparedBank, Session, StreamWriter};
+use oris_core::{FilterKind, OrisConfig, PipelineStats, Session, StreamWriter};
 use oris_db::{DbOptions, DbSession};
 use oris_obs::{names, Obs, StatsBlock, Stopwatch};
 use oris_seqio::Bank;
@@ -105,10 +102,9 @@ use oris_seqio::Bank;
 fn usage() -> &'static str {
     "usage: scoris-n <bank1.fa> <bank2.fa> [-W n] [-e x] [-x n] [-X n] [-s n]\n\
      \t[-f none|entropy|dust] [-t n] [--asymmetric] [--both-strands]\n\
-     \t[--index bank2.oidx] [--batch dir-or-multi.fa]\n\
-     \t[--db dir] [--window n] [--result-cache mb] [--dbsize n]\n\
-     \t[--deadline ms] [--skip-bad-volumes] [--stats] [--trace f.jsonl]\n\
-     \t[--metrics-json f.json] [--metrics-prom f.prom] [-o out.m8]"
+     \t[--batch dir-or-multi.fa] [--db dir] [--window n] [--result-cache mb]\n\
+     \t[--dbsize n] [--deadline ms] [--skip-bad-volumes] [--stats]\n\
+     \t[--trace f.jsonl] [--metrics-json f.json] [--metrics-prom f.prom] [-o out.m8]"
 }
 
 /// A CLI failure: the one-line stderr message plus the process exit
@@ -316,39 +312,6 @@ impl Iterator for &mut BatchQueries {
     }
 }
 
-/// Builds the session for bank 2: fresh preparation, or attach from a
-/// `mkindex` file. Returns the session and a stats-line tag naming the
-/// subject's provenance.
-fn build_session<'a>(
-    bank2: &'a Bank,
-    cfg: &OrisConfig,
-    index: Option<&String>,
-) -> Result<(Session<'a>, &'static str), String> {
-    match index {
-        None => Ok((Session::new(bank2, cfg)?, "built")),
-        Some(path) => {
-            let (idx, meta) =
-                oris_index::map_index_file(path).map_err(|e| format!("{path}: {e}"))?;
-            if meta.filter_code != cfg.filter.code() {
-                let prepared_with = match FilterKind::from_code(meta.filter_code) {
-                    Some(kind) => format!("filter {kind:?}"),
-                    None => format!("an unknown filter (code {})", meta.filter_code),
-                };
-                return Err(format!(
-                    "{path}: index was prepared with {prepared_with}, \
-                     run requests filter {:?}",
-                    cfg.filter
-                ));
-            }
-            let prepared =
-                PreparedBank::from_index(bank2, idx, &meta).map_err(|e| format!("{path}: {e}"))?;
-            let session =
-                Session::with_subject(prepared, cfg).map_err(|e| format!("{path}: {e}"))?;
-            Ok((session, "loaded"))
-        }
-    }
-}
-
 /// The run's observability wiring: one [`Obs`] handle (armed when any of
 /// `--stats` / `--trace` / `--metrics-json` / `--metrics-prom` is given,
 /// disarmed — a single branch per instrumented operation — otherwise)
@@ -440,7 +403,6 @@ fn run() -> Result<(), CliError> {
             "minscore",
             "filter",
             "threads",
-            "index",
             "batch",
             "db",
             "window",
@@ -494,11 +456,6 @@ fn run() -> Result<(), CliError> {
             (false, false) => "expected two FASTA banks",
         };
         return Err(format!("{what}\n{}", usage()).into());
-    }
-    if db_mode && args.options.contains_key("index") {
-        return Err(
-            "--db and --index are mutually exclusive (a database carries its own indexes)".into(),
-        );
     }
     // These two govern how a database's volumes attach; a FASTA subject
     // is one volume, attached from the start. Silently ignoring them would
@@ -560,8 +517,8 @@ fn run() -> Result<(), CliError> {
 }
 
 /// Opens the queries and the subject — a database, or a FASTA bank
-/// built here or attached from `--index` — searches them into the
-/// output and prints the `--stats` line.
+/// prepared here — searches them into the output and prints the
+/// `--stats` line.
 fn search_subject(
     args: &Args,
     cfg: &OrisConfig,
@@ -570,8 +527,8 @@ fn search_subject(
     obs: &Obs,
 ) -> Result<(), CliError> {
     // Every input is opened BEFORE Output::open creates the .tmp.<pid>
-    // sibling: a bad query path, batch directory, subject bank, index file
-    // or database must fail without leaving a stray tmp file behind.
+    // sibling: a bad query path, batch directory, subject bank or database
+    // must fail without leaving a stray tmp file behind.
     let queries = match args.options.get("batch") {
         Some(batch_path) => BatchQueries::open(batch_path)?,
         None => BatchQueries::One(Some(read_bank(&args.positional[0])?)),
@@ -602,16 +559,15 @@ fn search_subject(
             head.secs("open_secs", t0.elapsed_secs());
             (session, head, None)
         }
-        // The FASTA subject, prepared once — built here, or attached from
-        // `--index` — and searched as a database of one resident volume.
+        // The FASTA subject, prepared once and searched as a database of
+        // one resident volume.
         None => {
             bank2 = read_bank(args.positional.last().expect("counted above"))?;
             let t0 = Stopwatch::start();
-            let (session, source) = build_session(&bank2, cfg, args.options.get("index"))?;
+            let session = Session::new(&bank2, cfg)?;
             let builds = session.subject_stats().builds;
             let session = DbSession::resident(session, opts)?;
             let mut head = StatsBlock::new("oris", if batch_mode { "batch" } else { "plain" });
-            head.field("subject_source", source);
             head.secs("subject_secs", t0.elapsed_secs());
             head.field("subject_builds", builds);
             (session, head, Some(builds))

@@ -1,20 +1,17 @@
 //! # oris-cli — command-line front ends
 //!
-//! Four binaries, all of the ORIS engine (the BLASTN-style baseline and
+//! Three binaries, all of the ORIS engine (the BLASTN-style baseline and
 //! the bank generator `mkbank` belong to the reproduction, in
 //! `oris-bench`):
 //!
 //! * **`scoris-n`** — the paper's prototype as a tool: compares two FASTA
-//!   banks and writes BLAST `-m 8` records to stdout or a file. With
-//!   `--index FILE` the subject bank's index is loaded from a `mkindex`
-//!   file instead of being rebuilt — the intensive-comparison workflow,
-//!   with byte-identical output; `--batch` runs many query banks and
-//!   `--db` searches a `makedb` database.
-//! * **`mkindex`** — builds a bank's occurrence index once (mask + CSR
-//!   arrays, exactly as `scoris-n` would for its second bank) and
-//!   persists it in the versioned `oris-index` on-disk format.
+//!   banks and writes BLAST `-m 8` records to stdout or a file.
+//!   `--batch` runs many query banks and `--db` searches a `makedb`
+//!   database.
 //! * **`makedb`** — shards FASTA input into a database of size-bounded
-//!   volumes, each a bank plus its persisted index, under one manifest.
+//!   volumes, each a bank plus its persisted index, under one manifest:
+//!   the intensive-comparison workflow, a subject indexed once and
+//!   searched by any number of `--db` runs.
 //! * **`verifydb`** — checks a `makedb` database offline, volume by
 //!   volume, against its manifest.
 //!

@@ -328,21 +328,6 @@ fn db_argument_validation() {
     let (subject, query, _) = write_fixture(&dir);
     let db = build_db(&dir, &subject, 250);
 
-    // --db + --index is contradictory.
-    let out = scoris_n()
-        .arg(&query)
-        .arg("--db")
-        .arg(&db)
-        .args(["--index", "whatever.oidx"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
     // --db takes exactly one positional (the query) outside batch mode.
     let out = scoris_n()
         .arg(&query)

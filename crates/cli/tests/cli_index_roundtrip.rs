@@ -1,7 +1,8 @@
-//! End-to-end binary tests for the persisted-index workflow: an index
-//! written by `mkindex` and loaded with `scoris-n --index` must produce
+//! End-to-end binary tests for the persisted-index workflow: a subject
+//! indexed once by `makedb` and searched with `scoris-n --db` must produce
 //! byte-identical `-m 8` output to the all-in-memory run on the same
-//! inputs — and mismatched or corrupt index files must fail loudly.
+//! inputs priced over the same residue total (`--dbsize`) — and
+//! mismatched or corrupt index files must fail loudly.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -10,8 +11,8 @@ fn scoris_n() -> Command {
     Command::new(env!("CARGO_BIN_EXE_scoris_n"))
 }
 
-fn mkindex() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_mkindex"))
+fn makedb() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_makedb"))
 }
 
 /// A fresh scratch directory per test (process ids keep parallel test
@@ -20,13 +21,16 @@ fn scratch(test: &str) -> PathBuf {
     let dir = std::env::temp_dir()
         .join("oris_cli_roundtrip")
         .join(format!("{}_{test}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 /// Two banks sharing one long, high-identity region (plus decoys and a
 /// low-complexity run so the default entropy filter has something to do).
-fn write_fixture_banks(dir: &Path) -> (PathBuf, PathBuf) {
+/// Returns the query, the subject and the subject's residue total, the
+/// search space a database of it prices every alignment against.
+fn write_fixture_banks(dir: &Path) -> (PathBuf, PathBuf, String) {
     let core = "ATGGCGTACGTTAGCCTAGGCTTAACGGATCGATCCGGTAAGCTACCGGTATTGACCGTA\
                 GGCATTACGGATCCATTGGCCAATTGGCACGTACGTAACGGTTAACCGGATTACGCTAGG";
     let polya = "A".repeat(80);
@@ -37,38 +41,52 @@ fn write_fixture_banks(dir: &Path) -> (PathBuf, PathBuf) {
         format!(">q1 with core\nTTGACCGTAA{core}CCGGTAAGCT\n>q2 low complexity\n{polya}\n"),
     )
     .unwrap();
-    std::fs::write(
-        &s,
-        format!(">s1 homolog\nCCGGAATTAT{core}GGTTAACCGG\n>s2 decoy\n{polya}GCGCGCGCATATATAT\n"),
-    )
-    .unwrap();
-    (q, s)
+    let s1 = format!("CCGGAATTAT{core}GGTTAACCGG");
+    let s2 = format!("{polya}GCGCGCGCATATATAT");
+    std::fs::write(&s, format!(">s1 homolog\n{s1}\n>s2 decoy\n{s2}\n")).unwrap();
+    (q, s, (s1.len() + s2.len()).to_string())
+}
+
+/// `makedb` over `subject` with `opts` into `dir/db`, which it returns.
+fn build_db(dir: &Path, subject: &Path, opts: &[&str]) -> PathBuf {
+    let db = dir.join("db");
+    let out = makedb()
+        .arg(subject)
+        .args(opts)
+        .arg("-o")
+        .arg(&db)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    db
 }
 
 #[test]
 fn loaded_index_output_is_byte_identical() {
     let dir = scratch("identical");
-    let (q, s) = write_fixture_banks(&dir);
+    let (q, s, total) = write_fixture_banks(&dir);
     let direct = dir.join("direct.m8");
     let loaded = dir.join("loaded.m8");
-    let oidx = dir.join("subject.oidx");
 
     let st = scoris_n()
-        .args([q.to_str().unwrap(), s.to_str().unwrap(), "-o"])
+        .arg(&q)
+        .arg(&s)
+        .args(["--dbsize", &total, "-o"])
         .arg(&direct)
         .status()
         .unwrap();
     assert!(st.success());
 
-    let st = mkindex().arg(&s).arg("-o").arg(&oidx).status().unwrap();
-    assert!(st.success());
-
-    // `--index=` and `--out=` exercise the key=value spelling end to end.
+    let db = build_db(&dir, &s, &[]);
+    // `--db=` and `--out=` exercise the key=value spelling end to end.
     let st = scoris_n()
         .args([
             q.to_str().unwrap(),
-            s.to_str().unwrap(),
-            &format!("--index={}", oidx.display()),
+            &format!("--db={}", db.display()),
             &format!("--out={}", loaded.display()),
         ])
         .status()
@@ -86,33 +104,25 @@ fn loaded_index_with_explicit_options_matches() {
     // Non-default preparation (dust filter, asymmetric stride, W=9) must
     // round-trip too when both tools are given the same options.
     let dir = scratch("options");
-    let (q, s) = write_fixture_banks(&dir);
+    let (q, s, total) = write_fixture_banks(&dir);
     let direct = dir.join("direct.m8");
     let loaded = dir.join("loaded.m8");
-    let oidx = dir.join("subject.oidx");
     let opts = ["-W", "9", "-f", "dust", "--asymmetric"];
 
     let st = scoris_n()
-        .args([q.to_str().unwrap(), s.to_str().unwrap()])
+        .args([q.to_str().unwrap(), s.to_str().unwrap(), "--dbsize", &total])
         .args(opts)
         .arg("-o")
         .arg(&direct)
         .status()
         .unwrap();
     assert!(st.success());
-    let st = mkindex()
-        .arg(&s)
-        .args(opts)
-        .arg("-o")
-        .arg(&oidx)
-        .status()
-        .unwrap();
-    assert!(st.success());
+    let db = build_db(&dir, &s, &opts);
     let st = scoris_n()
-        .args([q.to_str().unwrap(), s.to_str().unwrap()])
+        .arg(&q)
         .args(opts)
-        .arg("--index")
-        .arg(&oidx)
+        .arg("--db")
+        .arg(&db)
         .arg("-o")
         .arg(&loaded)
         .status()
@@ -126,100 +136,79 @@ fn loaded_index_with_explicit_options_matches() {
 
 #[test]
 fn mismatched_index_options_are_rejected() {
+    // A database built under the defaults (W = 11, entropy, full stride)
+    // refuses a run that asks for another preparation: exit 5, one line
+    // naming the database's configuration and the run's.
     let dir = scratch("mismatch");
-    let (q, s) = write_fixture_banks(&dir);
-    let oidx = dir.join("subject.oidx");
-    let st = mkindex().arg(&s).arg("-o").arg(&oidx).status().unwrap();
-    assert!(st.success());
-
-    // The removed layout option is a usage error, not a silent default.
-    let out = mkindex()
-        .arg(&s)
-        .args(["--index-backend", "sparse"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown option --index-backend"),
-        "{stderr}"
-    );
-
-    // Word length differs from the index's.
-    let out = scoris_n()
-        .args([
-            q.to_str().unwrap(),
-            s.to_str().unwrap(),
-            "-W",
-            "9",
-            "--index",
-        ])
-        .arg(&oidx)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-
-    // Filter differs.
-    let out = scoris_n()
-        .args([
-            q.to_str().unwrap(),
-            s.to_str().unwrap(),
-            "-f",
-            "none",
-            "--index",
-        ])
-        .arg(&oidx)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("filter"));
-
-    // Wrong bank: the index belongs to the subject, not the query.
-    let out = scoris_n()
-        .args([s.to_str().unwrap(), q.to_str().unwrap(), "--index"])
-        .arg(&oidx)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
+    let (q, s, _) = write_fixture_banks(&dir);
+    let db = build_db(&dir, &s, &[]);
+    let cases: [(&[&str], [&str; 2]); 3] = [
+        (&["-W", "9"], ["w=11 stride=1", "w=9 stride=1"]),
+        (&["--asymmetric"], ["w=11 stride=1", "w=10 stride=2"]),
+        (&["-f", "none"], ["filter code 1", "None (code 0)"]),
+    ];
+    for (opts, named) in cases {
+        let out = scoris_n()
+            .arg(&q)
+            .args(opts)
+            .arg("--db")
+            .arg(&db)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(5), "{opts:?}");
+        assert!(out.stdout.is_empty());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.lines().count() == 1 && named.iter().all(|n| stderr.contains(n)),
+            "{opts:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
 fn corrupt_index_file_fails_cleanly() {
     let dir = scratch("corrupt");
-    let (q, s) = write_fixture_banks(&dir);
-    let oidx = dir.join("subject.oidx");
-    let st = mkindex().arg(&s).arg("-o").arg(&oidx).status().unwrap();
-    assert!(st.success());
+    let (q, s, _) = write_fixture_banks(&dir);
+    let db = build_db(&dir, &s, &[]);
+    let oidx = db.join("vol00000.oidx");
 
-    // Truncated to half its size, one flipped byte, one trailing byte:
-    // each is exit 1 with one stderr line naming the file, and the `-o`
-    // destination (or a tmp sibling of it) is never created — the index is
-    // decoded before the output is opened.
+    // Truncated to half its size, one flipped byte, one trailing byte, a
+    // FASTA file in its place: each is exit 3 with one stderr line naming
+    // the volume's index file, and the `-o` destination (or a tmp sibling
+    // of it) is left behind by none.
     let bytes = std::fs::read(&oidx).unwrap();
     let mut flipped = bytes.clone();
     flipped[bytes.len() / 2] ^= 0x20;
     let mut trailing = bytes.clone();
     trailing.push(0);
+    let fasta = std::fs::read(&q).unwrap();
     let mutants = [
-        ("truncated", &bytes[..bytes.len() / 2]),
-        ("flipped", &flipped[..]),
-        ("trailing", &trailing[..]),
+        (
+            "truncated",
+            &bytes[..bytes.len() / 2],
+            "corrupt index file: ",
+        ),
+        ("flipped", &flipped[..], "corrupt index file: "),
+        ("trailing", &trailing[..], "corrupt index file: "),
+        ("fasta", &fasta[..], "not an ORIS index file"),
     ];
-    for (name, mutant) in mutants {
-        let bad = dir.join(format!("{name}.oidx"));
-        std::fs::write(&bad, mutant).unwrap();
+    for (name, mutant, cause) in mutants {
+        std::fs::write(&oidx, mutant).unwrap();
         let out = scoris_n()
-            .args([q.to_str().unwrap(), s.to_str().unwrap(), "--index"])
-            .arg(&bad)
+            .arg(&q)
+            .arg("--db")
+            .arg(&db)
             .arg("-o")
             .arg(dir.join("out.m8"))
             .output()
             .unwrap();
-        assert_eq!(out.status.code(), Some(1), "{name}");
+        assert_eq!(out.status.code(), Some(3), "{name}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let prefix = format!("scoris-n: {}: corrupt index file: ", bad.display());
+        let named = format!("{}: {cause}", oidx.display());
         assert!(
-            stderr.starts_with(&prefix) && stderr.lines().count() == 1,
+            stderr.starts_with("scoris-n: ")
+                && stderr.contains(&named)
+                && stderr.lines().count() == 1,
             "{name}: {stderr}"
         );
         let left_behind = std::fs::read_dir(&dir)
@@ -231,45 +220,28 @@ fn corrupt_index_file_fails_cleanly() {
             .count();
         assert_eq!(left_behind, 0, "{name}");
     }
-
-    // Not an index file at all.
-    let out = scoris_n()
-        .args([q.to_str().unwrap(), s.to_str().unwrap(), "--index"])
-        .arg(&q)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
 }
 
 #[test]
 fn version_2_index_file_asks_for_a_rebuild() {
-    // A file of the previous format version (version word 2) is refused
+    // A volume of the previous format version (version word 2) is refused
     // before anything else is read, with the typed rebuild hint.
     let dir = scratch("v2");
-    let (q, s) = write_fixture_banks(&dir);
-    let oidx = dir.join("subject.oidx");
-    let st = mkindex().arg(&s).arg("-o").arg(&oidx).status().unwrap();
-    assert!(st.success());
+    let (q, s, _) = write_fixture_banks(&dir);
+    let db = build_db(&dir, &s, &[]);
+    let oidx = db.join("vol00000.oidx");
     let mut bytes = std::fs::read(&oidx).unwrap();
     bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
     std::fs::write(&oidx, &bytes).unwrap();
-    let out = scoris_n()
-        .args([q.to_str().unwrap(), s.to_str().unwrap(), "--index"])
-        .arg(&oidx)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
+    let out = scoris_n().arg(&q).arg("--db").arg(&db).output().unwrap();
+    assert_eq!(out.status.code(), Some(3));
     assert!(out.stdout.is_empty());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("unsupported index format version 2")
-            && stderr.contains("rebuild with makedb / mkindex"),
+            && stderr.contains("rebuild with makedb"),
         "{stderr}"
     );
-}
-
-fn makedb() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_makedb"))
 }
 
 /// `len` pseudo-random bases from `seed` (an xorshift stream).
@@ -292,8 +264,8 @@ fn long_row_bank_is_byte_identical_plain_indexed_and_db() {
     // rank blocks, which the lookups of the rows after it jump over. The
     // query meets those rows — the subject's stretch into the run,
     // windows ending in A's — and ordinary shared sequence; the -m 8
-    // output of a plain run, an mkindex file and a makedb database is the
-    // same bytes.
+    // output of a plain run and of a makedb database is the same bytes (a
+    // one-sequence subject prices alike per sequence and per database).
     let dir = scratch("long_row");
     let head = random_dna(50_000, 0x5EED);
     let tail = random_dna(150_000, 0xBEEF);
@@ -335,42 +307,7 @@ fn long_row_bank_is_byte_identical_plain_indexed_and_db() {
         "the fixture must produce records"
     );
 
-    let oidx = dir.join("subject.oidx");
-    let st = mkindex()
-        .arg(&s)
-        .args(["-f", "none", "--stats", "-o"])
-        .arg(&oidx)
-        .output()
-        .unwrap();
-    assert!(
-        st.status.success(),
-        "{}",
-        String::from_utf8_lossy(&st.stderr)
-    );
-    // One row map: `--stats` reports the footprint, no map choice.
-    let stats = String::from_utf8_lossy(&st.stderr);
-    assert!(
-        stats.contains("positions=") && !stats.contains("rows="),
-        "{stats}"
-    );
-    let indexed = run(
-        &[s.as_os_str(), "--index".as_ref(), oidx.as_os_str()],
-        &dir.join("indexed.m8"),
-    );
-    assert_eq!(indexed, plain, "--index output differs from the plain run");
-
-    let db = dir.join("db");
-    let st = makedb()
-        .arg(&s)
-        .args(["-f", "none", "-o"])
-        .arg(&db)
-        .output()
-        .unwrap();
-    assert!(
-        st.status.success(),
-        "{}",
-        String::from_utf8_lossy(&st.stderr)
-    );
+    let db = build_db(&dir, &s, &["-f", "none"]);
     let via_db = run(&["--db".as_ref(), db.as_os_str()], &dir.join("db.m8"));
     assert_eq!(via_db, plain, "--db output differs from the plain run");
     std::fs::remove_dir_all(&dir).ok();

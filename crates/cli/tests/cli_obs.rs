@@ -255,7 +255,7 @@ fn stats_schema_is_unified_across_modes() {
     assert!(out.status.success());
     let plain = String::from_utf8_lossy(&out.stderr);
     assert!(plain.contains("mode=plain"), "{plain}");
-    assert!(plain.contains("subject_source=built"), "{plain}");
+    assert!(plain.contains(" subject_builds=1 "), "{plain}");
     for key in shared {
         assert!(plain.contains(key), "plain stats missing {key}: {plain}");
     }

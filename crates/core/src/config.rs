@@ -142,8 +142,8 @@ impl OrisConfig {
 
     /// Index configuration for the subject side (bank 2): stride 2 in
     /// asymmetric mode (section 3.4), full otherwise. This is the
-    /// configuration `mkindex` must use for an index that
-    /// `scoris-n --index` will accept.
+    /// configuration `makedb` indexes a volume under, and the one a
+    /// database session checks against the manifest.
     pub fn subject_index_config(&self) -> oris_index::IndexConfig {
         if self.asymmetric {
             oris_index::IndexConfig::asymmetric(self.indexed_w())

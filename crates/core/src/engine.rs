@@ -152,8 +152,12 @@ impl<'a> PreparedBank<'a> {
         }
     }
 
-    /// Attaches a pre-built index (typically loaded from an
-    /// `oris_index::persist` file) to its bank, skipping step 1 entirely.
+    /// Attaches a pre-built index (loaded from an `oris_index::persist`
+    /// file) to its bank, skipping step 1 entirely, and takes ownership of
+    /// the bank. This is the database attach path: each volume's FASTA is
+    /// read into an owned [`Bank`] and paired with its mapped index,
+    /// yielding a `PreparedBank<'static>` that can outlive the loading
+    /// scope.
     ///
     /// `meta` is the preparation provenance recorded next to the index;
     /// the mask itself is not needed — steps 2–4 only consult the index.
@@ -165,7 +169,7 @@ impl<'a> PreparedBank<'a> {
     /// * when the file recorded a bank content hash
     ///   (`IndexMeta::bank_hash != 0`), it must match this bank — same
     ///   length is not same content (the stale-index trap: a bank edited
-    ///   after `mkindex` ran);
+    ///   after its index was written);
     /// * an `is_fully_indexed` claim is re-verified against the bank (the
     ///   valid-window count must equal the posting count), since a false
     ///   claim would switch step 2 onto the probe-free guard and change
@@ -177,32 +181,10 @@ impl<'a> PreparedBank<'a> {
     ///   configuration so a subject indexed under one filter is never
     ///   paired with strands or queries masked under another.
     pub fn from_index(
-        bank: &'a Bank,
-        index: BankIndex,
-        meta: &oris_index::IndexMeta,
-    ) -> Result<PreparedBank<'a>, String> {
-        Self::from_index_cow(Cow::Borrowed(bank), index, meta)
-    }
-
-    /// Owned-bank form of [`PreparedBank::from_index`], with the same
-    /// identity checks: attaches a loaded index to a bank the prepared
-    /// bank takes ownership of. This is the sharded-database attach path
-    /// — each volume's FASTA is read into an owned [`Bank`] and paired
-    /// with its mmap-loaded index, yielding a `PreparedBank<'static>`
-    /// that can outlive the loading scope.
-    pub fn from_index_owned(
         bank: Bank,
         index: BankIndex,
         meta: &oris_index::IndexMeta,
     ) -> Result<PreparedBank<'static>, String> {
-        PreparedBank::<'static>::from_index_cow(Cow::Owned(bank), index, meta)
-    }
-
-    fn from_index_cow(
-        bank: Cow<'a, Bank>,
-        index: BankIndex,
-        meta: &oris_index::IndexMeta,
-    ) -> Result<PreparedBank<'a>, String> {
         let filter = FilterKind::from_code(meta.filter_code).ok_or_else(|| {
             format!(
                 "index was prepared with an unknown filter (code {})",
@@ -243,7 +225,7 @@ impl<'a> PreparedBank<'a> {
             builds: 0,
         };
         Ok(PreparedBank {
-            bank,
+            bank: Cow::Owned(bank),
             index,
             stats,
             filter,
@@ -445,8 +427,8 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// Builds a session around an already prepared subject — typically
-    /// one whose index was loaded from disk via
+    /// Builds a session around an already prepared subject — a database
+    /// volume whose index was loaded from disk via
     /// [`PreparedBank::from_index`].
     ///
     /// The prepared index must match the configuration (same effective
@@ -779,13 +761,14 @@ mod tests {
         let b1 = bank(&[CORE]);
         let b2 = bank(&[&format!("{CORE}EXTRA_LENGTH_PADDING")]);
         let idx = BankIndex::build(&b1, IndexConfig::full(8));
-        assert!(PreparedBank::from_index(&b2, idx, &oris_index::IndexMeta::default()).is_err());
+        assert!(PreparedBank::from_index(b2, idx, &oris_index::IndexMeta::default()).is_err());
     }
 
     #[test]
     fn from_index_rejects_same_length_different_content() {
-        // The stale-index trap: the bank is edited after mkindex ran but
-        // keeps its length. The recorded content hash must catch it.
+        // The stale-index trap: the bank is edited after its index was
+        // written but keeps its length. The recorded content hash must
+        // catch it.
         let original = bank(&[CORE]);
         let mut edited_seq = CORE.to_string();
         // One substitution, same length.
@@ -797,8 +780,8 @@ mod tests {
             bank_hash: oris_index::persist::fnv1a(original.data()),
             ..Default::default()
         };
-        assert!(PreparedBank::from_index(&original, idx.clone(), &meta).is_ok());
-        let err = PreparedBank::from_index(&edited, idx, &meta).unwrap_err();
+        assert!(PreparedBank::from_index(original, idx.clone(), &meta).is_ok());
+        let err = PreparedBank::from_index(edited, idx, &meta).unwrap_err();
         assert!(err.contains("different bank content"), "{err}");
     }
 
@@ -819,7 +802,7 @@ mod tests {
         oris_index::persist::restamp_checksum(&mut bytes);
         let (forged, meta) = oris_index::persist::read_index(&mut bytes.as_slice()).unwrap();
         assert!(forged.is_fully_indexed(), "forgery must have taken");
-        let err = PreparedBank::from_index(&subject, forged, &meta).unwrap_err();
+        let err = PreparedBank::from_index(subject, forged, &meta).unwrap_err();
         assert!(err.contains("claims to be fully indexed"), "{err}");
     }
 
@@ -830,12 +813,14 @@ mod tests {
         // Wrong word length.
         let idx = BankIndex::build(&subject, IndexConfig::full(7));
         let prep =
-            PreparedBank::from_index(&subject, idx, &oris_index::IndexMeta::default()).unwrap();
+            PreparedBank::from_index(subject.clone(), idx, &oris_index::IndexMeta::default())
+                .unwrap();
         assert!(Session::with_subject(prep, &cfg).is_err());
         // Wrong stride.
         let idx = BankIndex::build(&subject, IndexConfig::asymmetric(8));
         let prep =
-            PreparedBank::from_index(&subject, idx, &oris_index::IndexMeta::default()).unwrap();
+            PreparedBank::from_index(subject.clone(), idx, &oris_index::IndexMeta::default())
+                .unwrap();
         assert!(Session::with_subject(prep, &cfg).is_err());
         // Wrong filter: the index was prepared under Dust, the session
         // wants None (OrisConfig::small) — accepting it would let the two
@@ -845,7 +830,7 @@ mod tests {
             filter_code: FilterKind::Dust.code(),
             ..Default::default()
         };
-        let prep = PreparedBank::from_index(&subject, idx, &meta).unwrap();
+        let prep = PreparedBank::from_index(subject.clone(), idx, &meta).unwrap();
         let err = match Session::with_subject(prep, &cfg) {
             Err(e) => e,
             Ok(_) => panic!("filter mismatch must be rejected"),
@@ -857,7 +842,7 @@ mod tests {
             filter_code: 99,
             ..Default::default()
         };
-        assert!(PreparedBank::from_index(&subject, idx, &meta).is_err());
+        assert!(PreparedBank::from_index(subject, idx, &meta).is_err());
     }
 
     #[test]
@@ -880,7 +865,7 @@ mod tests {
         )
         .unwrap();
         let (loaded, meta) = oris_index::persist::read_index(&mut bytes.as_slice()).unwrap();
-        let prep = PreparedBank::from_index(&subject, loaded, &meta).unwrap();
+        let prep = PreparedBank::from_index(subject.clone(), loaded, &meta).unwrap();
         assert_eq!(prep.stats().builds, 0);
 
         let loaded_session = Session::with_subject(prep, &cfg).unwrap();

@@ -57,7 +57,7 @@
 //! **Scale out** (the `oris-db` crate builds on these hooks): a sharded
 //! subject database runs a chunk of queries against many volumes, each volume an
 //! [`engine::PreparedBank`] attached from disk
-//! ([`engine::PreparedBank::from_index_owned`], mmap-backed via
+//! ([`engine::PreparedBank::from_index`], mmap-backed via
 //! `oris_index::mmap`). Per volume the search goes through
 //! [`engine::Session::search_chunk`] — each query's records and counters
 //! without the query boundary — and the database session fires each

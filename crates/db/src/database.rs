@@ -226,7 +226,7 @@ impl Database {
             bank_hash: 0, // verified transitively above
             ..imeta
         };
-        let prepared = PreparedBank::from_index_owned(bank, index, &attach_meta)
+        let prepared = PreparedBank::from_index(bank, index, &attach_meta)
             .map_err(|e| self.volume_error(i, index_path.clone(), VolumeCause::Mismatch(e)))?;
         Ok((
             prepared,

@@ -40,9 +40,9 @@
 //!
 //! A session's subject is a database or **one resident bank**:
 //! [`DbSession::resident`] takes a prepared `oris_core::Session` — a FASTA
-//! subject indexed in memory, or attached from an `mkindex` file — as a
-//! database of one volume, attached from the start, never evicted and
-//! never quarantined, priced under its own configuration's search space.
+//! subject indexed in memory — as a database of one volume, attached from
+//! the start, never evicted and never quarantined, priced under its own
+//! configuration's search space.
 //! So `run_batch` is the one batch loop of the workspace: `scoris_n` runs
 //! every subject through it, and the deadline, the result cache and the
 //! counters mean the same for each.

@@ -27,10 +27,10 @@
 //! single query is a chunk of one.
 //!
 //! A session's subject is a [`Database`] or one resident bank
-//! ([`DbSession::resident`]): a FASTA subject prepared in memory, or
-//! attached from an `mkindex` file, is a database of one volume attached
-//! from the start. So this loop is the one batch loop for every subject,
-//! and the deadline, the result cache and the counters apply to each.
+//! ([`DbSession::resident`]): a FASTA subject prepared in memory is a
+//! database of one volume attached from the start. So this loop is the
+//! one batch loop for every subject, and the deadline, the result cache
+//! and the counters apply to each.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -365,9 +365,8 @@ impl<'d> DbSession<'d> {
     }
 
     /// A session over one prepared subject — a FASTA bank prepared in
-    /// memory, or attached from an index file — as a database of one
-    /// volume: attached from the start, never evicted and never
-    /// quarantined, so [`DbOptions::window`] and
+    /// memory — as a database of one volume: attached from the start,
+    /// never evicted and never quarantined, so [`DbOptions::window`] and
     /// [`DbOptions::on_volume_error`] change nothing. The deadline and the
     /// result cache apply as they do to a database. The session keeps
     /// `subject`'s configuration, `subject_space` included, so each query
@@ -978,8 +977,7 @@ mod tests {
     mod joint {
         use super::*;
         use crate::{make_db, MakeDbOptions};
-        use oris_core::{FilterKind, M8Writer, PreparedBank, StreamWriter};
-        use oris_index::persist::fnv1a;
+        use oris_core::{FilterKind, M8Writer, StreamWriter};
         use oris_seqio::BankBuilder;
         use proptest::prelude::*;
         use proptest::test_runner::TestCaseError;
@@ -1110,8 +1108,8 @@ mod tests {
             /// one-volume window, an armed deadline and the result cache —
             /// cold, and replayed by a second pass — and a cold batch counts
             /// what the queries count one by one. The same holds over the
-            /// subject as one resident volume, freshly prepared and loaded
-            /// from an index file, against one `Session::run` per query.
+            /// subject as one resident volume against one `Session::run`
+            /// per query.
             #[test]
             fn joint_equals_per_member(
                 seqs in proptest::collection::vec("[ACGTN]{0,40}", 1..12),
@@ -1168,26 +1166,10 @@ mod tests {
                     }
                 }
                 let want = want.into_inner();
-                let index = dir.join("subject.oidx");
-                let prepared = PreparedBank::prepare(&subject, cfg.filter, cfg.subject_index_config());
-                let meta = oris_index::IndexMeta {
-                    masked_fraction: prepared.stats().masked_fraction,
-                    filter_code: cfg.filter.code(),
-                    bank_hash: fnv1a(subject.data()),
-                };
-                let mut file = std::fs::File::create(&index).unwrap();
-                oris_index::persist::write_index(&mut file, prepared.index(), &meta).unwrap();
-                drop(file);
-                let (mapped, meta) = oris_index::map_index_file(&index).unwrap();
-                let loaded = PreparedBank::from_index(&subject, mapped, &meta).unwrap();
-                prop_assert_eq!(loaded.stats().builds, 0);
-                let loaded = Session::with_subject(loaded, &cfg).unwrap();
-                for subject_session in [fresh, loaded] {
-                    let mut session = DbSession::resident(subject_session, opts).unwrap();
-                    prop_assert_eq!(session.config(), &cfg);
-                    batch_matches(&mut session, &queries, bound, cache, &want, folded)?;
-                    prop_assert_eq!(session.volume_costs(), &[VolumeCost::default()]);
-                }
+                let mut session = DbSession::resident(fresh, opts).unwrap();
+                prop_assert_eq!(session.config(), &cfg);
+                batch_matches(&mut session, &queries, bound, cache, &want, folded)?;
+                prop_assert_eq!(session.volume_costs(), &[VolumeCost::default()]);
                 std::fs::remove_dir_all(&dir).unwrap();
             }
         }

@@ -1,10 +1,10 @@
 //! A batch over a resident subject: `DbSession::resident` holds a
 //! prepared `Session` as a database of one volume, attached from the
 //! start, and `DbSession::run_batch` streams each query bank's records at
-//! its own boundary — what `scoris_n` runs for a FASTA or `--index`
-//! subject. Each test holds the batch to one `Session::run` per query or
-//! to the batch's accounting: the subject's build stays with its session,
-//! a chunk counts one build, and an empty batch marks no boundary.
+//! its own boundary — what `scoris_n` runs for a FASTA subject. Each
+//! test holds the batch to one `Session::run` per query or to the batch's
+//! accounting: the subject's build stays with its session, a chunk counts
+//! one build, and an empty batch marks no boundary.
 
 use oris_core::{
     CollectSink, M8Record, OrisConfig, PipelineStats, QueryChunk, RecordSink, Session,

@@ -38,7 +38,7 @@
 //!   `is_fully_indexed` provenance that drives step 2's guard
 //!   auto-selection.
 //! * [`mmap`]: the zero-copy attach path for a persisted index, used by
-//!   `--db` for every volume and by `--index` for its one file —
+//!   `--db` for every volume —
 //!   [`map_index_file`] maps an index file and hands the [`BankIndex`]
 //!   direct views of its row map and postings sections, so attaching
 //!   costs no postings copy and the big arrays live in the shared,

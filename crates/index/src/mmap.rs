@@ -11,9 +11,7 @@
 //! a volume storing all 65 536 words), as are the row starts' select
 //! samples and block ranks (4 bytes per 64 rows and per 4 096 high bits);
 //! the row map's two levels and the row starts are mapped like the
-//! rest. A sharded database holds
-//! many volumes this way, and
-//! `scoris-n --index` attaches its one file the same way.
+//! rest. A sharded database holds its volumes this way.
 //! The exact-size check, the whole-stream checksum and every structural
 //! invariant are verified at attach time by the same code
 //! [`crate::read_index_file`] runs over a heap read, so a mapped index
@@ -33,8 +31,8 @@
 //! **Caveat** (inherent to file mappings, not this implementation): the
 //! kernel does not snapshot the file. Truncating or rewriting an index
 //! file while a process holds it mapped can deliver `SIGBUS` on access.
-//! `makedb` and `mkindex` write a file once and never rewrite it in
-//! place, which is the discipline this module assumes.
+//! `makedb` writes a file once and never rewrites it in place, which is
+//! the discipline this module assumes.
 
 use std::fs::File;
 use std::io;

@@ -2,10 +2,10 @@
 //!
 //! The paper's premise is *intensive* comparison: one bank is indexed once
 //! and amortized over a large stream of comparisons. This module makes the
-//! amortization cross *processes*, not just calls — `mkindex` and `makedb`
-//! write the index of a subject bank to a file, `scoris-n --index` and
-//! `--db` (or any embedder via [`crate::map_index_file`] /
-//! [`read_index_file`]) attach it and skip step 1 entirely. A loaded index
+//! amortization cross *processes*, not just calls — `makedb` writes the
+//! index of each subject volume to a file, `scoris-n --db` (or any
+//! embedder via [`crate::map_index_file`] / [`read_index_file`]) attaches
+//! it and skips step 1 entirely. A loaded index
 //! is behaviourally identical to a fresh build: same `occurrences()`
 //! slices, same `stats()`, and the same [`BankIndex::is_fully_indexed`]
 //! provenance, so step 2's guard auto-selection makes the same choice it
@@ -99,7 +99,7 @@
 //! the bitmap, and v3 replaced v2's FNV-1a checksum and stored slot
 //! table. Earlier versions are refused with
 //! [`PersistError::UnsupportedVersion`], whose message says to rebuild
-//! with `makedb` / `mkindex`: the format carries one decoder and no
+//! with `makedb`: the format carries one decoder and no
 //! compatibility shims.
 //!
 //! `masked_fraction` and `filter_code` describe how the index was
@@ -108,7 +108,7 @@
 //! still report faithful masking statistics. `bank_hash` identifies the
 //! *sequence data* the index was built over — `oris-core` refuses to
 //! attach a loaded index to a bank whose content hash differs, catching
-//! the stale-index trap (bank edited after `mkindex`, same length).
+//! the stale-index trap (bank edited after `makedb`, same length).
 //!
 //! ## Robustness
 //!
@@ -116,7 +116,7 @@
 //! a walk over the whole file as a byte slice. Every way in runs it —
 //! [`read_index`] (any `Read`, read to its end), [`read_index_file`]
 //! (`fs::read`) and [`crate::map_index_file`] (the mapped file, which
-//! `scoris-n --index` and `--db` both use) — and they differ only in
+//! `scoris-n --db` uses) — and they differ only in
 //! where the big sections end up: zero-copy views of a mapping, or decoded
 //! heap copies. Which file is accepted, and the error a rejected one gets,
 //! depend on the bytes alone (fuzz-tested over both backings below).
@@ -378,7 +378,7 @@ impl std::fmt::Display for PersistError {
             PersistError::UnsupportedVersion(v) => write!(
                 f,
                 "unsupported index format version {v} (expected {FORMAT_VERSION}): \
-                 rebuild with makedb / mkindex"
+                 rebuild with makedb"
             ),
             PersistError::Corrupt(msg) => write!(f, "corrupt index file: {msg}"),
         }
@@ -965,10 +965,7 @@ mod tests {
             bytes[8] = old;
             match read_index(&mut bytes.as_slice()) {
                 Err(e @ PersistError::UnsupportedVersion(v)) if v == u32::from(old) => {
-                    assert!(
-                        e.to_string().contains("rebuild with makedb / mkindex"),
-                        "{e}"
-                    );
+                    assert!(e.to_string().contains("rebuild with makedb"), "{e}");
                 }
                 other => panic!("version {old} accepted as {other:?}"),
             }

@@ -1052,12 +1052,6 @@ impl BankIndex {
         self.stride
     }
 
-    /// First occurrence of `code`, or `None` if the seed is absent.
-    #[inline]
-    pub fn first(&self, code: u32) -> Option<u32> {
-        self.occurrences(code).first()
-    }
-
     /// All occurrences of `code`, in increasing position order: the row
     /// the two rank steps of the row map find, decoded as it is read (an
     /// empty row for an absent code).
@@ -2169,7 +2163,6 @@ mod tests {
         let bank = bank_of(&["AAAA"]);
         let idx = BankIndex::build(&bank, IndexConfig::full(3));
         let code = idx.coder().string_to_code("GGG").unwrap();
-        assert_eq!(idx.first(code), None);
         assert!(idx.occurrences(code).is_empty());
     }
 

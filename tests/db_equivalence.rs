@@ -55,7 +55,7 @@ fn index_backings<'b>(
         map_index_file(path).unwrap().0,
     ];
     let mut out = vec![built];
-    out.extend(loaded.map(|idx| PreparedBank::from_index(bank, idx, &meta).unwrap()));
+    out.extend(loaded.map(|idx| PreparedBank::from_index(bank.clone(), idx, &meta).unwrap()));
     out
 }
 

@@ -98,7 +98,7 @@ fn loaded_subject_runs_whole_pipeline_identically() {
     )
     .unwrap();
     let (idx, meta) = read_index(&mut bytes.as_slice()).unwrap();
-    let prepared = PreparedBank::from_index(&b2, idx, &meta).unwrap();
+    let prepared = PreparedBank::from_index(b2.clone(), idx, &meta).unwrap();
 
     let via_loaded = Session::with_subject(prepared, &cfg).unwrap().run(&b1);
     let via_compare = compare_banks(&b1, &b2, &cfg);
