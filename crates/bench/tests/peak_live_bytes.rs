@@ -1,4 +1,4 @@
-//! Peak live heap of the two bounded-memory paths, read from a counting
+//! Peak live heap of the bounded-memory paths, read from a counting
 //! global allocator instead of guessed from RSS: the streamed batch
 //! (`DbSession::run_batch` over a resident subject, through a
 //! `StreamWriter`), which holds one chunk of query banks and its records,
@@ -6,7 +6,9 @@
 //! database searched through a
 //! one-volume window must peak below the same collection held as one
 //! concatenated bank (mapped sections live in the page cache, not the
-//! heap). Byte equality of each pair is held by
+//! heap), and a `StreamWriter`'s query boundary must order and write its
+//! records without a second copy of them. Byte equality of each pair is
+//! held by
 //! `tests/streaming_equivalence.rs` and `tests/db_equivalence.rs`; this
 //! file holds only what needs the allocator.
 //!
@@ -15,8 +17,8 @@
 
 use oris_bench::{planted_bank, CountingAlloc};
 use oris_core::{
-    joint_chunks, M8Writer, OrisConfig, OrisResult, Session, StreamWriter, SubjectSpace,
-    JOINT_CHUNK_RESIDUES,
+    joint_chunks, M8Record, M8Writer, OrisConfig, OrisResult, RecordSink, Session, StreamWriter,
+    SubjectSpace, JOINT_CHUNK_RESIDUES,
 };
 use oris_db::{make_db, Database, DbOptions, DbSession, MakeDbOptions};
 use oris_seqio::Bank;
@@ -128,5 +130,47 @@ fn bounded_memory_paths_peak_below_their_resident_twins() {
         windowed < concatenated,
         "window = 1 search must peak below the concatenated bank \
          ({windowed} vs {concatenated} bytes)"
+    );
+
+    // ---- a query boundary holds no copy of its records -------------
+    // `end_query` sorts one small key per record in place of the records
+    // and writes through a reused line buffer, so it adds well under half
+    // the records' own bytes to the peak; a stable sort's merge buffer (a
+    // copy of the records) would add more than that. The shape is
+    // `repeat_family`'s: short ids, few distinct e-values and scores,
+    // records arriving out of order.
+    let n = 20_000;
+    let records: Vec<M8Record> = (0..n)
+        .map(|i| {
+            let j = (i * 7919) % n;
+            M8Record {
+                qid: format!("fq_{}", j % 20),
+                sid: format!("fs_{}", j % 650),
+                pident: 90.0 + (j % 13) as f64,
+                length: 32 + j % 5,
+                mismatch: j % 3,
+                gapopen: 0,
+                qstart: 1 + j % 400,
+                qend: 40 + j % 400,
+                sstart: 1 + j % 300,
+                send: 40 + j % 300,
+                evalue: 1e-6 * (1 + j % 8) as f64,
+                bitscore: 60.0 - (j % 8) as f64,
+            }
+        })
+        .collect();
+    let own_bytes = records.capacity() * std::mem::size_of::<M8Record>()
+        + records
+            .iter()
+            .map(|r| r.qid.capacity() + r.sid.capacity())
+            .sum::<usize>();
+    let mut sink = StreamWriter::new(std::io::sink());
+    sink.accept_all(records);
+    let boundary = peak_of(|| sink.end_query().unwrap());
+    assert_eq!(sink.records_written(), n as u64);
+    assert!(
+        boundary < own_bytes / 2,
+        "a query boundary must not copy its records \
+         ({boundary} bytes added over {own_bytes} bytes of records)"
     );
 }

@@ -145,7 +145,10 @@ fn mismatched_index_options_are_rejected() {
     let cases: [(&[&str], [&str; 2]); 3] = [
         (&["-W", "9"], ["w=11 stride=1", "w=9 stride=1"]),
         (&["--asymmetric"], ["w=11 stride=1", "w=10 stride=2"]),
-        (&["-f", "none"], ["filter code 1", "None (code 0)"]),
+        (
+            &["-f", "none"],
+            ["built with -f entropy", "asks for -f none"],
+        ),
     ];
     for (opts, named) in cases {
         let out = scoris_n()

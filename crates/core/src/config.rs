@@ -56,6 +56,17 @@ impl std::str::FromStr for FilterKind {
     }
 }
 
+/// The `-f` spelling, as [`FromStr`](std::str::FromStr) reads it.
+impl std::fmt::Display for FilterKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            FilterKind::None => "none",
+            FilterKind::Entropy => "entropy",
+            FilterKind::Dust => "dust",
+        })
+    }
+}
+
 /// Configuration of the ORIS pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrisConfig {
@@ -202,6 +213,9 @@ mod tests {
         assert_eq!("none".parse(), Ok(FilterKind::None));
         assert_eq!("entropy".parse(), Ok(FilterKind::Entropy));
         assert_eq!("dust".parse(), Ok(FilterKind::Dust));
+        for kind in [FilterKind::None, FilterKind::Entropy, FilterKind::Dust] {
+            assert_eq!(kind.to_string().parse(), Ok(kind));
+        }
         let err = "Dust".parse::<FilterKind>().unwrap_err();
         assert_eq!(err, "unknown filter \"Dust\"");
     }

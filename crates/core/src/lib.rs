@@ -34,10 +34,11 @@
 //! * [`sink::StreamWriter`] emits `-m 8` lines incrementally through
 //!   [`M8Writer`], holding at most one query's records.
 //!
-//! Every sink orders records with the strict total order
-//! [`M8Record::total_order`], so streamed and collected output
-//! are byte-identical regardless of thread count or batch order — even
-//! under tied e-values.
+//! Every sink orders records with one order function,
+//! [`M8Record::sort_all`]: the strict total order
+//! [`M8Record::total_order`], sorted in place, so streamed and collected
+//! output are byte-identical regardless of thread count or batch order —
+//! even under tied e-values.
 //!
 //! **Batches**: this crate holds a batch's parts, not its loop. A chunk
 //! of query banks ([`engine::joint_chunks`]) is joined into one bank and

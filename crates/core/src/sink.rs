@@ -10,14 +10,16 @@
 //!   per-volume staging buffer of a database search.
 //! * [`StreamWriter`] — incremental `-m 8` emission through
 //!   [`crate::M8Writer`]: buffers one query, sorts it at the boundary,
-//!   writes, frees. Peak memory tracks the largest single query, not the
-//!   run.
+//!   writes, frees. At the boundary it holds the query's records plus one
+//!   sort key each, and no scratch copy of the records; that is its peak,
+//!   whatever the run's length.
 //!
 //! Records arrive in a deterministic but *unsorted* order (per-strand
 //! group streams); [`RecordSink::end_query`] marks the query boundary,
-//! which is where ordering sinks sort. Because every sink sorts with the
-//! same strict total order, collected and streamed output are
-//! byte-identical regardless of thread count or batch order.
+//! which is where ordering sinks sort. Every sink sorts with the one order
+//! function [`M8Record::sort_all`] — in place, under the strict total
+//! order — so collected and streamed output are byte-identical regardless
+//! of thread count or batch order.
 
 use std::io::{self, Write};
 
@@ -49,7 +51,7 @@ pub trait RecordSink {
 }
 
 /// Collects every record, sorting each query's segment with
-/// [`M8Record::total_order`] at its `end_query`. A batch run therefore
+/// [`M8Record::sort_all`] at its `end_query`. A batch run therefore
 /// yields per-query sorted segments concatenated in batch order — the same
 /// bytes a [`StreamWriter`] emits.
 #[derive(Debug, Default, Clone)]
@@ -86,16 +88,17 @@ impl RecordSink for CollectSink {
     }
 
     fn end_query(&mut self) -> io::Result<()> {
-        self.records[self.segment_start..].sort_by(|x, y| x.total_order(y));
+        M8Record::sort_all(&mut self.records[self.segment_start..]);
         self.segment_start = self.records.len();
         Ok(())
     }
 }
 
-/// Streams records to a writer: buffers one query, sorts it with the
-/// strict total order at `end_query`, emits it through
+/// Streams records to a writer: buffers one query, sorts it in place with
+/// [`M8Record::sort_all`] at `end_query`, emits it through
 /// [`crate::M8Writer`], frees the buffer, flushes. The memory
-/// high-water mark is the largest single query's record set — the
+/// high-water mark is the largest single query's records plus one sort
+/// key each (40 bytes against a record's 128 and its ids) — the
 /// bounded-memory batch front-end rests on this sink.
 pub struct StreamWriter<W: Write> {
     writer: M8Writer<W>,
@@ -134,7 +137,7 @@ impl<W: Write> RecordSink for StreamWriter<W> {
     }
 
     fn end_query(&mut self) -> io::Result<()> {
-        self.pending.sort_by(|x, y| x.total_order(y));
+        M8Record::sort_all(&mut self.pending);
         for rec in self.pending.drain(..) {
             self.writer.write_record(&rec)?;
         }
@@ -157,6 +160,8 @@ fn take_or_extend(buf: &mut Vec<M8Record>, recs: Vec<M8Record>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Ordering;
 
     fn rec(qid: &str, sid: &str, evalue: f64, bitscore: f64) -> M8Record {
         M8Record {
@@ -224,5 +229,158 @@ mod tests {
             w.write_record(r).unwrap();
         }
         assert_eq!(stream.into_inner(), collected);
+    }
+
+    /// Floats an order is easy to get wrong on: signed zeros, NaNs of both
+    /// signs and two payloads, infinities, subnormals.
+    const EDGE_FLOATS: [f64; 12] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE,
+        1e-5,
+        40.0,
+    ];
+
+    /// Names equal in their first 8 bytes and differing after them, names
+    /// that are prefixes of each other, names with NUL bytes.
+    const EDGE_NAMES: [&str; 12] = [
+        "",
+        "\0",
+        "q",
+        "q\0",
+        "q\0\0",
+        "query_0",
+        "query_00",
+        "query_00\0",
+        "query_001",
+        "query_002",
+        "query_00\0x",
+        "query_0010",
+    ];
+
+    /// A record drawn from `seed`: names from [`EDGE_NAMES`], floats from
+    /// `floats` (e-value and bit score fixed when `tied`), coordinates and
+    /// counts from two or three values, so whole records repeat too.
+    fn edge_record(seed: u64, floats: &[f64], tied: bool) -> M8Record {
+        let pick = |shift: u32, n: usize| (seed >> shift) as usize % n;
+        let float = |shift| floats[pick(shift, floats.len())];
+        M8Record {
+            qid: EDGE_NAMES[pick(0, EDGE_NAMES.len())].into(),
+            sid: EDGE_NAMES[pick(5, EDGE_NAMES.len())].into(),
+            pident: float(10),
+            length: pick(18, 2),
+            mismatch: pick(20, 2),
+            gapopen: pick(22, 2),
+            qstart: pick(24, 3),
+            qend: pick(27, 2),
+            sstart: pick(29, 3),
+            send: pick(32, 2),
+            evalue: if tied { 1e-5 } else { float(34) },
+            bitscore: if tied { 40.0 } else { float(42) },
+        }
+    }
+
+    /// Equal field by field, floats by their bits: `total_order` is
+    /// `Equal` only then, so NaNs compare too.
+    fn same_records(a: &[M8Record], b: &[M8Record]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.total_order(y) == Ordering::Equal)
+    }
+
+    fn sorted_by_total_order(recs: &[M8Record]) -> Vec<M8Record> {
+        let mut v = recs.to_vec();
+        v.sort_by(|x, y| x.total_order(y));
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The order function, `CollectSink` and `StreamWriter` give what a
+        /// stable sort under `total_order` gives, on batches where every
+        /// key part ties somewhere: all e-values and bit scores tied (or
+        /// drawn from NaNs, zeros, infinities and subnormals), names that
+        /// share 8 bytes, prefix one another or hold NULs, exact
+        /// duplicates.
+        #[test]
+        fn sinks_order_like_sort_by_total_order(
+            seeds in proptest::collection::vec(0u64..=u64::MAX, 0..300),
+            tied in 0u8..2,
+            dups in 0usize..40,
+        ) {
+            let mut batch: Vec<M8Record> = seeds
+                .iter()
+                .map(|&s| edge_record(s, &EDGE_FLOATS, tied == 1))
+                .collect();
+            let copies: Vec<M8Record> = batch.iter().take(dups).cloned().collect();
+            batch.extend(copies);
+            let want = sorted_by_total_order(&batch);
+
+            let mut sorted = batch.clone();
+            M8Record::sort_all(&mut sorted);
+            prop_assert!(same_records(&sorted, &want));
+
+            let mut collect = CollectSink::new();
+            collect.accept_all(batch.clone());
+            collect.end_query().unwrap();
+            prop_assert!(same_records(collect.records(), &want));
+
+            let mut stream = StreamWriter::new(Vec::new());
+            stream.accept_all(batch);
+            stream.end_query().unwrap();
+            let want_text: String = want.iter().map(|r| format!("{r}\n")).collect();
+            prop_assert_eq!(String::from_utf8(stream.into_inner()).unwrap(), want_text);
+        }
+
+        /// One `StreamWriter` over many queries writes the bytes of a fresh
+        /// writer per query, with enough distinct floats that the writer's
+        /// cache evicts within and across queries: nothing a query wrote
+        /// changes the next one's bytes. `CollectSink` keeps each query's
+        /// segment sorted apart.
+        #[test]
+        fn stream_writer_cache_does_not_leak_across_queries(
+            seeds in proptest::collection::vec(0u64..=u64::MAX, 1..200),
+            cuts in proptest::collection::vec(0usize..200, 1..6),
+        ) {
+            let floats: Vec<f64> = EDGE_FLOATS
+                .iter()
+                .copied()
+                .chain((0..200).map(|i| i as f64 * 0.25))
+                .collect();
+            let recs: Vec<M8Record> = seeds.iter().map(|&s| edge_record(s, &floats, false)).collect();
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(recs.len())).collect();
+            bounds.sort_unstable();
+            bounds.push(recs.len());
+
+            let mut one = StreamWriter::new(Vec::new());
+            let mut collect = CollectSink::new();
+            let (mut fresh, mut fresh_records) = (Vec::new(), Vec::new());
+            let mut from = 0;
+            for &to in &bounds {
+                let query = &recs[from..to];
+                one.accept_all(query.to_vec());
+                one.end_query().unwrap();
+                collect.accept_all(query.to_vec());
+                collect.end_query().unwrap();
+                let mut alone = StreamWriter::new(Vec::new());
+                alone.accept_all(query.to_vec());
+                alone.end_query().unwrap();
+                fresh.extend(alone.into_inner());
+                fresh_records.extend(sorted_by_total_order(query));
+                from = to;
+            }
+            prop_assert_eq!(one.records_written(), recs.len() as u64);
+            prop_assert_eq!(one.into_inner(), fresh);
+            prop_assert!(same_records(collect.records(), &fresh_records));
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! group of alignments into records and pushes them *unsorted* into a
 //! callback (the sink plumbing), leaving ordering to the sink at query
 //! end. The tests' collect-then-sort wrapper over the same conversion and
-//! every sink sort with the strict total order [`M8Record::total_order`],
+//! every sink order with the sink's order function [`M8Record::sort_all`]
+//! (the strict total order [`M8Record::total_order`], sorted in place),
 //! so collected and streamed output agree byte-for-byte even under tied
 //! e-values.
 //!
@@ -70,17 +71,17 @@ fn display_records(
         &mut stats,
         &mut |rec| out.push(rec),
     );
-    // Strict total order (see `M8Record::total_order`): e-value first,
-    // NaN-safe, with enough tie-breaks that the sorted vector is unique —
-    // the property that keeps collected output equal to streamed output.
-    out.sort_by(|x, y| x.total_order(y));
+    // The sinks' order function: the strict total order, so the sorted
+    // vector is unique — the property that keeps collected output equal
+    // to streamed output.
+    M8Record::sort_all(&mut out);
     (out, stats)
 }
 
 /// Streaming conversion: maps one batch of gapped alignments to `-m 8`
 /// records and hands each surviving record to `push`, **unsorted** —
 /// ordering belongs to the sink, which sorts once per query with
-/// [`M8Record::total_order`]. Counters accumulate into `stats` so a query
+/// [`M8Record::sort_all`]. Counters accumulate into `stats` so a query
 /// spanning many per-pair groups sums naturally.
 ///
 /// `query_residues` is the query-side e-value search-space size — the

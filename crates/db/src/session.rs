@@ -37,8 +37,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use oris_core::{
-    joint_chunks, Deadline, MemberResult, OrisConfig, PipelineStats, QueryChunk, RecordSink,
-    Session, SubjectSpace, JOINT_CHUNK_RESIDUES,
+    joint_chunks, Deadline, FilterKind, MemberResult, OrisConfig, PipelineStats, QueryChunk,
+    RecordSink, Session, SubjectSpace, JOINT_CHUNK_RESIDUES,
 };
 use oris_obs::{names, Field, Obs};
 use oris_seqio::Bank;
@@ -133,6 +133,17 @@ const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 /// doubling capped at `2^16·base`.
 fn retry_delay(base: Duration, attempt: u32) -> Duration {
     base * (1u32 << attempt.min(16))
+}
+
+/// The refusal of a run whose `-f` differs from the database's: both
+/// sides by their `-f` spelling, a code this build does not know by its
+/// number.
+fn filter_mismatch(built_code: u32, asked: FilterKind) -> String {
+    let built = match FilterKind::from_code(built_code) {
+        Some(kind) => format!("-f {kind}"),
+        None => format!("filter code {built_code}"),
+    };
+    format!("database was built with {built}, the run asks for -f {asked}")
 }
 
 /// A logical pool of `n` workers (`0` = the machine's count).
@@ -348,13 +359,7 @@ impl<'d> DbSession<'d> {
             )));
         }
         if cfg.filter.code() != m.filter_code {
-            return Err(DbError::Config(format!(
-                "database was built under filter code {}, configuration requests {:?} \
-                 (code {})",
-                m.filter_code,
-                cfg.filter,
-                cfg.filter.code()
-            )));
+            return Err(DbError::Config(filter_mismatch(m.filter_code, cfg.filter)));
         }
         let mut cfg = *cfg;
         if cfg.subject_space == SubjectSpace::PerSequence {
@@ -970,6 +975,18 @@ mod tests {
         assert_eq!(retry_delay(base, 16), 65_536 * base);
         assert_eq!(retry_delay(base, 17), retry_delay(base, 16));
         assert_eq!(retry_delay(base, u32::MAX), retry_delay(base, 16));
+    }
+
+    #[test]
+    fn filter_mismatch_names_both_sides_by_their_f_spelling() {
+        assert_eq!(
+            filter_mismatch(FilterKind::Dust.code(), FilterKind::Entropy),
+            "database was built with -f dust, the run asks for -f entropy"
+        );
+        assert_eq!(
+            filter_mismatch(7, FilterKind::None),
+            "database was built with filter code 7, the run asks for -f none"
+        );
     }
 
     /// A batch searched in joint chunks, over a database and over a

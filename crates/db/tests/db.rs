@@ -169,7 +169,11 @@ fn session_rejects_mismatched_config() {
         Err(e) => e,
         Ok(_) => panic!("wrong filter must be rejected"),
     };
-    assert!(err.to_string().contains("filter"), "{err}");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("built with -f none") && msg.contains("asks for -f dust"),
+        "{err}"
+    );
 
     let mut wrong_stride = cfg;
     wrong_stride.asymmetric = true;
