@@ -101,7 +101,7 @@ fn run() -> Result<(), String> {
         }
     }
     eprintln!(
-        "makedb: wrote {} volume(s), {} residues, w={} stride={} filter={:?} to {out_dir} in {:.3}s",
+        "makedb: wrote {} volume(s), {} residues, w={} stride={} filter={} to {out_dir} in {:.3}s",
         manifest.volumes.len(),
         manifest.total_residues,
         manifest.w,

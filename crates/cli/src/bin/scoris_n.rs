@@ -46,8 +46,9 @@
 //!       --deadline MS   per-query budget: a query that exceeds MS
 //!                       milliseconds fails cleanly with exit code 7,
 //!                       output untouched, instead of running unbounded
-//!                       (read before each volume, inside step 2 and before
-//!                       each step-3 wave); a --batch chunk of n queries
+//!                       (read before each volume, inside step 2, inside
+//!                       each step-3 group and before its step 4); a
+//!                       --batch chunk of n queries
 //!                       gets n × MS, and its expiry ends the batch
 //!       --skip-bad-volumes
 //!                       with --db: quarantine a volume that fails to attach
@@ -77,17 +78,13 @@
 //!                       write the metrics registry (counters, gauges,
 //!                       latency histograms) to FILE as JSON on exit, a
 //!                       failed run's included
-//!       --metrics-prom FILE
-//!                       write the metrics registry to FILE in the
-//!                       Prometheus text exposition format on exit, a
-//!                       failed run's included
 //!   -o, --out FILE      write -m 8 records to FILE (buffered, written to a
 //!                       temporary sibling and atomically renamed on success;
 //!                       default stdout)
 //! ```
 //!
 //! Instrumentation is off the result path: any combination of `--trace`
-//! / `--metrics-*` leaves the `-m 8` bytes identical to a bare run.
+//! / `--metrics-json` leaves the `-m 8` bytes identical to a bare run.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -104,7 +101,7 @@ fn usage() -> &'static str {
      \t[-f none|entropy|dust] [-t n] [--asymmetric] [--both-strands]\n\
      \t[--batch dir-or-multi.fa] [--db dir] [--window n] [--result-cache mb]\n\
      \t[--dbsize n] [--deadline ms] [--skip-bad-volumes] [--stats]\n\
-     \t[--trace f.jsonl] [--metrics-json f.json] [--metrics-prom f.prom] [-o out.m8]"
+     \t[--trace f.jsonl] [--metrics-json f.json] [-o out.m8]"
 }
 
 /// A CLI failure: the one-line stderr message plus the process exit
@@ -313,23 +310,18 @@ impl Iterator for &mut BatchQueries {
 }
 
 /// The run's observability wiring: one [`Obs`] handle (armed when any of
-/// `--stats` / `--trace` / `--metrics-json` / `--metrics-prom` is given,
-/// disarmed — a single branch per instrumented operation — otherwise)
-/// plus the exposition paths to write when the run ends.
+/// `--stats` / `--trace` / `--metrics-json` is given, disarmed — a single
+/// branch per instrumented operation — otherwise) plus the exposition path
+/// to write when the run ends.
 struct ObsSetup {
     obs: Obs,
     metrics_json: Option<String>,
-    metrics_prom: Option<String>,
 }
 
 fn build_obs(args: &Args) -> Result<ObsSetup, String> {
     let metrics_json = args.options.get("metrics-json").cloned();
-    let metrics_prom = args.options.get("metrics-prom").cloned();
     let trace = args.options.get("trace");
-    let armed = args.has_flag("stats")
-        || trace.is_some()
-        || metrics_json.is_some()
-        || metrics_prom.is_some();
+    let armed = args.has_flag("stats") || trace.is_some() || metrics_json.is_some();
     let obs = if armed {
         let mut builder = Obs::builder();
         if let Some(path) = trace {
@@ -340,34 +332,23 @@ fn build_obs(args: &Args) -> Result<ObsSetup, String> {
     } else {
         Obs::disarmed()
     };
-    Ok(ObsSetup {
-        obs,
-        metrics_json,
-        metrics_prom,
-    })
+    Ok(ObsSetup { obs, metrics_json })
 }
 
-/// Flushes the trace sink and writes the `--metrics-*` documents, after a
-/// failed run as after a successful one.
+/// Flushes the trace sink and writes the `--metrics-json` document, after
+/// a failed run as after a successful one.
 fn finish_obs(setup: &ObsSetup) -> Result<(), String> {
     setup
         .obs
         .flush()
         .map_err(|e| format!("flushing trace: {e}"))?;
-    if setup.metrics_json.is_none() && setup.metrics_prom.is_none() {
+    let Some(path) = &setup.metrics_json else {
         return Ok(());
-    }
+    };
     let Some(snap) = setup.obs.snapshot() else {
         return Ok(());
     };
-    if let Some(path) = &setup.metrics_json {
-        std::fs::write(path, oris_obs::render_json(&snap)).map_err(|e| format!("{path}: {e}"))?;
-    }
-    if let Some(path) = &setup.metrics_prom {
-        std::fs::write(path, oris_obs::render_prometheus(&snap))
-            .map_err(|e| format!("{path}: {e}"))?;
-    }
-    Ok(())
+    std::fs::write(path, oris_obs::render_json(&snap)).map_err(|e| format!("{path}: {e}"))
 }
 
 /// The pipeline-stats fields every mode shares, in one
@@ -411,7 +392,6 @@ fn run() -> Result<(), CliError> {
             "deadline",
             "trace",
             "metrics-json",
-            "metrics-prom",
             "out",
         ],
         &[
@@ -507,7 +487,7 @@ fn run() -> Result<(), CliError> {
     let opts = db_options(&args)?;
     let obs = build_obs(&args)?;
     let searched = search_subject(&args, &cfg, opts, batch_mode, &obs.obs);
-    // The trace and the metrics documents are written whether the run
+    // The trace and the metrics document are written whether the run
     // succeeded or not: a failed run's counters (a deadline expiry above
     // all) are part of what they report. The failure's exit code wins.
     let finished = finish_obs(&obs);

@@ -88,9 +88,21 @@ fn makedb_shards_and_reports() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("volume=1"), "must shard: {stderr}");
+    // The summary names the filter as -f spells it.
+    assert!(stderr.contains(" filter=entropy to "), "{stderr}");
     // Volume files exist alongside the manifest.
     assert!(db.join("vol00000.fa").is_file());
     assert!(db.join("vol00000.oidx").is_file());
+    let out = makedb()
+        .arg(&subject)
+        .arg("-o")
+        .arg(dir.join("dust"))
+        .args(["-W", "8", "-f", "dust"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(" filter=dust to "), "{stderr}");
 
     // The removed layout option is a usage error, not a silent default.
     let out = makedb()

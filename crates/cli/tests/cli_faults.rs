@@ -335,19 +335,17 @@ fn plain_zero_deadline_exits_7_and_leaves_no_output() {
 
 #[test]
 fn zero_deadline_still_writes_the_metrics_documents() {
-    // The metrics documents are written on exit, a failed run's too: the
-    // expiry that ends the run is counted in them, while the output is
+    // The metrics document is written on exit, a failed run's too: the
+    // expiry that ends the run is counted in it, while the output is
     // left as a failed run leaves it — absent, with no tmp sibling.
     let (db, query) = fixture("deadline_metrics");
     let dir = db.parent().unwrap();
-    let (out_file, json, prom) = (dir.join("hits.m8"), dir.join("m.json"), dir.join("m.prom"));
+    let (out_file, json) = (dir.join("hits.m8"), dir.join("m.json"));
     let out = scoris_n()
         .arg(&query)
         .arg(dir.join("subject.fa"))
         .args(["-W", "8", "--deadline", "0", "--metrics-json"])
         .arg(&json)
-        .arg("--metrics-prom")
-        .arg(&prom)
         .arg("-o")
         .arg(&out_file)
         .output()
@@ -356,11 +354,6 @@ fn zero_deadline_still_writes_the_metrics_documents() {
     assert_no_output(&out_file);
     let json = std::fs::read_to_string(&json).unwrap();
     assert!(json.contains("\"deadline_expiries_total\":1"), "{json}");
-    let prom = std::fs::read_to_string(&prom).unwrap();
-    assert!(
-        prom.lines().any(|l| l == "oris_deadline_expiries_total 1"),
-        "{prom}"
-    );
 }
 
 /// `--deadline` at `u64::MAX` milliseconds: a budget some 580 million
@@ -443,12 +436,12 @@ fn plain_deadline_stops_a_repeat_family_within_one_wave() {
     // Every query record shares one 32-nt repeat with every subject
     // record: 75 000 record pairs, one extension each, so steps 3–4 hold
     // most of the run (about 1 s at -t 2 in release, step 2 about a
-    // tenth). Step 3 reads the token before each wave, so a 200 ms budget
-    // ends the query within one wave of expiring, with exit 7 and no
-    // output; a step 3 that never read it ran the query to completion.
-    // An unoptimised build runs step 2 here in about 1 s and step 3 in
-    // 15, so it gets 2 s: either way step 2 ends inside the budget and
-    // only a read before a step-3 wave can stop the query.
+    // tenth). Step 3 reads the token inside each group and before each
+    // group's step 4, so a 200 ms budget ends the query within one wave
+    // of expiring, with exit 7 and no output; a step 3 that never read it
+    // ran the query to completion. An unoptimised build runs step 2 here
+    // in about 1 s and step 3 in 15, so it gets 2 s: either way step 2
+    // ends inside the budget and only a read in step 3 can stop the query.
     let budget_ms: u64 = if cfg!(debug_assertions) { 2_000 } else { 200 };
     let dir = scratch("repeat_family");
     let mut rng = 0x9E37_79B9_7F4A_7C15u64;

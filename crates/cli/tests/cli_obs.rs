@@ -1,5 +1,5 @@
 //! End-to-end tests for the observability flags: `--trace`,
-//! `--metrics-json`, `--metrics-prom`, and the unified `--stats` schema.
+//! `--metrics-json`, and the unified `--stats` schema.
 //! The headline contract: arming every instrument at max verbosity
 //! leaves the `-m 8` bytes identical to a bare run, and the exported
 //! metrics document carries every documented instrument name.
@@ -77,15 +77,12 @@ fn armed_instrumentation_is_byte_invisible_end_to_end() {
     assert!(!bare.is_empty(), "workload must produce records");
     let trace = dir.join("trace.jsonl");
     let mjson = dir.join("metrics.json");
-    let mprom = dir.join("metrics.prom");
     let armed = run(&[
         "--stats",
         "--trace",
         trace.to_str().unwrap(),
         "--metrics-json",
         mjson.to_str().unwrap(),
-        "--metrics-prom",
-        mprom.to_str().unwrap(),
     ]);
     assert_eq!(armed, bare, "armed instrumentation changed output bytes");
 }
@@ -193,37 +190,6 @@ fn trace_is_json_lines_with_balanced_spans() {
     ] {
         assert!(text.contains(span), "missing {span} in trace:\n{text}");
     }
-}
-
-#[test]
-fn prometheus_exposition_has_typed_instruments() {
-    let dir = scratch("prom");
-    let (subject, query) = write_fixture(&dir);
-    let db = build_db(&dir, &subject);
-    let mprom = dir.join("metrics.prom");
-    let out = scoris_n()
-        .arg(&query)
-        .args(["--db", db.to_str().unwrap(), "-W", "8"])
-        .args(["--metrics-prom", mprom.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&mprom).unwrap();
-    assert!(text.contains("# TYPE oris_queries_total counter"), "{text}");
-    assert!(text.contains("# TYPE oris_cache_bytes gauge"), "{text}");
-    assert!(
-        text.contains("# TYPE oris_query_seconds histogram"),
-        "{text}"
-    );
-    assert!(
-        text.contains("oris_query_seconds_bucket{le=\"+Inf\"} 1"),
-        "{text}"
-    );
-    assert!(text.contains("oris_queries_total 1"), "{text}");
 }
 
 #[test]

@@ -32,16 +32,17 @@
 //!   pairs once a few thousand pairs have passed within a partition
 //!   ([`step2::find_hsps_guarded`](crate::step2::find_hsps_guarded));
 //! * between the two subject strands;
-//! * before each step-3 wave.
+//! * inside each step-3 record-pair group ([`step3`](crate::step3)),
+//!   before its first extension and then before every 1 024th;
+//! * before each step-3 group is handed to step 4, so a group's records
+//!   are made only under a live token.
 //!
-//! It is not read inside a step-3 wave (one wave is at least `2 × workers`
-//! record-pair groups and `128 × workers` HSPs, and one group can be a
-//! whole chromosome pair), nor in step 4, which runs inside step 3's group
-//! callback. So an expired search stops within one batch of step-2 pairs
-//! or one step-3 wave, at a clean point, having produced a well-formed
-//! error — the pipeline's determinism guarantees are unaffected because a
-//! deadline never changes what is computed, only whether the run
-//! completes.
+//! A step-4 call that has started prices its one group to the end. So an
+//! expired search stops within one batch of step-2 pairs, 1 024
+//! extensions on each step-3 worker or one group's step 4, at a clean
+//! point, having produced a well-formed error — the pipeline's
+//! determinism guarantees are unaffected because a deadline never changes
+//! what is computed, only whether the run completes.
 
 use std::time::Duration;
 

@@ -545,22 +545,27 @@ impl<'a> Session<'a> {
     /// Runs a prepared chunk against the prepared subject — steps 2–4, no
     /// index construction: step 2 and the gapped stage once over the
     /// joint bank per strand, step 4 per group against its member's
-    /// residues. Returns the chunk's report (step 2 once, steps 3–4
-    /// summed over the members; `index_builds == 0`) and, per member in
-    /// order, its records and its own step-3/4 counters. A member's
-    /// records, both strands when configured, come back unsorted: the
-    /// caller sorts them at the member's boundary
-    /// ([`RecordSink::end_query`], under [`crate::M8Record::total_order`]),
-    /// which merges the two strands here and all the volumes of a
-    /// database search into bytes identical to a single-bank run over the
+    /// residues. Each member's records, both strands when configured, and
+    /// its own step-3/4 counters are added to what `out[m]` holds, so a
+    /// caller that searches several subjects into one `out` — the volumes
+    /// of a database — holds each member's whole answer: records in call
+    /// order, counters summed. Returns the chunk's report (step 2 once,
+    /// steps 3–4 summed over the members; `index_builds == 0`). The
+    /// records stay unsorted: the caller sorts them at the member's
+    /// boundary ([`RecordSink::end_query`], under
+    /// [`crate::M8Record::total_order`]), which merges the strands and the
+    /// volumes into bytes identical to a single-bank run over the
     /// concatenated input.
     ///
     /// `deadline` is read at the points [`crate::deadline`] lists, so a
     /// pathological chunk — one hot seed code whose `|X1|·|X2|` pair
     /// product is quadratic, or the tens of thousands of extensions it
-    /// feeds step 3 — stops within one step-2 batch or one step-3 wave.
-    /// The token never changes what is computed, only whether the run
-    /// finishes; [`Deadline::none`] never expires.
+    /// feeds step 3 — stops within one step-2 batch or a few thousand
+    /// extensions. The token never changes what is computed, only whether
+    /// the run finishes; [`Deadline::none`] never expires.
+    ///
+    /// # Panics
+    /// If `out` does not hold one slot per member of `chunk`.
     ///
     /// # Errors
     /// * [`SearchError::ConfigMismatch`], before anything is computed, if
@@ -570,13 +575,16 @@ impl<'a> Session<'a> {
     ///   side only; a strided query index would silently drop half the
     ///   query's seed occurrences, and a differently filtered query
     ///   would search a different effective sequence.)
-    /// * [`SearchError::DeadlineExceeded`] on expiry; nothing is returned.
+    /// * [`SearchError::DeadlineExceeded`] on expiry; what `out` gained is
+    ///   partial, and the caller drops it.
     pub fn search_chunk(
         &self,
         chunk: &QueryChunk<'_>,
+        out: &mut [MemberResult],
         deadline: &Deadline,
-    ) -> Result<(PipelineStats, Vec<MemberResult>), SearchError> {
+    ) -> Result<PipelineStats, SearchError> {
         let (query, members) = (&chunk.prepared, &chunk.members);
+        assert_eq!(out.len(), chunk.members(), "one answer slot per member");
         config_mismatch(
             "query",
             query,
@@ -584,11 +592,10 @@ impl<'a> Session<'a> {
             self.cfg.filter,
         )
         .map_err(SearchError::ConfigMismatch)?;
-        let mut out = vec![MemberResult::default(); chunk.members()];
         let stats = self.install(|| -> Result<PipelineStats, DeadlineExceeded> {
             let mut run = |subject: &PreparedBank<'_>, strand: SubjectStrand| {
                 run_prepared_pipeline_into(
-                    query, members, subject, &self.cfg, strand, &mut out, deadline, &self.obs,
+                    query, members, subject, &self.cfg, strand, out, deadline, &self.obs,
                 )
             };
             let plus = run(&self.plus, SubjectStrand::Plus)?;
@@ -600,7 +607,7 @@ impl<'a> Session<'a> {
                 }
             }
         })?;
-        Ok((stats, out))
+        Ok(stats)
     }
 
     /// Prepares `query` as a chunk of one (step 1, counted in the returned
@@ -617,13 +624,13 @@ impl<'a> Session<'a> {
                 self.cfg.query_index_config(),
             )
         });
-        let (mut stats, out) = self
-            .search_chunk(&chunk, &Deadline::none())
+        let mut out = [MemberResult::default()];
+        let mut stats = self
+            .search_chunk(&chunk, &mut out, &Deadline::none())
             .expect("the query was prepared under this configuration and no deadline is armed");
+        let [member] = out;
         let mut sink = CollectSink::new();
-        for member in out {
-            sink.accept_all(member.records);
-        }
+        sink.accept_all(member.records);
         sink.end_query()
             .expect("CollectSink does no IO and cannot fail");
         stats.index_secs += chunk.prepared.stats.build_secs;
@@ -708,12 +715,14 @@ mod tests {
         let session = Session::new(&subject, &cfg).unwrap();
         let one = std::slice::from_ref(&query);
         let chunk = QueryChunk::prepare(one, cfg.filter, cfg.query_index_config());
-        let (stats, out) = session.search_chunk(&chunk, &Deadline::none()).unwrap();
+        let mut out = [MemberResult::default()];
+        let stats = session
+            .search_chunk(&chunk, &mut out, &Deadline::none())
+            .unwrap();
         assert_eq!(stats.index_builds, 0);
+        let [member] = out;
         let mut sink = CollectSink::new();
-        for member in out {
-            sink.accept_all(member.records);
-        }
+        sink.accept_all(member.records);
         sink.end_query().unwrap();
         assert_eq!(sink.into_records(), session.run(&query).alignments);
     }
@@ -731,7 +740,7 @@ mod tests {
             (FilterKind::Dust, right, "filter"),
         ] {
             let chunk = QueryChunk::prepare(std::slice::from_ref(&query), filter, icfg);
-            match session.search_chunk(&chunk, &Deadline::none()) {
+            match session.search_chunk(&chunk, &mut [MemberResult::default()], &Deadline::none()) {
                 Err(SearchError::ConfigMismatch(msg)) => assert!(msg.contains(field), "{msg}"),
                 other => panic!("{field}: expected ConfigMismatch, got {other:?}"),
             }
@@ -1004,7 +1013,8 @@ mod tests {
                         QueryChunk::prepare(&chunk, cfg.filter, cfg.query_index_config())
                     });
                     prop_assert_eq!(prepared.members(), chunk.len());
-                    let (stats, shares) = session.search_chunk(&prepared, &Deadline::none()).unwrap();
+                    let mut shares = vec![MemberResult::default(); chunk.len()];
+                    let stats = session.search_chunk(&prepared, &mut shares, &Deadline::none()).unwrap();
                     for share in shares {
                         let own = alone.next().unwrap().stats;
                         prop_assert_eq!(
@@ -1045,6 +1055,51 @@ mod tests {
                     prop_assert_eq!(mine, own);
                 }
                 prop_assert_eq!(s2.pairs_examined, pairs);
+            }
+
+            /// Two searches into one answer buffer — two subjects standing
+            /// in for two volumes of a database — leave each member the
+            /// concatenation of the two searches into fresh buffers:
+            /// records in call order, counters summed.
+            #[test]
+            fn joint_searches_append_to_one_answer_per_member(
+                seqs in proptest::collection::vec("[ACGTN]{0,40}", 1..12),
+                shape in proptest::collection::vec(0u8..8, 12),
+                cut in proptest::collection::vec(0u8..3, 12),
+                flags in 0u8..12,
+                threads in 0usize..3,
+            ) {
+                let members = members(&seqs, &shape, &cut);
+                let cfg = config(flags, threads);
+                let subjects = [
+                    subject(),
+                    bank(&[&format!("TTGACC{}GGATCC{}", CORES[1], CORES[0])]),
+                ];
+                let sessions: Vec<Session> =
+                    subjects.iter().map(|s| Session::new(s, &cfg).unwrap()).collect();
+                let chunk = QueryChunk::prepare(&members, cfg.filter, cfg.query_index_config());
+                let fresh: Vec<Vec<MemberResult>> = sessions
+                    .iter()
+                    .map(|session| {
+                        let mut out = vec![MemberResult::default(); members.len()];
+                        session.search_chunk(&chunk, &mut out, &Deadline::none()).unwrap();
+                        out
+                    })
+                    .collect();
+                let mut both = vec![MemberResult::default(); members.len()];
+                for session in &sessions {
+                    session.search_chunk(&chunk, &mut both, &Deadline::none()).unwrap();
+                }
+                for (m, got) in both.iter().enumerate() {
+                    let (a, b) = (&fresh[0][m], &fresh[1][m]);
+                    let want = MemberResult {
+                        records: [a.records.clone(), b.records.clone()].concat(),
+                        raw_alignments: a.raw_alignments + b.raw_alignments,
+                        step3: a.step3.merge(b.step3),
+                        step4: a.step4.merge(b.step4),
+                    };
+                    prop_assert!(got == &want, "member {}: {:?} != {:?}", m, got, want);
+                }
             }
         }
     }

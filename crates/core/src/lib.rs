@@ -16,9 +16,10 @@
 //! * [`engine::Session`] — one prepared subject (both strands if
 //!   configured) plus the worker pool; any number of query banks run
 //!   against it without the subject ever being re-indexed. A prepared
-//!   query runs one way, [`engine::Session::search_chunk`] — a chunk and
-//!   a deadline are its arguments, each member's boundary is the
-//!   caller's, a chunk prepared under another configuration is a typed
+//!   query runs one way, [`engine::Session::search_chunk`] — a chunk, one
+//!   answer slot per member that the search adds to, and a deadline are
+//!   its arguments, each member's boundary is the caller's, a chunk
+//!   prepared under another configuration is a typed
 //!   [`engine::SearchError::ConfigMismatch`] — and
 //!   [`engine::Session::run`] is the prepare-search-boundary convenience
 //!   over it, for one query bank as a chunk of one.
@@ -44,7 +45,8 @@
 //! of query banks ([`engine::joint_chunks`]) is joined into one bank and
 //! prepared once ([`engine::QueryChunk`]), and
 //! [`engine::Session::search_chunk`] searches it against the subject,
-//! handing back each bank's records and counters. The one batch loop is
+//! adding each bank's records and counters to the caller's answer for
+//! that bank. The one batch loop is
 //! the `oris-db` crate's `DbSession`: it serves a sharded database and,
 //! as a database of one resident volume, a session built here
 //! (`DbSession::resident`), streaming each bank's records out at its own
@@ -60,9 +62,10 @@
 //! [`engine::PreparedBank`] attached from disk
 //! ([`engine::PreparedBank::from_index`], mmap-backed via
 //! `oris_index::mmap`). Per volume the search goes through
-//! [`engine::Session::search_chunk`] — each query's records and counters
-//! without the query boundary — and the database session fires each
-//! query's single `end_query` after the last volume, so one boundary sort
+//! [`engine::Session::search_chunk`], appending to one answer per query —
+//! its records and counters, without the query boundary — and the
+//! database session fires each query's single `end_query` after the last
+//! volume, so one boundary sort
 //! merges all volumes and multi-volume output stays byte-identical to a
 //! concatenated single-bank run. E-values price the subject side under
 //! [`config::OrisConfig::subject_space`]: the SCORIS-N per-sequence

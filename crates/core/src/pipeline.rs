@@ -194,27 +194,14 @@ impl MemberResult {
     }
 }
 
-/// Report of one fused steps-3+4 streaming stage ([`gapped_stage_into`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct GappedStageReport {
-    /// Step-3 counters.
-    pub step3: Step3Stats,
-    /// Step-4 counters.
-    pub step4: Step4Stats,
-    /// Gapped alignments produced (pre e-value filter).
-    pub raw_alignments: usize,
-    /// Seconds in step 3 (gapped extension), step 4's share subtracted.
-    pub step3_secs: f64,
-    /// Seconds in step 4 (record conversion), metered inside the fusion.
-    pub step4_secs: f64,
-}
-
 /// Fused steps 3+4 over step-2 HSPs: each record-pair group's alignments
 /// go straight through step 4 the moment step 3 finishes the group, and
 /// are freed — the whole-run alignment vector of the collect-then-merge
 /// pipeline never exists. Step 4 runs inside step 3's
 /// emission, so its seconds are metered separately and subtracted from
-/// the fused region's wall clock.
+/// the fused region's wall clock. The report holds the stage's part of a
+/// [`PipelineStats`]: `raw_alignments`, `step3`, `step4`, `step3_secs`
+/// and `step4_secs`; every other field is zero.
 ///
 /// The BLAST baseline's gapped stage: one member over the ORIS runner's
 /// routed stage (the engines differ in hit *detection* only — keeping the
@@ -235,7 +222,7 @@ pub fn gapped_stage_into(
     query_residues: usize,
     flip_subject: bool,
     push: &mut dyn FnMut(M8Record),
-) -> GappedStageReport {
+) -> PipelineStats {
     let members = Members::one(bank1.num_sequences(), query_residues);
     let mut out = [MemberResult::default()];
     let report = gapped_stage_routed(
@@ -257,8 +244,8 @@ pub fn gapped_stage_into(
 /// [`gapped_stage_into`] over a joint query bank: each group's records
 /// and counters are added to the member owning its query record, `out[m]`,
 /// with e-values priced against that member's residues. `deadline` is
-/// read before each step-3 wave; on expiry `out` holds the waves before
-/// it, and the caller drops it.
+/// read at the step-3 points [`crate::deadline`] lists; on expiry `out`
+/// holds the groups before it, and the caller drops it.
 fn gapped_stage_routed(
     bank1: &Bank,
     members: &Members,
@@ -268,9 +255,9 @@ fn gapped_stage_routed(
     flip_subject: bool,
     out: &mut [MemberResult],
     deadline: &Deadline,
-) -> Result<GappedStageReport, DeadlineExceeded> {
+) -> Result<PipelineStats, DeadlineExceeded> {
     let t0 = Stopwatch::start();
-    let mut report = GappedStageReport::default();
+    let mut report = PipelineStats::default();
     let mut emit = |alns: Vec<step3::GappedAlignment>, s3: Step3Stats| {
         let t4 = Stopwatch::start();
         // Every group holds at least one alignment (its first HSP is
@@ -312,10 +299,11 @@ fn gapped_stage_routed(
 /// The report's step-3/4 counters are the members' summed.
 ///
 /// `deadline` is the cooperative token, read at the points
-/// [`crate::deadline`] lists: a wave and its groups' records always finish.
-/// An expiry returns [`DeadlineExceeded`], and the records already filed
-/// in `out` are the caller's to drop. Disarmed ([`Deadline::none`]) each
-/// read is one dead branch and the run is infallible.
+/// [`crate::deadline`] lists: a group's step 4 starts only under a live
+/// token and, once started, finishes. An expiry returns
+/// [`DeadlineExceeded`], and the records already filed in `out` are the
+/// caller's to drop. Disarmed ([`Deadline::none`]) each read is one dead
+/// branch and the run is infallible.
 ///
 /// `obs` emits `step2`/`step3` spans and a `step4` point event (steps
 /// 3+4 are fused — step 4 runs inside step 3's group callback, so its
@@ -375,12 +363,7 @@ pub(crate) fn run_prepared_pipeline_into(
             Field::U64("records", r.step4.emitted),
         ],
     );
-    stats.raw_alignments = r.raw_alignments;
-    stats.step3 = r.step3;
-    stats.step4 = r.step4;
-    stats.step3_secs = r.step3_secs;
-    stats.step4_secs = r.step4_secs;
-    Ok(stats)
+    Ok(stats.merge(&r))
 }
 
 /// Compares two banks with the ORIS algorithm.

@@ -6,8 +6,7 @@
 //!
 //! * [`CollectSink`] — keeps everything, sorting each query's records with
 //!   the strict total order [`M8Record::total_order`] at the query
-//!   boundary. It is how `Session::run` builds an `OrisResult`, and the
-//!   per-volume staging buffer of a database search.
+//!   boundary. It is how `Session::run` builds an `OrisResult`.
 //! * [`StreamWriter`] — incremental `-m 8` emission through
 //!   [`crate::M8Writer`]: buffers one query, sorts it at the boundary,
 //!   writes, frees. At the boundary it holds the query's records plus one
@@ -36,8 +35,8 @@ pub trait RecordSink {
     /// One record of the current query's stream.
     fn accept(&mut self, rec: M8Record);
 
-    /// Many records of the current query's stream, in order — what a
-    /// search staged for one query. The buffering sinks take the vector
+    /// Many records of the current query's stream, in order — a search's
+    /// whole answer for one query. The buffering sinks take the vector
     /// itself when their query buffer is empty, so a query's records are
     /// not held twice while they change hands.
     fn accept_all(&mut self, recs: Vec<M8Record>) {

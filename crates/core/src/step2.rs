@@ -150,6 +150,12 @@ use crate::hsp::Hsp;
 /// BATCH` pairs (under 0.5 ms at ~105 ns per pair).
 const DEADLINE_CHECK_PAIRS: u64 = 4096;
 
+/// Step 3's pace beside step 2's: with an armed [`Deadline`], a step-3
+/// record-pair group reads it before its first extension and then before
+/// every this-many-th. At 4–6 µs a small extension that is a few
+/// milliseconds between reads, against one clock read.
+pub(crate) const DEADLINE_CHECK_EXTENSIONS: u64 = 1024;
+
 /// Minimum estimated work, in occurrence pairs, a range must carry before
 /// step 2 is split at all: [`partition_codes`] cuts at most
 /// `total / GRAIN` ranges (see the module docs' *Scheduling* paragraph

@@ -45,6 +45,7 @@ use rayon::prelude::*;
 use crate::config::OrisConfig;
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::hsp::Hsp;
+use crate::step2::DEADLINE_CHECK_EXTENSIONS;
 
 /// A gapped alignment in global bank coordinates.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,14 +162,18 @@ fn extend_one(
     (aln, merged.cells)
 }
 
-/// Sequential step 3 over one group's diagonal-sorted HSPs.
+/// Sequential step 3 over one group's diagonal-sorted HSPs. `deadline` is
+/// read before the group's first extension and then before every
+/// `DEADLINE_CHECK_EXTENSIONS`-th, so a group of thousands of HSPs (one
+/// chromosome pair) stops inside itself.
 fn gapped_serial(
     bank1: &Bank,
     bank2: &Bank,
     group: &[Tagged],
     params: &GappedParams,
     scratch: &mut GappedScratch,
-) -> GroupResult {
+    deadline: &Deadline,
+) -> Result<GroupResult, DeadlineExceeded> {
     let mut stats = Step3Stats::default();
     let mut out: Vec<GappedAlignment> = Vec::new();
     // Active window: indexes into `out`, retired once their diag_max falls
@@ -186,13 +191,16 @@ fn gapped_serial(
             stats.skipped_contained += 1;
             continue;
         }
+        if stats.extended % DEADLINE_CHECK_EXTENSIONS == 0 {
+            deadline.check()?;
+        }
         stats.extended += 1;
         let (aln, cells) = extend_one(bank1, bank2, hsp, params, scratch);
         stats.dp_cells += cells as u64;
         active.push(out.len());
         out.push(aln);
     }
-    (out, stats)
+    Ok((out, stats))
 }
 
 /// Receiver for step 3's streamed output: one call per
@@ -284,9 +292,11 @@ pub fn gapped_alignments_into(
 /// `emit` beside its alignments, so a caller can book them to the query
 /// record the group belongs to. Returns the counters summed.
 ///
-/// `deadline` is read before each wave, never inside one: an expiry
-/// returns [`DeadlineExceeded`] with the waves before it already emitted,
-/// so the caller drops what `emit` gathered.
+/// `deadline` is read inside each group (see `gapped_serial`) and before
+/// each group is emitted, so `emit` — step 4, for the pipeline — starts
+/// only under a live token: an expiry returns [`DeadlineExceeded`] with
+/// the groups before it already emitted, so the caller drops what `emit`
+/// gathered.
 pub(crate) fn gapped_groups_into(
     bank1: &Bank,
     bank2: &Bank,
@@ -325,7 +335,8 @@ pub(crate) fn gapped_groups_into(
 
     let workers = rayon::current_num_threads().max(1);
     let run = |scratch: &mut GappedScratch, group: &Range<usize>| {
-        gapped_serial(bank1, bank2, &tagged[group.clone()], &params, scratch)
+        let group = &tagged[group.clone()];
+        gapped_serial(bank1, bank2, group, &params, scratch, deadline)
     };
     // The calling thread's scratch for the waves too small to repay a
     // thread, kept across them. A parallel wave builds one scratch per
@@ -336,15 +347,16 @@ pub(crate) fn gapped_groups_into(
 
     let mut stats = Step3Stats::default();
     for wave in waves(&groups, workers) {
-        deadline.check()?;
         let wave = &groups[wave];
         let wave_hsps = wave[wave.len() - 1].end - wave[0].start;
-        let done: Vec<GroupResult> = if wave_hsps < INLINE_WAVE_HSPS {
+        let done: Vec<Result<GroupResult, DeadlineExceeded>> = if wave_hsps < INLINE_WAVE_HSPS {
             wave.iter().map(|group| run(&mut scratch, group)).collect()
         } else {
             wave.par_iter().map_init(GappedScratch::new, run).collect()
         };
-        for (alns, s) in done {
+        for group in done {
+            let (alns, s) = group?;
+            deadline.check()?;
             stats = stats.merge(s);
             emit(alns, s);
         }
@@ -373,6 +385,7 @@ mod tests {
     use super::*;
     use oris_index::{BankIndex, IndexConfig};
     use oris_seqio::BankBuilder;
+    use std::time::{Duration, Instant};
 
     fn bank(seqs: &[&str]) -> Bank {
         let mut b = BankBuilder::new();
@@ -703,6 +716,64 @@ mod tests {
             for threads in [2, 4, 7] {
                 assert_eq!(run(threads), (groups.clone(), stats, collected.clone()));
             }
+            // A run that completes under an armed deadline emits the same.
+            let armed = Deadline::after(Duration::from_secs(600));
+            for threads in [1, 2] {
+                let (res, armed_groups, _) = guarded(&b1, &b2, &hsps, threads, &armed);
+                assert_eq!((res, &armed_groups), (Ok(stats), &groups));
+            }
         }
+    }
+
+    /// Runs step 3 under `deadline` on a pool of `threads`, recording each
+    /// emitted group; also returns how long the call took.
+    fn guarded(
+        b1: &Bank,
+        b2: &Bank,
+        hsps: &[Hsp],
+        threads: usize,
+        deadline: &Deadline,
+    ) -> (
+        Result<Step3Stats, DeadlineExceeded>,
+        Vec<Vec<GappedAlignment>>,
+        Duration,
+    ) {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let mut groups = Vec::new();
+        let t0 = Instant::now();
+        let res = pool.install(|| {
+            gapped_groups_into(b1, b2, hsps, &cfg(8), deadline, &mut |alns, _| {
+                groups.push(alns)
+            })
+        });
+        (res, groups, t0.elapsed())
+    }
+
+    #[test]
+    fn an_armed_deadline_stops_one_group_of_thousands_of_hsps_inside_it() {
+        // One record pair, 12 000 HSPs at random places on two unrelated
+        // 8 kb records: one group, one wave, 12 000 short dead-end
+        // extensions. A read before each wave passes it and the group runs
+        // to its end; the reads inside the group stop it within 1 024
+        // extensions of the expiry, before its records are emitted.
+        let mut g = Gen(proptest::test_runner::TestRng::for_test("one_hot_group"));
+        let (b1, b2) = (bank(&[&g.dna(8000)]), bank(&[&g.dna(8000)]));
+        let mut hsps: Vec<Hsp> = (0..12_000)
+            .map(|_| hsp(&b1, 0, g.draw(0, 7980), &b2, 0, g.draw(0, 7980), 12))
+            .collect();
+        hsps.sort_by(Hsp::diag_order);
+        let (full, groups, unbounded) = guarded(&b1, &b2, &hsps, 1, &Deadline::none());
+        assert!(full.unwrap().extended >= 5_000);
+        assert_eq!(groups.len(), 1);
+        let (stopped, groups, took) = guarded(&b1, &b2, &hsps, 1, &Deadline::after(unbounded / 20));
+        assert_eq!(stopped, Err(DeadlineExceeded));
+        assert!(groups.is_empty(), "an expired group is not emitted");
+        assert!(
+            took < unbounded / 2,
+            "stopped after {took:?} of an unbounded {unbounded:?}"
+        );
     }
 }

@@ -259,7 +259,7 @@ fn short_reads_step_2_like_the_reference_against_mapped_sparse_volumes() {
     let db = Database::open(&dir).unwrap();
     assert!(db.num_volumes() >= 3, "{} volumes", db.num_volumes());
     let volumes: Vec<PreparedBank<'static>> = (0..db.num_volumes())
-        .map(|v| db.attach_volume(v).unwrap().0)
+        .map(|v| db.attach_volume(v).unwrap())
         .collect();
     // Each ~60 000-position volume populates a sliver of the 4^11 codes,
     // about one per bitmap word it stores.

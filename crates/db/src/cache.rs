@@ -15,12 +15,12 @@
 //! `tests/db_equivalence.rs` and `crates/db/tests/serving.rs`):
 //!
 //! * A hit replays **byte-identical** records: an entry stores the exact
-//!   records a fresh search stages, and the sink's boundary sort under
+//!   records a fresh search gathers, and the sink's boundary sort under
 //!   `M8Record::total_order` makes arrival order irrelevant — so cached
 //!   and cold output bytes are equal.
 //! * Only a *completed* search populates the cache. A deadline-aborted
 //!   search inserts nothing (its partial records are discarded with the
-//!   staging buffer).
+//!   chunk's answers).
 //! * A quarantine empties the cache ([`ResultCache::clear`]): an answer
 //!   that covered the failed volume is never served afterwards.
 //! * Staleness matches the attach cache's contract: a cached entry (like
@@ -41,7 +41,7 @@ use oris_seqio::Bank;
 #[derive(Debug, Clone)]
 pub struct CachedQuery {
     /// The searched volumes' records, in ascending volume order and, within
-    /// a volume, in staging (arrival) order.
+    /// a volume, in arrival order.
     pub records: Vec<M8Record>,
     /// The query's own step-3/4 counters over those volumes (replayed on a
     /// hit so merged stats keep counting cached work). A query is searched

@@ -6,30 +6,11 @@ use std::sync::Arc;
 use oris_core::PreparedBank;
 use oris_index::persist::fnv1a;
 use oris_index::IndexMeta;
-use oris_obs::Stopwatch;
 
 use crate::io::{RealIo, VolumeIo};
 use crate::manifest::{Manifest, VolumeMeta, MANIFEST_FILE};
 
 pub use crate::error::{DbError, VolumeCause, VolumeError};
-
-/// Cost and provenance of one volume attach (step-1 work the database
-/// session performs instead of an index build).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AttachedVolumeStats {
-    /// Seconds spent mapping/reading the index file and re-reading the
-    /// volume FASTA (index build time is always 0 on this path).
-    pub attach_secs: f64,
-    /// Heap bytes of the attached index. For an mmap attach the postings,
-    /// row starts and the row map's two levels stay in the page cache,
-    /// and the heap holds the copied bit-set (`len/8` bytes) plus what is
-    /// derived from them: the two levels' ranks (4 bytes per top-level
-    /// word and per stored bitmap word) and the row starts' select samples
-    /// and block ranks (4 bytes per 64 rows and per 4 096 high bits).
-    pub index_heap_bytes: usize,
-    /// Whether the index sections are mmap-backed.
-    pub mmap_backed: bool,
-}
 
 /// An opened sharded subject database: a validated [`Manifest`] plus the
 /// directory its volume files live in. Opening touches only the manifest
@@ -151,12 +132,8 @@ impl Database {
     /// [`VolumeCause`] distinguishes transient I/O from durable
     /// corruption — the distinction the session's retry/quarantine
     /// policy and `verifydb` dispatch on.
-    pub fn attach_volume(
-        &self,
-        i: usize,
-    ) -> Result<(PreparedBank<'static>, AttachedVolumeStats), DbError> {
+    pub fn attach_volume(&self, i: usize) -> Result<PreparedBank<'static>, DbError> {
         let meta = self.volume(i);
-        let t0 = Stopwatch::start();
         let fasta_path = self.dir.join(&meta.fasta);
         let fasta_bytes = self
             .io
@@ -220,21 +197,11 @@ impl Database {
                 )),
             ));
         }
-        let mmap_backed = index.is_mmap_backed();
-        let index_heap_bytes = index.heap_bytes();
         let attach_meta = IndexMeta {
             bank_hash: 0, // verified transitively above
             ..imeta
         };
-        let prepared = PreparedBank::from_index(bank, index, &attach_meta)
-            .map_err(|e| self.volume_error(i, index_path.clone(), VolumeCause::Mismatch(e)))?;
-        Ok((
-            prepared,
-            AttachedVolumeStats {
-                attach_secs: t0.elapsed_secs(),
-                index_heap_bytes,
-                mmap_backed,
-            },
-        ))
+        PreparedBank::from_index(bank, index, &attach_meta)
+            .map_err(|e| self.volume_error(i, index_path.clone(), VolumeCause::Mismatch(e)))
     }
 }

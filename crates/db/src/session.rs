@@ -22,9 +22,11 @@
 //! are pulled into chunks of at most [`oris_core::JOINT_CHUNK_RESIDUES`]
 //! bank positions, the queries of a chunk the result cache does not
 //! serve are joined into one bank ([`oris_core::QueryChunk`]), and steps
-//! 1–3 run once per (chunk, volume). Each query still gets exactly the
-//! records, boundary and report a search of it alone would give it. A
-//! single query is a chunk of one.
+//! 1–3 run once per (chunk, volume). Each joined query has one answer for
+//! the chunk: every volume's search appends its records and counters to
+//! it, in ascending volume order, and the query's boundary takes it
+//! whole. Each query still gets exactly the records, boundary and report
+//! a search of it alone would give it. A single query is a chunk of one.
 //!
 //! A session's subject is a [`Database`] or one resident bank
 //! ([`DbSession::resident`]): a FASTA subject prepared in memory is a
@@ -40,19 +42,11 @@ use oris_core::{
     joint_chunks, Deadline, FilterKind, MemberResult, OrisConfig, PipelineStats, QueryChunk,
     RecordSink, Session, SubjectSpace, JOINT_CHUNK_RESIDUES,
 };
-use oris_obs::{names, Field, Obs};
+use oris_obs::{names, Field, Obs, Stopwatch};
 use oris_seqio::Bank;
 
 use crate::cache::{self, CacheCounters, CachedQuery, ResultCache};
 use crate::database::{Database, DbError};
-
-/// One volume's staged search of a chunk: the chunk's report (step 2 once
-/// for the chunk) and, in ascending order of their place `k` among the
-/// joined queries, `(k, share)` for each joined query the volume gave any
-/// step-3 work: its records (arrival order, the boundary sort happens at
-/// `end_query`) and own step-3/4 counters. Every other joined query's
-/// share is empty, so a volume holds what it found, not a slot per query.
-type Staged = (PipelineStats, Vec<(usize, MemberResult)>);
 
 /// What a [`DbSession`] does when a volume fails to attach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -168,9 +162,13 @@ pub struct VolumeCost {
     /// Seconds spent building minus-strand indexes (only non-zero for
     /// `both_strands` configurations — an index file stores one strand).
     pub strand_build_secs: f64,
-    /// Heap bytes of the most recent attach: the bank plus
-    /// [`crate::database::AttachedVolumeStats::index_heap_bytes`] (for an mmap
-    /// attach, the bit-set and the row map's ranks).
+    /// Heap bytes of the most recent attach: the bank plus the index's
+    /// heap part. For an mmap attach the postings, row starts and the row
+    /// map's two levels stay in the page cache, and the heap holds the
+    /// copied bit-set (`len/8` bytes) plus what is derived from them: the
+    /// two levels' ranks (4 bytes per top-level word and per stored bitmap
+    /// word) and the row starts' select samples and block ranks (4 bytes
+    /// per 64 rows and per 4 096 high bits).
     pub index_heap_bytes: usize,
     /// Whether the most recent attach was mmap-backed.
     pub mmap_backed: bool,
@@ -287,9 +285,9 @@ impl DbBatchStats {
 /// [`DbSession::run_query_reported`]) runs the same four phases —
 /// *probe* the result cache once per query, *attach* the live volumes
 /// (through at most [`DbOptions::window`] concurrently attached volume
-/// sessions), *search* each volume once for the chunk's joined queries
-/// into a staging buffer of its own, *merge* each query's share of the
-/// buffers into the caller's sink in ascending volume order — and fires
+/// sessions), *search* each volume once for the chunk's joined queries,
+/// appending to one answer per query in ascending volume order, *merge*
+/// each query's answer into the caller's sink in one piece — and fires
 /// each query's single [`RecordSink::end_query`] after its merge, so the
 /// sink's one boundary sort merges volumes under `M8Record::total_order`
 /// and multi-volume output is byte-identical to a single-bank run over the
@@ -536,9 +534,10 @@ impl<'d> DbSession<'d> {
         // a window of one never evicts it, so only a database's gets here.
         let db = self.db.expect("a resident subject is never detached");
         let mut attempt = 0u32;
-        let (prepared, attach) = loop {
+        let (prepared, attach_secs) = loop {
+            let t0 = Stopwatch::start();
             match db.attach_volume(v) {
-                Ok(ok) => break ok,
+                Ok(prepared) => break (prepared, t0.elapsed_secs()),
                 Err(e)
                     if self.opts.on_volume_error == OnVolumeError::SkipAndReport
                         && attempt < RETRIES
@@ -552,15 +551,15 @@ impl<'d> DbSession<'d> {
                 Err(e) => return Err(e),
             }
         };
-        let bank_bytes = prepared.bank().heap_bytes();
         let mut session = Session::with_subject(prepared, &self.cfg).map_err(DbError::Config)?;
         session.set_obs(self.obs.clone());
+        let (bank, index) = (session.subject().bank(), session.subject().index());
         let cost = &mut self.costs[v];
         cost.attaches += 1;
-        cost.attach_secs += attach.attach_secs;
+        cost.attach_secs += attach_secs;
         cost.strand_build_secs += session.subject_stats().build_secs;
-        cost.index_heap_bytes = attach.index_heap_bytes + bank_bytes;
-        cost.mmap_backed = attach.mmap_backed;
+        cost.index_heap_bytes = bank.heap_bytes() + index.heap_bytes();
+        cost.mmap_backed = index.is_mmap_backed();
         Ok(session)
     }
 
@@ -568,26 +567,28 @@ impl<'d> DbSession<'d> {
     /// the calling thread, attaching each as it goes (a no-op for one
     /// already attached, and the one place a bounded window evicts), and
     /// runs the chunk against it at full width (the volume session's
-    /// `OrisConfig::threads` pool, or the caller's) into a staging buffer
-    /// of its own; `None` in the result = not searched (quarantined, now
-    /// or earlier). The deadline is checked before each volume, so an
-    /// expiry or an error stops the walk before the next volume is
-    /// attached or searched.
+    /// `OrisConfig::threads` pool, or the caller's), appending each joined
+    /// query's records and step-3/4 counters to its slot of `answers`.
+    /// Returns the volumes searched, ascending (a volume quarantined, now
+    /// or earlier, is not), and the chunk's report: step 2 and the
+    /// seconds, summed over them. The deadline is checked before each
+    /// volume, so an expiry or an error stops the walk before the next
+    /// volume is attached or searched.
     fn search_volumes(
         &mut self,
         chunk: &QueryChunk<'_>,
+        answers: &mut [MemberResult],
         retries: &mut u32,
         deadline: &Deadline,
-    ) -> Result<Vec<Option<Staged>>, DbError> {
-        let num = self.residues.len();
-        let mut fresh = Vec::with_capacity(num);
-        for v in 0..num {
-            let live = self.quarantined[v].is_none();
-            if live {
-                deadline.check()?;
+    ) -> Result<(Vec<usize>, PipelineStats), DbError> {
+        let mut searched = Vec::new();
+        let mut report = PipelineStats::default();
+        for v in 0..self.residues.len() {
+            if self.quarantined[v].is_some() {
+                continue;
             }
-            if !live || !self.attach(v, retries)? {
-                fresh.push(None);
+            deadline.check()?;
+            if !self.attach(v, retries)? {
                 continue;
             }
             let session = self.attached[v].as_ref().expect("attached above");
@@ -597,62 +598,56 @@ impl<'d> DbSession<'d> {
                 names::VOLUME_SEARCH_SECONDS,
                 &[Field::U64("volume", v as u64)],
             );
-            let (stats, shares) = session.search_chunk(chunk, deadline)?;
-            let found = shares
-                .into_iter()
-                .enumerate()
-                .filter(|(_, share)| *share != MemberResult::default())
-                .collect();
-            fresh.push(Some((stats, found)));
+            let stats = session.search_chunk(chunk, answers, deadline)?;
+            // Steps 3–4's counters are the queries' own, booked at each
+            // query's merge.
+            report = report.merge(&PipelineStats {
+                raw_alignments: 0,
+                step3: Default::default(),
+                step4: Default::default(),
+                ..stats
+            });
+            searched.push(v);
         }
-        Ok(fresh)
+        Ok((searched, report))
     }
 
     /// Phase 4 — *merge*, one query. A hit (`hit`) replays the query's
-    /// whole cached answer. Otherwise `fresh[v]` is the query's share of
-    /// the chunk's search of volume `v` (`None` when `v` was not searched:
-    /// quarantined), taken in ascending volume order, so stats accumulate
-    /// exactly as a sequential walk's and the report's lists come out
-    /// sorted; the answer is inserted into the cache. Either way the
-    /// records go to `sink`, then the query's single `end_query` fires and
-    /// the query is counted. Only complete chunks get here (an aborted one
-    /// returned from an earlier phase), so nothing partial is ever cached
-    /// or replayed. Returns the query's own step-3/4 counters.
+    /// whole cached answer. Otherwise `answer` is what the chunk's search
+    /// of the volumes `searched` appended for the query, in ascending
+    /// volume order, and it is inserted into the cache. Either way the
+    /// records go to `sink` in one piece, then the query's single
+    /// `end_query` fires and the query is counted. Only complete chunks
+    /// get here (an aborted one returned from an earlier phase), so
+    /// nothing partial is ever cached or replayed. Returns the query's own
+    /// step-3/4 counters.
     fn merge(
         &mut self,
         query_fp: Option<u64>,
         hit: Option<CachedQuery>,
-        fresh: Vec<Option<MemberResult>>,
+        answer: MemberResult,
+        searched: &[usize],
         sink: &mut dyn RecordSink,
         report: &mut SearchReport,
     ) -> Result<PipelineStats, DbError> {
         let _span = self.obs.span("merge");
-        let merged = match hit {
+        let (records, merged) = match hit {
             Some(entry) => {
-                sink.accept_all(entry.records);
                 report.from_cache = true;
                 report.searched = entry.searched;
-                entry.stats
+                (entry.records, entry.stats)
             }
             None => {
-                let mut merged = PipelineStats::default();
-                let mut answer = Vec::new();
-                for (v, share) in fresh.into_iter().enumerate() {
-                    let Some(share) = share else { continue };
-                    merged = merged.merge(&share.stats());
-                    if query_fp.is_some() {
-                        answer.extend_from_slice(&share.records);
-                    }
-                    sink.accept_all(share.records);
-                    report.searched.push(v);
-                }
+                let merged = answer.stats();
+                report.searched = searched.to_vec();
                 if let Some(fp) = query_fp {
                     let results = self.results.as_mut().expect("fingerprinted iff caching");
-                    results.insert(fp, answer, merged, report.searched.clone());
+                    results.insert(fp, answer.records.clone(), merged, report.searched.clone());
                 }
-                merged
+                (answer.records, merged)
             }
         };
+        sink.accept_all(records);
         // Neither served nor searched: quarantined.
         report.skipped = (0..self.residues.len())
             .filter(|v| !report.searched.contains(v))
@@ -809,53 +804,27 @@ impl<'d> DbSession<'d> {
             }
         });
         let mut retries = 0;
-        let mut totals = PipelineStats::default();
-        // Per volume, the shares its search found (see `Staged`), and how
-        // far the merge has taken them; `slot[i]` is query i's place among
-        // the joined queries.
-        let mut searched: Vec<Option<Vec<(usize, MemberResult)>>> =
-            (0..num).map(|_| None).collect();
-        let mut taken = vec![0; num];
-        let mut slot: Vec<Option<usize>> = vec![None; queries.len()];
-        if let Some(chunk) = &chunk {
-            let staged = self.search_volumes(chunk, &mut retries, &deadline)?;
-            for (v, staged) in staged.into_iter().enumerate() {
-                if let Some((chunk_stats, results)) = staged {
-                    // Step 2 and the seconds belong to the chunk, booked
-                    // once; steps 3–4 are counted per query at its merge.
-                    totals = totals.merge(&PipelineStats {
-                        raw_alignments: 0,
-                        step3: Default::default(),
-                        step4: Default::default(),
-                        ..chunk_stats
-                    });
-                    searched[v] = Some(results);
-                }
+        // One answer per joined query, in joined order: every volume's
+        // search appends to it, and the query's merge takes it whole.
+        let mut answers = vec![MemberResult::default(); joined.len()];
+        let (searched, mut totals) = match &chunk {
+            Some(chunk) => {
+                let (searched, mut stats) =
+                    self.search_volumes(chunk, &mut answers, &mut retries, &deadline)?;
+                stats.index_secs += chunk.prepared().stats().build_secs;
+                stats.index_builds += chunk.prepared().stats().builds;
+                (searched, stats)
             }
-            totals.index_secs += chunk.prepared().stats().build_secs;
-            totals.index_builds += chunk.prepared().stats().builds;
-            for (k, &i) in joined.iter().enumerate() {
-                slot[i] = Some(k);
-            }
-        }
+            None => (Vec::new(), PipelineStats::default()),
+        };
+        let mut answers = joined.into_iter().zip(answers).peekable();
         for (i, span) in spans.into_iter().enumerate() {
-            // Queries merge in joined order, so each volume's shares are
-            // taken front to back; a joined query without one found nothing
-            // there. A repeat takes its shares even when its probe hits.
-            let fresh = (0..num)
-                .map(|v| {
-                    let k = slot[i]?;
-                    let found = searched[v].as_mut()?;
-                    let at = &mut taken[v];
-                    Some(match found.get_mut(*at) {
-                        Some((owner, share)) if *owner == k => {
-                            *at += 1;
-                            std::mem::take(share)
-                        }
-                        _ => MemberResult::default(),
-                    })
-                })
-                .collect();
+            // A query the cache answered has no slot; a repeat takes its
+            // answer even when its late probe hits.
+            let answer = answers
+                .next_if(|&(k, _)| k == i)
+                .map(|(_, a)| a)
+                .unwrap_or_default();
             let hit = if late[i] {
                 fps[i].and_then(|fp| self.probe(fp))
             } else {
@@ -867,7 +836,7 @@ impl<'d> DbSession<'d> {
                 retries: if i == 0 { retries } else { 0 },
                 ..SearchReport::default()
             };
-            let own = self.merge(fps[i], hit, fresh, sink, &mut report)?;
+            let own = self.merge(fps[i], hit, answer, &searched, sink, &mut report)?;
             drop(span);
             totals = totals.merge(&own);
             reported(report);

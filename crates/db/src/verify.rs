@@ -105,7 +105,7 @@ fn verify_volume(db: &Database, v: usize) -> Result<(), DbError> {
     // structure (magic / version / checksum via the loader), index
     // w/stride vs manifest, index bank hash vs manifest, and the
     // bank ↔ index pairing invariants.
-    let (prepared, _) = db.attach_volume(v)?;
+    let prepared = db.attach_volume(v)?;
     // One check the serving path skips (it never needs the count): the
     // manifest's per-volume sequence count.
     let meta = db.volume(v);

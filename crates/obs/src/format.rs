@@ -1,5 +1,5 @@
-//! Exposition: `--metrics-json`, Prometheus text, and the `--stats`
-//! stderr block shared by every CLI mode.
+//! Exposition: `--metrics-json` and the `--stats` stderr block shared by
+//! every CLI mode.
 
 use std::fmt::Display;
 use std::fmt::Write as _;
@@ -60,38 +60,6 @@ pub fn render_json(s: &Snapshot) -> String {
         out.push_str("]}");
     }
     out.push_str("}}\n");
-    out
-}
-
-/// Render a snapshot in the Prometheus text exposition format, every
-/// instrument prefixed `oris_`. This is the scrape-endpoint hook for a
-/// future `scoris-serve`; today the CLI writes it via `--metrics-prom`.
-pub fn render_prometheus(s: &Snapshot) -> String {
-    let mut out = String::with_capacity(512);
-    for (k, v) in &s.counters {
-        let _ = writeln!(out, "# TYPE oris_{k} counter");
-        let _ = writeln!(out, "oris_{k} {v}");
-    }
-    for (k, v) in &s.gauges {
-        let _ = writeln!(out, "# TYPE oris_{k} gauge");
-        let _ = writeln!(out, "oris_{k} {v:?}");
-    }
-    for (k, h) in &s.histograms {
-        let _ = writeln!(out, "# TYPE oris_{k} histogram");
-        let cum = h.cumulative();
-        for (j, c) in cum.iter().enumerate() {
-            match BUCKET_BOUNDS.get(j) {
-                Some(b) => {
-                    let _ = writeln!(out, "oris_{k}_bucket{{le=\"{b:?}\"}} {c}");
-                }
-                None => {
-                    let _ = writeln!(out, "oris_{k}_bucket{{le=\"+Inf\"}} {c}");
-                }
-            }
-        }
-        let _ = writeln!(out, "oris_{k}_sum {:?}", h.sum());
-        let _ = writeln!(out, "oris_{k}_count {}", h.count());
-    }
     out
 }
 
@@ -172,25 +140,6 @@ mod tests {
         let opens = j.matches(['{', '[']).count();
         let closes = j.matches(['}', ']']).count();
         assert_eq!(opens, closes, "{j}");
-    }
-
-    #[test]
-    fn prometheus_has_type_lines_and_cumulative_buckets() {
-        let s = sample();
-        let p = render_prometheus(&s);
-        assert!(p.contains("# TYPE oris_queries_total counter"), "{p}");
-        assert!(p.contains("oris_queries_total 4"), "{p}");
-        assert!(p.contains("# TYPE oris_query_seconds histogram"), "{p}");
-        assert!(
-            p.contains("oris_query_seconds_bucket{le=\"+Inf\"} 2"),
-            "{p}"
-        );
-        assert!(p.contains("oris_query_seconds_count 2"), "{p}");
-        // 2e-6 is <= 4e-6, so that bucket and all later ones count it.
-        assert!(
-            p.contains("oris_query_seconds_bucket{le=\"4e-6\"} 1"),
-            "{p}"
-        );
     }
 
     #[test]

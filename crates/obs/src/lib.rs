@@ -44,8 +44,7 @@
 //!
 //! Instrument names are centralized in [`names`]; the documented set is
 //! [`names::ALL`]. Exposition: [`render_json`] (the `--metrics-json`
-//! schema) and [`render_prometheus`] (text format for a future
-//! `scoris-serve` scrape endpoint). Trace events are JSON lines,
+//! schema). Trace events are JSON lines,
 //! `{"seq":N,"t_us":T,"ev":"begin|end|point","span":NAME,...}`, written
 //! through `--trace <path>`.
 
@@ -56,6 +55,6 @@ mod metrics;
 mod trace;
 
 pub use clock::{monotonic_now, Clock, ManualClock, MonotonicClock, Stopwatch};
-pub use format::{render_json, render_prometheus, StatsBlock};
+pub use format::{render_json, StatsBlock};
 pub use handle::{Field, Obs, ObsBuilder, SpanGuard};
 pub use metrics::{names, Histogram, Registry, Snapshot, BUCKET_BOUNDS};

@@ -2,7 +2,7 @@
 //! exercising the public API exactly as the experiment harness does.
 
 use oris::prelude::*;
-use oris_core::{Deadline, FilterKind, QueryChunk};
+use oris_core::{Deadline, FilterKind, MemberResult, QueryChunk};
 
 fn small_est_pair() -> (Bank, Bank) {
     let b1 = paper_banks(&["EST1"], 0.05).remove(0).bank;
@@ -213,12 +213,14 @@ fn prepared_queries_skip_all_builds() {
     let session = Session::new(&subject, &cfg).unwrap();
     let one = std::slice::from_ref(&query);
     let chunk = QueryChunk::prepare(one, cfg.filter, cfg.query_index_config());
-    let (stats, members) = session.search_chunk(&chunk, &Deadline::none()).unwrap();
+    let mut out = [MemberResult::default()];
+    let stats = session
+        .search_chunk(&chunk, &mut out, &Deadline::none())
+        .unwrap();
     assert_eq!(stats.index_builds, 0);
+    let [member] = out;
     let mut sink = CollectSink::new();
-    for member in members {
-        sink.accept_all(member.records);
-    }
+    sink.accept_all(member.records);
     sink.end_query().unwrap();
     assert_eq!(
         sink.into_records(),
