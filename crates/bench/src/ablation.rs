@@ -47,9 +47,6 @@ pub fn find_hsps_unordered_dedup(
         &Deadline::none(),
     )
     .expect("a disarmed deadline cannot expire");
-    // find_hsps_guarded dedups *exact* duplicates already via sort +
-    // dedup; to measure the true duplicate volume we re-run the counting
-    // from the kept statistic.
     let mut seen: HashSet<(u32, u32, u32)> = HashSet::with_capacity(raw.len());
     let mut out = Vec::with_capacity(raw.len());
     for h in &raw {
@@ -58,8 +55,8 @@ pub fn find_hsps_unordered_dedup(
         }
     }
     let stats = DedupStats {
-        raw_hsps: s2.kept,
-        duplicates_removed: s2.kept - out.len() as u64,
+        raw_hsps: raw.len() as u64,
+        duplicates_removed: (raw.len() - out.len()) as u64,
         step2: s2,
     };
     (out, stats)

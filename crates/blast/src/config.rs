@@ -1,130 +1,36 @@
-//! BLASTN-like baseline configuration.
+//! The baseline's fixed differences from an ORIS run.
+//!
+//! The baseline takes the ORIS engine's own [`OrisConfig`]: seed length,
+//! scoring, thresholds, threads and search space are shared, so the two
+//! programs differ in hit detection only. What the baseline changes is
+//! fixed, and lives here.
 
-use oris_align::ScoringScheme;
-use oris_core::FilterKind;
+use oris_core::{FilterKind, OrisConfig};
 
-/// Configuration of the BLASTN-style baseline.
-///
-/// Mirrors [`oris_core::OrisConfig`] field-for-field where the stages are
-/// shared, so experiments can run both engines with identical scoring,
-/// thresholds and seed length — only the hit-detection machinery differs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BlastConfig {
-    /// Seed (word) length `W`; BLASTN's default for DNA is 11.
-    pub w: usize,
-    /// X-drop for the ungapped extension.
-    pub xdrop_ungapped: i32,
-    /// X-drop for the gapped extension.
-    pub xdrop_gapped: i32,
-    /// Minimum HSP score kept after the scan.
-    pub min_hsp_score: i32,
-    /// E-value threshold on final alignments.
-    pub evalue_threshold: f64,
-    /// Scoring scheme.
-    pub scheme: ScoringScheme,
-    /// Low-complexity filter (BLASTN runs DUST by default).
-    pub filter: FilterKind,
-    /// Worker threads (`None` = rayon global default).
-    pub threads: Option<usize>,
-    /// Query batching in nucleotides (`None` = one pass with the whole
-    /// query bank in the lookup table).
-    ///
-    /// NCBI `blastall` 2.2.17 — the program the paper measures — builds
-    /// its lookup table over a bounded *batch* of query sequences
-    /// (roughly 20 kbp of concatenated nucleotide queries) and rescans
-    /// the entire database for every batch. That rescan loop is the main
-    /// reason BLASTN is slow on many-short-sequence banks yet "performs
-    /// well" on a few chromosome-size sequences (one batch ≈ one scan).
-    /// [`BlastConfig::blastall_like`] enables this behaviour; batching
-    /// changes timing only — reported records are identical (verified by
-    /// tests).
-    pub batch_nt: Option<usize>,
-    /// Subject-side effective search space for e-values (mirrors
-    /// [`oris_core::OrisConfig::subject_space`], so a database-wide
-    /// `--dbsize` run prices both engines' alignments identically).
-    pub subject_space: oris_core::SubjectSpace,
-}
+/// Query residues per lookup-table batch. NCBI `blastall` 2.2.17 — the
+/// program the paper measures — builds its lookup table over a bounded
+/// batch of query sequences (about 20 kbp of concatenated nucleotides)
+/// and rescans the whole database for every batch. That rescan loop is
+/// the main reason BLASTN is slow on banks of many short sequences yet
+/// "performs well" on a few chromosome-size ones (one batch ≈ one scan).
+/// A record longer than the batch is a batch of its own. Batching changes
+/// timing only: e-values are priced on the whole query bank.
+pub(crate) const BATCH_NT: usize = 20_000;
 
-impl Default for BlastConfig {
-    fn default() -> Self {
-        BlastConfig {
-            w: 11,
-            xdrop_ungapped: 20,
-            xdrop_gapped: 25,
-            min_hsp_score: 18,
-            evalue_threshold: 1e-3,
-            scheme: ScoringScheme::blastn(),
-            filter: FilterKind::Dust,
-            threads: None,
-            batch_nt: None,
-            subject_space: oris_core::SubjectSpace::PerSequence,
-        }
-    }
-}
-
-impl BlastConfig {
-    /// Small-input configuration for tests and examples.
-    pub fn small(w: usize) -> BlastConfig {
-        BlastConfig {
-            w,
-            min_hsp_score: (w as i32) + 4,
-            evalue_threshold: 10.0,
-            filter: FilterKind::None,
-            ..Default::default()
-        }
-    }
-
-    /// A configuration matched to an ORIS configuration: same scoring,
-    /// seed length and thresholds, but each engine keeps its own filter
-    /// (the paper's two programs genuinely differ there).
-    pub fn matched(oris: &oris_core::OrisConfig) -> BlastConfig {
-        BlastConfig {
-            w: oris.w,
-            xdrop_ungapped: oris.xdrop_ungapped,
-            xdrop_gapped: oris.xdrop_gapped,
-            min_hsp_score: oris.min_hsp_score,
-            evalue_threshold: oris.evalue_threshold,
-            scheme: oris.scheme,
-            filter: if oris.filter == FilterKind::None {
-                FilterKind::None
-            } else {
-                FilterKind::Dust
-            },
-            threads: oris.threads,
-            batch_nt: None,
-            subject_space: oris.subject_space,
-        }
-    }
-
-    /// The blastall-2.2.17-like configuration the paper's timings are
-    /// against: ~20 kbp query batches, full database rescan per batch.
-    pub fn blastall_like(oris: &oris_core::OrisConfig) -> BlastConfig {
-        BlastConfig {
-            batch_nt: Some(20_000),
-            ..BlastConfig::matched(oris)
-        }
-    }
-
-    /// Converts to the core config driving the shared gapped stage.
-    pub fn as_oris(&self) -> oris_core::OrisConfig {
-        oris_core::OrisConfig {
-            w: self.w,
-            xdrop_ungapped: self.xdrop_ungapped,
-            xdrop_gapped: self.xdrop_gapped,
-            min_hsp_score: self.min_hsp_score,
-            evalue_threshold: self.evalue_threshold,
-            scheme: self.scheme,
-            filter: self.filter,
-            asymmetric: false,
-            both_strands: false,
-            threads: self.threads,
-            subject_space: self.subject_space,
-        }
-    }
-
-    /// Validates invariants.
-    pub fn validate(&self) -> Result<(), String> {
-        self.as_oris().validate()
+/// The configuration the baseline runs for the ORIS configuration `cfg`.
+/// The filter is DUST (BLASTN's `dust`) wherever ORIS masks, and none
+/// where ORIS does not: the paper's two programs really differ there. The
+/// lookup is full stride on the plus strand, so `asymmetric` and
+/// `both_strands` are off.
+pub(crate) fn baseline(cfg: &OrisConfig) -> OrisConfig {
+    OrisConfig {
+        filter: match cfg.filter {
+            FilterKind::None => FilterKind::None,
+            _ => FilterKind::Dust,
+        },
+        asymmetric: false,
+        both_strands: false,
+        ..*cfg
     }
 }
 
@@ -134,7 +40,7 @@ mod tests {
 
     #[test]
     fn default_matches_blastn_conventions() {
-        let c = BlastConfig::default();
+        let c = baseline(&OrisConfig::default());
         assert_eq!(c.w, 11);
         assert_eq!(c.filter, FilterKind::Dust);
         assert_eq!(c.evalue_threshold, 1e-3);
@@ -143,8 +49,8 @@ mod tests {
 
     #[test]
     fn matched_config_shares_thresholds() {
-        let oris = oris_core::OrisConfig::default();
-        let b = BlastConfig::matched(&oris);
+        let oris = OrisConfig::default();
+        let b = baseline(&oris);
         assert_eq!(b.w, oris.w);
         assert_eq!(b.min_hsp_score, oris.min_hsp_score);
         assert_eq!(b.evalue_threshold, oris.evalue_threshold);
@@ -155,8 +61,7 @@ mod tests {
 
     #[test]
     fn matched_respects_no_filter() {
-        let oris = oris_core::OrisConfig::small(6);
-        let b = BlastConfig::matched(&oris);
+        let b = baseline(&OrisConfig::small(6));
         assert_eq!(b.filter, FilterKind::None);
     }
 }

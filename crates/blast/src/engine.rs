@@ -1,17 +1,20 @@
-//! The full BLASTN-style pipeline: filter → lookup → scan → gapped stage.
+//! The BLASTN-style pipeline: filter → lookup → scan → gapped stage, one
+//! query batch at a time.
 //!
-//! The gapped stage and record output are shared with the ORIS engine:
-//! every query batch runs the ORIS engine's fused steps-3+4 runner into
-//! one [`CollectSink`], and [`compare_banks`] sorts the whole run's
-//! records once at the end.
+//! Like `blastall` 2.2.17, the baseline builds its lookup table over a
+//! batch of about 20 kbp of query residues and rescans the whole
+//! subject bank for each batch; a smaller query bank is one batch. The
+//! gapped stage and record output are shared with the ORIS engine: every
+//! batch runs the ORIS engine's fused steps-3+4 runner, and
+//! [`compare_banks`] sorts the whole run's records once at the end.
 
 use oris_core::engine::mask_for;
-use oris_core::sink::{CollectSink, RecordSink};
-use oris_core::{M8Record, PreparedBank};
+use oris_core::pipeline::gapped_stage_into;
+use oris_core::{M8Record, OrisConfig, PreparedBank};
 use oris_index::{IndexConfig, MaskSet};
 use oris_seqio::Bank;
 
-use crate::config::BlastConfig;
+use crate::config::{baseline, BATCH_NT};
 use crate::scan::{scan_bank, ScanStats};
 
 /// Counter report for one baseline run.
@@ -37,26 +40,26 @@ pub struct BlastResult {
 /// The query-side lookup table: the batch's index at full stride, words
 /// overlapping a masked region discarded (BLAST lookup-table semantics)
 /// — the ORIS engine's step 1, literally.
-fn lookup_table<'b>(batch: &'b Bank, cfg: &BlastConfig) -> PreparedBank<'b> {
+fn lookup_table<'b>(batch: &'b Bank, cfg: &OrisConfig) -> PreparedBank<'b> {
     PreparedBank::prepare(batch, cfg.filter, IndexConfig::full(cfg.w))
 }
 
 /// The subject-side mask the scan consults: every word start whose word
 /// overlaps a masked region.
-fn subject_mask(bank2: &Bank, cfg: &BlastConfig) -> Option<MaskSet> {
+fn subject_mask(bank2: &Bank, cfg: &OrisConfig) -> Option<MaskSet> {
     mask_for(cfg.filter, bank2).map(|m| m.dilated_left(cfg.w))
 }
 
-/// Splits bank-1 records into batches of roughly `batch_nt` residues
+/// Splits bank-1 records into batches of roughly `budget` residues
 /// (always at least one record per batch), rebuilding each batch as a
 /// stand-alone bank with the original sequence names.
-fn query_batches(bank1: &Bank, batch_nt: usize) -> Vec<Bank> {
+fn query_batches(bank1: &Bank, budget: usize) -> Vec<Bank> {
     let mut out = Vec::new();
     let mut builder: Option<oris_seqio::BankBuilder> = None;
     let mut acc = 0usize;
     for i in 0..bank1.num_sequences() {
         let rec = bank1.record(i);
-        if builder.is_some() && acc > 0 && acc + rec.len > batch_nt {
+        if builder.is_some() && acc > 0 && acc + rec.len > budget {
             out.push(builder.take().unwrap().finish());
             acc = 0;
         }
@@ -70,128 +73,64 @@ fn query_batches(bank1: &Bank, batch_nt: usize) -> Vec<Bank> {
     out
 }
 
-/// Shared gapped stage + output for one query batch: literally the ORIS
-/// engine's fused steps-3+4 runner
-/// (`oris_core::pipeline::gapped_stage_into`), so the baseline's result
-/// path stays byte-comparable by construction.
-fn gapped_stage_into(
-    batch: &Bank,
-    bank2: &Bank,
-    hsps: &[oris_core::Hsp],
-    oris_cfg: &oris_core::OrisConfig,
-    query_residues: usize,
-    stats: &mut BlastStats,
-    sink: &mut CollectSink,
-) {
-    let mut push = |rec: M8Record| sink.accept(rec);
-    let r = oris_core::pipeline::gapped_stage_into(
-        batch,
-        bank2,
-        hsps,
-        oris_cfg,
-        query_residues,
-        false,
-        &mut push,
-    );
-    stats.raw_alignments += r.raw_alignments;
-}
-
-/// The blastall-style batched pipeline: lookup per query batch, full
-/// database rescan per batch. Same records as the one-pass pipeline
-/// (e-values use the full query-bank size), different cost structure.
+/// The batch loop: a lookup table per query batch, a full rescan of bank 2
+/// per batch (its mask computed once), and the shared gapped stage priced
+/// on the whole query bank. Returns the records unsorted.
 fn run_batched(
     bank1: &Bank,
     bank2: &Bank,
-    cfg: &BlastConfig,
-    batch_nt: usize,
-    sink: &mut CollectSink,
-) -> BlastStats {
+    cfg: &OrisConfig,
+    budget: usize,
+) -> (Vec<M8Record>, BlastStats) {
+    let mut records = Vec::new();
     let mut stats = BlastStats::default();
-    let oris_cfg = cfg.as_oris();
-    let full_query_residues = bank1.num_residues();
-
-    // Subject mask computed once, reused across batches.
     let mask2 = subject_mask(bank2, cfg);
-
-    for batch in query_batches(bank1, batch_nt) {
+    for batch in query_batches(bank1, budget) {
         let lookup = lookup_table(&batch, cfg);
         let (hsps, scan_stats) = scan_bank(&batch, lookup.index(), bank2, cfg, mask2.as_ref());
         stats.hsps += hsps.len();
         stats.scan = stats.scan.merge(scan_stats);
-
-        // All batches land in one sink; the single end_query sort in
-        // `compare_banks` orders every batch's records together.
-        gapped_stage_into(
-            &batch,
-            bank2,
-            &hsps,
-            &oris_cfg,
-            full_query_residues,
-            &mut stats,
-            sink,
-        );
+        let out = gapped_stage_into(&batch, bank2, &hsps, cfg, bank1.num_residues());
+        stats.raw_alignments += out.raw_alignments;
+        records.extend(out.records);
     }
-    stats
+    (records, stats)
 }
 
-fn run_pipeline(
-    bank1: &Bank,
-    bank2: &Bank,
-    cfg: &BlastConfig,
-    sink: &mut CollectSink,
-) -> BlastStats {
-    if let Some(batch_nt) = cfg.batch_nt {
-        return run_batched(bank1, bank2, cfg, batch_nt, sink);
-    }
-    // Lookup table over the query bank (+ masks for both banks), then the
-    // subject scan.
-    let (lookup, mask2) = rayon::join(|| lookup_table(bank1, cfg), || subject_mask(bank2, cfg));
-    let (hsps, scan) = scan_bank(bank1, lookup.index(), bank2, cfg, mask2.as_ref());
-    let mut stats = BlastStats {
-        hsps: hsps.len(),
-        scan,
-        raw_alignments: 0,
-    };
-    let oris_cfg = cfg.as_oris();
-    gapped_stage_into(
-        bank1,
-        bank2,
-        &hsps,
-        &oris_cfg,
-        bank1.num_residues(),
-        &mut stats,
-        sink,
-    );
-    stats
-}
-
-/// Compares two banks with the BLASTN-style baseline. The records are
-/// sorted once for the whole run: the baseline's unit of work is the full
-/// query bank.
+/// Compares two banks with the BLASTN-style baseline under the ORIS
+/// configuration `cfg`, with DUST wherever `cfg` masks and a full-stride,
+/// plus-strand lookup whatever it asks. The records are sorted once for
+/// the whole run: the baseline's unit of work is the full query bank.
 ///
 /// # Panics
-/// Panics if the configuration fails [`BlastConfig::validate`].
-pub fn compare_banks(bank1: &Bank, bank2: &Bank, cfg: &BlastConfig) -> BlastResult {
+/// Panics if the configuration fails [`OrisConfig::validate`].
+pub fn compare_banks(bank1: &Bank, bank2: &Bank, cfg: &OrisConfig) -> BlastResult {
+    compare_banks_batched(bank1, bank2, cfg, BATCH_NT)
+}
+
+/// [`compare_banks`] with the batch size as a parameter, so tests can cut
+/// a toy bank into batches of every size.
+fn compare_banks_batched(
+    bank1: &Bank,
+    bank2: &Bank,
+    cfg: &OrisConfig,
+    budget: usize,
+) -> BlastResult {
+    let cfg = baseline(cfg);
     if let Err(e) = cfg.validate() {
         panic!("invalid BLAST configuration: {e}");
     }
-    let mut sink = CollectSink::new();
-    let stats = match cfg.threads {
-        None => run_pipeline(bank1, bank2, cfg, &mut sink),
-        Some(n) => {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build()
-                .expect("failed to build thread pool");
-            pool.install(|| run_pipeline(bank1, bank2, cfg, &mut sink))
-        }
+    let run = || run_batched(bank1, bank2, &cfg, budget);
+    let (mut alignments, stats) = match cfg.threads {
+        None => run(),
+        Some(n) => rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .expect("failed to build thread pool")
+            .install(run),
     };
-    sink.end_query()
-        .expect("CollectSink does no IO and cannot fail");
-    BlastResult {
-        alignments: sink.into_records(),
-        stats,
-    }
+    M8Record::sort_all(&mut alignments);
+    BlastResult { alignments, stats }
 }
 
 #[cfg(test)]
@@ -212,7 +151,7 @@ mod tests {
         let core = "ATGGCGTACGTTAGCCTAGGCTTAACGGATCGATCCGGTAAGCT";
         let b1 = bank(&[&format!("TTACCGGTTAACC{core}GGTTACGCAT")]);
         let b2 = bank(&[&format!("CCGGAACCTT{core}TTGGCCAACGGT")]);
-        let r = compare_banks(&b1, &b2, &BlastConfig::small(8));
+        let r = compare_banks(&b1, &b2, &OrisConfig::small(8));
         assert_eq!(r.alignments.len(), 1, "{:?}", r.alignments);
         assert!(r.alignments[0].pident > 90.0);
     }
@@ -236,10 +175,9 @@ mod tests {
             cores[0],
             &format!("AA{}TT", cores[2]),
         ]);
-        let oris_cfg = oris_core::OrisConfig::small(8);
-        let blast_cfg = BlastConfig::matched(&oris_cfg);
-        let r_oris = oris_core::compare_banks(&b1, &b2, &oris_cfg);
-        let r_blast = compare_banks(&b1, &b2, &blast_cfg);
+        let cfg = OrisConfig::small(8);
+        let r_oris = oris_core::compare_banks(&b1, &b2, &cfg);
+        let r_blast = compare_banks(&b1, &b2, &cfg);
         let rep = oris_eval::compare_outputs(&r_oris.alignments, &r_blast.alignments, 0.8);
         assert_eq!(rep.a_miss, 0, "{rep:?}");
         assert_eq!(rep.b_miss, 0, "{rep:?}");
@@ -250,7 +188,7 @@ mod tests {
     fn stats_populated() {
         let s = "ATGGCGTACGTTAGCCTAGGCTTAACGGATCGAT";
         let b = bank(&[s]);
-        let r = compare_banks(&b, &b, &BlastConfig::small(6));
+        let r = compare_banks(&b, &b, &OrisConfig::small(6));
         assert!(r.stats.hsps > 0);
         assert!(r.stats.scan.probes > 0);
         assert!(r.stats.scan.kept > 0);
@@ -262,13 +200,37 @@ mod tests {
         let repeat = "CA".repeat(60);
         let b1 = bank(&[&format!("ATGGCGTACGTTAGCC{repeat}")]);
         let b2 = bank(&[&format!("GGCCATTAGGCCTTAA{repeat}")]);
-        let mut cfg = BlastConfig::small(8);
-        cfg.filter = oris_core::FilterKind::None;
+        let mut cfg = OrisConfig::small(8);
         let unfiltered = compare_banks(&b1, &b2, &cfg);
         assert!(!unfiltered.alignments.is_empty());
         cfg.filter = oris_core::FilterKind::Dust;
         let filtered = compare_banks(&b1, &b2, &cfg);
         assert!(filtered.alignments.len() < unfiltered.alignments.len());
+    }
+
+    #[test]
+    fn oris_only_options_leave_records_unchanged() {
+        // A plus-strand core and a reverse-complemented one: a stride-2
+        // or two-strand lookup would change what the baseline reports.
+        let core = "ATGGCGTACGTTAGCCTAGGCTTAACGGATCGAT";
+        let rc = "ATCGATCCGTTAAGCCTAGGCTAACGTACGCCAT";
+        let b1 = bank(&[&format!("TTACCGG{core}GGTTACG")]);
+        let b2 = bank(&[&format!("CCGGAA{core}TTGG"), &format!("GGTT{rc}AACC")]);
+        let plain = OrisConfig::small(8);
+        let r = compare_banks(&b1, &b2, &plain);
+        assert!(!r.alignments.is_empty());
+        for cfg in [
+            OrisConfig {
+                asymmetric: true,
+                ..plain
+            },
+            OrisConfig {
+                both_strands: true,
+                ..plain
+            },
+        ] {
+            assert_eq!(compare_banks(&b1, &b2, &cfg), r, "{cfg:?}");
+        }
     }
 
     #[test]
@@ -280,7 +242,7 @@ mod tests {
         let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
         let b1 = bank(&[core]);
         let b2 = bank(&refs);
-        let mut cfg = BlastConfig::small(8);
+        let mut cfg = OrisConfig::small(8);
         cfg.threads = Some(1);
         let r1 = compare_banks(&b1, &b2, &cfg);
         cfg.threads = Some(4);
@@ -317,12 +279,17 @@ mod batch_tests {
         let refs2: Vec<&str> = seqs2.iter().map(|s| s.as_str()).collect();
         let b2 = bank(&refs2);
 
-        let mut cfg = BlastConfig::small(8);
-        let one_pass = compare_banks(&b1, &b2, &cfg);
-        cfg.batch_nt = Some(40); // force ~one record per batch
-        let batched = compare_banks(&b1, &b2, &cfg);
-        assert_eq!(one_pass.alignments, batched.alignments);
-        assert!(batched.alignments.len() >= cores.len());
+        let cfg = OrisConfig::small(8);
+        let one_batch = compare_banks_batched(&b1, &b2, &cfg, usize::MAX);
+        assert_eq!(query_batches(&b1, 1).len(), cores.len());
+        let per_record = compare_banks_batched(&b1, &b2, &cfg, 1);
+        assert_eq!(one_batch.alignments, per_record.alignments);
+        assert!(per_record.alignments.len() >= cores.len());
+        // Every batch rescans bank 2.
+        assert_eq!(
+            per_record.stats.scan.probes,
+            cores.len() as u64 * one_batch.stats.scan.probes
+        );
     }
 
     #[test]

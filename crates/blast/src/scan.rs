@@ -15,12 +15,10 @@
 //! so per-sequence resets are O(1).
 
 use oris_align::{extend_hit, ExtensionOutcome, OrderGuard, UngappedParams};
-use oris_core::Hsp;
+use oris_core::{Hsp, OrisConfig};
 use oris_index::BankIndex;
 use oris_seqio::Bank;
 use rayon::prelude::*;
-
-use crate::config::BlastConfig;
 
 /// Counters reported by the scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -179,7 +177,7 @@ pub fn scan_bank(
     bank1: &Bank,
     lookup: &BankIndex,
     bank2: &Bank,
-    cfg: &BlastConfig,
+    cfg: &OrisConfig,
     masked2: Option<&oris_index::MaskSet>,
 ) -> (Vec<Hsp>, ScanStats) {
     let params = UngappedParams {
@@ -237,16 +235,16 @@ mod tests {
         b.finish()
     }
 
-    fn run(b1: &Bank, b2: &Bank, cfg: &BlastConfig) -> (Vec<Hsp>, ScanStats) {
+    fn run(b1: &Bank, b2: &Bank, cfg: &OrisConfig) -> (Vec<Hsp>, ScanStats) {
         let lookup = BankIndex::build(b1, IndexConfig::full(cfg.w));
         scan_bank(b1, &lookup, b2, cfg, None)
     }
 
-    fn cfg(w: usize) -> BlastConfig {
-        BlastConfig {
+    fn cfg(w: usize) -> OrisConfig {
+        OrisConfig {
             w,
             min_hsp_score: w as i32,
-            ..BlastConfig::small(w)
+            ..OrisConfig::small(w)
         }
     }
 
@@ -284,10 +282,9 @@ mod tests {
         let c = cfg(6);
         let (blast_hsps, _) = run(&b1, &b2, &c);
 
-        let oris_cfg = c.as_oris();
         let i1 = BankIndex::build(&b1, IndexConfig::full(c.w));
         let i2 = BankIndex::build(&b2, IndexConfig::full(c.w));
-        let (oris_hsps, _) = oris_core::step2::find_hsps(&b1, &i1, &b2, &i2, &oris_cfg);
+        let (oris_hsps, _) = oris_core::step2::find_hsps(&b1, &i1, &b2, &i2, &c);
 
         let a: std::collections::HashSet<(u32, u32, u32)> = blast_hsps
             .iter()

@@ -93,7 +93,7 @@ use std::process::ExitCode;
 use oris_cli::{read_bank, Args};
 use oris_core::{FilterKind, OrisConfig, PipelineStats, Session, StreamWriter};
 use oris_db::{DbOptions, DbSession};
-use oris_obs::{names, Obs, StatsBlock, Stopwatch};
+use oris_obs::{Obs, StatsBlock, Stopwatch};
 use oris_seqio::Bank;
 
 fn usage() -> &'static str {
@@ -309,8 +309,8 @@ impl Iterator for &mut BatchQueries {
     }
 }
 
-/// The run's observability wiring: one [`Obs`] handle (armed when any of
-/// `--stats` / `--trace` / `--metrics-json` is given, disarmed — a single
+/// The run's observability wiring: one [`Obs`] handle (armed when
+/// `--trace` or `--metrics-json` is given, disarmed — a single
 /// branch per instrumented operation — otherwise) plus the exposition path
 /// to write when the run ends.
 struct ObsSetup {
@@ -321,8 +321,7 @@ struct ObsSetup {
 fn build_obs(args: &Args) -> Result<ObsSetup, String> {
     let metrics_json = args.options.get("metrics-json").cloned();
     let trace = args.options.get("trace");
-    let armed = args.has_flag("stats") || trace.is_some() || metrics_json.is_some();
-    let obs = if armed {
+    let obs = if trace.is_some() || metrics_json.is_some() {
         let mut builder = Obs::builder();
         if let Some(path) = trace {
             let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
@@ -670,9 +669,9 @@ fn search(
             b.field("quarantines", session.quarantined().count());
         }
     }
-    // Dispatches are counted by the registry alone (--stats arms the
-    // handle); the cache's counts are the session's own.
-    b.field("dispatches", obs.counter(names::WORKER_DISPATCH_TOTAL));
+    // Every count here is the session's own: --stats leaves the handle
+    // disarmed.
+    b.field("dispatches", session.dispatches());
     let cache = session.result_cache_counters();
     b.field("cache_hits", cache.hits);
     b.field("cache_misses", cache.misses);

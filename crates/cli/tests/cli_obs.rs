@@ -331,6 +331,47 @@ fn every_mode_counts_the_queries_it_runs() {
 }
 
 #[test]
+fn stats_alone_prints_the_registry_dispatch_count() {
+    // `--stats` leaves the handle disarmed: its `dispatches` is the
+    // session's own count, and must equal the registry's counter.
+    let dir = scratch("dispatches");
+    let (subject, _) = write_fixture(&dir);
+    let db = build_db(&dir, &subject);
+    let batch = dir.join("batch.fa");
+    std::fs::write(&batch, format!(">a\n{CORE}\n>b\nTTGACCGTAA{CORE}CCGG\n")).unwrap();
+    let inputs = [
+        "--batch",
+        batch.to_str().unwrap(),
+        "--db",
+        db.to_str().unwrap(),
+    ];
+    let out = scoris_n()
+        .args(inputs)
+        .args(["-W", "8", "--stats"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stats = String::from_utf8_lossy(&out.stderr);
+    let printed: u64 = stats
+        .split_whitespace()
+        .find_map(|kv| kv.strip_prefix("dispatches="))
+        .unwrap_or_else(|| panic!("no dispatches key: {stats}"))
+        .parse()
+        .unwrap();
+    let metrics = dir.join("m.json");
+    let out = scoris_n()
+        .args(inputs)
+        .args(["-W", "8", "--metrics-json", metrics.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let doc = std::fs::read_to_string(&metrics).unwrap();
+    let counter = format!("\"worker_dispatch_total\":{printed}");
+    assert!(printed > 1, "one chunk over several volumes: {stats}");
+    assert!(doc.contains(&counter), "no {counter} in {doc}");
+}
+
+#[test]
 fn the_query_step_1_is_a_prepare_span_inside_query_before_step2() {
     let dir = scratch("prepare_span");
     let (subject, query) = write_fixture(&dir);

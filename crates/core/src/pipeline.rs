@@ -194,58 +194,54 @@ impl MemberResult {
     }
 }
 
-/// Fused steps 3+4 over step-2 HSPs: each record-pair group's alignments
-/// go straight through step 4 the moment step 3 finishes the group, and
-/// are freed — the whole-run alignment vector of the collect-then-merge
-/// pipeline never exists. Step 4 runs inside step 3's
-/// emission, so its seconds are metered separately and subtracted from
-/// the fused region's wall clock. The report holds the stage's part of a
-/// [`PipelineStats`]: `raw_alignments`, `step3`, `step4`, `step3_secs`
-/// and `step4_secs`; every other field is zero.
-///
-/// The BLAST baseline's gapped stage: one member over the ORIS runner's
-/// routed stage (the engines differ in hit *detection* only — keeping the
-/// result path literally the same code is what keeps the baseline
-/// comparable). Records reach `push` once the stage is done.
-/// `query_residues` is the e-value
-/// search-space size on the query side (the full bank for a batched
-/// baseline run); with `flip_subject`, subject coordinates are mapped back
-/// to the original records' plus-strand numbering *here*, where each
-/// alignment still resolves to a record index — a name-keyed mapping after
-/// the fact would corrupt coordinates whenever bank 2 carries duplicate
-/// record names.
+/// The BLAST baseline's gapped stage: the ORIS runner's fused steps 3+4
+/// over one member (the engines differ in hit *detection* only — keeping
+/// the result path literally the same code is what keeps the baseline
+/// comparable). Returns the member's records, unsorted, and its step-3/4
+/// counters. `query_residues` is the e-value search-space size on the
+/// query side (the full bank for a batched baseline run).
 pub fn gapped_stage_into(
     bank1: &Bank,
     bank2: &Bank,
     hsps: &[Hsp],
     cfg: &OrisConfig,
     query_residues: usize,
-    flip_subject: bool,
-    push: &mut dyn FnMut(M8Record),
-) -> PipelineStats {
+) -> MemberResult {
     let members = Members::one(bank1.num_sequences(), query_residues);
     let mut out = [MemberResult::default()];
-    let report = gapped_stage_routed(
+    gapped_stage_routed(
         bank1,
         &members,
         bank2,
         hsps,
         cfg,
-        flip_subject,
+        false,
         &mut out,
         &Deadline::none(),
     )
     .expect("a disarmed deadline cannot expire");
     let [out] = out;
-    out.records.into_iter().for_each(push);
-    report
+    out
 }
 
-/// [`gapped_stage_into`] over a joint query bank: each group's records
-/// and counters are added to the member owning its query record, `out[m]`,
-/// with e-values priced against that member's residues. `deadline` is
-/// read at the step-3 points [`crate::deadline`] lists; on expiry `out`
-/// holds the groups before it, and the caller drops it.
+/// Fused steps 3+4 over step-2 HSPs of a joint query bank: each
+/// record-pair group's alignments go straight through step 4 the moment
+/// step 3 finishes the group, and are freed — the whole-run alignment
+/// vector of the collect-then-merge pipeline never exists. The group's
+/// records and counters are added to the member owning its query record,
+/// `out[m]`, with e-values priced against that member's residues. Step 4
+/// runs inside step 3's emission, so its seconds are metered separately
+/// and subtracted from the fused region's wall clock. The report holds
+/// the stage's part of a [`PipelineStats`]: `raw_alignments`, `step3`,
+/// `step4`, `step3_secs` and `step4_secs`; every other field is zero.
+///
+/// With `flip_subject`, subject coordinates are mapped back to the
+/// original records' plus-strand numbering *here*, where each alignment
+/// still resolves to a record index — a name-keyed mapping after the fact
+/// would corrupt coordinates whenever bank 2 carries duplicate record
+/// names. `deadline` is read at the step-3 points [`crate::deadline`]
+/// lists; on expiry `out` holds the groups before it, and the caller
+/// drops it.
 fn gapped_stage_routed(
     bank1: &Bank,
     members: &Members,

@@ -556,13 +556,17 @@ pub fn find_hsps(
 }
 
 /// Full-control entry point: the same enumeration under an explicit guard
-/// (the ablation uses [`OrderGuard::None`]) and a cooperative
+/// and a cooperative
 /// [`Deadline`], consulted at step 2's points in [`crate::deadline`]'s
 /// list; an expiry surfaces as a clean [`DeadlineExceeded`] with no
 /// partial output. The deadline never changes *what* is computed — the
 /// chunk count never affects output, ranges concatenate in code order —
 /// so a run that completes under a generous budget is byte-identical to
 /// one under [`Deadline::none`], which cannot fail.
+///
+/// Under [`OrderGuard::None`] (the A1 ablation) every seed of an HSP
+/// emits it, so the vector holds each HSP once per kept extension,
+/// duplicates side by side, and `kept` counts them all.
 pub fn find_hsps_guarded(
     bank1: &Bank,
     idx1: &BankIndex,
@@ -642,17 +646,16 @@ fn find_hsps_grained(
     // "the storage is made by sorting the HSPs by diagonal number to
     // optimize data access of the next step"
     hsps.sort_by(Hsp::diag_order);
-    if matches!(guard, OrderGuard::None) {
-        // Without the rule every seed of an HSP emits it (the A1 ablation).
-        hsps.dedup();
-    } else {
-        // With it, each HSP is emitted exactly once (paper section 2.2).
-        debug_assert!(
-            hsps.windows(2)
+    // With the rule each HSP is emitted exactly once (paper section 2.2).
+    // Without it every seed of an HSP emits it, and the A1 ablation
+    // suppresses the copies.
+    debug_assert!(
+        matches!(guard, OrderGuard::None)
+            || hsps
+                .windows(2)
                 .all(|p| Hsp::diag_order(&p[0], &p[1]).is_lt()),
-            "the ordered rule emitted an HSP twice"
-        );
-    }
+        "the ordered rule emitted an HSP twice"
+    );
     Ok((hsps, stats))
 }
 
@@ -1134,6 +1137,28 @@ mod tests {
             .map(|h| (h.start1, h.start2, h.len))
             .collect();
         assert_eq!(ordered, brute);
+    }
+
+    #[test]
+    fn unguarded_enumeration_returns_every_kept_hsp() {
+        // A long shared core is anchored by many seeds: without the rule
+        // each of them extends to the same HSP, and step 2 returns every
+        // copy, leaving their suppression to the caller.
+        let core = "ATGGCGTACGTTAGCCTAGGCTTAACGGATCGATCCGG";
+        let b1 = bank(&[&format!("TTAACC{core}GGTTAA")]);
+        let b2 = bank(&[&format!("CCGG{core}AATT")]);
+        let c = cfg(6);
+        let i1 = BankIndex::build(&b1, IndexConfig::full(c.w));
+        let i2 = BankIndex::build(&b2, IndexConfig::full(c.w));
+        let (raw, st) =
+            find_hsps_guarded(&b1, &i1, &b2, &i2, &c, OrderGuard::None, &Deadline::none()).unwrap();
+        assert_eq!(raw.len() as u64, st.kept);
+        let unique: std::collections::HashSet<(u32, u32, u32)> =
+            raw.iter().map(|h| (h.start1, h.start2, h.len)).collect();
+        assert!(unique.len() < raw.len(), "{raw:?}");
+        assert!(raw
+            .windows(2)
+            .all(|p| Hsp::diag_order(&p[0], &p[1]).is_le()));
     }
 
     #[test]

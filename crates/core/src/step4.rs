@@ -86,8 +86,8 @@ fn display_records(
 ///
 /// `query_residues` is the query-side e-value search-space size — the
 /// *full* bank size when `bank1` is one batch of a larger bank (the
-/// baseline's blastall-style batching), so batched and one-pass runs
-/// report identical records. With `flip_subject`, `bank2` is the reverse
+/// baseline's blastall-style batches), so a record does not depend on
+/// the batch it was found in. With `flip_subject`, `bank2` is the reverse
 /// complement of the original subject and emitted subject coordinates
 /// are mapped back to plus-strand numbering (`sstart > send`, BLAST
 /// style): a hit at rc-local `[s, e]` in a record of length `L` becomes

@@ -325,6 +325,8 @@ pub struct DbSession<'d> {
     /// without a database (volume sessions carry their own).
     pool: Option<rayon::ThreadPool>,
     costs: Vec<VolumeCost>,
+    /// (Chunk, volume) searches dispatched so far.
+    dispatches: u64,
     /// Quarantined volumes (the session-lifetime skip set under
     /// [`OnVolumeError::SkipAndReport`]) and why each was quarantined.
     quarantined: Vec<Option<DbError>>,
@@ -410,6 +412,7 @@ impl<'d> DbSession<'d> {
             capacity,
             pool,
             costs: vec![VolumeCost::default(); num],
+            dispatches: 0,
             quarantined: (0..num).map(|_| None).collect(),
             results,
             obs: Obs::disarmed(),
@@ -436,6 +439,13 @@ impl<'d> DbSession<'d> {
     /// Per-volume attach cost attribution so far.
     pub fn volume_costs(&self) -> &[VolumeCost] {
         &self.costs
+    }
+
+    /// (Chunk, volume) searches dispatched so far: one per live volume
+    /// for each chunk the cache did not answer whole, counted as the
+    /// search starts, so a search that expires counts.
+    pub fn dispatches(&self) -> u64 {
+        self.dispatches
     }
 
     /// Result-cache counters so far (hits, misses, insertions,
@@ -591,8 +601,8 @@ impl<'d> DbSession<'d> {
             if !self.attach(v, retries)? {
                 continue;
             }
+            self.dispatches += 1;
             let session = self.attached[v].as_ref().expect("attached above");
-            self.obs.count(names::WORKER_DISPATCH_TOTAL, 1);
             let _span = self.obs.timed_span_with(
                 "volume_search",
                 names::VOLUME_SEARCH_SECONDS,
@@ -716,9 +726,9 @@ impl<'d> DbSession<'d> {
 
     /// Sets the registry's instruments for what the session counts itself
     /// — the [`ResultCache`]'s counters, the [`VolumeCost`] attaches and
-    /// retries, the quarantines — to the session's values. Those structs
-    /// are the one ledger of these counts; the registry shows them as of
-    /// the last chunk.
+    /// retries, the dispatches, the quarantines — to the session's values.
+    /// Those are the one ledger of these counts; the registry shows them
+    /// as of the last chunk.
     fn publish(&self) {
         let c = self.result_cache_counters();
         let attaches = self.costs.iter().map(|c| u64::from(c.attaches)).sum();
@@ -732,6 +742,7 @@ impl<'d> DbSession<'d> {
             (names::CACHE_INVALIDATIONS_TOTAL, c.invalidations),
             (names::VOLUME_ATTACHES_TOTAL, attaches),
             (names::IO_RETRIES_TOTAL, retries),
+            (names::WORKER_DISPATCH_TOTAL, self.dispatches),
             (names::VOLUME_QUARANTINES_TOTAL, quarantines),
         ] {
             self.obs.set_counter(name, value);

@@ -15,13 +15,12 @@ fn main() {
     let b1 = paper_banks(&["EST3"], scale).remove(0).bank;
     let b2 = paper_banks(&["EST4"], scale).remove(0).bank;
 
-    let oris_cfg = OrisConfig::default();
-    let blast_cfg = BlastConfig::matched(&oris_cfg);
+    let cfg = OrisConfig::default();
 
     println!("running SCORIS-N (ORIS engine, entropy filter) ...");
-    let r_oris = compare_banks(&b1, &b2, &oris_cfg);
+    let r_oris = compare_banks(&b1, &b2, &cfg);
     println!("running BLASTN-like baseline (dust filter) ...");
-    let r_blast = blast_compare_banks(&b1, &b2, &blast_cfg);
+    let r_blast = blast_compare_banks(&b1, &b2, &cfg);
 
     let rep = oris::eval::compare_outputs(&r_oris.alignments, &r_blast.alignments, 0.8);
     println!("\npaper section 3.4 metrics (80% overlap equivalence):");

@@ -31,7 +31,7 @@ pub use oris_simulate as simulate;
 
 /// Commonly used items, re-exported flat.
 pub mod prelude {
-    pub use oris_blast::{compare_banks as blast_compare_banks, BlastConfig};
+    pub use oris_blast::compare_banks as blast_compare_banks;
     pub use oris_core::{
         compare_banks, CollectSink, OrisConfig, OrisResult, PreparedBank, RecordSink, Session,
         StreamWriter,

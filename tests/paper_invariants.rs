@@ -157,10 +157,9 @@ proptest! {
     ) {
         let b1 = bank_from(&[format!("{noise1}{core}")]);
         let b2 = bank_from(&[format!("{core}{noise2}")]);
-        let oris_cfg = oris::core::OrisConfig::small(8);
-        let blast_cfg = BlastConfig::matched(&oris_cfg);
-        let r1 = compare_banks(&b1, &b2, &oris_cfg);
-        let r2 = blast_compare_banks(&b1, &b2, &blast_cfg);
+        let cfg = oris::core::OrisConfig::small(8);
+        let r1 = compare_banks(&b1, &b2, &cfg);
+        let r2 = blast_compare_banks(&b1, &b2, &cfg);
         prop_assert!(!r1.alignments.is_empty());
         prop_assert!(!r2.alignments.is_empty());
         prop_assert!(oris::eval::equivalent(&r1.alignments[0], &r2.alignments[0], 0.8),

@@ -21,11 +21,8 @@ fn engines_agree_on_synthetic_est_banks() {
         filter: FilterKind::Dust,
         ..OrisConfig::default()
     };
-    let mut blast_cfg = BlastConfig::matched(&oris_cfg);
-    blast_cfg.filter = FilterKind::Dust;
-
     let r_oris = compare_banks(&b1, &b2, &oris_cfg);
-    let r_blast = blast_compare_banks(&b1, &b2, &blast_cfg);
+    let r_blast = blast_compare_banks(&b1, &b2, &oris_cfg);
     let rep = oris::eval::compare_outputs(&r_oris.alignments, &r_blast.alignments, 0.8);
     assert_eq!(rep.a_miss, 0, "{rep:?}");
     assert_eq!(rep.b_miss, 0, "{rep:?}");
@@ -38,14 +35,11 @@ fn differing_filters_produce_small_mutual_misses() {
     // exist but stay a small fraction — the section-3.4 shape.
     let b1 = paper_banks(&["EST3"], 0.1).remove(0).bank;
     let b2 = paper_banks(&["EST4"], 0.1).remove(0).bank;
-    let (r_oris, r_blast) = {
-        let oris_cfg = OrisConfig::default();
-        let blast_cfg = BlastConfig::matched(&oris_cfg);
-        (
-            compare_banks(&b1, &b2, &oris_cfg),
-            blast_compare_banks(&b1, &b2, &blast_cfg),
-        )
-    };
+    let cfg = OrisConfig::default();
+    let (r_oris, r_blast) = (
+        compare_banks(&b1, &b2, &cfg),
+        blast_compare_banks(&b1, &b2, &cfg),
+    );
     let rep = oris::eval::compare_outputs(&r_oris.alignments, &r_blast.alignments, 0.8);
     assert!(rep.a_total > 10, "too few alignments to compare: {rep:?}");
     let miss_a = rep.a_miss_pct().unwrap_or(0.0);
@@ -55,17 +49,6 @@ fn differing_filters_produce_small_mutual_misses() {
         "SCORISmiss too large: {miss_a:.1}% ({rep:?})"
     );
     assert!(miss_b < 25.0, "BLASTmiss too large: {miss_b:.1}% ({rep:?})");
-}
-
-#[test]
-fn batched_baseline_matches_one_pass_records() {
-    let (b1, b2) = small_est_pair();
-    let oris_cfg = OrisConfig::default();
-    let lean = BlastConfig::matched(&oris_cfg);
-    let batched = BlastConfig::blastall_like(&oris_cfg);
-    let a = blast_compare_banks(&b1, &b2, &lean);
-    let b = blast_compare_banks(&b1, &b2, &batched);
-    assert_eq!(a.alignments, b.alignments);
 }
 
 #[test]
